@@ -1,5 +1,5 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green.
-.PHONY: check build test vet race bench chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race bench bench-smoke chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
 
 check: vet errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate build race
 
@@ -97,6 +97,12 @@ chaos:
 
 bench:
 	go test -bench=. -benchmem -run=^$$
+
+# Smoke test of the repository's benchmark (bench/, see bench/README.md):
+# every workload, both runs, tiny scale, under the race detector. bench/ is
+# a module of its own, so `make check` (./...) cannot reach it.
+bench-smoke:
+	cd bench && go test -race .
 
 # Span-tracing demo: run the fig5 microbenchmark grid with every operation
 # traced, write trace.json (load it at ui.perfetto.dev), and print the

@@ -223,30 +223,6 @@ func (s *Shared) PresentIter(lo, hi int64) RunIter {
 	return newRunIter(s.view(), lo, hi, true)
 }
 
-// CopyRange copies the words covering blocks [lo, hi) into dst, growing
-// dst as needed, and returns the number of words copied (the selective
-// bitmap export from CROSS-OS to CROSS-LIB, §4.4). dst bits outside
-// [lo, hi) are preserved.
-func (s *Shared) CopyRange(dst *Bitmap, lo, hi int64) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return 0
-	}
-	dst.grow(hi - 1)
-	v := s.view()
-	loW, hiW := int(lo/wordBits), int((hi-1)/wordBits)
-	for w := loW; w <= hiW; w++ {
-		old := dst.words[w]
-		mask := wordMask(lo, hi, int64(w))
-		merged := (old &^ mask) | (v.load(w) & mask)
-		dst.set += int64(bits.OnesCount64(merged)) - int64(bits.OnesCount64(old))
-		dst.words[w] = merged
-	}
-	return hiW - loW + 1
-}
-
 // Shrink truncates the bitmap to cover at most n blocks, clearing any bits
 // at or beyond n (file truncation). Writer-only.
 func (s *Shared) Shrink(n int64) {

@@ -118,25 +118,37 @@ func TestRunItersMatchReference(t *testing.T) {
 	}
 }
 
-// TestSharedCopyRangeMatchesBitmap checks the selective export merge
-// semantics against the plain implementation.
-func TestSharedCopyRangeMatchesBitmap(t *testing.T) {
-	b := New(0)
+// TestCopyWindow checks the selective export: exactly the window's bits,
+// storage sized by the window and not by its offset, and reuse on refill.
+func TestCopyWindow(t *testing.T) {
 	var s Shared
-	b.SetRange(10, 200)
-	s.SetRange(10, 200)
-	dstB, dstS := New(0), New(0)
-	dstB.SetRange(0, 64) // pre-existing dst bits outside the window survive
-	dstS.SetRange(0, 64)
-	b.CopyRange(dstB, 64, 192)
-	s.CopyRange(dstS, 64, 192)
-	if dstB.Count() != dstS.Count() {
-		t.Fatalf("CopyRange counts diverge: %d vs %d", dstB.Count(), dstS.Count())
+	const far = 1 << 30 // a window deep into a large file
+	s.SetRange(far+10, far+200)
+	s.SetRange(0, 64)
+	var w Window
+	if words := s.CopyWindow(&w, far+70, far+300); words != 4 {
+		t.Fatalf("copied %d words, want 4", words)
 	}
-	for i := int64(0); i < 256; i++ {
-		if dstB.Test(i) != dstS.Test(i) {
-			t.Fatalf("CopyRange bit %d diverges", i)
+	if w.Lo() != far+70 || w.Hi() != far+300 || w.Count() != 130 {
+		t.Fatalf("window [%d,%d) count %d, want [%d,%d) count 130", w.Lo(), w.Hi(), w.Count(), far+70, far+300)
+	}
+	for i := int64(far); i < far+320; i++ {
+		if got, want := w.Test(i), i >= far+70 && i < far+200; got != want {
+			t.Fatalf("bit %d = %v, want %v", i-far, got, want)
 		}
+	}
+	if w.Test(5) || w.CountRange(0, far+100) != 30 || w.CountRange(far+190, far+400) != 10 {
+		t.Fatalf("bits outside the window count: %d, %d", w.CountRange(0, far+100), w.CountRange(far+190, far+400))
+	}
+	if runs := w.AppendPresentRuns(nil, 0, far+320); len(runs) != 1 || runs[0] != (Run{far + 70, far + 200}) {
+		t.Fatalf("present runs = %v", runs)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.CopyWindow(&w, far+64, far+256) }); n != 0 {
+		t.Errorf("refilling a window: %v allocs/run, want 0", n)
+	}
+	s.CopyWindow(&w, 10, 10)
+	if w.Count() != 0 || w.Test(10) {
+		t.Fatal("empty window holds bits")
 	}
 }
 
@@ -155,7 +167,10 @@ func TestSharedShrink(t *testing.T) {
 
 // TestSharedConcurrentReaders runs lock-free readers against a single
 // serialized writer under -race: queries must never tear a word, counts
-// must stay within the written envelope, and the final state must be
+// must stay within the written envelope, the iterator must keep its
+// contract (ascending, non-empty, non-overlapping runs that may abut), the
+// Append form must hand out strictly separated runs — what fetchRuns and
+// prefetchRuns turn into device commands — and the final state must be
 // exact.
 func TestSharedConcurrentReaders(t *testing.T) {
 	var s Shared
@@ -167,6 +182,7 @@ func TestSharedConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			var runs []Run
 			for {
 				select {
 				case <-stop:
@@ -180,16 +196,22 @@ func TestSharedConcurrentReaders(t *testing.T) {
 					torn.Add(1)
 				}
 				it := s.MissingIter(0, span)
-				prev := int64(-1)
+				prev := int64(0)
 				for {
 					run, ok := it.Next()
 					if !ok {
 						break
 					}
-					if run.Lo >= run.Hi || run.Lo <= prev {
+					if run.Lo >= run.Hi || run.Lo < prev {
 						torn.Add(1)
 					}
 					prev = run.Hi
+				}
+				runs = s.AppendMissingRuns(runs[:0], 0, span)
+				for i, run := range runs {
+					if run.Lo >= run.Hi || run.Hi > span || (i > 0 && run.Lo <= runs[i-1].Hi) {
+						torn.Add(1)
+					}
 				}
 				_ = s.Test(seed % span)
 				_ = s.NextClear(0, span)
@@ -252,5 +274,31 @@ func TestRunIterZeroAlloc(t *testing.T) {
 		scratch = b.AppendPresentRuns(scratch[:0], 0, 4096)
 	}); n != 0 {
 		t.Fatalf("Bitmap AppendPresentRuns allocates %v per run, want 0", n)
+	}
+}
+
+// TestRunIterAbutsAfterFlip pins the iterator contract deterministically:
+// when the bit that ended a run flips before the next call, the next run
+// starts where the last one ended — and the Append form never merges into
+// runs the caller had already collected.
+func TestRunIterAbutsAfterFlip(t *testing.T) {
+	var s Shared
+	s.SetRange(10, 20)
+	it := s.MissingIter(0, 64)
+	first, ok := it.Next()
+	if !ok || first != (Run{0, 10}) {
+		t.Fatalf("first run = %v %v, want {0 10}", first, ok)
+	}
+	s.ClearRange(10, 20) // the writer clears the bit that ended the run
+	second, ok := it.Next()
+	if !ok || second != (Run{10, 64}) {
+		t.Fatalf("second run = %v %v, want the abutting {10 64}", second, ok)
+	}
+
+	prior := []Run{{0, 8}}
+	s.SetRange(0, 8)
+	got := s.AppendMissingRuns(prior, 8, 64)
+	if len(got) != 2 || got[0] != (Run{0, 8}) || got[1] != (Run{8, 64}) {
+		t.Fatalf("AppendMissingRuns merged into the caller's earlier run: %v", got)
 	}
 }

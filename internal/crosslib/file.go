@@ -641,9 +641,10 @@ func (f *File) issueVectored(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 		req.LimitOverride = maxRun
 	}
 
+	snap := windowPool.Get().(*bitmap.Window)
+	defer windowPool.Put(snap)
 	for attempt := 0; ; {
 		rt.rec.Add(telemetry.CtrLibIssuedPages, total)
-		snap := bitmap.New(0)
 		info := kf.ReadaheadInfo(wtl, req, snap)
 		rt.prefetchCalls.Add(1)
 		rt.prefetchedPgs.Add(info.PrefetchedPages)
@@ -691,6 +692,11 @@ func (f *File) issueVectored(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 		return
 	}
 }
+
+// windowPool recycles the readahead_info export snapshots: a call fills
+// the window it asked for and the range tree has imported it by the time
+// the call's helper returns, so the words are reused call after call.
+var windowPool = sync.Pool{New: func() any { return new(bitmap.Window) }}
 
 // mergeRun inserts r into a sorted, disjoint run list, coalescing
 // overlapping or adjacent runs.
@@ -742,6 +748,8 @@ func (f *File) issuePrefetch(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 		return true
 	}
 
+	snap := windowPool.Get().(*bitmap.Window)
+	defer windowPool.Put(snap)
 	attempt := 0
 	for pos := lo; pos < hi; {
 		req := vfs.CacheInfoRequest{
@@ -756,7 +764,6 @@ func (f *File) issuePrefetch(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 			req.LimitOverride = hi - pos
 		}
 		rt.rec.Add(telemetry.CtrLibIssuedPages, hi-pos)
-		snap := bitmap.New(0)
 		info := kf.ReadaheadInfo(wtl, req, snap)
 		rt.prefetchCalls.Add(1)
 		rt.prefetchedPgs.Add(info.PrefetchedPages)

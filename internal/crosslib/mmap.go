@@ -69,7 +69,8 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 			return
 		}
 		// Export-only readahead_info: cheap residency snapshot.
-		snap := bitmap.New(0)
+		snap := windowPool.Get().(*bitmap.Window)
+		defer windowPool.Put(snap)
 		info := kf.ReadaheadInfo(wtl, vfs.CacheInfoRequest{
 			DisablePrefetch: true,
 			BitmapLo:        0,
@@ -79,7 +80,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		m.mu.Lock()
 		// Find the residency frontier.
 		var frontier int64 = -1
-		for _, r := range snap.PresentRuns(0, fileBlocks) {
+		for _, r := range snap.AppendPresentRuns(nil, 0, fileBlocks) {
 			if r.Hi > frontier {
 				frontier = r.Hi
 			}

@@ -1,6 +1,8 @@
 package crosslib
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +29,9 @@ type Runtime struct {
 	ops atomic.Int64 // intercepted operations, for eviction throttling
 
 	evictMu sync.Mutex // serializes budget enforcement passes
+	// Scratch of evictPass, reused pass after pass under evictMu.
+	evictFiles  []*sharedFile
+	evictRanges []rangetree.ColdRange
 
 	// rec, when non-nil, receives the prefetch decision trace and the
 	// library-side accounting counters (telemetry opt-in).
@@ -216,9 +221,8 @@ func (rt *Runtime) SharedFiles() int {
 	return n
 }
 
-// snapshotFiles collects every live sharedFile across the table stripes.
-func (rt *Runtime) snapshotFiles() []*sharedFile {
-	var files []*sharedFile
+// appendFiles appends every live sharedFile across the table stripes.
+func (rt *Runtime) appendFiles(files []*sharedFile) []*sharedFile {
 	for i := range rt.fileShards {
 		fs := &rt.fileShards[i]
 		fs.mu.Lock()
@@ -302,7 +306,7 @@ type PredictorRow struct {
 // the output is deterministic. Empty when Options.Ensemble is off.
 func (rt *Runtime) PredictorTable() []PredictorRow {
 	var rows []PredictorRow
-	for _, sf := range rt.snapshotFiles() {
+	for _, sf := range rt.appendFiles(nil) {
 		sf.ensMu.Lock()
 		e := sf.ens
 		if e == nil {
@@ -366,7 +370,7 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 // DropCaches resets the runtime's user-level cache belief (paired with a
 // kernel-level drop between experiment phases).
 func (rt *Runtime) DropCaches(tl *simtime.Timeline) {
-	for _, sf := range rt.snapshotFiles() {
+	for _, sf := range rt.appendFiles(nil) {
 		sf.tree.ClearCached(tl, 0, sf.kf.Inode().Blocks())
 		sf.fetchAll.Store(false)
 	}
@@ -431,10 +435,16 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 		return
 	}
 
-	// Snapshot files ordered by last access (coldest first).
-	candidates := rt.snapshotFiles()
-	sort.Slice(candidates, func(i, j int) bool {
-		return candidates[i].lastAccess.Load() < candidates[j].lastAccess.Load()
+	// Snapshot files ordered by last access (coldest first; inode order
+	// among files touched at the same instant, so that the pass does not
+	// depend on map iteration order).
+	candidates := rt.appendFiles(rt.evictFiles[:0])
+	defer func() { clear(candidates); rt.evictFiles = candidates[:0] }()
+	slices.SortFunc(candidates, func(a, b *sharedFile) int {
+		if c := cmp.Compare(a.lastAccess.Load(), b.lastAccess.Load()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.inoID, b.inoID)
 	})
 
 	freed := int64(0)
@@ -472,7 +482,8 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 		if freed >= target {
 			return
 		}
-		for _, cr := range sf.tree.ColdestRanges(0) {
+		rt.evictRanges = sf.tree.AppendColdestRanges(rt.evictRanges[:0])
+		for _, cr := range rt.evictRanges {
 			if freed >= target {
 				return
 			}

@@ -430,14 +430,15 @@ func (f *FS) writeBlockData(phys, off int64, data []byte) {
 }
 
 func (f *FS) copyBlock(from, to int64) {
+	dst := make([]byte, f.blockSize)
 	s := f.shard(from)
 	s.mu.RLock()
 	src := s.blocks[from]
-	s.mu.RUnlock()
-	dst := make([]byte, f.blockSize)
 	if src != nil {
-		copy(dst, src)
-	} else {
+		copy(dst, src) // under the lock: writeBlockData writes src in place
+	}
+	s.mu.RUnlock()
+	if src == nil {
 		fillSynthetic(dst, from)
 	}
 	d := f.shard(to)
@@ -453,15 +454,18 @@ func (f *FS) readBlockData(phys, off int64, dst []byte) {
 		}
 		return
 	}
+	// A materialised block is written in place under the shard's write
+	// lock (writeBlockData), so the read lock is held across the copy.
 	s := f.shard(phys)
 	s.mu.RLock()
 	blk := s.blocks[phys]
+	if blk != nil {
+		copy(dst, blk[off:])
+	}
 	s.mu.RUnlock()
 	if blk == nil {
 		fillSyntheticAt(dst, phys, off)
-		return
 	}
-	copy(dst, blk[off:])
 }
 
 // fillSynthetic writes the deterministic filler pattern for an

@@ -259,3 +259,32 @@ func TestWriteReadProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentReadWriteOneBlock is the -race regression test for
+// readBlockData: a reader and a writer on one materialised block must not
+// race on the block's bytes (the reader used to drop the shard lock before
+// copying out, while the writer copies in under the write lock), and every
+// read must see whole writes of the byte it samples.
+func TestConcurrentReadWriteOneBlock(t *testing.T) {
+	f := newTestFS(LayoutExtent)
+	ino, _ := f.Create(nil, "f")
+	ino.WriteAt(bytes.Repeat([]byte{1}, 4096), 0) // materialise the block
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			ino.WriteAt(bytes.Repeat([]byte{byte(i%250 + 1)}, 512), 1024)
+		}
+	}()
+	buf := make([]byte, 4096)
+	for i := 0; i < 2000; i++ {
+		if n := ino.ReadAt(buf, 0); n != 4096 {
+			t.Fatalf("read %d bytes", n)
+		}
+		if buf[0] != 1 || buf[1024] == 0 {
+			t.Fatalf("read %d at 0 and %d at 1024", buf[0], buf[1024])
+		}
+	}
+	<-done
+}

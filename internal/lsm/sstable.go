@@ -3,6 +3,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
@@ -287,7 +288,14 @@ func (t *sstable) blockForBack(key string) int {
 	return lo
 }
 
-// get looks up the newest visible version of key in this table.
+// blockPool recycles the raw-block buffers of point lookups.
+var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// get looks up the newest visible version of key in this table. It seeks
+// through the raw block comparing key bytes in place — entries are in
+// (key asc, seq desc) order — instead of decoding every entry the way
+// readBlock does for iterators, and copies out the one value it returns
+// so that the block buffer can go back to the pool.
 func (t *sstable) get(tl *simtime.Timeline, key string, maxSeq uint64) (val []byte, del, ok bool, err error) {
 	if !t.filter.mayContain(key) {
 		return nil, false, false, nil
@@ -296,17 +304,39 @@ func (t *sstable) get(tl *simtime.Timeline, key string, maxSeq uint64) (val []by
 	if bi < 0 {
 		return nil, false, false, nil
 	}
-	entries, err := t.readBlock(tl, bi)
-	if err != nil {
+	ie := t.index[bi]
+	buf := blockPool.Get().(*[]byte)
+	defer blockPool.Put(buf)
+	if int64(cap(*buf)) < ie.size {
+		*buf = make([]byte, ie.size)
+	}
+	raw := (*buf)[:ie.size]
+	if _, err := t.file.ReadAt(tl, raw, ie.off); err != nil {
 		return nil, false, false, err
 	}
-	for _, e := range entries {
-		if e.key == key && e.seq <= maxSeq {
-			return e.value, e.del, true, nil
+	for pos := 0; pos < len(raw); {
+		klen, n := binary.Uvarint(raw[pos:])
+		if n <= 0 {
+			return nil, false, false, fmt.Errorf("lsm: table %s block %d corrupt", t.name, bi)
 		}
-		if e.key > key {
+		pos += n
+		k := raw[pos : pos+int(klen)] // compared in place: string(k) below does not allocate
+		pos += int(klen)
+		entryDel := raw[pos] == 1
+		pos++
+		seq, n := binary.Uvarint(raw[pos:])
+		pos += n
+		vlen, n := binary.Uvarint(raw[pos:])
+		pos += n
+		if string(k) == key && seq <= maxSeq {
+			val = make([]byte, vlen)
+			copy(val, raw[pos:])
+			return val, entryDel, true, nil
+		}
+		if string(k) > key {
 			break
 		}
+		pos += int(vlen)
 	}
 	return nil, false, false, nil
 }

@@ -24,11 +24,16 @@ type FileCache struct {
 	cache *Cache
 	inoID int64
 
-	mu         sync.RWMutex      // real guard for pages map + page dirty flags
+	mu         sync.RWMutex      // real guard for the index + page dirty flags
 	treeLedger *simtime.RWLedger // virtual page-cache tree lock
 	bmLedger   *simtime.RWLedger // virtual bitmap lock (fast path)
-	pages      map[int64]*page
-	bm         bitmap.Shared // lock-free readers; writers serialized under mu
+	nodes      []*indexNode      // page index: nodes[idx>>6].slots[idx&63]
+	bm         bitmap.Shared     // lock-free readers; writers serialized under mu
+
+	// slot names this file in Cache.files for its frames; 0 while it has
+	// none. dropped is set by DropFile. Both guarded by mu.
+	slot    uint32
+	dropped bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -38,6 +43,28 @@ type FileCache struct {
 	ownActive   pageList
 	ownInactive pageList
 	lastTouch   atomic.Int64 // virtual time of last lookup
+}
+
+// frameSlot returns the file's slot in Cache.files, taking one on the
+// first insert — and again if a handle that outlived DropFile inserts after
+// the slot was given back. Caller holds fc.mu exclusive.
+func (fc *FileCache) frameSlot() uint32 {
+	if fc.slot == 0 {
+		fc.slot = fc.cache.files.add(fc)
+	}
+	return fc.slot
+}
+
+// retireIfDead gives the file's slot back once a dropped file holds no
+// page, so file churn does not grow Cache.files. Frames of this file that
+// are already out of the index but not yet released may still name the
+// slot; whatever they resolve to, their generation no longer validates.
+// Caller holds fc.mu exclusive.
+func (fc *FileCache) retireIfDead() {
+	if fc.dropped && fc.slot != 0 && fc.bm.Count() == 0 {
+		fc.cache.files.release(fc.slot)
+		fc.slot = 0
+	}
 }
 
 // InoID reports the inode this state belongs to.
@@ -76,8 +103,7 @@ func (fc *FileCache) TreeLockStats() simtime.RWLedgerStats { return fc.treeLedge
 
 // LookupResult describes the cache state of a requested page range. A
 // result can be reused across lookups via LookupRangeInto, which recycles
-// Present and the internal touched-page scratch so steady-state lookups
-// allocate nothing.
+// Present so steady-state lookups allocate nothing.
 type LookupResult struct {
 	// Present marks which pages of [lo,hi) were resident (index 0 = lo).
 	Present []bool
@@ -94,8 +120,6 @@ type LookupResult struct {
 	// so callers reusing pooled results must set it per lookup (the ring
 	// path sets the SQE's tenant; the sync path sets 0).
 	Tenant int
-
-	touched []*page // scratch: pages to feed to LRU aging
 }
 
 // LookupRange walks the page index for pages [lo, hi) on the regular I/O
@@ -110,14 +134,16 @@ func (fc *FileCache) LookupRange(tl *simtime.Timeline, lo, hi int64) LookupResul
 
 // LookupRangeInto is LookupRange writing into a caller-provided (and
 // typically reused) result. The real page-index lock is held shared: the
-// walk mutates only the pages' atomic marker/credit flags, so
-// concurrent lookups of a shared file proceed in parallel (§4.5) and only
-// structural changes (insert, remove) serialize.
+// walk mutates only the pages' atomic marker/credit/accessed flags (and
+// takes an LRU shard lock for the rare promoting access), so concurrent
+// lookups of a shared file proceed in parallel (§4.5) and only structural
+// changes (insert, remove) serialize. LRU aging happens inside the walk
+// because a frame is only guaranteed to be the page it was while the
+// index lock pins it.
 func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *LookupResult) {
 	n := hi - lo
 	res.Present = res.Present[:0]
 	res.PresentCount, res.ReadyAt, res.MarkerHit = 0, 0, false
-	res.touched = res.touched[:0]
 	if n <= 0 {
 		return
 	}
@@ -147,47 +173,65 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 	// while the backing I/O was still in flight); emitted as exact
 	// OutcomeLatePrefetch events as each run closes.
 	lateStart, lateEnd := int64(-1), int64(-1)
+	var promoted int64
 	fc.mu.RLock()
-	for i := lo; i < hi; i++ {
-		p, ok := fc.pages[i]
-		if !ok {
+	dir := fc.cache.frames.load()
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeAt(base >> nodeShift)
+		if node == nil {
 			continue
 		}
-		res.Present[i-lo] = true
-		res.PresentCount++
-		if p.readyAt > res.ReadyAt {
-			res.ReadyAt = p.readyAt
-		}
-		if p.marker.Load() && p.marker.CompareAndSwap(true, false) {
-			res.MarkerHit = true
-		}
-		if cr := p.credit.Load(); cr != 0 && p.credit.CompareAndSwap(cr, 0) {
-			// First use of a prefetched page: per-origin used credit plus
-			// the prefetch-to-first-use timeliness sample.
-			prefetchHits++
-			org := telemetry.Origin(cr - 1)
-			rec.OriginUsed(org, 1)
-			rec.ArmUsed(p.arm, 1)
-			if tl != nil {
-				lat := int64(now.Sub(p.issuedAt))
-				rec.Observe(telemetry.HistPrefetchToUse, lat)
-				score.Used(now, fc.inoID, pageTenant(p), org, lat)
-				if p.readyAt > now {
-					latePages++
-					if lateStart < 0 {
-						lateStart, lateEnd = i, i+1
-					} else if i == lateEnd {
-						lateEnd = i + 1
-					} else {
-						rec.Event(now, telemetry.OutcomeLatePrefetch, fc.inoID, lateStart, lateEnd)
-						lateStart, lateEnd = i, i+1
+		s0, s1 := slotRange(base, lo, hi)
+		for s := s0; s < s1; s++ {
+			id := node.slots[s]
+			if id == 0 {
+				continue
+			}
+			i := base + int64(s)
+			p := dir.at(id)
+			res.Present[i-lo] = true
+			res.PresentCount++
+			if p.readyAt > res.ReadyAt {
+				res.ReadyAt = p.readyAt
+			}
+			if p.marker.Load() && p.marker.CompareAndSwap(true, false) {
+				res.MarkerHit = true
+			}
+			if cr := p.credit.Load(); cr != 0 && p.credit.CompareAndSwap(cr, 0) {
+				// First use of a prefetched page: per-origin used credit plus
+				// the prefetch-to-first-use timeliness sample.
+				prefetchHits++
+				org := telemetry.Origin(cr - 1)
+				rec.OriginUsed(org, 1)
+				rec.ArmUsed(telemetry.Arm(p.arm), 1)
+				tenant := fc.cache.tenants.at(p.tacct).id
+				if tl != nil {
+					lat := int64(now.Sub(p.issuedAt))
+					rec.Observe(telemetry.HistPrefetchToUse, lat)
+					score.Used(now, fc.inoID, tenant, org, lat)
+					if p.readyAt > now {
+						latePages++
+						if lateStart < 0 {
+							lateStart, lateEnd = i, i+1
+						} else if i == lateEnd {
+							lateEnd = i + 1
+						} else {
+							rec.Event(now, telemetry.OutcomeLatePrefetch, fc.inoID, lateStart, lateEnd)
+							lateStart, lateEnd = i, i+1
+						}
 					}
+				} else {
+					score.Used(now, fc.inoID, tenant, org, 0)
 				}
-			} else {
-				score.Used(now, fc.inoID, pageTenant(p), org, 0)
+			}
+			// LRU aging: the first access flips accessed, a second access
+			// promotes an inactive page; both common cases are lock-free.
+			if !p.accessed.Load() {
+				p.accessed.Store(true)
+			} else if p.state.Load() == pageInactive && fc.cache.promote(fc, id, p) {
+				promoted++
 			}
 		}
-		res.touched = append(res.touched, p)
 	}
 	fc.mu.RUnlock()
 	if lateStart >= 0 {
@@ -208,8 +252,8 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 		fc.lastTouch.Store(int64(tl.Now()))
 	}
 
-	if len(res.touched) > 0 {
-		fc.cache.touch(tl, res.touched)
+	if tl != nil && promoted > 0 {
+		tl.Advance(simtime.Duration(promoted) * fc.cache.cfg.Costs.LRUOp)
 	}
 }
 
@@ -262,36 +306,73 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 	if tl != nil {
 		now = tl.Now()
 	}
-	acct := fc.cache.tenantAccountFor(opt.Tenant)
-	var fresh []*page
+	c := fc.cache
+	acct := c.tenantAccountFor(opt.Tenant)
 	var inserted int64
+	var batch [nodeSlots]frameID
 	fc.mu.Lock()
-	for i := lo; i < hi; i++ {
-		if p, ok := fc.pages[i]; ok {
+	slot := fc.slot
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeFor(base >> nodeShift)
+		s0, s1 := slotRange(base, lo, hi)
+		missing := 0
+		for s := s0; s < s1; s++ {
+			id := node.slots[s]
+			if id == 0 {
+				missing++
+				continue
+			}
+			p := c.frames.at(id)
 			if opt.Dirty && !p.dirty {
 				p.dirty = true
-				fc.cache.dirty.Add(1)
+				c.dirty.Add(1)
 			}
 			// An already-present page keeps its earlier ready time: a
 			// redundant re-fetch doesn't delay existing readers.
-			if i == opt.MarkerAt {
+			if base+int64(s) == opt.MarkerAt {
 				p.marker.Store(true)
 			}
+		}
+		if missing == 0 {
 			continue
 		}
-		p := &page{fc: fc, tacct: acct, idx: i, readyAt: opt.ReadyAt, issuedAt: now, origin0: opt.Origin, arm: opt.Arm, dirty: opt.Dirty}
-		if opt.Origin.IsPrefetch() {
-			p.credit.Store(int32(opt.Origin) + 1)
+		// The node's missing pages share an LRU shard, so they are
+		// allocated, filled and linked as one batch — and linked before
+		// fc.mu is released: once the index names a frame, eviction must
+		// find it on a list.
+		if slot == 0 {
+			slot = fc.frameSlot()
 		}
+		fresh := batch[:missing]
+		c.frames.alloc(fresh)
+		dir := c.frames.load()
+		k := 0
+		for s := s0; s < s1; s++ {
+			if node.slots[s] != 0 {
+				continue
+			}
+			id := fresh[k]
+			k++
+			i := base + int64(s)
+			p := dir.at(id)
+			p.idx, p.readyAt, p.issuedAt = i, opt.ReadyAt, now
+			p.file, p.tacct = slot, acct.slot
+			p.arm, p.dirty, p.wbFails = uint8(opt.Arm), opt.Dirty, 0
+			p.accessed.Store(false)
+			p.marker.Store(i == opt.MarkerAt)
+			if opt.Origin.IsPrefetch() {
+				p.credit.Store(int32(opt.Origin) + 1)
+			} else {
+				p.credit.Store(0)
+			}
+			node.slots[s] = id
+		}
+		node.n += int32(missing)
 		if opt.Dirty {
-			fc.cache.dirty.Add(1)
+			c.dirty.Add(int64(missing))
 		}
-		if i == opt.MarkerAt {
-			p.marker.Store(true)
-		}
-		fc.pages[i] = p
-		fresh = append(fresh, p)
-		inserted++
+		c.link(fc, fresh)
+		inserted += int64(missing)
 	}
 	if inserted > 0 {
 		// One bitmap update after the whole walk, under the bitmap lock.
@@ -322,7 +403,6 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 		fc.cache.score.Issued(now, fc.inoID, opt.Tenant, opt.Origin, inserted)
 		fc.cache.used.Add(inserted)
 		fc.cache.chargeTenant(acct, inserted)
-		fc.cache.link(fresh)
 		fc.cache.reclaimIfNeeded(tl)
 		fc.cache.tenantReclaimIfNeeded(tl, acct)
 	}
@@ -335,10 +415,18 @@ func (fc *FileCache) SetDirtyRange(tl *simtime.Timeline, lo, hi int64) {
 		fc.treeLedger.Write(tl, simtime.Duration(hi-lo)*fc.cache.cfg.Costs.TreeLookup)
 	}
 	fc.mu.Lock()
-	for i := lo; i < hi; i++ {
-		if p, ok := fc.pages[i]; ok && !p.dirty {
-			p.dirty = true
-			fc.cache.dirty.Add(1)
+	dir := fc.cache.frames.load()
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeAt(base >> nodeShift)
+		if node == nil {
+			continue
+		}
+		s0, s1 := slotRange(base, lo, hi)
+		for _, id := range node.slots[s0:s1] {
+			if id != 0 && !dir.at(id).dirty {
+				dir.at(id).dirty = true
+				fc.cache.dirty.Add(1)
+			}
 		}
 	}
 	fc.mu.Unlock()
@@ -350,18 +438,38 @@ func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
 	if hi <= lo {
 		return 0
 	}
-	var victims []*page
+	sc := scratchPool.Get().(*evictScratch)
+	defer scratchPool.Put(sc)
+	victims := sc.frames[:0]
 	fc.mu.Lock()
-	for i := lo; i < hi; i++ {
-		if p, ok := fc.pages[i]; ok {
-			delete(fc.pages, i)
-			victims = append(victims, p)
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		chunk := base >> nodeShift
+		if chunk >= int64(len(fc.nodes)) {
+			break
+		}
+		node := fc.nodes[chunk]
+		if node == nil {
+			continue
+		}
+		s0, s1 := slotRange(base, lo, hi)
+		for s := s0; s < s1; s++ {
+			if id := node.slots[s]; id != 0 {
+				victims = append(victims, id)
+				node.slots[s] = 0
+				node.n--
+			}
+		}
+		if node.n == 0 {
+			fc.nodes[chunk] = nil
+			nodePool.Put(node)
 		}
 	}
 	if len(victims) > 0 {
 		fc.bm.ClearRange(lo, hi)
+		fc.retireIfDead()
 	}
 	fc.mu.Unlock()
+	sc.frames = victims[:0]
 	if len(victims) == 0 {
 		return 0
 	}
@@ -371,7 +479,7 @@ func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
 		})
 		fc.bmLedger.Write(tl, fc.cache.cfg.Costs.BitmapOp*simtime.Duration(1+(hi-lo)/64))
 	}
-	fc.cache.finishEviction(tl, victims, true)
+	fc.cache.finishEviction(tl, fc, victims, true, sc)
 	return int64(len(victims))
 }
 
@@ -395,21 +503,18 @@ func (fc *FileCache) AppendFastMissingRuns(tl *simtime.Timeline, dst []bitmap.Ru
 	return fc.bm.AppendMissingRuns(dst, lo, hi)
 }
 
-// ExportBitmap copies the bitmap window [lo, hi) into dst, charging the
-// bitmap lock shared plus per-word copy cost (the selective export to
-// CROSS-LIB).
-func (fc *FileCache) ExportBitmap(tl *simtime.Timeline, lo, hi int64, dst *bitmap.Bitmap) {
-	if hi <= lo {
-		return
-	}
-	words := simtime.Duration(1 + (hi-lo)/64)
-	if tl != nil {
+// ExportBitmap makes dst a snapshot of the bitmap window [lo, hi),
+// charging the bitmap lock shared plus per-word copy cost (the selective
+// export to CROSS-LIB). An empty window costs nothing and leaves dst empty.
+func (fc *FileCache) ExportBitmap(tl *simtime.Timeline, lo, hi int64, dst *bitmap.Window) {
+	if hi > lo && tl != nil {
+		words := simtime.Duration(1 + (hi-lo)/64)
 		start := tl.Now()
 		fc.bmLedger.Read(tl, fc.cache.cfg.Costs.BitmapOp*words)
 		telemetry.Current(tl).Child("cache.bitmap_export", telemetry.CatLock, start, tl.Now())
 		tl.Advance(fc.cache.cfg.Costs.BitmapCopy * words)
 	}
-	fc.bm.CopyRange(dst, lo, hi)
+	fc.bm.CopyWindow(dst, lo, hi)
 }
 
 // WalkResident calls fn for every resident page index in [lo, hi) while
@@ -423,9 +528,16 @@ func (fc *FileCache) WalkResident(tl *simtime.Timeline, lo, hi int64, fn func(id
 	}
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
-	for i := lo; i < hi; i++ {
-		if _, ok := fc.pages[i]; ok {
-			fn(i)
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeAt(base >> nodeShift)
+		if node == nil {
+			continue
+		}
+		s0, s1 := slotRange(base, lo, hi)
+		for s := s0; s < s1; s++ {
+			if node.slots[s] != 0 {
+				fn(base + int64(s))
+			}
 		}
 	}
 }
@@ -456,24 +568,34 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 	}
 	var runs []bitmap.Run
 	fc.mu.Lock()
-	runStart := int64(-1)
-	for i := lo; i < hi; i++ {
-		p, ok := fc.pages[i]
-		if ok && p.dirty {
-			p.dirty = false
-			fc.cache.dirty.Add(-1)
-			if runStart < 0 {
-				runStart = i
-			}
+	dir := fc.cache.frames.load()
+	// The open run is [runStart, runEnd); a clean or absent page closes it.
+	runStart, runEnd := int64(-1), int64(-1)
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeAt(base >> nodeShift)
+		if node == nil {
 			continue
 		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-			runStart = -1
+		s0, s1 := slotRange(base, lo, hi)
+		for s := s0; s < s1; s++ {
+			id := node.slots[s]
+			if id == 0 || !dir.at(id).dirty {
+				continue
+			}
+			dir.at(id).dirty = false
+			fc.cache.dirty.Add(-1)
+			i := base + int64(s)
+			if i != runEnd {
+				if runStart >= 0 {
+					runs = append(runs, bitmap.Run{Lo: runStart, Hi: runEnd})
+				}
+				runStart = i
+			}
+			runEnd = i + 1
 		}
 	}
 	if runStart >= 0 {
-		runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
+		runs = append(runs, bitmap.Run{Lo: runStart, Hi: runEnd})
 	}
 	fc.mu.Unlock()
 	return runs
@@ -486,9 +608,17 @@ func (fc *FileCache) ResidentReadyAt(lo, hi int64) simtime.Time {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
 	var latest simtime.Time
-	for i := lo; i < hi; i++ {
-		if p, ok := fc.pages[i]; ok && p.readyAt > latest {
-			latest = p.readyAt
+	dir := fc.cache.frames.load()
+	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
+		node := fc.nodeAt(base >> nodeShift)
+		if node == nil {
+			continue
+		}
+		s0, s1 := slotRange(base, lo, hi)
+		for _, id := range node.slots[s0:s1] {
+			if id != 0 && dir.at(id).readyAt > latest {
+				latest = dir.at(id).readyAt
+			}
 		}
 	}
 	return latest

@@ -3,14 +3,16 @@
 //
 // Structure mirrors what the paper's analysis depends on:
 //
-//   - Each file has a page index (Linux's per-inode Xarray) guarded by one
+//   - Each file has a page index (Linux's per-inode Xarray: chunked
+//     64-slot nodes of frame ids, see frames.go) guarded by one
 //     reader-writer lock. Regular I/O lookups take it shared; inserts and
 //     deletes take it exclusive. This is the "single big per-file
 //     cache-tree lock" whose contention §3.2 measures.
 //   - Alongside the index, CROSS-OS maintains a per-inode block bitmap with
 //     its own rw-lock: the delineated fast path (§4.4) that readahead_info
 //     queries instead of walking the tree.
-//   - Pages live on global active/inactive LRU lists. Allocation beyond the
+//   - Page frames live in the cache's frame table (the mem_map, frames.go)
+//     and are linked on global active/inactive LRU lists. Allocation beyond the
 //     high watermark wakes background reclaim (kswapd, charged to its own
 //     virtual worker); allocation beyond capacity forces direct reclaim,
 //     charged to the allocating thread — which is how aggressive
@@ -67,6 +69,12 @@ type Cache struct {
 
 	used atomic.Int64
 
+	// frames holds every page frame; files and tenants name the objects a
+	// frame refers to, so the frames themselves carry no pointers.
+	frames  frameTable
+	files   slotTable[FileCache]
+	tenants slotTable[tenantAccount]
+
 	// LRU state is striped across power-of-two shards so concurrent
 	// insert/touch traffic on different files (or different regions of one
 	// file) never serializes on a single list lock. Global eviction order
@@ -84,9 +92,9 @@ type Cache struct {
 	// Tenant page accounting (see tenant.go): every page is charged to
 	// one account; nOverSoft counts accounts over their soft budget and
 	// gates the reclaim victim bias.
-	tenantMu  sync.RWMutex
-	tenants   map[int]*tenantAccount
-	nOverSoft atomic.Int64
+	tenantMu   sync.RWMutex
+	tenantByID map[int]*tenantAccount
+	nOverSoft  atomic.Int64
 
 	hits           atomic.Int64
 	misses         atomic.Int64
@@ -111,10 +119,10 @@ func New(cfg Config, flush FlushFn) *Cache {
 		cfg.KswapdWorkers = 1
 	}
 	c := &Cache{
-		cfg:     cfg,
-		flush:   flush,
-		kswapd:  simtime.NewWorkerPool(cfg.KswapdWorkers, 0),
-		tenants: make(map[int]*tenantAccount),
+		cfg:        cfg,
+		flush:      flush,
+		kswapd:     simtime.NewWorkerPool(cfg.KswapdWorkers, 0),
+		tenantByID: make(map[int]*tenantAccount),
 	}
 	for i := range c.fileShards {
 		c.fileShards[i].m = make(map[int64]*FileCache)
@@ -153,11 +161,26 @@ func shardIndex(a, b uint64, n int) int {
 // lruShardFor maps a page to its (stable) LRU shard. Global mode spreads a
 // file's pages across shards in 64-page chunks; PerInodeLRU keeps a file's
 // own lists whole inside one shard so per-file draining stays one lock.
-func (c *Cache) lruShardFor(p *page) *lruShard {
+func (c *Cache) lruShardFor(fc *FileCache, idx int64) *lruShard {
 	if c.cfg.PerInodeLRU {
-		return c.lruShardForFile(p.fc)
+		return c.lruShardForFile(fc)
 	}
-	return &c.lru[shardIndex(uint64(p.fc.inoID), uint64(p.idx>>6), lruShardCount)]
+	return &c.lru[shardIndex(uint64(fc.inoID), uint64(idx>>nodeShift), lruShardCount)]
+}
+
+// listOf returns the LRU list that holds fc's pages of the given (linked)
+// state within shard sh: the shard's own lists, or with PerInodeLRU the
+// file's.
+func (c *Cache) listOf(sh *lruShard, fc *FileCache, state int32) *pageList {
+	switch {
+	case c.cfg.PerInodeLRU && state == pageActive:
+		return &fc.ownActive
+	case c.cfg.PerInodeLRU:
+		return &fc.ownInactive
+	case state == pageActive:
+		return &sh.active
+	}
+	return &sh.inactive
 }
 
 func (c *Cache) lruShardForFile(fc *FileCache) *lruShard {
@@ -168,9 +191,8 @@ func (c *Cache) fileShard(inoID int64) *fileShard {
 	return &c.fileShards[shardIndex(uint64(inoID), 0, fileShardCount)]
 }
 
-// snapshotFiles collects every live FileCache across the inode shards.
-func (c *Cache) snapshotFiles() []*FileCache {
-	var files []*FileCache
+// appendFiles appends every live FileCache across the inode shards.
+func (c *Cache) appendFiles(files []*FileCache) []*FileCache {
 	for i := range c.fileShards {
 		fs := &c.fileShards[i]
 		fs.mu.Lock()
@@ -229,7 +251,6 @@ func (c *Cache) File(inoID int64) *FileCache {
 			inoID:      inoID,
 			treeLedger: simtime.NewRWLedger("tree"),
 			bmLedger:   simtime.NewRWLedger("bitmap"),
-			pages:      make(map[int64]*page),
 		}
 		fs.m[inoID] = fc
 	}
@@ -245,13 +266,17 @@ func (c *Cache) DropFile(tl *simtime.Timeline, inoID int64) {
 	fs.mu.Unlock()
 	if fc != nil {
 		fc.RemoveRange(tl, 0, fc.bm.Len())
+		fc.mu.Lock()
+		fc.dropped = true
+		fc.retireIfDead()
+		fc.mu.Unlock()
 	}
 }
 
 // DropAll evicts every resident page (echo 3 > /proc/sys/vm/drop_caches),
 // preserving the per-file state objects so open handles stay valid.
 func (c *Cache) DropAll(tl *simtime.Timeline) {
-	for _, fc := range c.snapshotFiles() {
+	for _, fc := range c.appendFiles(nil) {
 		fc.RemoveRange(tl, 0, fc.Span())
 	}
 }
@@ -295,60 +320,59 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// page is one resident page frame. readyAt, issuedAt, and origin0 are
-// immutable after the page is published in its file's map; dirty and
-// wbFails are guarded by the file's exclusive mu; marker and credit are
-// atomic so the shared (RLock) lookup walk can consume them without
-// exclusive ownership.
+// page is one page frame: a pointer-free value in the frame table, named
+// by a frameID. idx, readyAt, issuedAt, arm, file and tacct are
+// immutable from the insert until the frame is released; dirty and wbFails
+// are guarded by the file's exclusive mu (or by owning the frame after it
+// left the index); marker and credit are atomic so the shared (RLock)
+// lookup walk can consume them without exclusive ownership.
 type page struct {
-	fc *FileCache
-	// tacct is the tenant account this page frame is charged to, set
-	// once at insertion; eviction credits the same account, so the
-	// per-tenant ledgers partition global residency exactly.
-	tacct   *tenantAccount
 	idx     int64
 	readyAt simtime.Time
 	// issuedAt is the virtual time the page was inserted (for prefetched
 	// pages: when the prefetch was issued) — the anchor of the
 	// prefetch-to-first-use timeliness measurement.
 	issuedAt simtime.Time
-	// origin0 is the insertion origin (telemetry.Origin), kept for the
-	// page's lifetime so eviction can attribute the frame.
-	origin0 telemetry.Origin
-	// arm is the predictor arm whose candidate issued the prefetch
-	// (ArmNone when none did); immutable after insert, meaningful only
-	// while the page carries prefetch credit.
-	arm    telemetry.Arm
-	dirty  bool
-	marker atomic.Bool // PG_readahead
-	// credit holds origin0+1 while the page's prefetch credit is
-	// outstanding, 0 once consumed — the state the Leap-style
-	// effectiveness accounting tracks. A lookup CASes it to 0 (used);
-	// eviction of a page still carrying credit is wasted prefetch.
-	// Demand-origin pages never carry credit.
-	credit atomic.Int32
-	// wbFails counts failed writeback attempts; at maxWritebackAttempts
-	// the page is dropped and the loss surfaced via telemetry.
-	wbFails int8
-
 	// LRU linkage, guarded by the owning shard's mu (Cache.lruShardFor,
-	// which is a pure function of fc/idx and therefore stable for the
-	// page's lifetime). seq is the global age stamp assigned on every list
+	// which is a pure function of file/idx and therefore stable for the
+	// frame's lifetime). seq is the global age stamp assigned on every list
 	// push; reclaim evicts ascending seq, which reproduces the exact
-	// single-list LRU order across shards.
-	prev, next *page
-	list       *pageList
+	// single-list LRU order across shards. On the free list, next is the
+	// free-list link.
 	seq        uint64
+	prev, next frameID
+	// file and tacct are the slots (Cache.files, Cache.tenants) of the
+	// owning FileCache and of the tenant account the frame is charged to;
+	// eviction credits the same account, so the per-tenant ledgers
+	// partition global residency exactly.
+	file  uint32
+	tacct uint32
+	// gen counts how often the frame has been released; see the
+	// recycle-safety rule in frames.go.
+	gen uint32
+	// credit holds the insertion origin (telemetry.Origin) + 1 while the
+	// page's prefetch credit is outstanding, 0 once consumed — the state
+	// the Leap-style effectiveness accounting tracks. A lookup CASes it to
+	// 0 (used); eviction of a page still carrying credit is wasted
+	// prefetch. Demand-origin pages never carry credit.
+	credit atomic.Int32
 	// accessed and state are atomic so the lookup path can age hot pages
 	// without touching the shard lock: the first access flips accessed,
 	// and only the promoting second access of an inactive page locks.
-	accessed atomic.Bool
+	// state is written under the shard lock only and names the list the
+	// frame is linked on.
 	state    atomic.Int32 // pageUnlinked / pageInactive / pageActive
+	accessed atomic.Bool
+	marker   atomic.Bool // PG_readahead
+	// arm is the predictor arm (telemetry.Arm) whose candidate issued the
+	// prefetch (ArmNone when none did); meaningful only while the page
+	// carries prefetch credit.
+	arm   uint8
+	dirty bool
+	// wbFails counts failed writeback attempts; at maxWritebackAttempts
+	// the page is dropped and the loss surfaced via telemetry.
+	wbFails int8
 }
-
-// pageTenant reports the tenant a page frame is charged to (tacct is
-// always non-nil: tenantAccountFor creates accounts on demand).
-func pageTenant(p *page) int { return p.tacct.id }
 
 // page.state values.
 const (
@@ -357,43 +381,35 @@ const (
 	pageActive
 )
 
-// pageList is an intrusive doubly linked LRU list. Head is most recent.
+// pageList is an intrusive doubly linked LRU list of frames. Head is most
+// recent. Every method needs the list's shard lock.
 type pageList struct {
-	head, tail *page
-	n          int64
+	head, tail frameID
 }
 
-func (l *pageList) pushHead(p *page) {
-	p.prev, p.next, p.list = nil, l.head, l
-	if l.head != nil {
-		l.head.prev = p
+func (l *pageList) pushHead(ft *frameTable, id frameID) {
+	p := ft.at(id)
+	p.prev, p.next = 0, l.head
+	if l.head != 0 {
+		ft.at(l.head).prev = id
 	}
-	l.head = p
-	if l.tail == nil {
-		l.tail = p
+	l.head = id
+	if l.tail == 0 {
+		l.tail = id
 	}
-	l.n++
 }
 
-func (l *pageList) remove(p *page) {
-	if p.prev != nil {
-		p.prev.next = p.next
+func (l *pageList) remove(ft *frameTable, id frameID) {
+	p := ft.at(id)
+	if p.prev != 0 {
+		ft.at(p.prev).next = p.next
 	} else {
 		l.head = p.next
 	}
-	if p.next != nil {
-		p.next.prev = p.prev
+	if p.next != 0 {
+		ft.at(p.next).prev = p.prev
 	} else {
 		l.tail = p.prev
 	}
-	p.prev, p.next, p.list = nil, nil, nil
-	l.n--
-}
-
-func (l *pageList) popTail() *page {
-	p := l.tail
-	if p != nil {
-		l.remove(p)
-	}
-	return p
+	p.prev, p.next = 0, 0
 }

@@ -211,10 +211,10 @@ func TestExportBitmap(t *testing.T) {
 	c := newTestCache(1000)
 	fc := c.File(1)
 	fc.InsertRange(nil, 10, 20, InsertOptions{MarkerAt: -1})
-	dst := bitmap.New(0)
-	fc.ExportBitmap(nil, 0, 64, dst)
-	if dst.CountRange(0, 64) != 10 {
-		t.Fatalf("exported %d set bits, want 10", dst.CountRange(0, 64))
+	var dst bitmap.Window
+	fc.ExportBitmap(nil, 0, 64, &dst)
+	if dst.Count() != 10 {
+		t.Fatalf("exported %d set bits, want 10", dst.Count())
 	}
 	if !dst.Test(10) || dst.Test(9) || dst.Test(20) {
 		t.Fatal("wrong bits exported")

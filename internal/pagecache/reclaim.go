@@ -1,100 +1,76 @@
 package pagecache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// sortedFiles returns a map-of-files' keys ordered by inode ID. Eviction
-// and writeback walk files in this order, never raw map order: each
-// visit books virtual time on the file's tree ledger (and possibly the
-// device), so map-order iteration would make identical runs diverge by
-// microseconds — breaking the replay determinism the experiments assert.
-func sortedFiles[V any](m map[*FileCache]V) []*FileCache {
-	files := make([]*FileCache, 0, len(m))
-	for fc := range m {
-		files = append(files, fc)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].inoID < files[j].inoID })
-	return files
+// victim is a frame that reclaim unlinked from the LRU and intends to
+// evict. Between the unlink (under the shard lock) and the eviction (under
+// the file's mu) a concurrent RemoveRange may remove, release and even
+// re-insert the frame, so the victim is carried by value — who it was,
+// not just where it is — and evictFromFiles re-validates it.
+type victim struct {
+	fc  *FileCache
+	idx int64
+	id  frameID
+	gen uint32
 }
 
-// link puts freshly inserted pages on the inactive list (Linux admits new
-// file pages to inactive; promotion to active happens on re-access). With
-// PerInodeLRU, each page goes onto its own file's lists instead. The
-// shard lock is held across consecutive same-shard pages, so a contiguous
-// insert batch takes each shard lock once per 64-page chunk.
-func (c *Cache) link(fresh []*page) {
-	var sh *lruShard
-	for _, p := range fresh {
-		if nsh := c.lruShardFor(p); nsh != sh {
-			if sh != nil {
-				sh.mu.Unlock()
-			}
-			sh = nsh
-			sh.mu.Lock()
-		}
+// link puts freshly inserted pages of fc on the inactive list (Linux
+// admits new file pages to inactive; promotion to active happens on
+// re-access). With PerInodeLRU, each page goes onto its own file's lists
+// instead. The caller holds fc.mu exclusive and passes pages of one index
+// node, which share a shard, so the batch takes one shard lock.
+func (c *Cache) link(fc *FileCache, fresh []frameID) {
+	dir := c.frames.load()
+	sh := c.lruShardFor(fc, dir.at(fresh[0]).idx)
+	l := c.listOf(sh, fc, pageInactive)
+	sh.mu.Lock()
+	for _, id := range fresh {
+		p := dir.at(id)
 		p.seq = c.lruSeq.Add(1)
-		if c.cfg.PerInodeLRU {
-			p.fc.ownInactive.pushHead(p)
-		} else {
-			sh.inactive.pushHead(p)
-			c.nInactive.Add(1)
-		}
+		l.pushHead(&c.frames, id)
 		p.state.Store(pageInactive)
 	}
-	if sh != nil {
-		sh.mu.Unlock()
+	sh.mu.Unlock()
+	if !c.cfg.PerInodeLRU {
+		c.nInactive.Add(int64(len(fresh)))
 	}
 }
 
-// touch records accesses for LRU aging: a second access promotes an
-// inactive page to the active list. The common cases — first access, and
-// re-access of an already-active page — are lock-free; only the promoting
-// access takes the page's shard lock.
-func (c *Cache) touch(tl *simtime.Timeline, pages []*page) {
-	moved := 0
-	for _, p := range pages {
-		if !p.accessed.Load() {
-			p.accessed.Store(true)
-			continue
-		}
-		if p.state.Load() != pageInactive {
-			continue // already active, or mid-eviction: nothing to promote
-		}
-		sh := c.lruShardFor(p)
-		sh.mu.Lock()
-		switch p.list {
-		case &sh.inactive:
-			sh.inactive.remove(p)
+// promote moves a re-accessed inactive page to the active list, under its
+// shard lock, and reports whether it did (reclaim may have claimed the
+// page first). The caller holds fc.mu (shared), which pins the frame.
+func (c *Cache) promote(fc *FileCache, id frameID, p *page) bool {
+	sh := c.lruShardFor(fc, p.idx)
+	sh.mu.Lock()
+	promoted := p.state.Load() == pageInactive
+	if promoted {
+		c.listOf(sh, fc, pageInactive).remove(&c.frames, id)
+		if !c.cfg.PerInodeLRU {
 			c.nInactive.Add(-1)
-			p.seq = c.lruSeq.Add(1)
-			sh.active.pushHead(p)
-			p.state.Store(pageActive)
-			moved++
-		case &p.fc.ownInactive:
-			p.fc.ownInactive.remove(p)
-			p.seq = c.lruSeq.Add(1)
-			p.fc.ownActive.pushHead(p)
-			p.state.Store(pageActive)
-			moved++
 		}
-		sh.mu.Unlock()
+		p.seq = c.lruSeq.Add(1)
+		c.listOf(sh, fc, pageActive).pushHead(&c.frames, id)
+		p.state.Store(pageActive)
 	}
-	if tl != nil && moved > 0 {
-		tl.Advance(simtime.Duration(moved) * c.cfg.Costs.LRUOp)
-	}
+	sh.mu.Unlock()
+	return promoted
 }
 
-// popOldest removes and returns the globally least-recent page from the
-// sharded inactive (or active) lists — the page with the minimum seq
-// stamp among all shard tails. Caller holds reclaimMu. Returns nil when
-// every shard's list is empty.
-func (c *Cache) popOldest(inactive bool) *page {
+// lockOldest finds the globally least-recent page on the sharded inactive
+// (or active) lists — the minimum seq stamp among all shard tails — and
+// returns it still linked, with its shard's lock HELD: the caller decides
+// under that lock whether to rotate or claim the page, so a page is never
+// off the lists without an owner, and unlocks. Caller holds reclaimMu.
+// Returns nil when every shard's list is empty.
+func (c *Cache) lockOldest(inactive bool) (*lruShard, frameID) {
 	for attempt := 0; ; attempt++ {
-		var best *page
+		var best frameID
 		var bestSeq uint64
 		var bestShard *lruShard
 		for i := range c.lru {
@@ -104,48 +80,47 @@ func (c *Cache) popOldest(inactive bool) *page {
 			if inactive {
 				t = sh.inactive.tail
 			}
-			if t != nil && (best == nil || t.seq < bestSeq) {
-				best, bestSeq, bestShard = t, t.seq, sh
+			if t != 0 {
+				if seq := c.frames.at(t).seq; best == 0 || seq < bestSeq {
+					best, bestSeq, bestShard = t, seq, sh
+				}
 			}
 			sh.mu.Unlock()
 		}
-		if best == nil {
-			return nil
+		if best == 0 {
+			return nil, 0
 		}
 		bestShard.mu.Lock()
-		l := &bestShard.active
+		t := bestShard.active.tail
 		if inactive {
-			l = &bestShard.inactive
+			t = bestShard.inactive.tail
 		}
-		// Revalidate: a concurrent touch/link may have moved the tail
+		// Revalidate: a concurrent promote/link may have moved the tail
 		// between the scan and the relock. After a few retries settle for
 		// this shard's current tail — still LRU-ordered within the shard,
 		// and selection is exact whenever reclaim runs unraced.
-		t := l.tail
-		if t != nil && (t == best || attempt >= 4) {
-			l.remove(t)
-			if inactive {
-				c.nInactive.Add(-1)
-			}
-			t.state.Store(pageUnlinked)
-			bestShard.mu.Unlock()
-			return t
+		if t != 0 && ((t == best && c.frames.at(t).seq == bestSeq) || attempt >= 4) {
+			return bestShard, t
 		}
 		bestShard.mu.Unlock()
 	}
 }
 
-// pushInactive re-queues a page at the inactive head (demotion from
-// active, or second-chance rotation) with a fresh age stamp.
-func (c *Cache) pushInactive(p *page) {
-	sh := c.lruShardFor(p)
-	sh.mu.Lock()
+// requeueInactive moves a linked page (on sh's inactive list, or its
+// active list when fromActive) to the inactive head with a fresh age stamp:
+// demotion from active, or second-chance rotation. Caller holds sh.mu.
+func (c *Cache) requeueInactive(sh *lruShard, id frameID, fromActive bool) {
+	p := c.frames.at(id)
+	if fromActive {
+		sh.active.remove(&c.frames, id)
+		c.nInactive.Add(1)
+	} else {
+		sh.inactive.remove(&c.frames, id)
+	}
 	p.accessed.Store(false)
 	p.seq = c.lruSeq.Add(1)
-	sh.inactive.pushHead(p)
-	c.nInactive.Add(1)
+	sh.inactive.pushHead(&c.frames, id)
 	p.state.Store(pageInactive)
-	sh.mu.Unlock()
 }
 
 // reclaimIfNeeded enforces the memory budget after an allocation.
@@ -177,12 +152,35 @@ func (c *Cache) reclaim(tl *simtime.Timeline, target int64, direct bool) {
 	if target <= 0 {
 		return
 	}
+	sc := scratchPool.Get().(*evictScratch)
+	defer scratchPool.Put(sc)
+	c.reclaimMu.Lock()
 	if c.cfg.PerInodeLRU {
-		c.reclaimPerInode(tl, target, direct)
+		c.selectPerInode(sc, target)
+	} else {
+		c.selectGlobal(sc, target)
+	}
+	c.reclaimMu.Unlock()
+	if len(sc.victims) == 0 {
 		return
 	}
-	c.reclaimMu.Lock()
-	var victims []*page
+	sp := telemetry.Begin(tl, "cache.reclaim", telemetry.CatLock)
+	sp.Annotate("victims", int64(len(sc.victims)))
+	if tl != nil {
+		cost := simtime.Duration(len(sc.victims)) * c.cfg.Costs.ReclaimPage
+		if !direct {
+			cost = cost / 2 // background reclaim batches better
+		}
+		tl.Advance(cost)
+	}
+	c.evictFromFiles(tl, sc)
+	sp.End(tl)
+}
+
+// selectGlobal fills sc.victims with up to target pages taken oldest-first
+// off the sharded global lists. Caller holds reclaimMu.
+func (c *Cache) selectGlobal(sc *evictScratch, target int64) {
+	victims := sc.victims[:0]
 	// Bound the scan so concurrent touches re-heating rotated pages can
 	// never spin the selection loop; single-threaded passes examine each
 	// page at most a handful of times and stay far below the bound.
@@ -195,16 +193,17 @@ func (c *Cache) reclaim(tl *simtime.Timeline, target int64, direct bool) {
 	biasBudget := 4*target + 256
 	for int64(len(victims)) < target && steps > 0 {
 		steps--
-		p := c.popOldest(true)
-		if p == nil {
+		sh, id := c.lockOldest(true)
+		if sh == nil {
 			// Age: demote a batch of the oldest active pages.
 			aged := false
 			for i := 0; i < 32; i++ {
-				ap := c.popOldest(false)
-				if ap == nil {
+				ash, aid := c.lockOldest(false)
+				if ash == nil {
 					break
 				}
-				c.pushInactive(ap)
+				c.requeueInactive(ash, aid, true)
+				ash.mu.Unlock()
 				aged = true
 			}
 			if !aged {
@@ -212,71 +211,59 @@ func (c *Cache) reclaim(tl *simtime.Timeline, target int64, direct bool) {
 			}
 			continue
 		}
-		if biasBudget > 0 && c.nOverSoft.Load() > 0 &&
-			p.tacct != nil && !p.tacct.overSoftNow() {
-			biasBudget--
-			c.pushInactive(p)
-			if c.nInactive.Load() == 1 {
-				break
-			}
-			continue
-		}
+		p := c.frames.at(id)
+		biased := biasBudget > 0 && c.nOverSoft.Load() > 0 && !c.tenants.at(p.tacct).overSoftNow()
 		// Second-chance: a recently re-accessed page rotates once.
-		if p.accessed.Load() {
-			c.pushInactive(p)
+		if biased || p.accessed.Load() {
+			c.requeueInactive(sh, id, false)
+			sh.mu.Unlock()
+			if biased {
+				biasBudget--
+			}
 			// Avoid infinite rotation on a fully hot list.
 			if c.nInactive.Load() == 1 {
 				break
 			}
 			continue
 		}
-		victims = append(victims, p)
+		sh.inactive.remove(&c.frames, id)
+		c.nInactive.Add(-1)
+		p.state.Store(pageUnlinked)
+		victims = append(victims, victim{c.files.at(p.file), p.idx, id, p.gen})
+		sh.mu.Unlock()
 	}
-	c.reclaimMu.Unlock()
-	if len(victims) == 0 {
-		return
-	}
-	sp := telemetry.Begin(tl, "cache.reclaim", telemetry.CatLock)
-	sp.Annotate("victims", int64(len(victims)))
-	if tl != nil {
-		cost := simtime.Duration(len(victims)) * c.cfg.Costs.ReclaimPage
-		if !direct {
-			cost = cost / 2 // background reclaim batches better
-		}
-		tl.Advance(cost)
-	}
-	c.evictFromFiles(tl, victims)
-	sp.End(tl)
+	sc.victims = victims
 }
 
-// reclaimPerInode picks victims coldest-file-first: files are ranked by
+// selectPerInode fills sc.victims coldest-file-first: files are ranked by
 // their last lookup time, and each victim file's own inactive (then aged
 // active) list is drained before moving to the next — sparing hot files
-// entirely, which the global LRU cannot guarantee.
-func (c *Cache) reclaimPerInode(tl *simtime.Timeline, target int64, direct bool) {
-	c.reclaimMu.Lock()
-	files := c.snapshotFiles()
-	sortFilesByTouch(files)
-
-	var victims []*page
-	for _, fc := range files {
+// entirely, which the global LRU cannot guarantee. Caller holds reclaimMu.
+func (c *Cache) selectPerInode(sc *evictScratch, target int64) {
+	sc.files = c.appendFiles(sc.files[:0])
+	sortFilesByTouch(sc.files)
+	ft := &c.frames
+	victims := sc.victims[:0]
+	for _, fc := range sc.files {
 		// A file's own lists live whole inside one shard, so draining a
 		// victim file holds exactly that shard's lock; readers of other
 		// shards proceed.
 		sh := c.lruShardForFile(fc)
 		sh.mu.Lock()
 		for int64(len(victims)) < target {
-			p := fc.ownInactive.popTail()
-			if p == nil {
+			id := fc.ownInactive.tail
+			if id == 0 {
 				// Age this file's active pages once, then move on.
 				aged := false
 				for i := 0; i < 32; i++ {
-					ap := fc.ownActive.popTail()
-					if ap == nil {
+					aid := fc.ownActive.tail
+					if aid == 0 {
 						break
 					}
+					fc.ownActive.remove(ft, aid)
+					ap := ft.at(aid)
 					ap.accessed.Store(false)
-					fc.ownInactive.pushHead(ap)
+					fc.ownInactive.pushHead(ft, aid)
 					ap.state.Store(pageInactive)
 					aged = true
 				}
@@ -285,37 +272,25 @@ func (c *Cache) reclaimPerInode(tl *simtime.Timeline, target int64, direct bool)
 				}
 				continue
 			}
+			p := ft.at(id)
+			fc.ownInactive.remove(ft, id)
 			if p.accessed.Load() {
 				p.accessed.Store(false)
-				fc.ownInactive.pushHead(p)
-				if fc.ownInactive.tail == p {
+				fc.ownInactive.pushHead(ft, id)
+				if fc.ownInactive.tail == id {
 					break
 				}
 				continue
 			}
 			p.state.Store(pageUnlinked)
-			victims = append(victims, p)
+			victims = append(victims, victim{fc, p.idx, id, p.gen})
 		}
 		sh.mu.Unlock()
 		if int64(len(victims)) >= target {
 			break
 		}
 	}
-	c.reclaimMu.Unlock()
-	if len(victims) == 0 {
-		return
-	}
-	sp := telemetry.Begin(tl, "cache.reclaim", telemetry.CatLock)
-	sp.Annotate("victims", int64(len(victims)))
-	if tl != nil {
-		cost := simtime.Duration(len(victims)) * c.cfg.Costs.ReclaimPage
-		if !direct {
-			cost /= 2
-		}
-		tl.Advance(cost)
-	}
-	c.evictFromFiles(tl, victims)
-	sp.End(tl)
+	sc.victims = victims
 }
 
 func sortFilesByTouch(files []*FileCache) {
@@ -328,26 +303,35 @@ func sortFilesByTouch(files []*FileCache) {
 	}
 }
 
-// evictFromFiles removes chosen victims from their files' page maps and
-// bitmaps, writing back dirty pages.
-func (c *Cache) evictFromFiles(tl *simtime.Timeline, victims []*page) {
-	// Group by file to batch lock acquisitions and bitmap updates.
-	byFile := make(map[*FileCache][]*page)
-	for _, p := range victims {
-		byFile[p.fc] = append(byFile[p.fc], p)
-	}
-	for _, fc := range sortedFiles(byFile) {
-		pages := byFile[fc]
-		var confirmed []*page
+// evictFromFiles removes sc.victims from their files' indexes and bitmaps,
+// writing back dirty pages. Files are visited in inode order, never in
+// victim or map order: each visit books virtual time on the file's tree
+// ledger (and possibly the device), so any other order would make
+// identical runs diverge by microseconds — breaking the replay determinism
+// the experiments assert.
+func (c *Cache) evictFromFiles(tl *simtime.Timeline, sc *evictScratch) {
+	victims := sc.victims
+	slices.SortStableFunc(victims, func(a, b victim) int { return cmp.Compare(a.fc.inoID, b.fc.inoID) })
+	for i := 0; i < len(victims); {
+		fc := victims[i].fc
+		j := i + 1
+		for j < len(victims) && victims[j].fc == fc {
+			j++
+		}
+		confirmed := sc.frames[:0]
 		fc.mu.Lock()
-		for _, p := range pages {
-			if cur, ok := fc.pages[p.idx]; ok && cur == p {
-				delete(fc.pages, p.idx)
-				fc.bm.Clear(p.idx)
-				confirmed = append(confirmed, p)
+		dir := c.frames.load()
+		for _, v := range victims[i:j] {
+			if fc.frameAt(v.idx) == v.id && dir.at(v.id).gen == v.gen {
+				fc.clearFrame(v.idx)
+				fc.bm.Clear(v.idx)
+				confirmed = append(confirmed, v.id)
 			}
 		}
+		fc.retireIfDead()
 		fc.mu.Unlock()
+		sc.frames = confirmed[:0]
+		i = j
 		if len(confirmed) == 0 {
 			continue
 		}
@@ -358,29 +342,32 @@ func (c *Cache) evictFromFiles(tl *simtime.Timeline, victims []*page) {
 			})
 			telemetry.Current(tl).Child("cache.evict_charge", telemetry.CatLock, start, tl.Now())
 		}
-		c.finishEviction(tl, confirmed, false)
+		c.finishEviction(tl, fc, confirmed, false, sc)
 	}
 }
 
-// finishEviction unlinks victims from the LRU (if still linked), accounts
-// them, and writes back dirty pages. Callers have already removed the
-// pages from their file maps.
-func (c *Cache) finishEviction(tl *simtime.Timeline, victims []*page, unlink bool) {
+// finishEviction unlinks fc's victims from the LRU (if still linked),
+// accounts them, writes back dirty pages and releases the frames. The
+// caller has removed the pages from fc's index, so it owns the frames; it
+// passes them in sc.frames, which finishEviction reorders.
+func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []frameID, unlink bool, sc *evictScratch) {
+	ft := &c.frames
 	if unlink {
 		var sh *lruShard
-		for _, p := range victims {
-			if nsh := c.lruShardFor(p); nsh != sh {
+		for _, id := range victims {
+			p := ft.at(id)
+			if nsh := c.lruShardFor(fc, p.idx); nsh != sh {
 				if sh != nil {
 					sh.mu.Unlock()
 				}
 				sh = nsh
 				sh.mu.Lock()
 			}
-			if p.list != nil {
-				if p.list == &sh.inactive {
+			if st := p.state.Load(); st != pageUnlinked {
+				c.listOf(sh, fc, st).remove(ft, id)
+				if st == pageInactive && !c.cfg.PerInodeLRU {
 					c.nInactive.Add(-1)
 				}
-				p.list.remove(p)
 				p.state.Store(pageUnlinked)
 			}
 		}
@@ -390,119 +377,107 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, victims []*page, unlink boo
 	}
 	c.used.Add(-int64(len(victims)))
 	c.evictions.Add(int64(len(victims)))
-	// Credit each victim back to its tenant account; batches are small
-	// so the per-account grouping is a linear pass.
+
+	at := simtime.Time(0)
+	if tl != nil {
+		at = tl.Now()
+	}
+	// Credit each victim back to its tenant account and feed the scorecard
+	// pollution denominator, one booking per run of same-tenant victims to
+	// bound atomic and stripe-lock traffic.
+	c.rec.Add(telemetry.CtrCacheRemovedPages, int64(len(victims)))
+	dir := ft.load()
 	for i := 0; i < len(victims); {
-		a := victims[i].tacct
+		slot := dir.at(victims[i]).tacct
 		j := i + 1
-		for j < len(victims) && victims[j].tacct == a {
+		for j < len(victims) && dir.at(victims[j]).tacct == slot {
 			j++
 		}
-		if a != nil {
-			c.creditTenant(a, int64(j-i))
-		}
+		a := c.tenants.at(slot)
+		c.creditTenant(a, int64(j-i))
+		c.score.Evicted(at, fc.inoID, a.id, int64(j-i))
 		i = j
 	}
 
 	if c.rec != nil || c.score != nil {
-		at := simtime.Time(0)
-		if tl != nil {
-			at = tl.Now()
-		}
-		c.rec.Add(telemetry.CtrCacheRemovedPages, int64(len(victims)))
-		if c.score != nil {
-			// Scorecard pollution denominator: every evicted page, grouped
-			// into per-(file, tenant) runs to bound stripe-lock traffic.
-			for i := 0; i < len(victims); {
-				fc, a := victims[i].fc, victims[i].tacct
-				j := i + 1
-				for j < len(victims) && victims[j].fc == fc && victims[j].tacct == a {
-					j++
-				}
-				tid := 0
-				if a != nil {
-					tid = a.id
-				}
-				c.score.Evicted(at, fc.inoID, tid, int64(j-i))
-				i = j
-			}
-		}
 		// Pages still carrying prefetch credit were never read: wasted
-		// prefetch. A victim batch may span files and hold non-contiguous
-		// indices, so group wasted pages per file and emit one exact
-		// OutcomeEvictedBeforeUse event per contiguous index run — never a
-		// single span that would cover non-wasted (or other files') pages.
-		var wasted int64
-		var wastedByFile map[*FileCache][]*page
-		for _, p := range victims {
+		// prefetch. The victims may hold non-contiguous indices, so emit one
+		// exact OutcomeEvictedBeforeUse event per contiguous index run —
+		// never a single span that would cover non-wasted pages.
+		wasted := sc.idx[:0]
+		for _, id := range victims {
+			p := dir.at(id)
 			cr := p.credit.Load()
 			if cr == 0 || !p.credit.CompareAndSwap(cr, 0) {
 				continue
 			}
-			wasted++
 			org := telemetry.Origin(cr - 1)
 			c.rec.OriginWasted(org, 1)
-			c.rec.ArmWasted(p.arm, 1)
-			c.score.Wasted(at, p.fc.inoID, pageTenant(p), org, 1)
-			if wastedByFile == nil {
-				wastedByFile = make(map[*FileCache][]*page)
-			}
-			wastedByFile[p.fc] = append(wastedByFile[p.fc], p)
+			c.rec.ArmWasted(telemetry.Arm(p.arm), 1)
+			c.score.Wasted(at, fc.inoID, c.tenants.at(p.tacct).id, org, 1)
+			wasted = append(wasted, p.idx)
 		}
-		if wasted > 0 {
-			c.rec.Add(telemetry.CtrPrefetchWastedPages, wasted)
-			for _, fc := range sortedFiles(wastedByFile) {
-				pages := wastedByFile[fc]
-				sortPagesByIdx(pages)
-				runStart := 0
-				for i := 1; i <= len(pages); i++ {
-					if i < len(pages) && pages[i].idx == pages[i-1].idx+1 {
-						continue
-					}
-					run := pages[runStart:i]
-					c.rec.Event(at, telemetry.OutcomeEvictedBeforeUse,
-						fc.inoID, run[0].idx, run[len(run)-1].idx+1)
-					runStart = i
+		sc.idx = wasted[:0]
+		if len(wasted) > 0 {
+			c.rec.Add(telemetry.CtrPrefetchWastedPages, int64(len(wasted)))
+			// Insertion sort: victim runs are short and usually nearly sorted.
+			for i := 1; i < len(wasted); i++ {
+				for j := i; j > 0 && wasted[j] < wasted[j-1]; j-- {
+					wasted[j], wasted[j-1] = wasted[j-1], wasted[j]
 				}
+			}
+			runStart := 0
+			for i := 1; i <= len(wasted); i++ {
+				if i < len(wasted) && wasted[i] == wasted[i-1]+1 {
+					continue
+				}
+				c.rec.Event(at, telemetry.OutcomeEvictedBeforeUse,
+					fc.inoID, wasted[runStart], wasted[i-1]+1)
+				runStart = i
 			}
 		}
 	}
 
 	if c.flush == nil {
+		ft.release(victims)
 		return
 	}
-	// Write back dirty pages as contiguous runs per file. The pages (not
-	// just their indices) are kept so a failed flush can re-insert its
-	// run dirty instead of silently discarding unwritten data.
-	dirtyByFile := make(map[*FileCache][]*page)
-	for _, p := range victims {
-		if p.dirty {
+	// Write back dirty pages as contiguous runs. The frames (not just
+	// their indices) are kept so a failed flush can re-insert its run
+	// dirty instead of silently discarding unwritten data; the clean ones
+	// are released right away.
+	dirty := sc.dirty[:0]
+	clean := victims[:0]
+	for _, id := range victims {
+		if p := dir.at(id); p.dirty {
 			p.dirty = false
 			c.dirty.Add(-1)
-			dirtyByFile[p.fc] = append(dirtyByFile[p.fc], p)
+			dirty = append(dirty, id)
+		} else {
+			clean = append(clean, id)
 		}
 	}
-	at := simtime.Time(0)
-	if tl != nil {
-		at = tl.Now()
-	}
-	for _, fc := range sortedFiles(dirtyByFile) {
-		pages := dirtyByFile[fc]
-		sortPagesByIdx(pages)
-		runStart := 0
-		for i := 1; i <= len(pages); i++ {
-			if i < len(pages) && pages[i].idx == pages[i-1].idx+1 {
-				continue
-			}
-			run := pages[runStart:i]
-			lo, hi := run[0].idx, run[len(run)-1].idx+1
-			if _, err := c.flush(at, fc.inoID, lo, hi); err != nil {
-				c.requeueDirty(tl, fc, run)
-			} else {
-				c.writebacks.Add(hi - lo)
-			}
-			runStart = i
+	sc.dirty = dirty[:0]
+	ft.release(clean)
+	for i := 1; i < len(dirty); i++ {
+		for j := i; j > 0 && dir.at(dirty[j]).idx < dir.at(dirty[j-1]).idx; j-- {
+			dirty[j], dirty[j-1] = dirty[j-1], dirty[j]
 		}
+	}
+	runStart := 0
+	for i := 1; i <= len(dirty); i++ {
+		if i < len(dirty) && dir.at(dirty[i]).idx == dir.at(dirty[i-1]).idx+1 {
+			continue
+		}
+		run := dirty[runStart:i]
+		lo, hi := dir.at(run[0]).idx, dir.at(run[len(run)-1]).idx+1
+		if _, err := c.flush(at, fc.inoID, lo, hi); err != nil {
+			c.requeueDirty(at, fc, run)
+		} else {
+			c.writebacks.Add(hi - lo)
+		}
+		ft.release(run)
+		runStart = i
 	}
 }
 
@@ -513,81 +488,53 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, victims []*page, unlink boo
 const maxWritebackAttempts = 3
 
 // requeueDirty puts evicted-but-unwritten pages back into their file,
-// dirty, so a failed writeback loses no data. Pages that have exhausted
-// their attempt budget are dropped and counted as lost. The re-inserted
-// pages land at the LRU head and deliberately do NOT trigger another
-// reclaim pass (the caller is inside one).
-func (c *Cache) requeueDirty(tl *simtime.Timeline, fc *FileCache, run []*page) {
-	var requeued []*page
+// dirty, so a failed writeback loses no data, and zeroes their entries in
+// run: they are resident again and no longer the caller's to release.
+// Pages that have exhausted their attempt budget are dropped and counted
+// as lost. The re-inserted pages land at the LRU head and deliberately do
+// NOT trigger another reclaim pass (the caller is inside one).
+func (c *Cache) requeueDirty(at simtime.Time, fc *FileCache, run []frameID) {
 	fc.mu.Lock()
-	for _, p := range run {
+	defer fc.mu.Unlock()
+	dir := c.frames.load()
+	for k, id := range run {
+		p := dir.at(id)
 		p.wbFails++
 		if p.wbFails >= maxWritebackAttempts {
 			c.rec.Add(telemetry.CtrWritebackLostPages, 1)
 			continue
 		}
-		if cur, ok := fc.pages[p.idx]; ok {
+		if cur := fc.frameAt(p.idx); cur != 0 {
 			// A fresh page raced into the slot (the backing store already
 			// holds the written bytes, so its content is current); it
 			// inherits the writeback obligation.
-			if !cur.dirty {
-				cur.dirty = true
+			if cp := dir.at(cur); !cp.dirty {
+				cp.dirty = true
 				c.dirty.Add(1)
 			}
 			continue
 		}
 		p.dirty = true
+		p.file = fc.frameSlot()
 		c.dirty.Add(1)
-		fc.pages[p.idx] = p
+		fc.setFrame(p.idx, id)
 		fc.bm.Set(p.idx)
-		requeued = append(requeued, p)
-	}
-	fc.mu.Unlock()
-	if len(requeued) == 0 {
-		return
-	}
-	n := int64(len(requeued))
-	c.used.Add(n)
-	// The re-insertion is a fresh (dirty) insertion for the audit's
-	// books: inserted − removed = resident stays exact, and the dirty
-	// count keeps these pages out of the clean (read-backed) total. The
-	// tenant ledger mirrors that: each page recharges its own account.
-	for _, p := range requeued {
-		if p.tacct != nil {
-			c.chargeTenant(p.tacct, 1)
-		}
-	}
-	c.rec.Add(telemetry.CtrCacheInsertedPages, n)
-	c.rec.Add(telemetry.CtrCacheDirtyInsertedPages, n)
-	// The requeue is a demand-class insertion for the origin partition
-	// (its prefetch credit, if any, was consumed at first eviction), so
-	// per-origin inserted keeps summing exactly to CtrCacheInsertedPages.
-	c.rec.OriginInserted(telemetry.OriginDemand, n)
-	if c.score != nil {
-		// Mirror the booking on the scorecard so its per-origin totals
-		// keep reconciling exactly against the recorder's partition.
-		at := simtime.Time(0)
-		if tl != nil {
-			at = tl.Now()
-		}
-		for i := 0; i < len(requeued); {
-			a := requeued[i].tacct
-			j := i + 1
-			for j < len(requeued) && requeued[j].tacct == a {
-				j++
-			}
-			c.score.Issued(at, fc.inoID, pageTenant(requeued[i]), telemetry.OriginDemand, int64(j-i))
-			i = j
-		}
-	}
-	c.link(requeued)
-}
-
-func sortPagesByIdx(s []*page) {
-	// Insertion sort: victim runs are short and usually nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].idx < s[j-1].idx; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+		c.link(fc, run[k:k+1])
+		run[k] = 0
+		// The re-insertion is a fresh (dirty) insertion for the audit's
+		// books: inserted − removed = resident stays exact, and the dirty
+		// count keeps these pages out of the clean (read-backed) total. The
+		// tenant ledger mirrors that: the page recharges its own account.
+		// It is a demand-class insertion for the origin partition (its
+		// prefetch credit, if any, was consumed at first eviction), so
+		// per-origin inserted keeps summing exactly to
+		// CtrCacheInsertedPages, on the recorder and on the scorecard.
+		a := c.tenants.at(p.tacct)
+		c.used.Add(1)
+		c.chargeTenant(a, 1)
+		c.rec.Add(telemetry.CtrCacheInsertedPages, 1)
+		c.rec.Add(telemetry.CtrCacheDirtyInsertedPages, 1)
+		c.rec.OriginInserted(telemetry.OriginDemand, 1)
+		c.score.Issued(at, fc.inoID, a.id, telemetry.OriginDemand, 1)
 	}
 }

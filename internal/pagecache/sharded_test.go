@@ -32,7 +32,7 @@ func TestQueriesProceedDuringExclusiveIndexLock(t *testing.T) {
 		if len(runs) != 1 || runs[0] != (bitmap.Run{Lo: 128, Hi: 256}) {
 			t.Errorf("FastMissingRuns = %v, want [{128 256}]", runs)
 		}
-		var dst bitmap.Bitmap
+		var dst bitmap.Window
 		fc.ExportBitmap(nil, 0, 128, &dst)
 		if dst.Count() != 128 {
 			t.Errorf("ExportBitmap count = %d, want 128", dst.Count())

@@ -30,6 +30,7 @@ import (
 // accounts currently over their soft budget.
 type tenantAccount struct {
 	id       int
+	slot     uint32 // the account's name in Cache.tenants, for page frames
 	resident atomic.Int64
 	inserted atomic.Int64
 	evicted  atomic.Int64
@@ -58,16 +59,17 @@ type TenantStats struct {
 // tenantAccountFor returns (creating if needed) the tenant's account.
 func (c *Cache) tenantAccountFor(id int) *tenantAccount {
 	c.tenantMu.RLock()
-	a := c.tenants[id]
+	a := c.tenantByID[id]
 	c.tenantMu.RUnlock()
 	if a != nil {
 		return a
 	}
 	c.tenantMu.Lock()
 	defer c.tenantMu.Unlock()
-	if a = c.tenants[id]; a == nil {
+	if a = c.tenantByID[id]; a == nil {
 		a = &tenantAccount{id: id}
-		c.tenants[id] = a
+		a.slot = c.tenants.add(a)
+		c.tenantByID[id] = a
 	}
 	return a
 }
@@ -87,8 +89,8 @@ func (c *Cache) SetTenantBudget(id int, softPages, hardPages int64) {
 // TenantStats snapshots every tenant ledger, ordered by tenant ID.
 func (c *Cache) TenantStats() []TenantStats {
 	c.tenantMu.RLock()
-	accounts := make([]*tenantAccount, 0, len(c.tenants))
-	for _, a := range c.tenants {
+	accounts := make([]*tenantAccount, 0, len(c.tenantByID))
+	for _, a := range c.tenantByID {
 		accounts = append(accounts, a)
 	}
 	c.tenantMu.RUnlock()
@@ -149,73 +151,81 @@ func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
 	}
 	c.tenantReclaims.Add(1)
 	c.rec.Add(telemetry.CtrCacheTenantReclaims, 1)
-	victims := c.collectTenantVictims(a, target)
-	if len(victims) == 0 {
+	sc := scratchPool.Get().(*evictScratch)
+	defer scratchPool.Put(sc)
+	c.selectTenant(sc, a, target)
+	if len(sc.victims) == 0 {
 		return
 	}
 	sp := telemetry.Begin(tl, "cache.tenant_reclaim", telemetry.CatLock)
-	sp.Annotate("victims", int64(len(victims)))
+	sp.Annotate("victims", int64(len(sc.victims)))
 	if tl != nil {
-		tl.Advance(simtime.Duration(len(victims)) * c.cfg.Costs.ReclaimPage)
+		tl.Advance(simtime.Duration(len(sc.victims)) * c.cfg.Costs.ReclaimPage)
 	}
-	c.evictFromFiles(tl, victims)
+	c.evictFromFiles(tl, sc)
 	sp.End(tl)
 }
 
-// collectTenantVictims unlinks up to target of the tenant's pages from
-// the LRU lists, oldest lists first (inactive before active), under
-// reclaimMu like any victim selection.
-func (c *Cache) collectTenantVictims(a *tenantAccount, target int64) []*page {
+// selectTenant fills sc.victims with up to target of the tenant's pages,
+// unlinked from the LRU lists, oldest lists first (inactive before
+// active), under reclaimMu like any victim selection.
+func (c *Cache) selectTenant(sc *evictScratch, a *tenantAccount, target int64) {
 	c.reclaimMu.Lock()
 	defer c.reclaimMu.Unlock()
-	var victims []*page
+	ft := &c.frames
+	victims := sc.victims[:0]
 	need := target
 	// takeFrom walks one list tail→head (oldest first within the shard)
-	// and claims the tenant's pages. Caller holds the shard lock.
-	takeFrom := func(l *pageList, globalInactive bool) {
-		for p := l.tail; p != nil && need > 0; {
+	// and claims the tenant's pages; fc is the list's file, or nil on a
+	// global list. Caller holds the shard lock.
+	takeFrom := func(l *pageList, fc *FileCache) {
+		for id := l.tail; id != 0 && need > 0; {
+			p := ft.at(id)
 			prev := p.prev
-			if p.tacct == a {
-				l.remove(p)
-				if globalInactive {
-					c.nInactive.Add(-1)
-				}
+			if p.tacct == a.slot {
+				l.remove(ft, id)
 				p.state.Store(pageUnlinked)
-				victims = append(victims, p)
+				owner := fc
+				if owner == nil {
+					owner = c.files.at(p.file)
+				}
+				victims = append(victims, victim{owner, p.idx, id, p.gen})
 				need--
 			}
-			p = prev
+			id = prev
 		}
 	}
 	if c.cfg.PerInodeLRU {
-		files := c.snapshotFiles()
-		sortFilesByTouch(files)
-		for _, fc := range files {
+		sc.files = c.appendFiles(sc.files[:0])
+		sortFilesByTouch(sc.files)
+		for _, fc := range sc.files {
 			if need <= 0 {
 				break
 			}
 			sh := c.lruShardForFile(fc)
 			sh.mu.Lock()
-			takeFrom(&fc.ownInactive, false)
-			takeFrom(&fc.ownActive, false)
+			takeFrom(&fc.ownInactive, fc)
+			takeFrom(&fc.ownActive, fc)
 			sh.mu.Unlock()
 		}
-		return victims
-	}
-	for pass := 0; pass < 2 && need > 0; pass++ {
-		for i := range c.lru {
-			if need <= 0 {
-				break
+	} else {
+		for pass := 0; pass < 2 && need > 0; pass++ {
+			for i := range c.lru {
+				if need <= 0 {
+					break
+				}
+				sh := &c.lru[i]
+				sh.mu.Lock()
+				if pass == 0 {
+					before := need
+					takeFrom(&sh.inactive, nil)
+					c.nInactive.Add(need - before)
+				} else {
+					takeFrom(&sh.active, nil)
+				}
+				sh.mu.Unlock()
 			}
-			sh := &c.lru[i]
-			sh.mu.Lock()
-			if pass == 0 {
-				takeFrom(&sh.inactive, true)
-			} else {
-				takeFrom(&sh.active, false)
-			}
-			sh.mu.Unlock()
 		}
 	}
-	return victims
+	sc.victims = victims
 }

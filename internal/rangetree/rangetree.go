@@ -17,7 +17,8 @@
 package rangetree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/bitmap"
@@ -266,10 +267,10 @@ func (t *Tree) ClearRequested(tl *simtime.Timeline, lo, hi int64) {
 }
 
 // ImportBitmap merges a kernel-exported residency window into the tree:
-// bits set in src (a file-absolute bitmap) within [lo, hi) become cached;
-// bits clear become not-cached. This reconciles user-level belief with
-// kernel truth after a readahead_info call.
-func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Bitmap, lo, hi int64) {
+// bits set in src (file-absolute, covering at least [lo, hi)) become
+// cached; bits clear become not-cached. This reconciles user-level belief
+// with kernel truth after a readahead_info call.
+func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int64) {
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
@@ -296,33 +297,31 @@ type ColdRange struct {
 	LastTouch simtime.Time
 }
 
-// ColdestRanges returns up to max node ranges holding cached blocks,
-// coldest (least recently touched) first.
-func (t *Tree) ColdestRanges(max int) []ColdRange {
+// AppendColdestRanges appends to dst the node ranges holding cached blocks,
+// coldest (least recently touched) first, and returns the extended slice
+// (allocation-free when dst has capacity).
+func (t *Tree) AppendColdestRanges(dst []ColdRange) []ColdRange {
+	base := len(dst)
 	t.mu.RLock()
-	out := make([]ColdRange, 0, len(t.nodes))
 	for _, n := range t.nodes {
 		n.mu.RLock()
 		cr := ColdRange{Lo: n.lo, Hi: n.lo + t.span, Cached: n.cached.Count(), Requested: n.requested.Count(), LastTouch: n.lastTouch}
 		n.mu.RUnlock()
 		if cr.Cached > 0 {
-			out = append(out, cr)
+			dst = append(dst, cr)
 		}
 	}
 	t.mu.RUnlock()
 	// Tie-break on Lo: spans touched at the same instant (one prefetch
 	// marking several) otherwise surface in map-iteration order, and the
 	// eviction order downstream must be reproducible.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LastTouch != out[j].LastTouch {
-			return out[i].LastTouch < out[j].LastTouch
+	slices.SortFunc(dst[base:], func(a, b ColdRange) int {
+		if a.LastTouch != b.LastTouch {
+			return cmp.Compare(a.LastTouch, b.LastTouch)
 		}
-		return out[i].Lo < out[j].Lo
+		return cmp.Compare(a.Lo, b.Lo)
 	})
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
+	return dst
 }
 
 // LockStats aggregates the per-node ledger contention counters.

@@ -73,9 +73,11 @@ func TestClearRequested(t *testing.T) {
 func TestImportBitmap(t *testing.T) {
 	tr := newTree(64)
 	tr.MarkCached(nil, 0, 100) // stale belief
-	src := bitmap.New(0)
-	src.SetRange(0, 50) // kernel truth: only first 50 resident
-	tr.ImportBitmap(nil, src, 0, 100)
+	var kernel bitmap.Shared
+	kernel.SetRange(0, 50) // kernel truth: only first 50 resident
+	var src bitmap.Window
+	kernel.CopyWindow(&src, 0, 100)
+	tr.ImportBitmap(nil, &src, 0, 100)
 	if got := tr.CachedCount(nil, 0, 100); got != 50 {
 		t.Fatalf("after import cached = %d, want 50", got)
 	}

@@ -82,11 +82,12 @@ type CacheInfo struct {
 //  2. issues asynchronous prefetch I/O for only the missing runs, clamped
 //     per range by the effective prefetch limit, through one submission
 //     plug (vectored requests share the crossing AND the dispatch batch);
-//  3. copies the requested bitmap window into dst (selective export); and
+//  3. snapshots the requested bitmap window into dst (selective export:
+//     dst holds that window only, and its storage is reused); and
 //  4. fills the telemetry fields of CacheInfo.
 //
 // dst may be nil to skip the export.
-func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bitmap.Bitmap) CacheInfo {
+func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bitmap.Window) CacheInfo {
 	v := f.v
 	defer v.observeSyscall(tl, SysReadaheadInfo)()
 	sp := telemetry.Begin(tl, "vfs.readahead_info", telemetry.CatCPU)

@@ -14,7 +14,7 @@ func TestReadaheadInfoWindowClamping(t *testing.T) {
 	f, _ := v.Open(tl, "f")
 
 	// Bitmap window beyond EOF is clamped.
-	dst := bitmap.New(0)
+	dst := new(bitmap.Window)
 	info := f.ReadaheadInfo(tl, CacheInfoRequest{
 		Offset: 0, Bytes: 1 << 20,
 		BitmapLo: 0, BitmapHi: 10_000,
@@ -22,18 +22,17 @@ func TestReadaheadInfoWindowClamping(t *testing.T) {
 	if info.PrefetchedPages != 32 { // static limit
 		t.Fatalf("prefetched %d", info.PrefetchedPages)
 	}
-	if dst.CountRange(256, 10_000) != 0 {
-		t.Fatal("bits set beyond EOF")
+	if dst.Hi() != 256 || dst.Count() != 32 {
+		t.Fatalf("window [%d,%d) with %d bits, want it clamped to EOF at 256 with 32", dst.Lo(), dst.Hi(), dst.Count())
 	}
 
 	// Inverted window defaults to the prefetch range.
-	dst2 := bitmap.New(0)
 	f.ReadaheadInfo(tl, CacheInfoRequest{
 		Offset: 0, Bytes: 128 << 10,
 		BitmapLo: 50, BitmapHi: 10,
-	}, dst2)
-	if dst2.CountRange(0, 32) != 32 {
-		t.Fatalf("default window not exported: %d bits", dst2.CountRange(0, 32))
+	}, dst)
+	if dst.Lo() != 0 || dst.Hi() != 32 || dst.Count() != 32 {
+		t.Fatalf("default window not exported: [%d,%d) with %d bits", dst.Lo(), dst.Hi(), dst.Count())
 	}
 
 	// Zero-byte request with no window: telemetry only.

@@ -172,7 +172,7 @@ func TestReadaheadInfoPrefetchesAndExports(t *testing.T) {
 	v.FS().CreateSynthetic(tl, "big", 100<<20)
 	f, _ := v.Open(tl, "big")
 
-	dst := bitmap.New(0)
+	dst := new(bitmap.Window)
 	info := f.ReadaheadInfo(tl, CacheInfoRequest{
 		Offset: 0, Bytes: 4 << 20,
 		LimitOverride: 1024,
@@ -183,8 +183,8 @@ func TestReadaheadInfoPrefetchesAndExports(t *testing.T) {
 	if info.RequestedPages != 1024 {
 		t.Fatalf("requested %d", info.RequestedPages)
 	}
-	if dst.CountRange(0, 1024) != 1024 {
-		t.Fatalf("exported bitmap has %d set", dst.CountRange(0, 1024))
+	if dst.Lo() != 0 || dst.Hi() != 1024 || dst.Count() != 1024 {
+		t.Fatalf("exported window [%d,%d) has %d set", dst.Lo(), dst.Hi(), dst.Count())
 	}
 	if info.FileCachedPages != 1024 {
 		t.Fatalf("telemetry cached = %d", info.FileCachedPages)
@@ -231,7 +231,7 @@ func TestReadaheadInfoFastPathAvoidsTreeLock(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
-	f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 0, BitmapLo: 0, BitmapHi: 256, DisablePrefetch: true}, bitmap.New(0))
+	f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 0, BitmapLo: 0, BitmapHi: 256, DisablePrefetch: true}, new(bitmap.Window))
 	st := f.fc.TreeLockStats()
 	if st.Reads != 0 && st.Writes != 0 {
 		t.Fatalf("export-only readahead_info should not touch the tree lock: %+v", st)
