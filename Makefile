@@ -1,5 +1,10 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green.
-.PHONY: check build test vet race bench bench-smoke chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+# Outside the gate, run before a change to concurrent code: `make stress`
+# repeats the four packages with real host concurrency (the LSM engine, the
+# file system, the lock-free bitmap, the page cache) under the race
+# detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
+# two cores, hence the explicit timeout (go test's default is ten).
+.PHONY: check build test vet race stress bench bench-smoke chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
 
 check: vet errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate build race
 
@@ -89,6 +94,9 @@ test:
 
 race:
 	go test -race ./...
+
+stress:
+	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache
 
 # Fault-plan sweep under the race detector: the chaos harness plus every
 # fault-injection, retry/backoff, and circuit-breaker test.

@@ -251,3 +251,34 @@ func TestStackBackendTelemetryPartition(t *testing.T) {
 			rb, wb, agg.ReadBytes, agg.WriteBytes)
 	}
 }
+
+// A plug is pooled and Reset between requests, and the async-prefetch
+// horizon of one request must not survive the Reset. On a single-member
+// stack it used to: a request of many small chunks runs its horizon ahead
+// of the backlog the device reports (the ledger's span ring forgets old
+// reservations), so a recycled plug refused as congested a chunk that a
+// fresh plug admits, and virtual time depended on the pool's — that is,
+// the garbage collector's — behaviour.
+func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
+	st := NewStack(testStripeConfig(1))
+	p := st.NewPlug(PlugConfig{})
+	var at simtime.Time
+	for i := int64(0); i < 400; i++ {
+		if _, _, err := p.AsyncPrefetchChunk(at, i*8192, 4096, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backlog, horizon := st.Member(0).Backlog(at), p.horizon[0].Sub(at)
+	if horizon <= backlog {
+		t.Fatalf("horizon %v not ahead of the reported backlog %v: the test needs another way to separate them", horizon, backlog)
+	}
+	limit := (backlog + horizon) / 2
+	fresh := st.NewPlug(PlugConfig{})
+	if _, congested, _ := fresh.AsyncPrefetchChunk(at, 1<<30, 4096, limit); congested {
+		t.Fatal("a fresh plug refused the chunk")
+	}
+	p.Reset()
+	if _, congested, _ := p.AsyncPrefetchChunk(at, 1<<30+8192, 4096, limit); congested {
+		t.Error("a reset plug refused a chunk a fresh plug admits: the previous request's horizon survived Reset")
+	}
+}

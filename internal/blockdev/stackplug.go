@@ -117,9 +117,16 @@ func (p *StackPlug) MarkPrefetch(v bool) { p.prefetch = v }
 // Reset clears accumulated state, keeping capacity (plugs are pooled).
 func (p *StackPlug) Reset() {
 	p.prefetch = false
+	p.reqs = p.reqs[:0]
+	// The async horizon belongs to one request: left standing, a recycled
+	// plug would postpone the next request's prefetch as congested where a
+	// fresh plug admits it, and virtual time would depend on what the pool
+	// happened to hand out.
+	for i := range p.horizon {
+		p.horizon[i] = 0
+	}
 	if p.one != nil {
 		p.one.Reset()
-		p.reqs = p.reqs[:0]
 		return
 	}
 	for _, mp := range p.mem {
@@ -127,10 +134,6 @@ func (p *StackPlug) Reset() {
 	}
 	p.segs = p.segs[:0]
 	p.src = p.src[:0]
-	p.reqs = p.reqs[:0]
-	for i := range p.horizon {
-		p.horizon[i] = 0
-	}
 }
 
 // Add queues one stack request, resolving it into member pieces that

@@ -409,7 +409,8 @@ func (f *File) prefetchAsyncArm(tl *simtime.Timeline, lo, blocks int64, coverage
 	}
 
 	hi := lo + blocks
-	runs := f.sf.tree.NeedsPrefetch(tl, lo, hi)
+	var runBuf [4]bitmap.Run
+	runs := f.sf.tree.AppendNeedsPrefetch(tl, runBuf[:0], lo, hi)
 	if len(runs) == 0 {
 		// Everything already cached or in flight: the prefetch system
 		// call is elided — the core saving of cache visibility (§4.2).

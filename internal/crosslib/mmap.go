@@ -136,7 +136,8 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		if hi > fileBlocks {
 			hi = fileBlocks
 		}
-		for _, run := range sf.tree.NeedsPrefetch(wtl, lo, hi) {
+		var runBuf [4]bitmap.Run
+		for _, run := range sf.tree.AppendNeedsPrefetch(wtl, runBuf[:0], lo, hi) {
 			m.f.issuePrefetch(wtl, kf, sf, run.Lo, run.Hi, false, telemetry.ArmNone)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/bitmap"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
@@ -275,7 +276,8 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 					local = append(local, RingCQE{User: q.user, Done: tl.Now()})
 					continue
 				}
-				if runs := f.sf.tree.NeedsPrefetch(tl, q.lo, q.hi); len(runs) == 0 {
+				var runBuf [4]bitmap.Run
+				if runs := f.sf.tree.AppendNeedsPrefetch(tl, runBuf[:0], q.lo, q.hi); len(runs) == 0 {
 					// The bitmap proves the range resident or in flight:
 					// the intent is satisfied without crossing. N reports
 					// the full intent as covered.

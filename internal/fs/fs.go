@@ -276,7 +276,11 @@ type PhysRun struct {
 // MapRange returns the physical runs backing logical blocks [lo, hi),
 // coalescing physically contiguous blocks. Unmapped (hole) blocks are
 // omitted; callers treat them as zero-fill without device I/O.
-func (ino *Inode) MapRange(lo, hi int64) []PhysRun {
+func (ino *Inode) MapRange(lo, hi int64) []PhysRun { return ino.AppendMapRange(nil, lo, hi) }
+
+// AppendMapRange is MapRange appending to runs, for callers on a read path
+// that bring their own (typically stack) storage.
+func (ino *Inode) AppendMapRange(runs []PhysRun, lo, hi int64) []PhysRun {
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
 	if lo < 0 {
@@ -285,7 +289,6 @@ func (ino *Inode) MapRange(lo, hi int64) []PhysRun {
 	if max := int64(len(ino.phys)); hi > max {
 		hi = max
 	}
-	var runs []PhysRun
 	for i := lo; i < hi; {
 		p := ino.phys[i]
 		if p == unmapped {
@@ -422,7 +425,10 @@ func (f *FS) writeBlockData(phys, off int64, data []byte) {
 	blk := s.blocks[phys]
 	if blk == nil {
 		blk = make([]byte, f.blockSize)
-		fillSynthetic(blk, phys)
+		if off != 0 || int64(len(data)) < f.blockSize {
+			// Only what the write leaves untouched needs the filler.
+			fillSynthetic(blk, phys)
+		}
 		s.blocks[phys] = blk
 	}
 	copy(blk[off:], data)

@@ -288,3 +288,36 @@ func TestConcurrentReadWriteOneBlock(t *testing.T) {
 	}
 	<-done
 }
+
+// A write that covers a whole block skips the filler; one that does not
+// must still leave the filler around the bytes it wrote.
+func TestPartialFirstWriteKeepsFiller(t *testing.T) {
+	f := New(LayoutExtent, 4096, simtime.DefaultCosts())
+	ino, err := f.CreateSynthetic(nil, "s", 3*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 3*4096)
+	ino.ReadAt(want, 0)
+
+	// The last 50 bytes of block 0, all of block 1, the first 50 of block 2.
+	data := bytes.Repeat([]byte{0xAB}, 4096+100)
+	ino.WriteAt(data, 4096-50)
+	copy(want[4096-50:], data)
+
+	got := make([]byte, 3*4096)
+	ino.ReadAt(got, 0)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d = %#x, want %#x: filler lost around a partial first write", i, got[i], want[i])
+		}
+	}
+
+	// A whole-block first write on a fresh file reads back exactly.
+	ino2, _ := f.Create(nil, "w")
+	ino2.WriteAt(data[:4096], 0)
+	back := make([]byte, 4096)
+	if n := ino2.ReadAt(back, 0); n != 4096 || !bytes.Equal(back, data[:4096]) {
+		t.Fatal("whole-block write did not round-trip")
+	}
+}

@@ -1,0 +1,149 @@
+package lsm
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	crossprefetch "repro"
+	"repro/internal/simtime"
+)
+
+// mallocsPer runs f n times and returns the mean number of heap
+// allocations per run, fractions kept (testing.AllocsPerRun rounds down).
+func mallocsPer(n int, f func(i int)) float64 {
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	for i := 0; i < n; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&b)
+	return float64(b.Mallocs-a.Mallocs) / float64(n)
+}
+
+// A Get answered from a table allocates the value it returns and nothing
+// else of the engine's: no snapshot of the table lists, no decoded block.
+func TestGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	for _, a := range []crossprefetch.Approach{crossprefetch.OSOnly, crossprefetch.CrossPredictOpt} {
+		sys := testSys(a)
+		tl := sys.Timeline()
+		db, err := Open(tl, Options{Sys: sys, MemtableBytes: 256 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const keys = 4000
+		names := make([]string, keys)
+		for i := range names {
+			names[i] = BenchKey(int64(i))
+			if err := db.Put(tl, names[i], benchValue(int64(i), 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(tl); err != nil {
+			t.Fatal(err)
+		}
+		db.WaitIdle(tl)
+		if tt := db.TotalTables(); tt[1] == 0 {
+			t.Fatalf("tables per level %v: the load should have compacted into L1", tt)
+		}
+		read := func(i int) {
+			if _, ok, err := db.Get(tl, names[(i*7919)%keys]); err != nil || !ok {
+				t.Fatalf("Get: %v %v", ok, err)
+			}
+		}
+		for i := 0; i < keys; i++ { // every block resident, every pool warm
+			read(i)
+		}
+		if got := mallocsPer(2000, read); got > 2 {
+			t.Errorf("%v: %.2f allocations per table-hit Get, budget 2", a, got)
+		}
+	}
+}
+
+// A Put in steady state allocates its skiplist node; the value goes into
+// the memtable's slab and the log record into the reused buffer. What is
+// left above one is the simulated disk materialising a 4KB block of the
+// log every so many records.
+func TestPutAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	names := make([]string, 2*n)
+	for i := range names {
+		names[i] = BenchKey(int64(i))
+	}
+	val := benchValue(1, 64)
+	put := func(i int) {
+		if err := db.Put(tl, names[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		put(i)
+	}
+	if got := mallocsPer(n, func(i int) { put(n + i) }); got > 1.1 {
+		t.Errorf("%.3f allocations per Put, budget 1 (+0.1 for the simulated disk under the log)", got)
+	}
+}
+
+type discardSink struct{ bytes int64 }
+
+func (d *discardSink) WriteAt(_ *simtime.Timeline, p []byte, off int64) (int, error) {
+	if off != d.bytes {
+		return 0, fmt.Errorf("write at %d, expected the next chunk at %d", off, d.bytes)
+	}
+	d.bytes += int64(len(p))
+	return len(p), nil
+}
+func (d *discardSink) Fsync(*simtime.Timeline) error { return nil }
+
+// Writing a table costs the same few allocations — the writer, the
+// filter, the in-memory index — however many entries go into it: there is
+// no image that grows with the table and no per-entry or per-block object.
+func TestTableWriterAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	names := make([]string, 64_000)
+	for i := range names {
+		names[i] = BenchKey(int64(i))
+	}
+	val := benchValue(1, 200)
+	var scratch writeScratch
+	write := func(n int) float64 {
+		build := func(int) {
+			var sink discardSink
+			w := newTableWriter(nil, &sink, &scratch, 4<<10)
+			for i := 0; i < n; i++ {
+				if err := w.add(names[i], val, uint64(i+1), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			filter, size, err := w.finish(10)
+			if err != nil || size != sink.bytes {
+				t.Fatalf("finish: size %d, sink holds %d, err %v", size, sink.bytes, err)
+			}
+			tbl, err := newTable(1, "t", nil, scratch.index, w.blocks, filter, w.count, size)
+			if err != nil || len(tbl.index) != w.blocks || tbl.largest != names[n-1] {
+				t.Fatalf("index: %d blocks of %d, largest %q, err %v", len(tbl.index), w.blocks, tbl.largest, err)
+			}
+		}
+		build(0) // grow the scratch to this size once
+		return mallocsPer(3, build)
+	}
+	small, large := write(1_000), write(64_000)
+	if small > 8 || large > small+1 {
+		t.Errorf("%.1f allocations for a 1k-entry table, %.1f for a 64k-entry one (14MB, 14 chunks): want a small constant for both", small, large)
+	}
+}

@@ -1,7 +1,5 @@
 package lsm
 
-import "hash/fnv"
-
 // bloom is a classic double-hashing Bloom filter, as RocksDB builds per
 // SSTable (block-based filter policy).
 type bloom struct {
@@ -9,12 +7,13 @@ type bloom struct {
 	k    int
 }
 
-// newBloomFromKeys builds a filter sized at bitsPerKey for the given keys.
-func newBloomFromKeys(keys []string, bitsPerKey int) bloom {
+// newBloomFromHashes builds a filter sized at bitsPerKey for the keys whose
+// first hashes (bloomHash) are given.
+func newBloomFromHashes(hashes []uint64, bitsPerKey int) bloom {
 	if bitsPerKey < 1 {
 		bitsPerKey = 10
 	}
-	nBits := len(keys) * bitsPerKey
+	nBits := len(hashes) * bitsPerKey
 	if nBits < 64 {
 		nBits = 64
 	}
@@ -25,8 +24,8 @@ func newBloomFromKeys(keys []string, bitsPerKey int) bloom {
 	if b.k > 30 {
 		b.k = 30
 	}
-	for _, key := range keys {
-		b.add(key)
+	for _, h1 := range hashes {
+		b.add(h1, secondHash(h1))
 	}
 	return b
 }
@@ -34,19 +33,25 @@ func newBloomFromKeys(keys []string, bitsPerKey int) bloom {
 // bloomFromBytes restores a serialized filter.
 func bloomFromBytes(data []byte, k int) bloom { return bloom{bits: data, k: k} }
 
+// bloomHash is 64-bit FNV-1a over the key, and the second hash derived
+// from it.
 func bloomHash(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 := h.Sum64()
+	h1 := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h1 = (h1 ^ uint64(key[i])) * 1099511628211
+	}
+	return h1, secondHash(h1)
+}
+
+func secondHash(h1 uint64) uint64 {
 	h2 := h1>>33 | h1<<31
 	if h2 == 0 {
 		h2 = 0x9e3779b97f4a7c15
 	}
-	return h1, h2
+	return h2
 }
 
-func (b *bloom) add(key string) {
-	h1, h2 := bloomHash(key)
+func (b *bloom) add(h1, h2 uint64) {
 	n := uint64(len(b.bits)) * 8
 	for i := 0; i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % n

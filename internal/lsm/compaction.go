@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"container/heap"
+	"fmt"
 	"sort"
 
 	"repro/internal/simtime"
@@ -18,23 +19,30 @@ func (db *DB) maybeCompact(tl *simtime.Timeline) {
 		if lvl < 0 {
 			return
 		}
+		var err error
 		db.compactWorker.Run(tl.Now(), func(wtl *simtime.Timeline) {
-			db.compactLevel(wtl, lvl)
+			err = db.compactLevel(wtl, lvl)
 		})
+		if err != nil {
+			// Its inputs are still installed, so the level is picked
+			// again after the next flush; retrying now would spin on a
+			// fault that persists.
+			db.stats.backgroundErrors.Add(1)
+			return
+		}
 	}
 }
 
 // pickCompaction returns a level needing compaction, or -1.
 func (db *DB) pickCompaction() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(db.levels[0]) >= db.opt.L0CompactTrigger {
+	v := db.current.Load()
+	if len(v.levels[0]) >= db.opt.L0CompactTrigger {
 		return 0
 	}
 	target := db.opt.BaseLevelBytes
 	for lvl := 1; lvl < numLevels-1; lvl++ {
 		var size int64
-		for _, t := range db.levels[lvl] {
+		for _, t := range v.levels[lvl] {
 			size += t.size
 		}
 		if size > target {
@@ -46,22 +54,27 @@ func (db *DB) pickCompaction() int {
 }
 
 // compactLevel merges level lvl inputs with the overlapping tables of
-// lvl+1, writing new non-overlapping tables into lvl+1.
-func (db *DB) compactLevel(tl *simtime.Timeline, lvl int) {
-	db.mu.Lock()
-	var inputs []*sstable
+// lvl+1, writing new non-overlapping tables into lvl+1. It is two-phase:
+// every input block is read before the first output byte is written. On an
+// error nothing is installed: the inputs stay where they are and the
+// outputs written so far are removed.
+func (db *DB) compactLevel(tl *simtime.Timeline, lvl int) error {
+	// Compactions run one at a time (the compaction worker), and only a
+	// compaction takes tables out of a version, so the inputs picked here
+	// are still installed when the outputs are.
+	v := db.current.Load()
+	var all []*sstable
 	if lvl == 0 {
-		inputs = append(inputs, db.levels[0]...)
-	} else if len(db.levels[lvl]) > 0 {
+		all = append(all, v.levels[0]...)
+	} else if len(v.levels[lvl]) > 0 {
 		// Pick the oldest (first) table at this level.
-		inputs = append(inputs, db.levels[lvl][0])
+		all = append(all, v.levels[lvl][0])
 	}
-	if len(inputs) == 0 {
-		db.mu.Unlock()
-		return
+	if len(all) == 0 {
+		return nil
 	}
-	lo, hi := inputs[0].smallest, inputs[0].largest
-	for _, t := range inputs[1:] {
+	lo, hi := all[0].smallest, all[0].largest
+	for _, t := range all[1:] {
 		if t.smallest < lo {
 			lo = t.smallest
 		}
@@ -69,54 +82,32 @@ func (db *DB) compactLevel(tl *simtime.Timeline, lvl int) {
 			hi = t.largest
 		}
 	}
-	var overlap []*sstable
-	for _, t := range db.levels[lvl+1] {
+	for _, t := range v.levels[lvl+1] {
 		if t.overlaps(lo, hi) {
-			overlap = append(overlap, t)
+			all = append(all, t)
 		}
 	}
-	db.mu.Unlock()
 
-	all := append(append([]*sstable(nil), inputs...), overlap...)
-
-	// Merge all inputs oldest-visible-last: iterate each table's blocks
-	// sequentially (this is the scan RocksDB accelerates with its own
-	// compaction readahead; here the configured approach's prefetching
-	// applies) and merge by (key, seq desc), keeping the newest version.
-	merged, bytesRead := db.mergeTables(tl, all)
-	db.mu.Lock()
-	db.stats.Compactions++
-	db.stats.CompactBytesRead += bytesRead
-	db.mu.Unlock()
-
-	// Build output tables, splitting at ~2× memtable size.
-	var outputs []*sstable
-	builder := newTableBuilder(db.opt.BlockBytes)
-	cut := func() {
-		if builder.count == 0 {
-			return
-		}
-		t, err := db.writeAndOpen(tl, builder)
-		if err == nil {
-			outputs = append(outputs, t)
-			db.mu.Lock()
-			db.stats.CompactBytesWritten += t.size
-			db.mu.Unlock()
-		}
-		builder = newTableBuilder(db.opt.BlockBytes)
+	// Phase one reads: iterate each table's blocks sequentially (this is
+	// the scan RocksDB accelerates with its own compaction readahead; here
+	// the configured approach's prefetching applies) and merge by (key,
+	// seq desc), keeping the newest version of each key.
+	m := newMerge(all)
+	bytesRead, err := m.plan(tl)
+	if err != nil {
+		return fmt.Errorf("lsm: compacting L%d, reading inputs: %w", lvl, err)
 	}
-	maxOut := 2 * db.opt.MemtableBytes
-	bottomLevel := lvl+1 == numLevels-1
-	for _, e := range merged {
-		if e.del && bottomLevel {
-			continue // tombstones die at the bottom
+	db.stats.compactions.Add(1)
+	db.stats.compactBytesRead.Add(bytesRead)
+
+	// Phase two writes the survivors, splitting at ~2× memtable size.
+	outputs, err := db.writeMerged(tl, m, 2*db.opt.MemtableBytes, lvl+1 == numLevels-1)
+	if err != nil {
+		for _, t := range outputs {
+			_ = db.sys.Kernel().Remove(tl, t.name) // costs space only: never installed
 		}
-		builder.add(e.key, e.value, e.seq, e.del)
-		if int64(len(builder.out))+int64(len(builder.buf)) >= maxOut {
-			cut()
-		}
+		return fmt.Errorf("lsm: compacting L%d, writing outputs: %w", lvl, err)
 	}
-	cut()
 
 	// Install: remove inputs + overlap, add outputs to lvl+1.
 	dead := make(map[*sstable]bool, len(all))
@@ -124,45 +115,126 @@ func (db *DB) compactLevel(tl *simtime.Timeline, lvl int) {
 		dead[t] = true
 	}
 	db.mu.Lock()
-	var keep0 []*sstable
-	for _, t := range db.levels[lvl] {
+	old := db.current.Load()
+	nv := &version{levels: old.levels}
+	nv.levels[lvl], nv.levels[lvl+1] = nil, nil
+	for _, t := range old.levels[lvl] {
 		if !dead[t] {
-			keep0 = append(keep0, t)
+			nv.levels[lvl] = append(nv.levels[lvl], t)
 		}
 	}
-	db.levels[lvl] = keep0
-	var keep1 []*sstable
-	for _, t := range db.levels[lvl+1] {
+	keep := make([]*sstable, 0, len(old.levels[lvl+1])+len(outputs))
+	for _, t := range old.levels[lvl+1] {
 		if !dead[t] {
-			keep1 = append(keep1, t)
+			keep = append(keep, t)
 		}
 	}
-	keep1 = append(keep1, outputs...)
-	sort.Slice(keep1, func(i, j int) bool { return keep1[i].smallest < keep1[j].smallest })
-	db.levels[lvl+1] = keep1
+	keep = append(keep, outputs...)
+	sort.Slice(keep, func(i, j int) bool { return keep[i].smallest < keep[j].smallest })
+	nv.levels[lvl+1] = keep
+	db.install(nv, all)
 	db.mu.Unlock()
 
 	db.saveManifest(tl)
-	for _, t := range all {
-		_ = db.sys.Kernel().Remove(tl, t.name)
-	}
+	db.reapTables(tl)
+	return nil
 }
 
-// mergeEntry tags a block entry with its source priority (lower = newer
-// table, wins on equal key+seq).
+// writeMerged replays a planned merge into output tables, each cut once
+// it holds maxOut bytes of data blocks. On an error it returns the tables
+// already complete, for the caller to remove.
+func (db *DB) writeMerged(tl *simtime.Timeline, m *merge, maxOut int64, bottomLevel bool) ([]*sstable, error) {
+	var outputs []*sstable
+	var out tableOutput
+	cut := func() error {
+		if out.w == nil {
+			return nil
+		}
+		t, err := db.finishTable(tl, &out)
+		if err != nil {
+			return err
+		}
+		out.w = nil
+		outputs = append(outputs, t)
+		db.stats.compactBytesWritten.Add(t.size)
+		return nil
+	}
+	err := m.replay(func(c *blockCursor) error {
+		if c.del && bottomLevel {
+			return nil // tombstones die at the bottom
+		}
+		if err := db.addToTable(tl, &out, &db.compactScratch, c.key, c.value, c.seq, c.del); err != nil {
+			return err
+		}
+		if out.w.size() >= maxOut {
+			return cut()
+		}
+		return nil
+	})
+	if err == nil {
+		err = cut()
+	}
+	if err != nil {
+		db.abortTable(tl, &out)
+	}
+	return outputs, err
+}
+
+// mergeSource is one input table of a merge, walked block by block.
 type mergeSource struct {
-	table   *sstable
-	prio    int
-	block   int
-	entries []blockEntry
-	pos     int
+	table *sstable
+	prio  int // lower = newer table, wins on equal key+seq
+
+	// blocks holds the raw blocks read so far. Phase one appends to it,
+	// phase two walks it again and lets go of each block it has passed.
+	blocks [][]byte
+	read   int64 // bytes of them
+	block  int
+	cur    blockCursor
+	done   bool
+}
+
+// seek positions the source at the first entry of block b, reading the
+// block through the table's handle unless it was read before. It skips
+// empty blocks and sets done past the last one.
+func (s *mergeSource) seek(tl *simtime.Timeline, b int) error {
+	for ; b < len(s.table.index); b++ {
+		if b == len(s.blocks) {
+			raw, err := s.table.readBlock(tl, b, nil)
+			if err != nil {
+				return err
+			}
+			s.read += int64(len(raw))
+			s.blocks = append(s.blocks, raw)
+		}
+		s.block = b
+		if s.cur.first(s.blocks[b]) {
+			return nil
+		}
+		if s.cur.corrupt {
+			return s.table.corruptBlock(b)
+		}
+	}
+	s.done = true
+	return nil
+}
+
+// next moves the source one entry on.
+func (s *mergeSource) next(tl *simtime.Timeline) error {
+	if s.cur.next() {
+		return nil
+	}
+	if s.cur.corrupt {
+		return s.table.corruptBlock(s.block)
+	}
+	return s.seek(tl, s.block+1)
 }
 
 type mergeHeap []*mergeSource
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i].entries[h[i].pos], h[j].entries[h[j].pos]
+	a, b := &h[i].cur, &h[j].cur
 	if a.key != b.key {
 		return a.key < b.key
 	}
@@ -171,62 +243,93 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].prio < h[j].prio
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*mergeSource)) }
-func (h *mergeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h mergeHeap) peek() *mergeSource { return h[0] }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeSource)) }
+func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// mergeTables k-way merges tables, newest-priority first, dropping
-// shadowed versions. It returns entries in (key asc) order with only the
-// newest version of each key, plus the bytes read.
-func (db *DB) mergeTables(tl *simtime.Timeline, tables []*sstable) ([]blockEntry, int64) {
-	var h mergeHeap
-	var bytesRead int64
-	advance := func(s *mergeSource) {
-		s.pos++
-		for s.pos >= len(s.entries) {
-			s.block++
-			if s.block >= len(s.table.index) {
-				return
-			}
-			entries, err := s.table.readBlock(tl, s.block)
-			if err != nil {
-				return
-			}
-			bytesRead += s.table.index[s.block].size
-			s.entries, s.pos = entries, 0
-		}
-	}
+// merge k-way merges tables, newest-priority first, dropping shadowed
+// versions, in two passes over the same sources. plan does all the reading
+// and all the comparing and records, per input entry in merge order, which
+// source it came from and whether it survives; replay walks the blocks
+// plan kept and hands the survivors to the writer, so nothing of the
+// output exists in memory beyond the writer's chunk.
+type merge struct {
+	sources []*mergeSource
+	steps   []uint32 // source index << 1 | survives
+}
+
+func newMerge(tables []*sstable) *merge {
+	m := &merge{sources: make([]*mergeSource, len(tables))}
+	var entries int64
 	for i, t := range tables {
-		if len(t.index) == 0 {
-			continue
+		m.sources[i] = &mergeSource{table: t, prio: i}
+		entries += t.count
+	}
+	m.steps = make([]uint32, 0, entries)
+	return m
+}
+
+// plan runs the merge against the table files and returns the bytes read.
+func (m *merge) plan(tl *simtime.Timeline) (int64, error) {
+	h := make(mergeHeap, 0, len(m.sources))
+	for _, s := range m.sources {
+		if err := s.seek(tl, 0); err != nil {
+			return 0, err
 		}
-		entries, err := t.readBlock(tl, 0)
-		if err != nil {
-			continue
+		if !s.done {
+			h = append(h, s)
 		}
-		bytesRead += t.index[0].size
-		h = append(h, &mergeSource{table: t, prio: i, entries: entries})
 	}
 	heap.Init(&h)
 
-	var out []blockEntry
-	lastKey := ""
-	have := false
+	lastKey, have := "", false
 	for h.Len() > 0 {
-		s := h.peek()
-		e := s.entries[s.pos]
-		if !have || e.key != lastKey {
-			out = append(out, e)
-			lastKey, have = e.key, true
+		s := h[0]
+		step := uint32(s.prio) << 1
+		if !have || s.cur.key != lastKey {
+			step |= 1
+			lastKey, have = s.cur.key, true // the block it points into is kept
 		}
-		advance(s)
-		if s.pos >= len(s.entries) {
+		m.steps = append(m.steps, step)
+		if err := s.next(tl); err != nil {
+			return 0, err
+		}
+		if s.done {
 			heap.Pop(&h)
 		} else {
 			heap.Fix(&h, 0)
 		}
 		tl.Advance(60 * simtime.Nanosecond) // merge CPU per entry
 	}
-	return out, bytesRead
+	var bytesRead int64
+	for _, s := range m.sources {
+		bytesRead += s.read
+	}
+	return bytesRead, nil
+}
+
+// replay calls emit with every surviving entry, in merge order.
+func (m *merge) replay(emit func(c *blockCursor) error) error {
+	for _, s := range m.sources {
+		s.done = false
+		if err := s.seek(nil, 0); err != nil {
+			return err
+		}
+	}
+	for _, step := range m.steps {
+		s := m.sources[step>>1]
+		if step&1 != 0 {
+			if err := emit(&s.cur); err != nil {
+				return err
+			}
+		}
+		was := s.block
+		if err := s.next(nil); err != nil {
+			return err
+		}
+		if s.done || s.block != was {
+			s.blocks[was] = nil // passed: the collector may have it
+		}
+	}
+	return nil
 }

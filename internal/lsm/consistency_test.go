@@ -34,6 +34,7 @@ func checkAgainstRef(t *testing.T, db *DB, tl *simtime.Timeline, ref map[string]
 	sort.Strings(want)
 
 	it := db.NewIterator(tl, false)
+	defer it.Close()
 	var got []string
 	for ok := it.SeekFirst(); ok; ok = it.Next() {
 		got = append(got, it.Key())
@@ -52,6 +53,7 @@ func checkAgainstRef(t *testing.T, db *DB, tl *simtime.Timeline, ref map[string]
 
 	// Reverse iteration: the same set, reversed.
 	rit := db.NewIterator(tl, true)
+	defer rit.Close()
 	var rgot []string
 	for ok := rit.SeekLast(); ok; ok = rit.Next() {
 		rgot = append(rgot, rit.Key())

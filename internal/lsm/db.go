@@ -3,9 +3,11 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
@@ -64,6 +66,34 @@ func (o Options) withDefaults() Options {
 
 const numLevels = 7
 
+// version is one immutable view of the table set: L0 newest-first, L1+
+// sorted by smallest key and non-overlapping. Installing the result of a
+// flush or a compaction builds a new version (the level slices it does not
+// change are shared) and swaps DB.current under DB.mu; nothing reachable
+// from a version is ever written again.
+//
+// Lifetime: the DB holds one reference on the current version, every
+// reader that goes on to touch table files holds one from pin to unpin.
+// pin takes it under DB.mu's read side, which excludes the swap, so a
+// version that has been replaced never gains a reference. A table's file
+// may be removed only once every version older than the one that dropped
+// the table has lost all its references; reapTables decides that, and it
+// alone removes table files.
+type version struct {
+	levels [numLevels][]*sstable
+	id     uint64
+	refs   atomic.Int64
+}
+
+func (v *version) unpin() { v.refs.Add(-1) }
+
+// zombie is a table no longer in the current version whose file is still
+// on disk: versions with id < droppedAt may hold it.
+type zombie struct {
+	table     *sstable
+	droppedAt uint64
+}
+
 // DB is the LSM store.
 type DB struct {
 	opt Options
@@ -72,18 +102,33 @@ type DB struct {
 	mu      sync.RWMutex
 	mem     *memtable
 	imm     *memtable
-	levels  [numLevels][]*sstable // L0 newest-first; L1+ sorted by smallest
+	current atomic.Pointer[version] // stored under mu; loaded anywhere
+	retired []*version              // replaced while readers still held them
+	zombies []zombie
 	wal     *crosslib.File
 	walName string
 	seq     uint64
 	nextNum uint64
+	// flushFailed marks imm as parked by a failed flush: it stays readable
+	// and is retried by Flush, by Close, and each time the active memtable
+	// grows by another MemtableBytes.
+	flushFailed bool
 
-	flushWorker   *simtime.Worker
-	compactWorker *simtime.Worker
-	fincoreRR     int
-	loadEnd       simtime.Time
+	walMu  sync.Mutex // serializes log appends and guards walBuf
+	walBuf []byte
 
-	stats Stats
+	flushWorker    *simtime.Worker
+	compactWorker  *simtime.Worker
+	flushScratch   writeScratch // flush jobs only
+	compactScratch writeScratch // compaction jobs only
+	fincoreRR      int
+	loadEnd        simtime.Time
+
+	stats struct {
+		puts, gets, hits, flushes, compactions            atomic.Int64
+		compactBytesRead, compactBytesWritten, blockReads atomic.Int64
+		backgroundErrors                                  atomic.Int64
+	}
 }
 
 // Stats counts DB-level operations.
@@ -94,13 +139,74 @@ type Stats struct {
 	CompactBytesRead    int64
 	CompactBytesWritten int64
 	BlockReads          int64
+	// BackgroundErrors counts flushes and compactions that failed on an
+	// I/O error and left their inputs in place for a retry.
+	BackgroundErrors int64
 }
 
 // Stats snapshots DB counters.
 func (db *DB) Stats() Stats {
+	s := &db.stats
+	return Stats{
+		Puts: s.puts.Load(), Gets: s.gets.Load(), Hits: s.hits.Load(),
+		Flushes:             s.flushes.Load(),
+		Compactions:         s.compactions.Load(),
+		CompactBytesRead:    s.compactBytesRead.Load(),
+		CompactBytesWritten: s.compactBytesWritten.Load(),
+		BlockReads:          s.blockReads.Load(),
+		BackgroundErrors:    s.backgroundErrors.Load(),
+	}
+}
+
+// pin returns the current version with a reference held; the caller unpins
+// it when it has made its last read of a table file.
+func (db *DB) pin() *version {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.stats
+	v := db.current.Load()
+	v.refs.Add(1)
+	db.mu.RUnlock()
+	return v
+}
+
+// install makes v the current version; dropped are the tables the old one
+// had and v has not. Caller holds db.mu.
+func (db *DB) install(v *version, dropped []*sstable) {
+	old := db.current.Load()
+	v.id = old.id + 1
+	v.refs.Store(1)
+	db.current.Store(v)
+	if old.refs.Add(-1) > 0 {
+		db.retired = append(db.retired, old)
+	}
+	for _, t := range dropped {
+		db.zombies = append(db.zombies, zombie{t, v.id})
+	}
+}
+
+// reapTables removes the files of dropped tables that no version still
+// referenced can hold. Background jobs call it on their own timeline after
+// the manifest that no longer names the tables is saved; with no reader
+// holding an old version that is every table the job just dropped.
+func (db *DB) reapTables(tl *simtime.Timeline) {
+	db.mu.Lock()
+	db.retired = slices.DeleteFunc(db.retired, func(v *version) bool { return v.refs.Load() == 0 })
+	oldest := db.current.Load().id
+	for _, v := range db.retired {
+		oldest = min(oldest, v.id)
+	}
+	var dead []*sstable
+	db.zombies = slices.DeleteFunc(db.zombies, func(z zombie) bool {
+		if z.droppedAt > oldest {
+			return false
+		}
+		dead = append(dead, z.table)
+		return true
+	})
+	db.mu.Unlock()
+	for _, t := range dead {
+		// Only the file's space is at stake: the manifest no longer names it.
+		_ = db.sys.Kernel().Remove(tl, t.name)
+	}
 }
 
 // Open creates or reopens a database. Reopening replays the manifest and
@@ -114,6 +220,9 @@ func Open(tl *simtime.Timeline, opt Options) (*DB, error) {
 		flushWorker:   simtime.NewWorker(tl.Now()),
 		compactWorker: simtime.NewWorker(tl.Now()),
 	}
+	first := new(version)
+	first.refs.Store(1)
+	db.current.Store(first)
 	if err := db.loadManifest(tl); err != nil {
 		return nil, err
 	}
@@ -153,22 +262,28 @@ func (db *DB) Delete(tl *simtime.Timeline, key string) error {
 }
 
 func (db *DB) write(tl *simtime.Timeline, key string, value []byte, del bool) error {
+	limit := db.opt.MemtableBytes
 	db.mu.Lock()
 	db.seq++
 	seq := db.seq
-	db.stats.Puts++
-	rec := encodeWALRecord(key, value, seq, del)
 	wal := db.wal
-	db.mem.put(key, append([]byte(nil), value...), seq, del)
+	before := db.mem.bytes
+	db.mem.put(key, value, seq, del)
 	tl.Advance(300 * simtime.Nanosecond) // skiplist insert
-	full := db.mem.bytes >= db.opt.MemtableBytes && db.imm == nil
+	full := db.mem.bytes >= limit && db.imm == nil
 	if full {
 		db.imm = db.mem
 		db.mem = newMemtable(int64(seq))
 	}
+	retry := !full && db.flushFailed && before/limit != db.mem.bytes/limit
 	db.mu.Unlock()
+	db.stats.puts.Add(1)
 
-	if _, err := wal.Append(tl, rec); err != nil {
+	db.walMu.Lock()
+	db.walBuf = appendWALRecord(db.walBuf[:0], key, value, seq, del)
+	_, err := wal.Append(tl, db.walBuf)
+	db.walMu.Unlock()
+	if err != nil {
 		return err
 	}
 	if db.opt.SyncWAL {
@@ -176,13 +291,16 @@ func (db *DB) write(tl *simtime.Timeline, key string, value []byte, del bool) er
 			return err
 		}
 	}
-	if full {
-		db.scheduleFlush(tl)
+	if full || retry {
+		// The write itself is done — logged, and readable from the
+		// memtable; a flush that fails is counted and retried.
+		_ = db.scheduleFlush(tl)
 	}
 	return nil
 }
 
-// Get returns the newest value of key, or ok=false.
+// Get returns the newest value of key, or ok=false. The slice it returns
+// must not be modified.
 func (db *DB) Get(tl *simtime.Timeline, key string) ([]byte, bool, error) {
 	db.mu.RLock()
 	snap := db.seq
@@ -195,24 +313,23 @@ func (db *DB) Get(tl *simtime.Timeline, key string) ([]byte, bool, error) {
 	if !ok && db.imm != nil {
 		v, del, ok = db.imm.get(key, snap)
 	}
-	// Snapshot the table list (tables are immutable).
-	var l0 []*sstable
-	l0 = append(l0, db.levels[0]...)
-	var deeper [][]*sstable
-	for lvl := 1; lvl < numLevels; lvl++ {
-		if len(db.levels[lvl]) > 0 {
-			deeper = append(deeper, append([]*sstable(nil), db.levels[lvl]...))
-		}
+	var ver *version
+	if !ok {
+		// Taken in the same critical section as the probe of imm, so a
+		// flushed memtable is seen either there or as its L0 table.
+		ver = db.current.Load()
+		ver.refs.Add(1)
 	}
 	db.mu.RUnlock()
 
-	db.bumpGets()
+	db.stats.gets.Add(1)
 	tl.Advance(200 * simtime.Nanosecond)
 
 	if ok {
 		return db.hit(v, del)
 	}
-	for _, t := range l0 {
+	defer ver.unpin()
+	for _, t := range ver.levels[0] {
 		v, del, ok, err := db.tableGet(tl, t, key, snap)
 		if err != nil {
 			return nil, false, err
@@ -221,7 +338,7 @@ func (db *DB) Get(tl *simtime.Timeline, key string) ([]byte, bool, error) {
 			return db.hit(v, del)
 		}
 	}
-	for _, tables := range deeper {
+	for _, tables := range ver.levels[1:] {
 		// Levels 1+ are sorted and non-overlapping: binary search.
 		i := sort.Search(len(tables), func(i int) bool { return tables[i].largest >= key })
 		if i < len(tables) && tables[i].smallest <= key {
@@ -237,21 +354,11 @@ func (db *DB) Get(tl *simtime.Timeline, key string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-func (db *DB) bumpGets() {
-	db.mu.Lock()
-	db.stats.Gets++
-	db.mu.Unlock()
-}
-
 func (db *DB) hit(v []byte, del bool) ([]byte, bool, error) {
-	db.mu.Lock()
-	if !del {
-		db.stats.Hits++
-	}
-	db.mu.Unlock()
 	if del {
 		return nil, false, nil
 	}
+	db.stats.hits.Add(1)
 	return v, true, nil
 }
 
@@ -259,9 +366,7 @@ func (db *DB) tableGet(tl *simtime.Timeline, t *sstable, key string, snap uint64
 	tl.Advance(150 * simtime.Nanosecond) // bloom + index probe
 	v, del, ok, err := t.get(tl, key, snap)
 	if ok {
-		db.mu.Lock()
-		db.stats.BlockReads++
-		db.mu.Unlock()
+		db.stats.blockReads.Add(1)
 	}
 	return v, del, ok, err
 }
@@ -284,101 +389,153 @@ func (db *DB) MultiGet(tl *simtime.Timeline, keys []string) (found int, err erro
 // Flush forces the active memtable to an L0 table synchronously.
 func (db *DB) Flush(tl *simtime.Timeline) error {
 	db.mu.Lock()
+	for db.imm != nil {
+		// A memtable is already queued, or parked by a failed flush: it
+		// goes first, inline.
+		db.mu.Unlock()
+		if err := db.scheduleFlush(tl); err != nil {
+			return err
+		}
+		db.mu.Lock()
+	}
 	if db.mem.count == 0 {
 		db.mu.Unlock()
 		return nil
 	}
-	for db.imm != nil {
-		// A flush is already queued; run it inline first.
-		db.mu.Unlock()
-		db.scheduleFlush(tl)
-		db.mu.Lock()
-	}
 	db.imm = db.mem
 	db.mem = newMemtable(int64(db.seq + 1))
 	db.mu.Unlock()
-	db.scheduleFlush(tl)
+	err := db.scheduleFlush(tl)
 	tl.WaitUntil(db.flushWorker.Now(), simtime.WaitIO)
-	return nil
+	return err
 }
 
-// scheduleFlush writes the immutable memtable out on the flush worker.
-func (db *DB) scheduleFlush(tl *simtime.Timeline) {
+// scheduleFlush writes the immutable memtable out on the flush worker. On
+// an error the memtable stays where it is — readable, and still in the
+// log — for a later attempt.
+func (db *DB) scheduleFlush(tl *simtime.Timeline) error {
+	var flushErr error
 	db.flushWorker.Run(tl.Now(), func(wtl *simtime.Timeline) {
 		db.mu.Lock()
-		imm := db.imm
+		imm, retried := db.imm, db.flushFailed
 		db.mu.Unlock()
 		if imm == nil {
 			return
 		}
 		t, err := db.buildTableFromMem(wtl, imm)
-		db.mu.Lock()
-		if err == nil && t != nil {
-			db.levels[0] = append([]*sstable{t}, db.levels[0]...)
-			db.stats.Flushes++
+		if err != nil {
+			flushErr = fmt.Errorf("lsm: flush: %w", err)
 		}
-		db.imm = nil
-		db.mu.Unlock()
+		db.mu.Lock()
+		db.flushFailed = err != nil
 		if err == nil {
+			if t != nil {
+				old := db.current.Load()
+				v := &version{levels: old.levels}
+				v.levels[0] = append([]*sstable{t}, old.levels[0]...)
+				db.install(v, nil)
+				db.stats.flushes.Add(1)
+			}
+			db.imm = nil
+		}
+		db.mu.Unlock()
+		switch {
+		case err != nil:
+			db.stats.backgroundErrors.Add(1)
+		case retried:
+			// Writes that followed the failed attempt went to the
+			// active memtable and to this log: it has to outlive them.
+			db.saveManifest(wtl)
+		default:
 			db.saveManifest(wtl)
 			db.rotateWAL(wtl)
 		}
 		db.maybeCompact(wtl)
 	})
+	return flushErr
 }
 
 // buildTableFromMem writes one memtable as an SSTable and opens it.
 func (db *DB) buildTableFromMem(tl *simtime.Timeline, m *memtable) (*sstable, error) {
-	b := newTableBuilder(db.opt.BlockBytes)
+	var out tableOutput
+	db.flushScratch.hashes = slices.Grow(db.flushScratch.hashes[:0], m.count)
 	for n := m.first(); n != nil; n = n.next[0] {
-		b.add(n.key, n.value, n.seq, n.del)
+		if err := db.addToTable(tl, &out, &db.flushScratch, n.key, n.value, n.seq, n.del); err != nil {
+			db.abortTable(tl, &out)
+			return nil, err
+		}
 	}
-	if b.count == 0 {
+	if out.w == nil {
 		return nil, nil
 	}
-	return db.writeAndOpen(tl, b)
+	return db.finishTable(tl, &out)
 }
 
-// writeAndOpen persists a built table and opens a read handle on it.
-func (db *DB) writeAndOpen(tl *simtime.Timeline, b *tableBuilder) (*sstable, error) {
-	db.mu.Lock()
-	db.nextNum++
-	num := db.nextNum
-	db.mu.Unlock()
-	name := db.fileName("sst", num)
-	wf, err := db.sys.Create(tl, name)
+// tableOutput is a table file being written.
+type tableOutput struct {
+	w    *tableWriter // nil until the first entry
+	num  uint64
+	name string
+}
+
+// addToTable appends an entry to out, creating the file — with the next
+// file number — at the first one.
+func (db *DB) addToTable(tl *simtime.Timeline, out *tableOutput, s *writeScratch, key string, value []byte, seq uint64, del bool) error {
+	if out.w == nil {
+		db.mu.Lock()
+		db.nextNum++
+		out.num = db.nextNum
+		db.mu.Unlock()
+		out.name = db.fileName("sst", out.num)
+		f, err := db.sys.Create(tl, out.name)
+		if err != nil {
+			return err
+		}
+		out.w = newTableWriter(tl, f, s, db.opt.BlockBytes)
+	}
+	return out.w.add(key, value, seq, del)
+}
+
+// finishTable completes the file of out and opens a read handle on it. On
+// an error the file is removed.
+func (db *DB) finishTable(tl *simtime.Timeline, out *tableOutput) (*sstable, error) {
+	w := out.w
+	filter, size, err := w.finish(db.opt.BloomBitsPerKey)
 	if err != nil {
+		db.abortTable(tl, out)
 		return nil, err
 	}
-	image, index, filter := b.finish(db.opt.BloomBitsPerKey)
-	if err := writeTable(tl, wf, image); err != nil {
-		return nil, err
-	}
-	rf, err := db.openSSTFile(tl, name)
+	rf, err := db.openSSTFile(tl, out.name)
 	if err != nil {
+		db.abortTable(tl, out)
 		return nil, err
 	}
-	return &sstable{
-		num: num, file: rf, name: name,
-		index: index, filter: filter,
-		count: b.count, size: int64(len(image)),
-		smallest: b.smallest, largest: b.largest,
-	}, nil
+	return newTable(out.num, out.name, rf, w.s.index, w.blocks, filter, w.count, size)
+}
+
+// abortTable removes what was written of out.
+func (db *DB) abortTable(tl *simtime.Timeline, out *tableOutput) {
+	if out.w != nil {
+		// A leftover file costs space only; no manifest names it.
+		_ = db.sys.Kernel().Remove(tl, out.name)
+		out.w = nil
+	}
 }
 
 // FincoreStep drives the APPonly[fincore] baseline (Figure 2): a
 // background helper that polls fincore over one table per call (round
 // robin) and issues readahead for whatever is not resident.
 func (db *DB) FincoreStep(tl *simtime.Timeline) {
-	db.mu.Lock()
+	v := db.pin()
+	defer v.unpin()
 	var tables []*sstable
-	for _, lvl := range db.levels {
+	for _, lvl := range v.levels {
 		tables = append(tables, lvl...)
 	}
 	if len(tables) == 0 {
-		db.mu.Unlock()
 		return
 	}
+	db.mu.Lock()
 	db.fincoreRR++
 	t := tables[db.fincoreRR%len(tables)]
 	db.mu.Unlock()
@@ -392,21 +549,17 @@ func (db *DB) LoadEnd() simtime.Time { return db.loadEnd }
 
 // TotalTables reports table counts per level (telemetry/tests).
 func (db *DB) TotalTables() [numLevels]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var out [numLevels]int
-	for i := range db.levels {
-		out[i] = len(db.levels[i])
+	for i, lvl := range db.current.Load().levels {
+		out[i] = len(lvl)
 	}
 	return out
 }
 
 // DiskBytes reports the total SSTable bytes on disk.
 func (db *DB) DiskBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var n int64
-	for _, lvl := range db.levels {
+	for _, lvl := range db.current.Load().levels {
 		for _, t := range lvl {
 			n += t.size
 		}
@@ -423,23 +576,18 @@ func (db *DB) WaitIdle(tl *simtime.Timeline) {
 
 // --- WAL ---
 
-func encodeWALRecord(key string, value []byte, seq uint64, del bool) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	rec := make([]byte, 0, len(key)+len(value)+16)
-	n := binary.PutUvarint(tmp[:], seq)
-	rec = append(rec, tmp[:n]...)
+// appendWALRecord appends the log record of one write to rec.
+func appendWALRecord(rec []byte, key string, value []byte, seq uint64, del bool) []byte {
+	rec = binary.AppendUvarint(rec, seq)
 	flags := byte(0)
 	if del {
 		flags = 1
 	}
 	rec = append(rec, flags)
-	n = binary.PutUvarint(tmp[:], uint64(len(key)))
-	rec = append(rec, tmp[:n]...)
+	rec = binary.AppendUvarint(rec, uint64(len(key)))
 	rec = append(rec, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	rec = append(rec, tmp[:n]...)
-	rec = append(rec, value...)
-	return rec
+	rec = binary.AppendUvarint(rec, uint64(len(value)))
+	return append(rec, value...)
 }
 
 func (db *DB) openWAL(tl *simtime.Timeline) error {
@@ -494,9 +642,8 @@ func (db *DB) replayWAL(tl *simtime.Timeline, name string) error {
 		pos += int(klen)
 		vlen, n := binary.Uvarint(raw[pos:])
 		pos += n
-		val := append([]byte(nil), raw[pos:pos+int(vlen)]...)
+		db.mem.put(key, raw[pos:pos+int(vlen)], seq, del)
 		pos += int(vlen)
-		db.mem.put(key, val, seq, del)
 		if seq > db.seq {
 			db.seq = seq
 		}
@@ -509,23 +656,16 @@ func (db *DB) replayWAL(tl *simtime.Timeline, name string) error {
 // saveManifest records the live table set; loadManifest restores it.
 func (db *DB) saveManifest(tl *simtime.Timeline) {
 	db.mu.RLock()
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], db.nextNum)
-	buf = append(buf, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], db.seq)
-	buf = append(buf, tmp[:n]...)
-	for lvl := 0; lvl < numLevels; lvl++ {
-		n = binary.PutUvarint(tmp[:], uint64(len(db.levels[lvl])))
-		buf = append(buf, tmp[:n]...)
-		for _, t := range db.levels[lvl] {
-			n = binary.PutUvarint(tmp[:], t.num)
-			buf = append(buf, tmp[:n]...)
+	v := db.current.Load()
+	buf := binary.AppendUvarint(nil, db.nextNum)
+	buf = binary.AppendUvarint(buf, db.seq)
+	db.mu.RUnlock()
+	for _, lvl := range v.levels {
+		buf = binary.AppendUvarint(buf, uint64(len(lvl)))
+		for _, t := range lvl {
+			buf = binary.AppendUvarint(buf, t.num)
 		}
 	}
-	walName := db.walName
-	db.mu.RUnlock()
-	_ = walName
 
 	name := db.opt.Dir + "/MANIFEST"
 	_ = db.sys.Kernel().Remove(tl, name)
@@ -553,6 +693,7 @@ func (db *DB) loadManifest(tl *simtime.Timeline) error {
 	seq, n := binary.Uvarint(raw[pos:])
 	pos += n
 	db.nextNum, db.seq = next, seq
+	v := db.current.Load() // not yet shared: Open is still building the DB
 	for lvl := 0; lvl < numLevels; lvl++ {
 		cnt, n := binary.Uvarint(raw[pos:])
 		pos += n
@@ -568,7 +709,7 @@ func (db *DB) loadManifest(tl *simtime.Timeline) error {
 			if err != nil {
 				return err
 			}
-			db.levels[lvl] = append(db.levels[lvl], t)
+			v.levels[lvl] = append(v.levels[lvl], t)
 		}
 	}
 	// Replay any WAL files left behind (newest numbering wins).
@@ -589,5 +730,6 @@ func (db *DB) Close(tl *simtime.Timeline) error {
 	}
 	db.WaitIdle(tl)
 	db.saveManifest(tl)
+	db.reapTables(tl)
 	return nil
 }

@@ -257,6 +257,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 		// Each thread scans its own shard of the key space.
 		shard := n / int64(cfg.Threads)
 		it := db.NewIterator(tl, false)
+		defer it.Close()
 		if !it.Seek(BenchKey(int64(id) * shard)) {
 			return nil
 		}
@@ -275,6 +276,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 		// cursors do) rather than drafting behind one another.
 		shard := n / int64(cfg.Threads)
 		it := db.NewIterator(tl, true)
+		defer it.Close()
 		if !it.SeekBack(BenchKey(int64(id+1)*shard - 1)) {
 			return nil
 		}
@@ -306,6 +308,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 				} else {
 					i++
 				}
+				it.Close()
 				continue
 			}
 			v, _, err := db.Get(tl, BenchKey(k))

@@ -1,0 +1,197 @@
+package lsm
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	crossprefetch "repro"
+	"repro/internal/faultinject"
+	"repro/internal/simtime"
+)
+
+// faultDB loads four overlapping L0 tables with compaction held back and
+// returns what was acknowledged.
+func faultDB(t *testing.T) (*DB, *simtime.Timeline, map[string][]byte) {
+	t.Helper()
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 20, BlockBytes: 4 << 10, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[string][]byte)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 400; i++ {
+			// Rounds interleave over the key space; every third key of a
+			// round is rewritten by the next one.
+			k := BenchKey(int64(i*4 + round%3))
+			v := benchValue(int64(round*1000+i), 200)
+			if err := db.Put(tl, k, v); err != nil {
+				t.Fatal(err)
+			}
+			ref[k] = v
+		}
+		if err := db.Flush(tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.TotalTables()[0]; got != 4 {
+		t.Fatalf("L0 holds %d tables, want 4", got)
+	}
+	return db, tl, ref
+}
+
+func tableFiles(db *DB) []string {
+	var names []string
+	for _, n := range db.sys.FS().List() {
+		if strings.HasSuffix(n, ".sst") {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+func checkAllReadable(t *testing.T, db *DB, tl *simtime.Timeline, ref map[string][]byte) {
+	t.Helper()
+	lost := 0
+	for k, want := range ref {
+		got, ok, err := db.Get(tl, k)
+		if err != nil {
+			t.Fatalf("Get %s: %v", k, err)
+		}
+		if !ok || !bytes.Equal(got, want) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acknowledged keys lost or stale", lost, len(ref))
+	}
+}
+
+// A compaction that cannot read one of its inputs must leave every input
+// installed. It used to drop the unreadable rest of that table from the
+// merge, install the outputs and remove all inputs.
+func TestCompactionReadFaultKeepsInputs(t *testing.T) {
+	db, tl, ref := faultDB(t)
+	sys := db.sys
+	before := tableFiles(db)
+	sys.DropAllCaches(tl) // the merge must go to the device
+
+	victim, err := sys.FS().Open(before[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := sys.Config().BlockSize
+	var plan faultinject.Plan
+	for _, r := range victim.MapRange(0, victim.Blocks()) {
+		plan.Ranges = append(plan.Ranges, faultinject.RangeFault{
+			Lo: r.Phys * bs, Hi: (r.Phys + r.Count) * bs, Class: faultinject.Persistent, Reads: true,
+		})
+	}
+	sys.Device().SetFaultInjector(faultinject.New(plan))
+	db.opt.DisableAutoCompact = false
+	db.maybeCompact(tl)
+	sys.Device().SetFaultInjector(nil)
+
+	if s := db.Stats(); s.Compactions != 0 || s.BackgroundErrors != 1 {
+		t.Errorf("compactions %d, background errors %d, want 0 and 1", s.Compactions, s.BackgroundErrors)
+	}
+	if after := tableFiles(db); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Errorf("table files changed:\n before %v\n after  %v", before, after)
+	}
+	checkAllReadable(t, db, tl, ref)
+
+	// With the fault gone the same compaction goes through.
+	db.maybeCompact(tl)
+	if tt := db.TotalTables(); tt[0] != 0 || tt[1] == 0 {
+		t.Fatalf("tables per level after the retry %v, want L0 drained into L1", tt)
+	}
+	checkAllReadable(t, db, tl, ref)
+}
+
+func failAllWrites() *faultinject.Injector {
+	return faultinject.New(faultinject.Plan{
+		Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 50, Class: faultinject.Persistent, Writes: true}},
+	})
+}
+
+// A compaction that cannot write its output must leave every input
+// installed and no partial output behind. It used to ignore the failed
+// table, install nothing in its place and remove all inputs.
+func TestCompactionWriteFaultKeepsInputs(t *testing.T) {
+	db, tl, ref := faultDB(t)
+	before := tableFiles(db)
+
+	db.sys.Device().SetFaultInjector(failAllWrites())
+	db.opt.DisableAutoCompact = false
+	db.maybeCompact(tl)
+	db.sys.Device().SetFaultInjector(nil)
+
+	if s := db.Stats(); s.BackgroundErrors != 1 || s.CompactBytesWritten != 0 {
+		t.Errorf("background errors %d, bytes written %d, want 1 and 0", s.BackgroundErrors, s.CompactBytesWritten)
+	}
+	if after := tableFiles(db); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Errorf("table files changed:\n before %v\n after  %v", before, after)
+	}
+	checkAllReadable(t, db, tl, ref)
+}
+
+// A flush that fails must keep the immutable memtable: readable, and
+// retried. It used to drop it, so acknowledged writes vanished from Get
+// until a reopen replayed the log.
+func TestFlushWriteFaultKeepsMemtable(t *testing.T) {
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	opt := Options{Sys: sys, MemtableBytes: 64 << 10, BlockBytes: 4 << 10}
+	db, err := Open(tl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[string][]byte)
+	put := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			k, v := BenchKey(int64(i)), benchValue(int64(i), 200)
+			if err := db.Put(tl, k, v); err != nil {
+				t.Fatal(err)
+			}
+			ref[k] = v
+		}
+	}
+
+	sys.Device().SetFaultInjector(failAllWrites())
+	put(0, 100)
+	if err := db.Flush(tl); err == nil {
+		t.Fatal("Flush reported success over a device that fails every write")
+	}
+	checkAllReadable(t, db, tl, ref)
+	// Writes go on, into the active memtable; filling it retries the
+	// parked one, which fails again and stays.
+	put(100, 700)
+	if s := db.Stats(); s.Flushes != 0 || s.BackgroundErrors < 2 {
+		t.Errorf("flushes %d, background errors %d, want 0 and at least 2", s.Flushes, s.BackgroundErrors)
+	}
+	if n := len(tableFiles(db)); n != 0 {
+		t.Errorf("%d table files left behind by failed flushes", n)
+	}
+	checkAllReadable(t, db, tl, ref)
+
+	sys.Device().SetFaultInjector(nil)
+	if err := db.Flush(tl); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Flushes; got != 2 {
+		t.Errorf("flushes %d, want 2: the parked memtable, then the active one", got)
+	}
+	checkAllReadable(t, db, tl, ref)
+
+	if err := db.Close(tl); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(tl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllReadable(t, db, tl, ref)
+}

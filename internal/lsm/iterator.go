@@ -10,12 +10,16 @@ import (
 
 // Iterator merges the memtables and all levels into a single sorted view,
 // forward or reverse. Tombstones and shadowed versions are skipped.
-// Iterators hold a consistent snapshot of the table set taken at creation.
+// Iterators hold a consistent snapshot of the table set taken at creation:
+// a reference on the version, which keeps every table file of the snapshot
+// on disk until Close. Key and Value point into the table block (or the
+// memtable) they were read from and stay valid after the iterator moves on.
 type Iterator struct {
 	db      *DB
 	tl      *simtime.Timeline
 	reverse bool
 	snap    uint64
+	version *version // nil once closed
 
 	sources []*iterSource
 	h       iterHeap
@@ -33,13 +37,16 @@ type iterSource struct {
 
 	// Memtable snapshot form.
 	mem []memEntry
+	pos int // index into mem; in the table form, into offs
 
-	// Table form.
+	// Table form: cur walks the raw block it was last loaded with, a fresh
+	// allocation per block that is never written again. A reverse source
+	// also keeps the offset of every entry of that block, to step back.
 	table *sstable
 	block int
-	ents  []blockEntry
+	cur   blockCursor
+	offs  []uint32
 
-	pos  int
 	done bool
 }
 
@@ -48,14 +55,16 @@ func (s *iterSource) current() (string, []byte, uint64, bool) {
 		e := s.mem[s.pos]
 		return e.key, e.value, e.seq, e.del
 	}
-	e := s.ents[s.pos]
-	return e.key, e.value, e.seq, e.del
+	return s.cur.key, s.cur.value, s.cur.seq, s.cur.del
 }
 
-// NewIterator returns a forward or reverse iterator.
+// NewIterator returns a forward or reverse iterator. The caller must Close
+// it: until then the tables of its snapshot cannot be removed.
 func (db *DB) NewIterator(tl *simtime.Timeline, reverse bool) *Iterator {
 	db.mu.RLock()
-	it := &Iterator{db: db, tl: tl, reverse: reverse, snap: db.seq}
+	v := db.current.Load()
+	v.refs.Add(1)
+	it := &Iterator{db: db, tl: tl, reverse: reverse, snap: db.seq, version: v}
 	a := db.sys.Approach()
 	it.appReadahead = a == crossprefetch.AppOnly || a == crossprefetch.AppOnlyFincore
 
@@ -64,7 +73,7 @@ func (db *DB) NewIterator(tl *simtime.Timeline, reverse bool) *Iterator {
 		if m == nil || m.count == 0 {
 			return
 		}
-		var entries []memEntry
+		entries := make([]memEntry, 0, m.count)
 		for n := m.first(); n != nil; n = n.next[0] {
 			entries = append(entries, n.memEntry)
 		}
@@ -73,23 +82,33 @@ func (db *DB) NewIterator(tl *simtime.Timeline, reverse bool) *Iterator {
 	}
 	addMem(db.mem)
 	addMem(db.imm)
-	for _, t := range db.levels[0] {
+	db.mu.RUnlock()
+	for _, t := range v.levels[0] {
 		it.sources = append(it.sources, &iterSource{prio: prio, table: t})
 		prio++
 	}
-	for lvl := 1; lvl < numLevels; lvl++ {
-		for _, t := range db.levels[lvl] {
+	for _, lvl := range v.levels[1:] {
+		for _, t := range lvl {
 			it.sources = append(it.sources, &iterSource{prio: prio, table: t})
 		}
 		prio++
 	}
-	db.mu.RUnlock()
 	return it
 }
 
-// loadBlock positions a table source at the given block, reading it.
+// Close releases the iterator's snapshot. It is safe to call twice.
+func (it *Iterator) Close() {
+	if it.version != nil {
+		it.version.unpin()
+		it.version = nil
+		it.valid = false
+	}
+}
+
+// loadBlock positions a table source at the given block, reading it: at
+// the block's first entry, or in a reverse iterator at its last.
 func (it *Iterator) loadBlock(s *iterSource, block int) bool {
-	if block < 0 || block >= len(s.table.index) {
+	if block < 0 || block >= len(s.table.index) || it.version == nil {
 		s.done = true
 		return false
 	}
@@ -100,18 +119,46 @@ func (it *Iterator) loadBlock(s *iterSource, block int) bool {
 		ie := s.table.index[block]
 		s.table.file.Kernel().Readahead(it.tl, ie.off, 2<<20)
 	}
-	ents, err := s.table.readBlock(it.tl, block)
-	if err != nil || len(ents) == 0 {
+	raw, err := s.table.readBlock(it.tl, block, nil)
+	if err != nil || !s.cur.first(raw) {
 		s.done = true
 		return false
 	}
-	s.block, s.ents = block, ents
+	s.block = block
 	if it.reverse {
-		s.pos = len(ents) - 1
-	} else {
-		s.pos = 0
+		s.offs = s.offs[:0]
+		for more := true; more; more = s.cur.next() {
+			s.offs = append(s.offs, uint32(s.cur.off))
+		}
+		if s.cur.corrupt {
+			s.done = true
+			return false
+		}
+		s.pos = len(s.offs) - 1
+		s.cur.load(int(s.offs[s.pos]))
 	}
 	return true
+}
+
+// step moves a forward table source one entry on, into the next block
+// where this one ends.
+func (it *Iterator) step(s *iterSource) bool {
+	if s.cur.next() {
+		return true
+	}
+	if s.cur.corrupt {
+		s.done = true
+		return false
+	}
+	return it.loadBlock(s, s.block+1)
+}
+
+// keyBefore returns the key of the entry preceding a reverse table
+// source's cursor within its block.
+func (s *iterSource) keyBefore() string {
+	prev := blockCursor{raw: s.cur.raw}
+	prev.load(int(s.offs[s.pos-1]))
+	return prev.key
 }
 
 // settleReverse positions a reverse source at the FIRST (newest, since
@@ -127,14 +174,15 @@ func (it *Iterator) settleReverse(s *iterSource) {
 		return
 	}
 	for {
-		for s.pos > 0 && s.ents[s.pos-1].key == s.ents[s.pos].key {
+		for s.pos > 0 && s.keyBefore() == s.cur.key {
 			s.pos--
+			s.cur.load(int(s.offs[s.pos]))
 		}
 		if s.pos > 0 || s.block == 0 {
 			return
 		}
 		// The group may continue into the previous block.
-		if s.table.index[s.block-1].lastKey != s.ents[0].key {
+		if s.table.index[s.block-1].lastKey != s.cur.key {
 			return
 		}
 		if !it.loadBlock(s, s.block-1) {
@@ -155,20 +203,19 @@ func (it *Iterator) advance(s *iterSource) {
 			if !it.loadBlock(s, s.block-1) {
 				return
 			}
+		} else if s.mem == nil {
+			s.cur.load(int(s.offs[s.pos]))
 		}
 		it.settleReverse(s)
 		return
 	}
-	s.pos++
 	if s.mem != nil {
-		if s.pos >= len(s.mem) {
+		if s.pos++; s.pos >= len(s.mem) {
 			s.done = true
 		}
 		return
 	}
-	if s.pos >= len(s.ents) {
-		it.loadBlock(s, s.block+1)
-	}
+	it.step(s)
 }
 
 type iterHeap struct {
@@ -260,8 +307,10 @@ func (it *Iterator) SeekBack(target string) bool {
 			if !it.loadBlock(s, bi) {
 				continue
 			}
-			for s.pos >= 0 && s.ents[s.pos].key > target {
-				s.pos--
+			for s.pos >= 0 && s.cur.key > target {
+				if s.pos--; s.pos >= 0 {
+					s.cur.load(int(s.offs[s.pos]))
+				}
 			}
 			if s.pos < 0 {
 				if !it.loadBlock(s, s.block-1) {
@@ -301,11 +350,8 @@ func (it *Iterator) Seek(target string) bool {
 			if !it.loadBlock(s, bi) {
 				continue
 			}
-			for s.pos < len(s.ents) && s.ents[s.pos].key < target {
-				s.pos++
-			}
-			if s.pos >= len(s.ents) && !it.loadBlock(s, s.block+1) {
-				continue
+			for !s.done && s.cur.key < target {
+				it.step(s)
 			}
 		}
 		if !s.done {

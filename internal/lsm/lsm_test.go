@@ -145,6 +145,7 @@ func TestIteratorForward(t *testing.T) {
 		db.Put(tl, BenchKey(int64(i)), benchValue(int64(i), 50))
 	}
 	it := db.NewIterator(tl, false)
+	defer it.Close()
 	if !it.SeekFirst() {
 		t.Fatal("empty iterator")
 	}
@@ -171,6 +172,7 @@ func TestIteratorReverse(t *testing.T) {
 	}
 	db.Flush(tl)
 	it := db.NewIterator(tl, true)
+	defer it.Close()
 	if !it.SeekLast() {
 		t.Fatal("empty reverse iterator")
 	}
@@ -196,6 +198,7 @@ func TestIteratorSeek(t *testing.T) {
 	}
 	db.Flush(tl)
 	it := db.NewIterator(tl, false)
+	defer it.Close()
 	if !it.Seek(BenchKey(51)) {
 		t.Fatal("seek failed")
 	}
@@ -218,6 +221,7 @@ func TestIteratorShadowingAndTombstones(t *testing.T) {
 		db.Delete(tl, BenchKey(int64(i)))
 	}
 	it := db.NewIterator(tl, false)
+	defer it.Close()
 	count := 0
 	for ok := it.SeekFirst(); ok; ok = it.Next() {
 		i := count
@@ -289,7 +293,11 @@ func TestBloomUnit(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
-	b := newBloomFromKeys(keys, 10)
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i], _ = bloomHash(k)
+	}
+	b := newBloomFromHashes(hashes, 10)
 	for _, k := range keys {
 		if !b.mayContain(k) {
 			t.Fatalf("false negative for %s", k)
@@ -338,7 +346,6 @@ func TestSSTableRoundTripProperty(t *testing.T) {
 	tl := sys.Timeline()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		b := newTableBuilder(2048)
 		n := 50 + rng.Intn(500)
 		keys := make([]string, n)
 		vals := make([][]byte, n)
@@ -347,17 +354,19 @@ func TestSSTableRoundTripProperty(t *testing.T) {
 			vals[i] = benchValue(int64(i), 10+rng.Intn(100))
 		}
 		// Keys must be unique & sorted; regenerate deterministically.
-		for i := 0; i < n; i++ {
-			keys[i] = fmt.Sprintf("key%08d", i)
-			b.add(keys[i], vals[i], uint64(i+1), false)
-		}
-		image, _, _ := b.finish(10)
 		name := fmt.Sprintf("tbl-%d", trial)
 		f, err := sys.Create(tl, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeTable(tl, f, image); err != nil {
+		w := newTableWriter(tl, f, new(writeScratch), 2048)
+		for i := 0; i < n; i++ {
+			keys[i] = fmt.Sprintf("key%08d", i)
+			if err := w.add(keys[i], vals[i], uint64(i+1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := w.finish(10); err != nil {
 			t.Fatal(err)
 		}
 		rf, _ := sys.Open(tl, name)
@@ -461,6 +470,7 @@ func TestIteratorSeekBack(t *testing.T) {
 	}
 	db.Flush(tl)
 	it := db.NewIterator(tl, true)
+	defer it.Close()
 	// Target between keys: lands on the last key <= target.
 	if !it.SeekBack(BenchKey(51)) {
 		t.Fatal("seekback failed")
@@ -487,6 +497,7 @@ func TestIteratorSeekBack(t *testing.T) {
 	}
 	// Target before the first key finds nothing.
 	it2 := db.NewIterator(tl, true)
+	defer it2.Close()
 	if it2.SeekBack("kex") {
 		t.Fatalf("seekback before start should be invalid, got %q", it2.Key())
 	}

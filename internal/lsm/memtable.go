@@ -39,6 +39,38 @@ type memtable struct {
 	rng    *rand.Rand
 	bytes  int64
 	count  int
+
+	// slab is the unused tail of the newest value slab. Values are copied
+	// into slabs that grow from slabMin to slabMax bytes, so a memtable of
+	// any size costs a handful of allocations for all its values; a slab
+	// is never written again where a value was carved, and dies with the
+	// memtable (or with the last Get result still pointing into it).
+	slab     []byte
+	slabSize int
+}
+
+const (
+	slabMin = 4 << 10
+	slabMax = 256 << 10
+)
+
+// copyValue returns a private copy of v, capped at its length so that an
+// append by whoever receives it from get cannot reach a neighbour.
+func (m *memtable) copyValue(v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	if len(v) > slabMax/4 {
+		return append([]byte(nil), v...)
+	}
+	if len(v) > len(m.slab) {
+		m.slabSize = min(max(2*m.slabSize, slabMin), slabMax)
+		m.slab = make([]byte, m.slabSize)
+	}
+	dst := m.slab[:len(v):len(v)]
+	m.slab = m.slab[len(v):]
+	copy(dst, v)
+	return dst
 }
 
 func newMemtable(seed int64) *memtable {
@@ -61,7 +93,7 @@ func entryLess(aKey string, aSeq uint64, bKey string, bSeq uint64) bool {
 	return aSeq > bSeq
 }
 
-// put inserts a version. The caller serializes writers.
+// put inserts a version, copying value. The caller serializes writers.
 func (m *memtable) put(key string, value []byte, seq uint64, del bool) {
 	var prev [maxHeight]*skipNode
 	x := m.head
@@ -78,7 +110,7 @@ func (m *memtable) put(key string, value []byte, seq uint64, del bool) {
 		}
 		m.height = h
 	}
-	n := &skipNode{memEntry: memEntry{key: key, value: value, seq: seq, del: del}}
+	n := &skipNode{memEntry: memEntry{key: key, value: m.copyValue(value), seq: seq, del: del}}
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n

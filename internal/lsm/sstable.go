@@ -4,12 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
 )
 
-const tableMagic = 0x43726f7353535421 // "CrosSST!"
+const (
+	tableMagic  = 0x43726f7353535421 // "CrosSST!"
+	footerBytes = 48
+	// tableChunk is the unit in which a table reaches its file: the writer
+	// hands the file one chunk at offsets 0, 1MB, 2MB, … whatever the block
+	// and entry boundaries are.
+	tableChunk = 1 << 20
+)
 
 // indexEntry locates one data block within an SSTable.
 type indexEntry struct {
@@ -33,139 +41,51 @@ type sstable struct {
 	largest  string
 }
 
-// tableBuilder accumulates sorted entries into the block format.
-type tableBuilder struct {
-	blockBytes int64
-
-	buf      []byte // current data block
-	blockOff int64
-	firstKey string
-	lastKey  string
-
-	out      []byte // whole file image
-	index    []indexEntry
-	keys     []string
-	count    int64
-	smallest string
-	largest  string
-}
-
-func newTableBuilder(blockBytes int64) *tableBuilder {
-	if blockBytes <= 0 {
-		blockBytes = 16 << 10
-	}
-	return &tableBuilder{blockBytes: blockBytes}
-}
-
-// add appends an entry; keys must arrive in (key asc, seq desc) order.
-func (b *tableBuilder) add(key string, value []byte, seq uint64, del bool) {
-	if b.count == 0 {
-		b.smallest = key
-	}
-	b.largest = key
-	if len(b.buf) == 0 {
-		b.firstKey = key
-	}
-	b.lastKey = key
-	b.keys = append(b.keys, key)
-	b.count++
-
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	b.buf = append(b.buf, tmp[:n]...)
-	b.buf = append(b.buf, key...)
-	flags := byte(0)
-	if del {
-		flags = 1
-	}
-	b.buf = append(b.buf, flags)
-	n = binary.PutUvarint(tmp[:], seq)
-	b.buf = append(b.buf, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	b.buf = append(b.buf, tmp[:n]...)
-	b.buf = append(b.buf, value...)
-
-	if int64(len(b.buf)) >= b.blockBytes {
-		b.finishBlock()
-	}
-}
-
-func (b *tableBuilder) finishBlock() {
-	if len(b.buf) == 0 {
-		return
-	}
-	b.index = append(b.index, indexEntry{
-		firstKey: b.firstKey,
-		lastKey:  b.lastKey,
-		off:      b.blockOff,
-		size:     int64(len(b.buf)),
-	})
-	b.out = append(b.out, b.buf...)
-	b.blockOff += int64(len(b.buf))
-	b.buf = b.buf[:0]
-}
-
-// finish serializes index, filter, and footer, returning the file image
-// and the in-memory table metadata.
-func (b *tableBuilder) finish(bitsPerKey int) ([]byte, []indexEntry, bloom) {
-	b.finishBlock()
-	filter := newBloomFromKeys(b.keys, bitsPerKey)
-
-	indexOff := int64(len(b.out))
-	var tmp [binary.MaxVarintLen64]byte
-	for _, ie := range b.index {
-		n := binary.PutUvarint(tmp[:], uint64(len(ie.firstKey)))
-		b.out = append(b.out, tmp[:n]...)
-		b.out = append(b.out, ie.firstKey...)
-		n = binary.PutUvarint(tmp[:], uint64(len(ie.lastKey)))
-		b.out = append(b.out, tmp[:n]...)
-		b.out = append(b.out, ie.lastKey...)
-		var fixed [16]byte
-		binary.LittleEndian.PutUint64(fixed[0:], uint64(ie.off))
-		binary.LittleEndian.PutUint64(fixed[8:], uint64(ie.size))
-		b.out = append(b.out, fixed[:]...)
-	}
-	indexLen := int64(len(b.out)) - indexOff
-
-	bloomOff := int64(len(b.out))
-	b.out = append(b.out, byte(filter.k))
-	b.out = append(b.out, filter.bits...)
-	bloomLen := int64(len(b.out)) - bloomOff
-
-	var footer [48]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(indexLen))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(bloomOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(bloomLen))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(b.count))
-	binary.LittleEndian.PutUint64(footer[40:], tableMagic)
-	b.out = append(b.out, footer[:]...)
-	return b.out, b.index, filter
-}
-
-// writeTable persists a built table image through the given handle.
-func writeTable(tl *simtime.Timeline, f *crosslib.File, image []byte) error {
-	const chunk = 1 << 20
-	for off := 0; off < len(image); off += chunk {
-		end := off + chunk
-		if end > len(image) {
-			end = len(image)
+// newTable assembles the in-memory side of a table from its serialized
+// index block. Every key of the index is a substring of one copy of raw.
+func newTable(num uint64, name string, f *crosslib.File, raw []byte, blocks int, filter bloom, count, size int64) (*sstable, error) {
+	t := &sstable{num: num, file: f, name: name, filter: filter, count: count, size: size}
+	t.index = make([]indexEntry, 0, blocks)
+	keys := string(raw)
+	pos := 0
+	readKey := func() (string, bool) {
+		klen, n := binary.Uvarint(raw[pos:])
+		if n <= 0 || klen > uint64(len(raw)-pos-n) {
+			return "", false
 		}
-		if _, err := f.WriteAt(tl, image[off:end], int64(off)); err != nil {
-			return err
-		}
+		k := keys[pos+n : pos+n+int(klen)]
+		pos += n + int(klen)
+		return k, true
 	}
-	return f.Fsync(tl)
+	for pos < len(raw) {
+		first, ok1 := readKey()
+		last, ok2 := readKey()
+		if !ok1 || !ok2 || len(raw)-pos < 16 {
+			return nil, fmt.Errorf("lsm: table %s index corrupt", name)
+		}
+		t.index = append(t.index, indexEntry{
+			firstKey: first,
+			lastKey:  last,
+			off:      int64(binary.LittleEndian.Uint64(raw[pos:])),
+			size:     int64(binary.LittleEndian.Uint64(raw[pos+8:])),
+		})
+		pos += 16
+	}
+	if len(t.index) > 0 {
+		t.smallest = t.index[0].firstKey
+		t.largest = t.index[len(t.index)-1].lastKey
+	}
+	return t, nil
 }
 
 // openTable loads a table's footer, index, and filter through the handle.
 func openTable(tl *simtime.Timeline, num uint64, name string, f *crosslib.File) (*sstable, error) {
 	size := f.Size()
-	if size < 48 {
+	if size < footerBytes {
 		return nil, fmt.Errorf("lsm: table %s too small", name)
 	}
-	var footer [48]byte
-	if _, err := f.ReadAt(tl, footer[:], size-48); err != nil {
+	var footer [footerBytes]byte
+	if _, err := f.ReadAt(tl, footer[:], size-footerBytes); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint64(footer[40:]) != tableMagic {
@@ -176,95 +96,253 @@ func openTable(tl *simtime.Timeline, num uint64, name string, f *crosslib.File) 
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:]))
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:]))
 	count := int64(binary.LittleEndian.Uint64(footer[32:]))
-
-	t := &sstable{num: num, file: f, name: name, count: count, size: size}
+	if indexOff < 0 || indexLen < 0 || bloomLen < 0 || indexOff+indexLen > size || bloomOff < 0 || bloomOff+bloomLen > size {
+		return nil, fmt.Errorf("lsm: table %s footer corrupt", name)
+	}
 
 	raw := make([]byte, indexLen)
 	if _, err := f.ReadAt(tl, raw, indexOff); err != nil {
 		return nil, err
 	}
-	for pos := 0; pos < len(raw); {
-		klen, n := binary.Uvarint(raw[pos:])
-		pos += n
-		first := string(raw[pos : pos+int(klen)])
-		pos += int(klen)
-		klen, n = binary.Uvarint(raw[pos:])
-		pos += n
-		last := string(raw[pos : pos+int(klen)])
-		pos += int(klen)
-		off := int64(binary.LittleEndian.Uint64(raw[pos:]))
-		sz := int64(binary.LittleEndian.Uint64(raw[pos+8:]))
-		pos += 16
-		t.index = append(t.index, indexEntry{firstKey: first, lastKey: last, off: off, size: sz})
-	}
-	if len(t.index) > 0 {
-		t.smallest = t.index[0].firstKey
-		t.largest = t.index[len(t.index)-1].lastKey
-	}
-
 	braw := make([]byte, bloomLen)
 	if _, err := f.ReadAt(tl, braw, bloomOff); err != nil {
 		return nil, err
 	}
+	var filter bloom
 	if len(braw) > 0 {
-		t.filter = bloomFromBytes(braw[1:], int(braw[0]))
+		filter = bloomFromBytes(braw[1:], int(braw[0]))
 	}
-	return t, nil
+	return newTable(num, name, f, raw, 0, filter, count, size)
 }
 
-// blockEntry is one decoded entry of a data block.
-type blockEntry struct {
-	key   string
-	value []byte
-	seq   uint64
-	del   bool
+// tableSink is what a tableWriter writes to: a *crosslib.File, or a
+// stand-in where a test measures the writer alone.
+type tableSink interface {
+	WriteAt(tl *simtime.Timeline, p []byte, off int64) (int, error)
+	Fsync(tl *simtime.Timeline) error
 }
 
-// readBlock fetches and decodes data block i through the table's handle.
-func (t *sstable) readBlock(tl *simtime.Timeline, i int) ([]blockEntry, error) {
+// writeScratch is the reusable memory of a tableWriter. The flush worker
+// and the compaction worker own one each, for the life of the DB; a worker
+// runs one job at a time, so a scratch serves one writer at a time.
+type writeScratch struct {
+	chunk   []byte   // bytes not yet handed to the file, at most tableChunk
+	index   []byte   // the index block so far, in its file format
+	lastKey []byte   // newest key added
+	hashes  []uint64 // bloom hash of every key added
+}
+
+// tableWriter streams sorted entries into the block format. No image of
+// the table exists: entries are encoded into scratch.chunk, and each time
+// the chunk holds tableChunk bytes it is written at the file offset it
+// belongs to, so the file receives the same WriteAt calls — offsets and
+// lengths — as if a finished image had been cut into tableChunk pieces.
+// add makes timeline calls only through those writes.
+type tableWriter struct {
+	tl         *simtime.Timeline
+	dst        tableSink
+	s          *writeScratch
+	blockBytes int64
+
+	flushed  int64 // bytes handed to dst
+	blockOff int64 // file offset of the block being filled
+	blocks   int
+	count    int64
+	err      error // first write error; sticky
+}
+
+func newTableWriter(tl *simtime.Timeline, dst tableSink, s *writeScratch, blockBytes int64) *tableWriter {
+	s.chunk, s.index, s.hashes = s.chunk[:0], s.index[:0], s.hashes[:0]
+	return &tableWriter{tl: tl, dst: dst, s: s, blockBytes: blockBytes}
+}
+
+// size reports the bytes written plus the bytes buffered.
+func (w *tableWriter) size() int64 { return w.flushed + int64(len(w.s.chunk)) }
+
+// write appends p to the chunk, handing the chunk to the file each time it
+// fills.
+func (w *tableWriter) write(p []byte) {
+	for len(p) > 0 && w.err == nil {
+		n := min(tableChunk-len(w.s.chunk), len(p))
+		w.s.chunk = append(w.s.chunk, p[:n]...)
+		p = p[n:]
+		if len(w.s.chunk) == tableChunk {
+			w.flushChunk()
+		}
+	}
+}
+
+func (w *tableWriter) flushChunk() {
+	if len(w.s.chunk) == 0 || w.err != nil {
+		return
+	}
+	if _, err := w.dst.WriteAt(w.tl, w.s.chunk, w.flushed); err != nil {
+		w.err = err
+		return
+	}
+	w.flushed += int64(len(w.s.chunk))
+	w.s.chunk = w.s.chunk[:0]
+}
+
+// add appends an entry; keys must arrive in (key asc, seq desc) order.
+func (w *tableWriter) add(key string, value []byte, seq uint64, del bool) error {
+	s := w.s
+	if w.size() == w.blockOff { // first entry of a block
+		s.index = binary.AppendUvarint(s.index, uint64(len(key)))
+		s.index = append(s.index, key...)
+	}
+	s.lastKey = append(s.lastKey[:0], key...)
+	h, _ := bloomHash(key)
+	s.hashes = append(s.hashes, h)
+	w.count++
+
+	var hdr [2*binary.MaxVarintLen64 + 1]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(key)))
+	w.write(hdr[:n])
+	w.write(s.lastKey)
+	hdr[0] = 0
+	if del {
+		hdr[0] = 1
+	}
+	n = 1 + binary.PutUvarint(hdr[1:], seq)
+	n += binary.PutUvarint(hdr[n:], uint64(len(value)))
+	w.write(hdr[:n])
+	w.write(value)
+
+	if w.size()-w.blockOff >= w.blockBytes {
+		w.finishBlock()
+	}
+	return w.err
+}
+
+func (w *tableWriter) finishBlock() {
+	size := w.size() - w.blockOff
+	if size == 0 {
+		return
+	}
+	s := w.s
+	s.index = binary.AppendUvarint(s.index, uint64(len(s.lastKey)))
+	s.index = append(s.index, s.lastKey...)
+	s.index = binary.LittleEndian.AppendUint64(s.index, uint64(w.blockOff))
+	s.index = binary.LittleEndian.AppendUint64(s.index, uint64(size))
+	w.blocks++
+	w.blockOff += size
+}
+
+// finish writes index, filter and footer, syncs the file, and returns the
+// filter and the table's size; the index block stays in scratch.index.
+func (w *tableWriter) finish(bitsPerKey int) (bloom, int64, error) {
+	w.finishBlock()
+	filter := newBloomFromHashes(w.s.hashes, bitsPerKey)
+
+	indexOff := w.size()
+	w.write(w.s.index)
+	bloomOff := w.size()
+	w.write([]byte{byte(filter.k)})
+	w.write(filter.bits)
+
+	var footer [footerBytes]byte
+	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
+	binary.LittleEndian.PutUint64(footer[8:], uint64(bloomOff-indexOff))
+	binary.LittleEndian.PutUint64(footer[16:], uint64(bloomOff))
+	binary.LittleEndian.PutUint64(footer[24:], uint64(w.size()-bloomOff))
+	binary.LittleEndian.PutUint64(footer[32:], uint64(w.count))
+	binary.LittleEndian.PutUint64(footer[40:], tableMagic)
+	w.write(footer[:])
+	w.flushChunk()
+	if w.err == nil {
+		w.err = w.dst.Fsync(w.tl)
+	}
+	return filter, w.flushed, w.err
+}
+
+// blockCursor decodes the entries of one raw data block in place: key and
+// value point into the block, nothing is copied and nothing is allocated.
+// A cursor and everything it hands out are valid for as long as the block
+// is neither modified nor recycled. Blocks read for a merge or an iterator
+// are allocated fresh and never written again, so their keys and values
+// stay valid for as long as they are referenced; Get reads into a pooled
+// buffer and must copy out what it returns.
+type blockCursor struct {
+	raw      []byte
+	off, end int // the current entry is raw[off:end]
+	key      string
+	value    []byte
+	seq      uint64
+	del      bool
+	corrupt  bool
+}
+
+// first positions the cursor at the first entry of raw.
+func (c *blockCursor) first(raw []byte) bool {
+	c.raw, c.corrupt = raw, false
+	return c.load(0)
+}
+
+// next moves to the following entry; false at the end of the block.
+func (c *blockCursor) next() bool { return c.load(c.end) }
+
+// load decodes the entry at off. It returns false at the end of the block
+// and, with corrupt set, where the bytes are not an entry.
+func (c *blockCursor) load(off int) bool {
+	raw := c.raw
+	if off >= len(raw) {
+		c.off, c.end = len(raw), len(raw)
+		return false
+	}
+	pos := off
+	klen, n := binary.Uvarint(raw[pos:])
+	if n <= 0 || klen >= uint64(len(raw)-pos-n) {
+		c.corrupt = true
+		return false
+	}
+	pos += n
+	// The block is immutable while the cursor is in use (see above), which
+	// is what unsafe.String asks of its bytes.
+	c.key = unsafe.String(unsafe.SliceData(raw[pos:]), int(klen))
+	pos += int(klen)
+	c.del = raw[pos] == 1
+	pos++
+	seq, n := binary.Uvarint(raw[pos:])
+	if n <= 0 {
+		c.corrupt = true
+		return false
+	}
+	pos += n
+	vlen, n := binary.Uvarint(raw[pos:])
+	if n <= 0 || vlen > uint64(len(raw)-pos-n) {
+		c.corrupt = true
+		return false
+	}
+	pos += n
+	c.seq = seq
+	c.value = raw[pos : pos+int(vlen) : pos+int(vlen)]
+	c.off, c.end = off, pos+int(vlen)
+	return true
+}
+
+func (t *sstable) corruptBlock(i int) error {
+	return fmt.Errorf("lsm: table %s block %d corrupt", t.name, i)
+}
+
+// readBlock fetches data block i through the table's handle, into buf when
+// it is large enough.
+func (t *sstable) readBlock(tl *simtime.Timeline, i int, buf []byte) ([]byte, error) {
 	ie := t.index[i]
-	raw := make([]byte, ie.size)
-	if _, err := t.file.ReadAt(tl, raw, ie.off); err != nil {
+	if int64(cap(buf)) < ie.size {
+		buf = make([]byte, ie.size)
+	}
+	buf = buf[:ie.size]
+	if _, err := t.file.ReadAt(tl, buf, ie.off); err != nil {
 		return nil, err
 	}
-	var entries []blockEntry
-	for pos := 0; pos < len(raw); {
-		klen, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("lsm: table %s block %d corrupt", t.name, i)
-		}
-		pos += n
-		key := string(raw[pos : pos+int(klen)])
-		pos += int(klen)
-		del := raw[pos] == 1
-		pos++
-		seq, n := binary.Uvarint(raw[pos:])
-		pos += n
-		vlen, n := binary.Uvarint(raw[pos:])
-		pos += n
-		val := raw[pos : pos+int(vlen)]
-		pos += int(vlen)
-		entries = append(entries, blockEntry{key: key, value: val, seq: seq, del: del})
-	}
-	return entries, nil
+	return buf, nil
 }
 
 // blockFor returns the index of the block that may contain key, or -1.
 func (t *sstable) blockFor(key string) int {
-	// Binary search for the last block whose firstKey <= key.
-	lo, hi := 0, len(t.index)-1
-	if hi < 0 || key < t.index[0].firstKey {
-		return -1
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if t.index[mid].firstKey <= key {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if key > t.index[lo].lastKey {
+	lo := t.blockForBack(key)
+	if lo < 0 || key > t.index[lo].lastKey {
 		return -1
 	}
 	return lo
@@ -291,11 +369,10 @@ func (t *sstable) blockForBack(key string) int {
 // blockPool recycles the raw-block buffers of point lookups.
 var blockPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// get looks up the newest visible version of key in this table. It seeks
-// through the raw block comparing key bytes in place — entries are in
-// (key asc, seq desc) order — instead of decoding every entry the way
-// readBlock does for iterators, and copies out the one value it returns
-// so that the block buffer can go back to the pool.
+// get looks up the newest visible version of key in this table. Entries
+// are in (key asc, seq desc) order, so the first match at or below maxSeq
+// is the answer. The one value it returns is copied out, so that the block
+// buffer can go back to the pool.
 func (t *sstable) get(tl *simtime.Timeline, key string, maxSeq uint64) (val []byte, del, ok bool, err error) {
 	if !t.filter.mayContain(key) {
 		return nil, false, false, nil
@@ -304,39 +381,23 @@ func (t *sstable) get(tl *simtime.Timeline, key string, maxSeq uint64) (val []by
 	if bi < 0 {
 		return nil, false, false, nil
 	}
-	ie := t.index[bi]
 	buf := blockPool.Get().(*[]byte)
 	defer blockPool.Put(buf)
-	if int64(cap(*buf)) < ie.size {
-		*buf = make([]byte, ie.size)
-	}
-	raw := (*buf)[:ie.size]
-	if _, err := t.file.ReadAt(tl, raw, ie.off); err != nil {
+	raw, err := t.readBlock(tl, bi, *buf)
+	if err != nil {
 		return nil, false, false, err
 	}
-	for pos := 0; pos < len(raw); {
-		klen, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return nil, false, false, fmt.Errorf("lsm: table %s block %d corrupt", t.name, bi)
+	*buf = raw
+	var c blockCursor
+	for more := c.first(raw); more && c.key <= key; more = c.next() {
+		if c.key == key && c.seq <= maxSeq {
+			val = make([]byte, len(c.value))
+			copy(val, c.value)
+			return val, c.del, true, nil
 		}
-		pos += n
-		k := raw[pos : pos+int(klen)] // compared in place: string(k) below does not allocate
-		pos += int(klen)
-		entryDel := raw[pos] == 1
-		pos++
-		seq, n := binary.Uvarint(raw[pos:])
-		pos += n
-		vlen, n := binary.Uvarint(raw[pos:])
-		pos += n
-		if string(k) == key && seq <= maxSeq {
-			val = make([]byte, vlen)
-			copy(val, raw[pos:])
-			return val, entryDel, true, nil
-		}
-		if string(k) > key {
-			break
-		}
-		pos += int(vlen)
+	}
+	if c.corrupt {
+		return nil, false, false, t.corruptBlock(bi)
 	}
 	return nil, false, false, nil
 }

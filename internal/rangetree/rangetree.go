@@ -173,13 +173,30 @@ func (t *Tree) CachedCount(tl *simtime.Timeline, lo, hi int64) int64 {
 // (§4.5). The caller must follow up with MarkCached (on success) or
 // ClearRequested (on failure).
 func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
-	var runs []bitmap.Run
-	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
+	return t.AppendNeedsPrefetch(tl, nil, lo, hi)
+}
+
+// AppendNeedsPrefetch is NeedsPrefetch appending its runs to dst, for
+// callers on a read path that bring their own (typically stack) storage.
+func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) []bitmap.Run {
+	base := len(dst)
+	// add appends [rlo, rhi), merging it into the previous run where the
+	// two meet across a node boundary.
+	add := func(rlo, rhi int64) {
+		if last := len(dst) - 1; last >= base && dst[last].Hi == rlo {
+			dst[last].Hi = rhi
+			return
+		}
+		dst = append(dst, bitmap.Run{Lo: rlo, Hi: rhi})
+	}
+	for pos := lo; pos < hi; {
+		n := t.node(tl, pos)
+		nhi := min(n.lo+t.span, hi)
 		if tl != nil {
-			n.ledger.Write(tl, t.lockHold(nhi-nlo))
+			n.ledger.Write(tl, t.lockHold(nhi-pos))
 		}
 		n.mu.Lock()
-		rlo, rhi := nlo-n.lo, nhi-n.lo
+		rlo, rhi := pos-n.lo, nhi-n.lo
 		runStart := int64(-1)
 		for i := rlo; i < rhi; i++ {
 			if !n.cached.Test(i) && !n.requested.Test(i) {
@@ -189,27 +206,19 @@ func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
 				continue
 			}
 			if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: n.lo + runStart, Hi: n.lo + i})
+				add(n.lo+runStart, n.lo+i)
 				n.requested.SetRange(runStart, i)
 				runStart = -1
 			}
 		}
 		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: n.lo + runStart, Hi: n.lo + rhi})
+			add(n.lo+runStart, n.lo+rhi)
 			n.requested.SetRange(runStart, rhi)
 		}
 		n.mu.Unlock()
-	})
-	// Merge runs that are contiguous across node boundaries.
-	merged := runs[:0]
-	for _, r := range runs {
-		if len(merged) > 0 && merged[len(merged)-1].Hi == r.Lo {
-			merged[len(merged)-1].Hi = r.Hi
-			continue
-		}
-		merged = append(merged, r)
+		pos = nhi
 	}
-	return merged
+	return dst
 }
 
 // peek returns the node covering block idx without materializing it; nil

@@ -129,7 +129,10 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 		}
 	}
 
-	var missing []bitmap.Run
+	// prefetchRuns below is done with the runs when it returns.
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	missing := sc.runs[:0]
 	var reqTotal, clampTotal int64
 	hullLo, hullHi := int64(-1), int64(-1)
 	requested := false
@@ -177,6 +180,7 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 			hullHi = hi
 		}
 	}
+	sc.runs = missing
 	if requested {
 		sp.Annotate("requested_pages", reqTotal)
 		sp.Annotate("clamped_pages", clampTotal)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/blockdev"
+	"repro/internal/fs"
 	"repro/internal/pagecache"
 	"repro/internal/readahead"
 	"repro/internal/simtime"
@@ -260,7 +261,8 @@ func (f *File) Fsync(tl *simtime.Timeline) error {
 // error the unwritten tail of the run is re-marked dirty.
 func (f *File) syncWriteRun(tl *simtime.Timeline, r bitmap.Run) error {
 	bs := f.v.BlockSize()
-	for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
+	var physBuf [4]fs.PhysRun
+	for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
 		lo := pr.Logical
 		devOff := pr.Phys * bs
 		remaining := pr.Count * bs

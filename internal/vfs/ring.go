@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/blockdev"
+	"repro/internal/fs"
 	"repro/internal/pagecache"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -291,7 +292,8 @@ func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap
 	bs := v.BlockSize()
 	for _, r := range runs {
 		cursor := r.Lo
-		for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
+		var physBuf [4]fs.PhysRun
+		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
 			if pr.Logical > cursor && !prefetch {
 				f.fc.InsertRange(tl, cursor, pr.Logical,
 					pagecache.InsertOptions{MarkerAt: -1, Tenant: tenant})

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"repro/internal/fs"
 	"repro/internal/simtime"
 )
 
@@ -21,7 +22,8 @@ func (f *File) rangeBoost(lo, hi int64) int64 {
 	}
 	bs := f.v.BlockSize()
 	boost := int64(1)
-	for _, pr := range f.ino.MapRange(lo, hi) {
+	var physBuf [4]fs.PhysRun
+	for _, pr := range f.ino.AppendMapRange(physBuf[:0], lo, hi) {
 		if b := st.PrefetchBoostFor(pr.Phys*bs, pr.Count*bs); b > boost {
 			boost = b
 		}
@@ -37,7 +39,8 @@ func (f *File) rangeBacklog(at simtime.Time, lo, hi int64) simtime.Duration {
 	st := f.v.dev
 	bs := f.v.BlockSize()
 	var b simtime.Duration
-	for _, pr := range f.ino.MapRange(lo, hi) {
+	var physBuf [4]fs.PhysRun
+	for _, pr := range f.ino.AppendMapRange(physBuf[:0], lo, hi) {
 		if d := st.BacklogFor(at, pr.Phys*bs, pr.Count*bs); d > b {
 			b = d
 		}

@@ -419,7 +419,8 @@ func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) error {
 	plugged := plug.Plugged()
 	for _, r := range runs {
 		cursor := r.Lo
-		for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
+		var physBuf [4]fs.PhysRun
+		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
 			if pr.Logical > cursor {
 				f.fc.InsertRange(tl, cursor, pr.Logical, pagecache.InsertOptions{MarkerAt: -1})
 			}
@@ -523,7 +524,8 @@ func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap
 		// the ledger's bounded span ring forgets old reservations, while
 		// a saturated backend never postpones chunks bound for others.
 		for _, r := range runs {
-			for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
+			var physBuf [4]fs.PhysRun
+			for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
 				lo := pr.Logical
 				devOff := pr.Phys * bs
 				remaining := pr.Count * bs
@@ -579,7 +581,8 @@ func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap
 	// lets a tiered stack promote remote extents these reads touch.
 	plug.MarkPrefetch(true)
 	for _, r := range runs {
-		for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
+		var physBuf [4]fs.PhysRun
+		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
 			lo := pr.Logical
 			devOff := pr.Phys * bs
 			remaining := pr.Count * bs

@@ -210,6 +210,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 								}
 							}
 						}
+						it.Close()
 						scans[t]++
 					}
 				case w == WorkloadF:
