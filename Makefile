@@ -4,17 +4,22 @@
 # file system, the lock-free bitmap, the page cache) under the race
 # detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
 # two cores, hence the explicit timeout (go test's default is ten).
-.PHONY: check build test vet race stress bench bench-smoke chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race stress bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate ctrgate armgate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
 
-check: vet errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate build race
+check: vet errgate fmtgate stackgate ringgate shedgate ctrgate armgate build race digests
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "fmtgate: gofmt needed:"; echo "$$out"; exit 1; fi
 
+# bench/ is a module of its own (./... cannot reach it), and it calls
+# into internal/blockdev, internal/vfs and the root package by name: vet
+# it (which also compiles it) so a signature it depends on cannot change
+# unnoticed.
 vet:
 	go vet ./...
+	cd bench && go vet .
 
 # Swallowed-device-error gate: demand-path device accesses must never
 # discard their error (the pre-fix `_ = f.v.dev.Access(...)` pattern).
@@ -22,15 +27,19 @@ errgate:
 	@! grep -rn '_ = .*dev\.Access' --include='*.go' . \
 		|| (echo 'errgate: swallowed device error (handle or propagate it)'; exit 1)
 
-# Plug-API gate: the kernel's read paths must submit device I/O through
-# the plug layer (blockdev.Plug), never against the device directly —
-# that is what keeps plugged and passthrough modes byte-identical in
-# accounting. Writes are exempt by design (see internal/vfs/writeback.go).
-plugate:
-	@! grep -n 'dev\.Access[A-Za-z]*(' \
-		internal/vfs/vfs.go internal/vfs/io.go internal/vfs/crossos.go internal/vfs/mmap.go \
-		internal/vfs/ring.go \
-		|| (echo 'plugate: read-path device access outside the plug API'; exit 1)
+# Stack-API gate: every kernel path addresses device I/O through the
+# device stack and, for reads, through its plug (blockdev.StackPlug) —
+# never the stack's Access* entry points directly (that is what keeps
+# plugged and passthrough modes byte-identical in accounting) and never a
+# raw member device (that would skip striping, tier residency and
+# per-backend accounting). The gate covers every non-test file of
+# internal/vfs, present and future; the one exemption is writeback.go,
+# where fsync's blocking lane and the cache's background writeback submit
+# writes against the stack by design.
+stackgate:
+	@! grep -n 'dev\.Access[A-Za-z]*(\|\.Member(' \
+		$$(ls internal/vfs/*.go | grep -v '_test\.go$$' | grep -v '/writeback\.go$$') \
+		|| (echo 'stackgate: device access outside the plug API, or raw stack-member access, on a kernel path'; exit 1)
 
 # Ring-API gate: the serve frontend must dispatch through the
 # submission/completion rings (Prep*/Submit/Reap), never by calling the
@@ -76,16 +85,6 @@ ctrgate:
 armgate:
 	go test -run 'TestArmGate' ./internal/telemetry ./internal/admin
 
-# Stack-API gate: the kernel's read paths must address I/O through the
-# device stack (striping + tier resolution), never a raw member device —
-# reaching past the stack would skip residency tracking and per-backend
-# accounting. The Device() accessor in compat.go IS the one sanctioned
-# member access (tests may also use it).
-tiergate:
-	@! grep -rn '\.Member(' internal/vfs --include='*.go' \
-		| grep -v 'internal/vfs/compat\.go' | grep -v '_test\.go' \
-		|| (echo 'tiergate: raw stack-member access on a kernel path (go through blockdev.Stack)'; exit 1)
-
 build:
 	go build ./...
 
@@ -102,6 +101,25 @@ stress:
 # fault-injection, retry/backoff, and circuit-breaker test.
 chaos:
 	go test -race -run 'Chaos|Fault|Breaker|Retry|Inject|Transient|Poison|Dirty' ./...
+
+# Determinism gate: rerun the four sweeps behind bench-overload, -score,
+# -predict and -tier into a temporary directory and compare every
+# determinism_digest / scorecard_digest with the committed
+# BENCH_PR7..10.json (about 10 s in total). A digest moves exactly when
+# virtual time, accounting or a scorecard does; the bench-* targets below,
+# which overwrite those files in place, are the way to re-record one on
+# purpose.
+digests:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(MAKE) -s BENCH_OUT="$$tmp/" bench-overload bench-score bench-predict bench-tier >"$$tmp/log" 2>&1 \
+		|| { cat "$$tmp/log"; echo 'digests: a sweep failed'; exit 1; }; \
+	for n in 7 8 9 10; do \
+		grep -o '"[a-z]*_digest": *"[0-9a-f]*"' BENCH_PR$$n.json >"$$tmp/want$$n"; \
+		grep -o '"[a-z]*_digest": *"[0-9a-f]*"' "$$tmp/BENCH_PR$$n.json" >"$$tmp/got$$n"; \
+		diff "$$tmp/want$$n" "$$tmp/got$$n" >/dev/null \
+			|| { echo "digests: BENCH_PR$$n.json no longer reproduces (want < > got):"; diff "$$tmp/want$$n" "$$tmp/got$$n"; exit 1; }; \
+	done; \
+	echo "digests: $$(cat "$$tmp"/got* | wc -l) digests in BENCH_PR7..10.json reproduce"
 
 bench:
 	go test -bench=. -benchmem -run=^$$
@@ -154,7 +172,7 @@ bench-serve:
 # must hold victim p99 within 2x the isolated baseline.
 bench-overload:
 	go run ./cmd/crosserve -mode overload -tenants 4 -ops 200 -file-mb 16 \
-		-sweep -json BENCH_PR7.json
+		-sweep -json $(BENCH_OUT)BENCH_PR7.json
 
 # Scorecard sweep: one cell per access pattern (sequential / strided /
 # zipfian / shared-file), each run twice with byte-identical scorecard
@@ -162,7 +180,7 @@ bench-overload:
 # and the sequential-vs-zipfian accuracy discrimination asserted.
 bench-score:
 	go run ./cmd/crosserve -mode score -file-mb 64 -iosize 65536 -ops 512 \
-		-sessions 4 -json BENCH_PR8.json
+		-sessions 4 -json $(BENCH_OUT)BENCH_PR8.json
 
 # Predictor-ensemble sweep: sequential / zipfian-LSM / interleaved-shared,
 # each replayed through the fixed sequentiality counter and the competing
@@ -173,7 +191,7 @@ bench-score:
 # concede at most 2% on pure sequential.
 bench-predict:
 	go run ./cmd/crosserve -mode predict -file-mb 16 -iosize 16384 -ops 2048 \
-		-json BENCH_PR9.json
+		-json $(BENCH_OUT)BENCH_PR9.json
 
 # Tiered-stack sweep: the device-stack grid (RAID-0 width 1/2, half-remote
 # NVMe-oF tier, cross-tier prefetch on/off, capped local tier) under
@@ -186,4 +204,4 @@ bench-predict:
 # prefetch-off tiered on warm p99 read latency.
 bench-tier:
 	go run ./cmd/crosserve -mode tier -file-mb 16 -iosize 16384 -ops 2048 \
-		-json BENCH_PR10.json
+		-json $(BENCH_OUT)BENCH_PR10.json

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,5 +301,45 @@ func TestRunIterAbutsAfterFlip(t *testing.T) {
 	got := s.AppendMissingRuns(prior, 8, 64)
 	if len(got) != 2 || got[0] != (Run{0, 8}) || got[1] != (Run{8, 64}) {
 		t.Fatalf("AppendMissingRuns merged into the caller's earlier run: %v", got)
+	}
+}
+
+// TestWindowReuseAudit is the pooled-object audit for Window (CROSS-LIB
+// pools the readahead_info export snapshots; CopyWindow is the reset): a
+// window with every field dirtied by a previous, larger fill must, after
+// the next CopyWindow, be indistinguishable from a fresh window filled the
+// same way — including the degenerate fills.
+func TestWindowReuseAudit(t *testing.T) {
+	if n := reflect.TypeOf(Window{}).NumField(); n != 4 {
+		t.Fatalf("Window has %d fields, this audit dirties 4: add the new one", n)
+	}
+	var s Shared
+	s.SetRange(3, 90)
+	s.SetRange(130, 131)
+	s.SetRange(700, 1500)
+	for _, r := range []Run{{0, 64}, {5, 70}, {64, 65}, {100, 900}, {-20, 40}, {50, 50}, {90, 10}, {4000, 4100}} {
+		used := Window{lo: 7, hi: 1 << 40, base: 12345, words: make([]uint64, 64)}
+		for i := range used.words {
+			used.words[i] = ^uint64(0)
+		}
+		var fresh Window
+		if a, b := s.CopyWindow(&fresh, r.Lo, r.Hi), s.CopyWindow(&used, r.Lo, r.Hi); a != b {
+			t.Fatalf("[%d,%d): copied %d words into a fresh window, %d into a used one", r.Lo, r.Hi, a, b)
+		}
+		if fresh.Lo() != used.Lo() || fresh.Hi() != used.Hi() || fresh.Count() != used.Count() {
+			t.Fatalf("[%d,%d): fresh [%d,%d) count %d, used [%d,%d) count %d", r.Lo, r.Hi,
+				fresh.Lo(), fresh.Hi(), fresh.Count(), used.Lo(), used.Hi(), used.Count())
+		}
+		for i := int64(-70); i < 4200; i++ {
+			if fresh.Test(i) != used.Test(i) {
+				t.Fatalf("[%d,%d): bit %d is %v in a fresh window, %v in a used one", r.Lo, r.Hi, i, fresh.Test(i), used.Test(i))
+			}
+		}
+		if a, b := fresh.AppendPresentRuns(nil, -70, 4200), used.AppendPresentRuns(nil, -70, 4200); !reflect.DeepEqual(a, b) {
+			t.Fatalf("[%d,%d): present runs %v in a fresh window, %v in a used one", r.Lo, r.Hi, a, b)
+		}
+		if a, b := fresh.CountRange(-70, 4200), used.CountRange(-70, 4200); a != b {
+			t.Fatalf("[%d,%d): CountRange %d in a fresh window, %d in a used one", r.Lo, r.Hi, a, b)
+		}
 	}
 }

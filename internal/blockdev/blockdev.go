@@ -301,75 +301,89 @@ func (d *Device) account(op Op, bytes int64) {
 func (d *Device) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
 	f := d.inject(op, off, bytes)
 	if f.Err != nil {
-		fail := telemetry.Current(tl).Child("dev.fault", telemetry.CatStall,
-			tl.Now(), tl.Now().Add(f.Stall))
-		fail.Annotate("bytes", bytes)
-		if f.Stall > 0 {
-			tl.WaitUntil(tl.Now().Add(f.Stall), simtime.WaitIO)
-		}
-		return f.Err
+		return failSync(tl, f, bytes)
 	}
-	bw, lat := d.params(op)
-	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
-	start := tl.Now()
-	admit, end := d.bwSync.ReserveAt(start, hold)
-	// Blocking traffic also occupies combined capacity, throttling the
-	// bandwidth the async lane can consume.
-	d.bwAll.ReserveAt(start, hold)
-	done := end.Add(lat).Add(f.Stall)
-	if s := telemetry.Current(tl); s != nil {
-		if admit > start {
-			s.Child("dev.queue", telemetry.CatQueue, start, admit)
-		}
-		s.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat)).
-			Annotate("bytes", bytes)
-		if f.Stall > 0 {
-			s.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
-		}
-	}
-	tl.WaitUntil(done, simtime.WaitIO)
-	d.account(op, bytes)
-	if d.rec != nil {
-		d.record(op, bytes, start, admit, done)
-	}
+	tl.WaitUntil(d.reserveSync(telemetry.Current(tl), op, bytes, 1, tl.Now(), f.Stall), simtime.WaitIO)
 	return nil
 }
 
-// AccessAt reserves asynchronous device time for a request submitted at
-// virtual time at and returns its completion time, without blocking any
-// timeline. This is the raw reservation primitive: it bypasses fault
-// injection and stats — use AccessAsync for the instrumented path. The
-// caller records the completion as the affected pages' ready time, and
-// should consult Backlog first to apply congestion control.
-func (d *Device) AccessAt(at simtime.Time, op Op, bytes int64) simtime.Time {
-	_, done := d.accessAt(at, op, bytes)
+// failSync applies an injected failure to a blocking requester: it stalls
+// for the fault's latency spike and gets the error; the device was never
+// occupied.
+func failSync(tl *simtime.Timeline, f Fault, bytes int64) error {
+	failDone := tl.Now().Add(f.Stall)
+	telemetry.Current(tl).Child("dev.fault", telemetry.CatStall, tl.Now(), failDone).
+		Annotate("bytes", bytes)
+	if f.Stall > 0 {
+		tl.WaitUntil(failDone, simtime.WaitIO)
+	}
+	return f.Err
+}
+
+// reserveSync is the priority lane's one reservation primitive: a command
+// of bytes (carrying nsegs merged segments) submitted at submit, whose
+// injector verdict — already consulted by the caller, who may pre-flight
+// several commands before issuing any — added stall. It books both
+// ledgers, the span children under sp (nil: untraced), the counters and
+// the telemetry record, blocks nobody, and returns the completion time.
+func (d *Device) reserveSync(sp *telemetry.Span, op Op, bytes int64, nsegs int, submit simtime.Time, stall simtime.Duration) simtime.Time {
+	bw, lat := d.params(op)
+	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
+	admit, end := d.bwSync.ReserveAt(submit, hold)
+	// Blocking traffic also occupies combined capacity, throttling the
+	// bandwidth the async lane can consume.
+	d.bwAll.ReserveAt(submit, hold)
+	done := end.Add(lat).Add(stall)
+	if sp != nil {
+		if admit > submit {
+			sp.Child("dev.queue", telemetry.CatQueue, submit, admit)
+		}
+		cs := sp.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat))
+		cs.Annotate("bytes", bytes)
+		if nsegs > 1 {
+			cs.Annotate("merged_segments", int64(nsegs))
+		}
+		if stall > 0 {
+			sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
+		}
+	}
+	d.account(op, bytes)
+	if d.rec != nil {
+		d.record(op, bytes, submit, admit, done)
+	}
 	return done
 }
 
-// accessAt is AccessAt exposing the ledger admission time as well, for
-// callers that split queue wait from service in their accounting.
-func (d *Device) accessAt(at simtime.Time, op Op, bytes int64) (admit, done simtime.Time) {
+// reserveAsync is the combined lane's one reservation primitive: device
+// time for a command of bytes submitted at `at`, without blocking any
+// timeline, with the counters and the telemetry record booked. stall is
+// the injector's verdict, as for reserveSync. It returns the completion
+// time plus the bandwidth reservation's end (before latency) and its hold,
+// the two inputs of a caller's advancing congestion horizon. The caller
+// records the completion as the affected pages' ready time, and should
+// consult Backlog first to apply congestion control.
+func (d *Device) reserveAsync(op Op, bytes int64, at simtime.Time, stall simtime.Duration) (done, end simtime.Time, hold simtime.Duration) {
 	bw, lat := d.params(op)
-	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
+	hold = d.cfg.CmdOverhead + d.transfer(bytes, bw)
 	admit, end := d.bwAll.ReserveAt(at, hold)
-	return admit, end.Add(lat)
+	done = end.Add(lat).Add(stall)
+	d.account(op, bytes)
+	if d.rec != nil {
+		d.record(op, bytes, at, admit, done)
+	}
+	return done, end, hold
 }
 
-// AccessAsync is AccessAt plus stats accounting and fault injection for
-// a request on the device range starting at byte offset off. A failed
-// request completes (with its error) after any injected stall, without
-// occupying the device.
+// AccessAsync reserves asynchronous device time for a request on the
+// device range starting at byte offset off, submitted at `at`, and
+// returns its completion. A failed request completes (with its error)
+// after any injected stall, without occupying the device.
 func (d *Device) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
 	f := d.inject(op, off, bytes)
 	if f.Err != nil {
 		return at.Add(f.Stall), f.Err
 	}
-	admit, done := d.accessAt(at, op, bytes)
-	done = done.Add(f.Stall)
-	d.account(op, bytes)
-	if d.rec != nil {
-		d.record(op, bytes, at, admit, done)
-	}
+	done, _, _ := d.reserveAsync(op, bytes, at, f.Stall)
 	return done, nil
 }
 

@@ -41,10 +41,10 @@ type LaneRequest struct {
 
 // LaneResult is the outcome of one staged request: its completion time
 // (or terminal error), when its flush was submitted to the device, and
-// how long it waited in the lane before that submission. On a
-// multi-member stack Pieces carries the per-backend fragment outcomes —
-// in particular, which pieces of a partially failed request actually
-// moved bytes (nil on single-member stacks).
+// how long it waited in the lane before that submission. For a request
+// that dispatched on some stack members but not others (Err is then
+// non-nil) Pieces carries the per-backend fragment outcomes — which
+// pieces actually moved bytes; nil otherwise.
 type LaneResult struct {
 	Req       LaneRequest
 	Done      simtime.Time
@@ -111,12 +111,6 @@ func (st *Stack) NewLaneSet(cfg LaneConfig, rec *telemetry.Recorder) *LaneSet {
 		lanes: make(map[int]*lane),
 		plug:  st.NewPlug(cfg.Plug),
 	}
-}
-
-// NewLaneSet returns a lane set over a bare device (a degenerate
-// single-member stack).
-func (d *Device) NewLaneSet(cfg LaneConfig, rec *telemetry.Recorder) *LaneSet {
-	return WrapDevice(d).NewLaneSet(cfg, rec)
 }
 
 // SetTelemetry installs the telemetry recorder (nil disables). Call
@@ -233,14 +227,8 @@ func (ls *LaneSet) Dispatch(at simtime.Time) []LaneResult {
 			ls.rec.Add(telemetry.CtrRingDispatchCommands, cmds)
 			ls.rec.Observe(telemetry.HistRingBatchCmds, cmds)
 		}
-		for _, rq := range p.Requests() {
+		for r, rq := range p.Requests() {
 			e := batch[rq.UserLo]
-			// The plug reuses its piece buffers across flushes; results
-			// that escape to the caller need their own copy.
-			var pieces []RequestPiece
-			if len(rq.Pieces) > 0 {
-				pieces = append(pieces, rq.Pieces...)
-			}
 			switch {
 			case rq.Issued:
 				wait := submit.Sub(e.stagedAt)
@@ -254,7 +242,7 @@ func (ls *LaneSet) Dispatch(at simtime.Time) []LaneResult {
 					ln.maxWait = wait
 				}
 				ls.rec.Observe(telemetry.HistRingQueueWait, int64(wait))
-				out = append(out, LaneResult{Req: e.req, Done: rq.Done, Submitted: submit, Wait: wait, Pieces: pieces})
+				out = append(out, LaneResult{Req: e.req, Done: rq.Done, Submitted: submit, Wait: wait})
 			case rq.Err != nil:
 				// A partially dispatched stack request must not restage —
 				// its issued pieces already moved bytes (they ride along in
@@ -265,7 +253,11 @@ func (ls *LaneSet) Dispatch(at simtime.Time) []LaneResult {
 					ls.restageLocked(e)
 					break
 				}
-				out = append(out, LaneResult{Req: e.req, Done: rq.Done, Submitted: submit, Err: rq.Err, Pieces: pieces})
+				res := LaneResult{Req: e.req, Done: rq.Done, Submitted: submit, Err: rq.Err}
+				if rq.Partial {
+					res.Pieces = p.piecesOf(r)
+				}
+				out = append(out, res)
 			default:
 				// Skipped: an earlier command in its flush failed before
 				// this one was submitted. Next round.

@@ -11,7 +11,7 @@ import (
 func testLanes(qd int, rec *telemetry.Recorder) (*Device, *LaneSet) {
 	d := New(testConfig())
 	d.SetTelemetry(rec)
-	return d, d.NewLaneSet(LaneConfig{Plug: PlugConfig{QueueDepth: qd}}, rec)
+	return d, WrapDevice(d).NewLaneSet(LaneConfig{Plug: PlugConfig{QueueDepth: qd}}, rec)
 }
 
 // TestLaneDispatchResolvesEverything: every staged request gets exactly
@@ -120,7 +120,7 @@ func TestLaneTransientRetryAndPersistentError(t *testing.T) {
 	d := New(testConfig())
 	inj := &countingInjector{failFirst: 2, off: 0}
 	d.SetFaultInjector(inj)
-	ls := d.NewLaneSet(LaneConfig{
+	ls := WrapDevice(d).NewLaneSet(LaneConfig{
 		Retry: RetryPolicy{Max: 3, Base: 10 * simtime.Microsecond, Cap: simtime.Millisecond},
 	}, nil)
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "flaky"}, 0)
@@ -134,7 +134,7 @@ func TestLaneTransientRetryAndPersistentError(t *testing.T) {
 
 	d2 := New(testConfig())
 	d2.SetFaultInjector(&stubInjector{fail: map[int64]bool{0: true}})
-	ls2 := d2.NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
+	ls2 := WrapDevice(d2).NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
 	ls2.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "dead"}, 0)
 	ls2.Stage(LaneRequest{Tenant: 1, Op: OpRead, Off: 1 << 30, Bytes: 4096, Tag: "ok"}, 0)
 	res2 := ls2.Dispatch(0)

@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/simtime"
@@ -8,9 +9,9 @@ import (
 
 // plugged returns a plug that accumulates (Plugged true) over a fresh
 // test device, with optional queue-depth/merge-window overrides.
-func pluggedPlug(qd int, window int64) (*Device, *Plug) {
+func pluggedPlug(qd int, window int64) (*Device, *StackPlug) {
 	d := New(testConfig())
-	return d, d.NewPlug(PlugConfig{Plugged: true, QueueDepth: qd, MergeWindowBytes: window})
+	return d, WrapDevice(d).NewPlug(PlugConfig{Plugged: true, QueueDepth: qd, MergeWindowBytes: window})
 }
 
 func TestPlugBackMergeAdjacent(t *testing.T) {
@@ -180,7 +181,7 @@ func TestPlugMergeChargesOneCmdOverhead(t *testing.T) {
 
 	d2 := New(cfg)
 	tl2 := simtime.NewTimeline(0)
-	p2 := d2.NewPlug(PlugConfig{})
+	p2 := WrapDevice(d2).NewPlug(PlugConfig{})
 	if err := p2.SyncAccess(tl2, OpRead, 0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +229,10 @@ func TestPlugQueueDepthGatesDispatch(t *testing.T) {
 // be byte- and time-identical to Device.AccessAsync.
 func TestPlugAsyncPassthroughParity(t *testing.T) {
 	d1 := New(testConfig())
-	p := d1.NewPlug(PlugConfig{})
-	done1, _, hold, err := p.AsyncAccess(simtime.Time(0), OpRead, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	p := WrapDevice(d1).NewPlug(PlugConfig{})
+	done1, congested, err := p.AsyncPrefetchChunk(simtime.Time(0), 0, 1<<20, 0)
+	if err != nil || congested {
+		t.Fatal(err, congested)
 	}
 	d2 := New(testConfig())
 	done2, err := d2.AccessAsync(simtime.Time(0), OpRead, 0, 1<<20)
@@ -240,10 +241,6 @@ func TestPlugAsyncPassthroughParity(t *testing.T) {
 	}
 	if done1 != done2 {
 		t.Fatalf("passthrough async done %v != device done %v", done1, done2)
-	}
-	cfg := testConfig()
-	if want := cfg.CmdOverhead + d1.transfer(1<<20, cfg.ReadBandwidth); hold != want {
-		t.Fatalf("hold = %v, want %v", hold, want)
 	}
 	if d1.Stats().ReadOps != d2.Stats().ReadOps || d1.Stats().ReadBytes != d2.Stats().ReadBytes {
 		t.Fatalf("stats diverge: %+v vs %+v", d1.Stats(), d2.Stats())
@@ -355,5 +352,97 @@ func TestPlugResetReusable(t *testing.T) {
 	}
 	if st := d.Stats(); st.ReadOps != 2 {
 		t.Fatalf("ReadOps = %d after reuse, want 2", st.ReadOps)
+	}
+}
+
+// TestStackPlugResetAudit is the pooled-object audit for the plug (the vfs
+// pools plugs and Resets each one it takes): every field of a plug is
+// dirtied, the plug is Reset, and a sequence that exercises every dispatch
+// path must then behave exactly as on a fresh plug over a twin stack —
+// the class of bug where one request's leftovers (PR 13: the async
+// horizon) reach the next user and virtual time starts to depend on what
+// the pool hands out.
+func TestStackPlugResetAudit(t *testing.T) {
+	// Every field has to be classified below: configuration that Reset
+	// keeps, or per-use state that it dirties and Reset must clear.
+	if n := reflect.TypeOf(StackPlug{}).NumField(); n != 8 {
+		t.Fatalf("StackPlug has %d fields, this audit knows 8: classify the new one", n)
+	}
+	if n := reflect.TypeOf(queue{}).NumField(); n != 3 {
+		t.Fatalf("queue has %d fields, this audit knows 3: classify the new one", n)
+	}
+	for _, plugged := range []bool{false, true} {
+		cfg := testStripeConfig(2)
+		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), RemoteFrac: 0.5, CrossTierPrefetch: true}
+		pcfg := PlugConfig{Plugged: plugged, QueueDepth: 2, MergeWindowBytes: 256 << 10}
+		fresh := NewStack(cfg).NewPlug(pcfg)
+		used := NewStack(cfg).NewPlug(pcfg)
+
+		// st and cfg are configuration; everything else is state.
+		garbage := command{op: OpWrite, off: 1 << 40, bytes: 12345, nsegs: 9,
+			issued: true, congested: true, err: ErrInjected, done: 1 << 50}
+		for m := range used.mem {
+			used.mem[m] = queue{cmds: []command{garbage, garbage, garbage}, horizon: 1 << 55, base: 77}
+		}
+		used.segs = []Segment{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Cmd: 4, Issued: true,
+			Congested: true, Err: ErrInjected, Done: 1 << 50, m: 2, cmd: 2, req: 5}}
+		used.reqs = []Request{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Issued: true, Congested: true,
+			Partial: true, Err: ErrPartialStack, Done: 1 << 50, prefetch: true, pieces: 4, issued: 2}}
+		used.pieces = []piece{{m: 2, off: 9, gOff: 9, n: 9, stall: 9}}
+		used.retries = 11
+		used.prefetch = true
+		used.Reset()
+
+		type outcome struct {
+			segs    []Segment
+			reqs    []Request
+			retries int
+			cmds    int
+			times   []simtime.Time
+			errs    []error
+			stats   []Stats
+			now     simtime.Time
+		}
+		run := func(p *StackPlug) (o outcome) {
+			tl := simtime.NewTimeline(0)
+			p.st.SetFaultInjector(&stubInjector{fail: map[int64]bool{128 << 10: true}, stall: 3 * simtime.Microsecond})
+			if plugged {
+				p.MarkPrefetch(true)
+				for i := int64(0); i < 12; i++ {
+					p.Add(OpRead, i*96<<10, 96<<10, i*24)
+				}
+				p.FlushAsync(tl.Now(), 400*simtime.Microsecond)
+				o.segs = append(o.segs, p.Segments()...)
+				o.reqs = append(o.reqs, p.Requests()...)
+				o.cmds = p.DispatchedCommands()
+				p.Reset()
+				for i := int64(0); i < 6; i++ {
+					p.Add(OpRead, 4<<20+i*64<<10, 64<<10, i*16)
+				}
+				o.errs = append(o.errs, p.FlushSync(tl, RetryPolicy{Max: 2, Base: simtime.Microsecond}))
+			} else {
+				for i := int64(0); i < 24; i++ {
+					done, congested, err := p.AsyncPrefetchChunk(tl.Now(), i*96<<10, 96<<10, 400*simtime.Microsecond)
+					o.times = append(o.times, done)
+					o.errs = append(o.errs, err)
+					if congested {
+						o.times = append(o.times, -1)
+					}
+				}
+				for i := int64(0); i < 4; i++ {
+					o.errs = append(o.errs, p.SyncAccess(tl, OpRead, 4<<20+i*96<<10, 96<<10))
+				}
+			}
+			o.segs = append(o.segs, p.Segments()...)
+			o.reqs = append(o.reqs, p.Requests()...)
+			o.cmds += p.DispatchedCommands()
+			o.retries = p.Retries()
+			o.stats = append(p.st.MemberStats(), p.st.Stats())
+			o.now = tl.Now()
+			return o
+		}
+		if want, got := run(fresh), run(used); !reflect.DeepEqual(want, got) {
+			t.Errorf("plugged=%v: a dirtied plug behaves differently after Reset\nfresh %+v\nreset %+v", plugged, want, got)
+		}
 	}
 }

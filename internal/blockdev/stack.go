@@ -112,8 +112,8 @@ type extentState struct {
 // a remote NVMe-oF device with per-extent residency. Each member keeps
 // its own bandwidth ledgers, queue depth, merge window, and congestion
 // backlog — the per-backend queues the plug and lane schedulers dispatch
-// into (see StackPlug). A single-member, untiered stack delegates
-// everywhere and is byte-identical to the raw device.
+// into (see StackPlug). A single-member, untiered stack runs the same code
+// with one piece per request and is byte-identical to the raw device.
 type Stack struct {
 	cfg     StackConfig
 	members []*Device
@@ -183,8 +183,7 @@ func WrapDevice(d *Device) *Stack {
 	}
 }
 
-// single reports whether every request maps 1:1 onto one member — the
-// delegate-everything fast path.
+// single reports whether every request maps 1:1 onto one member.
 func (st *Stack) single() bool { return len(st.members) == 1 }
 
 // Tiered reports whether the stack has a remote tier.
@@ -515,9 +514,6 @@ func (st *Stack) Backlog(at simtime.Time) simtime.Duration {
 // [off, off+bytes) would dispatch to — the per-backend congestion signal
 // the vfs prefetch admission uses.
 func (st *Stack) BacklogFor(at simtime.Time, off, bytes int64) simtime.Duration {
-	if st.single() {
-		return st.members[0].Backlog(at)
-	}
 	var buf [8]piece
 	var b simtime.Duration
 	var seen uint64
@@ -545,64 +541,52 @@ func (st *Stack) SyncCost(op Op, bytes int64) simtime.Duration {
 	return c
 }
 
-// Access performs one blocking request against the stack: each piece
-// reserves its member's priority lane in parallel from the caller's
-// current time and the caller blocks until the slowest piece completes.
-// Faults are pre-flighted across all pieces so a request either moves
-// every byte or none (the single-device failure atomicity callers
-// already rely on).
-func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	if st.single() && st.remote < 0 {
-		return st.members[0].Access(tl, op, off, bytes)
-	}
-	var buf [8]piece
-	pieces := st.resolveInto(buf[:0], off, bytes)
-	start := tl.Now()
-	sp := telemetry.Current(tl)
+// preflight consults the injector for every piece before any is issued,
+// so a request either moves every byte or none (the single-device failure
+// atomicity callers already rely on). Each piece keeps its stall; on the
+// first failing piece it returns the fault and that piece's length.
+func (st *Stack) preflight(op Op, pieces []piece) (Fault, int64) {
 	for i := range pieces {
 		p := &pieces[i]
 		f := st.members[p.m].inject(op, p.off, p.n)
 		if f.Err != nil {
-			failDone := start.Add(f.Stall)
-			sp.Child("dev.fault", telemetry.CatStall, start, failDone).
-				Annotate("bytes", p.n)
-			if f.Stall > 0 {
-				tl.WaitUntil(failDone, simtime.WaitIO)
-			}
-			return f.Err
+			return f, p.n
 		}
 		p.stall = f.Stall
 	}
+	return Fault{}, 0
+}
+
+// accessPieces issues one blocking request, already resolved into pieces:
+// each piece reserves its member's priority lane in parallel from the
+// caller's current time and the caller blocks until the slowest piece
+// completes.
+func (st *Stack) accessPieces(tl *simtime.Timeline, op Op, pieces []piece) error {
+	if f, n := st.preflight(op, pieces); f.Err != nil {
+		return failSync(tl, f, n)
+	}
+	start := tl.Now()
+	sp := telemetry.Current(tl)
 	var maxDone simtime.Time
 	for i := range pieces {
 		p := &pieces[i]
-		d := st.members[p.m]
-		bw, lat := d.params(op)
-		hold := d.cfg.CmdOverhead + d.transfer(p.n, bw)
-		admit, end := d.bwSync.ReserveAt(start, hold)
-		d.bwAll.ReserveAt(start, hold)
-		done := end.Add(lat).Add(p.stall)
-		if sp != nil {
-			if admit > start {
-				sp.Child("dev.queue", telemetry.CatQueue, start, admit)
-			}
-			sp.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat)).
-				Annotate("bytes", p.n)
-			if p.stall > 0 {
-				sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
-			}
-		}
-		d.account(op, p.n)
-		if d.rec != nil {
-			d.record(op, p.n, start, admit, done)
-		}
-		if done > maxDone {
+		if done := st.members[p.m].reserveSync(sp, op, p.n, 1, start, p.stall); done > maxDone {
 			maxDone = done
 		}
 	}
 	tl.WaitUntil(maxDone, simtime.WaitIO)
+	return nil
+}
+
+// Access performs one blocking request against the stack (see
+// accessPieces), all-or-nothing under injected faults.
+func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
+	var buf [8]piece
+	if err := st.accessPieces(tl, op, st.resolveInto(buf[:0], off, bytes)); err != nil {
+		return err
+	}
 	if op == OpWrite {
-		st.noteWrite(maxDone, off, bytes)
+		st.noteWrite(tl.Now(), off, bytes)
 	}
 	return nil
 }
@@ -611,30 +595,15 @@ func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
 // at `at`, returning the slowest piece's completion. Same all-or-nothing
 // fault pre-flight as Access.
 func (st *Stack) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
-	if st.single() && st.remote < 0 {
-		return st.members[0].AccessAsync(at, op, off, bytes)
-	}
 	var buf [8]piece
 	pieces := st.resolveInto(buf[:0], off, bytes)
-	for i := range pieces {
-		p := &pieces[i]
-		f := st.members[p.m].inject(op, p.off, p.n)
-		if f.Err != nil {
-			return at.Add(f.Stall), f.Err
-		}
-		p.stall = f.Stall
+	if f, _ := st.preflight(op, pieces); f.Err != nil {
+		return at.Add(f.Stall), f.Err
 	}
 	var maxDone simtime.Time
 	for i := range pieces {
 		p := &pieces[i]
-		d := st.members[p.m]
-		admit, done := d.accessAt(at, op, p.n)
-		done = done.Add(p.stall)
-		d.account(op, p.n)
-		if d.rec != nil {
-			d.record(op, p.n, at, admit, done)
-		}
-		if done > maxDone {
+		if done, _, _ := st.members[p.m].reserveAsync(op, p.n, at, p.stall); done > maxDone {
 			maxDone = done
 		}
 	}

@@ -268,7 +268,7 @@ func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	backlog, horizon := st.Member(0).Backlog(at), p.horizon[0].Sub(at)
+	backlog, horizon := st.Member(0).Backlog(at), p.mem[0].horizon.Sub(at)
 	if horizon <= backlog {
 		t.Fatalf("horizon %v not ahead of the reported backlog %v: the test needs another way to separate them", horizon, backlog)
 	}

@@ -19,7 +19,7 @@ func newKernel(capacity int64) *vfs.VFS {
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
-	return vfs.New(cfg, fsys, dev, cache)
+	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
 }
 
 func TestApproachStringsAndOptions(t *testing.T) {

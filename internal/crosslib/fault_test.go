@@ -28,7 +28,7 @@ func TestPrefetchRetriesTransient(t *testing.T) {
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 32<<20)
-	v.Device().SetFaultInjector(transientReads(1)) // each site fails once
+	v.Stack().SetFaultInjector(transientReads(1)) // each site fails once
 
 	f, err := rt.Open(tl, "big")
 	if err != nil {
@@ -67,7 +67,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 64<<20)
-	v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:   7,
 		Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
 	}))
@@ -90,7 +90,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Fault clears; past the cool-off the next prefetch probes and the
 	// breaker closes.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	tl.WaitUntil(tl.Now().Add(10*simtime.Millisecond), simtime.WaitIO)
 	for off := int64(8 << 20); off < 24<<20; off += int64(len(buf)) {
 		if _, err := f.ReadAt(tl, buf, off); err != nil {
@@ -134,10 +134,10 @@ func faultRun(t *testing.T, faultSeed int64) faultRunResult {
 	rec := telemetry.NewRecorder(0)
 	rt.SetTelemetry(rec)
 	v.SetTelemetry(rec)
-	v.Device().SetTelemetry(rec)
+	v.Stack().SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 32<<20)
-	v.Device().SetFaultInjector(transientReads(1))
+	v.Stack().SetFaultInjector(transientReads(1))
 
 	f, err := rt.Open(tl, "big")
 	if err != nil {
@@ -215,7 +215,7 @@ func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
 	// cached, then fail every read definitively.
 	f.sf.tree.MarkCached(tl, 1040, 1044)
 	f.sf.tree.MarkCached(tl, 1080, 1084)
-	v.Device().SetFaultInjector(persistentReads())
+	v.Stack().SetFaultInjector(persistentReads())
 	base := rt.Stats()
 
 	f.prefetchAsync(tl, 1000, 120, false) // job runs inline on the worker pool
@@ -258,7 +258,7 @@ func TestVectoredFlushFailureFeedsBreakerOnce(t *testing.T) {
 	park(t, f, tl, 2010, 2014)
 	park(t, f, tl, 2020, 2024)
 	park(t, f, tl, 2030, 2034)
-	rt.VFS().Device().SetFaultInjector(persistentReads())
+	rt.VFS().Stack().SetFaultInjector(persistentReads())
 	failsBefore, _ := brkState(f)
 
 	f.FlushIntents(tl)
@@ -274,7 +274,7 @@ func TestVectoredFlushFailureFeedsBreakerOnce(t *testing.T) {
 	if d := st.PrefetchCalls - base.PrefetchCalls; d != 1 {
 		t.Fatalf("failed vectored flush crossed %d times, want 1", d)
 	}
-	rt.VFS().Device().SetFaultInjector(nil)
+	rt.VFS().Stack().SetFaultInjector(nil)
 	for _, w := range [][2]int64{{2010, 2014}, {2020, 2024}, {2030, 2034}} {
 		runs := f.sf.tree.NeedsPrefetch(tl, w[0], w[1])
 		if len(runs) != 1 || runs[0].Lo != w[0] || runs[0].Hi != w[1] {

@@ -667,31 +667,48 @@ func (f *File) issueVectored(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 			}
 		}
 
-		if err := info.PrefetchErr; err != nil {
-			if blockdev.IsTransient(err) && attempt < o.RetryMax {
-				attempt++
-				delay := retryDelay(o, sf.inoID, hullLo, attempt)
-				backoffStart := wtl.Now()
-				wtl.WaitUntil(backoffStart.Add(delay), simtime.WaitIO)
-				telemetry.Current(wtl).Child("lib.retry_backoff", telemetry.CatRetry,
-					backoffStart, wtl.Now()).Annotate("attempt", int64(attempt))
-				rt.prefetchRetries.Add(1)
-				rt.rec.Add(telemetry.CtrLibPrefetchRetries, 1)
-				rt.rec.Event(wtl.Now(), telemetry.OutcomeRetriedTransient,
-					sf.inoID, hullLo, hullHi)
-				continue
-			}
-			f.noteFault(wtl, sf, true)
+		if f.retryPrefetch(wtl, sf, info, &attempt, hullLo, hullHi) {
+			continue
+		}
+		if info.PrefetchErr != nil {
 			for _, r := range runs {
 				sf.tree.ClearRequested(wtl, r.Lo, r.Hi)
 			}
-			return
-		}
-		if info.PrefetchedPages > 0 {
-			f.noteFault(wtl, sf, false)
 		}
 		return
 	}
+}
+
+// retryPrefetch is the shared tail of a kernel prefetch call for [lo, hi):
+// it feeds the circuit breaker and decides whether to re-issue. A
+// transient device error, while *attempt is within the retry budget, backs
+// off on the worker timeline (exponential, seeded jitter) and reports
+// true. Any other error is definitive: it feeds the breaker a failure —
+// the caller gives the range back, demand reads still cover the data. Only
+// device-backed successes feed it a success: a call satisfied entirely
+// from cache proves nothing about the device and must not reset (or
+// close) the breaker.
+func (f *File) retryPrefetch(wtl *simtime.Timeline, sf *sharedFile, info vfs.CacheInfo, attempt *int, lo, hi int64) bool {
+	rt := f.rt
+	switch err := info.PrefetchErr; {
+	case err == nil:
+		if info.PrefetchedPages > 0 {
+			f.noteFault(wtl, sf, false)
+		}
+		return false
+	case !blockdev.IsTransient(err) || *attempt >= rt.opt.RetryMax:
+		f.noteFault(wtl, sf, true)
+		return false
+	}
+	*attempt++
+	backoffStart := wtl.Now()
+	wtl.WaitUntil(backoffStart.Add(retryDelay(rt.opt, sf.inoID, lo, *attempt)), simtime.WaitIO)
+	telemetry.Current(wtl).Child("lib.retry_backoff", telemetry.CatRetry,
+		backoffStart, wtl.Now()).Annotate("attempt", int64(*attempt))
+	rt.prefetchRetries.Add(1)
+	rt.rec.Add(telemetry.CtrLibPrefetchRetries, 1)
+	rt.rec.Event(wtl.Now(), telemetry.OutcomeRetriedTransient, sf.inoID, lo, hi)
+	return true
 }
 
 // windowPool recycles the readahead_info export snapshots: a call fills
@@ -778,33 +795,12 @@ func (f *File) issuePrefetch(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 			sf.tree.ImportBitmap(wtl, snap, pos, pos+granted)
 		}
 
-		if err := info.PrefetchErr; err != nil {
-			if blockdev.IsTransient(err) && attempt < o.RetryMax {
-				// Exponential backoff with seeded jitter on the worker
-				// timeline, then re-issue the still-missing remainder.
-				attempt++
-				delay := retryDelay(o, sf.inoID, pos, attempt)
-				backoffStart := wtl.Now()
-				wtl.WaitUntil(backoffStart.Add(delay), simtime.WaitIO)
-				telemetry.Current(wtl).Child("lib.retry_backoff", telemetry.CatRetry,
-					backoffStart, wtl.Now()).Annotate("attempt", int64(attempt))
-				rt.prefetchRetries.Add(1)
-				rt.rec.Add(telemetry.CtrLibPrefetchRetries, 1)
-				rt.rec.Event(wtl.Now(), telemetry.OutcomeRetriedTransient,
-					sf.inoID, pos, hi)
-				continue
-			}
-			// Definitive failure: give the range back and feed the
-			// breaker. Demand reads still cover the data.
-			f.noteFault(wtl, sf, true)
+		if f.retryPrefetch(wtl, sf, info, &attempt, pos, hi) {
+			continue // re-issue the still-missing remainder
+		}
+		if info.PrefetchErr != nil {
 			sf.tree.ClearRequested(wtl, pos, hi)
 			return false
-		}
-		if info.PrefetchedPages > 0 {
-			// Only device-backed successes feed the breaker: a call
-			// satisfied entirely from cache proves nothing about the
-			// device and must not reset (or close) the breaker.
-			f.noteFault(wtl, sf, false)
 		}
 
 		if granted <= 0 {

@@ -27,7 +27,7 @@ func newOverloadKernel(capacity int64) *vfs.VFS {
 	cfg.AllowLimitOverride = true
 	cfg.Brownout = true
 	cfg.CongestionLimit = simtime.Microsecond
-	return vfs.New(cfg, fsys, dev, cache)
+	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
 }
 
 // TestRingCloseReapRace: a Close racing an in-flight Submit must not
@@ -122,7 +122,7 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring.Submit(tl)
-	if got := v.Device().Backlog(tl.Now()); got <= 4*simtime.Microsecond {
+	if got := v.Stack().Backlog(tl.Now()); got <= 4*simtime.Microsecond {
 		t.Fatalf("backlog %v too small to trigger brownout", got)
 	}
 
@@ -307,5 +307,89 @@ func TestDeadlineShedAndMiss(t *testing.T) {
 	}
 	if !errors.Is(got[2], vfs.ErrDeadlineExceeded) {
 		t.Fatalf("expired read error = %v, want vfs.ErrDeadlineExceeded", got[2])
+	}
+}
+
+// TestRingDeadlineShedReadsTargetBackends: Submit sheds a deadline
+// prefetch in the library when the device backlog alone already pushes it
+// past its deadline — and that must be the backlog of the backends the
+// intent's extents resolve to. Before the fix it read member 0 only, so on
+// a tiered stack an intent bound for a saturated remote member paid the
+// crossing (for the kernel to drop it), and an intent bound for an idle
+// remote member was shed because the local member was busy.
+func TestRingDeadlineShedReadsTargetBackends(t *testing.T) {
+	for _, saturateRemote := range []bool{true, false} {
+		costs := simtime.DefaultCosts()
+		st := blockdev.NewStack(blockdev.StackConfig{
+			Local: blockdev.NVMeConfig(),
+			Tier:  blockdev.TierConfig{Enabled: true, RemoteFrac: 0.5},
+		})
+		fsys := fs.New(fs.LayoutExtent, 4096, costs)
+		cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: 1 << 20, Costs: costs}, nil)
+		cfg := vfs.DefaultConfig()
+		cfg.AllowLimitOverride = true
+		v := vfs.NewStack(cfg, fsys, st, cache)
+		rt := NewForApproach(v, CrossPredictOpt)
+		tl := simtime.NewTimeline(0)
+		if _, err := v.FS().CreateSynthetic(tl, "tiered", 16<<20); err != nil {
+			t.Fatal(err)
+		}
+		f, err := rt.Open(tl, "tiered")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Saturate one member far past the deadline slack; the other idles.
+		busy := st.Member(0)
+		if saturateRemote {
+			busy = st.Member(st.NumMembers() - 1)
+		}
+		if _, err := busy.AccessAsync(tl.Now(), blockdev.OpRead, 0, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+
+		// A 64KB window on the remote member, past anything open-time
+		// prefetch touched.
+		const win = 64 << 10
+		bs := v.BlockSize()
+		remoteOff := int64(-1)
+		for off := int64(8 << 20); off+win <= f.Size() && remoteOff < 0; off += win {
+			prs := f.Kernel().Inode().MapRange(off/bs, (off+win)/bs)
+			if len(prs) != 1 {
+				t.Fatalf("window at %d maps to %d extents", off, len(prs))
+			}
+			// Exactly one member is saturated (the other carries at most
+			// the open-time prefetch): a window is remote if it sees the
+			// saturation when the remote member has it, and does not when
+			// the local member has it.
+			if busyHere := st.BacklogFor(tl.Now(), prs[0].Phys*bs, win) > 100*simtime.Millisecond; busyHere == saturateRemote {
+				remoteOff = off
+			}
+		}
+		if remoteOff < 0 {
+			t.Fatal("no remote-resident window found")
+		}
+
+		ring := rt.NewRing(0, 8)
+		crossings := v.SyscallCount(vfs.SysRingEnter)
+		deadline := tl.Now().Add(50 * simtime.Millisecond)
+		if err := ring.PrepPrefetchDeadline(f, remoteOff, win, 7, deadline); err != nil {
+			t.Fatal(err)
+		}
+		ring.Submit(tl)
+		cqes := ring.Reap(tl, 1)
+		if len(cqes) != 1 {
+			t.Fatalf("got %d CQEs, want 1", len(cqes))
+		}
+		crossed := v.SyscallCount(vfs.SysRingEnter) - crossings
+		if saturateRemote {
+			if !errors.Is(cqes[0].Err, vfs.ErrShed) || crossed != 0 {
+				t.Errorf("intent bound for the saturated remote member: err=%v crossings=%d, want ErrShed in the library (0 crossings)",
+					cqes[0].Err, crossed)
+			}
+		} else if cqes[0].Err != nil || crossed != 1 || cqes[0].N == 0 {
+			t.Errorf("intent bound for the idle remote member: err=%v crossings=%d pages=%d, want it admitted (member 0's backlog is not its concern)",
+				cqes[0].Err, crossed, cqes[0].N)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func TestDeviceErrorPropagatesThroughFsync(t *testing.T) {
 	f.WriteAt(tl, make([]byte, 64<<10), 0)
 	dirtyBefore := v.Cache().Dirty()
 
-	v.Device().SetFaultInjector(allWrites())
+	v.Stack().SetFaultInjector(allWrites())
 	if err := f.Fsync(tl); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("fsync err = %v, want injected", err)
 	}
@@ -47,7 +47,7 @@ func TestDeviceErrorPropagatesThroughFsync(t *testing.T) {
 	}
 
 	// Clearing the fault lets a bare retry drain the same pages.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	if err := f.Fsync(tl); err != nil {
 		t.Fatalf("retry fsync failed: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestFsyncRetriesTransientFault(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "x")
 	f.WriteAt(tl, make([]byte, 16<<10), 0)
-	v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 2, // clears within DemandRetries=3
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},
@@ -90,7 +90,7 @@ func TestDemandReadErrorPropagates(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	v.Device().SetFaultInjector(allReads())
+	v.Stack().SetFaultInjector(allReads())
 
 	buf := make([]byte, 64<<10)
 	if _, err := f.ReadAt(tl, buf, 0); !errors.Is(err, blockdev.ErrInjected) {
@@ -100,7 +100,7 @@ func TestDemandReadErrorPropagates(t *testing.T) {
 		t.Fatalf("failed demand read poisoned the cache with %d pages", got)
 	}
 	// Recovery: clearing the fault makes the same read work.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatalf("read after clearing fault: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestDemandReadRetriesTransient(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 3, // == DemandRetries: last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Reads: true}},
@@ -140,12 +140,12 @@ func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
-	v.Device().SetTelemetry(rec)
+	v.Stack().SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
 
-	v.Device().SetFaultInjector(allReads())
+	v.Stack().SetFaultInjector(allReads())
 	info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 512 << 10}, nil)
 	if info.PrefetchErr == nil {
 		t.Fatal("prefetch over failing device reported no error")
@@ -174,7 +174,7 @@ func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
 		t.Fatalf("poisoned cache: %d clean insertions > %d read-backed pages", cleanIns, readBacked)
 	}
 	// Degradation: the same data remains reachable via demand reads.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	buf := make([]byte, 4096)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestPrefetchSwallowsDeviceErrors(t *testing.T) {
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
 
-	v.Device().SetFaultInjector(allReads())
+	v.Stack().SetFaultInjector(allReads())
 	if n := f.Readahead(tl, 0, 128<<10); n != 0 {
 		t.Fatalf("failed readahead claims %d bytes submitted", n)
 	}
@@ -198,7 +198,7 @@ func TestPrefetchSwallowsDeviceErrors(t *testing.T) {
 		t.Fatalf("failed prefetch cached %d pages", got)
 	}
 	// Demand read after the fault clears works.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	buf := make([]byte, 4096)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "out")
 
-	v.Device().SetFaultInjector(allWrites())
+	v.Stack().SetFaultInjector(allWrites())
 	// Write 2x capacity: evictions must write back, which fails.
 	buf := make([]byte, 64<<10)
 	for off := int64(0); off < 512<<10; off += int64(len(buf)) {
@@ -234,7 +234,7 @@ func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
 	}
 
 	// Fault clears: fsync drains everything that survived.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	if err := f.Fsync(tl); err != nil {
 		t.Fatalf("fsync after fault cleared: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestMmapLoadSurfacesDemandFault(t *testing.T) {
 	v.FS().CreateSynthetic(tl, "m", 1<<20)
 	f, _ := v.Open(tl, "m")
 	m := v.Mmap(tl, f)
-	v.Device().SetFaultInjector(allReads())
+	v.Stack().SetFaultInjector(allReads())
 	if err := m.Load(tl, 0, 64<<10, nil); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("mmap load err = %v, want injected", err)
 	}

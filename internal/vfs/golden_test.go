@@ -1,0 +1,422 @@
+package vfs
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+
+	"repro/internal/bitmap"
+	"repro/internal/blockdev"
+	"repro/internal/faultinject"
+	"repro/internal/fs"
+	"repro/internal/pagecache"
+	"repro/internal/simtime"
+	"repro/internal/telemetry"
+)
+
+// TestGoldenWayDown pins virtual time, device accounting, telemetry and the
+// span tree of every kernel I/O entry point — sync read/write with RMW
+// edges, fsync, readahead(2), scalar and vectored readahead_info, mmap
+// loads with and without MADV_RANDOM, ring read/prefetch/write — on one
+// seeded timeline, {unplugged, plugged} × {bare device, width-2 half-remote
+// stack}, over a file with holes and three extents under a transient +
+// persistent fault plan. bench/ and BENCH_PR7–10 all run plugged and the
+// paper figures are multi-goroutine, so nothing else pins the unplugged
+// path.
+//
+// The expected values were recorded by running this file, unchanged,
+// against the commit before the device paths were collapsed into one
+// (PR 13, e2162c6). To re-record after an intended virtual-time change,
+// copy this file into a clone of the parent commit and run it there with
+// -v: every cell logs its actual values.
+func TestGoldenWayDown(t *testing.T) {
+	want := map[string]goldenCell{
+		"bare/unplugged": {
+			now:       48677727,
+			device:    "nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; ",
+			telemetry: "0d91143c50ea5ed0",
+			spans:     "d4b0e01225ce1cd5",
+			results:   "7cc71806a747b1b6",
+		},
+		"bare/plugged": {
+			now:       48275692,
+			device:    "nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; ",
+			telemetry: "704fee700ee05c1d",
+			spans:     "d42120aed5da2c0c",
+			results:   "40c919d0b45fce28",
+		},
+		"stack/unplugged": {
+			now:       49237304,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r148/36208640 w89/26079232 busy32723539 inj46/1950000 plug149/148/1; nvme0.0 r50/4665344 w41/10043392 busy14002324 inj12/150000 plug50/50/0; nvme0.1 r33/4526080 w26/6815744 busy10423331 inj7/0 plug33/33/0; nvmeof0 r65/27017216 w22/9220096 busy32723539 inj27/1800000 plug66/65/1; ",
+			telemetry: "7490e3d7de53cb75",
+			spans:     "9b1607101f8cfee0",
+			results:   "67ad34cc8fb04894",
+		},
+		"stack/plugged": {
+			now:       51004722,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r146/41418752 w117/32108544 busy35842731 inj47/2100000 plug165/146/19; nvme0.0 r46/6033408 w53/12935168 busy18014472 inj11/150000 plug56/46/10; nvme0.1 r32/5648384 w35/9175040 busy13703832 inj9/0 plug38/32/6; nvmeof0 r68/29736960 w29/9998336 busy35842731 inj27/1950000 plug71/68/3; ",
+			telemetry: "c9bdb33e8fb8a889",
+			spans:     "b58caef8a072d760",
+			results:   "42431b7279aad10a",
+		},
+	}
+	for _, stacked := range []bool{false, true} {
+		for _, plugged := range []bool{false, true} {
+			name := map[bool]string{false: "bare", true: "stack"}[stacked] + "/" +
+				map[bool]string{false: "unplugged", true: "plugged"}[plugged]
+			t.Run(name, func(t *testing.T) {
+				got := runGoldenWayDown(t, stacked, plugged)
+				t.Logf("actual: %#v", got)
+				if got != want[name] {
+					t.Errorf("golden mismatch\n got %#v\nwant %#v", got, want[name])
+				}
+			})
+		}
+	}
+}
+
+// goldenCell is what one configuration's run is reduced to. device is every
+// field of Stack.Stats() and MemberStats(); the rest are SHA-256 prefixes:
+// telemetry over the recorder snapshot's JSON (counters, outcomes, origins,
+// histograms, per-backend tables, the event trace), spans over every
+// operation's span tree, results over every call's return values.
+type goldenCell struct {
+	now       int64
+	device    string
+	telemetry string
+	spans     string
+	results   string
+}
+
+// goldenRun carries one configuration's kernel, clock and running hashes.
+type goldenRun struct {
+	tl      *simtime.Timeline
+	tr      *telemetry.Tracer
+	spans   hash.Hash
+	results hash.Hash
+}
+
+// op runs one traced operation and folds its span tree into the span hash.
+func (g *goldenRun) op(kind telemetry.Op, ino int64, fn func()) {
+	root := g.tr.Root(g.tl, kind, ino)
+	fn()
+	root.Finish(g.tl)
+	hashSpan(g.spans, root)
+}
+
+func hashSpan(h hash.Hash, s *telemetry.Span) {
+	if s == nil {
+		return
+	}
+	fmt.Fprintf(h, "(%s %d %d %d %v", s.Name(), s.Cat(), s.StartTime(), s.EndTime(), s.Attrs())
+	for _, c := range s.Children() {
+		hashSpan(h, c)
+	}
+	fmt.Fprint(h, ")")
+}
+
+// result folds one call's outcome into the results hash.
+func (g *goldenRun) result(what string, vals ...any) {
+	fmt.Fprintf(g.results, "%s %v @%d\n", what, vals, g.tl.Now())
+}
+
+// deviceLine prints every Stats field (Stats.String drops most of them).
+func deviceLine(all []blockdev.Stats) string {
+	var b bytes.Buffer
+	for _, s := range all {
+		fmt.Fprintf(&b, "%s r%d/%d w%d/%d busy%d inj%d/%d plug%d/%d/%d; ", s.Name,
+			s.ReadOps, s.ReadBytes, s.WriteOps, s.WriteBytes, int64(s.Busy),
+			s.InjectedFaults, int64(s.InjectedStall), s.PlugSegments, s.PlugCommands, s.MergedSegments)
+	}
+	return b.String()
+}
+
+func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+func runGoldenWayDown(t *testing.T, stacked, plugged bool) goldenCell {
+	const mb = 1 << 20
+	costs := simtime.DefaultCosts()
+	var st *blockdev.Stack
+	if stacked {
+		st = blockdev.NewStack(blockdev.StackConfig{
+			Local: blockdev.NVMeConfig(),
+			Width: 2,
+			Tier: blockdev.TierConfig{
+				Enabled:           true,
+				RemoteFrac:        0.5,
+				LocalCapBytes:     3 << 20,
+				CrossTierPrefetch: true,
+			},
+		})
+	} else {
+		st = blockdev.WrapDevice(blockdev.New(blockdev.NVMeConfig()))
+	}
+	cfg := DefaultConfig()
+	cfg.AllowLimitOverride = true
+	cfg.Brownout = stacked
+	// A tight congestion limit (≈ 2.8MB of queued transfer), queue depth
+	// and merge window, so congestion postponement, depth gating and the
+	// window bound all fire within a 14MB file.
+	cfg.CongestionLimit = 2 * simtime.Millisecond
+	cfg.Sched = blockdev.PlugConfig{Plugged: plugged, QueueDepth: 2, MergeWindowBytes: 4 << 20}
+	fsys := fs.New(fs.LayoutExtent, 4096, costs)
+	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: 2048, Costs: costs}, nil)
+	v := NewStack(cfg, fsys, st, cache)
+	rec := telemetry.NewRecorder(1 << 14)
+	st.SetTelemetry(rec)
+	cache.SetTelemetry(rec)
+	v.SetTelemetry(rec)
+
+	g := &goldenRun{
+		tl:      simtime.NewTimeline(0),
+		tr:      telemetry.NewTracer(telemetry.TraceConfig{MaxSpansPerRoot: 4096}),
+		spans:   sha256.New(),
+		results: sha256.New(),
+	}
+	tl := g.tl
+
+	// The file: extent A = [0, 3MB), hole [3, 4MB), extent B = [4, 10MB),
+	// hole [10, 12MB), extent C = [12, 14MB); one-block spacer files keep
+	// the extents physically apart. Written below the cache, so every
+	// block starts cold.
+	ino, err := fsys.Create(tl, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(off, n int64, b byte) { ino.WriteAt(bytes.Repeat([]byte{b}, int(n)), off) }
+	spacer := func(name string) {
+		sp, err := fsys.Create(tl, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.WriteAt([]byte{1}, 0)
+	}
+	fill(0, 3*mb, 'a')
+	spacer("s1")
+	fill(4*mb, 6*mb, 'b')
+	spacer("s2")
+	fill(12*mb, 2*mb, 'c')
+	if got := len(ino.MapRange(0, ino.Blocks())); got != 3 {
+		t.Fatalf("file has %d extents, want 3", got)
+	}
+
+	// Faults: seeded per-site glitches (mostly transient, clearing after
+	// two attempts) and stalls everywhere, a transient bad region that
+	// takes three attempts (transient sites clear for good, so a second
+	// one is left for the rings to find), a persistent bad region for reads
+	// and two for writes. Faults match a request's start offset. The same
+	// plan applies to every member of the stack at member offsets, so the
+	// regions land on different file blocks per cell.
+	st.SetFaultInjector(faultinject.New(faultinject.Plan{
+		Seed:          14,
+		ReadFailProb:  0.06,
+		WriteFailProb: 0.05,
+		TransientFrac: 0.8,
+		StallProb:     0.05,
+		Stall:         150 * simtime.Microsecond,
+		Ranges: []faultinject.RangeFault{
+			{Lo: 1 * mb, Hi: 1*mb + 128<<10, Class: faultinject.Transient, Reads: true, Writes: true, Repeats: 3},
+			{Lo: 1*mb + 532<<10, Hi: 1*mb + 536<<10, Class: faultinject.Transient, Reads: true},
+			{Lo: 2*mb + 512<<10, Hi: 2*mb + 576<<10, Class: faultinject.Persistent, Reads: true},
+			{Lo: 4*mb + 768<<10, Hi: 4*mb + 800<<10, Class: faultinject.Persistent, Writes: true},
+			{Lo: 9*mb + 512<<10, Hi: 9*mb + 576<<10, Class: faultinject.Persistent, Writes: true},
+		},
+	}))
+
+	f, err := v.Open(tl, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ino.ID()
+	buf := make([]byte, 4*mb)
+	read := func(off, n int64) {
+		g.op(telemetry.OpRead, id, func() {
+			got, err := f.ReadAt(tl, buf[:n], off)
+			g.result("read", off, n, got, err != nil)
+		})
+	}
+	write := func(off, n int64) {
+		g.op(telemetry.OpWrite, id, func() {
+			got, err := f.WriteAt(tl, bytes.Repeat([]byte{'w'}, int(n)), off)
+			g.result("write", off, n, got, err != nil)
+		})
+	}
+	fsync := func() {
+		g.op(telemetry.OpFsync, id, func() { g.result("fsync", f.Fsync(tl) != nil) })
+	}
+	rainfo := func(req CacheInfoRequest) {
+		g.op(telemetry.OpBgPrefetch, id, func() {
+			var w bitmap.Window
+			info := f.ReadaheadInfo(tl, req, &w)
+			g.result("readahead_info", info.RequestedPages, info.PrefetchedPages, info.Granted,
+				info.AlreadyCached, info.FileCachedPages, info.Hits, info.Misses, info.FreePages,
+				info.ReadyAt, info.PrefetchErr != nil)
+		})
+	}
+	// ring submits one batch; wait makes the caller reap (advance to) every
+	// completion, as a ring's reaper would.
+	ring := func(tenant int, wait bool, sqes ...RingSQE) {
+		g.op(telemetry.OpRead, id, func() {
+			for i := range sqes {
+				sqes[i].F = f
+				sqes[i].User = uint64(i)
+			}
+			for _, c := range v.RingEnter(tl, tenant, sqes) {
+				g.result("cqe", tenant, c.User, c.N, c.Err, c.Done)
+				if wait && c.Done > tl.Now() {
+					tl.WaitUntil(c.Done, simtime.WaitIO)
+				}
+			}
+		})
+	}
+	dropCache := func() { f.Fadvise(tl, AdvDontNeed, 0, 0) }
+
+	// First, while tier residency is still the initial placement: on the
+	// stack, a ring prefetch and a ring read that each split across members
+	// with exactly one member's piece starting in the persistent bad region
+	// — partially dispatched requests, whose issued pieces still count.
+	ring(3, true,
+		RingSQE{Op: RingPrefetch, Off: 2*mb + 512<<10, Len: 512 << 10},
+		RingSQE{Op: RingRead, Off: 6 * mb, Buf: buf[:1*mb]},
+	)
+	dropCache()
+
+	// Sync reads: a sequential scan across extent A, the first hole and
+	// into B (demand fetch, readahead ramp, marker hits, in-flight waits),
+	// one request larger than the 2MB VFS chunk, one wholly inside a hole,
+	// one past EOF.
+	for off := int64(0); off < 5*mb; off += 192 << 10 {
+		read(off, 192<<10)
+	}
+	read(6*mb, 3*mb)
+	read(10*mb+64<<10, 256<<10)
+	read(15*mb, 4096)
+
+	// Buffered writes with read-modify-write edges over cold data, an
+	// aligned overwrite, an append past EOF; then fsync. The 3MB write
+	// right behind a 4MB prefetch meets the dirty throttle.
+	write(12*mb+100, 10_000)
+	write(13*mb, 64<<10)
+	write(14*mb-50, 8292)
+	fsync()
+	dropCache()
+	write(2*mb+512<<10+10, 100) // RMW edge in the bad region: the write fails
+	rainfo(CacheInfoRequest{Offset: 4 * mb, Bytes: 4 * mb, LimitOverride: 1024})
+	write(100, 3*mb-200)
+	fsync()
+	write(12*mb, 2*mb)
+	fsync()
+	fsync()
+
+	// The prefetch calls, cold: readahead(2) over a partly cached range,
+	// scalar readahead_info twice back to back (the second meets the
+	// first's backlog), vectored with an empty range, a pure query, and a
+	// coverage prefetch.
+	dropCache()
+	read(560<<10, 8<<10)
+	for _, off := range []int64{512 << 10, 2*mb + 512<<10} {
+		g.op(telemetry.OpBgPrefetch, id, func() {
+			g.result("readahead", f.Readahead(tl, off, 4*mb))
+		})
+	}
+	rainfo(CacheInfoRequest{Offset: 4 * mb, Bytes: 5 * mb, LimitOverride: 2048})
+	rainfo(CacheInfoRequest{Offset: 9 * mb, Bytes: 5 * mb, LimitOverride: 2048})
+	rainfo(CacheInfoRequest{
+		Ranges: []Range{
+			{Offset: 1 * mb, Bytes: 512 << 10},
+			{Offset: 2 * mb, Bytes: 0},
+			{Offset: 2*mb + 768<<10, Bytes: 1536 << 10},
+			{Offset: 9 * mb, Bytes: 4 * mb},
+		},
+		LimitOverride: 512,
+	})
+	rainfo(CacheInfoRequest{Offset: 0, Bytes: 14 * mb, DisablePrefetch: true})
+	rainfo(CacheInfoRequest{Offset: 13 * mb, Bytes: 2 * mb, Coverage: true})
+	read(4*mb, 1*mb)
+	read(12*mb, 1*mb)
+
+	// mmap: fault-around and fault-path readahead over a partly cached
+	// range, a load into the persistent bad region, then MADV_RANDOM's
+	// page-at-a-time faults.
+	dropCache()
+	read(768<<10, 16<<10)
+	m := v.Mmap(tl, f)
+	load := func(off, n int64) {
+		g.op(telemetry.OpMmapLoad, id, func() {
+			g.result("load", off, n, m.Load(tl, off, n, buf[:n]) != nil, m.Faults())
+		})
+	}
+	for off := int64(512 << 10); off < 2*mb; off += 96 << 10 {
+		load(off, 96<<10)
+	}
+	load(2*mb+512<<10, 8192)
+	load(2*mb+448<<10, 256<<10)
+	load(5*mb, 1*mb)
+	load(14*mb-16<<10, 16<<10)
+	dropCache()
+	m.Madvise(tl, AdvRandom)
+	load(7*mb+8192, 40<<10)
+	load(3*mb-8192, 32<<10)
+	load(2*mb+500<<10, 64<<10)
+
+	// Rings: two tenants; reads over cold, warm, hole and bad blocks,
+	// prefetch intents (larger than a VFS chunk, with an expired deadline,
+	// into a backlogged device), a read that completes past its deadline,
+	// buffered writes with RMW edges, a read of what was just prefetched.
+	dropCache()
+	ring(1, true,
+		RingSQE{Op: RingRead, Off: 0, Buf: buf[:128<<10]},
+		RingSQE{Op: RingPrefetch, Off: 4 * mb, Len: 3 * mb},
+		RingSQE{Op: RingRead, Off: 2*mb + 256<<10, Buf: buf[1*mb : 2*mb]},
+		RingSQE{Op: RingNop},
+		RingSQE{Op: RingRead, Off: 15 * mb, Buf: buf[:4096]},
+	)
+	ring(2, false,
+		RingSQE{Op: RingRead, Off: 7 * mb, Buf: buf[:64<<10], Deadline: tl.Now().Add(100 * simtime.Microsecond)},
+		RingSQE{Op: RingRead, Off: 4*mb + 64<<10, Buf: buf[:256<<10]},
+		RingSQE{Op: RingWrite, Off: 8*mb + 10, Buf: bytes.Repeat([]byte{'r'}, 20_000)},
+		RingSQE{Op: RingPrefetch, Off: 12 * mb, Len: 1 * mb, Deadline: 1},
+		RingSQE{Op: RingPrefetch, Off: 4 * mb, Len: 10 * mb},
+		RingSQE{Op: RingRead, Off: 1*mb + 532<<10, Buf: buf[:192<<10]},
+		RingSQE{Op: RingRead, Off: 3*mb - 64<<10, Buf: buf[:1*mb+128<<10]},
+		RingSQE{Op: RingRead, Off: 7*mb + 512<<10, Buf: buf[:64<<10], Deadline: 1},
+	)
+	ring(1, true,
+		RingSQE{Op: RingPrefetch, Off: 0, Len: 3 * mb},
+		RingSQE{Op: RingRead, Off: 9*mb + 512<<10, Buf: buf[:2*mb]},
+		RingSQE{Op: RingWrite, Off: 1*mb + 5, Buf: bytes.Repeat([]byte{'r'}, 8192)},
+		RingSQE{Op: RingRead, Off: 2*mb + 896<<10, Buf: buf[:256<<10]},
+	)
+	dropCache()
+	ring(2, true,
+		RingSQE{Op: RingRead, Off: 2*mb + 512<<10, Buf: buf[:64<<10]},
+		RingSQE{Op: RingPrefetch, Off: 2*mb + 528<<10, Len: 128 << 10},
+		RingSQE{Op: RingWrite, Off: 2*mb + 540<<10 + 7, Buf: bytes.Repeat([]byte{'r'}, 100)},
+		RingSQE{Op: RingRead, Off: 5 * mb, Buf: buf[:2*mb]},
+	)
+
+	// A last scan under memory pressure (the file is 14MB, the cache 8MB)
+	// with the ring writes and one more megabyte still dirty: eviction
+	// writes them back.
+	write(5*mb, 1*mb)
+	for off := int64(0); off < 14*mb; off += 1 * mb {
+		read(off, 1*mb)
+	}
+	fsync()
+	f.Close(tl)
+
+	th := sha256.New()
+	if err := rec.Snapshot().WriteJSON(th); err != nil {
+		t.Fatal(err)
+	}
+	return goldenCell{
+		now:       int64(tl.Now()),
+		device:    deviceLine(append([]blockdev.Stats{st.Stats()}, st.MemberStats()...)),
+		telemetry: sum(th),
+		spans:     sum(g.spans),
+		results:   sum(g.results),
+	}
+}

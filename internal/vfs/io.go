@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/blockdev"
-	"repro/internal/fs"
 	"repro/internal/pagecache"
 	"repro/internal/readahead"
 	"repro/internal/simtime"
@@ -22,6 +21,25 @@ type readScratch struct {
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// appendMissingRuns appends to dst the maximal runs of absent pages in a
+// lookup's Present vector, which describes the pages from block lo on.
+func appendMissingRuns(dst []bitmap.Run, present []bool, lo int64) []bitmap.Run {
+	runStart := int64(-1)
+	for i, p := range present {
+		switch {
+		case !p && runStart < 0:
+			runStart = lo + int64(i)
+		case p && runStart >= 0:
+			dst = append(dst, bitmap.Run{Lo: runStart, Hi: lo + int64(i)})
+			runStart = -1
+		}
+	}
+	if runStart >= 0 {
+		dst = append(dst, bitmap.Run{Lo: runStart, Hi: lo + int64(len(present))})
+	}
+	return dst
+}
 
 // observeSyscall records the virtual duration of the syscall body that runs
 // between this call and the returned func (deferred by the caller). The
@@ -67,25 +85,9 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	res := &sc.res
 
 	// Demand-fetch the missing pages synchronously.
-	missed := res.PresentCount < hi-lo
-	if missed {
-		runs := sc.runs[:0]
-		runStart := int64(-1)
-		for i := lo; i < hi; i++ {
-			if !res.Present[i-lo] {
-				if runStart < 0 {
-					runStart = i
-				}
-			} else if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-		}
-		sc.runs = runs
-		if err := f.fetchRuns(tl, runs); err != nil {
+	if res.PresentCount < hi-lo {
+		sc.runs = appendMissingRuns(sc.runs[:0], res.Present, lo)
+		if err := f.fetchRuns(tl, sc.runs); err != nil {
 			// The demand data never arrived; nothing was copied out.
 			return 0, err
 		}
@@ -179,6 +181,14 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	if len(data) == 0 {
 		return 0, nil
 	}
+	return f.bufferedWrite(tl, data, off, 0)
+}
+
+// bufferedWrite is the body of a buffered write, for pwrite(2) and for
+// the ring's write SQE (tenant owns the dirtied pages): RMW edge fetches
+// (blocking — merging into an unreadable block would corrupt it), dirty
+// insertion, and the dirty-balance throttle.
+func (f *File) bufferedWrite(tl *simtime.Timeline, data []byte, off int64, tenant int) (int, error) {
 	bs := f.v.BlockSize()
 	n := int64(len(data))
 	lo, hi := f.v.blockRange(off, n)
@@ -186,7 +196,8 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 
 	// RMW: a partial first/last block that exists on disk and is not
 	// cached must be fetched first.
-	var rmw []bitmap.Run
+	var rmwBuf [2]bitmap.Run
+	rmw := rmwBuf[:0]
 	if off%bs != 0 && off < oldSize {
 		if res := f.fc.LookupRange(tl, lo, lo+1); res.PresentCount == 0 {
 			rmw = append(rmw, bitmap.Run{Lo: lo, Hi: lo + 1})
@@ -208,7 +219,7 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	// Move the data: backing store now, device on writeback.
 	f.ino.WriteAt(data, off)
 	tl.Advance(simtime.Duration(hi-lo) * f.v.cfg.Costs.PageCopy)
-	f.fc.InsertRange(tl, lo, hi, pagecache.InsertOptions{Dirty: true, MarkerAt: -1})
+	f.fc.InsertRange(tl, lo, hi, pagecache.InsertOptions{Dirty: true, MarkerAt: -1, Tenant: tenant})
 	f.fc.SetDirtyRange(tl, lo, hi)
 	f.v.balanceDirty(tl)
 	return int(n), nil
@@ -244,8 +255,8 @@ func (f *File) Fsync(tl *simtime.Timeline) error {
 	defer f.v.observeSyscall(tl, SysFsync)()
 	f.v.enter(tl, SysFsync)
 	runs := f.fc.CollectDirtyRuns(tl, 0, f.ino.Blocks())
-	for i, r := range runs {
-		if err := f.syncWriteRun(tl, r); err != nil {
+	for i := range runs {
+		if err := f.syncWriteRun(tl, runs[i:i+1]); err != nil {
 			for _, later := range runs[i+1:] {
 				f.fc.SetDirtyRange(tl, later.Lo, later.Hi)
 			}
@@ -257,32 +268,20 @@ func (f *File) Fsync(tl *simtime.Timeline) error {
 }
 
 // syncWriteRun writes back one run of blocks through the blocking lane,
-// chunked at the VFS request size over the run's physical segments. On
-// error the unwritten tail of the run is re-marked dirty.
-func (f *File) syncWriteRun(tl *simtime.Timeline, r bitmap.Run) error {
-	bs := f.v.BlockSize()
-	var physBuf [4]fs.PhysRun
-	for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
-		lo := pr.Logical
-		devOff := pr.Phys * bs
-		remaining := pr.Count * bs
-		for remaining > 0 {
-			chunk := remaining
-			if chunk > maxVFSRequest {
-				chunk = maxVFSRequest
-			}
-			if err := f.v.syncAccess(tl, blockdev.OpWrite, devOff, chunk); err != nil {
-				f.fc.SetDirtyRange(tl, lo, r.Hi)
-				f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), lo, r.Hi)
-				return err
-			}
-			cb := (chunk + bs - 1) / bs
-			lo += cb
-			devOff += chunk
-			remaining -= chunk
+// chunk by chunk. On error the unwritten tail of the run is re-marked
+// dirty.
+func (f *File) syncWriteRun(tl *simtime.Timeline, run []bitmap.Run) (err error) {
+	f.eachChunk(run, func(c chunk) bool {
+		if c.bytes == 0 {
+			return true
 		}
-	}
-	return nil
+		if err = f.v.syncAccess(tl, blockdev.OpWrite, c.devOff, c.bytes); err != nil {
+			f.fc.SetDirtyRange(tl, c.lo, run[0].Hi)
+			f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, run[0].Hi)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // Readahead implements readahead(2). As in Linux, the request is clamped
@@ -306,21 +305,7 @@ func (f *File) Readahead(tl *simtime.Timeline, off, nbytes int64) int64 {
 	}
 	// The legacy path walks the cache tree (no bitmap fast path).
 	res := f.fc.LookupRange(tl, lo, hi)
-	var runs []bitmap.Run
-	runStart := int64(-1)
-	for i := lo; i < hi; i++ {
-		if !res.Present[i-lo] {
-			if runStart < 0 {
-				runStart = i
-			}
-		} else if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-			runStart = -1
-		}
-	}
-	if runStart >= 0 {
-		runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-	}
+	runs := appendMissingRuns(nil, res.Present, lo)
 	// readahead(2) is advisory: a device fault inserts nothing and is
 	// reported only through the bytes-submitted return value.
 	if issued, err := f.prefetchRuns(tl, tl.Now(), runs, -1, telemetry.OriginReadahead, telemetry.ArmNone); err != nil {

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/readahead"
@@ -20,26 +21,7 @@ type Mapping struct {
 	mu sync.Mutex
 	ra readahead.State
 
-	faults atomic64
-}
-
-// atomic64 is a tiny counter wrapper to keep Mapping copy-safe checks
-// honest.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (a *atomic64) add(d int64) {
-	a.mu.Lock()
-	a.n += d
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
+	faults atomic.Int64
 }
 
 // Mmap maps the file.
@@ -49,7 +31,7 @@ func (v *VFS) Mmap(tl *simtime.Timeline, f *File) *Mapping {
 }
 
 // Faults reports how many page-fault groups the mapping has taken.
-func (m *Mapping) Faults() int64 { return m.faults.load() }
+func (m *Mapping) Faults() int64 { return m.faults.Load() }
 
 // Madvise applies an madvise hint to the mapping's fault-path readahead.
 func (m *Mapping) Madvise(tl *simtime.Timeline, adv Advice) {
@@ -96,21 +78,7 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 
 	if res.PresentCount < hi-lo {
 		// Fault groups: contiguous missing runs, each one fault.
-		var runs []bitmap.Run
-		runStart := int64(-1)
-		for i := lo; i < hi; i++ {
-			if !res.Present[i-lo] {
-				if runStart < 0 {
-					runStart = i
-				}
-			} else if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-		}
+		runs := appendMissingRuns(nil, res.Present, lo)
 		m.mu.Lock()
 		randomHint := m.ra.Mode() == readahead.ModeRandom
 		m.mu.Unlock()
@@ -122,9 +90,10 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 				for i := r.Lo; i < r.Hi; i++ {
 					v.enter(tl, SysMmapFault)
 					tl.Advance(v.cfg.Costs.FaultEntry)
-					m.faults.add(1)
+					m.faults.Add(1)
 					sp := telemetry.Begin(tl, "vfs.mmap_fault", telemetry.CatCPU)
-					err := f.fetchRuns(tl, []bitmap.Run{{Lo: i, Hi: i + 1}})
+					page := [1]bitmap.Run{{Lo: i, Hi: i + 1}}
+					err := f.fetchRuns(tl, page[:])
 					sp.End(tl)
 					if err != nil {
 						return err
@@ -134,7 +103,7 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 			}
 			v.enter(tl, SysMmapFault)
 			tl.Advance(v.cfg.Costs.FaultEntry)
-			m.faults.add(1)
+			m.faults.Add(1)
 			// Fault-around: extend the fetch to the window boundary.
 			fhi := r.Lo + faultAroundPages
 			if fhi < r.Hi {

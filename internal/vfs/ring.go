@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/blockdev"
-	"repro/internal/fs"
 	"repro/internal/pagecache"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -213,9 +212,16 @@ func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.L
 	defer c.wg.Done()
 	if r.Err != nil {
 		// On a partially dispatched stack request the issued pieces really
-		// moved bytes: count and insert them (the data is good — this is
-		// not poisoning), then fail the SQE for the rest.
-		v.insertRingPieces(tl, c, r)
+		// moved bytes: the cross-layer identities (device read bytes ==
+		// demand + prefetch pages) require counting them, and the fetched
+		// data is inserted with each piece's own ready time (the data is
+		// good — this is not poisoning). Then the SQE fails for the rest.
+		bs := v.BlockSize()
+		for _, pc := range r.Pieces {
+			if pc.Issued {
+				c.book(tl, c.lo+pc.Delta/bs, (pc.Bytes+bs-1)/bs, pc.Done)
+			}
+		}
 		v.rec.Event(r.Done, telemetry.OutcomeDeviceFault, c.f.ino.ID(), c.lo, c.lo+c.blocks)
 		if !c.prefetch {
 			v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
@@ -231,106 +237,52 @@ func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.L
 			Annotate("bytes", c.blocks*v.BlockSize())
 	}
 	if c.prefetch {
-		v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, c.blocks)
-		telemetry.CountPages(tl, telemetry.PagePrefetch, c.blocks)
 		v.rec.Observe(telemetry.HistPrefetchLat, int64(r.Done.Sub(r.Submitted)))
-		n := c.f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{
-			ReadyAt:  r.Done,
-			MarkerAt: -1,
-			Origin:   telemetry.OriginRing,
-			Tenant:   c.tenant,
-			Arm:      c.arm,
-		})
-		v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-		v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
-	} else {
-		v.rec.Add(telemetry.CtrVFSDemandFetchPages, c.blocks)
-		telemetry.CountPages(tl, telemetry.PageDemand, c.blocks)
-		c.f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{
-			ReadyAt:  r.Done,
-			MarkerAt: -1,
-			Tenant:   c.tenant,
-		})
 	}
+	c.book(tl, c.lo, c.blocks, r.Done)
 	c.pend.advance(r.Done)
 }
 
-// insertRingPieces accounts the issued member pieces of a failed stack
-// request: their device bytes moved, so the cross-layer identities
-// (device read bytes == demand + prefetch pages) require counting them,
-// and the fetched data is inserted with each piece's own ready time.
-func (v *VFS) insertRingPieces(tl *simtime.Timeline, c *ringChunk, r blockdev.LaneResult) {
-	bs := v.BlockSize()
-	for _, pc := range r.Pieces {
-		if !pc.Issued {
-			continue
-		}
-		blockLo := c.lo + pc.Delta/bs
-		blocks := (pc.Bytes + bs - 1) / bs
-		opts := pagecache.InsertOptions{ReadyAt: pc.Done, MarkerAt: -1, Tenant: c.tenant}
-		if c.prefetch {
-			v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, blocks)
-			telemetry.CountPages(tl, telemetry.PagePrefetch, blocks)
-			opts.Origin = telemetry.OriginRing
-			opts.Arm = c.arm
-			n := c.f.fc.InsertRange(tl, blockLo, blockLo+blocks, opts)
-			v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-			v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
-		} else {
-			v.rec.Add(telemetry.CtrVFSDemandFetchPages, blocks)
-			telemetry.CountPages(tl, telemetry.PageDemand, blocks)
-			c.f.fc.InsertRange(tl, blockLo, blockLo+blocks, opts)
-		}
+// book books pages [lo, lo+blocks) of the chunk, read by done, as what the
+// chunk was staged for: a tenant's demand read or its prefetch intent.
+func (c *ringChunk) book(tl *simtime.Timeline, lo, blocks int64, done simtime.Time) {
+	if !c.prefetch {
+		c.f.bookDemand(tl, lo, blocks, done, c.tenant)
+		return
 	}
+	n := c.f.bookPrefetch(tl, lo, blocks, pagecache.InsertOptions{
+		ReadyAt: done, MarkerAt: -1, Origin: telemetry.OriginRing, Tenant: c.tenant, Arm: c.arm})
+	c.f.v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
 }
 
-// stageRuns cuts missing logical-block runs into VFS-sized chunks over
-// the file's physical extents and stages them on the tenant's lane. Hole
-// blocks are zero-fill: inserted immediately, no device work.
+// stageRuns cuts missing logical-block runs into chunks and stages them on
+// the tenant's lane. Hole blocks are zero-fill: a read inserts them
+// immediately, no device work; a prefetch leaves them alone.
 func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap.Run,
 	pend *ringPending, wg *sync.WaitGroup, prefetch bool, arm telemetry.Arm) {
-	bs := v.BlockSize()
-	for _, r := range runs {
-		cursor := r.Lo
-		var physBuf [4]fs.PhysRun
-		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
-			if pr.Logical > cursor && !prefetch {
-				f.fc.InsertRange(tl, cursor, pr.Logical,
+	f.eachChunk(runs, func(c chunk) bool {
+		if c.bytes == 0 {
+			if !prefetch {
+				f.fc.InsertRange(tl, c.lo, c.lo+c.blocks,
 					pagecache.InsertOptions{MarkerAt: -1, Tenant: tenant})
 			}
-			lo := pr.Logical
-			devOff := pr.Phys * bs
-			remaining := pr.Count * bs
-			for remaining > 0 {
-				chunk := remaining
-				if chunk > maxVFSRequest {
-					chunk = maxVFSRequest
-				}
-				chunkBlocks := (chunk + bs - 1) / bs
-				wg.Add(1)
-				v.lanes.Stage(blockdev.LaneRequest{
-					Tenant:   tenant,
-					Op:       blockdev.OpRead,
-					Off:      devOff,
-					Bytes:    chunk,
-					Prefetch: prefetch,
-					Tag: &ringChunk{
-						pend: pend, wg: wg, f: f,
-						lo: lo, blocks: chunkBlocks, tenant: tenant, prefetch: prefetch,
-						arm: arm,
-					},
-				}, tl.Now())
-				lo += chunkBlocks
-				devOff += chunk
-				remaining -= chunk
-			}
-			cursor = pr.Logical + pr.Count
+			return true
 		}
-		if cursor < r.Hi && !prefetch {
-			f.fc.InsertRange(tl, cursor, r.Hi,
-				pagecache.InsertOptions{MarkerAt: -1, Tenant: tenant})
-		}
-	}
+		wg.Add(1)
+		v.lanes.Stage(blockdev.LaneRequest{
+			Tenant:   tenant,
+			Op:       blockdev.OpRead,
+			Off:      c.devOff,
+			Bytes:    c.bytes,
+			Prefetch: prefetch,
+			Tag: &ringChunk{
+				pend: pend, wg: wg, f: f,
+				lo: c.lo, blocks: c.blocks, tenant: tenant, prefetch: prefetch,
+				arm: arm,
+			},
+		}, tl.Now())
+		return true
+	})
 }
 
 // ringRead services one read SQE: inline cache lookup, staging for the
@@ -354,23 +306,8 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	pend.advance(res.ReadyAt)
 
 	if res.PresentCount < hi-lo {
-		runs := sc.runs[:0]
-		runStart := int64(-1)
-		for i := lo; i < hi; i++ {
-			if !res.Present[i-lo] {
-				if runStart < 0 {
-					runStart = i
-				}
-			} else if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-		}
-		sc.runs = runs
-		v.stageRuns(tl, tenant, f, runs, pend, wg, false, telemetry.ArmNone)
+		sc.runs = appendMissingRuns(sc.runs[:0], res.Present, lo)
+		v.stageRuns(tl, tenant, f, sc.runs, pend, wg, false, telemetry.ArmNone)
 	}
 
 	pages := hi - lo
@@ -381,45 +318,17 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	return int64(f.ino.ReadAt(sq.Buf[:n], sq.Off))
 }
 
-// ringWrite services one buffered write SQE, mirroring WriteAt: RMW edge
-// fetches (blocking — merging into an unreadable block would corrupt it),
-// dirty insertion, and the dirty-balance throttle, which doubles as the
-// write-side admission control of the ring path.
+// ringWrite services one buffered write SQE with WriteAt's body; its dirty
+// throttle doubles as the write-side admission control of the ring path.
 func (v *VFS) ringWrite(tl *simtime.Timeline, tenant int, sq *RingSQE, pend *ringPending) int64 {
-	f := sq.F
 	if len(sq.Buf) == 0 || sq.Off < 0 {
 		return 0
 	}
-	bs := v.BlockSize()
-	n := int64(len(sq.Buf))
-	lo, hi := v.blockRange(sq.Off, n)
-	oldSize := f.ino.Size()
-
-	var rmw []bitmap.Run
-	if sq.Off%bs != 0 && sq.Off < oldSize {
-		if res := f.fc.LookupRange(tl, lo, lo+1); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: lo, Hi: lo + 1})
-		}
+	n, err := sq.F.bufferedWrite(tl, sq.Buf, sq.Off, tenant)
+	if err != nil {
+		pend.fail(err, tl.Now())
 	}
-	if (sq.Off+n)%bs != 0 && sq.Off+n < oldSize && hi-1 != lo {
-		if res := f.fc.LookupRange(tl, hi-1, hi); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: hi - 1, Hi: hi})
-		}
-	}
-	if len(rmw) > 0 {
-		if err := f.fetchRuns(tl, rmw); err != nil {
-			pend.fail(err, tl.Now())
-			return 0
-		}
-	}
-
-	f.ino.WriteAt(sq.Buf, sq.Off)
-	tl.Advance(simtime.Duration(hi-lo) * v.cfg.Costs.PageCopy)
-	f.fc.InsertRange(tl, lo, hi,
-		pagecache.InsertOptions{Dirty: true, MarkerAt: -1, Tenant: tenant})
-	f.fc.SetDirtyRange(tl, lo, hi)
-	v.balanceDirty(tl)
-	return n
+	return int64(n)
 }
 
 // ringPrefetch services one prefetch-intent SQE: the limit clamp and

@@ -18,7 +18,7 @@ func newRingKernel(t *testing.T, capacity int64) (*VFS, *telemetry.Recorder) {
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
-	v.Device().SetTelemetry(rec)
+	v.Stack().SetTelemetry(rec)
 	return v, rec
 }
 
@@ -92,7 +92,7 @@ func TestRingEnterReadsOneCrossing(t *testing.T) {
 	if s, c := rec.CounterValue(telemetry.CtrRingSQESubmitted), rec.CounterValue(telemetry.CtrRingCQECompleted); s != 4 || c != 4 {
 		t.Fatalf("sqes=%d cqes=%d, want 4/4", s, c)
 	}
-	if v.Device().Stats().ReadOps == 0 {
+	if v.Stack().Stats().ReadOps == 0 {
 		t.Fatal("cold ring reads should hit the device")
 	}
 }
@@ -106,13 +106,13 @@ func TestRingEnterWarmReadsSkipDevice(t *testing.T) {
 
 	buf := make([]byte, 64<<10)
 	v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
-	ops := v.Device().Stats().ReadOps
+	ops := v.Stack().Stats().ReadOps
 
 	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("warm read: %+v", cqes[0])
 	}
-	if got := v.Device().Stats().ReadOps; got != ops {
+	if got := v.Stack().Stats().ReadOps; got != ops {
 		t.Fatalf("warm ring read issued device I/O: %d -> %d ops", ops, got)
 	}
 }
@@ -204,13 +204,13 @@ func TestRingPrefetchPopulatesCache(t *testing.T) {
 		t.Fatalf("prefetch-inserted = %d pages, want %d (cold range)", ins, pages)
 	}
 
-	ops := v.Device().Stats().ReadOps
+	ops := v.Stack().Stats().ReadOps
 	buf := make([]byte, bytes_)
 	rcq := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
 	if rcq[0].Err != nil || rcq[0].N != bytes_ {
 		t.Fatalf("read after prefetch: %+v", rcq[0])
 	}
-	if got := v.Device().Stats().ReadOps; got != ops {
+	if got := v.Stack().Stats().ReadOps; got != ops {
 		t.Fatalf("read after prefetch issued device I/O: %d -> %d ops", ops, got)
 	}
 }
@@ -222,7 +222,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 1<<20)
 
-	v.Device().SetFaultInjector(allReads())
+	v.Stack().SetFaultInjector(allReads())
 	buf := make([]byte, 16<<10)
 	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf, User: 7}})
 	if cqes[0].Err == nil {
@@ -236,7 +236,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 	}
 	// Clearing the fault lets the same read succeed — nothing was
 	// inserted as present by the failed attempt.
-	v.Device().SetFaultInjector(nil)
+	v.Stack().SetFaultInjector(nil)
 	cqes = v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("retry after clearing fault: %+v", cqes[0])

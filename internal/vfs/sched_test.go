@@ -19,7 +19,7 @@ func newSchedKernel(t *testing.T, cfg Config, capacity int64) *VFS {
 	dev := blockdev.New(blockdev.NVMeConfig())
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	return New(cfg, fsys, dev, cache)
+	return NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
 }
 
 // fragmentFile materializes blocks [0, n) of f, bypassing the page
@@ -178,7 +178,7 @@ func TestDemandRetryBackoffClamp(t *testing.T) {
 	v := newSchedKernel(t, cfg, 1000)
 	tl := simtime.NewTimeline(0)
 
-	v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 80, // last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},

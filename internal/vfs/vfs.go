@@ -153,17 +153,11 @@ type VFS struct {
 	brownout atomic.Int32
 }
 
-// New assembles a kernel over a single bare device (wrapped as a
-// degenerate one-member stack). It installs the cache's dirty-page
-// writeback hook.
-func New(cfg Config, fsys *fs.FS, dev *blockdev.Device, cache *pagecache.Cache) *VFS {
-	return NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
-}
-
 // NewStack assembles a kernel over a composed device stack (striped
-// and/or tiered; see blockdev.NewStack). All read and write paths route
-// through the stack, so per-backend queueing, congestion, and tier
-// residency are visible to prefetch policy.
+// and/or tiered; see blockdev.NewStack; blockdev.WrapDevice adapts a bare
+// device). All read and write paths route through the stack, so
+// per-backend queueing, congestion, and tier residency are visible to
+// prefetch policy. It installs the cache's dirty-page writeback hook.
 func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cache) *VFS {
 	if cfg.MaxPrefetchBytes <= 0 {
 		cfg.MaxPrefetchBytes = 64 << 20
@@ -360,27 +354,74 @@ func (v *VFS) blockRange(off, n int64) (lo, hi int64) {
 	return off / bs, (off + n + bs - 1) / bs
 }
 
-// syncRead submits one blocking demand-read chunk through the plug's
-// passthrough lane, with bounded transient-fault retry and clamped
-// exponential virtual-time backoff: transient device glitches are
-// absorbed here (charged as wait time), while persistent faults and
-// exhausted budgets surface to the caller.
-func (v *VFS) syncRead(tl *simtime.Timeline, plug *blockdev.StackPlug, off, bytes int64) error {
+// retrySync runs one blocking device request with bounded transient-fault
+// retry and clamped exponential virtual-time backoff: transient device
+// glitches are absorbed here (charged as wait time), while persistent
+// faults and exhausted budgets surface to the caller.
+func (v *VFS) retrySync(tl *simtime.Timeline, access func() error) error {
 	rp := v.retryPolicy()
-	err := plug.SyncAccess(tl, blockdev.OpRead, off, bytes)
+	err := access()
 	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
 		start := tl.Now()
 		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
 		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
 			Annotate("attempt", int64(attempt))
 		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = plug.SyncAccess(tl, blockdev.OpRead, off, bytes)
+		err = access()
 	}
 	return err
 }
 
-// segBlocks converts a plug segment's byte length to pages.
-func segBlocks(s blockdev.Segment, bs int64) int64 { return (s.Bytes + bs - 1) / bs }
+// chunk is the unit of the way down: a hole of a file (zero-fill, no
+// device work; bytes == 0) or at most maxVFSRequest of one physical
+// extent, as logical blocks [lo, lo+blocks) and device range
+// [devOff, devOff+bytes).
+type chunk struct {
+	lo, blocks    int64
+	devOff, bytes int64
+}
+
+// eachChunk cuts logical-block runs into chunks, in file order: each run
+// over the file's physical extents, each extent at the VFS request size —
+// the one place that limit is applied. Holes inside a run are visited too;
+// callers that only move data skip them. visit returning false ends the
+// walk.
+func (f *File) eachChunk(runs []bitmap.Run, visit func(c chunk) bool) {
+	bs := f.v.BlockSize()
+	for _, r := range runs {
+		cursor := r.Lo
+		var physBuf [4]fs.PhysRun
+		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
+			if pr.Logical > cursor && !visit(chunk{lo: cursor, blocks: pr.Logical - cursor}) {
+				return
+			}
+			lo, devOff := pr.Logical, pr.Phys*bs
+			for remaining := pr.Count * bs; remaining > 0; {
+				bytes := min(remaining, maxVFSRequest)
+				blocks := (bytes + bs - 1) / bs
+				if !visit(chunk{lo: lo, blocks: blocks, devOff: devOff, bytes: bytes}) {
+					return
+				}
+				lo, devOff, remaining = lo+blocks, devOff+bytes, remaining-bytes
+			}
+			cursor = pr.Logical + pr.Count
+		}
+		if cursor < r.Hi && !visit(chunk{lo: cursor, blocks: r.Hi - cursor}) {
+			return
+		}
+	}
+}
+
+// segGroup reports the end index and page count of the group of plug
+// segments starting at i that one device command carried for logically
+// contiguous blocks — the unit an unplug's results are booked in.
+func segGroup(segs []blockdev.Segment, i int, bs int64) (end int, blocks int64) {
+	first := &segs[i]
+	for end = i; end < len(segs) && segs[end].Cmd == first.Cmd && segs[end].UserLo == first.UserLo+blocks; end++ {
+		blocks += (segs[end].Bytes + bs - 1) / bs
+	}
+	return end, blocks
+}
 
 // faultEvents records one device-fault trace event per failed plug
 // command (not per segment: the audit bounds fault events by injected
@@ -399,9 +440,30 @@ func (f *File) faultEvents(at simtime.Time, segs []blockdev.Segment, bs int64) {
 		}
 		if !dup {
 			f.v.rec.Event(at, telemetry.OutcomeDeviceFault,
-				f.ino.ID(), s.UserLo, s.UserLo+segBlocks(s, bs))
+				f.ino.ID(), s.UserLo, s.UserLo+(s.Bytes+bs-1)/bs)
 		}
 	}
+}
+
+// bookDemand books one completed demand read of pages [lo, lo+blocks):
+// the cross-layer counters, and the pages inserted ready at readyAt (zero:
+// the reader already waited for them) for tenant.
+func (f *File) bookDemand(tl *simtime.Timeline, lo, blocks int64, readyAt simtime.Time, tenant int) {
+	f.v.rec.Add(telemetry.CtrVFSDemandFetchPages, blocks)
+	telemetry.CountPages(tl, telemetry.PageDemand, blocks)
+	f.fc.InsertRange(tl, lo, lo+blocks, pagecache.InsertOptions{ReadyAt: readyAt, MarkerAt: -1, Tenant: tenant})
+}
+
+// bookPrefetch books one completed prefetch read of pages [lo, lo+blocks):
+// the cross-layer counters, and the pages inserted as opts says (ready
+// time, readahead marker, provenance). It returns the pages inserted —
+// those not already resident.
+func (f *File) bookPrefetch(tl *simtime.Timeline, lo, blocks int64, opts pagecache.InsertOptions) int64 {
+	f.v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, blocks)
+	telemetry.CountPages(tl, telemetry.PagePrefetch, blocks)
+	n := f.fc.InsertRange(tl, lo, lo+blocks, opts)
+	f.v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
+	return n
 }
 
 // fetchRuns synchronously reads the given missing logical-block runs from
@@ -411,88 +473,57 @@ func (f *File) faultEvents(at simtime.Time, segs []blockdev.Segment, bs int64) {
 // fetched (cache poisoning). Hole blocks (unmapped) are zero-fill and
 // insert without I/O. On error, chunks already fetched stay cached; the
 // rest of the range stays absent, and the error propagates.
-func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) error {
+//
+// Unplugged, each chunk dispatches, blocks the thread and inserts as the
+// walk reaches it; plugged, the walk accumulates and one unplug dispatches
+// the merged commands on the priority lane and then inserts each
+// successful command's logically-contiguous extents (a failed command
+// inserts nothing and leaves its pages absent for a later retry by the
+// caller).
+func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) (err error) {
 	sp := telemetry.Begin(tl, "vfs.demand_fetch", telemetry.CatCPU)
+	defer sp.End(tl)
 	bs := f.v.BlockSize()
 	plug := f.v.getPlug()
 	defer f.v.putPlug(plug)
-	plugged := plug.Plugged()
-	for _, r := range runs {
-		cursor := r.Lo
-		var physBuf [4]fs.PhysRun
-		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
-			if pr.Logical > cursor {
-				f.fc.InsertRange(tl, cursor, pr.Logical, pagecache.InsertOptions{MarkerAt: -1})
+	f.eachChunk(runs, func(c chunk) bool {
+		switch {
+		case c.bytes == 0:
+			f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{MarkerAt: -1})
+		case plug.Plugged():
+			plug.Add(blockdev.OpRead, c.devOff, c.bytes, c.lo)
+		default:
+			err = f.v.retrySync(tl, func() error {
+				return plug.SyncAccess(tl, blockdev.OpRead, c.devOff, c.bytes)
+			})
+			if err != nil {
+				f.v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
+				f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, c.lo+c.blocks)
+				sp.Annotate("io_error", 1)
+				return false
 			}
-			lo := pr.Logical
-			devOff := pr.Phys * bs
-			remaining := pr.Count * bs
-			for remaining > 0 {
-				chunk := remaining
-				if chunk > maxVFSRequest {
-					chunk = maxVFSRequest
-				}
-				chunkBlocks := (chunk + bs - 1) / bs
-				if plugged {
-					// Accumulate; the unplug below dispatches merged
-					// commands and inserts the fetched extents.
-					plug.Add(blockdev.OpRead, devOff, chunk, lo)
-				} else {
-					if err := f.v.syncRead(tl, plug, devOff, chunk); err != nil {
-						f.v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
-						f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault,
-							f.ino.ID(), lo, lo+chunkBlocks)
-						sp.Annotate("io_error", 1)
-						sp.End(tl)
-						return err
-					}
-					f.v.rec.Add(telemetry.CtrVFSDemandFetchPages, chunkBlocks)
-					telemetry.CountPages(tl, telemetry.PageDemand, chunkBlocks)
-					f.fc.InsertRange(tl, lo, lo+chunkBlocks, pagecache.InsertOptions{MarkerAt: -1})
-				}
-				lo += chunkBlocks
-				devOff += chunk
-				remaining -= chunk
-			}
-			cursor = pr.Logical + pr.Count
+			f.bookDemand(tl, c.lo, c.blocks, 0, 0)
 		}
-		if cursor < r.Hi {
-			f.fc.InsertRange(tl, cursor, r.Hi, pagecache.InsertOptions{MarkerAt: -1})
-		}
+		return true
+	})
+	if !plug.Plugged() {
+		return err
 	}
-	if !plugged {
-		sp.End(tl)
-		return nil
-	}
-
-	// Unplug: dispatch the merged commands on the priority lane, then
-	// insert each successful command's logically-contiguous extents (a
-	// failed command inserts nothing — the poisoning guard — and leaves
-	// its pages absent for a later retry by the caller).
-	err := plug.FlushSync(tl, f.v.retryPolicy())
+	err = plug.FlushSync(tl, f.v.retryPolicy())
 	f.v.rec.Add(telemetry.CtrVFSDemandRetries, int64(plug.Retries()))
 	segs := plug.Segments()
-	for gi := 0; gi < len(segs); {
-		gLo := segs[gi].UserLo
-		blocks := segBlocks(segs[gi], bs)
-		gj := gi + 1
-		for gj < len(segs) && segs[gj].Cmd == segs[gi].Cmd && segs[gj].UserLo == gLo+blocks {
-			blocks += segBlocks(segs[gj], bs)
-			gj++
+	for i := 0; i < len(segs); {
+		end, blocks := segGroup(segs, i, bs)
+		if segs[i].Issued {
+			f.bookDemand(tl, segs[i].UserLo, blocks, 0, 0)
 		}
-		if segs[gi].Issued {
-			f.v.rec.Add(telemetry.CtrVFSDemandFetchPages, blocks)
-			telemetry.CountPages(tl, telemetry.PageDemand, blocks)
-			f.fc.InsertRange(tl, gLo, gLo+blocks, pagecache.InsertOptions{MarkerAt: -1})
-		}
-		gi = gj
+		i = end
 	}
 	if err != nil {
 		f.v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
 		f.faultEvents(tl.Now(), segs, bs)
 		sp.Annotate("io_error", 1)
 	}
-	sp.End(tl)
 	return err
 }
 
@@ -506,142 +537,83 @@ func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) error {
 // partition. Returns pages issued and the first device error; a failed
 // chunk inserts nothing (the poisoning guard) and aborts the remainder
 // of the request, leaving the pages to demand reads.
-func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap.Run, markerAt int64, origin telemetry.Origin, arm telemetry.Arm) (int64, error) {
+//
+// Unplugged, each chunk is admitted against the per-backend backlog of
+// exactly the members it targets, plus this request's own advancing
+// per-member horizon (AsyncPrefetchChunk): a request piling chunks onto
+// one backend still trips the congestion limit (§4.7) even if the
+// ledger's bounded span ring forgets old reservations, while a saturated
+// backend never postpones chunks bound for others. Plugged, the walk
+// accumulates every chunk and one congestion-aware unplug dispatches the
+// merged commands on the async lane; the prefetch mark lets a tiered
+// stack promote remote extents these reads touch.
+func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap.Run, markerAt int64, origin telemetry.Origin, arm telemetry.Arm) (issued int64, err error) {
 	sp := telemetry.Begin(tl, "vfs.prefetch", telemetry.CatCPU)
+	defer sp.End(tl)
 	if len(runs) == 0 {
-		sp.End(tl)
 		return 0, nil
 	}
 	bs := f.v.BlockSize()
 	plug := f.v.getPlug()
 	defer f.v.putPlug(plug)
-	var issued int64
-	if !plug.Plugged() {
-		// Each chunk is admitted against the per-backend backlog of
-		// exactly the members it targets, plus this request's own
-		// advancing per-member horizon (AsyncPrefetchChunk): a request
-		// piling chunks onto one backend still trips the limit even if
-		// the ledger's bounded span ring forgets old reservations, while
-		// a saturated backend never postpones chunks bound for others.
-		for _, r := range runs {
-			var physBuf [4]fs.PhysRun
-			for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
-				lo := pr.Logical
-				devOff := pr.Phys * bs
-				remaining := pr.Count * bs
-				for remaining > 0 {
-					chunk := remaining
-					if chunk > maxVFSRequest {
-						chunk = maxVFSRequest
-					}
-					chunkBlocks := (chunk + bs - 1) / bs
-					// Congestion control: postpone prefetch that would pile
-					// onto already-backlogged backends (§4.7).
-					done, congested, err := plug.AsyncPrefetchChunk(at, devOff, chunk, f.v.cfg.CongestionLimit)
-					if congested {
-						sp.Annotate("congested", 1)
-						sp.End(tl)
-						return issued, nil
-					}
-					if err != nil {
-						f.v.rec.Event(at, telemetry.OutcomeDeviceFault,
-							f.ino.ID(), lo, lo+chunkBlocks)
-						sp.Annotate("io_error", 1)
-						sp.End(tl)
-						return issued, err
-					}
-					// The async read runs on the device's own schedule; record
-					// its reserved interval as an explicit child (the critical
-					// path clamps it to whatever overlaps this request).
-					sp.Child("dev.async_read", telemetry.CatDevice, at, done).
-						Annotate("bytes", chunk)
-					f.v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, chunkBlocks)
-					telemetry.CountPages(tl, telemetry.PagePrefetch, chunkBlocks)
-					f.v.rec.Observe(telemetry.HistPrefetchLat, int64(done.Sub(at)))
-					n := f.fc.InsertRange(tl, lo, lo+chunkBlocks, pagecache.InsertOptions{
-						ReadyAt:  done,
-						MarkerAt: markerAt,
-						Origin:   origin,
-						Arm:      arm,
-					})
-					f.v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-					issued += n
-					lo += chunkBlocks
-					devOff += chunk
-					remaining -= chunk
-				}
-			}
-		}
-		sp.End(tl)
-		return issued, nil
-	}
-
-	// Plugged: accumulate every chunk, then one congestion-aware unplug
-	// dispatches the merged commands on the async lane. The prefetch mark
-	// lets a tiered stack promote remote extents these reads touch.
 	plug.MarkPrefetch(true)
-	for _, r := range runs {
-		var physBuf [4]fs.PhysRun
-		for _, pr := range f.ino.AppendMapRange(physBuf[:0], r.Lo, r.Hi) {
-			lo := pr.Logical
-			devOff := pr.Phys * bs
-			remaining := pr.Count * bs
-			for remaining > 0 {
-				chunk := remaining
-				if chunk > maxVFSRequest {
-					chunk = maxVFSRequest
-				}
-				plug.Add(blockdev.OpRead, devOff, chunk, lo)
-				lo += (chunk + bs - 1) / bs
-				devOff += chunk
-				remaining -= chunk
+	// book settles one completed read of [lo, lo+blocks): the async read
+	// runs on the device's own schedule, so its reserved interval is an
+	// explicit span child (the critical path clamps it to whatever
+	// overlaps this request).
+	book := func(lo, blocks int64, done simtime.Time) {
+		sp.Child("dev.async_read", telemetry.CatDevice, at, done).Annotate("bytes", blocks*bs)
+		f.v.rec.Observe(telemetry.HistPrefetchLat, int64(done.Sub(at)))
+		issued += f.bookPrefetch(tl, lo, blocks, pagecache.InsertOptions{
+			ReadyAt: done, MarkerAt: markerAt, Origin: origin, Arm: arm})
+	}
+	f.eachChunk(runs, func(c chunk) bool {
+		switch {
+		case c.bytes == 0:
+			// A hole: nothing to read ahead.
+		case plug.Plugged():
+			plug.Add(blockdev.OpRead, c.devOff, c.bytes, c.lo)
+		default:
+			done, congested, cerr := plug.AsyncPrefetchChunk(at, c.devOff, c.bytes, f.v.cfg.CongestionLimit)
+			if congested {
+				sp.Annotate("congested", 1)
+				return false
 			}
+			if err = cerr; err != nil {
+				f.v.rec.Event(at, telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, c.lo+c.blocks)
+				sp.Annotate("io_error", 1)
+				return false
+			}
+			book(c.lo, c.blocks, done)
 		}
+		return true
+	})
+	if !plug.Plugged() {
+		return issued, err
 	}
 	plug.FlushAsync(at, f.v.cfg.CongestionLimit)
 	segs := plug.Segments()
-	var firstErr error
 	congested := false
-	for gi := 0; gi < len(segs); {
-		gLo := segs[gi].UserLo
-		blocks := segBlocks(segs[gi], bs)
-		gj := gi + 1
-		for gj < len(segs) && segs[gj].Cmd == segs[gi].Cmd && segs[gj].UserLo == gLo+blocks {
-			blocks += segBlocks(segs[gj], bs)
-			gj++
-		}
-		s := segs[gi]
-		switch {
+	for i := 0; i < len(segs); {
+		end, blocks := segGroup(segs, i, bs)
+		switch s := &segs[i]; {
 		case s.Congested:
 			congested = true
 		case s.Err != nil:
-			if firstErr == nil {
-				firstErr = s.Err
+			if err == nil {
+				err = s.Err
 			}
 		case s.Issued:
-			sp.Child("dev.async_read", telemetry.CatDevice, at, s.Done).
-				Annotate("bytes", blocks*bs)
-			f.v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, blocks)
-			telemetry.CountPages(tl, telemetry.PagePrefetch, blocks)
-			f.v.rec.Observe(telemetry.HistPrefetchLat, int64(s.Done.Sub(at)))
-			n := f.fc.InsertRange(tl, gLo, gLo+blocks, pagecache.InsertOptions{
-				ReadyAt:  s.Done,
-				MarkerAt: markerAt,
-				Origin:   origin,
-				Arm:      arm,
-			})
-			f.v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-			issued += n
+			book(s.UserLo, blocks, s.Done)
 		}
-		gi = gj
+		i = end
 	}
 	if congested {
 		sp.Annotate("congested", 1)
 	}
-	if firstErr != nil {
+	if err != nil {
 		f.faultEvents(at, segs, bs)
 		sp.Annotate("io_error", 1)
 	}
-	sp.End(tl)
-	return issued, firstErr
+	return issued, err
 }

@@ -19,7 +19,7 @@ func newTestKernel(t *testing.T, capacity int64) *VFS {
 	dev := blockdev.New(blockdev.NVMeConfig())
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	return New(DefaultConfig(), fsys, dev, cache)
+	return NewStack(DefaultConfig(), fsys, blockdev.WrapDevice(dev), cache)
 }
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
@@ -55,7 +55,7 @@ func TestReadMissesFetchFromDevice(t *testing.T) {
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	st := v.Device().Stats()
+	st := v.Stack().Stats()
 	if st.ReadOps == 0 {
 		t.Fatal("cold read should hit the device")
 	}
@@ -71,12 +71,12 @@ func TestCachedReadSkipsDevice(t *testing.T) {
 	f, _ := v.Open(tl, "big")
 	buf := make([]byte, 4096)
 	f.ReadAt(tl, buf, 0)
-	ops := v.Device().Stats().ReadOps
+	ops := v.Stack().Stats().ReadOps
 	// Re-read the same page: warm.
 	f.ReadAt(tl, buf, 0)
 	// Readahead may have fetched more, but the demanded page itself must
 	// not trigger new sync I/O beyond what readahead did.
-	if got := v.Device().Stats().ReadOps; got < ops {
+	if got := v.Stack().Stats().ReadOps; got < ops {
 		t.Fatalf("device ops went backwards: %d -> %d", ops, got)
 	}
 	if v.Cache().Stats().Hits == 0 {
@@ -260,11 +260,11 @@ func TestFsyncWritesBack(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "log")
 	f.WriteAt(tl, make([]byte, 1<<20), 0)
-	wrBefore := v.Device().Stats().WriteBytes
+	wrBefore := v.Stack().Stats().WriteBytes
 	if err := f.Fsync(tl); err != nil {
 		t.Fatal(err)
 	}
-	wrAfter := v.Device().Stats().WriteBytes
+	wrAfter := v.Stack().Stats().WriteBytes
 	if wrAfter-wrBefore != 1<<20 {
 		t.Fatalf("fsync wrote %d bytes, want 1MB", wrAfter-wrBefore)
 	}
@@ -272,7 +272,7 @@ func TestFsyncWritesBack(t *testing.T) {
 	if err := f.Fsync(tl); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Device().Stats().WriteBytes; got != wrAfter {
+	if got := v.Stack().Stats().WriteBytes; got != wrAfter {
 		t.Fatalf("second fsync wrote %d extra bytes", got-wrAfter)
 	}
 }
@@ -406,10 +406,10 @@ func TestWriteRMWFetchesPartialEdges(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	readsBefore := v.Device().Stats().ReadOps
+	readsBefore := v.Stack().Stats().ReadOps
 	// Unaligned overwrite in the middle of existing data.
 	f.WriteAt(tl, []byte("xyz"), 5000)
-	if got := v.Device().Stats().ReadOps; got == readsBefore {
+	if got := v.Stack().Stats().ReadOps; got == readsBefore {
 		t.Fatal("partial-block overwrite should RMW-fetch the block")
 	}
 	got := make([]byte, 3)

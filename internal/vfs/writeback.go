@@ -9,27 +9,15 @@ package vfs
 
 import (
 	"repro/internal/blockdev"
+	"repro/internal/fs"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// syncAccess is Device.Access plus bounded transient-fault retry with
-// clamped exponential virtual-time backoff — the blocking write path's
-// resilience: transient device glitches are absorbed here (charged as
-// wait time), while persistent faults and exhausted budgets surface to
-// the caller.
+// syncAccess is Stack.Access under retrySync — the blocking write path's
+// resilience to transient device glitches.
 func (v *VFS) syncAccess(tl *simtime.Timeline, op blockdev.Op, off, bytes int64) error {
-	rp := v.retryPolicy()
-	err := v.dev.Access(tl, op, off, bytes)
-	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
-		start := tl.Now()
-		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
-		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
-			Annotate("attempt", int64(attempt))
-		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = v.dev.Access(tl, op, off, bytes)
-	}
-	return err
+	return v.retrySync(tl, func() error { return v.dev.Access(tl, op, off, bytes) })
 }
 
 // flushRun is the page cache's dirty writeback hook: async device writes
@@ -66,7 +54,8 @@ func (v *VFS) flushRun(at simtime.Time, inoID, lo, hi int64) (simtime.Time, erro
 		}
 		return last, nil
 	}
-	for _, pr := range ino.MapRange(lo, hi) {
+	var physBuf [4]fs.PhysRun
+	for _, pr := range ino.AppendMapRange(physBuf[:0], lo, hi) {
 		if err := write(pr.Phys*bs, pr.Count*bs); err != nil {
 			return last, err
 		}
