@@ -27,6 +27,10 @@
 // /tracez (the span flight recorder's slowest retained roots), and
 // /debug/pprof. The listener drains with a bounded timeout on exit.
 //
+// Every mode prints its table — the one crossbench prints for the same
+// sweep — and, with -json, archives one record per row; table and records
+// are rendered from the sweep's one field list in internal/experiments.
+//
 // -mode score sweeps sequential/strided/zipfian/shared-file access
 // through the online scorecards and writes one JSON record per pattern;
 // the cells must discriminate (sequential high accuracy, zipfian low
@@ -42,10 +46,13 @@
 //
 // -mode tier sweeps the device-stack grid — RAID-0 stripe width, a
 // half-remote NVMe-oF tier, and cross-tier prefetch — under
-// sequential/zipfian-LSM/shared-file access (see experiments.TierCells:
-// every cell is byte-verified, audit-reconciled down to the per-backend
-// command partition, re-run to an identical digest, and the striping /
-// warm-hit / p99 contracts asserted before anything is written).
+// sequential/zipfian-LSM/shared-file access, with the striping /
+// warm-hit / p99 contracts asserted.
+//
+// In the four sweep modes (overload, score, predict, tier) every cell is
+// byte-verified, audit-reconciled, re-run on a fresh system to an
+// identical digest, and the sweep's contract asserted before anything is
+// written (internal/experiments/sweep.go).
 //
 // The sync/rings frontends take the same stack shape directly:
 // -stripe N stripes the local tier RAID-0 across N devices,
@@ -69,11 +76,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"sync/atomic"
-	"time"
 
 	crossprefetch "repro"
 	"repro/internal/admin"
@@ -88,628 +97,182 @@ import (
 // endpoints always read the live system (cells swap under one listener).
 var liveSys atomic.Pointer[crossprefetch.System]
 
+// live reads one view of the live system for an admin endpoint; nil
+// (no cell running yet) becomes the endpoint's 503.
+func live[T any](view func(*crossprefetch.System) *T) func() *T {
+	return func() *T {
+		if s := liveSys.Load(); s != nil {
+			return view(s)
+		}
+		return nil
+	}
+}
+
 // startAdmin brings up the live admin plane on addr. The returned stop
-// function drains the listener with a bounded timeout — call it before
-// exiting so runs stay leak-free.
-func startAdmin(addr string) func() {
+// function drains the listener with a bounded timeout.
+func startAdmin(addr string, stdout io.Writer) (stop func(), err error) {
 	srv, err := admin.Start(addr, admin.Config{
-		Snapshot: func() *telemetry.Snapshot {
-			if s := liveSys.Load(); s != nil {
-				return s.Telemetry().Snapshot()
-			}
-			return nil
-		},
-		Scorecard: func() *telemetry.ScorecardSnapshot {
-			if s := liveSys.Load(); s != nil {
-				return s.Scorecard().Snapshot()
-			}
-			return nil
-		},
-		Tracer: func() *telemetry.Tracer {
-			if s := liveSys.Load(); s != nil {
-				return s.Tracer()
-			}
-			return nil
-		},
+		Snapshot:  live(func(s *crossprefetch.System) *telemetry.Snapshot { return s.Telemetry().Snapshot() }),
+		Scorecard: live(func(s *crossprefetch.System) *telemetry.ScorecardSnapshot { return s.Scorecard().Snapshot() }),
+		Tracer:    live((*crossprefetch.System).Tracer),
+		Tiers:     live((*crossprefetch.System).Stack),
 		Predictors: func() []crosslib.PredictorRow {
 			if s := liveSys.Load(); s != nil {
 				return s.Lib().PredictorTable()
 			}
 			return nil
 		},
-		Tiers: func() *blockdev.Stack {
-			if s := liveSys.Load(); s != nil {
-				return s.Stack()
-			}
-			return nil
-		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crosserve:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	fmt.Printf("admin plane on http://%s (/metrics /scorecards /predictors /tracez /debug/pprof)\n", srv.Addr())
+	fmt.Fprintf(stdout, "admin plane on http://%s (%s)\n", srv.Addr(), strings.Join(admin.Routes(), " "))
 	return func() {
 		if err := srv.Shutdown(); err != nil {
 			fmt.Fprintln(os.Stderr, "crosserve: admin shutdown:", err)
 		}
-	}
-}
-
-// record is one replay cell in the JSON output.
-type record struct {
-	Mode           string  `json:"mode"`
-	Tenants        int     `json:"tenants"`
-	Sessions       int     `json:"sessions_per_tenant"`
-	Ops            int64   `json:"ops"`
-	ClientMB       float64 `json:"client_mb"`
-	Crossings      int64   `json:"crossings"`
-	CrossingsPerOp float64 `json:"crossings_per_op"`
-	MeanDepth      float64 `json:"mean_dispatch_depth"`
-	MaxBatch       int64   `json:"max_dispatch_depth"`
-	Backpressure   int64   `json:"ring_backpressure"`
-	P50Us          float64 `json:"p50_us"`
-	P99Us          float64 `json:"p99_us"`
-	MakespanMs     float64 `json:"makespan_ms"`
-	MBs            float64 `json:"mb_per_s"`
-	MinTenantMB    float64 `json:"fair_min_tenant_mb"`
-	MaxTenantMB    float64 `json:"fair_max_tenant_mb"`
-	DeviceReadMB   float64 `json:"device_read_mb"`
-	Audit          string  `json:"audit"`
-}
-
-// stackFlags carries the -stripe / -tier-split / -remote-rtt device
-// stack shape into the sync/rings frontends.
-type stackFlags struct {
-	stripe    int
-	tierSplit float64
-	remoteRTT time.Duration
-}
-
-// apply configures cfg's device stack from the flags: RAID-0 striping
-// at the requested width, and a remote NVMe-oF tier holding tierSplit
-// of the extents with cross-tier prefetch on.
-func (sf stackFlags) apply(cfg *crossprefetch.Config) {
-	cfg.Stripe = sf.stripe
-	if sf.tierSplit > 0 {
-		cfg.Tier = blockdev.TierConfig{
-			Enabled:           true,
-			RemoteFrac:        sf.tierSplit,
-			CrossTierPrefetch: true,
-		}
-		if sf.remoteRTT > 0 {
-			cfg.Tier.Remote = blockdev.RemoteNVMeConfigRTT(simtime.Duration(sf.remoteRTT))
-		}
-	}
-}
-
-func run(c experiments.ServeConfig, memMB int64, mode string, sf stackFlags) (record, error) {
-	cfg := crossprefetch.Config{
-		MemoryBytes:     memMB << 20,
-		Approach:        crossprefetch.CrossPredictOpt,
-		Plug:            true,
-		Telemetry:       true,
-		Trace:           true,
-		Scorecard:       true,
-		CongestionLimit: simtime.Second,
-	}
-	sf.apply(&cfg)
-	c.Sys = crossprefetch.NewSystem(cfg)
-	liveSys.Store(c.Sys)
-	c.Rings = mode == "rings"
-	res, err := experiments.RunServe(c)
-	if err != nil {
-		return record{}, err
-	}
-	audit := "ok"
-	if err := c.Sys.AuditTelemetry(); err != nil {
-		audit = err.Error()
-	}
-	us := func(d simtime.Duration) float64 {
-		return float64(d) / float64(simtime.Microsecond)
-	}
-	return record{
-		Mode:           mode,
-		Tenants:        c.Tenants,
-		Sessions:       c.Sessions,
-		Ops:            res.Ops,
-		ClientMB:       float64(res.Bytes) / (1 << 20),
-		Crossings:      res.Crossings,
-		CrossingsPerOp: res.CrossingsPerOp(),
-		MeanDepth:      res.MeanDepth,
-		MaxBatch:       res.MaxBatch,
-		Backpressure:   res.Backpressure,
-		P50Us:          us(res.P50),
-		P99Us:          us(res.P99),
-		MakespanMs:     float64(res.Makespan) / float64(simtime.Millisecond),
-		MBs:            res.MBs(),
-		MinTenantMB:    float64(res.MinTenantBytes) / (1 << 20),
-		MaxTenantMB:    float64(res.MaxTenantBytes) / (1 << 20),
-		DeviceReadMB:   res.DeviceReadMB,
-		Audit:          audit,
 	}, nil
 }
 
-// overloadRecord is one overload cell in the JSON output.
-type overloadRecord struct {
-	Cell           string  `json:"cell"`
-	Victims        int     `json:"victims"`
-	VictimOps      int64   `json:"victim_ops"`
-	VictimMB       float64 `json:"victim_mb"`
-	P50Us          float64 `json:"p50_us"`
-	P99Us          float64 `json:"p99_us"`
-	P99VsIsolated  float64 `json:"p99_vs_isolated"`
-	ScanMB         float64 `json:"scan_mb"`
-	BudgetPages    int64   `json:"budget_pages"`
-	ShedSQEs       int64   `json:"shed_sqes"`
-	DeadlineMisses int64   `json:"deadline_misses"`
-	Brownouts      int64   `json:"brownout_transitions"`
-	TenantReclaims int64   `json:"tenant_reclaims"`
-	Digest         string  `json:"determinism_digest"`
-	Audit          string  `json:"audit"`
-}
-
-// overloadCell describes one policy point of the overload sweep.
-type overloadCell struct {
-	name       string
-	antagonist bool
-	budget     int64 // hard pages; 0 = unlimited
-	brownout   bool
-	deadline   simtime.Duration
-}
-
-func runOverloadCell(cl overloadCell, victims int, ops int, iosize, fileMB, memMB int64, seed int64) (overloadRecord, error) {
-	sys := crossprefetch.NewSystem(crossprefetch.Config{
-		MemoryBytes: memMB << 20,
-		Approach:    crossprefetch.CrossPredictOpt,
-		Plug:        true,
-		Telemetry:   true,
-		Scorecard:   true,
-		Brownout:    cl.brownout,
-	})
-	liveSys.Store(sys)
-	res, err := experiments.RunOverload(experiments.OverloadConfig{
-		Sys: sys, Victims: victims, Ops: ops, IOSize: iosize,
-		VictimMB: fileMB, ScanMB: 8 * fileMB,
-		Antagonist:  cl.antagonist,
-		BudgetPages: cl.budget,
-		Deadline:    cl.deadline,
-		Seed:        seed,
-	})
+// writeRecords archives a mode's records, one JSON object per row.
+func writeRecords(path string, records []experiments.Record, stdout io.Writer) error {
+	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {
-		return overloadRecord{}, err
+		return err
 	}
-	// RunOverload already enforced the audit; surface it in the record
-	// for the JSON archive.
-	audit := "ok"
-	if err := sys.AuditTelemetry(); err != nil {
-		audit = err.Error()
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	us := func(d simtime.Duration) float64 {
-		return float64(d) / float64(simtime.Microsecond)
-	}
-	return overloadRecord{
-		Cell:           cl.name,
-		Victims:        victims,
-		VictimOps:      res.VictimOps,
-		VictimMB:       float64(res.VictimBytes) / (1 << 20),
-		P50Us:          us(res.VictimP50),
-		P99Us:          us(res.VictimP99),
-		ScanMB:         float64(res.ScanBytes) / (1 << 20),
-		BudgetPages:    cl.budget,
-		ShedSQEs:       res.ShedSQEs,
-		DeadlineMisses: res.DeadlineMisses,
-		Brownouts:      res.Brownouts,
-		TenantReclaims: res.TenantReclaims,
-		Digest:         fmt.Sprintf("%016x", res.Digest),
-		Audit:          audit,
-	}, nil
-}
-
-func runOverload(victims, ops int, iosize, fileMB, memMB, budgetMB int64,
-	deadline time.Duration, antagonist, sweep bool, seed int64, jsonOut string) {
-	if memMB <= 0 {
-		memMB = int64(victims+1) * fileMB / 2
-	}
-	bs := int64(4096)
-	budget := budgetMB << 20 / bs
-	if budget <= 0 {
-		// Default hard cap: two equal shares of the cache per tenant
-		// (soft = one share) — victims keep headroom, the scan does not.
-		budget = 2 * (memMB << 20 / bs) / int64(victims+1)
-	}
-	dl := simtime.Duration(deadline)
-
-	var cells []overloadCell
-	if sweep {
-		cells = []overloadCell{
-			{name: "isolated"},
-			{name: "no-budget", antagonist: true},
-			{name: "budget", antagonist: true, budget: budget},
-			{name: "budget+brownout", antagonist: true, budget: budget, brownout: true},
-			{name: "budget+deadline", antagonist: true, budget: budget, brownout: true,
-				deadline: 50 * simtime.Microsecond},
-		}
-	} else {
-		cl := overloadCell{name: "custom", antagonist: antagonist, deadline: dl}
-		if budgetMB > 0 {
-			cl.budget = budget
-			cl.brownout = true
-		}
-		cells = append(cells, cl)
-	}
-
-	var records []overloadRecord
-	var isolatedP99 float64
-	for _, cl := range cells {
-		rec, err := runOverloadCell(cl, victims, ops, iosize, fileMB, memMB, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosserve: overload %s: %v\n", cl.name, err)
-			os.Exit(1)
-		}
-		if cl.name == "isolated" {
-			isolatedP99 = rec.P99Us
-		}
-		if isolatedP99 > 0 {
-			rec.P99VsIsolated = rec.P99Us / isolatedP99
-		}
-		records = append(records, rec)
-		// Single-cell runs have no isolated baseline; skip the ratio.
-		vs := "n/a"
-		if rec.P99VsIsolated > 0 {
-			vs = fmt.Sprintf("%.2fx", rec.P99VsIsolated)
-		}
-		fmt.Printf("%-16s victims=%d ops=%-5d p50=%.1fus p99=%.1fus (%s) "+
-			"shed=%d dl-miss=%d brownouts=%d t-reclaims=%d audit=%s\n",
-			rec.Cell, rec.Victims, rec.VictimOps, rec.P50Us, rec.P99Us,
-			vs, rec.ShedSQEs, rec.DeadlineMisses,
-			rec.Brownouts, rec.TenantReclaims, rec.Audit)
-		if rec.Audit != "ok" {
-			fmt.Fprintf(os.Stderr, "crosserve: telemetry audit failed for overload %s\n", cl.name)
-			os.Exit(1)
-		}
-		if cl.budget > 0 && isolatedP99 > 0 && rec.P99Us > 2*isolatedP99 {
-			fmt.Fprintf(os.Stderr, "crosserve: overload %s: victim p99 %.1fus > 2x isolated %.1fus\n",
-				cl.name, rec.P99Us, isolatedP99)
-			os.Exit(1)
-		}
-	}
-
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(records), jsonOut)
-	}
-}
-
-// scoreRecord is one scorecard-sweep cell in the JSON output.
-type scoreRecord struct {
-	Pattern   string  `json:"pattern"`
-	Reads     int64   `json:"reads"`
-	ClientMB  float64 `json:"client_mb"`
-	Issued    int64   `json:"pf_issued_pages"`
-	Used      int64   `json:"pf_used_pages"`
-	Wasted    int64   `json:"pf_wasted_pages"`
-	Evicted   int64   `json:"evicted_pages"`
-	Accuracy  float64 `json:"accuracy"`
-	Coverage  float64 `json:"coverage"`
-	Pollution float64 `json:"pollution"`
-	P50Us     float64 `json:"timeliness_p50_us"`
-	P99Us     float64 `json:"timeliness_p99_us"`
-	LatePages int64   `json:"late_pages"`
-	Digest    string  `json:"scorecard_digest"`
-}
-
-// runScore sweeps the four access patterns through the online
-// scorecards (see experiments.ScoreCells: every cell is byte-verified,
-// audit-clean, and re-run to prove the scorecard JSON deterministic).
-func runScore(fileMB, iosize int64, ops, clients int, seed int64, jsonOut string) {
-	cells, err := experiments.ScoreCells(experiments.ScoreConfig{
-		FileMB: fileMB, IOSize: iosize, Ops: ops, Clients: clients, Seed: seed,
-		Observe: func(sys *crossprefetch.System) { liveSys.Store(sys) },
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crosserve: score:", err)
-		os.Exit(1)
-	}
-	var records []scoreRecord
-	for _, p := range []experiments.ScorePattern{
-		experiments.PatternSequential, experiments.PatternStrided,
-		experiments.PatternZipfian, experiments.PatternShared,
-	} {
-		r := cells[p]
-		us := func(ns int64) float64 { return float64(ns) / float64(simtime.Microsecond) }
-		rec := scoreRecord{
-			Pattern: p.String(), Reads: r.Reads,
-			ClientMB: float64(r.Bytes) / (1 << 20),
-			Issued:   r.Issued, Used: r.Used, Wasted: r.Wasted, Evicted: r.Evicted,
-			Accuracy: r.Accuracy, Coverage: r.Coverage, Pollution: r.Pollution,
-			P50Us: us(r.TimelinessP50), P99Us: us(r.TimelinessP99),
-			LatePages: r.LatePages,
-			Digest:    fmt.Sprintf("%016x", r.Digest),
-		}
-		records = append(records, rec)
-		fmt.Printf("%-12s reads=%-5d acc=%.3f cov=%.3f pol=%.3f t-p50=%.1fus t-p99=%.1fus late=%d digest=%s\n",
-			rec.Pattern, rec.Reads, rec.Accuracy, rec.Coverage, rec.Pollution,
-			rec.P50Us, rec.P99Us, rec.LatePages, rec.Digest)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(records), jsonOut)
-	}
-}
-
-// predictRecord is one pattern × predictor-mode cell in the -mode
-// predict JSON output.
-type predictRecord struct {
-	Pattern         string  `json:"pattern"`
-	Mode            string  `json:"mode"` // "fixed" or "ensemble"
-	Reads           int64   `json:"reads"`
-	ClientMB        float64 `json:"client_mb"`
-	LiveArm         string  `json:"live_arm"`
-	Promotions      int64   `json:"promotions"`
-	WarmReads       int64   `json:"warm_reads"`
-	WarmHitRate     float64 `json:"warm_hit_rate"`
-	WarmPagesPerSec float64 `json:"warm_pages_per_s"`
-	Digest          string  `json:"scorecard_digest"`
-}
-
-// runPredict sweeps the three predict patterns through the fixed
-// counter and the competing-predictor ensemble (see
-// experiments.PredictCells: every cell is byte-verified, audit-clean,
-// re-run to prove determinism, and the ensemble contract — beat the
-// counter on zipfian-LSM, concede at most 2% on pure sequential — is
-// asserted before anything is written).
-func runPredict(fileMB, iosize int64, ops int, seed int64, jsonOut string) {
-	cells, err := experiments.PredictCells(experiments.PredictConfig{
-		FileMB: fileMB, IOSize: iosize, Ops: ops, Seed: seed,
-		Observe: func(sys *crossprefetch.System) { liveSys.Store(sys) },
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crosserve: predict:", err)
-		os.Exit(1)
-	}
-	var records []predictRecord
-	for _, p := range []experiments.PredictPattern{
-		experiments.PredictSequential, experiments.PredictZipfLSM,
-		experiments.PredictInterleaved,
-	} {
-		cell := cells[p]
-		for _, m := range []struct {
-			name string
-			res  *experiments.PredictResult
-		}{{"fixed", cell.Fixed}, {"ensemble", cell.Ensemble}} {
-			r := m.res
-			rec := predictRecord{
-				Pattern: p.String(), Mode: m.name, Reads: r.Reads,
-				ClientMB: float64(r.Bytes) / (1 << 20),
-				LiveArm:  r.LiveArm, Promotions: r.Promotions,
-				WarmReads: r.WarmReads, WarmHitRate: r.WarmHitRate,
-				WarmPagesPerSec: r.WarmPagesPerSec,
-				Digest:          fmt.Sprintf("%016x", r.Digest),
-			}
-			records = append(records, rec)
-			fmt.Printf("%-12s %-8s reads=%-5d arm=%-8s promo=%-2d warm-hit=%.3f warm-pages/s=%.0f digest=%s\n",
-				rec.Pattern, rec.Mode, rec.Reads, rec.LiveArm, rec.Promotions,
-				rec.WarmHitRate, rec.WarmPagesPerSec, rec.Digest)
-		}
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(records), jsonOut)
-	}
-}
-
-// tierRecord is one stack × pattern cell in the -mode tier JSON output.
-type tierRecord struct {
-	Pattern            string  `json:"pattern"`
-	Stack              string  `json:"stack"`
-	Reads              int64   `json:"reads"`
-	ClientMB           float64 `json:"client_mb"`
-	WarmReads          int64   `json:"warm_reads"`
-	WarmHitRate        float64 `json:"warm_hit_rate"`
-	WarmPagesPerSec    float64 `json:"warm_pages_per_s"`
-	P99Us              float64 `json:"p99_us"`
-	Promotions         int64   `json:"promotions"`
-	PrefetchPromotions int64   `json:"prefetch_promotions"`
-	Demotions          int64   `json:"demotions"`
-	CopybackMB         float64 `json:"copyback_mb"`
-	BackendCommands    []int64 `json:"backend_commands"`
-	Digest             string  `json:"determinism_digest"`
-}
-
-// runTier sweeps the device-stack grid under the three access patterns
-// (see experiments.TierCells: every cell is byte-verified, audit-clean
-// down to the per-backend command partition, re-run to an identical
-// digest, and the striping / warm-hit / p99 contracts asserted before
-// anything is written).
-func runTier(fileMB, iosize int64, ops int, seed int64, jsonOut string) {
-	cells, err := experiments.TierCells(experiments.TierConfigCell{
-		FileMB: fileMB, IOSize: iosize, Ops: ops, Seed: seed,
-		Observe: func(sys *crossprefetch.System) { liveSys.Store(sys) },
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crosserve: tier:", err)
-		os.Exit(1)
-	}
-	var records []tierRecord
-	for _, kr := range experiments.TierRows(cells) {
-		r := kr.Result
-		rec := tierRecord{
-			Pattern: kr.Pattern, Stack: kr.Cell, Reads: r.Reads,
-			ClientMB:  float64(r.Bytes) / (1 << 20),
-			WarmReads: r.WarmReads, WarmHitRate: r.WarmHitRate,
-			WarmPagesPerSec: r.WarmPagesPerSec, P99Us: r.P99Micros,
-			Promotions:         r.Promotions,
-			PrefetchPromotions: r.PrefetchPromotions,
-			Demotions:          r.Demotions,
-			CopybackMB:         float64(r.CopybackBytes) / (1 << 20),
-			BackendCommands:    r.BackendCommands,
-			Digest:             fmt.Sprintf("%016x", r.Digest),
-		}
-		records = append(records, rec)
-		fmt.Printf("%-12s %-17s reads=%-5d warm-hit=%.3f warm-pages/s=%-7.0f p99=%.1fus promo=%-3d pf-promo=%-3d demo=%-3d digest=%s\n",
-			rec.Pattern, rec.Stack, rec.Reads, rec.WarmHitRate,
-			rec.WarmPagesPerSec, rec.P99Us, rec.Promotions,
-			rec.PrefetchPromotions, rec.Demotions, rec.Digest)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(records), jsonOut)
-	}
+	fmt.Fprintf(stdout, "wrote %d records to %s\n", len(records), path)
+	return nil
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "crosserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, pick the mode's runner from the
+// table, print its table and archive its records.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("crosserve", flag.ContinueOnError)
 	var (
-		mode     = flag.String("mode", "rings", "dispatch path: sync, rings, overload, score, predict, or tier")
-		tenants  = flag.Int("tenants", 8, "concurrent tenants (one file and one ring each)")
-		sessions = flag.Int("sessions", 4, "client sessions per tenant")
-		ops      = flag.Int("ops", 200, "reads per session")
-		batch    = flag.Int("batch", 8, "SQEs staged per ring submit")
-		iosize   = flag.Int64("iosize", 64<<10, "bytes per read")
-		depth    = flag.Int("depth", 0, "ring admission bound (0 = 4*batch)")
-		fileMB   = flag.Int64("file-mb", 16, "per-tenant file size")
-		memMB    = flag.Int64("mem-mb", 0, "page-cache memory (0 = half the aggregate dataset)")
-		seed     = flag.Int64("seed", 1, "replay schedule seed")
-		sweep    = flag.Bool("sweep", false, "run sync and rings across 1/8/64 tenants (overload: the five policy cells)")
-		jsonOut  = flag.String("json", "", "write records as JSON to this file")
+		mode     = fs.String("mode", "rings", "dispatch path: sync, rings, overload, score, predict, or tier")
+		tenants  = fs.Int("tenants", 8, "concurrent tenants (one file and one ring each)")
+		sessions = fs.Int("sessions", 4, "client sessions per tenant")
+		ops      = fs.Int("ops", 200, "reads per session")
+		batch    = fs.Int("batch", 8, "SQEs staged per ring submit")
+		iosize   = fs.Int64("iosize", 64<<10, "bytes per read")
+		depth    = fs.Int("depth", 0, "ring admission bound (0 = 4*batch)")
+		fileMB   = fs.Int64("file-mb", 16, "per-tenant file size")
+		memMB    = fs.Int64("mem-mb", 0, "page-cache memory (0 = half the aggregate dataset)")
+		seed     = fs.Int64("seed", 1, "replay schedule seed")
+		sweep    = fs.Bool("sweep", false, "run sync and rings across 1/8/64 tenants (overload: the five policy cells)")
+		jsonOut  = fs.String("json", "", "write records as JSON to this file")
 
 		// Device-stack flags (sync/rings modes).
-		stripe    = flag.Int("stripe", 0, "RAID-0 stripe width of the local tier (0 or 1 = single device)")
-		tierSplit = flag.Float64("tier-split", 0, "fraction of extents starting on the remote NVMe-oF tier (0 = tier off; cross-tier prefetch on)")
-		remoteRTT = flag.Duration("remote-rtt", 0, "remote tier fabric round trip (0 = default 15us)")
+		stripe    = fs.Int("stripe", 0, "RAID-0 stripe width of the local tier (0 or 1 = single device)")
+		tierSplit = fs.Float64("tier-split", 0, "fraction of extents starting on the remote NVMe-oF tier (0 = tier off; cross-tier prefetch on)")
+		remoteRTT = fs.Duration("remote-rtt", 0, "remote tier fabric round trip (0 = default 15us)")
 
 		// Overload-mode flags.
-		budgetMB   = flag.Int64("budget-mb", 0, "overload: per-tenant hard page-cache budget in MB (soft = half; 0 = equal share of memory)")
-		deadline   = flag.Duration("deadline", 0, "overload: virtual deadline attached to coverage prefetches (e.g. 50us; 0 = none)")
-		antagonist = flag.Bool("antagonist", false, "overload: run the full-file-scan antagonist tenant")
+		budgetMB   = fs.Int64("budget-mb", 0, "overload: per-tenant hard page-cache budget in MB (soft = half; 0 = equal share of memory)")
+		deadline   = fs.Duration("deadline", 0, "overload: virtual deadline attached to coverage prefetches (e.g. 50us; 0 = none)")
+		antagonist = fs.Bool("antagonist", false, "overload: run the full-file-scan antagonist tenant")
 
-		adminAddr = flag.String("admin", "", "serve the live admin plane (/metrics /scorecards /tracez /debug/pprof) on this address for the run's duration")
+		adminAddr = fs.String("admin", "", "serve the live admin plane ("+strings.Join(admin.Routes(), " ")+") on this address for the run's duration")
 	)
-	flag.Parse()
-	if *adminAddr != "" {
-		stop := startAdmin(*adminAddr)
-		defer stop()
-	}
-	switch *mode {
-	case "sync", "rings":
-	case "overload":
-		runOverload(*tenants, *ops, *iosize, *fileMB, *memMB, *budgetMB,
-			*deadline, *antagonist, *sweep, *seed, *jsonOut)
-		return
-	case "score":
-		runScore(*fileMB, *iosize, *ops, *sessions, *seed, *jsonOut)
-		return
-	case "predict":
-		runPredict(*fileMB, *iosize, *ops, *seed, *jsonOut)
-		return
-	case "tier":
-		runTier(*fileMB, *iosize, *ops, *seed, *jsonOut)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "crosserve: unknown -mode %q (want sync, rings, overload, score, predict, or tier)\n", *mode)
-		os.Exit(2)
-	}
-	sf := stackFlags{stripe: *stripe, tierSplit: *tierSplit, remoteRTT: *remoteRTT}
-
-	base := experiments.ServeConfig{
-		Sessions: *sessions, Ops: *ops, Batch: *batch,
-		IOSize: *iosize, Depth: *depth, FileMB: *fileMB, Seed: *seed,
-	}
-	mem := func(tenants int) int64 {
-		if *memMB > 0 {
-			return *memMB
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		return int64(tenants) * *fileMB / 2
+		return err
 	}
 
-	var cells []struct {
-		mode    string
-		tenants int
+	// sized is the sizing flags, with what "clients" means in the mode.
+	sized := func(clients int) experiments.SweepConfig {
+		return experiments.SweepConfig{
+			FileMB: *fileMB, IOSize: *iosize, Ops: *ops, Clients: clients, Seed: *seed,
+			Observe: func(sys *crossprefetch.System) { liveSys.Store(sys) },
+		}
 	}
-	if *sweep {
-		for _, n := range []int{1, 8, 64} {
-			for _, m := range []string{"sync", "rings"} {
-				cells = append(cells, struct {
-					mode    string
-					tenants int
-				}{m, n})
+	// serve is the sync/rings frontend: its systems take the -stripe /
+	// -tier-split / -remote-rtt stack shape (RAID-0 at the requested
+	// width; a remote NVMe-oF tier holding tierSplit of the extents with
+	// cross-tier prefetch on) and the full live plane.
+	serve := func() (*experiments.Report, error) {
+		c := experiments.ServeConfig{SweepConfig: sized(*sessions), Batch: *batch, Depth: *depth}
+		c.Build = func(memory int64) *crossprefetch.System {
+			if *memMB > 0 {
+				memory = *memMB << 20
 			}
+			cfg := crossprefetch.Config{
+				MemoryBytes:     memory,
+				Approach:        crossprefetch.CrossPredictOpt,
+				Plug:            true,
+				Telemetry:       true,
+				Trace:           true,
+				Scorecard:       true,
+				CongestionLimit: simtime.Second,
+				Stripe:          *stripe,
+			}
+			if *tierSplit > 0 {
+				cfg.Tier = blockdev.TierConfig{Enabled: true, RemoteFrac: *tierSplit, CrossTierPrefetch: true}
+				if *remoteRTT > 0 {
+					cfg.Tier.Remote = blockdev.RemoteNVMeConfigRTT(simtime.Duration(*remoteRTT))
+				}
+			}
+			return crossprefetch.NewSystem(cfg)
 		}
-	} else {
-		cells = append(cells, struct {
-			mode    string
-			tenants int
-		}{*mode, *tenants})
+		if *sweep {
+			return experiments.ServeCells(c, nil)
+		}
+		return experiments.ServeCells(c, []experiments.ServeCell{{Rings: *mode == "rings", Tenants: *tenants}})
+	}
+	modes := []struct {
+		name string
+		run  func() (*experiments.Report, error)
+	}{
+		{"sync", serve},
+		{"rings", serve},
+		{"overload", func() (*experiments.Report, error) {
+			c := experiments.OverloadConfig{SweepConfig: sized(*tenants), MemMB: *memMB, BudgetMB: *budgetMB}
+			if !*sweep {
+				// One custom cell; a budget brings brownout with it.
+				c.Cells = []experiments.OverloadCell{{Name: "custom", Antagonist: *antagonist,
+					Budgeted: *budgetMB > 0, Brownout: *budgetMB > 0, Deadline: simtime.Duration(*deadline)}}
+			}
+			return experiments.OverloadCells(c)
+		}},
+		{"score", func() (*experiments.Report, error) { return experiments.ScoreCells(sized(*sessions)) }},
+		{"predict", func() (*experiments.Report, error) { return experiments.PredictCells(sized(0)) }},
+		{"tier", func() (*experiments.Report, error) { return experiments.TierCells(sized(0)) }},
 	}
 
-	var records []record
-	for _, cell := range cells {
-		c := base
-		c.Tenants = cell.tenants
-		rec, err := run(c, mem(cell.tenants), cell.mode, sf)
+	var names []string
+	for _, m := range modes {
+		names = append(names, m.name)
+		if m.name != *mode {
+			continue
+		}
+		if *adminAddr != "" {
+			stop, err := startAdmin(*adminAddr, stdout)
+			if err != nil {
+				return err
+			}
+			defer stop()
+		}
+		rep, err := m.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosserve: %s-t%d: %v\n", cell.mode, cell.tenants, err)
-			os.Exit(1)
+			return err
 		}
-		records = append(records, rec)
-		fmt.Printf("%-5s t=%-3d ops=%-6d cross/op=%.3f depth=%.1f (max %d) "+
-			"p50=%.0fus p99=%.0fus makespan=%.1fms %.1fMB/s audit=%s\n",
-			rec.Mode, rec.Tenants, rec.Ops, rec.CrossingsPerOp, rec.MeanDepth,
-			rec.MaxBatch, rec.P50Us, rec.P99Us, rec.MakespanMs, rec.MBs, rec.Audit)
-		if rec.Audit != "ok" {
-			fmt.Fprintf(os.Stderr, "crosserve: telemetry audit failed for %s-t%d\n",
-				rec.Mode, rec.Tenants)
-			os.Exit(1)
+		rep.Table.Print(stdout)
+		if *jsonOut != "" {
+			return writeRecords(*jsonOut, rep.Records, stdout)
 		}
+		return nil
 	}
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "crosserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(records), *jsonOut)
-	}
+	return fmt.Errorf("unknown -mode %q (want one of %s)", *mode, strings.Join(names, ", "))
 }

@@ -121,9 +121,6 @@ type Config struct {
 	// shared recorder threaded through the device, cache, kernel, and
 	// library. Disabled (the default) it costs nothing on the hot paths.
 	Telemetry bool
-	// TelemetryEventCap bounds the decision-trace ring buffer (default
-	// 4096 events; older events are dropped, counters stay exact).
-	TelemetryEventCap int
 	// Trace enables request-scoped span tracing: sampled top-level
 	// operations carry a span tree through library, kernel, cache, and
 	// device, in virtual time, feeding the flight recorder and the
@@ -147,24 +144,12 @@ type Config struct {
 	// (vfs.ErrShed), then clamps the readahead window (see internal/vfs).
 	// Off (the default) overload degrades exactly as before.
 	Brownout bool
-	// BrownoutClampPages is the readahead window under level-2 brownout
-	// (default 8 pages).
-	BrownoutClampPages int64
 	// Scorecard enables the online prefetch-effectiveness scorecards:
 	// windowed per-inode and per-tenant accuracy / coverage / pollution /
 	// timeliness, partitioned by page origin (see telemetry.Scorecard).
 	// Requires Telemetry for the audit's partition identities; disabled
 	// (the default) it costs one nil check on the hot paths.
 	Scorecard bool
-	// ScorecardWindow is one scoring window's virtual width (default 10ms).
-	ScorecardWindow simtime.Duration
-	// ScorecardWindows is the trailing window ring depth per card
-	// (default 8).
-	ScorecardWindows int
-	// ScorecardMaxCards bounds tracked inode cards per lock stripe;
-	// excess inodes share an overflow card so totals stay exact
-	// (default 64).
-	ScorecardMaxCards int
 }
 
 func (c Config) withDefaults() Config {
@@ -238,7 +223,6 @@ func NewSystem(cfg Config) *System {
 		DemandRetries:      cfg.DemandRetries,
 		CongestionLimit:    cfg.CongestionLimit,
 		Brownout:           cfg.Brownout,
-		BrownoutClampPages: cfg.BrownoutClampPages,
 		Sched: blockdev.PlugConfig{
 			Plugged:          cfg.Plug,
 			QueueDepth:       cfg.QueueDepth,
@@ -255,18 +239,14 @@ func NewSystem(cfg Config) *System {
 
 	s := &System{cfg: cfg, dev: dev, fsys: fsys, cache: cache, kernel: kernel, lib: lib}
 	if cfg.Telemetry {
-		s.rec = telemetry.NewRecorder(cfg.TelemetryEventCap)
+		s.rec = telemetry.NewRecorder(telemetry.DefaultEventCap)
 		dev.SetTelemetry(s.rec)
 		cache.SetTelemetry(s.rec)
 		kernel.SetTelemetry(s.rec)
 		lib.SetTelemetry(s.rec)
 	}
 	if cfg.Scorecard {
-		s.score = telemetry.NewScorecard(telemetry.ScorecardConfig{
-			WindowWidth: cfg.ScorecardWindow,
-			Windows:     cfg.ScorecardWindows,
-			MaxCards:    cfg.ScorecardMaxCards,
-		})
+		s.score = telemetry.NewScorecard(telemetry.ScorecardConfig{})
 		cache.SetScorecard(s.score)
 		lib.SetScorecard(s.score)
 	}

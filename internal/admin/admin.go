@@ -77,14 +77,11 @@ func Start(addr string, cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, ln: ln, done: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/scorecards", s.handleScorecards)
-	mux.HandleFunc("/predictors", s.handlePredictors)
-	mux.HandleFunc("/tiers", s.handleTiers)
-	mux.HandleFunc("/tracez", s.handleTracez)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.path, rt.handle)
+	}
 	// The pprof handlers are registered explicitly on this mux (never the
 	// DefaultServeMux) so importing this package has no global effects.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
@@ -117,20 +114,45 @@ func (s *Server) Shutdown() error {
 	return err
 }
 
+// route is one endpoint of the plane.
+type route struct {
+	path, help string
+	handle     http.HandlerFunc
+}
+
+// routes is the one list of endpoints: Start registers it, the index
+// page prints it, and Routes hands its paths to whoever announces them.
+// (The four fixed /debug/pprof/ sub-handlers ride along in Start.)
+func (s *Server) routes() []route {
+	return []route{
+		{"/metrics", "cross-layer telemetry (Prometheus text exposition)", s.handleMetrics},
+		{"/scorecards", "per-file and per-tenant effectiveness scorecards (JSON; cumulative + delta since last scrape; ?tenant= / ?inode= filter)", s.handleScorecards},
+		{"/predictors", "predictor ensemble: live arm, bandit scores, promotions per file (JSON)", s.handlePredictors},
+		{"/tiers", "device stack: per-backend occupancy, tier residency, promotion/demotion totals, extent heat (JSON; ?heat= bounds the heat table)", s.handleTiers},
+		{"/tracez", "flight recorder: slowest retained spans per operation class (JSON; ?n= bounds roots)", s.handleTracez},
+		{"/debug/pprof/", "Go runtime profiles", pprof.Index},
+	}
+}
+
+// Routes lists the paths the plane serves.
+func Routes() []string {
+	var paths []string
+	for _, rt := range new(Server).routes() {
+		paths = append(paths, rt.path)
+	}
+	return paths
+}
+
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `crossprefetch admin plane
-/metrics          cross-layer telemetry (Prometheus text exposition)
-/scorecards       per-file and per-tenant effectiveness scorecards (JSON; cumulative + delta since last scrape; ?tenant= / ?inode= filter)
-/predictors       predictor ensemble: live arm, bandit scores, promotions per file (JSON)
-/tiers            device stack: per-backend occupancy, tier residency, promotion/demotion totals, extent heat (JSON; ?heat= bounds the heat table)
-/tracez           flight recorder: slowest retained spans per operation class (JSON; ?n= bounds roots)
-/debug/pprof/     Go runtime profiles
-`)
+	fmt.Fprintln(w, "crossprefetch admin plane")
+	for _, rt := range s.routes() {
+		fmt.Fprintf(w, "%-18s%s\n", rt.path, rt.help)
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

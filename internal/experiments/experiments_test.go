@@ -333,6 +333,27 @@ func TestOverloadQuick(t *testing.T) {
 	}
 }
 
+// TestScoreQuick runs the scorecard sweep; the runner itself asserts
+// byte-correctness, the scorecard-vs-recorder origin partition, and
+// byte-identical scorecard JSON across the rerun. Here we pin the
+// discrimination the scorecards exist for to its cells.
+func TestScoreQuick(t *testing.T) {
+	tbl := runQuick(t, "score")
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("score produced %d rows, want 4", len(tbl.Rows))
+	}
+	if got := cell(t, tbl, "accuracy", "sequential"); got < 0.75 {
+		t.Errorf("sequential accuracy = %v, want >= 0.75", got)
+	}
+	if got := cell(t, tbl, "accuracy", "zipfian"); got > 0.5 {
+		t.Errorf("zipfian accuracy = %v, want <= 0.5", got)
+	}
+	seq, zipf := cell(t, tbl, "pollution", "sequential"), cell(t, tbl, "pollution", "zipfian")
+	if zipf < seq+0.3 {
+		t.Errorf("zipfian pollution %v should exceed sequential %v by >= 0.3", zipf, seq)
+	}
+}
+
 // TestPredictQuick runs the competing-predictor sweep; the runner itself
 // asserts byte-correctness, the per-arm telemetry audit partition,
 // run-to-run determinism via digest comparison, the zipfian-LSM win, and

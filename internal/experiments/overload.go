@@ -1,386 +1,291 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sort"
+	"strings"
 
 	crossprefetch "repro"
-	"repro/internal/crosslib"
-	"repro/internal/fs"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// OverloadConfig describes one overload-resilience cell: well-behaved
+// OverloadCell is one policy point of the overload sweep: well-behaved
 // zipfian victim tenants sharing the page cache with (optionally) an
-// antagonist tenant scanning a file larger than memory, under a chosen
-// budget/brownout policy. The replay is driven round-robin from one
-// goroutine so cells are bit-for-bit deterministic for a given seed —
-// the concurrency stress lives in the -race tests, not here.
-type OverloadConfig struct {
-	Sys        *crossprefetch.System
-	Victims    int   // zipfian victim tenants (IDs 1..Victims)
-	Ops        int   // reads per victim
-	IOSize     int64 // bytes per victim read
-	VictimMB   int64 // per-victim file size
-	ScanMB     int64 // antagonist file size (scanned once per replay)
-	Antagonist bool  // run the scanning tenant (ID 0)
-	// BudgetPages, when > 0, is every tenant's hard page-cache budget
-	// (soft budget = half of it) — antagonist included, so its scan can
-	// only evict its own pages.
-	BudgetPages int64
+// antagonist tenant scanning a file larger than memory.
+type OverloadCell struct {
+	Name       string
+	Antagonist bool // run the scanning tenant (ID 0)
+	// Budgeted gives every tenant — antagonist included, so its scan can
+	// only evict its own pages — the sweep's hard page-cache budget
+	// (soft budget = half of it).
+	Budgeted bool
+	Brownout bool // enable the kernel's overload controller
 	// Deadline, when > 0, attaches now+Deadline virtual deadlines to the
 	// coverage prefetches issued ahead of victim reads; sheds are counted
 	// but never affect the reads themselves, so client byte totals stay
 	// identical across cells.
 	Deadline simtime.Duration
-	Seed     int64
 }
 
-func (c *OverloadConfig) defaults() {
-	if c.Victims <= 0 {
-		c.Victims = 4
-	}
-	if c.Ops <= 0 {
-		c.Ops = 200
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 64 << 10
-	}
-	if c.VictimMB <= 0 {
-		c.VictimMB = 16
-	}
-	if c.ScanMB <= 0 {
-		c.ScanMB = 128
-	}
+// overloadCells is the noisy-neighbor table: the victims alone, then
+// against the scan under no budgets, hard budgets, budgets plus brownout,
+// and budgets plus brownout plus prefetch deadlines.
+var overloadCells = []OverloadCell{
+	{Name: "isolated"},
+	{Name: "no-budget", Antagonist: true},
+	{Name: "budget", Antagonist: true, Budgeted: true},
+	{Name: "budget+brownout", Antagonist: true, Budgeted: true, Brownout: true},
+	{Name: "budget+deadline", Antagonist: true, Budgeted: true, Brownout: true,
+		Deadline: 50 * simtime.Microsecond},
 }
+
+// OverloadConfig sizes the overload sweep: Clients victim tenants (IDs
+// 1..Clients) each read Ops zipfian IOSize chunks of their own FileMB file.
+type OverloadConfig struct {
+	SweepConfig
+	ScanMB int64 // antagonist file, scanned once per replay (0 = 8x FileMB)
+	// MemMB is the page cache (0 = half of Clients+1 victim files: the
+	// victims' aggregate working set fits, the antagonist's scan does not).
+	MemMB int64
+	// BudgetMB is the hard per-tenant budget of the budgeted cells (0 =
+	// two equal shares of the cache, soft = one share: the victims' zipf
+	// hot sets sit well under a share, so they pay almost no direct-reclaim
+	// tax; the scan slams into the hard cap immediately and can only
+	// recycle its own pages).
+	BudgetMB int64
+	// Cells replaces the five policy cells (crosserve's single custom cell).
+	Cells []OverloadCell
+}
+
+var (
+	overloadFull  = SweepConfig{Clients: 4, Ops: 200, IOSize: 64 << 10, FileMB: 16}
+	overloadQuick = SweepConfig{Clients: 2, Ops: 48, IOSize: 16 << 10, FileMB: 4}
+)
 
 // OverloadResult is one cell's scorecard.
 type OverloadResult struct {
+	// fingerprint's digest covers the full latency vector plus the final
+	// tenant ledgers.
+	fingerprint
+	Cell        OverloadCell
+	Victims     int
+	BudgetPages int64 // 0 in the cells without budgets
 	VictimOps   int64
 	VictimBytes int64 // client bytes read by victims (identical across cells)
 	VictimP50   simtime.Duration
 	VictimP99   simtime.Duration
-	ScanBytes   int64 // antagonist client bytes
+	// P99VsIsolated is VictimP99 over the isolated cell's (0 without one).
+	P99VsIsolated float64
+	ScanBytes     int64 // antagonist client bytes
 	// Overload-machinery counters for the cell.
 	ShedSQEs       int64
 	DeadlineMisses int64
 	Brownouts      int64
 	TenantReclaims int64
-	// Digest fingerprints the full latency vector plus the final tenant
-	// ledgers; equal digests across runs prove determinism.
-	Digest uint64
 }
 
-// RunOverload replays one cell: every returned byte is verified against
-// ground truth, the telemetry audit (including the exact per-tenant
-// residency partition) must pass, and the result carries a determinism
-// digest. The caller owns policy assertions (p99 bounds etc.).
-func RunOverload(c OverloadConfig) (*OverloadResult, error) {
-	c.defaults()
-	sys := c.Sys
-	bs := sys.Kernel().BlockSize()
-	setup := sys.Timeline()
+var overloadFields = []field[*OverloadResult]{
+	{"cell", "cell", "%s", func(r *OverloadResult) any { return r.Cell.Name }},
+	{"", "victims", "", func(r *OverloadResult) any { return r.Victims }},
+	{"victim-ops", "victim_ops", "%d", func(r *OverloadResult) any { return r.VictimOps }},
+	{"victim-MB", "victim_mb", "%.1f", func(r *OverloadResult) any { return mbytes(r.VictimBytes) }},
+	{"p50-us", "p50_us", "%.1f", func(r *OverloadResult) any { return usec(r.VictimP50) }},
+	{"p99-us", "p99_us", "%.1f", func(r *OverloadResult) any { return usec(r.VictimP99) }},
+	{"p99-vs-isolated", "p99_vs_isolated", "%.2fx", func(r *OverloadResult) any { return r.P99VsIsolated }},
+	{"scan-MB", "scan_mb", "%.1f", func(r *OverloadResult) any { return mbytes(r.ScanBytes) }},
+	{"", "budget_pages", "", func(r *OverloadResult) any { return r.BudgetPages }},
+	{"shed-sqes", "shed_sqes", "%d", func(r *OverloadResult) any { return r.ShedSQEs }},
+	{"dl-miss", "deadline_misses", "%d", func(r *OverloadResult) any { return r.DeadlineMisses }},
+	{"brownouts", "brownout_transitions", "%d", func(r *OverloadResult) any { return r.Brownouts }},
+	{"t-reclaims", "tenant_reclaims", "%d", func(r *OverloadResult) any { return r.TenantReclaims }},
+	{"", "determinism_digest", "", func(r *OverloadResult) any { return r.hexDigest() }},
+	// A row exists only if its audit passed.
+	{"", "audit", "", func(*OverloadResult) any { return "ok" }},
+}
 
-	type tenant struct {
-		id    int
-		tl    *simtime.Timeline
-		f     *crosslib.File
-		ring  *crosslib.Ring
-		truth *fs.Inode
-		offs  []int64
-		next  int
-		buf   []byte
-		want  []byte
-		lat   []simtime.Duration
+// overloadStep is one read through the tenant's ring: an optional
+// deadline-carrying coverage prefetch (sheddable; never the read), then
+// the read itself.
+func overloadStep(deadline simtime.Duration) stepFunc {
+	const prefetchTag = ^uint64(0)
+	return func(rd *reader, off int64) (n int64, done simtime.Time, err error) {
+		if deadline > 0 {
+			err = rd.ring.PrepPrefetchDeadline(rd.f, off, int64(len(rd.buf)), prefetchTag, rd.tl.Now().Add(deadline))
+			if err != nil {
+				return
+			}
+		}
+		if err = rd.ring.PrepRead(rd.f, rd.buf, off, uint64(rd.next)); err != nil {
+			return
+		}
+		rd.ring.Submit(rd.tl)
+		for _, cq := range rd.ring.Reap(rd.tl, 1) {
+			if cq.User != prefetchTag { // a prefetch's shed is visible in the counters only
+				n, done, err = cq.N, cq.Done, cq.Err
+			}
+		}
+		return
 	}
-	newTenant := func(id int, name string, size int64, offs []int64, io int64) (*tenant, error) {
-		if err := sys.CreateSynthetic(setup, name, size); err != nil {
-			return nil, err
-		}
-		truth, err := sys.FS().Open(name)
-		if err != nil {
-			return nil, err
-		}
-		tl := sys.Timeline()
-		f, err := sys.Open(tl, name)
-		if err != nil {
-			return nil, err
-		}
-		return &tenant{
-			id: id, tl: tl, f: f, truth: truth, offs: offs,
-			ring: sys.Lib().NewRing(id, 64),
-			buf:  make([]byte, io), want: make([]byte, io),
-		}, nil
-	}
+}
 
-	victimBytes := (c.VictimMB << 20) / bs * bs
-	slots := victimBytes / c.IOSize
-	victims := make([]*tenant, c.Victims)
-	for i := range victims {
-		rng := rand.New(rand.NewSource(c.Seed + int64(i)*7919))
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(slots-1))
-		offs := make([]int64, c.Ops)
-		for j := range offs {
-			offs[j] = int64(zipf.Uint64()) * c.IOSize
-		}
-		v, err := newTenant(i+1, fmt.Sprintf("overload-v%02d", i+1), victimBytes, offs, c.IOSize)
+// replay runs one cell: every tenant gets its own file, descriptor and
+// ring before caches are dropped (so the library's open-time prefetch is
+// dropped with them), and the antagonist streams four chunks for every
+// one read each victim makes, so its scan pressure overlaps the entire
+// victim replay.
+func (c OverloadConfig) replay(r *cellRun, cl OverloadCell, budget int64) (*OverloadResult, error) {
+	tenant := func(id int, name string, mb, io int64) (*reader, error) {
+		truth, err := r.create(name, mb)
 		if err != nil {
 			return nil, err
 		}
-		victims[i] = v
+		rd, err := r.open(truth, nil, io)
+		if err != nil {
+			return nil, err
+		}
+		rd.ring = r.sys.Lib().NewRing(id, 64)
+		return rd, nil
 	}
-	var antag *tenant
-	if c.Antagonist {
+	var victims []*reader
+	for i := 0; i < c.Clients; i++ {
+		v, err := tenant(i+1, fmt.Sprintf("overload-v%02d", i+1), c.FileMB, c.IOSize)
+		if err != nil {
+			return nil, err
+		}
+		v.offs = offsets(patZipfian, v.truth.Size()/c.IOSize, c.IOSize, c.Ops, c.Seed+int64(i)*7919)
+		victims = append(victims, v)
+	}
+	readers := victims
+	res := &OverloadResult{Cell: cl, Victims: c.Clients}
+	if cl.Antagonist {
 		// 128KB chunks: half a DRR quantum, so the lane scheduler can
 		// interleave victim reads between antagonist chunks instead of
 		// the scan monopolizing a full quantum per dispatch round.
 		const scanChunk = 128 << 10
-		scanBytes := (c.ScanMB << 20) / bs * bs
-		offs := make([]int64, scanBytes/scanChunk)
-		for j := range offs {
-			offs[j] = int64(j) * scanChunk
-		}
-		a, err := newTenant(0, "overload-antagonist", scanBytes, offs, scanChunk)
+		antag, err := tenant(0, "overload-antagonist", c.ScanMB, scanChunk)
 		if err != nil {
 			return nil, err
 		}
-		antag = a
+		chunks := antag.truth.Size() / scanChunk
+		antag.offs = offsets(patSequential, chunks, scanChunk, int(chunks), 0)
+		antag.burst = 4
+		readers = append([]*reader{antag}, victims...)
+		res.ScanBytes = chunks * scanChunk
 	}
-	if c.BudgetPages > 0 {
-		for id := 0; id <= c.Victims; id++ {
-			sys.SetTenantBudget(id, c.BudgetPages/2, c.BudgetPages)
-		}
-	}
-	sys.DropAllCaches(setup)
-
-	// One read through the tenant's ring: optional deadline-carrying
-	// coverage prefetch (sheddable; never the read), then the read
-	// itself, byte-verified against the raw inode.
-	step := func(t *tenant) error {
-		off := t.offs[t.next]
-		t.next++
-		io := int64(len(t.buf))
-		if c.Deadline > 0 {
-			d := t.tl.Now().Add(c.Deadline)
-			if err := t.ring.PrepPrefetchDeadline(t.f, off, io, ^uint64(0), d); err != nil {
-				return err
-			}
-		}
-		prepAt := t.tl.Now()
-		if err := t.ring.PrepRead(t.f, t.buf, off, uint64(t.next)); err != nil {
-			return err
-		}
-		t.ring.Submit(t.tl)
-		for _, cq := range t.ring.Reap(t.tl, 1) {
-			if cq.User == ^uint64(0) {
-				continue // prefetch CQE; sheds are visible in the counters
-			}
-			if cq.Err != nil {
-				return fmt.Errorf("tenant %d offset %d: %w", t.id, off, cq.Err)
-			}
-			if cq.N != io {
-				return fmt.Errorf("tenant %d offset %d: short read %d", t.id, off, cq.N)
-			}
-			t.truth.ReadAt(t.want[:cq.N], off)
-			if !bytes.Equal(t.buf[:cq.N], t.want[:cq.N]) {
-				return fmt.Errorf("tenant %d: corrupt data at offset %d", t.id, off)
-			}
-			t.lat = append(t.lat, cq.Done.Sub(prepAt))
-		}
-		return nil
-	}
-
-	// Deterministic round-robin: the antagonist streams four chunks for
-	// every one read each victim makes, so its scan pressure overlaps the
-	// entire victim replay.
-	remaining := func(t *tenant) bool { return t != nil && t.next < len(t.offs) }
-	for {
-		progress := false
-		if antag != nil {
-			for k := 0; k < 4 && remaining(antag); k++ {
-				if err := step(antag); err != nil {
-					return nil, err
-				}
-				progress = true
-			}
-		}
-		for _, v := range victims {
-			if remaining(v) {
-				if err := step(v); err != nil {
-					return nil, err
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			break
+	if cl.Budgeted {
+		res.BudgetPages = budget
+		for id := 0; id <= c.Clients; id++ {
+			r.sys.SetTenantBudget(id, budget/2, budget)
 		}
 	}
-	for _, v := range victims {
-		v.ring.Close()
+	r.dropCaches()
+	if err := replay(readers, toEnd, overloadStep(cl.Deadline)); err != nil {
+		return nil, err
 	}
-	if antag != nil {
-		antag.ring.Close()
-	}
-
-	// Per-cell reconciliation: every layer's ledger must close, including
-	// the exact tenant partition of global residency.
-	if err := sys.AuditTelemetry(); err != nil {
-		return nil, fmt.Errorf("overload: telemetry audit: %w", err)
+	for _, rd := range readers {
+		rd.ring.Close()
 	}
 
 	var all []simtime.Duration
 	for _, v := range victims {
 		all = append(all, v.lat...)
-		if overloadDbgLats != nil {
-			*overloadDbgLats = append(*overloadDbgLats, v.lat)
-		}
+		res.VictimBytes += v.bytesRead()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	snap := sys.Telemetry().Snapshot()
-	res := &OverloadResult{
-		VictimOps:      int64(len(all)),
-		VictimBytes:    int64(len(all)) * c.IOSize,
-		VictimP50:      all[len(all)/2],
-		VictimP99:      all[len(all)*99/100],
-		ShedSQEs:       snap.Counter(telemetry.CtrRingShedSQEs),
-		DeadlineMisses: snap.Counter(telemetry.CtrRingDeadlineMisses),
-		Brownouts:      snap.Counter(telemetry.CtrBrownoutTransitions),
-		TenantReclaims: snap.Counter(telemetry.CtrCacheTenantReclaims),
-	}
-	if antag != nil {
-		res.ScanBytes = int64(len(antag.offs)) * int64(len(antag.buf))
-	}
+	res.VictimOps = int64(len(all))
+	res.VictimP50, res.VictimP99 = tail(all)
+	snap := r.sys.Telemetry().Snapshot()
+	res.ShedSQEs = snap.Counter(telemetry.CtrRingShedSQEs)
+	res.DeadlineMisses = snap.Counter(telemetry.CtrRingDeadlineMisses)
+	res.Brownouts = snap.Counter(telemetry.CtrBrownoutTransitions)
+	res.TenantReclaims = snap.Counter(telemetry.CtrCacheTenantReclaims)
 
-	h := fnv.New64a()
+	var h strings.Builder
 	for _, d := range all {
-		fmt.Fprintf(h, "%d,", d)
+		fmt.Fprintf(&h, "%d,", d)
 	}
-	for _, ts := range sys.TenantStats() {
-		fmt.Fprintf(h, "t%d:%d/%d/%d;", ts.ID, ts.Resident, ts.Inserted, ts.Evicted)
+	for _, ts := range r.sys.TenantStats() {
+		fmt.Fprintf(&h, "t%d:%d/%d/%d;", ts.ID, ts.Resident, ts.Inserted, ts.Evicted)
 	}
-	res.Digest = h.Sum64()
+	res.Digest = digest(nil, h.String())
 	return res, nil
 }
 
-// overloadSys builds one cell's system. Telemetry is always on here —
-// the per-cell audit is part of the experiment's contract — and memory
-// is sized so the victims' aggregate working set fits but the
-// antagonist's scan does not.
-func overloadSys(victims int, victimMB int64, brownout bool) *crossprefetch.System {
+// sys builds one cell's system: telemetry and scorecards on (the audit is
+// part of the contract; the admin plane reads the rest).
+func (c OverloadConfig) sys(brownout bool) *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
-		MemoryBytes: int64(victims+1) * victimMB << 20 / 2,
+		MemoryBytes: c.MemMB << 20,
 		Plug:        true,
 		Telemetry:   true,
+		Scorecard:   true,
 		Brownout:    brownout,
 	})
 }
 
-// Overload reproduces the noisy-neighbor table: zipfian victim tenants
-// alone (the isolated baseline), then sharing the machine with a
-// full-file-scan antagonist under no budgets, hard budgets, and budgets
-// plus brownout. Victim client bytes are identical in every cell by
-// construction; with budgets on, victim p99 must stay within 2x the
-// isolated baseline. Every cell is run twice and must produce identical
-// digests (determinism), pass the telemetry audit, and byte-verify all
-// returned data.
-func Overload(o Options) (*Table, error) {
-	cfg := OverloadConfig{Victims: 4, Ops: 200, IOSize: 64 << 10, VictimMB: 16, ScanMB: 128}
-	if o.Quick {
-		cfg = OverloadConfig{Victims: 2, Ops: 48, IOSize: 16 << 10, VictimMB: 4, ScanMB: 16}
+// OverloadCells runs the overload sweep at the given sizing. Victim
+// client bytes are identical in every cell by construction; with budgets
+// on, the antagonist may cost the victims at most 2x their isolated p99.
+func OverloadCells(c OverloadConfig) (*Report, error) {
+	c.SweepConfig = c.orElse(overloadFull)
+	if c.ScanMB <= 0 {
+		c.ScanMB = 8 * c.FileMB
 	}
-	// Per-tenant budgets: soft = an equal share of the cache, hard = two
-	// shares. The victims' zipf hot sets sit well under a share, so they
-	// pay (almost) no direct-reclaim tax; the antagonist's scan slams
-	// into the hard cap immediately and can only recycle its own pages.
-	bs := int64(4096)
-	memPages := int64(cfg.Victims+1) * cfg.VictimMB << 20 / 2 / bs
-	share := 2 * memPages / int64(cfg.Victims+1)
-
-	type cell struct {
-		name       string
-		antagonist bool
-		budget     int64
-		brownout   bool
-		deadline   simtime.Duration
+	tenants := int64(c.Clients + 1)
+	if c.MemMB <= 0 {
+		c.MemMB = tenants * c.FileMB / 2
 	}
-	cells := []cell{
-		{name: "isolated"},
-		{name: "no-budget", antagonist: true},
-		{name: "budget", antagonist: true, budget: share},
-		{name: "budget+brownout", antagonist: true, budget: share, brownout: true},
-		{name: "budget+deadline", antagonist: true, budget: share, brownout: true,
-			deadline: 50 * simtime.Microsecond},
+	// Budgets are in pages of the system's block size, and the table's
+	// note needs the figure before the first cell runs.
+	bs := c.sys(false).Kernel().BlockSize()
+	budget := c.BudgetMB << 20 / bs
+	if budget <= 0 {
+		budget = 2 * (c.MemMB << 20 / bs) / tenants
+	}
+	if c.Cells == nil {
+		c.Cells = overloadCells
 	}
 
-	t := &Table{
-		ID:    "overload",
-		Title: "Tenant isolation under an antagonist scan: budgets and brownout",
-		Columns: []string{"cell", "victim-ops", "victim-MB", "p50-us", "p99-us",
-			"p99-vs-isolated", "scan-MB", "shed-sqes", "dl-miss", "brownouts", "t-reclaims"},
+	s := sweep[*OverloadResult]{
+		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and brownout"},
+		fields: overloadFields,
+		contract: func(at func(cell string) *OverloadResult) error {
+			isolated := at("isolated")
+			for _, cl := range c.Cells {
+				r := at(cl.Name)
+				if want := int64(c.Clients*c.Ops) * c.IOSize; r.VictimBytes != want {
+					return fmt.Errorf("%s: victim bytes %d, want %d", r.Cell.Name, r.VictimBytes, want)
+				}
+				if isolated == nil {
+					continue // a single custom cell has no baseline
+				}
+				r.P99VsIsolated = usec(r.VictimP99) / usec(isolated.VictimP99)
+				if r.Cell.Budgeted && r.VictimP99 > 2*isolated.VictimP99 {
+					return fmt.Errorf("%s: victim p99 %v > 2x isolated %v",
+						r.Cell.Name, r.VictimP99, isolated.VictimP99)
+				}
+			}
+			return nil
+		},
 	}
-	t.Note("victims=%d ops=%d iosize=%dKB victim-file=%dMB scan=%dMB budget=%d pages (hard; soft=half)",
-		cfg.Victims, cfg.Ops, cfg.IOSize>>10, cfg.VictimMB, cfg.ScanMB, share)
-	t.Note("every returned byte verified; telemetry audit incl. exact tenant residency partition passed in all cells; every cell re-run and digest-compared for determinism")
-
-	us := func(d simtime.Duration) string {
-		return f1(float64(d) / float64(simtime.Microsecond))
+	s.table.Note("victims=%d ops=%d iosize=%dKB victim-file=%dMB scan=%dMB budget=%d pages (hard; soft=half)",
+		c.Clients, c.Ops, c.IOSize>>10, c.FileMB, c.ScanMB, budget)
+	s.table.Note("every returned byte verified; telemetry audit incl. exact tenant residency partition passed in all cells; every cell re-run and digest-compared for determinism")
+	for _, cl := range c.Cells {
+		s.cells = append(s.cells, sweepCell[*OverloadResult]{
+			name:   cl.Name,
+			build:  func() *crossprefetch.System { return c.sys(cl.Brownout) },
+			replay: func(r *cellRun) (*OverloadResult, error) { return c.replay(r, cl, budget) },
+		})
 	}
-	var isolatedP99 simtime.Duration
-	for _, cl := range cells {
-		run := func() (*OverloadResult, error) {
-			c := cfg
-			c.Sys = overloadSys(c.Victims, c.VictimMB, cl.brownout)
-			c.Antagonist = cl.antagonist
-			c.BudgetPages = cl.budget
-			c.Deadline = cl.deadline
-			c.Seed = o.Seed
-			return RunOverload(c)
-		}
-		res, err := run()
-		if err != nil {
-			return nil, fmt.Errorf("overload %s: %w", cl.name, err)
-		}
-		rerun, err := run()
-		if err != nil {
-			return nil, fmt.Errorf("overload %s (rerun): %w", cl.name, err)
-		}
-		if res.Digest != rerun.Digest {
-			return nil, fmt.Errorf("overload %s: nondeterministic (digest %x vs %x)",
-				cl.name, res.Digest, rerun.Digest)
-		}
-		if cl.name == "isolated" {
-			isolatedP99 = res.VictimP99
-		}
-		ratio := float64(res.VictimP99) / float64(isolatedP99)
-		// The acceptance bound: with budgets on, the antagonist may cost
-		// the victims at most 2x their isolated tail.
-		if cl.budget > 0 && res.VictimP99 > 2*isolatedP99 {
-			return nil, fmt.Errorf("overload %s: victim p99 %v > 2x isolated %v",
-				cl.name, res.VictimP99, isolatedP99)
-		}
-		if got, want := res.VictimBytes, int64(cfg.Victims*cfg.Ops)*cfg.IOSize; got != want {
-			return nil, fmt.Errorf("overload %s: victim bytes %d, want %d", cl.name, got, want)
-		}
-		t.AddRow(cl.name,
-			fmt.Sprintf("%d", res.VictimOps),
-			f1(float64(res.VictimBytes)/(1<<20)),
-			us(res.VictimP50), us(res.VictimP99),
-			fmt.Sprintf("%.2fx", ratio),
-			f1(float64(res.ScanBytes)/(1<<20)),
-			fmt.Sprintf("%d", res.ShedSQEs),
-			fmt.Sprintf("%d", res.DeadlineMisses),
-			fmt.Sprintf("%d", res.Brownouts),
-			fmt.Sprintf("%d", res.TenantReclaims))
-	}
-	return t, nil
+	return s.run(c.Observe)
 }
 
-// overloadDbgLats is a test hook: when non-nil, RunOverload appends each
-// victim's latency vector for divergence diagnosis.
-var overloadDbgLats *[][]simtime.Duration
+// Overload reproduces the noisy-neighbor table.
+func Overload(o Options) (*Table, error) {
+	c := OverloadConfig{SweepConfig: o.sizing(overloadFull, overloadQuick)}
+	if o.Quick {
+		c.ScanMB = 16
+	}
+	return tableOf(OverloadCells(c))
+}

@@ -1,226 +1,89 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
 	crossprefetch "repro"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// PredictPattern selects one access pattern of the predictor-ensemble
-// sweep. Each pattern is the home turf of one arm: sequential for the
-// saturating counter, the fragmented-object zipfian workload for the
-// MITHRIL association miner, and the noisy dominant stream for the Leap
-// majority-trend detector.
-type PredictPattern int
+// predictCells is the predictor-ensemble sweep's access patterns; each
+// is the home turf of one arm, and each runs under the fixed counter and
+// under the ensemble.
+var predictCells = []struct {
+	name string
+	kind pattern
+}{
+	// The file front to back, twice — the saturating counter's home
+	// turf; the ensemble must not lose to it here.
+	{"sequential", patSequential},
+	// Fragment chains repeat under the skew, so the MITHRIL association
+	// miner learns fragment → successor, which the counter cannot see.
+	{"zipfian-lsm", patZipfLSM},
+	// The interleaved noise knocks the counter off its stride; the Leap
+	// majority-trend detector reads straight through it.
+	{"interleaved-shared", patInterleaved},
+}
 
-// The sweep's access patterns.
-const (
-	// PredictSequential streams the file front to back twice — the
-	// counter arm's home turf; the ensemble must not lose to it here.
-	PredictSequential PredictPattern = iota
-	// PredictZipfLSM reads zipf-selected "objects", each a chain of
-	// three non-adjacent fragments (an LSM table's index/filter/data
-	// blocks). Chains repeat under the zipfian skew, so the MITHRIL arm
-	// learns fragment→successor associations the counter cannot see.
-	PredictZipfLSM
-	// PredictInterleaved is one dominant sequential stream with every
-	// eighth access replaced by a foreign offset — threads sharing one
-	// descriptor. The interleaved noise knocks the counter off its
-	// stride; the Leap arm's majority trend reads straight through it.
-	PredictInterleaved
+var (
+	predictFull  = SweepConfig{FileMB: 16, IOSize: 16 << 10, Ops: 2048}
+	predictQuick = SweepConfig{FileMB: 4, IOSize: 16 << 10, Ops: 512}
 )
-
-// String names the pattern (table row key).
-func (p PredictPattern) String() string {
-	return [...]string{"sequential", "zipfian-lsm", "interleaved-shared"}[p]
-}
-
-// predictFrags is the fragments per zipfian-LSM object chain.
-const predictFrags = 3
-
-// PredictConfig describes one predictor-sweep cell. The replay is a
-// single goroutine on a single timeline, so a seed fully determines the
-// run — including the scorecard JSON and the bandit's promotion history.
-type PredictConfig struct {
-	Sys      *crossprefetch.System
-	Pattern  PredictPattern
-	Ensemble bool  // competing-arm ensemble vs the fixed counter
-	FileMB   int64 // file size (must exceed memory for eviction pressure)
-	IOSize   int64 // bytes per read (one fragment for zipfian-lsm)
-	Ops      int   // accesses in the measured warm half (total = 2*Ops)
-	Seed     int64
-	// Observe, when non-nil, receives each cell's freshly built system
-	// before its replay starts — crosserve points the live admin plane
-	// (including /predictors) at it.
-	Observe func(sys *crossprefetch.System)
-}
-
-func (c *PredictConfig) defaults() {
-	if c.FileMB <= 0 {
-		c.FileMB = 16
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 16 << 10
-	}
-	if c.Ops <= 0 {
-		c.Ops = 2048
-	}
-}
 
 // PredictResult is one cell's measured outcome. The headline numbers are
 // taken over the warm second half of the replay, after the shadow arms
 // have had a full training half to learn and the bandit to promote.
 type PredictResult struct {
-	Reads, Bytes int64
+	// fingerprint is the full scorecard snapshot (per-arm cards
+	// included); its digest also covers the headline numbers.
+	fingerprint
+	Pattern, Mode string // Mode is "fixed" or "ensemble"
+	Reads, Bytes  int64
 	// LiveArm is the arm serving prefetches when the replay ends
 	// ("counter" for the fixed baseline), Promotions the bandit's
 	// live-arm changes over the whole run.
 	LiveArm    string
 	Promotions int64
-	// Warm-half effectiveness: hit rate is the fraction of read pages
-	// served without a demand device fetch; pages/s is read pages per
-	// virtual second.
-	WarmReads       int64
-	WarmHitRate     float64
-	WarmPagesPerSec float64
-	// ScoreJSON is the full scorecard snapshot (per-arm cards included);
-	// Digest fingerprints it plus the headline numbers — identical seeds
-	// must reproduce it exactly.
-	ScoreJSON []byte
-	Digest    uint64
+	warmHalf
 }
 
-// predictOffsets builds the deterministic access sequence for a cell.
-func predictOffsets(p PredictPattern, slots, iosize int64, total int, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed))
-	offs := make([]int64, 0, total+predictFrags)
-	switch p {
-	case PredictSequential:
-		for i := 0; len(offs) < total; i++ {
-			offs = append(offs, int64(i)%slots*iosize)
-		}
-	case PredictZipfLSM:
-		// Scatter object chains over a permutation of the fragment slots
-		// so successive fragments of one object are never adjacent.
-		perm := rng.Perm(int(slots))
-		objects := slots / predictFrags
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(objects-1))
-		for len(offs) < total {
-			o := int64(zipf.Uint64())
-			for f := int64(0); f < predictFrags; f++ {
-				offs = append(offs, int64(perm[o*predictFrags+f])*iosize)
-			}
-		}
-	case PredictInterleaved:
-		for i, pos := 0, int64(0); len(offs) < total; i++ {
-			if i%8 == 7 {
-				offs = append(offs, rng.Int63n(slots)*iosize)
-				continue
-			}
-			offs = append(offs, pos%slots*iosize)
-			pos++
-		}
-	}
-	return offs
+var predictFields = []field[*PredictResult]{
+	{"pattern", "pattern", "%s", func(r *PredictResult) any { return r.Pattern }},
+	{"mode", "mode", "%s", func(r *PredictResult) any { return r.Mode }},
+	{"reads", "reads", "%d", func(r *PredictResult) any { return r.Reads }},
+	{"MB", "client_mb", "%.1f", func(r *PredictResult) any { return mbytes(r.Bytes) }},
+	{"live-arm", "live_arm", "%s", func(r *PredictResult) any { return r.LiveArm }},
+	{"promotions", "promotions", "%d", func(r *PredictResult) any { return r.Promotions }},
+	{"", "warm_reads", "", func(r *PredictResult) any { return r.WarmReads }},
+	{"warm-hit", "warm_hit_rate", "%.3f", func(r *PredictResult) any { return r.WarmHitRate }},
+	{"warm-pages/s", "warm_pages_per_s", "%.0f", func(r *PredictResult) any { return r.WarmPagesPerSec }},
+	{"", "scorecard_digest", "", func(r *PredictResult) any { return r.hexDigest() }},
 }
 
-// RunPredict replays one cell: every returned byte is verified against
-// ground truth, the telemetry audit (including the exact per-arm
-// partition of prefetch-origin pages) must pass, and the warm-half hit
-// rate and throughput are measured once the training half is done.
-func RunPredict(c PredictConfig) (*PredictResult, error) {
-	c.defaults()
-	sys := c.Sys
-	bs := sys.Kernel().BlockSize()
-	size := (c.FileMB << 20) / bs * bs
-	setup := sys.Timeline()
-	const name = "predict-file"
-	if err := sys.CreateSynthetic(setup, name, size); err != nil {
-		return nil, err
-	}
-	truth, err := sys.FS().Open(name)
+// replayPredict runs one pattern through one predictor mode; the audit
+// that follows checks the per-arm partition of prefetch-origin pages.
+func replayPredict(r *cellRun, cfg SweepConfig, name string, kind pattern, mode string) (*PredictResult, error) {
+	rd, warm, err := r.twoHalves("predict-file", cfg, kind)
 	if err != nil {
 		return nil, err
 	}
-	sys.DropAllCaches(setup)
-
-	offs := predictOffsets(c.Pattern, size/c.IOSize, c.IOSize, 2*c.Ops, c.Seed)
-	tl := sys.Timeline()
-	f, err := sys.Open(tl, name)
-	if err != nil {
-		return nil, err
-	}
-
-	rec := sys.Telemetry()
-	pagesPerIO := c.IOSize / bs
-	buf := make([]byte, c.IOSize)
-	want := make([]byte, c.IOSize)
-	res := &PredictResult{}
-	warmStart := len(offs) / 2
-	var warmT0 int64
-	var warmDemand0 int64
-	for i, off := range offs {
-		if i == warmStart {
-			warmT0 = int64(tl.Now())
-			warmDemand0 = rec.CounterValue(telemetry.CtrVFSDemandFetchPages)
-		}
-		n, err := f.ReadAt(tl, buf, off)
-		if err != nil {
-			return nil, fmt.Errorf("predict %s: read at %d: %w", c.Pattern, off, err)
-		}
-		if int64(n) != c.IOSize {
-			return nil, fmt.Errorf("predict %s: short read %d at %d", c.Pattern, n, off)
-		}
-		truth.ReadAt(want[:n], off)
-		if !bytes.Equal(buf[:n], want[:n]) {
-			return nil, fmt.Errorf("predict %s: corrupt data at %d", c.Pattern, off)
-		}
-		res.Reads++
-		res.Bytes += int64(n)
-	}
-	res.WarmReads = int64(len(offs) - warmStart)
-	warmPages := res.WarmReads * pagesPerIO
-	demand := rec.CounterValue(telemetry.CtrVFSDemandFetchPages) - warmDemand0
-	if demand > warmPages {
-		demand = warmPages
-	}
-	res.WarmHitRate = 1 - float64(demand)/float64(warmPages)
-	if dt := int64(tl.Now()) - warmT0; dt > 0 {
-		res.WarmPagesPerSec = float64(warmPages) / (float64(dt) / 1e9)
-	}
-
-	// Per-cell reconciliation: every ledger closes, including the
-	// per-arm partition of prefetch-origin pages against the recorder.
-	if err := sys.AuditTelemetry(); err != nil {
-		return nil, fmt.Errorf("predict %s: telemetry audit: %w", c.Pattern, err)
-	}
-
-	res.LiveArm = telemetry.ArmCounter.String()
-	if c.Ensemble {
-		rows := sys.Lib().PredictorTable()
+	res := &PredictResult{Pattern: name, Mode: mode, Reads: int64(rd.next), Bytes: rd.bytesRead(),
+		LiveArm: telemetry.ArmCounter.String(), warmHalf: warm}
+	if mode == "ensemble" {
+		rows := r.sys.Lib().PredictorTable()
 		if len(rows) == 0 {
-			return nil, fmt.Errorf("predict %s: ensemble on but no predictor rows", c.Pattern)
+			return nil, fmt.Errorf("ensemble on but no predictor rows")
 		}
 		res.LiveArm = rows[0].Live
-		res.Promotions = sys.Lib().Stats().ArmPromotions
+		res.Promotions = r.sys.Lib().Stats().ArmPromotions
 	}
-
-	data, err := json.MarshalIndent(sys.Scorecard().Snapshot(), "", "  ")
-	if err != nil {
+	if res.ScoreJSON, err = json.MarshalIndent(r.sys.Scorecard().Snapshot(), "", "  "); err != nil {
 		return nil, err
 	}
-	res.ScoreJSON = data
-	h := fnv.New64a()
-	h.Write(data)
-	fmt.Fprintf(h, "|%s|%d|%d|%.9f|%.3f",
-		res.LiveArm, res.Promotions, res.Reads, res.WarmHitRate, res.WarmPagesPerSec)
-	res.Digest = h.Sum64()
+	res.Digest = digest(res.ScoreJSON, fmt.Sprintf("|%s|%d|%d|%.9f|%.3f",
+		res.LiveArm, res.Promotions, res.Reads, res.WarmHitRate, res.WarmPagesPerSec))
 	return res, nil
 }
 
@@ -260,133 +123,75 @@ func predictSys(fileMB int64, ensemble bool, seed int64) *crossprefetch.System {
 	})
 }
 
-// PredictCell pairs the fixed-counter baseline with the ensemble run of
-// one pattern.
-type PredictCell struct {
-	Fixed, Ensemble *PredictResult
-}
-
-// predictPatterns is the sweep order.
-var predictPatterns = []PredictPattern{PredictSequential, PredictZipfLSM, PredictInterleaved}
-
-// PredictCells runs the three-pattern × {fixed, ensemble} sweep at the
-// given sizing, re-running every cell to prove determinism, and asserts
-// the ensemble's contract: it must beat the fixed counter on the
+// predictContract: the ensemble must beat the fixed counter on the
 // zipfian-LSM warm hit rate AND warm throughput (the MITHRIL arm gets
 // promoted and prefetches fragment chains), and must never give up more
 // than 2% of either on the pure-sequential stream.
-func PredictCells(cfg PredictConfig) (map[PredictPattern]*PredictCell, error) {
-	out := make(map[PredictPattern]*PredictCell, len(predictPatterns))
-	for _, p := range predictPatterns {
-		cell := &PredictCell{}
-		for _, ens := range []bool{false, true} {
-			run := func() (*PredictResult, error) {
-				c := cfg
-				c.Sys = predictSys(cfg.FileMB, ens, cfg.Seed)
-				c.Pattern = p
-				c.Ensemble = ens
-				if c.Observe != nil {
-					c.Observe(c.Sys)
-				}
-				return RunPredict(c)
-			}
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			rerun, err := run()
-			if err != nil {
-				return nil, fmt.Errorf("predict %s (rerun): %w", p, err)
-			}
-			if res.Digest != rerun.Digest || !bytes.Equal(res.ScoreJSON, rerun.ScoreJSON) {
-				return nil, fmt.Errorf("predict %s ens=%v: run differs across identical seeds (digest %x vs %x)",
-					p, ens, res.Digest, rerun.Digest)
-			}
-			if ens {
-				cell.Ensemble = res
-			} else {
-				cell.Fixed = res
-			}
+func predictContract(at func(cell string) *PredictResult) error {
+	fixed, ens := at("zipfian-lsm/fixed"), at("zipfian-lsm/ensemble")
+	if ens.WarmHitRate <= fixed.WarmHitRate {
+		return fmt.Errorf("ensemble zipfian-lsm hit rate %.3f does not beat fixed %.3f",
+			ens.WarmHitRate, fixed.WarmHitRate)
+	}
+	if ens.WarmPagesPerSec <= fixed.WarmPagesPerSec {
+		return fmt.Errorf("ensemble zipfian-lsm pages/s %.0f does not beat fixed %.0f",
+			ens.WarmPagesPerSec, fixed.WarmPagesPerSec)
+	}
+	if ens.LiveArm != telemetry.ArmMithril.String() {
+		return fmt.Errorf("zipfian-lsm live arm %q, want %q", ens.LiveArm, telemetry.ArmMithril)
+	}
+	// Elsewhere the ensemble must hold the counter's hit rate, and 98% of
+	// its pages/s on sequential. Interleaved is a trade, not a mandate:
+	// the ensemble's early counter↔leap exploration costs a little
+	// throughput while the bandit converges, and buys back hit rate —
+	// pages/s within 5%.
+	for _, g := range []struct {
+		pattern string
+		speed   float64 // share of the fixed counter's pages/s to hold
+	}{{"sequential", 0.98}, {"interleaved-shared", 0.95}} {
+		fixed, ens := at(g.pattern+"/fixed"), at(g.pattern+"/ensemble")
+		if ens.WarmHitRate < fixed.WarmHitRate-0.02 {
+			return fmt.Errorf("ensemble %s hit rate %.3f more than 2%% below fixed %.3f",
+				g.pattern, ens.WarmHitRate, fixed.WarmHitRate)
 		}
-		out[p] = cell
+		if ens.WarmPagesPerSec < g.speed*fixed.WarmPagesPerSec {
+			return fmt.Errorf("ensemble %s pages/s %.0f below %.0f%% of fixed %.0f",
+				g.pattern, ens.WarmPagesPerSec, 100*g.speed, fixed.WarmPagesPerSec)
+		}
 	}
-
-	// The sweep's contract.
-	seq, zipf := out[PredictSequential], out[PredictZipfLSM]
-	if zipf.Ensemble.WarmHitRate <= zipf.Fixed.WarmHitRate {
-		return nil, fmt.Errorf("predict: ensemble zipfian-lsm hit rate %.3f does not beat fixed %.3f",
-			zipf.Ensemble.WarmHitRate, zipf.Fixed.WarmHitRate)
-	}
-	if zipf.Ensemble.WarmPagesPerSec <= zipf.Fixed.WarmPagesPerSec {
-		return nil, fmt.Errorf("predict: ensemble zipfian-lsm pages/s %.0f does not beat fixed %.0f",
-			zipf.Ensemble.WarmPagesPerSec, zipf.Fixed.WarmPagesPerSec)
-	}
-	if zipf.Ensemble.LiveArm != telemetry.ArmMithril.String() {
-		return nil, fmt.Errorf("predict: zipfian-lsm live arm %q, want %q",
-			zipf.Ensemble.LiveArm, telemetry.ArmMithril)
-	}
-	if seq.Ensemble.WarmHitRate < seq.Fixed.WarmHitRate-0.02 {
-		return nil, fmt.Errorf("predict: ensemble sequential hit rate %.3f more than 2%% below fixed %.3f",
-			seq.Ensemble.WarmHitRate, seq.Fixed.WarmHitRate)
-	}
-	if seq.Ensemble.WarmPagesPerSec < 0.98*seq.Fixed.WarmPagesPerSec {
-		return nil, fmt.Errorf("predict: ensemble sequential pages/s %.0f more than 2%% below fixed %.0f",
-			seq.Ensemble.WarmPagesPerSec, seq.Fixed.WarmPagesPerSec)
-	}
-	// Interleaved is a trade, not a mandate: the ensemble's early
-	// counter↔leap exploration costs a little throughput while the
-	// bandit converges, and buys back hit rate. Require hit rate no
-	// worse and pages/s within 5%.
-	il := out[PredictInterleaved]
-	if il.Ensemble.WarmHitRate < il.Fixed.WarmHitRate-0.02 {
-		return nil, fmt.Errorf("predict: ensemble interleaved hit rate %.3f more than 2%% below fixed %.3f",
-			il.Ensemble.WarmHitRate, il.Fixed.WarmHitRate)
-	}
-	if il.Ensemble.WarmPagesPerSec < 0.95*il.Fixed.WarmPagesPerSec {
-		return nil, fmt.Errorf("predict: ensemble interleaved pages/s %.0f more than 5%% below fixed %.0f",
-			il.Ensemble.WarmPagesPerSec, il.Fixed.WarmPagesPerSec)
-	}
-	return out, nil
+	return nil
 }
 
-// Predict reproduces the competing-predictor sweep: every access pattern
-// replayed under the fixed saturating counter and under the shadow-mode
-// ensemble with bandit promotion, byte-verified and audit-clean, re-run
-// to prove determinism, with the ensemble required to win zipfian-LSM
-// and hold sequential.
-func Predict(o Options) (*Table, error) {
-	cfg := PredictConfig{FileMB: 16, IOSize: 16 << 10, Ops: 2048, Seed: o.Seed}
-	if o.Quick {
-		cfg = PredictConfig{FileMB: 4, IOSize: 16 << 10, Ops: 512, Seed: o.Seed}
+// PredictCells runs the competing-predictor sweep at the given sizing:
+// every access pattern replayed under the fixed saturating counter and
+// under the shadow-mode ensemble with bandit promotion. One goroutine on
+// one timeline, so a seed determines the run — including the scorecard
+// JSON and the bandit's promotion history.
+func PredictCells(cfg SweepConfig) (*Report, error) {
+	cfg = cfg.orElse(predictFull)
+	s := sweep[*PredictResult]{
+		table:    &Table{ID: "predict", Title: "Competing predictors: fixed counter vs shadow-mode ensemble with bandit promotion"},
+		fields:   predictFields,
+		contract: predictContract,
 	}
-	cells, err := PredictCells(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:    "predict",
-		Title: "Competing predictors: fixed counter vs shadow-mode ensemble with bandit promotion",
-		Columns: []string{"pattern", "mode", "reads", "MB", "live-arm", "promotions",
-			"warm-hit", "warm-pages/s"},
-	}
-	t.Note("file=%dMB mem=%dMB iosize=%dKB warm-ops=%d; warm half measured after an identical training half",
+	s.table.Note("file=%dMB mem=%dMB iosize=%dKB warm-ops=%d; warm half measured after an identical training half",
 		cfg.FileMB, cfg.FileMB/4, cfg.IOSize>>10, cfg.Ops)
-	t.Note("every cell byte-verified, audit-clean (per-arm pages partition the prefetch origins exactly), and re-run to an identical digest")
-	for _, p := range predictPatterns {
-		cell := cells[p]
-		for _, mode := range []struct {
-			name string
-			r    *PredictResult
-		}{{"fixed", cell.Fixed}, {"ensemble", cell.Ensemble}} {
-			t.AddRow(p.String(), mode.name,
-				fmt.Sprintf("%d", mode.r.Reads),
-				f1(float64(mode.r.Bytes)/(1<<20)),
-				mode.r.LiveArm,
-				fmt.Sprintf("%d", mode.r.Promotions),
-				fmt.Sprintf("%.3f", mode.r.WarmHitRate),
-				f0(mode.r.WarmPagesPerSec))
+	s.table.Note("every cell byte-verified, audit-clean (per-arm pages partition the prefetch origins exactly), and re-run to an identical digest")
+	for _, p := range predictCells {
+		for _, mode := range []string{"fixed", "ensemble"} {
+			s.cells = append(s.cells, sweepCell[*PredictResult]{
+				name:  p.name + "/" + mode,
+				build: func() *crossprefetch.System { return predictSys(cfg.FileMB, mode == "ensemble", cfg.Seed) },
+				replay: func(r *cellRun) (*PredictResult, error) {
+					return replayPredict(r, cfg, p.name, p.kind, mode)
+				},
+			})
 		}
 	}
-	return t, nil
+	return s.run(cfg.Observe)
+}
+
+// Predict reproduces the competing-predictor sweep.
+func Predict(o Options) (*Table, error) {
+	return tableOf(PredictCells(o.sizing(predictFull, predictQuick)))
 }

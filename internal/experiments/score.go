@@ -1,80 +1,48 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
 	crossprefetch "repro"
-	"repro/internal/crosslib"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// ScorePattern selects one access pattern of the scorecard sweep.
-type ScorePattern int
+// scoreCells is the scorecard sweep's access patterns.
+var scoreCells = []struct {
+	name   string
+	kind   pattern
+	shared bool // Clients readers instead of one
+}{
+	// Streams the file start to end — readahead's home turf, so accuracy
+	// and coverage should both be high.
+	{"sequential", patSequential, false},
+	// Every other chunk — readahead keeps fetching the skipped half, so
+	// accuracy degrades while coverage holds.
+	{"strided", patStrided, false},
+	// Ops hot-spotted random offsets over a file larger than memory —
+	// prefetch guesses mostly miss and the misses get evicted unused: low
+	// accuracy, high pollution.
+	{"zipfian", patZipfian, false},
+	// Every client streams the whole file; the round-robin drive
+	// interleaves them one read apart, so clients 2..K run a few chunks
+	// behind client 1's readahead wavefront and ride its prefetches.
+	{"shared-file", patSequential, true},
+}
 
-// The sweep's access patterns.
-const (
-	// PatternSequential streams the file start to end — readahead's home
-	// turf, so accuracy and coverage should both be high.
-	PatternSequential ScorePattern = iota
-	// PatternStrided reads every other chunk — readahead keeps fetching
-	// the skipped half, so accuracy degrades while coverage holds.
-	PatternStrided
-	// PatternZipfian reads hot-spotted random offsets over a file larger
-	// than memory — prefetch guesses mostly miss and the misses get
-	// evicted unused: low accuracy, high pollution.
-	PatternZipfian
-	// PatternShared interleaves several sequential readers over one file
-	// round-robin — later readers ride the first one's prefetches.
-	PatternShared
+var (
+	scoreFull  = SweepConfig{FileMB: 64, IOSize: 64 << 10, Ops: 512, Clients: 4}
+	scoreQuick = SweepConfig{FileMB: 8, IOSize: 16 << 10, Ops: 128, Clients: 2}
 )
-
-// String names the pattern (table row key).
-func (p ScorePattern) String() string {
-	return [...]string{"sequential", "strided", "zipfian", "shared-file"}[p]
-}
-
-// ScoreConfig describes one scorecard-sweep cell. The replay is driven
-// from one goroutine (round-robin over per-client timelines in the
-// shared cell) so a seed fully determines the run — including the
-// scorecard JSON, byte for byte.
-type ScoreConfig struct {
-	Sys     *crossprefetch.System
-	Pattern ScorePattern
-	FileMB  int64 // file size (must exceed memory for eviction pressure)
-	IOSize  int64 // bytes per read
-	Ops     int   // reads (zipfian); other patterns derive their count
-	Clients int   // concurrent readers (shared pattern; default 4)
-	Seed    int64
-	// Observe, when non-nil, receives each cell's freshly built system
-	// before its replay starts — crosserve points the live admin plane's
-	// endpoints at it.
-	Observe func(sys *crossprefetch.System)
-}
-
-func (c *ScoreConfig) defaults() {
-	if c.FileMB <= 0 {
-		c.FileMB = 64
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 64 << 10
-	}
-	if c.Ops <= 0 {
-		c.Ops = 512
-	}
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-}
 
 // ScoreResult is one cell's measured effectiveness.
 type ScoreResult struct {
-	Reads int64
-	Bytes int64
+	// fingerprint is the full scorecard snapshot: identical seeds must
+	// reproduce it byte for byte.
+	fingerprint
+	Pattern      string
+	Reads, Bytes int64
 	// Prefetch-origin aggregates (demand excluded) over the whole run.
 	Issued, Used, Wasted, Evicted int64
 	// The headline scores: accuracy = used/issued, coverage = prefetch-hit
@@ -83,185 +51,80 @@ type ScoreResult struct {
 	// Timeliness of used prefetches (prefetch-to-first-use, virtual ns).
 	TimelinessP50, TimelinessP99 int64
 	LatePages                    int64
-	// ScoreJSON is the full scorecard snapshot; identical seeds must
-	// reproduce it byte for byte. Digest is its FNV-64a fingerprint.
-	ScoreJSON []byte
-	Digest    uint64
 }
 
-// RunScore replays one cell: every returned byte is verified against
-// ground truth, the telemetry audit (including the scorecard-vs-recorder
-// origin partition) must pass, and the result carries the scorecard
-// snapshot JSON plus its determinism digest.
-func RunScore(c ScoreConfig) (*ScoreResult, error) {
-	c.defaults()
-	sys := c.Sys
-	bs := sys.Kernel().BlockSize()
-	size := (c.FileMB << 20) / bs * bs
-	setup := sys.Timeline()
-	const name = "score-file"
-	if err := sys.CreateSynthetic(setup, name, size); err != nil {
-		return nil, err
-	}
-	truth, err := sys.FS().Open(name)
+var scoreFields = []field[*ScoreResult]{
+	{"pattern", "pattern", "%s", func(r *ScoreResult) any { return r.Pattern }},
+	{"reads", "reads", "%d", func(r *ScoreResult) any { return r.Reads }},
+	{"MB", "client_mb", "%.1f", func(r *ScoreResult) any { return mbytes(r.Bytes) }},
+	{"pf-issued", "pf_issued_pages", "%d", func(r *ScoreResult) any { return r.Issued }},
+	{"pf-used", "pf_used_pages", "%d", func(r *ScoreResult) any { return r.Used }},
+	{"pf-wasted", "pf_wasted_pages", "%d", func(r *ScoreResult) any { return r.Wasted }},
+	{"", "evicted_pages", "", func(r *ScoreResult) any { return r.Evicted }},
+	{"accuracy", "accuracy", "%.3f", func(r *ScoreResult) any { return r.Accuracy }},
+	{"coverage", "coverage", "%.3f", func(r *ScoreResult) any { return r.Coverage }},
+	{"pollution", "pollution", "%.3f", func(r *ScoreResult) any { return r.Pollution }},
+	{"t-p50-us", "timeliness_p50_us", "%.1f", func(r *ScoreResult) any { return usec(simtime.Duration(r.TimelinessP50)) }},
+	{"t-p99-us", "timeliness_p99_us", "%.1f", func(r *ScoreResult) any { return usec(simtime.Duration(r.TimelinessP99)) }},
+	{"late", "late_pages", "%d", func(r *ScoreResult) any { return r.LatePages }},
+	{"", "scorecard_digest", "", func(r *ScoreResult) any { return r.hexDigest() }},
+}
+
+// replayScore runs one pattern over one cold file and reads the result
+// off the scorecards.
+func replayScore(r *cellRun, cfg SweepConfig, name string, kind pattern, clients int) (*ScoreResult, error) {
+	truth, err := r.layout("score-file", cfg.FileMB)
 	if err != nil {
 		return nil, err
 	}
-	sys.DropAllCaches(setup)
-
-	// One reader = one timeline + one descriptor; the shared cell has
-	// several over the same file, every other cell exactly one.
-	type reader struct {
-		tl   *simtime.Timeline
-		f    *crosslib.File
-		offs []int64
-		next int
+	slots := truth.Size() / cfg.IOSize
+	total := int(slots) // one pass over the file
+	switch kind {
+	case patStrided:
+		total = int(slots+1) / 2
+	case patZipfian:
+		total = cfg.Ops
 	}
-	newReader := func(offs []int64) (*reader, error) {
-		tl := sys.Timeline()
-		f, err := sys.Open(tl, name)
-		if err != nil {
+	res := &ScoreResult{Pattern: name}
+	offs := offsets(kind, slots, cfg.IOSize, total, cfg.Seed)
+	readers := make([]*reader, clients)
+	for i := range readers {
+		if readers[i], err = r.open(truth, offs, cfg.IOSize); err != nil {
 			return nil, err
 		}
-		return &reader{tl: tl, f: f, offs: offs}, nil
+	}
+	if err := replay(readers, toEnd, readAt); err != nil {
+		return nil, err
+	}
+	for _, rd := range readers {
+		res.Reads += int64(rd.next)
+		res.Bytes += rd.bytesRead()
 	}
 
-	slots := size / c.IOSize
-	var readers []*reader
-	switch c.Pattern {
-	case PatternSequential:
-		offs := make([]int64, slots)
-		for i := range offs {
-			offs[i] = int64(i) * c.IOSize
-		}
-		r, err := newReader(offs)
-		if err != nil {
-			return nil, err
-		}
-		readers = append(readers, r)
-	case PatternStrided:
-		offs := make([]int64, 0, slots/2)
-		for i := int64(0); i < slots; i += 2 {
-			offs = append(offs, i*c.IOSize)
-		}
-		r, err := newReader(offs)
-		if err != nil {
-			return nil, err
-		}
-		readers = append(readers, r)
-	case PatternZipfian:
-		rng := rand.New(rand.NewSource(c.Seed))
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(slots-1))
-		offs := make([]int64, c.Ops)
-		for i := range offs {
-			offs[i] = int64(zipf.Uint64()) * c.IOSize
-		}
-		r, err := newReader(offs)
-		if err != nil {
-			return nil, err
-		}
-		readers = append(readers, r)
-	case PatternShared:
-		// Every client streams the whole file; the round-robin drive
-		// below interleaves them one read apart, so clients 2..K run a
-		// few chunks behind client 1's readahead wavefront.
-		for k := 0; k < c.Clients; k++ {
-			offs := make([]int64, slots)
-			for i := range offs {
-				offs[i] = int64(i) * c.IOSize
-			}
-			r, err := newReader(offs)
-			if err != nil {
-				return nil, err
-			}
-			readers = append(readers, r)
-		}
-	default:
-		return nil, fmt.Errorf("score: unknown pattern %d", c.Pattern)
-	}
-
-	// Deterministic single-goroutine drive: one read per reader per turn.
-	buf := make([]byte, c.IOSize)
-	want := make([]byte, c.IOSize)
-	var reads, total int64
-	for {
-		progress := false
-		for _, r := range readers {
-			if r.next >= len(r.offs) {
-				continue
-			}
-			off := r.offs[r.next]
-			r.next++
-			n, err := r.f.ReadAt(r.tl, buf, off)
-			if err != nil {
-				return nil, fmt.Errorf("score %s: read at %d: %w", c.Pattern, off, err)
-			}
-			if int64(n) != c.IOSize {
-				return nil, fmt.Errorf("score %s: short read %d at %d", c.Pattern, n, off)
-			}
-			truth.ReadAt(want[:n], off)
-			if !bytes.Equal(buf[:n], want[:n]) {
-				return nil, fmt.Errorf("score %s: corrupt data at %d", c.Pattern, off)
-			}
-			reads++
-			total += int64(n)
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-
-	// Per-cell reconciliation: every ledger closes, including the
-	// scorecard's per-origin partition against the recorder's.
-	if err := sys.AuditTelemetry(); err != nil {
-		return nil, fmt.Errorf("score %s: telemetry audit: %w", c.Pattern, err)
-	}
-
-	score := sys.Scorecard()
-	var issued, used, wasted int64
+	score := r.sys.Scorecard()
 	for o := telemetry.Origin(0); o < telemetry.NumOrigins; o++ {
-		if !o.IsPrefetch() {
-			continue
+		if o.IsPrefetch() {
+			i, u, w := score.OriginTotals(o)
+			res.Issued += i
+			res.Used += u
+			res.Wasted += w
 		}
-		i, u, w := score.OriginTotals(o)
-		issued += i
-		used += u
-		wasted += w
 	}
-	snap := sys.Telemetry().Snapshot()
+	res.Evicted = r.sys.Telemetry().Snapshot().Counter(telemetry.CtrCacheRemovedPages)
 	ssnap := score.Snapshot()
-	data, err := json.MarshalIndent(ssnap, "", "  ")
-	if err != nil {
+	if res.ScoreJSON, err = json.MarshalIndent(ssnap, "", "  "); err != nil {
 		return nil, err
 	}
-	h := fnv.New64a()
-	h.Write(data)
-
-	res := &ScoreResult{
-		Reads:   reads,
-		Bytes:   total,
-		Issued:  issued,
-		Used:    used,
-		Wasted:  wasted,
-		Evicted: snap.Counter(telemetry.CtrCacheRemovedPages),
-		// The global roll-up is tenant card 0's lifetime totals (plain
-		// reads are untagged → tenant 0), which carries the derived
-		// scores and the timeliness quantiles.
-		ScoreJSON: data,
-		Digest:    h.Sum64(),
-	}
+	res.Digest = digest(res.ScoreJSON, "")
+	// The global roll-up is tenant card 0's lifetime totals (plain reads
+	// are untagged → tenant 0), which carries the derived scores and the
+	// timeliness quantiles.
 	for _, card := range ssnap.Tenants {
-		if card.Key != 0 {
-			continue
+		if card.Key == 0 {
+			t := card.Totals
+			res.Accuracy, res.Coverage, res.Pollution = t.Accuracy, t.Coverage, t.Pollution
+			res.TimelinessP50, res.TimelinessP99, res.LatePages = t.TimelinessP50, t.TimelinessP99, t.LatePages
 		}
-		t := card.Totals
-		res.Accuracy = t.Accuracy
-		res.Coverage = t.Coverage
-		res.Pollution = t.Pollution
-		res.TimelinessP50 = t.TimelinessP50
-		res.TimelinessP99 = t.TimelinessP99
-		res.LatePages = t.LatePages
 	}
 	return res, nil
 }
@@ -280,99 +143,58 @@ func scoreSys(fileMB int64) *crossprefetch.System {
 	})
 }
 
-// ScoreCells runs the four-pattern sweep at the given sizing, re-running
-// every cell to prove the scorecard JSON is byte-identical for identical
-// seeds, and returns the results keyed by pattern.
-func ScoreCells(cfg ScoreConfig) (map[ScorePattern]*ScoreResult, error) {
-	out := make(map[ScorePattern]*ScoreResult, 4)
-	for _, p := range []ScorePattern{PatternSequential, PatternStrided, PatternZipfian, PatternShared} {
-		run := func() (*ScoreResult, error) {
-			c := cfg
-			c.Sys = scoreSys(cfg.FileMB)
-			c.Pattern = p
-			if c.Observe != nil {
-				c.Observe(c.Sys)
-			}
-			return RunScore(c)
-		}
-		res, err := run()
-		if err != nil {
-			return nil, err
-		}
-		rerun, err := run()
-		if err != nil {
-			return nil, fmt.Errorf("score %s (rerun): %w", p, err)
-		}
-		if !bytes.Equal(res.ScoreJSON, rerun.ScoreJSON) {
-			return nil, fmt.Errorf("score %s: scorecard JSON differs across identical-seed runs (digest %x vs %x)",
-				p, res.Digest, rerun.Digest)
-		}
-		out[p] = res
-	}
-	// The sweep's contract: the scorecards discriminate the patterns,
-	// with wide margins (measured: sequential accuracy 0.99 at the
-	// documented scale, 0.78 at quick scale under 4x tighter memory;
-	// zipfian 0.31 / 0.12 with pollution 1.0 in both).
-	seq, zipf := out[PatternSequential], out[PatternZipfian]
+// scoreContract: the scorecards discriminate the patterns, with wide
+// margins (measured: sequential accuracy 0.99 at the documented scale,
+// 0.78 at quick scale under 4x tighter memory; zipfian 0.31 / 0.12 with
+// pollution 1.0 in both).
+func scoreContract(at func(cell string) *ScoreResult) error {
+	seq, zipf := at("sequential"), at("zipfian")
 	if seq.Accuracy < 0.75 {
-		return nil, fmt.Errorf("score: sequential accuracy %.3f < 0.75", seq.Accuracy)
+		return fmt.Errorf("sequential accuracy %.3f < 0.75", seq.Accuracy)
 	}
 	if zipf.Accuracy > 0.5 {
-		return nil, fmt.Errorf("score: zipfian accuracy %.3f > 0.5", zipf.Accuracy)
+		return fmt.Errorf("zipfian accuracy %.3f > 0.5", zipf.Accuracy)
 	}
 	if zipf.Accuracy > seq.Accuracy-0.3 {
-		return nil, fmt.Errorf("score: zipfian accuracy %.3f not >= 0.3 below sequential %.3f",
+		return fmt.Errorf("zipfian accuracy %.3f not >= 0.3 below sequential %.3f",
 			zipf.Accuracy, seq.Accuracy)
 	}
 	if zipf.Pollution < seq.Pollution+0.3 {
-		return nil, fmt.Errorf("score: zipfian pollution %.3f not >= 0.3 above sequential %.3f",
+		return fmt.Errorf("zipfian pollution %.3f not >= 0.3 above sequential %.3f",
 			zipf.Pollution, seq.Pollution)
 	}
-	return out, nil
+	return nil
 }
 
-// Score reproduces the scorecard discrimination sweep: the same system
-// configuration replayed under sequential, strided, zipfian, and
-// shared-file access, scored online by the windowed scorecards. Every
-// cell byte-verifies its data, passes the telemetry audit including the
-// scorecard-vs-recorder origin partition, and is re-run to prove the
-// scorecard JSON deterministic; the sequential and zipfian cells must
-// differ in accuracy by a wide margin.
-func Score(o Options) (*Table, error) {
-	cfg := ScoreConfig{FileMB: 64, IOSize: 64 << 10, Ops: 512, Clients: 4, Seed: o.Seed}
-	if o.Quick {
-		cfg = ScoreConfig{FileMB: 8, IOSize: 16 << 10, Ops: 128, Clients: 2, Seed: o.Seed}
+// ScoreCells runs the scorecard discrimination sweep at the given
+// sizing: the same system configuration replayed under each access
+// pattern and scored online by the windowed scorecards, whose
+// per-origin partition the audit checks against the recorder's.
+func ScoreCells(cfg SweepConfig) (*Report, error) {
+	cfg = cfg.orElse(scoreFull)
+	s := sweep[*ScoreResult]{
+		table:    &Table{ID: "score", Title: "Online scorecards: accuracy/coverage/pollution/timeliness by access pattern"},
+		fields:   scoreFields,
+		contract: scoreContract,
 	}
-	cells, err := ScoreCells(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:    "score",
-		Title: "Online scorecards: accuracy/coverage/pollution/timeliness by access pattern",
-		Columns: []string{"pattern", "reads", "MB", "pf-issued", "pf-used", "pf-wasted",
-			"accuracy", "coverage", "pollution", "t-p50-us", "t-p99-us", "late"},
-	}
-	t.Note("file=%dMB mem=%dMB iosize=%dKB zipf-ops=%d clients=%d",
+	s.table.Note("file=%dMB mem=%dMB iosize=%dKB zipf-ops=%d clients=%d",
 		cfg.FileMB, cfg.FileMB/4, cfg.IOSize>>10, cfg.Ops, cfg.Clients)
-	t.Note("every cell byte-verified, audit-clean (scorecard origin partition == recorder counters, exact), and re-run with identical seed to byte-identical scorecard JSON")
-	us := func(ns int64) string {
-		return f1(float64(ns) / float64(simtime.Microsecond))
+	s.table.Note("every cell byte-verified, audit-clean (scorecard origin partition == recorder counters, exact), and re-run with identical seed to byte-identical scorecard JSON")
+	for _, p := range scoreCells {
+		clients := 1
+		if p.shared {
+			clients = cfg.Clients
+		}
+		s.cells = append(s.cells, sweepCell[*ScoreResult]{
+			name:  p.name,
+			build: func() *crossprefetch.System { return scoreSys(cfg.FileMB) },
+			replay: func(r *cellRun) (*ScoreResult, error) {
+				return replayScore(r, cfg, p.name, p.kind, clients)
+			},
+		})
 	}
-	for _, p := range []ScorePattern{PatternSequential, PatternStrided, PatternZipfian, PatternShared} {
-		r := cells[p]
-		t.AddRow(p.String(),
-			fmt.Sprintf("%d", r.Reads),
-			f1(float64(r.Bytes)/(1<<20)),
-			fmt.Sprintf("%d", r.Issued),
-			fmt.Sprintf("%d", r.Used),
-			fmt.Sprintf("%d", r.Wasted),
-			fmt.Sprintf("%.3f", r.Accuracy),
-			fmt.Sprintf("%.3f", r.Coverage),
-			fmt.Sprintf("%.3f", r.Pollution),
-			us(r.TimelinessP50), us(r.TimelinessP99),
-			fmt.Sprintf("%d", r.LatePages))
-	}
-	return t, nil
+	return s.run(cfg.Observe)
 }
+
+// Score reproduces the scorecard sweep.
+func Score(o Options) (*Table, error) { return tableOf(ScoreCells(o.sizing(scoreFull, scoreQuick))) }

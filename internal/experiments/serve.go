@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	crossprefetch "repro"
@@ -13,54 +11,60 @@ import (
 	"repro/internal/vfs"
 )
 
-// ServeConfig describes one replay of concurrent client sessions against
-// a provisioned system: Tenants independent clients, each with Sessions
-// concurrent connections streaming Ops reads of IOSize from the tenant's
-// own file. Rings selects the submission/completion-ring dispatch path
-// (batched kernel crossings, per-tenant lanes, fair-share dispatch);
-// otherwise every read is an individual synchronous call — the baseline
-// frontend the rings replace.
+// ServeConfig sizes the serve frontend replay: each tenant has Clients
+// concurrent sessions streaming Ops reads of IOSize from the tenant's own
+// FileMB file.
 type ServeConfig struct {
-	Sys      *crossprefetch.System
-	Tenants  int
-	Sessions int   // concurrent client sessions per tenant
-	Ops      int   // reads issued per session
-	Batch    int   // SQEs staged per submit (ring mode)
-	IOSize   int64 // bytes per read
-	Depth    int   // ring admission bound (ring mode; 0 = 4*Batch)
-	Rings    bool  // dispatch through submission rings
-	FileMB   int64 // per-tenant file size
-	Seed     int64
+	SweepConfig
+	Batch int // SQEs staged per submit (ring mode; default 8)
+	Depth int // ring admission bound (ring mode; 0 = 4*Batch)
+	// Build returns a cell's system with the given page-cache bytes.
+	Build func(memory int64) *crossprefetch.System
 }
 
-func (c *ServeConfig) defaults() {
-	if c.Tenants <= 0 {
-		c.Tenants = 1
+// ServeCell is one replay: Rings selects the submission/completion-ring
+// dispatch path (batched kernel crossings, per-tenant lanes, fair-share
+// dispatch); otherwise every read is an individual synchronous call — the
+// baseline frontend the rings replace.
+type ServeCell struct {
+	Rings   bool
+	Tenants int
+}
+
+// Mode names the cell's frontend.
+func (c ServeCell) Mode() string {
+	if c.Rings {
+		return "rings"
 	}
-	if c.Sessions <= 0 {
-		c.Sessions = 1
+	return "sync"
+}
+
+// serveGrid is both frontends at each tenant count.
+func serveGrid(tenants ...int) (cells []ServeCell) {
+	for _, n := range tenants {
+		cells = append(cells, ServeCell{false, n}, ServeCell{true, n})
 	}
-	if c.Ops <= 0 {
-		c.Ops = 50
-	}
-	if c.Batch <= 0 {
-		c.Batch = 8
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 64 << 10
-	}
-	if c.Depth <= 0 {
-		c.Depth = 4 * c.Batch
-	}
-	if c.FileMB <= 0 {
-		c.FileMB = 16
-	}
+	return cells
+}
+
+var (
+	serveFull  = SweepConfig{Clients: 4, Ops: 50, IOSize: 64 << 10, FileMB: 16}
+	serveQuick = SweepConfig{Clients: 2, Ops: 16, IOSize: 16 << 10, FileMB: 4}
+)
+
+// serveRun is one cell's replay on its system.
+type serveRun struct {
+	ServeConfig
+	ServeCell
+	sys *crossprefetch.System
 }
 
 // ServeResult is the replay's cross-layer scorecard.
 type ServeResult struct {
-	Ops   int64
-	Bytes int64 // client bytes read (identical across modes by construction)
+	ServeCell
+	Sessions int
+	Ops      int64
+	Bytes    int64 // client bytes read (identical across modes by construction)
 	// Crossings is read + ring_enter + prefetch-related kernel entries —
 	// the user/kernel boundary traffic the rings amortize.
 	Crossings int64
@@ -93,33 +97,63 @@ func (r *ServeResult) MBs() float64 {
 	if r.Makespan <= 0 {
 		return 0
 	}
-	return float64(r.Bytes) / (1 << 20) /
-		(float64(r.Makespan) / float64(simtime.Second))
+	return mbytes(r.Bytes) / (float64(r.Makespan) / float64(simtime.Second))
 }
 
-// RunServe provisions per-tenant files, drops caches, replays the
-// configured sessions, and returns the scorecard. Both modes replay the
-// exact same (tenant, session, op) → offset schedule, so client byte
-// totals are identical and only the dispatch path differs.
-func RunServe(c ServeConfig) (*ServeResult, error) {
-	c.defaults()
-	sys := c.Sys
-	bs := sys.Kernel().BlockSize()
-	fileBytes := (c.FileMB << 20) / bs * bs
-	if fileBytes < c.IOSize {
-		return nil, fmt.Errorf("serve: file %dB smaller than iosize %dB", fileBytes, c.IOSize)
-	}
-	tl0 := sys.Timeline()
+// serveFields declares the serve rows: the table names a cell
+// "mode-tN" and folds the fairness spread into one column, the records
+// keep them apart.
+var serveFields = []field[*ServeResult]{
+	{"cell", "", "%s", func(r *ServeResult) any { return fmt.Sprintf("%s-t%d", r.Mode(), r.Tenants) }},
+	{"", "mode", "", func(r *ServeResult) any { return r.Mode() }},
+	{"", "tenants", "", func(r *ServeResult) any { return r.Tenants }},
+	{"", "sessions_per_tenant", "", func(r *ServeResult) any { return r.Sessions }},
+	{"ops", "ops", "%d", func(r *ServeResult) any { return r.Ops }},
+	{"client-MB", "client_mb", "%.1f", func(r *ServeResult) any { return mbytes(r.Bytes) }},
+	{"", "crossings", "", func(r *ServeResult) any { return r.Crossings }},
+	{"cross/op", "crossings_per_op", "%.3f", func(r *ServeResult) any { return r.CrossingsPerOp() }},
+	{"depth-mean", "mean_dispatch_depth", "%.1f", func(r *ServeResult) any { return r.MeanDepth }},
+	{"depth-max", "max_dispatch_depth", "%d", func(r *ServeResult) any { return r.MaxBatch }},
+	{"", "ring_backpressure", "", func(r *ServeResult) any { return r.Backpressure }},
+	{"p50-us", "p50_us", "%.1f", func(r *ServeResult) any { return usec(r.P50) }},
+	{"p99-us", "p99_us", "%.1f", func(r *ServeResult) any { return usec(r.P99) }},
+	{"makespan-ms", "makespan_ms", "%.1f", func(r *ServeResult) any { return float64(r.Makespan) / float64(simtime.Millisecond) }},
+	{"MB/s", "mb_per_s", "%.1f", func(r *ServeResult) any { return r.MBs() }},
+	{"fair-min/max-MB", "", "%s", func(r *ServeResult) any {
+		if !r.Rings {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f/%.1f", mbytes(r.MinTenantBytes), mbytes(r.MaxTenantBytes))
+	}},
+	{"", "fair_min_tenant_mb", "", func(r *ServeResult) any { return mbytes(r.MinTenantBytes) }},
+	{"", "fair_max_tenant_mb", "", func(r *ServeResult) any { return mbytes(r.MaxTenantBytes) }},
+	{"", "device_read_mb", "", func(r *ServeResult) any { return r.DeviceReadMB }},
+	// A row exists only if its audit passed.
+	{"", "audit", "", func(*ServeResult) any { return "ok" }},
+}
+
+// run lays out per-tenant files, drops caches, replays the configured
+// sessions, and returns the scorecard. Both modes replay the exact same
+// (tenant, session, op) → offset schedule, so client byte totals are
+// identical and only the dispatch path differs.
+func (c serveRun) run() (*ServeResult, error) {
+	sys := c.sys
+	r := &cellRun{sys: sys, setup: sys.Timeline()}
 	names := make([]string, c.Tenants)
+	var fileBytes int64
 	for t := range names {
 		names[t] = fmt.Sprintf("serve-t%02d", t)
-		if err := sys.CreateSynthetic(tl0, names[t], fileBytes); err != nil {
+		file, err := r.create(names[t], c.FileMB)
+		if err != nil {
 			return nil, err
 		}
+		if fileBytes = file.Size(); fileBytes < c.IOSize {
+			return nil, fmt.Errorf("file %dB smaller than iosize %dB", fileBytes, c.IOSize)
+		}
 	}
-	sys.DropAllCaches(tl0)
+	r.dropCaches()
 
-	total := c.Tenants * c.Sessions * c.Ops
+	total := c.Tenants * c.Clients * c.Ops
 	lat := make([]simtime.Duration, total)
 	var (
 		makespan     simtime.Duration
@@ -135,15 +169,15 @@ func RunServe(c ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	res := &ServeResult{
+		ServeCell:    c.ServeCell,
+		Sessions:     c.Clients,
 		Ops:          int64(total),
 		Bytes:        int64(total) * c.IOSize,
 		Backpressure: backpressure,
-		P50:          lat[total/2],
-		P99:          lat[total*99/100],
 		Makespan:     makespan,
 	}
+	res.P50, res.P99 = tail(lat)
 	k := sys.Kernel()
 	res.Crossings = k.SyscallCount(vfs.SysRead) +
 		k.SyscallCount(vfs.SysRingEnter) + k.PrefetchSyscalls()
@@ -163,23 +197,18 @@ func RunServe(c ServeConfig) (*ServeResult, error) {
 		res.MeanDepth = 1
 		res.MaxBatch = 1
 	}
-	res.DeviceReadMB = float64(sys.Device().Stats().ReadBytes) / (1 << 20)
+	res.DeviceReadMB = mbytes(sys.Device().Stats().ReadBytes)
 	return res, nil
 }
 
-// sessionOffsets is the deterministic replay schedule for one session:
-// seeded random point reads — the request-serving shape (think KV point
+// schedule is the deterministic replay schedule for one session: seeded
+// random point reads — the request-serving shape (think KV point
 // lookups) where neither kernel readahead nor the library predictor can
 // hide the misses, so the dispatch path itself decides the achieved
 // device queue depth.
-func sessionOffsets(c ServeConfig, tenant, session int, fileBytes int64) []int64 {
-	rng := rand.New(rand.NewSource(c.Seed + int64(tenant)*7919 + int64(session)*104729))
-	slots := fileBytes / c.IOSize
-	offs := make([]int64, c.Ops)
-	for i := range offs {
-		offs[i] = rng.Int63n(slots) * c.IOSize
-	}
-	return offs
+func (c serveRun) schedule(tenant, session int, fileBytes int64) []int64 {
+	return offsets(patUniform, fileBytes/c.IOSize, c.IOSize, c.Ops,
+		c.Seed+int64(tenant)*7919+int64(session)*104729)
 }
 
 // serveEndpoints accumulates session/reaper completion times and the
@@ -207,9 +236,9 @@ func (e *serveEndpoints) note(end simtime.Time, err error) {
 // Sessions stage Batch reads then submit them as one kernel crossing;
 // the kernel-side lane scheduler sees every tenant's staged work at
 // once, which is what sustains device queue depth.
-func replayRings(c ServeConfig, names []string, fileBytes int64, lat []simtime.Duration) (simtime.Duration, int64, error) {
-	sys := c.Sys
-	perTenant := c.Sessions * c.Ops
+func replayRings(c serveRun, names []string, fileBytes int64, lat []simtime.Duration) (simtime.Duration, int64, error) {
+	sys := c.sys
+	perTenant := c.Clients * c.Ops
 	ends := &serveEndpoints{}
 	rings := make([]*crosslib.Ring, c.Tenants)
 	var wgSess, wgReap sync.WaitGroup
@@ -245,7 +274,7 @@ func replayRings(c ServeConfig, names []string, fileBytes int64, lat []simtime.D
 			ends.note(tl.Now(), nil)
 		}()
 
-		for s := 0; s < c.Sessions; s++ {
+		for s := 0; s < c.Clients; s++ {
 			s := s
 			wgSess.Add(1)
 			go func() {
@@ -262,7 +291,7 @@ func replayRings(c ServeConfig, names []string, fileBytes int64, lat []simtime.D
 					bufs[i] = make([]byte, c.IOSize)
 				}
 				staged := 0
-				for i, off := range sessionOffsets(c, t, s, fileBytes) {
+				for i, off := range c.schedule(t, s, fileBytes) {
 					u := uint64(s*c.Ops + i)
 					prepAt[u] = tl.Now()
 					// Ring-full is the admission control: yield until the
@@ -298,6 +327,49 @@ func replayRings(c ServeConfig, names []string, fileBytes int64, lat []simtime.D
 	return simtime.Duration(ends.last), backpressure, ends.err
 }
 
+// ServeCells replays each cell (nil: both frontends at 1, 8 and 64
+// tenants) on a fresh system and, where its telemetry is on, audits it.
+// The replay is real goroutines — sessions and reapers — so unlike the
+// deterministic sweeps a cell has no fingerprint and is not rerun.
+func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
+	c.SweepConfig = c.orElse(serveFull)
+	if c.Batch <= 0 {
+		c.Batch = 8
+	}
+	if c.Depth <= 0 {
+		c.Depth = 4 * c.Batch
+	}
+	if cells == nil {
+		cells = serveGrid(1, 8, 64)
+	}
+	t := &Table{ID: "serve", Title: "Serve frontend: sync vs submission rings across tenant counts"}
+	t.Note("sessions/tenant=%d ops/session=%d batch=%d iosize=%dKB file=%dMB approach=%v",
+		c.Clients, c.Ops, c.Batch, c.IOSize>>10, c.FileMB, crossprefetch.CrossPredictOpt)
+	t.Note("latency caveat: ring CQEs carry uncapped device completion times, " +
+		"while sync reads cap in-flight waits (the blocking reader's demand-read " +
+		"option) — sync p50/p99 and MB/s are optimistic by construction")
+	var rows []*ServeResult
+	for _, cl := range cells {
+		// Memory holds half the aggregate dataset: the serving-tier shape
+		// where misses are structural, the library's coverage prefetch
+		// backs off at its low watermark, and the dispatch path — not
+		// cache hits — decides queue depth and latency.
+		sys := c.Build(int64(cl.Tenants) * c.FileMB << 20 / 2)
+		if c.Observe != nil {
+			c.Observe(sys)
+		}
+		res, err := serveRun{c, cl, sys}.run()
+		if err == nil && sys.Telemetry() != nil {
+			err = sys.AuditTelemetry()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve %s-t%d: %w", cl.Mode(), cl.Tenants, err)
+		}
+		rows = append(rows, res)
+	}
+	return render(t, serveFields, rows), nil
+}
+
 // Serve reproduces the frontend comparison the rings exist for: the same
 // multi-tenant streaming replay dispatched synchronously and through
 // per-tenant submission rings, across tenant counts. At identical client
@@ -305,68 +377,19 @@ func replayRings(c ServeConfig, names []string, fileBytes int64, lat []simtime.D
 // deeper sustained device queues; the table reports both, plus tail
 // latency and the fair-share dispatcher's per-tenant byte spread.
 func Serve(o Options) (*Table, error) {
-	tenantCounts := []int{1, 8, 64}
-	cfg := ServeConfig{Sessions: 4, Ops: 50, Batch: 8, IOSize: 64 << 10, FileMB: 16}
+	c := ServeConfig{SweepConfig: o.sizing(serveFull, serveQuick), Batch: 8}
+	c.Build = func(memory int64) *crossprefetch.System {
+		return newSys(sysConfig{
+			approach:   crossprefetch.CrossPredictOpt,
+			memory:     memory,
+			plug:       true,
+			congestion: simtime.Second,
+		})
+	}
+	var cells []ServeCell
 	if o.Quick {
-		tenantCounts = []int{1, 4}
-		cfg = ServeConfig{Sessions: 2, Ops: 16, Batch: 4, IOSize: 16 << 10, FileMB: 4}
+		c.Batch = 4
+		cells = serveGrid(1, 4)
 	}
-
-	t := &Table{
-		ID:    "serve",
-		Title: "Serve frontend: sync vs submission rings across tenant counts",
-		Columns: []string{"cell", "ops", "client-MB", "cross/op", "depth-mean",
-			"depth-max", "p50-us", "p99-us", "makespan-ms", "MB/s", "fair-min/max-MB"},
-	}
-	t.Note("sessions/tenant=%d ops/session=%d batch=%d iosize=%dKB file=%dMB approach=%v",
-		cfg.Sessions, cfg.Ops, cfg.Batch, cfg.IOSize>>10, cfg.FileMB,
-		crossprefetch.CrossPredictOpt)
-	t.Note("latency caveat: ring CQEs carry uncapped device completion times, " +
-		"while sync reads cap in-flight waits (the blocking reader's demand-read " +
-		"option) — sync p50/p99 and MB/s are optimistic by construction")
-
-	us := func(d simtime.Duration) string {
-		return f1(float64(d) / float64(simtime.Microsecond))
-	}
-	for _, n := range tenantCounts {
-		for _, rings := range []bool{false, true} {
-			c := cfg
-			// Memory holds half the aggregate dataset: the serving-tier
-			// shape where misses are structural, the library's coverage
-			// prefetch backs off at its low watermark, and the dispatch
-			// path — not cache hits — decides queue depth and latency.
-			c.Sys = newSys(sysConfig{
-				approach:   crossprefetch.CrossPredictOpt,
-				memory:     int64(n) * c.FileMB << 20 / 2,
-				plug:       true,
-				congestion: simtime.Second,
-			})
-			c.Tenants = n
-			c.Rings = rings
-			c.Seed = o.Seed
-			res, err := RunServe(c)
-			if err != nil {
-				return nil, err
-			}
-			mode := "sync"
-			if rings {
-				mode = "rings"
-			}
-			fair := "-"
-			if rings {
-				fair = fmt.Sprintf("%.1f/%.1f",
-					float64(res.MinTenantBytes)/(1<<20),
-					float64(res.MaxTenantBytes)/(1<<20))
-			}
-			t.AddRow(fmt.Sprintf("%s-t%d", mode, n),
-				fmt.Sprintf("%d", res.Ops),
-				f1(float64(res.Bytes)/(1<<20)),
-				fmt.Sprintf("%.3f", res.CrossingsPerOp()),
-				f1(res.MeanDepth), fmt.Sprintf("%d", res.MaxBatch),
-				us(res.P50), us(res.P99),
-				f1(float64(res.Makespan)/float64(simtime.Millisecond)),
-				f1(res.MBs()), fair)
-		}
-	}
-	return t, nil
+	return tableOf(ServeCells(c, cells))
 }

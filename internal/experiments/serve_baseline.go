@@ -16,13 +16,13 @@ import (
 // thread issuing one blocking read call per op — one kernel crossing and
 // one device command at a time, the dispatch pattern the rings replace.
 // It replays the exact same offset schedule as replayRings.
-func replaySync(c ServeConfig, names []string, fileBytes int64, lat []simtime.Duration) (simtime.Duration, error) {
-	sys := c.Sys
-	perTenant := c.Sessions * c.Ops
+func replaySync(c serveRun, names []string, fileBytes int64, lat []simtime.Duration) (simtime.Duration, error) {
+	sys := c.sys
+	perTenant := c.Clients * c.Ops
 	ends := &serveEndpoints{}
 	var wg sync.WaitGroup
 	for t := 0; t < c.Tenants; t++ {
-		for s := 0; s < c.Sessions; s++ {
+		for s := 0; s < c.Clients; s++ {
 			t, s := t, s
 			wg.Add(1)
 			go func() {
@@ -35,7 +35,7 @@ func replaySync(c ServeConfig, names []string, fileBytes int64, lat []simtime.Du
 				}
 				defer f.Close(tl)
 				buf := make([]byte, c.IOSize)
-				for i, off := range sessionOffsets(c, t, s, fileBytes) {
+				for i, off := range c.schedule(t, s, fileBytes) {
 					t0 := tl.Now()
 					if _, err := f.ReadAt(tl, buf, off); err != nil {
 						ends.note(0, err)

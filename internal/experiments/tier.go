@@ -1,46 +1,29 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sort"
 
 	crossprefetch "repro"
 	"repro/internal/blockdev"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
-// TierPattern selects one access pattern of the tiered-stack sweep.
-type TierPattern int
-
-// The sweep's access patterns.
-const (
-	// TierSequential streams the file front to back — readahead's home
-	// turf, and where RAID-0 striping must show its bandwidth.
-	TierSequential TierPattern = iota
-	// TierZipfLSM reads zipf-selected three-fragment object chains (an
-	// LSM table's index/filter/data blocks) — skewed reuse that drives
-	// hotness promotion of the popular extents.
-	TierZipfLSM
-	// TierShared interleaves four sequential streams over one file —
-	// threads sharing a descriptor, each stream crossing tier boundaries
-	// at its own pace.
-	TierShared
-)
-
-// String names the pattern (table row key).
-func (p TierPattern) String() string {
-	return [...]string{"sequential", "zipfian-lsm", "shared-file"}[p]
+// tierPatterns is the tiered-stack sweep's access patterns.
+var tierPatterns = []struct {
+	name string
+	kind pattern
+}{
+	// Readahead's home turf, and where RAID-0 striping must show its
+	// bandwidth.
+	{"sequential", patSequential},
+	// Skewed reuse that drives hotness promotion of the popular extents.
+	{"zipfian-lsm", patZipfLSM},
+	// Each stream crosses tier boundaries at its own pace.
+	{"shared-file", patStreams},
 }
 
-// tierSharedStreams is the interleaved stream count of TierShared.
-const tierSharedStreams = 4
-
-// tierCellCfg is one device-stack configuration of the sweep grid.
-type tierCellCfg struct {
+// tierStack is one device-stack configuration of the sweep grid.
+type tierStack struct {
 	name       string
 	width      int     // RAID-0 stripe width of the local tier
 	remoteFrac float64 // fraction of extents starting remote (0 = tier off)
@@ -48,11 +31,11 @@ type tierCellCfg struct {
 	capped     bool    // bound the local tier to 3/4 of the file
 }
 
-// tierCellCfgs is the stack grid: stripe width {1,2} × tier
+// tierStacks is the stack grid: stripe width {1,2} × tier
 // {off, half-remote} × cross-tier prefetch {off, on}. The capped cell
 // bounds the local tier below the promoted set so the 15/16 → 7/8
 // watermark demotion machinery runs in steady state.
-var tierCellCfgs = []tierCellCfg{
+var tierStacks = []tierStack{
 	{"w1-local", 1, 0, false, false},
 	{"w2-local", 2, 0, false, false},
 	{"w1-remote", 1, 0.5, false, false},
@@ -61,100 +44,52 @@ var tierCellCfgs = []tierCellCfg{
 	{"w1-remote+pf-cap", 1, 0.5, true, true},
 }
 
-// TierConfigCell describes one tiered-stack sweep cell.
-type TierConfigCell struct {
-	Sys     *crossprefetch.System
-	Pattern TierPattern
-	Cell    tierCellCfg
-	FileMB  int64
-	IOSize  int64
-	Ops     int   // accesses in the measured warm half (total = 2*Ops)
-	RABytes int64 // kernel readahead window (default 512KB)
-	Seed    int64
-	// Observe, when non-nil, receives each cell's freshly built system
-	// before its replay starts — crosserve points the live admin plane
-	// (including /tiers) at it.
-	Observe func(sys *crossprefetch.System)
-}
-
-func (c *TierConfigCell) defaults() {
-	if c.FileMB <= 0 {
-		c.FileMB = 16
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 16 << 10
-	}
-	if c.Ops <= 0 {
-		c.Ops = 2048
-	}
-	if c.RABytes <= 0 {
-		c.RABytes = 512 << 10
-	}
-}
+var (
+	tierFull = SweepConfig{FileMB: 16, IOSize: 16 << 10, Ops: 2048}
+	// Quarter-scale everything, including the readahead window (see Tier).
+	tierQuick = SweepConfig{FileMB: 4, IOSize: 16 << 10, Ops: 512}
+)
 
 // TierResult is one cell's measured outcome. Headline numbers cover the
 // warm second half of the replay, after the tier has had a full half to
 // learn residency and promote the hot set.
 type TierResult struct {
-	Reads, Bytes int64
-	// Warm-half effectiveness: hit rate is the fraction of read pages
-	// served without a blocking demand fetch, pages/s is read pages per
-	// virtual second, P99Micros the warm per-read latency tail.
-	WarmReads       int64
-	WarmHitRate     float64
-	WarmPagesPerSec float64
-	P99Micros       float64
+	// fingerprint's digest covers the headline numbers, tier totals and
+	// the backend partition.
+	fingerprint
+	Pattern, Stack string
+	Reads, Bytes   int64
+	warmHalf
+	P99Micros float64 // the warm per-read latency tail
 	// Tier machinery totals over the whole replay.
 	Promotions, PrefetchPromotions, Demotions int64
 	CopybackBytes                             int64
 	// BackendCommands is the per-member command partition (audit-checked
 	// against the stack totals inside AuditTelemetry).
 	BackendCommands []int64
-	// Digest fingerprints the headline numbers, tier totals, and backend
-	// partition — identical seeds must reproduce it exactly.
-	Digest uint64
 }
 
-// tierOffsets builds the deterministic access sequence for a cell.
-func tierOffsets(p TierPattern, slots, iosize int64, total int, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed))
-	offs := make([]int64, 0, total+predictFrags)
-	switch p {
-	case TierSequential:
-		for i := 0; len(offs) < total; i++ {
-			offs = append(offs, int64(i)%slots*iosize)
-		}
-	case TierZipfLSM:
-		// Scatter object chains over a permutation of the fragment slots
-		// so successive fragments of one object are never adjacent — and
-		// never share a stripe chunk or tier extent.
-		perm := rng.Perm(int(slots))
-		objects := slots / predictFrags
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(objects-1))
-		for len(offs) < total {
-			o := int64(zipf.Uint64())
-			for f := int64(0); f < predictFrags; f++ {
-				offs = append(offs, int64(perm[o*predictFrags+f])*iosize)
-			}
-		}
-	case TierShared:
-		// Four sequential streams round-robin on one descriptor, each
-		// starting a quarter of the file apart.
-		var pos [tierSharedStreams]int64
-		for i := 0; len(offs) < total; i++ {
-			s := i % tierSharedStreams
-			off := (int64(s)*slots/tierSharedStreams + pos[s]) % slots
-			offs = append(offs, off*iosize)
-			pos[s]++
-		}
-	}
-	return offs
+var tierFields = []field[*TierResult]{
+	{"pattern", "pattern", "%s", func(r *TierResult) any { return r.Pattern }},
+	{"stack", "stack", "%s", func(r *TierResult) any { return r.Stack }},
+	{"reads", "reads", "%d", func(r *TierResult) any { return r.Reads }},
+	{"MB", "client_mb", "%.1f", func(r *TierResult) any { return mbytes(r.Bytes) }},
+	{"", "warm_reads", "", func(r *TierResult) any { return r.WarmReads }},
+	{"warm-hit", "warm_hit_rate", "%.3f", func(r *TierResult) any { return r.WarmHitRate }},
+	{"warm-pages/s", "warm_pages_per_s", "%.0f", func(r *TierResult) any { return r.WarmPagesPerSec }},
+	{"p99-us", "p99_us", "%.1f", func(r *TierResult) any { return r.P99Micros }},
+	{"promo", "promotions", "%d", func(r *TierResult) any { return r.Promotions }},
+	{"pf-promo", "prefetch_promotions", "%d", func(r *TierResult) any { return r.PrefetchPromotions }},
+	{"demo", "demotions", "%d", func(r *TierResult) any { return r.Demotions }},
+	{"", "copyback_mb", "", func(r *TierResult) any { return mbytes(r.CopybackBytes) }},
+	{"", "backend_commands", "", func(r *TierResult) any { return r.BackendCommands }},
+	{"", "determinism_digest", "", func(r *TierResult) any { return r.hexDigest() }},
 }
 
 // tierSys builds one cell's system: OS-kernel readahead over the
 // configured device stack, with plugging and telemetry on so the
 // per-backend partition identities are audit-checked.
-func tierSys(cc tierCellCfg, fileMB, raBytes int64) *crossprefetch.System {
+func tierSys(cc tierStack, fileMB, raBytes int64) *crossprefetch.System {
 	cfg := crossprefetch.Config{
 		Approach:    crossprefetch.OSOnly,
 		MemoryBytes: fileMB << 20 / 4,
@@ -196,240 +131,101 @@ func tierSys(cc tierCellCfg, fileMB, raBytes int64) *crossprefetch.System {
 	return crossprefetch.NewSystem(cfg)
 }
 
-// RunTier replays one cell: every returned byte is verified against
-// ground truth, the telemetry audit (including the exact per-backend
-// partition of device commands and bytes) must pass, and the warm-half
-// hit rate, throughput, and latency tail are measured once the training
-// half is done.
-func RunTier(c TierConfigCell) (*TierResult, error) {
-	c.defaults()
-	sys := c.Sys
-	bs := sys.Kernel().BlockSize()
-	size := (c.FileMB << 20) / bs * bs
-	setup := sys.Timeline()
-	const name = "tier-file"
-	if err := sys.CreateSynthetic(setup, name, size); err != nil {
-		return nil, err
-	}
-	truth, err := sys.FS().Open(name)
+// replayTier runs one pattern over one stack; the audit that follows
+// checks the exact per-backend partition of device commands and bytes.
+func replayTier(r *cellRun, cfg SweepConfig, name string, kind pattern, st tierStack) (*TierResult, error) {
+	rd, warm, err := r.twoHalves("tier-file", cfg, kind)
 	if err != nil {
 		return nil, err
 	}
-	sys.DropAllCaches(setup)
-
-	offs := tierOffsets(c.Pattern, size/c.IOSize, c.IOSize, 2*c.Ops, c.Seed)
-	tl := sys.Timeline()
-	f, err := sys.Open(tl, name)
-	if err != nil {
-		return nil, err
-	}
-
-	rec := sys.Telemetry()
-	pagesPerIO := c.IOSize / bs
-	buf := make([]byte, c.IOSize)
-	want := make([]byte, c.IOSize)
-	res := &TierResult{}
-	warmStart := len(offs) / 2
-	var warmT0 int64
-	var warmDemand0 int64
-	lat := make([]int64, 0, len(offs)-warmStart)
-	for i, off := range offs {
-		if i == warmStart {
-			warmT0 = int64(tl.Now())
-			warmDemand0 = rec.CounterValue(telemetry.CtrVFSDemandFetchPages)
-		}
-		t0 := tl.Now()
-		n, err := f.ReadAt(tl, buf, off)
-		if err != nil {
-			return nil, fmt.Errorf("tier %s/%s: read at %d: %w", c.Cell.name, c.Pattern, off, err)
-		}
-		if int64(n) != c.IOSize {
-			return nil, fmt.Errorf("tier %s/%s: short read %d at %d", c.Cell.name, c.Pattern, n, off)
-		}
-		truth.ReadAt(want[:n], off)
-		if !bytes.Equal(buf[:n], want[:n]) {
-			return nil, fmt.Errorf("tier %s/%s: corrupt data at %d", c.Cell.name, c.Pattern, off)
-		}
-		if i >= warmStart {
-			lat = append(lat, int64(tl.Now()-t0))
-		}
-		res.Reads++
-		res.Bytes += int64(n)
-	}
-	res.WarmReads = int64(len(offs) - warmStart)
-	warmPages := res.WarmReads * pagesPerIO
-	demand := rec.CounterValue(telemetry.CtrVFSDemandFetchPages) - warmDemand0
-	if demand > warmPages {
-		demand = warmPages
-	}
-	res.WarmHitRate = 1 - float64(demand)/float64(warmPages)
-	if dt := int64(tl.Now()) - warmT0; dt > 0 {
-		res.WarmPagesPerSec = float64(warmPages) / (float64(dt) / 1e9)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res.P99Micros = float64(lat[len(lat)*99/100]) / 1e3
-
-	// Per-cell reconciliation: every ledger closes, including the exact
-	// per-backend partition of device commands and bytes.
-	if err := sys.AuditTelemetry(); err != nil {
-		return nil, fmt.Errorf("tier %s/%s: telemetry audit: %w", c.Cell.name, c.Pattern, err)
-	}
-
-	ts := sys.Stack().TierStats(0)
+	res := &TierResult{Pattern: name, Stack: st.name, Reads: int64(rd.next), Bytes: rd.bytesRead(), warmHalf: warm}
+	_, tail99 := tail(warm.warmLat)
+	res.P99Micros = float64(tail99) / 1e3
+	ts := r.sys.Stack().TierStats(0)
 	res.Promotions = ts.Promotions
 	res.PrefetchPromotions = ts.PrefetchPromotions
 	res.Demotions = ts.Demotions
 	res.CopybackBytes = ts.CopybackBytes
-	for _, ms := range sys.Stack().MemberStats() {
+	for _, ms := range r.sys.Stack().MemberStats() {
 		res.BackendCommands = append(res.BackendCommands, ms.PlugCommands)
 	}
-
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%.9f|%.3f|%.3f|%d|%d|%d|%d|%v",
-		c.Cell.name, c.Pattern, res.Reads, res.Bytes, res.WarmHitRate,
+	res.Digest = digest(nil, fmt.Sprintf("%s|%s|%d|%d|%.9f|%.3f|%.3f|%d|%d|%d|%d|%v",
+		st.name, name, res.Reads, res.Bytes, res.WarmHitRate,
 		res.WarmPagesPerSec, res.P99Micros, res.Promotions,
 		res.PrefetchPromotions, res.Demotions, res.CopybackBytes,
-		res.BackendCommands)
-	res.Digest = h.Sum64()
+		res.BackendCommands))
 	return res, nil
 }
 
-// tierPatterns is the sweep order.
-var tierPatterns = []TierPattern{TierSequential, TierZipfLSM, TierShared}
-
-// tierKey addresses one cell of the sweep result map.
-type tierKey struct {
-	Pattern TierPattern
-	Cell    string
-}
-
-// TierCells runs the stack-grid × pattern sweep at the given sizing,
-// re-running every cell to prove determinism, and asserts the sweep's
-// contract: width-2 striping must reach >= 1.7x the width-1 sequential
-// throughput, cross-tier prefetch must hold >= 70% of the all-local warm
-// hit rate on the half-remote dataset, and the tiered cell with
-// cross-tier prefetch must beat the prefetch-off tiered cell on warm p99
-// read latency.
-func TierCells(cfg TierConfigCell) (map[tierKey]*TierResult, error) {
-	// Sizing defaults must resolve before any system is built: tierSys
-	// consumes FileMB and RABytes directly.
-	cfg.defaults()
-	out := make(map[tierKey]*TierResult, len(tierPatterns)*len(tierCellCfgs))
-	for _, p := range tierPatterns {
-		for _, cc := range tierCellCfgs {
-			run := func() (*TierResult, error) {
-				c := cfg
-				c.Sys = tierSys(cc, cfg.FileMB, cfg.RABytes)
-				c.Pattern = p
-				c.Cell = cc
-				if c.Observe != nil {
-					c.Observe(c.Sys)
-				}
-				return RunTier(c)
-			}
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			rerun, err := run()
-			if err != nil {
-				return nil, fmt.Errorf("tier %s/%s (rerun): %w", cc.name, p, err)
-			}
-			if res.Digest != rerun.Digest {
-				return nil, fmt.Errorf("tier %s/%s: run differs across identical seeds (digest %x vs %x)",
-					cc.name, p, res.Digest, rerun.Digest)
-			}
-			out[tierKey{p, cc.name}] = res
-		}
-	}
-
-	// The sweep's contract, all on the sequential pattern (striping's and
-	// readahead's home turf).
-	w1 := out[tierKey{TierSequential, "w1-local"}]
-	w2 := out[tierKey{TierSequential, "w2-local"}]
+// tierContract, all on the sequential pattern (striping's and
+// readahead's home turf): width-2 striping must reach >= 1.7x the
+// width-1 throughput, cross-tier prefetch must hold >= 70% of the
+// all-local warm hit rate on the half-remote dataset, and the tiered cell
+// with cross-tier prefetch must beat the prefetch-off tiered cell on warm
+// p99 read latency.
+func tierContract(at func(cell string) *TierResult) error {
+	w1, w2 := at("sequential/w1-local"), at("sequential/w2-local")
 	if w2.WarmPagesPerSec < 1.7*w1.WarmPagesPerSec {
-		return nil, fmt.Errorf("tier: width-2 sequential pages/s %.0f below 1.7x width-1 %.0f",
+		return fmt.Errorf("width-2 sequential pages/s %.0f below 1.7x width-1 %.0f",
 			w2.WarmPagesPerSec, w1.WarmPagesPerSec)
 	}
-	rpf := out[tierKey{TierSequential, "w1-remote+pf"}]
+	rpf, rnopf := at("sequential/w1-remote+pf"), at("sequential/w1-remote")
 	if rpf.WarmHitRate < 0.7*w1.WarmHitRate {
-		return nil, fmt.Errorf("tier: half-remote cross-tier prefetch warm hit %.3f below 70%% of all-local %.3f",
+		return fmt.Errorf("half-remote cross-tier prefetch warm hit %.3f below 70%% of all-local %.3f",
 			rpf.WarmHitRate, w1.WarmHitRate)
 	}
-	rnopf := out[tierKey{TierSequential, "w1-remote"}]
 	if rpf.P99Micros >= rnopf.P99Micros {
-		return nil, fmt.Errorf("tier: cross-tier prefetch p99 %.1fus does not beat prefetch-off tiered %.1fus",
+		return fmt.Errorf("cross-tier prefetch p99 %.1fus does not beat prefetch-off tiered %.1fus",
 			rpf.P99Micros, rnopf.P99Micros)
 	}
 	// Cross-tier prefetch must actually land pages in the local tier, and
 	// the capped cell's watermark machinery must demote in steady state.
 	if rpf.PrefetchPromotions < 1 {
-		return nil, fmt.Errorf("tier: cross-tier prefetch cell saw %d prefetch promotions, want >= 1",
+		return fmt.Errorf("cross-tier prefetch cell saw %d prefetch promotions, want >= 1",
 			rpf.PrefetchPromotions)
 	}
-	if cap := out[tierKey{TierSequential, "w1-remote+pf-cap"}]; cap.Demotions < 1 {
-		return nil, fmt.Errorf("tier: capped cell saw %d watermark demotions, want >= 1", cap.Demotions)
+	if capped := at("sequential/w1-remote+pf-cap"); capped.Demotions < 1 {
+		return fmt.Errorf("capped cell saw %d watermark demotions, want >= 1", capped.Demotions)
 	}
-	return out, nil
+	return nil
 }
 
-// TierRow pairs one sweep cell's key with its result.
-type TierRow struct {
-	Pattern string
-	Cell    string
-	Result  *TierResult
-}
-
-// TierRows flattens a TierCells result map into sweep order (pattern
-// outer, stack cell inner) for tabular or JSON output.
-func TierRows(cells map[tierKey]*TierResult) []TierRow {
-	out := make([]TierRow, 0, len(cells))
-	for _, p := range tierPatterns {
-		for _, cc := range tierCellCfgs {
-			out = append(out, TierRow{p.String(), cc.name, cells[tierKey{p, cc.name}]})
-		}
+// tierSweep is the stack-grid × pattern sweep at the given sizing and
+// kernel readahead window.
+func tierSweep(cfg SweepConfig, raBytes int64) (*Report, error) {
+	cfg = cfg.orElse(tierFull)
+	s := sweep[*TierResult]{
+		table:    &Table{ID: "tier", Title: "Tiered stacks: RAID-0 striping, NVMe-oF remote tier, cross-tier prefetch"},
+		fields:   tierFields,
+		contract: tierContract,
 	}
-	return out
-}
-
-// Tier reproduces the tiered-stack sweep: every stack shape (striped,
-// tiered, cross-tier prefetching) replayed under each access pattern,
-// byte-verified, audit-reconciled down to the per-backend command
-// partition, and re-run to an identical digest.
-func Tier(o Options) (*Table, error) {
-	cfg := TierConfigCell{FileMB: 16, IOSize: 16 << 10, Ops: 2048, Seed: o.Seed}
-	if o.Quick {
-		// Quarter-scale everything, including the readahead window — a
-		// 512KB window against 1MB of memory would stall on watermarks.
-		cfg = TierConfigCell{FileMB: 4, IOSize: 16 << 10, Ops: 512, RABytes: 128 << 10, Seed: o.Seed}
-	}
-	cells, err := TierCells(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:    "tier",
-		Title: "Tiered stacks: RAID-0 striping, NVMe-oF remote tier, cross-tier prefetch",
-		Columns: []string{"pattern", "stack", "reads", "MB", "warm-hit",
-			"warm-pages/s", "p99-us", "promo", "pf-promo", "demo"},
-	}
-	t.Note("file=%dMB mem=%dMB iosize=%dKB warm-ops=%d; warm half measured after an identical training half",
+	s.table.Note("file=%dMB mem=%dMB iosize=%dKB warm-ops=%d; warm half measured after an identical training half",
 		cfg.FileMB, cfg.FileMB/4, cfg.IOSize>>10, cfg.Ops)
-	t.Note("every cell byte-verified, audit-clean (per-backend commands/bytes partition the stack totals exactly), and re-run to an identical digest")
+	s.table.Note("every cell byte-verified, audit-clean (per-backend commands/bytes partition the stack totals exactly), and re-run to an identical digest")
 	for _, p := range tierPatterns {
-		for _, cc := range tierCellCfgs {
-			r := cells[tierKey{p, cc.name}]
-			t.AddRow(p.String(), cc.name,
-				fmt.Sprintf("%d", r.Reads),
-				f1(float64(r.Bytes)/(1<<20)),
-				fmt.Sprintf("%.3f", r.WarmHitRate),
-				f0(r.WarmPagesPerSec),
-				f1(r.P99Micros),
-				fmt.Sprintf("%d", r.Promotions),
-				fmt.Sprintf("%d", r.PrefetchPromotions),
-				fmt.Sprintf("%d", r.Demotions))
+		for _, st := range tierStacks {
+			s.cells = append(s.cells, sweepCell[*TierResult]{
+				name:  p.name + "/" + st.name,
+				build: func() *crossprefetch.System { return tierSys(st, cfg.FileMB, raBytes) },
+				replay: func(r *cellRun) (*TierResult, error) {
+					return replayTier(r, cfg, p.name, p.kind, st)
+				},
+			})
 		}
 	}
-	return t, nil
+	return s.run(cfg.Observe)
+}
+
+// TierCells runs the tiered-stack sweep: every stack shape (striped,
+// tiered, cross-tier prefetching) replayed under each access pattern.
+func TierCells(cfg SweepConfig) (*Report, error) { return tierSweep(cfg, 512<<10) }
+
+// Tier reproduces the tiered-stack sweep.
+func Tier(o Options) (*Table, error) {
+	ra := int64(512 << 10)
+	if o.Quick {
+		// A 512KB window against 1MB of memory would stall on watermarks.
+		ra = 128 << 10
+	}
+	return tableOf(tierSweep(o.sizing(tierFull, tierQuick), ra))
 }

@@ -124,9 +124,7 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	// reclaim pressure remote residency must not amplify I/O.
 	clamped := v.pressureCheck(tl) >= BrownoutClamped
 	if clamped {
-		if clamp := v.brownoutClampPages(); limit > clamp {
-			limit = clamp
-		}
+		limit = min(limit, brownoutClampPages)
 	}
 
 	// prefetchRuns below is done with the runs when it returns.

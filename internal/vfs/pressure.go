@@ -29,7 +29,7 @@ import (
 // At PrefetchOff and above, ring prefetch intents are shed with ErrShed
 // before staging any device work (prefetch is degradable, reads are
 // not — the Leap lesson). At Clamped, readahead_info windows are
-// additionally clamped to BrownoutClampPages, so even the opt path's
+// additionally clamped to brownoutClampPages, so even the opt path's
 // limit override cannot amplify I/O while reclaim is drowning.
 
 // ErrShed marks a submission refused under overload: the work was
@@ -53,7 +53,7 @@ const (
 	// BrownoutPrefetchOff: ring prefetch intents are shed with ErrShed.
 	BrownoutPrefetchOff
 	// BrownoutClamped: prefetch stays off and readahead_info windows are
-	// clamped to BrownoutClampPages regardless of limit override.
+	// clamped to brownoutClampPages regardless of limit override.
 	BrownoutClamped
 )
 
@@ -70,16 +70,8 @@ func (l BrownoutLevel) String() string {
 	return "invalid"
 }
 
-// defaultBrownoutClampPages is the level-2 readahead window cap when
-// Config.BrownoutClampPages is zero.
-const defaultBrownoutClampPages = 8
-
-func (v *VFS) brownoutClampPages() int64 {
-	if v.cfg.BrownoutClampPages > 0 {
-		return v.cfg.BrownoutClampPages
-	}
-	return defaultBrownoutClampPages
-}
+// brownoutClampPages is the level-2 readahead window cap.
+const brownoutClampPages = 8
 
 // BrownoutLevel reports the controller's current level (always
 // BrownoutNormal when Config.Brownout is off).

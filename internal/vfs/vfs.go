@@ -74,9 +74,6 @@ type Config struct {
 	// prefetch and clamping readahead windows as it rises. Off by
 	// default — prefetch policy is unchanged unless opted in.
 	Brownout bool
-	// BrownoutClampPages caps readahead_info windows while the
-	// controller is at BrownoutClamped (0 selects 8 pages).
-	BrownoutClampPages int64
 }
 
 // DefaultConfig returns Linux-like defaults on the paper's testbed.
