@@ -4,7 +4,7 @@
 # file system, the lock-free bitmap, the page cache) under the race
 # detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
 # two cores, hence the explicit timeout (go test's default is ten).
-.PHONY: check build test vet race stress bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate ctrgate armgate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate ctrgate armgate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
 
 check: vet errgate fmtgate stackgate ringgate shedgate ctrgate armgate build race digests
 
@@ -96,6 +96,18 @@ race:
 
 stress:
 	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache
+
+# Code size, counted one way: non-test Go lines that are neither blank nor
+# comment-only, per package (with its files when PKG names one, e.g.
+# `make size PKG=internal/crosslib`). The number a size claim in CHANGES.md
+# quotes; not a gate.
+size:
+	@for d in $$(find $(or $(PKG),.) -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+		n=0; for f in $$(ls $$d/*.go | grep -v '_test\.go$$'); do \
+			c=$$(grep -vc '^\s*\(//.*\)\?$$' $$f); n=$$((n+c)); \
+			[ -z "$(PKG)" ] || printf '%7d  %s\n' $$c $$f; \
+		done; printf '%7d  %s\n' $$n $$d; \
+	done
 
 # Fault-plan sweep under the race detector: the chaos harness plus every
 # fault-injection, retry/backoff, and circuit-breaker test.

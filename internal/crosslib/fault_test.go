@@ -1,11 +1,14 @@
 package crosslib
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/faultinject"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
+	"repro/internal/vfs"
 )
 
 // transientReads makes every read fail once per site, then clear.
@@ -248,38 +251,48 @@ func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
 	}
 }
 
-// TestVectoredFlushFailureFeedsBreakerOnce pins the vectored path's
-// failure contract: a definitive device failure under one vectored
-// readahead_info flush of several parked runs feeds the breaker exactly
-// once — not once per range — and gives every parked run's requested
-// bits back so later intents can retry them.
-func TestVectoredFlushFailureFeedsBreakerOnce(t *testing.T) {
-	rt, f, tl, base := batchRuntime(t, 256)
-	park(t, f, tl, 2010, 2014)
-	park(t, f, tl, 2020, 2024)
-	park(t, f, tl, 2030, 2034)
-	rt.VFS().Stack().SetFaultInjector(persistentReads())
-	failsBefore, _ := brkState(f)
+// TestMmapScanFeedsBreakerOnce is the same contract for the mmap scan,
+// which used to walk its window's missing runs with a loop of its own: three
+// runs against a definitively failing device were three crossings and three
+// breaker feeds, so one scan tripped a threshold-3 breaker alone.
+func TestMmapScanFeedsBreakerOnce(t *testing.T) {
+	v := newKernel(1_000_000)
+	opt := CrossPredictOpt.Options()
+	opt.BreakerThreshold = 3
+	rt := New(v, opt)
+	tl := simtime.NewTimeline(0)
+	v.FS().CreateSynthetic(tl, "big", 64<<20)
+	f, err := rt.Open(tl, "big") // the optimistic open makes [0, front) resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.Mmap(tl, f)
+	front := f.Kernel().FileCache().CachedPages()
+	if front < 256 {
+		t.Fatalf("open prefetch left %d pages resident", front)
+	}
+	// The scan will find [front-128, front) dense, double its window to 64
+	// and prefetch [front, front+64): split that into three missing runs.
+	f.sf.tree.MarkCached(tl, front+20, front+24)
+	f.sf.tree.MarkCached(tl, front+40, front+44)
+	v.Stack().SetFaultInjector(persistentReads())
+	crossings := v.SyscallCount(vfs.SysReadaheadInfo)
+	base := rt.Stats()
 
-	f.FlushIntents(tl)
+	m.scheduleScan(tl) // runs inline on the worker pool
 
-	fails, open := brkState(f)
-	if fails-failsBefore != 1 {
-		t.Fatalf("one failed vectored flush fed the breaker %d times, want exactly 1", fails-failsBefore)
+	if fails, open := brkState(f); fails != 1 || open {
+		t.Fatalf("one failing scan: breaker fails=%d open=%v, want 1 feed and closed", fails, open)
 	}
-	if open {
-		t.Fatal("breaker tripped by a single vectored failure")
+	if d := v.SyscallCount(vfs.SysReadaheadInfo) - crossings; d != 2 {
+		t.Fatalf("scan crossed %d times, want 2 (the export-only query, one prefetch)", d)
 	}
-	st := rt.Stats()
-	if d := st.PrefetchCalls - base.PrefetchCalls; d != 1 {
-		t.Fatalf("failed vectored flush crossed %d times, want 1", d)
+	if d := rt.Stats().PrefetchCalls - base.PrefetchCalls; d != 1 {
+		t.Fatalf("scan issued %d prefetch calls, want 1", d)
 	}
-	rt.VFS().Stack().SetFaultInjector(nil)
-	for _, w := range [][2]int64{{2010, 2014}, {2020, 2024}, {2030, 2034}} {
-		runs := f.sf.tree.NeedsPrefetch(tl, w[0], w[1])
-		if len(runs) != 1 || runs[0].Lo != w[0] || runs[0].Hi != w[1] {
-			t.Fatalf("parked run [%d,%d) not given back after failure: %v", w[0], w[1], runs)
-		}
-		f.sf.tree.ClearRequested(tl, w[0], w[1])
+	runs := f.sf.tree.NeedsPrefetch(tl, front, front+64)
+	want := []bitmap.Run{{Lo: front, Hi: front + 20}, {Lo: front + 24, Hi: front + 40}, {Lo: front + 44, Hi: front + 64}}
+	if !slices.Equal(runs, want) {
+		t.Fatalf("post-failure missing runs = %v, want %v", runs, want)
 	}
 }

@@ -1,0 +1,338 @@
+package crosslib
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/blockdev"
+	"repro/internal/faultinject"
+	"repro/internal/fs"
+	"repro/internal/pagecache"
+	"repro/internal/rangetree"
+	"repro/internal/simtime"
+	"repro/internal/telemetry"
+	"repro/internal/vfs"
+)
+
+// TestGoldenWayUp pins virtual time, the library's counters and the
+// telemetry record of every CROSS-LIB entry point — mmap loads with bitmap
+// scans, the fincore poll, sequential / reverse / strided / random ReadAt on
+// private and shared descriptors, Read/SeekTo, WriteAt/Append/Fsync, the
+// optimistic open and FetchAll, ring read / prefetch / deadline prefetch /
+// write with backpressure and a discarding Close, a transient and a
+// persistent fault plan (retries, breaker trip, open-breaker drops on both
+// paths, recovery), helper-saturation drops and the low watermark — on one
+// seeded timeline per approach. internal/vfs's TestGoldenWayDown pins the
+// kernel below the library; this pins the decisions above it.
+//
+// The expected values were recorded by running this file, unchanged,
+// against the commit before the way up was collapsed (PR 15, 1dd50fd). The
+// schedule steers clear of the three defects that collapse fixed, which
+// have tests of their own: no level-2 brownout under an OptLimits intent,
+// no mmap scan under a persistent fault, and a ring write only where the
+// ring's old copy of the write-side observe agreed with WriteAt's (with the
+// ensemble on it trained the wrong detector, with Predict off it skipped
+// the op tick). To re-record after an intended change, copy this file into
+// a clone of the parent commit and run it there with -v: every cell logs
+// its actual values.
+func TestGoldenWayUp(t *testing.T) {
+	blind := Options{Enabled: true, Predict: true, CoveragePrefetch: true,
+		RangeTreeSpan: rangetree.DefaultSpan}
+	ensemble := CrossPredictOpt.Options()
+	ensemble.Ensemble = true
+	cells := []struct {
+		name string
+		opt  Options
+		want goldenUp
+	}{
+		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
+			now:       76851945,
+			stats:     "{PrefetchCalls:900 SavedPrefetches:866 PrefetchedPages:14742 EvictedPages:7626 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 WorkerJobs:879 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			ring:      "{Submits:5 SQEs:24 Backpressure:2 Discarded:1}",
+			telemetry: "d2cb56506c945011",
+			results:   "af3b3d14af881add",
+		}},
+		{"predict+opt+ensemble", ensemble, goldenUp{
+			now:       79469699,
+			stats:     "{PrefetchCalls:2028 SavedPrefetches:3403 PrefetchedPages:13639 EvictedPages:7994 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 WorkerJobs:1298 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
+			ring:      "{Submits:4 SQEs:22 Backpressure:2 Discarded:1}",
+			telemetry: "93c0ccd1a4456b79",
+			results:   "e4d21c9002bcf12c",
+		}},
+		{"blind", blind, goldenUp{
+			now:       86067610,
+			stats:     "{PrefetchCalls:606 SavedPrefetches:133 PrefetchedPages:0 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:64 WorkerJobs:607 PrefetchRetries:0 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			ring:      "{Submits:6 SQEs:24 Backpressure:2 Discarded:1}",
+			telemetry: "8745303fb4a83737",
+			results:   "28d11953142ce1a6",
+		}},
+		{"fetchall+opt", CrossFetchAllOpt.Options(), goldenUp{
+			now:       95717133,
+			stats:     "{PrefetchCalls:177 SavedPrefetches:4 PrefetchedPages:12311 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 WorkerJobs:26 PrefetchRetries:2 BreakerTrips:1 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			ring:      "{Submits:5 SQEs:22 Backpressure:2 Discarded:1}",
+			telemetry: "69226265256c266c",
+			results:   "7526fd15b0f4fdf3",
+		}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			got := runGoldenWayUp(t, c.opt)
+			t.Logf("actual: %#v", got)
+			if got != c.want {
+				t.Errorf("golden mismatch\n got %#v\nwant %#v", got, c.want)
+			}
+		})
+	}
+}
+
+// goldenUp is what one approach's run is reduced to: the final virtual
+// time, every field of Runtime.Stats() and of the ring's RingStats, and
+// SHA-256 prefixes of the recorder snapshot's JSON (counters, outcomes,
+// origins, arms, histograms, the event trace) and of every call's return
+// values.
+type goldenUp struct {
+	now       int64
+	stats     string
+	ring      string
+	telemetry string
+	results   string
+}
+
+func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
+	const (
+		kb = 1 << 10
+		mb = 1 << 20
+	)
+	costs := simtime.DefaultCosts()
+	st := blockdev.WrapDevice(blockdev.New(blockdev.NVMeConfig()))
+	fsys := fs.New(fs.LayoutExtent, 4096, costs)
+	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: 12288, Costs: costs}, nil)
+	cfg := vfs.DefaultConfig()
+	cfg.AllowLimitOverride = true
+	v := vfs.NewStack(cfg, fsys, st, cache)
+
+	// A small helper pool and breaker so saturation, trips and recoveries
+	// all happen within a few megabytes; frequent scans and budget checks.
+	opt.Workers = 2
+	opt.MmapScanOps = 8
+	opt.EvictCheckOps = 8
+	opt.InactiveAge = 2 * simtime.Millisecond
+	opt.BreakerThreshold = 3
+	opt.BreakerCooloff = 2 * simtime.Millisecond
+	opt.FaultSeed = 16
+	rt := New(v, opt)
+	rec := telemetry.NewRecorder(1 << 14)
+	st.SetTelemetry(rec)
+	cache.SetTelemetry(rec)
+	v.SetTelemetry(rec)
+	rt.SetTelemetry(rec)
+
+	tl := simtime.NewTimeline(0)
+	results := sha256.New()
+	result := func(what string, vals ...any) {
+		fmt.Fprintf(results, "%s %v @%d\n", what, vals, tl.Now())
+	}
+	for _, file := range []struct {
+		name string
+		size int64
+	}{{"m", 8 * mb}, {"a", 64 * mb}, {"b", 64 * mb}, {"c", 4 * mb}} {
+		if _, err := fsys.CreateSynthetic(tl, file.name, file.size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(name string) *File {
+		f, err := rt.Open(tl, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result("open", name, f.Size())
+		return f
+	}
+	buf := make([]byte, 1*mb)
+	read := func(f *File, off, n int64) {
+		got, err := f.ReadAt(tl, buf[:n], off)
+		result("read", off, n, got, err != nil)
+	}
+
+	// mmap first, while the cache is empty: a sequential run of loads (the
+	// scans find a dense frontier and prefetch ahead of it with a growing
+	// window), then scattered ones (the window shrinks); a fincore poll.
+	fm := open("m")
+	m := rt.Mmap(tl, fm)
+	for off := int64(0); off < 3*mb; off += 32 * kb {
+		result("load", off, m.Load(tl, off, 32*kb, nil) != nil)
+	}
+	for _, off := range []int64{7 * mb, 5 * mb, 6*mb + 512*kb, 4*mb + 4096, 7*mb + 900*kb, 5*mb + 256*kb, 6 * mb, 4 * mb} {
+		for i := int64(0); i < 4; i++ {
+			result("load", off, m.Load(tl, off+i*4096, 4096, buf[:4096]) != nil)
+		}
+	}
+	fm.FincorePollStep(tl, 1024)
+	result("fincore")
+
+	// ReadAt on two descriptors of one file (one shared tree, two pattern
+	// detectors): sequential, reverse, strided, random; Read and SeekTo.
+	f1, f2 := open("a"), open("a")
+	for off := int64(0); off < 4*mb; off += 16 * kb {
+		read(f1, off, 16*kb)
+	}
+	// Helper saturation: with both helpers booked 5ms ahead, new intents
+	// are dropped and give their requested bits back.
+	for i := 0; i < opt.Workers; i++ {
+		rt.workers.Run(tl.Now(), func(wtl *simtime.Timeline) { wtl.Advance(5 * simtime.Millisecond) })
+	}
+	for off := int64(40 * mb); off < 41*mb; off += 16 * kb {
+		read(f2, off, 16*kb)
+	}
+	tl.WaitUntil(tl.Now().Add(6*simtime.Millisecond), simtime.WaitIO)
+
+	for off := int64(12*mb - 16*kb); off >= 10*mb; off -= 16 * kb {
+		read(f2, off, 16*kb)
+	}
+	for off := int64(16 * mb); off < 20*mb; off += 64 * kb {
+		read(f1, off, 16*kb)
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 64; i++ {
+		read(f2, rng.Int63n(32*mb/4096)*4096, 16*kb)
+	}
+	f2.SeekTo(4 * mb)
+	for i := 0; i < 16; i++ {
+		got, err := f2.Read(tl, buf[:48*kb])
+		result("seqread", got, err != nil)
+	}
+	read(f1, 64*mb-100, 4096) // short read at EOF
+	read(f1, 65*mb, 4096)     // past EOF
+
+	// Writes: a created file, unaligned overwrites, appends, fsync, a read
+	// back of what was written.
+	fw, err := rt.Create(tl, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 64*kb)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	write := func(off, n int64) {
+		got, err := fw.WriteAt(tl, data[:n], off)
+		result("write", off, n, got, err != nil)
+	}
+	write(0, 64*kb)
+	write(100_000, 10_000)
+	for i := 0; i < 4; i++ {
+		got, err := fw.Append(tl, data[:32*kb])
+		result("append", got, err != nil, fw.Size())
+	}
+	result("fsync", fw.Fsync(tl) != nil)
+	write(8*kb+5, 300)
+	read(fw, 0, 128*kb)
+
+	// Rings: reads, a prefetch intent, the same intent again (the bitmap
+	// elides it), deadline prefetches (expired: shed in the library; far
+	// off: admitted), an expired read, a write, backpressure at depth 8,
+	// and a Close that discards a staged op.
+	fc := open("c")
+	ring := rt.NewRing(1, 8)
+	prep := func(what string, err error) { result("prep "+what, err != nil) }
+	reap := func() {
+		result("submit", ring.Submit(tl))
+		for _, c := range ring.Reap(tl, 0) {
+			result("cqe", c.User, c.N, c.Err, c.Done)
+		}
+	}
+	prep("read", ring.PrepRead(fc, buf[:64*kb], 0, 1))
+	prep("read", ring.PrepRead(fc, buf[64*kb:128*kb], 64*kb, 2))
+	prep("read", ring.PrepRead(fc, buf[128*kb:192*kb], 1*mb, 3))
+	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 4))
+	reap()
+	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 5))
+	prep("prefetch", ring.PrepPrefetchDeadline(fc, 3*mb, 256*kb, 6, tl.Now().Add(-simtime.Microsecond)))
+	prep("prefetch", ring.PrepPrefetchDeadline(fc, 3*mb, 256*kb, 7, tl.Now().Add(simtime.Second)))
+	prep("prefetch", ring.PrepPrefetch(fc, 4*mb-8*kb, 64*kb, 8)) // clamped at EOF
+	prep("prefetch", ring.PrepPrefetch(fc, 5*mb, 64*kb, 9))      // past EOF
+	prep("read", ring.PrepReadDeadline(fc, buf[:4096], 1*mb+512*kb, 10, tl.Now().Add(-simtime.Microsecond)))
+	prep("read", ring.PrepRead(fc, buf[:64*kb], 2*mb, 11))
+	reap()
+	if opt.Predict && !opt.Ensemble {
+		prep("write", ring.PrepWrite(fc, data[:20_000], 3*mb+512*kb+10, 12))
+		prep("read", ring.PrepRead(fc, buf[:32*kb], 3*mb+512*kb, 13))
+		reap()
+	}
+	for i := int64(0); i < 10; i++ {
+		prep("read", ring.PrepRead(fc, buf[i*16*kb:(i+1)*16*kb], 1*mb+i*16*kb, uint64(20+i)))
+	}
+	reap()
+
+	// Faults on their own file. Transient: every site fails once, prefetch
+	// and demand retries absorb it. Persistent: a ring prefetch fails
+	// definitively (one breaker feed), a sequential scan trips the breaker
+	// and later intents — predictor's and ring's — are dropped while it is
+	// open. Cleared: past the cool-off a probe succeeds and prefetch resumes.
+	st.SetFaultInjector(faultinject.New(faultinject.Plan{
+		Seed:             16,
+		TransientRepeats: 1,
+		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Reads: true}},
+	}))
+	fb := open("b")
+	for off := int64(0); off < 2*mb; off += 16 * kb {
+		read(fb, off, 16*kb)
+	}
+	st.SetFaultInjector(faultinject.New(faultinject.Plan{
+		Seed:   16,
+		Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
+	}))
+	prep("prefetch", ring.PrepPrefetch(fb, 60*mb, 256*kb, 30))
+	reap()
+	for off := int64(32 * mb); off < 34*mb; off += 16 * kb {
+		read(fb, off, 16*kb)
+	}
+	prep("prefetch", ring.PrepPrefetch(fb, 61*mb, 256*kb, 31))
+	reap()
+	st.SetFaultInjector(nil)
+	tl.WaitUntil(tl.Now().Add(10*simtime.Millisecond), simtime.WaitIO)
+	for off := int64(48 * mb); off < 50*mb; off += 16 * kb {
+		read(fb, off, 16*kb)
+	}
+
+	// The rest of the file through a cache that is by now nearly full: the
+	// low watermark halts prefetch and budget-driven eviction runs.
+	for off := int64(21 * mb); off < 56*mb; off += 16 * kb {
+		read(f1, off, 16*kb)
+	}
+
+	prep("read", ring.PrepRead(fc, buf[:4096], 0, 40))
+	ring.Close()
+	prep("read", ring.PrepRead(fc, buf[:4096], 0, 41))
+	for _, f := range []*File{f1, f2, fm, fb, fc, fw} {
+		result("close", f.Close(tl) != nil, rt.SharedFiles())
+	}
+
+	var js bytes.Buffer
+	if err := rec.Snapshot().WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	th := sha256.Sum256(js.Bytes())
+	// What the schedule exercised, for whoever re-records: a decision that
+	// reads zero here is a decision the golden does not pin.
+	var snap struct {
+		Outcomes map[string]struct{ Events, Pages int64 }
+	}
+	if err := json.Unmarshal(js.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("outcomes: %v", snap.Outcomes)
+	sum := func(b []byte) string { return hex.EncodeToString(b)[:16] }
+	return goldenUp{
+		now:       int64(tl.Now()),
+		stats:     fmt.Sprintf("%+v", rt.Stats()),
+		ring:      fmt.Sprintf("%+v", ring.Stats()),
+		telemetry: sum(th[:]),
+		results:   sum(results.Sum(nil)),
+	}
+}

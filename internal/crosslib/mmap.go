@@ -60,10 +60,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 	rt := m.f.rt
 	kf := m.f.kf
 	sf := m.f.sf
-	now := tl.Now()
-	rt.workers.Run(now, func(wtl *simtime.Timeline) {
-		root := rt.tr.Root(wtl, telemetry.OpMmapScan, kf.Inode().ID())
-		defer root.Finish(wtl)
+	rt.background(tl.Now(), telemetry.OpMmapScan, kf.Inode().ID(), func(wtl *simtime.Timeline) {
 		fileBlocks := kf.Inode().Blocks()
 		if fileBlocks == 0 {
 			return
@@ -122,23 +119,13 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		if !dense || lo < 0 || lo >= fileBlocks {
 			return
 		}
-		if o := rt.opt; o.Visibility && o.BreakerThreshold > 0 &&
-			!sf.brk.allow(wtl.Now()) {
-			rt.droppedBreaker.Add(1)
-			rt.rec.Event(wtl.Now(), telemetry.OutcomeDroppedBreakerOpen,
-				sf.inoID, lo, lo+window)
+		// The scan's way up (DESIGN.md §20): breaker, low watermark, clamp,
+		// elision, then the shared issuer on this helper's own timeline.
+		if !rt.breakerAdmits(wtl, sf, lo, lo+window) || rt.freeFrac() < rt.opt.LowWaterFrac {
 			return
 		}
-		if rt.freeFrac() < rt.opt.LowWaterFrac {
-			return
-		}
-		hi := lo + window
-		if hi > fileBlocks {
-			hi = fileBlocks
-		}
+		lo, hi := clampToFile(kf, lo, window)
 		var runBuf [4]bitmap.Run
-		for _, run := range sf.tree.AppendNeedsPrefetch(wtl, runBuf[:0], lo, hi) {
-			m.f.issuePrefetch(wtl, kf, sf, run.Lo, run.Hi, false, telemetry.ArmNone)
-		}
+		rt.issueRuns(wtl, kf, sf, rt.missingRuns(wtl, sf, runBuf[:0], lo, hi), false, telemetry.ArmNone)
 	})
 }

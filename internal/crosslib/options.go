@@ -67,20 +67,6 @@ type Options struct {
 	// MmapScanOps triggers an mmap bitmap scan every this many loads.
 	MmapScanOps int64
 
-	// BatchIntents parks small prefetch intents — windows whose uncovered
-	// tail is under the batching-hysteresis threshold, which the library
-	// otherwise drops — in a per-file aggregator instead. Parked runs keep
-	// their requested bits in the shared range tree (deduping follow-up
-	// intents against them) and accumulate until a flush sends the whole
-	// set to the kernel as ONE vectored readahead_info crossing with one
-	// submission plug. Flushes fire when a demand read overlaps a parked
-	// run, when the aggregate reaches BatchFlushPages, or on an explicit
-	// FlushIntents (the library-level unplug). Requires Visibility.
-	BatchIntents bool
-	// BatchFlushPages is the aggregate size, in pages, at which the
-	// intent aggregator flushes on its own (0 selects 256).
-	BatchFlushPages int64
-
 	// Ensemble runs the competing-predictor ensemble per inode: the
 	// sequentiality counter, a MITHRIL-style association miner, and a
 	// Leap-style majority-trend detector score every access concurrently
@@ -155,9 +141,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MmapScanOps <= 0 {
 		o.MmapScanOps = 64
-	}
-	if o.BatchFlushPages <= 0 {
-		o.BatchFlushPages = 256
 	}
 	if o.RetryMax == 0 {
 		o.RetryMax = 2

@@ -167,6 +167,54 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	}
 }
 
+// TestClampedGrantNotReasked: under level-2 brownout the kernel clamps every
+// readahead_info window to 8 pages so that the opt path's limit override
+// "cannot amplify I/O while reclaim is drowning" — and the library used to
+// walk straight through the clamp, re-asking for the remainder of a
+// 1024-page intent 8 pages a crossing, 128 crossings in all. One window per
+// intent, with or without OptLimits: the clamped remainder gets its
+// requested bits back, as the ring path always did.
+func TestClampedGrantNotReasked(t *testing.T) {
+	v := newOverloadKernel(1 << 20)
+	rt := NewForApproach(v, CrossPredictOpt)
+	tl := simtime.NewTimeline(0)
+	v.FS().CreateSynthetic(tl, "clamp", 64<<20)
+	f, err := rt.Open(tl, "clamp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backlog far past 4x the congestion limit: an unreaped 4MB ring read.
+	ring := rt.NewRing(0, 8)
+	if err := ring.PrepRead(f, make([]byte, 4<<20), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ring.Submit(tl)
+	base := rt.Stats()
+	crossings := v.SyscallCount(vfs.SysReadaheadInfo)
+
+	const lo, blocks = 8192, 1024
+	f.prefetchAsync(tl, lo, blocks, false) // job runs inline on the worker pool
+
+	if got := v.BrownoutLevel(); got != vfs.BrownoutClamped {
+		t.Fatalf("brownout level %v during the intent, want clamped", got)
+	}
+	st := rt.Stats()
+	if d := v.SyscallCount(vfs.SysReadaheadInfo) - crossings; d != 1 {
+		t.Errorf("clamped 1024-page intent crossed %d times, want 1", d)
+	}
+	if d := st.PrefetchCalls - base.PrefetchCalls; d != 1 {
+		t.Errorf("clamped 1024-page intent made %d prefetch calls, want 1", d)
+	}
+	if d := st.PrefetchedPages - base.PrefetchedPages; d > 8 {
+		t.Errorf("%d pages fetched through an 8-page clamp", d)
+	}
+	// The remainder is missing again, not stranded as requested.
+	runs := f.sf.tree.NeedsPrefetch(tl, lo+8, lo+blocks)
+	if len(runs) != 1 || runs[0].Lo != lo+8 || runs[0].Hi != lo+blocks {
+		t.Errorf("clamped remainder not given back: missing runs %v", runs)
+	}
+}
+
 // TestTenantStressReconciliation: eight concurrent submitters — one
 // over-budget antagonist scanning a file larger than the cache, seven
 // budgeted tenants rereading their own files — must leave the tenant

@@ -51,19 +51,22 @@ type ringOp struct {
 // depth.
 //
 // The library shim still runs on the ring path: read submissions feed
-// the descriptor's predictor (which may issue background prefetch),
-// flush overlapping parked intents, and update the shared range tree;
-// prefetch submissions are elided entirely when the user-level bitmap
-// proves the range resident — the same crossing savings as the
-// synchronous path, amortized further by batching.
+// the descriptor's predictor (which may issue background prefetch) and
+// update the shared range tree; prefetch submissions are elided entirely
+// when the user-level bitmap proves the range resident — the same
+// crossing savings as the synchronous path, amortized further by
+// batching.
 type Ring struct {
 	rt     *Runtime
 	tenant int
 	depth  int
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	staged   []ringOp
+	mu     sync.Mutex
+	cond   *sync.Cond
+	staged []ringOp
+	// spare is the staged buffer a finished Submit hands back, so that the
+	// next take swaps buffers instead of leaving prep to regrow one.
+	spare    []ringOp
 	cq       []RingCQE
 	inflight int
 	closed   bool
@@ -180,190 +183,178 @@ func (r *Ring) PrepPrefetchDeadline(f *File, off, bytes int64, user uint64,
 		user: user, deadline: deadline})
 }
 
+// submitScratch is the per-Submit working set: the kernel batch, the
+// staged op behind each of its entries, and the completions of the ops
+// that did not cross. Pooled rather than kept on the ring, since concurrent
+// Submits on one ring are legal.
+type submitScratch struct {
+	sqes  []vfs.RingSQE
+	ops   []*ringOp
+	local []RingCQE
+}
+
+var submitPool = sync.Pool{New: func() any { return new(submitScratch) }}
+
 // Submit takes everything staged so far through one kernel crossing and
-// appends the completions to the ring's CQ, waking reapers. Runs the
-// library pre-work (predictor, intent flush, bitmap elision) on the
-// submitting timeline, SQPOLL-style. Returns the number of operations
-// consumed. Concurrent Submits are safe; each takes its own staged
-// snapshot.
+// appends the completions to the ring's CQ, waking reapers: take the
+// batch, admit each op (the library pre-work, on the submitting timeline,
+// SQPOLL-style), cross once with those that need the kernel, settle each
+// answer, park the completions — the kernel's in submission order, then
+// the ones completed locally. Returns the number of operations consumed.
+// Concurrent Submits are safe; each takes its own staged snapshot.
 func (r *Ring) Submit(tl *simtime.Timeline) int {
 	r.mu.Lock()
 	batch := r.staged
-	r.staged = nil
-	if len(batch) > 0 {
-		// Taken in the same critical section as the batch: a Close from
-		// here on sees submitting > 0 and keeps reapers waiting until
-		// this Submit parks its completions.
-		r.submitting++
-	}
-	r.mu.Unlock()
 	if len(batch) == 0 {
+		r.mu.Unlock()
 		return 0
 	}
+	r.staged, r.spare = r.spare, nil
+	// Taken in the same critical section as the batch: a Close from here
+	// on sees submitting > 0 and keeps reapers waiting until this Submit
+	// parks its completions.
+	r.submitting++
+	r.mu.Unlock()
 
 	rt := r.rt
-	o := rt.opt
-	bs := rt.v.BlockSize()
-
 	root := rt.tr.Root(tl, telemetry.OpRingEnter, batch[0].f.kf.Inode().ID())
 	defer root.Finish(tl)
 	root.Annotate("sqes", int64(len(batch)))
-	if o.Enabled {
+	if rt.opt.Enabled {
 		tl.Advance(rt.v.Config().Costs.LibOverhead)
 	}
 
-	// Library pre-work: decide per op whether it crosses, and with what.
-	kbatch := make([]vfs.RingSQE, 0, len(batch))
-	kmeta := make([]*ringOp, 0, len(batch))
-	var local []RingCQE
+	sc := submitPool.Get().(*submitScratch)
 	var op int64
 	for i := range batch {
 		q := &batch[i]
-		f := q.f
-		shimmed := o.Enabled && f.sf != nil
-		switch q.kind {
-		case vfs.RingRead:
-			q.lo = q.off / bs
-			q.hi = (q.off + int64(len(q.buf)) + bs - 1) / bs
-			if q.deadline > 0 && tl.Now() > q.deadline {
-				// Already expired: complete locally without a crossing.
-				rt.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
-				local = append(local, RingCQE{User: q.user,
-					Err: vfs.ErrDeadlineExceeded, Done: tl.Now()})
-				continue
-			}
-			if shimmed {
-				op = f.observeAccess(tl, q.lo, q.hi)
-			}
-		case vfs.RingWrite:
-			q.lo = q.off / bs
-			q.hi = (q.off + int64(len(q.buf)) + bs - 1) / bs
-			if shimmed && o.Predict && f.pred != nil {
-				f.predMu.Lock()
-				f.pred.Observe(q.lo, q.hi-q.lo)
-				f.predMu.Unlock()
-				op = rt.tick()
-			}
-		case vfs.RingPrefetch:
-			// Mirror the kernel's clamp exactly so the lib-issued pages
-			// ledger matches kernel admitted+rejected page for page.
-			q.lo = q.off / bs
-			q.hi = (q.off + q.len + bs - 1) / bs
-			if fb := f.kf.Inode().Blocks(); q.hi > fb {
-				q.hi = fb
-			}
-			if q.len <= 0 || q.hi <= q.lo {
-				local = append(local, RingCQE{User: q.user, Done: tl.Now()})
-				continue
-			}
-			if q.deadline > 0 &&
-				tl.Now().Add(f.targetBacklog(tl.Now(), q.lo, q.hi)) > q.deadline {
-				// The backlog of the backends this intent resolves to
-				// alone already pushes completion past the deadline: shed
-				// here, before the breaker or bitmap see the intent —
-				// prefetch is the first work to go.
-				rt.rec.Add(telemetry.CtrRingShedSQEs, 1)
-				rt.rec.Add(telemetry.CtrRingShedPrefetchPages, q.hi-q.lo)
-				rt.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch,
-					f.kf.Inode().ID(), q.lo, q.hi)
-				local = append(local, RingCQE{User: q.user,
-					Err: vfs.ErrShed, Done: tl.Now()})
-				continue
-			}
-			if shimmed {
-				if o.Visibility && o.BreakerThreshold > 0 && !f.sf.brk.allow(tl.Now()) {
-					rt.droppedBreaker.Add(1)
-					rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedBreakerOpen,
-						f.sf.inoID, q.lo, q.hi)
-					local = append(local, RingCQE{User: q.user, Done: tl.Now()})
-					continue
-				}
-				var runBuf [4]bitmap.Run
-				if runs := f.sf.tree.AppendNeedsPrefetch(tl, runBuf[:0], q.lo, q.hi); len(runs) == 0 {
-					// The bitmap proves the range resident or in flight:
-					// the intent is satisfied without crossing. N reports
-					// the full intent as covered.
-					rt.savedPrefetch.Add(1)
-					rt.rec.Event(tl.Now(), telemetry.OutcomeSavedByBitmap,
-						f.sf.inoID, q.lo, q.hi)
-					local = append(local, RingCQE{User: q.user, N: q.hi - q.lo, Done: tl.Now()})
-					continue
-				}
-			}
-			rt.rec.Add(telemetry.CtrLibIssuedPages, q.hi-q.lo)
+		if done, crosses := r.admit(tl, q, &op); !crosses {
+			done.Done = tl.Now()
+			sc.local = append(sc.local, done)
+			continue
 		}
-		kbatch = append(kbatch, vfs.RingSQE{
-			F: f.kf, Op: q.kind, Off: q.off, Buf: q.buf, Len: q.len,
+		sc.sqes = append(sc.sqes, vfs.RingSQE{
+			F: q.f.kf, Op: q.kind, Off: q.off, Buf: q.buf, Len: q.len,
 			User: q.user, Deadline: q.deadline,
 		})
-		kmeta = append(kmeta, q)
+		sc.ops = append(sc.ops, q)
 	}
 
-	var out []RingCQE
-	if len(kbatch) > 0 {
-		r.mu.Lock()
-		r.submits++
-		r.mu.Unlock()
-		cqes := rt.v.RingEnter(tl, r.tenant, kbatch)
-		out = make([]RingCQE, 0, len(cqes)+len(local))
+	var cqes []vfs.RingCQE
+	if len(sc.sqes) > 0 {
+		cqes = rt.v.RingEnter(tl, r.tenant, sc.sqes)
 		for i := range cqes {
-			cq := &cqes[i]
-			q := kmeta[i]
-			f := q.f
-			if o.Enabled && f.sf != nil {
-				// Reconcile the shared tree with the kernel's answer. The
-				// inserted pages are already in the cache (in flight until
-				// their Done), so marking them cached now is truthful.
-				switch q.kind {
-				case vfs.RingRead, vfs.RingWrite:
-					if cq.Err == nil {
-						f.sf.tree.MarkCached(tl, q.lo, q.hi)
-					}
-				case vfs.RingPrefetch:
-					if cq.Err != nil {
-						if errors.Is(cq.Err, vfs.ErrShed) ||
-							errors.Is(cq.Err, vfs.ErrDeadlineExceeded) {
-							// Shed, not failed: the kernel refused the work
-							// without touching the device. The breaker —
-							// including a half-open probe slot — is left
-							// untouched; only the range goes back so a
-							// later intent can retry it.
-							f.sf.tree.ClearRequested(tl, q.lo, q.hi)
-						} else {
-							// Definitive failure: one breaker feed for the
-							// whole intent, and the range given back.
-							f.noteFault(tl, f.sf, true)
-							f.sf.tree.ClearRequested(tl, q.lo, q.hi)
-						}
-					} else {
-						if cq.N > 0 {
-							f.sf.tree.MarkCached(tl, q.lo, q.lo+cq.N)
-							f.noteFault(tl, f.sf, false)
-						}
-						if q.lo+cq.N < q.hi {
-							// Clamped or congestion-dropped remainder:
-							// requested bits go back so a later intent can
-							// retry it.
-							f.sf.tree.ClearRequested(tl, q.lo+cq.N, q.hi)
-						}
-					}
-				}
-				f.sf.touch(tl.Now())
-			}
-			out = append(out, RingCQE{User: cq.User, N: cq.N, Err: cq.Err, Done: cq.Done})
+			r.settle(tl, sc.ops[i], &cqes[i])
 		}
-		if o.Enabled {
+		if rt.opt.Enabled {
 			rt.maybeEvict(tl, op)
 		}
 	}
-	out = append(out, local...)
 
 	r.mu.Lock()
-	r.cq = append(r.cq, out...)
+	if len(sc.sqes) > 0 {
+		r.submits++
+	}
+	for _, cq := range cqes {
+		r.cq = append(r.cq, RingCQE(cq))
+	}
+	r.cq = append(r.cq, sc.local...)
+	clear(batch) // drop the buffers and descriptors before the buffer idles
+	r.spare = batch[:0]
 	r.submitting--
 	r.mu.Unlock()
 	r.cond.Broadcast()
+
+	clear(sc.sqes)
+	clear(sc.ops)
+	sc.sqes, sc.ops, sc.local = sc.sqes[:0], sc.ops[:0], sc.local[:0]
+	submitPool.Put(sc)
 	return len(batch)
+}
+
+// admit runs the library pre-work of one staged op and reports whether it
+// crosses into the kernel; an op that does not is complete, with the
+// returned CQE. op receives the tick of the access it observed, if any.
+func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool) {
+	rt, f := r.rt, q.f
+	bs := rt.v.BlockSize()
+	shimmed := rt.opt.Enabled && f.sf != nil
+	done := RingCQE{User: q.user}
+	n := q.len
+	if q.kind != vfs.RingPrefetch {
+		n = int64(len(q.buf))
+	}
+	q.lo, q.hi = q.off/bs, (q.off+n+bs-1)/bs
+	switch q.kind {
+	case vfs.RingRead:
+		if q.deadline > 0 && tl.Now() > q.deadline {
+			// Already expired: complete locally without a crossing.
+			rt.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
+			done.Err = vfs.ErrDeadlineExceeded
+			return done, false
+		}
+		if shimmed {
+			*op = f.observeAccess(tl, q.lo, q.hi)
+		}
+	case vfs.RingWrite:
+		if shimmed {
+			*op = f.observeWrite(tl, q.lo, q.hi)
+		}
+	case vfs.RingPrefetch:
+		// Mirror the kernel's clamp exactly so the lib-issued pages
+		// ledger matches kernel admitted+rejected page for page.
+		q.lo, q.hi = clampToFile(f.kf, q.lo, q.hi-q.lo)
+		if q.len <= 0 || q.hi <= q.lo {
+			return done, false
+		}
+		if q.deadline > 0 &&
+			tl.Now().Add(f.targetBacklog(tl.Now(), q.lo, q.hi)) > q.deadline {
+			// The backlog of the backends this intent resolves to
+			// alone already pushes completion past the deadline: shed
+			// here, before the breaker or bitmap see the intent —
+			// prefetch is the first work to go.
+			rt.rec.Add(telemetry.CtrRingShedSQEs, 1)
+			rt.rec.Add(telemetry.CtrRingShedPrefetchPages, q.hi-q.lo)
+			rt.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch,
+				f.kf.Inode().ID(), q.lo, q.hi)
+			done.Err = vfs.ErrShed
+			return done, false
+		}
+		if shimmed {
+			if !rt.breakerAdmits(tl, f.sf, q.lo, q.hi) {
+				return done, false
+			}
+			// The SQE carries the whole intent, not the runs: what the
+			// bitmap shows missing only has to be non-empty (and is now
+			// marked requested). An elided intent reports itself covered.
+			var runBuf [4]bitmap.Run
+			if len(rt.missingRuns(tl, f.sf, runBuf[:0], q.lo, q.hi)) == 0 {
+				done.N = q.hi - q.lo
+				return done, false
+			}
+		}
+		rt.rec.Add(telemetry.CtrLibIssuedPages, q.hi-q.lo)
+	}
+	return done, true
+}
+
+// settle reconciles the shared tree with the kernel's answer to one op
+// that crossed. The inserted pages are already in the cache (in flight
+// until their Done), so marking them cached now is truthful.
+func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
+	sf := q.f.sf
+	if !r.rt.opt.Enabled || sf == nil {
+		return
+	}
+	switch {
+	case q.kind == vfs.RingPrefetch:
+		// A prefetch SQE exports no bitmap, and N — the pages admitted —
+		// is all it reports of what was granted and of what was fetched.
+		r.rt.settle(tl, sf, q.lo, q.hi, cq.N, cq.N, nil, cq.Err)
+	case cq.Err == nil:
+		sf.tree.MarkCached(tl, q.lo, q.hi)
+	}
+	sf.touch(tl.Now())
 }
 
 // Reap blocks until at least min completions are available (or the ring

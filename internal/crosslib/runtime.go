@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bitmap"
 	"repro/internal/predictor"
 	"repro/internal/rangetree"
 	"repro/internal/simtime"
@@ -58,8 +57,6 @@ type Runtime struct {
 	breakerTrips     atomic.Int64
 	breakerRecovered atomic.Int64
 	droppedBreaker   atomic.Int64
-	batchedIntents   atomic.Int64
-	vectoredFlushes  atomic.Int64
 	armPromotions    atomic.Int64
 }
 
@@ -100,14 +97,6 @@ type sharedFile struct {
 	ens   *predictor.Ensemble
 
 	brk breaker // background-prefetch circuit breaker
-
-	// Intent aggregator (Options.BatchIntents): small prefetch intents
-	// parked for one vectored readahead_info crossing. Runs are sorted
-	// and disjoint; their requested bits stay set in the tree while
-	// parked, so follow-up windows dedupe against them for free.
-	aggMu    sync.Mutex
-	agg      []bitmap.Run
-	aggPages int64
 }
 
 // breaker is the per-file circuit breaker over background prefetch
@@ -254,8 +243,8 @@ type Stats struct {
 	BreakerTrips      int64
 	BreakerRecoveries int64
 	DroppedBreaker    int64
-	// Intent-aggregator counters: small intents parked instead of
-	// dropped, and vectored readahead_info crossings issued by flushes.
+	// Always zero: the intent aggregator these counted is gone (PR 16),
+	// but the frozen bench/layers.go still reads the fields.
 	BatchedIntents  int64
 	VectoredFlushes int64
 	// ArmPromotions counts live-arm changes by the ensemble's bandit.
@@ -278,8 +267,6 @@ func (rt *Runtime) Stats() Stats {
 		BreakerTrips:      rt.breakerTrips.Load(),
 		BreakerRecoveries: rt.breakerRecovered.Load(),
 		DroppedBreaker:    rt.droppedBreaker.Load(),
-		BatchedIntents:    rt.batchedIntents.Load(),
-		VectoredFlushes:   rt.vectoredFlushes.Load(),
 		ArmPromotions:     rt.armPromotions.Load(),
 	}
 }

@@ -184,3 +184,46 @@ func TestWarmReadAtZeroAlloc(t *testing.T) {
 		t.Errorf("warm ReadAt: %v allocs/run, want 0", n)
 	}
 }
+
+// TestWarmRingBatchAllocBound pins the ring's library-side scratch reuse:
+// one warm read prepped, submitted and reaped. Before Submit pooled its
+// per-call slices and swapped rather than dropped the staged buffer, this
+// batch cost 8 allocations, five of them the library's (the regrown staged
+// buffer, the kernel SQE batch, its metadata, the completion slice, the
+// regrown CQ). One of those is left — the CQ slice, which Reap hands its
+// caller to keep — beside vfs.RingEnter's own three (CQEs, pending table,
+// wait group), which are not this guard's to remove.
+func TestWarmRingBatchAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops items by design; alloc guard is meaningless")
+	}
+	sys := crossprefetch.NewSystem(crossprefetch.Config{
+		MemoryBytes: 64 << 20,
+		Approach:    crossprefetch.CrossPredictOpt,
+	})
+	tl := sys.Timeline()
+	if err := sys.CreateSynthetic(tl, "data", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Open(tl, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(tl)
+	ring := sys.Lib().NewRing(0, 8)
+	defer ring.Close()
+	buf := make([]byte, 16<<10)
+	batch := func() {
+		if err := ring.PrepRead(f, buf, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		ring.Submit(tl)
+		if cq := ring.Reap(tl, 1); len(cq) != 1 || cq[0].Err != nil {
+			t.Fatalf("completions: %+v", cq)
+		}
+	}
+	batch() // warm the cache and the pools
+	if n := testing.AllocsPerRun(200, batch); n > 4 {
+		t.Errorf("warm one-read ring batch: %v allocs/run, want at most 4", n)
+	}
+}
