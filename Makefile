@@ -1,12 +1,14 @@
-# Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green.
+# Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
+# vet (root and bench/), five source gates (errgate, fmtgate, stackgate,
+# ringgate, shedgate), build, `go test -race ./...`, digests.
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the four packages with real host concurrency (the LSM engine, the
 # file system, the lock-free bitmap, the page cache) under the race
 # detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
 # two cores, hence the explicit timeout (go test's default is ten).
-.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate ctrgate armgate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate trace bench-serve bench-overload bench-score bench-predict bench-tier
 
-check: vet errgate fmtgate stackgate ringgate shedgate ctrgate armgate build race digests
+check: vet errgate fmtgate stackgate ringgate shedgate build race digests
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -59,31 +61,6 @@ shedgate:
 		internal/vfs/ring.go internal/vfs/pressure.go internal/crosslib/ring.go \
 		| grep -v 'var Err' \
 		|| (echo 'shedgate: ad-hoc errors.New on the ring shed/deadline path (use the exported sentinels)'; exit 1)
-
-# Counter-export gate: every Ctr*/Outcome*/Hist* constant declared in
-# telemetry.go must appear both in the identifier-indexed export name
-# table (telemetry.go, `CtrFoo: "foo"`) and in the Prometheus writer's
-# help tables (prometheus.go) — a counter nobody can scrape is a counter
-# that silently rots.
-ctrgate:
-	@missing=0; \
-	for c in $$(grep -oE '^	(Ctr|Outcome|Hist)[A-Za-z0-9]+' internal/telemetry/telemetry.go | tr -d '\t' | sort -u); do \
-		grep -qE "\b$$c:" internal/telemetry/telemetry.go \
-			|| { echo "ctrgate: $$c missing from the export name table (telemetry.go)"; missing=1; }; \
-		grep -qE "\b$$c\b" internal/telemetry/prometheus.go \
-			|| { echo "ctrgate: $$c missing from the Prometheus help tables (prometheus.go)"; missing=1; }; \
-	done; \
-	exit $$missing
-
-# Arm-export gate: every registered predictor arm must surface, by name,
-# in the telemetry export table (snapshot Arms map + Prometheus arm=""
-# label series) and in the /predictors admin legend. The export and
-# admin sides iterate the arm registry programmatically, so the gate is
-# a pair of negative-tested conformance tests rather than a source grep
-# — each proves its check rejects a missing arm before accepting the
-# real registry.
-armgate:
-	go test -run 'TestArmGate' ./internal/telemetry ./internal/admin
 
 build:
 	go build ./...
@@ -144,27 +121,6 @@ bench-smoke:
 # critical-path report for the retained slow spans.
 trace:
 	go run ./cmd/crossbench -exp fig5 -quick -trace trace.json -trace-report
-
-# Archive benchmark numbers (ns/op, allocs/op, pages/s) as JSON for
-# cross-PR diffing.
-bench-json:
-	go run ./cmd/benchjson -out BENCH_PR3.json
-
-# Parallel-scalability sweep: the real-concurrency benchmarks across
-# GOMAXPROCS 1..8, appended to BENCH_PR4.json (which also holds the
-# pre-sharding `baseline-singlelock` records for comparison).
-bench-parallel:
-	go run ./cmd/benchjson -out BENCH_PR4.json -append -label sharded \
-		-bench 'BenchmarkParallel' -pkg . -cpu 1,2,4,8
-
-# Block-scheduler sweep: plug off vs queue depths 1/8/32 on sequential,
-# strided, and shared-file multi-stream workloads (device command counts
-# as custom metrics), plus the warm-read path's allocs/op guard.
-bench-batch:
-	go run ./cmd/benchjson -out BENCH_PR5.json -label plug-sweep \
-		-bench 'BenchmarkBatch' -pkg . -benchtime 3x
-	go run ./cmd/benchjson -out BENCH_PR5.json -append -label warm-read \
-		-bench 'BenchmarkTraceOffReadAt' -pkg .
 
 # Serve-frontend sweep: the sync and ring dispatch paths across 1/8/64
 # tenants at identical replay schedules — achieved dispatch depth,

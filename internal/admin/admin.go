@@ -189,12 +189,12 @@ func (s *Server) handleScorecards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	tenant, hasTenant, err := queryInt64(q.Get("tenant"))
+	tenant, hasTenant, err := queryInt64(q.Get("tenant"), telemetry.OverflowKey)
 	if err != nil {
 		http.Error(w, "bad tenant: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	ino, hasIno, err := queryInt64(q.Get("inode"))
+	ino, hasIno, err := queryInt64(q.Get("inode"), telemetry.OverflowKey)
 	if err != nil {
 		http.Error(w, "bad inode: "+err.Error(), http.StatusBadRequest)
 		return
@@ -205,67 +205,39 @@ func (s *Server) handleScorecards(w http.ResponseWriter, r *http.Request) {
 	delta := cur.Diff(s.prev)
 	s.prev = cur
 	s.scoreMu.Unlock()
-	if hasTenant || hasIno {
-		cur = filterSnapshot(cur, hasTenant, tenant, hasIno, ino)
-		delta = filterDelta(delta, hasTenant, tenant, hasIno, ino)
+	// ?tenant= keeps the matching tenant card, ?inode= the matching file
+	// card and that inode's per-arm shadow cards; a section the filter's key
+	// does not apply to passes through. The filter works on copies: cur is
+	// also the delta baseline just stored.
+	narrow := func(files, tenants, arms *[]telemetry.CardScore) {
+		if hasTenant {
+			*tenants = filterCards(*tenants, func(c *telemetry.CardScore) bool { return c.Key == tenant })
+		}
+		if hasIno {
+			*files = filterCards(*files, func(c *telemetry.CardScore) bool { return c.Key == ino })
+			*arms = filterCards(*arms, func(c *telemetry.CardScore) bool { return c.Ino == ino })
+		}
 	}
-	writeJSON(w, scorecardsReply{Scorecards: cur, Delta: delta})
+	snap, d := *cur, *delta
+	narrow(&snap.Files, &snap.Tenants, &snap.Arms)
+	narrow(&d.Files, &d.Tenants, &d.Arms)
+	writeJSON(w, scorecardsReply{Scorecards: &snap, Delta: &d})
 }
 
-// queryInt64 parses an optional integer query parameter: absent is not
-// an error, anything non-numeric is.
-func queryInt64(v string) (n int64, present bool, err error) {
+// queryInt64 parses an optional integer query parameter, the one parser
+// under ?tenant=, ?inode=, ?heat= and ?n=: absent is not an error; anything
+// that is not wholly a decimal integer, or is below min (0, or the overflow
+// card's key where the parameter names a card), is, and the handler answers
+// 400 rather than fall back to a default the caller did not ask for.
+func queryInt64(v string, min int64) (n int64, present bool, err error) {
 	if v == "" {
 		return 0, false, nil
 	}
 	n, err = strconv.ParseInt(v, 10, 64)
+	if err == nil && n < min {
+		err = fmt.Errorf("%d is below %d", n, min)
+	}
 	return n, err == nil, err
-}
-
-// filterSnapshot narrows a snapshot to one tenant and/or one inode:
-// ?tenant= keeps the matching tenant card, ?inode= the matching file
-// card and that inode's per-arm shadow cards. Sections the filter's key
-// dimension doesn't apply to pass through untouched. The input is not
-// mutated (it is also the server's delta baseline).
-func filterSnapshot(in *telemetry.ScorecardSnapshot, hasTenant bool, tenant int64,
-	hasIno bool, ino int64) *telemetry.ScorecardSnapshot {
-	out := *in
-	if hasTenant {
-		out.Tenants = filterCards(in.Tenants, func(c *telemetry.CardScore) bool {
-			return c.Key == tenant
-		})
-	}
-	if hasIno {
-		out.Files = filterCards(in.Files, func(c *telemetry.CardScore) bool {
-			return c.Key == ino
-		})
-		out.Arms = filterCards(in.Arms, func(c *telemetry.CardScore) bool {
-			return c.Ino == ino
-		})
-	}
-	return &out
-}
-
-func filterDelta(in *telemetry.ScorecardDelta, hasTenant bool, tenant int64,
-	hasIno bool, ino int64) *telemetry.ScorecardDelta {
-	if in == nil {
-		return nil
-	}
-	out := *in
-	if hasTenant {
-		out.Tenants = filterCards(in.Tenants, func(c *telemetry.CardScore) bool {
-			return c.Key == tenant
-		})
-	}
-	if hasIno {
-		out.Files = filterCards(in.Files, func(c *telemetry.CardScore) bool {
-			return c.Key == ino
-		})
-		out.Arms = filterCards(in.Arms, func(c *telemetry.CardScore) bool {
-			return c.Ino == ino
-		})
-	}
-	return &out
 }
 
 func filterCards(cards []telemetry.CardScore, keep func(*telemetry.CardScore) bool) []telemetry.CardScore {
@@ -337,18 +309,20 @@ func (s *Server) handleTiers(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tiers unavailable: no system live", http.StatusServiceUnavailable)
 		return
 	}
-	heat := 16
-	if v := r.URL.Query().Get("heat"); v != "" {
-		if n, err := parseInt(v); err == nil && n >= 0 {
-			heat = n
-		}
+	heat, ok, err := queryInt64(r.URL.Query().Get("heat"), 0)
+	if err != nil {
+		http.Error(w, "bad heat: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !ok {
+		heat = 16
 	}
 	cfg := st.Config()
 	reply := tiersReply{
 		Stack:      st.Stats().Name,
 		Width:      st.Width(),
 		ChunkBytes: cfg.ChunkBytes,
-		Tier:       st.TierStats(heat),
+		Tier:       st.TierStats(int(heat)),
 	}
 	for i, ms := range st.MemberStats() {
 		reply.Backends = append(reply.Backends, tierBackend{
@@ -389,16 +363,18 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tracing disabled or no system live", http.StatusServiceUnavailable)
 		return
 	}
-	max := 32
-	if v := r.URL.Query().Get("n"); v != "" {
-		if n, err := parseInt(v); err == nil && n > 0 {
-			max = n
-		}
+	limit, _, err := queryInt64(r.URL.Query().Get("n"), 0)
+	if err != nil {
+		http.Error(w, "bad n: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if limit == 0 { // absent, or 0: the default bound
+		limit = 32
 	}
 	roots := tr.Roots() // already deterministic: per op class, slowest first
 	reply := tracezReply{Stats: tr.Stats()}
 	for _, root := range roots {
-		if len(reply.Roots) >= max {
+		if int64(len(reply.Roots)) >= limit {
 			break
 		}
 		out := tracezRoot{
@@ -436,10 +412,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-func parseInt(s string) (int, error) {
-	var n int
-	_, err := fmt.Sscanf(s, "%d", &n)
-	return n, err
 }

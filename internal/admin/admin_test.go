@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -200,7 +201,7 @@ func TestShutdownLeakFree(t *testing.T) {
 	}
 }
 
-// armsCover is the /predictors leg of `make armgate`: every registered
+// armsCover is the /predictors leg of the arm-export tests: every registered
 // telemetry arm must appear in the endpoint's legend. Factored out so
 // the test below can prove it fails on a truncated legend.
 func armsCover(legend []string) error {
@@ -272,7 +273,8 @@ func TestArmGatePredictors(t *testing.T) {
 // /scorecards: each filter keeps exactly the matching card (inode also
 // narrows the per-arm shadow cards), filters compose, sections the key
 // dimension doesn't apply to pass through, and a non-numeric value is a
-// 400 — not a silent full dump.
+// 400 — not a silent full dump. /tiers?heat= and /tracez?n= go through the
+// same parser: malformed or negative is a 400 there too, not the default.
 func TestScorecardsFilter(t *testing.T) {
 	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
 	now := simtime.Time(0)
@@ -281,8 +283,17 @@ func TestScorecardsFilter(t *testing.T) {
 	score.ArmIssued(now, 1, telemetry.ArmMithril, 3)
 	score.ArmIssued(now, 2, telemetry.ArmLeap, 5)
 
+	tr := telemetry.NewTracer(telemetry.TraceConfig{})
+	for ino := int64(1); ino <= 5; ino++ {
+		tl := simtime.NewTimeline(0)
+		tr.Root(tl, telemetry.OpRead, ino).Finish(tl)
+	}
+	stack := blockdev.NewStack(blockdev.StackConfig{})
+
 	srv, err := Start("127.0.0.1:0", Config{
 		Scorecard: func() *telemetry.ScorecardSnapshot { return score.Snapshot() },
+		Tracer:    func() *telemetry.Tracer { return tr },
+		Tiers:     func() *blockdev.Stack { return stack },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,14 +355,36 @@ func TestScorecardsFilter(t *testing.T) {
 			len(miss.Scorecards.Files), len(miss.Scorecards.Arms))
 	}
 
-	for _, q := range []string{"?tenant=abc", "?inode=1x", "?inode="} {
-		code, _, _ := get(t, base+"/scorecards"+q)
-		want := 400
-		if q == "?inode=" {
-			want = 200 // empty means absent, not malformed
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/scorecards?tenant=abc", 400},
+		{"/scorecards?inode=1x", 400},
+		{"/scorecards?inode=", 200},   // empty means absent, not malformed
+		{"/scorecards?inode=-1", 200}, // the overflow card's key
+		{"/scorecards?inode=-2", 400},
+		{"/tiers?heat=12abc", 400},
+		{"/tiers?heat=x", 400},
+		{"/tiers?heat=-1", 400},
+		{"/tiers?heat=0", 200},
+		{"/tiers?heat=4", 200},
+		{"/tiers", 200},
+		{"/tracez?n=x", 400},
+		{"/tracez?n=3x", 400},
+		{"/tracez?n=-3", 400},
+	} {
+		if code, _, _ := get(t, base+c.path); code != c.want {
+			t.Errorf("%s code = %d, want %d", c.path, code, c.want)
 		}
-		if code != want {
-			t.Fatalf("/scorecards%s code = %d, want %d", q, code, want)
+	}
+	for query, want := range map[string]int{"": 5, "?n=0": 5, "?n=3": 3} {
+		code, body, _ := get(t, base+"/tracez"+query)
+		var tz struct {
+			Roots []json.RawMessage `json:"roots"`
+		}
+		if err := json.Unmarshal([]byte(body), &tz); code != 200 || err != nil || len(tz.Roots) != want {
+			t.Errorf("/tracez%s: code %d, %d roots (%v), want 200 and %d", query, code, len(tz.Roots), err, want)
 		}
 	}
 }

@@ -54,6 +54,10 @@ func (rt *Runtime) OpenOrCreate(tl *simtime.Timeline, name string) (*File, error
 	return rt.Create(tl, name)
 }
 
+// openPrefetchBytes is the optimistic prefetch issued on open under the
+// aggressive policy (the paper's default).
+const openPrefetchBytes = 2 << 20
+
 func (rt *Runtime) wrap(tl *simtime.Timeline, kf *vfs.File, name string) *File {
 	f := &File{rt: rt, kf: kf}
 	if !rt.opt.Enabled {
@@ -70,10 +74,10 @@ func (rt *Runtime) wrap(tl *simtime.Timeline, kf *vfs.File, name string) *File {
 		f.ensureFetchAll(tl, 1)
 	case rt.opt.OptLimits && rt.opt.Predict:
 		// Aggressive optimistic open: assume sequential, prefetch the
-		// first OpenPrefetchBytes before the pattern is known (§4.6).
-		if rt.freeFrac() > rt.opt.HighWaterFrac && kf.Size() > 0 {
+		// first openPrefetchBytes before the pattern is known (§4.6).
+		if rt.freeFrac() > highWaterFrac && kf.Size() > 0 {
 			rt.openPrefetches.Add(1)
-			f.prefetchAsync(tl, 0, rt.opt.OpenPrefetchBytes/rt.v.BlockSize(), false)
+			f.prefetchAsync(tl, 0, openPrefetchBytes/rt.v.BlockSize(), false)
 		}
 	}
 	root.Finish(tl)
@@ -351,11 +355,11 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, coverage bo
 	// is deliberately memory-insensitive (Table 2).
 	if !o.FetchAll && (o.OptLimits || o.AggressiveEvict || o.CoveragePrefetch) {
 		free := rt.freeFrac()
-		if free < o.LowWaterFrac {
+		if free < lowWaterFrac {
 			rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedLowMemory, sf.inoID, lo, hi)
 			return
 		}
-		if free < o.HighWaterFrac {
+		if free < highWaterFrac {
 			hi = min(hi, lo+rt.v.Config().RA.MaxPages)
 		}
 	}
@@ -411,13 +415,13 @@ func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) {
 	rt := f.rt
 	o := rt.opt
 	free := rt.freeFrac()
-	if free < o.LowWaterFrac {
+	if free < lowWaterFrac {
 		rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedLowMemory,
 			f.sf.inoID, lo, lo)
 		return
 	}
 	chunk := int64(64) // 256KB of 4KB blocks without opt
-	if o.OptLimits && free > o.HighWaterFrac {
+	if o.OptLimits && free > highWaterFrac {
 		chunk = 1024 // 4MB when memory is plentiful
 	}
 	f.prefetchAsync(tl, lo, chunk, true)

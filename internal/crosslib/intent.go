@@ -131,7 +131,7 @@ func (rt *Runtime) issue(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile, lo
 		// kernel's bitmap absorbs what is resident.
 		sf.tree.ImportBitmap(wtl, snap, lo, lo+granted)
 		backoffStart := wtl.Now()
-		wtl.WaitUntil(backoffStart.Add(retryDelay(o, sf.inoID, lo, attempt)), simtime.WaitIO)
+		wtl.WaitUntil(backoffStart.Add(retryDelay(o.FaultSeed, sf.inoID, lo, attempt)), simtime.WaitIO)
 		telemetry.Current(wtl).Child("lib.retry_backoff", telemetry.CatRetry,
 			backoffStart, wtl.Now()).Annotate("attempt", int64(attempt))
 		rt.prefetchRetries.Add(1)
@@ -205,30 +205,30 @@ func (rt *Runtime) noteFault(tl *simtime.Timeline, sf *sharedFile, failed bool) 
 // the call's helper returns, so the words are reused call after call.
 var windowPool = sync.Pool{New: func() any { return new(bitmap.Window) }}
 
-// libRetryDelayCap bounds a single transient-retry backoff: the
-// doubling saturates here instead of overflowing (or stalling a worker
-// for unbounded virtual time) when a caller configures a deep retry
-// budget. A RetryBase above the cap is honored as configured.
-const libRetryDelayCap = 10 * simtime.Millisecond
+// A transient-fault retry backs off retryBase, doubling per attempt up to
+// retryDelayCap — the doubling saturates there instead of overflowing (or
+// stalling a worker for unbounded virtual time) under a deep RetryMax — and
+// each backoff is stretched by up to retryJitterFrac of itself.
+const (
+	retryBase       = 200 * simtime.Microsecond
+	retryDelayCap   = 10 * simtime.Millisecond
+	retryJitterFrac = 0.25
+)
 
 // retryDelay is the deterministic backoff before transient-fault retry
-// n (1-based): RetryBase<<(n-1) saturating at libRetryDelayCap,
-// stretched by seeded jitter so retries across files decorrelate
-// without wall-clock randomness.
-func retryDelay(o Options, ino, lo int64, attempt int) simtime.Duration {
-	capD := max(libRetryDelayCap, o.RetryBase)
-	d := o.RetryBase
+// n (1-based): retryBase<<(n-1) saturating at retryDelayCap, stretched by
+// seeded jitter so retries across files decorrelate without wall-clock
+// randomness.
+func retryDelay(seed, ino, lo int64, attempt int) simtime.Duration {
+	d := retryBase
 	for i := 1; i < attempt; i++ {
 		d <<= 1
-		if d <= 0 || d >= capD {
-			d = capD
+		if d <= 0 || d >= retryDelayCap {
+			d = retryDelayCap
 			break
 		}
 	}
-	if o.RetryJitterFrac > 0 {
-		h := faultinject.Hash(uint64(o.FaultSeed), uint64(ino), uint64(lo), uint64(attempt))
-		frac := float64(h>>11) / float64(1<<53) // [0, 1)
-		d += simtime.Duration(float64(d) * o.RetryJitterFrac * frac)
-	}
-	return d
+	h := faultinject.Hash(uint64(seed), uint64(ino), uint64(lo), uint64(attempt))
+	frac := float64(h>>11) / float64(1<<53) // [0, 1)
+	return d + simtime.Duration(float64(d)*retryJitterFrac*frac)
 }

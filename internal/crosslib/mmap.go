@@ -121,7 +121,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		}
 		// The scan's way up (DESIGN.md §20): breaker, low watermark, clamp,
 		// elision, then the shared issuer on this helper's own timeline.
-		if !rt.breakerAdmits(wtl, sf, lo, lo+window) || rt.freeFrac() < rt.opt.LowWaterFrac {
+		if !rt.breakerAdmits(wtl, sf, lo, lo+window) || rt.freeFrac() < lowWaterFrac {
 			return
 		}
 		lo, hi := clampToFile(kf, lo, window)

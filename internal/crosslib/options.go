@@ -45,15 +45,8 @@ type Options struct {
 	// Workers is the number of background prefetch helper threads
 	// (the artifact's NR_WORKERS_VAR).
 	Workers int
-	// OpenPrefetchBytes is the optimistic prefetch issued on open under
-	// the aggressive policy (paper default: 2MB).
-	OpenPrefetchBytes int64
 	// MaxPrefetchBytes caps a single prefetch request (paper: 64MB).
 	MaxPrefetchBytes int64
-	// HighWaterFrac and LowWaterFrac are free-memory fractions: above
-	// HighWaterFrac of free memory, aggressive sizes are allowed; below
-	// LowWaterFrac, all prefetching halts (§4.6).
-	HighWaterFrac, LowWaterFrac float64
 	// MemoryBudgetPages is the per-process cache budget; 0 means the
 	// whole system budget.
 	MemoryBudgetPages int64
@@ -75,32 +68,14 @@ type Options struct {
 	// off, the per-descriptor counter drives prefetch exactly as before
 	// (one nil check on the hot path).
 	Ensemble bool
-	// EnsembleWindowObs is the bandit window length in observations
-	// (0 selects 64).
-	EnsembleWindowObs int
-	// EnsembleMargin is the score margin a challenger arm must sustain
-	// over the live arm (0 selects 0.05).
-	EnsembleMargin float64
-	// EnsemblePatience is the consecutive winning windows before promotion
-	// (0 selects 2).
-	EnsemblePatience int
-	// EnsembleEpsilon is the per-window exploration probability (default
-	// off — shadow mode already scores every arm on every access).
-	EnsembleEpsilon float64
 	// EnsembleSeed seeds the bandit's exploration PRNG (0 selects 1).
 	EnsembleSeed uint64
 
 	// RetryMax is how many times a background prefetch retries a
 	// transient device fault before giving up (negative disables
-	// retries). Persistent faults are never retried.
+	// retries), backing off per retryDelay. Persistent faults are never
+	// retried.
 	RetryMax int
-	// RetryBase is the first retry's backoff; attempt n waits
-	// RetryBase<<(n-1) plus jitter.
-	RetryBase simtime.Duration
-	// RetryJitterFrac stretches each backoff by up to this fraction of
-	// deterministic, seeded jitter (decorrelates retries across files
-	// without wall-clock randomness).
-	RetryJitterFrac float64
 	// BreakerThreshold trips a per-file circuit breaker after this many
 	// consecutive background prefetch failures. While open, prefetch for
 	// the file is dropped — the application degrades to plain demand
@@ -119,19 +94,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
-	if o.OpenPrefetchBytes <= 0 {
-		o.OpenPrefetchBytes = 2 << 20
-	}
 	if o.MaxPrefetchBytes <= 0 {
 		o.MaxPrefetchBytes = 64 << 20
-	}
-	// The library's watermarks sit above the kernel's (kswapd maintains
-	// ~1/8 free): CROSS-LIB must act before the kernel's blind LRU does.
-	if o.HighWaterFrac == 0 {
-		o.HighWaterFrac = 0.30
-	}
-	if o.LowWaterFrac == 0 {
-		o.LowWaterFrac = 0.15
 	}
 	if o.InactiveAge <= 0 {
 		o.InactiveAge = 100 * simtime.Millisecond
@@ -148,15 +112,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryMax < 0 {
 		o.RetryMax = 0
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 200 * simtime.Microsecond
-	}
-	if o.RetryJitterFrac == 0 {
-		o.RetryJitterFrac = 0.25
-	}
-	if o.RetryJitterFrac < 0 {
-		o.RetryJitterFrac = 0
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 8
 	}
@@ -166,22 +121,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ensembleConfig maps the Options knobs onto the predictor package's
-// ensemble configuration, zero fields selecting its defaults.
+// ensembleConfig is the predictor package's default ensemble tuning under
+// this runtime's exploration seed.
 func (o Options) ensembleConfig() predictor.EnsembleConfig {
 	cfg := predictor.DefaultEnsembleConfig()
-	if o.EnsembleWindowObs > 0 {
-		cfg.WindowObs = o.EnsembleWindowObs
-	}
-	if o.EnsembleMargin > 0 {
-		cfg.Margin = o.EnsembleMargin
-	}
-	if o.EnsemblePatience > 0 {
-		cfg.Patience = o.EnsemblePatience
-	}
-	if o.EnsembleEpsilon > 0 {
-		cfg.Epsilon = o.EnsembleEpsilon
-	}
 	if o.EnsembleSeed != 0 {
 		cfg.Seed = o.EnsembleSeed
 	}

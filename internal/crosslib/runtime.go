@@ -372,6 +372,16 @@ func (rt *Runtime) budget() int64 {
 	return cap
 }
 
+// The free-memory watermarks (§4.6), as fractions of the budget: above
+// highWaterFrac aggressive prefetch sizes are allowed, below lowWaterFrac
+// all prefetching halts and eviction starts. They sit above the kernel's
+// (kswapd maintains ~1/8 free): CROSS-LIB must act before the kernel's
+// blind LRU does.
+const (
+	highWaterFrac = 0.30
+	lowWaterFrac  = 0.15
+)
+
 // freeFrac reports free budget as a fraction of the budget.
 func (rt *Runtime) freeFrac() float64 {
 	b := rt.budget()
@@ -395,7 +405,7 @@ func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 	if op%rt.opt.EvictCheckOps != 0 {
 		return
 	}
-	if rt.freeFrac() >= rt.opt.LowWaterFrac {
+	if rt.freeFrac() >= lowWaterFrac {
 		return
 	}
 	now := tl.Now()
@@ -416,7 +426,7 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	// eager enough to keep prefetching alive, modest enough not to
 	// thrash pages the readers are about to use.
 	budget := rt.budget()
-	wantFree := int64(float64(budget) * (rt.opt.LowWaterFrac + 0.05))
+	wantFree := int64(float64(budget) * (lowWaterFrac + 0.05))
 	target := wantFree - (budget - rt.v.Cache().Used())
 	if target <= 0 {
 		return

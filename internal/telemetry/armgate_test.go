@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// armGateCheck is the conformance core behind `make armgate`: every name
+// armGateCheck is the conformance core of the arm-export tests: every name
 // in names must satisfy present. Factored out so the test can prove the
 // check actually fails on a missing arm (the negative leg below) — a
 // gate that cannot fail is not a gate.

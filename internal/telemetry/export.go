@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -36,7 +35,7 @@ type BackendSnapshot struct {
 }
 
 // Snapshot is a point-in-time view of a Recorder, suitable for export
-// (JSON/CSV) and for Audit.
+// (JSON, Prometheus text) and for Audit.
 type Snapshot struct {
 	Counters map[string]int64       `json:"counters"`
 	Outcomes map[string]OutcomeStat `json:"outcomes"`
@@ -62,11 +61,13 @@ type Snapshot struct {
 	// owns both recorder and tracer (nil when tracing is disabled).
 	Trace *TraceStats `json:"trace,omitempty"`
 
-	// Typed views for Audit (the maps are for export only).
+	// Typed views, indexed by identifier, for Audit and WritePrometheus
+	// (the maps are the JSON schema).
 	counters [numCounters]int64
 	outcomes [numOutcomes]OutcomeStat
 	origins  [numOrigins]OriginStat
 	arms     [numArms]OriginStat
+	hists    [numHists]HistogramSnapshot
 }
 
 // Counter reads one counter from the snapshot.
@@ -106,25 +107,16 @@ func (r *Recorder) Snapshot() *Snapshot {
 		s.Outcomes[o.String()] = st
 	}
 	for o := Origin(0); o < NumOrigins; o++ {
-		st := OriginStat{
-			Inserted: r.origins[o].inserted.Load(),
-			Used:     r.origins[o].used.Load(),
-			Wasted:   r.origins[o].wasted.Load(),
-		}
-		s.origins[o] = st
-		s.Origins[o.String()] = st
+		s.origins[o] = r.origins[o].stat()
+		s.Origins[o.String()] = s.origins[o]
 	}
 	for a := Arm(0); a < NumArms; a++ {
-		st := OriginStat{
-			Inserted: r.arms[a].inserted.Load(),
-			Used:     r.arms[a].used.Load(),
-			Wasted:   r.arms[a].wasted.Load(),
-		}
-		s.arms[a] = st
-		s.Arms[a.String()] = st
+		s.arms[a] = r.arms[a].stat()
+		s.Arms[a.String()] = s.arms[a]
 	}
 	for h := Hist(0); h < numHists; h++ {
-		s.Histograms[h.String()] = r.hists[h].Snapshot()
+		s.hists[h] = r.hists[h].Snapshot()
+		s.Histograms[h.String()] = s.hists[h]
 	}
 	for i := 0; i < MaxSyscallKinds; i++ {
 		if r.syscallNames[i] == "" {
@@ -169,121 +161,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV writes the snapshot as flat CSV rows:
-//
-//	kind,name,field,value
-//
-// Counters export one row; outcomes export events and pages rows;
-// histograms (including syscalls) export count/sum/mean/min/max/p50/p99.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kind,name,field,value"); err != nil {
-		return err
-	}
-	row := func(kind, name, field string, value any) error {
-		_, err := fmt.Fprintf(w, "%s,%s,%s,%v\n", kind, name, field, value)
-		return err
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		if err := row("counter", name, "value", s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Outcomes) {
-		st := s.Outcomes[name]
-		if err := row("outcome", name, "events", st.Events); err != nil {
-			return err
-		}
-		if err := row("outcome", name, "pages", st.Pages); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Origins) {
-		st := s.Origins[name]
-		for _, f := range []struct {
-			field string
-			value int64
-		}{{"inserted", st.Inserted}, {"used", st.Used}, {"wasted", st.Wasted}} {
-			if err := row("origin", name, f.field, f.value); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(s.Arms) {
-		st := s.Arms[name]
-		for _, f := range []struct {
-			field string
-			value int64
-		}{{"inserted", st.Inserted}, {"used", st.Used}, {"wasted", st.Wasted}} {
-			if err := row("arm", name, f.field, f.value); err != nil {
-				return err
-			}
-		}
-	}
-	histRows := func(kind string, m map[string]HistogramSnapshot) error {
-		for _, name := range sortedKeys(m) {
-			h := m[name]
-			for _, f := range []struct {
-				field string
-				value any
-			}{
-				{"count", h.Count}, {"sum", h.Sum}, {"mean", h.Mean},
-				{"min", h.Min}, {"max", h.Max}, {"p50", h.P50}, {"p99", h.P99},
-			} {
-				if err := row(kind, name, f.field, f.value); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := histRows("histogram", s.Histograms); err != nil {
-		return err
-	}
-	if err := histRows("syscall", s.Syscalls); err != nil {
-		return err
-	}
-	for _, name := range sortedKeys(s.Backends) {
-		b := s.Backends[name]
-		if err := row("backend", name, "commands", b.Commands); err != nil {
-			return err
-		}
-		if err := row("backend", name, "read_bytes", b.ReadBytes); err != nil {
-			return err
-		}
-		if err := row("backend", name, "write_bytes", b.WriteBytes); err != nil {
-			return err
-		}
-		if err := histRows("backend_queue_wait", map[string]HistogramSnapshot{name: b.QueueWait}); err != nil {
-			return err
-		}
-		if err := histRows("backend_service", map[string]HistogramSnapshot{name: b.Service}); err != nil {
-			return err
-		}
-	}
-	if err := row("trace", "events", "total", s.EventsTotal); err != nil {
-		return err
-	}
-	if err := row("trace", "events", "dropped", s.EventsDropped); err != nil {
-		return err
-	}
-	if t := s.Trace; t != nil {
-		for _, f := range []struct {
-			field string
-			value int64
-		}{
-			{"sampled_roots", t.SampledRoots}, {"skipped_roots", t.SkippedRoots},
-			{"kept_roots", t.KeptRoots}, {"dropped_roots", t.DroppedRoots},
-			{"dropped_spans", t.DroppedSpans}, {"sample_every", t.SampleEvery},
-			{"demand_pages", t.DemandPages}, {"prefetch_pages", t.PrefetchPages},
-		} {
-			if err := row("tracer", "spans", f.field, f.value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

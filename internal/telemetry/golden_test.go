@@ -1,0 +1,107 @@
+package telemetry
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/simtime"
+)
+
+// TestGoldenMetricsText pins every byte both exporters write: a recorder
+// with every counter, outcome, origin, arm and histogram, two syscalls, two
+// backends and a TraceStats, all set to distinct values, and the SHA-256 of
+// WritePrometheus and of WriteJSON over it. The decision ring is smaller
+// than the outcome list, so the JSON also carries a wrapped trace; one
+// backend name needs both metric-name sanitising and label escaping.
+//
+// The hashes were recorded by running this file, unchanged, against the
+// commit before the name and help tables were folded into one descriptor
+// table per kind (PR 16, 5b67ca7). To re-record after an intended change to
+// either format, copy this file into a clone of the parent commit and run it
+// there: a mismatch logs the actual hash, and -v the text itself.
+func TestGoldenMetricsText(t *testing.T) {
+	const (
+		wantProm = "56f2bd423abad6e125dc87e0013fbdb40a6beb436202e1ccf7ae67e5ca318020"
+		wantJSON = "375e0eb33cc3c3b77043cb6e18ab04b251aad4923b7e9f839ff54f3f46c3e4f5"
+	)
+	s := goldenSnapshot()
+	for _, c := range []struct {
+		name, want string
+		write      func(*bytes.Buffer) error
+	}{
+		{"prometheus", wantProm, func(b *bytes.Buffer) error { return s.WritePrometheus(b) }},
+		{"json", wantJSON, func(b *bytes.Buffer) error { return s.WriteJSON(b) }},
+	} {
+		var buf bytes.Buffer
+		if err := c.write(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: sha256 = %s, want %s (%d bytes)", c.name, got, c.want, buf.Len())
+		}
+		if testing.Verbose() {
+			t.Logf("%s:\n%s", c.name, buf.String())
+		}
+	}
+}
+
+// goldenSnapshot fills one recorder through its public booking calls only,
+// every cell with a value no other cell holds.
+func goldenSnapshot() *Snapshot {
+	r := NewRecorder(8)
+	n := int64(1000)
+	next := func() int64 { n += 37; return n }
+	for c := Counter(0); c < numCounters; c++ {
+		r.Add(c, next())
+	}
+	for o := Outcome(0); o < numOutcomes; o++ {
+		lo := next()
+		r.Event(simtime.Time(next()), o, int64(o)+1, lo, lo+int64(o)+2)
+		r.Event(simtime.Time(next()), o, int64(o)+1, lo, lo+1)
+	}
+	for o := Origin(0); o < NumOrigins; o++ {
+		r.OriginInserted(o, next())
+		r.OriginUsed(o, next())
+		r.OriginWasted(o, next())
+	}
+	for a := Arm(0); a < NumArms; a++ {
+		r.ArmInserted(a, next())
+		r.ArmUsed(a, next())
+		r.ArmWasted(a, next())
+	}
+	// Each histogram spans several log2 buckets, zero and a negative sample
+	// included, with p50 and p99 in different buckets.
+	observe := func(put func(int64)) {
+		base := next()
+		for i := int64(0); i < 120; i++ {
+			put(base>>3 + i*i*i)
+		}
+		put(0)
+		put(-base)
+		put(base << 20)
+	}
+	for h := Hist(0); h < numHists; h++ {
+		observe(func(v int64) { r.Observe(h, v) })
+	}
+	r.RegisterSyscall(3, "readahead_info")
+	r.RegisterSyscall(0, "read")
+	observe(func(v int64) { r.ObserveSyscall(0, v) })
+	observe(func(v int64) { r.ObserveSyscall(3, v) })
+	r.RegisterBackend(0, "nvme0.0")
+	r.RegisterBackend(2, "nvmeof \"far\"\\0")
+	for _, i := range []int{0, 2} {
+		for k := int64(0); k < 40; k++ {
+			r.ObserveBackend(i, k%3 == 0, next(), next()>>uint(k%7), next()<<uint(k%5))
+		}
+	}
+	s := r.Snapshot()
+	s.Trace = &TraceStats{
+		SampledRoots: next(), SkippedRoots: next(), KeptRoots: next(),
+		DroppedRoots: next(), DroppedSpans: next(), SampleEvery: next(),
+		PerInode: true, DemandPages: next(), PrefetchPages: next(),
+	}
+	return s
+}

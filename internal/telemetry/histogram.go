@@ -115,23 +115,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if v := h.maxP1.Load(); v != 0 {
 		s.Max = decodeP1(v)
 	}
-	var seen int64
-	p50, p99 := s.Count/2+1, s.Count-s.Count/100
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
+	var counts [histBuckets]int64
+	for i := range counts {
+		if counts[i] = h.buckets[i].Load(); counts[i] != 0 {
+			lo, hi := bucketBounds(i)
+			s.Buckets = append(s.Buckets, BucketCount{Lo: lo, Hi: hi, Count: counts[i]})
 		}
-		lo, hi := bucketBounds(i)
-		s.Buckets = append(s.Buckets, BucketCount{Lo: lo, Hi: hi, Count: n})
-		if seen < p50 && seen+n >= p50 {
-			s.P50 = hi - 1
-		}
-		if seen < p99 && seen+n >= p99 {
-			s.P99 = hi - 1
-		}
-		seen += n
 	}
+	s.P50, s.P99 = quantiles(&counts, s.Count)
 	if s.P50 > s.Max {
 		s.P50 = s.Max
 	}
@@ -139,6 +130,27 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.P99 = s.Max
 	}
 	return s
+}
+
+// quantiles reports the p50 and p99 of total samples spread over log2
+// buckets, each as the largest value of the bucket the quantile falls in.
+func quantiles(counts *[histBuckets]int64, total int64) (p50, p99 int64) {
+	var seen int64
+	rank50, rank99 := total/2+1, total-total/100
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		_, hi := bucketBounds(i)
+		if seen < rank50 && seen+n >= rank50 {
+			p50 = hi - 1
+		}
+		if seen < rank99 && seen+n >= rank99 {
+			p99 = hi - 1
+		}
+		seen += n
+	}
+	return p50, p99
 }
 
 // bucketBounds reports the value range [lo, hi) of bucket i.

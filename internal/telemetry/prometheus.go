@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -28,111 +29,23 @@ func promLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// counterHelp is the HELP text per counter, indexed by identifier like
-// counterNames — `make ctrgate` asserts every declared counter appears
-// here, and the conformance test rejects empty entries.
-var counterHelp = [numCounters]string{
-	CtrLibIssuedPages:             "Pages CROSS-LIB asked readahead_info to prefetch, before the kernel limit clamp.",
-	CtrKernelRequestedPages:       "Pages readahead_info saw requested after the file clamp, before the limit clamp.",
-	CtrKernelAdmittedPages:        "Requested pages within the effective kernel prefetch limit.",
-	CtrKernelRejectedPages:        "Requested pages cut off by the kernel prefetch limit.",
-	CtrKernelPrefetchedPages:      "Pages readahead_info actually submitted prefetch I/O for.",
-	CtrVFSPrefetchInsertedPages:   "Pages the VFS prefetch paths newly inserted into the page cache.",
-	CtrVFSPrefetchDevicePages:     "Pages of device reads issued by the VFS prefetch paths.",
-	CtrVFSDemandFetchPages:        "Pages of blocking demand device reads (misses and RMW edges).",
-	CtrCacheInsertedPages:         "Pages newly inserted into the page cache, all sources.",
-	CtrCacheRemovedPages:          "Pages evicted or dropped from the page cache.",
-	CtrCachePrefetchInsertedPages: "Inserted pages that came from a prefetch (effectiveness denominator).",
-	CtrPrefetchHitPages:           "Prefetched pages a later lookup used (first use).",
-	CtrPrefetchWastedPages:        "Prefetched pages evicted before any use.",
-	CtrDeviceReadBytes:            "Raw bytes read from the simulated device.",
-	CtrDeviceWriteBytes:           "Raw bytes written to the simulated device.",
-	CtrCacheDirtyInsertedPages:    "Inserted pages that entered dirty (buffered writes, writeback requeues).",
-	CtrDeviceInjectedFaults:       "Device requests failed by the fault injector.",
-	CtrDeviceInjectedStallNs:      "Virtual nanoseconds of injected device latency spikes.",
-	CtrVFSDemandRetries:           "Blocking-read/fsync retries of transient device faults.",
-	CtrVFSDemandIOErrors:          "Demand I/O failures surfaced to the application.",
-	CtrVFSWritebackRetries:        "Background writeback retries of transient device faults.",
-	CtrWritebackLostPages:         "Dirty pages dropped after exhausting the writeback retry budget.",
-	CtrLibPrefetchRetries:         "CROSS-LIB background-prefetch retries after transient faults.",
-	CtrLibBreakerTrips:            "Per-file circuit breaker transitions closed to open.",
-	CtrLibBreakerRecoveries:       "Per-file circuit breaker transitions open to closed.",
-	CtrDevicePlugSegments:         "Requests submitted through the block plug API.",
-	CtrDevicePlugCommands:         "Device commands dispatched after plug merging.",
-	CtrDevicePlugMergedSegments:   "Segments absorbed into another command by a front/back merge.",
-	CtrDevicePlugSegmentBytes:     "Byte total of plug-submitted segments.",
-	CtrDevicePlugCommandBytes:     "Byte total of dispatched commands (merge-invariant: equals segment bytes).",
-	CtrRingSQESubmitted:           "Submission-queue entries accepted onto rings.",
-	CtrRingCQECompleted:           "Completions delivered to ring reapers.",
-	CtrRingEnterCalls:             "ring_enter crossings (one per submitted batch).",
-	CtrRingDispatchBatches:        "Fair-share lane dispatches that issued at least one device command.",
-	CtrRingDispatchCommands:       "Merged device commands issued by lane dispatches.",
-	CtrRingBackpressure:           "SQEs refused at ring admission (ring full).",
-	CtrRingShedSQEs:               "SQEs completed with ErrShed under overload, never touching the device.",
-	CtrRingShedPrefetchPages:      "Pages carried by shed prefetch intents (work brownout saved).",
-	CtrRingDeadlineMisses:         "CQEs delivered with ErrDeadlineExceeded.",
-	CtrBrownoutTransitions:        "Brownout pressure-level changes (either direction).",
-	CtrCacheTenantReclaims:        "Tenant-targeted direct reclaim passes on hard-budget breaches.",
-	CtrPredArmPromotions:          "Bandit promotions of a challenger predictor arm to live.",
-	CtrPredShadowIssuedPages:      "Pages the shadow predictor arms would have prefetched.",
-	CtrPredShadowHitPages:         "Shadow-predicted pages a later access overlapped.",
-	CtrPredShadowExpiredPages:     "Shadow-predicted pages that aged out or were overwritten unconsumed.",
-	CtrDeviceCommands:             "Completed device commands after plug merging, all stack members (per-backend partition parent).",
-	CtrTierPromotions:             "Extents promoted from the remote tier to local storage.",
-	CtrTierPrefetchPromotions:     "Tier promotions driven by cross-tier prefetch landing remote pages locally.",
-	CtrTierDemotions:              "Extents demoted from local storage under the capacity watermarks.",
-	CtrTierCopybackBytes:          "Bytes copied back to the remote tier when demoting dirty extents.",
-}
-
-// outcomeHelp is the HELP text per prefetch-decision outcome, indexed by
-// identifier (ctrgate coverage, same as counterHelp).
-var outcomeHelp = [numOutcomes]string{
-	OutcomeIssued:               "intent reached the kernel as readahead work",
-	OutcomeSavedByBitmap:        "kernel crossing elided by the user-level bitmap",
-	OutcomeDroppedLowMemory:     "dropped: free memory below the low watermark",
-	OutcomeThrottledBatching:    "parked: uncovered tail below the crossing hysteresis",
-	OutcomeThrottledSteadyState: "skipped: predictor saturated",
-	OutcomeDroppedQueueFull:     "dropped: helper threads booked past the horizon",
-	OutcomeEvictedBeforeUse:     "prefetched pages reclaimed before any use",
-	OutcomeDeviceFault:          "prefetch device request failed",
-	OutcomeRetriedTransient:     "transient prefetch fault retried after backoff",
-	OutcomeDroppedBreakerOpen:   "dropped: per-file circuit breaker open",
-	OutcomeBreakerTripped:       "repeated failures opened the per-file breaker",
-	OutcomeBreakerRecovered:     "half-open probe closed the breaker",
-	OutcomeBatchedIntent:        "small intent parked in the per-file aggregator",
-	OutcomeShedPrefetch:         "ring path shed a prefetch intent under overload",
-	OutcomeBrownoutRaised:       "pressure controller raised the brownout level",
-	OutcomeBrownoutLowered:      "pressure controller lowered the brownout level",
-	OutcomeLatePrefetch:         "demand read consumed pages whose prefetch I/O was still in flight",
-	OutcomeArmPromoted:          "bandit promoted a challenger predictor arm to live",
-}
-
-// histHelp is the HELP text per built-in histogram, indexed by
-// identifier.
-var histHelp = [numHists]string{
-	HistDevReadLat:    "Device read submit-to-complete time, virtual nanoseconds (log2 buckets).",
-	HistDevWriteLat:   "Device write submit-to-complete time, virtual nanoseconds (log2 buckets).",
-	HistDevReadBytes:  "Device read request sizes in bytes (log2 buckets).",
-	HistDevWriteBytes: "Device write request sizes in bytes (log2 buckets).",
-	HistPrefetchLat:   "Prefetch issue-to-complete time per device chunk, virtual nanoseconds.",
-	HistRingBatchCmds: "Device commands per fair-share lane dispatch (achieved queue depth).",
-	HistRingQueueWait: "Virtual time an SQE's device work waited staged in its tenant lane.",
-	HistPrefetchToUse: "Prefetched page insertion-to-first-use virtual time (timeliness).",
-}
-
-// helpByName inverts an identifier-indexed help table into export-name
-// keys, matching the snapshot maps the writer iterates.
-func helpByName(names, helps []string) map[string]string {
-	m := make(map[string]string, len(names))
-	for i, n := range names {
-		m[n] = helps[i]
+// byName lists a table's n identifiers in export-name order — the order
+// every section of the exposition prints in — so the writer sorts nothing.
+func byName(n int, name func(i int) string) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	return m
+	sort.Slice(order, func(a, b int) bool { return name(order[a]) < name(order[b]) })
+	return order
 }
 
 var (
-	counterHelpByName = helpByName(counterNames[:], counterHelp[:])
-	histHelpByName    = helpByName(histNames[:], histHelp[:])
+	countersByName = byName(int(numCounters), func(i int) string { return counterDescs[i].name })
+	outcomesByName = byName(int(numOutcomes), func(i int) string { return outcomeNames[i] })
+	originsByName  = byName(numOrigins, func(i int) string { return originNames[i] })
+	armsByName     = byName(numArms, func(i int) string { return armNames[i] })
+	histsByName    = byName(int(numHists), func(i int) string { return histDescs[i].name })
 )
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
@@ -149,7 +62,10 @@ var (
 //	crossprefetch_events_{recorded,dropped}_total      decision-trace ring
 //	crossprefetch_tracer_*                             span tracer accounting
 //
-// Output is deterministic: every section iterates sorted keys.
+// Output is deterministic: every section prints in export-name order — the
+// declared kinds from their tables over the snapshot's typed arrays, the
+// syscall and backend families, which are registered by name at run time,
+// from the snapshot's maps.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -157,52 +73,42 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	for _, name := range sortedKeys(s.Counters) {
-		m := "crossprefetch_" + promName(name) + "_total"
-		help := counterHelpByName[name]
-		if help == "" {
-			help = "Cross-layer counter " + name + "."
-		}
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, help, m, m, s.Counters[name])
+	for _, c := range countersByName {
+		m := "crossprefetch_" + promName(counterDescs[c].name) + "_total"
+		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, counterDescs[c].help, m, m, s.counters[c])
 	}
 	p("# HELP crossprefetch_outcome_events_total Prefetch-decision trace events by outcome.\n")
 	p("# TYPE crossprefetch_outcome_events_total counter\n")
-	for _, name := range sortedKeys(s.Outcomes) {
-		p("crossprefetch_outcome_events_total{outcome=\"%s\"} %d\n", promLabel(name), s.Outcomes[name].Events)
+	for _, o := range outcomesByName {
+		p("crossprefetch_outcome_events_total{outcome=\"%s\"} %d\n", promLabel(outcomeNames[o]), s.outcomes[o].Events)
 	}
 	p("# HELP crossprefetch_outcome_pages_total Pages covered by prefetch-decision trace events, by outcome.\n")
 	p("# TYPE crossprefetch_outcome_pages_total counter\n")
-	for _, name := range sortedKeys(s.Outcomes) {
-		p("crossprefetch_outcome_pages_total{outcome=\"%s\"} %d\n", promLabel(name), s.Outcomes[name].Pages)
+	for _, o := range outcomesByName {
+		p("crossprefetch_outcome_pages_total{outcome=\"%s\"} %d\n", promLabel(outcomeNames[o]), s.outcomes[o].Pages)
 	}
-	for _, fam := range []struct {
-		name, help string
-		val        func(OriginStat) int64
-	}{
-		{"origin_inserted_pages_total", "Pages inserted into the cache by insertion origin (partition of cache_inserted_pages).", func(o OriginStat) int64 { return o.Inserted }},
-		{"origin_used_pages_total", "Prefetched pages first used by a reader, by origin (partition of prefetch_hit_pages).", func(o OriginStat) int64 { return o.Used }},
-		{"origin_wasted_pages_total", "Prefetched pages evicted unused, by origin (partition of prefetch_wasted_pages).", func(o OriginStat) int64 { return o.Wasted }},
-	} {
-		m := "crossprefetch_" + fam.name
-		p("# HELP %s %s\n# TYPE %s counter\n", m, fam.help, m)
-		for _, name := range sortedKeys(s.Origins) {
-			p("%s{origin=\"%s\"} %d\n", m, promLabel(name), fam.val(s.Origins[name]))
+	// ledger prints the {inserted, used, wasted} families of one provenance
+	// axis, a sample per label value in each.
+	ledger := func(label string, order []int, names []string, cells []OriginStat, help [3]string) {
+		for k, col := range [3]string{"inserted", "used", "wasted"} {
+			m := "crossprefetch_" + label + "_" + col + "_pages_total"
+			p("# HELP %s %s\n# TYPE %s counter\n", m, help[k], m)
+			for _, i := range order {
+				c := cells[i]
+				p("%s{%s=\"%s\"} %d\n", m, label, promLabel(names[i]), [3]int64{c.Inserted, c.Used, c.Wasted}[k])
+			}
 		}
 	}
-	for _, fam := range []struct {
-		name, help string
-		val        func(OriginStat) int64
-	}{
-		{"arm_inserted_pages_total", "Prefetch-credit pages inserted by predictor arm (partition of the prefetch-origin ledger; arm=none covers prefetches no ensemble arm drove).", func(o OriginStat) int64 { return o.Inserted }},
-		{"arm_used_pages_total", "Prefetched pages first used by a reader, by predictor arm.", func(o OriginStat) int64 { return o.Used }},
-		{"arm_wasted_pages_total", "Prefetched pages evicted unused, by predictor arm.", func(o OriginStat) int64 { return o.Wasted }},
-	} {
-		m := "crossprefetch_" + fam.name
-		p("# HELP %s %s\n# TYPE %s counter\n", m, fam.help, m)
-		for _, name := range sortedKeys(s.Arms) {
-			p("%s{arm=\"%s\"} %d\n", m, promLabel(name), fam.val(s.Arms[name]))
-		}
-	}
+	ledger("origin", originsByName, originNames[:], s.origins[:], [3]string{
+		"Pages inserted into the cache by insertion origin (partition of cache_inserted_pages).",
+		"Prefetched pages first used by a reader, by origin (partition of prefetch_hit_pages).",
+		"Prefetched pages evicted unused, by origin (partition of prefetch_wasted_pages).",
+	})
+	ledger("arm", armsByName, armNames[:], s.arms[:], [3]string{
+		"Prefetch-credit pages inserted by predictor arm (partition of the prefetch-origin ledger; arm=none covers prefetches no ensemble arm drove).",
+		"Prefetched pages first used by a reader, by predictor arm.",
+		"Prefetched pages evicted unused, by predictor arm.",
+	})
 	writeHist := func(metric, help string, h HistogramSnapshot) {
 		p("# HELP %s %s\n# TYPE %s histogram\n", metric, help, metric)
 		var cum int64
@@ -214,12 +120,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		p("%s_bucket{le=\"+Inf\"} %d\n", metric, h.Count)
 		p("%s_sum %d\n%s_count %d\n", metric, h.Sum, metric, h.Count)
 	}
-	for _, name := range sortedKeys(s.Histograms) {
-		help := histHelpByName[name]
-		if help == "" {
-			help = "Log2 histogram " + name + "."
-		}
-		writeHist("crossprefetch_"+promName(name), help, s.Histograms[name])
+	for _, h := range histsByName {
+		writeHist("crossprefetch_"+promName(histDescs[h].name), histDescs[h].help, s.hists[h])
 	}
 	for _, name := range sortedKeys(s.Syscalls) {
 		writeHist("crossprefetch_syscall_"+promName(name),

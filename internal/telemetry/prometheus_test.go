@@ -316,37 +316,66 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestHelpTablesComplete rejects silently unnamed or unexplained
-// constants: every counter, outcome, origin, and histogram must have
-// both an export name and (where exported to Prometheus) HELP text.
+// checkTable is the completeness rule of one descriptor table: every row
+// has an export name no other row has and, where the Prometheus writer
+// prints a family per row, HELP text. A constant declared without its row
+// leaves a zero row, which is what the rule rejects.
+func checkTable(kind string, rows []desc, wantHelp bool) error {
+	seen := make(map[string]int, len(rows))
+	for i, d := range rows {
+		if d.name == "" {
+			return fmt.Errorf("%s %d has no export name", kind, i)
+		}
+		if wantHelp && d.help == "" {
+			return fmt.Errorf("%s %s has no HELP text", kind, d.name)
+		}
+		if j, dup := seen[d.name]; dup {
+			return fmt.Errorf("%s %d and %d share the export name %q", kind, j, i, d.name)
+		}
+		seen[d.name] = i
+	}
+	return nil
+}
+
+// TestHelpTablesComplete is the one descriptor test: it holds what the
+// ctrgate grep over telemetry.go and prometheus.go used to. Each table
+// passes checkTable, and — the negative leg, without which the check could
+// be vacuous — the same table with its last row blanked (a new constant
+// nobody described), stripped of its help, or named like its first row is
+// rejected.
 func TestHelpTablesComplete(t *testing.T) {
-	for c := Counter(0); c < numCounters; c++ {
-		if counterNames[c] == "" {
-			t.Errorf("counter %d has no export name", c)
+	named := func(names []string) []desc {
+		rows := make([]desc, len(names))
+		for i, n := range names {
+			rows[i].name = n
 		}
-		if counterHelp[c] == "" {
-			t.Errorf("counter %s has no HELP text", counterNames[c])
-		}
+		return rows
 	}
-	for o := Outcome(0); o < numOutcomes; o++ {
-		if outcomeNames[o] == "" {
-			t.Errorf("outcome %d has no export name", o)
+	for _, tb := range []struct {
+		kind     string
+		rows     []desc
+		wantHelp bool
+	}{
+		{"counter", counterDescs[:], true},
+		{"outcome", named(outcomeNames[:]), false},
+		{"origin", named(originNames[:]), false},
+		{"arm", named(armNames[:]), false},
+		{"histogram", histDescs[:], true},
+	} {
+		if err := checkTable(tb.kind, tb.rows, tb.wantHelp); err != nil {
+			t.Error(err)
 		}
-		if outcomeHelp[o] == "" {
-			t.Errorf("outcome %s has no HELP text", outcomeNames[o])
+		last := len(tb.rows) - 1
+		broken := map[string]desc{"blanked": {}, "duplicated": tb.rows[0]}
+		if tb.wantHelp {
+			broken["help-less"] = desc{name: tb.rows[last].name}
 		}
-	}
-	for o := Origin(0); o < NumOrigins; o++ {
-		if originNames[o] == "" {
-			t.Errorf("origin %d has no export name", o)
-		}
-	}
-	for h := Hist(0); h < numHists; h++ {
-		if histNames[h] == "" {
-			t.Errorf("histogram %d has no export name", h)
-		}
-		if histHelp[h] == "" {
-			t.Errorf("histogram %s has no HELP text", histNames[h])
+		for how, row := range broken {
+			rows := append([]desc(nil), tb.rows...)
+			rows[last] = row
+			if checkTable(tb.kind, rows, tb.wantHelp) == nil {
+				t.Errorf("%s table with its last row %s was accepted", tb.kind, how)
+			}
 		}
 	}
 }

@@ -505,22 +505,7 @@ func (w *scoreWindow) export(width simtime.Duration, isTotals bool) WindowScore 
 	out.TimelinessCount = w.latCount
 	out.TimelinessSum = w.latSum
 	if w.latCount > 0 {
-		var seen int64
-		p50, p99 := w.latCount/2+1, w.latCount-w.latCount/100
-		for i := 0; i < histBuckets; i++ {
-			n := w.latBuckets[i]
-			if n == 0 {
-				continue
-			}
-			_, hi := bucketBounds(i)
-			if seen < p50 && seen+n >= p50 {
-				out.TimelinessP50 = hi - 1
-			}
-			if seen < p99 && seen+n >= p99 {
-				out.TimelinessP99 = hi - 1
-			}
-			seen += n
-		}
+		out.TimelinessP50, out.TimelinessP99 = quantiles(&w.latBuckets, w.latCount)
 	}
 	return out
 }

@@ -176,65 +176,69 @@ const (
 	numCounters
 )
 
-// counterNames is the export name table (JSON/CSV/Prometheus keys),
-// indexed by identifier so `make ctrgate` can assert every declared
-// counter has a name (a missing entry is an empty string, which the
-// table-completeness test rejects).
-var counterNames = [numCounters]string{
-	CtrLibIssuedPages:             "lib_issued_pages",
-	CtrKernelRequestedPages:       "kernel_requested_pages",
-	CtrKernelAdmittedPages:        "kernel_admitted_pages",
-	CtrKernelRejectedPages:        "kernel_rejected_pages",
-	CtrKernelPrefetchedPages:      "kernel_prefetched_pages",
-	CtrVFSPrefetchInsertedPages:   "vfs_prefetch_inserted_pages",
-	CtrVFSPrefetchDevicePages:     "vfs_prefetch_device_pages",
-	CtrVFSDemandFetchPages:        "vfs_demand_fetch_pages",
-	CtrCacheInsertedPages:         "cache_inserted_pages",
-	CtrCacheRemovedPages:          "cache_removed_pages",
-	CtrCachePrefetchInsertedPages: "cache_prefetch_inserted_pages",
-	CtrPrefetchHitPages:           "prefetch_hit_pages",
-	CtrPrefetchWastedPages:        "prefetch_wasted_pages",
-	CtrDeviceReadBytes:            "device_read_bytes",
-	CtrDeviceWriteBytes:           "device_write_bytes",
-	CtrCacheDirtyInsertedPages:    "cache_dirty_inserted_pages",
-	CtrDeviceInjectedFaults:       "device_injected_faults",
-	CtrDeviceInjectedStallNs:      "device_injected_stall_ns",
-	CtrVFSDemandRetries:           "vfs_demand_retries",
-	CtrVFSDemandIOErrors:          "vfs_demand_io_errors",
-	CtrVFSWritebackRetries:        "vfs_writeback_retries",
-	CtrWritebackLostPages:         "writeback_lost_pages",
-	CtrLibPrefetchRetries:         "lib_prefetch_retries",
-	CtrLibBreakerTrips:            "lib_breaker_trips",
-	CtrLibBreakerRecoveries:       "lib_breaker_recoveries",
-	CtrDevicePlugSegments:         "device_plug_segments",
-	CtrDevicePlugCommands:         "device_plug_commands",
-	CtrDevicePlugMergedSegments:   "device_plug_merged_segments",
-	CtrDevicePlugSegmentBytes:     "device_plug_segment_bytes",
-	CtrDevicePlugCommandBytes:     "device_plug_command_bytes",
-	CtrRingSQESubmitted:           "ring_sqes_submitted",
-	CtrRingCQECompleted:           "ring_cqes_completed",
-	CtrRingEnterCalls:             "ring_enter_calls",
-	CtrRingDispatchBatches:        "ring_dispatch_batches",
-	CtrRingDispatchCommands:       "ring_dispatch_commands",
-	CtrRingBackpressure:           "ring_backpressure",
-	CtrRingShedSQEs:               "ring_shed_sqes",
-	CtrRingShedPrefetchPages:      "ring_shed_prefetch_pages",
-	CtrRingDeadlineMisses:         "ring_deadline_misses",
-	CtrBrownoutTransitions:        "brownout_transitions",
-	CtrCacheTenantReclaims:        "cache_tenant_reclaims",
-	CtrPredArmPromotions:          "pred_arm_promotions",
-	CtrPredShadowIssuedPages:      "pred_shadow_issued_pages",
-	CtrPredShadowHitPages:         "pred_shadow_hit_pages",
-	CtrPredShadowExpiredPages:     "pred_shadow_expired_pages",
-	CtrDeviceCommands:             "device_commands",
-	CtrTierPromotions:             "tier_promotions",
-	CtrTierPrefetchPromotions:     "tier_prefetch_promotions",
-	CtrTierDemotions:              "tier_demotions",
-	CtrTierCopybackBytes:          "tier_copyback_bytes",
+// desc declares one metric: its export name (JSON key, Prometheus name
+// fragment) and the HELP text of the Prometheus family it becomes.
+type desc struct{ name, help string }
+
+// counterDescs is the one declaration of what each counter is called and
+// what it means, indexed by identifier. A new counter is its constant above
+// plus its row here: String, Snapshot and WritePrometheus read the row, and
+// TestHelpTablesComplete rejects a constant left without one.
+var counterDescs = [numCounters]desc{
+	CtrLibIssuedPages:             {"lib_issued_pages", "Pages CROSS-LIB asked readahead_info to prefetch, before the kernel limit clamp."},
+	CtrKernelRequestedPages:       {"kernel_requested_pages", "Pages readahead_info saw requested after the file clamp, before the limit clamp."},
+	CtrKernelAdmittedPages:        {"kernel_admitted_pages", "Requested pages within the effective kernel prefetch limit."},
+	CtrKernelRejectedPages:        {"kernel_rejected_pages", "Requested pages cut off by the kernel prefetch limit."},
+	CtrKernelPrefetchedPages:      {"kernel_prefetched_pages", "Pages readahead_info actually submitted prefetch I/O for."},
+	CtrVFSPrefetchInsertedPages:   {"vfs_prefetch_inserted_pages", "Pages the VFS prefetch paths newly inserted into the page cache."},
+	CtrVFSPrefetchDevicePages:     {"vfs_prefetch_device_pages", "Pages of device reads issued by the VFS prefetch paths."},
+	CtrVFSDemandFetchPages:        {"vfs_demand_fetch_pages", "Pages of blocking demand device reads (misses and RMW edges)."},
+	CtrCacheInsertedPages:         {"cache_inserted_pages", "Pages newly inserted into the page cache, all sources."},
+	CtrCacheRemovedPages:          {"cache_removed_pages", "Pages evicted or dropped from the page cache."},
+	CtrCachePrefetchInsertedPages: {"cache_prefetch_inserted_pages", "Inserted pages that came from a prefetch (effectiveness denominator)."},
+	CtrPrefetchHitPages:           {"prefetch_hit_pages", "Prefetched pages a later lookup used (first use)."},
+	CtrPrefetchWastedPages:        {"prefetch_wasted_pages", "Prefetched pages evicted before any use."},
+	CtrDeviceReadBytes:            {"device_read_bytes", "Raw bytes read from the simulated device."},
+	CtrDeviceWriteBytes:           {"device_write_bytes", "Raw bytes written to the simulated device."},
+	CtrCacheDirtyInsertedPages:    {"cache_dirty_inserted_pages", "Inserted pages that entered dirty (buffered writes, writeback requeues)."},
+	CtrDeviceInjectedFaults:       {"device_injected_faults", "Device requests failed by the fault injector."},
+	CtrDeviceInjectedStallNs:      {"device_injected_stall_ns", "Virtual nanoseconds of injected device latency spikes."},
+	CtrVFSDemandRetries:           {"vfs_demand_retries", "Blocking-read/fsync retries of transient device faults."},
+	CtrVFSDemandIOErrors:          {"vfs_demand_io_errors", "Demand I/O failures surfaced to the application."},
+	CtrVFSWritebackRetries:        {"vfs_writeback_retries", "Background writeback retries of transient device faults."},
+	CtrWritebackLostPages:         {"writeback_lost_pages", "Dirty pages dropped after exhausting the writeback retry budget."},
+	CtrLibPrefetchRetries:         {"lib_prefetch_retries", "CROSS-LIB background-prefetch retries after transient faults."},
+	CtrLibBreakerTrips:            {"lib_breaker_trips", "Per-file circuit breaker transitions closed to open."},
+	CtrLibBreakerRecoveries:       {"lib_breaker_recoveries", "Per-file circuit breaker transitions open to closed."},
+	CtrDevicePlugSegments:         {"device_plug_segments", "Requests submitted through the block plug API."},
+	CtrDevicePlugCommands:         {"device_plug_commands", "Device commands dispatched after plug merging."},
+	CtrDevicePlugMergedSegments:   {"device_plug_merged_segments", "Segments absorbed into another command by a front/back merge."},
+	CtrDevicePlugSegmentBytes:     {"device_plug_segment_bytes", "Byte total of plug-submitted segments."},
+	CtrDevicePlugCommandBytes:     {"device_plug_command_bytes", "Byte total of dispatched commands (merge-invariant: equals segment bytes)."},
+	CtrRingSQESubmitted:           {"ring_sqes_submitted", "Submission-queue entries accepted onto rings."},
+	CtrRingCQECompleted:           {"ring_cqes_completed", "Completions delivered to ring reapers."},
+	CtrRingEnterCalls:             {"ring_enter_calls", "ring_enter crossings (one per submitted batch)."},
+	CtrRingDispatchBatches:        {"ring_dispatch_batches", "Fair-share lane dispatches that issued at least one device command."},
+	CtrRingDispatchCommands:       {"ring_dispatch_commands", "Merged device commands issued by lane dispatches."},
+	CtrRingBackpressure:           {"ring_backpressure", "SQEs refused at ring admission (ring full)."},
+	CtrRingShedSQEs:               {"ring_shed_sqes", "SQEs completed with ErrShed under overload, never touching the device."},
+	CtrRingShedPrefetchPages:      {"ring_shed_prefetch_pages", "Pages carried by shed prefetch intents (work brownout saved)."},
+	CtrRingDeadlineMisses:         {"ring_deadline_misses", "CQEs delivered with ErrDeadlineExceeded."},
+	CtrBrownoutTransitions:        {"brownout_transitions", "Brownout pressure-level changes (either direction)."},
+	CtrCacheTenantReclaims:        {"cache_tenant_reclaims", "Tenant-targeted direct reclaim passes on hard-budget breaches."},
+	CtrPredArmPromotions:          {"pred_arm_promotions", "Bandit promotions of a challenger predictor arm to live."},
+	CtrPredShadowIssuedPages:      {"pred_shadow_issued_pages", "Pages the shadow predictor arms would have prefetched."},
+	CtrPredShadowHitPages:         {"pred_shadow_hit_pages", "Shadow-predicted pages a later access overlapped."},
+	CtrPredShadowExpiredPages:     {"pred_shadow_expired_pages", "Shadow-predicted pages that aged out or were overwritten unconsumed."},
+	CtrDeviceCommands:             {"device_commands", "Completed device commands after plug merging, all stack members (per-backend partition parent)."},
+	CtrTierPromotions:             {"tier_promotions", "Extents promoted from the remote tier to local storage."},
+	CtrTierPrefetchPromotions:     {"tier_prefetch_promotions", "Tier promotions driven by cross-tier prefetch landing remote pages locally."},
+	CtrTierDemotions:              {"tier_demotions", "Extents demoted from local storage under the capacity watermarks."},
+	CtrTierCopybackBytes:          {"tier_copyback_bytes", "Bytes copied back to the remote tier when demoting dirty extents."},
 }
 
-// String names the counter (JSON/CSV key).
-func (c Counter) String() string { return counterNames[c] }
+// String names the counter (JSON key).
+func (c Counter) String() string { return counterDescs[c].name }
 
 // Outcome classifies one prefetch-decision trace event.
 type Outcome int
@@ -301,8 +305,9 @@ const (
 	numOutcomes
 )
 
-// outcomeNames is the export name table, indexed by identifier (see
-// counterNames for why).
+// outcomeNames is the export name table, indexed by identifier. Outcomes,
+// origins and arms are label values of shared Prometheus families, so a row
+// is a name and the family's HELP sits with the writer.
 var outcomeNames = [numOutcomes]string{
 	OutcomeIssued:               "issued",
 	OutcomeSavedByBitmap:        "saved-by-bitmap",
@@ -324,7 +329,7 @@ var outcomeNames = [numOutcomes]string{
 	OutcomeArmPromoted:          "arm-promoted",
 }
 
-// String names the outcome (JSON/CSV key).
+// String names the outcome (JSON key, label value).
 func (o Outcome) String() string { return outcomeNames[o] }
 
 // Origin tags where a cache insertion came from — the provenance lattice
@@ -371,7 +376,7 @@ var originNames = [numOrigins]string{
 	OriginRing:      "ring-prefetch",
 }
 
-// String names the origin (JSON/CSV/label key).
+// String names the origin (JSON key, label value).
 func (o Origin) String() string { return originNames[o] }
 
 // IsPrefetch reports whether the origin is a prefetch source (everything
@@ -385,8 +390,8 @@ func (o Origin) IsPrefetch() bool { return o != OriginDemand }
 // coverage, fetch-all, explicit ring prefetch), so summed over all arms
 // the per-arm inserted/used/wasted cells partition the prefetch-origin
 // ledger exactly. The registered arm names below are the single source
-// of truth `make armgate` checks against the export table and the
-// /predictors endpoint.
+// of truth TestArmGateExport and TestArmGatePredictors check the export
+// table and the /predictors endpoint against.
 type Arm int
 
 // Registered predictor arms.
@@ -416,7 +421,7 @@ var armNames = [numArms]string{
 	ArmLeap:    "leap",
 }
 
-// String names the arm (JSON/CSV/label key).
+// String names the arm (JSON key, label value).
 func (a Arm) String() string { return armNames[a] }
 
 // Hist identifies one built-in histogram.
@@ -449,20 +454,20 @@ const (
 	numHists
 )
 
-// histNames is the export name table, indexed by identifier.
-var histNames = [numHists]string{
-	HistDevReadLat:    "dev_read_lat_ns",
-	HistDevWriteLat:   "dev_write_lat_ns",
-	HistDevReadBytes:  "dev_read_bytes",
-	HistDevWriteBytes: "dev_write_bytes",
-	HistPrefetchLat:   "prefetch_lat_ns",
-	HistRingBatchCmds: "ring_batch_commands",
-	HistRingQueueWait: "ring_queue_wait_ns",
-	HistPrefetchToUse: "prefetch_to_use_ns",
+// histDescs declares the built-in histograms (see counterDescs).
+var histDescs = [numHists]desc{
+	HistDevReadLat:    {"dev_read_lat_ns", "Device read submit-to-complete time, virtual nanoseconds (log2 buckets)."},
+	HistDevWriteLat:   {"dev_write_lat_ns", "Device write submit-to-complete time, virtual nanoseconds (log2 buckets)."},
+	HistDevReadBytes:  {"dev_read_bytes", "Device read request sizes in bytes (log2 buckets)."},
+	HistDevWriteBytes: {"dev_write_bytes", "Device write request sizes in bytes (log2 buckets)."},
+	HistPrefetchLat:   {"prefetch_lat_ns", "Prefetch issue-to-complete time per device chunk, virtual nanoseconds."},
+	HistRingBatchCmds: {"ring_batch_commands", "Device commands per fair-share lane dispatch (achieved queue depth)."},
+	HistRingQueueWait: {"ring_queue_wait_ns", "Virtual time an SQE's device work waited staged in its tenant lane."},
+	HistPrefetchToUse: {"prefetch_to_use_ns", "Prefetched page insertion-to-first-use virtual time (timeliness)."},
 }
 
-// String names the histogram (JSON/CSV key).
-func (h Hist) String() string { return histNames[h] }
+// String names the histogram (JSON key).
+func (h Hist) String() string { return histDescs[h].name }
 
 // MaxSyscallKinds bounds the per-syscall latency histogram table.
 const MaxSyscallKinds = 16
@@ -498,6 +503,10 @@ type originCell struct {
 	inserted atomic.Int64
 	used     atomic.Int64
 	wasted   atomic.Int64
+}
+
+func (c *originCell) stat() OriginStat {
+	return OriginStat{Inserted: c.inserted.Load(), Used: c.used.Load(), Wasted: c.wasted.Load()}
 }
 
 // Recorder is the shared sink all layers report into. The zero value is

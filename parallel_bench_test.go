@@ -5,8 +5,8 @@
 // cache bitmap, the LRU lists, and the inode tables — which is exactly the
 // contention the paper's §3.2 measures on Linux and §4.4/§4.5 remove.
 //
-// `make bench-parallel` runs the sweep and archives pages/s + allocs/op to
-// BENCH_PR4.json next to the pre-sharding single-lock baseline.
+// Run the ladder with plain `go test -bench Parallel -cpu 1,2,4,8 .`; it is
+// the only 1/2/4/8-proc ladder until bench/ grows one (ROADMAP item 5).
 package crossprefetch_test
 
 import (
