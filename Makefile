@@ -1,14 +1,14 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
-# vet (root and bench/), five source gates (errgate, fmtgate, stackgate,
-# ringgate, shedgate), build, `go test -race ./...`, digests.
+# vet (root and bench/), four source gates (errgate, fmtgate, stackgate,
+# ringgate), build, `go test -race ./...`, digests.
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the four packages with real host concurrency (the LSM engine, the
 # file system, the lock-free bitmap, the page cache) under the race
 # detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
 # two cores, hence the explicit timeout (go test's default is ten).
-.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate shedgate trace bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate trace bench-serve bench-overload bench-score bench-predict bench-tier
 
-check: vet errgate fmtgate stackgate ringgate shedgate build race digests
+check: vet errgate fmtgate stackgate ringgate build race digests
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -51,16 +51,6 @@ ringgate:
 	@! grep -n '\.ReadAt(\|\.WriteAt(' \
 		internal/experiments/serve.go cmd/crosserve/main.go \
 		|| (echo 'ringgate: direct read/write call on the ring frontend (use the Ring API)'; exit 1)
-
-# Shed-sentinel gate: every shed/deadline refusal on the ring path must
-# be one of the exported sentinels (vfs.ErrShed, vfs.ErrDeadlineExceeded)
-# so callers can errors.Is-dispatch on them — no ad-hoc errors.New in the
-# overload path. The `var Err` declarations ARE the sentinels.
-shedgate:
-	@! grep -n 'errors\.New' \
-		internal/vfs/ring.go internal/vfs/pressure.go internal/crosslib/ring.go \
-		| grep -v 'var Err' \
-		|| (echo 'shedgate: ad-hoc errors.New on the ring shed/deadline path (use the exported sentinels)'; exit 1)
 
 build:
 	go build ./...

@@ -112,9 +112,6 @@ type Config struct {
 	CongestionLimit simtime.Duration
 	// LibOptions, when non-nil, overrides Approach's CROSS-LIB options.
 	LibOptions *crosslib.Options
-	// PerInodeLRU enables the per-inode LRU reclaim extension (the
-	// paper's stated future work, §4.6).
-	PerInodeLRU bool
 	// Costs, when non-nil, overrides the calibrated CPU cost table.
 	Costs *simtime.Costs
 	// Telemetry enables the cross-layer observability subsystem: one
@@ -207,7 +204,6 @@ func NewSystem(cfg Config) *System {
 		BlockSize:     cfg.BlockSize,
 		CapacityPages: cfg.MemoryBytes / cfg.BlockSize,
 		Costs:         costs,
-		PerInodeLRU:   cfg.PerInodeLRU,
 	}, nil)
 
 	kcfg := vfs.Config{

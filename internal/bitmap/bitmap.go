@@ -56,9 +56,6 @@ func (b *Bitmap) Len() int64 { return int64(len(b.words)) * wordBits }
 // Count reports how many bits are set.
 func (b *Bitmap) Count() int64 { return b.set }
 
-// Words reports how many uint64 words back the bitmap.
-func (b *Bitmap) Words() int { return len(b.words) }
-
 // grow ensures the bitmap covers block index i.
 func (b *Bitmap) grow(i int64) {
 	w := int(i / wordBits)

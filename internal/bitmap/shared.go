@@ -39,9 +39,6 @@ func (s *Shared) Len() int64 { return int64(len(s.loadWords())) * wordBits }
 // Count reports how many bits are set.
 func (s *Shared) Count() int64 { return s.set.Load() }
 
-// Words reports how many uint64 words back the bitmap.
-func (s *Shared) Words() int { return len(s.loadWords()) }
-
 // Test reports whether block i is set. Out-of-range blocks are unset.
 func (s *Shared) Test(i int64) bool {
 	if i < 0 {

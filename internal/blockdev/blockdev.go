@@ -96,19 +96,6 @@ func RemoteNVMeConfigRTT(rtt simtime.Duration) Config {
 	return c
 }
 
-// HDDConfig returns a spinning-disk model, useful for contrast tests.
-func HDDConfig() Config {
-	return Config{
-		Name:           "hdd0",
-		ReadBandwidth:  180 << 20,
-		WriteBandwidth: 160 << 20,
-		ReadLatency:    4 * simtime.Millisecond,
-		WriteLatency:   4 * simtime.Millisecond,
-		CmdOverhead:    500 * simtime.Microsecond,
-		BlockSize:      4096,
-	}
-}
-
 // ErrInjected is returned by a device whose fault injector fired.
 var ErrInjected = errors.New("blockdev: injected I/O error")
 

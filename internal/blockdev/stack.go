@@ -37,9 +37,10 @@ type TierConfig struct {
 	// RemoteFrac is the fraction of extents that start remote-resident
 	// (deterministically spread over the address space).
 	RemoteFrac float64
-	// LocalCapBytes bounds the local tier; past its high watermark
-	// (15/16, mirroring pagecache reclaim) the coldest local extents are
-	// demoted down to the low watermark (7/8). 0 means uncapped.
+	// LocalCapBytes bounds the local tier; past its high watermark (15/16)
+	// the coldest local extents are demoted down to the low watermark
+	// (7/8) — pagecache reclaim's two fractions, and nothing else of it.
+	// 0 means uncapped.
 	LocalCapBytes int64
 	// PromoteReads is the demand-read hotness threshold for promotion
 	// (default 2).
@@ -266,21 +267,26 @@ func (st *Stack) resolveInto(dst []piece, off, bytes int64) []piece {
 				continue
 			}
 		}
-		if st.width > 1 {
-			ci := off / st.chunk
-			if rem := (ci+1)*st.chunk - off; n > rem {
-				n = rem
-			}
-			m := int(ci % int64(st.width))
-			moff := (ci/int64(st.width))*st.chunk + off%st.chunk
-			dst = append(dst, piece{m: m, off: moff, gOff: off, n: n})
-		} else {
-			dst = append(dst, piece{m: 0, off: off, gOff: off, n: n})
-		}
+		m, moff, n := st.stripe(off, n)
+		dst = append(dst, piece{m: m, off: moff, gOff: off, n: n})
 		off += n
 		bytes -= n
 	}
 	return coalescePieces(dst)
+}
+
+// stripe maps the first bytes of the local span [off, off+n) to their
+// member: the member, the offset on it, and how many bytes, clipped at the
+// chunk edge. Width 1 maps flat.
+func (st *Stack) stripe(off, n int64) (m int, moff, clipped int64) {
+	if st.width <= 1 {
+		return 0, off, n
+	}
+	ci := off / st.chunk
+	if rem := (ci+1)*st.chunk - off; n > rem {
+		n = rem
+	}
+	return int(ci % int64(st.width)), (ci/int64(st.width))*st.chunk + off%st.chunk, n
 }
 
 // coalescePieces merges adjacent entries that landed device-contiguous
@@ -396,33 +402,20 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 		st.prefetchPromotions++
 		st.rec.Add(telemetry.CtrTierPrefetchPromotions, 1)
 	}
-	off := e * st.extB
-	remaining := st.extB
-	for remaining > 0 {
-		n := remaining
-		var m int
-		var moff int64
-		if st.width > 1 {
-			ci := off / st.chunk
-			if rem := (ci+1)*st.chunk - off; n > rem {
-				n = rem
-			}
-			m = int(ci % int64(st.width))
-			moff = (ci/int64(st.width))*st.chunk + off%st.chunk
-		} else {
-			m, moff = 0, off
-		}
+	for off, end := e*st.extB, (e+1)*st.extB; off < end; {
+		m, moff, n := st.stripe(off, end-off)
 		st.members[m].AccessAsync(at, OpWrite, moff, n) //nolint:errcheck // best-effort fill
 		off += n
-		remaining -= n
 	}
 	st.maybeDemoteLocked(at)
 }
 
-// maybeDemoteLocked applies the pagecache watermark machinery to the
-// local tier: past the 15/16 high watermark, the coldest local extents
-// demote until occupancy is back at the 7/8 low watermark. Dirty extents
-// copy back to the remote tier; clean ones just flip residency.
+// maybeDemoteLocked bounds the local tier: past the 15/16 high watermark,
+// the coldest local extents demote until occupancy is back at the 7/8 low
+// watermark. Dirty extents copy back to the remote tier; clean ones just
+// flip residency. The two fractions are what this shares with pagecache
+// reclaim; there are no lists, second chances or tenants here, only
+// extents ranked by lastUse under the one tier mutex.
 func (st *Stack) maybeDemoteLocked(at simtime.Time) {
 	if st.capExtents <= 0 || st.localExtents <= st.capExtents*15/16 {
 		return

@@ -7,7 +7,6 @@
 package crosslib
 
 import (
-	"repro/internal/predictor"
 	"repro/internal/rangetree"
 	"repro/internal/simtime"
 )
@@ -68,8 +67,6 @@ type Options struct {
 	// off, the per-descriptor counter drives prefetch exactly as before
 	// (one nil check on the hot path).
 	Ensemble bool
-	// EnsembleSeed seeds the bandit's exploration PRNG (0 selects 1).
-	EnsembleSeed uint64
 
 	// RetryMax is how many times a background prefetch retries a
 	// transient device fault before giving up (negative disables
@@ -119,16 +116,6 @@ func (o Options) withDefaults() Options {
 		o.BreakerCooloff = 20 * simtime.Millisecond
 	}
 	return o
-}
-
-// ensembleConfig is the predictor package's default ensemble tuning under
-// this runtime's exploration seed.
-func (o Options) ensembleConfig() predictor.EnsembleConfig {
-	cfg := predictor.DefaultEnsembleConfig()
-	if o.EnsembleSeed != 0 {
-		cfg.Seed = o.EnsembleSeed
-	}
-	return cfg
 }
 
 // Approach names the paper's comparison configurations (Tables 2 and 5).

@@ -272,6 +272,13 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 	return len(batch)
 }
 
+// refuse completes an op locally, without a crossing, as the kernel would
+// have refused it: with one of vfs's two refusals, the type admits no other.
+func refuse(done RingCQE, r *vfs.Refusal) (RingCQE, bool) {
+	done.Err = r
+	return done, false
+}
+
 // admit runs the library pre-work of one staged op and reports whether it
 // crosses into the kernel; an op that does not is complete, with the
 // returned CQE. op receives the tick of the access it observed, if any.
@@ -290,8 +297,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 		if q.deadline > 0 && tl.Now() > q.deadline {
 			// Already expired: complete locally without a crossing.
 			rt.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
-			done.Err = vfs.ErrDeadlineExceeded
-			return done, false
+			return refuse(done, vfs.ErrDeadlineExceeded)
 		}
 		if shimmed {
 			*op = f.observeAccess(tl, q.lo, q.hi)
@@ -317,8 +323,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			rt.rec.Add(telemetry.CtrRingShedPrefetchPages, q.hi-q.lo)
 			rt.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch,
 				f.kf.Inode().ID(), q.lo, q.hi)
-			done.Err = vfs.ErrShed
-			return done, false
+			return refuse(done, vfs.ErrShed)
 		}
 		if shimmed {
 			if !rt.breakerAdmits(tl, f.sf, q.lo, q.hi) {

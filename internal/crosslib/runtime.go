@@ -336,7 +336,7 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 			tree:  rangetree.New(rt.opt.RangeTreeSpan, rt.v.Config().Costs),
 		}
 		if rt.opt.Ensemble && rt.opt.Predict {
-			sf.ens = predictor.NewEnsemble(rt.opt.ensembleConfig(), ino)
+			sf.ens = predictor.NewEnsemble(predictor.DefaultEnsembleConfig(), ino)
 			// Shadow books only earn credit for coverage the system does
 			// not already have — without this every arm free-rides on the
 			// live arm's real prefetches and the bandit promotes redundant

@@ -123,10 +123,9 @@ type sysConfig struct {
 	raMax    int64 // kernel prefetch limit bytes (0 = 128KB default)
 	// Block-layer submission scheduler (per-cell; the EnableBlockSched
 	// process switch overrides these for sweeps driven by crossbench).
-	plug        bool
-	queueDepth  int
-	mergeWindow int64
-	congestion  simtime.Duration
+	plug       bool
+	queueDepth int
+	congestion simtime.Duration
 }
 
 func newSys(c sysConfig) *crossprefetch.System {
@@ -137,7 +136,6 @@ func newSys(c sysConfig) *crossprefetch.System {
 		KernelRAMaxBytes: c.raMax,
 		Plug:             c.plug,
 		QueueDepth:       c.queueDepth,
-		MergeWindowBytes: c.mergeWindow,
 		CongestionLimit:  c.congestion,
 	}
 	if c.device.Name != "" {

@@ -90,10 +90,9 @@ func replayPredict(r *cellRun, cfg SweepConfig, name string, kind pattern, mode 
 // predictSys builds one cell's system: the CrossPredictOpt stack with
 // telemetry + scorecards, memory a quarter of the file so the cold tail
 // actually evicts, and the ensemble toggled per cell via LibOptions.
-func predictSys(fileMB int64, ensemble bool, seed int64) *crossprefetch.System {
+func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
 	opts := crossprefetch.CrossPredictOpt.Options()
 	opts.Ensemble = ensemble
-	opts.EnsembleSeed = uint64(seed)
 	// Keep the §4.6 aggressive evictor actually working at this scale:
 	// the cells compress hours of I/O into milliseconds of virtual time,
 	// so the default 100ms idle horizon never fires and free memory pins
@@ -181,7 +180,7 @@ func PredictCells(cfg SweepConfig) (*Report, error) {
 		for _, mode := range []string{"fixed", "ensemble"} {
 			s.cells = append(s.cells, sweepCell[*PredictResult]{
 				name:  p.name + "/" + mode,
-				build: func() *crossprefetch.System { return predictSys(cfg.FileMB, mode == "ensemble", cfg.Seed) },
+				build: func() *crossprefetch.System { return predictSys(cfg.FileMB, mode == "ensemble") },
 				replay: func(r *cellRun) (*PredictResult, error) {
 					return replayPredict(r, cfg, p.name, p.kind, mode)
 				},

@@ -259,7 +259,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 		it := db.NewIterator(tl, false)
 		defer it.Close()
 		if !it.Seek(BenchKey(int64(id) * shard)) {
-			return nil
+			return it.Err()
 		}
 		for i := int64(0); i < ops && it.valid; i++ {
 			g.Gate(id, tl)
@@ -269,6 +269,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 				break
 			}
 		}
+		return it.Err()
 
 	case ReadReverse:
 		// Each thread reverse-scans its own shard of the key space, so
@@ -278,7 +279,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 		it := db.NewIterator(tl, true)
 		defer it.Close()
 		if !it.SeekBack(BenchKey(int64(id+1)*shard - 1)) {
-			return nil
+			return it.Err()
 		}
 		for i := int64(0); i < ops && it.valid; i++ {
 			g.Gate(id, tl)
@@ -288,6 +289,7 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 				break
 			}
 		}
+		return it.Err()
 
 	case ReadScan:
 		// Read-while-scanning: point reads interleaved with short scans.
@@ -309,6 +311,9 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 					i++
 				}
 				it.Close()
+				if err := it.Err(); err != nil {
+					return err
+				}
 				continue
 			}
 			v, _, err := db.Get(tl, BenchKey(k))

@@ -2,10 +2,12 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	crossprefetch "repro"
+	"repro/internal/blockdev"
 	"repro/internal/faultinject"
 	"repro/internal/simtime"
 )
@@ -194,4 +196,53 @@ func TestFlushWriteFaultKeepsMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAllReadable(t, db, tl, ref)
+}
+
+// A scan that cannot read one block of one table must end with the device's
+// error. It used to drop the rest of that table from the merge and finish
+// as if complete: fewer keys than were acknowledged, and no error, where
+// Get on the same block fails.
+func TestIteratorReadFaultSurfacesError(t *testing.T) {
+	db, tl, ref := faultDB(t)
+	sys := db.sys
+	tab := db.current.Load().levels[0][1]
+	block := tab.index[len(tab.index)/2]
+	ino, err := sys.FS().Open(tab.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := sys.Config().BlockSize
+	var plan faultinject.Plan
+	for _, r := range ino.MapRange(block.off/bs, (block.off+block.size+bs-1)/bs) {
+		plan.Ranges = append(plan.Ranges, faultinject.RangeFault{
+			Lo: r.Phys * bs, Hi: (r.Phys + r.Count) * bs, Class: faultinject.Persistent, Reads: true,
+		})
+	}
+	scan := func(reverse bool) (keys int, err error) {
+		sys.DropAllCaches(tl) // the scan must go to the device
+		it := db.NewIterator(tl, reverse)
+		defer it.Close()
+		for ok := it.seekEnd(); ok; ok = it.Next() {
+			if !bytes.Equal(it.Value(), ref[it.Key()]) {
+				t.Errorf("reverse=%v: key %s read stale or unknown", reverse, it.Key())
+			}
+			keys++
+		}
+		if it.Err() != nil && (it.Next() || it.seekEnd() || it.Seek(tab.smallest) || it.SeekBack(tab.largest)) {
+			t.Errorf("reverse=%v: the iterator moved again after %v", reverse, it.Err())
+		}
+		return keys, it.Err()
+	}
+	for _, reverse := range []bool{false, true} {
+		sys.Device().SetFaultInjector(faultinject.New(plan))
+		keys, err := scan(reverse)
+		sys.Device().SetFaultInjector(nil)
+		if !errors.Is(err, blockdev.ErrInjected) {
+			t.Errorf("reverse=%v: scan over a dead block returned %d of %d keys and Err() = %v, want the device error",
+				reverse, keys, len(ref), err)
+		}
+		if keys, err := scan(reverse); err != nil || keys != len(ref) {
+			t.Errorf("reverse=%v: with the fault gone the scan returned %d of %d keys, Err() = %v", reverse, keys, len(ref), err)
+		}
+	}
 }

@@ -27,6 +27,7 @@ type Iterator struct {
 	key   string
 	value []byte
 	valid bool
+	err   error // the first failed or corrupt block read; ends the scan
 
 	appReadahead bool // APPonly: issue explicit readahead on table scans
 }
@@ -105,10 +106,22 @@ func (it *Iterator) Close() {
 	}
 }
 
+// fail keeps the first error of the scan and ends the source that hit it.
+// A table that merely dropped out of the merge would let the scan go on
+// without its keys, or with a key its tombstone had deleted; Next checks
+// err instead.
+func (it *Iterator) fail(s *iterSource, err error) bool {
+	if it.err == nil {
+		it.err = err
+	}
+	s.done = true
+	return false
+}
+
 // loadBlock positions a table source at the given block, reading it: at
 // the block's first entry, or in a reverse iterator at its last.
 func (it *Iterator) loadBlock(s *iterSource, block int) bool {
-	if block < 0 || block >= len(s.table.index) || it.version == nil {
+	if block < 0 || block >= len(s.table.index) || it.version == nil || it.err != nil {
 		s.done = true
 		return false
 	}
@@ -120,7 +133,13 @@ func (it *Iterator) loadBlock(s *iterSource, block int) bool {
 		s.table.file.Kernel().Readahead(it.tl, ie.off, 2<<20)
 	}
 	raw, err := s.table.readBlock(it.tl, block, nil)
-	if err != nil || !s.cur.first(raw) {
+	if err != nil {
+		return it.fail(s, err)
+	}
+	if !s.cur.first(raw) {
+		if s.cur.corrupt {
+			return it.fail(s, s.table.corruptBlock(block))
+		}
 		s.done = true
 		return false
 	}
@@ -131,8 +150,7 @@ func (it *Iterator) loadBlock(s *iterSource, block int) bool {
 			s.offs = append(s.offs, uint32(s.cur.off))
 		}
 		if s.cur.corrupt {
-			s.done = true
-			return false
+			return it.fail(s, s.table.corruptBlock(block))
 		}
 		s.pos = len(s.offs) - 1
 		s.cur.load(int(s.offs[s.pos]))
@@ -147,8 +165,7 @@ func (it *Iterator) step(s *iterSource) bool {
 		return true
 	}
 	if s.cur.corrupt {
-		s.done = true
-		return false
+		return it.fail(s, s.table.corruptBlock(s.block))
 	}
 	return it.loadBlock(s, s.block+1)
 }
@@ -364,12 +381,13 @@ func (it *Iterator) Seek(target string) bool {
 }
 
 // Next advances to the next live key in iteration order. It returns false
-// at the end.
+// at the end, and from the first error on (see Err): the entry in hand when
+// a source fails is still the merge's next, the ones after it are not.
 func (it *Iterator) Next() bool {
 	if !it.valid {
 		return false
 	}
-	for it.h.Len() > 0 {
+	for it.err == nil && it.h.Len() > 0 {
 		s := it.h.srcs[0]
 		k, v, seq, del := s.current()
 		// Advance this source and restore heap order.
@@ -396,6 +414,10 @@ func (it *Iterator) Next() bool {
 	it.valid = false
 	return false
 }
+
+// Err returns the error that ended the scan early, if one did: after Next
+// or a seek returns false, a caller that needs every key checks it.
+func (it *Iterator) Err() error { return it.err }
 
 // Key returns the current key.
 func (it *Iterator) Key() string { return it.key }

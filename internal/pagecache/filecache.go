@@ -37,12 +37,6 @@ type FileCache struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// Per-inode LRU state (Config.PerInodeLRU), guarded by the owning
-	// LRU shard's lock.
-	ownActive   pageList
-	ownInactive pageList
-	lastTouch   atomic.Int64 // virtual time of last lookup
 }
 
 // frameSlot returns the file's slot in Cache.files, taking one on the
@@ -248,9 +242,6 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 	fc.misses.Add(n - res.PresentCount)
 	fc.cache.hits.Add(res.PresentCount)
 	fc.cache.misses.Add(n - res.PresentCount)
-	if tl != nil {
-		fc.lastTouch.Store(int64(tl.Now()))
-	}
 
 	if tl != nil && promoted > 0 {
 		tl.Advance(simtime.Duration(promoted) * fc.cache.cfg.Costs.LRUOp)
@@ -388,9 +379,6 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 	fc.mu.Unlock()
 
 	if inserted > 0 {
-		if tl != nil {
-			fc.lastTouch.Store(int64(tl.Now()))
-		}
 		fc.cache.rec.Add(telemetry.CtrCacheInsertedPages, inserted)
 		if opt.Dirty {
 			fc.cache.rec.Add(telemetry.CtrCacheDirtyInsertedPages, inserted)

@@ -258,11 +258,10 @@ func (fc *FileCache) clearFrame(idx int64) {
 // (reclaim, tenant reclaim, RemoveRange), pooled so that evicting
 // allocates nothing once the slices have grown to the batch size.
 type evictScratch struct {
-	victims []victim     // frames reclaim claimed off the LRU lists
-	frames  []frameID    // one file's removed frames, owned until released
-	dirty   []frameID    // of those, the ones needing writeback
-	idx     []int64      // page indexes evicted with prefetch credit unused
-	files   []*FileCache // PerInodeLRU: files, coldest first
+	victims []victim  // frames reclaim claimed off the LRU lists
+	frames  []frameID // one file's removed frames, owned until released
+	dirty   []frameID // of those, the ones needing writeback
+	wasted  []frameID // and the ones evicted with prefetch credit unused
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evictScratch) }}

@@ -110,16 +110,14 @@ func TestDroppedFileSlotRecycled(t *testing.T) {
 // exactly.
 func TestSharedInodeFrameRecycleStress(t *testing.T) {
 	for _, procs := range []int{2, 4, 16} {
-		for _, perInode := range []bool{false, true} {
-			t.Run(fmt.Sprintf("procs%d/perinode=%v", procs, perInode), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				stressSharedInode(t, perInode)
-			})
-		}
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			stressSharedInode(t)
+		})
 	}
 }
 
-func stressSharedInode(t *testing.T, perInode bool) {
+func stressSharedInode(t *testing.T) {
 	const (
 		capacity = 512
 		span     = 8 * capacity
@@ -130,7 +128,7 @@ func stressSharedInode(t *testing.T, perInode bool) {
 		opsEach = 1000 // the detector makes reclaim's lock traffic ~20x slower
 	}
 	flush := func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) { return at, nil }
-	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts(), PerInodeLRU: perInode}, flush)
+	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts()}, flush)
 	rec := telemetry.NewRecorder(1024)
 	c.SetTelemetry(rec)
 	c.SetScorecard(telemetry.NewScorecard(telemetry.ScorecardConfig{}))
@@ -216,13 +214,10 @@ func stressSharedInode(t *testing.T, perInode bool) {
 			linked += listLen(&c.frames, l)
 		}
 	}
-	for _, fc := range []*FileCache{shared, other} {
-		linked += listLen(&c.frames, &fc.ownInactive) + listLen(&c.frames, &fc.ownActive)
-	}
 	if linked != c.Used() {
 		t.Errorf("%d frames linked on LRU lists, %d resident", linked, c.Used())
 	}
-	if !perInode && c.nInactive.Load() < 0 {
+	if c.nInactive.Load() < 0 {
 		t.Errorf("nInactive = %d", c.nInactive.Load())
 	}
 	// Tenant partition and the telemetry identities, exactly.

@@ -21,13 +21,12 @@ import (
 // map[int64]*page cache the frame table replaced; a host-side change to
 // the cache must reproduce them bit for bit.
 var goldenDigests = map[string]uint64{
-	"global":   0x8a8f35ca3e055f84,
-	"perinode": 0xec433679f1b7e92d,
-	"tenants":  0xa6adbb2b651ef29d,
+	"global":  0x8a8f35ca3e055f84,
+	"tenants": 0xa6adbb2b651ef29d,
 }
 
 func TestGoldenEvictionOrder(t *testing.T) {
-	for _, mode := range []string{"global", "perinode", "tenants"} {
+	for _, mode := range []string{"global", "tenants"} {
 		t.Run(mode, func(t *testing.T) {
 			got := goldenRun(t, mode)
 			if want := goldenDigests[mode]; got != want {
@@ -56,8 +55,7 @@ func goldenRun(t *testing.T, mode string) uint64 {
 		}
 		return at.Add(simtime.Duration(hi-lo) * 1000), nil
 	}
-	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts(),
-		PerInodeLRU: mode == "perinode"}, flush)
+	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts()}, flush)
 	rec := telemetry.NewRecorder(1 << 14)
 	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
 	c.SetTelemetry(rec)

@@ -39,13 +39,6 @@ type Config struct {
 	CapacityPages int64
 	// Costs is the CPU cost table.
 	Costs simtime.Costs
-	// KswapdWorkers is the number of background reclaim workers.
-	KswapdWorkers int
-	// PerInodeLRU switches reclaim from the global active/inactive lists
-	// to per-inode lists with coldest-file-first victim selection — the
-	// paper's stated future work (§4.6: "fine-grained per-inode LRUs
-	// within the OS to expedite memory reclamation").
-	PerInodeLRU bool
 }
 
 // FlushFn writes back a dirty run of a file's pages, returning the
@@ -79,10 +72,10 @@ type Cache struct {
 	// insert/touch traffic on different files (or different regions of one
 	// file) never serializes on a single list lock. Global eviction order
 	// is preserved exactly by stamping every list push with lruSeq and
-	// having reclaim pop the globally-oldest stamp (see popOldest).
+	// having reclaim pop the globally-oldest stamp (see lockOldest).
 	lru       [lruShardCount]lruShard
 	lruSeq    atomic.Uint64
-	nInactive atomic.Int64 // global-mode inactive population (rotation guard)
+	nInactive atomic.Int64 // inactive population (rotation guard)
 	reclaimMu sync.Mutex   // serializes victim selection across shards
 
 	kswapd *simtime.WorkerPool
@@ -115,13 +108,10 @@ func New(cfg Config, flush FlushFn) *Cache {
 	if cfg.CapacityPages <= 0 {
 		cfg.CapacityPages = 1 << 20
 	}
-	if cfg.KswapdWorkers <= 0 {
-		cfg.KswapdWorkers = 1
-	}
 	c := &Cache{
 		cfg:        cfg,
 		flush:      flush,
-		kswapd:     simtime.NewWorkerPool(cfg.KswapdWorkers, 0),
+		kswapd:     simtime.NewWorkerPool(1, 0), // one kswapd
 		tenantByID: make(map[int]*tenantAccount),
 	}
 	for i := range c.fileShards {
@@ -137,8 +127,7 @@ const (
 	fileShardCount = 8
 )
 
-// lruShard is one stripe of the active/inactive LRU lists. Its mu also
-// guards the per-inode own lists of every file hashed to it (PerInodeLRU).
+// lruShard is one stripe of the active/inactive LRU lists.
 type lruShard struct {
 	mu       sync.Mutex
 	active   pageList
@@ -158,33 +147,11 @@ func shardIndex(a, b uint64, n int) int {
 	return int(h & uint64(n-1))
 }
 
-// lruShardFor maps a page to its (stable) LRU shard. Global mode spreads a
-// file's pages across shards in 64-page chunks; PerInodeLRU keeps a file's
-// own lists whole inside one shard so per-file draining stays one lock.
+// lruShardFor maps a page to its LRU shard, a pure function of (inode,
+// index) and so stable for the frame's lifetime: a file's pages spread
+// across the shards in 64-page chunks.
 func (c *Cache) lruShardFor(fc *FileCache, idx int64) *lruShard {
-	if c.cfg.PerInodeLRU {
-		return c.lruShardForFile(fc)
-	}
 	return &c.lru[shardIndex(uint64(fc.inoID), uint64(idx>>nodeShift), lruShardCount)]
-}
-
-// listOf returns the LRU list that holds fc's pages of the given (linked)
-// state within shard sh: the shard's own lists, or with PerInodeLRU the
-// file's.
-func (c *Cache) listOf(sh *lruShard, fc *FileCache, state int32) *pageList {
-	switch {
-	case c.cfg.PerInodeLRU && state == pageActive:
-		return &fc.ownActive
-	case c.cfg.PerInodeLRU:
-		return &fc.ownInactive
-	case state == pageActive:
-		return &sh.active
-	}
-	return &sh.inactive
-}
-
-func (c *Cache) lruShardForFile(fc *FileCache) *lruShard {
-	return &c.lru[shardIndex(uint64(fc.inoID), 0, lruShardCount)]
 }
 
 func (c *Cache) fileShard(inoID int64) *fileShard {
@@ -234,10 +201,9 @@ func (c *Cache) Free() int64 {
 func (c *Cache) highWater() int64 { return c.cfg.CapacityPages * 15 / 16 }
 func (c *Cache) lowWater() int64  { return c.cfg.CapacityPages * 7 / 8 }
 
-// HighWater and LowWater export the reclaim watermarks (in pages) for
-// external pressure signals (the brownout controller reads them).
+// HighWater exports the reclaim high watermark (in pages) for external
+// pressure signals (the brownout controller reads it).
 func (c *Cache) HighWater() int64 { return c.highWater() }
-func (c *Cache) LowWater() int64  { return c.lowWater() }
 
 // File returns (creating if needed) the per-inode cache state.
 func (c *Cache) File(inoID int64) *FileCache {

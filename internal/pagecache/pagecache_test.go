@@ -107,46 +107,6 @@ func TestRemoveRange(t *testing.T) {
 	}
 }
 
-func TestDirectReclaimOverCapacity(t *testing.T) {
-	c := newTestCache(100)
-	fc := c.File(1)
-	tl := simtime.NewTimeline(0)
-	fc.InsertRange(tl, 0, 150, InsertOptions{MarkerAt: -1})
-	if c.Used() > 100 {
-		t.Fatalf("used %d exceeds capacity 100", c.Used())
-	}
-	st := c.Stats()
-	if st.DirectReclaim == 0 {
-		t.Fatal("direct reclaim should have run")
-	}
-	if st.Evictions == 0 {
-		t.Fatal("pages should have been evicted")
-	}
-	// Direct reclaim is charged to the inserting thread.
-	if tl.Account(simtime.WaitCPU) == 0 {
-		t.Fatal("reclaim cost not charged")
-	}
-}
-
-func TestKswapdBackgroundReclaim(t *testing.T) {
-	c := newTestCache(100)
-	fc := c.File(1)
-	tl := simtime.NewTimeline(0)
-	// Cross the high watermark (93) but not capacity.
-	fc.InsertRange(tl, 0, 96, InsertOptions{MarkerAt: -1})
-	st := c.Stats()
-	if st.KswapdRuns == 0 {
-		t.Fatal("kswapd should have been woken")
-	}
-	if c.Used() > 96 {
-		t.Fatalf("used = %d", c.Used())
-	}
-	// Background reclaim brought usage to the low watermark.
-	if c.Used() > c.lowWater() {
-		t.Fatalf("used %d above low watermark %d", c.Used(), c.lowWater())
-	}
-}
-
 func TestLRUEvictsColdestFirst(t *testing.T) {
 	c := newTestCache(100)
 	fc := c.File(1)

@@ -19,11 +19,11 @@ func emptyPool(p *sync.Pool) {
 	}
 }
 
-// churn drives every eviction path — global and per-inode reclaim, hard
-// tenant-budget reclaim, RemoveRange, DropFile — and reports everything
-// observable about the outcome.
-func churn(t *testing.T, perInode bool) string {
-	c := New(Config{BlockSize: 4096, CapacityPages: 512, Costs: simtime.DefaultCosts(), PerInodeLRU: perInode},
+// churn drives every eviction path — global reclaim, hard tenant-budget
+// reclaim, RemoveRange, DropFile — and reports everything observable about
+// the outcome.
+func churn(t *testing.T) string {
+	c := New(Config{BlockSize: 4096, CapacityPages: 512, Costs: simtime.DefaultCosts()},
 		func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
 			return at.Add(simtime.Microsecond), nil
 		})
@@ -49,37 +49,33 @@ func churn(t *testing.T, perInode bool) string {
 
 // TestEvictScratchPoolAudit is the pooled-object audit for evictScratch:
 // the eviction paths are handed a scratch with every field dirtied — a
-// previous pass's victims, frames, dirty list, wasted indexes and file
-// ranking, none of them valid any more — and must evict exactly as with a
-// fresh one.
+// previous pass's victims, frames, dirty list and wasted list, none of
+// them valid any more — and must evict exactly as with a fresh one.
 func TestEvictScratchPoolAudit(t *testing.T) {
-	if n := reflect.TypeOf(evictScratch{}).NumField(); n != 5 {
-		t.Fatalf("evictScratch has %d fields, this audit dirties 5: add the new one", n)
+	if n := reflect.TypeOf(evictScratch{}).NumField(); n != 4 {
+		t.Fatalf("evictScratch has %d fields, this audit dirties 4: add the new one", n)
 	}
 	fresh := scratchPool.New
 	defer func() { scratchPool.New = fresh }()
 	dirty := func() any {
 		sc := &evictScratch{}
 		for i := 0; i < 300; i++ {
-			// A stale victim or file that got used would fault on its nil
-			// file; stale frame ids would evict pages nobody selected.
+			// A stale victim that got used would fault on its nil file;
+			// stale frame ids would evict pages nobody selected.
 			sc.victims = append(sc.victims, victim{idx: int64(i), id: frameID(i + 1), gen: 3})
 			sc.frames = append(sc.frames, frameID(i+1))
 			sc.dirty = append(sc.dirty, frameID(i+1))
-			sc.idx = append(sc.idx, int64(i))
-			sc.files = append(sc.files, nil)
+			sc.wasted = append(sc.wasted, frameID(i+1))
 		}
 		return sc
 	}
-	for _, perInode := range []bool{false, true} {
-		emptyPool(&scratchPool)
-		scratchPool.New = fresh
-		want := churn(t, perInode)
-		emptyPool(&scratchPool)
-		scratchPool.New = dirty
-		if got := churn(t, perInode); got != want {
-			t.Errorf("perInode=%v: a dirtied evictScratch leaks into its next use\nfresh %s\ndirty %s", perInode, want, got)
-		}
+	emptyPool(&scratchPool)
+	scratchPool.New = fresh
+	want := churn(t)
+	emptyPool(&scratchPool)
+	scratchPool.New = dirty
+	if got := churn(t); got != want {
+		t.Errorf("a dirtied evictScratch leaks into its next use\nfresh %s\ndirty %s", want, got)
 	}
 }
 
@@ -96,8 +92,7 @@ func TestIndexNodePoolAudit(t *testing.T) {
 	defer func() { nodePool.New = fresh }()
 	emptyPool(&nodePool)
 	nodePool.New = fresh
-	churn(t, false)
-	churn(t, true)
+	churn(t)
 	nodePool.New = func() any { return nil }
 	pooled := 0
 	for x := nodePool.Get(); x != nil; x = nodePool.Get() {

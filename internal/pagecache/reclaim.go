@@ -22,24 +22,20 @@ type victim struct {
 
 // link puts freshly inserted pages of fc on the inactive list (Linux
 // admits new file pages to inactive; promotion to active happens on
-// re-access). With PerInodeLRU, each page goes onto its own file's lists
-// instead. The caller holds fc.mu exclusive and passes pages of one index
+// re-access). The caller holds fc.mu exclusive and passes pages of one index
 // node, which share a shard, so the batch takes one shard lock.
 func (c *Cache) link(fc *FileCache, fresh []frameID) {
 	dir := c.frames.load()
 	sh := c.lruShardFor(fc, dir.at(fresh[0]).idx)
-	l := c.listOf(sh, fc, pageInactive)
 	sh.mu.Lock()
 	for _, id := range fresh {
 		p := dir.at(id)
 		p.seq = c.lruSeq.Add(1)
-		l.pushHead(&c.frames, id)
+		sh.inactive.pushHead(&c.frames, id)
 		p.state.Store(pageInactive)
 	}
 	sh.mu.Unlock()
-	if !c.cfg.PerInodeLRU {
-		c.nInactive.Add(int64(len(fresh)))
-	}
+	c.nInactive.Add(int64(len(fresh)))
 }
 
 // promote moves a re-accessed inactive page to the active list, under its
@@ -50,12 +46,10 @@ func (c *Cache) promote(fc *FileCache, id frameID, p *page) bool {
 	sh.mu.Lock()
 	promoted := p.state.Load() == pageInactive
 	if promoted {
-		c.listOf(sh, fc, pageInactive).remove(&c.frames, id)
-		if !c.cfg.PerInodeLRU {
-			c.nInactive.Add(-1)
-		}
+		sh.inactive.remove(&c.frames, id)
+		c.nInactive.Add(-1)
 		p.seq = c.lruSeq.Add(1)
-		c.listOf(sh, fc, pageActive).pushHead(&c.frames, id)
+		sh.active.pushHead(&c.frames, id)
 		p.state.Store(pageActive)
 	}
 	sh.mu.Unlock()
@@ -128,48 +122,49 @@ func (c *Cache) requeueInactive(sh *lruShard, id frameID, fromActive bool) {
 // Above the high watermark: background reclaim on the kswapd worker.
 func (c *Cache) reclaimIfNeeded(tl *simtime.Timeline) {
 	used := c.used.Load()
+	target := used - c.lowWater()
 	switch {
 	case used > c.cfg.CapacityPages:
-		target := used - c.lowWater()
 		c.directReclaim.Add(1)
-		c.reclaim(tl, target, true)
+		c.reclaim(tl, "cache.reclaim", target, false, c.selectGlobal)
 	case used > c.highWater():
-		target := used - c.lowWater()
 		c.kswapdRuns.Add(1)
 		at := simtime.Time(0)
 		if tl != nil {
 			at = tl.Now()
 		}
 		c.kswapd.Run(at, func(wtl *simtime.Timeline) {
-			c.reclaim(wtl, target, false)
+			c.reclaim(wtl, "cache.reclaim", target, true, c.selectGlobal)
 		})
 	}
 }
 
-// reclaim evicts up to target pages from the LRU lists, aging active pages
-// into inactive when the inactive list runs dry.
-func (c *Cache) reclaim(tl *simtime.Timeline, target int64, direct bool) {
-	if target <= 0 {
-		return
-	}
+// A selector chooses whom a reclaim pass evicts: it appends up to target
+// victims, each taken off its LRU list and marked pageUnlinked under the
+// list's shard lock, and runs under reclaimMu. selectGlobal and
+// selectTenant are the two there are.
+type selector func(victims []victim, target int64) []victim
+
+// reclaim is the one pass by which pages leave the cache by age. Direct,
+// background and tenant-targeted reclaim differ in who selects, whose
+// timeline pays, the span's name and kswapd's discount, and in nothing else.
+func (c *Cache) reclaim(tl *simtime.Timeline, span string, target int64, background bool, sel selector) {
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
 	c.reclaimMu.Lock()
-	if c.cfg.PerInodeLRU {
-		c.selectPerInode(sc, target)
-	} else {
-		c.selectGlobal(sc, target)
-	}
+	sc.victims = sel(sc.victims[:0], target)
 	c.reclaimMu.Unlock()
 	if len(sc.victims) == 0 {
 		return
 	}
-	sp := telemetry.Begin(tl, "cache.reclaim", telemetry.CatLock)
+	sp := telemetry.Begin(tl, span, telemetry.CatLock)
 	sp.Annotate("victims", int64(len(sc.victims)))
 	if tl != nil {
 		cost := simtime.Duration(len(sc.victims)) * c.cfg.Costs.ReclaimPage
-		if !direct {
-			cost = cost / 2 // background reclaim batches better
+		if background {
+			// Background reclaim batches better. Half the pass's total, not
+			// half the per-page cost: the two differ when ReclaimPage is odd.
+			cost /= 2
 		}
 		tl.Advance(cost)
 	}
@@ -177,10 +172,10 @@ func (c *Cache) reclaim(tl *simtime.Timeline, target int64, direct bool) {
 	sp.End(tl)
 }
 
-// selectGlobal fills sc.victims with up to target pages taken oldest-first
-// off the sharded global lists. Caller holds reclaimMu.
-func (c *Cache) selectGlobal(sc *evictScratch, target int64) {
-	victims := sc.victims[:0]
+// selectGlobal is the selector of direct and background reclaim: the
+// globally oldest pages off the sharded lists, with a second chance for
+// re-accessed ones and the soft-budget bias.
+func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 	// Bound the scan so concurrent touches re-heating rotated pages can
 	// never spin the selection loop; single-threaded passes examine each
 	// page at most a handful of times and stay far below the bound.
@@ -232,75 +227,7 @@ func (c *Cache) selectGlobal(sc *evictScratch, target int64) {
 		victims = append(victims, victim{c.files.at(p.file), p.idx, id, p.gen})
 		sh.mu.Unlock()
 	}
-	sc.victims = victims
-}
-
-// selectPerInode fills sc.victims coldest-file-first: files are ranked by
-// their last lookup time, and each victim file's own inactive (then aged
-// active) list is drained before moving to the next — sparing hot files
-// entirely, which the global LRU cannot guarantee. Caller holds reclaimMu.
-func (c *Cache) selectPerInode(sc *evictScratch, target int64) {
-	sc.files = c.appendFiles(sc.files[:0])
-	sortFilesByTouch(sc.files)
-	ft := &c.frames
-	victims := sc.victims[:0]
-	for _, fc := range sc.files {
-		// A file's own lists live whole inside one shard, so draining a
-		// victim file holds exactly that shard's lock; readers of other
-		// shards proceed.
-		sh := c.lruShardForFile(fc)
-		sh.mu.Lock()
-		for int64(len(victims)) < target {
-			id := fc.ownInactive.tail
-			if id == 0 {
-				// Age this file's active pages once, then move on.
-				aged := false
-				for i := 0; i < 32; i++ {
-					aid := fc.ownActive.tail
-					if aid == 0 {
-						break
-					}
-					fc.ownActive.remove(ft, aid)
-					ap := ft.at(aid)
-					ap.accessed.Store(false)
-					fc.ownInactive.pushHead(ft, aid)
-					ap.state.Store(pageInactive)
-					aged = true
-				}
-				if !aged {
-					break
-				}
-				continue
-			}
-			p := ft.at(id)
-			fc.ownInactive.remove(ft, id)
-			if p.accessed.Load() {
-				p.accessed.Store(false)
-				fc.ownInactive.pushHead(ft, id)
-				if fc.ownInactive.tail == id {
-					break
-				}
-				continue
-			}
-			p.state.Store(pageUnlinked)
-			victims = append(victims, victim{fc, p.idx, id, p.gen})
-		}
-		sh.mu.Unlock()
-		if int64(len(victims)) >= target {
-			break
-		}
-	}
-	sc.victims = victims
-}
-
-func sortFilesByTouch(files []*FileCache) {
-	// Insertion sort: file counts are modest and mostly pre-sorted
-	// between consecutive reclaim passes.
-	for i := 1; i < len(files); i++ {
-		for j := i; j > 0 && files[j].lastTouch.Load() < files[j-1].lastTouch.Load(); j-- {
-			files[j], files[j-1] = files[j-1], files[j]
-		}
-	}
+	return victims
 }
 
 // evictFromFiles removes sc.victims from their files' indexes and bitmaps,
@@ -363,13 +290,14 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 				sh = nsh
 				sh.mu.Lock()
 			}
-			if st := p.state.Load(); st != pageUnlinked {
-				c.listOf(sh, fc, st).remove(ft, id)
-				if st == pageInactive && !c.cfg.PerInodeLRU {
-					c.nInactive.Add(-1)
-				}
-				p.state.Store(pageUnlinked)
+			switch p.state.Load() {
+			case pageInactive:
+				sh.inactive.remove(ft, id)
+				c.nInactive.Add(-1)
+			case pageActive:
+				sh.active.remove(ft, id)
 			}
+			p.state.Store(pageUnlinked)
 		}
 		if sh != nil {
 			sh.mu.Unlock()
@@ -404,7 +332,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 		// prefetch. The victims may hold non-contiguous indices, so emit one
 		// exact OutcomeEvictedBeforeUse event per contiguous index run —
 		// never a single span that would cover non-wasted pages.
-		wasted := sc.idx[:0]
+		wasted := sc.wasted[:0]
 		for _, id := range victims {
 			p := dir.at(id)
 			cr := p.credit.Load()
@@ -415,27 +343,13 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 			c.rec.OriginWasted(org, 1)
 			c.rec.ArmWasted(telemetry.Arm(p.arm), 1)
 			c.score.Wasted(at, fc.inoID, c.tenants.at(p.tacct).id, org, 1)
-			wasted = append(wasted, p.idx)
+			wasted = append(wasted, id)
 		}
-		sc.idx = wasted[:0]
-		if len(wasted) > 0 {
-			c.rec.Add(telemetry.CtrPrefetchWastedPages, int64(len(wasted)))
-			// Insertion sort: victim runs are short and usually nearly sorted.
-			for i := 1; i < len(wasted); i++ {
-				for j := i; j > 0 && wasted[j] < wasted[j-1]; j-- {
-					wasted[j], wasted[j-1] = wasted[j-1], wasted[j]
-				}
-			}
-			runStart := 0
-			for i := 1; i <= len(wasted); i++ {
-				if i < len(wasted) && wasted[i] == wasted[i-1]+1 {
-					continue
-				}
-				c.rec.Event(at, telemetry.OutcomeEvictedBeforeUse,
-					fc.inoID, wasted[runStart], wasted[i-1]+1)
-				runStart = i
-			}
-		}
+		sc.wasted = wasted[:0]
+		c.rec.Add(telemetry.CtrPrefetchWastedPages, int64(len(wasted)))
+		eachRun(dir, wasted, func(_ []frameID, lo, hi int64) {
+			c.rec.Event(at, telemetry.OutcomeEvictedBeforeUse, fc.inoID, lo, hi)
+		})
 	}
 
 	if c.flush == nil {
@@ -459,25 +373,27 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	}
 	sc.dirty = dirty[:0]
 	ft.release(clean)
-	for i := 1; i < len(dirty); i++ {
-		for j := i; j > 0 && dir.at(dirty[j]).idx < dir.at(dirty[j-1]).idx; j-- {
-			dirty[j], dirty[j-1] = dirty[j-1], dirty[j]
-		}
-	}
-	runStart := 0
-	for i := 1; i <= len(dirty); i++ {
-		if i < len(dirty) && dir.at(dirty[i]).idx == dir.at(dirty[i-1]).idx+1 {
-			continue
-		}
-		run := dirty[runStart:i]
-		lo, hi := dir.at(run[0]).idx, dir.at(run[len(run)-1]).idx+1
+	eachRun(dir, dirty, func(run []frameID, lo, hi int64) {
 		if _, err := c.flush(at, fc.inoID, lo, hi); err != nil {
 			c.requeueDirty(at, fc, run)
 		} else {
 			c.writebacks.Add(hi - lo)
 		}
 		ft.release(run)
-		runStart = i
+	})
+}
+
+// eachRun sorts frames the caller owns by page index and calls emit once
+// per maximal run of consecutive indexes [lo, hi).
+func eachRun(dir frameDir, ids []frameID, emit func(run []frameID, lo, hi int64)) {
+	slices.SortFunc(ids, func(a, b frameID) int { return cmp.Compare(dir.at(a).idx, dir.at(b).idx) })
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && dir.at(ids[j]).idx == dir.at(ids[j-1]).idx+1 {
+			j++
+		}
+		emit(ids[i:j], dir.at(ids[i]).idx, dir.at(ids[j-1]).idx+1)
+		i = j
 	}
 }
 

@@ -114,3 +114,86 @@ func TestWastedRunsMultiFile(t *testing.T) {
 		}
 	}
 }
+
+// TestReclaimPass drives the one reclaim pass from each of its callers.
+// ReclaimPage is the only non-zero cost, so the clocks show the pass's
+// charge and nothing else; it is odd, so half the pass's total (what
+// kswapd pays) differs from victims × half the per-page cost.
+func TestReclaimPass(t *testing.T) {
+	const perPage = 701 * simtime.Nanosecond
+	type insert struct {
+		ino, lo, hi int64
+		tenant      int
+	}
+	for _, row := range []struct {
+		name       string
+		soft, hard int64 // tenant 1's budgets
+		script     []insert
+		victims    int64
+		background bool
+		counter    func(Stats) int64
+		resident   [3]int64 // per tenant, afterwards
+		gone, kept [2]int64 // ranges of inode 2, empty when not asserted
+	}{
+		{name: "direct", script: []insert{{2, 0, 150, 0}}, victims: 150 - 87,
+			counter:  func(s Stats) int64 { return s.DirectReclaim },
+			resident: [3]int64{87}, gone: [2]int64{0, 63}, kept: [2]int64{63, 150}},
+		// 96 pages cross the high watermark (93) but not capacity.
+		{name: "kswapd", script: []insert{{2, 0, 96, 0}}, victims: 96 - 87, background: true,
+			counter:  func(s Stats) int64 { return s.KswapdRuns },
+			resident: [3]int64{87}, gone: [2]int64{0, 9}, kept: [2]int64{9, 96}},
+		// Tenant 2's pages are the oldest in the cache; a hard-budget pass
+		// for tenant 1 must walk past them.
+		{name: "tenant-hard", hard: 40, script: []insert{{2, 0, 30, 2}, {1, 0, 60, 1}}, victims: 60 - 40,
+			counter:  func(s Stats) int64 { return s.TenantReclaims },
+			resident: [3]int64{0, 40, 30}, kept: [2]int64{0, 30}},
+		// Tenant 1 sits over its soft budget among older and younger pages
+		// of tenant 2. The pass takes all of tenant 1 first; what remains
+		// is within budget, the bias runs out of rotations, and the pass
+		// finishes on tenant 2 (which of its pages depends on how far the
+		// rotations carried the lists, so the row does not say).
+		{name: "soft-bias", soft: 10, script: []insert{{2, 0, 40, 2}, {1, 0, 15, 1}, {2, 40, 75, 2}, {2, 75, 95, 2}},
+			victims:  110 - 87,
+			counter:  func(s Stats) int64 { return s.DirectReclaim },
+			resident: [3]int64{0, 0, 87}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := New(Config{BlockSize: 4096, CapacityPages: 100, Costs: simtime.Costs{ReclaimPage: perPage}}, nil)
+			c.SetTenantBudget(1, row.soft, row.hard)
+			tl := simtime.NewTimeline(0)
+			for _, in := range row.script {
+				c.File(in.ino).InsertRange(tl, in.lo, in.hi, InsertOptions{MarkerAt: -1, Tenant: in.tenant})
+			}
+			paid, idle := tl.Now(), c.kswapd.EarliestFree()
+			want := simtime.Time(simtime.Duration(row.victims) * perPage)
+			if row.background {
+				paid, idle, want = idle, paid, want/2
+			}
+			if paid != want || idle != 0 {
+				t.Errorf("the pass charged %d (and %d to the other timeline), want %d × %d = %d (and 0)",
+					paid, idle, row.victims, perPage, want)
+			}
+			st := c.Stats()
+			if n := row.counter(st); n != 1 || st.DirectReclaim+st.KswapdRuns+st.TenantReclaims != 1 || st.Evictions != row.victims {
+				t.Errorf("want one pass, booked once, evicting %d: %+v", row.victims, st)
+			}
+			used := int64(0)
+			for _, ts := range c.TenantStats() {
+				if ts.Resident != row.resident[ts.ID] {
+					t.Errorf("tenant %d holds %d pages, want %d", ts.ID, ts.Resident, row.resident[ts.ID])
+				}
+				used += ts.Resident
+			}
+			if st.Used != used || used > c.lowWater() {
+				t.Errorf("cache holds %d pages, tenants %d, low watermark %d", st.Used, used, c.lowWater())
+			}
+			fc := c.File(2)
+			if lo, hi := fc.NonResidentSpan(row.gone[0], row.gone[1]); hi-lo != row.gone[1]-row.gone[0] {
+				t.Errorf("inode 2 still holds pages of [%d,%d), the oldest", row.gone[0], row.gone[1])
+			}
+			if runs := fc.FastMissingRuns(nil, row.kept[0], row.kept[1]); len(runs) != 0 {
+				t.Errorf("inode 2 lost %v of [%d,%d)", runs, row.kept[0], row.kept[1])
+			}
+		})
+	}
+}

@@ -151,81 +151,39 @@ func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
 	}
 	c.tenantReclaims.Add(1)
 	c.rec.Add(telemetry.CtrCacheTenantReclaims, 1)
-	sc := scratchPool.Get().(*evictScratch)
-	defer scratchPool.Put(sc)
-	c.selectTenant(sc, a, target)
-	if len(sc.victims) == 0 {
-		return
-	}
-	sp := telemetry.Begin(tl, "cache.tenant_reclaim", telemetry.CatLock)
-	sp.Annotate("victims", int64(len(sc.victims)))
-	if tl != nil {
-		tl.Advance(simtime.Duration(len(sc.victims)) * c.cfg.Costs.ReclaimPage)
-	}
-	c.evictFromFiles(tl, sc)
-	sp.End(tl)
+	c.reclaim(tl, "cache.tenant_reclaim", target, false, func(victims []victim, target int64) []victim {
+		return c.selectTenant(victims, a, target)
+	})
 }
 
-// selectTenant fills sc.victims with up to target of the tenant's pages,
-// unlinked from the LRU lists, oldest lists first (inactive before
-// active), under reclaimMu like any victim selection.
-func (c *Cache) selectTenant(sc *evictScratch, a *tenantAccount, target int64) {
-	c.reclaimMu.Lock()
-	defer c.reclaimMu.Unlock()
+// selectTenant is the selector of tenant-targeted reclaim: the tenant's
+// own pages and nobody else's, shard by shard, every inactive list before
+// any active one, each walked tail to head (oldest first within the shard).
+func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) []victim {
 	ft := &c.frames
-	victims := sc.victims[:0]
-	need := target
-	// takeFrom walks one list tail→head (oldest first within the shard)
-	// and claims the tenant's pages; fc is the list's file, or nil on a
-	// global list. Caller holds the shard lock.
-	takeFrom := func(l *pageList, fc *FileCache) {
-		for id := l.tail; id != 0 && need > 0; {
-			p := ft.at(id)
-			prev := p.prev
-			if p.tacct == a.slot {
-				l.remove(ft, id)
-				p.state.Store(pageUnlinked)
-				owner := fc
-				if owner == nil {
-					owner = c.files.at(p.file)
-				}
-				victims = append(victims, victim{owner, p.idx, id, p.gen})
-				need--
+	for _, state := range [...]int32{pageInactive, pageActive} {
+		for i := range c.lru {
+			sh := &c.lru[i]
+			l := &sh.inactive
+			if state == pageActive {
+				l = &sh.active
 			}
-			id = prev
-		}
-	}
-	if c.cfg.PerInodeLRU {
-		sc.files = c.appendFiles(sc.files[:0])
-		sortFilesByTouch(sc.files)
-		for _, fc := range sc.files {
-			if need <= 0 {
-				break
-			}
-			sh := c.lruShardForFile(fc)
 			sh.mu.Lock()
-			takeFrom(&fc.ownInactive, fc)
-			takeFrom(&fc.ownActive, fc)
+			for id := l.tail; id != 0 && int64(len(victims)) < target; {
+				p := ft.at(id)
+				prev := p.prev
+				if p.tacct == a.slot {
+					l.remove(ft, id)
+					if state == pageInactive {
+						c.nInactive.Add(-1)
+					}
+					p.state.Store(pageUnlinked)
+					victims = append(victims, victim{c.files.at(p.file), p.idx, id, p.gen})
+				}
+				id = prev
+			}
 			sh.mu.Unlock()
 		}
-	} else {
-		for pass := 0; pass < 2 && need > 0; pass++ {
-			for i := range c.lru {
-				if need <= 0 {
-					break
-				}
-				sh := &c.lru[i]
-				sh.mu.Lock()
-				if pass == 0 {
-					before := need
-					takeFrom(&sh.inactive, nil)
-					c.nInactive.Add(need - before)
-				} else {
-					takeFrom(&sh.active, nil)
-				}
-				sh.mu.Unlock()
-			}
-		}
 	}
-	sc.victims = victims
+	return victims
 }

@@ -59,17 +59,6 @@ type EnsembleConfig struct {
 	// Patience is how many consecutive winning windows a challenger needs
 	// before promotion (the hysteresis K).
 	Patience int
-	// Epsilon is the per-window exploration probability: with probability
-	// Epsilon a random non-live arm is promoted at a window boundary even
-	// without a winning score. Shadow mode already gives the bandit
-	// full information on every arm, so exploration defaults to off; the
-	// knob exists for workloads where shadow books diverge from live
-	// behavior (e.g. live prefetch changing the cache contents an arm
-	// learns from).
-	Epsilon float64
-	// Seed seeds the exploration PRNG (xorshift64*, mixed with the inode
-	// ID) so runs are reproducible.
-	Seed uint64
 	// RunTTLWindows is how many window rotations a shadow run survives
 	// before its unconsumed pages are booked wasted.
 	RunTTLWindows int
@@ -83,7 +72,7 @@ type EnsembleConfig struct {
 }
 
 // DefaultEnsembleConfig returns the default tuning: 64-observation
-// windows, 5% promotion margin, 2-window hysteresis, exploration off.
+// windows, 5% promotion margin, 2-window hysteresis.
 func DefaultEnsembleConfig() EnsembleConfig {
 	return EnsembleConfig{
 		Counter:            DefaultConfig(),
@@ -92,8 +81,6 @@ func DefaultEnsembleConfig() EnsembleConfig {
 		WindowObs:          64,
 		Margin:             0.05,
 		Patience:           2,
-		Epsilon:            0,
-		Seed:               1,
 		RunTTLWindows:      2,
 		MaxCandidateBlocks: 32,
 	}
@@ -163,8 +150,6 @@ type Ensemble struct {
 	window      uint64
 	wAccessed   int64 // pages accessed in the current window
 
-	rng uint64 // xorshift64* state (exploration)
-
 	// filter, when set, trims a candidate [lo, hi) to the span the caller
 	// does not already cover (cached or in-flight) before shadow booking.
 	// Without it every arm free-rides on the live arm's real prefetches:
@@ -182,9 +167,9 @@ type Ensemble struct {
 	cands []Candidate // scratch for shadow arms
 }
 
-// NewEnsemble returns an ensemble for one inode. The inode ID decorrelates
-// exploration across files under one seed.
-func NewEnsemble(cfg EnsembleConfig, ino int64) *Ensemble {
+// NewEnsemble returns an ensemble for one inode. Nothing reads the inode ID
+// any more; the parameter stays because bench/probes.go passes it.
+func NewEnsemble(cfg EnsembleConfig, _ int64) *Ensemble {
 	if cfg.WindowObs <= 0 {
 		cfg.WindowObs = 64
 	}
@@ -200,7 +185,6 @@ func NewEnsemble(cfg EnsembleConfig, ino int64) *Ensemble {
 	e := &Ensemble{
 		cfg:  cfg,
 		live: telemetry.ArmCounter,
-		rng:  cfg.Seed*0x9e3779b97f4a7c15 + uint64(ino)*0xbf58476d1ce4e5b9 + 1,
 	}
 	e.arms[telemetry.ArmCounter] = &armState{arm: &counterArm{p: New(cfg.Counter)}}
 	e.arms[telemetry.ArmMithril] = &armState{arm: NewMithril(cfg.Mithril)}
@@ -412,8 +396,8 @@ func (s *armState) expire(win uint64, ttl uint64) int64 {
 
 // rotate closes the bandit window: expires stale shadow runs, folds each
 // arm's window books into its EWMA score, applies the
-// promotion-with-hysteresis rule (and epsilon exploration), and resets
-// the window books. Promotion outcomes are reported on r.
+// promotion-with-hysteresis rule, and resets the window books. Promotion
+// outcomes are reported on r.
 func (e *Ensemble) rotate(r *ObserveResult) {
 	e.window++
 	for a := telemetry.Arm(1); a < telemetry.NumArms; a++ {
@@ -467,17 +451,8 @@ func (e *Ensemble) rotate(r *ObserveResult) {
 			best, bestScore = a, s.score
 		}
 	}
-	switch {
-	case best != 0:
+	if best != 0 {
 		e.promote(r, best)
-	case e.cfg.Epsilon > 0 && e.nextFloat() < e.cfg.Epsilon:
-		// Exploration: promote a uniformly random non-live arm.
-		n := int(telemetry.NumArms) - 2 // arms minus ArmNone minus live
-		pick := telemetry.Arm(1 + e.nextN(uint64(n)))
-		if pick >= e.live {
-			pick++
-		}
-		e.promote(r, pick)
 	}
 }
 
@@ -490,19 +465,3 @@ func (e *Ensemble) promote(r *ObserveResult, to telemetry.Arm) {
 		e.arms[a].streak = 0
 	}
 }
-
-// xorshift64* — deterministic exploration source.
-func (e *Ensemble) next() uint64 {
-	x := e.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	e.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (e *Ensemble) nextFloat() float64 {
-	return float64(e.next()>>11) / float64(1<<53)
-}
-
-func (e *Ensemble) nextN(n uint64) uint64 { return e.next() % n }

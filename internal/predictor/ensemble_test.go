@@ -18,10 +18,8 @@ type flipEvent struct {
 // MITHRIL arm can learn (strides vary so the Leap majority never holds,
 // and the counter collapses to random). Returns the promotion history,
 // the final live arm, and the final per-arm scores.
-func driveFlip(seed uint64) ([]flipEvent, telemetry.Arm, [telemetry.NumArms]float64) {
-	cfg := DefaultEnsembleConfig()
-	cfg.Seed = seed
-	e := NewEnsemble(cfg, 42)
+func driveFlip() ([]flipEvent, telemetry.Arm, [telemetry.NumArms]float64) {
+	e := NewEnsemble(DefaultEnsembleConfig(), 42)
 	var events []flipEvent
 	var obs int64
 	feed := func(lo, blocks int64) {
@@ -49,15 +47,15 @@ func driveFlip(seed uint64) ([]flipEvent, telemetry.Arm, [telemetry.NumArms]floa
 // association chain mid-run must demote the streaming arm and promote
 // MITHRIL within K = 6 bandit windows of the flip — but not instantly
 // (the Margin+Patience hysteresis needs at least Patience window
-// rotations of sustained evidence). Two runs on the same seed must
-// reproduce the identical promotion history.
+// rotations of sustained evidence). Two runs must reproduce the identical
+// promotion history.
 func TestBanditFlipHysteresis(t *testing.T) {
 	const (
 		flipAt  = 256 // first association-chain observation
 		windows = 6
 		K       = flipAt + windows*64 // DefaultEnsembleConfig.WindowObs
 	)
-	events, live, scores := driveFlip(7)
+	events, live, scores := driveFlip()
 	if live != telemetry.ArmMithril {
 		t.Fatalf("final live arm = %v, want mithril (events %+v, scores %v)", live, events, scores)
 	}
@@ -83,9 +81,9 @@ func TestBanditFlipHysteresis(t *testing.T) {
 			promotedAt, cfg.Patience, min)
 	}
 
-	events2, live2, scores2 := driveFlip(7)
+	events2, live2, scores2 := driveFlip()
 	if !reflect.DeepEqual(events, events2) || live != live2 || scores != scores2 {
-		t.Fatalf("same seed, different runs:\n  %+v %v %v\n  %+v %v %v",
+		t.Fatalf("same input, different runs:\n  %+v %v %v\n  %+v %v %v",
 			events, live, scores, events2, live2, scores2)
 	}
 }

@@ -91,13 +91,6 @@ func (l *Ledger) Use(tl *Timeline, hold Duration) {
 	tl.Advance(end.Sub(start))
 }
 
-// UseAsIO is Use but accounts both the queueing delay and the hold as I/O
-// wait rather than lock wait and CPU. Device ledgers use this.
-func (l *Ledger) UseAsIO(tl *Timeline, hold Duration) {
-	_, end := l.ReserveAt(tl.Now(), hold)
-	tl.WaitUntil(end, WaitIO)
-}
-
 // ReserveAt books the resource for hold starting no earlier than at,
 // without touching any timeline. It returns the admitted start and end.
 func (l *Ledger) ReserveAt(at Time, hold Duration) (start, end Time) {

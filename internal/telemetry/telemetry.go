@@ -679,16 +679,6 @@ func (r *Recorder) ObserveBackend(i int, write bool, bytes, waitNs, serviceNs in
 	b.service.Observe(serviceNs)
 }
 
-// BackendTotals reports backend i's exact command/byte ledger (zeros for
-// an unregistered slot).
-func (r *Recorder) BackendTotals(i int) (commands, readBytes, writeBytes int64) {
-	if r == nil || i < 0 || i >= MaxBackends {
-		return 0, 0, 0
-	}
-	b := &r.backends[i]
-	return b.commands.Load(), b.readBytes.Load(), b.writeBytes.Load()
-}
-
 // Event records one prefetch-decision trace event for pages [lo, hi) of
 // inode ino. The per-outcome totals always advance; the ring keeps the
 // most recent events for inspection.

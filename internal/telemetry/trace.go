@@ -338,12 +338,6 @@ func (t *Tracer) Config() TraceConfig {
 	return t.cfg
 }
 
-// FullSampling reports whether every root operation is sampled — the
-// condition under which span page totals must equal the flat counters.
-func (t *Tracer) FullSampling() bool {
-	return t != nil && t.cfg.SampleEvery <= 1
-}
-
 // sample decides head-based sampling for one root operation.
 func (t *Tracer) sample(ino int64) bool {
 	n := t.cfg.SampleEvery

@@ -1,8 +1,6 @@
 package vfs
 
 import (
-	"errors"
-
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -32,16 +30,25 @@ import (
 // additionally clamped to brownoutClampPages, so even the opt path's
 // limit override cannot amplify I/O while reclaim is drowning.
 
+// Refusal is the error of a submission the ring turned away rather than
+// failed. Its field is unexported and it has no constructor, so ErrShed and
+// ErrDeadlineExceeded are its only values with a message: the functions
+// that record a refusal take a *Refusal, and an ad-hoc error there — one
+// callers' errors.Is dispatch would miss — does not compile.
+type Refusal struct{ msg string }
+
+func (r *Refusal) Error() string { return r.msg }
+
 // ErrShed marks a submission refused under overload: the work was
 // never issued to the device (brownout level >= 1 for prefetch
 // intents, or a deadline the scheduler could not meet).
-var ErrShed = errors.New("vfs: submission shed under overload")
+var ErrShed = &Refusal{"vfs: submission shed under overload"}
 
 // ErrDeadlineExceeded marks a submission whose virtual deadline
 // passed: either it expired before service (N = 0), or its data
 // arrived after the deadline (reads keep their byte count — the
 // pages are cached, merely late).
-var ErrDeadlineExceeded = errors.New("vfs: submission deadline exceeded")
+var ErrDeadlineExceeded = &Refusal{"vfs: submission deadline exceeded"}
 
 // BrownoutLevel is the pressure controller's degradation level.
 type BrownoutLevel int32

@@ -96,6 +96,10 @@ func (p *ringPending) advance(t simtime.Time) {
 	p.mu.Unlock()
 }
 
+// refuse is fail for a submission turned away (shed, expired) rather than
+// failed by the device; the type admits the two sentinels only.
+func (p *ringPending) refuse(r *Refusal, t simtime.Time) { p.fail(r, t) }
+
 func (p *ringPending) fail(err error, t simtime.Time) {
 	p.mu.Lock()
 	if p.err == nil {
@@ -151,7 +155,7 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE) []Ring
 				// Expired before service: fail without staging any
 				// device work. Reads are never shed while viable.
 				v.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
-				pend.fail(ErrDeadlineExceeded, tl.Now())
+				pend.refuse(ErrDeadlineExceeded, tl.Now())
 				break
 			}
 			cqes[i].N = v.ringRead(tl, tenant, sq, pend, &wg, sc)
@@ -364,7 +368,7 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 		v.rec.Add(telemetry.CtrRingShedSQEs, 1)
 		v.rec.Add(telemetry.CtrRingShedPrefetchPages, preClamp)
 		v.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch, f.ino.ID(), lo, hi)
-		pend.fail(ErrShed, tl.Now())
+		pend.refuse(ErrShed, tl.Now())
 		return 0
 	}
 	limit := v.cfg.RA.MaxPages

@@ -16,7 +16,6 @@
 package vfs
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -280,13 +279,6 @@ func (f *File) FileCache() *pagecache.FileCache { return f.fc }
 // Size reports the current file size.
 func (f *File) Size() int64 { return f.ino.Size() }
 
-// RAMode reports the file's readahead mode (set via Fadvise).
-func (f *File) RAMode() readahead.Mode {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ra.Mode()
-}
-
 // Open opens an existing file.
 func (v *VFS) Open(tl *simtime.Timeline, name string) (*File, error) {
 	v.enter(tl, SysOpen)
@@ -341,9 +333,6 @@ func (v *VFS) Remove(tl *simtime.Timeline, name string) error {
 	v.cache.DropFile(tl, ino.ID())
 	return v.fsys.Remove(tl, name)
 }
-
-// ErrShortRead reports a read that hit EOF before filling the buffer.
-var ErrShortRead = errors.New("vfs: short read")
 
 // blockRange converts a byte range to the covering block range.
 func (v *VFS) blockRange(off, n int64) (lo, hi int64) {

@@ -204,13 +204,11 @@ func Run(w Workload, cfg Config) (Result, error) {
 						start := scramble(zipf.next(rng), cfg.Records)
 						it := db.NewIterator(tl, false)
 						if it.Seek(lsm.BenchKey(start)) {
-							for j := 0; j < rng.Intn(cfg.MaxScanLen)+1; j++ {
-								if !it.Next() {
-									break
-								}
+							for j := 0; j < rng.Intn(cfg.MaxScanLen)+1 && it.Next(); j++ {
 							}
 						}
 						it.Close()
+						err = it.Err()
 						scans[t]++
 					}
 				case w == WorkloadF:
