@@ -1,14 +1,15 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
 # vet (root and bench/), four source gates (errgate, fmtgate, stackgate,
-# ringgate), build, `go test -race ./...`, digests.
+# ringgate), build, `go test -race ./...`, the allocation guards without
+# the race detector, digests.
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the four packages with real host concurrency (the LSM engine, the
 # file system, the lock-free bitmap, the page cache) under the race
 # detector at GOMAXPROCS 1, 2 and 8, five times each — about 25 minutes on
 # two cores, hence the explicit timeout (go test's default is ten).
-.PHONY: check build test vet race stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate trace bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate trace bench-serve bench-overload bench-score bench-predict bench-tier
 
-check: vet errgate fmtgate stackgate ringgate build race digests
+check: vet errgate fmtgate stackgate ringgate build race allocs digests
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -60,6 +61,13 @@ test:
 
 race:
 	go test -race ./...
+
+# The allocation guards (every test with "Alloc" in its name: the ring round
+# trip, the warm ReadAt, the LSM budgets, the frame table, the predictor
+# arms). Most of them skip under `race`, whose sync.Pool drops items on
+# purpose, so this run without the detector is the one that gates them.
+allocs:
+	go test -count=1 -run Alloc ./...
 
 stress:
 	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache

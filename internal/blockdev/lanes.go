@@ -61,9 +61,13 @@ type laneEntry struct {
 	attempt  int
 }
 
-// lane is one tenant's staging queue plus its DRR deficit and stats.
+// lane is one tenant's staging queue plus its DRR deficit and stats. The
+// queue is q[head:]: a pop zeroes its slot (so a consumed tag is not kept
+// reachable) and advances head, and an emptied queue rewinds to the front
+// of its buffer, so a lane in steady state never regrows it.
 type lane struct {
 	q       []laneEntry
+	head    int
 	deficit int64
 
 	dispatchedReqs  int64
@@ -91,6 +95,7 @@ type LaneSet struct {
 
 	dispatchMu sync.Mutex
 	plug       *StackPlug
+	batch      []laneEntry // drain's output, reused round to round under dispatchMu
 	batches    int64
 	commands   int64
 	maxBatch   int64
@@ -140,18 +145,29 @@ func (ls *LaneSet) restageLocked(e laneEntry) {
 	ls.staged++
 }
 
+// pop removes and returns the head entry of a non-empty lane.
+func (ln *lane) pop() laneEntry {
+	e := ln.q[ln.head]
+	ln.q[ln.head] = laneEntry{}
+	ln.head++
+	if ln.head == len(ln.q) {
+		ln.q, ln.head = ln.q[:0], 0
+	}
+	return e
+}
+
 // drain removes every staged entry in deficit-round-robin order: each
 // non-empty lane in rotation earns a quantum of bytes and releases head
 // entries that fit its accumulated deficit, so interleaved service is
 // proportional even when tenants stage unequal request sizes. An idle
-// lane forfeits its deficit (DRR's anti-banking rule).
+// lane forfeits its deficit (DRR's anti-banking rule). The slice returned
+// is ls.batch: the caller holds dispatchMu and is done with it before the
+// next drain.
 func (ls *LaneSet) drain() []laneEntry {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if ls.staged == 0 {
-		return nil
-	}
-	out := make([]laneEntry, 0, ls.staged)
+	clear(ls.batch) // the previous round's tags
+	out := ls.batch[:0]
 	for ls.staged > 0 {
 		id := ls.order[ls.rrPos%len(ls.order)]
 		ls.rrPos++
@@ -161,10 +177,9 @@ func (ls *LaneSet) drain() []laneEntry {
 			continue
 		}
 		ln.deficit += ls.cfg.QuantumBytes
-		for len(ln.q) > 0 && ln.q[0].req.Bytes <= ln.deficit {
-			ln.deficit -= ln.q[0].req.Bytes
-			out = append(out, ln.q[0])
-			ln.q = ln.q[1:]
+		for len(ln.q) > 0 && ln.q[ln.head].req.Bytes <= ln.deficit {
+			ln.deficit -= ln.q[ln.head].req.Bytes
+			out = append(out, ln.pop())
 			ls.staged--
 		}
 		// Anti-banking applies here too, not just when the rotation
@@ -177,25 +192,28 @@ func (ls *LaneSet) drain() []laneEntry {
 			ln.deficit = 0
 		}
 	}
+	ls.batch = out
 	return out
 }
 
 // Dispatch drains the lanes and submits everything through the shared
-// plug as one (or more) asynchronous flushes, returning a result for
-// every request it resolved. Transient command faults are re-staged with
-// backoff up to the retry budget; requests skipped because an earlier
-// command in their flush failed are re-staged untouched and picked up by
-// the next round. Dispatch keeps flushing until the lanes are empty, so
-// on return every request staged before the call has a result (possibly
-// delivered to a concurrent Dispatch caller that drained it first).
+// plug as one (or more) asynchronous flushes, appending to out a result for
+// every request it resolved and returning the extended slice. (The results
+// are read after dispatchMu is released, while the next dispatcher may
+// already be running: the buffer is the caller's, not the lane set's.)
+// Transient command faults are re-staged with backoff up to the retry
+// budget; requests skipped because an earlier command in their flush failed
+// are re-staged untouched and picked up by the next round. Dispatch keeps
+// flushing until the lanes are empty, so on return every request staged
+// before the call has a result (possibly delivered to a concurrent Dispatch
+// caller that drained it first).
 //
 // The flush is submitted at the later of `at` and the drained entries'
 // stage times, so a dispatcher whose virtual clock lags a submitter never
 // reserves device time in the submitter's past.
-func (ls *LaneSet) Dispatch(at simtime.Time) []LaneResult {
+func (ls *LaneSet) Dispatch(at simtime.Time, out []LaneResult) []LaneResult {
 	ls.dispatchMu.Lock()
 	defer ls.dispatchMu.Unlock()
-	var out []LaneResult
 	for {
 		batch := ls.drain()
 		if len(batch) == 0 {

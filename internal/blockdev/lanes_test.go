@@ -23,7 +23,7 @@ func TestLaneDispatchResolvesEverything(t *testing.T) {
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "a"}, 0)
 	ls.Stage(LaneRequest{Tenant: 1, Op: OpRead, Off: 4096, Bytes: 4096, Tag: "b"}, 0)
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 1 << 30, Bytes: 4096, Tag: "c"}, 0)
-	res := ls.Dispatch(0)
+	res := ls.Dispatch(0, nil)
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -124,7 +124,7 @@ func TestLaneTransientRetryAndPersistentError(t *testing.T) {
 		Retry: RetryPolicy{Max: 3, Base: 10 * simtime.Microsecond, Cap: simtime.Millisecond},
 	}, nil)
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "flaky"}, 0)
-	res := ls.Dispatch(0)
+	res := ls.Dispatch(0, nil)
 	if len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("transient request should retry to success, got %+v", res)
 	}
@@ -137,7 +137,7 @@ func TestLaneTransientRetryAndPersistentError(t *testing.T) {
 	ls2 := WrapDevice(d2).NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
 	ls2.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "dead"}, 0)
 	ls2.Stage(LaneRequest{Tenant: 1, Op: OpRead, Off: 1 << 30, Bytes: 4096, Tag: "ok"}, 0)
-	res2 := ls2.Dispatch(0)
+	res2 := ls2.Dispatch(0, nil)
 	if len(res2) != 2 {
 		t.Fatalf("got %d results, want 2", len(res2))
 	}
@@ -175,7 +175,7 @@ func TestLaneConcurrentStageDispatch(t *testing.T) {
 					Tenant: tn, Op: OpRead,
 					Off: int64(tag) << 16, Bytes: 4096, Tag: tag,
 				}, simtime.Time(i)*simtime.Time(simtime.Microsecond))
-				res := ls.Dispatch(0)
+				res := ls.Dispatch(0, nil)
 				mu.Lock()
 				for _, r := range res {
 					if r.Err != nil {
@@ -189,7 +189,7 @@ func TestLaneConcurrentStageDispatch(t *testing.T) {
 	}
 	wg.Wait()
 	// A final dispatch sweeps anything a racing round left staged.
-	for _, r := range ls.Dispatch(0) {
+	for _, r := range ls.Dispatch(0, nil) {
 		got[r.Req.Tag]++
 	}
 	if len(got) != tenants*each {
@@ -278,5 +278,80 @@ func TestLaneDRRNoBankingAcrossIdle(t *testing.T) {
 		if run > 2 {
 			t.Fatalf("tenant %d released %d consecutive requests; one quantum covers 2", prev, run)
 		}
+	}
+}
+
+// TestLaneStageDispatchZeroAlloc: once the lanes, the drain batch, the plug
+// and the caller's result buffer have grown to the working set, a
+// Stage/Dispatch round allocates nothing — a lane pops by head index and
+// rewinds instead of reslicing its queue away, and drain refills one batch.
+func TestLaneStageDispatchZeroAlloc(t *testing.T) {
+	_, ls := testLanes(0, nil)
+	tag := new(int) // a pointer tag, as the ring's: boxing one allocates nothing
+	var res []LaneResult
+	var at simtime.Time
+	round := func() {
+		for i := int64(0); i < 6; i++ {
+			ls.Stage(LaneRequest{Tenant: int(i % 3), Op: OpRead, Off: i << 30, Bytes: 16 << 10, Tag: tag}, at)
+		}
+		res = ls.Dispatch(at, res[:0])
+		if len(res) != 6 {
+			t.Fatalf("resolved %d of 6 staged requests", len(res))
+		}
+		at = res[len(res)-1].Done
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("steady-state Stage/Dispatch round: %v allocs/run, want 0", n)
+	}
+}
+
+// TestLaneSlotsZeroedOnPop is the recycle audit for what the lanes reuse: a
+// dispatched request's tag stays reachable from neither its lane's queue
+// (whose buffer is rewound, not dropped) nor the drain batch, and a reused
+// slot hands the next request nothing of the last — not its retry count, not
+// its stage time.
+func TestLaneSlotsZeroedOnPop(t *testing.T) {
+	inj := &countingInjector{failFirst: 2, off: 0}
+	d := New(testConfig())
+	d.SetFaultInjector(inj)
+	ls := WrapDevice(d).NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
+	// The first request is retried twice, so its slots carry attempt counts
+	// and backoff stage times; the others ride along on a second lane.
+	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "retried"}, 5)
+	for i := int64(1); i <= 3; i++ {
+		ls.Stage(LaneRequest{Tenant: 1, Op: OpRead, Off: i << 30, Bytes: 4096, Tag: "other"}, 7)
+	}
+	if res := ls.Dispatch(0, nil); len(res) != 4 {
+		t.Fatalf("resolved %d of 4 staged requests", len(res))
+	}
+	for id, ln := range ls.lanes {
+		if len(ln.q) != 0 || ln.head != 0 {
+			t.Fatalf("lane %d not rewound after a full drain: len %d head %d", id, len(ln.q), ln.head)
+		}
+		for i, e := range ln.q[:cap(ln.q)] {
+			if e != (laneEntry{}) {
+				t.Errorf("lane %d slot %d keeps %+v after its pop", id, i, e)
+			}
+		}
+	}
+	for i, e := range ls.batch[:cap(ls.batch)] {
+		if e != (laneEntry{}) {
+			t.Errorf("drain batch slot %d keeps %+v after the dispatch", i, e)
+		}
+	}
+
+	// Reused slots: a request that fails persistently on them must burn its
+	// own retry budget from zero, as on a fresh lane set.
+	inj.mu.Lock()
+	inj.failFirst, inj.calls = 1<<30, 0
+	inj.mu.Unlock()
+	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "dead"}, 0)
+	res := ls.Dispatch(0, nil)
+	if len(res) != 1 || res[0].Err == nil {
+		t.Fatalf("persistently failing request resolved as %+v", res)
+	}
+	if inj.calls != 4 {
+		t.Errorf("request on a reused slot was tried %d times, want 1 + Retry.Max = 4", inj.calls)
 	}
 }

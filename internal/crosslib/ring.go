@@ -16,16 +16,15 @@ import (
 // should Reap before submitting more — the ring's admission control.
 var ErrRingFull = errors.New("crosslib: ring full")
 
-// RingCQE is a completion delivered by Reap. N is op-dependent: bytes
-// for reads/writes, admitted pages for prefetch intents. Done is the
-// virtual time the operation's effect is available; Reap advances the
-// reaping timeline to the latest Done it delivers.
-type RingCQE struct {
-	User uint64
-	N    int64
-	Err  error
-	Done simtime.Time
-}
+// ErrRingClosed is returned by Prep* after Close. Unlike ErrRingFull no
+// Reap clears it: a caller that retries on a full ring must not on this.
+var ErrRingClosed = errors.New("crosslib: ring closed")
+
+// RingCQE is a completion delivered by Reap — the kernel's, as it is: N is
+// op-dependent (bytes for reads/writes, admitted pages for prefetch
+// intents), Done is the virtual time the operation's effect is available;
+// Reap advances the reaping timeline to the latest Done it delivers.
+type RingCQE = vfs.RingCQE
 
 // ringOp is one staged submission-queue entry plus the library-side
 // reconciliation metadata Submit computes for it.
@@ -45,10 +44,12 @@ type ringOp struct {
 // per-tenant descriptor that stages operations (PrepRead/PrepWrite/
 // PrepPrefetch), submits them as one kernel crossing (Submit), and
 // delivers completions (Reap). It is safe for concurrent use — multiple
-// submitter threads may Prep and Submit against one ring while a reaper
-// thread drains it; the kernel side feeds every submitter's staged work
+// submitter threads may Prep and Submit against one ring while ONE reaper
+// thread drains it (what Reap returns is the ring's own storage, lent until
+// the next Reap); the kernel side feeds every submitter's staged work
 // through the shared per-tenant lane so the device sees their combined
-// depth.
+// depth. A ring in steady state allocates nothing: staged ops, completions
+// and Submit's scratch all live in buffers it reuses.
 //
 // The library shim still runs on the ring path: read submissions feed
 // the descriptor's predictor (which may issue background prefetch) and
@@ -66,8 +67,11 @@ type Ring struct {
 	staged []ringOp
 	// spare is the staged buffer a finished Submit hands back, so that the
 	// next take swaps buffers instead of leaving prep to regrow one.
-	spare    []ringOp
-	cq       []RingCQE
+	spare []ringOp
+	// cq collects completions until the next Reap; lent is the buffer the
+	// previous Reap handed its caller, which that next Reap takes back as
+	// the new cq.
+	cq, lent []RingCQE
 	inflight int
 	closed   bool
 	// submitting counts Submit calls that have taken a staged batch and
@@ -135,7 +139,7 @@ func (r *Ring) prep(op ringOp) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return ErrRingFull
+		return ErrRingClosed
 	}
 	if r.inflight >= r.depth {
 		r.backpressure++
@@ -184,13 +188,15 @@ func (r *Ring) PrepPrefetchDeadline(f *File, off, bytes int64, user uint64,
 }
 
 // submitScratch is the per-Submit working set: the kernel batch, the
-// staged op behind each of its entries, and the completions of the ops
-// that did not cross. Pooled rather than kept on the ring, since concurrent
-// Submits on one ring are legal.
+// staged op behind each of its entries, the storage the kernel appends
+// their completions to, and the completions of the ops that did not cross.
+// Pooled rather than kept on the ring, since concurrent Submits on one ring
+// are legal.
 type submitScratch struct {
-	sqes  []vfs.RingSQE
-	ops   []*ringOp
-	local []RingCQE
+	sqes   []vfs.RingSQE
+	ops    []*ringOp
+	kernel []RingCQE
+	local  []RingCQE
 }
 
 var submitPool = sync.Pool{New: func() any { return new(submitScratch) }}
@@ -240,11 +246,10 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 		sc.ops = append(sc.ops, q)
 	}
 
-	var cqes []vfs.RingCQE
 	if len(sc.sqes) > 0 {
-		cqes = rt.v.RingEnter(tl, r.tenant, sc.sqes)
-		for i := range cqes {
-			r.settle(tl, sc.ops[i], &cqes[i])
+		sc.kernel = rt.v.RingEnter(tl, r.tenant, sc.sqes, sc.kernel)
+		for i := range sc.kernel {
+			r.settle(tl, sc.ops[i], &sc.kernel[i])
 		}
 		if rt.opt.Enabled {
 			rt.maybeEvict(tl, op)
@@ -255,10 +260,7 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 	if len(sc.sqes) > 0 {
 		r.submits++
 	}
-	for _, cq := range cqes {
-		r.cq = append(r.cq, RingCQE(cq))
-	}
-	r.cq = append(r.cq, sc.local...)
+	r.cq = append(append(r.cq, sc.kernel...), sc.local...)
 	clear(batch) // drop the buffers and descriptors before the buffer idles
 	r.spare = batch[:0]
 	r.submitting--
@@ -267,7 +269,7 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 
 	clear(sc.sqes)
 	clear(sc.ops)
-	sc.sqes, sc.ops, sc.local = sc.sqes[:0], sc.ops[:0], sc.local[:0]
+	sc.sqes, sc.ops, sc.kernel, sc.local = sc.sqes[:0], sc.ops[:0], sc.kernel[:0], sc.local[:0]
 	submitPool.Put(sc)
 	return len(batch)
 }
@@ -367,6 +369,11 @@ func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
 // completion time delivered — the reaper "waits for" the I/O it
 // consumes. min <= 0 returns whatever is queued without blocking.
 //
+// The slice returned is the ring's, as a CQ ring's entries are io_uring's:
+// it stays valid until the next Reap on this ring, which reuses it. Consume
+// it (or copy it out) before reaping again, and reap a ring from one
+// goroutine at a time.
+//
 // A Close wakes every blocked reaper, but a woken reaper drains the
 // completions of Submits that were already in flight at close time
 // before returning — Reap never leaks a parked CQE to a racing Close.
@@ -376,7 +383,7 @@ func (r *Ring) Reap(tl *simtime.Timeline, min int) []RingCQE {
 		r.cond.Wait()
 	}
 	out := r.cq
-	r.cq = nil
+	r.cq, r.lent = r.lent[:0], out
 	r.inflight -= len(out)
 	r.mu.Unlock()
 	if len(out) == 0 {

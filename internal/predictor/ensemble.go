@@ -259,14 +259,15 @@ func (e *Ensemble) Observe(lo, blocks int64) *ObserveResult {
 		r.Hit[a] = hit
 		r.Expired[a] = dropped
 
-		dst := e.cands[:0]
+		// Whichever buffer the arm appended to keeps what it grew to: an arm
+		// that proposes more windows than the buffer held must not regrow
+		// it on every observation.
+		buf := &e.cands
 		if a == e.live {
-			dst = r.Candidates[:0]
+			buf = &r.Candidates
 		}
-		dst = s.arm.Observe(lo, blocks, dst)
-		if a == e.live {
-			r.Candidates = dst
-		}
+		dst := s.arm.Observe(lo, blocks, (*buf)[:0])
+		*buf = dst
 		var issued, expired int64
 		for _, c := range dst {
 			if c.Blocks > e.cfg.MaxCandidateBlocks {

@@ -165,3 +165,39 @@ func TestEnsembleFilter(t *testing.T) {
 		t.Fatal("filter must not suppress the live arm's real candidates")
 	}
 }
+
+// TestEnsembleObserveWarmZeroAlloc holds the Arm contract ("the warm path
+// must not allocate") where it used to break. A stride-100 stream that never
+// revisits a block keeps Leap at its full ramp — 16 candidates, twice the
+// shadow scratch's initial capacity, which a shadow Leap used to regrow on
+// every observation — and hands MITHRIL a new head per access, so its full
+// table rotates an entry out per insertion, which used to allocate the entry
+// that replaced it. One run is a whole mining period: AllocsPerRun rounds
+// down, and the table's 0.997 allocations per observation read as 0.
+func TestEnsembleObserveWarmZeroAlloc(t *testing.T) {
+	e := NewEnsemble(DefaultEnsembleConfig(), 1)
+	var lo int64
+	period := func() {
+		for i := 0; i < e.cfg.Mithril.MineEvery; i++ {
+			e.Observe(lo, 1)
+			lo += 100
+		}
+	}
+	for i := 0; i < 256; i++ {
+		period()
+	}
+	m := e.arms[telemetry.ArmMithril].arm.(*Mithril)
+	if m.TableLen() != m.cfg.MaxAssoc {
+		t.Fatalf("warm-up left %d of %d association entries: the table is not full", m.TableLen(), m.cfg.MaxAssoc)
+	}
+	if n := len(e.Observe(lo, 1).Candidates); e.Live() != telemetry.ArmLeap || n <= 8 {
+		t.Fatalf("live arm %v proposes %d candidates, want Leap with more than the scratch's initial 8", e.Live(), n)
+	}
+	lo += 100
+	// Demote Leap to a shadow, as it is wherever another arm scores better:
+	// its candidates now land in the shared shadow scratch.
+	e.live = telemetry.ArmCounter
+	if n := testing.AllocsPerRun(50, period); n != 0 {
+		t.Errorf("warm Ensemble.Observe: %v allocs per mining period, want 0", n)
+	}
+}

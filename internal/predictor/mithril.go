@@ -197,9 +197,11 @@ func (m *Mithril) credit(head, succ int64) {
 	e := m.table[head]
 	if e == nil {
 		if m.fcount >= m.cfg.MaxAssoc {
-			m.evictOne()
+			e = m.evictOne() // a full table inserts into the entry it rotates out
 		}
-		e = &assocEntry{}
+		if e == nil {
+			e = &assocEntry{}
+		}
 		m.table[head] = e
 		m.fifo[(m.fhead+m.fcount)%len(m.fifo)] = head
 		m.fcount++
@@ -234,12 +236,17 @@ func (m *Mithril) credit(head, succ int64) {
 
 // evictOne rotates out the oldest-inserted table entry (FIFO approximates
 // LRU well enough here: heads recur on their natural access cadence, so
-// insertion age tracks recency for live patterns).
-func (m *Mithril) evictOne() {
+// insertion age tracks recency for live patterns) and returns it, zeroed,
+// for the insertion that displaced it to reuse.
+func (m *Mithril) evictOne() *assocEntry {
 	if m.fcount == 0 {
-		return
+		return nil
 	}
-	delete(m.table, m.fifo[m.fhead])
+	head := m.fifo[m.fhead]
+	e := m.table[head]
+	delete(m.table, head)
 	m.fhead = (m.fhead + 1) % len(m.fifo)
 	m.fcount--
+	*e = assocEntry{}
+	return e
 }

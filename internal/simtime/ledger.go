@@ -12,8 +12,14 @@ import "sync"
 // simulation behind its reservations.
 //
 // Bookings are kept in a fixed ring; spans older than the ring capacity
-// are forgotten. Group gating (simtime.Group.Gate) bounds clock skew, so
-// conflicts with forgotten spans cannot occur in practice.
+// are forgotten. Group gating (simtime.Group.Gate) bounds clock skew, so a
+// forgotten span is normally one in every caller's past. Not always: a
+// resource backlogged more than ringCap reservations deep loses bookings
+// that are still in the future, and later requests backfill the time they
+// held. The bench's serve_rings cell runs in that regime (offered 1.5x its
+// device's rate) and its latency depends on ringCap: 128 -> 256 moved its
+// virtual p50 684 -> 1200 us. ROADMAP item 8: an exact ledger and a re-tuned
+// offered rate have to land together.
 
 // span is one booked interval.
 type span struct{ s, e Time }

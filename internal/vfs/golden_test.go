@@ -264,7 +264,7 @@ func runGoldenWayDown(t *testing.T, stacked, plugged bool) goldenCell {
 				sqes[i].F = f
 				sqes[i].User = uint64(i)
 			}
-			for _, c := range v.RingEnter(tl, tenant, sqes) {
+			for _, c := range v.RingEnter(tl, tenant, sqes, nil) {
 				g.result("cqe", tenant, c.User, c.N, c.Err, c.Done)
 				if wait && c.Done > tl.Now() {
 					tl.WaitUntil(c.Done, simtime.WaitIO)

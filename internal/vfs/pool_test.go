@@ -4,13 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
+	"repro/internal/blockdev"
 	"repro/internal/pagecache"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
+
+// emptyPool swaps a pool's constructor for one returning nil and drains
+// what earlier tests left in it, so that every later Get goes through the
+// constructor the caller installs next.
+func emptyPool(p *sync.Pool) {
+	p.New = func() any { return nil }
+	for p.Get() != nil {
+	}
+}
 
 // TestReadScratchPoolAudit is the pooled-object audit for readScratch: the
 // pool hands the read, readahead_info and ring paths a scratch with every
@@ -40,12 +51,9 @@ func TestReadScratchPoolAudit(t *testing.T) {
 	defer func() { readScratchPool.New = fresh }()
 
 	run := func(newScratch func() any) string {
-		// Swap the constructor, then empty the pool of whatever earlier
-		// tests left there, so every scratch below comes from newScratch
-		// (or is one of those, used once more).
-		readScratchPool.New = func() any { return nil }
-		for readScratchPool.Get() != nil {
-		}
+		// Every scratch below comes from newScratch (or is one of those,
+		// used once more).
+		emptyPool(&readScratchPool)
 		readScratchPool.New = newScratch
 
 		v := newTestKernel(t, 4096)
@@ -74,7 +82,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 			{F: f, Op: RingRead, Off: 5 << 20, Buf: buf},
 			{F: f, Op: RingPrefetch, Off: 7 << 20, Len: 512 << 10},
 			{F: f, Op: RingRead, Off: 0, Buf: buf[:8192]},
-		}) {
+		}, nil) {
 			out += fmt.Sprintf("cqe %+v; ", c)
 		}
 		cards, err := json.Marshal(score.Snapshot())
@@ -85,5 +93,106 @@ func TestReadScratchPoolAudit(t *testing.T) {
 	}
 	if want, got := run(fresh), run(dirty); want != got {
 		t.Errorf("a dirtied readScratch leaks into its next use\nfresh %s\ndirty %s", want, got)
+	}
+}
+
+// ringRounds drives every way a ring enter settles — a faulted read, then
+// cold and warm reads, a prefetch, a write, a deadline already expired, a
+// second tenant — and reports everything observable about the outcome.
+func ringRounds(t *testing.T) string {
+	v, rec := newRingKernel(t, 4096)
+	tl := simtime.NewTimeline(0)
+	f := coldFile(t, v, tl, "f", 4<<20)
+	buf := make([]byte, 64<<10)
+	var out string
+	enter := func(tenant int, sqes ...RingSQE) {
+		for _, c := range v.RingEnter(tl, tenant, sqes, nil) {
+			out += fmt.Sprintf("cqe %+v; ", c)
+		}
+	}
+	v.Stack().SetFaultInjector(allReads())
+	enter(0, RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf, User: 1},
+		RingSQE{F: f, Op: RingRead, Off: 1 << 20, Buf: buf[:8192], User: 2})
+	v.Stack().SetFaultInjector(nil)
+	enter(0, RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf, User: 3},
+		RingSQE{F: f, Op: RingPrefetch, Off: 2 << 20, Len: 256 << 10, User: 4},
+		RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf[:4096], User: 5})
+	enter(1, RingSQE{F: f, Op: RingRead, Off: 3 << 20, Buf: buf, User: 6, Deadline: tl.Now().Add(-1)},
+		RingSQE{F: f, Op: RingWrite, Off: 3<<20 + 100, Buf: buf[:5000], User: 7},
+		RingSQE{F: f, Op: RingRead, Off: 2 << 20, Buf: buf, User: 8})
+	enter(0, RingSQE{F: f, Op: RingRead, Off: 1 << 20, Buf: buf, User: 9})
+	return out + fmt.Sprintf("%+v %+v hits=%d misses=%d sqes=%d cqes=%d now=%d", v.Stack().Stats(), v.RingStats(),
+		f.FileCache().Hits(), f.FileCache().Misses(), rec.CounterValue(telemetry.CtrRingSQESubmitted),
+		rec.CounterValue(telemetry.CtrRingCQECompleted), tl.Now())
+}
+
+// TestRingFramePoolAudit is the pooled-object audit for what a ring enter
+// recycles: the pool hands RingEnter a frame whose pending entries carry a
+// previous enter's completion time and error and whose result buffer is
+// full of stale tags, and stageRuns a chunk tag with every field dirtied —
+// and the enters must settle exactly as with fresh ones. Then the other
+// direction: whatever the rounds left in the pools keeps no file, no wait
+// group, no pending entry and no tag reachable.
+func TestRingFramePoolAudit(t *testing.T) {
+	for typ, want := range map[reflect.Type]int{
+		reflect.TypeOf(ringFrame{}):   3,
+		reflect.TypeOf(ringPending{}): 3,
+		reflect.TypeOf(ringChunk{}):   8,
+	} {
+		if n := typ.NumField(); n != want {
+			t.Fatalf("%v has %d fields, this audit dirties %d: add the new one", typ, n, want)
+		}
+	}
+	freshFrame, freshChunk := ringFramePool.New, ringChunkPool.New
+	defer func() { ringFramePool.New, ringChunkPool.New = freshFrame, freshChunk }()
+
+	// What a stale pointer would reach: none of it may be touched.
+	var stalePend ringPending
+	var staleWG sync.WaitGroup
+	staleChunk := &ringChunk{pend: &stalePend, wg: &staleWG, lo: 99, blocks: 99}
+	dirtyFrame := func() any {
+		fr := &ringFrame{pends: make([]ringPending, 7), results: make([]blockdev.LaneResult, 9)}
+		for i := range fr.pends {
+			fr.pends[i].done, fr.pends[i].err = 1<<60, ErrShed
+		}
+		for i := range fr.results {
+			fr.results[i] = blockdev.LaneResult{Req: blockdev.LaneRequest{Tag: staleChunk}, Done: 1 << 60, Err: ErrShed}
+		}
+		return fr
+	}
+	dirtyChunk := func() any {
+		return &ringChunk{pend: &stalePend, wg: &staleWG, f: &File{}, lo: 1 << 40, blocks: 1 << 20,
+			tenant: 9, prefetch: true, arm: telemetry.ArmLeap}
+	}
+
+	emptyPool(&ringFramePool)
+	emptyPool(&ringChunkPool)
+	ringFramePool.New, ringChunkPool.New = dirtyFrame, dirtyChunk
+	got := ringRounds(t)
+	emptyPool(&ringFramePool)
+	emptyPool(&ringChunkPool)
+	ringFramePool.New, ringChunkPool.New = freshFrame, freshChunk
+	if want := ringRounds(t); got != want {
+		t.Errorf("a dirtied ring frame or chunk tag leaks into its next use\nfresh %s\ndirty %s", want, got)
+	}
+	if stalePend.done != 0 || stalePend.err != nil || *staleChunk != (ringChunk{pend: &stalePend, wg: &staleWG, lo: 99, blocks: 99}) {
+		t.Errorf("an enter settled through a stale pointer: pend %+v chunk %+v", &stalePend, staleChunk)
+	}
+	staleWG.Wait() // a stale Add would hang here, a stale Done has panicked already
+
+	// The pools now hold what the fresh rounds recycled.
+	ringFramePool.New, ringChunkPool.New = func() any { return nil }, func() any { return nil }
+	for x := ringChunkPool.Get(); x != nil; x = ringChunkPool.Get() {
+		if c := x.(*ringChunk); *c != (ringChunk{}) {
+			t.Errorf("a recycled chunk tag still carries state: %+v", c)
+		}
+	}
+	for x := ringFramePool.Get(); x != nil; x = ringFramePool.Get() {
+		fr := x.(*ringFrame)
+		for i, r := range fr.results[:cap(fr.results)] {
+			if r.Req.Tag != nil || r.Err != nil || r.Pieces != nil {
+				t.Errorf("a recycled frame's result %d still carries %+v", i, r)
+			}
+		}
 	}
 }

@@ -88,6 +88,41 @@ type ringPending struct {
 	err  error
 }
 
+// ringFrame is the working set of one RingEnter: the pending table its
+// chunks settle into, the wait group that counts them, and the buffer its
+// dispatch collects lane results in. Frames are recycled, which is safe
+// because an enter returns only after wg.Wait has seen every chunk it staged
+// settle — including those a racing tenant's dispatch completed — so nothing
+// outside the enter still points into a frame that goes back to the pool.
+type ringFrame struct {
+	pends   []ringPending
+	wg      sync.WaitGroup
+	results []blockdev.LaneResult
+}
+
+var ringFramePool = sync.Pool{New: func() any { return new(ringFrame) }}
+
+// reset sizes the pending table for n SQEs with every entry idle. Field by
+// field: a ringPending holds a mutex, and is not to be copied over.
+func (fr *ringFrame) reset(n int) {
+	if cap(fr.pends) < n {
+		fr.pends = make([]ringPending, n)
+	}
+	fr.pends = fr.pends[:n]
+	for i := range fr.pends {
+		fr.pends[i].done, fr.pends[i].err = 0, nil
+	}
+}
+
+// release recycles the frame of an enter that has seen its chunks settle,
+// dropping the results of its dispatch first: their tags would keep files
+// reachable from the pool. (Not deferred: an enter that panics with chunks
+// still staged must not put the frame they point into back in circulation.)
+func (fr *ringFrame) release() {
+	clear(fr.results)
+	ringFramePool.Put(fr)
+}
+
 func (p *ringPending) advance(t simtime.Time) {
 	p.mu.Lock()
 	if t > p.done {
@@ -112,7 +147,8 @@ func (p *ringPending) fail(err error, t simtime.Time) {
 }
 
 // ringChunk is the lane tag of one staged device chunk: enough to insert
-// the fetched pages and settle its SQE on completion.
+// the fetched pages and settle its SQE on completion. Whoever completes a
+// chunk recycles its tag (completeRingChunk), zeroed.
 type ringChunk struct {
 	pend     *ringPending
 	wg       *sync.WaitGroup
@@ -124,12 +160,15 @@ type ringChunk struct {
 	arm      telemetry.Arm
 }
 
+var ringChunkPool = sync.Pool{New: func() any { return new(ringChunk) }}
+
 // RingEnter submits a batch of SQEs for tenant in one kernel crossing and
-// returns their CQEs in submission order. It is safe for concurrent use
+// appends their CQEs, in submission order, to cqes — storage the caller
+// owns — returning the extended slice. It is safe for concurrent use
 // from any number of tenants (each on its own timeline). On return every
 // CQE is final; Done times may lie in the caller's future — the reaper
 // side waits on them.
-func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE) []RingCQE {
+func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE, cqes []RingCQE) []RingCQE {
 	defer v.observeSyscall(tl, SysRingEnter)()
 	v.enter(tl, SysRingEnter)
 	v.rec.Add(telemetry.CtrRingEnterCalls, 1)
@@ -138,17 +177,18 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE) []Ring
 	sp.Annotate("sqes", int64(len(sqes)))
 	defer sp.End(tl)
 
-	cqes := make([]RingCQE, len(sqes))
-	pends := make([]ringPending, len(sqes))
-	var wg sync.WaitGroup
+	base := len(cqes)
+	fr := ringFramePool.Get().(*ringFrame)
+	fr.reset(len(sqes))
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
 
 	v.pressureCheck(tl)
 	for i := range sqes {
 		sq := &sqes[i]
-		pend := &pends[i]
-		cqes[i].User = sq.User
+		pend := &fr.pends[i]
+		cqes = append(cqes, RingCQE{User: sq.User})
+		cq := &cqes[base+i]
 		switch sq.Op {
 		case RingRead:
 			if sq.Deadline > 0 && tl.Now() > sq.Deadline {
@@ -158,11 +198,11 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE) []Ring
 				pend.refuse(ErrDeadlineExceeded, tl.Now())
 				break
 			}
-			cqes[i].N = v.ringRead(tl, tenant, sq, pend, &wg, sc)
+			cq.N = v.ringRead(tl, tenant, sq, pend, &fr.wg, sc)
 		case RingWrite:
-			cqes[i].N = v.ringWrite(tl, tenant, sq, pend)
+			cq.N = v.ringWrite(tl, tenant, sq, pend)
 		case RingPrefetch:
-			cqes[i].N = v.ringPrefetch(tl, tenant, sq, pend, &wg, sc)
+			cq.N = v.ringPrefetch(tl, tenant, sq, pend, &fr.wg, sc)
 		}
 		pend.advance(tl.Now())
 	}
@@ -171,25 +211,26 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE) []Ring
 	// submitter's staging) through the shared plug. If a racing enter's
 	// dispatch grabbed our chunks, it resolves them on its side; the
 	// WaitGroup covers the window where that dispatch is still running.
-	v.ringDispatch(tl)
-	wg.Wait()
+	v.ringDispatch(tl, fr)
+	fr.wg.Wait()
 
 	for i := range sqes {
-		p := &pends[i]
-		cqes[i].Err = p.err
-		cqes[i].Done = p.done
+		p, cq := &fr.pends[i], &cqes[base+i]
+		cq.Err = p.err
+		cq.Done = p.done
 		if p.err != nil && sqes[i].Op == RingRead {
 			// The demand data never arrived; nothing counted as read.
-			cqes[i].N = 0
+			cq.N = 0
 		}
 		if d := sqes[i].Deadline; d > 0 && p.err == nil && p.done > d {
 			// Late completion: the work was done (pages cached, N kept)
 			// but after the deadline — reported distinctly from a shed.
-			cqes[i].Err = ErrDeadlineExceeded
+			cq.Err = ErrDeadlineExceeded
 			v.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
 		}
 	}
-	v.rec.Add(telemetry.CtrRingCQECompleted, int64(len(cqes)))
+	fr.release()
+	v.rec.Add(telemetry.CtrRingCQECompleted, int64(len(sqes)))
 	return cqes
 }
 
@@ -202,8 +243,9 @@ func (v *VFS) RingStats() blockdev.LaneSetStats { return v.lanes.Stats() }
 // this thread. Insert costs are charged to the dispatching timeline even
 // for chunks other tenants staged — the SQPOLL thread happens to run on
 // this tenant's clock.
-func (v *VFS) ringDispatch(tl *simtime.Timeline) {
-	for _, r := range v.lanes.Dispatch(tl.Now()) {
+func (v *VFS) ringDispatch(tl *simtime.Timeline, fr *ringFrame) {
+	fr.results = v.lanes.Dispatch(tl.Now(), fr.results[:0])
+	for _, r := range fr.results {
 		v.completeRingChunk(tl, r.Req.Tag.(*ringChunk), r)
 	}
 }
@@ -213,7 +255,14 @@ func (v *VFS) ringDispatch(tl *simtime.Timeline) {
 // and records the queue-wait vs service attribution on the dispatcher's
 // span.
 func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.LaneResult) {
-	defer c.wg.Done()
+	// Done comes after the last use of c.pend: it is what lets the staging
+	// enter return and its frame, which c.pend and c.wg point into, be
+	// reused. The tag itself stays this completer's until it is pooled.
+	defer func() {
+		c.wg.Done()
+		*c = ringChunk{}
+		ringChunkPool.Put(c)
+	}()
 	if r.Err != nil {
 		// On a partially dispatched stack request the issued pieces really
 		// moved bytes: the cross-layer identities (device read bytes ==
@@ -273,17 +322,19 @@ func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap
 			return true
 		}
 		wg.Add(1)
+		tag := ringChunkPool.Get().(*ringChunk)
+		*tag = ringChunk{
+			pend: pend, wg: wg, f: f,
+			lo: c.lo, blocks: c.blocks, tenant: tenant, prefetch: prefetch,
+			arm: arm,
+		}
 		v.lanes.Stage(blockdev.LaneRequest{
 			Tenant:   tenant,
 			Op:       blockdev.OpRead,
 			Off:      c.devOff,
 			Bytes:    c.bytes,
 			Prefetch: prefetch,
-			Tag: &ringChunk{
-				pend: pend, wg: wg, f: f,
-				lo: c.lo, blocks: c.blocks, tenant: tenant, prefetch: prefetch,
-				arm: arm,
-			},
+			Tag:      tag,
 		}, tl.Now())
 		return true
 	})

@@ -63,7 +63,7 @@ func TestRingEnterReadsOneCrossing(t *testing.T) {
 	for i, off := range offs {
 		sqes[i] = RingSQE{F: f, Op: RingRead, Off: off, Buf: make([]byte, 16<<10), User: uint64(i)}
 	}
-	cqes := v.RingEnter(tl, 0, sqes)
+	cqes := v.RingEnter(tl, 0, sqes, nil)
 	if len(cqes) != len(sqes) {
 		t.Fatalf("got %d cqes, want %d", len(cqes), len(sqes))
 	}
@@ -105,10 +105,10 @@ func TestRingEnterWarmReadsSkipDevice(t *testing.T) {
 	f := coldFile(t, v, tl, "x", 1<<20)
 
 	buf := make([]byte, 64<<10)
-	v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
+	v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	ops := v.Stack().Stats().ReadOps
 
-	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
+	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("warm read: %+v", cqes[0])
 	}
@@ -132,7 +132,7 @@ func TestRingEnterSustainsQueueDepth(t *testing.T) {
 		// device command.
 		sqes[i] = RingSQE{F: f, Op: RingRead, Off: int64(i) << 22, Buf: make([]byte, 4096)}
 	}
-	for _, cq := range v.RingEnter(tl, 0, sqes) {
+	for _, cq := range v.RingEnter(tl, 0, sqes, nil) {
 		if cq.Err != nil {
 			t.Fatal(cq.Err)
 		}
@@ -160,7 +160,7 @@ func TestRingWriteRMWAndReadback(t *testing.T) {
 	for i := range wbuf {
 		wbuf[i] = 0xAB
 	}
-	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingWrite, Off: off, Buf: wbuf}})
+	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingWrite, Off: off, Buf: wbuf}}, nil)
 	if cqes[0].Err != nil || cqes[0].N != n {
 		t.Fatalf("ring write: %+v", cqes[0])
 	}
@@ -189,7 +189,7 @@ func TestRingPrefetchPopulatesCache(t *testing.T) {
 	f := coldFile(t, v, tl, "x", 4<<20)
 
 	const bytes_ = 64 << 10 // 16 pages, under the default RA limit
-	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingPrefetch, Off: 0, Len: bytes_}})
+	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingPrefetch, Off: 0, Len: bytes_}}, nil)
 	if cqes[0].Err != nil {
 		t.Fatal(cqes[0].Err)
 	}
@@ -206,7 +206,7 @@ func TestRingPrefetchPopulatesCache(t *testing.T) {
 
 	ops := v.Stack().Stats().ReadOps
 	buf := make([]byte, bytes_)
-	rcq := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
+	rcq := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if rcq[0].Err != nil || rcq[0].N != bytes_ {
 		t.Fatalf("read after prefetch: %+v", rcq[0])
 	}
@@ -224,7 +224,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 
 	v.Stack().SetFaultInjector(allReads())
 	buf := make([]byte, 16<<10)
-	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf, User: 7}})
+	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf, User: 7}}, nil)
 	if cqes[0].Err == nil {
 		t.Fatal("faulted ring read returned no error")
 	}
@@ -237,7 +237,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 	// Clearing the fault lets the same read succeed — nothing was
 	// inserted as present by the failed attempt.
 	v.Stack().SetFaultInjector(nil)
-	cqes = v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}})
+	cqes = v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("retry after clearing fault: %+v", cqes[0])
 	}
@@ -278,7 +278,7 @@ func TestRingConcurrentTenants(t *testing.T) {
 					off := int64((b*batchSQEs+i)%1000) * 8 << 10
 					sqes[i] = RingSQE{F: f, Op: RingRead, Off: off, Buf: make([]byte, 8<<10)}
 				}
-				for i, cq := range v.RingEnter(tl, tn, sqes) {
+				for i, cq := range v.RingEnter(tl, tn, sqes, nil) {
 					if cq.Err != nil {
 						errs <- fmt.Errorf("tenant %d: %v", tn, cq.Err)
 						return

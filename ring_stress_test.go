@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	crossprefetch "repro"
+	"repro/internal/crosslib"
 	"repro/internal/simtime"
 )
 
@@ -157,5 +158,89 @@ func TestRingSharedRaceStress(t *testing.T) {
 	// The whole storm must reconcile exactly across every layer.
 	if err := sys.AuditTelemetry(); err != nil {
 		t.Fatalf("telemetry audit after ring stress: %v", err)
+	}
+}
+
+// TestRingReapLendsUntilNextReap holds Reap's contract under the race
+// detector: the slice it returns is the ring's own buffer, lent until the
+// next Reap on that ring, so while two submitters keep parking completions
+// into the ring's other buffer the reaper must find every CQE it was handed
+// unchanged — right up to the moment it reaps again. A Submit that appended
+// into the lent buffer would be a write racing the reaper's unlocked reads.
+func TestRingReapLendsUntilNextReap(t *testing.T) {
+	const (
+		block      = 4096
+		filePages  = 1024
+		submitters = 2
+		iters      = 150
+		batch      = 3
+		total      = submitters * iters * batch
+	)
+	sys := crossprefetch.NewSystem(crossprefetch.Config{
+		MemoryBytes: filePages * block / 4, // a quarter resident: hits and misses mix
+		BlockSize:   block,
+		Approach:    crossprefetch.CrossPredictOpt,
+	})
+	if err := sys.CreateSynthetic(sys.Timeline(), "lent", filePages*block); err != nil {
+		t.Fatal(err)
+	}
+	ring := sys.Lib().NewRing(0, 32)
+
+	var wg sync.WaitGroup
+	for id := 0; id < submitters; id++ {
+		id := id
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := simtime.NewTimeline(0)
+			f, err := sys.Open(tl, "lent")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer f.Close(tl)
+			for i := 0; i < iters; i++ {
+				for j := 0; j < batch; j++ {
+					u := uint64((id*iters+i)*batch + j)
+					off := int64(u*7919%(filePages-2)) * block
+					// A buffer per op: whichever Submit takes the op fills it.
+					buf := make([]byte, 2*block)
+					for ring.PrepRead(f, buf, off, u) != nil {
+						runtime.Gosched() // ring full: wait for the reaper
+					}
+				}
+				ring.Submit(tl)
+			}
+		}()
+	}
+
+	seen := make([]bool, total)
+	tl := simtime.NewTimeline(0)
+	var held []crosslib.RingCQE
+	for reaped := 0; reaped < total; {
+		cqes := ring.Reap(tl, 1)
+		held = append(held[:0], cqes...)
+		// Let the submitters run while the loan is out.
+		for i := 0; i < 4; i++ {
+			runtime.Gosched()
+		}
+		for i, cq := range cqes {
+			if cq != held[i] {
+				t.Fatalf("CQE %d changed while lent: got %+v, was handed %+v", i, cq, held[i])
+			}
+			if cq.Err != nil || cq.N != 2*block {
+				t.Fatalf("user %d completed as %+v", cq.User, cq)
+			}
+			if cq.User >= total || seen[cq.User] {
+				t.Fatalf("user %d delivered twice, or never submitted", cq.User)
+			}
+			seen[cq.User] = true
+		}
+		reaped += len(cqes)
+	}
+	wg.Wait()
+	ring.Close()
+	if st := ring.Stats(); st.SQEs != total || st.Discarded != 0 {
+		t.Fatalf("ring accepted %d SQEs and discarded %d, want %d and 0", st.SQEs, st.Discarded, total)
 	}
 }
