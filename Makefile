@@ -93,16 +93,20 @@ chaos:
 # -predict and -tier into a temporary directory and compare the files,
 # whole, with the committed BENCH_PR7..10.json (about 5 s in total). A byte
 # moves exactly when virtual time, accounting, a scorecard or a record's
-# schema does; the bench-* targets below, which overwrite those files in
-# place, are the way to re-record one on purpose.
+# schema does. All four are compared before the target fails, each file that
+# moved printed with its diff, so that a change which re-records one on
+# purpose still shows whether the others held; the bench-* targets below,
+# which overwrite those files in place, are the way to re-record one.
 digests:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(MAKE) -s BENCH_OUT="$$tmp/" bench-overload bench-score bench-predict bench-tier >"$$tmp/log" 2>&1 \
 		|| { cat "$$tmp/log"; echo 'digests: a sweep failed'; exit 1; }; \
-	for n in 7 8 9 10; do \
-		cmp BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json" \
-			|| { echo "digests: BENCH_PR$$n.json no longer reproduces"; diff BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json"; exit 1; }; \
+	moved=; for n in 7 8 9 10; do \
+		cmp -s BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json" && continue; \
+		echo "digests: BENCH_PR$$n.json no longer reproduces"; \
+		diff BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json"; moved="$$moved BENCH_PR$$n.json"; \
 	done; \
+	[ -z "$$moved" ] || { echo "digests: moved:$$moved"; exit 1; }; \
 	echo "digests: BENCH_PR7..10.json reproduce byte for byte"
 
 bench:

@@ -45,7 +45,7 @@ func TestEvictPassCreditsActualFrees(t *testing.T) {
 		t.Fatalf("setup evicted %d pages, want 0", got)
 	}
 	usedBefore := v.Cache().Used()
-	// Budget 550, used 512: target = 550*(0.15+0.05) - 38 = 72 pages.
+	// Budget 550, used 512: target = 550*evictRefillFrac - 38 = 83 pages.
 	// Evicting A frees only 64, so the pass must continue into B.
 	wtl := simtime.NewTimeline(tl.Now().Add(10 * opt.InactiveAge))
 	rt.evictPass(wtl, wtl.Now())

@@ -221,7 +221,7 @@ func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
 	v.Stack().SetFaultInjector(persistentReads())
 	base := rt.Stats()
 
-	f.prefetchAsync(tl, 1000, 120, false) // job runs inline on the worker pool
+	f.prefetchAsync(tl, 1000, 120, budgetUnasked, false) // job runs inline on the worker pool
 
 	fails, open := brkState(f)
 	if fails != 1 {

@@ -75,9 +75,10 @@ func (rt *Runtime) wrap(tl *simtime.Timeline, kf *vfs.File, name string) *File {
 	case rt.opt.OptLimits && rt.opt.Predict:
 		// Aggressive optimistic open: assume sequential, prefetch the
 		// first openPrefetchBytes before the pattern is known (§4.6).
-		if rt.freeFrac() > highWaterFrac && kf.Size() > 0 {
+		blocks := openPrefetchBytes / rt.v.BlockSize()
+		if kf.Size() > 0 && rt.budgetGate(tl, f.sf, 0, blocks) == budgetAggressive {
 			rt.openPrefetches.Add(1)
-			f.prefetchAsync(tl, 0, openPrefetchBytes/rt.v.BlockSize(), false)
+			f.prefetchAsync(tl, 0, blocks, budgetAggressive, false)
 		}
 	}
 	root.Finish(tl)
@@ -181,7 +182,7 @@ func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) int64 {
 		f.predMu.Unlock()
 		switch {
 		case pn > 0:
-			f.prefetchAsync(tl, plo, pn, false)
+			f.prefetchAsync(tl, plo, pn, budgetUnasked, false)
 		case o.CoveragePrefetch:
 			f.coveragePrefetch(tl, lo)
 		case skipped:
@@ -256,7 +257,7 @@ func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		f.prefetchAsync(tl, cands[i].Lo, cands[i].Blocks, false, live)
+		f.prefetchAsync(tl, cands[i].Lo, cands[i].Blocks, budgetUnasked, false, live)
 	}
 }
 
@@ -336,11 +337,13 @@ func (f *File) Fsync(tl *simtime.Timeline) error {
 // prefetch intent [lo, lo+blocks) through the shared gates in the order
 // clamp, breaker, memory budget, bitmap elision, batching hysteresis,
 // helper saturation, and hands what is left to a background helper thread
-// that issues readahead_info. coverage tags the intent as coverage-policy
-// prefetch for the per-origin effectiveness partition; arm, when given, is
-// the predictor arm that drove it (ArmNone otherwise) — both ride the
-// kernel request onto the inserted pages.
-func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, coverage bool, arm ...telemetry.Arm) {
+// that issues readahead_info. level is the budget gate's answer when the
+// caller sized the intent by it (coverage, the optimistic open) and
+// budgetUnasked otherwise: an intent passes the gate once. coverage tags the
+// intent as coverage-policy prefetch for the per-origin effectiveness
+// partition; arm, when given, is the predictor arm that drove it (ArmNone
+// otherwise) — both ride the kernel request onto the inserted pages.
+func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budgetLevel, coverage bool, arm ...telemetry.Arm) {
 	rt, sf := f.rt, f.sf
 	o := rt.opt
 
@@ -354,12 +357,13 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, coverage bo
 	// static window even when opt would allow more. The FetchAll policy
 	// is deliberately memory-insensitive (Table 2).
 	if !o.FetchAll && (o.OptLimits || o.AggressiveEvict || o.CoveragePrefetch) {
-		free := rt.freeFrac()
-		if free < lowWaterFrac {
-			rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedLowMemory, sf.inoID, lo, hi)
-			return
+		if level == budgetUnasked {
+			level = rt.budgetGate(tl, sf, lo, hi)
 		}
-		if free < highWaterFrac {
+		switch level {
+		case budgetHalt:
+			return
+		case budgetStatic:
 			hi = min(hi, lo+rt.v.Config().RA.MaxPages)
 		}
 	}
@@ -412,19 +416,15 @@ const workerQueueBound = 2 * simtime.Millisecond
 // residency while memory lasts, eliminating compulsory misses that
 // pattern-window prefetching can never cover.
 func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) {
-	rt := f.rt
-	o := rt.opt
-	free := rt.freeFrac()
-	if free < lowWaterFrac {
-		rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedLowMemory,
-			f.sf.inoID, lo, lo)
+	level := f.rt.budgetGate(tl, f.sf, lo, lo)
+	if level == budgetHalt {
 		return
 	}
 	chunk := int64(64) // 256KB of 4KB blocks without opt
-	if o.OptLimits && free > highWaterFrac {
+	if f.rt.opt.OptLimits && level == budgetAggressive {
 		chunk = 1024 // 4MB when memory is plentiful
 	}
-	f.prefetchAsync(tl, lo, chunk, true)
+	f.prefetchAsync(tl, lo, chunk, level, true)
 }
 
 // ensureFetchAll kicks off (once) whole-file prefetch jobs and, on later
@@ -432,12 +432,12 @@ func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) {
 func (f *File) ensureFetchAll(tl *simtime.Timeline, op int64) {
 	sf := f.sf
 	if sf.fetchAll.CompareAndSwap(false, true) {
-		f.prefetchAsync(tl, 0, f.kf.Inode().Blocks(), false)
+		f.prefetchAsync(tl, 0, f.kf.Inode().Blocks(), budgetUnasked, false)
 		return
 	}
 	// Periodically repair holes (monitoring missing blocks via bitmaps).
 	if op%1024 == 0 {
-		f.prefetchAsync(tl, 0, f.kf.Inode().Blocks(), false)
+		f.prefetchAsync(tl, 0, f.kf.Inode().Blocks(), budgetUnasked, false)
 	}
 }
 

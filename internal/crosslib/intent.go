@@ -37,6 +37,44 @@ func (rt *Runtime) breakerAdmits(tl *simtime.Timeline, sf *sharedFile, lo, hi in
 	return false
 }
 
+// budgetLevel is what the memory budget allows a prefetch intent (§4.6).
+type budgetLevel int
+
+const (
+	budgetUnasked    budgetLevel = iota // the gate has not been consulted yet
+	budgetHalt                          // free < lowWaterFrac: no prefetching
+	budgetStatic                        // free < highWaterFrac: the kernel's static window
+	budgetUnclipped                     // free == highWaterFrac: the intent as formed, nothing optimistic
+	budgetAggressive                    // free > highWaterFrac: as much as opt allows
+)
+
+// budgetGate is the memory-budget gate (DESIGN.md §24): the one reading of
+// free memory against the halt and aggressive marks, for the intent
+// [lo, hi) as its caller has formed it so far. A halted intent is counted
+// and traced; what a caller does with the other levels — clip to the static
+// window, size a coverage chunk, skip an optimistic open — is its own
+// policy. The evictor wakes above the halt mark (maybeEvict), so a halt
+// means reclaim found nothing cold, not that it has not run yet.
+//
+// Exactly at the high mark an intent is neither clipped nor enlarged. That
+// is a level of its own because free memory parks there for whole phases
+// when the kernel's reclaim settles on the same fraction (the overload
+// sweep: 7 168 of 10 240 pages used), and BENCH_PR7.json pins it.
+func (rt *Runtime) budgetGate(tl *simtime.Timeline, sf *sharedFile, lo, hi int64) budgetLevel {
+	switch free := rt.freeFrac(); {
+	case free < lowWaterFrac:
+		rt.droppedLowMemory.Add(1)
+		rt.rec.Event(tl.Now(), telemetry.OutcomeDroppedLowMemory, sf.inoID, lo, hi)
+		return budgetHalt
+	case free < highWaterFrac:
+		return budgetStatic
+	case free > highWaterFrac:
+		return budgetAggressive
+	default:
+		return budgetUnclipped
+	}
+}
+
 // missingRuns is the elision gate: it appends to dst the runs of [lo, hi)
 // that the user-level bitmap shows neither cached nor in flight, marking
 // them requested. None left means the crossing is elided — the core saving

@@ -119,9 +119,9 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		if !dense || lo < 0 || lo >= fileBlocks {
 			return
 		}
-		// The scan's way up (DESIGN.md §20): breaker, low watermark, clamp,
+		// The scan's way up (DESIGN.md §20): breaker, budget halt, clamp,
 		// elision, then the shared issuer on this helper's own timeline.
-		if !rt.breakerAdmits(wtl, sf, lo, lo+window) || rt.freeFrac() < lowWaterFrac {
+		if !rt.breakerAdmits(wtl, sf, lo, lo+window) || rt.budgetGate(wtl, sf, lo, lo+window) == budgetHalt {
 			return
 		}
 		lo, hi := clampToFile(kf, lo, window)

@@ -193,7 +193,7 @@ func TestClampedGrantNotReasked(t *testing.T) {
 	crossings := v.SyscallCount(vfs.SysReadaheadInfo)
 
 	const lo, blocks = 8192, 1024
-	f.prefetchAsync(tl, lo, blocks, false) // job runs inline on the worker pool
+	f.prefetchAsync(tl, lo, blocks, budgetUnasked, false) // job runs inline on the worker pool
 
 	if got := v.BrownoutLevel(); got != vfs.BrownoutClamped {
 		t.Fatalf("brownout level %v during the intent, want clamped", got)

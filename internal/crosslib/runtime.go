@@ -26,6 +26,9 @@ type Runtime struct {
 	fileShards [sfShardCount]sfShard
 
 	ops atomic.Int64 // intercepted operations, for eviction throttling
+	// evictEpoch is ops / EvictCheckOps as of the last budget poll: a poll is
+	// due whenever an op's tick has moved past it (maybeEvict).
+	evictEpoch atomic.Int64
 
 	evictMu sync.Mutex // serializes budget enforcement passes
 	// Scratch of evictPass, reused pass after pass under evictMu.
@@ -53,6 +56,7 @@ type Runtime struct {
 	fincorePolls     atomic.Int64
 	openPrefetches   atomic.Int64
 	droppedPrefetch  atomic.Int64
+	droppedLowMemory atomic.Int64 // intents the budget gate halted
 	prefetchRetries  atomic.Int64
 	breakerTrips     atomic.Int64
 	breakerRecovered atomic.Int64
@@ -228,14 +232,15 @@ func (rt *Runtime) Options() Options { return rt.opt }
 
 // Stats is a snapshot of runtime counters.
 type Stats struct {
-	PrefetchCalls   int64 // readahead_info calls issued by the library
-	SavedPrefetches int64 // prefetch intents satisfied from user bitmaps
-	PrefetchedPages int64
-	EvictedPages    int64
-	FincorePolls    int64
-	OpenPrefetches  int64
-	DroppedPrefetch int64
-	WorkerJobs      int64
+	PrefetchCalls    int64 // readahead_info calls issued by the library
+	SavedPrefetches  int64 // prefetch intents satisfied from user bitmaps
+	PrefetchedPages  int64
+	EvictedPages     int64
+	FincorePolls     int64
+	OpenPrefetches   int64
+	DroppedPrefetch  int64 // intents dropped because every helper was booked solid
+	DroppedLowMemory int64 // intents the budget gate refused under the halt mark (§4.6)
+	WorkerJobs       int64
 	// Fault-tolerance counters: transient-fault retries issued, per-file
 	// breaker trips and recoveries, and prefetch intents dropped while a
 	// breaker was open.
@@ -254,14 +259,15 @@ type Stats struct {
 // Stats snapshots the runtime counters.
 func (rt *Runtime) Stats() Stats {
 	return Stats{
-		PrefetchCalls:   rt.prefetchCalls.Load(),
-		SavedPrefetches: rt.savedPrefetch.Load(),
-		PrefetchedPages: rt.prefetchedPgs.Load(),
-		EvictedPages:    rt.evictedPgs.Load(),
-		FincorePolls:    rt.fincorePolls.Load(),
-		OpenPrefetches:  rt.openPrefetches.Load(),
-		DroppedPrefetch: rt.droppedPrefetch.Load(),
-		WorkerJobs:      rt.workers.Jobs(),
+		PrefetchCalls:    rt.prefetchCalls.Load(),
+		SavedPrefetches:  rt.savedPrefetch.Load(),
+		PrefetchedPages:  rt.prefetchedPgs.Load(),
+		EvictedPages:     rt.evictedPgs.Load(),
+		FincorePolls:     rt.fincorePolls.Load(),
+		OpenPrefetches:   rt.openPrefetches.Load(),
+		DroppedPrefetch:  rt.droppedPrefetch.Load(),
+		DroppedLowMemory: rt.droppedLowMemory.Load(),
+		WorkerJobs:       rt.workers.Jobs(),
 
 		PrefetchRetries:   rt.prefetchRetries.Load(),
 		BreakerTrips:      rt.breakerTrips.Load(),
@@ -372,15 +378,30 @@ func (rt *Runtime) budget() int64 {
 	return cap
 }
 
-// The free-memory watermarks (§4.6), as fractions of the budget: above
-// highWaterFrac aggressive prefetch sizes are allowed, below lowWaterFrac
-// all prefetching halts and eviction starts. They sit above the kernel's
-// (kswapd maintains ~1/8 free): CROSS-LIB must act before the kernel's
-// blind LRU does.
+// The free-memory marks of the budget loop (§4.6, DESIGN.md §24), as
+// fractions of the budget, in the kernel's three-watermark shape: above
+// highWaterFrac aggressive prefetch sizes are allowed; below evictWaterFrac
+// the evictor wakes (maybeEvict) and refills to evictRefillFrac; only below
+// lowWaterFrac does prefetching halt (budgetGate). They sit above the
+// kernel's own (kswapd maintains ~1/8 free): CROSS-LIB must act before the
+// kernel's blind LRU does.
+//
+// The margin rule: the evictor is polled every EvictCheckOps operations, so
+// the band between its mark and the halt must exceed what that many reads
+// consume, or a stream reaches the halt between two polls and loses its
+// prefetch window until the next one — 32 x 64 KB is 0.8 % of a 256 MB
+// budget, 32 x 16 KB is 1.6 % of a 32 MB one. It is kept as narrow as that
+// allows: pages evicted early are pages a re-reading workload fetches again.
 const (
-	highWaterFrac = 0.30
-	lowWaterFrac  = 0.15
+	highWaterFrac   = 0.30
+	evictWaterFrac  = lowWaterFrac + 0.02
+	lowWaterFrac    = 0.15
+	evictRefillFrac = evictWaterFrac + 0.05
 )
+
+// low < evict < high, held by the compiler: a map literal with a duplicate
+// constant key does not compile, so the second key has to be true.
+var _ = map[bool]struct{}{false: {}, lowWaterFrac < evictWaterFrac && evictWaterFrac < highWaterFrac: {}}
 
 // freeFrac reports free budget as a fraction of the budget.
 func (rt *Runtime) freeFrac() float64 {
@@ -395,17 +416,23 @@ func (rt *Runtime) freeFrac() float64 {
 // tick counts one intercepted operation.
 func (rt *Runtime) tick() int64 { return rt.ops.Add(1) }
 
-// maybeEvict runs the aggressive reclamation policy (§4.6): when the
-// process budget is constrained, evict inactive files front-to-back, then
-// LRU ranges of the coldest active files, via fadvise(DONTNEED).
+// maybeEvict is the budget poll behind every intercepted operation: when
+// op's tick has crossed a multiple of EvictCheckOps since the last poll and
+// free memory is under evictWaterFrac — ahead of the halt, so that a stream
+// keeps its prefetch window while the pass runs — it books one pass of the
+// aggressive reclamation policy (§4.6) on a helper thread. Crossing, not
+// landing on, a multiple: a ring submit polls once with its batch's last
+// tick, which meets a multiple only by chance.
 func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 	if !rt.opt.AggressiveEvict {
 		return
 	}
-	if op%rt.opt.EvictCheckOps != 0 {
+	// A lost swap means another thread is polling this very moment.
+	epoch := op / rt.opt.EvictCheckOps
+	if last := rt.evictEpoch.Load(); epoch <= last || !rt.evictEpoch.CompareAndSwap(last, epoch) {
 		return
 	}
-	if rt.freeFrac() >= lowWaterFrac {
+	if rt.freeFrac() >= evictWaterFrac {
 		return
 	}
 	now := tl.Now()
@@ -414,19 +441,19 @@ func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 	})
 }
 
-// evictPass frees just enough budget to restore prefetch headroom:
-// whole inactive files first (front of the inactive LRU list), then the
-// least recently touched ranges of the coldest files, via
-// fadvise(DONTNEED) — the paper's two-pronged reclamation (§4.6).
+// evictPass frees just enough budget to climb from the evictor's mark back
+// to evictRefillFrac: whole inactive files first (front of the inactive LRU
+// list), then the least recently touched ranges of the coldest files, via
+// fadvise(DONTNEED) — the paper's two-pronged reclamation (§4.6). The
+// refill is eager enough that the next poll finds headroom, modest enough
+// not to thrash pages the readers are about to use; a range goes whole (one
+// range-tree node), so a pass may overshoot its target by up to a node.
 func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	rt.evictMu.Lock()
 	defer rt.evictMu.Unlock()
 
-	// Free enough to climb back above the low watermark with margin —
-	// eager enough to keep prefetching alive, modest enough not to
-	// thrash pages the readers are about to use.
 	budget := rt.budget()
-	wantFree := int64(float64(budget) * (lowWaterFrac + 0.05))
+	wantFree := int64(float64(budget) * evictRefillFrac)
 	target := wantFree - (budget - rt.v.Cache().Used())
 	if target <= 0 {
 		return
@@ -445,12 +472,7 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	})
 
 	freed := int64(0)
-	// Pass 1: whole inactive files. Credit only what the fadvise actually
-	// freed (before/after residency), not the pre-call CachedPages count:
-	// pages beyond EOF after a truncate, pages another thread re-faults
-	// concurrently, or dirty pages a flush pins can all survive the
-	// DONTNEED, and crediting them would end the pass while the budget is
-	// still over target.
+	// Pass 1: whole inactive files.
 	for _, sf := range candidates {
 		if freed >= target {
 			return
@@ -459,21 +481,15 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 		if idle < rt.opt.InactiveAge {
 			break // list is sorted; the rest are hotter
 		}
-		before := sf.kf.FileCache().CachedPages()
-		if before == 0 {
+		if sf.kf.FileCache().CachedPages() == 0 {
 			continue
 		}
-		sf.kf.Fadvise(wtl, vfs.AdvDontNeed, 0, 0)
-		sf.tree.ClearCached(wtl, 0, sf.kf.Inode().Blocks())
-		freedNow := before - sf.kf.FileCache().CachedPages()
-		rt.evictedPgs.Add(freedNow)
-		freed += freedNow
+		freed += rt.dontNeed(wtl, sf, 0, sf.kf.Inode().Blocks())
 	}
 	// Pass 2: ranges that have genuinely gone inactive. Ranges touched
 	// recently are left alone even under pressure — evicting the live
 	// working set would only be re-fetched (churn), so when nothing is
 	// cold the library lets the kernel LRU arbitrate.
-	bs := rt.v.BlockSize()
 	coldBefore := now.Add(-rt.opt.InactiveAge)
 	for _, sf := range candidates {
 		if freed >= target {
@@ -502,12 +518,25 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 			if hi <= cr.Lo {
 				continue
 			}
-			before := sf.kf.FileCache().CachedPages()
-			sf.kf.Fadvise(wtl, vfs.AdvDontNeed, cr.Lo*bs, (hi-cr.Lo)*bs)
-			sf.tree.ClearCached(wtl, cr.Lo, hi)
-			freedNow := before - sf.kf.FileCache().CachedPages()
-			rt.evictedPgs.Add(freedNow)
-			freed += freedNow
+			freed += rt.dontNeed(wtl, sf, cr.Lo, hi)
 		}
 	}
+}
+
+// dontNeed drops blocks [lo, hi) of sf from the kernel's cache and from the
+// library's belief, and reports the pages that freed. A fadvise(2) returns
+// no count, so the credit is the file's residency before minus after — what
+// the call actually freed, not the range's pre-call count: pages beyond EOF
+// after a truncate or dirty pages a flush pins survive the DONTNEED, and
+// crediting them would end the pass with the budget still over target. It
+// is never negative: another thread inserting into the file between the two
+// reads can push the delta below zero, and EvictedPages only ever grows.
+func (rt *Runtime) dontNeed(wtl *simtime.Timeline, sf *sharedFile, lo, hi int64) int64 {
+	fc, bs := sf.kf.FileCache(), rt.v.BlockSize()
+	before := fc.CachedPages()
+	sf.kf.Fadvise(wtl, vfs.AdvDontNeed, lo*bs, (hi-lo)*bs)
+	sf.tree.ClearCached(wtl, lo, hi)
+	freed := max(before-fc.CachedPages(), 0)
+	rt.evictedPgs.Add(freed)
+	return freed
 }
