@@ -1,0 +1,203 @@
+package experiments
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	crossprefetch "repro"
+	"repro/internal/filebench"
+	"repro/internal/lsm"
+	"repro/internal/simtime"
+	"repro/internal/snappy"
+	"repro/internal/workload"
+	"repro/internal/ycsb"
+)
+
+// TestDriverPins holds the six workload drivers to the byte. A run with one
+// group member has no host scheduling in it, so it is a function of its
+// seed: every pattern, profile, YCSB letter and db_bench workload runs once
+// per approach on one thread (8 MB cache, plugged) and is reduced to one
+// line — makespan, the driver's own op and byte counts, miss rate and the
+// group's summed accounting — compared with driverPins below. The lines were
+// recorded before the drivers moved onto workload.Drive; a line that moves
+// means a Gate, a PRNG draw or a counter did. To re-record on purpose, run
+// with -v: every line is logged.
+func TestDriverPins(t *testing.T) {
+	want := strings.Split(strings.TrimSpace(driverPins), "\n")
+	var got []string
+	for _, a := range []crossprefetch.Approach{
+		crossprefetch.AppOnly, crossprefetch.AppOnlyFincore,
+		crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
+	} {
+		sys := func() *crossprefetch.System {
+			return newSys(sysConfig{approach: a, memory: 8 << 20, plug: true})
+		}
+		pin := func(name string, makespan simtime.Duration, g simtime.GroupStats, miss float64, counts string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", a, name, err)
+			}
+			got = append(got, fmt.Sprintf("%s %s: makespan=%d %s miss=%v total=%d/%d/%d/%d", a, name,
+				int64(makespan), counts, miss, int64(g.Total.Elapsed), int64(g.Total.CPU),
+				int64(g.Total.IOWait), int64(g.Total.LockWait)))
+		}
+
+		for _, m := range []struct {
+			name        string
+			shared, seq bool
+		}{
+			{"micro/private-seq", false, true}, {"micro/private-rand", false, false},
+			{"micro/shared-seq", true, true}, {"micro/shared-rand", true, false},
+		} {
+			r, err := workload.RunMicro(workload.MicroConfig{
+				Sys: sys(), Threads: 1, IOSize: 16 << 10, TotalBytes: 16 << 20,
+				Shared: m.shared, Sequential: m.seq, Seed: 1,
+			})
+			pin(m.name, r.Makespan, r.Group, r.MissPct, fmt.Sprintf("read=%d write=%d", r.ReadBytes, r.WriteBytes), err)
+		}
+		for _, seq := range []bool{true, false} {
+			r, err := workload.RunMmap(workload.MmapConfig{
+				Sys: sys(), Threads: 1, TotalBytes: 16 << 20, Sequential: seq, Seed: 1,
+			})
+			pin(fmt.Sprintf("mmap/seq=%v", seq), r.Makespan, r.Group, r.MissPct, fmt.Sprintf("read=%d", r.ReadBytes), err)
+		}
+		for _, p := range filebench.Profiles() {
+			r, err := filebench.Run(filebench.Config{
+				Sys: sys(), Profile: p, Instances: 1, ThreadsPerInstance: 1,
+				BytesPerInstance: 16 << 20, OpsPerThread: 128, Seed: 1,
+			})
+			pin("filebench/"+string(p), r.Makespan, r.Group, r.MissPct, fmt.Sprintf("ops=%d bytes=%d", r.Ops, r.Bytes), err)
+		}
+		for _, w := range ycsb.All() {
+			r, err := ycsb.Run(w, ycsb.Config{
+				Sys: sys(), DB: dbOptions(), Records: 3000, ValueBytes: 4096,
+				Threads: 1, OpsPerThread: 300, Seed: 1,
+			})
+			pin("ycsb/"+w.String(), r.Makespan, r.Group, r.MissPct,
+				fmt.Sprintf("ops=%d r/w/s=%d/%d/%d", r.Ops, r.ReadOps, r.WriteOps, r.ScanOps), err)
+		}
+		for _, w := range []lsm.Workload{
+			lsm.FillSeq, lsm.FillRandom, lsm.ReadRandom, lsm.ReadSeq,
+			lsm.ReadReverse, lsm.ReadScan, lsm.MultiReadRandom,
+		} {
+			r, err := lsm.RunBench(lsm.BenchConfig{
+				Sys: sys(), DB: dbOptions(), NumKeys: 3000, ValueBytes: 3072,
+				Threads: 1, Workload: w, OpsPerThread: 400, Seed: 1,
+			})
+			pin("dbbench/"+string(w), r.Makespan, r.Group, r.MissPct, fmt.Sprintf("ops=%d MB/s=%v", r.Ops, r.MBPerSec), err)
+		}
+		r, err := snappy.RunApp(snappy.AppConfig{Sys: sys(), Files: 4, FileBytes: 2 << 20, Threads: 1})
+		pin("snappy", r.Makespan, r.Group, r.MissPct,
+			fmt.Sprintf("in=%d out=%d files=%d", r.InBytes, r.OutBytes, r.Compressed), err)
+	}
+
+	for i, line := range got {
+		t.Log(line)
+		if i < len(want) && line != want[i] {
+			t.Errorf("pin %d moved:\n got %s\nwant %s", i, line, want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d pinned runs, %d recorded", len(got), len(want))
+	}
+}
+
+const driverPins = `
+APPonly micro/private-seq: makespan=13644959 read=16777216 write=0 miss=1.3020833333333333 total=13644959/4944328/8584611/116020
+APPonly micro/private-rand: makespan=67827454 read=16777216 write=0 miss=66.69921875 total=67827454/4199174/63628280/0
+APPonly micro/shared-seq: makespan=13644959 read=16777216 write=0 miss=1.3020833333333333 total=13644959/4944328/8584611/116020
+APPonly micro/shared-rand: makespan=67827454 read=16777216 write=0 miss=66.69921875 total=67827454/4199174/63628280/0
+APPonly mmap/seq=true: makespan=358148748 read=16777216 miss=100 total=358148748/10848908/347299840/0
+APPonly mmap/seq=false: makespan=238711164 read=16777216 miss=66.6015625 total=238711164/7404044/231307120/0
+APPonly filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
+APPonly filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
+APPonly filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
+APPonly filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+APPonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.34413671184443 total=8432775/962624/7470151/0
+APPonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
+APPonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
+APPonly ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=28.309377138945926 total=11786277/1044364/10741913/0
+APPonly ycsb/YCSB-E: makespan=48858464 ops=300 r/w/s=0/17/283 miss=8.740996569039558 total=48858464/12391040/36467424/0
+APPonly ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=31.543715846994534 total=16895986/1545684/15350302/0
+APPonly dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+APPonly dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+APPonly dbbench/readrandom: makespan=28213807 ops=400 MB/s=41.53551486334332 miss=36.09386828160484 total=28213807/2290480/25923327/0
+APPonly dbbench/readseq: makespan=5318679 ops=400 MB/s=220.33196588852232 miss=29.287128712871286 total=5318679/529680/4788999/0
+APPonly dbbench/readreverse: makespan=7227416 ops=400 MB/s=162.14301210833858 miss=28.349106203995795 total=7227416/430616/6796800/0
+APPonly dbbench/readscan: makespan=7579492 ops=416 MB/s=160.795736706365 miss=25.525193492339284 total=7579492/924186/6655306/0
+APPonly dbbench/multireadrandom: makespan=11626446 ops=400 MB/s=100.79391415054953 miss=23.14212199182685 total=11626446/1946628/9679818/0
+APPonly snappy: makespan=42819168 in=8388608 out=897297 files=4 miss=94.11764705882354 total=42819168/35743168/7076000/0
+APPonly[fincore] micro/private-seq: makespan=16438597 read=16777216 write=0 miss=20.390625 total=16438597/4736044/9358057/2344496
+APPonly[fincore] micro/private-rand: makespan=63565502 read=16777216 write=0 miss=74.31832593532023 total=63565502/4092582/57889954/1582966
+APPonly[fincore] micro/shared-seq: makespan=16438597 read=16777216 write=0 miss=20.390625 total=16438597/4736044/9358057/2344496
+APPonly[fincore] micro/shared-rand: makespan=63565502 read=16777216 write=0 miss=74.31832593532023 total=63565502/4092582/57889954/1582966
+APPonly[fincore] mmap/seq=true: makespan=358148748 read=16777216 miss=100 total=358148748/10848908/347299840/0
+APPonly[fincore] mmap/seq=false: makespan=238711164 read=16777216 miss=66.6015625 total=238711164/7404044/231307120/0
+APPonly[fincore] filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
+APPonly[fincore] filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
+APPonly[fincore] filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
+APPonly[fincore] filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+APPonly[fincore] ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.34413671184443 total=8432775/962624/7470151/0
+APPonly[fincore] ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
+APPonly[fincore] ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
+APPonly[fincore] ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=28.309377138945926 total=11786277/1044364/10741913/0
+APPonly[fincore] ycsb/YCSB-E: makespan=48858464 ops=300 r/w/s=0/17/283 miss=8.740996569039558 total=48858464/12391040/36467424/0
+APPonly[fincore] ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=31.543715846994534 total=16895986/1545684/15350302/0
+APPonly[fincore] dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+APPonly[fincore] dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+APPonly[fincore] dbbench/readrandom: makespan=18376558 ops=400 MB/s=63.77010319342719 miss=44.66498393758605 total=18376558/2044644/16227035/104879
+APPonly[fincore] dbbench/readseq: makespan=5318679 ops=400 MB/s=220.33196588852232 miss=29.287128712871286 total=5318679/529680/4788999/0
+APPonly[fincore] dbbench/readreverse: makespan=7227416 ops=400 MB/s=162.14301210833858 miss=28.349106203995795 total=7227416/430616/6796800/0
+APPonly[fincore] dbbench/readscan: makespan=7579492 ops=416 MB/s=160.795736706365 miss=25.525193492339284 total=7579492/924186/6655306/0
+APPonly[fincore] dbbench/multireadrandom: makespan=11894131 ops=400 MB/s=98.52548286209391 miss=25.47156016961544 total=11894131/1939006/9954072/1053
+APPonly[fincore] snappy: makespan=42819168 in=8388608 out=897297 files=4 miss=94.11764705882354 total=42819168/35743168/7076000/0
+OSonly micro/private-seq: makespan=13592933 read=16777216 write=0 miss=0.29296875 total=13592933/4785930/8380817/426186
+OSonly micro/private-rand: makespan=67826554 read=16777216 write=0 miss=66.69921875 total=67826554/4198274/63628280/0
+OSonly micro/shared-seq: makespan=13592933 read=16777216 write=0 miss=0.29296875 total=13592933/4785930/8380817/426186
+OSonly micro/shared-rand: makespan=67826554 read=16777216 write=0 miss=66.69921875 total=67826554/4198274/63628280/0
+OSonly mmap/seq=true: makespan=35144456 read=16777216 miss=25 total=35144456/2724104/32420352/0
+OSonly mmap/seq=false: makespan=74263011 read=16777216 miss=57.71484375 total=74263011/4828400/69434611/0
+OSonly filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
+OSonly filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
+OSonly filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
+OSonly filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+OSonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=5.966411314083677 total=8432775/962624/7470151/0
+OSonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=8.778727952966328 total=13750022/1230790/12519232/0
+OSonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=9.754538481206852 total=16169073/1468102/14700971/0
+OSonly ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=7.515400410677618 total=11786277/1044364/10741913/0
+OSonly ycsb/YCSB-E: makespan=49934720 ops=300 r/w/s=0/17/283 miss=11.320405138339922 total=49934720/8155690/41779030/0
+OSonly ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=10.792349726775956 total=16895986/1545684/15350302/0
+OSonly dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+OSonly dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
+OSonly dbbench/readrandom: makespan=28213807 ops=400 MB/s=41.53551486334332 miss=20.75700227100681 total=28213807/2290480/25923327/0
+OSonly dbbench/readseq: makespan=1751316 ops=400 MB/s=669.1396641154423 miss=0.8406893652795292 total=1751316/463246/1288070/0
+OSonly dbbench/readreverse: makespan=7227416 ops=400 MB/s=162.14301210833858 miss=7.04521556256572 total=7227416/430616/6796800/0
+OSonly dbbench/readscan: makespan=9121273 ops=416 MB/s=133.61621782398137 miss=8.617594254937163 total=9121273/659836/8461437/0
+OSonly dbbench/multireadrandom: makespan=11626446 ops=400 MB/s=100.79391415054953 miss=7.809898592401998 total=11626446/1946628/9679818/0
+OSonly snappy: makespan=43153748 in=8388608 out=897297 files=4 miss=100 total=43153748/35720608/7433140/0
+CrossP[+predict+opt] micro/private-seq: makespan=13751046 read=16777216 write=0 miss=0.29296875 total=13751046/4342440/8580384/828222
+CrossP[+predict+opt] micro/private-rand: makespan=58793603 read=16777216 write=0 miss=53.90625 total=58793603/4179396/54160955/453252
+CrossP[+predict+opt] micro/shared-seq: makespan=13751046 read=16777216 write=0 miss=0.29296875 total=13751046/4342440/8580384/828222
+CrossP[+predict+opt] micro/shared-rand: makespan=58793603 read=16777216 write=0 miss=53.90625 total=58793603/4179396/54160955/453252
+CrossP[+predict+opt] mmap/seq=true: makespan=29540592 read=16777216 miss=17.578125 total=29540592/2062092/26991190/487310
+CrossP[+predict+opt] mmap/seq=false: makespan=72121220 read=16777216 miss=55.859375 total=72121220/4675088/67312850/133282
+CrossP[+predict+opt] filebench/seqread: makespan=3701539 ops=128 bytes=16777216 miss=0 total=3701539/2320280/1248309/132950
+CrossP[+predict+opt] filebench/randread: makespan=1774103 ops=128 bytes=1048576 miss=0 total=1774103/298580/1342519/133004
+CrossP[+predict+opt] filebench/mongodb: makespan=13190004 ops=128 bytes=2162688 miss=0 total=13190004/908480/12177124/104400
+CrossP[+predict+opt] filebench/videoserver: makespan=131721151 ops=128 bytes=134217728 miss=0 total=131721151/30637140/101044311/39700
+CrossP[+predict+opt] ycsb/YCSB-A: makespan=6561321 ops=300 r/w/s=160/140/0 miss=2.6222746022392456 total=6561321/917216/5189291/454814
+CrossP[+predict+opt] ycsb/YCSB-B: makespan=9239840 ops=300 r/w/s=281/19/0 miss=3.727952966328167 total=9239840/1128530/7656532/454778
+CrossP[+predict+opt] ycsb/YCSB-C: makespan=11065068 ops=300 r/w/s=300/0/0 miss=4.154947583738174 total=11065068/1351228/9257466/456374
+CrossP[+predict+opt] ycsb/YCSB-D: makespan=6194400 ops=300 r/w/s=285/15/0 miss=1.1225188227241616 total=6194400/907354/4832958/454088
+CrossP[+predict+opt] ycsb/YCSB-E: makespan=39354784 ops=300 r/w/s=0/17/283 miss=7.534584980237154 total=39354784/8178386/30696524/479874
+CrossP[+predict+opt] ycsb/YCSB-F: makespan=11551050 ops=442 r/w/s=300/142/0 miss=5.259562841530054 total=11551050/1448494/9652440/450116
+CrossP[+predict+opt] dbbench/fillseq: makespan=1212584 ops=400 MB/s=966.4278928305173 miss=0 total=1212584/1212584/0/0
+CrossP[+predict+opt] dbbench/fillrandom: makespan=1212584 ops=400 MB/s=966.4278928305173 miss=0 total=1212584/1212584/0/0
+CrossP[+predict+opt] dbbench/readrandom: makespan=12937321 ops=400 MB/s=90.5809634003825 miss=5.82891748675246 total=12937321/1977572/10500963/458786
+CrossP[+predict+opt] dbbench/readseq: makespan=4275200 ops=400 MB/s=274.10998315868267 miss=0.4203446826397646 total=4275200/321160/3494842/459198
+CrossP[+predict+opt] dbbench/readreverse: makespan=5577840 ops=400 MB/s=210.09476786713137 miss=4.206098843322818 total=5577840/403346/5136784/37710
+CrossP[+predict+opt] dbbench/readscan: makespan=5590997 ops=416 MB/s=217.9843773838548 miss=0.2992220227408737 total=5590997/518244/4617499/455254
+CrossP[+predict+opt] dbbench/multireadrandom: makespan=9047434 ops=400 MB/s=129.5256754567096 miss=1.4227334645073406 total=9047434/1876744/6713500/457190
+CrossP[+predict+opt] snappy: makespan=41692182 in=8388608 out=897297 files=4 miss=23.4375 total=41692182/35081820/6203030/407332
+`
