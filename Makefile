@@ -74,15 +74,15 @@ stress:
 
 # Code size, counted one way: non-test Go lines that are neither blank nor
 # comment-only, per package (with its files when PKG names one, e.g.
-# `make size PKG=internal/crosslib`). The number a size claim in CHANGES.md
-# quotes; not a gate.
+# `make size PKG=internal/crosslib`), and a final `total` row. The number a
+# size claim in CHANGES.md quotes; not a gate.
 size:
-	@for d in $$(find $(or $(PKG),.) -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+	@t=0; for d in $$(find $(or $(PKG),.) -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
 		n=0; for f in $$(ls $$d/*.go | grep -v '_test\.go$$'); do \
 			c=$$(grep -vc '^\s*\(//.*\)\?$$' $$f); n=$$((n+c)); \
 			[ -z "$(PKG)" ] || printf '%7d  %s\n' $$c $$f; \
-		done; printf '%7d  %s\n' $$n $$d; \
-	done
+		done; printf '%7d  %s\n' $$n $$d; t=$$((t+n)); \
+	done; printf '%7d  total\n' $$t
 
 # Fault-plan sweep under the race detector: the chaos harness plus every
 # fault-injection, retry/backoff, and circuit-breaker test.

@@ -21,7 +21,6 @@ func run(a crossprefetch.Approach, memMB int64) snappy.AppResult {
 		Files:     16,
 		FileBytes: 8 << 20,
 		Threads:   4,
-		Seed:      7,
 	})
 	if err != nil {
 		log.Fatal(err)

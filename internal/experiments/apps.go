@@ -142,7 +142,6 @@ func Fig9b(o Options) (*Table, error) {
 				Files:     files,
 				FileBytes: fileBytes,
 				Threads:   threads,
-				Seed:      o.Seed + 41,
 			})
 			if err != nil {
 				return nil, err

@@ -7,11 +7,11 @@ package filebench
 
 import (
 	"fmt"
-	"math/rand"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
+	"repro/internal/workload"
 )
 
 // Profile names a workload personality.
@@ -51,17 +51,9 @@ type Result struct {
 	Profile   Profile
 	Ops       int64
 	Bytes     int64
-	Makespan  simtime.Duration
 	MBPerSec  float64
 	OpsPerSec float64
-	MissPct   float64
-	Metrics   crossprefetch.Metrics
-	Group     simtime.GroupStats
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %.1f MB/s, %.0f ops/s, miss %.1f%%",
-		r.Profile, r.MBPerSec, r.OpsPerSec, r.MissPct)
+	workload.Outcome
 }
 
 // Run provisions every instance's file set and executes the profile.
@@ -85,40 +77,21 @@ func Run(cfg Config) (Result, error) {
 		layouts[i] = l
 	}
 
-	g := cfg.Sys.Group()
-	total := cfg.Instances * cfg.ThreadsPerInstance
-	opC := make([]int64, total)
-	byC := make([]int64, total)
-	errs := make([]error, total)
-	idx := 0
+	d := workload.Drive(cfg.Sys.Group())
+	var threads []*workload.Thread
 	for i := 0; i < cfg.Instances; i++ {
-		for w := 0; w < cfg.ThreadsPerInstance; w++ {
-			i, w, slot := i, w, idx
-			idx++
-			g.Go(func(id int, tl *simtime.Timeline) {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + int64(w)))
-				errs[slot] = runThread(tl, g, id, cfg, layouts[i], w, rng, &opC[slot], &byC[slot])
-			})
-		}
+		threads = append(threads, d.Go(cfg.ThreadsPerInstance,
+			func(w int) int64 { return cfg.Seed + int64(i)*1009 + int64(w) },
+			func(th *workload.Thread, w int) error { return runThread(th, cfg, layouts[i], w) })...)
 	}
-	g.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
+	res := Result{Profile: cfg.Profile}
+	var err error
+	if res.Outcome, err = d.Wait(cfg.Sys); err != nil {
+		return Result{}, err
 	}
-	gs := g.Stats()
-	res := Result{Profile: cfg.Profile, Makespan: gs.Makespan, Group: gs}
-	for s := 0; s < total; s++ {
-		res.Ops += opC[s]
-		res.Bytes += byC[s]
-	}
-	res.MBPerSec = simtime.Throughput(res.Bytes, gs.Makespan)
-	if gs.Makespan > 0 {
-		res.OpsPerSec = float64(res.Ops) / gs.Makespan.Seconds()
-	}
-	res.Metrics = cfg.Sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
+	res.Ops, res.Bytes = workload.Sum(threads)
+	res.MBPerSec = simtime.Throughput(res.Bytes, res.Makespan)
+	res.OpsPerSec = res.PerSec(float64(res.Ops))
 	return res, nil
 }
 
@@ -162,9 +135,8 @@ func buildLayout(tl *simtime.Timeline, cfg Config, instance int) (*layout, error
 	return l, nil
 }
 
-func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
-	l *layout, worker int, rng *rand.Rand, ops, bytes *int64) error {
-
+func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
+	tl, rng := th.TL, th.Rng
 	proc := l.proc
 	n := cfg.OpsPerThread
 	if n <= 0 {
@@ -180,7 +152,7 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 		}
 		off := int64(0)
 		for i := int64(0); i < n; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			m, err := f.ReadAt(tl, buf, off)
 			if err != nil {
 				return err
@@ -189,8 +161,8 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 			if off >= l.fileSize {
 				off = 0
 			}
-			*ops++
-			*bytes += int64(m)
+			th.Ops++
+			th.Bytes += int64(m)
 		}
 
 	case RandRead:
@@ -201,14 +173,14 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 		}
 		chunks := l.fileSize / int64(len(buf))
 		for i := int64(0); i < n; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			off := rng.Int63n(chunks) * int64(len(buf))
 			m, err := f.ReadAt(tl, buf, off)
 			if err != nil {
 				return err
 			}
-			*ops++
-			*bytes += int64(m)
+			th.Ops++
+			th.Bytes += int64(m)
 		}
 
 	case MongoDB:
@@ -218,7 +190,7 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 		buf := make([]byte, 16<<10)
 		created := 0
 		for i := int64(0); i < n; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			name := l.files[rng.Intn(len(l.files))]
 			f, err := proc.Open(tl, name)
 			if err != nil {
@@ -228,11 +200,11 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 			if err != nil {
 				return err
 			}
-			*bytes += int64(m)
+			th.Bytes += int64(m)
 			if _, err := f.WriteAt(tl, buf[:512], int64(rng.Intn(8))*512); err != nil {
 				return err
 			}
-			*bytes += 512
+			th.Bytes += 512
 			if i%4 == 3 {
 				if err := f.Fsync(tl); err != nil {
 					return err
@@ -247,9 +219,11 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 				if _, err := nf.WriteAt(tl, buf, 0); err != nil {
 					return err
 				}
-				nf.Fsync(tl)
+				if err := nf.Fsync(tl); err != nil {
+					return err
+				}
 			}
-			*ops++
+			th.Ops++
 		}
 
 	case VideoServer:
@@ -262,12 +236,12 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 				return err
 			}
 			for i := int64(0); i < n; i++ {
-				g.Gate(id, tl)
+				th.Gate()
 				if _, err := nf.Append(tl, buf); err != nil {
 					return err
 				}
-				*ops++
-				*bytes += int64(len(buf))
+				th.Ops++
+				th.Bytes += int64(len(buf))
 			}
 			return nil
 		}
@@ -278,7 +252,7 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 		}
 		off := rng.Int63n(l.fileSize / 2)
 		for i := int64(0); i < n; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			m, err := f.ReadAt(tl, buf, off)
 			if err != nil {
 				return err
@@ -287,8 +261,8 @@ func runThread(tl *simtime.Timeline, g *simtime.Group, id int, cfg Config,
 			if off >= l.fileSize {
 				off = 0
 			}
-			*ops++
-			*bytes += int64(m)
+			th.Ops++
+			th.Bytes += int64(m)
 		}
 
 	default:

@@ -6,6 +6,7 @@ import (
 
 	crossprefetch "repro"
 	"repro/internal/simtime"
+	"repro/internal/workload"
 )
 
 // Workload names the db_bench-style access patterns used in the paper's
@@ -23,6 +24,9 @@ const (
 	MultiReadRandom Workload = "multireadrandom"
 )
 
+// batchKeys is the multireadrandom batch length.
+const batchKeys int64 = 8
+
 // BenchConfig describes one db_bench run.
 type BenchConfig struct {
 	// Sys is a freshly built system.
@@ -39,25 +43,19 @@ type BenchConfig struct {
 	Workload Workload
 	// OpsPerThread bounds the measured operations (0 = NumKeys/Threads).
 	OpsPerThread int64
-	// BatchKeys is the multireadrandom batch length (default 8).
-	BatchKeys int
 	// Seed fixes the random streams.
 	Seed int64
 }
 
 // BenchResult summarizes a run.
 type BenchResult struct {
-	Ops      int64
-	Makespan simtime.Duration
+	Ops int64
 	// KopsPerSec is thousands of operations per second of virtual time.
 	KopsPerSec float64
 	// MBPerSec is application data volume over the makespan.
 	MBPerSec float64
-	MissPct  float64
-	LockPct  float64
-	Group    simtime.GroupStats
-	Metrics  crossprefetch.Metrics
-	DB       Stats
+	workload.Outcome
+	DB Stats
 }
 
 func (r BenchResult) String() string {
@@ -123,9 +121,6 @@ func RunBench(cfg BenchConfig) (BenchResult, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.BatchKeys <= 0 {
-		cfg.BatchKeys = 8
-	}
 	if cfg.ValueBytes <= 0 {
 		cfg.ValueBytes = 400
 	}
@@ -157,55 +152,32 @@ func runPhase(cfg BenchConfig, db *DB) (BenchResult, error) {
 	}
 
 	// Continue the virtual clock where the load phase left off.
-	g := simtime.NewGroup(db.LoadEnd())
-	opCounts := make([]int64, cfg.Threads)
-	byteCounts := make([]int64, cfg.Threads)
-	errs := make([]error, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		g.Go(func(id int, tl *simtime.Timeline) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*2654435761))
-			errs[t] = db.benchThread(tl, g, id, cfg, rng, ops, &opCounts[t], &byteCounts[t])
-		})
-	}
-	g.Wait()
-	gs := g.Stats()
-
+	d := workload.Drive(simtime.NewGroup(db.LoadEnd()))
+	threads := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*2654435761 },
+		func(th *workload.Thread, _ int) error { return db.benchThread(th, cfg, ops) })
 	var res BenchResult
-	for t := range opCounts {
-		res.Ops += opCounts[t]
-		if errs[t] != nil {
-			return res, errs[t]
-		}
+	var err error
+	if res.Outcome, err = d.Wait(cfg.Sys); err != nil {
+		return BenchResult{}, err
 	}
 	var bytes int64
-	for _, b := range byteCounts {
-		bytes += b
-	}
-	res.Makespan = gs.Makespan
-	if gs.Makespan > 0 {
-		res.KopsPerSec = float64(res.Ops) / 1000 / gs.Makespan.Seconds()
-	}
-	res.MBPerSec = simtime.Throughput(bytes, gs.Makespan)
-	res.Group = gs
-	res.Metrics = cfg.Sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
-	res.LockPct = gs.LockPercent()
+	res.Ops, bytes = workload.Sum(threads)
+	res.KopsPerSec = res.PerSec(float64(res.Ops) / 1000)
+	res.MBPerSec = simtime.Throughput(bytes, res.Makespan)
 	res.DB = db.Stats()
 	return res, nil
 }
 
 // benchThread runs one client thread's operation loop.
-func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
-	cfg BenchConfig, rng *rand.Rand, ops int64, opCount, byteCount *int64) error {
-
+func (db *DB) benchThread(th *workload.Thread, cfg BenchConfig, ops int64) error {
+	id, tl, rng := th.ID, th.TL, th.Rng
 	n := cfg.NumKeys
 	fincore := db.sys.Approach() == crossprefetch.AppOnlyFincore
 	switch cfg.Workload {
 	case FillSeq, FillRandom:
 		base := int64(id) * ops
 		for i := int64(0); i < ops; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			k := base + i
 			if cfg.Workload == FillRandom {
 				k = rng.Int63n(n)
@@ -213,13 +185,13 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 			if err := db.Put(tl, BenchKey(k), benchValue(k, cfg.ValueBytes)); err != nil {
 				return err
 			}
-			*opCount++
-			*byteCount += int64(cfg.ValueBytes)
+			th.Ops++
+			th.Bytes += int64(cfg.ValueBytes)
 		}
 
 	case ReadRandom:
 		for i := int64(0); i < ops; i++ {
-			g.Gate(id, tl)
+			th.Gate()
 			if fincore && i%32 == 0 {
 				db.FincoreStep(tl)
 			}
@@ -228,29 +200,28 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 			if err != nil {
 				return err
 			}
-			*opCount++
-			*byteCount += int64(len(v))
+			th.Ops++
+			th.Bytes += int64(len(v))
 		}
 
 	case MultiReadRandom:
-		// Batched-but-random: each operation reads BatchKeys consecutive
+		// Batched-but-random: each operation reads batchKeys consecutive
 		// keys from a random start (§3.4's "batched multi-read random").
-		batch := int64(cfg.BatchKeys)
-		for i := int64(0); i < ops; i += batch {
-			g.Gate(id, tl)
-			if fincore && i%(32*batch) == 0 {
+		for i := int64(0); i < ops; i += batchKeys {
+			th.Gate()
+			if fincore && i%(32*batchKeys) == 0 {
 				db.FincoreStep(tl)
 			}
-			start := rng.Int63n(n - batch)
-			keys := make([]string, batch)
-			for j := int64(0); j < batch; j++ {
+			start := rng.Int63n(n - batchKeys)
+			keys := make([]string, batchKeys)
+			for j := int64(0); j < batchKeys; j++ {
 				keys[j] = BenchKey(start + j)
 			}
 			if _, err := db.MultiGet(tl, keys); err != nil {
 				return err
 			}
-			*opCount += batch
-			*byteCount += batch * int64(cfg.ValueBytes)
+			th.Ops += batchKeys
+			th.Bytes += batchKeys * int64(cfg.ValueBytes)
 		}
 
 	case ReadSeq:
@@ -262,9 +233,9 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 			return it.Err()
 		}
 		for i := int64(0); i < ops && it.valid; i++ {
-			g.Gate(id, tl)
-			*opCount++
-			*byteCount += int64(len(it.Value()))
+			th.Gate()
+			th.Ops++
+			th.Bytes += int64(len(it.Value()))
 			if !it.Next() {
 				break
 			}
@@ -282,9 +253,9 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 			return it.Err()
 		}
 		for i := int64(0); i < ops && it.valid; i++ {
-			g.Gate(id, tl)
-			*opCount++
-			*byteCount += int64(len(it.Value()))
+			th.Gate()
+			th.Ops++
+			th.Bytes += int64(len(it.Value()))
 			if !it.Next() {
 				break
 			}
@@ -294,15 +265,15 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 	case ReadScan:
 		// Read-while-scanning: point reads interleaved with short scans.
 		for i := int64(0); i < ops; {
-			g.Gate(id, tl)
+			th.Gate()
 			k := rng.Int63n(n)
 			if i%8 == 0 {
 				it := db.NewIterator(tl, false)
 				if it.Seek(BenchKey(k)) {
 					for j := 0; j < 32 && it.valid; j++ {
-						*byteCount += int64(len(it.Value()))
+						th.Bytes += int64(len(it.Value()))
 						i++
-						*opCount++
+						th.Ops++
 						if !it.Next() {
 							break
 						}
@@ -320,9 +291,9 @@ func (db *DB) benchThread(tl *simtime.Timeline, g *simtime.Group, id int,
 			if err != nil {
 				return err
 			}
-			*byteCount += int64(len(v))
+			th.Bytes += int64(len(v))
 			i++
-			*opCount++
+			th.Ops++
 		}
 
 	default:

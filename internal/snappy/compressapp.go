@@ -2,18 +2,21 @@ package snappy
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
 	"repro/internal/vfs"
+	"repro/internal/workload"
 )
 
 // compressCPUPerByte is the virtual CPU cost of compressing one byte
 // (~250 MB/s single-thread, Snappy's ballpark).
 const compressCPUPerByte = 4 * simtime.Nanosecond
+
+// readChunks splits each input file into this many sequential reads.
+const readChunks = 2
 
 // AppConfig describes the parallel compression run (Figure 9b): a dataset
 // of FileBytes-sized files compressed by Threads workers, each opening a
@@ -27,27 +30,16 @@ type AppConfig struct {
 	FileBytes int64
 	// Threads is the worker count (paper: 16).
 	Threads int
-	// ReadChunks splits each file into this many sequential reads (1-2).
-	ReadChunks int
-	// Seed fixes file contents' compressibility.
-	Seed int64
 }
 
 // AppResult summarizes a compression run.
 type AppResult struct {
 	InBytes    int64
 	OutBytes   int64
-	Makespan   simtime.Duration
 	MBPerSec   float64 // input consumed per second of virtual time
 	Ratio      float64 // output/input
-	MissPct    float64
-	Metrics    crossprefetch.Metrics
-	Group      simtime.GroupStats
-	Compressed int64 // files completed
-}
-
-func (r AppResult) String() string {
-	return fmt.Sprintf("%.1f MB/s in, ratio %.2f, miss %.1f%%", r.MBPerSec, r.Ratio, r.MissPct)
+	Compressed int64   // files completed
+	workload.Outcome
 }
 
 // RunApp provisions the dataset and compresses it in parallel.
@@ -55,9 +47,6 @@ func RunApp(cfg AppConfig) (AppResult, error) {
 	sys := cfg.Sys
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
-	}
-	if cfg.ReadChunks <= 0 {
-		cfg.ReadChunks = 2
 	}
 	setup := sys.Timeline()
 	for i := 0; i < cfg.Files; i++ {
@@ -67,77 +56,59 @@ func RunApp(cfg AppConfig) (AppResult, error) {
 	}
 
 	approach := sys.Approach()
-	var next atomic.Int64
-	inCounts := make([]int64, cfg.Threads)
-	outCounts := make([]int64, cfg.Threads)
-	done := make([]int64, cfg.Threads)
-	errs := make([]error, cfg.Threads)
+	var next, outBytes atomic.Int64
 
-	g := sys.Group()
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		g.Go(func(id int, tl *simtime.Timeline) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)))
-			buf := make([]byte, cfg.FileBytes)
-			for {
-				g.Gate(id, tl)
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Files {
-					return
-				}
-				f, err := sys.Open(tl, inName(i))
-				if err != nil {
-					errs[t] = err
-					return
-				}
-				if approach == crossprefetch.AppOnly || approach == crossprefetch.AppOnlyFincore {
-					// The paper modifies Snappy to issue fadvise after
-					// open to exploit the sequential pattern.
-					f.Kernel().Fadvise(tl, vfs.AdvSequential, 0, 0)
-					f.Kernel().Readahead(tl, 0, cfg.FileBytes)
-				}
-				if err := compressOne(tl, g, id, sys, f, buf, cfg, rng, &inCounts[t], &outCounts[t], i); err != nil {
-					errs[t] = err
-					return
-				}
-				done[t]++
+	// The inputs are synthetic filler, so a thread draws nothing: no seed.
+	d := workload.Drive(sys.Group())
+	threads := d.Go(cfg.Threads, nil, func(th *workload.Thread, _ int) error {
+		tl := th.TL
+		buf := make([]byte, cfg.FileBytes)
+		for {
+			th.Gate()
+			i := int(next.Add(1)) - 1
+			if i >= cfg.Files {
+				return nil
 			}
-		})
-	}
-	g.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return AppResult{}, err
+			f, err := sys.Open(tl, inName(i))
+			if err != nil {
+				return err
+			}
+			if approach == crossprefetch.AppOnly || approach == crossprefetch.AppOnlyFincore {
+				// The paper modifies Snappy to issue fadvise after
+				// open to exploit the sequential pattern.
+				f.Kernel().Fadvise(tl, vfs.AdvSequential, 0, 0)
+				f.Kernel().Readahead(tl, 0, cfg.FileBytes)
+			}
+			if err := compressOne(th, sys, f, buf, cfg, &outBytes, i); err != nil {
+				return err
+			}
+			th.Ops++
 		}
-	}
+	})
 
-	gs := g.Stats()
 	var res AppResult
-	for t := 0; t < cfg.Threads; t++ {
-		res.InBytes += inCounts[t]
-		res.OutBytes += outCounts[t]
-		res.Compressed += done[t]
+	var err error
+	if res.Outcome, err = d.Wait(sys); err != nil {
+		return AppResult{}, err
 	}
-	res.Makespan = gs.Makespan
-	res.MBPerSec = simtime.Throughput(res.InBytes, gs.Makespan)
+	res.Compressed, res.InBytes = workload.Sum(threads)
+	res.OutBytes = outBytes.Load()
+	res.MBPerSec = simtime.Throughput(res.InBytes, res.Makespan)
 	if res.InBytes > 0 {
 		res.Ratio = float64(res.OutBytes) / float64(res.InBytes)
 	}
-	res.Group = gs
-	res.Metrics = sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
 	return res, nil
 }
 
 // compressOne reads, compresses, and writes back one file.
-func compressOne(tl *simtime.Timeline, g *simtime.Group, id int,
-	sys *crossprefetch.System, f *crosslib.File, buf []byte,
-	cfg AppConfig, rng *rand.Rand, in, out *int64, idx int) error {
+func compressOne(th *workload.Thread, sys *crossprefetch.System, f *crosslib.File,
+	buf []byte, cfg AppConfig, out *atomic.Int64, idx int) error {
 
+	tl := th.TL
 	// Snappy reads the whole file into memory in a few big reads.
-	chunk := cfg.FileBytes / int64(cfg.ReadChunks)
+	chunk := cfg.FileBytes / readChunks
 	for off := int64(0); off < cfg.FileBytes; off += chunk {
-		g.Gate(id, tl)
+		th.Gate()
 		end := off + chunk
 		if end > cfg.FileBytes {
 			end = cfg.FileBytes
@@ -146,14 +117,14 @@ func compressOne(tl *simtime.Timeline, g *simtime.Group, id int,
 		if err != nil {
 			return err
 		}
-		*in += int64(n)
+		th.Bytes += int64(n)
 	}
 
 	// Compress (virtual CPU) — the real compression also runs so the
 	// output is genuine Snappy-format data.
 	tl.Advance(simtime.Duration(cfg.FileBytes) * compressCPUPerByte)
 	encoded := Encode(nil, buf)
-	*out += int64(len(encoded))
+	out.Add(int64(len(encoded)))
 
 	of, err := sys.Create(tl, outName(idx))
 	if err != nil {
@@ -161,7 +132,7 @@ func compressOne(tl *simtime.Timeline, g *simtime.Group, id int,
 	}
 	const wchunk = 4 << 20
 	for off := 0; off < len(encoded); off += wchunk {
-		g.Gate(id, tl)
+		th.Gate()
 		end := off + wchunk
 		if end > len(encoded) {
 			end = len(encoded)

@@ -118,7 +118,7 @@ func appSys(a crossprefetch.Approach, memBytes int64) *crossprefetch.System {
 func TestRunAppCompletes(t *testing.T) {
 	res, err := RunApp(AppConfig{
 		Sys:   appSys(crossprefetch.CrossPredictOpt, 32<<20),
-		Files: 8, FileBytes: 4 << 20, Threads: 2, Seed: 1,
+		Files: 8, FileBytes: 4 << 20, Threads: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestRunAppMemoryPressureShape(t *testing.T) {
 	run := func(a crossprefetch.Approach) AppResult {
 		res, err := RunApp(AppConfig{
 			Sys:   appSys(a, 16<<20), // 16MB memory vs 64MB dataset (1:4)
-			Files: 16, FileBytes: 4 << 20, Threads: 4, Seed: 2,
+			Files: 16, FileBytes: 4 << 20, Threads: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
@@ -50,23 +49,9 @@ type MicroConfig struct {
 type Result struct {
 	// ReadBytes and WriteBytes are the application-level volumes moved.
 	ReadBytes, WriteBytes int64
-	// Makespan is the virtual duration of the slowest thread.
-	Makespan simtime.Duration
 	// ReadMBs and WriteMBs are aggregate throughputs over the makespan.
 	ReadMBs, WriteMBs float64
-	// MissPct is the page-cache miss rate (Table 3 / Table 1).
-	MissPct float64
-	// LockPct is lock wait as a share of total thread time (Table 1).
-	LockPct float64
-	// Group carries the raw thread accounting.
-	Group simtime.GroupStats
-	// Metrics is the end-of-run cross-layer snapshot.
-	Metrics crossprefetch.Metrics
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("read %.1f MB/s, write %.1f MB/s, miss %.1f%%, lock %.1f%%",
-		r.ReadMBs, r.WriteMBs, r.MissPct, r.LockPct)
+	Outcome
 }
 
 // applyAppPolicy performs the APPonly open-time behaviour for a file: hint
@@ -118,14 +103,13 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 		ops = region / cfg.IOSize
 	}
 
-	g := sys.Group()
-	readBytes := make([]int64, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		g.Go(func(id int, tl *simtime.Timeline) {
+	d := Drive(sys.Group())
+	readers := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*7919 },
+		func(th *Thread, t int) error {
+			tl := th.TL
 			f, err := sys.Open(tl, fileName(cfg.Shared, t))
 			if err != nil {
-				return
+				return err
 			}
 			base := int64(0)
 			if cfg.Shared {
@@ -134,16 +118,15 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 			if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
 				applyAppPolicy(tl, f, cfg.Sequential)
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
 			buf := make([]byte, cfg.IOSize)
 			chunks := region / cfg.IOSize
 			for i := int64(0); i < ops; i++ {
-				g.Gate(id, tl)
+				th.Gate()
 				var off int64
 				if cfg.Sequential {
 					off = base + (i%chunks)*cfg.IOSize
 				} else {
-					off = base + rng.Int63n(chunks)*cfg.IOSize
+					off = base + th.Rng.Int63n(chunks)*cfg.IOSize
 				}
 				if approach == crosslib.AppOnly && cfg.Sequential && i%64 == 0 {
 					// App-tailored prefetching: readahead ahead of the
@@ -155,59 +138,51 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 				}
 				n, err := f.ReadAt(tl, buf, off)
 				if err != nil {
-					return
+					return err
 				}
-				readBytes[t] += int64(n)
+				th.Bytes += int64(n)
 			}
+			return nil
 		})
-	}
 
 	// Figure 6 writers.
-	writeBytes := make([]int64, cfg.Writers)
-	if cfg.Writers > 0 && cfg.Shared {
-		for w := 0; w < cfg.Writers; w++ {
-			w := w
-			g.Go(func(id int, tl *simtime.Timeline) {
+	var writers []*Thread
+	if cfg.Shared {
+		writers = d.Go(cfg.Writers, func(w int) int64 { return cfg.Seed + 104729 + int64(w) },
+			func(th *Thread, w int) error {
+				tl := th.TL
 				f, err := sys.Open(tl, fileName(true, 0))
 				if err != nil {
-					return
+					return err
 				}
 				// Writers own the tail end of each reader region to stay
 				// non-overlapping with other writers.
-				rng := rand.New(rand.NewSource(cfg.Seed + 104729 + int64(w)))
 				buf := make([]byte, cfg.IOSize)
 				wRegion := region * int64(cfg.Threads) / int64(cfg.Writers)
 				wBase := int64(w) * wRegion
 				chunks := wRegion / cfg.IOSize
 				for i := int64(0); i < ops; i++ {
-					g.Gate(id, tl)
-					off := wBase + rng.Int63n(chunks)*cfg.IOSize
+					th.Gate()
+					off := wBase + th.Rng.Int63n(chunks)*cfg.IOSize
 					n, err := f.WriteAt(tl, buf, off)
 					if err != nil {
-						return
+						return err
 					}
-					writeBytes[w] += int64(n)
+					th.Bytes += int64(n)
 				}
+				return nil
 			})
-		}
 	}
 
-	g.Wait()
-	gs := g.Stats()
 	var res Result
-	for _, b := range readBytes {
-		res.ReadBytes += b
+	var err error
+	if res.Outcome, err = d.Wait(sys); err != nil {
+		return Result{}, err
 	}
-	for _, b := range writeBytes {
-		res.WriteBytes += b
-	}
-	res.Makespan = gs.Makespan
-	res.ReadMBs = simtime.Throughput(res.ReadBytes, gs.Makespan)
-	res.WriteMBs = simtime.Throughput(res.WriteBytes, gs.Makespan)
-	res.Group = gs
-	res.Metrics = sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
-	res.LockPct = gs.LockPercent()
+	_, res.ReadBytes = Sum(readers)
+	_, res.WriteBytes = Sum(writers)
+	res.ReadMBs = simtime.Throughput(res.ReadBytes, res.Makespan)
+	res.WriteMBs = simtime.Throughput(res.WriteBytes, res.Makespan)
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
@@ -10,13 +9,15 @@ import (
 	"repro/internal/vfs"
 )
 
+// mmapLoadSize is the bytes touched per access (paper: 16KB batches).
+const mmapLoadSize = 16 << 10
+
 // MmapConfig describes the Table 4 mmap benchmark: threads load a shared
 // mapped file sequentially or randomly.
 type MmapConfig struct {
 	Sys        *crossprefetch.System
 	Threads    int
 	TotalBytes int64
-	LoadSize   int64 // bytes touched per access (paper: 16KB batches)
 	Sequential bool
 	Seed       int64
 }
@@ -27,14 +28,11 @@ func RunMmap(cfg MmapConfig) (Result, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.LoadSize <= 0 {
-		cfg.LoadSize = 16 << 10
-	}
 	approach := sys.Approach()
 	setup := sys.Timeline()
 
 	region := cfg.TotalBytes / int64(cfg.Threads)
-	region -= region % cfg.LoadSize
+	region -= region % mmapLoadSize
 	if region <= 0 {
 		return Result{}, fmt.Errorf("workload: mmap total %d too small", cfg.TotalBytes)
 	}
@@ -42,14 +40,13 @@ func RunMmap(cfg MmapConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	g := sys.Group()
-	loaded := make([]int64, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		g.Go(func(id int, tl *simtime.Timeline) {
+	d := Drive(sys.Group())
+	threads := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*31337 },
+		func(th *Thread, t int) error {
+			tl := th.TL
 			f, err := sys.Open(tl, "mmap.dat")
 			if err != nil {
-				return
+				return err
 			}
 			m := sys.Lib().Mmap(tl, f)
 			if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
@@ -57,34 +54,29 @@ func RunMmap(cfg MmapConfig) (Result, error) {
 				m.Kernel().Madvise(tl, vfs.AdvRandom)
 			}
 			base := int64(t) * region
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*31337))
-			chunks := region / cfg.LoadSize
+			chunks := region / mmapLoadSize
 			for i := int64(0); i < chunks; i++ {
-				g.Gate(id, tl)
+				th.Gate()
 				var off int64
 				if cfg.Sequential {
-					off = base + i*cfg.LoadSize
+					off = base + i*mmapLoadSize
 				} else {
-					off = base + rng.Int63n(chunks)*cfg.LoadSize
+					off = base + th.Rng.Int63n(chunks)*mmapLoadSize
 				}
-				if err := m.Load(tl, off, cfg.LoadSize, nil); err != nil {
-					continue
+				if err := m.Load(tl, off, mmapLoadSize, nil); err != nil {
+					return err
 				}
-				loaded[t] += cfg.LoadSize
+				th.Bytes += mmapLoadSize
 			}
+			return nil
 		})
-	}
-	g.Wait()
-	gs := g.Stats()
+
 	var res Result
-	for _, b := range loaded {
-		res.ReadBytes += b
+	var err error
+	if res.Outcome, err = d.Wait(sys); err != nil {
+		return Result{}, err
 	}
-	res.Makespan = gs.Makespan
-	res.ReadMBs = simtime.Throughput(res.ReadBytes, gs.Makespan)
-	res.Group = gs
-	res.Metrics = sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
-	res.LockPct = gs.LockPercent()
+	_, res.ReadBytes = Sum(threads)
+	res.ReadMBs = simtime.Throughput(res.ReadBytes, res.Makespan)
 	return res, nil
 }

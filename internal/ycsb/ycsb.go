@@ -17,6 +17,7 @@ import (
 	crossprefetch "repro"
 	"repro/internal/lsm"
 	"repro/internal/simtime"
+	"repro/internal/workload"
 )
 
 // Workload names a YCSB core workload.
@@ -93,6 +94,9 @@ func scramble(i, n int64) int64 {
 	return int64(h % uint64(n))
 }
 
+// maxScanLen bounds workload E scans (the YCSB default).
+const maxScanLen = 100
+
 // Config describes one YCSB run.
 type Config struct {
 	// Sys is a freshly built system.
@@ -107,8 +111,6 @@ type Config struct {
 	Threads int
 	// OpsPerThread is the measured operation count per client.
 	OpsPerThread int64
-	// MaxScanLen bounds workload E scans (YCSB default 100).
-	MaxScanLen int
 	// Seed fixes the request streams.
 	Seed int64
 }
@@ -118,13 +120,10 @@ type Result struct {
 	Workload   Workload
 	Ops        int64
 	KopsPerSec float64
-	Makespan   simtime.Duration
-	MissPct    float64
 	ReadOps    int64
 	WriteOps   int64
 	ScanOps    int64
-	Metrics    crossprefetch.Metrics
-	Group      simtime.GroupStats
+	workload.Outcome
 }
 
 // Run loads the store (warm-up phase, unmeasured) and executes the given
@@ -132,9 +131,6 @@ type Result struct {
 func Run(w Workload, cfg Config) (Result, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
-	}
-	if cfg.MaxScanLen <= 0 {
-		cfg.MaxScanLen = 100
 	}
 	if cfg.ValueBytes <= 0 {
 		cfg.ValueBytes = 4096
@@ -157,19 +153,17 @@ func Run(w Workload, cfg Config) (Result, error) {
 	var insertCount atomic.Int64 // shared "latest" insertion frontier
 
 	// Continue the virtual clock from the load phase's end.
-	g := simtime.NewGroup(db.LoadEnd())
+	d := workload.Drive(simtime.NewGroup(db.LoadEnd()))
 	reads := make([]int64, cfg.Threads)
 	writes := make([]int64, cfg.Threads)
 	scans := make([]int64, cfg.Threads)
-	errs := make([]error, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		g.Go(func(id int, tl *simtime.Timeline) {
-			rng := rand.New(rand.NewSource(cfg.Seed + 7919*int64(t)))
+	d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + 7919*int64(t) },
+		func(th *workload.Thread, t int) error {
+			tl, rng := th.TL, th.Rng
 			val := make([]byte, cfg.ValueBytes)
 			rng.Read(val)
 			for i := int64(0); i < ops; i++ {
-				g.Gate(id, tl)
+				th.Gate()
 				var err error
 				switch {
 				case w == WorkloadA && rng.Intn(100) < 50,
@@ -204,7 +198,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 						start := scramble(zipf.next(rng), cfg.Records)
 						it := db.NewIterator(tl, false)
 						if it.Seek(lsm.BenchKey(start)) {
-							for j := 0; j < rng.Intn(cfg.MaxScanLen)+1 && it.Next(); j++ {
+							for j := 0; j < rng.Intn(maxScanLen)+1 && it.Next(); j++ {
 							}
 						}
 						it.Close()
@@ -226,31 +220,20 @@ func Run(w Workload, cfg Config) (Result, error) {
 					}
 				}
 				if err != nil {
-					errs[t] = err
-					return
+					return err
 				}
 			}
+			return nil
 		})
+	if res.Outcome, err = d.Wait(cfg.Sys); err != nil {
+		return Result{}, err
 	}
-	g.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
-	}
-	gs := g.Stats()
 	for t := 0; t < cfg.Threads; t++ {
 		res.ReadOps += reads[t]
 		res.WriteOps += writes[t]
 		res.ScanOps += scans[t]
 	}
 	res.Ops = res.ReadOps + res.WriteOps + res.ScanOps
-	res.Makespan = gs.Makespan
-	if gs.Makespan > 0 {
-		res.KopsPerSec = float64(res.Ops) / 1000 / gs.Makespan.Seconds()
-	}
-	res.Group = gs
-	res.Metrics = cfg.Sys.Metrics()
-	res.MissPct = res.Metrics.Cache.MissPercent()
+	res.KopsPerSec = res.PerSec(float64(res.Ops) / 1000)
 	return res, nil
 }
