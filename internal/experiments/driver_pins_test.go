@@ -20,7 +20,8 @@ import (
 // per approach on one thread (8 MB cache, plugged) and is reduced to one
 // line — makespan, the driver's own op and byte counts, miss rate and the
 // group's summed accounting — compared with driverPins below. The lines were
-// recorded before the drivers moved onto workload.Drive; a line that moves
+// recorded before the drivers moved onto workload.Drive (the four YCSB-E ones
+// again when its scan length became one draw per scan); a line that moves
 // means a Gate, a PRNG draw or a counter did. To re-record on purpose, run
 // with -v: every line is logged.
 func TestDriverPins(t *testing.T) {
@@ -118,7 +119,7 @@ APPonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.3441367118
 APPonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
 APPonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
 APPonly ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=28.309377138945926 total=11786277/1044364/10741913/0
-APPonly ycsb/YCSB-E: makespan=48858464 ops=300 r/w/s=0/17/283 miss=8.740996569039558 total=48858464/12391040/36467424/0
+APPonly ycsb/YCSB-E: makespan=107352744 ops=300 r/w/s=0/21/279 miss=10.663653862247887 total=107352744/23397344/83955400/0
 APPonly ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=31.543715846994534 total=16895986/1545684/15350302/0
 APPonly dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
 APPonly dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
@@ -142,7 +143,7 @@ APPonly[fincore] ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.3
 APPonly[fincore] ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
 APPonly[fincore] ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
 APPonly[fincore] ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=28.309377138945926 total=11786277/1044364/10741913/0
-APPonly[fincore] ycsb/YCSB-E: makespan=48858464 ops=300 r/w/s=0/17/283 miss=8.740996569039558 total=48858464/12391040/36467424/0
+APPonly[fincore] ycsb/YCSB-E: makespan=107352744 ops=300 r/w/s=0/21/279 miss=10.663653862247887 total=107352744/23397344/83955400/0
 APPonly[fincore] ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=31.543715846994534 total=16895986/1545684/15350302/0
 APPonly[fincore] dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
 APPonly[fincore] dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
@@ -166,7 +167,7 @@ OSonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=5.966411314083
 OSonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=8.778727952966328 total=13750022/1230790/12519232/0
 OSonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=9.754538481206852 total=16169073/1468102/14700971/0
 OSonly ycsb/YCSB-D: makespan=11786277 ops=300 r/w/s=285/15/0 miss=7.515400410677618 total=11786277/1044364/10741913/0
-OSonly ycsb/YCSB-E: makespan=49934720 ops=300 r/w/s=0/17/283 miss=11.320405138339922 total=49934720/8155690/41779030/0
+OSonly ycsb/YCSB-E: makespan=119811401 ops=300 r/w/s=0/21/279 miss=14.416154521510096 total=119811401/18543702/101261279/6420
 OSonly ycsb/YCSB-F: makespan=16895986 ops=442 r/w/s=300/142/0 miss=10.792349726775956 total=16895986/1545684/15350302/0
 OSonly dbbench/fillseq: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
 OSonly dbbench/fillrandom: makespan=1137384 ops=400 MB/s=1030.3248507100504 miss=0 total=1137384/1137384/0/0
@@ -190,7 +191,7 @@ CrossP[+predict+opt] ycsb/YCSB-A: makespan=6561321 ops=300 r/w/s=160/140/0 miss=
 CrossP[+predict+opt] ycsb/YCSB-B: makespan=9239840 ops=300 r/w/s=281/19/0 miss=3.727952966328167 total=9239840/1128530/7656532/454778
 CrossP[+predict+opt] ycsb/YCSB-C: makespan=11065068 ops=300 r/w/s=300/0/0 miss=4.154947583738174 total=11065068/1351228/9257466/456374
 CrossP[+predict+opt] ycsb/YCSB-D: makespan=6194400 ops=300 r/w/s=285/15/0 miss=1.1225188227241616 total=6194400/907354/4832958/454088
-CrossP[+predict+opt] ycsb/YCSB-E: makespan=39354784 ops=300 r/w/s=0/17/283 miss=7.534584980237154 total=39354784/8178386/30696524/479874
+CrossP[+predict+opt] ycsb/YCSB-E: makespan=115862236 ops=300 r/w/s=0/21/279 miss=13.194029850746269 total=115862236/19137726/96263210/461300
 CrossP[+predict+opt] ycsb/YCSB-F: makespan=11551050 ops=442 r/w/s=300/142/0 miss=5.259562841530054 total=11551050/1448494/9652440/450116
 CrossP[+predict+opt] dbbench/fillseq: makespan=1212584 ops=400 MB/s=966.4278928305173 miss=0 total=1212584/1212584/0/0
 CrossP[+predict+opt] dbbench/fillrandom: makespan=1212584 ops=400 MB/s=966.4278928305173 miss=0 total=1212584/1212584/0/0

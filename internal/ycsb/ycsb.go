@@ -97,6 +97,10 @@ func scramble(i, n int64) int64 {
 // maxScanLen bounds workload E scans (the YCSB default).
 const maxScanLen = 100
 
+// scanLen draws one scan's record count, uniform in 1…maxScanLen as the YCSB
+// core workload draws it: once per scan, never per record.
+func scanLen(rng *rand.Rand) int { return rng.Intn(maxScanLen) + 1 }
+
 // Config describes one YCSB run.
 type Config struct {
 	// Sys is a freshly built system.
@@ -198,7 +202,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 						start := scramble(zipf.next(rng), cfg.Records)
 						it := db.NewIterator(tl, false)
 						if it.Seek(lsm.BenchKey(start)) {
-							for j := 0; j < rng.Intn(maxScanLen)+1 && it.Next(); j++ {
+							for n := scanLen(rng); n > 1 && it.Next(); n-- {
 							}
 						}
 						it.Close()

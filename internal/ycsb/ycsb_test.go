@@ -60,6 +60,25 @@ func runWorkload(t *testing.T, w Workload, a crossprefetch.Approach) Result {
 	return res
 }
 
+// TestScanLenUniform: a workload E scan's length is one uniform draw in
+// 1…maxScanLen (mean 50.5). Drawing the bound again at every step of the
+// scan, as the loop condition once did, gives a mean of 12.2.
+func TestScanLenUniform(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const scans = 10_000
+	sum := 0
+	for i := 0; i < scans; i++ {
+		n := scanLen(rng)
+		if n < 1 || n > maxScanLen {
+			t.Fatalf("scan length %d outside 1…%d", n, maxScanLen)
+		}
+		sum += n
+	}
+	if mean := float64(sum) / scans; mean < 48 || mean > 53 {
+		t.Fatalf("mean scan length %.1f, want ≈ 50.5", mean)
+	}
+}
+
 func TestAllWorkloadsRun(t *testing.T) {
 	for _, w := range All() {
 		w := w
