@@ -46,8 +46,10 @@ type TierConfig struct {
 	// (default 2).
 	PromoteReads int
 	// CrossTierPrefetch makes prefetch reads against remote extents
-	// promote them as a side effect and deepens readahead windows that
-	// cover remote extents by the RTT-scaled boost (see PrefetchBoostFor).
+	// promote them as a side effect (while a capped tier is under its low
+	// watermark: prefetch fills the tier, it never forces a demotion) and
+	// deepens readahead windows that cover remote extents by the RTT-scaled
+	// boost (see PrefetchBoostFor).
 	CrossTierPrefetch bool
 }
 
@@ -336,8 +338,12 @@ func (st *Stack) extAtLocked(e int64) *extentState {
 // remote extents accumulate demand-read heat and promote at the
 // threshold; with CrossTierPrefetch, a prefetch read promotes its remote
 // extents outright — the prefetched data just crossed the fabric, so
-// landing it locally is free. Promotion books the local-tier write and
-// may trigger watermark demotion of the coldest local extents.
+// landing it locally is free — while the tier has room: under the low
+// demotion mark, where demotion would stop anyway. Past it a landing is
+// paid for with a demotion, by lastUse, which a scan turns into evicting
+// what the next pass reads; that band is left to demand heat. Promotion
+// books the local-tier write and may trigger watermark demotion of the
+// coldest local extents.
 func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	if st.remote < 0 || bytes <= 0 {
 		return
@@ -353,7 +359,7 @@ func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 			continue
 		}
 		if prefetch {
-			if st.cfg.Tier.CrossTierPrefetch {
+			if st.cfg.Tier.CrossTierPrefetch && (st.capExtents <= 0 || st.localExtents < st.lowMark()) {
 				st.promoteLocked(e, done, true)
 			}
 			continue
@@ -410,6 +416,10 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 	st.maybeDemoteLocked(at)
 }
 
+// lowMark is where demotion stops, and past which a prefetch no longer
+// promotes (noteRead).
+func (st *Stack) lowMark() int64 { return st.capExtents * 7 / 8 }
+
 // maybeDemoteLocked bounds the local tier: past the 15/16 high watermark,
 // the coldest local extents demote until occupancy is back at the 7/8 low
 // watermark. Dirty extents copy back to the remote tier; clean ones just
@@ -420,7 +430,7 @@ func (st *Stack) maybeDemoteLocked(at simtime.Time) {
 	if st.capExtents <= 0 || st.localExtents <= st.capExtents*15/16 {
 		return
 	}
-	low := st.capExtents * 7 / 8
+	low := st.lowMark()
 	type cold struct {
 		e       int64
 		lastUse simtime.Time

@@ -282,3 +282,77 @@ func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 		t.Error("a reset plug refused a chunk a fresh plug admits: the previous request's horizon survived Reset")
 	}
 }
+
+// A prefetch read may fill the local tier but never forces a demotion
+// (DESIGN.md §16): with the tier at its cap, a streaming run of prefetch
+// reads over remote extents leaves residency alone — nothing is demoted and
+// no fill write reaches a local member — while demand heat still promotes,
+// and an uncapped tier still takes every prefetched extent.
+func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
+	const (
+		ext     = 64 << 10
+		extents = 64
+	)
+	tiered := func(localCap int64) *Stack {
+		cfg := testStripeConfig(2)
+		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), ExtentBytes: ext,
+			RemoteFrac: 0.5, CrossTierPrefetch: true, LocalCapBytes: localCap}
+		st := NewStack(cfg)
+		st.BacklogFor(0, 0, extents*ext) // first touch: every extent takes its residency
+		return st
+	}
+	// stream prefetch-reads every remote extent front to back and returns
+	// the last one; it reports how many it read.
+	stream := func(st *Stack) (remote int64, last int64) {
+		p := st.NewPlug(PlugConfig{})
+		for _, h := range st.TierStats(0).Heat {
+			if h.Local {
+				continue
+			}
+			if _, congested, err := p.AsyncPrefetchChunk(0, h.Extent*ext, ext, simtime.Second); congested || err != nil {
+				t.Fatalf("prefetch read of extent %d: congested=%v err=%v", h.Extent, congested, err)
+			}
+			remote++
+			last = max(last, h.Extent)
+		}
+		return remote, last
+	}
+	localWrites := func(st *Stack) (n int64) {
+		for _, m := range st.MemberStats()[:st.Width()] {
+			n += m.WriteOps
+		}
+		return n
+	}
+
+	uncapped := tiered(0)
+	local := uncapped.TierStats(0).LocalExtents
+	remote, _ := stream(uncapped)
+	if remote == 0 || local == 0 {
+		t.Fatalf("setup: %d local and %d remote extents, want both", local, remote)
+	}
+	if ts := uncapped.TierStats(0); ts.PrefetchPromotions != remote || ts.RemoteExtents != 0 {
+		t.Errorf("uncapped: %d prefetch promotions, %d extents left remote; want all %d promoted", ts.PrefetchPromotions, ts.RemoteExtents, remote)
+	}
+
+	// Capped at exactly what is local: the tier sits at its cap.
+	capped := tiered(local * ext)
+	_, hot := stream(capped)
+	if ts := capped.TierStats(0); ts.Promotions != 0 || ts.Demotions != 0 || ts.LocalExtents != local {
+		t.Errorf("at the cap: %d promotions, %d demotions, %d local extents; want 0, 0, %d", ts.Promotions, ts.Demotions, ts.LocalExtents, local)
+	}
+	if n := localWrites(capped); n != 0 {
+		t.Errorf("at the cap: %d fill writes booked on the local members, want 0", n)
+	}
+	tl := simtime.NewTimeline(0)
+	for i := 0; i < DefaultPromoteReads; i++ {
+		if err := capped.NewPlug(PlugConfig{}).SyncAccess(tl, OpRead, hot*ext, ext); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ts := capped.TierStats(0); ts.Promotions != 1 || ts.PrefetchPromotions != 0 {
+		t.Errorf("after %d demand reads of extent %d: %d promotions (%d by prefetch), want 1 (0)", DefaultPromoteReads, hot, ts.Promotions, ts.PrefetchPromotions)
+	}
+	if localWrites(capped) == 0 {
+		t.Error("the demand promotion booked no fill write on a local member")
+	}
+}

@@ -13,14 +13,16 @@ import (
 
 // newKernel builds a kernel with the given cache capacity (pages) and
 // limit-override support enabled.
-func newKernel(capacity int64) *vfs.VFS {
+func newKernel(capacity int64) *vfs.VFS { return newKernelOn(blockdev.NVMeConfig(), capacity) }
+
+// newKernelOn is newKernel over the given device model.
+func newKernelOn(dev blockdev.Config, capacity int64) *vfs.VFS {
 	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
-	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
+	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(blockdev.New(dev)), cache)
 }
 
 func TestApproachStringsAndOptions(t *testing.T) {

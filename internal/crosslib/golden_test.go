@@ -47,6 +47,13 @@ import (
 // stats string gained DroppedLowMemory. With the evictor's mark set back to
 // the halt mark that tree reproduced the PR 15 values in all four cells,
 // field for field; blind and fetchall+opt still carry them.
+//
+// And once more in PR 22 (the cold drop, DESIGN.md §24 "which pages"): the
+// evictor's fadvise spares the pages on the kernel's active list and asks an
+// idle file once per InactiveAge, which moves the same two cells and no
+// other (EvictedPages 7 842 → 7 594 and 7 994 → 7 746). With dontNeed
+// issuing AdvDontNeed and the once-per-age gate off, that tree reproduces the
+// PR 20 values in all four cells.
 func TestGoldenWayUp(t *testing.T) {
 	blind := Options{Enabled: true, Predict: true, CoveragePrefetch: true,
 		RangeTreeSpan: rangetree.DefaultSpan}
@@ -58,18 +65,18 @@ func TestGoldenWayUp(t *testing.T) {
 		want goldenUp
 	}{
 		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
-			now:       77254000,
-			stats:     "{PrefetchCalls:880 SavedPrefetches:908 PrefetchedPages:14961 EvictedPages:7842 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:866 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			now:       77318592,
+			stats:     "{PrefetchCalls:893 SavedPrefetches:913 PrefetchedPages:14937 EvictedPages:7594 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:880 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:5 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "8147ee8e0a3d2f99",
-			results:   "9cc07b9a0bd82e43",
+			telemetry: "3d4309b9604ab436",
+			results:   "c6341da913217b5d",
 		}},
 		{"predict+opt+ensemble", ensemble, goldenUp{
-			now:       79491825,
-			stats:     "{PrefetchCalls:2030 SavedPrefetches:3414 PrefetchedPages:13643 EvictedPages:7994 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:1128 WorkerJobs:1307 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
+			now:       79442225,
+			stats:     "{PrefetchCalls:2030 SavedPrefetches:3414 PrefetchedPages:13643 EvictedPages:7746 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:1128 WorkerJobs:1307 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
 			ring:      "{Submits:4 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "5c3506f450543efd",
-			results:   "919e52b003106466",
+			telemetry: "c6140c37c9ed360a",
+			results:   "f193ee2ba6fa5c68",
 		}},
 		{"blind", blind, goldenUp{
 			now:       86067610,

@@ -92,6 +92,7 @@ type sharedFile struct {
 
 	lastAccess atomic.Int64 // virtual time of last access
 	fetchAll   atomic.Bool  // whole-file prefetch kicked off
+	askedAt    simtime.Time // last whole-file drop; under evictMu
 
 	// ens, when non-nil (Options.Ensemble), is the per-inode competing-
 	// predictor ensemble; ensMu serializes its Observe calls across the
@@ -448,6 +449,14 @@ func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 // refill is eager enough that the next poll finds headroom, modest enough
 // not to thrash pages the readers are about to use; a range goes whole (one
 // range-tree node), so a pass may overshoot its target by up to a node.
+//
+// The pass chooses the file, the range and the moment; which pages of the
+// range go is the kernel's answer (vfs.AdvDontNeedCold, DESIGN.md §24): it
+// keeps the ones it has seen re-used, which age at this scale cannot tell
+// from a stream's wake. An idle file is asked once per InactiveAge, and the
+// second time in a row for everything: the kernel ages its active list only
+// when the inactive one runs dry, which a stream never lets it, so what it
+// kept and nobody has read since is the library's to take back.
 func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	rt.evictMu.Lock()
 	defer rt.evictMu.Unlock()
@@ -477,14 +486,19 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 		if freed >= target {
 			return
 		}
-		idle := now.Sub(simtime.Time(sf.lastAccess.Load()))
-		if idle < rt.opt.InactiveAge {
+		last := simtime.Time(sf.lastAccess.Load())
+		if now.Sub(last) < rt.opt.InactiveAge {
 			break // list is sorted; the rest are hotter
 		}
-		if sf.kf.FileCache().CachedPages() == 0 {
+		if sf.kf.FileCache().CachedPages() == 0 || now.Sub(sf.askedAt) < rt.opt.InactiveAge {
 			continue
 		}
-		freed += rt.dontNeed(wtl, sf, 0, sf.kf.Inode().Blocks())
+		adv := vfs.AdvDontNeedCold
+		if sf.askedAt > last {
+			adv = vfs.AdvDontNeed // asked since anyone read it: the rest goes too
+		}
+		freed += rt.dontNeed(wtl, sf, adv, 0, sf.kf.Inode().Blocks())
+		sf.askedAt = now
 	}
 	// Pass 2: ranges that have genuinely gone inactive. Ranges touched
 	// recently are left alone even under pressure — evicting the live
@@ -518,23 +532,27 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 			if hi <= cr.Lo {
 				continue
 			}
-			freed += rt.dontNeed(wtl, sf, cr.Lo, hi)
+			freed += rt.dontNeed(wtl, sf, vfs.AdvDontNeedCold, cr.Lo, hi)
 		}
 	}
 }
 
-// dontNeed drops blocks [lo, hi) of sf from the kernel's cache and from the
-// library's belief, and reports the pages that freed. A fadvise(2) returns
+// dontNeed drops blocks [lo, hi) of sf from the kernel's cache, as adv says,
+// and from the library's belief — all of them, also those a cold drop
+// spares: a stale "not cached" costs a crossing the bitmap would have
+// elided, a stale "cached" would elide a prefetch that is needed, and a
+// range believed empty is not asked about again until a reader has been
+// back. It reports the pages that freed. A fadvise(2) returns
 // no count, so the credit is the file's residency before minus after — what
 // the call actually freed, not the range's pre-call count: pages beyond EOF
 // after a truncate or dirty pages a flush pins survive the DONTNEED, and
 // crediting them would end the pass with the budget still over target. It
 // is never negative: another thread inserting into the file between the two
 // reads can push the delta below zero, and EvictedPages only ever grows.
-func (rt *Runtime) dontNeed(wtl *simtime.Timeline, sf *sharedFile, lo, hi int64) int64 {
+func (rt *Runtime) dontNeed(wtl *simtime.Timeline, sf *sharedFile, adv vfs.Advice, lo, hi int64) int64 {
 	fc, bs := sf.kf.FileCache(), rt.v.BlockSize()
 	before := fc.CachedPages()
-	sf.kf.Fadvise(wtl, vfs.AdvDontNeed, lo*bs, (hi-lo)*bs)
+	sf.kf.Fadvise(wtl, adv, lo*bs, (hi-lo)*bs)
 	sf.tree.ClearCached(wtl, lo, hi)
 	freed := max(before-fc.CachedPages(), 0)
 	rt.evictedPgs.Add(freed)

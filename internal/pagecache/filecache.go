@@ -423,13 +423,29 @@ func (fc *FileCache) SetDirtyRange(tl *simtime.Timeline, lo, hi int64) {
 // RemoveRange evicts pages [lo, hi) (fadvise DONTNEED, truncation),
 // writing back dirty pages. It returns the number of pages removed.
 func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
+	return fc.removeRange(tl, lo, hi, false)
+}
+
+// RemoveColdRange is RemoveRange sparing the pages on the active list: those
+// a lookup has re-used since it inserted them, which is per-page history the
+// caller cannot see (the CROSS-OS cold drop, DESIGN.md §24). A spared page
+// stays in the index and the bitmap, on its list, charged to its tenant.
+func (fc *FileCache) RemoveColdRange(tl *simtime.Timeline, lo, hi int64) int64 {
+	return fc.removeRange(tl, lo, hi, true)
+}
+
+// removeRange is the body of both. With nothing spared it is RemoveRange to
+// the byte: one ClearRange, the same ledger bookings, the same telemetry.
+func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive bool) int64 {
 	if hi <= lo {
 		return 0
 	}
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
 	victims := sc.frames[:0]
+	spared := false
 	fc.mu.Lock()
+	dir := fc.cache.frames.load()
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		chunk := base >> nodeShift
 		if chunk >= int64(len(fc.nodes)) {
@@ -441,11 +457,17 @@ func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
 		}
 		s0, s1 := slotRange(base, lo, hi)
 		for s := s0; s < s1; s++ {
-			if id := node.slots[s]; id != 0 {
-				victims = append(victims, id)
-				node.slots[s] = 0
-				node.n--
+			id := node.slots[s]
+			if id == 0 {
+				continue
 			}
+			if spareActive && dir.at(id).state.Load() == pageActive {
+				spared = true
+				continue
+			}
+			victims = append(victims, id)
+			node.slots[s] = 0
+			node.n--
 		}
 		if node.n == 0 {
 			fc.nodes[chunk] = nil
@@ -453,7 +475,14 @@ func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
 		}
 	}
 	if len(victims) > 0 {
-		fc.bm.ClearRange(lo, hi)
+		if spared {
+			// The range keeps pages: clear the victims' bits one by one.
+			for _, id := range victims {
+				fc.bm.Clear(dir.at(id).idx)
+			}
+		} else {
+			fc.bm.ClearRange(lo, hi)
+		}
 		fc.retireIfDead()
 	}
 	fc.mu.Unlock()

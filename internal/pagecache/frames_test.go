@@ -220,7 +220,13 @@ func stressSharedInode(t *testing.T) {
 	if c.nInactive.Load() < 0 {
 		t.Errorf("nInactive = %d", c.nInactive.Load())
 	}
-	// Tenant partition and the telemetry identities, exactly.
+	auditLedgers(t, c, rec)
+}
+
+// auditLedgers runs the telemetry audit over c's books: the tenant
+// partition and the telemetry identities, exactly.
+func auditLedgers(t *testing.T, c *Cache, rec *telemetry.Recorder) {
+	t.Helper()
 	var ledgers []telemetry.TenantLedger
 	for _, ts := range c.TenantStats() {
 		ledgers = append(ledgers, telemetry.TenantLedger{ID: ts.ID, Resident: ts.Resident, Inserted: ts.Inserted, Evicted: ts.Evicted})

@@ -324,6 +324,9 @@ const (
 	AdvRandom
 	AdvWillNeed
 	AdvDontNeed
+	// AdvDontNeedCold is CROSS-OS's own: DONTNEED for the pages of the range
+	// the kernel has not seen re-used. Those on its active list stay.
+	AdvDontNeedCold
 )
 
 // Fadvise implements posix_fadvise(2).
@@ -347,13 +350,17 @@ func (f *File) Fadvise(tl *simtime.Timeline, adv Advice, off, nbytes int64) {
 		// double-counting the syscall.
 		f.v.counters[SysReadahead].Add(-1)
 		f.Readahead(tl, off, nbytes)
-	case AdvDontNeed:
+	case AdvDontNeed, AdvDontNeedCold:
 		lo := off / f.v.BlockSize()
 		hi := (off + nbytes + f.v.BlockSize() - 1) / f.v.BlockSize()
 		if nbytes == 0 {
 			hi = f.ino.Blocks()
 		}
-		f.fc.RemoveRange(tl, lo, hi)
+		if adv == AdvDontNeedCold {
+			f.fc.RemoveColdRange(tl, lo, hi)
+		} else {
+			f.fc.RemoveRange(tl, lo, hi)
+		}
 	}
 }
 
