@@ -247,6 +247,52 @@ func (b *Bitmap) NextClear(i, hi int64) int64 {
 	return hi
 }
 
+// NextClearInBoth returns the first index in [i, hi) clear in both b and
+// o, or hi: one step of a word-wise scan of ^(b|o), the range tree's
+// "neither cached nor requested". Either bitmap may be the shorter one.
+func (b *Bitmap) NextClearInBoth(o *Bitmap, i, hi int64) int64 {
+	return seekUnion(b.words, o.words, i, hi, false)
+}
+
+// NextSetInEither returns the first index in [i, hi) set in b or in o, or
+// hi.
+func (b *Bitmap) NextSetInEither(o *Bitmap, i, hi int64) int64 {
+	return seekUnion(b.words, o.words, i, hi, true)
+}
+
+// seekUnion returns the first index in [i, hi) whose bit in p|q equals
+// set, or hi. Words past a slice's end read as zero.
+func seekUnion(p, q []uint64, i, hi int64, set bool) int64 {
+	if i < 0 {
+		i = 0
+	}
+	if len(p) < len(q) {
+		p, q = q, p
+	}
+	for i < hi {
+		w := int(i / wordBits)
+		if w >= len(p) { // all clear from here on
+			if set {
+				return hi
+			}
+			return i
+		}
+		x := p[w]
+		if w < len(q) {
+			x |= q[w]
+		}
+		if !set {
+			x = ^x
+		}
+		x &= ^uint64(0) << (uint(i) % wordBits)
+		if x != 0 {
+			return min(int64(w)*wordBits+int64(bits.TrailingZeros64(x)), hi)
+		}
+		i = int64(w+1) * wordBits
+	}
+	return hi
+}
+
 // CopyRange copies the words covering blocks [lo, hi) into dst, growing
 // dst as needed, and returns the number of words copied. This models the
 // selective bitmap export from CROSS-OS to CROSS-LIB (paper §4.4:

@@ -288,3 +288,40 @@ func TestSetClearRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSeekUnionAgainstBits holds the two-bitmap seeks to a per-bit scan,
+// over bitmaps of unequal length and windows that start mid-word, end
+// mid-word and run past both.
+func TestSeekUnionAgainstBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		a, b := New(0), New(0)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			lo := rng.Int63n(400)
+			a.SetRange(lo, lo+rng.Int63n(70))
+			lo = rng.Int63n(250)
+			b.SetRange(lo, lo+rng.Int63n(70))
+		}
+		if round%2 == 1 {
+			a, b = b, a
+		}
+		for q := 0; q < 50; q++ {
+			lo := rng.Int63n(520) - 10
+			hi := lo + rng.Int63n(200)
+			clear, set := hi, hi
+			for i := hi - 1; i >= max(lo, 0); i-- {
+				if a.Test(i) || b.Test(i) {
+					set = i
+				} else {
+					clear = i
+				}
+			}
+			if got := a.NextClearInBoth(b, lo, hi); got != clear {
+				t.Fatalf("NextClearInBoth(%d, %d) = %d, want %d", lo, hi, got, clear)
+			}
+			if got := a.NextSetInEither(b, lo, hi); got != set {
+				t.Fatalf("NextSetInEither(%d, %d) = %d, want %d", lo, hi, got, set)
+			}
+		}
+	}
+}

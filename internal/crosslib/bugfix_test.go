@@ -170,3 +170,76 @@ func TestReverseScanHitsPrefetchedPages(t *testing.T) {
 			"not covering the next access", misses, reads)
 	}
 }
+
+// TestShortReadMarksOnlyWhatWasRead is the regression test for belief bits
+// past EOF: a read into a buffer that reaches beyond the end of the file
+// used to mark every block the buffer could have held as cached, so that
+// once the file grew the library believed blocks nobody had read resident
+// and elided the prefetch of them (DESIGN.md §24's dangerous direction).
+// Both read paths, ReadAt and the ring's read completion, mark what was
+// read.
+func TestShortReadMarksOnlyWhatWasRead(t *testing.T) {
+	const bs = 4096
+	const size = 10*bs + 100 // 11 blocks, the last one partial
+	for _, path := range []string{"ReadAt", "ring"} {
+		t.Run(path, func(t *testing.T) {
+			v := newKernel(100_000)
+			rt := NewForApproach(v, CrossPredictOpt)
+			tl := simtime.NewTimeline(0)
+			v.FS().CreateSynthetic(tl, "f", size)
+			f, err := rt.Open(tl, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64<<10) // 16 blocks from block 8: 13 beyond EOF
+			var n int64
+			if path == "ReadAt" {
+				got, err := f.ReadAt(tl, buf, 8*bs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = int64(got)
+			} else {
+				ring := rt.NewRing(1, 8)
+				if err := ring.PrepRead(f, buf, 8*bs, 1); err != nil {
+					t.Fatal(err)
+				}
+				ring.Submit(tl)
+				cqes := ring.Reap(tl, 1)
+				if len(cqes) != 1 || cqes[0].Err != nil {
+					t.Fatalf("cqes = %+v", cqes)
+				}
+				n = cqes[0].N
+			}
+			if n != size-8*bs {
+				t.Fatalf("read %d bytes, want %d", n, size-8*bs)
+			}
+			if got := f.sf.tree.CachedCount(nil, 8, 11); got != 3 {
+				t.Fatalf("blocks read believed cached: %d of 3", got)
+			}
+			if got := f.sf.tree.CachedCount(nil, 11, 64); got != 0 {
+				t.Fatalf("%d blocks beyond EOF believed cached after a short read", got)
+			}
+
+			// Another process appends 13 blocks; the library has seen none
+			// of them.
+			grown := make([]byte, 24*bs-size)
+			if _, err := f.Kernel().WriteAt(tl, grown, size); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.sf.tree.CachedCount(nil, 11, 24); got != 0 {
+				t.Fatalf("%d appended blocks believed cached", got)
+			}
+			before := rt.Stats()
+			f.prefetchAsync(tl, 11, 13, budgetUnasked, false)
+			after := rt.Stats()
+			if after.SavedPrefetches != before.SavedPrefetches {
+				t.Fatal("intent over the appended blocks was elided by stale belief bits")
+			}
+			if after.PrefetchCalls != before.PrefetchCalls+1 {
+				t.Fatalf("intent over the appended blocks made %d kernel calls, want 1",
+					after.PrefetchCalls-before.PrefetchCalls)
+			}
+		})
+	}
+}

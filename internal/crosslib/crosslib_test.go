@@ -1,7 +1,9 @@
 package crosslib
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -403,4 +405,56 @@ func TestSeekAndSequentialReadThroughLib(t *testing.T) {
 	if string(buf) != "efgh" {
 		t.Fatalf("read %q", buf)
 	}
+}
+
+// TestResidentReadOverhead is the contract on the library's hit path
+// (DESIGN.md §20): a random 16 KB read of a fully resident file costs
+// CrossPredictOpt at most 300 ns more than the bare kernel read —
+// LibOverhead, one full-node coverage answer and one MarkCached — at the
+// median, and returns the same bytes.
+func TestResidentReadOverhead(t *testing.T) {
+	const fileBytes, readBytes, ops = 64 << 20, 16 << 10, 2000
+	run := func(a Approach) (p50 simtime.Duration, sum uint64, saved int64) {
+		v := newKernel(1_000_000)
+		rt := NewForApproach(v, a)
+		tl := simtime.NewTimeline(0)
+		v.FS().CreateSynthetic(tl, "warm", fileBytes)
+		f, err := rt.Open(tl, "warm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, readBytes)
+		for off := int64(0); off < fileBytes; off += readBytes {
+			f.ReadAt(tl, buf, off)
+		}
+		before := rt.Stats().SavedPrefetches
+		rng := rand.New(rand.NewSource(11))
+		costs := make([]simtime.Duration, ops)
+		for i := range costs {
+			off := rng.Int63n(fileBytes/readBytes) * readBytes
+			start := tl.Now()
+			n, err := f.ReadAt(tl, buf, off)
+			if err != nil || n != readBytes {
+				t.Fatalf("%v: read at %d: n=%d err=%v", a, off, n, err)
+			}
+			costs[i] = tl.Now().Sub(start)
+			for _, b := range buf[:n] {
+				sum = sum*131 + uint64(b)
+			}
+		}
+		slices.Sort(costs)
+		return costs[ops/2], sum, rt.Stats().SavedPrefetches - before
+	}
+	osP50, osSum, _ := run(OSOnly)
+	libP50, libSum, saved := run(CrossPredictOpt)
+	if libSum != osSum {
+		t.Fatal("the two approaches read different bytes")
+	}
+	if saved < ops*9/10 {
+		t.Fatalf("only %d of %d resident reads elided their coverage intent", saved, ops)
+	}
+	if over := libP50 - osP50; over > 300*simtime.Nanosecond {
+		t.Fatalf("resident read: CrossPredictOpt p50 %v, OSonly %v: the library adds %v, want <= 300ns", libP50, osP50, over)
+	}
+	t.Logf("resident 16KB read p50: OSonly %v, CrossPredictOpt %v", osP50, libP50)
 }

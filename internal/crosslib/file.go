@@ -158,10 +158,21 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	op := f.observeAccess(tl, lo, hi)
 
 	n, err := f.kf.ReadAt(tl, dst, off)
-	f.sf.tree.MarkCached(tl, lo, hi)
+	f.sf.markRead(tl, off, int64(n), bs)
 	f.sf.touch(tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err
+}
+
+// markRead records the blocks a read of n bytes at off brought in as
+// cached: what arrived, not what the buffer could have held. A read cut
+// short at EOF (or failed, n = 0) must leave no belief bits beyond the
+// data — the file may grow, and a stale "cached" bit elides the prefetch
+// of a block nobody has read (DESIGN.md §24's dangerous direction).
+func (sf *sharedFile) markRead(tl *simtime.Timeline, off, n, bs int64) {
+	if n > 0 {
+		sf.tree.MarkCached(tl, off/bs, (off+n+bs-1)/bs)
+	}
 }
 
 // observeAccess runs the library-side read pre-work shared by ReadAt and

@@ -358,7 +358,10 @@ func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
 		// A prefetch SQE exports no bitmap, and N — the pages admitted —
 		// is all it reports of what was granted and of what was fetched.
 		r.rt.settle(tl, sf, q.lo, q.hi, cq.N, cq.N, nil, cq.Err)
-	case cq.Err == nil:
+	case cq.Err != nil:
+	case q.kind == vfs.RingRead:
+		sf.markRead(tl, q.off, cq.N, r.rt.v.BlockSize())
+	default:
 		sf.tree.MarkCached(tl, q.lo, q.hi)
 	}
 	sf.touch(tl.Now())

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/simtime"
@@ -48,6 +49,21 @@ type node struct {
 	cached    *bitmap.Bitmap // node-relative: bit i = block lo+i
 	requested *bitmap.Bitmap
 	lastTouch simtime.Time // most recent access through this node
+
+	// full publishes cached.Count() == span, the one summary a query reads
+	// before it takes the lock: unlockCached stores it while still holding
+	// the write side, so it changes only between two holds of mu.
+	full atomic.Bool
+}
+
+// unlockCached releases the write side of n after a change to its cached
+// bits, publishing first whether every block of the node is now believed
+// cached.
+func (n *node) unlockCached(span int64) {
+	if full := n.cached.Count() == span; full != n.full.Load() {
+		n.full.Store(full)
+	}
+	n.mu.Unlock()
 }
 
 func (n *node) touch(tl *simtime.Timeline) {
@@ -136,7 +152,7 @@ func (t *Tree) MarkCached(tl *simtime.Timeline, lo, hi int64) {
 		n.cached.SetRange(nlo-n.lo, nhi-n.lo)
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
 		n.touch(tl)
-		n.mu.Unlock()
+		n.unlockCached(t.span)
 	})
 }
 
@@ -149,7 +165,7 @@ func (t *Tree) ClearCached(tl *simtime.Timeline, lo, hi int64) {
 		n.mu.Lock()
 		n.cached.ClearRange(nlo-n.lo, nhi-n.lo)
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.mu.Unlock()
+		n.unlockCached(t.span)
 	})
 }
 
@@ -178,45 +194,60 @@ func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
 
 // AppendNeedsPrefetch is NeedsPrefetch appending its runs to dst, for
 // callers on a read path that bring their own (typically stack) storage.
+//
+// A node answers from its summary before its bits (DESIGN.md §20): one
+// whose every block is believed cached has nothing missing in any
+// sub-range and nothing to mark, so it is asked as a reader — one BitmapOp
+// on the read side of its ledger, no hold of its lock. Any other node is
+// scanned a word of ^(cached|requested) at a time under the write side,
+// for the hold the window's width always cost.
 func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) []bitmap.Run {
 	base := len(dst)
-	// add appends [rlo, rhi), merging it into the previous run where the
-	// two meet across a node boundary.
-	add := func(rlo, rhi int64) {
-		if last := len(dst) - 1; last >= base && dst[last].Hi == rlo {
-			dst[last].Hi = rhi
-			return
-		}
-		dst = append(dst, bitmap.Run{Lo: rlo, Hi: rhi})
-	}
 	for pos := lo; pos < hi; {
 		n := t.node(tl, pos)
 		nhi := min(n.lo+t.span, hi)
-		if tl != nil {
-			n.ledger.Write(tl, t.lockHold(nhi-pos))
+		if !t.believedFull(tl, n) {
+			dst = t.claimMissing(tl, n, dst, base, pos, nhi)
 		}
-		n.mu.Lock()
-		rlo, rhi := pos-n.lo, nhi-n.lo
-		runStart := int64(-1)
-		for i := rlo; i < rhi; i++ {
-			if !n.cached.Test(i) && !n.requested.Test(i) {
-				if runStart < 0 {
-					runStart = i
-				}
-				continue
-			}
-			if runStart >= 0 {
-				add(n.lo+runStart, n.lo+i)
-				n.requested.SetRange(runStart, i)
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			add(n.lo+runStart, n.lo+rhi)
-			n.requested.SetRange(runStart, rhi)
-		}
-		n.mu.Unlock()
 		pos = nhi
+	}
+	return dst
+}
+
+// believedFull reports whether every block of n is believed cached,
+// charging the population-count read when it is. The answer is one atomic
+// word, so on the host it takes no side of the node's lock at all; it is
+// ordered as a reader that got in before whichever writer holds mu now.
+func (t *Tree) believedFull(tl *simtime.Timeline, n *node) bool {
+	if !n.full.Load() {
+		return false
+	}
+	if tl != nil {
+		n.ledger.Read(tl, t.costs.BitmapOp)
+	}
+	return true
+}
+
+// claimMissing appends to dst the runs of [lo, hi), inside n, that are
+// neither cached nor requested, and marks them requested. A run that
+// starts where dst's last one (past base) ended, across a node boundary,
+// extends it.
+func (t *Tree) claimMissing(tl *simtime.Timeline, n *node, dst []bitmap.Run, base int, lo, hi int64) []bitmap.Run {
+	if tl != nil {
+		n.ledger.Write(tl, t.lockHold(hi-lo))
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	rhi := hi - n.lo
+	for i := n.cached.NextClearInBoth(n.requested, lo-n.lo, rhi); i < rhi; {
+		end := n.cached.NextSetInEither(n.requested, i+1, rhi)
+		n.requested.SetRange(i, end)
+		if last := len(dst) - 1; last >= base && dst[last].Hi == n.lo+i {
+			dst[last].Hi = n.lo + end
+		} else {
+			dst = append(dst, bitmap.Run{Lo: n.lo + i, Hi: n.lo + end})
+		}
+		i = n.cached.NextClearInBoth(n.requested, end, rhi)
 	}
 	return dst
 }
@@ -236,7 +267,8 @@ func (t *Tree) peek(idx int64) *node {
 // cached belief (which can go stale when the kernel LRU evicts behind the
 // library's back); `requested` marks are short-lived and honest. Interior
 // requested blocks are not split out. Returns (lo, lo) when every block
-// has a request outstanding.
+// has a request outstanding. Each node is locked once, and one with no
+// request outstanding at all — the usual case — is not scanned.
 func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 	if lo < 0 {
 		lo = 0
@@ -244,21 +276,41 @@ func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 	if hi < lo {
 		hi = lo
 	}
-	requested := func(idx int64) bool {
-		n := t.peek(idx)
+	for lo < hi {
+		n := t.peek(lo)
 		if n == nil {
-			return false
+			break
 		}
+		nhi := min(n.lo+t.span, hi)
 		n.mu.RLock()
-		r := n.requested.Test(idx - n.lo)
+		idle := n.requested.Count() == 0
+		if !idle {
+			lo = n.lo + n.requested.NextClear(lo-n.lo, nhi-n.lo)
+		}
 		n.mu.RUnlock()
-		return r
+		if idle && nhi == hi {
+			return lo, hi // the whole window in one node with nothing in flight
+		}
+		if lo < nhi {
+			break
+		}
 	}
-	for lo < hi && requested(lo) {
-		lo++
-	}
-	for hi > lo && requested(hi-1) {
-		hi--
+	for hi > lo {
+		n := t.peek(hi - 1)
+		if n == nil {
+			break
+		}
+		nlo := max(n.lo, lo)
+		n.mu.RLock()
+		if n.requested.Count() > 0 {
+			for hi > nlo && n.requested.Test(hi-1-n.lo) {
+				hi--
+			}
+		}
+		n.mu.RUnlock()
+		if hi > nlo {
+			break
+		}
 	}
 	return lo, hi
 }
@@ -293,7 +345,7 @@ func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int
 				n.requested.Clear(i - n.lo)
 			}
 		}
-		n.mu.Unlock()
+		n.unlockCached(t.span)
 	})
 }
 

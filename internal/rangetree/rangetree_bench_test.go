@@ -3,6 +3,7 @@ package rangetree
 import (
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/simtime"
 )
 
@@ -13,6 +14,41 @@ func BenchmarkNeedsPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(i*331) % (1 << 18)
 		runs := tr.NeedsPrefetch(nil, lo, lo+64)
+		for _, r := range runs {
+			tr.ClearRequested(nil, r.Lo, r.Hi)
+		}
+	}
+}
+
+// BenchmarkNeedsPrefetchResident is the coverage query of a warm point
+// read: a 1024-block window over a node whose every block is cached.
+func BenchmarkNeedsPrefetchResident(b *testing.B) {
+	tr := New(DefaultSpan, simtime.DefaultCosts())
+	tr.MarkCached(nil, 0, DefaultSpan)
+	tl := simtime.NewTimeline(0)
+	var buf [4]bitmap.Run
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i*331) % (DefaultSpan - 1024)
+		if runs := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024); len(runs) != 0 {
+			b.Fatal(runs)
+		}
+	}
+}
+
+// BenchmarkNeedsPrefetchSparse is the same window over a node with two
+// blocks of every eight missing: 256 runs to find, claim and give back.
+func BenchmarkNeedsPrefetchSparse(b *testing.B) {
+	tr := New(DefaultSpan, simtime.DefaultCosts())
+	for lo := int64(0); lo < DefaultSpan; lo += 8 {
+		tr.MarkCached(nil, lo, lo+6)
+	}
+	tl := simtime.NewTimeline(0)
+	var buf [256]bitmap.Run
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i*331) % (DefaultSpan - 1024)
+		runs := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024)
 		for _, r := range runs {
 			tr.ClearRequested(nil, r.Lo, r.Hi)
 		}

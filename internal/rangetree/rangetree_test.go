@@ -1,6 +1,9 @@
 package rangetree
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,4 +158,341 @@ func TestEmptyRangeOps(t *testing.T) {
 	if runs := tr.NeedsPrefetch(nil, 5, 5); len(runs) != 0 {
 		t.Fatalf("empty range runs = %v", runs)
 	}
+}
+
+// TestFullNodeAnswersOnReadSide is the contract of the full-node answer:
+// it books a read hold of one BitmapOp and no write, so two timelines
+// asking one fully cached node at the same instant do not wait for each
+// other, where over a node with one block missing the second one does.
+func TestFullNodeAnswersOnReadSide(t *testing.T) {
+	costs := simtime.DefaultCosts()
+	tr := newTree(64)
+	tr.MarkCached(nil, 0, 64)
+	before := tr.LockStats()
+	a, b := simtime.NewTimeline(0), simtime.NewTimeline(0)
+	for _, tl := range []*simtime.Timeline{a, b} {
+		if runs := tr.NeedsPrefetch(tl, 8, 40); len(runs) != 0 {
+			t.Fatalf("full node reports missing runs %v", runs)
+		}
+		if got, want := tl.Now(), simtime.Time(costs.RangeTreeOp+costs.BitmapOp); got != want {
+			t.Fatalf("full-node answer took %v, want %v", got, want)
+		}
+	}
+	st := tr.LockStats()
+	if st.Writes != before.Writes || st.WriteWait != 0 || st.ReadWait != 0 || st.Reads != before.Reads+2 {
+		t.Fatalf("full-node queries booked %+v (before: %+v); want two reads, no write, no wait", st, before)
+	}
+	if a.Account(simtime.WaitLock)+b.Account(simtime.WaitLock) != 0 {
+		t.Fatal("full-node queries waited on the node lock")
+	}
+
+	tr.ClearCached(nil, 20, 21)
+	a, b = simtime.NewTimeline(0), simtime.NewTimeline(0)
+	tr.NeedsPrefetch(a, 8, 40)
+	tr.NeedsPrefetch(b, 8, 40)
+	if tr.LockStats().WriteWait == 0 {
+		t.Fatal("queries over a node with a hole should serialize on its write side")
+	}
+}
+
+// TestNeedsPrefetchAllocs: with the caller's storage a query allocates
+// nothing, whether a full node answers it or the words are scanned.
+func TestNeedsPrefetchAllocs(t *testing.T) {
+	tr := newTree(DefaultSpan)
+	tr.MarkCached(nil, 0, DefaultSpan) // node 0 full
+	for lo := int64(DefaultSpan); lo < 2*DefaultSpan; lo += 8 {
+		tr.MarkCached(nil, lo, lo+6) // node 1: two of every eight missing
+	}
+	tl := simtime.NewTimeline(0)
+	var buf [256]bitmap.Run
+	for _, c := range []struct {
+		name   string
+		lo, hi int64
+		runs   int
+	}{
+		{"full", 1000, 2024, 0},
+		{"sparse", DefaultSpan + 1000, DefaultSpan + 2024, 128},
+	} {
+		var runs []bitmap.Run
+		allocs := testing.AllocsPerRun(100, func() {
+			runs = tr.AppendNeedsPrefetch(tl, buf[:0], c.lo, c.hi)
+			for _, r := range runs {
+				tr.ClearRequested(nil, r.Lo, r.Hi)
+			}
+		})
+		if len(runs) != c.runs {
+			t.Errorf("%s: %d runs, want %d", c.name, len(runs), c.runs)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per query, want 0", c.name, allocs)
+		}
+	}
+}
+
+// refAppendNeedsPrefetch is AppendNeedsPrefetch as it was before the tree
+// answered from summaries: every node under its write side, two
+// bitmap.Test per block. The reference the lockstep and fuzz tests hold the
+// word-wise scan and the full-node answer to.
+func refAppendNeedsPrefetch(t *Tree, tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) []bitmap.Run {
+	base := len(dst)
+	add := func(rlo, rhi int64) {
+		if last := len(dst) - 1; last >= base && dst[last].Hi == rlo {
+			dst[last].Hi = rhi
+			return
+		}
+		dst = append(dst, bitmap.Run{Lo: rlo, Hi: rhi})
+	}
+	for pos := lo; pos < hi; {
+		n := t.node(tl, pos)
+		nhi := min(n.lo+t.span, hi)
+		if tl != nil {
+			n.ledger.Write(tl, t.lockHold(nhi-pos))
+		}
+		n.mu.Lock()
+		rlo, rhi := pos-n.lo, nhi-n.lo
+		runStart := int64(-1)
+		for i := rlo; i < rhi; i++ {
+			if !n.cached.Test(i) && !n.requested.Test(i) {
+				if runStart < 0 {
+					runStart = i
+				}
+				continue
+			}
+			if runStart >= 0 {
+				add(n.lo+runStart, n.lo+i)
+				n.requested.SetRange(runStart, i)
+				runStart = -1
+			}
+		}
+		if runStart >= 0 {
+			add(n.lo+runStart, n.lo+rhi)
+			n.requested.SetRange(runStart, rhi)
+		}
+		n.mu.Unlock()
+		pos = nhi
+	}
+	return dst
+}
+
+// refUnrequestedSpan is UnrequestedSpan one bit, and one lock, at a time.
+func refUnrequestedSpan(t *Tree, lo, hi int64) (int64, int64) {
+	requested := func(idx int64) bool {
+		n := t.peek(idx)
+		return n != nil && n.requested.Test(idx-n.lo)
+	}
+	for lo < hi && requested(lo) {
+		lo++
+	}
+	for hi > lo && requested(hi-1) {
+		hi--
+	}
+	return lo, hi
+}
+
+// lockstepFile is the file the lockstep programs run over: whole nodes and
+// a tail node that never fills (a single-node tree is all tail).
+func lockstepFile(span int64) int64 {
+	if span <= 0 {
+		return 10_000
+	}
+	return 3*span + span/3
+}
+
+const lockstepOpBytes = 5
+
+// lockstep interprets prog, five bytes an operation, against a tree and a
+// reference tree that differs only in how it answers NeedsPrefetch, and
+// after every step compares the runs returned, the cached and requested
+// bits of every node and the virtual clocks: identical, except that a
+// believed-full node costs the tree RangeTreeOp + BitmapOp where it costs
+// the reference RangeTreeOp + the window's write hold. It returns how many
+// such nodes the program queried.
+func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers int) {
+	costs := simtime.DefaultCosts()
+	got, ref := New(span, costs), New(span, costs)
+	gtl, rtl := simtime.NewTimeline(0), simtime.NewTimeline(0)
+	file := lockstepFile(span)
+	var saved simtime.Duration // what the full-node answers have saved so far
+	var kernel bitmap.Shared
+	var win bitmap.Window
+
+	for step := 0; len(prog) >= lockstepOpBytes; step++ {
+		op, shape := prog[0]&7, prog[0]>>3&3
+		a := int64(binary.LittleEndian.Uint16(prog[1:]))
+		b := int64(binary.LittleEndian.Uint16(prog[3:]))
+		prog = prog[lockstepOpBytes:]
+
+		lo := a % file
+		var hi int64
+		switch shape {
+		case 0: // a read's worth
+			hi = lo + b%16 + 1
+		case 1: // across node edges
+			hi = lo + b%(2*got.span+1)
+		case 2: // the whole node
+			lo -= lo % got.span
+			hi = lo + got.span
+		default: // up to and across EOF
+			hi = file + b%8
+		}
+		if got.span > file { // single node: nothing is as wide as the node
+			hi = min(hi, lo+b%4096+1)
+		}
+
+		switch op {
+		case 0, 1: // only the file's own blocks are ever cached
+			hi = min(hi, file)
+			got.MarkCached(gtl, lo, hi)
+			ref.MarkCached(rtl, lo, hi)
+		case 2:
+			got.ClearCached(gtl, lo, hi)
+			ref.ClearCached(rtl, lo, hi)
+		case 3:
+			got.ClearRequested(gtl, lo, hi)
+			ref.ClearRequested(rtl, lo, hi)
+		case 4:
+			hi = min(hi, file)
+			// Kernel truth for the window: b's bits, a block each, repeated.
+			kernel.ClearRange(0, file)
+			for i := lo; i < hi; i++ {
+				if b>>(uint(i)%16)&1 != 0 {
+					kernel.Set(i)
+				}
+			}
+			kernel.CopyWindow(&win, lo, hi)
+			got.ImportBitmap(gtl, &win, lo, hi)
+			ref.ImportBitmap(rtl, &win, lo, hi)
+		default:
+			for pos := lo; pos < hi; pos = (pos/ref.span + 1) * ref.span {
+				if n := ref.peek(pos); n != nil && n.cached.Count() == ref.span {
+					width := min((pos/ref.span+1)*ref.span, hi) - pos
+					saved += ref.lockHold(width) - costs.BitmapOp
+					fullAnswers++
+				}
+			}
+			gruns := got.AppendNeedsPrefetch(gtl, nil, lo, hi)
+			rruns := refAppendNeedsPrefetch(ref, rtl, nil, lo, hi)
+			if !slices.Equal(gruns, rruns) {
+				i := 0
+				for i < len(gruns) && i < len(rruns) && gruns[i] == rruns[i] {
+					i++
+				}
+				t.Fatalf("step %d: NeedsPrefetch[%d,%d): %d runs, reference %d, differing from run %d: %v, reference %v",
+					step, lo, hi, len(gruns), len(rruns), i, gruns[i:min(i+1, len(gruns))], rruns[i:min(i+1, len(rruns))])
+			}
+			glo, ghi := got.UnrequestedSpan(lo, hi)
+			rlo, rhi := refUnrequestedSpan(ref, lo, hi)
+			if glo != rlo || ghi != rhi {
+				t.Fatalf("step %d: UnrequestedSpan[%d,%d) = [%d,%d), reference [%d,%d)", step, lo, hi, glo, ghi, rlo, rhi)
+			}
+		}
+
+		if g, r := gtl.Now(), rtl.Now(); g.Add(saved) != r {
+			t.Fatalf("step %d (op %d [%d,%d)): clock %v + saved %v != reference %v", step, op, lo, hi, g, saved, r)
+		}
+		if len(got.nodes) != len(ref.nodes) {
+			t.Fatalf("step %d: %d nodes, reference %d", step, len(got.nodes), len(ref.nodes))
+		}
+		for key, rn := range ref.nodes {
+			gn := got.nodes[key]
+			if gn == nil {
+				t.Fatalf("step %d: node %d missing", step, key)
+			}
+			end := min(got.span, file+5000) // past the widest query of a single-node tree
+			if !sameBits(gn.cached, rn.cached, end) || !sameBits(gn.requested, rn.requested, end) {
+				t.Fatalf("step %d (op %d [%d,%d)): node %d bits differ from the reference", step, op, lo, hi, key)
+			}
+			if gn.full.Load() != (gn.cached.Count() == got.span) {
+				t.Fatalf("step %d (op %d [%d,%d)): node %d publishes full=%v with %d of %d blocks cached",
+					step, op, lo, hi, key, gn.full.Load(), gn.cached.Count(), got.span)
+			}
+		}
+	}
+	if st := got.LockStats(); st.WriteWait+st.ReadWait != 0 {
+		t.Fatalf("one timeline waited on its own locks: %+v", st)
+	}
+	return fullAnswers
+}
+
+func sameBits(a, b *bitmap.Bitmap, end int64) bool {
+	return a.Count() == b.Count() && slices.Equal(a.PresentRuns(0, end), b.PresentRuns(0, end))
+}
+
+var lockstepSpans = []int64{64, 4096, 0}
+
+func TestLockstepAgainstBits(t *testing.T) {
+	for _, span := range lockstepSpans {
+		full := 0
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			prog := make([]byte, 1500*lockstepOpBytes)
+			rng.Read(prog)
+			full += lockstep(t, span, prog)
+		}
+		// A single-node tree has no full node; the others must meet some,
+		// or the programs do not reach the path under test.
+		if span > 0 && full < 20 {
+			t.Errorf("span %d: only %d full-node answers in 6000 steps", span, full)
+		}
+	}
+}
+
+// FuzzTreeAgainstBits is the lockstep test with the program in the fuzzer's
+// hands; the seed corpus runs under plain `go test`.
+func FuzzTreeAgainstBits(f *testing.F) {
+	// Fill a node, query inside it, across its edge and to EOF; punch a
+	// hole and query again.
+	fill := []byte{
+		0x10, 0, 0, 0, 0, // MarkCached node 0
+		0x05, 10, 0, 3, 0, // NeedsPrefetch inside it
+		0x0d, 50, 0, 40, 0, // NeedsPrefetch across its edge
+		0x1d, 5, 0, 2, 0, // NeedsPrefetch to past EOF
+		0x02, 20, 0, 4, 0, // ClearCached a few blocks
+		0x15, 0, 0, 0, 0, // NeedsPrefetch the node
+		0x03, 20, 0, 1, 0, // ClearRequested part of it
+		0x0c, 8, 0, 0x55, 0xaa, // ImportBitmap across nodes
+		0x0d, 0, 0, 200, 0,
+	}
+	rng := rand.New(rand.NewSource(24))
+	random := make([]byte, 400*lockstepOpBytes)
+	rng.Read(random)
+	for sel := range lockstepSpans {
+		f.Add(uint8(sel), fill)
+		f.Add(uint8(sel), random)
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, prog []byte) {
+		lockstep(t, lockstepSpans[int(sel)%len(lockstepSpans)], prog)
+	})
+}
+
+// TestFullNodeQueriesRaceWithWriters puts the read-side answer under the
+// race detector: readers ask a full node while a writer keeps punching a
+// hole in it and filling it again. Whatever interleaving, a query reports
+// either nothing or exactly the hole.
+func TestFullNodeQueriesRaceWithWriters(t *testing.T) {
+	tr := newTree(64)
+	tr.MarkCached(nil, 0, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := simtime.NewTimeline(0)
+			var buf [4]bitmap.Run
+			for i := 0; i < 500; i++ {
+				runs := tr.AppendNeedsPrefetch(tl, buf[:0], 0, 64)
+				if len(runs) > 1 || (len(runs) == 1 && runs[0] != bitmap.Run{Lo: 30, Hi: 31}) {
+					t.Errorf("query saw %v", runs)
+					return
+				}
+				tr.UnrequestedSpan(0, 64)
+			}
+		}()
+	}
+	wtl := simtime.NewTimeline(0)
+	for i := 0; i < 500; i++ {
+		tr.ClearCached(wtl, 30, 31)
+		tr.MarkCached(wtl, 30, 31)
+	}
+	wg.Wait()
 }

@@ -24,8 +24,6 @@ type Costs struct {
 	// BitmapCopy is the per-64-byte cost of copying bitmap state to
 	// user space.
 	BitmapCopy Duration
-	// PredictorTick is the CROSS-LIB access-pattern counter update cost.
-	PredictorTick Duration
 	// RangeTreeOp is the cost of a range-tree descend + node operation.
 	RangeTreeOp Duration
 	// LRUOp is the cost of moving a page between LRU lists.
@@ -49,21 +47,20 @@ type Costs struct {
 // DefaultCosts returns the calibrated default cost table.
 func DefaultCosts() Costs {
 	return Costs{
-		Syscall:       900 * Nanosecond,
-		PageCopy:      400 * Nanosecond,
-		TreeLookup:    120 * Nanosecond,
-		TreeInsert:    260 * Nanosecond,
-		TreeDelete:    200 * Nanosecond,
-		BitmapOp:      18 * Nanosecond,
-		BitmapCopy:    10 * Nanosecond,
-		PredictorTick: 30 * Nanosecond,
-		RangeTreeOp:   90 * Nanosecond,
-		LRUOp:         60 * Nanosecond,
-		PageAlloc:     150 * Nanosecond,
-		ReclaimPage:   700 * Nanosecond,
-		FincoreWalk:   140 * Nanosecond,
-		FaultEntry:    1200 * Nanosecond,
-		LibOverhead:   80 * Nanosecond,
-		JournalOp:     2 * Microsecond,
+		Syscall:     900 * Nanosecond,
+		PageCopy:    400 * Nanosecond,
+		TreeLookup:  120 * Nanosecond,
+		TreeInsert:  260 * Nanosecond,
+		TreeDelete:  200 * Nanosecond,
+		BitmapOp:    18 * Nanosecond,
+		BitmapCopy:  10 * Nanosecond,
+		RangeTreeOp: 90 * Nanosecond,
+		LRUOp:       60 * Nanosecond,
+		PageAlloc:   150 * Nanosecond,
+		ReclaimPage: 700 * Nanosecond,
+		FincoreWalk: 140 * Nanosecond,
+		FaultEntry:  1200 * Nanosecond,
+		LibOverhead: 80 * Nanosecond,
+		JournalOp:   2 * Microsecond,
 	}
 }

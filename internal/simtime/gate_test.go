@@ -13,8 +13,13 @@ func TestGateBoundsSkew(t *testing.T) {
 	var fastNow, slowNow atomic.Int64
 
 	// A fast thread (1µs ops) and a slow thread (50µs ops): without
-	// gating the fast one would race arbitrarily far ahead.
+	// gating the fast one would race arbitrarily far ahead. Neither starts
+	// before both are members: a gate only holds a thread back for members
+	// it knows, and on a loaded host the fast one used to get hundreds of
+	// ops in before the second Go had run.
+	start := make(chan struct{})
 	g.Go(func(id int, tl *Timeline) {
+		<-start
 		for i := 0; i < 1000; i++ {
 			g.Gate(id, tl)
 			tl.Advance(1 * Microsecond)
@@ -25,12 +30,14 @@ func TestGateBoundsSkew(t *testing.T) {
 		}
 	})
 	g.Go(func(id int, tl *Timeline) {
+		<-start
 		for i := 0; i < 40; i++ {
 			g.Gate(id, tl)
 			tl.Advance(50 * Microsecond)
 			slowNow.Store(int64(tl.Now()))
 		}
 	})
+	close(start)
 	g.Wait()
 
 	// The fast thread may lead by at most window + one slow op.
