@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,6 +116,25 @@ func TestFig2Quick(t *testing.T) {
 	cross := cell(t, tbl, "kops/s", "CrossP[+predict+opt]")
 	if cross <= app {
 		t.Errorf("fig2: CrossP %.0f kops should beat APPonly %.0f", cross, app)
+	}
+}
+
+// TestPaperTablesReproduce: a multi-thread paper table is a function of its
+// seed. Each experiment runs twice in one process and the two tables must be
+// equal cell for cell (crossbench's wall-time note is added outside the
+// runner).
+func TestPaperTablesReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, id := range []string{"fig2", "fig5", "fig6", "tab4", "fig8b"} {
+		first, second := runQuick(t, id), runQuick(t, id)
+		if !reflect.DeepEqual(first, second) {
+			var a, b bytes.Buffer
+			first.Print(&a)
+			second.Print(&b)
+			t.Errorf("%s differs between two runs of seed 1:\n%s\n%s", id, a.String(), b.String())
+		}
 	}
 }
 
