@@ -77,11 +77,10 @@ func Run(cfg Config) (Result, error) {
 		layouts[i] = l
 	}
 
-	d := workload.Drive(cfg.Sys.Group())
+	d := workload.Drive(cfg.Sys.Group(), cfg.Seed)
 	var threads []*workload.Thread
 	for i := 0; i < cfg.Instances; i++ {
 		threads = append(threads, d.Go(cfg.ThreadsPerInstance,
-			func(w int) int64 { return cfg.Seed + int64(i)*1009 + int64(w) },
 			func(th *workload.Thread, w int) error { return runThread(th, cfg, layouts[i], w) })...)
 	}
 	res := Result{Profile: cfg.Profile}

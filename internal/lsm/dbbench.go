@@ -152,9 +152,8 @@ func runPhase(cfg BenchConfig, db *DB) (BenchResult, error) {
 	}
 
 	// Continue the virtual clock where the load phase left off.
-	d := workload.Drive(simtime.NewGroup(db.LoadEnd()))
-	threads := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*2654435761 },
-		func(th *workload.Thread, _ int) error { return db.benchThread(th, cfg, ops) })
+	d := workload.Drive(simtime.NewGroup(db.LoadEnd()), cfg.Seed)
+	threads := d.Go(cfg.Threads, func(th *workload.Thread, _ int) error { return db.benchThread(th, cfg, ops) })
 	var res BenchResult
 	var err error
 	if res.Outcome, err = d.Wait(cfg.Sys); err != nil {

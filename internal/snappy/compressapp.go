@@ -58,9 +58,9 @@ func RunApp(cfg AppConfig) (AppResult, error) {
 	approach := sys.Approach()
 	var next, outBytes atomic.Int64
 
-	// The inputs are synthetic filler, so a thread draws nothing: no seed.
-	d := workload.Drive(sys.Group())
-	threads := d.Go(cfg.Threads, nil, func(th *workload.Thread, _ int) error {
+	// The inputs are synthetic filler: a thread draws nothing from its Rng.
+	d := workload.Drive(sys.Group(), 0)
+	threads := d.Go(cfg.Threads, func(th *workload.Thread, _ int) error {
 		tl := th.TL
 		buf := make([]byte, cfg.FileBytes)
 		for {

@@ -13,9 +13,8 @@ import (
 //
 //   - Go launches n members of the group; member ids are launch order across
 //     every Go call on one group (Figure 6's readers and writers share one).
-//   - The caller owns the seed derivation: thread i draws from
-//     rand.NewSource(seed(i)) and from nothing else. A nil seed is a thread
-//     that draws nothing.
+//   - The driver owns the seed: member id draws from
+//     rand.NewSource(seed + 7919·id) and from nothing else.
 //   - The body owns the Gates: one th.Gate() at each operation boundary,
 //     holding no locks. Where Gate sits is what holds virtual time, so the
 //     driver never gates on a body's behalf.
@@ -26,6 +25,7 @@ import (
 // crossprefetch.Metrics, and simtime cannot import the root package.
 type Driver struct {
 	g       *simtime.Group
+	seed    int64
 	threads []*Thread
 }
 
@@ -42,25 +42,24 @@ type Thread struct {
 	err error
 }
 
-// Gate publishes the thread's virtual time and blocks while it runs ahead of
-// the slowest member (simtime.Group.Gate).
+// Gate publishes the thread's virtual time and passes the group's baton to
+// the member that is furthest behind, which may be this one
+// (simtime.Group.Gate).
 func (th *Thread) Gate() { th.g.Gate(th.ID, th.TL) }
 
-// Drive returns a driver launching on g.
-func Drive(g *simtime.Group) *Driver { return &Driver{g: g} }
+// Drive returns a driver launching on g whose threads draw from seed.
+func Drive(g *simtime.Group, seed int64) *Driver { return &Driver{g: g, seed: seed} }
 
 // Go launches n threads running body(th, i), i = 0…n-1, and returns them so
 // that the caller can Sum what this launch counted after Wait.
-func (d *Driver) Go(n int, seed func(i int) int64, body func(th *Thread, i int) error) []*Thread {
+func (d *Driver) Go(n int, body func(th *Thread, i int) error) []*Thread {
 	launched := make([]*Thread, n)
 	for i := range launched {
 		th := &Thread{g: d.g}
-		if seed != nil {
-			th.Rng = rand.New(rand.NewSource(seed(i)))
-		}
 		launched[i] = th
 		d.g.Go(func(id int, tl *simtime.Timeline) {
 			th.ID, th.TL = id, tl
+			th.Rng = rand.New(rand.NewSource(d.seed + 7919*int64(id)))
 			th.err = body(th, i)
 		})
 	}

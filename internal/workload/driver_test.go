@@ -12,14 +12,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// TestDrive pins the driver's contract over bodies that touch no file: who
-// seeds, which ids threads get, which error fails a run, what Sum adds.
+// TestDrive pins the driver's contract over bodies that touch no file: how
+// threads are seeded, which ids they get, which error fails a run, what Sum
+// adds.
 func TestDrive(t *testing.T) {
 	sys := crossprefetch.NewSystem(crossprefetch.Config{})
-	seed := func(i int) int64 { return 42 + 7919*int64(i) }
 
 	t.Run("seeds-ids-sum", func(t *testing.T) {
-		d := Drive(sys.Group())
+		d := Drive(sys.Group(), 42)
 		draws := make([][3]int64, 4)
 		body := func(base int) func(th *Thread, i int) error {
 			return func(th *Thread, i int) error {
@@ -33,8 +33,8 @@ func TestDrive(t *testing.T) {
 				return nil
 			}
 		}
-		first := d.Go(3, seed, body(0))
-		second := d.Go(1, func(int) int64 { return seed(3) }, body(3))
+		first := d.Go(3, body(0))
+		second := d.Go(1, body(3))
 		out, err := d.Wait(sys)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestDrive(t *testing.T) {
 			if th.ID != i {
 				t.Errorf("thread %d has group id %d, want launch order", i, th.ID)
 			}
-			rng := rand.New(rand.NewSource(seed(i)))
+			rng := rand.New(rand.NewSource(42 + 7919*int64(i)))
 			for k, got := range draws[i] {
 				if want := rng.Int63(); got != want {
 					t.Errorf("thread %d draw %d = %d, want %d", i, k, got, want)
@@ -65,11 +65,8 @@ func TestDrive(t *testing.T) {
 	})
 
 	t.Run("first-error-in-launch-order", func(t *testing.T) {
-		d := Drive(sys.Group())
-		d.Go(4, nil, func(th *Thread, i int) error {
-			if th.Rng != nil {
-				t.Errorf("thread %d: a nil seed must leave Rng nil", i)
-			}
+		d := Drive(sys.Group(), 1)
+		d.Go(4, func(th *Thread, i int) error {
 			// Thread 3 fails first on the host clock and on the virtual one.
 			th.TL.Advance(simtime.Duration(4-i) * simtime.Microsecond)
 			th.Gate()

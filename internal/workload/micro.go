@@ -38,8 +38,9 @@ type MicroConfig struct {
 	Sequential bool
 	// OpsPerThread bounds the reads per thread; 0 reads each region once.
 	OpsPerThread int64
-	// Writers adds concurrent writer threads (Figure 6); writers update
-	// random non-overlapping 16KB chunks of their own region.
+	// Writers adds concurrent writer threads on the shared file (Figure 6;
+	// RunMicro fails without Shared); writers update random 16KB chunks of
+	// their own non-overlapping region.
 	Writers int
 	// Seed makes random access reproducible.
 	Seed int64
@@ -74,6 +75,9 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 	if cfg.IOSize <= 0 {
 		cfg.IOSize = 16 << 10
 	}
+	if cfg.Writers > 0 && !cfg.Shared {
+		return Result{}, fmt.Errorf("workload: %d writers need the shared file (Shared)", cfg.Writers)
+	}
 	approach := sys.Approach()
 	setup := sys.Timeline()
 
@@ -103,76 +107,71 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 		ops = region / cfg.IOSize
 	}
 
-	d := Drive(sys.Group())
-	readers := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*7919 },
-		func(th *Thread, t int) error {
-			tl := th.TL
-			f, err := sys.Open(tl, fileName(cfg.Shared, t))
+	d := Drive(sys.Group(), cfg.Seed)
+	readers := d.Go(cfg.Threads, func(th *Thread, t int) error {
+		tl := th.TL
+		f, err := sys.Open(tl, fileName(cfg.Shared, t))
+		if err != nil {
+			return err
+		}
+		base := int64(0)
+		if cfg.Shared {
+			base = int64(t) * region
+		}
+		if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
+			applyAppPolicy(tl, f, cfg.Sequential)
+		}
+		buf := make([]byte, cfg.IOSize)
+		chunks := region / cfg.IOSize
+		for i := int64(0); i < ops; i++ {
+			th.Gate()
+			var off int64
+			if cfg.Sequential {
+				off = base + (i%chunks)*cfg.IOSize
+			} else {
+				off = base + th.Rng.Int63n(chunks)*cfg.IOSize
+			}
+			if approach == crosslib.AppOnly && cfg.Sequential && i%64 == 0 {
+				// App-tailored prefetching: readahead ahead of the
+				// stream (clamped by the kernel — Figure 1).
+				f.Kernel().Readahead(tl, off, 4<<20)
+			}
+			if approach == crosslib.AppOnlyFincore && i%64 == 0 {
+				f.FincorePollStep(tl, 4<<20/sys.Config().BlockSize)
+			}
+			n, err := f.ReadAt(tl, buf, off)
 			if err != nil {
 				return err
 			}
-			base := int64(0)
-			if cfg.Shared {
-				base = int64(t) * region
-			}
-			if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
-				applyAppPolicy(tl, f, cfg.Sequential)
-			}
-			buf := make([]byte, cfg.IOSize)
-			chunks := region / cfg.IOSize
-			for i := int64(0); i < ops; i++ {
-				th.Gate()
-				var off int64
-				if cfg.Sequential {
-					off = base + (i%chunks)*cfg.IOSize
-				} else {
-					off = base + th.Rng.Int63n(chunks)*cfg.IOSize
-				}
-				if approach == crosslib.AppOnly && cfg.Sequential && i%64 == 0 {
-					// App-tailored prefetching: readahead ahead of the
-					// stream (clamped by the kernel — Figure 1).
-					f.Kernel().Readahead(tl, off, 4<<20)
-				}
-				if approach == crosslib.AppOnlyFincore && i%64 == 0 {
-					f.FincorePollStep(tl, 4<<20/sys.Config().BlockSize)
-				}
-				n, err := f.ReadAt(tl, buf, off)
-				if err != nil {
-					return err
-				}
-				th.Bytes += int64(n)
-			}
-			return nil
-		})
+			th.Bytes += int64(n)
+		}
+		return nil
+	})
 
 	// Figure 6 writers.
-	var writers []*Thread
-	if cfg.Shared {
-		writers = d.Go(cfg.Writers, func(w int) int64 { return cfg.Seed + 104729 + int64(w) },
-			func(th *Thread, w int) error {
-				tl := th.TL
-				f, err := sys.Open(tl, fileName(true, 0))
-				if err != nil {
-					return err
-				}
-				// Writers own the tail end of each reader region to stay
-				// non-overlapping with other writers.
-				buf := make([]byte, cfg.IOSize)
-				wRegion := region * int64(cfg.Threads) / int64(cfg.Writers)
-				wBase := int64(w) * wRegion
-				chunks := wRegion / cfg.IOSize
-				for i := int64(0); i < ops; i++ {
-					th.Gate()
-					off := wBase + th.Rng.Int63n(chunks)*cfg.IOSize
-					n, err := f.WriteAt(tl, buf, off)
-					if err != nil {
-						return err
-					}
-					th.Bytes += int64(n)
-				}
-				return nil
-			})
-	}
+	writers := d.Go(cfg.Writers, func(th *Thread, w int) error {
+		tl := th.TL
+		f, err := sys.Open(tl, fileName(true, 0))
+		if err != nil {
+			return err
+		}
+		// Writers own the tail end of each reader region to stay
+		// non-overlapping with other writers.
+		buf := make([]byte, cfg.IOSize)
+		wRegion := region * int64(cfg.Threads) / int64(cfg.Writers)
+		wBase := int64(w) * wRegion
+		chunks := wRegion / cfg.IOSize
+		for i := int64(0); i < ops; i++ {
+			th.Gate()
+			off := wBase + th.Rng.Int63n(chunks)*cfg.IOSize
+			n, err := f.WriteAt(tl, buf, off)
+			if err != nil {
+				return err
+			}
+			th.Bytes += int64(n)
+		}
+		return nil
+	})
 
 	var res Result
 	var err error

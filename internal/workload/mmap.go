@@ -40,36 +40,35 @@ func RunMmap(cfg MmapConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	d := Drive(sys.Group())
-	threads := d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + int64(t)*31337 },
-		func(th *Thread, t int) error {
-			tl := th.TL
-			f, err := sys.Open(tl, "mmap.dat")
-			if err != nil {
+	d := Drive(sys.Group(), cfg.Seed)
+	threads := d.Go(cfg.Threads, func(th *Thread, t int) error {
+		tl := th.TL
+		f, err := sys.Open(tl, "mmap.dat")
+		if err != nil {
+			return err
+		}
+		m := sys.Lib().Mmap(tl, f)
+		if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
+			// The paper: APPonly turns prefetching off via madvise.
+			m.Kernel().Madvise(tl, vfs.AdvRandom)
+		}
+		base := int64(t) * region
+		chunks := region / mmapLoadSize
+		for i := int64(0); i < chunks; i++ {
+			th.Gate()
+			var off int64
+			if cfg.Sequential {
+				off = base + i*mmapLoadSize
+			} else {
+				off = base + th.Rng.Int63n(chunks)*mmapLoadSize
+			}
+			if err := m.Load(tl, off, mmapLoadSize, nil); err != nil {
 				return err
 			}
-			m := sys.Lib().Mmap(tl, f)
-			if approach == crosslib.AppOnly || approach == crosslib.AppOnlyFincore {
-				// The paper: APPonly turns prefetching off via madvise.
-				m.Kernel().Madvise(tl, vfs.AdvRandom)
-			}
-			base := int64(t) * region
-			chunks := region / mmapLoadSize
-			for i := int64(0); i < chunks; i++ {
-				th.Gate()
-				var off int64
-				if cfg.Sequential {
-					off = base + i*mmapLoadSize
-				} else {
-					off = base + th.Rng.Int63n(chunks)*mmapLoadSize
-				}
-				if err := m.Load(tl, off, mmapLoadSize, nil); err != nil {
-					return err
-				}
-				th.Bytes += mmapLoadSize
-			}
-			return nil
-		})
+			th.Bytes += mmapLoadSize
+		}
+		return nil
+	})
 
 	var res Result
 	var err error

@@ -157,78 +157,77 @@ func Run(w Workload, cfg Config) (Result, error) {
 	var insertCount atomic.Int64 // shared "latest" insertion frontier
 
 	// Continue the virtual clock from the load phase's end.
-	d := workload.Drive(simtime.NewGroup(db.LoadEnd()))
+	d := workload.Drive(simtime.NewGroup(db.LoadEnd()), cfg.Seed)
 	reads := make([]int64, cfg.Threads)
 	writes := make([]int64, cfg.Threads)
 	scans := make([]int64, cfg.Threads)
-	d.Go(cfg.Threads, func(t int) int64 { return cfg.Seed + 7919*int64(t) },
-		func(th *workload.Thread, t int) error {
-			tl, rng := th.TL, th.Rng
-			val := make([]byte, cfg.ValueBytes)
-			rng.Read(val)
-			for i := int64(0); i < ops; i++ {
-				th.Gate()
-				var err error
-				switch {
-				case w == WorkloadA && rng.Intn(100) < 50,
-					w == WorkloadB && rng.Intn(100) < 5:
-					k := scramble(zipf.next(rng), cfg.Records)
+	d.Go(cfg.Threads, func(th *workload.Thread, t int) error {
+		tl, rng := th.TL, th.Rng
+		val := make([]byte, cfg.ValueBytes)
+		rng.Read(val)
+		for i := int64(0); i < ops; i++ {
+			th.Gate()
+			var err error
+			switch {
+			case w == WorkloadA && rng.Intn(100) < 50,
+				w == WorkloadB && rng.Intn(100) < 5:
+				k := scramble(zipf.next(rng), cfg.Records)
+				err = db.Put(tl, lsm.BenchKey(k), val)
+				writes[t]++
+			case w == WorkloadC, w == WorkloadA, w == WorkloadB:
+				k := scramble(zipf.next(rng), cfg.Records)
+				_, _, err = db.Get(tl, lsm.BenchKey(k))
+				reads[t]++
+			case w == WorkloadD:
+				if rng.Intn(100) < 5 {
+					k := cfg.Records + insertCount.Add(1)
 					err = db.Put(tl, lsm.BenchKey(k), val)
 					writes[t]++
-				case w == WorkloadC, w == WorkloadA, w == WorkloadB:
-					k := scramble(zipf.next(rng), cfg.Records)
+				} else {
+					// Latest: skew toward the insertion frontier.
+					off := zipf.next(rng)
+					k := cfg.Records + insertCount.Load() - off
+					if k < 0 {
+						k = 0
+					}
 					_, _, err = db.Get(tl, lsm.BenchKey(k))
 					reads[t]++
-				case w == WorkloadD:
-					if rng.Intn(100) < 5 {
-						k := cfg.Records + insertCount.Add(1)
-						err = db.Put(tl, lsm.BenchKey(k), val)
-						writes[t]++
-					} else {
-						// Latest: skew toward the insertion frontier.
-						off := zipf.next(rng)
-						k := cfg.Records + insertCount.Load() - off
-						if k < 0 {
-							k = 0
-						}
-						_, _, err = db.Get(tl, lsm.BenchKey(k))
-						reads[t]++
-					}
-				case w == WorkloadE:
-					if rng.Intn(100) < 5 {
-						err = db.Put(tl, lsm.BenchKey(cfg.Records+insertCount.Add(1)), val)
-						writes[t]++
-					} else {
-						start := scramble(zipf.next(rng), cfg.Records)
-						it := db.NewIterator(tl, false)
-						if it.Seek(lsm.BenchKey(start)) {
-							for n := scanLen(rng); n > 1 && it.Next(); n-- {
-							}
-						}
-						it.Close()
-						err = it.Err()
-						scans[t]++
-					}
-				case w == WorkloadF:
-					k := scramble(zipf.next(rng), cfg.Records)
-					if rng.Intn(100) < 50 {
-						_, _, err = db.Get(tl, lsm.BenchKey(k))
-						reads[t]++
-					} else {
-						// Read-modify-write.
-						if _, _, err = db.Get(tl, lsm.BenchKey(k)); err == nil {
-							err = db.Put(tl, lsm.BenchKey(k), val)
-						}
-						reads[t]++
-						writes[t]++
-					}
 				}
-				if err != nil {
-					return err
+			case w == WorkloadE:
+				if rng.Intn(100) < 5 {
+					err = db.Put(tl, lsm.BenchKey(cfg.Records+insertCount.Add(1)), val)
+					writes[t]++
+				} else {
+					start := scramble(zipf.next(rng), cfg.Records)
+					it := db.NewIterator(tl, false)
+					if it.Seek(lsm.BenchKey(start)) {
+						for n := scanLen(rng); n > 1 && it.Next(); n-- {
+						}
+					}
+					it.Close()
+					err = it.Err()
+					scans[t]++
+				}
+			case w == WorkloadF:
+				k := scramble(zipf.next(rng), cfg.Records)
+				if rng.Intn(100) < 50 {
+					_, _, err = db.Get(tl, lsm.BenchKey(k))
+					reads[t]++
+				} else {
+					// Read-modify-write.
+					if _, _, err = db.Get(tl, lsm.BenchKey(k)); err == nil {
+						err = db.Put(tl, lsm.BenchKey(k), val)
+					}
+					reads[t]++
+					writes[t]++
 				}
 			}
-			return nil
-		})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if res.Outcome, err = d.Wait(cfg.Sys); err != nil {
 		return Result{}, err
 	}
