@@ -4,15 +4,16 @@ import "sync"
 
 // Ledgers are interval schedulers: a reservation books the span
 // [start, start+hold) where start is the earliest time ≥ the request time
-// that does not overlap a conflicting booked span. Because simulated
-// threads call in wall-clock order but at (boundedly skewed) virtual
-// times, a request arriving "late" in real time but "early" in virtual
-// time backfills idle gaps instead of queueing behind future holds —
-// without this, one thread racing ahead would serialize the whole
-// simulation behind its reservations.
+// that does not overlap a conflicting booked span. Because a group member
+// runs a whole operation per turn (simtime.Group), and helpers and other
+// timelines run ahead of it, requests reach a ledger at skewed virtual
+// times: one arriving later but "early" in virtual time backfills idle gaps
+// instead of queueing behind future holds — without this, one thread
+// running ahead would serialize the whole simulation behind its
+// reservations.
 //
 // Bookings are kept in a fixed ring; spans older than the ring capacity
-// are forgotten. Group gating (simtime.Group.Gate) bounds clock skew, so a
+// are forgotten. A group hands its turn to the member furthest behind, so a
 // forgotten span is normally one in every caller's past. Not always: a
 // resource backlogged more than ringCap reservations deep loses bookings
 // that are still in the future, and later requests backfill the time they
