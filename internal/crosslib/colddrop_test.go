@@ -292,3 +292,63 @@ func TestEvictPassColdDropAllocs(t *testing.T) {
 		t.Errorf("the measured passes evicted %d pages, want %d: not the path this guard is for", got, 201*filePages/2)
 	}
 }
+
+// TestSettledPrefetchStaysClaimedUntilRead pins what `requested` means: a
+// prefetch's blocks stay claimed after it settles — ImportBitmap sets their
+// cached bits and clears nothing on them — until a read consumes them. A
+// node holding such claims is no candidate for pass 2 of the evictor
+// however cold it is, so a prefetch nobody reads stays resident until pass 1
+// drops its whole file; read, the same range goes at the next pass.
+func TestSettledPrefetchStaysClaimedUntilRead(t *testing.T) {
+	const filePages, readBytes = 512, 16 << 10 // the optimistic open prefetch's 2 MB, one node
+	opt := CrossPredictOpt.Options()
+	opt.MemoryBudgetPages = filePages / 2 // every pass is over budget
+	rt := New(newKernel(1_000_000), opt)
+	age := rt.Options().InactiveAge
+	tl := simtime.NewTimeline(0)
+	f := openSynthetic(t, rt, tl, "f", filePages*4096)
+	claims := func() (cached, requested int64) {
+		cr := f.sf.tree.AppendColdestRanges(nil)
+		if len(cr) != 1 {
+			t.Fatalf("%d ranges hold cached blocks, want the one node", len(cr))
+		}
+		return cr[0].Cached, cr[0].Requested
+	}
+	// pass runs an evict pass two ages after the last read, with the file
+	// still in use (pass 1 leaves it be), and reports the pages it evicted.
+	pass := func() int64 {
+		wtl := simtime.NewTimeline(tl.Now().Add(2 * age))
+		f.sf.touch(wtl.Now())
+		evicted := rt.Stats().EvictedPages
+		rt.evictPass(wtl, wtl.Now())
+		return rt.Stats().EvictedPages - evicted
+	}
+
+	if cached, requested := claims(); cached != filePages || requested != filePages {
+		t.Fatalf("after the open prefetch settled: %d blocks believed cached and %d claimed, want %d of each", cached, requested, filePages)
+	}
+	buf := make([]byte, readBytes)
+	if _, err := f.ReadAt(tl, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, requested := claims(); requested != filePages-readBytes/4096 {
+		t.Fatalf("after one read: %d blocks claimed, want %d", requested, filePages-readBytes/4096)
+	}
+	if got := pass(); got != 0 {
+		t.Errorf("pass 2 evicted %d pages of a node the prefetch still claims", got)
+	}
+	if got := residentPages(f, 0, filePages); got != filePages {
+		t.Errorf("%d of %d prefetched pages resident after the pass", got, filePages)
+	}
+	for off := int64(readBytes); off < filePages*4096; off += readBytes {
+		if _, err := f.ReadAt(tl, buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, requested := claims(); requested != 0 {
+		t.Fatalf("after reading the whole file: %d blocks still claimed", requested)
+	}
+	if got := pass(); got == 0 {
+		t.Error("pass 2 evicted nothing once the node's blocks were read")
+	}
+}

@@ -155,10 +155,10 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	lo := off / bs
 	hi := (off + int64(len(dst)) + bs - 1) / bs
 
-	op := f.observeAccess(tl, lo, hi)
+	op, full := f.observeAccess(tl, lo, hi)
 
 	n, err := f.kf.ReadAt(tl, dst, off)
-	f.sf.markRead(tl, off, int64(n), bs)
+	f.sf.markRead(tl, off, int64(n), bs, full)
 	f.sf.touch(tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err
@@ -168,24 +168,30 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 // cached: what arrived, not what the buffer could have held. A read cut
 // short at EOF (or failed, n = 0) must leave no belief bits beyond the
 // data — the file may grow, and a stale "cached" bit elides the prefetch
-// of a block nobody has read (DESIGN.md §24's dangerous direction).
-func (sf *sharedFile) markRead(tl *simtime.Timeline, off, n, bs int64) {
+// of a block nobody has read (DESIGN.md §24's dangerous direction). full
+// is what the read's own coverage query answered from full nodes
+// (observeAccess): on those the mark is a recency stamp (Tree.MarkRead).
+func (sf *sharedFile) markRead(tl *simtime.Timeline, off, n, bs int64, full bitmap.Run) {
 	if n > 0 {
-		sf.tree.MarkCached(tl, off/bs, (off+n+bs-1)/bs)
+		sf.tree.MarkRead(tl, off/bs, (off+n+bs-1)/bs, full)
 	}
 }
 
 // observeAccess runs the library-side read pre-work shared by ReadAt and
 // the ring's read SQE: predictor-driven prefetch and the FetchAll policy.
-// Returns the op tick for the caller's maybeEvict.
-func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) int64 {
+// Returns the op tick for the caller's maybeEvict, and the part of the
+// predictor's or coverage policy's prefetch window that the range tree
+// answered from full nodes, for the caller's markRead. It is a value, on
+// the caller's stack or in its ringOp, never in the File: descriptors are
+// shared between threads.
+func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) (op int64, full bitmap.Run) {
 	o := f.rt.opt
-	op := f.rt.tick()
+	op = f.rt.tick()
 	switch {
 	case o.Predict && f.sf.ens != nil:
 		// Ensemble path: all arms score the access in shadow mode; only
 		// the live arm's candidates reach the prefetch path.
-		f.ensembleObserve(tl, lo, hi, true)
+		full = f.ensembleObserve(tl, lo, hi, true)
 	case o.Predict && f.pred != nil:
 		f.predMu.Lock()
 		skipped := f.pred.Observe(lo, hi-lo)
@@ -193,9 +199,9 @@ func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) int64 {
 		f.predMu.Unlock()
 		switch {
 		case pn > 0:
-			f.prefetchAsync(tl, plo, pn, budgetUnasked, false)
+			full = f.prefetchAsync(tl, plo, pn, budgetUnasked, false)
 		case o.CoveragePrefetch:
-			f.coveragePrefetch(tl, lo)
+			full = f.coveragePrefetch(tl, lo)
 		case skipped:
 			// Steady-state throttle: the predictor deliberately examined
 			// nothing, so no new intent was formed this access.
@@ -206,7 +212,7 @@ func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) int64 {
 	if o.FetchAll {
 		f.ensureFetchAll(tl, op)
 	}
-	return op
+	return op, full
 }
 
 // maxLiveCandidates bounds how many live-arm candidates one observation
@@ -219,7 +225,9 @@ const maxLiveCandidates = 4
 // the telemetry counters and the per-(inode,arm) scorecards), and —
 // when issue is set — the live arm's candidates become real prefetch
 // intents tagged with the arm for the per-arm effectiveness partition.
-func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) {
+// It returns the full-node part of the last window it queried, as
+// observeAccess does.
+func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) (full bitmap.Run) {
 	rt := f.rt
 	sf := f.sf
 	blocks := hi - lo
@@ -259,17 +267,18 @@ func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) {
 			sf.inoID, int64(oldArm), int64(newArm))
 	}
 	if !issue {
-		return
+		return full
 	}
 	if n == 0 {
 		if rt.opt.CoveragePrefetch {
-			f.coveragePrefetch(tl, lo)
+			full = f.coveragePrefetch(tl, lo)
 		}
-		return
+		return full
 	}
 	for i := 0; i < n; i++ {
-		f.prefetchAsync(tl, cands[i].Lo, cands[i].Blocks, budgetUnasked, false, live)
+		full = f.prefetchAsync(tl, cands[i].Lo, cands[i].Blocks, budgetUnasked, false, live)
 	}
+	return full
 }
 
 // Read reads at the descriptor's position, advancing it.
@@ -353,14 +362,16 @@ func (f *File) Fsync(tl *simtime.Timeline) error {
 // budgetUnasked otherwise: an intent passes the gate once. coverage tags the
 // intent as coverage-policy prefetch for the per-origin effectiveness
 // partition; arm, when given, is the predictor arm that drove it (ArmNone
-// otherwise) — both ride the kernel request onto the inserted pages.
-func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budgetLevel, coverage bool, arm ...telemetry.Arm) {
+// otherwise) — both ride the kernel request onto the inserted pages. It
+// returns the leading part of the intent the range tree answered from full
+// nodes (missingRuns), empty when no gate let the intent reach the tree.
+func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budgetLevel, coverage bool, arm ...telemetry.Arm) (full bitmap.Run) {
 	rt, sf := f.rt, f.sf
 	o := rt.opt
 
 	lo, hi := clampToFile(f.kf, lo, blocks)
 	if hi <= lo || !rt.breakerAdmits(tl, sf, lo, hi) {
-		return
+		return full
 	}
 
 	// Memory budget policy (§4.6): halt entirely below the low
@@ -373,7 +384,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 		}
 		switch level {
 		case budgetHalt:
-			return
+			return full
 		case budgetStatic:
 			hi = min(hi, lo+rt.v.Config().RA.MaxPages)
 		}
@@ -381,9 +392,9 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 	hi = min(hi, lo+o.MaxPrefetchBytes/rt.v.BlockSize())
 
 	var runBuf [4]bitmap.Run
-	runs := rt.missingRuns(tl, sf, runBuf[:0], lo, hi)
+	runs, full := rt.missingRuns(tl, sf, runBuf[:0], lo, hi)
 	if len(runs) == 0 {
-		return
+		return full
 	}
 	// Batching hysteresis: a window whose uncovered tail is still tiny is
 	// not worth a kernel crossing yet; wait for the intent to accumulate.
@@ -394,7 +405,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 	if missing < min(16, (hi-lo)/4) {
 		sf.giveBack(tl, runs)
 		rt.rec.Event(tl.Now(), telemetry.OutcomeThrottledBatching, sf.inoID, lo, lo+missing)
-		return
+		return full
 	}
 	// Helper saturation: when every background worker is booked solid,
 	// a queued prefetch would complete too late to matter but would
@@ -405,7 +416,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 		sf.giveBack(tl, runs)
 		rt.droppedPrefetch.Add(1)
 		rt.rec.Event(now, telemetry.OutcomeDroppedQueueFull, sf.inoID, lo, hi)
-		return
+		return full
 	}
 	kf, tag := f.kf, telemetry.ArmNone
 	if len(arm) > 0 {
@@ -414,6 +425,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 	rt.background(now, telemetry.OpBgPrefetch, sf.inoID, func(wtl *simtime.Timeline) {
 		rt.issueRuns(wtl, kf, sf, runs, coverage, tag)
 	})
+	return full
 }
 
 // workerQueueBound is how far ahead of the submitting thread the helper
@@ -425,17 +437,18 @@ const workerQueueBound = 2 * simtime.Millisecond
 // watermarks, prefetch the missing blocks of a chunk starting at the
 // access point. Random readers of a region thereby converge on full
 // residency while memory lasts, eliminating compulsory misses that
-// pattern-window prefetching can never cover.
-func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) {
+// pattern-window prefetching can never cover. It returns prefetchAsync's
+// full-node span.
+func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) bitmap.Run {
 	level := f.rt.budgetGate(tl, f.sf, lo, lo)
 	if level == budgetHalt {
-		return
+		return bitmap.Run{}
 	}
 	chunk := int64(64) // 256KB of 4KB blocks without opt
 	if f.rt.opt.OptLimits && level == budgetAggressive {
 		chunk = 1024 // 4MB when memory is plentiful
 	}
-	f.prefetchAsync(tl, lo, chunk, level, true)
+	return f.prefetchAsync(tl, lo, chunk, level, true)
 }
 
 // ensureFetchAll kicks off (once) whole-file prefetch jobs and, on later

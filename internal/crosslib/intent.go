@@ -76,16 +76,18 @@ func (rt *Runtime) budgetGate(tl *simtime.Timeline, sf *sharedFile, lo, hi int64
 }
 
 // missingRuns is the elision gate: it appends to dst the runs of [lo, hi)
-// that the user-level bitmap shows neither cached nor in flight, marking
+// that the user-level bitmap shows neither cached nor claimed, marking
 // them requested. None left means the crossing is elided — the core saving
-// of cache visibility (§4.2) — which is counted and traced here.
-func (rt *Runtime) missingRuns(tl *simtime.Timeline, sf *sharedFile, dst []bitmap.Run, lo, hi int64) []bitmap.Run {
-	runs := sf.tree.AppendNeedsPrefetch(tl, dst, lo, hi)
+// of cache visibility (§4.2) — which is counted and traced here. full is
+// the leading part of [lo, hi) the tree answered from full nodes, for a
+// read inside it to hand to Tree.MarkRead.
+func (rt *Runtime) missingRuns(tl *simtime.Timeline, sf *sharedFile, dst []bitmap.Run, lo, hi int64) (runs []bitmap.Run, full bitmap.Run) {
+	runs, full = sf.tree.AppendNeedsPrefetch(tl, dst, lo, hi)
 	if len(runs) == 0 {
 		rt.savedPrefetch.Add(1)
 		rt.rec.Event(tl.Now(), telemetry.OutcomeSavedByBitmap, sf.inoID, lo, hi)
 	}
-	return runs
+	return runs, full
 }
 
 // giveBack drops the requested marks of runs that will not be issued, so

@@ -126,6 +126,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		}
 		lo, hi := clampToFile(kf, lo, window)
 		var runBuf [4]bitmap.Run
-		rt.issueRuns(wtl, kf, sf, rt.missingRuns(wtl, sf, runBuf[:0], lo, hi), false, telemetry.ArmNone)
+		runs, _ := rt.missingRuns(wtl, sf, runBuf[:0], lo, hi)
+		rt.issueRuns(wtl, kf, sf, runs, false, telemetry.ArmNone)
 	})
 }

@@ -38,6 +38,9 @@ type ringOp struct {
 	deadline simtime.Time // 0 = none
 
 	lo, hi int64 // block range, filled in by Submit
+	// full is what a read's coverage query answered from full nodes, which
+	// its settle hands to the mark (File.observeAccess).
+	full bitmap.Run
 }
 
 // Ring is the user-level half of the submission/completion pair: a
@@ -302,7 +305,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			return refuse(done, vfs.ErrDeadlineExceeded)
 		}
 		if shimmed {
-			*op = f.observeAccess(tl, q.lo, q.hi)
+			*op, q.full = f.observeAccess(tl, q.lo, q.hi)
 		}
 	case vfs.RingWrite:
 		if shimmed {
@@ -335,7 +338,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			// bitmap shows missing only has to be non-empty (and is now
 			// marked requested). An elided intent reports itself covered.
 			var runBuf [4]bitmap.Run
-			if len(rt.missingRuns(tl, f.sf, runBuf[:0], q.lo, q.hi)) == 0 {
+			if runs, _ := rt.missingRuns(tl, f.sf, runBuf[:0], q.lo, q.hi); len(runs) == 0 {
 				done.N = q.hi - q.lo
 				return done, false
 			}
@@ -360,7 +363,7 @@ func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
 		r.rt.settle(tl, sf, q.lo, q.hi, cq.N, cq.N, nil, cq.Err)
 	case cq.Err != nil:
 	case q.kind == vfs.RingRead:
-		sf.markRead(tl, q.off, cq.N, r.rt.v.BlockSize())
+		sf.markRead(tl, q.off, cq.N, r.rt.v.BlockSize(), q.full)
 	default:
 		sf.tree.MarkCached(tl, q.lo, q.hi)
 	}

@@ -518,11 +518,14 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 				break // sorted by recency: the rest are hotter
 			}
 			if cr.Requested > 0 {
-				// An in-flight prefetch wavefront: LastTouch only moves
-				// when a reader lands (MarkCached marks on completion or
-				// read), so freshly requested spans ahead of a stream
-				// look cold. Evicting them would discard exactly the
-				// pages prefetch just paid for.
+				// A prefetch wavefront: blocks a prefetch claimed, in
+				// flight or settled, that no reader has consumed. Only a
+				// read's mark clears the claim and moves LastTouch; the
+				// completion (ImportBitmap) does neither, so spans a
+				// stream prefetched ahead of itself look cold. Evicting
+				// them would discard exactly the pages prefetch just paid
+				// for. A prefetch nobody reads keeps its node out of this
+				// pass until pass 1 drops the whole file.
 				continue
 			}
 			hi := cr.Hi

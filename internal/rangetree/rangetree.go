@@ -12,8 +12,13 @@
 // bitmap lock" — which is exactly the ablation Table 5 isolates.
 //
 // Bits have three states folded into two bitmaps: cached (the block is
-// believed resident) and requested (a prefetch is in flight), which is how
-// threads sharing a file avoid issuing redundant prefetch system calls.
+// believed resident) and requested (a prefetch claimed the block and no
+// reader has consumed it yet), which is how threads sharing a file avoid
+// issuing redundant prefetch system calls. A claim lives from the query
+// that sets it (NeedsPrefetch) to the mark of the read that lands on the
+// block (MarkCached / MarkRead); the prefetch's completion (ImportBitmap)
+// sets the cached bit beside it and clears only what did not arrive, so a
+// prefetched block nobody has read is both cached and requested.
 package rangetree
 
 import (
@@ -48,27 +53,49 @@ type node struct {
 	ledger    *simtime.RWLedger
 	cached    *bitmap.Bitmap // node-relative: bit i = block lo+i
 	requested *bitmap.Bitmap
-	lastTouch simtime.Time // most recent access through this node
+	// lastTouch is the simtime.Time of the most recent access through this
+	// node, raised without the lock: a read's mark on a settled node takes
+	// no side of it (MarkRead).
+	lastTouch atomic.Int64
 
-	// full publishes cached.Count() == span, the one summary a query reads
-	// before it takes the lock: unlockCached stores it while still holding
-	// the write side, so it changes only between two holds of mu.
-	full atomic.Bool
+	// summary publishes what a reader consults before it takes the lock,
+	// sumFull and sumRequested in one word, so that one load sees both as
+	// of the same hold: unlock stores it while still holding the write
+	// side, so it changes only between two holds of mu.
+	summary atomic.Uint32
 }
 
-// unlockCached releases the write side of n after a change to its cached
-// bits, publishing first whether every block of the node is now believed
-// cached.
-func (n *node) unlockCached(span int64) {
-	if full := n.cached.Count() == span; full != n.full.Load() {
-		n.full.Store(full)
+// The bits of node.summary.
+const (
+	sumFull      uint32 = 1 << iota // cached.Count() == span
+	sumRequested                    // requested.Count() > 0
+)
+
+// unlock releases the write side of n, publishing first the summary of the
+// bits as the hold leaves them.
+func (n *node) unlock(span int64) {
+	var s uint32
+	if n.cached.Count() == span {
+		s |= sumFull
+	}
+	if n.requested.Count() > 0 {
+		s |= sumRequested
+	}
+	if s != n.summary.Load() {
+		n.summary.Store(s)
 	}
 	n.mu.Unlock()
 }
 
 func (n *node) touch(tl *simtime.Timeline) {
-	if tl != nil && tl.Now() > n.lastTouch {
-		n.lastTouch = tl.Now()
+	if tl == nil {
+		return
+	}
+	for now := int64(tl.Now()); ; {
+		last := n.lastTouch.Load()
+		if now <= last || n.lastTouch.CompareAndSwap(last, now) {
+			return
+		}
 	}
 }
 
@@ -97,6 +124,11 @@ func (t *Tree) node(tl *simtime.Timeline, idx int64) *node {
 	if tl != nil {
 		tl.Advance(t.costs.RangeTreeOp)
 	}
+	return t.lookup(idx)
+}
+
+// lookup returns (creating on demand) the node covering block idx.
+func (t *Tree) lookup(idx int64) *node {
 	key := idx / t.span
 	t.mu.RLock()
 	n, ok := t.nodes[key]
@@ -142,18 +174,52 @@ func (t *Tree) lockHold(blocks int64) simtime.Duration {
 	return t.costs.BitmapOp * simtime.Duration(1+blocks/64)
 }
 
-// MarkCached records blocks [lo, hi) as resident.
+// MarkCached records blocks [lo, hi) as resident and consumes their
+// prefetch claims.
 func (t *Tree) MarkCached(tl *simtime.Timeline, lo, hi int64) {
-	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
-		if tl != nil {
-			n.ledger.Write(tl, t.lockHold(nhi-nlo))
+	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) { t.mark(tl, n, nlo, nhi) })
+}
+
+// mark is MarkCached's work on the blocks [lo, hi) of n, past the descend.
+func (t *Tree) mark(tl *simtime.Timeline, n *node, lo, hi int64) {
+	if tl != nil {
+		n.ledger.Write(tl, t.lockHold(hi-lo))
+	}
+	n.mu.Lock()
+	n.cached.SetRange(lo-n.lo, hi-n.lo)
+	n.requested.ClearRange(lo-n.lo, hi-n.lo)
+	n.touch(tl)
+	n.unlock(t.span)
+}
+
+// MarkRead is MarkCached for the blocks [lo, hi) a read brought in, given
+// full: the leading blocks of the window the read's own coverage query
+// answered from full nodes (AppendNeedsPrefetch), earlier on the same
+// timeline. That query has paid the descend to each of those nodes and read
+// its summary, so when [lo, hi) lies inside full, a node that is still full
+// and holds no prefetch claim anywhere — so MarkCached would change none of
+// its bits — gets its recency stamp at tl's time and nothing else: no
+// second RangeTreeOp, no write hold of its ledger, no side of its lock.
+// Every other node, and every node of a range outside full, gets
+// MarkCached.
+func (t *Tree) MarkRead(tl *simtime.Timeline, lo, hi int64, full bitmap.Run) {
+	if lo < full.Lo || hi > full.Hi {
+		t.MarkCached(tl, lo, hi)
+		return
+	}
+	for pos := lo; pos < hi; {
+		n := t.lookup(pos)
+		nhi := min(n.lo+t.span, hi)
+		if n.summary.Load() == sumFull {
+			n.touch(tl)
+		} else {
+			if tl != nil {
+				tl.Advance(t.costs.RangeTreeOp) // the descend node() charges
+			}
+			t.mark(tl, n, pos, nhi)
 		}
-		n.mu.Lock()
-		n.cached.SetRange(nlo-n.lo, nhi-n.lo)
-		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.touch(tl)
-		n.unlockCached(t.span)
-	})
+		pos = nhi
+	}
 }
 
 // ClearCached records blocks [lo, hi) as evicted.
@@ -165,7 +231,7 @@ func (t *Tree) ClearCached(tl *simtime.Timeline, lo, hi int64) {
 		n.mu.Lock()
 		n.cached.ClearRange(nlo-n.lo, nhi-n.lo)
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.unlockCached(t.span)
+		n.unlock(t.span)
 	})
 }
 
@@ -189,11 +255,15 @@ func (t *Tree) CachedCount(tl *simtime.Timeline, lo, hi int64) int64 {
 // (§4.5). The caller must follow up with MarkCached (on success) or
 // ClearRequested (on failure).
 func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
-	return t.AppendNeedsPrefetch(tl, nil, lo, hi)
+	runs, _ := t.AppendNeedsPrefetch(tl, nil, lo, hi)
+	return runs
 }
 
 // AppendNeedsPrefetch is NeedsPrefetch appending its runs to dst, for
 // callers on a read path that bring their own (typically stack) storage.
+// It also reports full, the leading blocks of [lo, hi) it answered from
+// full nodes — empty at lo when the first node was not — which a read
+// inside the window hands to MarkRead.
 //
 // A node answers from its summary before its bits (DESIGN.md §20): one
 // whose every block is believed cached has nothing missing in any
@@ -201,17 +271,20 @@ func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
 // on the read side of its ledger, no hold of its lock. Any other node is
 // scanned a word of ^(cached|requested) at a time under the write side,
 // for the hold the window's width always cost.
-func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) []bitmap.Run {
+func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) (runs []bitmap.Run, full bitmap.Run) {
 	base := len(dst)
+	full = bitmap.Run{Lo: lo, Hi: lo}
 	for pos := lo; pos < hi; {
 		n := t.node(tl, pos)
 		nhi := min(n.lo+t.span, hi)
 		if !t.believedFull(tl, n) {
 			dst = t.claimMissing(tl, n, dst, base, pos, nhi)
+		} else if full.Hi == pos {
+			full.Hi = nhi
 		}
 		pos = nhi
 	}
-	return dst
+	return dst, full
 }
 
 // believedFull reports whether every block of n is believed cached,
@@ -219,7 +292,7 @@ func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, h
 // word, so on the host it takes no side of the node's lock at all; it is
 // ordered as a reader that got in before whichever writer holds mu now.
 func (t *Tree) believedFull(tl *simtime.Timeline, n *node) bool {
-	if !n.full.Load() {
+	if n.summary.Load()&sumFull == 0 {
 		return false
 	}
 	if tl != nil {
@@ -237,7 +310,7 @@ func (t *Tree) claimMissing(tl *simtime.Timeline, n *node, dst []bitmap.Run, bas
 		n.ledger.Write(tl, t.lockHold(hi-lo))
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlock(t.span)
 	rhi := hi - n.lo
 	for i := n.cached.NextClearInBoth(n.requested, lo-n.lo, rhi); i < rhi; {
 		end := n.cached.NextSetInEither(n.requested, i+1, rhi)
@@ -262,10 +335,11 @@ func (t *Tree) peek(idx int64) *node {
 }
 
 // UnrequestedSpan trims [lo, hi) to the outermost blocks with no prefetch
-// in flight, without setting any bits or charging virtual time — a
-// read-only prefilter for shadow bookkeeping. It deliberately ignores the
-// cached belief (which can go stale when the kernel LRU evicts behind the
-// library's back); `requested` marks are short-lived and honest. Interior
+// claim, without setting any bits or charging virtual time — a read-only
+// prefilter for shadow bookkeeping. It deliberately ignores the cached
+// belief (which can go stale when the kernel LRU evicts behind the
+// library's back); a claim goes only when a read consumes it, the library
+// evicts the block, or its prefetch gives it back. Interior
 // requested blocks are not split out. Returns (lo, lo) when every block
 // has a request outstanding. Each node is locked once, and one with no
 // request outstanding at all — the usual case — is not scanned.
@@ -315,7 +389,8 @@ func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 	return lo, hi
 }
 
-// ClearRequested drops in-flight marks for [lo, hi) (failed prefetch).
+// ClearRequested drops the prefetch claims on [lo, hi): a prefetch that
+// failed, or the part of one that was not granted or not issued.
 func (t *Tree) ClearRequested(tl *simtime.Timeline, lo, hi int64) {
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
@@ -323,7 +398,7 @@ func (t *Tree) ClearRequested(tl *simtime.Timeline, lo, hi int64) {
 		}
 		n.mu.Lock()
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.mu.Unlock()
+		n.unlock(t.span)
 	})
 }
 
@@ -345,7 +420,7 @@ func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int
 				n.requested.Clear(i - n.lo)
 			}
 		}
-		n.unlockCached(t.span)
+		n.unlock(t.span)
 	})
 }
 
@@ -354,7 +429,7 @@ func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int
 type ColdRange struct {
 	Lo, Hi    int64
 	Cached    int64
-	Requested int64 // blocks with a prefetch still in flight
+	Requested int64 // blocks claimed by a prefetch and not read since
 	LastTouch simtime.Time
 }
 
@@ -366,7 +441,7 @@ func (t *Tree) AppendColdestRanges(dst []ColdRange) []ColdRange {
 	t.mu.RLock()
 	for _, n := range t.nodes {
 		n.mu.RLock()
-		cr := ColdRange{Lo: n.lo, Hi: n.lo + t.span, Cached: n.cached.Count(), Requested: n.requested.Count(), LastTouch: n.lastTouch}
+		cr := ColdRange{Lo: n.lo, Hi: n.lo + t.span, Cached: n.cached.Count(), Requested: n.requested.Count(), LastTouch: simtime.Time(n.lastTouch.Load())}
 		n.mu.RUnlock()
 		if cr.Cached > 0 {
 			dst = append(dst, cr)

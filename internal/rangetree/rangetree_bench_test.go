@@ -30,7 +30,7 @@ func BenchmarkNeedsPrefetchResident(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lo := int64(i*331) % (DefaultSpan - 1024)
-		if runs := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024); len(runs) != 0 {
+		if runs, _ := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024); len(runs) != 0 {
 			b.Fatal(runs)
 		}
 	}
@@ -48,10 +48,35 @@ func BenchmarkNeedsPrefetchSparse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lo := int64(i*331) % (DefaultSpan - 1024)
-		runs := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024)
+		runs, _ := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+1024)
 		for _, r := range runs {
 			tr.ClearRequested(nil, r.Lo, r.Hi)
 		}
+	}
+}
+
+// BenchmarkMarkReadResident is the belief update of a warm point read: the
+// four blocks it read, inside the full-node span its coverage query
+// reported, marked as the read's mark does and as MarkCached does.
+func BenchmarkMarkReadResident(b *testing.B) {
+	tr := New(DefaultSpan, simtime.DefaultCosts())
+	tr.MarkCached(nil, 0, DefaultSpan)
+	tl := simtime.NewTimeline(0)
+	_, full := tr.AppendNeedsPrefetch(tl, nil, 0, DefaultSpan)
+	for _, c := range []struct {
+		name string
+		mark func(lo, hi int64)
+	}{
+		{"read", func(lo, hi int64) { tr.MarkRead(tl, lo, hi, full) }},
+		{"cached", func(lo, hi int64) { tr.MarkCached(tl, lo, hi) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := int64(i*331) % (DefaultSpan - 4)
+				c.mark(lo, lo+4)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package rangetree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -195,6 +196,73 @@ func TestFullNodeAnswersOnReadSide(t *testing.T) {
 	}
 }
 
+// TestReadMarkOnFullNode is the contract of a read's mark (DESIGN.md §20):
+// inside the full-node span its own query reported, a node that is still
+// full and holds no prefetch claim gets its recency stamp and nothing else —
+// no virtual time, no ledger write. Every other node gets MarkCached, its
+// charge and its effect: a full node a settled prefetch left claimed, a
+// node a writer punched a hole in since the query, and any node of a range
+// that reaches past the span.
+func TestReadMarkOnFullNode(t *testing.T) {
+	costs := simtime.DefaultCosts()
+	markCost := costs.RangeTreeOp + costs.BitmapOp // MarkCached of four blocks in one node
+	settle := func(tr *Tree) {                     // a prefetch of node 0 that completed and was not read
+		tr.ClearCached(nil, 0, 64)
+		tr.NeedsPrefetch(nil, 0, 64)
+		var kernel bitmap.Shared
+		var win bitmap.Window
+		kernel.SetRange(0, 64)
+		kernel.CopyWindow(&win, 0, 64)
+		tr.ImportBitmap(nil, &win, 0, 64)
+	}
+	for _, c := range []struct {
+		name           string
+		setup, between func(tr *Tree)
+		qlo, qhi       int64 // the read's query
+		lo, hi         int64 // the read's mark
+		cost           simtime.Duration
+		claimed        int64 // requested blocks left in node 0
+	}{
+		{name: "settled", qlo: 8, qhi: 40, lo: 10, hi: 14},
+		{name: "across two settled nodes", qlo: 60, qhi: 70, lo: 62, hi: 66},
+		{name: "claimed by a settled prefetch", setup: settle, qlo: 8, qhi: 40, lo: 10, hi: 14, cost: markCost, claimed: 60},
+		{name: "hole since the query", between: func(tr *Tree) { tr.ClearCached(nil, 30, 31) }, qlo: 8, qhi: 40, lo: 10, hi: 14, cost: markCost},
+		{name: "past the span", qlo: 8, qhi: 40, lo: 38, hi: 42, cost: markCost},
+		{name: "no full answer", between: func(tr *Tree) { tr.MarkCached(nil, 0, 64) }, setup: func(tr *Tree) { tr.ClearCached(nil, 0, 1) }, qlo: 8, qhi: 40, lo: 10, hi: 14, cost: markCost},
+	} {
+		tr := newTree(64)
+		tr.MarkCached(nil, 0, 128)
+		if c.setup != nil {
+			c.setup(tr)
+		}
+		tl := simtime.NewTimeline(0)
+		_, full := tr.AppendNeedsPrefetch(tl, nil, c.qlo, c.qhi)
+		if c.between != nil {
+			c.between(tr)
+		}
+		tl.Advance(simtime.Microsecond) // the kernel's read
+		start, writes := tl.Now(), tr.LockStats().Writes
+		tr.MarkRead(tl, c.lo, c.hi, full)
+		if got := tl.Now().Sub(start); got != c.cost {
+			t.Errorf("%s: the mark of [%d,%d) after a query of [%d,%d) (full %v) took %v, want %v", c.name, c.lo, c.hi, c.qlo, c.qhi, full, got, c.cost)
+		}
+		if wrote := tr.LockStats().Writes - writes; (wrote == 0) != (c.cost == 0) {
+			t.Errorf("%s: the mark booked %d ledger writes at cost %v", c.name, wrote, c.cost)
+		}
+		if got := tr.CachedCount(nil, c.lo, c.hi); got != c.hi-c.lo {
+			t.Errorf("%s: %d of the %d blocks read believed cached", c.name, got, c.hi-c.lo)
+		}
+		if got := tr.lookup(0).requested.Count(); got != c.claimed {
+			t.Errorf("%s: %d blocks of node 0 still claimed, want %d", c.name, got, c.claimed)
+		}
+		for pos := c.lo; pos < c.hi; pos = (pos/64 + 1) * 64 {
+			if got := simtime.Time(tr.lookup(pos).lastTouch.Load()); got != tl.Now() {
+				t.Errorf("%s: node at %d stamped %v, want the mark's time %v", c.name, pos, got, tl.Now())
+			}
+		}
+	}
+}
+
 // TestNeedsPrefetchAllocs: with the caller's storage a query allocates
 // nothing, whether a full node answers it or the words are scanned.
 func TestNeedsPrefetchAllocs(t *testing.T) {
@@ -215,7 +283,7 @@ func TestNeedsPrefetchAllocs(t *testing.T) {
 	} {
 		var runs []bitmap.Run
 		allocs := testing.AllocsPerRun(100, func() {
-			runs = tr.AppendNeedsPrefetch(tl, buf[:0], c.lo, c.hi)
+			runs, _ = tr.AppendNeedsPrefetch(tl, buf[:0], c.lo, c.hi)
 			for _, r := range runs {
 				tr.ClearRequested(nil, r.Lo, r.Hi)
 			}
@@ -301,18 +369,23 @@ func lockstepFile(span int64) int64 {
 const lockstepOpBytes = 5
 
 // lockstep interprets prog, five bytes an operation, against a tree and a
-// reference tree that differs only in how it answers NeedsPrefetch, and
-// after every step compares the runs returned, the cached and requested
-// bits of every node and the virtual clocks: identical, except that a
-// believed-full node costs the tree RangeTreeOp + BitmapOp where it costs
-// the reference RangeTreeOp + the window's write hold. It returns how many
-// such nodes the program queried.
-func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers int) {
+// reference tree that differs only in how it answers NeedsPrefetch and marks
+// a read, and after every step compares the runs returned, the cached and
+// requested bits and the published summary of every node, and the virtual
+// clocks: identical, except that a believed-full node costs the tree
+// RangeTreeOp + BitmapOp where it costs the reference RangeTreeOp + the
+// window's write hold, and a read's mark on a node inside its query's
+// full-node span that is still full and holds no claim costs the tree
+// nothing where the reference's MarkCached costs RangeTreeOp + the write
+// hold. It returns how many full nodes the program queried and how many
+// node marks it skipped.
+func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers, skippedMarks int) {
 	costs := simtime.DefaultCosts()
 	got, ref := New(span, costs), New(span, costs)
 	gtl, rtl := simtime.NewTimeline(0), simtime.NewTimeline(0)
 	file := lockstepFile(span)
-	var saved simtime.Duration // what the full-node answers have saved so far
+	var saved simtime.Duration // what the full-node answers and skipped marks have saved so far
+	var full bitmap.Run        // the full-node span of the last query, which a read-mark hands on
 	var kernel bitmap.Shared
 	var win bitmap.Window
 
@@ -340,9 +413,26 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers int) {
 		}
 
 		switch op {
-		case 0, 1: // only the file's own blocks are ever cached
+		case 0: // only the file's own blocks are ever cached
 			hi = min(hi, file)
 			got.MarkCached(gtl, lo, hi)
+			ref.MarkCached(rtl, lo, hi)
+		case 1: // a read's worth, landing in the last query's full span when there is one
+			if full.Blocks() > 0 {
+				lo = full.Lo + a%full.Blocks()
+				hi = lo + b%16 + 1
+			}
+			hi = min(hi, file)
+			if lo >= full.Lo && hi <= full.Hi {
+				for pos := lo; pos < hi; pos = (pos/ref.span + 1) * ref.span {
+					if n := ref.peek(pos); n.cached.Count() == ref.span && n.requested.Count() == 0 {
+						width := min((pos/ref.span+1)*ref.span, hi) - pos
+						saved += costs.RangeTreeOp + ref.lockHold(width)
+						skippedMarks++
+					}
+				}
+			}
+			got.MarkRead(gtl, lo, hi, full)
 			ref.MarkCached(rtl, lo, hi)
 		case 2:
 			got.ClearCached(gtl, lo, hi)
@@ -370,7 +460,8 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers int) {
 					fullAnswers++
 				}
 			}
-			gruns := got.AppendNeedsPrefetch(gtl, nil, lo, hi)
+			var gruns []bitmap.Run
+			gruns, full = got.AppendNeedsPrefetch(gtl, nil, lo, hi)
 			rruns := refAppendNeedsPrefetch(ref, rtl, nil, lo, hi)
 			if !slices.Equal(gruns, rruns) {
 				i := 0
@@ -402,16 +493,31 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers int) {
 			if !sameBits(gn.cached, rn.cached, end) || !sameBits(gn.requested, rn.requested, end) {
 				t.Fatalf("step %d (op %d [%d,%d)): node %d bits differ from the reference", step, op, lo, hi, key)
 			}
-			if gn.full.Load() != (gn.cached.Count() == got.span) {
-				t.Fatalf("step %d (op %d [%d,%d)): node %d publishes full=%v with %d of %d blocks cached",
-					step, op, lo, hi, key, gn.full.Load(), gn.cached.Count(), got.span)
+			if err := checkSummary(gn, got.span); err != "" {
+				t.Fatalf("step %d (op %d [%d,%d)): node %d %s", step, op, lo, hi, key, err)
 			}
 		}
 	}
 	if st := got.LockStats(); st.WriteWait+st.ReadWait != 0 {
 		t.Fatalf("one timeline waited on its own locks: %+v", st)
 	}
-	return fullAnswers
+	return fullAnswers, skippedMarks
+}
+
+// checkSummary reports how n's published summary differs from its bits, or
+// "" when it does not. The caller must exclude writers.
+func checkSummary(n *node, span int64) string {
+	var want uint32
+	if n.cached.Count() == span {
+		want |= sumFull
+	}
+	if n.requested.Count() > 0 {
+		want |= sumRequested
+	}
+	if got := n.summary.Load(); got != want {
+		return fmt.Sprintf("publishes summary %02b with %d of %d blocks cached and %d requested", got, n.cached.Count(), span, n.requested.Count())
+	}
+	return ""
 }
 
 func sameBits(a, b *bitmap.Bitmap, end int64) bool {
@@ -422,18 +528,21 @@ var lockstepSpans = []int64{64, 4096, 0}
 
 func TestLockstepAgainstBits(t *testing.T) {
 	for _, span := range lockstepSpans {
-		full := 0
+		full, skipped := 0, 0
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			prog := make([]byte, 1500*lockstepOpBytes)
 			rng.Read(prog)
-			full += lockstep(t, span, prog)
+			f, s := lockstep(t, span, prog)
+			full, skipped = full+f, skipped+s
 		}
 		// A single-node tree has no full node; the others must meet some,
-		// or the programs do not reach the path under test.
-		if span > 0 && full < 20 {
-			t.Errorf("span %d: only %d full-node answers in 6000 steps", span, full)
+		// and skip some marks, or the programs do not reach the paths
+		// under test.
+		if span > 0 && (full < 20 || skipped < 10) {
+			t.Errorf("span %d: only %d full-node answers and %d skipped marks in 6000 steps", span, full, skipped)
 		}
+		t.Logf("span %d: %d full-node answers, %d skipped marks", span, full, skipped)
 	}
 }
 
@@ -452,12 +561,27 @@ func FuzzTreeAgainstBits(f *testing.F) {
 		0x03, 20, 0, 1, 0, // ClearRequested part of it
 		0x0c, 8, 0, 0x55, 0xaa, // ImportBitmap across nodes
 		0x0d, 0, 0, 200, 0,
+		0x10, 0, 0, 0, 0, // MarkCached node 0 again
+		0x05, 10, 0, 3, 0, // NeedsPrefetch inside it: a full answer
+		0x01, 2, 0, 0, 0, // a read inside the full span: the mark is skipped
+	}
+	// A settled prefetch: claim a whole node, then import it all resident,
+	// as ImportBitmap leaves a completed prefetch — full, every block still
+	// requested. A read's query answers full, and its mark must not skip.
+	claimed := []byte{
+		0x15, 0, 0, 0, 0, // NeedsPrefetch node 0: every block requested
+		0x14, 0, 0, 0xff, 0xff, // ImportBitmap node 0, all resident
+		0x05, 10, 0, 3, 0, // NeedsPrefetch inside it: a full answer
+		0x01, 2, 0, 0, 0, // a read inside the full span: marked, its claim consumed
+		0x05, 10, 0, 3, 0,
+		0x01, 0, 0, 3, 0, // the rest of the node still claimed: marked again
 	}
 	rng := rand.New(rand.NewSource(24))
 	random := make([]byte, 400*lockstepOpBytes)
 	rng.Read(random)
 	for sel := range lockstepSpans {
 		f.Add(uint8(sel), fill)
+		f.Add(uint8(sel), claimed)
 		f.Add(uint8(sel), random)
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, prog []byte) {
@@ -480,7 +604,7 @@ func TestFullNodeQueriesRaceWithWriters(t *testing.T) {
 			tl := simtime.NewTimeline(0)
 			var buf [4]bitmap.Run
 			for i := 0; i < 500; i++ {
-				runs := tr.AppendNeedsPrefetch(tl, buf[:0], 0, 64)
+				runs, _ := tr.AppendNeedsPrefetch(tl, buf[:0], 0, 64)
 				if len(runs) > 1 || (len(runs) == 1 && runs[0] != bitmap.Run{Lo: 30, Hi: 31}) {
 					t.Errorf("query saw %v", runs)
 					return
@@ -495,4 +619,51 @@ func TestFullNodeQueriesRaceWithWriters(t *testing.T) {
 		tr.MarkCached(wtl, 30, 31)
 	}
 	wg.Wait()
+}
+
+// TestReadMarksRaceWithWriters puts the read's lock-free mark under the race
+// detector: readers run query → read-mark over full nodes, and settle what
+// their queries claimed, while a writer keeps punching holes in the same
+// nodes and filling them again. At quiesce every node's summary matches its
+// bits, every block the writer refilled is cached, and no claim is left.
+func TestReadMarksRaceWithWriters(t *testing.T) {
+	const span, blocks = 64, 256
+	tr := newTree(span)
+	tr.MarkCached(nil, 0, blocks)
+	var wg sync.WaitGroup
+	for w := int64(0); w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := simtime.NewTimeline(0)
+			var buf [8]bitmap.Run
+			for i := int64(0); i < 500; i++ {
+				lo := (i*37 + w*61) % (blocks - 4)
+				runs, full := tr.AppendNeedsPrefetch(tl, buf[:0], lo, lo+span)
+				tl.Advance(simtime.Microsecond)
+				tr.MarkRead(tl, lo, lo+4, full)
+				for _, r := range runs {
+					tr.MarkCached(tl, r.Lo, r.Hi)
+				}
+			}
+		}()
+	}
+	wtl := simtime.NewTimeline(0)
+	for i := int64(0); i < 500; i++ {
+		lo := i * 53 % blocks
+		tr.ClearCached(wtl, lo, lo+1)
+		tr.MarkCached(wtl, lo, lo+1)
+	}
+	wg.Wait()
+	for key, n := range tr.nodes {
+		if err := checkSummary(n, span); err != "" {
+			t.Errorf("node %d %s", key, err)
+		}
+		if n.requested.Count() != 0 {
+			t.Errorf("node %d: %d blocks still claimed", key, n.requested.Count())
+		}
+	}
+	if got := tr.CachedCount(nil, 0, blocks); got != blocks {
+		t.Errorf("%d of %d blocks cached at quiesce", got, blocks)
+	}
 }
