@@ -14,73 +14,36 @@ import (
 // CrossP[+predict+opt] configuration.
 func Ablation(o Options) (*Table, error) {
 	p := defaultDBParams(o, 2)
-	threads := 16
-	if o.Quick {
-		threads = 4
+	p.seed = o.Seed + 51
+	threads := dbThreads(o)
+	s := sweep[*dbRow]{
+		table:  &Table{ID: "ablate", Title: "Ablation of CROSS-LIB tunables (multireadrandom)"},
+		fields: append(labels[lsm.BenchResult]("knob", "value"), dbKops, dbMiss, dbPrefetch, dbSaved),
 	}
+	s.table.Note("keys=%d memory=%s threads=%d approach=CrossP[+predict+opt]", p.keys, mb(p.memory), threads)
 
-	t := &Table{
-		ID:      "ablate",
-		Title:   "Ablation of CROSS-LIB tunables (multireadrandom)",
-		Columns: []string{"knob", "value", "kops/s", "miss%", "prefetch-calls", "saved-calls"},
-	}
-	t.Note("keys=%d memory=%s threads=%d approach=CrossP[+predict+opt]", p.keys, mb(p.memory), threads)
-
-	run := func(knob, value string, mutate func(*crosslib.Options)) error {
+	knob := func(name, value string, set func(*crosslib.Options)) {
 		opts := crossprefetch.CrossPredictOpt.Options()
-		mutate(&opts)
-		sys := crossprefetch.NewSystem(crossprefetch.Config{
-			Approach:    crossprefetch.CrossPredictOpt,
-			MemoryBytes: p.memory,
-			LibOptions:  &opts,
-		})
-		ops := p.keys / int64(threads) / p.opsFactor
-		res, err := lsm.RunBench(lsm.BenchConfig{
-			Sys: sys, DB: dbOptions(),
-			NumKeys: p.keys, ValueBytes: p.valueBytes,
-			Threads: threads, Workload: lsm.MultiReadRandom,
-			OpsPerThread: ops, Seed: o.Seed + 51,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(knob, value, f0(res.KopsPerSec), f1(res.MissPct),
-			f0(float64(res.Metrics.Lib.PrefetchCalls)),
-			f0(float64(res.Metrics.Lib.SavedPrefetches)))
-		return nil
+		set(&opts)
+		cfg := sysConfig{approach: crossprefetch.CrossPredictOpt, memory: p.memory, lib: &opts}
+		s.cells = append(s.cells, dbCell(name, value, cfg, p, lsm.MultiReadRandom, threads))
 	}
-
 	// PREFETCH_SIZE_VAR: the per-request cap.
 	for _, mbCap := range []int64{4, 16, 64} {
-		mbCap := mbCap
-		if err := run("prefetch-size", mb(mbCap<<20), func(o *crosslib.Options) {
-			o.MaxPrefetchBytes = mbCap << 20
-		}); err != nil {
-			return nil, err
-		}
+		knob("prefetch-size", mb(mbCap<<20), func(o *crosslib.Options) { o.MaxPrefetchBytes = mbCap << 20 })
 	}
 	// NR_WORKERS_VAR: background helper threads.
 	for _, w := range []int{1, 4, 8} {
-		w := w
-		if err := run("workers", f0(float64(w)), func(o *crosslib.Options) {
-			o.Workers = w
-		}); err != nil {
-			return nil, err
-		}
+		knob("workers", f0(float64(w)), func(o *crosslib.Options) { o.Workers = w })
 	}
 	// CROSS_BITMAP_SHIFT: range-tree node span (granularity of the
 	// user-level bitmap locks).
 	for _, span := range []int64{0, 1024, rangetree.DefaultSpan, 1 << 15} {
-		span := span
 		name := "single-bitmap"
 		if span > 0 {
 			name = f0(float64(span)) + "-blocks"
 		}
-		if err := run("node-span", name, func(o *crosslib.Options) {
-			o.RangeTreeSpan = span
-		}); err != nil {
-			return nil, err
-		}
+		knob("node-span", name, func(o *crosslib.Options) { o.RangeTreeSpan = span })
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }

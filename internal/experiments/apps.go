@@ -3,7 +3,6 @@ package experiments
 import (
 	crossprefetch "repro"
 	"repro/internal/filebench"
-	"repro/internal/lsm"
 	"repro/internal/snappy"
 	"repro/internal/ycsb"
 )
@@ -22,46 +21,39 @@ func Fig8b(o Options) (*Table, error) {
 		opsPerThread = 48
 	}
 
-	t := &Table{
-		ID:      "fig8b",
-		Title:   "Filebench multi-instance workloads",
-		Columns: []string{"workload", "approach", "MB/s", "ops/s", "miss%", "vs-APPonly"},
+	sw := sweep[*row[filebench.Result]]{
+		table: &Table{ID: "fig8b", Title: "Filebench multi-instance workloads"},
+		fields: append(labels[filebench.Result]("workload", "approach"),
+			metric("MB/s", "%.1f", func(r filebench.Result) any { return r.MBPerSec }),
+			metric("ops/s", "%.0f", func(r filebench.Result) any { return r.OpsPerSec }),
+			metric("miss%", "%.1f", func(r filebench.Result) any { return r.MissPct }),
+			vsCol[filebench.Result]("vs-APPonly")),
+		contract: vsFirst(func(r filebench.Result) float64 { return r.MBPerSec }),
 	}
-	t.Note("instances=%d dataset=%s/instance memory=%s", instances, mb(perInstance), mb(mem))
-
+	sw.table.Note("instances=%d dataset=%s/instance memory=%s", instances, mb(perInstance), mb(mem))
 	for _, p := range filebench.Profiles() {
-		var base float64
 		for _, a := range microApproaches {
-			res, err := filebench.Run(filebench.Config{
-				Sys:                newSys(sysConfig{approach: a, memory: mem}),
-				Profile:            p,
-				Instances:          instances,
-				ThreadsPerInstance: 2,
-				BytesPerInstance:   perInstance,
-				OpsPerThread:       opsPerThread,
-				Seed:               o.Seed + 21,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if a == crossprefetch.AppOnly {
-				base = res.MBPerSec
-			}
-			t.AddRow(string(p), a.String(), f1(res.MBPerSec), f0(res.OpsPerSec),
-				f1(res.MissPct), ratio(res.MBPerSec, base))
+			sw.cells = append(sw.cells, cellOf(string(p), a.String(), sysConfig{approach: a, memory: mem},
+				func(sys *crossprefetch.System) (filebench.Result, error) {
+					return filebench.Run(filebench.Config{
+						Sys:                sys,
+						Profile:            p,
+						Instances:          instances,
+						ThreadsPerInstance: 2,
+						BytesPerInstance:   perInstance,
+						OpsPerThread:       opsPerThread,
+						Seed:               o.Seed + 21,
+					})
+				}))
 		}
 	}
-	return t, nil
+	return tableOf(sw.run(nil))
 }
 
-// Fig9a reproduces Figure 9a: YCSB workloads A–F with 16 client threads
-// and 4KB values over the LSM store.
+// Fig9a reproduces Figure 9a: YCSB workloads A–F with 8 client threads
+// (2 at -quick; the paper runs 16) and 4KB values over the LSM store.
 func Fig9a(o Options) (*Table, error) {
-	s := o.scale(2)
-	records := int64(40_000_000) / (s * 1024)
-	if records < 1500 {
-		records = 1500
-	}
+	records := max(int64(40_000_000)/(o.scale(2)*1024), 1500)
 	mem := records * 4096 * 2 / 3 // memory holds ~2/3 of the dataset
 	threads := 8
 	ops := records / int64(threads) / 2
@@ -70,91 +62,74 @@ func Fig9a(o Options) (*Table, error) {
 		ops = 200
 	}
 
-	t := &Table{
-		ID:      "fig9a",
-		Title:   "YCSB A-F over the LSM store",
-		Columns: []string{"workload", "approach", "kops/s", "miss%", "vs-APPonly"},
+	s := sweep[*row[ycsb.Result]]{
+		table: &Table{ID: "fig9a", Title: "YCSB A-F over the LSM store"},
+		fields: append(labels[ycsb.Result]("workload", "approach"),
+			metric("kops/s", "%.1f", func(r ycsb.Result) any { return r.KopsPerSec }),
+			metric("miss%", "%.1f", func(r ycsb.Result) any { return r.MissPct }),
+			vsCol[ycsb.Result]("vs-APPonly")),
+		contract: vsFirst(func(r ycsb.Result) float64 { return r.KopsPerSec }),
 	}
-	t.Note("records=%d value=4KB memory=%s threads=%d", records, mb(mem), threads)
-
-	approaches := []crossprefetch.Approach{
-		crossprefetch.AppOnly, crossprefetch.OSOnly,
-		crossprefetch.CrossPredictOpt, crossprefetch.CrossFetchAllOpt,
-	}
+	s.table.Note("records=%d value=4KB memory=%s threads=%d", records, mb(mem), threads)
 	for _, w := range ycsb.All() {
-		var base float64
-		for _, a := range approaches {
-			res, err := ycsb.Run(w, ycsb.Config{
-				Sys:          newSys(sysConfig{approach: a, memory: mem}),
-				DB:           dbOptions(),
-				Records:      records,
-				ValueBytes:   4096,
-				Threads:      threads,
-				OpsPerThread: ops,
-				Seed:         o.Seed + 31,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if a == crossprefetch.AppOnly {
-				base = res.KopsPerSec
-			}
-			t.AddRow(w.String(), a.String(), f1(res.KopsPerSec), f1(res.MissPct),
-				ratio(res.KopsPerSec, base))
+		for _, a := range []crossprefetch.Approach{
+			crossprefetch.AppOnly, crossprefetch.OSOnly,
+			crossprefetch.CrossPredictOpt, crossprefetch.CrossFetchAllOpt,
+		} {
+			s.cells = append(s.cells, cellOf(w.String(), a.String(), sysConfig{approach: a, memory: mem},
+				func(sys *crossprefetch.System) (ycsb.Result, error) {
+					return ycsb.Run(w, ycsb.Config{
+						Sys:          sys,
+						DB:           dbOptions(),
+						Records:      records,
+						ValueBytes:   4096,
+						Threads:      threads,
+						OpsPerThread: ops,
+						Seed:         o.Seed + 31,
+					})
+				}))
 		}
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
 
 // Fig9b reproduces Figure 9b: Snappy parallel compression as the
 // memory:dataset ratio varies from 1:6 to 1:1. Paper: 120GB of 100MB
 // files, 16 threads.
 func Fig9b(o Options) (*Table, error) {
-	s := o.scale(4)
-	fileBytes := int64(16<<20) / s
+	fileBytes := int64(16<<20) / o.scale(4)
 	files := 24
 	threads := 8
+	ratios := memRatios
 	if o.Quick {
 		files = 8
 		threads = 2
+		ratios = ratios[1:3]
 	}
 	dataset := fileBytes * int64(files)
 
-	t := &Table{
-		ID:      "fig9b",
-		Title:   "Snappy parallel compression vs memory:dataset ratio",
-		Columns: []string{"mem:data", "approach", "MB/s", "miss%", "evicted-lib", "vs-APPonly"},
+	s := sweep[*row[snappy.AppResult]]{
+		table: &Table{ID: "fig9b", Title: "Snappy parallel compression vs memory:dataset ratio"},
+		fields: append(labels[snappy.AppResult]("mem:data", "approach"),
+			metric("MB/s", "%.1f", func(r snappy.AppResult) any { return r.MBPerSec }),
+			metric("miss%", "%.1f", func(r snappy.AppResult) any { return r.MissPct }),
+			metric("evicted-lib", "%d", func(r snappy.AppResult) any { return r.Metrics.Lib.EvictedPages }),
+			vsCol[snappy.AppResult]("vs-APPonly")),
+		contract: vsFirst(func(r snappy.AppResult) float64 { return r.MBPerSec }),
 	}
-	t.Note("files=%d x %s threads=%d", files, mb(fileBytes), threads)
-
-	ratios := []struct {
-		name string
-		den  int64
-	}{{"1:6", 6}, {"1:4", 4}, {"1:2", 2}, {"1:1", 1}}
-	if o.Quick {
-		ratios = ratios[1:3]
-	}
+	s.table.Note("files=%d x %s threads=%d", files, mb(fileBytes), threads)
 	for _, r := range ratios {
-		var base float64
 		for _, a := range microApproaches {
-			res, err := snappy.RunApp(snappy.AppConfig{
-				Sys:       newSys(sysConfig{approach: a, memory: dataset / r.den}),
-				Files:     files,
-				FileBytes: fileBytes,
-				Threads:   threads,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if a == crossprefetch.AppOnly {
-				base = res.MBPerSec
-			}
-			t.AddRow(r.name, a.String(), f1(res.MBPerSec), f1(res.MissPct),
-				f0(float64(res.Metrics.Lib.EvictedPages)), ratio(res.MBPerSec, base))
+			s.cells = append(s.cells, cellOf(r.name, a.String(), sysConfig{approach: a, memory: dataset / r.den},
+				func(sys *crossprefetch.System) (snappy.AppResult, error) {
+					return snappy.RunApp(snappy.AppConfig{
+						Sys:       sys,
+						Files:     files,
+						FileBytes: fileBytes,
+						Threads:   threads,
+					})
+				}))
 		}
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
-
-// ensure lsm import is referenced by the shared helpers file.
-var _ = lsm.ReadRandom

@@ -54,55 +54,43 @@ func Batch(o Options) (*Table, error) {
 	if o.Quick {
 		threads = 2
 	}
-
-	t := &Table{
-		ID:    "batch",
-		Title: "Block-layer plugging: device commands and makespan, plug off vs on",
-		Columns: []string{"cell", "read-cmds", "read-MB", "merged-segs",
-			"makespan-ms", "MB/s", "cmds-vs-off"},
-	}
-	t.Note("memory=%s data=%s threads=%d approach=%v", mb(mem), mb(total),
-		threads, crossprefetch.CrossFetchAllOpt)
-
-	type cell struct {
-		name string
-		plug bool
-		qd   int
-	}
-	cells := []cell{{"plug-off", false, 0}}
-	for _, qd := range []int{1, 8, 32} {
-		cells = append(cells, cell{fmt.Sprintf("plug-qd%d", qd), true, qd})
-	}
-
-	var baseCmds float64
-	for _, c := range cells {
-		res, err := workload.RunMicro(workload.MicroConfig{
-			Sys: newSys(sysConfig{
-				approach:   crossprefetch.CrossFetchAllOpt,
-				memory:     mem,
-				plug:       c.plug,
-				queueDepth: c.qd,
-				congestion: simtime.Second,
+	s := sweep[*microRow]{
+		table: &Table{ID: "batch", Title: "Block-layer plugging: device commands and makespan, plug off vs on"},
+		fields: append(labels[workload.Result]("", "cell"),
+			metric("read-cmds", "%d", func(r workload.Result) any { return r.Metrics.Device.ReadOps }),
+			metric("read-MB", "%.1f", func(r workload.Result) any { return mbytes(r.Metrics.Device.ReadBytes) }),
+			metric("merged-segs", "%d", func(r workload.Result) any { return r.Metrics.Device.MergedSegments }),
+			metric("makespan-ms", "%.1f", func(r workload.Result) any {
+				return float64(r.Makespan) / float64(simtime.Millisecond)
 			}),
-			Threads:    threads,
-			IOSize:     16 << 10,
-			TotalBytes: total,
-			Shared:     false,
-			Sequential: true,
-			Seed:       o.Seed + 11,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dev := res.Metrics.Device
-		cmds := float64(dev.ReadOps)
-		if !c.plug {
-			baseCmds = cmds
-		}
-		t.AddRow(c.name, f0(cmds), f1(float64(dev.ReadBytes)/(1<<20)),
-			f0(float64(dev.MergedSegments)),
-			f1(float64(res.Makespan)/float64(simtime.Millisecond)),
-			f1(res.ReadMBs), ratio(cmds, baseCmds))
+			microReadMBs, vsCol[workload.Result]("cmds-vs-off")),
+		contract: vsFirst(func(r workload.Result) float64 { return float64(r.Metrics.Device.ReadOps) }),
 	}
-	return t, nil
+	s.table.Note("memory=%s data=%s threads=%d approach=%v", mb(mem), mb(total),
+		threads, crossprefetch.CrossFetchAllOpt)
+	cell := func(name string, plug bool, qd int) {
+		cfg := sysConfig{
+			approach:   crossprefetch.CrossFetchAllOpt,
+			memory:     mem,
+			plug:       plug,
+			queueDepth: qd,
+			congestion: simtime.Second,
+		}
+		s.cells = append(s.cells, cellOf("", name, cfg, func(sys *crossprefetch.System) (workload.Result, error) {
+			return workload.RunMicro(workload.MicroConfig{
+				Sys:        sys,
+				Threads:    threads,
+				IOSize:     16 << 10,
+				TotalBytes: total,
+				Shared:     false,
+				Sequential: true,
+				Seed:       o.Seed + 11,
+			})
+		}))
+	}
+	cell("plug-off", false, 0)
+	for _, qd := range []int{1, 8, 32} {
+		cell(fmt.Sprintf("plug-qd%d", qd), true, qd)
+	}
+	return tableOf(s.run(nil))
 }

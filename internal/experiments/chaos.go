@@ -19,23 +19,14 @@ import (
 // poisoning guard reconciles), transient faults are absorbed by
 // retries, persistent faults surface as errors and trip the per-file
 // circuit breaker, and the faulty cells stay within a bounded slowdown
-// of the fault-free baseline. The transient cell runs twice to prove
-// the virtual-time schedule is reproducible.
+// of the fault-free baseline. Like every cell, each plan runs twice and
+// must reproduce its virtual-time schedule.
 func Chaos(o Options) (*Table, error) {
 	size := int64(32 << 20)
 	if o.Quick {
 		size = 8 << 20
 	}
 	seed := uint64(o.Seed + 1) // plan seed 0 is fine, but keep cells distinct from default hashes
-
-	baseline, err := chaosCell(o, size, nil)
-	if err != nil {
-		return nil, fmt.Errorf("chaos baseline: %w", err)
-	}
-	if baseline.readErrs != 0 || baseline.injected != 0 {
-		return nil, fmt.Errorf("chaos baseline: %d read errors / %d injected faults on a fault-free device",
-			baseline.readErrs, baseline.injected)
-	}
 
 	// 10% of read sites and 2% of write sites glitch transiently, plus a
 	// "brownout" over the blocks backing the file's second quarter where
@@ -55,93 +46,12 @@ func Chaos(o Options) (*Table, error) {
 		// Filled per-cell from the file's physical mapping; see chaosCell.
 		Ranges: []faultinject.RangeFault{{Class: faultinject.Transient, Reads: true, Repeats: 4}},
 	}
-	transient, err := chaosCell(o, size, transientPlan)
-	if err != nil {
-		return nil, fmt.Errorf("chaos transient10: %w", err)
-	}
-	again, err := chaosCell(o, size, transientPlan)
-	if err != nil {
-		return nil, fmt.Errorf("chaos transient10 rerun: %w", err)
-	}
-
-	persistent, err := chaosCell(o, size, &faultinject.Plan{
+	persistentPlan := &faultinject.Plan{
 		Seed: seed,
 		// Filled per-cell from the file's physical mapping; see chaosCell.
 		Ranges: []faultinject.RangeFault{{Class: faultinject.Persistent, Reads: true}},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("chaos persistent-range: %w", err)
 	}
 
-	// Graceful-degradation assertions.
-	if transient.readErrs != 0 {
-		return nil, fmt.Errorf("transient10: %d read errors escaped the retry budget", transient.readErrs)
-	}
-	if transient.stats.PrefetchRetries == 0 {
-		return nil, fmt.Errorf("transient10: no prefetch retries under a 10%% fault rate")
-	}
-	if transient.stats.BreakerTrips == 0 || transient.stats.BreakerRecoveries == 0 {
-		return nil, fmt.Errorf("transient10: breaker trips=%d recoveries=%d, want both >= 1",
-			transient.stats.BreakerTrips, transient.stats.BreakerRecoveries)
-	}
-	if transient.lost != 0 {
-		return nil, fmt.Errorf("transient10: %d writeback pages lost although all faults clear", transient.lost)
-	}
-	const slowdownBound = 3.0
-	if float64(transient.makespan) > slowdownBound*float64(baseline.makespan) {
-		return nil, fmt.Errorf("transient10: makespan %v > %.1fx baseline %v",
-			transient.makespan, slowdownBound, baseline.makespan)
-	}
-	if transient != again {
-		return nil, fmt.Errorf("transient10 not deterministic:\n run1=%+v\n run2=%+v", transient, again)
-	}
-	if persistent.readErrs == 0 {
-		return nil, fmt.Errorf("persistent-range: no read error surfaced from a dead range")
-	}
-	if persistent.stats.BreakerTrips == 0 {
-		return nil, fmt.Errorf("persistent-range: breaker never tripped")
-	}
-
-	tbl := &Table{
-		ID:    "chaos",
-		Title: "Fault-plan sweep: correctness and degradation vs fault-free baseline",
-		Columns: []string{"plan", "makespan(ms)", "slowdown", "faults", "read-errs",
-			"retries", "trips", "recoveries", "dropped", "lost-pages"},
-	}
-	for _, c := range []struct {
-		name string
-		r    chaosResult
-	}{{"baseline", baseline}, {"transient10", transient}, {"persistent-range", persistent}} {
-		tbl.AddRow(c.name,
-			fmt.Sprintf("%.2f", float64(c.r.makespan)/float64(simtime.Millisecond)),
-			ratio(float64(c.r.makespan), float64(baseline.makespan)),
-			fmt.Sprintf("%d", c.r.injected),
-			fmt.Sprintf("%d", c.r.readErrs),
-			fmt.Sprintf("%d", c.r.stats.PrefetchRetries),
-			fmt.Sprintf("%d", c.r.stats.BreakerTrips),
-			fmt.Sprintf("%d", c.r.stats.BreakerRecoveries),
-			fmt.Sprintf("%d", c.r.stats.DroppedBreaker),
-			fmt.Sprintf("%d", c.r.lost))
-	}
-	tbl.Note("every successfully returned byte verified against ground truth; telemetry audit (incl. cache-poisoning guard) passed in all cells")
-	tbl.Note("transient10 executed twice with identical virtual-time schedules (determinism check)")
-	return tbl, nil
-}
-
-// chaosResult is the comparable observable vector of one cell; two runs
-// of the same plan must produce identical values.
-type chaosResult struct {
-	makespan simtime.Duration
-	readErrs int64
-	injected int64
-	lost     int64
-	stats    crosslib.Stats
-}
-
-// chaosCell runs the standard chaos workload under one fault plan
-// (nil = fault-free) and verifies byte-correctness and the telemetry
-// audit before returning.
-func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, error) {
 	opt := crossprefetch.CrossPredictOpt.Options()
 	// An aggressive breaker so a 10% fault plan exercises the full
 	// open -> cool-off -> probe -> close cycle within one cell. The
@@ -154,15 +64,100 @@ func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, erro
 	opt.BreakerCooloff = 2 * simtime.Millisecond
 	opt.FaultSeed = o.Seed
 	opt.MaxPrefetchBytes = 512 << 10
-	sys := crossprefetch.NewSystem(crossprefetch.Config{
-		Approach:    crossprefetch.CrossPredictOpt,
-		MemoryBytes: size * 8, // no memory pressure: isolate fault effects
-		LibOptions:  &opt,
-		Telemetry:   true,
+	cfg := sysConfig{
+		approach:  crossprefetch.CrossPredictOpt,
+		memory:    size * 8, // no memory pressure: isolate fault effects
+		lib:       &opt,
+		telemetry: true, // the audit is the poisoning guard
 		// One more blocking retry than default so the brownout's
 		// Repeats=4 sites stay inside the demand-read budget.
-		DemandRetries: 4,
-	})
+		demandRetries: 4,
+	}
+
+	vs := vsFirst(func(r chaosResult) float64 { return float64(r.makespan) })
+	s := sweep[*row[chaosResult]]{
+		table: &Table{ID: "chaos", Title: "Fault-plan sweep: correctness and degradation vs fault-free baseline"},
+		fields: append(labels[chaosResult]("", "plan"),
+			metric("makespan(ms)", "%.2f", func(r chaosResult) any { return float64(r.makespan) / float64(simtime.Millisecond) }),
+			vsCol[chaosResult]("slowdown"),
+			metric("faults", "%d", func(r chaosResult) any { return r.injected }),
+			metric("read-errs", "%d", func(r chaosResult) any { return r.readErrs }),
+			metric("retries", "%d", func(r chaosResult) any { return r.stats.PrefetchRetries }),
+			metric("trips", "%d", func(r chaosResult) any { return r.stats.BreakerTrips }),
+			metric("recoveries", "%d", func(r chaosResult) any { return r.stats.BreakerRecoveries }),
+			metric("dropped", "%d", func(r chaosResult) any { return r.stats.DroppedBreaker }),
+			metric("lost-pages", "%d", func(r chaosResult) any { return r.lost }),
+			// Every library counter, so the rerun reproduces them all.
+			metric("", "", func(r chaosResult) any { return r.stats })),
+		contract: func(rows []*row[chaosResult], at func(string) *row[chaosResult]) error {
+			if err := vs(rows, at); err != nil {
+				return err
+			}
+			return chaosContract(at("baseline").res, at("transient10").res, at("persistent-range").res)
+		},
+	}
+	for _, c := range []struct {
+		name string
+		plan *faultinject.Plan
+	}{{"baseline", nil}, {"transient10", transientPlan}, {"persistent-range", persistentPlan}} {
+		s.cells = append(s.cells, cellOf("", c.name, cfg, func(sys *crossprefetch.System) (chaosResult, error) {
+			return chaosCell(sys, o, size, c.plan)
+		}))
+	}
+	s.table.Note("every successfully returned byte verified against ground truth; telemetry audit (incl. cache-poisoning guard) passed in all cells")
+	s.table.Note("transient10 executed twice with identical virtual-time schedules (determinism check)")
+	return tableOf(s.run(nil))
+}
+
+// chaosContract is graceful degradation: no fault on the fault-free
+// device, transient faults absorbed by retries with the breaker tripping
+// and recovering within a bounded slowdown, and a dead range surfacing as
+// read errors that trip the breaker.
+func chaosContract(baseline, transient, persistent chaosResult) error {
+	if baseline.readErrs != 0 || baseline.injected != 0 {
+		return fmt.Errorf("baseline: %d read errors / %d injected faults on a fault-free device",
+			baseline.readErrs, baseline.injected)
+	}
+	if transient.readErrs != 0 {
+		return fmt.Errorf("transient10: %d read errors escaped the retry budget", transient.readErrs)
+	}
+	if transient.stats.PrefetchRetries == 0 {
+		return fmt.Errorf("transient10: no prefetch retries under a 10%% fault rate")
+	}
+	if transient.stats.BreakerTrips == 0 || transient.stats.BreakerRecoveries == 0 {
+		return fmt.Errorf("transient10: breaker trips=%d recoveries=%d, want both >= 1",
+			transient.stats.BreakerTrips, transient.stats.BreakerRecoveries)
+	}
+	if transient.lost != 0 {
+		return fmt.Errorf("transient10: %d writeback pages lost although all faults clear", transient.lost)
+	}
+	const slowdownBound = 3.0
+	if float64(transient.makespan) > slowdownBound*float64(baseline.makespan) {
+		return fmt.Errorf("transient10: makespan %v > %.1fx baseline %v",
+			transient.makespan, slowdownBound, baseline.makespan)
+	}
+	if persistent.readErrs == 0 {
+		return fmt.Errorf("persistent-range: no read error surfaced from a dead range")
+	}
+	if persistent.stats.BreakerTrips == 0 {
+		return fmt.Errorf("persistent-range: breaker never tripped")
+	}
+	return nil
+}
+
+// chaosResult is the comparable observable vector of one cell; two runs
+// of the same plan must produce identical values.
+type chaosResult struct {
+	makespan simtime.Duration
+	readErrs int64
+	injected int64
+	lost     int64
+	stats    crosslib.Stats
+}
+
+// chaosCell runs the standard chaos workload on sys under one fault plan
+// (nil = fault-free) and verifies byte-correctness.
+func chaosCell(sys *crossprefetch.System, o Options, size int64, plan *faultinject.Plan) (chaosResult, error) {
 	tl := sys.Timeline()
 	if err := sys.CreateSynthetic(tl, "chaos.dat", size); err != nil {
 		return chaosResult{}, err
@@ -184,12 +179,13 @@ func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, erro
 			// so degradation stays bounded.
 			bs := sys.FS().BlockSize()
 			blocks := size / bs
-			cls, dir := p.Ranges[0].Class, p.Ranges[0]
-			p.Ranges = p.Ranges[:0]
+			// A fresh slice: the plan is shared by the cell's two runs.
+			dir := p.Ranges[0]
+			p.Ranges = nil
 			for _, pr := range truth.MapRange(blocks/4, blocks/4+64) {
 				p.Ranges = append(p.Ranges, faultinject.RangeFault{
 					Lo: pr.Phys * bs, Hi: (pr.Phys + pr.Count) * bs,
-					Class: cls, Reads: dir.Reads, Writes: dir.Writes,
+					Class: dir.Class, Reads: dir.Reads, Writes: dir.Writes,
 					Repeats: dir.Repeats,
 				})
 			}
@@ -274,11 +270,6 @@ func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, erro
 	f.Close(tl)
 	out.Close(tl)
 
-	// Reconcile every layer's account of the run — including the
-	// cache-poisoning guard (failed reads must not have inserted pages).
-	if err := sys.AuditTelemetry(); err != nil {
-		return res, err
-	}
 	res.makespan = tl.Elapsed()
 	res.stats = sys.Lib().Stats()
 	res.injected = sys.Device().Stats().InjectedFaults

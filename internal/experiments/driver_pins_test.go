@@ -26,9 +26,11 @@ import (
 // became one draw per scan), the multi-thread ones when the group's gate
 // became a baton (those of mmap, Figure 6, filebench and db_bench again when
 // the seed derivations became one); a line that moves means a Gate, a PRNG
-// draw or a counter did. To re-record on purpose, run with -v: every line is
-// logged.
+// draw or a counter did. It runs beside the parallel paper-table tests, so a
+// line those disturbed would move too. To re-record on purpose, run with -v:
+// every line is logged.
 func TestDriverPins(t *testing.T) {
+	t.Parallel()
 	want := strings.Split(strings.TrimSpace(driverPins), "\n")
 	var got []string
 	sys := func(a crossprefetch.Approach) *crossprefetch.System {

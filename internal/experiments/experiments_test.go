@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	crossprefetch "repro"
 )
 
 // quickOpts shrinks every experiment to smoke-test size.
@@ -83,89 +85,30 @@ func runQuick(t *testing.T, id string) *Table {
 	return tbl
 }
 
-func TestFig5Quick(t *testing.T) {
-	tbl := runQuick(t, "fig5")
-	// Table 3 shape: cross-layered prefetching cuts shared-rand misses.
-	app := cell(t, tbl, "miss%", "shared-rand", "APPonly")
-	cross := cell(t, tbl, "miss%", "shared-rand", "CrossP[+predict]")
-	if cross >= app {
-		t.Errorf("shared-rand miss%%: CrossP %.1f should be < APPonly %.1f", cross, app)
-	}
-}
+// The paper experiments assert their shapes in their contracts; a run
+// that returns is one whose every cell reproduced on rerun. They flip no
+// process switch, so they run in parallel, after the serial tests (the
+// telemetry ones) are done; a cell disturbed by another test's systems
+// would fail its rerun.
+func TestFig2Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig2") }
+func TestFig5Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig5") }
+func TestFig6Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig6") }
+func TestTable4Quick(t *testing.T) { t.Parallel(); runQuick(t, "tab4") }
+func TestFig7aQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7a") }
+func TestFig7bQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7b") }
+func TestFig7cQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7c") }
+func TestFig7dQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7d") }
+func TestTable5Quick(t *testing.T) { t.Parallel(); runQuick(t, "tab5") }
+func TestFig8aQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig8a") }
+func TestFig10Quick(t *testing.T)  { t.Parallel(); runQuick(t, "fig10") }
 
-func TestFig6Quick(t *testing.T) {
-	tbl := runQuick(t, "fig6")
-	if v := cell(t, tbl, "write-MB/s", "4", "OSonly"); v <= 0 {
-		t.Errorf("no write throughput: %v", v)
-	}
-}
-
-func TestTable4Quick(t *testing.T) {
-	tbl := runQuick(t, "tab4")
-	// Table 4 shape: APPonly (madvise RANDOM) is the slowest sequential.
-	app := cell(t, tbl, "MB/s", "readseq", "APPonly")
-	cross := cell(t, tbl, "MB/s", "readseq", "CrossP[+predict+opt]")
-	if app >= cross {
-		t.Errorf("mmap readseq: APPonly %.1f should trail CrossP %.1f", app, cross)
-	}
-}
-
-func TestFig2Quick(t *testing.T) {
-	tbl := runQuick(t, "fig2")
-	app := cell(t, tbl, "kops/s", "APPonly")
-	cross := cell(t, tbl, "kops/s", "CrossP[+predict+opt]")
-	if cross <= app {
-		t.Errorf("fig2: CrossP %.0f kops should beat APPonly %.0f", cross, app)
-	}
-}
-
-// TestPaperTablesReproduce: a multi-thread paper table is a function of its
-// seed. Each experiment runs twice in one process and the two tables must be
-// equal cell for cell (crossbench's wall-time note is added outside the
-// runner).
-func TestPaperTablesReproduce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	for _, id := range []string{"fig2", "fig5", "fig6", "tab4", "fig8b"} {
-		first, second := runQuick(t, id), runQuick(t, id)
-		if !reflect.DeepEqual(first, second) {
-			var a, b bytes.Buffer
-			first.Print(&a)
-			second.Print(&b)
-			t.Errorf("%s differs between two runs of seed 1:\n%s\n%s", id, a.String(), b.String())
-		}
-	}
-}
-
-func TestFig7aQuick(t *testing.T)  { runQuick(t, "fig7a") }
-func TestFig7bQuick(t *testing.T)  { runQuick(t, "fig7b") }
-func TestFig7cQuick(t *testing.T)  { runQuick(t, "fig7c") }
-func TestFig7dQuick(t *testing.T)  { runQuick(t, "fig7d") }
-func TestTable5Quick(t *testing.T) { runQuick(t, "tab5") }
-func TestFig8aQuick(t *testing.T)  { runQuick(t, "fig8a") }
-func TestFig10Quick(t *testing.T)  { runQuick(t, "fig10") }
-
-// TestChaosQuick runs the fault-injection sweep; the runner itself
-// asserts byte-correctness, audit reconciliation, breaker trip +
-// recovery, bounded slowdown, and schedule determinism.
-func TestChaosQuick(t *testing.T) {
-	tbl := runQuick(t, "chaos")
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("chaos produced %d rows, want 3", len(tbl.Rows))
-	}
-	if got := cell(t, tbl, "trips", "transient10"); got < 1 {
-		t.Fatalf("transient10 breaker trips = %v, want >= 1", got)
-	}
-	if got := cell(t, tbl, "recoveries", "transient10"); got < 1 {
-		t.Fatalf("transient10 breaker recoveries = %v, want >= 1", got)
-	}
-	if got := cell(t, tbl, "read-errs", "persistent-range"); got < 1 {
-		t.Fatalf("persistent-range read errors = %v, want >= 1", got)
-	}
-}
+// TestChaosQuick runs the fault-injection sweep; its contract asserts
+// byte-correctness, breaker trip + recovery under transient faults,
+// bounded slowdown, and read errors from a dead range.
+func TestChaosQuick(t *testing.T) { t.Parallel(); runQuick(t, "chaos") }
 
 func TestFig8bQuick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -173,6 +116,7 @@ func TestFig8bQuick(t *testing.T) {
 }
 
 func TestFig9aQuick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -180,6 +124,7 @@ func TestFig9aQuick(t *testing.T) {
 }
 
 func TestFig9bQuick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -187,6 +132,7 @@ func TestFig9bQuick(t *testing.T) {
 }
 
 func TestAblationQuick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -267,24 +213,69 @@ func TestCSVEscaping(t *testing.T) {
 	}
 }
 
+// TestTelemetryDrainAuditsEverySystem: under the telemetry switch every
+// cell of a table registers exactly one system (not one per rerun) that
+// passes the audit, ablate's knob cells included.
 func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
 	EnableTelemetry(true)
 	defer EnableTelemetry(false)
-	runQuick(t, "fig5")
-	results := DrainTelemetry()
-	if len(results) == 0 {
-		t.Fatal("no systems registered with telemetry enabled")
-	}
-	for _, r := range results {
-		if r.Audit != nil {
-			t.Errorf("%s: %v", r.Label, r.Audit)
+	for _, id := range []string{"fig5", "ablate"} {
+		tbl := runQuick(t, id)
+		results := DrainTelemetry()
+		if len(results) != len(tbl.Rows) {
+			t.Fatalf("%s: %d systems registered for %d cells", id, len(results), len(tbl.Rows))
 		}
-		if r.Snapshot == nil {
-			t.Errorf("%s: nil snapshot", r.Label)
+		for _, r := range results {
+			if r.Audit != nil {
+				t.Errorf("%s %s: %v", id, r.Label, r.Audit)
+			}
+			if r.Snapshot == nil {
+				t.Errorf("%s %s: nil snapshot", id, r.Label)
+			}
 		}
 	}
 	if got := DrainTelemetry(); len(got) != 0 {
 		t.Fatalf("drain did not clear the registry: %d left", len(got))
+	}
+}
+
+// TestSweepRunGuards: a cell whose rerun on the same seed renders a
+// different value fails the sweep, and so does a failing contract, under
+// the sweep's ID.
+func TestSweepRunGuards(t *testing.T) {
+	type res struct{ v int }
+	calls := 0
+	s := sweep[*res]{
+		table:  &Table{ID: "guard"},
+		fields: []field[*res]{{"v", "", "%d", func(r *res) any { return r.v }}},
+		cells: []sweepCell[*res]{{
+			name: "drifts",
+			build: func() *crossprefetch.System {
+				return newSys(sysConfig{approach: crossprefetch.OSOnly, memory: 8 << 20})
+			},
+			replay: func(*cellRun) (*res, error) {
+				calls++
+				return &res{calls}, nil
+			},
+		}},
+	}
+	if _, err := s.run(nil); err == nil || !strings.Contains(err.Error(), "guard drifts: rerun on the same seed differs") {
+		t.Fatalf("drifting rerun: err = %v", err)
+	}
+	s.cells[0].replay = func(*cellRun) (*res, error) { return &res{7}, nil }
+	s.contract = func(rows []*res, at func(string) *res) error {
+		if len(rows) != 1 || at("drifts") != rows[0] {
+			t.Errorf("contract sees rows %v", rows)
+		}
+		return errors.New("shape broken")
+	}
+	if _, err := s.run(nil); err == nil || err.Error() != "guard: shape broken" {
+		t.Fatalf("failing contract: err = %v", err)
+	}
+	s.contract = nil
+	rep, err := s.run(nil)
+	if err != nil || len(rep.Table.Rows) != 1 || rep.Table.Rows[0][0] != "7" {
+		t.Fatalf("clean sweep: %v, %+v", err, rep)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package experiments implements one runner per table and figure of the
-// paper's evaluation (§5). Every runner provisions fresh systems per cell
-// (the paper clears caches between runs), executes the scaled workload,
-// and emits a Table whose rows mirror the paper's series. EXPERIMENTS.md
-// records the paper-scale parameters, the scaling rule, and the
-// paper-vs-measured comparison for each.
+// paper's evaluation (§5). Every runner but serve declares a cell table
+// on sweep.run (sweep.go): each cell runs the scaled workload on a fresh
+// system (the paper clears caches between runs), twice, and must
+// reproduce itself; the rows form a Table that mirrors the paper's
+// series. EXPERIMENTS.md records the paper-scale parameters, the scaling
+// rule, and the paper-vs-measured comparison for each.
 package experiments
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	crossprefetch "repro"
 	"repro/internal/blockdev"
+	"repro/internal/crosslib"
 	"repro/internal/simtime"
 )
 
@@ -120,7 +122,13 @@ type sysConfig struct {
 	memory   int64
 	layout   crossprefetch.Layout
 	device   blockdev.Config
-	raMax    int64 // kernel prefetch limit bytes (0 = 128KB default)
+	raMax    int64             // kernel prefetch limit bytes (0 = 128KB default)
+	lib      *crosslib.Options // overrides approach's CROSS-LIB options
+	// demandRetries bounds the kernel's blocking-path fault retries
+	// (0 = default).
+	demandRetries int
+	// telemetry records (and so audits) even without the process switch.
+	telemetry bool
 	// Block-layer submission scheduler (per-cell; the EnableBlockSched
 	// process switch overrides these for sweeps driven by crossbench).
 	plug       bool
@@ -128,15 +136,20 @@ type sysConfig struct {
 	congestion simtime.Duration
 }
 
+// newSys builds a cell's system under crossbench's process switches
+// (-plug, -telemetry, -trace).
 func newSys(c sysConfig) *crossprefetch.System {
 	cfg := crossprefetch.Config{
 		Approach:         c.approach,
 		MemoryBytes:      c.memory,
 		Layout:           c.layout,
 		KernelRAMaxBytes: c.raMax,
+		LibOptions:       c.lib,
+		DemandRetries:    c.demandRetries,
 		Plug:             c.plug,
 		QueueDepth:       c.queueDepth,
 		CongestionLimit:  c.congestion,
+		Telemetry:        c.telemetry || telemetryEnabled(),
 	}
 	if c.device.Name != "" {
 		cfg.Device = c.device
@@ -150,26 +163,77 @@ func newSys(c sysConfig) *crossprefetch.System {
 			cfg.MergeWindowBytes = sc.MergeWindowBytes
 		}
 	}
-	cfg.Telemetry = telemetryEnabled()
 	if tc := traceConfig(); tc != nil {
 		cfg.Trace = true
 		cfg.TraceSampleEvery = tc.SampleEvery
 		cfg.TracePerInode = tc.PerInode
 		cfg.TraceSeed = tc.Seed
 	}
-	sys := crossprefetch.NewSystem(cfg)
-	if cfg.Telemetry {
-		registerTelemetry(sysLabel(c), sys)
-	}
-	return sys
+	return crossprefetch.NewSystem(cfg)
 }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func mb(v int64) string   { return fmt.Sprintf("%dMB", v>>20) }
-func ratio(a, b float64) string {
-	if b == 0 {
-		return "-"
+
+// row is one cell of a paper table: the labels that lead its table row
+// and what the cell's workload driver measured.
+type row[T any] struct {
+	group, name string // group is "" in a table of one group
+	res         T
+	// vs is the row's headline metric over its group's baseline row;
+	// vsFirst fills it in the contract.
+	vs float64
+}
+
+// cellOf declares the paper cell group/name: a fresh system from cfg,
+// handed to run.
+func cellOf[T any](group, name string, cfg sysConfig, run func(*crossprefetch.System) (T, error)) sweepCell[*row[T]] {
+	full := name
+	if group != "" {
+		full = group + "/" + name
 	}
-	return fmt.Sprintf("%.2fx", a/b)
+	return sweepCell[*row[T]]{
+		name:  full,
+		build: func() *crossprefetch.System { return newSys(cfg) },
+		replay: func(r *cellRun) (*row[T], error) {
+			res, err := run(r.sys)
+			return &row[T]{group: group, name: name, res: res}, err
+		},
+	}
+}
+
+// labels declares a paper table's leading columns: the group's (none
+// when groupCol is "") and the cell name's.
+func labels[T any](groupCol, nameCol string) []field[*row[T]] {
+	name := field[*row[T]]{nameCol, "", "%s", func(r *row[T]) any { return r.name }}
+	if groupCol == "" {
+		return []field[*row[T]]{name}
+	}
+	return []field[*row[T]]{{groupCol, "", "%s", func(r *row[T]) any { return r.group }}, name}
+}
+
+// metric declares a column read off the driver's result.
+func metric[T any](col, verb string, get func(T) any) field[*row[T]] {
+	return field[*row[T]]{col, "", verb, func(r *row[T]) any { return get(r.res) }}
+}
+
+// vsCol declares the column vsFirst fills.
+func vsCol[T any](col string) field[*row[T]] {
+	return field[*row[T]]{col, "", "%.2fx", func(r *row[T]) any { return r.vs }}
+}
+
+// vsFirst is a contract that fills every row's vs: its headline metric
+// over that of the first row of its group, the table's baseline (APPonly,
+// plug-off, the fault-free plan).
+func vsFirst[T any](of func(T) float64) func([]*row[T], func(string) *row[T]) error {
+	return func(rows []*row[T], _ func(string) *row[T]) error {
+		var base *row[T]
+		for _, r := range rows {
+			if base == nil || r.group != base.group {
+				base = r
+			}
+			r.vs = of(r.res) / of(base.res)
+		}
+		return nil
+	}
 }

@@ -249,7 +249,7 @@ func OverloadCells(c OverloadConfig) (*Report, error) {
 	s := sweep[*OverloadResult]{
 		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and brownout"},
 		fields: overloadFields,
-		contract: func(at func(cell string) *OverloadResult) error {
+		contract: func(_ []*OverloadResult, at func(cell string) *OverloadResult) error {
 			isolated := at("isolated")
 			for _, cl := range c.Cells {
 				r := at(cl.Name)

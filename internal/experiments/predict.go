@@ -36,8 +36,8 @@ var (
 // taken over the warm second half of the replay, after the shadow arms
 // have had a full training half to learn and the bandit to promote.
 type PredictResult struct {
-	// fingerprint is the full scorecard snapshot (per-arm cards
-	// included); its digest also covers the headline numbers.
+	// fingerprint's digest covers the full scorecard snapshot (per-arm
+	// cards included) and the headline numbers.
 	fingerprint
 	Pattern, Mode string // Mode is "fixed" or "ensemble"
 	Reads, Bytes  int64
@@ -79,10 +79,11 @@ func replayPredict(r *cellRun, cfg SweepConfig, name string, kind pattern, mode 
 		res.LiveArm = rows[0].Live
 		res.Promotions = r.sys.Lib().Stats().ArmPromotions
 	}
-	if res.ScoreJSON, err = json.MarshalIndent(r.sys.Scorecard().Snapshot(), "", "  "); err != nil {
+	score, err := json.MarshalIndent(r.sys.Scorecard().Snapshot(), "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	res.Digest = digest(res.ScoreJSON, fmt.Sprintf("|%s|%d|%d|%.9f|%.3f",
+	res.Digest = digest(score, fmt.Sprintf("|%s|%d|%d|%.9f|%.3f",
 		res.LiveArm, res.Promotions, res.Reads, res.WarmHitRate, res.WarmPagesPerSec))
 	return res, nil
 }
@@ -126,7 +127,7 @@ func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
 // zipfian-LSM warm hit rate AND warm throughput (the MITHRIL arm gets
 // promoted and prefetches fragment chains), and must never give up more
 // than 2% of either on the pure-sequential stream.
-func predictContract(at func(cell string) *PredictResult) error {
+func predictContract(_ []*PredictResult, at func(cell string) *PredictResult) error {
 	fixed, ens := at("zipfian-lsm/fixed"), at("zipfian-lsm/ensemble")
 	if ens.WarmHitRate <= fixed.WarmHitRate {
 		return fmt.Errorf("ensemble zipfian-lsm hit rate %.3f does not beat fixed %.3f",

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
+
 	crossprefetch "repro"
 	"repro/internal/blockdev"
 	"repro/internal/lsm"
@@ -12,7 +15,8 @@ type dbParams struct {
 	keys       int64
 	valueBytes int
 	memory     int64
-	opsFactor  int64 // ops per thread = keys/threads/opsFactor
+	opsFactor  int64 // ops per thread = keys/threads/opsFactor (at least 64)
+	seed       int64
 }
 
 func defaultDBParams(o Options, scale int64) dbParams {
@@ -22,6 +26,7 @@ func defaultDBParams(o Options, scale int64) dbParams {
 		valueBytes: 3072,
 		memory:     (80 << 30) / (s * 512),
 		opsFactor:  2,
+		seed:       o.Seed + 11,
 	}
 	if p.keys < 2000 {
 		p.keys = 2000
@@ -36,53 +41,86 @@ func dbOptions() lsm.Options {
 	return lsm.Options{MemtableBytes: 1 << 20, BlockBytes: 16 << 10}
 }
 
-// runDBCell executes one (approach, workload, threads) cell.
-func runDBCell(o Options, p dbParams, cfg sysConfig, w lsm.Workload, threads int) (lsm.BenchResult, error) {
-	ops := p.keys / int64(threads) / p.opsFactor
-	if ops < 64 {
-		ops = 64
-	}
-	return lsm.RunBench(lsm.BenchConfig{
-		Sys:          newSys(cfg),
-		DB:           dbOptions(),
-		NumKeys:      p.keys,
-		ValueBytes:   p.valueBytes,
-		Threads:      threads,
-		Workload:     w,
-		OpsPerThread: ops,
-		Seed:         o.Seed + 11,
+// dbRow is one db_bench cell's row.
+type dbRow = row[lsm.BenchResult]
+
+// The db_bench tables' metric columns.
+var (
+	dbKops     = metric("kops/s", "%.0f", func(r lsm.BenchResult) any { return r.KopsPerSec })
+	dbMBs      = metric("MB/s", "%.1f", func(r lsm.BenchResult) any { return r.MBPerSec })
+	dbMiss     = metric("miss%", "%.1f", func(r lsm.BenchResult) any { return r.MissPct })
+	dbEvicted  = metric("evicted-lib", "%d", func(r lsm.BenchResult) any { return r.Metrics.Lib.EvictedPages })
+	dbPrefetch = metric("prefetch-calls", "%d", func(r lsm.BenchResult) any { return r.Metrics.Lib.PrefetchCalls })
+	dbSaved    = metric("saved-calls", "%d", func(r lsm.BenchResult) any { return r.Metrics.Lib.SavedPrefetches })
+	dbVs       = vsCol[lsm.BenchResult]("vs-APPonly")
+	dbVsFirst  = vsFirst(func(r lsm.BenchResult) float64 { return r.KopsPerSec })
+)
+
+// dbCell declares one db_bench cell: workload w on threads threads over
+// a fresh system from cfg.
+func dbCell(group, name string, cfg sysConfig, p dbParams, w lsm.Workload, threads int) sweepCell[*dbRow] {
+	ops := max(p.keys/int64(threads)/p.opsFactor, 64)
+	return cellOf(group, name, cfg, func(sys *crossprefetch.System) (lsm.BenchResult, error) {
+		return lsm.RunBench(lsm.BenchConfig{
+			Sys:          sys,
+			DB:           dbOptions(),
+			NumKeys:      p.keys,
+			ValueBytes:   p.valueBytes,
+			Threads:      threads,
+			Workload:     w,
+			OpsPerThread: ops,
+			Seed:         p.seed,
+		})
 	})
 }
 
+// multiReadRandom is the db_bench table of one multireadrandom cell per
+// approach, on threads threads under cfg (its approach set per cell),
+// whose rows are grouped by group.
+func multiReadRandom(s *sweep[*dbRow], group string, approaches []crossprefetch.Approach, cfg sysConfig, p dbParams, threads int) {
+	for _, a := range approaches {
+		cfg.approach = a
+		s.cells = append(s.cells, dbCell(group, a.String(), cfg, p, lsm.MultiReadRandom, threads))
+	}
+}
+
+// dbThreads is the thread count of the 16-thread db_bench tables (the
+// paper runs 32).
+func dbThreads(o Options) int {
+	if o.Quick {
+		return 4
+	}
+	return 16
+}
+
 // Fig2 reproduces the motivation analysis (Figure 2 + Table 1): LSM
-// multireadrandom with 32 threads where the data fits in memory, comparing
-// APPonly, APPonly[fincore], OSonly, and CrossPrefetch, reporting
-// throughput plus lock overhead and cache-miss percentages.
+// multireadrandom with 16 threads (4 at -quick; the paper runs 32) where
+// the data fits in memory, comparing APPonly, APPonly[fincore], OSonly,
+// and CrossPrefetch, reporting throughput plus lock overhead and
+// cache-miss percentages. Contract: CrossPrefetch beats APPonly.
 func Fig2(o Options) (*Table, error) {
 	p := defaultDBParams(o, 2)
 	p.memory = p.memory * 2 // paper: 100GB data fits in 128GB memory
-	threads := 16
-	if o.Quick {
-		threads = 4
+	threads := dbThreads(o)
+	s := sweep[*dbRow]{
+		table: &Table{ID: "fig2", Title: "Motivation: multireadrandom with data fitting in memory (+Table 1)"},
+		fields: append(labels[lsm.BenchResult]("", "approach"), dbKops,
+			metric("lock%", "%.1f", func(r lsm.BenchResult) any { return r.LockPct }), dbMiss,
+			metric("prefetch-syscalls", "%d", func(r lsm.BenchResult) any { return r.Metrics.Prefetch })),
+		contract: func(_ []*dbRow, at func(string) *dbRow) error {
+			app, cross := at("APPonly").res, at("CrossP[+predict+opt]").res
+			if cross.KopsPerSec <= app.KopsPerSec {
+				return fmt.Errorf("CrossP %.0f kops does not beat APPonly %.0f", cross.KopsPerSec, app.KopsPerSec)
+			}
+			return nil
+		},
 	}
-	t := &Table{
-		ID:      "fig2",
-		Title:   "Motivation: multireadrandom with data fitting in memory (+Table 1)",
-		Columns: []string{"approach", "kops/s", "lock%", "miss%", "prefetch-syscalls"},
-	}
-	t.Note("keys=%d value=%dB memory=%s threads=%d", p.keys, p.valueBytes, mb(p.memory), threads)
-	for _, a := range []crossprefetch.Approach{
+	s.table.Note("keys=%d value=%dB memory=%s threads=%d", p.keys, p.valueBytes, mb(p.memory), threads)
+	multiReadRandom(&s, "", []crossprefetch.Approach{
 		crossprefetch.AppOnly, crossprefetch.AppOnlyFincore,
 		crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
-	} {
-		res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(a.String(), f0(res.KopsPerSec), f1(res.LockPct), f1(res.MissPct),
-			f0(float64(res.Metrics.Prefetch)))
-	}
-	return t, nil
+	}, sysConfig{memory: p.memory}, p, threads)
+	return tableOf(s.run(nil))
 }
 
 // dbApproaches is the five-way comparison used by Figures 7 and 8a.
@@ -101,27 +139,16 @@ func Fig7a(o Options) (*Table, error) {
 	if o.Quick {
 		threadCounts = []int{2, 4}
 	}
-	t := &Table{
-		ID:      "fig7a",
-		Title:   "db_bench multireadrandom: throughput vs thread count",
-		Columns: []string{"threads", "approach", "kops/s", "miss%", "vs-APPonly"},
+	s := sweep[*dbRow]{
+		table:    &Table{ID: "fig7a", Title: "db_bench multireadrandom: throughput vs thread count"},
+		fields:   append(labels[lsm.BenchResult]("threads", "approach"), dbKops, dbMiss, dbVs),
+		contract: dbVsFirst,
 	}
-	t.Note("keys=%d value=%dB memory=%s", p.keys, p.valueBytes, mb(p.memory))
+	s.table.Note("keys=%d value=%dB memory=%s", p.keys, p.valueBytes, mb(p.memory))
 	for _, threads := range threadCounts {
-		var base float64
-		for _, a := range dbApproaches {
-			res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
-			if err != nil {
-				return nil, err
-			}
-			if a == crossprefetch.AppOnly {
-				base = res.KopsPerSec
-			}
-			t.AddRow(f0(float64(threads)), a.String(), f0(res.KopsPerSec),
-				f1(res.MissPct), ratio(res.KopsPerSec, base))
-		}
+		multiReadRandom(&s, strconv.Itoa(threads), dbApproaches, sysConfig{memory: p.memory}, p, threads)
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
 
 // dbPatterns are Figure 7b's access patterns.
@@ -133,32 +160,20 @@ var dbPatterns = []lsm.Workload{
 // device.
 func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev blockdev.Config) (*Table, error) {
 	p := defaultDBParams(o, 2)
-	threads := 16
-	if o.Quick {
-		threads = 4
+	threads := dbThreads(o)
+	s := sweep[*dbRow]{
+		table:    &Table{ID: id, Title: title},
+		fields:   append(labels[lsm.BenchResult]("pattern", "approach"), dbKops, dbMBs, dbMiss, dbVs),
+		contract: dbVsFirst,
 	}
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"pattern", "approach", "kops/s", "MB/s", "miss%", "vs-APPonly"},
-	}
-	t.Note("keys=%d value=%dB memory=%s threads=%d", p.keys, p.valueBytes, mb(p.memory), threads)
+	s.table.Note("keys=%d value=%dB memory=%s threads=%d", p.keys, p.valueBytes, mb(p.memory), threads)
 	for _, w := range dbPatterns {
-		var base float64
 		for _, a := range dbApproaches {
-			res, err := runDBCell(o, p,
-				sysConfig{approach: a, memory: p.memory, layout: layout, device: dev}, w, threads)
-			if err != nil {
-				return nil, err
-			}
-			if a == crossprefetch.AppOnly {
-				base = res.KopsPerSec
-			}
-			t.AddRow(string(w), a.String(), f0(res.KopsPerSec), f1(res.MBPerSec),
-				f1(res.MissPct), ratio(res.KopsPerSec, base))
+			cfg := sysConfig{approach: a, memory: p.memory, layout: layout, device: dev}
+			s.cells = append(s.cells, dbCell(string(w), a.String(), cfg, p, w, threads))
 		}
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
 
 // Fig7b reproduces Figure 7b: access patterns on local NVMe + ext4.
@@ -184,65 +199,42 @@ func Fig8a(o Options) (*Table, error) {
 func Fig7c(o Options) (*Table, error) {
 	p := defaultDBParams(o, 2)
 	dbBytes := p.keys * int64(p.valueBytes+32)
-	threads := 16
-	if o.Quick {
-		threads = 4
+	threads := dbThreads(o)
+	s := sweep[*dbRow]{
+		table:  &Table{ID: "fig7c", Title: "db_bench multireadrandom vs memory:DB ratio"},
+		fields: append(labels[lsm.BenchResult]("mem:db", "approach"), dbKops, dbMiss, dbEvicted),
 	}
-	ratios := []struct {
-		name string
-		den  int64
-	}{{"1:6", 6}, {"1:4", 4}, {"1:2", 2}, {"1:1", 1}}
-
-	t := &Table{
-		ID:      "fig7c",
-		Title:   "db_bench multireadrandom vs memory:DB ratio",
-		Columns: []string{"mem:db", "approach", "kops/s", "miss%", "evicted-lib"},
+	s.table.Note("db=%s threads=%d", mb(dbBytes), threads)
+	for _, r := range memRatios {
+		multiReadRandom(&s, r.name, dbApproaches, sysConfig{memory: dbBytes / r.den}, p, threads)
 	}
-	t.Note("db=%s threads=%d", mb(dbBytes), threads)
-	for _, r := range ratios {
-		for _, a := range dbApproaches {
-			mem := dbBytes / r.den
-			res, err := runDBCell(o, p, sysConfig{approach: a, memory: mem}, lsm.MultiReadRandom, threads)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(r.name, a.String(), f0(res.KopsPerSec), f1(res.MissPct),
-				f0(float64(res.Metrics.Lib.EvictedPages)))
-		}
-	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
 
+// memRatios are the memory:dataset ratios of Figures 7c and 9b.
+var memRatios = []struct {
+	name string
+	den  int64
+}{{"1:6", 6}, {"1:4", 4}, {"1:2", 2}, {"1:1", 1}}
+
 // Table5 reproduces Table 5: the incremental breakdown of CrossPrefetch's
-// gains on 32-thread multireadrandom.
+// gains on 16-thread multireadrandom (4 at -quick; the paper runs 32).
 func Table5(o Options) (*Table, error) {
 	p := defaultDBParams(o, 2)
-	threads := 16
-	if o.Quick {
-		threads = 4
+	threads := dbThreads(o)
+	s := sweep[*dbRow]{
+		table:  &Table{ID: "tab5", Title: "Breakdown of incremental gains (multireadrandom)"},
+		fields: append(labels[lsm.BenchResult]("", "configuration"), dbKops, dbMiss, dbPrefetch, dbSaved),
 	}
-	t := &Table{
-		ID:      "tab5",
-		Title:   "Breakdown of incremental gains (multireadrandom)",
-		Columns: []string{"configuration", "kops/s", "miss%", "prefetch-calls", "saved-calls"},
-	}
-	t.Note("keys=%d memory=%s threads=%d", p.keys, mb(p.memory), threads)
-	for _, a := range []crossprefetch.Approach{
+	s.table.Note("keys=%d memory=%s threads=%d", p.keys, mb(p.memory), threads)
+	multiReadRandom(&s, "", []crossprefetch.Approach{
 		crossprefetch.AppOnly,
 		crossprefetch.OSOnly,
 		crossprefetch.CrossVisibility,
 		crossprefetch.CrossVisibilityRangeTree,
 		crossprefetch.CrossPredictOpt,
-	} {
-		res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(a.String(), f0(res.KopsPerSec), f1(res.MissPct),
-			f0(float64(res.Metrics.Lib.PrefetchCalls)),
-			f0(float64(res.Metrics.Lib.SavedPrefetches)))
-	}
-	return t, nil
+	}, sysConfig{memory: p.memory}, p, threads)
+	return tableOf(s.run(nil))
 }
 
 // Fig10 reproduces Figure 10: multireadrandom as the kernel prefetch limit
@@ -250,33 +242,22 @@ func Table5(o Options) (*Table, error) {
 // CrossPrefetch's gains.
 func Fig10(o Options) (*Table, error) {
 	p := defaultDBParams(o, 2)
-	threads := 16
-	if o.Quick {
-		threads = 4
-	}
+	threads := dbThreads(o)
 	limits := []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20, 8 << 20}
 	if o.Quick {
 		limits = []int64{128 << 10, 2 << 20}
 	}
-	t := &Table{
-		ID:      "fig10",
-		Title:   "Prefetch-limit sensitivity (multireadrandom)",
-		Columns: []string{"limit", "approach", "kops/s", "miss%"},
+	s := sweep[*dbRow]{
+		table:  &Table{ID: "fig10", Title: "Prefetch-limit sensitivity (multireadrandom)"},
+		fields: append(labels[lsm.BenchResult]("limit", "approach"), dbKops, dbMiss),
 	}
-	t.Note("keys=%d memory=%s threads=%d", p.keys, mb(p.memory), threads)
+	s.table.Note("keys=%d memory=%s threads=%d", p.keys, mb(p.memory), threads)
 	for _, lim := range limits {
-		for _, a := range []crossprefetch.Approach{
+		multiReadRandom(&s, mbOrKB(lim), []crossprefetch.Approach{
 			crossprefetch.AppOnly, crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
-		} {
-			res, err := runDBCell(o, p,
-				sysConfig{approach: a, memory: p.memory, raMax: lim}, lsm.MultiReadRandom, threads)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(mbOrKB(lim), a.String(), f0(res.KopsPerSec), f1(res.MissPct))
-		}
+		}, sysConfig{memory: p.memory, raMax: lim}, p, threads)
 	}
-	return t, nil
+	return tableOf(s.run(nil))
 }
 
 func mbOrKB(v int64) string {

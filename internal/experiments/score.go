@@ -38,8 +38,8 @@ var (
 
 // ScoreResult is one cell's measured effectiveness.
 type ScoreResult struct {
-	// fingerprint is the full scorecard snapshot: identical seeds must
-	// reproduce it byte for byte.
+	// fingerprint's digest is the full scorecard snapshot's: identical
+	// seeds must reproduce it.
 	fingerprint
 	Pattern      string
 	Reads, Bytes int64
@@ -112,10 +112,11 @@ func replayScore(r *cellRun, cfg SweepConfig, name string, kind pattern, clients
 	}
 	res.Evicted = r.sys.Telemetry().Snapshot().Counter(telemetry.CtrCacheRemovedPages)
 	ssnap := score.Snapshot()
-	if res.ScoreJSON, err = json.MarshalIndent(ssnap, "", "  "); err != nil {
+	js, err := json.MarshalIndent(ssnap, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	res.Digest = digest(res.ScoreJSON, "")
+	res.Digest = digest(js, "")
 	// The global roll-up is tenant card 0's lifetime totals (plain reads
 	// are untagged → tenant 0), which carries the derived scores and the
 	// timeliness quantiles.
@@ -147,7 +148,7 @@ func scoreSys(fileMB int64) *crossprefetch.System {
 // margins (measured: sequential accuracy 0.99 at the documented scale,
 // 0.78 at quick scale under 4x tighter memory; zipfian 0.31 / 0.12 with
 // pollution 1.0 in both).
-func scoreContract(at func(cell string) *ScoreResult) error {
+func scoreContract(_ []*ScoreResult, at func(cell string) *ScoreResult) error {
 	seq, zipf := at("sequential"), at("zipfian")
 	if seq.Accuracy < 0.75 {
 		return fmt.Errorf("sequential accuracy %.3f < 0.75", seq.Accuracy)

@@ -243,7 +243,6 @@ func replayRings(c serveRun, names []string, fileBytes int64, lat []simtime.Dura
 	rings := make([]*crosslib.Ring, c.Tenants)
 	var wgSess, wgReap sync.WaitGroup
 	for t := 0; t < c.Tenants; t++ {
-		t := t
 		ring := sys.Lib().NewRing(t, c.Depth)
 		rings[t] = ring
 		prepAt := make([]simtime.Time, perTenant)
@@ -275,7 +274,6 @@ func replayRings(c serveRun, names []string, fileBytes int64, lat []simtime.Dura
 		}()
 
 		for s := 0; s < c.Clients; s++ {
-			s := s
 			wgSess.Add(1)
 			go func() {
 				defer wgSess.Done()
@@ -379,12 +377,14 @@ func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
 func Serve(o Options) (*Table, error) {
 	c := ServeConfig{SweepConfig: o.sizing(serveFull, serveQuick), Batch: 8}
 	c.Build = func(memory int64) *crossprefetch.System {
-		return newSys(sysConfig{
+		sys := newSys(sysConfig{
 			approach:   crossprefetch.CrossPredictOpt,
 			memory:     memory,
 			plug:       true,
 			congestion: simtime.Second,
 		})
+		registerTelemetry(fmt.Sprintf("%v/%s/plug", crossprefetch.CrossPredictOpt, mb(memory)), sys)
+		return sys
 	}
 	var cells []ServeCell
 	if o.Quick {

@@ -1,15 +1,19 @@
 package experiments
 
-// One sweep: what it means to run a cell of a deterministic sweep lives
-// here and nowhere else. A cell builds a fresh system, lays out its files,
-// drops caches, replays seeded offset schedules from one goroutine with
-// every returned byte checked against the raw inode, is measured, passes
-// the telemetry audit, and then does all of that again on a second fresh
-// system and must reproduce its fingerprint; when every cell is in, the
-// sweep's contract is asserted and the rows are rendered — Table, JSON
-// record — from the sweep's one field list. A sweep (overload.go,
-// score.go, predict.go, tier.go) supplies a cell table, what to replay and
-// measure in a cell, a contract and a field list. DESIGN §19.
+// One sweep: what it means to run a cell of a deterministic experiment
+// lives here and nowhere else. A cell builds a fresh system, runs its
+// workload on it, is measured, passes the telemetry audit when the system
+// records telemetry, and then does all of that again on a second fresh
+// system and must reproduce its fingerprint — the digest of every declared
+// field at full precision; when every cell is in, the experiment's contract
+// is asserted and the rows are rendered — Table, JSON record — from its one
+// field list. Every registry entry but serve is a declaration over it: a
+// cell table, what to run and measure in a cell, a contract and a field
+// list. The serve-style sweeps (overload.go, score.go, predict.go, tier.go)
+// replay seeded offset schedules from one goroutine with every returned
+// byte checked against the raw inode; the paper tables, ablate, batch and
+// chaos hand the cell's system to a workload driver (cellOf, harness.go).
+// DESIGN §19.
 
 import (
 	"bytes"
@@ -154,16 +158,10 @@ func usec(d simtime.Duration) float64 { return float64(d) / float64(simtime.Micr
 // mbytes is a byte count in MB.
 func mbytes(n int64) float64 { return float64(n) / (1 << 20) }
 
-// fingerprint is what a rerun of a cell on the same seed must reproduce.
-// Every sweep's result embeds it.
-type fingerprint struct {
-	Digest uint64
-	// ScoreJSON is the full scorecard snapshot where the sweep scores
-	// (compared byte for byte, not only through Digest); nil otherwise.
-	ScoreJSON []byte
-}
-
-func (f fingerprint) fp() fingerprint { return f }
+// fingerprint is a digest a result row carries in its JSON record; the
+// serve-style sweeps fold what a row does not render (a latency vector, a
+// scorecard snapshot, tenant ledgers) into it.
+type fingerprint struct{ Digest uint64 }
 
 // hexDigest is the digest as the JSON records carry it.
 func (f fingerprint) hexDigest() string { return fmt.Sprintf("%016x", f.Digest) }
@@ -180,36 +178,36 @@ func digest(data []byte, rest string) uint64 {
 type sweepCell[R any] struct {
 	name  string                       // "w1-local/sequential", for errors
 	build func() *crossprefetch.System // a fresh system per run
-	// replay lays out the cell's files, replays its schedule and
-	// measures the result.
-	replay func(*cellRun) (R, error)
+	// replay runs the cell's workload on r.sys and measures the result.
+	replay func(r *cellRun) (R, error)
 }
 
 // sweep is one experiment grid over the shared cell runner.
-type sweep[R interface{ fp() fingerprint }] struct {
+type sweep[R any] struct {
 	table  *Table // ID, title and notes; render fills the rest
 	fields []field[R]
 	cells  []sweepCell[R]
-	// contract asserts what the sweep claims across its cells, which it
-	// looks up by name (and may fill a field derived from another cell,
-	// such as a ratio to a baseline).
-	contract func(at func(cell string) R) error
+	// contract, when set, asserts what the sweep claims across its rows
+	// (in cell order, or looked up by cell name) and may fill a field
+	// derived from another cell, such as a ratio to a baseline.
+	contract func(rows []R, at func(cell string) R) error
 }
 
 // run executes every cell twice, compares the fingerprints, asserts the
-// contract and renders the rows.
+// contract and renders the rows. Under the process telemetry switch the
+// first run's system of each cell is registered for DrainTelemetry.
 func (s sweep[R]) run(observe func(*crossprefetch.System)) (*Report, error) {
 	rows := make([]R, 0, len(s.cells))
 	byName := make(map[string]R, len(s.cells))
 	for _, c := range s.cells {
-		var runs [2]R
-		for i := range runs {
+		var prints [2]uint64
+		for i := range prints {
 			sys := c.build()
 			if observe != nil {
 				observe(sys)
 			}
 			res, err := c.replay(&cellRun{sys: sys, setup: sys.Timeline()})
-			if err == nil {
+			if err == nil && sys.Telemetry() != nil {
 				// Every layer's ledger must close, including the sweep's own
 				// partition identity (tenant residency, scorecard origins,
 				// per-arm pages, per-backend commands).
@@ -218,19 +216,35 @@ func (s sweep[R]) run(observe func(*crossprefetch.System)) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", s.table.ID, c.name, err)
 			}
-			runs[i] = res
+			prints[i] = s.fingerprint(res)
+			if i == 0 {
+				registerTelemetry(c.name, sys)
+				rows = append(rows, res)
+				byName[c.name] = res
+			}
 		}
-		if a, b := runs[0].fp(), runs[1].fp(); a.Digest != b.Digest || !bytes.Equal(a.ScoreJSON, b.ScoreJSON) {
+		if prints[0] != prints[1] {
 			return nil, fmt.Errorf("%s %s: rerun on the same seed differs (digest %x vs %x)",
-				s.table.ID, c.name, a.Digest, b.Digest)
+				s.table.ID, c.name, prints[0], prints[1])
 		}
-		rows = append(rows, runs[0])
-		byName[c.name] = runs[0]
 	}
-	if err := s.contract(func(cell string) R { return byName[cell] }); err != nil {
-		return nil, fmt.Errorf("%s: %w", s.table.ID, err)
+	if s.contract != nil {
+		if err := s.contract(rows, func(cell string) R { return byName[cell] }); err != nil {
+			return nil, fmt.Errorf("%s: %w", s.table.ID, err)
+		}
 	}
 	return render(s.table, s.fields, rows), nil
+}
+
+// fingerprint is what a rerun of a cell on the same seed must reproduce:
+// the FNV-64a of every declared field's value at full precision, so it
+// covers every byte the row renders and records.
+func (s sweep[R]) fingerprint(r R) uint64 {
+	h := fnv.New64a()
+	for _, f := range s.fields {
+		fmt.Fprintf(h, "%v|", f.val(r))
+	}
+	return h.Sum64()
 }
 
 // cellRun is one execution of a cell on a fresh system.

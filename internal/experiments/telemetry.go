@@ -1,17 +1,17 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	crossprefetch "repro"
 	"repro/internal/telemetry"
 )
 
-// The experiment runners build systems through the newSys choke point, so
-// a process-wide switch is enough to thread telemetry through every cell
-// without touching each runner's signature. crossbench flips it with
-// -telemetry; the default keeps experiment systems recorder-free.
+// The experiment cells build their systems through the newSys choke point
+// and run on sweep.run, so a process-wide switch is enough to thread
+// telemetry through every cell without touching each runner's signature.
+// crossbench flips it with -telemetry; the default keeps experiment
+// systems recorder-free.
 var (
 	telMu       sync.Mutex
 	telOn       bool
@@ -68,10 +68,13 @@ func traceConfig() *TraceConfig {
 	return telTraceCfg
 }
 
+// registerTelemetry queues sys for DrainTelemetry when the switch is on.
 func registerTelemetry(label string, sys *crossprefetch.System) {
 	telMu.Lock()
 	defer telMu.Unlock()
-	telSystems = append(telSystems, telemetrySystem{label: label, sys: sys})
+	if telOn {
+		telSystems = append(telSystems, telemetrySystem{label: label, sys: sys})
+	}
 }
 
 // TelemetryResult is one audited per-system snapshot.
@@ -102,15 +105,4 @@ func DrainTelemetry() []TelemetryResult {
 		})
 	}
 	return out
-}
-
-func sysLabel(c sysConfig) string {
-	l := fmt.Sprintf("%v/%s", c.approach, mb(c.memory))
-	if c.device.Name != "" {
-		l += "/" + c.device.Name
-	}
-	if c.plug {
-		l += "/plug"
-	}
-	return l
 }

@@ -163,7 +163,7 @@ func replayTier(r *cellRun, cfg SweepConfig, name string, kind pattern, st tierS
 // all-local warm hit rate on the half-remote dataset, and the tiered cell
 // with cross-tier prefetch must beat the prefetch-off tiered cell on warm
 // p99 read latency.
-func tierContract(at func(cell string) *TierResult) error {
+func tierContract(_ []*TierResult, at func(cell string) *TierResult) error {
 	w1, w2 := at("sequential/w1-local"), at("sequential/w2-local")
 	if w2.WarmPagesPerSec < 1.7*w1.WarmPagesPerSec {
 		return fmt.Errorf("width-2 sequential pages/s %.0f below 1.7x width-1 %.0f",
