@@ -92,25 +92,26 @@ size:
 chaos:
 	go test -race -run 'Chaos|Fault|Breaker|Retry|Inject|Transient|Poison|Dirty' ./...
 
-# Determinism gate: rerun the four sweeps behind bench-overload, -score,
-# -predict and -tier into a temporary directory and compare the files,
-# whole, with the committed BENCH_PR7..10.json (about 5 s in total). A byte
-# moves exactly when virtual time, accounting, a scorecard or a record's
-# schema does. All four are compared before the target fails, each file that
-# moved printed with its diff, so that a change which re-records one on
-# purpose still shows whether the others held; the bench-* targets below,
-# which overwrite those files in place, are the way to re-record one.
+# Determinism gate: rerun the five sweeps behind bench-serve, -overload,
+# -score, -predict and -tier into a temporary directory and compare the
+# files, whole, with the committed BENCH_PR6..10.json (about 10 s in
+# total). A byte moves exactly when virtual time, accounting, a scorecard
+# or a record's schema does. All five are compared before the target fails,
+# each file that moved printed with its diff, so that a change which
+# re-records one on purpose still shows whether the others held; the
+# bench-* targets below, which overwrite those files in place, are the way
+# to re-record one.
 digests:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(MAKE) -s BENCH_OUT="$$tmp/" bench-overload bench-score bench-predict bench-tier >"$$tmp/log" 2>&1 \
+	$(MAKE) -s BENCH_OUT="$$tmp/" bench-serve bench-overload bench-score bench-predict bench-tier >"$$tmp/log" 2>&1 \
 		|| { cat "$$tmp/log"; echo 'digests: a sweep failed'; exit 1; }; \
-	moved=; for n in 7 8 9 10; do \
+	moved=; for n in 6 7 8 9 10; do \
 		cmp -s BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json" && continue; \
 		echo "digests: BENCH_PR$$n.json no longer reproduces"; \
 		diff BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json"; moved="$$moved BENCH_PR$$n.json"; \
 	done; \
 	[ -z "$$moved" ] || { echo "digests: moved:$$moved"; exit 1; }; \
-	echo "digests: BENCH_PR7..10.json reproduce byte for byte"
+	echo "digests: BENCH_PR6..10.json reproduce byte for byte"
 
 bench:
 	go test -bench=. -benchmem -run=^$$
@@ -129,10 +130,13 @@ trace:
 
 # Serve-frontend sweep: the sync and ring dispatch paths across 1/8/64
 # tenants at identical replay schedules — achieved dispatch depth,
-# kernel crossings per op, and tail latency per cell, with the
-# cross-layer telemetry audit enforced on every system.
+# kernel crossings per op, and tail latency per cell. Every cell passes
+# the cross-layer telemetry audit, is re-run and digest-compared for
+# determinism, and at each tenant count the rings must match sync's client
+# bytes at no more than half its crossings per op and a dispatch depth of
+# at least 2.
 bench-serve:
-	go run ./cmd/crosserve -sweep -json BENCH_PR6.json
+	go run ./cmd/crosserve -sweep -json $(BENCH_OUT)BENCH_PR6.json
 
 # Overload-resilience sweep: zipfian victims vs a full-file-scan
 # antagonist across the five policy cells (isolated / no-budget / budget

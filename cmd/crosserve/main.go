@@ -49,10 +49,11 @@
 // sequential/zipfian-LSM/shared-file access, with the striping /
 // warm-hit / p99 contracts asserted.
 //
-// In the four sweep modes (overload, score, predict, tier) every cell is
-// byte-verified, audit-reconciled, re-run on a fresh system to an
-// identical digest, and the sweep's contract asserted before anything is
-// written (internal/experiments/sweep.go).
+// In every mode each cell is audit-reconciled, re-run on a fresh system
+// to an identical digest, and the sweep's contract asserted before
+// anything is written (internal/experiments/sweep.go); the overload,
+// score, predict and tier cells also check every byte read against the
+// file's raw inode.
 //
 // The sync/rings frontends take the same stack shape directly:
 // -stripe N stripes the local tier RAID-0 across N devices,
@@ -63,7 +64,8 @@
 // -sweep runs the sync and ring frontends across 1/8/64 tenants at
 // identical replay schedules and writes one JSON record per cell —
 // achieved dispatch depth, kernel crossings per op, and tail latency are
-// the headline columns.
+// the headline columns. Each session is a member of one thread group, so
+// the sweep is a function of -seed.
 //
 // -mode overload replays zipfian victim tenants against an optional
 // full-file-scan antagonist (-antagonist) under per-tenant memory

@@ -44,10 +44,10 @@ func recordKeys(t *testing.T, path string) [][]string {
 }
 
 // TestRecordSchemas runs every mode at the smallest scale its contract
-// holds at and demands the JSON key lists of the committed archives. The
-// digests pin BENCH_PR7..10's values through `make digests`, but their
-// schema only through a full re-record, and BENCH_PR6 (real goroutines,
-// no digest) has no other pin at all.
+// holds at and demands the JSON key lists of the committed archives.
+// `make digests` pins BENCH_PR6..10's values, but their schema only
+// through a full re-record, and the single sync and rings cells it runs
+// here are not in any archive.
 func TestRecordSchemas(t *testing.T) {
 	for _, tc := range []struct {
 		archive string

@@ -215,11 +215,11 @@ func TestCSVEscaping(t *testing.T) {
 
 // TestTelemetryDrainAuditsEverySystem: under the telemetry switch every
 // cell of a table registers exactly one system (not one per rerun) that
-// passes the audit, ablate's knob cells included.
+// passes the audit, ablate's knob cells and serve's rings included.
 func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
 	EnableTelemetry(true)
 	defer EnableTelemetry(false)
-	for _, id := range []string{"fig5", "ablate"} {
+	for _, id := range []string{"fig5", "ablate", "serve"} {
 		tbl := runQuick(t, id)
 		results := DrainTelemetry()
 		if len(results) != len(tbl.Rows) {
@@ -286,29 +286,10 @@ func TestTelemetryDisabledRegistersNothing(t *testing.T) {
 	}
 }
 
-// TestServeQuick runs the serve frontend comparison and asserts the
-// rings' reason to exist: at multi-tenant scale the ring cells must
-// cross the kernel boundary less often per op and sustain deeper
-// dispatch batches than the sync baseline, at identical client bytes.
-func TestServeQuick(t *testing.T) {
-	tbl := runQuick(t, "serve")
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("serve produced %d rows, want 4", len(tbl.Rows))
-	}
-	syncMB := cell(t, tbl, "client-MB", "sync-t4")
-	ringMB := cell(t, tbl, "client-MB", "rings-t4")
-	if syncMB != ringMB {
-		t.Errorf("client byte totals differ: sync %.1fMB vs rings %.1fMB", syncMB, ringMB)
-	}
-	syncCross := cell(t, tbl, "cross/op", "sync-t4")
-	ringCross := cell(t, tbl, "cross/op", "rings-t4")
-	if ringCross >= syncCross {
-		t.Errorf("rings cross/op %.3f should be < sync %.3f", ringCross, syncCross)
-	}
-	if depth := cell(t, tbl, "depth-mean", "rings-t4"); depth <= 1 {
-		t.Errorf("rings mean dispatch depth %.1f should exceed 1", depth)
-	}
-}
+// TestServeQuick runs the serve frontend comparison; its contract holds
+// the rings to identical client bytes, at most half the sync baseline's
+// crossings per op and a mean dispatch depth of at least 2.
+func TestServeQuick(t *testing.T) { t.Parallel(); runQuick(t, "serve") }
 
 // TestOverloadQuick runs the tenant-isolation sweep; the runner itself
 // asserts byte-correctness, the per-cell telemetry audit (including the

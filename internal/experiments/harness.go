@@ -1,6 +1,6 @@
 // Package experiments implements one runner per table and figure of the
-// paper's evaluation (§5). Every runner but serve declares a cell table
-// on sweep.run (sweep.go): each cell runs the scaled workload on a fresh
+// paper's evaluation (§5). Every runner declares a cell table on
+// sweep.run (sweep.go): each cell runs the scaled workload on a fresh
 // system (the paper clears caches between runs), twice, and must
 // reproduce itself; the rows form a Table that mirrors the paper's
 // series. EXPERIMENTS.md records the paper-scale parameters, the scaling

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"strings"
 
 	crossprefetch "repro"
 	"repro/internal/crosslib"
 	"repro/internal/simtime"
 	"repro/internal/vfs"
+	"repro/internal/workload"
 )
 
 // ServeConfig sizes the serve frontend replay: each tenant has Clients
@@ -39,6 +40,9 @@ func (c ServeCell) Mode() string {
 	return "sync"
 }
 
+// name is the cell as the table's first column and the sweep name it.
+func (c ServeCell) name() string { return fmt.Sprintf("%s-t%d", c.Mode(), c.Tenants) }
+
 // serveGrid is both frontends at each tenant count.
 func serveGrid(tenants ...int) (cells []ServeCell) {
 	for _, n := range tenants {
@@ -52,19 +56,21 @@ var (
 	serveQuick = SweepConfig{Clients: 2, Ops: 16, IOSize: 16 << 10, FileMB: 4}
 )
 
-// serveRun is one cell's replay on its system.
+// serveRun is one cell's replay.
 type serveRun struct {
 	ServeConfig
 	ServeCell
-	sys *crossprefetch.System
 }
 
 // ServeResult is the replay's cross-layer scorecard.
 type ServeResult struct {
+	// fingerprint's digest covers the full latency vector, in (tenant,
+	// session, op) order, and every tenant's dispatched bytes.
+	fingerprint
 	ServeCell
 	Sessions int
 	Ops      int64
-	Bytes    int64 // client bytes read (identical across modes by construction)
+	Bytes    int64 // client bytes read (the contract holds both modes equal)
 	// Crossings is read + ring_enter + prefetch-related kernel entries —
 	// the user/kernel boundary traffic the rings amortize.
 	Crossings int64
@@ -73,7 +79,8 @@ type ServeResult struct {
 	// command at a time, reported as depth 1.
 	MeanDepth float64
 	MaxBatch  int64
-	// Backpressure counts SQEs refused at ring admission (ring mode).
+	// Backpressure counts ring-full stalls (ring mode): reads a full ring
+	// refused, each of which made its session submit and reap inline.
 	Backpressure int64
 	P50, P99     simtime.Duration
 	Makespan     simtime.Duration
@@ -104,7 +111,7 @@ func (r *ServeResult) MBs() float64 {
 // "mode-tN" and folds the fairness spread into one column, the records
 // keep them apart.
 var serveFields = []field[*ServeResult]{
-	{"cell", "", "%s", func(r *ServeResult) any { return fmt.Sprintf("%s-t%d", r.Mode(), r.Tenants) }},
+	{"cell", "", "%s", func(r *ServeResult) any { return r.name() }},
 	{"", "mode", "", func(r *ServeResult) any { return r.Mode() }},
 	{"", "tenants", "", func(r *ServeResult) any { return r.Tenants }},
 	{"", "sessions_per_tenant", "", func(r *ServeResult) any { return r.Sessions }},
@@ -128,207 +135,174 @@ var serveFields = []field[*ServeResult]{
 	{"", "fair_min_tenant_mb", "", func(r *ServeResult) any { return mbytes(r.MinTenantBytes) }},
 	{"", "fair_max_tenant_mb", "", func(r *ServeResult) any { return mbytes(r.MaxTenantBytes) }},
 	{"", "device_read_mb", "", func(r *ServeResult) any { return r.DeviceReadMB }},
+	{"", "determinism_digest", "", func(r *ServeResult) any { return r.hexDigest() }},
 	// A row exists only if its audit passed.
 	{"", "audit", "", func(*ServeResult) any { return "ok" }},
 }
 
-// run lays out per-tenant files, drops caches, replays the configured
-// sessions, and returns the scorecard. Both modes replay the exact same
-// (tenant, session, op) → offset schedule, so client byte totals are
-// identical and only the dispatch path differs.
-func (c serveRun) run() (*ServeResult, error) {
-	sys := c.sys
-	r := &cellRun{sys: sys, setup: sys.Timeline()}
+// serveSession is one client of a serve cell: a driver member reading its
+// tenant's file through its own descriptor. Its op i is user first+i of
+// the tenant, whose latencies lat holds, so the tenant's ring books a
+// completion by cq.User whichever session reaps it.
+type serveSession struct {
+	*workload.Thread
+	f      *crosslib.File
+	tenant int
+	first  int
+	lat    []simtime.Duration
+	slots  int64 // io-sized slots of the file
+}
+
+// offset draws the session's next read from its member's PRNG: seeded
+// random point reads — the request-serving shape (think KV point lookups)
+// where neither kernel readahead nor the library predictor can hide the
+// misses, so the dispatch path itself decides the achieved device queue
+// depth.
+func (s *serveSession) offset(io int64) int64 { return s.Rng.Int63n(s.slots) * io }
+
+// replay lays out per-tenant files, drops caches, replays the configured
+// sessions as members of one driver, and returns the scorecard. Member id
+// is tenant·Clients + session in both modes, so both replay the same
+// offsets and only the dispatch path differs.
+func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
+	sys := r.sys
 	names := make([]string, c.Tenants)
-	var fileBytes int64
+	var slots int64
 	for t := range names {
 		names[t] = fmt.Sprintf("serve-t%02d", t)
 		file, err := r.create(names[t], c.FileMB)
 		if err != nil {
 			return nil, err
 		}
-		if fileBytes = file.Size(); fileBytes < c.IOSize {
-			return nil, fmt.Errorf("file %dB smaller than iosize %dB", fileBytes, c.IOSize)
+		if slots = file.Size() / c.IOSize; slots == 0 {
+			return nil, fmt.Errorf("file %dB smaller than iosize %dB", file.Size(), c.IOSize)
 		}
 	}
 	r.dropCaches()
 
-	total := c.Tenants * c.Clients * c.Ops
-	lat := make([]simtime.Duration, total)
-	var (
-		makespan     simtime.Duration
-		backpressure int64
-		err          error
-	)
+	perTenant := c.Clients * c.Ops
+	lat := make([]simtime.Duration, c.Tenants*perTenant)
+	body := c.replaySync
+	var rings []*crosslib.Ring
 	if c.Rings {
-		makespan, backpressure, err = replayRings(c, names, fileBytes, lat)
-	} else {
-		makespan, err = replaySync(c, names, fileBytes, lat)
+		rings = make([]*crosslib.Ring, c.Tenants)
+		prepAt := make([][]simtime.Time, c.Tenants)
+		for t := range rings {
+			rings[t] = sys.Lib().NewRing(t, c.Depth)
+			prepAt[t] = make([]simtime.Time, perTenant)
+		}
+		body = func(s *serveSession) error { return c.replayRing(s, rings[s.tenant], prepAt[s.tenant]) }
 	}
+	d := workload.Drive(sys.Group(), c.Seed)
+	sessions := d.Go(c.Tenants*c.Clients, func(th *workload.Thread, id int) error {
+		t := id / c.Clients
+		f, err := sys.Open(th.TL, names[t])
+		if err != nil {
+			return err
+		}
+		defer f.Close(th.TL)
+		return body(&serveSession{Thread: th, f: f, tenant: t, first: id % c.Clients * c.Ops,
+			lat: lat[t*perTenant : (t+1)*perTenant], slots: slots})
+	})
+	out, err := d.Wait(sys)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ServeResult{
-		ServeCell:    c.ServeCell,
-		Sessions:     c.Clients,
-		Ops:          int64(total),
-		Bytes:        int64(total) * c.IOSize,
-		Backpressure: backpressure,
-		Makespan:     makespan,
+	res := &ServeResult{ServeCell: c.ServeCell, Sessions: c.Clients, Makespan: out.Makespan}
+	if res.Ops, res.Bytes = workload.Sum(sessions); res.Ops != int64(len(lat)) {
+		return nil, fmt.Errorf("%d of %d reads completed", res.Ops, len(lat))
+	}
+	var h strings.Builder
+	for _, l := range lat {
+		fmt.Fprintf(&h, "%d,", l)
 	}
 	res.P50, res.P99 = tail(lat)
 	k := sys.Kernel()
 	res.Crossings = k.SyscallCount(vfs.SysRead) +
 		k.SyscallCount(vfs.SysRingEnter) + k.PrefetchSyscalls()
+	ls := k.RingStats()
+	for _, ts := range ls.Tenants {
+		fmt.Fprintf(&h, "t%d:%d;", ts.Tenant, ts.DispatchedBytes)
+	}
+	res.Digest = digest(nil, h.String())
+	res.MeanDepth, res.MaxBatch = 1, 1
 	if c.Rings {
-		ls := k.RingStats()
-		res.MeanDepth = ls.MeanBatchDepth()
-		res.MaxBatch = ls.MaxBatch
+		res.MeanDepth, res.MaxBatch = ls.MeanBatchDepth(), ls.MaxBatch
 		for i, ts := range ls.Tenants {
 			if i == 0 || ts.DispatchedBytes < res.MinTenantBytes {
 				res.MinTenantBytes = ts.DispatchedBytes
 			}
-			if ts.DispatchedBytes > res.MaxTenantBytes {
-				res.MaxTenantBytes = ts.DispatchedBytes
-			}
+			res.MaxTenantBytes = max(res.MaxTenantBytes, ts.DispatchedBytes)
 		}
-	} else {
-		res.MeanDepth = 1
-		res.MaxBatch = 1
+		for _, ring := range rings {
+			res.Backpressure += ring.Stats().Backpressure
+		}
 	}
 	res.DeviceReadMB = mbytes(sys.Device().Stats().ReadBytes)
 	return res, nil
 }
 
-// schedule is the deterministic replay schedule for one session: seeded
-// random point reads — the request-serving shape (think KV point
-// lookups) where neither kernel readahead nor the library predictor can
-// hide the misses, so the dispatch path itself decides the achieved
-// device queue depth.
-func (c serveRun) schedule(tenant, session int, fileBytes int64) []int64 {
-	return offsets(patUniform, fileBytes/c.IOSize, c.IOSize, c.Ops,
-		c.Seed+int64(tenant)*7919+int64(session)*104729)
-}
-
-// serveEndpoints accumulates session/reaper completion times and the
-// first error across the replay's goroutines.
-type serveEndpoints struct {
-	mu   sync.Mutex
-	last simtime.Time
-	err  error
-}
-
-func (e *serveEndpoints) note(end simtime.Time, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if end > e.last {
-		e.last = end
-	}
-	if err != nil && e.err == nil {
-		e.err = err
-	}
-}
-
-// replayRings drives the ring frontend: one ring per tenant shared by
-// that tenant's sessions, a per-tenant reaper draining completions
-// concurrently, and ring-full backpressure as the admission control.
-// Sessions stage Batch reads then submit them as one kernel crossing;
-// the kernel-side lane scheduler sees every tenant's staged work at
-// once, which is what sustains device queue depth.
-func replayRings(c serveRun, names []string, fileBytes int64, lat []simtime.Duration) (simtime.Duration, int64, error) {
-	sys := c.sys
-	perTenant := c.Clients * c.Ops
-	ends := &serveEndpoints{}
-	rings := make([]*crosslib.Ring, c.Tenants)
-	var wgSess, wgReap sync.WaitGroup
-	for t := 0; t < c.Tenants; t++ {
-		ring := sys.Lib().NewRing(t, c.Depth)
-		rings[t] = ring
-		prepAt := make([]simtime.Time, perTenant)
-
-		wgReap.Add(1)
-		go func() {
-			defer wgReap.Done()
-			tl := simtime.NewTimeline(0)
-			seen := 0
-			for seen < perTenant {
-				cqs := ring.Reap(tl, 1)
-				if len(cqs) == 0 {
-					return // ring closed early (a session errored out)
-				}
-				for _, cq := range cqs {
-					if cq.Err != nil {
-						ends.note(0, fmt.Errorf("tenant %d user %d: %w", t, cq.User, cq.Err))
-						seen++
-						continue
-					}
-					if cq.N != c.IOSize {
-						ends.note(0, fmt.Errorf("tenant %d user %d: short read %d", t, cq.User, cq.N))
-					}
-					lat[t*perTenant+int(cq.User)] = cq.Done.Sub(prepAt[cq.User])
-					seen++
-				}
+// replayRing is a session of the ring frontend: it stages its reads on its
+// tenant's ring, shared with the tenant's other sessions, and submits
+// Batch of them as one kernel crossing; the lane scheduler sees every
+// session's staged work at once, which is what sustains device queue
+// depth. A full ring is the admission control: the session submits
+// whatever is staged and reaps the ring inline, on its own timeline,
+// booking each completion by cq.User. Reap with min 0 never blocks, and a
+// submit parks every completion before it returns, so no member waits on
+// another (DESIGN §26). Its last act is the same submit and reap, so the
+// tenant's last session drains the ring.
+func (c serveRun) replayRing(s *serveSession, ring *crosslib.Ring, prepAt []simtime.Time) error {
+	drain := func() error {
+		ring.Submit(s.TL)
+		for _, cq := range ring.Reap(s.TL, 0) {
+			if cq.Err != nil {
+				return fmt.Errorf("user %d: %w", cq.User, cq.Err)
 			}
-			ends.note(tl.Now(), nil)
-		}()
-
-		for s := 0; s < c.Clients; s++ {
-			wgSess.Add(1)
-			go func() {
-				defer wgSess.Done()
-				tl := simtime.NewTimeline(0)
-				f, err := sys.Open(tl, names[t])
-				if err != nil {
-					ends.note(0, err)
-					return
-				}
-				defer f.Close(tl)
-				bufs := make([][]byte, c.Batch)
-				for i := range bufs {
-					bufs[i] = make([]byte, c.IOSize)
-				}
-				staged := 0
-				for i, off := range c.schedule(t, s, fileBytes) {
-					u := uint64(s*c.Ops + i)
-					prepAt[u] = tl.Now()
-					// Ring-full is the admission control: yield until the
-					// reaper frees a slot.
-					for ring.PrepRead(f, bufs[staged], off, u) != nil {
-						runtime.Gosched()
-					}
-					staged++
-					if staged == c.Batch {
-						ring.Submit(tl)
-						staged = 0
-					}
-				}
-				if staged > 0 {
-					ring.Submit(tl)
-				}
-				ends.note(tl.Now(), nil)
-			}()
+			if cq.N != c.IOSize {
+				return fmt.Errorf("user %d: short read %d", cq.User, cq.N)
+			}
+			s.lat[cq.User] = cq.Done.Sub(prepAt[cq.User])
+			s.Ops++
+			s.Bytes += cq.N
 		}
+		return nil
 	}
-	wgSess.Wait()
-	for _, r := range rings {
-		r.Close() // wakes any reaper stranded by a session error
+	bufs := make([][]byte, c.Batch)
+	for i := range bufs {
+		bufs[i] = make([]byte, c.IOSize)
 	}
-	wgReap.Wait()
-
-	var backpressure int64
-	for _, r := range rings {
-		backpressure += r.Stats().Backpressure
+	staged := 0
+	for i := 0; i < c.Ops; i++ {
+		u := uint64(s.first + i)
+		off := s.offset(c.IOSize)
+		prepAt[u] = s.TL.Now()
+		err := ring.PrepRead(s.f, bufs[staged], off, u)
+		if errors.Is(err, crosslib.ErrRingFull) {
+			// The drain leaves the ring empty, so the second try is admitted.
+			staged = 0
+			if err = drain(); err == nil {
+				err = ring.PrepRead(s.f, bufs[0], off, u)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if staged++; staged == c.Batch {
+			ring.Submit(s.TL)
+			staged = 0
+		}
+		s.Gate()
 	}
-	ends.mu.Lock()
-	defer ends.mu.Unlock()
-	return simtime.Duration(ends.last), backpressure, ends.err
+	return drain()
 }
 
 // ServeCells replays each cell (nil: both frontends at 1, 8 and 64
-// tenants) on a fresh system and, where its telemetry is on, audits it.
-// The replay is real goroutines — sessions and reapers — so unlike the
-// deterministic sweeps a cell has no fingerprint and is not rerun.
+// tenants) on sweep.run. Wherever a tenant count ran in both modes, the
+// contract holds the rings to their reason to exist: identical client
+// bytes, at most half the kernel crossings per op, and a mean dispatch
+// depth of at least 2.
 func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
 	c.SweepConfig = c.orElse(serveFull)
 	if c.Batch <= 0 {
@@ -340,32 +314,45 @@ func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
 	if cells == nil {
 		cells = serveGrid(1, 8, 64)
 	}
-	t := &Table{ID: "serve", Title: "Serve frontend: sync vs submission rings across tenant counts"}
-	t.Note("sessions/tenant=%d ops/session=%d batch=%d iosize=%dKB file=%dMB approach=%v",
+	s := sweep[*ServeResult]{
+		table:  &Table{ID: "serve", Title: "Serve frontend: sync vs submission rings across tenant counts"},
+		fields: serveFields,
+		contract: func(_ []*ServeResult, at func(cell string) *ServeResult) error {
+			for _, cl := range cells {
+				base, rings := at(cl.name()), at(ServeCell{true, cl.Tenants}.name())
+				if cl.Rings || rings == nil {
+					continue // a single custom cell has no pair
+				}
+				switch {
+				case rings.Bytes != base.Bytes:
+					return fmt.Errorf("t%d: client bytes %d (rings) vs %d (sync)", cl.Tenants, rings.Bytes, base.Bytes)
+				case rings.CrossingsPerOp() > base.CrossingsPerOp()/2:
+					return fmt.Errorf("t%d: rings cross/op %.3f above half of sync's %.3f",
+						cl.Tenants, rings.CrossingsPerOp(), base.CrossingsPerOp())
+				case rings.MeanDepth < 2:
+					return fmt.Errorf("t%d: rings mean dispatch depth %.2f below 2", cl.Tenants, rings.MeanDepth)
+				}
+			}
+			return nil
+		},
+	}
+	s.table.Note("sessions/tenant=%d ops/session=%d batch=%d iosize=%dKB file=%dMB approach=%v",
 		c.Clients, c.Ops, c.Batch, c.IOSize>>10, c.FileMB, crossprefetch.CrossPredictOpt)
-	t.Note("latency caveat: ring CQEs carry uncapped device completion times, " +
+	s.table.Note("latency caveat: ring CQEs carry uncapped device completion times, " +
 		"while sync reads cap in-flight waits (the blocking reader's demand-read " +
 		"option) — sync p50/p99 and MB/s are optimistic by construction")
-	var rows []*ServeResult
 	for _, cl := range cells {
-		// Memory holds half the aggregate dataset: the serving-tier shape
-		// where misses are structural, the library's coverage prefetch
-		// backs off at its low watermark, and the dispatch path — not
-		// cache hits — decides queue depth and latency.
-		sys := c.Build(int64(cl.Tenants) * c.FileMB << 20 / 2)
-		if c.Observe != nil {
-			c.Observe(sys)
-		}
-		res, err := serveRun{c, cl, sys}.run()
-		if err == nil && sys.Telemetry() != nil {
-			err = sys.AuditTelemetry()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve %s-t%d: %w", cl.Mode(), cl.Tenants, err)
-		}
-		rows = append(rows, res)
+		s.cells = append(s.cells, sweepCell[*ServeResult]{
+			name: cl.name(),
+			// Memory holds half the aggregate dataset: the serving-tier shape
+			// where misses are structural, the library's coverage prefetch
+			// backs off at its low watermark, and the dispatch path — not
+			// cache hits — decides queue depth and latency.
+			build:  func() *crossprefetch.System { return c.Build(int64(cl.Tenants) * c.FileMB << 20 / 2) },
+			replay: serveRun{c, cl}.replay,
+		})
 	}
-	return render(t, serveFields, rows), nil
+	return s.run(c.Observe)
 }
 
 // Serve reproduces the frontend comparison the rings exist for: the same
@@ -377,14 +364,12 @@ func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
 func Serve(o Options) (*Table, error) {
 	c := ServeConfig{SweepConfig: o.sizing(serveFull, serveQuick), Batch: 8}
 	c.Build = func(memory int64) *crossprefetch.System {
-		sys := newSys(sysConfig{
+		return newSys(sysConfig{
 			approach:   crossprefetch.CrossPredictOpt,
 			memory:     memory,
 			plug:       true,
 			congestion: simtime.Second,
 		})
-		registerTelemetry(fmt.Sprintf("%v/%s/plug", crossprefetch.CrossPredictOpt, mb(memory)), sys)
-		return sys
 	}
 	var cells []ServeCell
 	if o.Quick {

@@ -7,13 +7,13 @@ package experiments
 // system and must reproduce its fingerprint — the digest of every declared
 // field at full precision; when every cell is in, the experiment's contract
 // is asserted and the rows are rendered — Table, JSON record — from its one
-// field list. Every registry entry but serve is a declaration over it: a
-// cell table, what to run and measure in a cell, a contract and a field
-// list. The serve-style sweeps (overload.go, score.go, predict.go, tier.go)
-// replay seeded offset schedules from one goroutine with every returned
-// byte checked against the raw inode; the paper tables, ablate, batch and
-// chaos hand the cell's system to a workload driver (cellOf, harness.go).
-// DESIGN §19.
+// field list. Every registry entry is a declaration over it: a cell table,
+// what to run and measure in a cell, a contract and a field list. The
+// serve-style sweeps (overload.go, score.go, predict.go, tier.go) replay
+// seeded offset schedules from one goroutine with every returned byte
+// checked against the raw inode; the paper tables, ablate, batch and chaos
+// hand the cell's system to a workload driver (cellOf, harness.go), and
+// serve launches its sessions as members of one (serve.go). DESIGN §19.
 
 import (
 	"bytes"
