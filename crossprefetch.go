@@ -358,12 +358,14 @@ func (s *System) AuditTelemetry() error {
 	saved := st.SavedPrefetches
 	dropped := st.DroppedPrefetch
 	droppedBrk := st.DroppedBreaker
+	evicted := st.EvictedPages
 	s.procMu.Lock()
 	for _, rt := range s.procs {
 		st := rt.Stats()
 		saved += st.SavedPrefetches
 		dropped += st.DroppedPrefetch
 		droppedBrk += st.DroppedBreaker
+		evicted += st.EvictedPages
 	}
 	s.procMu.Unlock()
 	var tenants []telemetry.TenantLedger
@@ -381,6 +383,7 @@ func (s *System) AuditTelemetry() error {
 		LibSavedPrefetches: saved,
 		LibDroppedPrefetch: dropped,
 		LibDroppedBreaker:  droppedBrk,
+		LibEvictedPages:    evicted,
 		HasLibStats:        true,
 		StrictDevice:       true,
 		Tenants:            tenants,

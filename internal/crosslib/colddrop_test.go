@@ -210,6 +210,13 @@ func TestHotSetThatMoves(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	a, b := openSynthetic(t, rt, tl, "a", slots*slotIO), openSynthetic(t, rt, tl, "b", slots*slotIO)
 	s := openSynthetic(t, rt, tl, "s", streamed)
+	// A second descriptor on the streamed file, never read: the stream gives
+	// nothing back behind it (drop-behind wants a sole descriptor), so its
+	// wake is the evictor's to take back, as it was when the stream was
+	// another process's.
+	if _, err := rt.Open(tl, "s"); err != nil {
+		t.Fatal(err)
+	}
 	slot, buf := make([]byte, slotIO), make([]byte, seqIO)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8*slots; i++ {
@@ -302,7 +309,10 @@ func TestEvictPassColdDropAllocs(t *testing.T) {
 func TestSettledPrefetchStaysClaimedUntilRead(t *testing.T) {
 	const filePages, readBytes = 512, 16 << 10 // the optimistic open prefetch's 2 MB, one node
 	opt := CrossPredictOpt.Options()
-	opt.MemoryBudgetPages = filePages / 2 // every pass is over budget
+	// The file fills the budget exactly: every pass is over budget, and the
+	// reads drop nothing behind themselves (drop-behind wants a file larger
+	// than the budget), so what the pass finds is what the reads left.
+	opt.MemoryBudgetPages = filePages
 	rt := New(newKernel(1_000_000), opt)
 	age := rt.Options().InactiveAge
 	tl := simtime.NewTimeline(0)

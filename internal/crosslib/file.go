@@ -2,6 +2,7 @@ package crosslib
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/predictor"
@@ -22,6 +23,10 @@ type File struct {
 
 	predMu sync.Mutex
 	pred   *predictor.Predictor
+
+	// behind is the drop-behind watermark (dropBehind): the end block of the
+	// last unit this descriptor gave back.
+	behind atomic.Int64
 
 	mu     sync.Mutex
 	pos    int64
@@ -159,6 +164,9 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 
 	n, err := f.kf.ReadAt(tl, dst, off)
 	f.sf.markRead(tl, off, int64(n), bs, full)
+	if n > 0 {
+		f.dropBehind(tl, lo)
+	}
 	f.sf.touch(tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err
@@ -175,6 +183,61 @@ func (sf *sharedFile) markRead(tl *simtime.Timeline, off, n, bs int64, full bitm
 	if n > 0 {
 		sf.tree.MarkRead(tl, off/bs, (off+n+bs-1)/bs, full)
 	}
+}
+
+// dropBehindUnit is what drop-behind gives back at a time, in blocks: one
+// tree-lock pagevec of the page cache, whose write hold fits inside a
+// stream's wait for its in-flight prefetch.
+const dropBehindUnit = 64
+
+// dropBehind gives back a stream's wake (DESIGN.md §24, Leap's eager drop
+// of consumed prefetches): after a read whose first block is lo has been
+// marked, the unit that ends one unit behind lo goes on a helper thread,
+// the kernel sparing what it has seen re-used (vfs.AdvDontNeedCold). Only
+// where nothing can want the wake back: the file is larger than the budget,
+// so no pass re-reads it from cache; the descriptor streams forward
+// (MostlySequential or better); and it is the file's only one. Each unit
+// goes once a pass: the watermark is the end of the last unit dropped, and
+// a read behind it — a new pass — resets it. A File is shared between
+// threads, so the watermark moves by compare-and-swap and only its winner
+// drops. ReadAt is the one caller: a ring read's settle does not drop,
+// because ring readers share the cache with other tenants, and there a
+// scan that gives back its wake spends what it frees on prefetch its
+// neighbours wait behind (DESIGN.md §24).
+func (f *File) dropBehind(tl *simtime.Timeline, lo int64) {
+	rt, sf := f.rt, f.sf
+	if !rt.opt.AggressiveEvict || f.kf.Inode().Blocks() <= rt.budget() {
+		return
+	}
+	w := f.behind.Load()
+	if lo < w {
+		f.behind.CompareAndSwap(w, 0)
+		return
+	}
+	end := (lo/dropBehindUnit - 1) * dropBehindUnit
+	if end-dropBehindUnit < w || f.streamState() < predictor.MostlySequential ||
+		!rt.sole(sf) || !f.behind.CompareAndSwap(w, end) {
+		return
+	}
+	sf.droppedBehind.Store(true)
+	rt.workers.Run(tl.Now(), func(wtl *simtime.Timeline) {
+		freed := rt.dontNeed(wtl, sf, vfs.AdvDontNeedCold, end-dropBehindUnit, end)
+		rt.rec.Add(telemetry.CtrLibDroppedBehindPages, freed)
+		rt.rec.EventPages(wtl.Now(), telemetry.OutcomeDroppedBehind, sf.inoID, end-dropBehindUnit, end, freed)
+	})
+}
+
+// streamState is the descriptor's counter classification: its own
+// predictor's, or the ensemble's counter arm when the ensemble is on.
+func (f *File) streamState() predictor.State {
+	if sf := f.sf; sf.ens != nil {
+		sf.ensMu.Lock()
+		defer sf.ensMu.Unlock()
+		return sf.ens.CounterState()
+	}
+	f.predMu.Lock()
+	defer f.predMu.Unlock()
+	return f.pred.State()
 }
 
 // observeAccess runs the library-side read pre-work shared by ReadAt and
@@ -376,8 +439,11 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 
 	// Memory budget policy (§4.6): halt entirely below the low
 	// watermark; below the high watermark, stay within the kernel's
-	// static window even when opt would allow more. The FetchAll policy
-	// is deliberately memory-insensitive (Table 2).
+	// static window even when opt would allow more. Above it, a file a
+	// stream drops behind gets no more than is free: there the free memory
+	// is the wake the stream gave back, not surplus, and a window larger
+	// than it evicts its own front. The FetchAll policy is deliberately
+	// memory-insensitive (Table 2).
 	if !o.FetchAll && (o.OptLimits || o.AggressiveEvict || o.CoveragePrefetch) {
 		if level == budgetUnasked {
 			level = rt.budgetGate(tl, sf, lo, hi)
@@ -387,6 +453,10 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 			return full
 		case budgetStatic:
 			hi = min(hi, lo+rt.v.Config().RA.MaxPages)
+		default:
+			if sf.droppedBehind.Load() {
+				hi = min(hi, lo+rt.budget()-rt.v.Cache().Used())
+			}
 		}
 	}
 	hi = min(hi, lo+o.MaxPrefetchBytes/rt.v.BlockSize())
@@ -438,8 +508,12 @@ const workerQueueBound = 2 * simtime.Millisecond
 // access point. Random readers of a region thereby converge on full
 // residency while memory lasts, eliminating compulsory misses that
 // pattern-window prefetching can never cover. It returns prefetchAsync's
-// full-node span.
+// full-node span. A file a stream has dropped behind is one the library has
+// found it cannot hold, so it is left out until its reader streams again.
 func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) bitmap.Run {
+	if f.sf.droppedBehind.Load() && f.streamState() < predictor.LikelySequential {
+		return bitmap.Run{}
+	}
 	level := f.rt.budgetGate(tl, f.sf, lo, lo)
 	if level == budgetHalt {
 		return bitmap.Run{}

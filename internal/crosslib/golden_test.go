@@ -69,6 +69,14 @@ import (
 // it. No stats or ring field moves in any cell. With File.markRead marking
 // [lo, hi) of the buffer again, that tree reproduces the PR 22 values in the
 // first three cells and (1)'s in the fourth.
+//
+// And once more for drop-behind (DESIGN.md §24): the two cells that evict drop
+// behind the one stream over a file with a sole descriptor and more blocks
+// than the budget ("b"; "a" has two descriptors), 14 units, which moves now,
+// stats and both hashes there. The recorder gained a counter and an outcome,
+// which moves every cell's telemetry hash and nothing else in blind and
+// fetchall+opt. With File.dropBehind returning at once, that tree reproduces
+// the previous now, stats, ring and results in all four cells.
 func TestGoldenWayUp(t *testing.T) {
 	blind := Options{Enabled: true, Predict: true, CoveragePrefetch: true,
 		RangeTreeSpan: rangetree.DefaultSpan}
@@ -80,31 +88,31 @@ func TestGoldenWayUp(t *testing.T) {
 		want goldenUp
 	}{
 		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
-			now:       77305080,
-			stats:     "{PrefetchCalls:893 SavedPrefetches:913 PrefetchedPages:14937 EvictedPages:7594 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:880 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			now:       76550413,
+			stats:     "{PrefetchCalls:909 SavedPrefetches:783 PrefetchedPages:14706 EvictedPages:7378 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:910 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:5 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "81de05520874089c",
-			results:   "a7b73bf27c964829",
+			telemetry: "a1a62907ca6d9466",
+			results:   "37e42876952fe886",
 		}},
 		{"predict+opt+ensemble", ensemble, goldenUp{
-			now:       79428713,
-			stats:     "{PrefetchCalls:2030 SavedPrefetches:3414 PrefetchedPages:13643 EvictedPages:7746 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:1128 WorkerJobs:1307 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
+			now:       79539195,
+			stats:     "{PrefetchCalls:2111 SavedPrefetches:3216 PrefetchedPages:13639 EvictedPages:7746 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:1128 WorkerJobs:1402 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
 			ring:      "{Submits:4 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "4529a4b73fb9da79",
-			results:   "223f96eb55b3062c",
+			telemetry: "ba94fa818f5b60ca",
+			results:   "dde8def051651523",
 		}},
 		{"blind", blind, goldenUp{
 			now:       86053570,
 			stats:     "{PrefetchCalls:606 SavedPrefetches:133 PrefetchedPages:0 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:64 DroppedLowMemory:1287 WorkerJobs:607 PrefetchRetries:0 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:6 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "38c1a8a2b2801319",
+			telemetry: "b7cee94cf2428e48",
 			results:   "677e7176a65e7693",
 		}},
 		{"fetchall+opt", CrossFetchAllOpt.Options(), goldenUp{
 			now:       95703093,
 			stats:     "{PrefetchCalls:177 SavedPrefetches:4 PrefetchedPages:12311 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 DroppedLowMemory:0 WorkerJobs:26 PrefetchRetries:2 BreakerTrips:1 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:5 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "f7d5e6217f4bece4",
+			telemetry: "b158bd594f1a8804",
 			results:   "0cc1858d0f64a4b0",
 		}},
 	}

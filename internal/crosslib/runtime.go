@@ -90,9 +90,10 @@ type sharedFile struct {
 	tree  *rangetree.Tree
 	refs  int // live descriptors, guarded by the owning shard's mu
 
-	lastAccess atomic.Int64 // virtual time of last access
-	fetchAll   atomic.Bool  // whole-file prefetch kicked off
-	askedAt    simtime.Time // last whole-file drop; under evictMu
+	lastAccess    atomic.Int64 // virtual time of last access
+	fetchAll      atomic.Bool  // whole-file prefetch kicked off
+	droppedBehind atomic.Bool  // a stream has given back its wake (File.dropBehind)
+	askedAt       simtime.Time // last whole-file drop; under evictMu
 
 	// ens, when non-nil (Options.Ensemble), is the per-inode competing-
 	// predictor ensemble; ensMu serializes its Observe calls across the
@@ -349,8 +350,16 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 			// live arm's real prefetches and the bandit promotes redundant
 			// challengers. Coverage = exported kernel residency (§4.2
 			// truth, immune to stale lib belief) plus in-flight requests.
+			// Not for the live arm of a file a stream drops behind: there
+			// the budget lets its real windows run deeper than any shadow
+			// window, so what covers its candidates is its own success,
+			// and trimming them would score it as an arm that predicts
+			// nothing (DESIGN.md §24).
 			fc := kf.FileCache()
-			sf.ens.SetFilter(func(lo, hi int64) (int64, int64) {
+			sf.ens.SetFilter(func(live bool, lo, hi int64) (int64, int64) {
+				if live && sf.droppedBehind.Load() {
+					return lo, hi
+				}
 				lo, hi = fc.NonResidentSpan(lo, hi)
 				return sf.tree.UnrequestedSpan(lo, hi)
 			})
@@ -359,6 +368,14 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 	}
 	sf.refs++
 	return sf
+}
+
+// sole reports whether sf has one live descriptor.
+func (rt *Runtime) sole(sf *sharedFile) bool {
+	fs := rt.fileShard(sf.inoID)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return sf.refs == 1
 }
 
 // DropCaches resets the runtime's user-level cache belief (paired with a

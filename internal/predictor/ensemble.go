@@ -154,11 +154,12 @@ type Ensemble struct {
 	// does not already cover (cached or in-flight) before shadow booking.
 	// Without it every arm free-rides on the live arm's real prefetches:
 	// predicting blocks the live arm already fetched earns full credit,
-	// and the bandit promotes accurate-but-redundant arms. Applied
-	// uniformly to all arms so scores stay comparable; the live arm's
-	// *real* candidates are returned untrimmed (the prefetch path runs
-	// its own NeedsPrefetch dedupe).
-	filter func(lo, hi int64) (int64, int64)
+	// and the bandit promotes accurate-but-redundant arms. It is told
+	// whether the arm is live, so that the caller can leave the live arm's
+	// candidates whole where its own real windows run deeper than any
+	// shadow window; the live arm's *real* candidates are returned
+	// untrimmed (the prefetch path runs its own NeedsPrefetch dedupe).
+	filter func(live bool, lo, hi int64) (int64, int64)
 
 	observes   int64
 	promotions int64
@@ -196,10 +197,15 @@ func NewEnsemble(cfg EnsembleConfig, _ int64) *Ensemble {
 
 // SetFilter installs the shadow-book coverage prefilter (see the field
 // comment). Call once at setup, before the first Observe.
-func (e *Ensemble) SetFilter(f func(lo, hi int64) (int64, int64)) { e.filter = f }
+func (e *Ensemble) SetFilter(f func(live bool, lo, hi int64) (int64, int64)) { e.filter = f }
 
 // Live reports the currently promoted arm.
 func (e *Ensemble) Live() telemetry.Arm { return e.live }
+
+// CounterState reports the counter arm's classification, live or not.
+func (e *Ensemble) CounterState() State {
+	return e.arms[telemetry.ArmCounter].arm.(*counterArm).p.State()
+}
 
 // Observes and Promotions report lifetime totals.
 func (e *Ensemble) Observes() int64   { return e.observes }
@@ -274,7 +280,7 @@ func (e *Ensemble) Observe(lo, blocks int64) *ObserveResult {
 				c.Blocks = e.cfg.MaxCandidateBlocks
 			}
 			if e.filter != nil {
-				flo, fhi := e.filter(c.Lo, c.Lo+c.Blocks)
+				flo, fhi := e.filter(a == e.live, c.Lo, c.Lo+c.Blocks)
 				if fhi <= flo {
 					continue
 				}

@@ -148,7 +148,7 @@ func TestEnsembleCandidateClamp(t *testing.T) {
 // path runs its own dedupe).
 func TestEnsembleFilter(t *testing.T) {
 	e := NewEnsemble(DefaultEnsembleConfig(), 1)
-	e.SetFilter(func(lo, hi int64) (int64, int64) { return lo, lo })
+	e.SetFilter(func(_ bool, lo, hi int64) (int64, int64) { return lo, lo })
 	sawLive := false
 	for i := int64(0); i < 300; i++ {
 		r := e.Observe(i*4, 4)

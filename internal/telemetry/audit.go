@@ -12,12 +12,13 @@ type AuditInput struct {
 	BlockSize int64
 	// CacheUsed is the cache's own resident-page count at audit time.
 	CacheUsed int64
-	// LibSavedPrefetches, LibDroppedPrefetch, and LibDroppedBreaker are
-	// the CROSS-LIB stats counters (summed over runtimes sharing the
-	// recorder); consulted when HasLibStats is set.
+	// LibSavedPrefetches, LibDroppedPrefetch, LibDroppedBreaker and
+	// LibEvictedPages are the CROSS-LIB stats counters (summed over runtimes
+	// sharing the recorder); consulted when HasLibStats is set.
 	LibSavedPrefetches int64
 	LibDroppedPrefetch int64
 	LibDroppedBreaker  int64
+	LibEvictedPages    int64
 	HasLibStats        bool
 	// StrictDevice additionally requires every device read to be
 	// accounted to a VFS demand fetch or prefetch — true whenever the
@@ -170,6 +171,13 @@ func Audit(s *Snapshot, in AuditInput) error {
 		fail("per-arm wasted sum %d != prefetch wasted %d", aWasted, wasted)
 	}
 
+	// Drop-behind <-> trace: every unit dropped behind a stream was traced
+	// with the pages it freed.
+	behind := s.Counter(CtrLibDroppedBehindPages)
+	if ev := s.Outcome(OutcomeDroppedBehind); ev.Pages != behind {
+		fail("dropped-behind trace pages %d != lib dropped-behind pages %d", ev.Pages, behind)
+	}
+
 	// Bandit <-> trace: every promotion was traced.
 	if ev := s.Outcome(OutcomeArmPromoted); ev.Events != s.Counter(CtrPredArmPromotions) {
 		fail("arm-promoted trace events %d != arm promotions %d", ev.Events, s.Counter(CtrPredArmPromotions))
@@ -205,6 +213,11 @@ func Audit(s *Snapshot, in AuditInput) error {
 		}
 		if ev := s.Outcome(OutcomeDroppedBreakerOpen); ev.Events != in.LibDroppedBreaker {
 			fail("dropped-breaker-open trace events %d != lib breaker drops %d", ev.Events, in.LibDroppedBreaker)
+		}
+		// Drop-behind is one of the library's two evictors, never more
+		// than both.
+		if behind > in.LibEvictedPages {
+			fail("lib dropped-behind pages %d > lib evicted pages %d", behind, in.LibEvictedPages)
 		}
 	}
 

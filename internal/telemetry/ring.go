@@ -16,7 +16,8 @@ type Event struct {
 	OutcomeName string `json:"outcome"`
 	// Ino is the inode the intent targeted.
 	Ino int64 `json:"ino"`
-	// Lo and Hi bound the block range; Pages = Hi - Lo.
+	// Lo and Hi bound the block range; Pages = Hi - Lo, except where the
+	// outcome says otherwise (dropped-behind counts the pages it freed).
 	Lo    int64 `json:"lo"`
 	Hi    int64 `json:"hi"`
 	Pages int64 `json:"pages"`

@@ -172,6 +172,10 @@ const (
 	CtrTierPrefetchPromotions
 	CtrTierDemotions
 	CtrTierCopybackBytes
+	// CtrLibDroppedBehindPages is the pages CROSS-LIB's drop-behind freed
+	// behind sole streams over files larger than the budget, each drop also
+	// traced as OutcomeDroppedBehind; a part of the library's evicted pages.
+	CtrLibDroppedBehindPages
 
 	numCounters
 )
@@ -235,6 +239,7 @@ var counterDescs = [numCounters]desc{
 	CtrTierPrefetchPromotions:     {"tier_prefetch_promotions", "Tier promotions driven by cross-tier prefetch landing remote pages locally."},
 	CtrTierDemotions:              {"tier_demotions", "Extents demoted from local storage under the capacity watermarks."},
 	CtrTierCopybackBytes:          {"tier_copyback_bytes", "Bytes copied back to the remote tier when demoting dirty extents."},
+	CtrLibDroppedBehindPages:      {"lib_dropped_behind_pages", "Pages CROSS-LIB dropped behind sole streams over files larger than its budget (part of its evictions)."},
 }
 
 // String names the counter (JSON key).
@@ -301,6 +306,10 @@ const (
 	// predictor arm to live. Lo/Hi encode the old and new arm index so the
 	// trace shows the whole promotion trajectory per inode.
 	OutcomeArmPromoted
+	// OutcomeDroppedBehind: CROSS-LIB gave back one unit of a sole stream's
+	// wake. Lo/Hi bound the unit; Pages is what the drop freed, which
+	// pages the kernel spared (active) or had already evicted do not count.
+	OutcomeDroppedBehind
 
 	numOutcomes
 )
@@ -327,6 +336,7 @@ var outcomeNames = [numOutcomes]string{
 	OutcomeBrownoutLowered:      "brownout-lowered",
 	OutcomeLatePrefetch:         "late-prefetch",
 	OutcomeArmPromoted:          "arm-promoted",
+	OutcomeDroppedBehind:        "dropped-behind",
 }
 
 // String names the outcome (JSON key, label value).
@@ -683,12 +693,14 @@ func (r *Recorder) ObserveBackend(i int, write bool, bytes, waitNs, serviceNs in
 // inode ino. The per-outcome totals always advance; the ring keeps the
 // most recent events for inspection.
 func (r *Recorder) Event(at simtime.Time, o Outcome, ino, lo, hi int64) {
+	r.EventPages(at, o, ino, lo, hi, max(hi-lo, 0))
+}
+
+// EventPages is Event for an outcome whose pages are not the whole range:
+// the event carries [lo, hi) and counts pages.
+func (r *Recorder) EventPages(at simtime.Time, o Outcome, ino, lo, hi, pages int64) {
 	if r == nil {
 		return
-	}
-	pages := hi - lo
-	if pages < 0 {
-		pages = 0
 	}
 	r.outcomes[o].events.Add(1)
 	r.outcomes[o].pages.Add(pages)

@@ -143,11 +143,15 @@ func consistentRecorder() (*Recorder, AuditInput) {
 	r.Event(2, OutcomeSavedByBitmap, 1, 96, 100)
 	r.Event(3, OutcomeDroppedQueueFull, 2, 0, 32)
 	r.Event(4, OutcomeEvictedBeforeUse, 1, 0, 10)
+	// A drop-behind unit that freed 8 of its 64 pages, of the library's 20.
+	r.Add(CtrLibDroppedBehindPages, 8)
+	r.EventPages(5, OutcomeDroppedBehind, 1, 0, 64, 8)
 	return r, AuditInput{
 		BlockSize:          bs,
 		CacheUsed:          70,
 		LibSavedPrefetches: 2,
 		LibDroppedPrefetch: 1,
+		LibEvictedPages:    20,
 		HasLibStats:        true,
 		StrictDevice:       true,
 	}
@@ -183,6 +187,12 @@ func TestAuditDetectsViolations(t *testing.T) {
 		{"lib stats", func(r *Recorder, in *AuditInput) {
 			in.LibSavedPrefetches = 5
 		}, "saved-by-bitmap"},
+		{"dropped-behind trace", func(r *Recorder, in *AuditInput) {
+			r.Add(CtrLibDroppedBehindPages, 1)
+		}, "dropped-behind trace pages"},
+		{"dropped-behind over evicted", func(r *Recorder, in *AuditInput) {
+			in.LibEvictedPages = 7
+		}, "lib evicted pages"},
 		{"strict device", func(r *Recorder, in *AuditInput) {
 			r.Add(CtrDeviceReadBytes, 4096)
 		}, "device read"},

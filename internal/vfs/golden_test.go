@@ -37,34 +37,37 @@ import (
 // read no longer promotes into a capped tier that is past its low demotion
 // mark, which moves the two stack cells — fill writes on the two local
 // members 67 → 36 commands unplugged, 88 → 53 plugged — and neither bare
-// one.
+// one. And for drop-behind, the telemetry hash of every cell and nothing else:
+// the recorder's JSON gained the lib_dropped_behind_pages counter and the
+// dropped-behind outcome, both zero here (with the two names taken out
+// again the previous hashes come back).
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/unplugged": {
 			now:       48677727,
 			device:    "nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; ",
-			telemetry: "0d91143c50ea5ed0",
+			telemetry: "e54486bb7842ba36",
 			spans:     "d4b0e01225ce1cd5",
 			results:   "7cc71806a747b1b6",
 		},
 		"bare/plugged": {
 			now:       48275692,
 			device:    "nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; ",
-			telemetry: "704fee700ee05c1d",
+			telemetry: "91cda8f8100382f7",
 			spans:     "d42120aed5da2c0c",
 			results:   "40c919d0b45fce28",
 		},
 		"stack/unplugged": {
 			now:       48262391,
 			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r193/41586688 w60/16121856 busy32844849 inj36/2550000 plug194/193/1; nvme0.0 r79/6520832 w24/4853760 busy9791146 inj13/450000 plug79/79/0; nvme0.1 r48/6266880 w12/3141632 busy7717931 inj3/600000 plug49/48/1; nvmeof0 r66/28798976 w24/8126464 busy32844849 inj20/1500000 plug66/66/0; ",
-			telemetry: "fff8275d4b97967b",
+			telemetry: "3e5bc14778180399",
 			spans:     "79a71ee8eb06da53",
 			results:   "175851841d0bfcb0",
 		},
 		"stack/plugged": {
 			now:       51001988,
 			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r156/44118016 w80/23461888 busy38704415 inj38/2100000 plug177/156/21; nvme0.0 r50/6397952 w34/7217152 busy12173784 inj6/150000 plug59/50/9; nvme0.1 r31/6299648 w19/4980736 busy9669040 inj6/0 plug38/31/7; nvmeof0 r75/31420416 w27/11264000 busy38704415 inj26/1950000 plug80/75/5; ",
-			telemetry: "4e1184914c753551",
+			telemetry: "662405a30aa1ce66",
 			spans:     "283301e32df9611e",
 			results:   "7e03347c0ee25688",
 		},
