@@ -10,7 +10,7 @@
 # under the race detector at GOMAXPROCS 1, 2 and 8, five times each — about
 # 40 minutes on two cores, 11 of them crosslib's, hence the explicit
 # timeout (go test's default is ten).
-.PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests errgate fmtgate stackgate ringgate trace bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
 
 check: vet errgate fmtgate stackgate ringgate build race allocs digests
 
@@ -52,8 +52,7 @@ stackgate:
 # synchronous read/write shims directly. The sync baseline lives in
 # serve_baseline.go, which IS the deliberate exemption.
 ringgate:
-	@! grep -n '\.ReadAt(\|\.WriteAt(' \
-		internal/experiments/serve.go cmd/crosserve/main.go \
+	@! grep -n '\.ReadAt(\|\.WriteAt(' internal/experiments/serve.go \
 		|| (echo 'ringgate: direct read/write call on the ring frontend (use the Ring API)'; exit 1)
 
 build:
@@ -93,26 +92,42 @@ size:
 chaos:
 	go test -race -run 'Chaos|Fault|Breaker|Retry|Inject|Transient|Poison|Dirty' ./...
 
-# Determinism gate: rerun the five sweeps behind bench-serve, -overload,
-# -score, -predict and -tier into a temporary directory and compare the
-# files, whole, with the committed BENCH_PR6..10.json (about 10 s in
-# total). A byte moves exactly when virtual time, accounting, a scorecard
-# or a record's schema does. All five are compared before the target fails,
-# each file that moved printed with its diff, so that a change which
-# re-records one on purpose still shows whether the others held; the
-# bench-* targets below, which overwrite those files in place, are the way
-# to re-record one.
+# The five serving-tier sweeps whose full-scale records are pinned in
+# testdata/sweeps/<id>.json: serve (sync vs ring frontends across 1/8/64
+# tenants), overload (victims vs an antagonist scan under five policy
+# cells), score (the scorecards across four access patterns), predict (the
+# fixed counter vs the predictor ensemble) and tier (the device-stack
+# grid). Every cell byte-verifies its reads, passes the telemetry audit and
+# reproduces its digest on a rerun, and each sweep asserts its contract,
+# before anything is written (DESIGN §19).
+SWEEPS = serve overload score predict tier
+RECORDS = testdata/sweeps
+
+# Re-record the sweeps' records in place (or into RECORDS=dir): one
+# crossbench build, five runs.
+records:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	go build -o "$$bin/crossbench" ./cmd/crossbench && \
+	for s in $(SWEEPS); do "$$bin/crossbench" -exp $$s -json $(RECORDS) || exit 1; done
+
+# Determinism gate: rerun the five sweeps into a temporary directory and
+# compare the files, whole, with the committed testdata/sweeps/*.json
+# (about 10 s in total). A byte moves exactly when virtual time,
+# accounting, a scorecard or a record's schema does. All five are compared
+# before the target fails, each file that moved printed with its diff, so
+# that a change which re-records one on purpose still shows whether the
+# others held; `make records` is the way to re-record them.
 digests:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(MAKE) -s BENCH_OUT="$$tmp/" bench-serve bench-overload bench-score bench-predict bench-tier >"$$tmp/log" 2>&1 \
+	$(MAKE) -s RECORDS="$$tmp" records >"$$tmp/log" 2>&1 \
 		|| { cat "$$tmp/log"; echo 'digests: a sweep failed'; exit 1; }; \
-	moved=; for n in 6 7 8 9 10; do \
-		cmp -s BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json" && continue; \
-		echo "digests: BENCH_PR$$n.json no longer reproduces"; \
-		diff BENCH_PR$$n.json "$$tmp/BENCH_PR$$n.json"; moved="$$moved BENCH_PR$$n.json"; \
+	moved=; for s in $(SWEEPS); do \
+		cmp -s $(RECORDS)/$$s.json "$$tmp/$$s.json" && continue; \
+		echo "digests: $(RECORDS)/$$s.json no longer reproduces"; \
+		diff $(RECORDS)/$$s.json "$$tmp/$$s.json"; moved="$$moved $$s.json"; \
 	done; \
 	[ -z "$$moved" ] || { echo "digests: moved:$$moved"; exit 1; }; \
-	echo "digests: BENCH_PR6..10.json reproduce byte for byte"
+	echo "digests: $(RECORDS)/*.json reproduce byte for byte"
 
 bench:
 	go test -bench=. -benchmem -run=^$$
@@ -128,55 +143,3 @@ bench-smoke:
 # critical-path report for the retained slow spans.
 trace:
 	go run ./cmd/crossbench -exp fig5 -quick -trace trace.json -trace-report
-
-# Serve-frontend sweep: the sync and ring dispatch paths across 1/8/64
-# tenants at identical replay schedules — achieved dispatch depth,
-# kernel crossings per op, and tail latency per cell. Every cell passes
-# the cross-layer telemetry audit, is re-run and digest-compared for
-# determinism, and at each tenant count the rings must match sync's client
-# bytes at no more than half its crossings per op and a dispatch depth of
-# at least 2.
-bench-serve:
-	go run ./cmd/crosserve -sweep -json $(BENCH_OUT)BENCH_PR6.json
-
-# Overload-resilience sweep: zipfian victims vs a full-file-scan
-# antagonist across the five policy cells (isolated / no-budget / budget
-# / budget+brownout / budget+deadline). Every cell byte-verifies, passes
-# the telemetry audit including the exact per-tenant residency partition,
-# is re-run and digest-compared for determinism, and the budgeted cells
-# must hold victim p99 within 2x the isolated baseline.
-bench-overload:
-	go run ./cmd/crosserve -mode overload -tenants 4 -ops 200 -file-mb 16 \
-		-sweep -json $(BENCH_OUT)BENCH_PR7.json
-
-# Scorecard sweep: one cell per access pattern (sequential / strided /
-# zipfian / shared-file), each run twice with byte-identical scorecard
-# JSON enforced, the scorecard<->recorder per-origin partition audited,
-# and the sequential-vs-zipfian accuracy discrimination asserted.
-bench-score:
-	go run ./cmd/crosserve -mode score -file-mb 64 -iosize 65536 -ops 512 \
-		-sessions 4 -json $(BENCH_OUT)BENCH_PR8.json
-
-# Predictor-ensemble sweep: sequential / zipfian-LSM / interleaved-shared,
-# each replayed through the fixed sequentiality counter and the competing
-#-arm ensemble. Every cell is byte-verified, audit-reconciled (per-arm
-# issued/used/wasted partitions the ring-prefetch origin exactly), re-run
-# with digest comparison for determinism, and the ensemble contract is
-# asserted: beat the counter on zipfian-LSM warm hit rate AND pages/s,
-# concede at most 2% on pure sequential.
-bench-predict:
-	go run ./cmd/crosserve -mode predict -file-mb 16 -iosize 16384 -ops 2048 \
-		-json $(BENCH_OUT)BENCH_PR9.json
-
-# Tiered-stack sweep: the device-stack grid (RAID-0 width 1/2, half-remote
-# NVMe-oF tier, cross-tier prefetch on/off, capped local tier) under
-# sequential / zipfian-LSM / shared-file access. Every cell is
-# byte-verified, audit-reconciled down to the exact per-backend
-# command/byte partition, re-run with digest comparison for determinism,
-# and the contracts are asserted: width-2 sequential throughput >= 1.7x
-# width-1, cross-tier prefetch holds >= 70% of the all-local warm hit
-# rate on the half-remote dataset, and tiered-with-prefetch beats
-# prefetch-off tiered on warm p99 read latency.
-bench-tier:
-	go run ./cmd/crosserve -mode tier -file-mb 16 -iosize 16384 -ops 2048 \
-		-json $(BENCH_OUT)BENCH_PR10.json

@@ -21,12 +21,12 @@ func runExperiment(b *testing.B, id string) {
 	}
 	var rows int
 	for i := 0; i < b.N; i++ {
-		tbl, err := run(experiments.Options{Quick: true, Seed: int64(i) + 1})
+		rep, err := run(experiments.Options{Quick: true, Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows = len(tbl.Rows)
-		reportHeadline(b, tbl)
+		rows = len(rep.Table.Rows)
+		reportHeadline(b, rep.Table)
 	}
 	b.ReportMetric(float64(rows), "rows")
 }

@@ -1,27 +1,54 @@
-// Command crossbench regenerates the paper's tables and figures.
+// Command crossbench regenerates the paper's tables and figures and runs
+// the serving-tier sweeps (serve, overload, score, predict, tier), every
+// one a cell table on the one runner in internal/experiments.
 //
 // Usage:
 //
 //	crossbench -list
 //	crossbench -exp fig7a [-scale 8] [-seed 1] [-csv out.csv]
 //	crossbench -exp all [-quick]
+//	crossbench -exp tier -json testdata/sweeps
+//	crossbench -exp serve -admin :9090
+//
+// -json DIR writes DIR/<id>.json, one JSON object per table row, for every
+// experiment run whose fields declare record keys (the five sweeps);
+// testdata/sweeps holds their full-scale records, which `make digests`
+// regenerates and compares byte for byte.
+//
+// -admin serves the live observability plane for the run's duration and
+// implies -telemetry: /metrics (Prometheus text with HELP metadata),
+// /scorecards (per-file and per-tenant effectiveness JSON with
+// interval-rate deltas since the previous scrape, filterable by ?tenant= /
+// ?inode=), /predictors (the live per-inode predictor-arm table), /tiers
+// (the device stack's per-backend occupancy, tier residency, and extent
+// heat table), /tracez (the span flight recorder's slowest retained
+// roots), and /debug/pprof. Every cell's system becomes the live one as it
+// starts; the listener drains with a bounded timeout on exit.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
+	"sync/atomic"
 	"time"
 
+	crossprefetch "repro"
+	"repro/internal/admin"
+	"repro/internal/crosslib"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
 
 // writeProfile dumps a named runtime profile ("mutex", "block") to path.
-func writeProfile(name, path string) {
+func writeProfile(name, path string, stdout io.Writer) error {
 	f, err := os.Create(path)
 	if err == nil {
 		err = pprof.Lookup(name).WriteTo(f, 0)
@@ -30,10 +57,48 @@ func writeProfile(name, path string) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s profile: %v\n", name, err)
-		os.Exit(1)
+		return fmt.Errorf("%s profile: %w", name, err)
 	}
-	fmt.Printf("%s profile: wrote %s (inspect with `go tool pprof %s`)\n", name, path, path)
+	fmt.Fprintf(stdout, "%s profile: wrote %s (inspect with `go tool pprof %s`)\n", name, path, path)
+	return nil
+}
+
+// writeJSON writes v, indented, to path.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// liveView reads one view of the live system for an admin endpoint; the
+// zero value (no cell running yet) becomes the endpoint's 503.
+func liveView[T any](live *atomic.Pointer[crossprefetch.System], view func(*crossprefetch.System) T) func() T {
+	return func() T {
+		if s := live.Load(); s != nil {
+			return view(s)
+		}
+		var none T
+		return none
+	}
+}
+
+// startAdmin brings up the live admin plane on addr, reading whichever
+// system live holds.
+func startAdmin(addr string, live *atomic.Pointer[crossprefetch.System], stdout io.Writer) (*admin.Server, error) {
+	srv, err := admin.Start(addr, admin.Config{
+		Snapshot:   liveView(live, func(s *crossprefetch.System) *telemetry.Snapshot { return s.Telemetry().Snapshot() }),
+		Scorecard:  liveView(live, func(s *crossprefetch.System) *telemetry.ScorecardSnapshot { return s.Scorecard().Snapshot() }),
+		Tracer:     liveView(live, (*crossprefetch.System).Tracer),
+		Tiers:      liveView(live, (*crossprefetch.System).Stack),
+		Predictors: liveView(live, func(s *crossprefetch.System) []crosslib.PredictorRow { return s.Lib().PredictorTable() }),
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(stdout, "admin plane on http://%s (%s)\n", srv.Addr(), strings.Join(admin.Routes(), " "))
+	return srv, nil
 }
 
 // telemetryRecord is one audited system in the -telemetry-json output.
@@ -45,52 +110,70 @@ type telemetryRecord struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "crossbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, run each experiment, print its
+// table and write what the flags ask for. Every process switch it flips is
+// restored, and every file it opens is closed, on every return path.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("crossbench", flag.ContinueOnError)
 	var (
-		exp     = flag.String("exp", "", "experiment ID (see -list), or \"all\"")
-		list    = flag.Bool("list", false, "list available experiments")
-		scale   = flag.Int64("scale", 0, "capacity divisor (0 = experiment default)")
-		quick   = flag.Bool("quick", false, "smoke-test sizes")
-		seed    = flag.Int64("seed", 1, "random seed")
-		csv     = flag.String("csv", "", "also write results as CSV to this file")
-		tel     = flag.Bool("telemetry", false, "record and audit cross-layer telemetry per system")
-		telJSON = flag.String("telemetry-json", "", "write telemetry snapshots as JSON to this file (implies -telemetry)")
+		exp     = fs.String("exp", "", "experiment ID (see -list), or \"all\"")
+		list    = fs.Bool("list", false, "list available experiments")
+		scale   = fs.Int64("scale", 0, "capacity divisor (0 = experiment default)")
+		quick   = fs.Bool("quick", false, "smoke-test sizes")
+		seed    = fs.Int64("seed", 1, "random seed")
+		csv     = fs.String("csv", "", "also write results as CSV to this file")
+		jsonDir = fs.String("json", "", "write each experiment's records as JSON to <id>.json in this directory (experiments with record keys only)")
+		tel     = fs.Bool("telemetry", false, "record and audit cross-layer telemetry per system")
+		telJSON = fs.String("telemetry-json", "", "write telemetry snapshots as JSON to this file (implies -telemetry)")
 
-		trace       = flag.String("trace", "", "write sampled spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -telemetry)")
-		traceSample = flag.Int64("trace-sample", 1, "trace 1-in-N top-level operations")
-		traceInode  = flag.Bool("trace-per-inode", false, "sample whole inodes instead of 1-in-N operations")
-		traceReport = flag.Bool("trace-report", false, "print the critical-path report for retained slow spans (implies -trace sampling)")
-		prom        = flag.String("prom", "", "write the last audited system's telemetry as Prometheus text exposition to this file (implies -telemetry)")
+		trace       = fs.String("trace", "", "write sampled spans as Chrome trace-event JSON (Perfetto-loadable) to this file (implies -telemetry)")
+		traceSample = fs.Int64("trace-sample", 1, "trace 1-in-N top-level operations")
+		traceInode  = fs.Bool("trace-per-inode", false, "sample whole inodes instead of 1-in-N operations")
+		traceReport = fs.Bool("trace-report", false, "print the critical-path report for retained slow spans (implies -trace sampling)")
+		prom        = fs.String("prom", "", "write the last audited system's telemetry as Prometheus text exposition to this file (implies -telemetry)")
+		adminAddr   = fs.String("admin", "", "serve the live admin plane ("+strings.Join(admin.Routes(), " ")+") on this address for the run's duration (implies -telemetry)")
 
-		mutexProf = flag.String("mutexprofile", "", "write a host mutex-contention profile (pprof) to this file")
-		blockProf = flag.String("blockprofile", "", "write a host blocking profile (pprof) to this file")
+		mutexProf = fs.String("mutexprofile", "", "write a host mutex-contention profile (pprof) to this file")
+		blockProf = fs.String("blockprofile", "", "write a host blocking profile (pprof) to this file")
 
-		plug        = flag.Bool("plug", false, "enable the block-layer submission scheduler (plugging/merging) for every system")
-		qd          = flag.Int("qd", 0, "device queue depth under -plug (0 = default 32)")
-		mergeWindow = flag.Int64("merge-window", 0, "max merged command bytes under -plug (0 = default 8MB)")
+		plug        = fs.Bool("plug", false, "enable the block-layer submission scheduler (plugging/merging) for every system")
+		qd          = fs.Int("qd", 0, "device queue depth under -plug (0 = default 32)")
+		mergeWindow = fs.Int64("merge-window", 0, "max merged command bytes under -plug (0 = default 8MB)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	// Host-lock profiling: the virtual RWLedgers model the paper's lock
 	// costs, but these profiles expose where the *simulator's* own mutexes
 	// contend — the hot-path sharding work is validated against them.
 	if *mutexProf != "" {
 		runtime.SetMutexProfileFraction(5)
-		defer writeProfile("mutex", *mutexProf)
+		defer func() { err = errors.Join(err, writeProfile("mutex", *mutexProf, stdout)) }()
 	}
 	if *blockProf != "" {
 		runtime.SetBlockProfileRate(1000)
-		defer writeProfile("block", *blockProf)
+		defer func() { err = errors.Join(err, writeProfile("block", *blockProf, stdout)) }()
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, id := range experiments.IDs() {
-			fmt.Printf("  %-7s %s\n", id, experiments.Describe(id))
+			fmt.Fprintf(stdout, "  %-7s %s\n", id, experiments.Describe(id))
 		}
-		if *exp == "" && !*list {
-			os.Exit(2)
+		if !*list {
+			return errors.New("no -exp given")
 		}
-		return
+		return nil
 	}
 
 	ids := []string{*exp}
@@ -98,18 +181,17 @@ func main() {
 		ids = experiments.IDs()
 	}
 
+	// The deferred closes and stops below join their errors into err, so
+	// the blocks that set them up assign err rather than shadow it.
 	var csvOut *os.File
 	if *csv != "" {
-		f, err := os.Create(*csv)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if csvOut, err = os.Create(*csv); err != nil {
+			return err
 		}
-		defer f.Close()
-		csvOut = f
+		defer func() { err = errors.Join(err, csvOut.Close()) }()
 	}
 
-	if *telJSON != "" || *prom != "" {
+	if *telJSON != "" || *prom != "" || *adminAddr != "" {
 		*tel = true
 	}
 	tracing := *trace != "" || *traceReport
@@ -122,14 +204,28 @@ func main() {
 			QueueDepth:       *qd,
 			MergeWindowBytes: *mergeWindow,
 		})
+		defer experiments.EnableBlockSched(nil)
 	}
 	experiments.EnableTelemetry(*tel)
+	defer experiments.EnableTelemetry(false)
 	if tracing {
 		experiments.EnableTracing(&experiments.TraceConfig{
 			SampleEvery: *traceSample,
 			PerInode:    *traceInode,
 			Seed:        *seed,
 		})
+		defer experiments.EnableTracing(nil)
+	}
+	if *adminAddr != "" {
+		var live atomic.Pointer[crossprefetch.System]
+		var srv *admin.Server
+		if srv, err = startAdmin(*adminAddr, &live, stdout); err != nil {
+			return err
+		}
+		// Shutdown drains the listener with a bounded timeout.
+		defer func() { err = errors.Join(err, srv.Shutdown()) }()
+		experiments.Observe(live.Store)
+		defer experiments.Observe(nil)
 	}
 
 	var telRecords []telemetryRecord
@@ -137,25 +233,30 @@ func main() {
 	var lastSnapshot *telemetry.Snapshot
 	opts := experiments.Options{Scale: *scale, Quick: *quick, Seed: *seed}
 	for _, id := range ids {
-		run, err := experiments.Get(id)
+		runner, err := experiments.Get(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		start := time.Now()
-		tbl, err := run(opts)
+		rep, err := runner(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
+		tbl := rep.Table
 		tbl.Note("wall time %s", time.Since(start).Round(time.Millisecond))
-		tbl.Print(os.Stdout)
+		tbl.Print(stdout)
 		if csvOut != nil {
 			fmt.Fprintf(csvOut, "# %s: %s\n", tbl.ID, tbl.Title)
 			if err := tbl.WriteCSV(csvOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
+		}
+		if *jsonDir != "" && len(rep.Records) > 0 {
+			path := filepath.Join(*jsonDir, id+".json")
+			if err := writeJSON(path, rep.Records); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %d records to %s\n", len(rep.Records), path)
 		}
 		if *tel {
 			for _, r := range experiments.DrainTelemetry() {
@@ -163,12 +264,12 @@ func main() {
 				if r.Audit != nil {
 					audit = r.Audit.Error()
 				}
-				fmt.Printf("telemetry %s %s: audit %s", id, r.Label, audit)
+				fmt.Fprintf(stdout, "telemetry %s %s: audit %s", id, r.Label, audit)
 				if r.Snapshot != nil {
-					fmt.Printf(" (prefetch effectiveness %.2f, %d events)",
+					fmt.Fprintf(stdout, " (prefetch effectiveness %.2f, %d events)",
 						r.Snapshot.PrefetchEffectiveness(), r.Snapshot.EventsTotal)
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 				telRecords = append(telRecords, telemetryRecord{
 					Experiment: id, System: r.Label, Audit: audit, Snapshot: r.Snapshot,
 				})
@@ -193,22 +294,19 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("trace: wrote %d process(es) to %s (load in Perfetto: ui.perfetto.dev)\n",
+		fmt.Fprintf(stdout, "trace: wrote %d process(es) to %s (load in Perfetto: ui.perfetto.dev)\n",
 			len(traceProcs), *trace)
 	}
 	if *traceReport {
-		if err := telemetry.WriteCriticalPathReport(os.Stdout, traceProcs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := telemetry.WriteCriticalPathReport(stdout, traceProcs); err != nil {
+			return err
 		}
 	}
 	if *prom != "" {
 		if lastSnapshot == nil {
-			fmt.Fprintln(os.Stderr, "-prom: no telemetry snapshot recorded")
-			os.Exit(1)
+			return errors.New("-prom: no telemetry snapshot recorded")
 		}
 		f, err := os.Create(*prom)
 		if err == nil {
@@ -218,19 +316,11 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-
 	if *telJSON != "" {
-		data, err := json.MarshalIndent(telRecords, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*telJSON, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return writeJSON(*telJSON, telRecords)
 	}
+	return nil
 }

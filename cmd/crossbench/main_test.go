@@ -1,0 +1,133 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestFailedRunStillWritesProfiles: an experiment that fails returns its
+// error through run, so the deferred profile writes still happen.
+func TestFailedRunStillWritesProfiles(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "mutex.pprof")
+	err := run([]string{"-exp", "nope", "-mutexprofile", prof}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
+		t.Fatalf("err = %v, want the unknown-experiment error", err)
+	}
+	if _, err := os.Stat(prof); err != nil {
+		t.Fatalf("mutex profile not written: %v", err)
+	}
+}
+
+// recordKeys reads a records archive and returns the key list, in file
+// order, of every record whose "mode" is mode (of every record when mode is
+// empty).
+func recordKeys(t *testing.T, path, mode string) [][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []json.RawMessage
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var out [][]string
+	for i, rec := range records {
+		var tag struct {
+			Mode string `json:"mode"`
+		}
+		if err := json.Unmarshal(rec, &tag); err != nil {
+			t.Fatalf("%s record %d: %v", path, i, err)
+		}
+		if mode != "" && tag.Mode != mode {
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(rec))
+		if _, err := dec.Token(); err != nil { // the opening brace
+			t.Fatalf("%s record %d: %v", path, i, err)
+		}
+		var keys []string
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatalf("%s record %d: %v", path, i, err)
+			}
+			keys = append(keys, key.(string))
+			var value json.RawMessage // skipped whole, whatever its shape
+			if err := dec.Decode(&value); err != nil {
+				t.Fatalf("%s record %d: %v", path, i, err)
+			}
+		}
+		out = append(out, keys)
+	}
+	return out
+}
+
+// TestRecordSchemas runs every sweep at quick scale through -json DIR and
+// demands that DIR holds only <id>.json, with the expected record count,
+// each record carrying the key list of the committed full-scale archive in
+// its order. serve's sync and rings cells are held apart, as their own
+// cases.
+func TestRecordSchemas(t *testing.T) {
+	for _, tc := range []struct {
+		name, exp, mode string
+		records         int
+	}{
+		{"sync", "serve", "sync", 2},
+		{"rings", "serve", "rings", 2},
+		{"overload", "overload", "", 5},
+		{"score", "score", "", 4}, // one per pattern
+		{"predict", "predict", "", 6},
+		{"tier", "tier", "", 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := run([]string{"-exp", tc.exp, "-quick", "-json", dir}, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			archive := filepath.Join("..", "..", "testdata", "sweeps", tc.exp+".json")
+			want := recordKeys(t, archive, tc.mode)[0]
+			got := recordKeys(t, filepath.Join(dir, tc.exp+".json"), tc.mode)
+			if len(got) != tc.records {
+				t.Fatalf("%d records, want %d", len(got), tc.records)
+			}
+			for i, keys := range got {
+				if !reflect.DeepEqual(keys, want) {
+					t.Errorf("record %d keys\n got %v\nwant %v", i, keys, want)
+				}
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Errorf("%d files in the -json directory, want only %s.json", len(entries), tc.exp)
+			}
+		})
+	}
+}
+
+// TestAdminServesTheRunAndDrains: -admin implies -telemetry, and the
+// listener is gone once run returns.
+func TestAdminServesTheRunAndDrains(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "serve", "-quick", "-admin", "127.0.0.1:0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`admin plane on http://(\S+) `).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no admin address in the output:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "telemetry serve rings-t4: audit ok") {
+		t.Errorf("-admin did not imply -telemetry:\n%s", out.String())
+	}
+	if conn, err := net.DialTimeout("tcp", m[1], time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("admin listener %s still accepts connections after run returned", m[1])
+	}
+}

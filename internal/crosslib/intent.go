@@ -59,7 +59,8 @@ const (
 // Exactly at the high mark an intent is neither clipped nor enlarged. That
 // is a level of its own because free memory parks there for whole phases
 // when the kernel's reclaim settles on the same fraction (the overload
-// sweep: 7 168 of 10 240 pages used), and BENCH_PR7.json pins it.
+// sweep: 7 168 of 10 240 pages used), and testdata/sweeps/overload.json
+// pins it.
 func (rt *Runtime) budgetGate(tl *simtime.Timeline, sf *sharedFile, lo, hi int64) budgetLevel {
 	switch free := rt.freeFrac(); {
 	case free < lowWaterFrac:

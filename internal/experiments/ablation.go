@@ -12,7 +12,7 @@ import (
 // helper threads), and CROSS_BITMAP_SHIFT (range-tree node granularity),
 // on the 16-thread multireadrandom workload, all relative to the default
 // CrossP[+predict+opt] configuration.
-func Ablation(o Options) (*Table, error) {
+func Ablation(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	p.seed = o.Seed + 51
 	threads := dbThreads(o)
@@ -45,5 +45,5 @@ func Ablation(o Options) (*Table, error) {
 		}
 		knob("node-span", name, func(o *crosslib.Options) { o.RangeTreeSpan = span })
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }

@@ -10,7 +10,7 @@ import (
 // Fig8b reproduces Figure 8b: Filebench multi-instance workloads (seqread,
 // randread, mongodb, videoserver) sharing one system. Paper: 16 instances,
 // 160GB aggregate.
-func Fig8b(o Options) (*Table, error) {
+func Fig8b(o Options) (*Report, error) {
 	s := o.scale(4)
 	mem := int64(512<<20) / s
 	perInstance := int64(64<<20) / s
@@ -47,12 +47,12 @@ func Fig8b(o Options) (*Table, error) {
 				}))
 		}
 	}
-	return tableOf(sw.run(nil))
+	return sw.run()
 }
 
 // Fig9a reproduces Figure 9a: YCSB workloads A–F with 8 client threads
 // (2 at -quick; the paper runs 16) and 4KB values over the LSM store.
-func Fig9a(o Options) (*Table, error) {
+func Fig9a(o Options) (*Report, error) {
 	records := max(int64(40_000_000)/(o.scale(2)*1024), 1500)
 	mem := records * 4096 * 2 / 3 // memory holds ~2/3 of the dataset
 	threads := 8
@@ -90,13 +90,13 @@ func Fig9a(o Options) (*Table, error) {
 				}))
 		}
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // Fig9b reproduces Figure 9b: Snappy parallel compression as the
 // memory:dataset ratio varies from 1:6 to 1:1. Paper: 120GB of 100MB
 // files, 16 threads.
-func Fig9b(o Options) (*Table, error) {
+func Fig9b(o Options) (*Report, error) {
 	fileBytes := int64(16<<20) / o.scale(4)
 	files := 24
 	threads := 8
@@ -131,5 +131,5 @@ func Fig9b(o Options) (*Table, error) {
 				}))
 		}
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }

@@ -47,7 +47,7 @@ func blockSched() *SchedConfig {
 // the command-count reduction and makespan side by side. The
 // congestion cutoff is raised so both modes issue identical prefetch
 // volume and the comparison is byte-for-byte.
-func Batch(o Options) (*Table, error) {
+func Batch(o Options) (*Report, error) {
 	mem := int64(256<<20) / o.scale(4)
 	total := mem / 2 // fits in cache: every byte moves exactly once
 	threads := 4
@@ -92,5 +92,5 @@ func Batch(o Options) (*Table, error) {
 	for _, qd := range []int{1, 8, 32} {
 		cell(fmt.Sprintf("plug-qd%d", qd), true, qd)
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }

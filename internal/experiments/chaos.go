@@ -21,7 +21,7 @@ import (
 // circuit breaker, and the faulty cells stay within a bounded slowdown
 // of the fault-free baseline. Like every cell, each plan runs twice and
 // must reproduce its virtual-time schedule.
-func Chaos(o Options) (*Table, error) {
+func Chaos(o Options) (*Report, error) {
 	size := int64(32 << 20)
 	if o.Quick {
 		size = 8 << 20
@@ -106,7 +106,7 @@ func Chaos(o Options) (*Table, error) {
 	}
 	s.table.Note("every successfully returned byte verified against ground truth; telemetry audit (incl. cache-poisoning guard) passed in all cells")
 	s.table.Note("transient10 executed twice with identical virtual-time schedules (determinism check)")
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // chaosContract is graceful degradation: no fault on the fault-free

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,16 +68,54 @@ rows:
 	return 0
 }
 
-func runQuick(t *testing.T, id string) *Table {
+// archivedKeys returns the keys, in file order, of the first record of
+// the committed full-scale archive testdata/sweeps/<id>.json.
+func archivedKeys(t *testing.T, id string) []string {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "sweeps", id+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []json.RawMessage
+	if err := json.Unmarshal(data, &records); err != nil || len(records) == 0 {
+		t.Fatalf("%s: %d records, %v", path, len(records), err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(records[0]))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatalf("%s: %v", path, err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		keys = append(keys, key.(string))
+		var value json.RawMessage // skipped whole, whatever its shape
+		if err := dec.Decode(&value); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	return keys
+}
+
+// runQuick runs id at quick scale and checks the report's shape: no
+// ragged rows, and — where the experiment archives records — every
+// record's keys those of its committed archive, in order. `make digests`
+// pins the archives' values, but their schema only through a full
+// re-record.
+func runQuick(t *testing.T, id string) *Report {
 	t.Helper()
 	run, err := Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := run(quickOpts())
+	rep, err := run(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := rep.Table
 	if len(tbl.Rows) == 0 {
 		t.Fatalf("%s produced no rows", id)
 	}
@@ -82,7 +124,23 @@ func runQuick(t *testing.T, id string) *Table {
 			t.Fatalf("%s: ragged row %v", id, row)
 		}
 	}
-	return tbl
+	if len(rep.Records) == 0 {
+		return rep
+	}
+	if len(rep.Records) != len(tbl.Rows) {
+		t.Fatalf("%s: %d records for %d rows", id, len(rep.Records), len(tbl.Rows))
+	}
+	want := archivedKeys(t, id)
+	for i, rec := range rep.Records {
+		var keys []string
+		for _, f := range rec {
+			keys = append(keys, f.key)
+		}
+		if !reflect.DeepEqual(keys, want) {
+			t.Errorf("%s record %d keys\n got %v\nwant %v", id, i, keys, want)
+		}
+	}
+	return rep
 }
 
 // The paper experiments assert their shapes in their contracts; a run
@@ -91,7 +149,6 @@ func runQuick(t *testing.T, id string) *Table {
 // telemetry ones) are done; a cell disturbed by another test's systems
 // would fail its rerun.
 func TestFig2Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig2") }
-func TestFig5Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig5") }
 func TestFig6Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig6") }
 func TestTable4Quick(t *testing.T) { t.Parallel(); runQuick(t, "tab4") }
 func TestFig7aQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7a") }
@@ -101,6 +158,15 @@ func TestFig7dQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig7d") }
 func TestTable5Quick(t *testing.T) { t.Parallel(); runQuick(t, "tab5") }
 func TestFig8aQuick(t *testing.T)  { t.Parallel(); runQuick(t, "fig8a") }
 func TestFig10Quick(t *testing.T)  { t.Parallel(); runQuick(t, "fig10") }
+
+// TestFig5Quick also holds render to its word: a field list without JSON
+// keys renders no records, so -json writes no file of empty objects.
+func TestFig5Quick(t *testing.T) {
+	t.Parallel()
+	if rep := runQuick(t, "fig5"); len(rep.Records) != 0 {
+		t.Fatalf("fig5 rendered %d records, want none", len(rep.Records))
+	}
+}
 
 // TestChaosQuick runs the fault-injection sweep; its contract asserts
 // byte-correctness, breaker trip + recovery under transient faults,
@@ -146,7 +212,7 @@ func TestAblationQuick(t *testing.T) {
 // the prefetch-off tiered cell. Here we pin the headline shape to its
 // cells.
 func TestTierQuick(t *testing.T) {
-	tbl := runQuick(t, "tier")
+	tbl := runQuick(t, "tier").Table
 	if len(tbl.Rows) != 18 {
 		t.Fatalf("tier produced %d rows, want 18", len(tbl.Rows))
 	}
@@ -220,10 +286,10 @@ func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
 	EnableTelemetry(true)
 	defer EnableTelemetry(false)
 	for _, id := range []string{"fig5", "ablate", "serve"} {
-		tbl := runQuick(t, id)
+		rows := runQuick(t, id).Table.Rows
 		results := DrainTelemetry()
-		if len(results) != len(tbl.Rows) {
-			t.Fatalf("%s: %d systems registered for %d cells", id, len(results), len(tbl.Rows))
+		if len(results) != len(rows) {
+			t.Fatalf("%s: %d systems registered for %d cells", id, len(results), len(rows))
 		}
 		for _, r := range results {
 			if r.Audit != nil {
@@ -259,7 +325,7 @@ func TestSweepRunGuards(t *testing.T) {
 			},
 		}},
 	}
-	if _, err := s.run(nil); err == nil || !strings.Contains(err.Error(), "guard drifts: rerun on the same seed differs") {
+	if _, err := s.run(); err == nil || !strings.Contains(err.Error(), "guard drifts: rerun on the same seed differs") {
 		t.Fatalf("drifting rerun: err = %v", err)
 	}
 	s.cells[0].replay = func(*cellRun) (*res, error) { return &res{7}, nil }
@@ -269,11 +335,11 @@ func TestSweepRunGuards(t *testing.T) {
 		}
 		return errors.New("shape broken")
 	}
-	if _, err := s.run(nil); err == nil || err.Error() != "guard: shape broken" {
+	if _, err := s.run(); err == nil || err.Error() != "guard: shape broken" {
 		t.Fatalf("failing contract: err = %v", err)
 	}
 	s.contract = nil
-	rep, err := s.run(nil)
+	rep, err := s.run()
 	if err != nil || len(rep.Table.Rows) != 1 || rep.Table.Rows[0][0] != "7" {
 		t.Fatalf("clean sweep: %v, %+v", err, rep)
 	}
@@ -298,7 +364,7 @@ func TestServeQuick(t *testing.T) { t.Parallel(); runQuick(t, "serve") }
 // cell, and run-to-run determinism via digest comparison. Here we pin
 // the overload machinery's visible signals to their cells.
 func TestOverloadQuick(t *testing.T) {
-	tbl := runQuick(t, "overload")
+	tbl := runQuick(t, "overload").Table
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("overload produced %d rows, want 5", len(tbl.Rows))
 	}
@@ -330,7 +396,7 @@ func TestOverloadQuick(t *testing.T) {
 // byte-identical scorecard JSON across the rerun. Here we pin the
 // discrimination the scorecards exist for to its cells.
 func TestScoreQuick(t *testing.T) {
-	tbl := runQuick(t, "score")
+	tbl := runQuick(t, "score").Table
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("score produced %d rows, want 4", len(tbl.Rows))
 	}
@@ -354,7 +420,7 @@ func TestScoreQuick(t *testing.T) {
 // metrics under zipfian-LSM, and the bandit must land on the right arm
 // per pattern.
 func TestPredictQuick(t *testing.T) {
-	tbl := runQuick(t, "predict")
+	tbl := runQuick(t, "predict").Table
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("predict produced %d rows, want 6", len(tbl.Rows))
 	}

@@ -114,7 +114,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // Runner executes one experiment.
-type Runner func(Options) (*Table, error)
+type Runner func(Options) (*Report, error)
 
 // sysConfig bundles the per-cell system parameters.
 type sysConfig struct {

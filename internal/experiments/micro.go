@@ -46,7 +46,7 @@ var (
 // 93GB of memory (2.15×), 16KB reads; here memory is scaled and the ratio
 // preserved. Contract (Table 3's shape): cross-layered prefetching cuts
 // shared-rand misses below APPonly's.
-func Fig5(o Options) (*Table, error) {
+func Fig5(o Options) (*Report, error) {
 	mem := int64(256<<20) / o.scale(4)
 	total := mem * 215 / 100
 	threads := 8
@@ -87,14 +87,14 @@ func Fig5(o Options) (*Table, error) {
 			Seed:       o.Seed + 1,
 		})
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // Fig6 reproduces Figure 6: aggregated write throughput when concurrent
 // readers (x-axis) and 4 writers share one large file, randomly accessing
 // non-overlapping ranges. Paper: 128GB shared file. Contract: the writers
 // move data beside 4 readers.
-func Fig6(o Options) (*Table, error) {
+func Fig6(o Options) (*Report, error) {
 	mem := int64(128<<20) / o.scale(4)
 	fileBytes := mem * 2
 	readerCounts := []int{4, 8, 16, 32}
@@ -125,13 +125,13 @@ func Fig6(o Options) (*Table, error) {
 			Seed:       o.Seed + 2,
 		})
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // Table4 reproduces Table 4: mmap sequential and random load throughput.
 // Contract (its shape): APPonly, which madvises RANDOM, trails CrossPrefetch
 // on the sequential load.
-func Table4(o Options) (*Table, error) {
+func Table4(o Options) (*Report, error) {
 	mem := int64(256<<20) / o.scale(4)
 	total := mem * 3 / 2
 	threads := 4
@@ -170,5 +170,5 @@ func Table4(o Options) (*Table, error) {
 				}))
 		}
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }

@@ -39,28 +39,21 @@ var overloadCells = []OverloadCell{
 		Deadline: 50 * simtime.Microsecond},
 }
 
-// OverloadConfig sizes the overload sweep: Clients victim tenants (IDs
-// 1..Clients) each read Ops zipfian IOSize chunks of their own FileMB file.
-type OverloadConfig struct {
-	SweepConfig
-	ScanMB int64 // antagonist file, scanned once per replay (0 = 8x FileMB)
-	// MemMB is the page cache (0 = half of Clients+1 victim files: the
-	// victims' aggregate working set fits, the antagonist's scan does not).
-	MemMB int64
-	// BudgetMB is the hard per-tenant budget of the budgeted cells (0 =
-	// two equal shares of the cache, soft = one share: the victims' zipf
-	// hot sets sit well under a share, so they pay almost no direct-reclaim
-	// tax; the scan slams into the hard cap immediately and can only
-	// recycle its own pages).
-	BudgetMB int64
-	// Cells replaces the five policy cells (crosserve's single custom cell).
-	Cells []OverloadCell
-}
-
 var (
 	overloadFull  = SweepConfig{Clients: 4, Ops: 200, IOSize: 64 << 10, FileMB: 16}
 	overloadQuick = SweepConfig{Clients: 2, Ops: 48, IOSize: 16 << 10, FileMB: 4}
 )
+
+// overloadRun sizes the overload cells: Clients victim tenants (IDs
+// 1..Clients) each read Ops zipfian IOSize chunks of their own FileMB file
+// while the antagonist (ID 0) scans a scanMB file once.
+type overloadRun struct {
+	SweepConfig
+	scanMB int64
+	// memMB is the page cache: half of Clients+1 victim files, so the
+	// victims' aggregate working set fits and the antagonist's scan does not.
+	memMB int64
+}
 
 // OverloadResult is one cell's scorecard.
 type OverloadResult struct {
@@ -74,7 +67,7 @@ type OverloadResult struct {
 	VictimBytes int64 // client bytes read by victims (identical across cells)
 	VictimP50   simtime.Duration
 	VictimP99   simtime.Duration
-	// P99VsIsolated is VictimP99 over the isolated cell's (0 without one).
+	// P99VsIsolated is VictimP99 over the isolated cell's.
 	P99VsIsolated float64
 	ScanBytes     int64 // antagonist client bytes
 	// Overload-machinery counters for the cell.
@@ -133,7 +126,7 @@ func overloadStep(deadline simtime.Duration) stepFunc {
 // dropped with them), and the antagonist streams four chunks for every
 // one read each victim makes, so its scan pressure overlaps the entire
 // victim replay.
-func (c OverloadConfig) replay(r *cellRun, cl OverloadCell, budget int64) (*OverloadResult, error) {
+func (c overloadRun) replay(r *cellRun, cl OverloadCell, budget int64) (*OverloadResult, error) {
 	tenant := func(id int, name string, mb, io int64) (*reader, error) {
 		truth, err := r.create(name, mb)
 		if err != nil {
@@ -162,7 +155,7 @@ func (c OverloadConfig) replay(r *cellRun, cl OverloadCell, budget int64) (*Over
 		// interleave victim reads between antagonist chunks instead of
 		// the scan monopolizing a full quantum per dispatch round.
 		const scanChunk = 128 << 10
-		antag, err := tenant(0, "overload-antagonist", c.ScanMB, scanChunk)
+		antag, err := tenant(0, "overload-antagonist", c.scanMB, scanChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -212,10 +205,10 @@ func (c OverloadConfig) replay(r *cellRun, cl OverloadCell, budget int64) (*Over
 
 // sys builds one cell's system: telemetry and scorecards on (the audit is
 // part of the contract; the admin plane reads the rest).
-func (c OverloadConfig) sys(brownout bool) *crossprefetch.System {
+func (c overloadRun) sys(brownout bool) *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
-		MemoryBytes: c.MemMB << 20,
+		MemoryBytes: c.memMB << 20,
 		Plug:        true,
 		Telemetry:   true,
 		Scorecard:   true,
@@ -223,41 +216,35 @@ func (c OverloadConfig) sys(brownout bool) *crossprefetch.System {
 	})
 }
 
-// OverloadCells runs the overload sweep at the given sizing. Victim
-// client bytes are identical in every cell by construction; with budgets
-// on, the antagonist may cost the victims at most 2x their isolated p99.
-func OverloadCells(c OverloadConfig) (*Report, error) {
-	c.SweepConfig = c.orElse(overloadFull)
-	if c.ScanMB <= 0 {
-		c.ScanMB = 8 * c.FileMB
+// Overload reproduces the noisy-neighbor table. Victim client bytes are
+// identical in every cell by construction; with budgets on, the antagonist
+// may cost the victims at most 2x their isolated p99.
+func Overload(o Options) (*Report, error) {
+	c := overloadRun{SweepConfig: o.sizing(overloadFull, overloadQuick)}
+	c.scanMB = 8 * c.FileMB
+	if o.Quick {
+		c.scanMB = 16
 	}
 	tenants := int64(c.Clients + 1)
-	if c.MemMB <= 0 {
-		c.MemMB = tenants * c.FileMB / 2
-	}
-	// Budgets are in pages of the system's block size, and the table's
-	// note needs the figure before the first cell runs.
+	c.memMB = tenants * c.FileMB / 2
+	// The budgeted cells' hard per-tenant budget is two equal shares of the
+	// cache, soft = one share: the victims' zipf hot sets sit well under a
+	// share, so they pay almost no direct-reclaim tax; the scan slams into
+	// the hard cap immediately and can only recycle its own pages. Budgets
+	// are in pages of the system's block size, and the table's note needs
+	// the figure before the first cell runs.
 	bs := c.sys(false).Kernel().BlockSize()
-	budget := c.BudgetMB << 20 / bs
-	if budget <= 0 {
-		budget = 2 * (c.MemMB << 20 / bs) / tenants
-	}
-	if c.Cells == nil {
-		c.Cells = overloadCells
-	}
+	budget := 2 * (c.memMB << 20 / bs) / tenants
 
 	s := sweep[*OverloadResult]{
 		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and brownout"},
 		fields: overloadFields,
 		contract: func(_ []*OverloadResult, at func(cell string) *OverloadResult) error {
 			isolated := at("isolated")
-			for _, cl := range c.Cells {
+			for _, cl := range overloadCells {
 				r := at(cl.Name)
 				if want := int64(c.Clients*c.Ops) * c.IOSize; r.VictimBytes != want {
 					return fmt.Errorf("%s: victim bytes %d, want %d", r.Cell.Name, r.VictimBytes, want)
-				}
-				if isolated == nil {
-					continue // a single custom cell has no baseline
 				}
 				r.P99VsIsolated = usec(r.VictimP99) / usec(isolated.VictimP99)
 				if r.Cell.Budgeted && r.VictimP99 > 2*isolated.VictimP99 {
@@ -269,23 +256,14 @@ func OverloadCells(c OverloadConfig) (*Report, error) {
 		},
 	}
 	s.table.Note("victims=%d ops=%d iosize=%dKB victim-file=%dMB scan=%dMB budget=%d pages (hard; soft=half)",
-		c.Clients, c.Ops, c.IOSize>>10, c.FileMB, c.ScanMB, budget)
+		c.Clients, c.Ops, c.IOSize>>10, c.FileMB, c.scanMB, budget)
 	s.table.Note("every returned byte verified; telemetry audit incl. exact tenant residency partition passed in all cells; every cell re-run and digest-compared for determinism")
-	for _, cl := range c.Cells {
+	for _, cl := range overloadCells {
 		s.cells = append(s.cells, sweepCell[*OverloadResult]{
 			name:   cl.Name,
 			build:  func() *crossprefetch.System { return c.sys(cl.Brownout) },
 			replay: func(r *cellRun) (*OverloadResult, error) { return c.replay(r, cl, budget) },
 		})
 	}
-	return s.run(c.Observe)
-}
-
-// Overload reproduces the noisy-neighbor table.
-func Overload(o Options) (*Table, error) {
-	c := OverloadConfig{SweepConfig: o.sizing(overloadFull, overloadQuick)}
-	if o.Quick {
-		c.ScanMB = 16
-	}
-	return tableOf(OverloadCells(c))
+	return s.run()
 }

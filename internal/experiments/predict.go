@@ -162,13 +162,13 @@ func predictContract(_ []*PredictResult, at func(cell string) *PredictResult) er
 	return nil
 }
 
-// PredictCells runs the competing-predictor sweep at the given sizing:
-// every access pattern replayed under the fixed saturating counter and
-// under the shadow-mode ensemble with bandit promotion. One goroutine on
-// one timeline, so a seed determines the run — including the scorecard
-// JSON and the bandit's promotion history.
-func PredictCells(cfg SweepConfig) (*Report, error) {
-	cfg = cfg.orElse(predictFull)
+// Predict reproduces the competing-predictor sweep: every access pattern
+// replayed under the fixed saturating counter and under the shadow-mode
+// ensemble with bandit promotion. One goroutine on one timeline, so a seed
+// determines the run — including the scorecard JSON and the bandit's
+// promotion history.
+func Predict(o Options) (*Report, error) {
+	cfg := o.sizing(predictFull, predictQuick)
 	s := sweep[*PredictResult]{
 		table:    &Table{ID: "predict", Title: "Competing predictors: fixed counter vs shadow-mode ensemble with bandit promotion"},
 		fields:   predictFields,
@@ -188,10 +188,5 @@ func PredictCells(cfg SweepConfig) (*Report, error) {
 			})
 		}
 	}
-	return s.run(cfg.Observe)
-}
-
-// Predict reproduces the competing-predictor sweep.
-func Predict(o Options) (*Table, error) {
-	return tableOf(PredictCells(o.sizing(predictFull, predictQuick)))
+	return s.run()
 }

@@ -98,7 +98,7 @@ func dbThreads(o Options) int {
 // the data fits in memory, comparing APPonly, APPonly[fincore], OSonly,
 // and CrossPrefetch, reporting throughput plus lock overhead and
 // cache-miss percentages. Contract: CrossPrefetch beats APPonly.
-func Fig2(o Options) (*Table, error) {
+func Fig2(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	p.memory = p.memory * 2 // paper: 100GB data fits in 128GB memory
 	threads := dbThreads(o)
@@ -120,7 +120,7 @@ func Fig2(o Options) (*Table, error) {
 		crossprefetch.AppOnly, crossprefetch.AppOnlyFincore,
 		crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
 	}, sysConfig{memory: p.memory}, p, threads)
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // dbApproaches is the five-way comparison used by Figures 7 and 8a.
@@ -133,7 +133,7 @@ var dbApproaches = []crossprefetch.Approach{
 }
 
 // Fig7a reproduces Figure 7a: multireadrandom throughput vs thread count.
-func Fig7a(o Options) (*Table, error) {
+func Fig7a(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	threadCounts := []int{1, 4, 16, 32}
 	if o.Quick {
@@ -148,7 +148,7 @@ func Fig7a(o Options) (*Table, error) {
 	for _, threads := range threadCounts {
 		multiReadRandom(&s, strconv.Itoa(threads), dbApproaches, sysConfig{memory: p.memory}, p, threads)
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // dbPatterns are Figure 7b's access patterns.
@@ -158,7 +158,7 @@ var dbPatterns = []lsm.Workload{
 
 // patternTable runs the 7b-style pattern × approach grid for a layout and
 // device.
-func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev blockdev.Config) (*Table, error) {
+func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev blockdev.Config) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	threads := dbThreads(o)
 	s := sweep[*dbRow]{
@@ -173,30 +173,30 @@ func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev 
 			s.cells = append(s.cells, dbCell(string(w), a.String(), cfg, p, w, threads))
 		}
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // Fig7b reproduces Figure 7b: access patterns on local NVMe + ext4.
-func Fig7b(o Options) (*Table, error) {
+func Fig7b(o Options) (*Report, error) {
 	return patternTable(o, "fig7b", "db_bench access patterns (ext4, local NVMe, 16 threads)",
 		crossprefetch.LayoutExt4, blockdev.Config{})
 }
 
 // Fig7d reproduces Figure 7d: the same patterns on F2FS.
-func Fig7d(o Options) (*Table, error) {
+func Fig7d(o Options) (*Report, error) {
 	return patternTable(o, "fig7d", "db_bench access patterns on F2FS (16 threads)",
 		crossprefetch.LayoutF2FS, blockdev.Config{})
 }
 
 // Fig8a reproduces Figure 8a: the same patterns on remote NVMe-oF storage.
-func Fig8a(o Options) (*Table, error) {
+func Fig8a(o Options) (*Report, error) {
 	return patternTable(o, "fig8a", "db_bench access patterns on remote NVMe-oF (16 threads)",
 		crossprefetch.LayoutExt4, blockdev.RemoteNVMeConfig())
 }
 
 // Fig7c reproduces Figure 7c: multireadrandom as the memory:DB ratio
 // varies from 1:6 to 1:1.
-func Fig7c(o Options) (*Table, error) {
+func Fig7c(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	dbBytes := p.keys * int64(p.valueBytes+32)
 	threads := dbThreads(o)
@@ -208,7 +208,7 @@ func Fig7c(o Options) (*Table, error) {
 	for _, r := range memRatios {
 		multiReadRandom(&s, r.name, dbApproaches, sysConfig{memory: dbBytes / r.den}, p, threads)
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // memRatios are the memory:dataset ratios of Figures 7c and 9b.
@@ -219,7 +219,7 @@ var memRatios = []struct {
 
 // Table5 reproduces Table 5: the incremental breakdown of CrossPrefetch's
 // gains on 16-thread multireadrandom (4 at -quick; the paper runs 32).
-func Table5(o Options) (*Table, error) {
+func Table5(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	threads := dbThreads(o)
 	s := sweep[*dbRow]{
@@ -234,13 +234,13 @@ func Table5(o Options) (*Table, error) {
 		crossprefetch.CrossVisibilityRangeTree,
 		crossprefetch.CrossPredictOpt,
 	}, sysConfig{memory: p.memory}, p, threads)
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 // Fig10 reproduces Figure 10: multireadrandom as the kernel prefetch limit
 // sweeps from 32KB to 8MB — raising the limit alone does not buy
 // CrossPrefetch's gains.
-func Fig10(o Options) (*Table, error) {
+func Fig10(o Options) (*Report, error) {
 	p := defaultDBParams(o, 2)
 	threads := dbThreads(o)
 	limits := []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20, 8 << 20}
@@ -257,7 +257,7 @@ func Fig10(o Options) (*Table, error) {
 			crossprefetch.AppOnly, crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
 		}, sysConfig{memory: p.memory, raMax: lim}, p, threads)
 	}
-	return tableOf(s.run(nil))
+	return s.run()
 }
 
 func mbOrKB(v int64) string {

@@ -167,12 +167,12 @@ func scoreContract(_ []*ScoreResult, at func(cell string) *ScoreResult) error {
 	return nil
 }
 
-// ScoreCells runs the scorecard discrimination sweep at the given
-// sizing: the same system configuration replayed under each access
-// pattern and scored online by the windowed scorecards, whose
-// per-origin partition the audit checks against the recorder's.
-func ScoreCells(cfg SweepConfig) (*Report, error) {
-	cfg = cfg.orElse(scoreFull)
+// Score reproduces the scorecard discrimination sweep: the same system
+// configuration replayed under each access pattern and scored online by
+// the windowed scorecards, whose per-origin partition the audit checks
+// against the recorder's.
+func Score(o Options) (*Report, error) {
+	cfg := o.sizing(scoreFull, scoreQuick)
 	s := sweep[*ScoreResult]{
 		table:    &Table{ID: "score", Title: "Online scorecards: accuracy/coverage/pollution/timeliness by access pattern"},
 		fields:   scoreFields,
@@ -194,8 +194,5 @@ func ScoreCells(cfg SweepConfig) (*Report, error) {
 			},
 		})
 	}
-	return s.run(cfg.Observe)
+	return s.run()
 }
-
-// Score reproduces the scorecard sweep.
-func Score(o Options) (*Table, error) { return tableOf(ScoreCells(o.sizing(scoreFull, scoreQuick))) }

@@ -12,54 +12,38 @@ import (
 	"repro/internal/workload"
 )
 
-// ServeConfig sizes the serve frontend replay: each tenant has Clients
-// concurrent sessions streaming Ops reads of IOSize from the tenant's own
-// FileMB file.
-type ServeConfig struct {
-	SweepConfig
-	Batch int // SQEs staged per submit (ring mode; default 8)
-	Depth int // ring admission bound (ring mode; 0 = 4*Batch)
-	// Build returns a cell's system with the given page-cache bytes.
-	Build func(memory int64) *crossprefetch.System
-}
-
-// ServeCell is one replay: Rings selects the submission/completion-ring
+// serveCell is one replay: rings selects the submission/completion-ring
 // dispatch path (batched kernel crossings, per-tenant lanes, fair-share
 // dispatch); otherwise every read is an individual synchronous call — the
 // baseline frontend the rings replace.
-type ServeCell struct {
-	Rings   bool
-	Tenants int
+type serveCell struct {
+	rings   bool
+	tenants int
 }
 
-// Mode names the cell's frontend.
-func (c ServeCell) Mode() string {
-	if c.Rings {
+// mode names the cell's frontend.
+func (c serveCell) mode() string {
+	if c.rings {
 		return "rings"
 	}
 	return "sync"
 }
 
 // name is the cell as the table's first column and the sweep name it.
-func (c ServeCell) name() string { return fmt.Sprintf("%s-t%d", c.Mode(), c.Tenants) }
-
-// serveGrid is both frontends at each tenant count.
-func serveGrid(tenants ...int) (cells []ServeCell) {
-	for _, n := range tenants {
-		cells = append(cells, ServeCell{false, n}, ServeCell{true, n})
-	}
-	return cells
-}
+func (c serveCell) name() string { return fmt.Sprintf("%s-t%d", c.mode(), c.tenants) }
 
 var (
-	serveFull  = SweepConfig{Clients: 4, Ops: 50, IOSize: 64 << 10, FileMB: 16}
+	serveFull  = SweepConfig{Clients: 4, Ops: 200, IOSize: 64 << 10, FileMB: 16}
 	serveQuick = SweepConfig{Clients: 2, Ops: 16, IOSize: 16 << 10, FileMB: 4}
 )
 
-// serveRun is one cell's replay.
+// serveRun is one cell's replay: each tenant has Clients concurrent
+// sessions reading Ops times IOSize from the tenant's own FileMB file, and
+// ring sessions stage batch reads per submit.
 type serveRun struct {
-	ServeConfig
-	ServeCell
+	SweepConfig
+	batch int
+	serveCell
 }
 
 // ServeResult is the replay's cross-layer scorecard.
@@ -67,7 +51,7 @@ type ServeResult struct {
 	// fingerprint's digest covers the full latency vector, in (tenant,
 	// session, op) order, and every tenant's dispatched bytes.
 	fingerprint
-	ServeCell
+	serveCell
 	Sessions int
 	Ops      int64
 	Bytes    int64 // client bytes read (the contract holds both modes equal)
@@ -112,8 +96,8 @@ func (r *ServeResult) MBs() float64 {
 // keep them apart.
 var serveFields = []field[*ServeResult]{
 	{"cell", "", "%s", func(r *ServeResult) any { return r.name() }},
-	{"", "mode", "", func(r *ServeResult) any { return r.Mode() }},
-	{"", "tenants", "", func(r *ServeResult) any { return r.Tenants }},
+	{"", "mode", "", func(r *ServeResult) any { return r.mode() }},
+	{"", "tenants", "", func(r *ServeResult) any { return r.tenants }},
 	{"", "sessions_per_tenant", "", func(r *ServeResult) any { return r.Sessions }},
 	{"ops", "ops", "%d", func(r *ServeResult) any { return r.Ops }},
 	{"client-MB", "client_mb", "%.1f", func(r *ServeResult) any { return mbytes(r.Bytes) }},
@@ -127,7 +111,7 @@ var serveFields = []field[*ServeResult]{
 	{"makespan-ms", "makespan_ms", "%.1f", func(r *ServeResult) any { return float64(r.Makespan) / float64(simtime.Millisecond) }},
 	{"MB/s", "mb_per_s", "%.1f", func(r *ServeResult) any { return r.MBs() }},
 	{"fair-min/max-MB", "", "%s", func(r *ServeResult) any {
-		if !r.Rings {
+		if !r.rings {
 			return "-"
 		}
 		return fmt.Sprintf("%.1f/%.1f", mbytes(r.MinTenantBytes), mbytes(r.MaxTenantBytes))
@@ -166,7 +150,7 @@ func (s *serveSession) offset(io int64) int64 { return s.Rng.Int63n(s.slots) * i
 // offsets and only the dispatch path differs.
 func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 	sys := r.sys
-	names := make([]string, c.Tenants)
+	names := make([]string, c.tenants)
 	var slots int64
 	for t := range names {
 		names[t] = fmt.Sprintf("serve-t%02d", t)
@@ -181,20 +165,21 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 	r.dropCaches()
 
 	perTenant := c.Clients * c.Ops
-	lat := make([]simtime.Duration, c.Tenants*perTenant)
+	lat := make([]simtime.Duration, c.tenants*perTenant)
 	body := c.replaySync
 	var rings []*crosslib.Ring
-	if c.Rings {
-		rings = make([]*crosslib.Ring, c.Tenants)
-		prepAt := make([][]simtime.Time, c.Tenants)
+	if c.rings {
+		rings = make([]*crosslib.Ring, c.tenants)
+		prepAt := make([][]simtime.Time, c.tenants)
 		for t := range rings {
-			rings[t] = sys.Lib().NewRing(t, c.Depth)
+			// The ring's depth is its admission bound.
+			rings[t] = sys.Lib().NewRing(t, 4*c.batch)
 			prepAt[t] = make([]simtime.Time, perTenant)
 		}
 		body = func(s *serveSession) error { return c.replayRing(s, rings[s.tenant], prepAt[s.tenant]) }
 	}
 	d := workload.Drive(sys.Group(), c.Seed)
-	sessions := d.Go(c.Tenants*c.Clients, func(th *workload.Thread, id int) error {
+	sessions := d.Go(c.tenants*c.Clients, func(th *workload.Thread, id int) error {
 		t := id / c.Clients
 		f, err := sys.Open(th.TL, names[t])
 		if err != nil {
@@ -209,7 +194,7 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 		return nil, err
 	}
 
-	res := &ServeResult{ServeCell: c.ServeCell, Sessions: c.Clients, Makespan: out.Makespan}
+	res := &ServeResult{serveCell: c.serveCell, Sessions: c.Clients, Makespan: out.Makespan}
 	if res.Ops, res.Bytes = workload.Sum(sessions); res.Ops != int64(len(lat)) {
 		return nil, fmt.Errorf("%d of %d reads completed", res.Ops, len(lat))
 	}
@@ -227,7 +212,7 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 	}
 	res.Digest = digest(nil, h.String())
 	res.MeanDepth, res.MaxBatch = 1, 1
-	if c.Rings {
+	if c.rings {
 		res.MeanDepth, res.MaxBatch = ls.MeanBatchDepth(), ls.MaxBatch
 		for i, ts := range ls.Tenants {
 			if i == 0 || ts.DispatchedBytes < res.MinTenantBytes {
@@ -245,7 +230,7 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 
 // replayRing is a session of the ring frontend: it stages its reads on its
 // tenant's ring, shared with the tenant's other sessions, and submits
-// Batch of them as one kernel crossing; the lane scheduler sees every
+// batch of them as one kernel crossing; the lane scheduler sees every
 // session's staged work at once, which is what sustains device queue
 // depth. A full ring is the admission control: the session submits
 // whatever is staged and reaps the ring inline, on its own timeline,
@@ -269,7 +254,7 @@ func (c serveRun) replayRing(s *serveSession, ring *crosslib.Ring, prepAt []simt
 		}
 		return nil
 	}
-	bufs := make([][]byte, c.Batch)
+	bufs := make([][]byte, c.batch)
 	for i := range bufs {
 		bufs[i] = make([]byte, c.IOSize)
 	}
@@ -289,7 +274,7 @@ func (c serveRun) replayRing(s *serveSession, ring *crosslib.Ring, prepAt []simt
 		if err != nil {
 			return err
 		}
-		if staged++; staged == c.Batch {
+		if staged++; staged == c.batch {
 			ring.Submit(s.TL)
 			staged = 0
 		}
@@ -298,83 +283,69 @@ func (c serveRun) replayRing(s *serveSession, ring *crosslib.Ring, prepAt []simt
 	return drain()
 }
 
-// ServeCells replays each cell (nil: both frontends at 1, 8 and 64
-// tenants) on sweep.run. Wherever a tenant count ran in both modes, the
-// contract holds the rings to their reason to exist: identical client
-// bytes, at most half the kernel crossings per op, and a mean dispatch
-// depth of at least 2.
-func ServeCells(c ServeConfig, cells []ServeCell) (*Report, error) {
-	c.SweepConfig = c.orElse(serveFull)
-	if c.Batch <= 0 {
-		c.Batch = 8
-	}
-	if c.Depth <= 0 {
-		c.Depth = 4 * c.Batch
-	}
-	if cells == nil {
-		cells = serveGrid(1, 8, 64)
+// Serve reproduces the frontend comparison the rings exist for: the same
+// multi-tenant replay of seeded random reads dispatched synchronously and
+// through per-tenant submission rings, at 1, 8 and 64 tenants (1 and 4 at
+// quick scale). The contract holds the rings to their reason to exist at
+// every tenant count: identical client bytes, at most half the kernel
+// crossings per op, and a mean dispatch depth of at least 2; the table
+// reports both frontends, plus tail latency and the fair-share
+// dispatcher's per-tenant byte spread.
+func Serve(o Options) (*Report, error) {
+	c, batch, tenants := o.sizing(serveFull, serveQuick), 8, []int{1, 8, 64}
+	if o.Quick {
+		batch, tenants = 4, []int{1, 4}
 	}
 	s := sweep[*ServeResult]{
 		table:  &Table{ID: "serve", Title: "Serve frontend: sync vs submission rings across tenant counts"},
 		fields: serveFields,
 		contract: func(_ []*ServeResult, at func(cell string) *ServeResult) error {
-			for _, cl := range cells {
-				base, rings := at(cl.name()), at(ServeCell{true, cl.Tenants}.name())
-				if cl.Rings || rings == nil {
-					continue // a single custom cell has no pair
-				}
+			for _, n := range tenants {
+				base, rings := at(serveCell{false, n}.name()), at(serveCell{true, n}.name())
 				switch {
 				case rings.Bytes != base.Bytes:
-					return fmt.Errorf("t%d: client bytes %d (rings) vs %d (sync)", cl.Tenants, rings.Bytes, base.Bytes)
+					return fmt.Errorf("t%d: client bytes %d (rings) vs %d (sync)", n, rings.Bytes, base.Bytes)
 				case rings.CrossingsPerOp() > base.CrossingsPerOp()/2:
 					return fmt.Errorf("t%d: rings cross/op %.3f above half of sync's %.3f",
-						cl.Tenants, rings.CrossingsPerOp(), base.CrossingsPerOp())
+						n, rings.CrossingsPerOp(), base.CrossingsPerOp())
 				case rings.MeanDepth < 2:
-					return fmt.Errorf("t%d: rings mean dispatch depth %.2f below 2", cl.Tenants, rings.MeanDepth)
+					return fmt.Errorf("t%d: rings mean dispatch depth %.2f below 2", n, rings.MeanDepth)
 				}
 			}
 			return nil
 		},
 	}
 	s.table.Note("sessions/tenant=%d ops/session=%d batch=%d iosize=%dKB file=%dMB approach=%v",
-		c.Clients, c.Ops, c.Batch, c.IOSize>>10, c.FileMB, crossprefetch.CrossPredictOpt)
+		c.Clients, c.Ops, batch, c.IOSize>>10, c.FileMB, crossprefetch.CrossPredictOpt)
 	s.table.Note("latency caveat: ring CQEs carry uncapped device completion times, " +
 		"while sync reads cap in-flight waits (the blocking reader's demand-read " +
 		"option) — sync p50/p99 and MB/s are optimistic by construction")
-	for _, cl := range cells {
-		s.cells = append(s.cells, sweepCell[*ServeResult]{
-			name: cl.name(),
-			// Memory holds half the aggregate dataset: the serving-tier shape
-			// where misses are structural, the library's coverage prefetch
-			// backs off at its low watermark, and the dispatch path — not
-			// cache hits — decides queue depth and latency.
-			build:  func() *crossprefetch.System { return c.Build(int64(cl.Tenants) * c.FileMB << 20 / 2) },
-			replay: serveRun{c, cl}.replay,
-		})
+	for _, n := range tenants {
+		for _, cl := range []serveCell{{false, n}, {true, n}} {
+			s.cells = append(s.cells, sweepCell[*ServeResult]{
+				name:   cl.name(),
+				build:  func() *crossprefetch.System { return serveSys(int64(n) * c.FileMB << 20 / 2) },
+				replay: serveRun{c, batch, cl}.replay,
+			})
+		}
 	}
-	return s.run(c.Observe)
+	return s.run()
 }
 
-// Serve reproduces the frontend comparison the rings exist for: the same
-// multi-tenant streaming replay dispatched synchronously and through
-// per-tenant submission rings, across tenant counts. At identical client
-// byte totals the ring cells must show fewer kernel crossings per op and
-// deeper sustained device queues; the table reports both, plus tail
-// latency and the fair-share dispatcher's per-tenant byte spread.
-func Serve(o Options) (*Table, error) {
-	c := ServeConfig{SweepConfig: o.sizing(serveFull, serveQuick), Batch: 8}
-	c.Build = func(memory int64) *crossprefetch.System {
-		return newSys(sysConfig{
-			approach:   crossprefetch.CrossPredictOpt,
-			memory:     memory,
-			plug:       true,
-			congestion: simtime.Second,
-		})
-	}
-	var cells []ServeCell
-	if o.Quick {
-		c.Batch = 4
-		cells = serveGrid(1, 4)
-	}
-	return tableOf(ServeCells(c, cells))
+// serveSys builds one cell's system with the given page-cache bytes —
+// half the aggregate dataset: the serving-tier shape where misses are
+// structural, the library's coverage prefetch backs off at its low
+// watermark, and the dispatch path, not cache hits, decides queue depth
+// and latency. Telemetry, tracing and scorecards are on: the audit is part
+// of every row, and the admin plane reads the rest.
+func serveSys(memory int64) *crossprefetch.System {
+	return crossprefetch.NewSystem(crossprefetch.Config{
+		MemoryBytes:     memory,
+		Approach:        crossprefetch.CrossPredictOpt,
+		Plug:            true,
+		Telemetry:       true,
+		Trace:           true,
+		Scorecard:       true,
+		CongestionLimit: simtime.Second,
+	})
 }

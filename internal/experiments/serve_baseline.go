@@ -1,10 +1,10 @@
 package experiments
 
 // The synchronous serve baseline lives in its own file: the ringgate in
-// `make check` forbids direct read/write calls in serve.go and
-// cmd/crosserve (the ring frontend must go through the Ring API), and
-// this file is the one deliberate exemption — it IS the baseline the
-// rings are measured against.
+// `make check` forbids direct read/write calls in serve.go (the ring
+// frontend must go through the Ring API), and this file is the one
+// deliberate exemption — it IS the baseline the rings are measured
+// against.
 
 // replaySync is a session of the baseline frontend: one blocking read
 // call per op — one kernel crossing and one device command at a time, the

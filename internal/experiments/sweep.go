@@ -32,8 +32,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SweepConfig sizes a sweep. A non-positive size selects the sweep's
-// documented full-scale value.
+// SweepConfig sizes a sweep; each sweep declares a full and a quick one.
 type SweepConfig struct {
 	FileMB int64 // file size per client
 	IOSize int64 // bytes per read
@@ -44,26 +43,6 @@ type SweepConfig struct {
 	// shared-file readers and the serve frontend's sessions per tenant.
 	Clients int
 	Seed    int64
-	// Observe, when non-nil, receives every freshly built system before
-	// its replay starts — crosserve points the live admin plane at it.
-	Observe func(*crossprefetch.System)
-}
-
-// orElse fills the unset sizes from def.
-func (c SweepConfig) orElse(def SweepConfig) SweepConfig {
-	if c.FileMB <= 0 {
-		c.FileMB = def.FileMB
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = def.IOSize
-	}
-	if c.Ops <= 0 {
-		c.Ops = def.Ops
-	}
-	if c.Clients <= 0 {
-		c.Clients = def.Clients
-	}
-	return c
 }
 
 // sizing picks a registry runner's scale.
@@ -111,14 +90,15 @@ func (r Record) MarshalJSON() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Report is a finished sweep: the table both drivers print and the
-// records crosserve archives, rendered from the same field list.
+// Report is a finished experiment: the table crossbench prints and the
+// records it archives under -json, rendered from the same field list.
 type Report struct {
 	Table   *Table
 	Records []Record
 }
 
-// render fills t's columns and rows, and the records, from rows.
+// render fills t's columns and rows, and the records, from rows; a field
+// list that declares no JSON key renders no records.
 func render[R any](t *Table, fields []field[R], rows []R) *Report {
 	for _, f := range fields {
 		if f.col != "" {
@@ -139,17 +119,11 @@ func render[R any](t *Table, fields []field[R], rows []R) *Report {
 			}
 		}
 		t.AddRow(cells...)
-		rep.Records = append(rep.Records, rec)
+		if rec != nil {
+			rep.Records = append(rep.Records, rec)
+		}
 	}
 	return rep
-}
-
-// tableOf adapts a sweep to the registry's Runner shape.
-func tableOf(rep *Report, err error) (*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rep.Table, nil
 }
 
 // usec is a virtual duration in the microseconds the tables report.
@@ -195,8 +169,10 @@ type sweep[R any] struct {
 
 // run executes every cell twice, compares the fingerprints, asserts the
 // contract and renders the rows. Under the process telemetry switch the
-// first run's system of each cell is registered for DrainTelemetry.
-func (s sweep[R]) run(observe func(*crossprefetch.System)) (*Report, error) {
+// first run's system of each cell is registered for DrainTelemetry; under
+// Observe every system is handed over before its replay starts.
+func (s sweep[R]) run() (*Report, error) {
+	observe := observer()
 	rows := make([]R, 0, len(s.cells))
 	byName := make(map[string]R, len(s.cells))
 	for _, c := range s.cells {

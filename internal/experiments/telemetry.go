@@ -17,7 +17,23 @@ var (
 	telOn       bool
 	telTraceCfg *TraceConfig
 	telSystems  []telemetrySystem
+	telObserve  func(*crossprefetch.System)
 )
+
+// Observe hands every system sweep.run builds to fn before the cell's
+// replay starts (nil stops): crossbench -admin points the live admin plane
+// at it, so cells swap under one listener.
+func Observe(fn func(*crossprefetch.System)) {
+	telMu.Lock()
+	defer telMu.Unlock()
+	telObserve = fn
+}
+
+func observer() func(*crossprefetch.System) {
+	telMu.Lock()
+	defer telMu.Unlock()
+	return telObserve
+}
 
 type telemetrySystem struct {
 	label string

@@ -190,10 +190,14 @@ func tierContract(_ []*TierResult, at func(cell string) *TierResult) error {
 	return nil
 }
 
-// tierSweep is the stack-grid × pattern sweep at the given sizing and
-// kernel readahead window.
-func tierSweep(cfg SweepConfig, raBytes int64) (*Report, error) {
-	cfg = cfg.orElse(tierFull)
+// Tier reproduces the tiered-stack sweep: every stack shape (striped,
+// tiered, cross-tier prefetching) replayed under each access pattern.
+func Tier(o Options) (*Report, error) {
+	cfg, ra := o.sizing(tierFull, tierQuick), int64(512<<10)
+	if o.Quick {
+		// A 512KB window against 1MB of memory would stall on watermarks.
+		ra = 128 << 10
+	}
 	s := sweep[*TierResult]{
 		table:    &Table{ID: "tier", Title: "Tiered stacks: RAID-0 striping, NVMe-oF remote tier, cross-tier prefetch"},
 		fields:   tierFields,
@@ -206,26 +210,12 @@ func tierSweep(cfg SweepConfig, raBytes int64) (*Report, error) {
 		for _, st := range tierStacks {
 			s.cells = append(s.cells, sweepCell[*TierResult]{
 				name:  p.name + "/" + st.name,
-				build: func() *crossprefetch.System { return tierSys(st, cfg.FileMB, raBytes) },
+				build: func() *crossprefetch.System { return tierSys(st, cfg.FileMB, ra) },
 				replay: func(r *cellRun) (*TierResult, error) {
 					return replayTier(r, cfg, p.name, p.kind, st)
 				},
 			})
 		}
 	}
-	return s.run(cfg.Observe)
-}
-
-// TierCells runs the tiered-stack sweep: every stack shape (striped,
-// tiered, cross-tier prefetching) replayed under each access pattern.
-func TierCells(cfg SweepConfig) (*Report, error) { return tierSweep(cfg, 512<<10) }
-
-// Tier reproduces the tiered-stack sweep.
-func Tier(o Options) (*Table, error) {
-	ra := int64(512 << 10)
-	if o.Quick {
-		// A 512KB window against 1MB of memory would stall on watermarks.
-		ra = 128 << 10
-	}
-	return tableOf(tierSweep(o.sizing(tierFull, tierQuick), ra))
+	return s.run()
 }

@@ -23,9 +23,9 @@ import (
 // loads with and without MADV_RANDOM, ring read/prefetch/write — on one
 // seeded timeline, {unplugged, plugged} × {bare device, width-2 half-remote
 // stack}, over a file with holes and three extents under a transient +
-// persistent fault plan. bench/ and BENCH_PR7–10 all run plugged and the
-// paper figures are multi-goroutine, so nothing else pins the unplugged
-// path.
+// persistent fault plan. bench/ and the sweeps in testdata/sweeps all run
+// plugged and the paper figures are multi-goroutine, so nothing else pins
+// the unplugged path.
 //
 // The expected values were recorded by running this file, unchanged,
 // against the commit before the device paths were collapsed into one
