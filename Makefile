@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
 # vet (root and bench/), four source gates (errgate, fmtgate, stackgate,
 # ringgate), build, `go test -race ./...`, the allocation guards without
-# the race detector, digests.
+# the race detector, digests, and the benchmark's own tests (bench-smoke).
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the six packages with real host concurrency (the LSM engine, the
 # file system, the lock-free bitmap, the page cache, the range tree's
@@ -12,7 +12,7 @@
 # timeout (go test's default is ten).
 .PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
 
-check: vet errgate fmtgate stackgate ringgate build race allocs digests
+check: vet errgate fmtgate stackgate ringgate build race allocs digests bench-smoke
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -133,8 +133,10 @@ bench:
 	go test -bench=. -benchmem -run=^$$
 
 # Smoke test of the repository's benchmark (bench/, see bench/README.md):
-# every workload, both runs, tiny scale, under the race detector. bench/ is
-# a module of its own, so `make check` (./...) cannot reach it.
+# every workload, both runs, tiny scale, under the race detector (about
+# 30 s on two cores). bench/ is a module of its own, so ./... cannot reach
+# it; `make check` runs it here, so that a program change which breaks the
+# benchmark's own tests fails the gate.
 bench-smoke:
 	cd bench && go test -race .
 

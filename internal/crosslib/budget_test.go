@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blockdev"
+	"repro/internal/fs"
+	"repro/internal/pagecache"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
@@ -250,6 +253,109 @@ func TestBudgetGate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// newTieredKernel is newKernel over a width-1 local device tiered over a
+// half-remote NVMe-oF device 200µs away, with cross-tier prefetch on.
+func newTieredKernel(capacity int64) (*vfs.VFS, *blockdev.Stack) {
+	costs := simtime.DefaultCosts()
+	st := blockdev.NewStack(blockdev.StackConfig{
+		Local: blockdev.NVMeConfig(),
+		Width: 1,
+		Tier: blockdev.TierConfig{
+			Enabled:           true,
+			Remote:            blockdev.RemoteNVMeConfigRTT(200 * simtime.Microsecond),
+			RemoteFrac:        0.5,
+			CrossTierPrefetch: true,
+		},
+	})
+	fsys := fs.New(fs.LayoutExtent, 4096, costs)
+	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
+	cfg := vfs.DefaultConfig()
+	cfg.AllowLimitOverride = true
+	return vfs.NewStack(cfg, fsys, st, cache), st
+}
+
+// TestStaticClipIsTheKernelWindow: between the halt and high marks a
+// stream's intent is clipped to the kernel's static window for its range,
+// and reaches readahead_info that long. Over a remote extent of a tiered
+// stack that window is RA.MaxPages × the RTT boost, the depth the kernel
+// itself reads ahead with there (DESIGN.md §16); over a local extent, and
+// on an untiered stack, it is RA.MaxPages. Clipped to the bare RA.MaxPages
+// over remote extents too, the stream caught up with its own prefetch.
+func TestStaticClipIsTheKernelWindow(t *testing.T) {
+	const (
+		budget     = 1_000
+		extBlocks  = blockdev.DefaultExtentBytes / 4096
+		openBlocks = openPrefetchBytes / 4096
+	)
+	raMax := vfs.DefaultConfig().RA.MaxPages
+	cases := []struct {
+		name   string
+		tiered bool
+		remote bool  // the intent starts on a remote extent
+		blocks int64 // the intent's length
+	}{
+		{"remote-extent", true, true, 256},
+		{"local-extent", true, false, extBlocks},
+		{"untiered", false, false, 256},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var st *blockdev.Stack
+			v := newKernel(100_000)
+			if c.tiered {
+				v, st = newTieredKernel(100_000)
+			}
+			rec := telemetry.NewRecorder(0)
+			v.SetTelemetry(rec)
+			opt := CrossPredictOpt.Options()
+			opt.MemoryBudgetPages = budget
+			opt.AggressiveEvict = false // no pass between the fill and the intent
+			rt := New(v, opt)
+			tl := simtime.NewTimeline(0)
+			if _, err := v.FS().CreateSynthetic(tl, "f", 64<<20); err != nil {
+				t.Fatal(err)
+			}
+			f, err := rt.Open(tl, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillTo(t, v, tl, 800)
+			if got := rt.budgetGate(tl, f.sf, 0, 0); got != budgetStatic {
+				t.Fatalf("setup: the gate reads level %d, want budgetStatic", got)
+			}
+
+			// The stack's boost for a logical range, read independently of
+			// the kernel's window arithmetic.
+			boost := func(lo, hi int64) int64 {
+				b := int64(1)
+				if st == nil {
+					return b
+				}
+				for _, pr := range f.kf.Inode().MapRange(lo, hi) {
+					b = max(b, st.PrefetchBoostFor(pr.Phys*4096, pr.Count*4096))
+				}
+				return b
+			}
+			// The first extent of the wanted kind past what the open left
+			// resident.
+			lo := int64(openBlocks)
+			for (boost(lo, lo+extBlocks) > 1) != c.remote {
+				lo += extBlocks
+			}
+			want := raMax * boost(lo, lo+c.blocks)
+			if c.remote && want == raMax {
+				t.Fatal("setup: the remote extent earns no boost")
+			}
+
+			before := rec.CounterValue(telemetry.CtrKernelRequestedPages)
+			f.prefetchAsync(tl, lo, c.blocks, budgetUnasked, false)
+			if got := rec.CounterValue(telemetry.CtrKernelRequestedPages) - before; got != want {
+				t.Errorf("an intent of %d blocks reached readahead_info with %d pages, want %d", c.blocks, got, want)
+			}
+		})
 	}
 }
 

@@ -439,7 +439,9 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 
 	// Memory budget policy (§4.6): halt entirely below the low
 	// watermark; below the high watermark, stay within the kernel's
-	// static window even when opt would allow more. Above it, a file a
+	// static window for the range even when opt would allow more — over
+	// remote extents that is the RTT-deepened one the kernel itself would
+	// read ahead with (DESIGN.md §16). Above it, a file a
 	// stream drops behind gets no more than is free: there the free memory
 	// is the wake the stream gave back, not surplus, and a window larger
 	// than it evicts its own front. The FetchAll policy is deliberately
@@ -452,7 +454,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 		case budgetHalt:
 			return full
 		case budgetStatic:
-			hi = min(hi, lo+rt.v.Config().RA.MaxPages)
+			hi = min(hi, lo+f.kf.StaticWindow(lo, hi))
 		default:
 			if sf.droppedBehind.Load() {
 				hi = min(hi, lo+rt.budget()-rt.v.Cache().Used())

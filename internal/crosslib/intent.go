@@ -138,10 +138,14 @@ func (rt *Runtime) issue(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile, lo
 
 	if !o.Visibility {
 		// Degraded mode: blind readahead(2), no state import — device
-		// errors are invisible here, so no retry or breaker either.
-		kf.Readahead(wtl, lo*bs, (hi-lo)*bs)
+		// errors are invisible here, so no retry or breaker either. The
+		// bytes it reports submitted are all the belief it earns: a
+		// faulted window marks nothing past the fault.
+		n := kf.Readahead(wtl, lo*bs, (hi-lo)*bs)
 		rt.prefetchCalls.Add(1)
-		sf.tree.MarkCached(wtl, lo, min(hi, lo+rt.v.Config().RA.MaxPages))
+		if n > 0 {
+			sf.tree.MarkCached(wtl, lo, lo+n/bs)
+		}
 		return true
 	}
 

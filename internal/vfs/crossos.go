@@ -111,12 +111,10 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	// Effective per-range limit: static kernel cap, or the caller's
 	// override when the kernel is configured to allow it. Each range is
 	// an independent readahead window, so the limit applies per range.
-	limit := v.cfg.RA.MaxPages
+	ra, maxPages := v.cfg.RA.MaxPages, v.cfg.MaxPrefetchBytes/bs
+	limit := ra
 	if v.cfg.AllowLimitOverride && req.LimitOverride > limit {
-		limit = req.LimitOverride
-		if maxPages := v.cfg.MaxPrefetchBytes / bs; limit > maxPages {
-			limit = maxPages
-		}
+		limit = min(req.LimitOverride, maxPages)
 	}
 	// Level-2 brownout clamps the window below even the static cap: the
 	// excess is counted rejected, so the clamp identities still hold.
@@ -142,15 +140,13 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 		if rg.Bytes > 0 && hi > lo {
 			requested = true
 			preClamp := hi - lo
-			// Cross-tier prefetch: a remote-resident range earns an
-			// RTT-scaled deeper window (never under the level-2 clamp,
-			// always within the absolute prefetch byte budget).
+			// Cross-tier prefetch: the limit scales with the range's
+			// static window, RTT-deepened over remote extents (never
+			// under the level-2 clamp, always within the absolute prefetch
+			// byte budget).
 			rlimit := limit
-			if boost := f.rangeBoost(lo, hi); boost > 1 && !clamped {
-				rlimit *= boost
-				if maxPages := v.cfg.MaxPrefetchBytes / bs; rlimit > maxPages {
-					rlimit = maxPages
-				}
+			if !clamped {
+				rlimit = min(limit*f.StaticWindow(lo, hi)/ra, maxPages)
 			}
 			if hi-lo > rlimit {
 				hi = lo + rlimit

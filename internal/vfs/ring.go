@@ -422,17 +422,12 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 		pend.refuse(ErrShed, tl.Now())
 		return 0
 	}
-	limit := v.cfg.RA.MaxPages
-	// Cross-tier prefetch: a remote-resident range earns an RTT-scaled
-	// deeper window (capped by the absolute prefetch byte budget).
-	if boost := f.rangeBoost(lo, hi); boost > 1 {
-		limit *= boost
-	}
+	// The range's static window (RTT-deepened over remote extents), or the
+	// whole request when the kernel allows overrides, within the absolute
+	// prefetch byte budget.
+	limit := f.StaticWindow(lo, hi)
 	if v.cfg.AllowLimitOverride && hi-lo > limit {
-		limit = hi - lo
-	}
-	if maxPages := v.cfg.MaxPrefetchBytes / bs; limit > maxPages {
-		limit = maxPages
+		limit = min(hi-lo, v.cfg.MaxPrefetchBytes/bs)
 	}
 	preClamp := hi - lo
 	if hi-lo > limit {

@@ -31,6 +31,18 @@ func (f *File) rangeBoost(lo, hi int64) int64 {
 	return boost
 }
 
+// StaticWindow reports the kernel's static prefetch window, in pages, for
+// logical blocks [lo, hi): RA.MaxPages deepened by the range's cross-tier
+// boost, within the absolute prefetch byte budget. It is the base limit of
+// readahead_info and of the ring's prefetch SQE, and the window CROSS-LIB
+// clips itself to when memory is low; readahead(2) keeps the bare
+// RA.MaxPages (Figure 1's clamp). RA.MaxPages on untiered stacks and over
+// local extents.
+func (f *File) StaticWindow(lo, hi int64) int64 {
+	cfg := &f.v.cfg
+	return min(cfg.RA.MaxPages*f.rangeBoost(lo, hi), cfg.MaxPrefetchBytes/f.v.BlockSize())
+}
+
 // rangeBacklog reports the worst per-backend backlog among only the
 // backends serving logical blocks [lo, hi) — the congestion signal for
 // a targeted prefetch decision: a saturated backend the range never

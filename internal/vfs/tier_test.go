@@ -115,9 +115,11 @@ func TestSaturatedRemoteDoesNotThrottleLocalPrefetch(t *testing.T) {
 	}
 }
 
-// Cross-tier prefetch must deepen readahead over remote-resident
-// extents (the RTT-scaled boost) and leave all-local ranges alone.
-func TestRangeBoostDeepensRemoteReadahead(t *testing.T) {
+// newBoostedFile opens a 16MB file on a kernel over a width-1 local device
+// tiered over a half-remote NVMe-oF device 200µs away, with cross-tier
+// prefetch on; it returns the file and the tier's extent size in blocks.
+func newBoostedFile(t *testing.T) (*simtime.Timeline, *File, int64) {
+	t.Helper()
 	costs := simtime.DefaultCosts()
 	st := blockdev.NewStack(blockdev.StackConfig{
 		Local: blockdev.NVMeConfig(),
@@ -140,7 +142,13 @@ func TestRangeBoostDeepensRemoteReadahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extBlocks := st.Config().Tier.ExtentBytes / v.BlockSize()
+	return tl, f, st.Config().Tier.ExtentBytes / v.BlockSize()
+}
+
+// Cross-tier prefetch must deepen readahead over remote-resident
+// extents (the RTT-scaled boost) and leave all-local ranges alone.
+func TestRangeBoostDeepensRemoteReadahead(t *testing.T) {
+	_, f, extBlocks := newBoostedFile(t)
 	var sawBoost, sawFlat bool
 	for lo := int64(0); lo+extBlocks <= f.ino.Blocks(); lo += extBlocks {
 		switch b := f.rangeBoost(lo, lo+extBlocks); {
@@ -155,5 +163,40 @@ func TestRangeBoostDeepensRemoteReadahead(t *testing.T) {
 	if !sawBoost || !sawFlat {
 		t.Fatalf("want both boosted (remote) and flat (local) windows: boost=%v flat=%v",
 			sawBoost, sawFlat)
+	}
+}
+
+// The static window is RA.MaxPages × the range's boost for readahead_info,
+// but readahead(2) keeps the bare RA.MaxPages over remote extents too: its
+// clamp is paper Figure 1's under-prefetch pathology, which the APPonly
+// baseline is measured against.
+func TestReadaheadKeepsTheBareStaticCap(t *testing.T) {
+	tl, f, extBlocks := newBoostedFile(t)
+	ra, bs := f.v.cfg.RA.MaxPages, f.v.BlockSize()
+	var remote []int64
+	for lo := int64(0); lo+extBlocks <= f.ino.Blocks(); lo += extBlocks {
+		if b := f.rangeBoost(lo, lo+extBlocks); b > 1 {
+			if w := f.StaticWindow(lo, lo+extBlocks); w != ra*b {
+				t.Fatalf("static window over a remote extent = %d pages, want %d × %d", w, ra, b)
+			}
+			remote = append(remote, lo)
+		}
+	}
+	if len(remote) < 2 {
+		t.Fatalf("want two remote extents, found %d", len(remote))
+	}
+
+	// A prefetch promotes the extents it reads, so each call gets its own.
+	lo := remote[0]
+	if got := f.Readahead(tl, lo*bs, 4<<20); got != ra*bs {
+		t.Errorf("readahead(2) of 4MB over a remote extent submitted %d bytes, want the bare cap %d", got, ra*bs)
+	}
+	if got := f.fc.CachedPages(); got != ra {
+		t.Errorf("readahead(2) left %d pages resident, want %d", got, ra)
+	}
+	lo = remote[1]
+	want := f.StaticWindow(lo, lo+(4<<20)/bs)
+	if info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: lo * bs, Bytes: 4 << 20}, nil); info.RequestedPages != want {
+		t.Errorf("readahead_info of 4MB over a remote extent granted %d pages, want the static window %d", info.RequestedPages, want)
 	}
 }
