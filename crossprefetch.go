@@ -78,7 +78,8 @@ type Config struct {
 	StripeChunkBytes int64
 	// Tier, when Tier.Enabled, layers the local device(s) over a remote
 	// NVMe-oF tier with per-extent residency, hotness promotion,
-	// watermark demotion, and cross-tier prefetch (see blockdev.TierConfig).
+	// heat-clock demotion at a cap, and cross-tier prefetch (see
+	// blockdev.TierConfig).
 	Tier blockdev.TierConfig
 	// Layout selects ext4-like or F2FS-like allocation.
 	Layout Layout

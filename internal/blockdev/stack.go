@@ -37,19 +37,19 @@ type TierConfig struct {
 	// RemoteFrac is the fraction of extents that start remote-resident
 	// (deterministically spread over the address space).
 	RemoteFrac float64
-	// LocalCapBytes bounds the local tier; past its high watermark (15/16)
-	// the coldest local extents are demoted down to the low watermark
-	// (7/8) — pagecache reclaim's two fractions, and nothing else of it.
+	// LocalCapBytes bounds the local tier: a promotion or write that takes
+	// it past the cap demotes local extents, chosen by a clock over their
+	// demand-read heat (maybeDemoteLocked), until it is back at the cap.
 	// 0 means uncapped.
 	LocalCapBytes int64
 	// PromoteReads is the demand-read hotness threshold for promotion
 	// (default 2).
 	PromoteReads int
 	// CrossTierPrefetch makes prefetch reads against remote extents
-	// promote them as a side effect (while a capped tier is under its low
-	// watermark: prefetch fills the tier, it never forces a demotion) and
-	// deepens readahead windows that cover remote extents by the RTT-scaled
-	// boost (see PrefetchBoostFor).
+	// promote them as a side effect (while a capped tier is under its cap:
+	// prefetch fills the tier, it never forces a demotion) and deepens
+	// readahead windows that cover remote extents by the RTT-scaled boost
+	// (see PrefetchBoostFor).
 	CrossTierPrefetch bool
 }
 
@@ -101,13 +101,14 @@ func (c StackConfig) withDefaults() StackConfig {
 	return c
 }
 
-// extentState is one tier extent's residency and heat.
+// extentState is one tier extent's residency and heat: reads counts the
+// demand device reads that touched it, on either tier, and the demotion
+// clock halves it each time its hand passes.
 type extentState struct {
-	init    bool
-	local   bool
-	dirty   bool
-	reads   int32
-	lastUse simtime.Time
+	init  bool
+	local bool
+	dirty bool
+	reads int32
 }
 
 // Stack composes member devices behind the Device-shaped API the kernel
@@ -126,9 +127,11 @@ type Stack struct {
 	extB    int64
 	rec     *telemetry.Recorder
 
-	// Tier residency table, lazily grown; guarded by tmu.
+	// Tier residency table, lazily grown, and the demotion clock's hand
+	// into it; guarded by tmu.
 	tmu          sync.Mutex
 	ext          []extentState
+	hand         int
 	localExtents int64
 	capExtents   int64
 	promoteReads int32
@@ -334,16 +337,16 @@ func (st *Stack) extAtLocked(e int64) *extentState {
 	return s
 }
 
-// noteRead books read heat for [off, off+bytes) completed at done:
-// remote extents accumulate demand-read heat and promote at the
-// threshold; with CrossTierPrefetch, a prefetch read promotes its remote
-// extents outright — the prefetched data just crossed the fabric, so
-// landing it locally is free — while the tier has room: under the low
-// demotion mark, where demotion would stop anyway. Past it a landing is
-// paid for with a demotion, by lastUse, which a scan turns into evicting
-// what the next pass reads; that band is left to demand heat. Promotion
-// books the local-tier write and may trigger watermark demotion of the
-// coldest local extents.
+// noteRead books read heat for [off, off+bytes) completed at done. A
+// demand read heats every extent it touches, on either tier, and promotes
+// a remote one once its heat reaches PromoteReads; the heat stays with the
+// extent, so a promoted extent enters the tier PromoteReads hot. A
+// prefetch read adds no heat. With CrossTierPrefetch it promotes its
+// remote extents outright — the prefetched data just crossed the fabric,
+// so landing it locally is free — while the tier is under its cap. At the
+// cap a landing would be paid for with a demotion of an extent demand
+// reads heated, on the evidence of none; that is left to demand heat.
+// Promotion books the local-tier write and demotes past the cap.
 func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	if st.remote < 0 || bytes <= 0 {
 		return
@@ -352,20 +355,14 @@ func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	defer st.tmu.Unlock()
 	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
 		s := st.extAtLocked(e)
-		if done > s.lastUse {
-			s.lastUse = done
-		}
-		if s.local {
-			continue
-		}
 		if prefetch {
-			if st.cfg.Tier.CrossTierPrefetch && (st.capExtents <= 0 || st.localExtents < st.lowMark()) {
+			if !s.local && st.cfg.Tier.CrossTierPrefetch && (st.capExtents <= 0 || st.localExtents < st.capExtents) {
 				st.promoteLocked(e, done, true)
 			}
 			continue
 		}
 		s.reads++
-		if s.reads >= st.promoteReads {
+		if !s.local && s.reads >= st.promoteReads {
 			st.promoteLocked(e, done, false)
 		}
 	}
@@ -373,7 +370,7 @@ func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 
 // noteWrite marks the covered extents dirty (and, for remote extents,
 // pulls them local: the stack writes new data to the fast tier and
-// copies it back on demotion).
+// copies it back on demotion), then demotes past the cap.
 func (st *Stack) noteWrite(done simtime.Time, off, bytes int64) {
 	if st.remote < 0 || bytes <= 0 {
 		return
@@ -382,25 +379,21 @@ func (st *Stack) noteWrite(done simtime.Time, off, bytes int64) {
 	defer st.tmu.Unlock()
 	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
 		s := st.extAtLocked(e)
-		if done > s.lastUse {
-			s.lastUse = done
-		}
 		if !s.local {
 			s.local = true
 			st.localExtents++
 		}
 		s.dirty = true
 	}
+	st.maybeDemoteLocked(done)
 }
 
 // promoteLocked flips extent e local, books the local-tier fill write
 // asynchronously at `at` (the promoted bytes just arrived from the
 // remote read; the copy costs local write bandwidth, not a re-read), and
-// applies the demotion watermarks.
+// demotes past the cap.
 func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
-	s := &st.ext[e]
-	s.local = true
-	s.reads = 0
+	st.ext[e].local = true
 	st.localExtents++
 	st.promotions++
 	st.rec.Add(telemetry.CtrTierPromotions, 1)
@@ -416,50 +409,36 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 	st.maybeDemoteLocked(at)
 }
 
-// lowMark is where demotion stops, and past which a prefetch no longer
-// promotes (noteRead).
-func (st *Stack) lowMark() int64 { return st.capExtents * 7 / 8 }
-
-// maybeDemoteLocked bounds the local tier: past the 15/16 high watermark,
-// the coldest local extents demote until occupancy is back at the 7/8 low
-// watermark. Dirty extents copy back to the remote tier; clean ones just
-// flip residency. The two fractions are what this shares with pagecache
-// reclaim; there are no lists, second chances or tenants here, only
-// extents ranked by lastUse under the one tier mutex.
+// maybeDemoteLocked brings a local tier that is over its cap back to the
+// cap with a clock over demand-read heat (GCLOCK). The hand walks the
+// extent table, skipping remote and untouched extents; at a local extent
+// with heat it halves the heat and moves on, and it demotes the first
+// local extent it finds cold. The halving is the decay: an extent read h
+// times and then no more is demoted at the hand's bits.Len(h)+1-th visit,
+// within that many passes. Dirty extents copy back to the remote tier;
+// clean ones just flip residency.
 func (st *Stack) maybeDemoteLocked(at simtime.Time) {
-	if st.capExtents <= 0 || st.localExtents <= st.capExtents*15/16 {
-		return
-	}
-	low := st.lowMark()
-	type cold struct {
-		e       int64
-		lastUse simtime.Time
-	}
-	var cands []cold
-	for e := range st.ext {
-		if st.ext[e].init && st.ext[e].local {
-			cands = append(cands, cold{int64(e), st.ext[e].lastUse})
+	for st.capExtents > 0 && st.localExtents > st.capExtents {
+		if st.hand >= len(st.ext) {
+			st.hand = 0
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lastUse != cands[j].lastUse {
-			return cands[i].lastUse < cands[j].lastUse
+		e := st.hand
+		st.hand++
+		s := &st.ext[e]
+		if !s.local {
+			continue
 		}
-		return cands[i].e < cands[j].e
-	})
-	for _, c := range cands {
-		if st.localExtents <= low {
-			return
+		if s.reads > 0 {
+			s.reads >>= 1
+			continue
 		}
-		s := &st.ext[c.e]
 		if s.dirty {
-			st.members[st.remote].AccessAsync(at, OpWrite, c.e*st.extB, st.extB) //nolint:errcheck // best-effort copyback
+			st.members[st.remote].AccessAsync(at, OpWrite, int64(e)*st.extB, st.extB) //nolint:errcheck // best-effort copyback
 			st.copybackBytes += st.extB
 			st.rec.Add(telemetry.CtrTierCopybackBytes, st.extB)
 			s.dirty = false
 		}
 		s.local = false
-		s.reads = 0
 		st.localExtents--
 		st.demotions++
 		st.rec.Add(telemetry.CtrTierDemotions, 1)
@@ -657,14 +636,16 @@ func (st *Stack) MemberStats() []Stats {
 // ExtentHeat is one tier extent's residency and heat, for the admin
 // plane's heat table.
 type ExtentHeat struct {
-	Extent  int64        `json:"extent"`
-	Local   bool         `json:"local"`
-	Dirty   bool         `json:"dirty"`
-	Reads   int32        `json:"reads"`
-	LastUse simtime.Time `json:"last_use"`
+	Extent int64 `json:"extent"`
+	Local  bool  `json:"local"`
+	Dirty  bool  `json:"dirty"`
+	Reads  int32 `json:"reads"`
 }
 
-// TierStats snapshots the tier machinery.
+// TierStats snapshots the tier machinery. LocalExtents is the occupancy
+// counter the cap is held against; the local rows of a full heat table
+// count the same extents. Hand is the extent the demotion clock looks at
+// next.
 type TierStats struct {
 	Enabled            bool         `json:"enabled"`
 	ExtentBytes        int64        `json:"extent_bytes"`
@@ -672,6 +653,7 @@ type TierStats struct {
 	LocalExtents       int64        `json:"local_extents"`
 	RemoteExtents      int64        `json:"remote_extents"`
 	CapExtents         int64        `json:"cap_extents"`
+	Hand               int64        `json:"hand"`
 	Promotions         int64        `json:"promotions"`
 	PrefetchPromotions int64        `json:"prefetch_promotions"`
 	Demotions          int64        `json:"demotions"`
@@ -679,9 +661,9 @@ type TierStats struct {
 	Heat               []ExtentHeat `json:"heat,omitempty"`
 }
 
-// TierStats snapshots residency, promotion/demotion totals, and the
-// hottest-extent heat table (up to heatTop entries by read heat, then
-// recency).
+// TierStats snapshots residency, promotion/demotion totals, the demotion
+// clock's hand, and the hottest-extent heat table (up to heatTop entries
+// by read heat, then extent; all of them for heatTop <= 0).
 func (st *Stack) TierStats(heatTop int) TierStats {
 	ts := TierStats{Enabled: st.remote >= 0, ExtentBytes: st.extB}
 	if st.remote < 0 {
@@ -689,7 +671,9 @@ func (st *Stack) TierStats(heatTop int) TierStats {
 	}
 	st.tmu.Lock()
 	defer st.tmu.Unlock()
+	ts.LocalExtents = st.localExtents
 	ts.CapExtents = st.capExtents
+	ts.Hand = int64(st.hand)
 	ts.Promotions = st.promotions
 	ts.PrefetchPromotions = st.prefetchPromotions
 	ts.Demotions = st.demotions
@@ -701,22 +685,14 @@ func (st *Stack) TierStats(heatTop int) TierStats {
 			continue
 		}
 		ts.TrackedExtents++
-		if s.local {
-			ts.LocalExtents++
-		} else {
+		if !s.local {
 			ts.RemoteExtents++
 		}
-		heat = append(heat, ExtentHeat{
-			Extent: int64(e), Local: s.local, Dirty: s.dirty,
-			Reads: s.reads, LastUse: s.lastUse,
-		})
+		heat = append(heat, ExtentHeat{Extent: int64(e), Local: s.local, Dirty: s.dirty, Reads: s.reads})
 	}
 	sort.Slice(heat, func(i, j int) bool {
 		if heat[i].Reads != heat[j].Reads {
 			return heat[i].Reads > heat[j].Reads
-		}
-		if heat[i].LastUse != heat[j].LastUse {
-			return heat[i].LastUse > heat[j].LastUse
 		}
 		return heat[i].Extent < heat[j].Extent
 	})

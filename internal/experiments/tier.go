@@ -33,8 +33,8 @@ type tierStack struct {
 
 // tierStacks is the stack grid: stripe width {1,2} × tier
 // {off, half-remote} × cross-tier prefetch {off, on}. The capped cell
-// bounds the local tier below the promoted set so the 15/16 → 7/8
-// watermark demotion machinery runs in steady state.
+// bounds the local tier below the promoted set so the demotion clock
+// runs in steady state.
 var tierStacks = []tierStack{
 	{"w1-local", 1, 0, false, false},
 	{"w2-local", 2, 0, false, false},
@@ -123,8 +123,8 @@ func tierSys(cc tierStack, fileMB, raBytes int64) *crossprefetch.System {
 		}
 		if cc.capped {
 			// Bound the local tier below the file so promotion pressure
-			// keeps crossing the high watermark and the demotion
-			// machinery runs in steady state.
+			// keeps crossing the cap and the demotion clock runs in
+			// steady state.
 			cfg.Tier.LocalCapBytes = fileMB << 20 * 3 / 4
 		}
 	}
@@ -179,13 +179,13 @@ func tierContract(_ []*TierResult, at func(cell string) *TierResult) error {
 			rpf.P99Micros, rnopf.P99Micros)
 	}
 	// Cross-tier prefetch must actually land pages in the local tier, and
-	// the capped cell's watermark machinery must demote in steady state.
+	// the capped cell's demotion clock must demote in steady state.
 	if rpf.PrefetchPromotions < 1 {
 		return fmt.Errorf("cross-tier prefetch cell saw %d prefetch promotions, want >= 1",
 			rpf.PrefetchPromotions)
 	}
 	if capped := at("sequential/w1-remote+pf-cap"); capped.Demotions < 1 {
-		return fmt.Errorf("capped cell saw %d watermark demotions, want >= 1", capped.Demotions)
+		return fmt.Errorf("capped cell saw %d demotions, want >= 1", capped.Demotions)
 	}
 	return nil
 }

@@ -166,7 +166,7 @@ const (
 	CtrDeviceCommands
 	// CtrTierPromotions counts extents promoted remote->local;
 	// CtrTierPrefetchPromotions the subset landed by cross-tier prefetch
-	// reads. CtrTierDemotions counts watermark demotions local->remote,
+	// reads. CtrTierDemotions counts demotions local->remote past the cap,
 	// CtrTierCopybackBytes the dirty-extent bytes copied back on demotion.
 	CtrTierPromotions
 	CtrTierPrefetchPromotions

@@ -40,7 +40,10 @@ import (
 // one. And for drop-behind, the telemetry hash of every cell and nothing else:
 // the recorder's JSON gained the lib_dropped_behind_pages counter and the
 // dropped-behind outcome, both zero here (with the two names taken out
-// again the previous hashes come back).
+// again the previous hashes come back). And once more for the capped
+// tier's demotion clock (DESIGN.md §16): the tier demotes by demand-read
+// heat down to its cap, not by recency down to 7/8 of it, and writes
+// demote too, which moves the two stack cells and neither bare one.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/unplugged": {
@@ -58,18 +61,18 @@ func TestGoldenWayDown(t *testing.T) {
 			results:   "40c919d0b45fce28",
 		},
 		"stack/unplugged": {
-			now:       48262391,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r193/41586688 w60/16121856 busy32844849 inj36/2550000 plug194/193/1; nvme0.0 r79/6520832 w24/4853760 busy9791146 inj13/450000 plug79/79/0; nvme0.1 r48/6266880 w12/3141632 busy7717931 inj3/600000 plug49/48/1; nvmeof0 r66/28798976 w24/8126464 busy32844849 inj20/1500000 plug66/66/0; ",
-			telemetry: "3e5bc14778180399",
-			spans:     "79a71ee8eb06da53",
-			results:   "175851841d0bfcb0",
+			now:       48129314,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r165/39280640 w69/19001344 busy34344662 inj40/2100000 plug165/165/0; nvme0.0 r52/5595136 w28/5763072 busy10078115 inj13/300000 plug52/52/0; nvme0.1 r33/5222400 w15/3670016 busy7542338 inj4/150000 plug33/33/0; nvmeof0 r80/28463104 w26/9568256 busy34344662 inj23/1650000 plug80/80/0; ",
+			telemetry: "b9e305da50a1f8cf",
+			spans:     "23cf64eecdd2547c",
+			results:   "ff2ab77b026e2e4d",
 		},
 		"stack/plugged": {
-			now:       51001988,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r156/44118016 w80/23461888 busy38704415 inj38/2100000 plug177/156/21; nvme0.0 r50/6397952 w34/7217152 busy12173784 inj6/150000 plug59/50/9; nvme0.1 r31/6299648 w19/4980736 busy9669040 inj6/0 plug38/31/7; nvmeof0 r75/31420416 w27/11264000 busy38704415 inj26/1950000 plug80/75/5; ",
-			telemetry: "662405a30aa1ce66",
-			spans:     "283301e32df9611e",
-			results:   "7e03347c0ee25688",
+			now:       47396929,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r165/41111552 w67/17440768 busy33821340 inj37/1500000 plug179/165/14; nvme0.0 r54/6692864 w28/5505024 busy10556443 inj13/150000 plug61/54/7; nvme0.1 r35/5828608 w12/2883584 busy7119951 inj4/150000 plug39/35/4; nvmeof0 r76/28590080 w27/9052160 busy33821340 inj20/1200000 plug79/76/3; ",
+			telemetry: "503aaa6d4bfaa566",
+			spans:     "080941be90997b1e",
+			results:   "08f1b89cfb62b34d",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
