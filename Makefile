@@ -35,10 +35,10 @@ errgate:
 
 # Stack-API gate: every kernel path addresses device I/O through the
 # device stack and, for reads, through its plug (blockdev.StackPlug) —
-# never the stack's Access* entry points directly (that is what keeps
-# plugged and passthrough modes byte-identical in accounting) and never a
-# raw member device (that would skip striping, tier residency and
-# per-backend accounting). The gate covers every non-test file of
+# never the stack's Access* entry points directly (that would skip the
+# plug's merging, queue depth, congestion control and per-command
+# accounting) and never a raw member device (that would skip striping,
+# tier residency and per-backend accounting). The gate covers every non-test file of
 # internal/vfs, present and future; the one exemption is writeback.go,
 # where fsync's blocking lane and the cache's background writeback submit
 # writes against the stack by design.

@@ -141,10 +141,6 @@ func run(args []string, stdout io.Writer) (err error) {
 
 		mutexProf = fs.String("mutexprofile", "", "write a host mutex-contention profile (pprof) to this file")
 		blockProf = fs.String("blockprofile", "", "write a host blocking profile (pprof) to this file")
-
-		plug        = fs.Bool("plug", false, "enable the block-layer submission scheduler (plugging/merging) for every system")
-		qd          = fs.Int("qd", 0, "device queue depth under -plug (0 = default 32)")
-		mergeWindow = fs.Int64("merge-window", 0, "max merged command bytes under -plug (0 = default 8MB)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -197,14 +193,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	tracing := *trace != "" || *traceReport
 	if tracing {
 		*tel = true
-	}
-	if *plug || *qd > 0 || *mergeWindow > 0 {
-		experiments.EnableBlockSched(&experiments.SchedConfig{
-			Plug:             *plug,
-			QueueDepth:       *qd,
-			MergeWindowBytes: *mergeWindow,
-		})
-		defer experiments.EnableBlockSched(nil)
 	}
 	experiments.EnableTelemetry(*tel)
 	defer experiments.EnableTelemetry(false)

@@ -45,14 +45,13 @@ type Approach = crosslib.Approach
 
 // The comparison approaches (paper Table 2 and Table 5).
 const (
-	AppOnly                  = crosslib.AppOnly
-	AppOnlyFincore           = crosslib.AppOnlyFincore
-	OSOnly                   = crosslib.OSOnly
-	CrossVisibility          = crosslib.CrossVisibility
-	CrossVisibilityRangeTree = crosslib.CrossVisibilityRangeTree
-	CrossPredict             = crosslib.CrossPredict
-	CrossPredictOpt          = crosslib.CrossPredictOpt
-	CrossFetchAllOpt         = crosslib.CrossFetchAllOpt
+	AppOnly          = crosslib.AppOnly
+	AppOnlyFincore   = crosslib.AppOnlyFincore
+	OSOnly           = crosslib.OSOnly
+	CrossVisibility  = crosslib.CrossVisibility
+	CrossPredict     = crosslib.CrossPredict
+	CrossPredictOpt  = crosslib.CrossPredictOpt
+	CrossFetchAllOpt = crosslib.CrossFetchAllOpt
 )
 
 // Layout selects the file-system allocation policy.
@@ -96,17 +95,8 @@ type Config struct {
 	// transient device fault on blocking paths — demand reads, fsync,
 	// mmap faults (default 3; see internal/vfs).
 	DemandRetries int
-	// Plug enables the block-layer submission scheduler on the kernel's
-	// read paths: requests accumulate in a per-timeline plug, adjacent
-	// same-op requests merge (bounded by MergeWindowBytes), and dispatch
-	// is gated by the device queue depth — Linux block plugging over the
-	// simulated NVMe (see internal/blockdev). Off (the default) every
-	// request dispatches individually, exactly as before.
+	// Deprecated: ignored; every read path plugs.
 	Plug bool
-	// QueueDepth bounds in-flight commands per plug flush (default 32).
-	QueueDepth int
-	// MergeWindowBytes caps one merged command (default 8MB).
-	MergeWindowBytes int64
 	// CongestionLimit overrides the kernel's prefetch congestion cutoff:
 	// asynchronous prefetch I/O is postponed once the device backlog
 	// exceeds this much virtual time (default 5ms; see internal/vfs).
@@ -220,11 +210,6 @@ func NewSystem(cfg Config) *System {
 		DemandRetries:      cfg.DemandRetries,
 		CongestionLimit:    cfg.CongestionLimit,
 		Brownout:           cfg.Brownout,
-		Sched: blockdev.PlugConfig{
-			Plugged:          cfg.Plug,
-			QueueDepth:       cfg.QueueDepth,
-			MergeWindowBytes: cfg.MergeWindowBytes,
-		},
 	}
 	kernel := vfs.NewStack(kcfg, fsys, dev, cache)
 

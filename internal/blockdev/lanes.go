@@ -17,8 +17,7 @@ const DefaultLaneQuantum = 256 << 10
 
 // LaneConfig configures a LaneSet.
 type LaneConfig struct {
-	// Plug is the scheduling policy of the shared dispatch plug. Plugged
-	// is forced on: lanes exist to merge and depth-gate concurrent work.
+	// Plug is the scheduling policy of the shared dispatch plug.
 	Plug PlugConfig
 	// QuantumBytes is the DRR quantum (0 selects DefaultLaneQuantum).
 	QuantumBytes int64
@@ -104,7 +103,6 @@ type LaneSet struct {
 // NewLaneSet returns a lane set dispatching into the stack's per-backend
 // queues. rec may be nil.
 func (st *Stack) NewLaneSet(cfg LaneConfig, rec *telemetry.Recorder) *LaneSet {
-	cfg.Plug.Plugged = true
 	cfg.Plug = cfg.Plug.WithDefaults()
 	if cfg.QuantumBytes <= 0 {
 		cfg.QuantumBytes = DefaultLaneQuantum

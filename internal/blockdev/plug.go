@@ -15,19 +15,16 @@ const (
 	DefaultMergeWindowBytes = 8 << 20
 )
 
-// PlugConfig configures the block-layer submission scheduler.
-//
-// With Plugged false (the default) the plug is a passthrough: callers
-// dispatch every request immediately (SyncAccess, AsyncPrefetchChunk) with
-// exactly the Stack.Access / Stack.AccessAsync semantics, byte-for-byte
-// identical to submitting against the stack directly. With Plugged true,
-// callers Add requests and flush: requests accumulate in
-// the plug (mirroring Linux block plugging), adjacent same-op requests
-// merge front/back into single commands bounded by MergeWindowBytes, and
-// dispatch on unplug models QueueDepth in-flight commands: command i may
-// not be submitted before command i-QueueDepth completed.
+// PlugConfig configures the block-layer submission scheduler. Callers Add
+// requests and flush: requests accumulate in the plug (mirroring Linux
+// block plugging), adjacent same-op requests merge front/back into single
+// commands bounded by MergeWindowBytes, and dispatch on unplug models
+// QueueDepth in-flight commands: command i may not be submitted before
+// command i-QueueDepth completed.
 type PlugConfig struct {
-	Plugged          bool
+	// Deprecated: ignored; every read path plugs.
+	Plugged bool
+
 	QueueDepth       int   // 0 selects DefaultQueueDepth
 	MergeWindowBytes int64 // 0 selects DefaultMergeWindowBytes
 }
@@ -208,9 +205,6 @@ func (st *Stack) NewPlug(cfg PlugConfig) *StackPlug {
 	return &StackPlug{st: st, cfg: cfg.WithDefaults(), mem: make([]queue, len(st.members))}
 }
 
-// Plugged reports whether this plug accumulates (true) or passes through.
-func (p *StackPlug) Plugged() bool { return p.cfg.Plugged }
-
 // MarkPrefetch tags subsequently Add()ed requests as prefetch reads:
 // with cross-tier prefetch enabled, their remote-resident extents
 // promote to the local tier when the read completes. Reset clears it.
@@ -360,27 +354,6 @@ func (p *StackPlug) coalesce(m, grown int) {
 	}
 }
 
-// SyncAccess dispatches one blocking request immediately (the
-// passthrough path), with exactly Stack.Access semantics: pieces reserve
-// their members' priority lanes in parallel, faults are pre-flighted for
-// all-or-nothing atomicity. Each issued piece books one plug
-// segment+command on its member.
-func (p *StackPlug) SyncAccess(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	p.pieces = p.st.resolveInto(p.pieces[:0], off, bytes)
-	if err := p.st.accessPieces(tl, op, p.pieces); err != nil {
-		return err
-	}
-	for _, pc := range p.pieces {
-		p.st.members[pc.m].countPlug(1, 1, pc.n)
-	}
-	if op == OpWrite {
-		p.st.noteWrite(tl.Now(), off, bytes)
-	} else {
-		p.st.noteRead(tl.Now(), off, bytes, p.prefetch)
-	}
-	return nil
-}
-
 // FlushSync unplugs every member queue as blocking requests on the
 // priority lane from the caller's current time — per-member queue depth
 // and transient-fault retry per rp, one wait on the overall maximum, so a
@@ -478,8 +451,7 @@ func (p *StackPlug) reserveOn(m int, op Op, bytes int64, submit simtime.Time, st
 // command (see congested): once a member is past congestionLimit, the
 // rest of its queue is postponed (segments marked Congested), while a
 // saturated member never throttles work bound for the others. A failed
-// command aborts dispatch of the rest of its queue, as the unplugged path
-// does.
+// command aborts dispatch of the rest of its queue.
 func (p *StackPlug) FlushAsync(at simtime.Time, congestionLimit simtime.Duration) {
 	for m := range p.mem {
 		q := &p.mem[m]
@@ -583,31 +555,4 @@ func (p *StackPlug) piecesOf(r int) []RequestPiece {
 		}
 	}
 	return out
-}
-
-// AsyncPrefetchChunk is the unplugged prefetch primitive: one chunk
-// admitted against the per-backend backlog of exactly the members its
-// pieces target (plus this plug's own advancing per-member horizon),
-// then issued piece-by-piece on the members' combined lanes. Faults are
-// pre-flighted for all-or-nothing atomicity. On success the chunk's
-// remote extents book prefetch heat (cross-tier promotion). Returns the
-// slowest piece's completion.
-func (p *StackPlug) AsyncPrefetchChunk(at simtime.Time, off, bytes int64, limit simtime.Duration) (done simtime.Time, congested bool, err error) {
-	p.pieces = p.st.resolveInto(p.pieces[:0], off, bytes)
-	for _, pc := range p.pieces {
-		if p.congested(pc.m, at, limit) {
-			return 0, true, nil
-		}
-	}
-	if f, _ := p.st.preflight(OpRead, p.pieces); f.Err != nil {
-		return at.Add(f.Stall), false, f.Err
-	}
-	for _, pc := range p.pieces {
-		if pdone := p.reserveOn(pc.m, OpRead, pc.n, at, pc.stall); pdone > done {
-			done = pdone
-		}
-		p.st.members[pc.m].countPlug(1, 1, pc.n)
-	}
-	p.st.noteRead(done, off, bytes, true)
-	return done, false, nil
 }

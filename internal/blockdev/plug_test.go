@@ -7,15 +7,32 @@ import (
 	"repro/internal/simtime"
 )
 
-// plugged returns a plug that accumulates (Plugged true) over a fresh
-// test device, with optional queue-depth/merge-window overrides.
-func pluggedPlug(qd int, window int64) (*Device, *StackPlug) {
+// testPlug returns a plug over a fresh test device, with optional
+// queue-depth/merge-window overrides.
+func testPlug(qd int, window int64) (*Device, *StackPlug) {
 	d := New(testConfig())
-	return d, WrapDevice(d).NewPlug(PlugConfig{Plugged: true, QueueDepth: qd, MergeWindowBytes: window})
+	return d, WrapDevice(d).NewPlug(PlugConfig{QueueDepth: qd, MergeWindowBytes: window})
+}
+
+// readThrough dispatches one read of [off, off+bytes) through p, reset
+// first: a demand read unplugs with FlushSync on tl, a prefetch is marked
+// and unplugs with FlushAsync at tl's time under limit. It returns the
+// read's request result and, for a demand read, the flush error.
+func readThrough(p *StackPlug, tl *simtime.Timeline, prefetch bool, off, bytes int64, limit simtime.Duration) (Request, error) {
+	p.Reset()
+	p.MarkPrefetch(prefetch)
+	p.Add(OpRead, off, bytes, 0)
+	if !prefetch {
+		err := p.FlushSync(tl, RetryPolicy{})
+		return p.Requests()[0], err
+	}
+	p.FlushAsync(tl.Now(), limit)
+	rq := p.Requests()[0]
+	return rq, rq.Err
 }
 
 func TestPlugBackMergeAdjacent(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	// Three device-adjacent chunks plus one disjoint: 4 segments, 2 commands.
 	p.Add(OpRead, 0, 4096, 0)
@@ -56,7 +73,7 @@ func TestPlugBackMergeAdjacent(t *testing.T) {
 }
 
 func TestPlugFrontMerge(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	// Second request ends where the first begins: front merge.
 	p.Add(OpRead, 4096, 4096, 1)
@@ -75,7 +92,7 @@ func TestPlugFrontMerge(t *testing.T) {
 // adjacent dispatches — the Linux block layer's second-level (command to
 // command) merge.
 func TestPlugBridgeMergeCoalescesCommands(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	p.Add(OpWrite, 0, 4096, 0)
 	p.Add(OpWrite, 8192, 4096, 2)
@@ -112,7 +129,7 @@ func TestPlugBridgeMergeCoalescesCommands(t *testing.T) {
 // bounded by the merge window — a bridge whose combined command would
 // exceed it keeps the pair separate.
 func TestPlugBridgeMergeRespectsWindow(t *testing.T) {
-	d, p := pluggedPlug(0, 8192)
+	d, p := testPlug(0, 8192)
 	tl := simtime.NewTimeline(0)
 	p.Add(OpWrite, 0, 4096, 0)
 	p.Add(OpWrite, 8192, 4096, 2)
@@ -133,7 +150,7 @@ func TestPlugBridgeMergeRespectsWindow(t *testing.T) {
 }
 
 func TestPlugMergeWindowBound(t *testing.T) {
-	d, p := pluggedPlug(0, 8192)
+	d, p := testPlug(0, 8192)
 	tl := simtime.NewTimeline(0)
 	// Three adjacent 4KB chunks under an 8KB window: only two may merge.
 	p.Add(OpRead, 0, 4096, 0)
@@ -149,7 +166,7 @@ func TestPlugMergeWindowBound(t *testing.T) {
 }
 
 func TestPlugOpsDoNotMergeAcrossKind(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	p.Add(OpRead, 0, 4096, 0)
 	p.Add(OpWrite, 4096, 4096, 1)
@@ -167,7 +184,7 @@ func TestPlugOpsDoNotMergeAcrossKind(t *testing.T) {
 func TestPlugMergeChargesOneCmdOverhead(t *testing.T) {
 	cfg := testConfig()
 
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	p.Add(OpRead, 0, 1<<20, 0)
 	p.Add(OpRead, 1<<20, 1<<20, 256)
@@ -181,11 +198,10 @@ func TestPlugMergeChargesOneCmdOverhead(t *testing.T) {
 
 	d2 := New(cfg)
 	tl2 := simtime.NewTimeline(0)
-	p2 := WrapDevice(d2).NewPlug(PlugConfig{})
-	if err := p2.SyncAccess(tl2, OpRead, 0, 1<<20); err != nil {
+	if err := d2.Access(tl2, OpRead, 0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.SyncAccess(tl2, OpRead, 1<<20, 1<<20); err != nil {
+	if err := d2.Access(tl2, OpRead, 1<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	if tl2.Elapsed() <= tl.Elapsed() {
@@ -199,7 +215,7 @@ func TestPlugMergeChargesOneCmdOverhead(t *testing.T) {
 // command train takes longer than at a deeper queue.
 func TestPlugQueueDepthGatesDispatch(t *testing.T) {
 	elapsed := func(qd int) simtime.Duration {
-		_, p := pluggedPlug(qd, 0)
+		_, p := testPlug(qd, 0)
 		tl := simtime.NewTimeline(0)
 		for i := 0; i < 8; i++ {
 			p.Add(OpRead, int64(i)<<30, 1<<20, int64(i)) // disjoint: no merging
@@ -225,34 +241,12 @@ func TestPlugQueueDepthGatesDispatch(t *testing.T) {
 	}
 }
 
-// TestPlugAsyncPassthroughParity: the plug's passthrough async lane must
-// be byte- and time-identical to Device.AccessAsync.
-func TestPlugAsyncPassthroughParity(t *testing.T) {
-	d1 := New(testConfig())
-	p := WrapDevice(d1).NewPlug(PlugConfig{})
-	done1, congested, err := p.AsyncPrefetchChunk(simtime.Time(0), 0, 1<<20, 0)
-	if err != nil || congested {
-		t.Fatal(err, congested)
-	}
-	d2 := New(testConfig())
-	done2, err := d2.AccessAsync(simtime.Time(0), OpRead, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done1 != done2 {
-		t.Fatalf("passthrough async done %v != device done %v", done1, done2)
-	}
-	if d1.Stats().ReadOps != d2.Stats().ReadOps || d1.Stats().ReadBytes != d2.Stats().ReadBytes {
-		t.Fatalf("stats diverge: %+v vs %+v", d1.Stats(), d2.Stats())
-	}
-}
-
 // TestFlushAsyncCongestionPostponesTail: once the flush's own reservation
 // horizon exceeds the congestion limit, the remaining commands are marked
 // Congested and never touch the device — even when the command count far
 // exceeds the ledger's span ring, where the raw backlog reading plateaus.
 func TestFlushAsyncCongestionPostponesTail(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	const n = 2048
 	for i := 0; i < n; i++ {
 		p.Add(OpRead, int64(i)<<30, 4096, int64(i)) // disjoint: no merging
@@ -286,10 +280,10 @@ func TestFlushAsyncCongestionPostponesTail(t *testing.T) {
 	}
 }
 
-// TestFlushAsyncFaultAbortsRest mirrors the unplugged path: a failed
-// command stops dispatch of the remaining commands.
+// TestFlushAsyncFaultAbortsRest: a failed command stops dispatch of the
+// remaining commands.
 func TestFlushAsyncFaultAbortsRest(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	d.SetFaultInjector(&stubInjector{fail: map[int64]bool{1 << 30: true}})
 	p.Add(OpRead, 0, 4096, 0)
 	p.Add(OpRead, 1<<30, 4096, 1)
@@ -336,7 +330,7 @@ func TestRetryPolicyBackoffClamp(t *testing.T) {
 
 // TestPlugResetReusable: pooled plugs must not leak results between uses.
 func TestPlugResetReusable(t *testing.T) {
-	d, p := pluggedPlug(0, 0)
+	d, p := testPlug(0, 0)
 	tl := simtime.NewTimeline(0)
 	p.Add(OpRead, 0, 4096, 0)
 	if err := p.FlushSync(tl, RetryPolicy{}); err != nil {
@@ -357,11 +351,11 @@ func TestPlugResetReusable(t *testing.T) {
 
 // TestStackPlugResetAudit is the pooled-object audit for the plug (the vfs
 // pools plugs and Resets each one it takes): every field of a plug is
-// dirtied, the plug is Reset, and a sequence that exercises every dispatch
-// path must then behave exactly as on a fresh plug over a twin stack —
-// the class of bug where one request's leftovers (PR 13: the async
-// horizon) reach the next user and virtual time starts to depend on what
-// the pool hands out.
+// dirtied, the plug is Reset, and a sequence that exercises both flushes
+// must then behave exactly as on a fresh plug over a twin stack — the
+// class of bug where one request's leftovers (once, the async horizon)
+// reach the next user and virtual time starts to depend on what the pool
+// hands out.
 func TestStackPlugResetAudit(t *testing.T) {
 	// Every field has to be classified below: configuration that Reset
 	// keeps, or per-use state that it dirties and Reset must clear.
@@ -371,78 +365,61 @@ func TestStackPlugResetAudit(t *testing.T) {
 	if n := reflect.TypeOf(queue{}).NumField(); n != 3 {
 		t.Fatalf("queue has %d fields, this audit knows 3: classify the new one", n)
 	}
-	for _, plugged := range []bool{false, true} {
-		cfg := testStripeConfig(2)
-		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), RemoteFrac: 0.5, CrossTierPrefetch: true}
-		pcfg := PlugConfig{Plugged: plugged, QueueDepth: 2, MergeWindowBytes: 256 << 10}
-		fresh := NewStack(cfg).NewPlug(pcfg)
-		used := NewStack(cfg).NewPlug(pcfg)
+	cfg := testStripeConfig(2)
+	cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), RemoteFrac: 0.5, CrossTierPrefetch: true}
+	pcfg := PlugConfig{QueueDepth: 2, MergeWindowBytes: 256 << 10}
+	fresh := NewStack(cfg).NewPlug(pcfg)
+	used := NewStack(cfg).NewPlug(pcfg)
 
-		// st and cfg are configuration; everything else is state.
-		garbage := command{op: OpWrite, off: 1 << 40, bytes: 12345, nsegs: 9,
-			issued: true, congested: true, err: ErrInjected, done: 1 << 50}
-		for m := range used.mem {
-			used.mem[m] = queue{cmds: []command{garbage, garbage, garbage}, horizon: 1 << 55, base: 77}
-		}
-		used.segs = []Segment{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Cmd: 4, Issued: true,
-			Congested: true, Err: ErrInjected, Done: 1 << 50, m: 2, cmd: 2, req: 5}}
-		used.reqs = []Request{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Issued: true, Congested: true,
-			Partial: true, Err: ErrPartialStack, Done: 1 << 50, prefetch: true, pieces: 4, issued: 2}}
-		used.pieces = []piece{{m: 2, off: 9, gOff: 9, n: 9, stall: 9}}
-		used.retries = 11
-		used.prefetch = true
-		used.Reset()
+	// st and cfg are configuration; everything else is state.
+	garbage := command{op: OpWrite, off: 1 << 40, bytes: 12345, nsegs: 9,
+		issued: true, congested: true, err: ErrInjected, done: 1 << 50}
+	for m := range used.mem {
+		used.mem[m] = queue{cmds: []command{garbage, garbage, garbage}, horizon: 1 << 55, base: 77}
+	}
+	used.segs = []Segment{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Cmd: 4, Issued: true,
+		Congested: true, Err: ErrInjected, Done: 1 << 50, m: 2, cmd: 2, req: 5}}
+	used.reqs = []Request{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Issued: true, Congested: true,
+		Partial: true, Err: ErrPartialStack, Done: 1 << 50, prefetch: true, pieces: 4, issued: 2}}
+	used.pieces = []piece{{m: 2, off: 9, gOff: 9, n: 9, stall: 9}}
+	used.retries = 11
+	used.prefetch = true
+	used.Reset()
 
-		type outcome struct {
-			segs    []Segment
-			reqs    []Request
-			retries int
-			cmds    int
-			times   []simtime.Time
-			errs    []error
-			stats   []Stats
-			now     simtime.Time
+	type outcome struct {
+		segs    []Segment
+		reqs    []Request
+		retries int
+		cmds    int
+		errs    []error
+		stats   []Stats
+		now     simtime.Time
+	}
+	run := func(p *StackPlug) (o outcome) {
+		tl := simtime.NewTimeline(0)
+		p.st.SetFaultInjector(&stubInjector{fail: map[int64]bool{128 << 10: true}, stall: 3 * simtime.Microsecond})
+		p.MarkPrefetch(true)
+		for i := int64(0); i < 12; i++ {
+			p.Add(OpRead, i*96<<10, 96<<10, i*24)
 		}
-		run := func(p *StackPlug) (o outcome) {
-			tl := simtime.NewTimeline(0)
-			p.st.SetFaultInjector(&stubInjector{fail: map[int64]bool{128 << 10: true}, stall: 3 * simtime.Microsecond})
-			if plugged {
-				p.MarkPrefetch(true)
-				for i := int64(0); i < 12; i++ {
-					p.Add(OpRead, i*96<<10, 96<<10, i*24)
-				}
-				p.FlushAsync(tl.Now(), 400*simtime.Microsecond)
-				o.segs = append(o.segs, p.Segments()...)
-				o.reqs = append(o.reqs, p.Requests()...)
-				o.cmds = p.DispatchedCommands()
-				p.Reset()
-				for i := int64(0); i < 6; i++ {
-					p.Add(OpRead, 4<<20+i*64<<10, 64<<10, i*16)
-				}
-				o.errs = append(o.errs, p.FlushSync(tl, RetryPolicy{Max: 2, Base: simtime.Microsecond}))
-			} else {
-				for i := int64(0); i < 24; i++ {
-					done, congested, err := p.AsyncPrefetchChunk(tl.Now(), i*96<<10, 96<<10, 400*simtime.Microsecond)
-					o.times = append(o.times, done)
-					o.errs = append(o.errs, err)
-					if congested {
-						o.times = append(o.times, -1)
-					}
-				}
-				for i := int64(0); i < 4; i++ {
-					o.errs = append(o.errs, p.SyncAccess(tl, OpRead, 4<<20+i*96<<10, 96<<10))
-				}
-			}
-			o.segs = append(o.segs, p.Segments()...)
-			o.reqs = append(o.reqs, p.Requests()...)
-			o.cmds += p.DispatchedCommands()
-			o.retries = p.Retries()
-			o.stats = append(p.st.MemberStats(), p.st.Stats())
-			o.now = tl.Now()
-			return o
+		p.FlushAsync(tl.Now(), 400*simtime.Microsecond)
+		o.segs = append(o.segs, p.Segments()...)
+		o.reqs = append(o.reqs, p.Requests()...)
+		o.cmds = p.DispatchedCommands()
+		p.Reset()
+		for i := int64(0); i < 6; i++ {
+			p.Add(OpRead, 4<<20+i*64<<10, 64<<10, i*16)
 		}
-		if want, got := run(fresh), run(used); !reflect.DeepEqual(want, got) {
-			t.Errorf("plugged=%v: a dirtied plug behaves differently after Reset\nfresh %+v\nreset %+v", plugged, want, got)
-		}
+		o.errs = append(o.errs, p.FlushSync(tl, RetryPolicy{Max: 2, Base: simtime.Microsecond}))
+		o.segs = append(o.segs, p.Segments()...)
+		o.reqs = append(o.reqs, p.Requests()...)
+		o.cmds += p.DispatchedCommands()
+		o.retries = p.Retries()
+		o.stats = append(p.st.MemberStats(), p.st.Stats())
+		o.now = tl.Now()
+		return o
+	}
+	if want, got := run(fresh), run(used); !reflect.DeepEqual(want, got) {
+		t.Errorf("a dirtied plug behaves differently after Reset\nfresh %+v\nreset %+v", want, got)
 	}
 }

@@ -51,7 +51,7 @@ func TestStackChunkStraddlePartition(t *testing.T) {
 // device needs for a single N-byte command.
 func TestStackStripeCoalesceAndParallelism(t *testing.T) {
 	st := NewStack(testStripeConfig(2))
-	p := st.NewPlug(PlugConfig{Plugged: true})
+	p := st.NewPlug(PlugConfig{})
 	tl := simtime.NewTimeline(0)
 	// 256KB = chunks 0..3: chunks 0,2 -> member 0 at offsets 0,64KB
 	// (device-contiguous), chunks 1,3 -> member 1 likewise.
@@ -261,11 +261,18 @@ func TestStackBackendTelemetryPartition(t *testing.T) {
 // the garbage collector's — behaviour.
 func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 	st := NewStack(testStripeConfig(1))
-	p := st.NewPlug(PlugConfig{})
+	// Deep enough that every command submits at once: depth gating would
+	// spread the submissions out and keep the backlog reading current.
+	p := st.NewPlug(PlugConfig{QueueDepth: 1024})
 	var at simtime.Time
+	p.MarkPrefetch(true)
 	for i := int64(0); i < 400; i++ {
-		if _, _, err := p.AsyncPrefetchChunk(at, i*8192, 4096, 0); err != nil {
-			t.Fatal(err)
+		p.Add(OpRead, i*8192, 4096, i) // disjoint: no merging
+	}
+	p.FlushAsync(at, 0)
+	for i, rq := range p.Requests() {
+		if !rq.Issued {
+			t.Fatalf("request %d not issued: %+v", i, rq)
 		}
 	}
 	backlog, horizon := st.Member(0).Backlog(at), p.mem[0].horizon.Sub(at)
@@ -273,12 +280,11 @@ func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 		t.Fatalf("horizon %v not ahead of the reported backlog %v: the test needs another way to separate them", horizon, backlog)
 	}
 	limit := (backlog + horizon) / 2
-	fresh := st.NewPlug(PlugConfig{})
-	if _, congested, _ := fresh.AsyncPrefetchChunk(at, 1<<30, 4096, limit); congested {
+	tl := simtime.NewTimeline(at)
+	if rq, _ := readThrough(st.NewPlug(PlugConfig{}), tl, true, 1<<30, 4096, limit); rq.Congested {
 		t.Fatal("a fresh plug refused the chunk")
 	}
-	p.Reset()
-	if _, congested, _ := p.AsyncPrefetchChunk(at, 1<<30+8192, 4096, limit); congested {
+	if rq, _ := readThrough(p, tl, true, 1<<30+8192, 4096, limit); rq.Congested {
 		t.Error("a reset plug refused a chunk a fresh plug admits: the previous request's horizon survived Reset")
 	}
 }
@@ -305,12 +311,13 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	// the last one; it reports how many it read.
 	stream := func(st *Stack) (remote int64, last int64) {
 		p := st.NewPlug(PlugConfig{})
+		tl := simtime.NewTimeline(0)
 		for _, h := range st.TierStats(0).Heat {
 			if h.Local {
 				continue
 			}
-			if _, congested, err := p.AsyncPrefetchChunk(0, h.Extent*ext, ext, simtime.Second); congested || err != nil {
-				t.Fatalf("prefetch read of extent %d: congested=%v err=%v", h.Extent, congested, err)
+			if rq, err := readThrough(p, tl, true, h.Extent*ext, ext, simtime.Second); rq.Congested || err != nil {
+				t.Fatalf("prefetch read of extent %d: congested=%v err=%v", h.Extent, rq.Congested, err)
 			}
 			remote++
 			last = max(last, h.Extent)
@@ -345,7 +352,7 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	}
 	tl := simtime.NewTimeline(0)
 	for i := 0; i < DefaultPromoteReads; i++ {
-		if err := capped.NewPlug(PlugConfig{}).SyncAccess(tl, OpRead, hot*ext, ext); err != nil {
+		if _, err := readThrough(capped.NewPlug(PlugConfig{}), tl, false, hot*ext, ext, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

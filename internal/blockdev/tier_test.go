@@ -200,10 +200,8 @@ func tierResidency(t *testing.T, prog []byte) {
 		demotions := st.TierStats(0).Demotions
 		var err error
 		switch kind {
-		case 0:
-			err = p.SyncAccess(tl, OpRead, off, bytes)
-		case 1:
-			_, _, err = p.AsyncPrefetchChunk(tl.Now(), off, bytes, 0)
+		case 0, 1:
+			_, err = readThrough(p, tl, kind == 1, off, bytes, 0)
 		case 2:
 			err = st.Access(tl, OpWrite, off, bytes)
 		}

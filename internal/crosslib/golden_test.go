@@ -77,6 +77,15 @@ import (
 // which moves every cell's telemetry hash and nothing else in blind and
 // fetchall+opt. With File.dropBehind returning at once, that tree reproduces
 // the previous now, stats, ring and results in all four cells.
+//
+// And once more when every kernel read came to unplug through a block plug
+// (DESIGN.md §11, §18): the kernel below used to dispatch each chunk
+// unplugged, one command at a time with vfs-level retry; now one flush per
+// request merges adjacent chunks, gates them by queue depth and retries per
+// command. That moves three cells — predict+opt, predict+opt+ensemble and
+// fetchall+opt — in every field but ring, and not blind. Run against the
+// parent commit, this file reproduces the previous values in all four
+// cells.
 func TestGoldenWayUp(t *testing.T) {
 	blind := Options{Enabled: true, Predict: true, CoveragePrefetch: true,
 		RangeTreeSpan: rangetree.DefaultSpan}
@@ -88,18 +97,18 @@ func TestGoldenWayUp(t *testing.T) {
 		want goldenUp
 	}{
 		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
-			now:       76550413,
-			stats:     "{PrefetchCalls:909 SavedPrefetches:783 PrefetchedPages:14706 EvictedPages:7378 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:910 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			now:       76575749,
+			stats:     "{PrefetchCalls:851 SavedPrefetches:938 PrefetchedPages:14652 EvictedPages:7362 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:864 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:5 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "a1a62907ca6d9466",
-			results:   "37e42876952fe886",
+			telemetry: "4982872e8d1f9153",
+			results:   "33e18b52e7bc8ef1",
 		}},
 		{"predict+opt+ensemble", ensemble, goldenUp{
-			now:       79539195,
-			stats:     "{PrefetchCalls:2111 SavedPrefetches:3216 PrefetchedPages:13639 EvictedPages:7746 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:1128 WorkerJobs:1402 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
+			now:       81345423,
+			stats:     "{PrefetchCalls:2355 SavedPrefetches:4862 PrefetchedPages:13656 EvictedPages:7746 FincorePolls:1 OpenPrefetches:4 DroppedPrefetch:64 DroppedLowMemory:872 WorkerJobs:1613 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:4}",
 			ring:      "{Submits:4 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "ba94fa818f5b60ca",
-			results:   "dde8def051651523",
+			telemetry: "c7926ffc5a464093",
+			results:   "bda13f9848b13891",
 		}},
 		{"blind", blind, goldenUp{
 			now:       86053570,
@@ -109,11 +118,11 @@ func TestGoldenWayUp(t *testing.T) {
 			results:   "677e7176a65e7693",
 		}},
 		{"fetchall+opt", CrossFetchAllOpt.Options(), goldenUp{
-			now:       95703093,
-			stats:     "{PrefetchCalls:177 SavedPrefetches:4 PrefetchedPages:12311 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 DroppedLowMemory:0 WorkerJobs:26 PrefetchRetries:2 BreakerTrips:1 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			now:       105174012,
+			stats:     "{PrefetchCalls:128 SavedPrefetches:4 PrefetchedPages:14700 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 DroppedLowMemory:0 WorkerJobs:26 PrefetchRetries:1 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:5 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "b158bd594f1a8804",
-			results:   "0cc1858d0f64a4b0",
+			telemetry: "036c7e41a506f26d",
+			results:   "be706f1071c8d793",
 		}},
 	}
 	for _, c := range cells {

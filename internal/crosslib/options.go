@@ -135,9 +135,8 @@ const (
 	// CrossVisibility: Table 5 "+cache visibility" — readahead_info with
 	// predictor, single-node tree, static kernel limits.
 	CrossVisibility
-	// CrossVisibilityRangeTree: Table 5 "+range tree".
-	CrossVisibilityRangeTree
-	// CrossPredict: Table 2 CrossP[+predict].
+	// CrossPredict: Table 2 CrossP[+predict], and Table 5 "+range tree"
+	// (the range tree is what it adds to CrossVisibility).
 	CrossPredict
 	// CrossPredictOpt: Table 2 CrossP[+predict+opt] — the full system.
 	CrossPredictOpt
@@ -157,8 +156,6 @@ func (a Approach) String() string {
 		return "OSonly"
 	case CrossVisibility:
 		return "CrossP[+visibility]"
-	case CrossVisibilityRangeTree:
-		return "CrossP[+visibility+rangetree]"
 	case CrossPredict:
 		return "CrossP[+predict]"
 	case CrossPredictOpt:
@@ -181,9 +178,6 @@ func (a Approach) Options() Options {
 	case CrossVisibility:
 		o = Options{Enabled: true, Visibility: true, Predict: true,
 			CoveragePrefetch: true}
-	case CrossVisibilityRangeTree:
-		o = Options{Enabled: true, Visibility: true, Predict: true,
-			CoveragePrefetch: true, RangeTreeSpan: rangetree.DefaultSpan}
 	case CrossPredict:
 		o = Options{Enabled: true, Visibility: true, Predict: true,
 			CoveragePrefetch: true, RangeTreeSpan: rangetree.DefaultSpan}

@@ -37,7 +37,7 @@ func TestDriverPins(t *testing.T) {
 	want := strings.Split(strings.TrimSpace(driverPins), "\n")
 	var got []string
 	sys := func(a crossprefetch.Approach) *crossprefetch.System {
-		return newSys(sysConfig{approach: a, memory: 8 << 20, plug: true})
+		return newSys(sysConfig{approach: a, memory: 8 << 20})
 	}
 	pin := func(a crossprefetch.Approach, name string, o workload.Outcome, counts string, err error) {
 		t.Helper()

@@ -15,7 +15,6 @@ import (
 	crossprefetch "repro"
 	"repro/internal/blockdev"
 	"repro/internal/crosslib"
-	"repro/internal/simtime"
 )
 
 // Options controls experiment sizing.
@@ -129,15 +128,10 @@ type sysConfig struct {
 	demandRetries int
 	// telemetry records (and so audits) even without the process switch.
 	telemetry bool
-	// Block-layer submission scheduler (per-cell; the EnableBlockSched
-	// process switch overrides these for sweeps driven by crossbench).
-	plug       bool
-	queueDepth int
-	congestion simtime.Duration
 }
 
 // newSys builds a cell's system under crossbench's process switches
-// (-plug, -telemetry, -trace).
+// (-telemetry, -trace).
 func newSys(c sysConfig) *crossprefetch.System {
 	cfg := crossprefetch.Config{
 		Approach:         c.approach,
@@ -146,22 +140,10 @@ func newSys(c sysConfig) *crossprefetch.System {
 		KernelRAMaxBytes: c.raMax,
 		LibOptions:       c.lib,
 		DemandRetries:    c.demandRetries,
-		Plug:             c.plug,
-		QueueDepth:       c.queueDepth,
-		CongestionLimit:  c.congestion,
 		Telemetry:        c.telemetry || telemetryEnabled(),
 	}
 	if c.device.Name != "" {
 		cfg.Device = c.device
-	}
-	if sc := blockSched(); sc != nil {
-		cfg.Plug = sc.Plug
-		if sc.QueueDepth > 0 {
-			cfg.QueueDepth = sc.QueueDepth
-		}
-		if sc.MergeWindowBytes > 0 {
-			cfg.MergeWindowBytes = sc.MergeWindowBytes
-		}
 	}
 	if tc := traceConfig(); tc != nil {
 		cfg.Trace = true

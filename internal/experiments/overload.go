@@ -209,7 +209,6 @@ func (c overloadRun) sys(brownout bool) *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		MemoryBytes: c.memMB << 20,
-		Plug:        true,
 		Telemetry:   true,
 		Scorecard:   true,
 		Brownout:    brownout,

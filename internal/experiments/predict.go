@@ -117,7 +117,6 @@ func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
 		Approach:    crossprefetch.CrossPredictOpt,
 		LibOptions:  &opts,
 		MemoryBytes: fileMB << 20 / 4,
-		Plug:        true,
 		Telemetry:   true,
 		Scorecard:   true,
 	})

@@ -28,7 +28,6 @@ var registry = []registryEntry{
 	{"fig9b", "Snappy compression vs memory ratio", Fig9b},
 	{"fig10", "Kernel prefetch-limit sweep", Fig10},
 	{"ablate", "Ablation of CROSS-LIB tunables (artifact §A.6 knobs)", Ablation},
-	{"batch", "Block-layer plugging: command reduction and makespan vs plug off", Batch},
 	{"chaos", "Fault-injection sweep: byte-correctness, retries, breaker degradation", Chaos},
 	{"serve", "Serve frontend: sync vs submission rings across tenant counts", Serve},
 	{"overload", "Tenant isolation under an antagonist scan: budgets, deadlines, brownout", Overload},

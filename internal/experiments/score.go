@@ -137,7 +137,6 @@ func scoreSys(fileMB int64) *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		MemoryBytes: fileMB << 20 / 4,
-		Plug:        true,
 		Telemetry:   true,
 		Scorecard:   true,
 		Trace:       true,

@@ -342,7 +342,6 @@ func serveSys(memory int64) *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		MemoryBytes:     memory,
 		Approach:        crossprefetch.CrossPredictOpt,
-		Plug:            true,
 		Telemetry:       true,
 		Trace:           true,
 		Scorecard:       true,

@@ -102,7 +102,6 @@ func tierSys(cc tierStack, fileMB, raBytes int64) *crossprefetch.System {
 		// aggregate bandwidth.
 		StripeChunkBytes: 64 << 10,
 		KernelRAMaxBytes: raBytes,
-		Plug:             true,
 		Telemetry:        true,
 	}
 	if cc.remoteFrac > 0 {

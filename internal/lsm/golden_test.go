@@ -21,9 +21,9 @@ import (
 // boundaries, or to the order and timing of the engine's file operations
 // shows here before it shows as a moved benchmark digest.
 
-// goldenSys is the benchmark's stack: block plugging on.
+// goldenSys is the benchmark's stack.
 func goldenSys(a crossprefetch.Approach, mem int64) *crossprefetch.System {
-	return crossprefetch.NewSystem(crossprefetch.Config{Approach: a, MemoryBytes: mem, BlockSize: 4096, Plug: true})
+	return crossprefetch.NewSystem(crossprefetch.Config{Approach: a, MemoryBytes: mem, BlockSize: 4096})
 }
 
 // tableDigest hashes name, size and content of every table file.

@@ -91,7 +91,7 @@ var ladder = []int{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
 func ladderDB(b *testing.B) (*DB, *simtime.Timeline) {
 	b.Helper()
-	sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 256 << 20, Approach: crossprefetch.CrossPredictOpt, Plug: true})
+	sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 256 << 20, Approach: crossprefetch.CrossPredictOpt})
 	tl := sys.Timeline()
 	db, err := Open(tl, Options{Sys: sys})
 	if err != nil {
@@ -161,7 +161,7 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 256 << 20, Approach: crossprefetch.CrossPredictOpt, Plug: true})
+		sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 256 << 20, Approach: crossprefetch.CrossPredictOpt})
 		tl := sys.Timeline()
 		db, err := Open(tl, Options{Sys: sys, MemtableBytes: 2 << 20, DisableAutoCompact: true})
 		if err != nil {

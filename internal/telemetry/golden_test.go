@@ -24,10 +24,13 @@ import (
 //
 // Re-recorded once since, for drop-behind: the lib_dropped_behind_pages counter
 // and the dropped-behind outcome add their rows, and every value the fill
-// draws after them moves by the draws they took.
+// draws after them moves by the draws they took. And once for the
+// tier_demotions help text, which now names the demand-heat clock and the
+// cap instead of the capacity watermarks it replaced: the Prometheus text
+// moves in that HELP line alone, and the JSON, which carries no help, holds.
 func TestGoldenMetricsText(t *testing.T) {
 	const (
-		wantProm = "ae6783088cb8d3de2258e6df8f5c44b805d1b8ae7ff1cfb2a246e7673adac597"
+		wantProm = "286df626842a5695dfb944a6eba48a9aa00328fc4712a82e8829582da1da2106"
 		wantJSON = "1dfb504025907debbd0c49a4ce508e46c4d4d668f1e93be7641a26f28c3e8d6f"
 	)
 	s := goldenSnapshot()

@@ -99,9 +99,8 @@ const (
 	// CtrDevicePlugSegments counts requests submitted through the block
 	// plug API (each VFS chunk is one segment), and
 	// CtrDevicePlugCommands the device commands actually dispatched after
-	// merging. Passthrough submission dispatches one command per segment,
-	// so segments == commands there; plugged submission merges adjacent
-	// same-op segments, so commands <= segments.
+	// merging. A plug merges adjacent same-op segments, so commands <=
+	// segments.
 	CtrDevicePlugSegments
 	CtrDevicePlugCommands
 	// CtrDevicePlugMergedSegments counts segments absorbed into another
@@ -237,7 +236,7 @@ var counterDescs = [numCounters]desc{
 	CtrDeviceCommands:             {"device_commands", "Completed device commands after plug merging, all stack members (per-backend partition parent)."},
 	CtrTierPromotions:             {"tier_promotions", "Extents promoted from the remote tier to local storage."},
 	CtrTierPrefetchPromotions:     {"tier_prefetch_promotions", "Tier promotions driven by cross-tier prefetch landing remote pages locally."},
-	CtrTierDemotions:              {"tier_demotions", "Extents demoted from local storage under the capacity watermarks."},
+	CtrTierDemotions:              {"tier_demotions", "Extents demoted from local storage by the demand-heat clock, down to the tier cap."},
 	CtrTierCopybackBytes:          {"tier_copyback_bytes", "Bytes copied back to the remote tier when demoting dirty extents."},
 	CtrLibDroppedBehindPages:      {"lib_dropped_behind_pages", "Pages CROSS-LIB dropped behind sole streams over files larger than its budget (part of its evictions)."},
 }

@@ -21,11 +21,10 @@ import (
 // span tree of every kernel I/O entry point — sync read/write with RMW
 // edges, fsync, readahead(2), scalar and vectored readahead_info, mmap
 // loads with and without MADV_RANDOM, ring read/prefetch/write — on one
-// seeded timeline, {unplugged, plugged} × {bare device, width-2 half-remote
-// stack}, over a file with holes and three extents under a transient +
-// persistent fault plan. bench/ and the sweeps in testdata/sweeps all run
-// plugged and the paper figures are multi-goroutine, so nothing else pins
-// the unplugged path.
+// seeded timeline, on a bare device and on a width-2 half-remote stack,
+// over a file with holes and three extents under a transient + persistent
+// fault plan. The cells keep the names they were recorded under, from
+// when a read path could also dispatch unplugged.
 //
 // The expected values were recorded by running this file, unchanged,
 // against the commit before the device paths were collapsed into one
@@ -35,37 +34,23 @@ import (
 //
 // Re-recorded on purpose once since, in PR 22 (DESIGN.md §16): a prefetch
 // read no longer promotes into a capped tier that is past its low demotion
-// mark, which moves the two stack cells — fill writes on the two local
-// members 67 → 36 commands unplugged, 88 → 53 plugged — and neither bare
-// one. And for drop-behind, the telemetry hash of every cell and nothing else:
-// the recorder's JSON gained the lib_dropped_behind_pages counter and the
-// dropped-behind outcome, both zero here (with the two names taken out
-// again the previous hashes come back). And once more for the capped
-// tier's demotion clock (DESIGN.md §16): the tier demotes by demand-read
-// heat down to its cap, not by recency down to 7/8 of it, and writes
-// demote too, which moves the two stack cells and neither bare one.
+// mark, which moves the stack cell — fill writes on the two local members
+// 88 → 53 commands — and not the bare one. And for drop-behind, the
+// telemetry hash of every cell and nothing else: the recorder's JSON
+// gained the lib_dropped_behind_pages counter and the dropped-behind
+// outcome, both zero here (with the two names taken out again the
+// previous hashes come back). And once more for the capped tier's
+// demotion clock (DESIGN.md §16): the tier demotes by demand-read heat
+// down to its cap, not by recency down to 7/8 of it, and writes demote
+// too, which moves the stack cell and not the bare one.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
-		"bare/unplugged": {
-			now:       48677727,
-			device:    "nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; nvme0 r100/38637568 w8/5369856 busy32225803 inj32/2550000 plug101/100/1; ",
-			telemetry: "e54486bb7842ba36",
-			spans:     "d4b0e01225ce1cd5",
-			results:   "7cc71806a747b1b6",
-		},
 		"bare/plugged": {
 			now:       48275692,
 			device:    "nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; ",
 			telemetry: "91cda8f8100382f7",
 			spans:     "d42120aed5da2c0c",
 			results:   "40c919d0b45fce28",
-		},
-		"stack/unplugged": {
-			now:       48129314,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r165/39280640 w69/19001344 busy34344662 inj40/2100000 plug165/165/0; nvme0.0 r52/5595136 w28/5763072 busy10078115 inj13/300000 plug52/52/0; nvme0.1 r33/5222400 w15/3670016 busy7542338 inj4/150000 plug33/33/0; nvmeof0 r80/28463104 w26/9568256 busy34344662 inj23/1650000 plug80/80/0; ",
-			telemetry: "b9e305da50a1f8cf",
-			spans:     "23cf64eecdd2547c",
-			results:   "ff2ab77b026e2e4d",
 		},
 		"stack/plugged": {
 			now:       47396929,
@@ -76,17 +61,14 @@ func TestGoldenWayDown(t *testing.T) {
 		},
 	}
 	for _, stacked := range []bool{false, true} {
-		for _, plugged := range []bool{false, true} {
-			name := map[bool]string{false: "bare", true: "stack"}[stacked] + "/" +
-				map[bool]string{false: "unplugged", true: "plugged"}[plugged]
-			t.Run(name, func(t *testing.T) {
-				got := runGoldenWayDown(t, stacked, plugged)
-				t.Logf("actual: %#v", got)
-				if got != want[name] {
-					t.Errorf("golden mismatch\n got %#v\nwant %#v", got, want[name])
-				}
-			})
-		}
+		name := map[bool]string{false: "bare", true: "stack"}[stacked] + "/plugged"
+		t.Run(name, func(t *testing.T) {
+			got := runGoldenWayDown(t, stacked)
+			t.Logf("actual: %#v", got)
+			if got != want[name] {
+				t.Errorf("golden mismatch\n got %#v\nwant %#v", got, want[name])
+			}
+		})
 	}
 }
 
@@ -148,7 +130,7 @@ func deviceLine(all []blockdev.Stats) string {
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
 
-func runGoldenWayDown(t *testing.T, stacked, plugged bool) goldenCell {
+func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 	const mb = 1 << 20
 	costs := simtime.DefaultCosts()
 	var st *blockdev.Stack
@@ -173,7 +155,7 @@ func runGoldenWayDown(t *testing.T, stacked, plugged bool) goldenCell {
 	// and merge window, so congestion postponement, depth gating and the
 	// window bound all fire within a 14MB file.
 	cfg.CongestionLimit = 2 * simtime.Millisecond
-	cfg.Sched = blockdev.PlugConfig{Plugged: plugged, QueueDepth: 2, MergeWindowBytes: 4 << 20}
+	cfg.Sched = blockdev.PlugConfig{QueueDepth: 2, MergeWindowBytes: 4 << 20}
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: 2048, Costs: costs}, nil)
 	v := NewStack(cfg, fsys, st, cache)

@@ -44,6 +44,52 @@ func fragmentFile(t *testing.T, f, junk *File, n int64) {
 	}
 }
 
+// TestReadaheadInfoMergesUnderDefaultConfig: with the scheduler left at
+// its zero value, a readahead_info prefetch over a contiguous file
+// dispatches fewer device commands than it submits plug segments (the VFS
+// cuts it into 2MB chunks and the plug merges them back), moves exactly
+// the bytes it asked for, and every cross-layer account still reconciles.
+func TestReadaheadInfoMergesUnderDefaultConfig(t *testing.T) {
+	const n = 8 << 20
+	cfg := DefaultConfig()
+	cfg.AllowLimitOverride = true
+	v := newSchedKernel(t, cfg, 100000)
+	rec := telemetry.NewRecorder(0)
+	v.Stack().SetTelemetry(rec)
+	v.Cache().SetTelemetry(rec)
+	v.SetTelemetry(rec)
+	tl := simtime.NewTimeline(0)
+	f, err := v.Create(tl, "seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Inode().WriteAt(make([]byte, n), 0) // below the cache: every block cold
+	if got := len(f.Inode().MapRange(0, n/4096)); got != 1 {
+		t.Fatalf("file has %d extents, want 1", got)
+	}
+
+	info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: n, LimitOverride: n / 4096}, nil)
+	if info.PrefetchErr != nil || info.PrefetchedPages != n/4096 {
+		t.Fatalf("prefetched %d pages (err %v), want %d", info.PrefetchedPages, info.PrefetchErr, n/4096)
+	}
+	st := v.Stack().Stats()
+	if st.MergedSegments == 0 || st.ReadOps >= st.PlugSegments {
+		t.Fatalf("%d device commands for %d plug segments (%d merged): the default config did not merge",
+			st.ReadOps, st.PlugSegments, st.MergedSegments)
+	}
+	if st.ReadBytes != n {
+		t.Fatalf("device read %d bytes, want %d", st.ReadBytes, n)
+	}
+	// The test stands in for the library, which books every page it hands
+	// to readahead_info.
+	rec.Add(telemetry.CtrLibIssuedPages, info.RequestedPages)
+	if err := telemetry.Audit(rec.Snapshot(), telemetry.AuditInput{
+		BlockSize: 4096, CacheUsed: v.Cache().Used(), StrictDevice: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPrefetchCongestionFragmentedFile is the regression test for the
 // congestion-control sampling bug: the old code re-read Backlog(at) with
 // a never-advancing at, and once a single fragmented prefetch booked
@@ -53,9 +99,9 @@ func fragmentFile(t *testing.T, f, junk *File, n int64) {
 // Against the advancing reservation horizon the limit must trip partway.
 func TestPrefetchCongestionFragmentedFile(t *testing.T) {
 	const n = 2048 // far beyond the ledger's 128-span ring
-	run := func(t *testing.T, plugged bool) {
+	// Every prefetch unplugs through the stack's plug.
+	t.Run("plugged", func(t *testing.T) {
 		cfg := DefaultConfig()
-		cfg.Sched.Plugged = plugged
 		cfg.CongestionLimit = 5 * simtime.Millisecond
 		v := newSchedKernel(t, cfg, 100000)
 		tl := simtime.NewTimeline(0)
@@ -88,9 +134,7 @@ func TestPrefetchCongestionFragmentedFile(t *testing.T) {
 		if max := int64(cfg.CongestionLimit/hold) + 2; issued > max {
 			t.Fatalf("issued %d pages, limit should trip by ~%d", issued, max)
 		}
-	}
-	t.Run("passthrough", func(t *testing.T) { run(t, false) })
-	t.Run("plugged", func(t *testing.T) { run(t, true) })
+	})
 }
 
 // TestCongestionPostponedPrefetchCompletes covers the degradation path

@@ -62,10 +62,9 @@ type Config struct {
 	// (or exploding the virtual wait) for large configured retry
 	// budgets. Zero selects 10ms.
 	DemandRetryMax simtime.Duration
-	// Sched configures the block-layer submission scheduler (plugging,
-	// merging, queue depth). The zero value is passthrough: every read
-	// path still routes through the plug API, but each request
-	// dispatches immediately with unchanged device semantics.
+	// Sched configures the block-layer submission scheduler every read
+	// path unplugs through (merge window, queue depth; zero fields select
+	// the defaults).
 	Sched blockdev.PlugConfig
 	// Brownout enables the overload controller (see pressure.go): the
 	// ring and readahead_info crossings re-evaluate a pressure level
@@ -340,24 +339,6 @@ func (v *VFS) blockRange(off, n int64) (lo, hi int64) {
 	return off / bs, (off + n + bs - 1) / bs
 }
 
-// retrySync runs one blocking device request with bounded transient-fault
-// retry and clamped exponential virtual-time backoff: transient device
-// glitches are absorbed here (charged as wait time), while persistent
-// faults and exhausted budgets surface to the caller.
-func (v *VFS) retrySync(tl *simtime.Timeline, access func() error) error {
-	rp := v.retryPolicy()
-	err := access()
-	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
-		start := tl.Now()
-		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
-		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
-			Annotate("attempt", int64(attempt))
-		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = access()
-	}
-	return err
-}
-
 // chunk is the unit of the way down: a hole of a file (zero-fill, no
 // device work; bytes == 0) or at most maxVFSRequest of one physical
 // extent, as logical blocks [lo, lo+blocks) and device range
@@ -457,15 +438,12 @@ func (f *File) bookPrefetch(tl *simtime.Timeline, lo, blocks int64, opts pagecac
 // strictly after its device read succeeded, so a failed read can never
 // leave bitmap bits or tree entries claiming data that was never
 // fetched (cache poisoning). Hole blocks (unmapped) are zero-fill and
-// insert without I/O. On error, chunks already fetched stay cached; the
-// rest of the range stays absent, and the error propagates.
-//
-// Unplugged, each chunk dispatches, blocks the thread and inserts as the
-// walk reaches it; plugged, the walk accumulates and one unplug dispatches
-// the merged commands on the priority lane and then inserts each
-// successful command's logically-contiguous extents (a failed command
-// inserts nothing and leaves its pages absent for a later retry by the
-// caller).
+// insert without I/O. The walk accumulates the chunks in a plug; one
+// unplug dispatches the merged commands on the priority lane, with
+// per-command transient-fault retry, and then inserts each successful
+// command's logically-contiguous extents. A failed command inserts
+// nothing and leaves its pages absent for a later retry by the caller;
+// chunks already fetched stay cached, and the error propagates.
 func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) (err error) {
 	sp := telemetry.Begin(tl, "vfs.demand_fetch", telemetry.CatCPU)
 	defer sp.End(tl)
@@ -473,28 +451,13 @@ func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) (err error) {
 	plug := f.v.getPlug()
 	defer f.v.putPlug(plug)
 	f.eachChunk(runs, func(c chunk) bool {
-		switch {
-		case c.bytes == 0:
+		if c.bytes == 0 {
 			f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{MarkerAt: -1})
-		case plug.Plugged():
+		} else {
 			plug.Add(blockdev.OpRead, c.devOff, c.bytes, c.lo)
-		default:
-			err = f.v.retrySync(tl, func() error {
-				return plug.SyncAccess(tl, blockdev.OpRead, c.devOff, c.bytes)
-			})
-			if err != nil {
-				f.v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
-				f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, c.lo+c.blocks)
-				sp.Annotate("io_error", 1)
-				return false
-			}
-			f.bookDemand(tl, c.lo, c.blocks, 0, 0)
 		}
 		return true
 	})
-	if !plug.Plugged() {
-		return err
-	}
 	err = plug.FlushSync(tl, f.v.retryPolicy())
 	f.v.rec.Add(telemetry.CtrVFSDemandRetries, int64(plug.Retries()))
 	segs := plug.Segments()
@@ -524,15 +487,14 @@ func (f *File) fetchRuns(tl *simtime.Timeline, runs []bitmap.Run) (err error) {
 // chunk inserts nothing (the poisoning guard) and aborts the remainder
 // of the request, leaving the pages to demand reads.
 //
-// Unplugged, each chunk is admitted against the per-backend backlog of
-// exactly the members it targets, plus this request's own advancing
-// per-member horizon (AsyncPrefetchChunk): a request piling chunks onto
+// The walk accumulates every chunk in a plug, and one congestion-aware
+// unplug dispatches the merged commands on the async lane. Each command is
+// admitted against the backlog of the member it targets, plus this
+// request's own advancing horizon there: a request piling commands onto
 // one backend still trips the congestion limit (§4.7) even if the
 // ledger's bounded span ring forgets old reservations, while a saturated
-// backend never postpones chunks bound for others. Plugged, the walk
-// accumulates every chunk and one congestion-aware unplug dispatches the
-// merged commands on the async lane; the prefetch mark lets a tiered
-// stack promote remote extents these reads touch.
+// backend never postpones commands bound for others. The prefetch mark
+// lets a tiered stack promote remote extents these reads touch.
 func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap.Run, markerAt int64, origin telemetry.Origin, arm telemetry.Arm) (issued int64, err error) {
 	sp := telemetry.Begin(tl, "vfs.prefetch", telemetry.CatCPU)
 	defer sp.End(tl)
@@ -543,40 +505,12 @@ func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap
 	plug := f.v.getPlug()
 	defer f.v.putPlug(plug)
 	plug.MarkPrefetch(true)
-	// book settles one completed read of [lo, lo+blocks): the async read
-	// runs on the device's own schedule, so its reserved interval is an
-	// explicit span child (the critical path clamps it to whatever
-	// overlaps this request).
-	book := func(lo, blocks int64, done simtime.Time) {
-		sp.Child("dev.async_read", telemetry.CatDevice, at, done).Annotate("bytes", blocks*bs)
-		f.v.rec.Observe(telemetry.HistPrefetchLat, int64(done.Sub(at)))
-		issued += f.bookPrefetch(tl, lo, blocks, pagecache.InsertOptions{
-			ReadyAt: done, MarkerAt: markerAt, Origin: origin, Arm: arm})
-	}
 	f.eachChunk(runs, func(c chunk) bool {
-		switch {
-		case c.bytes == 0:
-			// A hole: nothing to read ahead.
-		case plug.Plugged():
+		if c.bytes > 0 { // a hole has nothing to read ahead
 			plug.Add(blockdev.OpRead, c.devOff, c.bytes, c.lo)
-		default:
-			done, congested, cerr := plug.AsyncPrefetchChunk(at, c.devOff, c.bytes, f.v.cfg.CongestionLimit)
-			if congested {
-				sp.Annotate("congested", 1)
-				return false
-			}
-			if err = cerr; err != nil {
-				f.v.rec.Event(at, telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, c.lo+c.blocks)
-				sp.Annotate("io_error", 1)
-				return false
-			}
-			book(c.lo, c.blocks, done)
 		}
 		return true
 	})
-	if !plug.Plugged() {
-		return issued, err
-	}
 	plug.FlushAsync(at, f.v.cfg.CongestionLimit)
 	segs := plug.Segments()
 	congested := false
@@ -590,7 +524,13 @@ func (f *File) prefetchRuns(tl *simtime.Timeline, at simtime.Time, runs []bitmap
 				err = s.Err
 			}
 		case s.Issued:
-			book(s.UserLo, blocks, s.Done)
+			// The async read runs on the device's own schedule, so its
+			// reserved interval is an explicit span child (the critical
+			// path clamps it to whatever overlaps this request).
+			sp.Child("dev.async_read", telemetry.CatDevice, at, s.Done).Annotate("bytes", blocks*bs)
+			f.v.rec.Observe(telemetry.HistPrefetchLat, int64(s.Done.Sub(at)))
+			issued += f.bookPrefetch(tl, s.UserLo, blocks, pagecache.InsertOptions{
+				ReadyAt: s.Done, MarkerAt: markerAt, Origin: origin, Arm: arm})
 		}
 		i = end
 	}

@@ -14,10 +14,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// syncAccess is Stack.Access under retrySync — the blocking write path's
-// resilience to transient device glitches.
+// syncAccess is Stack.Access with bounded transient-fault retry and
+// clamped exponential virtual-time backoff — the blocking write path's
+// resilience to transient device glitches: they are absorbed here
+// (charged as wait time), while persistent faults and exhausted budgets
+// surface to the caller.
 func (v *VFS) syncAccess(tl *simtime.Timeline, op blockdev.Op, off, bytes int64) error {
-	return v.retrySync(tl, func() error { return v.dev.Access(tl, op, off, bytes) })
+	rp := v.retryPolicy()
+	err := v.dev.Access(tl, op, off, bytes)
+	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
+		start := tl.Now()
+		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
+		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
+			Annotate("attempt", int64(attempt))
+		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
+		err = v.dev.Access(tl, op, off, bytes)
+	}
+	return err
 }
 
 // flushRun is the page cache's dirty writeback hook: async device writes

@@ -47,7 +47,6 @@ func TestRingSharedRaceStress(t *testing.T) {
 		BlockSize:   block,
 		Telemetry:   true,
 		Trace:       true,
-		Plug:        true,
 		Approach:    crossprefetch.CrossPredictOpt,
 	})
 	tl0 := sys.Timeline()

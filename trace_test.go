@@ -110,9 +110,10 @@ func TestTraceFaultedReadExport(t *testing.T) {
 			ev.Ts >= container.Ts-eps && ev.Ts+ev.Dur <= container.Ts+container.Dur+eps
 	}
 	// Layer witnesses, each nested under the library root: the VFS demand
-	// fetch, a page-cache charge, and the device service span; the device
-	// span must additionally nest inside the VFS fetch (parent/child
-	// chain lib -> vfs -> dev).
+	// fetch, a page-cache charge, the device service span and a fault or
+	// stall; the device span and the plug's per-command retry backoff must
+	// additionally nest inside the VFS fetch (parent/child chain lib -> vfs
+	// -> dev).
 	var vfsFetch *traceEvent
 	for i, ev := range trace.TraceEvents {
 		if ev.Ph == "X" && ev.Name == "vfs.demand_fetch" && nested(&trace.TraceEvents[i], root) {
@@ -136,7 +137,7 @@ func TestTraceFaultedReadExport(t *testing.T) {
 			haveDev = true
 		case (ev.Name == "dev.stall" || ev.Name == "dev.fault") && nested(e, root):
 			haveStall = true
-		case ev.Name == "vfs.retry_backoff" && nested(e, vfsFetch):
+		case ev.Name == "dev.retry_backoff" && nested(e, vfsFetch):
 			haveRetry = true
 		}
 	}
