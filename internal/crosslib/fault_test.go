@@ -300,11 +300,13 @@ func TestMmapScanFeedsBreakerOnce(t *testing.T) {
 // TestBlindReadaheadBelievesOnlyWhatWasSubmitted: without visibility the
 // library imports nothing from the kernel, and the bytes readahead(2)
 // reports submitted are all the belief a blind window earns. Under a
-// persistent read fault from 1 MB the windows past the fault submit
-// nothing, so every block the range tree believes cached must be resident:
-// a stale bit elides the prefetch of a block nobody has (DESIGN.md §24's
-// dangerous direction). Before the fix every blind window marked its
-// first RA.MaxPages cached whatever readahead(2) returned.
+// persistent read fault over [1 MB, 1.5 MB) a window that reaches the
+// fault submits nothing past it, so every block the range tree believes
+// cached must be resident: a stale bit elides the prefetch of a block
+// nobody has (DESIGN.md §24's dangerous direction). The fault ends at
+// 1.5 MB so that the windows past it prefetch again, which the first
+// assertion checks. Before the fix every blind window marked its first
+// RA.MaxPages cached whatever readahead(2) returned.
 func TestBlindReadaheadBelievesOnlyWhatWasSubmitted(t *testing.T) {
 	const (
 		fileBytes = 4 << 20
@@ -318,7 +320,7 @@ func TestBlindReadaheadBelievesOnlyWhatWasSubmitted(t *testing.T) {
 	}
 	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:   7,
-		Ranges: []faultinject.RangeFault{{Lo: 1 << 20, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
+		Ranges: []faultinject.RangeFault{{Lo: 1 << 20, Hi: 3 << 19, Class: faultinject.Persistent, Reads: true}},
 	}))
 	f, err := rt.Open(tl, "f")
 	if err != nil {
@@ -342,7 +344,7 @@ func TestBlindReadaheadBelievesOnlyWhatWasSubmitted(t *testing.T) {
 		}
 	}
 	if believed <= (1<<20)/4096 {
-		t.Fatalf("%d blocks believed cached: the stream never prefetched past what it read before the fault", believed)
+		t.Fatalf("%d blocks believed cached: the stream never prefetched past the fault", believed)
 	}
 	if stale > 0 {
 		t.Errorf("%d of %d blocks believed cached are not resident (%d resident)", stale, believed, resident.Count())

@@ -203,7 +203,7 @@ func (in *Injector) Inject(op blockdev.Op, off, bytes int64) blockdev.Fault {
 	if in.plan.StallProb > 0 && unit(in.hash(op, off, saltStall)) < in.plan.StallProb {
 		f.Stall = in.plan.Stall
 	}
-	class, repeats, fault := in.verdict(op, off)
+	class, repeats, fault := in.verdict(op, off, bytes)
 	if !fault {
 		if f.Stall > 0 {
 			in.mu.Lock()
@@ -255,15 +255,17 @@ func (in *Injector) Inject(op blockdev.Op, off, bytes int64) blockdev.Fault {
 	return f
 }
 
-// verdict decides whether a request at (op, off) faults, with which
-// class, and with which transient-repeat budget, before the
+// verdict decides whether a request of bytes at (op, off) faults, with
+// which class, and with which transient-repeat budget, before the
 // attempt-count and fault-cap filters.
-func (in *Injector) verdict(op blockdev.Op, off int64) (Class, int, bool) {
-	// Range faults match on the request's start offset: chunked
-	// consumers re-issue at the faulted offset, and keying on the start
-	// keeps the per-site attempt map stable across retries.
+func (in *Injector) verdict(op blockdev.Op, off, bytes int64) (Class, int, bool) {
+	// A range fails every request that overlaps it, one that starts
+	// below it included (a merged readahead command). The per-site
+	// attempt key stays the request's start offset: chunked consumers
+	// re-issue at the faulted offset, so it is stable across retries.
+	end := off + max(bytes, 1)
 	for _, r := range in.plan.Ranges {
-		if off >= r.Lo && off < r.Hi {
+		if off < r.Hi && end > r.Lo {
 			if (op == blockdev.OpRead && r.Reads) || (op == blockdev.OpWrite && r.Writes) {
 				rep := r.Repeats
 				if rep <= 0 {

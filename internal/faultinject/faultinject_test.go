@@ -150,6 +150,28 @@ func TestPersistentNeverClears(t *testing.T) {
 	}
 }
 
+// A range fails every request that overlaps it, not only those that start
+// inside it: a merged command reading [0, 8KB) over a dead [4KB, 8KB)
+// must fail, and one that ends where the range begins must not.
+func TestRangeFailsOverlappingRequest(t *testing.T) {
+	in := New(Plan{Seed: 7,
+		Ranges: []RangeFault{{Lo: 4096, Hi: 8192, Class: Persistent, Reads: true}}})
+	f := in.Inject(blockdev.OpRead, 0, 8192)
+	if f.Err == nil {
+		t.Fatal("a read of [0, 8KB) over the range [4KB, 8KB) succeeded")
+	}
+	var e *Error
+	if !errors.As(f.Err, &e) || e.Off != 0 || e.Bytes != 8192 {
+		t.Fatalf("fault %v: want the whole request [0, 8KB)", f.Err)
+	}
+	if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err != nil {
+		t.Fatalf("a read of [0, 4KB), which ends where the range begins, faulted: %v", f.Err)
+	}
+	if f := in.Inject(blockdev.OpRead, 8192, 4096); f.Err != nil {
+		t.Fatalf("a read of [8KB, 12KB), past the range, faulted: %v", f.Err)
+	}
+}
+
 func TestRangeDirectionTargeting(t *testing.T) {
 	in := New(Plan{Seed: 1,
 		Ranges: []RangeFault{{Lo: 0, Hi: 1 << 20, Class: Persistent, Writes: true}}})

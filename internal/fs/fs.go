@@ -12,7 +12,8 @@
 // The file system stores real data for written blocks (the LSM store and
 // compression workloads depend on content round-tripping) but keeps
 // never-written blocks of synthetic files unmaterialized, so experiments
-// can use multi-gigabyte logical files without the host RAM to match.
+// can use multi-gigabyte logical files without the host RAM to match. A
+// file's written bytes live on its inode, in chunks of several blocks.
 // Timing is charged by the callers (the VFS layer) using the physical-run
 // mapping this package exposes; only metadata operations charge time here,
 // via the journal ledger.
@@ -47,13 +48,11 @@ func (l Layout) String() string {
 
 const unmapped = int64(-1)
 
-// dataShards spreads block contents over independently locked maps.
-const dataShards = 32
-
-type dataShard struct {
-	mu     sync.RWMutex
-	blocks map[int64][]byte
-}
+// chunkBlocks is how many blocks of a file's data one heap object holds:
+// 32KB at 4KB blocks, twice the 16KB writes fig6 scatters over a synthetic
+// file, so such writes hold at most twice what they wrote. At most 64,
+// the bits of chunk.written.
+const chunkBlocks = 8
 
 // FS is a simulated file system instance on one device.
 type FS struct {
@@ -70,8 +69,6 @@ type FS struct {
 
 	journal *simtime.Ledger
 	costs   simtime.Costs
-
-	data [dataShards]dataShard
 }
 
 // New returns an empty file system with the given layout and block size.
@@ -79,7 +76,7 @@ func New(layout Layout, blockSize int64, costs simtime.Costs) *FS {
 	if blockSize <= 0 {
 		blockSize = 4096
 	}
-	f := &FS{
+	return &FS{
 		layout:    layout,
 		blockSize: blockSize,
 		files:     make(map[string]*Inode),
@@ -87,10 +84,6 @@ func New(layout Layout, blockSize int64, costs simtime.Costs) *FS {
 		journal:   simtime.NewLedger(layout.String() + ".journal"),
 		costs:     costs,
 	}
-	for i := range f.data {
-		f.data[i].blocks = make(map[int64][]byte)
-	}
-	return f
 }
 
 // Layout reports the allocation policy.
@@ -105,9 +98,18 @@ type Inode struct {
 	id   int64
 	name string
 
-	mu   sync.RWMutex
-	size int64
-	phys []int64 // logical block index -> physical block, unmapped if absent
+	mu     sync.RWMutex
+	size   int64
+	phys   []int64 // logical block index -> physical block, unmapped if absent
+	chunks []chunk // logical block index / chunkBlocks -> its written bytes
+}
+
+// chunk holds the written bytes of chunkBlocks consecutive logical blocks.
+// A block whose bit is clear has never been written since it was mapped:
+// it reads as the filler of its physical block, or as zeros if unmapped.
+type chunk struct {
+	written uint64 // bit i: block i of the chunk is in data
+	data    []byte // chunkBlocks blocks, allocated by the first write
 }
 
 // ID reports the inode number.
@@ -210,15 +212,9 @@ func (f *FS) Remove(tl *simtime.Timeline, name string) error {
 	f.mu.Unlock()
 
 	ino.mu.Lock()
-	phys := ino.phys
-	ino.phys = nil
+	ino.phys, ino.chunks = nil, nil
 	ino.size = 0
 	ino.mu.Unlock()
-	for _, p := range phys {
-		if p != unmapped {
-			f.dropBlock(p)
-		}
-	}
 	f.metadataOp(tl)
 	return nil
 }
@@ -252,17 +248,6 @@ func (f *FS) allocRun(n int64) int64 {
 	start := f.nextPhys
 	f.nextPhys += n
 	return start
-}
-
-func (f *FS) shard(phys int64) *dataShard {
-	return &f.data[phys%dataShards]
-}
-
-func (f *FS) dropBlock(phys int64) {
-	s := f.shard(phys)
-	s.mu.Lock()
-	delete(s.blocks, phys)
-	s.mu.Unlock()
 }
 
 // PhysRun is a contiguous run of physical blocks backing a contiguous run
@@ -305,12 +290,26 @@ func (ino *Inode) AppendMapRange(runs []PhysRun, lo, hi int64) []PhysRun {
 	return runs
 }
 
-// ensureBlocks grows the mapping slice (not the allocation) to cover block
-// index hi-1. Caller holds ino.mu.
+// ensureBlocks grows the mapping and the chunk table (not the allocation
+// or the data) to cover block index hi-1. Caller holds ino.mu.
 func (ino *Inode) ensureBlocks(hi int64) {
 	for int64(len(ino.phys)) < hi {
 		ino.phys = append(ino.phys, unmapped)
 	}
+	if n := (hi+chunkBlocks-1)/chunkBlocks - int64(len(ino.chunks)); n > 0 {
+		ino.chunks = append(ino.chunks, make([]chunk, n)...)
+	}
+}
+
+// writtenBlock returns the bytes of block blk if it has been written since
+// it was mapped, else nil. Caller holds ino.mu.
+func (ino *Inode) writtenBlock(blk int64) []byte {
+	i := blk / chunkBlocks
+	if i >= int64(len(ino.chunks)) || ino.chunks[i].written&(1<<(blk%chunkBlocks)) == 0 {
+		return nil
+	}
+	bs := ino.fs.blockSize
+	return ino.chunks[i].data[blk%chunkBlocks*bs:][:bs]
 }
 
 // WriteAt writes data at byte offset off, allocating blocks according to
@@ -338,25 +337,30 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 		if rem := end - pos; rem < n {
 			n = rem
 		}
-		phys := ino.phys[blk]
+		// The bytes the write leaves untouched are what the block held
+		// before: its filler until it is first written. A log-layout
+		// overwrite remaps the block to the log head and carries them over.
+		filler := ino.phys[blk]
 		switch {
-		case phys == unmapped:
-			phys = ino.fs.allocRun(1)
-			ino.phys[blk] = phys
+		case filler == unmapped:
+			filler = ino.fs.allocRun(1)
+			ino.phys[blk] = filler
 			newBlocks++
 		case ino.fs.layout == LayoutLog:
-			// Log-structured: overwrites remap to the log head.
-			old := phys
-			phys = ino.fs.allocRun(1)
-			// Carry over the rest of the block on partial overwrite.
-			if blkOff != 0 || n != bs {
-				ino.fs.copyBlock(old, phys)
-			}
-			ino.fs.dropBlock(old)
-			ino.phys[blk] = phys
+			ino.phys[blk] = ino.fs.allocRun(1)
 			newBlocks++
 		}
-		ino.fs.writeBlockData(phys, blkOff, data[pos-off:pos-off+n])
+		c := &ino.chunks[blk/chunkBlocks]
+		if c.data == nil {
+			c.data = make([]byte, chunkBlocks*bs)
+		}
+		bit := uint64(1) << (blk % chunkBlocks)
+		b := c.data[blk%chunkBlocks*bs:][:bs]
+		if c.written&bit == 0 && n != bs {
+			fillSynthetic(b, filler)
+		}
+		c.written |= bit
+		copy(b[blkOff:], data[pos-off:pos-off+n])
 		pos += n
 	}
 	return newBlocks
@@ -368,14 +372,13 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 func (ino *Inode) ReadAt(dst []byte, off int64) int {
 	bs := ino.fs.blockSize
 	ino.mu.RLock()
-	size := ino.size
-	ino.mu.RUnlock()
-	if off >= size {
+	defer ino.mu.RUnlock()
+	if off >= ino.size {
 		return 0
 	}
 	end := off + int64(len(dst))
-	if end > size {
-		end = size
+	if end > ino.size {
+		end = ino.size
 	}
 	pos := off
 	for pos < end {
@@ -385,13 +388,15 @@ func (ino *Inode) ReadAt(dst []byte, off int64) int {
 		if rem := end - pos; rem < n {
 			n = rem
 		}
-		ino.mu.RLock()
-		phys := unmapped
-		if blk < int64(len(ino.phys)) {
-			phys = ino.phys[blk]
+		out := dst[pos-off : pos-off+n]
+		switch b := ino.writtenBlock(blk); {
+		case b != nil:
+			copy(out, b[blkOff:])
+		case blk >= int64(len(ino.phys)) || ino.phys[blk] == unmapped:
+			clear(out)
+		default:
+			fillSyntheticAt(out, ino.phys[blk], blkOff)
 		}
-		ino.mu.RUnlock()
-		ino.fs.readBlockData(phys, blkOff, dst[pos-off:pos-off+n])
 		pos += n
 	}
 	return int(end - off)
@@ -402,76 +407,22 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 	bs := ino.fs.blockSize
 	ino.mu.Lock()
 	keep := (size + bs - 1) / bs
-	var dropped []int64
 	if keep < int64(len(ino.phys)) {
-		for _, p := range ino.phys[keep:] {
-			if p != unmapped {
-				dropped = append(dropped, p)
-			}
-		}
 		ino.phys = ino.phys[:keep]
+	}
+	if n := (keep + chunkBlocks - 1) / chunkBlocks; n < int64(len(ino.chunks)) {
+		clear(ino.chunks[n:]) // let the collector have their data
+		ino.chunks = ino.chunks[:n]
+	}
+	if tail := keep % chunkBlocks; tail != 0 && keep/chunkBlocks < int64(len(ino.chunks)) {
+		c := &ino.chunks[keep/chunkBlocks]
+		if c.written &= 1<<tail - 1; c.written == 0 {
+			c.data = nil
+		}
 	}
 	ino.size = size
 	ino.mu.Unlock()
-	for _, p := range dropped {
-		ino.fs.dropBlock(p)
-	}
 	ino.fs.metadataOp(tl)
-}
-
-func (f *FS) writeBlockData(phys, off int64, data []byte) {
-	s := f.shard(phys)
-	s.mu.Lock()
-	blk := s.blocks[phys]
-	if blk == nil {
-		blk = make([]byte, f.blockSize)
-		if off != 0 || int64(len(data)) < f.blockSize {
-			// Only what the write leaves untouched needs the filler.
-			fillSynthetic(blk, phys)
-		}
-		s.blocks[phys] = blk
-	}
-	copy(blk[off:], data)
-	s.mu.Unlock()
-}
-
-func (f *FS) copyBlock(from, to int64) {
-	dst := make([]byte, f.blockSize)
-	s := f.shard(from)
-	s.mu.RLock()
-	src := s.blocks[from]
-	if src != nil {
-		copy(dst, src) // under the lock: writeBlockData writes src in place
-	}
-	s.mu.RUnlock()
-	if src == nil {
-		fillSynthetic(dst, from)
-	}
-	d := f.shard(to)
-	d.mu.Lock()
-	d.blocks[to] = dst
-	d.mu.Unlock()
-}
-
-func (f *FS) readBlockData(phys, off int64, dst []byte) {
-	if phys == unmapped {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	// A materialised block is written in place under the shard's write
-	// lock (writeBlockData), so the read lock is held across the copy.
-	s := f.shard(phys)
-	s.mu.RLock()
-	blk := s.blocks[phys]
-	if blk != nil {
-		copy(dst, blk[off:])
-	}
-	s.mu.RUnlock()
-	if blk == nil {
-		fillSyntheticAt(dst, phys, off)
-	}
 }
 
 // fillSynthetic writes the deterministic filler pattern for an

@@ -66,8 +66,8 @@ func TestGetAllocBudget(t *testing.T) {
 
 // A Put in steady state allocates its skiplist node; the value goes into
 // the memtable's slab and the log record into the reused buffer. What is
-// left above one is the simulated disk materialising a 4KB block of the
-// log every so many records.
+// left above one is the log file's data growing by a 32KB chunk every few
+// hundred records, and the memtable's slab doubling.
 func TestPutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
@@ -93,7 +93,7 @@ func TestPutAllocBudget(t *testing.T) {
 		put(i)
 	}
 	if got := mallocsPer(n, func(i int) { put(n + i) }); got > 1.1 {
-		t.Errorf("%.3f allocations per Put, budget 1 (+0.1 for the simulated disk under the log)", got)
+		t.Errorf("%.3f allocations per Put, budget 1 (+0.1 for the log file's data and the slab)", got)
 	}
 }
 
@@ -145,5 +145,50 @@ func TestTableWriterAllocsIndependentOfSize(t *testing.T) {
 	small, large := write(1_000), write(64_000)
 	if small > 8 || large > small+1 {
 		t.Errorf("%.1f allocations for a 1k-entry table, %.1f for a 64k-entry one (14MB, 14 chunks): want a small constant for both", small, large)
+	}
+}
+
+// Reading a compaction's inputs allocates per input, not per block: each
+// table's data blocks land in one buffer sized from its index. The merge
+// of k tables of many blocks each costs a few objects per table.
+func TestCompactionReadAllocsPerInput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 30, BlockBytes: 4 << 10, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, perTable = 4, 2000
+	val := benchValue(1, 200)
+	for i := 0; i < k*perTable; i++ {
+		if err := db.Put(tl, BenchKey(int64(i%perTable*k+i/perTable)), val); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%perTable == 0 {
+			if err := db.Flush(tl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inputs := db.current.Load().levels[0]
+	blocks := 0
+	for _, tb := range inputs {
+		blocks += len(tb.index)
+	}
+	if len(inputs) != k || blocks < 100*k {
+		t.Fatalf("%d L0 tables of %d blocks in all: want %d tables of over 100 blocks each", len(inputs), blocks, k)
+	}
+	read := func(int) {
+		if _, err := newMerge(inputs).plan(tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(0) // every block resident
+	got := mallocsPer(3, read)
+	if got > 6*k {
+		t.Errorf("%.1f allocations to read %d tables of %d blocks in all, budget %d: a few per input", got, k, blocks, 6*k)
 	}
 }

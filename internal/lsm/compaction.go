@@ -185,10 +185,12 @@ type mergeSource struct {
 	table *sstable
 	prio  int // lower = newer table, wins on equal key+seq
 
-	// blocks holds the raw blocks read so far. Phase one appends to it,
-	// phase two walks it again and lets go of each block it has passed.
+	// blocks holds the raw blocks read so far, each a sub-slice of buf,
+	// which is sized for every data block of the table and holds as many
+	// bytes as have been read. Phase one appends to blocks, phase two
+	// walks them again and lets go of buf once the source is done.
+	buf    []byte
 	blocks [][]byte
-	read   int64 // bytes of them
 	block  int
 	cur    blockCursor
 	done   bool
@@ -200,11 +202,11 @@ type mergeSource struct {
 func (s *mergeSource) seek(tl *simtime.Timeline, b int) error {
 	for ; b < len(s.table.index); b++ {
 		if b == len(s.blocks) {
-			raw, err := s.table.readBlock(tl, b, nil)
+			raw, err := s.table.readBlock(tl, b, s.buf[len(s.buf):])
 			if err != nil {
 				return err
 			}
-			s.read += int64(len(raw))
+			s.buf = s.buf[:len(s.buf)+len(raw)]
 			s.blocks = append(s.blocks, raw)
 		}
 		s.block = b
@@ -262,7 +264,11 @@ func newMerge(tables []*sstable) *merge {
 	m := &merge{sources: make([]*mergeSource, len(tables))}
 	var entries int64
 	for i, t := range tables {
-		m.sources[i] = &mergeSource{table: t, prio: i}
+		var n int64
+		for _, ie := range t.index {
+			n += ie.size
+		}
+		m.sources[i] = &mergeSource{table: t, prio: i, buf: make([]byte, 0, n), blocks: make([][]byte, 0, len(t.index))}
 		entries += t.count
 	}
 	m.steps = make([]uint32, 0, entries)
@@ -303,7 +309,7 @@ func (m *merge) plan(tl *simtime.Timeline) (int64, error) {
 	}
 	var bytesRead int64
 	for _, s := range m.sources {
-		bytesRead += s.read
+		bytesRead += int64(len(s.buf))
 	}
 	return bytesRead, nil
 }
@@ -323,12 +329,11 @@ func (m *merge) replay(emit func(c *blockCursor) error) error {
 				return err
 			}
 		}
-		was := s.block
 		if err := s.next(nil); err != nil {
 			return err
 		}
-		if s.done || s.block != was {
-			s.blocks[was] = nil // passed: the collector may have it
+		if s.done {
+			s.buf, s.blocks = nil, nil // passed: the collector may have it
 		}
 	}
 	return nil

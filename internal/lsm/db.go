@@ -23,7 +23,8 @@ type Options struct {
 	Dir string
 	// MemtableBytes is the flush threshold (RocksDB: 64MB; scaled down).
 	MemtableBytes int64
-	// BlockBytes is the SSTable data-block size (RocksDB default-ish 16KB).
+	// BlockBytes is the SSTable data-block size, 16KB by default: this
+	// repository's choice (RocksDB's block_size defaults to 4KB).
 	BlockBytes int64
 	// L0CompactTrigger is the L0 file count that triggers compaction.
 	L0CompactTrigger int

@@ -181,6 +181,42 @@ func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
+// TestStreamSurfacesFaultReadaheadCovers: a sequential stream's readahead
+// reaches a dead page from below, in a command that starts before it. That
+// command must fail, so the page stays absent and the stream's own read of
+// it surfaces the error; a range matched on the command's start offset
+// alone read the dead page successfully and the stream never saw a fault.
+func TestStreamSurfacesFaultReadaheadCovers(t *testing.T) {
+	v := newTestKernel(t, 100000)
+	tl := simtime.NewTimeline(0)
+	ino, err := v.FS().CreateSynthetic(tl, "big", 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = 301 // a block no command of the stream starts at
+	lo := ino.MapRange(dead, dead+1)[0].Phys * 4096
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+		Seed:   1,
+		Ranges: []faultinject.RangeFault{{Lo: lo, Hi: lo + 4096, Class: faultinject.Persistent, Reads: true}},
+	}))
+	f, _ := v.Open(tl, "big")
+	buf := make([]byte, 16<<10)
+	var failedAt int64 = -1
+	for off := int64(0); off < 4<<20; off += int64(len(buf)) {
+		if _, err := f.ReadAt(tl, buf, off); err != nil {
+			if !errors.Is(err, blockdev.ErrInjected) {
+				t.Fatalf("read at %d: %v, want an injected fault", off, err)
+			}
+			if failedAt < 0 {
+				failedAt = off
+			}
+		}
+	}
+	if want := int64(dead*4096) / int64(len(buf)) * int64(len(buf)); failedAt != want {
+		t.Fatalf("first failed read at %d, want the read at %d that holds block %d", failedAt, want, dead)
+	}
+}
+
 // TestPrefetchSwallowsDeviceErrors: asynchronous readahead failures are
 // advisory — they must not corrupt state, and the pages simply stay
 // absent for a later demand read.

@@ -42,22 +42,24 @@ import (
 // previous hashes come back). And once more for the capped tier's
 // demotion clock (DESIGN.md §16): the tier demotes by demand-read heat
 // down to its cap, not by recency down to 7/8 of it, and writes demote
-// too, which moves the stack cell and not the bare one.
+// too, which moves the stack cell and not the bare one. And for range
+// faults that fail every request overlapping them, not only those that
+// start inside, which moves both cells.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
-			now:       48275692,
-			device:    "nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; nvme0 r98/38637568 w8/5369856 busy32221804 inj32/2400000 plug101/98/3; ",
-			telemetry: "91cda8f8100382f7",
-			spans:     "d42120aed5da2c0c",
-			results:   "40c919d0b45fce28",
+			now:       46900410,
+			device:    "nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; ",
+			telemetry: "ef0221053e87ef16",
+			spans:     "3766280a387eb3fd",
+			results:   "8dc3393b09e99c7d",
 		},
 		"stack/plugged": {
-			now:       47396929,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r165/41111552 w67/17440768 busy33821340 inj37/1500000 plug179/165/14; nvme0.0 r54/6692864 w28/5505024 busy10556443 inj13/150000 plug61/54/7; nvme0.1 r35/5828608 w12/2883584 busy7119951 inj4/150000 plug39/35/4; nvmeof0 r76/28590080 w27/9052160 busy33821340 inj20/1200000 plug79/76/3; ",
-			telemetry: "503aaa6d4bfaa566",
-			spans:     "080941be90997b1e",
-			results:   "08f1b89cfb62b34d",
+			now:       47229924,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r163/40325120 w62/15867904 busy32237076 inj43/1500000 plug175/163/12; nvme0.0 r52/5906432 w28/5505024 busy10016730 inj14/150000 plug57/52/5; nvme0.1 r35/5828608 w11/2629632 busy6848854 inj6/150000 plug39/35/4; nvmeof0 r76/28590080 w23/7733248 busy32237076 inj23/1200000 plug79/76/3; ",
+			telemetry: "88c605ec578ed934",
+			spans:     "d2c6ef1b296e6c8b",
+			results:   "f4ea522294573ec4",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
@@ -201,7 +203,7 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 	// two attempts) and stalls everywhere, a transient bad region that
 	// takes three attempts (transient sites clear for good, so a second
 	// one is left for the rings to find), a persistent bad region for reads
-	// and two for writes. Faults match a request's start offset. The same
+	// and two for writes. A range fails every request it overlaps. The same
 	// plan applies to every member of the stack at member offsets, so the
 	// regions land on different file blocks per cell.
 	st.SetFaultInjector(faultinject.New(faultinject.Plan{
