@@ -281,7 +281,7 @@ func TestScorecardsFilter(t *testing.T) {
 	score.Issued(now, 1, 10, telemetry.OriginReadahead, 4)
 	score.Issued(now, 2, 20, telemetry.OriginReadahead, 6)
 	score.ArmIssued(now, 1, telemetry.ArmMithril, 3)
-	score.ArmIssued(now, 2, telemetry.ArmLeap, 5)
+	score.ArmIssued(now, 2, telemetry.ArmMithril, 5)
 
 	tr := telemetry.NewTracer(telemetry.TraceConfig{})
 	for ino := int64(1); ino <= 5; ino++ {
@@ -336,8 +336,8 @@ func TestScorecardsFilter(t *testing.T) {
 		t.Fatalf("?inode=2 files = %+v, want exactly key 2", byIno.Scorecards.Files)
 	}
 	if len(byIno.Scorecards.Arms) != 1 || byIno.Scorecards.Arms[0].Ino != 2 ||
-		byIno.Scorecards.Arms[0].Arm != telemetry.ArmLeap.String() {
-		t.Fatalf("?inode=2 arms = %+v, want inode 2's leap shadow card", byIno.Scorecards.Arms)
+		byIno.Scorecards.Arms[0].Arm != telemetry.ArmMithril.String() {
+		t.Fatalf("?inode=2 arms = %+v, want inode 2's mithril shadow card", byIno.Scorecards.Arms)
 	}
 	if len(byIno.Scorecards.Tenants) != 2 {
 		t.Fatal("?inode= must not narrow the tenant section")

@@ -19,8 +19,6 @@ const DefaultLaneQuantum = 256 << 10
 type LaneConfig struct {
 	// Plug is the scheduling policy of the shared dispatch plug.
 	Plug PlugConfig
-	// QuantumBytes is the DRR quantum (0 selects DefaultLaneQuantum).
-	QuantumBytes int64
 	// Retry bounds transient-fault retry during dispatch.
 	Retry RetryPolicy
 }
@@ -104,9 +102,6 @@ type LaneSet struct {
 // queues. rec may be nil.
 func (st *Stack) NewLaneSet(cfg LaneConfig, rec *telemetry.Recorder) *LaneSet {
 	cfg.Plug = cfg.Plug.WithDefaults()
-	if cfg.QuantumBytes <= 0 {
-		cfg.QuantumBytes = DefaultLaneQuantum
-	}
 	return &LaneSet{
 		st:    st,
 		cfg:   cfg,
@@ -174,7 +169,7 @@ func (ls *LaneSet) drain() []laneEntry {
 			ln.deficit = 0
 			continue
 		}
-		ln.deficit += ls.cfg.QuantumBytes
+		ln.deficit += DefaultLaneQuantum
 		for len(ln.q) > 0 && ln.q[ln.head].req.Bytes <= ln.deficit {
 			ln.deficit -= ln.q[ln.head].req.Bytes
 			out = append(out, ln.pop())

@@ -61,7 +61,7 @@ func TestLaneDispatchResolvesEverything(t *testing.T) {
 func TestLaneDRRInterleavesTenants(t *testing.T) {
 	_, ls := testLanes(0, nil)
 	// Tenant 0 stages 8 quantum-sized requests first, tenant 1 stages one.
-	q := ls.cfg.QuantumBytes
+	q := int64(DefaultLaneQuantum)
 	for i := 0; i < 8; i++ {
 		ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: int64(i) << 30, Bytes: q, Tag: i}, 0)
 	}
@@ -86,7 +86,7 @@ func TestLaneDRRInterleavesTenants(t *testing.T) {
 // proportional to the quantum, not to request count.
 func TestLaneQuantumProportionality(t *testing.T) {
 	_, ls := testLanes(0, nil)
-	q := ls.cfg.QuantumBytes
+	q := int64(DefaultLaneQuantum)
 	// Tenant 0: many small; tenant 1: few large (2 quanta each).
 	for i := 0; i < 16; i++ {
 		ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: int64(i) << 30, Bytes: q / 4, Tag: i}, 0)

@@ -60,10 +60,10 @@ type Options struct {
 	MmapScanOps int64
 
 	// Ensemble runs the competing-predictor ensemble per inode: the
-	// sequentiality counter, a MITHRIL-style association miner, and a
-	// Leap-style majority-trend detector score every access concurrently
-	// (shadow mode), and a windowed bandit promotes the winning arm — only
-	// the live arm's candidates reach the prefetch path. Requires Predict;
+	// sequentiality counter and a MITHRIL-style association miner score
+	// every access concurrently (shadow mode), and a windowed bandit
+	// promotes the winning arm — only the live arm's candidates reach the
+	// prefetch path. Requires Predict;
 	// off, the per-descriptor counter drives prefetch exactly as before
 	// (one nil check on the hot path).
 	Ensemble bool

@@ -10,8 +10,7 @@ import (
 )
 
 // predictCells is the predictor-ensemble sweep's access patterns; each
-// is the home turf of one arm, and each runs under the fixed counter and
-// under the ensemble.
+// runs under the fixed counter and under the ensemble.
 var predictCells = []struct {
 	name string
 	kind pattern
@@ -22,8 +21,9 @@ var predictCells = []struct {
 	// Fragment chains repeat under the skew, so the MITHRIL association
 	// miner learns fragment → successor, which the counter cannot see.
 	{"zipfian-lsm", patZipfLSM},
-	// The interleaved noise knocks the counter off its stride; the Leap
-	// majority-trend detector reads straight through it.
+	// A negative control: the interleaved noise knocks the counter off
+	// its stride, but no arm predicts it better, so the ensemble must
+	// hold the counter live and match the fixed baseline.
 	{"interleaved-shared", patInterleaved},
 }
 
@@ -125,7 +125,7 @@ func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
 // predictContract: the ensemble must beat the fixed counter on the
 // zipfian-LSM warm hit rate AND warm throughput (the MITHRIL arm gets
 // promoted and prefetches fragment chains), and must never give up more
-// than 2% of either on the pure-sequential stream.
+// than 2% of either on the sequential stream or the interleaved one.
 func predictContract(_ []*PredictResult, at func(cell string) *PredictResult) error {
 	fixed, ens := at("zipfian-lsm/fixed"), at("zipfian-lsm/ensemble")
 	if ens.WarmHitRate <= fixed.WarmHitRate {
@@ -139,23 +139,17 @@ func predictContract(_ []*PredictResult, at func(cell string) *PredictResult) er
 	if ens.LiveArm != telemetry.ArmMithril.String() {
 		return fmt.Errorf("zipfian-lsm live arm %q, want %q", ens.LiveArm, telemetry.ArmMithril)
 	}
-	// Elsewhere the ensemble must hold the counter's hit rate, and 98% of
-	// its pages/s on sequential. Interleaved is a trade, not a mandate:
-	// the ensemble's early counter↔leap exploration costs a little
-	// throughput while the bandit converges, and buys back hit rate —
-	// pages/s within 5%.
-	for _, g := range []struct {
-		pattern string
-		speed   float64 // share of the fixed counter's pages/s to hold
-	}{{"sequential", 0.98}, {"interleaved-shared", 0.95}} {
-		fixed, ens := at(g.pattern+"/fixed"), at(g.pattern+"/ensemble")
+	// Elsewhere the ensemble must hold the counter's hit rate and 98% of
+	// its pages/s.
+	for _, pattern := range []string{"sequential", "interleaved-shared"} {
+		fixed, ens := at(pattern+"/fixed"), at(pattern+"/ensemble")
 		if ens.WarmHitRate < fixed.WarmHitRate-0.02 {
 			return fmt.Errorf("ensemble %s hit rate %.3f more than 2%% below fixed %.3f",
-				g.pattern, ens.WarmHitRate, fixed.WarmHitRate)
+				pattern, ens.WarmHitRate, fixed.WarmHitRate)
 		}
-		if ens.WarmPagesPerSec < g.speed*fixed.WarmPagesPerSec {
-			return fmt.Errorf("ensemble %s pages/s %.0f below %.0f%% of fixed %.0f",
-				g.pattern, ens.WarmPagesPerSec, 100*g.speed, fixed.WarmPagesPerSec)
+		if ens.WarmPagesPerSec < 0.98*fixed.WarmPagesPerSec {
+			return fmt.Errorf("ensemble %s pages/s %.0f below 98%% of fixed %.0f",
+				pattern, ens.WarmPagesPerSec, fixed.WarmPagesPerSec)
 		}
 	}
 	return nil

@@ -32,7 +32,7 @@ var registry = []registryEntry{
 	{"serve", "Serve frontend: sync vs submission rings across tenant counts", Serve},
 	{"overload", "Tenant isolation under an antagonist scan: budgets, deadlines, brownout", Overload},
 	{"score", "Online scorecards: accuracy/coverage/pollution across access patterns", Score},
-	{"predict", "Competing predictors: counter/MITHRIL/Leap ensemble with bandit promotion", Predict},
+	{"predict", "Competing predictors: counter/MITHRIL ensemble with bandit promotion", Predict},
 	{"tier", "Tiered stacks: RAID-0 striping, NVMe-oF remote tier, cross-tier prefetch", Tier},
 }
 

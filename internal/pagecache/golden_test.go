@@ -23,9 +23,12 @@ import (
 // the telemetry snapshot alone: it gained the
 // lib_dropped_behind_pages counter and the dropped-behind outcome, both
 // zero here (with the two names taken out again the old digests come back).
+// And once more when the recorder lost the Leap predictor arm: its row left
+// the telemetry snapshot (with that row left out of the parent's export,
+// the parent reproduces these digests).
 var goldenDigests = map[string]uint64{
-	"global":  0xcb314b9db341f058,
-	"tenants": 0xdd75d93c2a1ccf1,
+	"global":  0x1e88560145d4e4af,
+	"tenants": 0xb4e3c9ae524fd956,
 }
 
 func TestGoldenEvictionOrder(t *testing.T) {

@@ -72,75 +72,3 @@ func TestMithrilCapacityEviction(t *testing.T) {
 		t.Fatal("nothing was ever mined")
 	}
 }
-
-// TestLeapMajorityWithNoise: the Boyer–Moore majority must hold the
-// dominant stride through interleaved noise — exactly where the
-// consecutive-confirmation counter collapses to random.
-func TestLeapMajorityWithNoise(t *testing.T) {
-	l := NewLeap(DefaultLeapConfig())
-	lo := int64(0)
-	for i := 0; i < 64; i++ {
-		if i%8 == 7 {
-			l.Observe(100000+int64(i), 1, nil) // interloper
-			continue
-		}
-		lo += 10
-		l.Observe(lo, 1, nil)
-	}
-	stride, votes := l.Trend()
-	if stride != 10 {
-		t.Fatalf("trend = %d (votes %d), want the majority stride 10", stride, votes)
-	}
-	cands := l.Observe(lo+10, 1, nil)
-	if len(cands) == 0 || cands[0].Lo != lo+20 {
-		t.Fatalf("trend must predict the next stride step, got %+v", cands)
-	}
-}
-
-// TestLeapDepthRamp: a sustained trend doubles the lookahead every
-// Window confirmations up to MaxDepth — the lead time a fast stream
-// needs for prefetches to complete before the reader arrives — and
-// never beyond it.
-func TestLeapDepthRamp(t *testing.T) {
-	cfg := LeapConfig{Window: 4, Depth: 2, MaxDepth: 8, MaxBlocks: 32}
-	l := NewLeap(cfg)
-	first, last, max := 0, 0, 0
-	for i := int64(0); i < 100; i++ {
-		n := len(l.Observe(i*10, 1, nil))
-		if n > 0 && first == 0 {
-			first = n
-		}
-		if n > max {
-			max = n
-		}
-		last = n
-	}
-	if first != cfg.Depth {
-		t.Fatalf("initial emit depth = %d, want Depth %d", first, cfg.Depth)
-	}
-	if last != cfg.MaxDepth {
-		t.Fatalf("sustained-trend emit depth = %d, want MaxDepth %d", last, cfg.MaxDepth)
-	}
-	if max > cfg.MaxDepth {
-		t.Fatalf("emit depth reached %d, cap is %d", max, cfg.MaxDepth)
-	}
-
-	// A single interloper must NOT break the trend — robustness to noise
-	// is the whole point of the majority vote.
-	l.Observe(1_000_000, 1, nil)
-	if n := len(l.Observe(100*10+10, 1, nil)); n != cfg.MaxDepth {
-		t.Fatalf("depth after one interloper = %d, want MaxDepth %d held", n, cfg.MaxDepth)
-	}
-
-	// But once the majority actually fails, the ramp resets: the next
-	// trend starts back at Depth.
-	for i := int64(0); i < int64(cfg.Window); i++ {
-		l.Observe(10_000_000*(i+1), 1, nil) // scattered: no majority stride
-	}
-	for i := int64(0); i < int64(cfg.Window+1); i++ {
-		l.Observe(2_000_000+i*10, 1, nil)
-	}
-	if n := len(l.Observe(2_000_000+int64(cfg.Window+1)*10, 1, nil)); n != cfg.Depth {
-		t.Fatalf("depth after a trend break = %d, want back at Depth %d", n, cfg.Depth)
-	}
-}

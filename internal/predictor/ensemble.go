@@ -1,10 +1,10 @@
-// Competing-predictor ensemble: the sequentiality counter (§4.6), a
-// MITHRIL-style association miner, and a Leap-style majority-trend
-// detector run concurrently per inode. Only the *live* arm's candidates
-// reach the prefetch path; the others run in shadow mode, booking their
-// would-have-prefetched windows into per-arm scorecards. A windowed
-// bandit promotes whichever arm's accuracy×coverage−pollution score wins,
-// with hysteresis so a noisy window cannot thrash the live arm.
+// Competing-predictor ensemble: the sequentiality counter (§4.6) and a
+// MITHRIL-style association miner run concurrently per inode. Only the
+// *live* arm's candidates reach the prefetch path; the other runs in
+// shadow mode, booking its would-have-prefetched windows into its
+// scorecard. A windowed bandit promotes whichever arm's
+// accuracy×coverage−pollution score wins, with hysteresis so a noisy
+// window cannot thrash the live arm.
 package predictor
 
 import "repro/internal/telemetry"
@@ -43,25 +43,13 @@ func (c *counterArm) Observe(lo, blocks int64, dst []Candidate) []Candidate {
 	return dst
 }
 
-// EnsembleConfig carries the ensemble and bandit tunables.
+// EnsembleConfig carries the arms' tunables and the shadow-booking clamp;
+// start from DefaultEnsembleConfig, whose values are all positive.
 type EnsembleConfig struct {
 	// Counter configures arm 1 (the sequentiality counter).
 	Counter Config
 	// Mithril configures arm 2 (association mining).
 	Mithril MithrilConfig
-	// Leap configures arm 3 (majority-trend window).
-	Leap LeapConfig
-	// WindowObs is the bandit window length in observations.
-	WindowObs int
-	// Margin is how much a challenger's score must exceed the live arm's
-	// before its promotion streak advances.
-	Margin float64
-	// Patience is how many consecutive winning windows a challenger needs
-	// before promotion (the hysteresis K).
-	Patience int
-	// RunTTLWindows is how many window rotations a shadow run survives
-	// before its unconsumed pages are booked wasted.
-	RunTTLWindows int
 	// MaxCandidateBlocks clamps each candidate at shadow-booking time,
 	// mirroring the issue path's per-window readahead clamp (RA.MaxPages).
 	// Without it an arm whose raw windows exceed what the system would
@@ -71,20 +59,30 @@ type EnsembleConfig struct {
 	MaxCandidateBlocks int64
 }
 
-// DefaultEnsembleConfig returns the default tuning: 64-observation
-// windows, 5% promotion margin, 2-window hysteresis.
+// DefaultEnsembleConfig returns the default tuning.
 func DefaultEnsembleConfig() EnsembleConfig {
 	return EnsembleConfig{
 		Counter:            DefaultConfig(),
 		Mithril:            DefaultMithrilConfig(),
-		Leap:               DefaultLeapConfig(),
-		WindowObs:          64,
-		Margin:             0.05,
-		Patience:           2,
-		RunTTLWindows:      2,
 		MaxCandidateBlocks: 32,
 	}
 }
+
+// The bandit's tuning: 64-observation windows, a 5% promotion margin and
+// a 2-window hysteresis.
+const (
+	// windowObs is the bandit window length in observations.
+	windowObs = 64
+	// margin is how much a challenger's score must exceed the live arm's
+	// before its promotion streak advances.
+	margin = 0.05
+	// patience is how many consecutive winning windows a challenger needs
+	// before promotion (the hysteresis K).
+	patience = 2
+	// runTTLWindows is how many window rotations a shadow run survives
+	// before its unconsumed pages are booked wasted.
+	runTTLWindows = 2
+)
 
 // shadowRuns bounds the outstanding would-prefetch windows per arm; the
 // oldest slot is overwritten (its residue booked wasted) when full.
@@ -116,7 +114,7 @@ type armState struct {
 
 	score  float64 // EWMA of windowed accuracy×coverage−pollution
 	scored bool    // score holds at least one window
-	streak int     // consecutive windows beating the live arm by Margin
+	streak int     // consecutive windows beating the live arm by margin
 }
 
 // ObserveResult reports one Observe call's outcome: the live arm's
@@ -171,25 +169,12 @@ type Ensemble struct {
 // NewEnsemble returns an ensemble for one inode. Nothing reads the inode ID
 // any more; the parameter stays because bench/probes.go passes it.
 func NewEnsemble(cfg EnsembleConfig, _ int64) *Ensemble {
-	if cfg.WindowObs <= 0 {
-		cfg.WindowObs = 64
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = 2
-	}
-	if cfg.RunTTLWindows <= 0 {
-		cfg.RunTTLWindows = 2
-	}
-	if cfg.MaxCandidateBlocks <= 0 {
-		cfg.MaxCandidateBlocks = 32
-	}
 	e := &Ensemble{
 		cfg:  cfg,
 		live: telemetry.ArmCounter,
 	}
 	e.arms[telemetry.ArmCounter] = &armState{arm: &counterArm{p: New(cfg.Counter)}}
 	e.arms[telemetry.ArmMithril] = &armState{arm: NewMithril(cfg.Mithril)}
-	e.arms[telemetry.ArmLeap] = &armState{arm: NewLeap(cfg.Leap)}
 	e.res.Candidates = make([]Candidate, 0, 8)
 	e.cands = make([]Candidate, 0, 8)
 	return e
@@ -298,7 +283,7 @@ func (e *Ensemble) Observe(lo, blocks int64) *ObserveResult {
 	r.Live = e.live
 
 	e.obsInWindow++
-	if e.obsInWindow >= e.cfg.WindowObs {
+	if e.obsInWindow >= windowObs {
 		e.rotate(r)
 	}
 	return r
@@ -409,7 +394,7 @@ func (e *Ensemble) rotate(r *ObserveResult) {
 	e.window++
 	for a := telemetry.Arm(1); a < telemetry.NumArms; a++ {
 		s := e.arms[a]
-		exp := s.expire(e.window, uint64(e.cfg.RunTTLWindows))
+		exp := s.expire(e.window, runTTLWindows)
 		s.wExpired += exp
 		r.Expired[a] += exp
 
@@ -438,8 +423,8 @@ func (e *Ensemble) rotate(r *ObserveResult) {
 	e.wAccessed = 0
 	e.obsInWindow = 0
 
-	// Hysteresis: a challenger must beat the live score by Margin for
-	// Patience consecutive windows. Streaks reset the window they fail.
+	// Hysteresis: a challenger must beat the live score by margin for
+	// patience consecutive windows. Streaks reset the window they fail.
 	liveScore := e.arms[e.live].score
 	var best telemetry.Arm
 	bestScore := 0.0
@@ -449,12 +434,12 @@ func (e *Ensemble) rotate(r *ObserveResult) {
 			s.streak = 0
 			continue
 		}
-		if s.score > liveScore+e.cfg.Margin {
+		if s.score > liveScore+margin {
 			s.streak++
 		} else {
 			s.streak = 0
 		}
-		if s.streak >= e.cfg.Patience && (best == 0 || s.score > bestScore) {
+		if s.streak >= patience && (best == 0 || s.score > bestScore) {
 			best, bestScore = a, s.score
 		}
 	}

@@ -7,19 +7,21 @@ import (
 	"repro/internal/telemetry"
 )
 
+// chain is the sporadic-association chain only MITHRIL can learn.
+var chain = []int64{100, 900, 350, 1500, 50, 2200}
+
 // flipEvent is one bandit promotion, recorded at its observation index.
 type flipEvent struct {
 	At       int64
 	From, To telemetry.Arm
 }
 
-// driveFlip replays the satellite workload: a pure-sequential phase the
-// counter owns, then a repeating sporadic-association chain only the
-// MITHRIL arm can learn (strides vary so the Leap majority never holds,
-// and the counter collapses to random). Returns the promotion history,
-// the final live arm, and the final per-arm scores.
-func driveFlip() ([]flipEvent, telemetry.Arm, [telemetry.NumArms]float64) {
-	e := NewEnsemble(DefaultEnsembleConfig(), 42)
+// driveFlip replays the satellite workload on e: a pure-sequential phase
+// the counter owns, then a repeating sporadic-association chain only the
+// MITHRIL arm can learn (strides vary, so the counter collapses to
+// random). Returns the promotion history, the final live arm, and the
+// final per-arm scores.
+func driveFlip(e *Ensemble) ([]flipEvent, telemetry.Arm, [telemetry.NumArms]float64) {
 	var events []flipEvent
 	var obs int64
 	feed := func(lo, blocks int64) {
@@ -32,7 +34,6 @@ func driveFlip() ([]flipEvent, telemetry.Arm, [telemetry.NumArms]float64) {
 	for i := int64(0); i < 256; i++ {
 		feed(i*4, 4) // sequential: 4-block reads, back to back
 	}
-	chain := []int64{100, 900, 350, 1500, 50, 2200}
 	for i := int64(0); i < 512; i++ {
 		feed(chain[i%int64(len(chain))], 1)
 	}
@@ -53,9 +54,9 @@ func TestBanditFlipHysteresis(t *testing.T) {
 	const (
 		flipAt  = 256 // first association-chain observation
 		windows = 6
-		K       = flipAt + windows*64 // DefaultEnsembleConfig.WindowObs
+		K       = flipAt + windows*windowObs
 	)
-	events, live, scores := driveFlip()
+	events, live, scores := driveFlip(NewEnsemble(DefaultEnsembleConfig(), 42))
 	if live != telemetry.ArmMithril {
 		t.Fatalf("final live arm = %v, want mithril (events %+v, scores %v)", live, events, scores)
 	}
@@ -73,15 +74,14 @@ func TestBanditFlipHysteresis(t *testing.T) {
 		t.Fatalf("mithril promoted at obs %d, want within %d windows of the flip (obs %d)",
 			promotedAt, windows, K)
 	}
-	// Hysteresis: promotion cannot precede Patience window rotations of
+	// Hysteresis: promotion cannot precede patience window rotations of
 	// chain evidence.
-	cfg := DefaultEnsembleConfig()
-	if min := int64(flipAt + (cfg.Patience-1)*cfg.WindowObs); promotedAt < min {
+	if min := int64(flipAt + (patience-1)*windowObs); promotedAt < min {
 		t.Fatalf("mithril promoted at obs %d, before the %d-window hysteresis could pass (min %d)",
-			promotedAt, cfg.Patience, min)
+			promotedAt, patience, min)
 	}
 
-	events2, live2, scores2 := driveFlip()
+	events2, live2, scores2 := driveFlip(NewEnsemble(DefaultEnsembleConfig(), 42))
 	if !reflect.DeepEqual(events, events2) || live != live2 || scores != scores2 {
 		t.Fatalf("same input, different runs:\n  %+v %v %v\n  %+v %v %v",
 			events, live, scores, events2, live2, scores2)
@@ -102,15 +102,14 @@ func TestEnsembleShadowIdentity(t *testing.T) {
 			expired[a] += r.Expired[a]
 		}
 	}
-	// Sequential, then a strided run, then the association chain, then
-	// random-ish jumps — every arm books something along the way.
+	// Sequential, then a strided run, then the association chain: the
+	// counter books the first two phases, MITHRIL the third.
 	for i := int64(0); i < 200; i++ {
 		feed(i*4, 4)
 	}
 	for i := int64(0); i < 200; i++ {
 		feed(5000+i*16, 4)
 	}
-	chain := []int64{100, 900, 350, 1500, 50, 2200}
 	for i := int64(0); i < 200; i++ {
 		feed(chain[i%int64(len(chain))], 1)
 	}
@@ -166,21 +165,50 @@ func TestEnsembleFilter(t *testing.T) {
 	}
 }
 
+// TestEnsembleArmsMatchRegistry: every registered arm has an
+// implementation in the ensemble, under its registered name — a
+// telemetry.Arm with no arm behind it would be a nil dereference on the
+// first Observe.
+func TestEnsembleArmsMatchRegistry(t *testing.T) {
+	e := NewEnsemble(DefaultEnsembleConfig(), 1)
+	for a := telemetry.ArmCounter; a < telemetry.NumArms; a++ {
+		s := e.arms[a]
+		if s == nil {
+			t.Fatalf("registered arm %v has no implementation in the ensemble", a)
+		}
+		if got := s.arm.Name(); got != a.String() {
+			t.Fatalf("arm slot %d is named %q, registry says %q", a, got, a.String())
+		}
+	}
+}
+
 // TestEnsembleObserveWarmZeroAlloc holds the Arm contract ("the warm path
-// must not allocate") where it used to break. A stride-100 stream that never
-// revisits a block keeps Leap at its full ramp — 16 candidates, twice the
-// shadow scratch's initial capacity, which a shadow Leap used to regrow on
-// every observation — and hands MITHRIL a new head per access, so its full
-// table rotates an entry out per insertion, which used to allocate the entry
-// that replaced it. One run is a whole mining period: AllocsPerRun rounds
+// must not allocate") with MITHRIL live and the counter in shadow. The
+// chain drive promotes MITHRIL, so its candidates land in the result's
+// buffer; the period then interleaves the chain with a stride-100 stream
+// that never revisits a block, handing MITHRIL a new head every other
+// access, so its full table rotates an entry out per insertion, which
+// used to allocate the entry that replaced it. The case this test first
+// pinned, a shadow arm proposing more windows than the shared scratch's
+// initial 8 and regrowing it on every observation, has no arm left to
+// produce it: the counter proposes at most one window and MITHRIL at most
+// assocSuccessors. One run is a whole mining period: AllocsPerRun rounds
 // down, and the table's 0.997 allocations per observation read as 0.
 func TestEnsembleObserveWarmZeroAlloc(t *testing.T) {
 	e := NewEnsemble(DefaultEnsembleConfig(), 1)
-	var lo int64
+	if _, live, _ := driveFlip(e); live != telemetry.ArmMithril {
+		t.Fatalf("chain drive left %v live, want mithril", live)
+	}
+	lo, step := int64(1_000_000), 0
 	period := func() {
-		for i := 0; i < e.cfg.Mithril.MineEvery; i++ {
-			e.Observe(lo, 1)
-			lo += 100
+		for i := 0; i < mineEvery; i++ {
+			if step%2 == 0 {
+				e.Observe(chain[(step/2)%len(chain)], 1)
+			} else {
+				e.Observe(lo, 1)
+				lo += 100
+			}
+			step++
 		}
 	}
 	for i := 0; i < 256; i++ {
@@ -190,14 +218,13 @@ func TestEnsembleObserveWarmZeroAlloc(t *testing.T) {
 	if m.TableLen() != m.cfg.MaxAssoc {
 		t.Fatalf("warm-up left %d of %d association entries: the table is not full", m.TableLen(), m.cfg.MaxAssoc)
 	}
-	if n := len(e.Observe(lo, 1).Candidates); e.Live() != telemetry.ArmLeap || n <= 8 {
-		t.Fatalf("live arm %v proposes %d candidates, want Leap with more than the scratch's initial 8", e.Live(), n)
+	if e.Live() != telemetry.ArmMithril {
+		t.Fatalf("warm-up demoted mithril: %v is live", e.Live())
 	}
-	lo += 100
-	// Demote Leap to a shadow, as it is wherever another arm scores better:
-	// its candidates now land in the shared shadow scratch.
-	e.live = telemetry.ArmCounter
 	if n := testing.AllocsPerRun(50, period); n != 0 {
 		t.Errorf("warm Ensemble.Observe: %v allocs per mining period, want 0", n)
+	}
+	if e.Live() != telemetry.ArmMithril {
+		t.Fatalf("mithril was demoted during the measured periods: %v is live", e.Live())
 	}
 }

@@ -7,41 +7,39 @@ import "repro/internal/telemetry"
 // sporadic, history-based correlations a sequentiality counter is blind
 // to (LSM point lookups walking index→filter→data blocks, chained
 // fragments of one logical object). Accesses accumulate in a bounded
-// per-inode history ring; every MineEvery observations the ring is mined
-// lazily for (head → successor-within-Lookahead) pairs; predictions read
+// per-inode history ring; every mineEvery observations the ring is mined
+// lazily for (head → successor-within-lookahead) pairs; predictions read
 // the association table directly. The table is memory-capped with a
 // FIFO-approximated LRU rotation, so one inode can never hold more than
 // MaxAssoc entries however long it lives.
 
-// MithrilConfig carries the miner's tunables.
+// MithrilConfig carries the miner's tunable; start from
+// DefaultMithrilConfig.
 type MithrilConfig struct {
-	// HistoryLen bounds the per-inode access-history ring.
-	HistoryLen int
 	// MaxAssoc caps the association-table entries; the oldest-inserted
 	// entry is rotated out beyond the cap.
 	MaxAssoc int
-	// MineEvery is the lazy-mining period in observations.
-	MineEvery int
-	// Lookahead is how many ring successors of each access are mined as
-	// associated.
-	Lookahead int
-	// MinSupport is the times a successor must recur before predicted.
-	MinSupport int
-	// MaxBlocks clamps each predicted candidate's size.
-	MaxBlocks int64
 }
 
 // DefaultMithrilConfig returns the default tuning.
 func DefaultMithrilConfig() MithrilConfig {
-	return MithrilConfig{
-		HistoryLen: 64,
-		MaxAssoc:   512,
-		MineEvery:  16,
-		Lookahead:  4,
-		MinSupport: 2,
-		MaxBlocks:  16,
-	}
+	return MithrilConfig{MaxAssoc: 512}
 }
+
+// The miner's fixed tuning.
+const (
+	// historyLen bounds the per-inode access-history ring.
+	historyLen = 64
+	// mineEvery is the lazy-mining period in observations.
+	mineEvery = 16
+	// lookahead is how many ring successors of each access are mined as
+	// associated.
+	lookahead = 4
+	// minSupport is the times a successor must recur before predicted.
+	minSupport = 2
+	// mithrilMaxBlocks clamps each predicted candidate's size.
+	mithrilMaxBlocks = 16
+)
 
 // assocSuccessors bounds the successors remembered per head block.
 const assocSuccessors = 4
@@ -80,27 +78,9 @@ type histRec struct {
 
 // NewMithril returns a miner with the given tuning.
 func NewMithril(cfg MithrilConfig) *Mithril {
-	if cfg.HistoryLen <= 0 {
-		cfg.HistoryLen = 64
-	}
-	if cfg.MaxAssoc <= 0 {
-		cfg.MaxAssoc = 512
-	}
-	if cfg.MineEvery <= 0 {
-		cfg.MineEvery = 16
-	}
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 4
-	}
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 2
-	}
-	if cfg.MaxBlocks <= 0 {
-		cfg.MaxBlocks = 16
-	}
 	return &Mithril{
 		cfg:   cfg,
-		hist:  make([]histRec, cfg.HistoryLen),
+		hist:  make([]histRec, historyLen),
 		table: make(map[int64]*assocEntry, cfg.MaxAssoc),
 		fifo:  make([]int64, cfg.MaxAssoc),
 	}
@@ -122,8 +102,8 @@ func (m *Mithril) Observe(lo, blocks int64, dst []Candidate) []Candidate {
 	// not from the pair this access is about to form.
 	if e := m.table[lo]; e != nil {
 		sz := blocks
-		if sz > m.cfg.MaxBlocks {
-			sz = m.cfg.MaxBlocks
+		if sz > mithrilMaxBlocks {
+			sz = mithrilMaxBlocks
 		}
 		if sz < 1 {
 			sz = 1
@@ -139,7 +119,7 @@ func (m *Mithril) Observe(lo, blocks int64, dst []Candidate) []Candidate {
 			}
 		}
 		for i := 0; i < e.n; i++ {
-			if e.count[i] >= int32(m.cfg.MinSupport) && e.count[i]*2 >= max && e.succ[i] != lo {
+			if e.count[i] >= minSupport && e.count[i]*2 >= max && e.succ[i] != lo {
 				dst = append(dst, Candidate{Lo: e.succ[i], Blocks: sz})
 			}
 		}
@@ -149,20 +129,20 @@ func (m *Mithril) Observe(lo, blocks int64, dst []Candidate) []Candidate {
 	m.total++
 
 	m.sinceMine++
-	if m.sinceMine >= m.cfg.MineEvery {
+	if m.sinceMine >= mineEvery {
 		m.sinceMine = 0
 		m.mine()
 	}
 	return dst
 }
 
-// mine credits each (head → successor-within-Lookahead) pair exactly
+// mine credits each (head → successor-within-lookahead) pair exactly
 // once: only records that arrived since the previous pass act as
-// successors, with heads reaching up to Lookahead behind them. (Re-mining
+// successors, with heads reaching up to lookahead behind them. (Re-mining
 // the whole ring would re-credit every surviving pair each pass, inflating
-// one-off interleavings past MinSupport.) Forward continuations within
-// the head's extension window are skipped — the counter and Leap arms own
-// those, and mining them would waste table capacity re-learning what
+// one-off interleavings past minSupport.) Forward continuations within
+// the head's extension window are skipped — the counter arm owns those,
+// and mining them would waste table capacity re-learning what
 // extrapolation gets for free.
 func (m *Mithril) mine() {
 	m.mined++
@@ -170,7 +150,7 @@ func (m *Mithril) mine() {
 	oldest := m.total - ln
 	for t := m.minedTo; t < m.total; t++ {
 		s := m.hist[t%ln]
-		h := t - int64(m.cfg.Lookahead)
+		h := t - lookahead
 		if h < oldest {
 			h = oldest
 		}
@@ -179,10 +159,10 @@ func (m *Mithril) mine() {
 		}
 		for ; h < t; h++ {
 			rec := m.hist[h%ln]
-			if d := s.lo - rec.lo; d >= 0 && d <= rec.blocks*int64(m.cfg.Lookahead) {
+			if d := s.lo - rec.lo; d >= 0 && d <= rec.blocks*lookahead {
 				// Repeat or forward continuation within the head's natural
-				// extension window: extrapolation (the counter and Leap
-				// arms) owns those, not association mining.
+				// extension window: extrapolation (the counter arm) owns
+				// those, not association mining.
 				continue
 			}
 			m.credit(rec.lo, s.lo)

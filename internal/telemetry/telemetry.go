@@ -411,8 +411,6 @@ const (
 	ArmCounter
 	// ArmMithril is the MITHRIL-style sporadic-association miner.
 	ArmMithril
-	// ArmLeap is the Leap-style majority-trend window detector.
-	ArmLeap
 
 	// NumArms bounds per-arm tables (exported for the ensemble, the
 	// scorecard, and the conformance tests).
@@ -427,7 +425,6 @@ var armNames = [numArms]string{
 	ArmNone:    "none",
 	ArmCounter: "counter",
 	ArmMithril: "mithril",
-	ArmLeap:    "leap",
 }
 
 // String names the arm (JSON key, label value).

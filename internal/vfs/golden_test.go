@@ -44,20 +44,24 @@ import (
 // down to its cap, not by recency down to 7/8 of it, and writes demote
 // too, which moves the stack cell and not the bare one. And for range
 // faults that fail every request overlapping them, not only those that
-// start inside, which moves both cells.
+// start inside, which moves both cells. And for the predictor arm the
+// recorder no longer has (Leap): its all-zero row left the recorder's
+// JSON, which moves the telemetry hash of both cells and nothing else
+// (with that row left out of the parent's export, the parent reproduces
+// both hashes).
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
 			now:       46900410,
 			device:    "nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; ",
-			telemetry: "ef0221053e87ef16",
+			telemetry: "e2bb7db389ce800f",
 			spans:     "3766280a387eb3fd",
 			results:   "8dc3393b09e99c7d",
 		},
 		"stack/plugged": {
 			now:       47229924,
 			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r163/40325120 w62/15867904 busy32237076 inj43/1500000 plug175/163/12; nvme0.0 r52/5906432 w28/5505024 busy10016730 inj14/150000 plug57/52/5; nvme0.1 r35/5828608 w11/2629632 busy6848854 inj6/150000 plug39/35/4; nvmeof0 r76/28590080 w23/7733248 busy32237076 inj23/1200000 plug79/76/3; ",
-			telemetry: "88c605ec578ed934",
+			telemetry: "ebd998287feec020",
 			spans:     "d2c6ef1b296e6c8b",
 			results:   "f4ea522294573ec4",
 		},

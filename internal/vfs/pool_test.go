@@ -162,7 +162,7 @@ func TestRingFramePoolAudit(t *testing.T) {
 	}
 	dirtyChunk := func() any {
 		return &ringChunk{pend: &stalePend, wg: &staleWG, f: &File{}, lo: 1 << 40, blocks: 1 << 20,
-			tenant: 9, prefetch: true, arm: telemetry.ArmLeap}
+			tenant: 9, prefetch: true, arm: telemetry.ArmMithril}
 	}
 
 	emptyPool(&ringFramePool)

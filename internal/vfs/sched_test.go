@@ -212,13 +212,11 @@ func TestCongestionPostponedPrefetchCompletes(t *testing.T) {
 
 // TestDemandRetryBackoffClamp: a large retry budget must not shift the
 // exponential backoff into overflow or absurd virtual waits — every
-// backoff clamps at DemandRetryMax, so 80 absorbed transient faults cost
+// backoff clamps at demandRetryMax, so 80 absorbed transient faults cost
 // at most ~80×cap of virtual time (and at least the capped tail).
 func TestDemandRetryBackoffClamp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DemandRetries = 80
-	cfg.DemandRetryBase = 50 * simtime.Microsecond
-	cfg.DemandRetryMax = 10 * simtime.Millisecond
 	v := newSchedKernel(t, cfg, 1000)
 	tl := simtime.NewTimeline(0)
 

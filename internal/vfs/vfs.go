@@ -52,16 +52,9 @@ type Config struct {
 	CongestionLimit simtime.Duration
 	// DemandRetries bounds how many times a blocking (demand read,
 	// fsync) or writeback device request retries a transient fault
-	// before the error surfaces; DemandRetryBase is the virtual-time
-	// backoff before the first retry, doubling each attempt. Zero values
-	// select 3 retries and 50µs.
-	DemandRetries   int
-	DemandRetryBase simtime.Duration
-	// DemandRetryMax caps a single retry backoff: the exponential
-	// DemandRetryBase << (attempt-1) clamps here instead of overflowing
-	// (or exploding the virtual wait) for large configured retry
-	// budgets. Zero selects 10ms.
-	DemandRetryMax simtime.Duration
+	// before the error surfaces, backing off per demandRetryBase and
+	// demandRetryMax. Zero selects 3 retries.
+	DemandRetries int
 	// Sched configures the block-layer submission scheduler every read
 	// path unplugs through (merge window, queue depth; zero fields select
 	// the defaults).
@@ -166,12 +159,6 @@ func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cac
 	if cfg.DemandRetries <= 0 {
 		cfg.DemandRetries = 3
 	}
-	if cfg.DemandRetryBase <= 0 {
-		cfg.DemandRetryBase = 50 * simtime.Microsecond
-	}
-	if cfg.DemandRetryMax <= 0 {
-		cfg.DemandRetryMax = 10 * simtime.Millisecond
-	}
 	cfg.Sched = cfg.Sched.WithDefaults()
 	v := &VFS{
 		cfg:      cfg,
@@ -189,12 +176,21 @@ func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cac
 	return v
 }
 
+// The demand-path retry backoff: demandRetryBase before the first retry,
+// doubling each attempt, and no single wait longer than demandRetryMax —
+// the exponential demandRetryBase << (attempt-1) clamps there instead of
+// overflowing (or exploding the virtual wait) for large retry budgets.
+const (
+	demandRetryBase = 50 * simtime.Microsecond
+	demandRetryMax  = 10 * simtime.Millisecond
+)
+
 // retryPolicy bundles the demand-path retry tunables for the plug layer.
 func (v *VFS) retryPolicy() blockdev.RetryPolicy {
 	return blockdev.RetryPolicy{
 		Max:  v.cfg.DemandRetries,
-		Base: v.cfg.DemandRetryBase,
-		Cap:  v.cfg.DemandRetryMax,
+		Base: demandRetryBase,
+		Cap:  demandRetryMax,
 	}
 }
 
