@@ -22,6 +22,18 @@ func mallocsPer(n int, f func(i int)) float64 {
 	return float64(b.Mallocs-a.Mallocs) / float64(n)
 }
 
+// bytesPer is mallocsPer for the bytes allocated.
+func bytesPer(n int, f func(i int)) float64 {
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	for i := 0; i < n; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&b)
+	return float64(b.TotalAlloc-a.TotalAlloc) / float64(n)
+}
+
 // A Get answered from a table allocates the value it returns and nothing
 // else of the engine's: no snapshot of the table lists, no decoded block.
 func TestGetAllocBudget(t *testing.T) {
@@ -148,47 +160,69 @@ func TestTableWriterAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// Reading a compaction's inputs allocates per input, not per block: each
-// table's data blocks land in one buffer sized from its index. The merge
-// of k tables of many blocks each costs a few objects per table.
+// A compaction's merge holds one block per input, not its inputs: plan and
+// replay of k tables allocate a buffer of a block or so per table and four
+// bytes of plan per input entry, and nothing else that grows with the
+// tables; once the compaction worker's merge is warm, next to nothing.
 func TestCompactionReadAllocsPerInput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
-	sys := testSys(crossprefetch.OSOnly)
-	tl := sys.Timeline()
-	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 30, BlockBytes: 4 << 10, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k, perTable = 4, 2000
+	const k, blockBytes = 4, 4 << 10
 	val := benchValue(1, 200)
-	for i := 0; i < k*perTable; i++ {
-		if err := db.Put(tl, BenchKey(int64(i%perTable*k+i/perTable)), val); err != nil {
+	for _, perTable := range []int{1000, 4000} {
+		sys := testSys(crossprefetch.OSOnly)
+		tl := sys.Timeline()
+		db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 30, BlockBytes: blockBytes, DisableAutoCompact: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if (i+1)%perTable == 0 {
-			if err := db.Flush(tl); err != nil {
+		for i := 0; i < k*perTable; i++ {
+			if err := db.Put(tl, BenchKey(int64(i%perTable*k+i/perTable)), val); err != nil {
 				t.Fatal(err)
 			}
+			if (i+1)%perTable == 0 {
+				if err := db.Flush(tl); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	inputs := db.current.Load().levels[0]
-	blocks := 0
-	for _, tb := range inputs {
-		blocks += len(tb.index)
-	}
-	if len(inputs) != k || blocks < 100*k {
-		t.Fatalf("%d L0 tables of %d blocks in all: want %d tables of over 100 blocks each", len(inputs), blocks, k)
-	}
-	read := func(int) {
-		if _, err := newMerge(inputs).plan(tl); err != nil {
-			t.Fatal(err)
+		inputs := db.current.Load().levels[0]
+		var entries, inputBytes int64
+		for _, tb := range inputs {
+			entries += tb.count
+			for _, ie := range tb.index {
+				inputBytes += ie.size
+			}
 		}
-	}
-	read(0) // every block resident
-	got := mallocsPer(3, read)
-	if got > 6*k {
-		t.Errorf("%.1f allocations to read %d tables of %d blocks in all, budget %d: a few per input", got, k, blocks, 6*k)
+		if len(inputs) != k || entries != int64(k*perTable) {
+			t.Fatalf("%d L0 tables of %d entries in all: want %d tables of %d", len(inputs), entries, k, perTable)
+		}
+		survivors := 0
+		run := func(m *merge) {
+			m.reset(inputs)
+			if _, err := m.plan(tl); err != nil {
+				t.Fatal(err)
+			}
+			survivors = 0
+			if err := m.replay(func(*blockCursor) error { survivors++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			m.release()
+		}
+		run(new(merge)) // every block resident
+		if survivors != k*perTable {
+			t.Fatalf("replay emitted %d entries, want %d", survivors, k*perTable)
+		}
+		fresh := bytesPer(3, func(int) { run(new(merge)) })
+		if budget := float64(k*2*blockBytes + 4*entries); fresh > budget {
+			t.Errorf("%d entries per table: a fresh merge of %d tables (%d input bytes) allocates %.0f bytes, budget %.0f: %d×2 blocks + 4 per entry",
+				perTable, k, inputBytes, fresh, budget, k)
+		}
+		var warm merge
+		run(&warm)
+		if got := bytesPer(3, func(int) { run(&warm) }); got > 64*k {
+			t.Errorf("%d entries per table: a warm merge of %d tables allocates %.0f bytes, budget %d: a few small objects, none sized by the input", perTable, k, got, 64*k)
+		}
 	}
 }

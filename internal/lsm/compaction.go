@@ -3,6 +3,7 @@ package lsm
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -92,7 +93,9 @@ func (db *DB) compactLevel(tl *simtime.Timeline, lvl int) error {
 	// the scan RocksDB accelerates with its own compaction readahead; here
 	// the configured approach's prefetching applies) and merge by (key,
 	// seq desc), keeping the newest version of each key.
-	m := newMerge(all)
+	m := &db.compactMerge
+	m.reset(all)
+	defer m.release()
 	bytesRead, err := m.plan(tl)
 	if err != nil {
 		return fmt.Errorf("lsm: compacting L%d, reading inputs: %w", lvl, err)
@@ -180,37 +183,37 @@ func (db *DB) writeMerged(tl *simtime.Timeline, m *merge, maxOut int64, bottomLe
 	return outputs, err
 }
 
-// mergeSource is one input table of a merge, walked block by block.
+// mergeSource is one input table of a merge, walked one block at a time.
+// buf holds the block the cursor is in and the next block overwrites it,
+// so the cursor's key and value are valid only until the source moves on
+// to its next block. buf outlives the merge: the next compaction reuses
+// it.
 type mergeSource struct {
 	table *sstable
 	prio  int // lower = newer table, wins on equal key+seq
-
-	// blocks holds the raw blocks read so far, each a sub-slice of buf,
-	// which is sized for every data block of the table and holds as many
-	// bytes as have been read. Phase one appends to blocks, phase two
-	// walks them again and lets go of buf once the source is done.
-	buf    []byte
-	blocks [][]byte
-	block  int
-	cur    blockCursor
-	done   bool
+	buf   []byte
+	block int
+	cur   blockCursor
+	done  bool
 }
 
 // seek positions the source at the first entry of block b, reading the
-// block through the table's handle unless it was read before. It skips
-// empty blocks and sets done past the last one.
+// block into buf: through the table's handle on tl, or, with a nil tl, on
+// the host alone (replay, over blocks plan has read). It skips empty
+// blocks and sets done past the last one.
 func (s *mergeSource) seek(tl *simtime.Timeline, b int) error {
 	for ; b < len(s.table.index); b++ {
-		if b == len(s.blocks) {
-			raw, err := s.table.readBlock(tl, b, s.buf[len(s.buf):])
+		if tl == nil {
+			s.buf = s.table.rereadBlock(b, s.buf)
+		} else {
+			raw, err := s.table.readBlock(tl, b, s.buf)
 			if err != nil {
 				return err
 			}
-			s.buf = s.buf[:len(s.buf)+len(raw)]
-			s.blocks = append(s.blocks, raw)
+			s.buf = raw
 		}
 		s.block = b
-		if s.cur.first(s.blocks[b]) {
+		if s.cur.first(s.buf) {
 			return nil
 		}
 		if s.cur.corrupt {
@@ -252,33 +255,55 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 // merge k-way merges tables, newest-priority first, dropping shadowed
 // versions, in two passes over the same sources. plan does all the reading
 // and all the comparing and records, per input entry in merge order, which
-// source it came from and whether it survives; replay walks the blocks
-// plan kept and hands the survivors to the writer, so nothing of the
-// output exists in memory beyond the writer's chunk.
+// source it came from and whether it survives; replay copies the same
+// blocks again on the host and hands the survivors to the writer, so
+// nothing of the input or the output exists in memory beyond one block per
+// source and the writer's chunk. The compaction worker owns one merge for
+// the life of the DB, like compactScratch: the block buffers, steps and
+// lastKey are reused by every compaction.
 type merge struct {
-	sources []*mergeSource
+	sources []mergeSource
 	steps   []uint32 // source index << 1 | survives
+	lastKey []byte   // plan's newest key, copied: its block gets overwritten
 }
 
-func newMerge(tables []*sstable) *merge {
-	m := &merge{sources: make([]*mergeSource, len(tables))}
+// reset makes m a merge of tables, keeping the memory of earlier merges.
+// Each source's buffer is sized for the table's largest block.
+func (m *merge) reset(tables []*sstable) {
+	if n := len(tables); cap(m.sources) < n { // keep every earlier source's buffer
+		m.sources = append(m.sources[:cap(m.sources)], make([]mergeSource, n-cap(m.sources))...)
+	}
+	m.sources = m.sources[:len(tables)]
 	var entries int64
 	for i, t := range tables {
-		var n int64
+		var largest int64
 		for _, ie := range t.index {
-			n += ie.size
+			largest = max(largest, ie.size)
 		}
-		m.sources[i] = &mergeSource{table: t, prio: i, buf: make([]byte, 0, n), blocks: make([][]byte, 0, len(t.index))}
+		s := &m.sources[i]
+		buf := s.buf
+		if int64(cap(buf)) < largest {
+			buf = make([]byte, 0, largest)
+		}
+		*s = mergeSource{table: t, prio: i, buf: buf}
 		entries += t.count
 	}
-	m.steps = make([]uint32, 0, entries)
-	return m
+	m.steps = slices.Grow(m.steps[:0], int(entries))
 }
 
-// plan runs the merge against the table files and returns the bytes read.
+// release lets go of the tables of the last merge, keeping its buffers.
+func (m *merge) release() {
+	for i := range m.sources {
+		m.sources[i].table = nil
+	}
+}
+
+// plan runs the merge against the table files and returns the bytes read:
+// every data block of every source, each once.
 func (m *merge) plan(tl *simtime.Timeline) (int64, error) {
 	h := make(mergeHeap, 0, len(m.sources))
-	for _, s := range m.sources {
+	for i := range m.sources {
+		s := &m.sources[i]
 		if err := s.seek(tl, 0); err != nil {
 			return 0, err
 		}
@@ -288,13 +313,14 @@ func (m *merge) plan(tl *simtime.Timeline) (int64, error) {
 	}
 	heap.Init(&h)
 
-	lastKey, have := "", false
+	m.lastKey = m.lastKey[:0]
+	have := false
 	for h.Len() > 0 {
 		s := h[0]
 		step := uint32(s.prio) << 1
-		if !have || s.cur.key != lastKey {
+		if !have || s.cur.key != string(m.lastKey) {
 			step |= 1
-			lastKey, have = s.cur.key, true // the block it points into is kept
+			m.lastKey, have = append(m.lastKey[:0], s.cur.key...), true
 		}
 		m.steps = append(m.steps, step)
 		if err := s.next(tl); err != nil {
@@ -309,21 +335,24 @@ func (m *merge) plan(tl *simtime.Timeline) (int64, error) {
 	}
 	var bytesRead int64
 	for _, s := range m.sources {
-		bytesRead += int64(len(s.buf))
+		for _, ie := range s.table.index {
+			bytesRead += ie.size
+		}
 	}
 	return bytesRead, nil
 }
 
 // replay calls emit with every surviving entry, in merge order.
 func (m *merge) replay(emit func(c *blockCursor) error) error {
-	for _, s := range m.sources {
+	for i := range m.sources {
+		s := &m.sources[i]
 		s.done = false
 		if err := s.seek(nil, 0); err != nil {
 			return err
 		}
 	}
 	for _, step := range m.steps {
-		s := m.sources[step>>1]
+		s := &m.sources[step>>1]
 		if step&1 != 0 {
 			if err := emit(&s.cur); err != nil {
 				return err
@@ -331,9 +360,6 @@ func (m *merge) replay(emit func(c *blockCursor) error) error {
 		}
 		if err := s.next(nil); err != nil {
 			return err
-		}
-		if s.done {
-			s.buf, s.blocks = nil, nil // passed: the collector may have it
 		}
 	}
 	return nil

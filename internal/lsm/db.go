@@ -122,6 +122,7 @@ type DB struct {
 	compactWorker  *simtime.Worker
 	flushScratch   writeScratch // flush jobs only
 	compactScratch writeScratch // compaction jobs only
+	compactMerge   merge        // compaction jobs only
 	fincoreRR      int
 	loadEnd        simtime.Time
 

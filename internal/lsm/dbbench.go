@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -68,13 +69,21 @@ func BenchKey(i int64) string { return fmt.Sprintf("key%016d", i) }
 
 // benchValue builds a deterministic value.
 func benchValue(i int64, size int) []byte {
-	v := make([]byte, size)
+	return fillBenchValue(make([]byte, size), i)
+}
+
+// fillBenchValue writes value i into v and returns v: the little-endian
+// words of a linear congruential sequence seeded by i, the last word cut
+// at len(v).
+func fillBenchValue(v []byte, i int64) []byte {
 	x := uint64(i)*6364136223846793005 + 1442695040888963407
-	for j := range v {
-		v[j] = byte(x >> (8 * (uint(j) % 8)))
-		if j%8 == 7 {
-			x = x*6364136223846793005 + 1442695040888963407
-		}
+	j := 0
+	for ; j+8 <= len(v); j += 8 {
+		binary.LittleEndian.PutUint64(v[j:], x)
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	for b := 0; j < len(v); j, b = j+1, b+8 {
+		v[j] = byte(x >> b)
 	}
 	return v
 }
@@ -99,8 +108,11 @@ func LoadDB(cfg BenchConfig) (*DB, error) {
 			order[i], order[j] = order[j], order[i]
 		})
 	}
+	// One value buffer serves the whole load: Put copies the value into
+	// the memtable and the log record.
+	val := make([]byte, cfg.ValueBytes)
 	for _, i := range order {
-		if err := db.Put(tl, BenchKey(i), benchValue(i, cfg.ValueBytes)); err != nil {
+		if err := db.Put(tl, BenchKey(i), fillBenchValue(val, i)); err != nil {
 			return nil, err
 		}
 	}
@@ -175,13 +187,14 @@ func (db *DB) benchThread(th *workload.Thread, cfg BenchConfig, ops int64) error
 	switch cfg.Workload {
 	case FillSeq, FillRandom:
 		base := int64(id) * ops
+		val := make([]byte, cfg.ValueBytes) // Put copies it, as in LoadDB
 		for i := int64(0); i < ops; i++ {
 			th.Gate()
 			k := base + i
 			if cfg.Workload == FillRandom {
 				k = rng.Int63n(n)
 			}
-			if err := db.Put(tl, BenchKey(k), benchValue(k, cfg.ValueBytes)); err != nil {
+			if err := db.Put(tl, BenchKey(k), fillBenchValue(val, k)); err != nil {
 				return err
 			}
 			th.Ops++

@@ -538,3 +538,78 @@ func TestConcurrentGetPutRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A merge drops shadowed versions even when a key's versions straddle a
+// block boundary: the survivor test compares against a copy of the last
+// key, because a source overwrites its block buffer when it moves on.
+func TestMergeDropsVersionsAcrossBlocks(t *testing.T) {
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 1 << 30, BlockBytes: 4 << 10, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, hot, versions = 1000, 500, 20
+	var newest []byte
+	for round := 0; round < 4; round++ {
+		for i := 0; i < keys; i++ {
+			if err := db.Put(tl, BenchKey(int64(i)), benchValue(int64(round*keys+i), 100)); err != nil {
+				t.Fatal(err)
+			}
+			if i != hot {
+				continue
+			}
+			for v := 0; v < versions; v++ { // 20 × 1KB: about five 4KB blocks
+				newest = benchValue(int64(round*versions+v), 1<<10)
+				if err := db.Put(tl, BenchKey(hot), newest); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Flush(tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.compactLevel(tl, 0); err != nil {
+		t.Fatal(err)
+	}
+	v := db.current.Load()
+	var entries int64
+	for _, tb := range v.levels[1] {
+		entries += tb.count
+	}
+	if len(v.levels[0]) != 0 || entries != keys {
+		t.Fatalf("after compacting L0: %d L0 tables, %d L1 entries, want 0 and %d", len(v.levels[0]), entries, keys)
+	}
+	if got, ok, err := db.Get(tl, BenchKey(hot)); err != nil || !ok || !bytes.Equal(got, newest) {
+		t.Fatalf("Get(hot) = %d bytes, %v, %v: want the newest version", len(got), ok, err)
+	}
+}
+
+// benchValue writes a word at a time the bytes the byte-at-a-time
+// definition below wrote, for every tail length.
+func TestBenchValueBytes(t *testing.T) {
+	reference := func(i int64, size int) []byte {
+		v := make([]byte, size)
+		x := uint64(i)*6364136223846793005 + 1442695040888963407
+		for j := range v {
+			v[j] = byte(x >> (8 * (uint(j) % 8)))
+			if j%8 == 7 {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+		}
+		return v
+	}
+	reused := make([]byte, 0, 67)
+	for _, i := range []int64{0, 1, 7, 4242, -1, 1 << 40} {
+		for size := 0; size <= 67; size++ {
+			want := reference(i, size)
+			if got := benchValue(i, size); !bytes.Equal(got, want) {
+				t.Fatalf("benchValue(%d, %d) = %x, want %x", i, size, got, want)
+			}
+			if got := fillBenchValue(reused[:size], i); !bytes.Equal(got, want) {
+				t.Fatalf("fillBenchValue over a reused buffer (%d, %d) = %x, want %x", i, size, got, want)
+			}
+		}
+	}
+}

@@ -259,10 +259,13 @@ func (w *tableWriter) finish(bitsPerKey int) (bloom, int64, error) {
 // blockCursor decodes the entries of one raw data block in place: key and
 // value point into the block, nothing is copied and nothing is allocated.
 // A cursor and everything it hands out are valid for as long as the block
-// is neither modified nor recycled. Blocks read for a merge or an iterator
-// are allocated fresh and never written again, so their keys and values
-// stay valid for as long as they are referenced; Get reads into a pooled
-// buffer and must copy out what it returns.
+// is neither modified nor recycled. An iterator's blocks are allocated
+// fresh and never written again, so its keys and values stay valid for as
+// long as they are referenced. A merge recycles: each source reads every
+// block into the one buffer the next block overwrites, so whatever the
+// merge keeps of an entry past its source's next block it copies (plan's
+// lastKey; the table writer copies what replay emits). Get reads into a
+// pooled buffer and must copy out what it returns.
 type blockCursor struct {
 	raw      []byte
 	off, end int // the current entry is raw[off:end]
@@ -337,6 +340,22 @@ func (t *sstable) readBlock(tl *simtime.Timeline, i int, buf []byte) ([]byte, er
 		return nil, err
 	}
 	return buf, nil
+}
+
+// rereadBlock copies data block i into buf on the host alone: no
+// timeline, no page cache, no booking. A merge's replay uses it for blocks
+// its plan has read through the handle, and gets the same bytes: the
+// kernel's copy-out reads the same inode (vfs.File.ReadAt), a finished
+// table file is never written again, and a compaction's inputs are removed
+// only after it installs.
+func (t *sstable) rereadBlock(i int, buf []byte) []byte {
+	ie := t.index[i]
+	if int64(cap(buf)) < ie.size {
+		buf = make([]byte, ie.size)
+	}
+	buf = buf[:ie.size]
+	t.file.Kernel().Inode().ReadAt(buf, ie.off)
+	return buf
 }
 
 // blockFor returns the index of the block that may contain key, or -1.
