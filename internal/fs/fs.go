@@ -67,6 +67,8 @@ type FS struct {
 	allocMu  sync.Mutex
 	nextPhys int64 // bump allocator / log head
 
+	free freeChunks // data of chunks their inodes dropped, for WriteAt
+
 	journal *simtime.Ledger
 	costs   simtime.Costs
 }
@@ -109,7 +111,7 @@ type Inode struct {
 // it reads as the filler of its physical block, or as zeros if unmapped.
 type chunk struct {
 	written uint64 // bit i: block i of the chunk is in data
-	data    []byte // chunkBlocks blocks, allocated by the first write
+	data    []byte // chunkBlocks blocks, taken by the first write
 }
 
 // ID reports the inode number.
@@ -199,7 +201,7 @@ func (f *FS) Open(name string) (*Inode, error) {
 	return ino, nil
 }
 
-// Remove deletes a file and discards its materialized data.
+// Remove deletes a file and gives its materialized data to the free list.
 func (f *FS) Remove(tl *simtime.Timeline, name string) error {
 	f.mu.Lock()
 	ino, ok := f.files[name]
@@ -212,8 +214,10 @@ func (f *FS) Remove(tl *simtime.Timeline, name string) error {
 	f.mu.Unlock()
 
 	ino.mu.Lock()
+	dropped := ino.chunks
 	ino.phys, ino.chunks = nil, nil
 	ino.size = 0
+	f.free.put(dropped)
 	ino.mu.Unlock()
 	f.metadataOp(tl)
 	return nil
@@ -352,7 +356,7 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 		}
 		c := &ino.chunks[blk/chunkBlocks]
 		if c.data == nil {
-			c.data = make([]byte, chunkBlocks*bs)
+			c.data = ino.fs.free.get(int(chunkBlocks * bs))
 		}
 		bit := uint64(1) << (blk % chunkBlocks)
 		b := c.data[blk%chunkBlocks*bs:][:bs]
@@ -411,12 +415,15 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 		ino.phys = ino.phys[:keep]
 	}
 	if n := (keep + chunkBlocks - 1) / chunkBlocks; n < int64(len(ino.chunks)) {
-		clear(ino.chunks[n:]) // let the collector have their data
+		ino.fs.free.put(ino.chunks[n:])
+		clear(ino.chunks[n:])
 		ino.chunks = ino.chunks[:n]
 	}
 	if tail := keep % chunkBlocks; tail != 0 && keep/chunkBlocks < int64(len(ino.chunks)) {
-		c := &ino.chunks[keep/chunkBlocks]
+		i := keep / chunkBlocks
+		c := &ino.chunks[i]
 		if c.written &= 1<<tail - 1; c.written == 0 {
+			ino.fs.free.put(ino.chunks[i : i+1])
 			c.data = nil
 		}
 	}
