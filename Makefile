@@ -5,11 +5,12 @@
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the six packages with real host concurrency (the LSM engine, the
 # file system, the lock-free bitmap, the page cache, the range tree's
-# lock-free summaries, the library's shared descriptors and rings), and the
-# two that hand threads a baton (simtime's group, the workload driver),
-# under the race detector at GOMAXPROCS 1, 2 and 8, five times each — about
-# 40 minutes on two cores, 11 of them crosslib's, hence the explicit
-# timeout (go test's default is ten).
+# lock-free summaries, the library's shared descriptors and rings), the
+# two that hand threads a baton (simtime's group, the workload driver), and
+# the predictor arms the library drives per inode, under the race detector
+# at GOMAXPROCS 1, 2 and 8, five times each. On two cores the LSM engine
+# alone takes about 26 minutes and crosslib 11, hence the explicit timeout
+# (go test's default is ten).
 .PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
 
 check: vet errgate fmtgate stackgate ringgate build race allocs digests bench-smoke
@@ -73,7 +74,7 @@ allocs:
 
 stress:
 	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
-		./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib
+		./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
 
 # Code size, counted one way: non-test Go lines that are neither blank nor
 # comment-only, per package (with its files when PKG names one, e.g.

@@ -314,31 +314,162 @@ func TestBloomUnit(t *testing.T) {
 	}
 }
 
+// Property: a memtable answers get at every snapshot with the newest
+// version at or below it, as a reference history does, and its level-0
+// chain is ordered by key ascending, then seq descending. Each case makes
+// enough puts over few enough keys that every node slab size fills, and
+// its values span the value slab's sizes and the unslabbed large ones.
 func TestMemtableProperty(t *testing.T) {
-	// Property: memtable get returns the newest version below the
-	// snapshot, matching a reference map.
-	f := func(ops []uint16, seed int64) bool {
+	type ver struct {
+		seq uint64
+		val []byte
+		del bool
+	}
+	const puts, keys = 5000, 300
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		m := newMemtable(seed)
-		ref := make(map[string]string)
+		hist := make(map[string][]ver) // per key, oldest first
 		var seq uint64
-		for _, op := range ops {
+		for i := 0; i < puts; i++ {
 			seq++
-			k := fmt.Sprintf("k%d", op%50)
-			v := fmt.Sprintf("v%d", seq)
-			m.put(k, []byte(v), seq, false)
-			ref[k] = v
+			k := fmt.Sprintf("k%03d", rng.Intn(keys))
+			del := rng.Intn(10) == 0
+			var v []byte
+			switch {
+			case del:
+			case rng.Intn(100) == 0:
+				v = benchValue(int64(seq), rng.Intn(80<<10))
+			default:
+				v = benchValue(int64(seq), rng.Intn(200))
+			}
+			m.put(k, v, seq, del)
+			hist[k] = append(hist[k], ver{seq, v, del})
 		}
-		for k, want := range ref {
-			got, del, ok := m.get(k, seq)
-			if !ok || del || string(got) != want {
+		for snap := uint64(0); snap <= seq; snap += 1 + uint64(rng.Intn(500)) {
+			for k, vs := range hist {
+				var want *ver
+				for i := range vs {
+					if vs[i].seq <= snap {
+						want = &vs[i]
+					}
+				}
+				got, del, ok := m.get(k, snap)
+				if want == nil {
+					if ok {
+						t.Logf("seed %d: %s at seq %d found, want absent", seed, k, snap)
+						return false
+					}
+					continue
+				}
+				if !ok || del != want.del || !bytes.Equal(got, want.val) {
+					t.Logf("seed %d: %s at seq %d = (%d bytes, del %v, ok %v), want version %d", seed, k, snap, len(got), del, ok, want.seq)
+					return false
+				}
+			}
+		}
+		n := 0
+		for x := m.first(); x != nil; x = x.next[0] {
+			n++
+			if y := x.next[0]; y != nil && !entryLess(x.key, x.seq, y.key, y.seq) {
+				t.Logf("seed %d: (%s, %d) walks before (%s, %d)", seed, x.key, x.seq, y.key, y.seq)
 				return false
 			}
 		}
+		if n != puts {
+			t.Logf("seed %d: the walk met %d nodes, want %d", seed, n, puts)
+			return false
+		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// An iterator copies the memtables' entries when it opens, and those
+// entries point into the memtable's slabs: a flush, and the memtables that
+// fill after it, must not change what it returns.
+func TestIteratorOutlivesFlushedMemtable(t *testing.T) {
+	db := testDB(t, crossprefetch.OSOnly)
+	tl := db.sys.Timeline()
+	want := make(map[string][]byte)
+	for i := 0; i < 3000; i++ {
+		k := BenchKey(int64(i % 1200))
+		switch {
+		case i%7 == 3:
+			db.Delete(tl, k)
+			delete(want, k)
+		default:
+			v := benchValue(int64(i), 20+i%90)
+			db.Put(tl, k, v)
+			want[k] = v
+		}
+	}
+	it := db.NewIterator(tl, false)
+	defer it.Close()
+	if err := db.Flush(tl); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		if err := db.Put(tl, BenchKey(int64(i%2500)), benchValue(int64(-1-i), 20+i%90)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitIdle(tl)
+	n := 0
+	for ok := it.SeekFirst(); ok; ok = it.Next() {
+		v, live := want[it.Key()]
+		if !live || !bytes.Equal(it.Value(), v) {
+			t.Fatalf("key %q: iterator has %d bytes, the pre-flush contents %d (live %v)", it.Key(), len(it.Value()), len(v), live)
+		}
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want) {
+		t.Fatalf("iterator returned %d keys, the pre-flush contents hold %d", n, len(want))
+	}
+}
+
+// A value above the memtable's current slab size but within the slabbed
+// range gets a slab of its own size: Put, Get and the log's replay on
+// reopen all carry it.
+func TestPutValueLargerThanSlab(t *testing.T) {
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	opt := Options{Sys: sys, MemtableBytes: 4 << 20, BlockBytes: 4 << 10}
+	db, err := Open(tl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the empty database writes the manifest a reopen reads before
+	// it replays the log.
+	if err := db.Close(tl); err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{4<<10 + 1, 10 << 10, 40 << 10, 64 << 10, 64<<10 + 1}
+	check := func(db *DB, when string) {
+		t.Helper()
+		for i, n := range sizes {
+			v, ok, err := db.Get(tl, BenchKey(int64(i)))
+			if err != nil || !ok || !bytes.Equal(v, benchValue(int64(i), n)) {
+				t.Fatalf("%s: %d-byte value read back as %d bytes (ok %v, err %v)", when, n, len(v), ok, err)
+			}
+		}
+	}
+	for i, n := range sizes {
+		if err := db.Put(tl, BenchKey(int64(i)), benchValue(int64(i), n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(db, "before reopen")
+	db2, err := Open(tl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(db2, "after log replay")
 }
 
 func TestSSTableRoundTripProperty(t *testing.T) {

@@ -14,7 +14,11 @@
 // reverse) over the whole tree.
 package lsm
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/slab"
+)
 
 const maxHeight = 12
 
@@ -40,18 +44,21 @@ type memtable struct {
 	bytes  int64
 	count  int
 
-	// slab is the unused tail of the newest value slab. Values are copied
-	// into slabs that grow from slabMin to slabMax bytes, so a memtable of
-	// any size costs a handful of allocations for all its values; a slab
-	// is never written again where a value was carved, and dies with the
-	// memtable (or with the last Get result still pointing into it).
-	slab     []byte
-	slabSize int
+	// values and nodes are the memtable's slabs: values grow from slabMin
+	// to slabMax bytes and nodes from nodeSlabMin to nodeSlabMax, so a
+	// memtable of any size costs a handful of allocations for all its
+	// entries. A value is never written again once copied, and the slabs
+	// die with the memtable (a value's slab with the last Get result still
+	// pointing into it).
+	values slab.Slab[byte]
+	nodes  slab.Slab[skipNode]
 }
 
 const (
-	slabMin = 4 << 10
-	slabMax = 256 << 10
+	slabMin     = 4 << 10
+	slabMax     = 256 << 10
+	nodeSlabMin = 16
+	nodeSlabMax = 1 << 10
 )
 
 // copyValue returns a private copy of v, capped at its length so that an
@@ -63,12 +70,7 @@ func (m *memtable) copyValue(v []byte) []byte {
 	if len(v) > slabMax/4 {
 		return append([]byte(nil), v...)
 	}
-	if len(v) > len(m.slab) {
-		m.slabSize = min(max(2*m.slabSize, slabMin), slabMax)
-		m.slab = make([]byte, m.slabSize)
-	}
-	dst := m.slab[:len(v):len(v)]
-	m.slab = m.slab[len(v):]
+	dst := m.values.Take(len(v), slabMin, slabMax)
 	copy(dst, v)
 	return dst
 }
@@ -110,7 +112,8 @@ func (m *memtable) put(key string, value []byte, seq uint64, del bool) {
 		}
 		m.height = h
 	}
-	n := &skipNode{memEntry: memEntry{key: key, value: m.copyValue(value), seq: seq, del: del}}
+	n := &m.nodes.Take(1, nodeSlabMin, nodeSlabMax)[0]
+	n.memEntry = memEntry{key: key, value: m.copyValue(value), seq: seq, del: del}
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n

@@ -1,6 +1,9 @@
 package predictor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestMithrilSkipsSequential: adjacent-sequential pairs belong to the
 // counter arm — mining them would burn table capacity re-learning what
@@ -70,5 +73,33 @@ func TestMithrilCapacityEviction(t *testing.T) {
 	}
 	if m.TableLen() == 0 {
 		t.Fatal("nothing was ever mined")
+	}
+}
+
+// TestMithrilColdFillAllocs: a fresh miner filling its table carves the
+// entries from a few doubling slabs instead of allocating one per new
+// head: 8, 16, …, 256 and the last 8 of 512 are seven slabs.
+func TestMithrilColdFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	m := NewMithril(DefaultMithrilConfig())
+	dst := make([]Candidate, 0, 64)
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	// Accesses 1000 blocks apart: no pair is a forward continuation within
+	// a one-block head's window, so every access becomes a new head.
+	for i := int64(0); m.TableLen() < m.cfg.MaxAssoc; i++ {
+		if i > 4*int64(m.cfg.MaxAssoc) {
+			t.Fatalf("%d accesses filled %d of %d entries", i, m.TableLen(), m.cfg.MaxAssoc)
+		}
+		dst = m.Observe(1_000_000+1000*i, 1, dst[:0])
+	}
+	runtime.ReadMemStats(&b)
+	n := b.Mallocs - a.Mallocs
+	t.Logf("%d allocations filled %d entries", n, m.TableLen())
+	if n > 8 {
+		t.Errorf("filling %d association entries took %d allocations, budget 8", m.cfg.MaxAssoc, n)
 	}
 }

@@ -1,6 +1,9 @@
 package predictor
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/slab"
+	"repro/internal/telemetry"
+)
 
 // MITHRIL-style association miner (Yang et al., SoCC '17): instead of
 // extrapolating a stream, it learns which blocks *follow* which — the
@@ -39,6 +42,8 @@ const (
 	minSupport = 2
 	// mithrilMaxBlocks clamps each predicted candidate's size.
 	mithrilMaxBlocks = 16
+	// entrySlabMin is the first entry slab's length.
+	entrySlabMin = 8
 )
 
 // assocSuccessors bounds the successors remembered per head block.
@@ -67,6 +72,10 @@ type Mithril struct {
 	fifo   []int64
 	fhead  int
 	fcount int
+	// entries holds the new heads' entries. Its blocks double from
+	// entrySlabMin up to what the table still lacks, so filling MaxAssoc
+	// entries takes a handful of allocations.
+	entries slab.Slab[assocEntry]
 
 	sinceMine int
 	mined     int64
@@ -180,7 +189,10 @@ func (m *Mithril) credit(head, succ int64) {
 			e = m.evictOne() // a full table inserts into the entry it rotates out
 		}
 		if e == nil {
-			e = &assocEntry{}
+			// Entries leave the table only through evictOne, which hands
+			// them to the insertion that displaced them, so every entry
+			// carved is live and the table lacks MaxAssoc-fcount more.
+			e = &m.entries.Take(1, entrySlabMin, m.cfg.MaxAssoc-m.fcount)[0]
 		}
 		m.table[head] = e
 		m.fifo[(m.fhead+m.fcount)%len(m.fifo)] = head
