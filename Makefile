@@ -11,7 +11,7 @@
 # at GOMAXPROCS 1, 2 and 8, five times each. On two cores the LSM engine
 # alone takes about 26 minutes and crosslib 11, hence the explicit timeout
 # (go test's default is ten).
-.PHONY: check build test vet race allocs stress size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
+.PHONY: check build test vet race allocs stress fuzz size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
 
 check: vet errgate fmtgate stackgate ringgate build race allocs digests bench-smoke
 
@@ -75,6 +75,22 @@ allocs:
 stress:
 	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
 		./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
+
+# Run every fuzz target, one after another, for FUZZTIME each (default
+# 20s): a capped tier's residency invariants, the range tree against a
+# plain bitmap, and the indexed ledger against a plain rescan of its ring.
+# Not part of `check`: `go test` already runs each target's seed corpus. A
+# failing input lands in the package's testdata/fuzz/ and replays from
+# there under plain `go test`.
+FUZZTIME ?= 20s
+FUZZ = internal/blockdev:FuzzTierResidency internal/rangetree:FuzzTreeAgainstBits \
+	internal/simtime:FuzzLedgerAgainstScan
+
+fuzz:
+	@for t in $(FUZZ); do \
+		echo "fuzz: $${t#*:} ($(FUZZTIME))"; \
+		go test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) ./$${t%%:*} || exit 1; \
+	done
 
 # Code size, counted one way: non-test Go lines that are neither blank nor
 # comment-only, per package (with its files when PKG names one, e.g.

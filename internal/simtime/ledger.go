@@ -19,23 +19,75 @@ import "sync"
 // that are still in the future, and later requests backfill the time they
 // held. The bench's serve_rings cell runs in that regime (offered 1.5x its
 // device's rate) and its latency depends on ringCap: 128 -> 256 moved its
-// virtual p50 684 -> 1200 us. ROADMAP item 8: an exact ledger and a re-tuned
-// offered rate have to land together.
+// virtual p50 684 -> 1200 us. ROADMAP item 8: pruning by time rather than by
+// count and a re-tuned offered rate have to land together.
+//
+// The ring is indexed: byStart lists its live slots in (start, end) order,
+// so a booking is found by one ordered walk (firstFit) over only the spans
+// that can overlap it. The walk returns the least feasible start at or
+// after the request, which is a function of the live set alone; the index
+// decides how fast it is found, never where. ledger_test.go checks it
+// against a plain rescan of the ring after every conflict.
 
 // span is one booked interval.
 type span struct{ s, e Time }
 
-// spanRing is a fixed-capacity ring of booked spans.
+// before orders spans by start, then end.
+func (a span) before(b span) bool { return a.s < b.s || a.s == b.s && a.e < b.e }
+
+// spanRing is a fixed-capacity FIFO ring of booked spans, indexed by start.
 type spanRing struct {
-	spans [ringCap]span
-	n     int // total pushes (ring index = n % ringCap)
+	spans   [ringCap]span
+	byStart [ringCap]uint8 // live slots, sorted by (s, e)
+	n       int            // total pushes (ring index = n % ringCap)
+	hi      Time           // latest end ever pushed
+	maxHold Duration       // longest span ever pushed
 }
 
 const ringCap = 128
 
+// push books sp, evicting the oldest span once the ring is full. A span
+// goes into the index after every equal one, so equal spans stand in push
+// order and the evicted span, the oldest live one, is the first of its
+// equals: where a binary search for its value lands.
 func (r *spanRing) push(sp span) {
-	r.spans[r.n%ringCap] = sp
+	live := r.len()
+	slot := uint8(r.n % ringCap)
+	if live == ringCap {
+		old := r.spans[slot]
+		i := r.search(live, func(o span) bool { return o.before(old) })
+		live--
+		copy(r.byStart[i:live], r.byStart[i+1:])
+	}
+	r.spans[slot] = sp
+	i := r.search(live, func(o span) bool { return !sp.before(o) })
+	copy(r.byStart[i+1:live+1], r.byStart[i:live])
+	r.byStart[i] = slot
 	r.n++
+	r.hi = max(r.hi, sp.e)
+	r.maxHold = max(r.maxHold, sp.e.Sub(sp.s))
+}
+
+// search returns how many of the first n index entries have spans that
+// satisfy below, which must hold for a prefix of the index.
+func (r *spanRing) search(n int, below func(span) bool) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if below(r.spans[r.byStart[m]]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// from returns the index position of the first span that can end after at:
+// one starting later than at - maxHold.
+func (r *spanRing) from(at Time) int {
+	floor := at.Add(-r.maxHold)
+	return r.search(r.len(), func(o span) bool { return o.s <= floor })
 }
 
 // len reports how many live spans the ring holds.
@@ -46,27 +98,46 @@ func (r *spanRing) len() int {
 	return ringCap
 }
 
-// conflictEnd returns the end of a live span overlapping [s, s+hold), or 0.
-func (r *spanRing) conflictEnd(s Time, hold Duration) Time {
-	e := s.Add(hold)
-	for i := 0; i < r.len(); i++ {
-		sp := r.spans[i]
-		if sp.s < e && s < sp.e {
-			return sp.e
+// firstFit returns the least t ≥ at such that [t, t+hold) overlaps no live
+// span of a or, when b is non-nil, of b; hold must be positive. It walks
+// the rings' spans in start order, from the first that can reach at:
+// a span that overlaps the candidate moves it to the span's end, since no
+// start in between can avoid that span, and the first span starting at or
+// after the candidate's end stops the walk, since no later one can
+// overlap it.
+func firstFit(a, b *spanRing, at Time, hold Duration) Time {
+	hi := a.hi
+	if b != nil {
+		hi = max(hi, b.hi)
+	}
+	if at >= hi {
+		return at
+	}
+	t := at
+	i, na := a.from(at), a.len()
+	j, nb := 0, 0
+	if b != nil {
+		j, nb = b.from(at), b.len()
+	}
+	for {
+		var sp span
+		switch {
+		case i < na && (j >= nb || a.spans[a.byStart[i]].s <= b.spans[b.byStart[j]].s):
+			sp = a.spans[a.byStart[i]]
+			i++
+		case j < nb:
+			sp = b.spans[b.byStart[j]]
+			j++
+		default:
+			return t
+		}
+		if sp.s >= t.Add(hold) {
+			return t
+		}
+		if sp.e > t {
+			t = sp.e
 		}
 	}
-	return 0
-}
-
-// maxEnd reports the latest booked end.
-func (r *spanRing) maxEnd() Time {
-	var m Time
-	for i := 0; i < r.len(); i++ {
-		if r.spans[i].e > m {
-			m = r.spans[i].e
-		}
-	}
-	return m
 }
 
 // Ledger models an exclusively held resource (a mutex, a device lane).
@@ -107,13 +178,7 @@ func (l *Ledger) ReserveAt(at Time, hold Duration) (start, end Time) {
 	l.mu.Lock()
 	start = at
 	if hold > 0 {
-		for {
-			ce := l.ring.conflictEnd(start, hold)
-			if ce == 0 {
-				break
-			}
-			start = ce
-		}
+		start = firstFit(&l.ring, nil, at, hold)
 		l.ring.push(span{start, start.Add(hold)})
 	}
 	end = start.Add(hold)
@@ -124,11 +189,16 @@ func (l *Ledger) ReserveAt(at Time, hold Duration) (start, end Time) {
 	return start, end
 }
 
-// NextFree reports the latest booked end — the backlog horizon.
+// NextFree reports the latest booked end — the backlog horizon. A
+// Ledger's live spans are pairwise disjoint (each booking avoids every live
+// one), so the last in start order ends latest.
 func (l *Ledger) NextFree() Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.maxEnd()
+	if n := l.ring.len(); n > 0 {
+		return l.ring.spans[l.ring.byStart[n-1]].e
+	}
+	return 0
 }
 
 // LedgerStats is a snapshot of ledger contention counters.
@@ -163,8 +233,6 @@ type RWLedger struct {
 
 	readWaitNS  int64
 	writeWaitNS int64
-	readHoldNS  int64
-	writeHoldNS int64
 	reads       int64
 	writes      int64
 }
@@ -199,18 +267,11 @@ func (l *RWLedger) ReserveRead(at Time, hold Duration) (start, end Time) {
 	l.mu.Lock()
 	start = at
 	if hold > 0 {
-		for {
-			ce := l.writers.conflictEnd(start, hold)
-			if ce == 0 {
-				break
-			}
-			start = ce
-		}
+		start = firstFit(&l.writers, nil, at, hold)
 		l.readers.push(span{start, start.Add(hold)})
 	}
 	end = start.Add(hold)
 	l.readWaitNS += int64(start.Sub(at))
-	l.readHoldNS += int64(hold)
 	l.reads++
 	l.mu.Unlock()
 	return start, end
@@ -224,21 +285,11 @@ func (l *RWLedger) ReserveWrite(at Time, hold Duration) (start, end Time) {
 	l.mu.Lock()
 	start = at
 	if hold > 0 {
-		for {
-			ce := l.writers.conflictEnd(start, hold)
-			if ce2 := l.readers.conflictEnd(start, hold); ce2 > ce {
-				ce = ce2
-			}
-			if ce == 0 {
-				break
-			}
-			start = ce
-		}
+		start = firstFit(&l.writers, &l.readers, at, hold)
 		l.writers.push(span{start, start.Add(hold)})
 	}
 	end = start.Add(hold)
 	l.writeWaitNS += int64(start.Sub(at))
-	l.writeHoldNS += int64(hold)
 	l.writes++
 	l.mu.Unlock()
 	return start, end

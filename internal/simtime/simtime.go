@@ -4,10 +4,13 @@
 // Every simulated thread owns a Timeline, a monotonically advancing virtual
 // clock measured in nanoseconds. Shared hardware and software resources
 // (device channels, page-cache tree locks, bitmap locks, range-tree node
-// locks) are modeled as ledgers: FIFO serialization points that admit an
-// operation no earlier than the moment the resource becomes free. The gap
-// between a thread's arrival and its admission is accounted as wait time,
-// which is how lock-contention percentages (paper Table 1) are produced.
+// locks) are modeled as ledgers: interval schedulers that admit an
+// operation at the earliest time at or after its arrival when it overlaps
+// no conflicting booked span, so one that arrives "early" in virtual time
+// backfills an idle gap rather than queueing behind later bookings
+// (ledger.go). The gap between a thread's arrival and its admission is
+// accounted as wait time, which is how lock-contention percentages (paper
+// Table 1) are produced.
 //
 // The model is intentionally coarse: it captures serialization, bandwidth
 // occupancy, and latency — the three effects the CrossPrefetch paper's
