@@ -111,7 +111,7 @@ chaos:
 
 # The five serving-tier sweeps whose full-scale records are pinned in
 # testdata/sweeps/<id>.json: serve (sync vs ring frontends across 1/8/64
-# tenants), overload (victims vs an antagonist scan under five policy
+# tenants), overload (victims vs an antagonist scan under four policy
 # cells), score (the scorecards across four access patterns), predict (the
 # fixed counter vs the predictor ensemble) and tier (the device-stack
 # grid). Every cell byte-verifies its reads, passes the telemetry audit and

@@ -84,7 +84,7 @@ func TestRecordSchemas(t *testing.T) {
 	}{
 		{"sync", "serve", "sync", 2},
 		{"rings", "serve", "rings", 2},
-		{"overload", "overload", "", 5},
+		{"overload", "overload", "", 4},
 		{"score", "score", "", 4}, // one per pattern
 		{"predict", "predict", "", 6},
 		{"tier", "tier", "", 18},

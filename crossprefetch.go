@@ -127,11 +127,6 @@ type Config struct {
 	// TraceKeepPerOp bounds the flight recorder: the slowest N root
 	// spans per operation class are retained (default 8).
 	TraceKeepPerOp int
-	// Brownout enables the kernel's overload controller: under memory or
-	// device-backlog pressure the kernel first sheds ring prefetch SQEs
-	// (vfs.ErrShed), then clamps the readahead window (see internal/vfs).
-	// Off (the default) overload degrades exactly as before.
-	Brownout bool
 	// Scorecard enables the online prefetch-effectiveness scorecards:
 	// windowed per-inode and per-tenant accuracy / coverage / pollution /
 	// timeliness, partitioned by page origin (see telemetry.Scorecard).
@@ -199,17 +194,12 @@ func NewSystem(cfg Config) *System {
 
 	kcfg := vfs.Config{
 		Costs: costs,
-		RA: readahead.Config{
-			InitPages: 4,
-			MaxPages:  cfg.KernelRAMaxBytes / cfg.BlockSize,
-		},
+		RA:    readahead.Config{MaxPages: cfg.KernelRAMaxBytes / cfg.BlockSize},
 		// The CROSS-OS kernel extension (limit relaxation) ships with
 		// the Cross* approaches only.
 		AllowLimitOverride: cfg.Approach.UsesLib(),
-		MaxPrefetchBytes:   64 << 20,
 		DemandRetries:      cfg.DemandRetries,
 		CongestionLimit:    cfg.CongestionLimit,
-		Brownout:           cfg.Brownout,
 	}
 	kernel := vfs.NewStack(kcfg, fsys, dev, cache)
 

@@ -125,11 +125,12 @@ func (rt *Runtime) issueRuns(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 
 // issue is the one kernel prefetch call for [lo, hi): one window per
 // intent, always. Whatever the kernel clamps off — its static window
-// without opt, the level-2 brownout clamp with it — is given back, never
-// re-asked: issuing a storm of calls to get around a clamp is exactly what
-// the paper's library does not do. A transient device error is retried
-// here, within the budget, after a backoff on the helper's timeline
-// (exponential, seeded jitter). Reports false on a definitive failure.
+// without opt, the absolute prefetch byte budget with it — is given back,
+// never re-asked: issuing a storm of calls to get around a clamp is
+// exactly what the paper's library does not do. A transient device error
+// is retried here, within the budget, after a backoff on the helper's
+// timeline (exponential, seeded jitter). Reports false on a definitive
+// failure.
 // coverage and arm propagate the intent's policy tags into the request.
 func (rt *Runtime) issue(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile, lo, hi int64, coverage bool, arm telemetry.Arm) bool {
 	o := rt.opt

@@ -15,21 +15,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// newOverloadKernel builds a kernel with the brownout controller on and
-// a congestion limit small enough that any outstanding device work
-// raises the pressure level.
-func newOverloadKernel(capacity int64) *vfs.VFS {
-	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
-	fsys := fs.New(fs.LayoutExtent, 4096, costs)
-	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	cfg := vfs.DefaultConfig()
-	cfg.AllowLimitOverride = true
-	cfg.Brownout = true
-	cfg.CongestionLimit = simtime.Microsecond
-	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
-}
-
 // TestRingCloseReapRace: a Close racing an in-flight Submit must not
 // strand parked CQEs or deadlock a reaper. Before the fix, Close's
 // broadcast woke a blocked reaper immediately; if a Submit had already
@@ -97,13 +82,13 @@ func TestRingCloseReapRace(t *testing.T) {
 }
 
 // TestBreakerProbeSurvivesShed: a half-open breaker's probe prefetch
-// that the kernel SHEDS (brownout level >= 1) must not consume the
-// probe slot — the breaker state stays exactly as it was, so the probe
-// re-arms as soon as pressure clears. Before the fix, Submit fed every
+// that the kernel SHEDS (its deadline passed on the way in) must not
+// consume the probe slot — the breaker state stays exactly as it was, so
+// the probe re-arms on the next intent. Before the fix, Submit fed every
 // non-nil CQE error to noteFault, so a shed re-armed the cooloff as if
 // the probe had failed, keeping prefetch off long after the overload.
 func TestBreakerProbeSurvivesShed(t *testing.T) {
-	v := newOverloadKernel(1 << 20)
+	v := newKernel(1 << 20)
 	rt := NewForApproach(v, CrossPredictOpt)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "shed", 64<<20)
@@ -113,17 +98,11 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	}
 	ring := rt.NewRing(0, 64)
 
-	// Pile up device backlog without waiting on it: a large uncached
-	// ring read whose CQE we deliberately do not reap yet. From this
-	// timeline's now, the device is busy far past 4x the congestion
-	// limit, so the next crossing computes BrownoutClamped.
-	big := make([]byte, 4<<20)
-	if err := ring.PrepRead(f, big, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	ring.Submit(tl)
-	if got := v.Stack().Backlog(tl.Now()); got <= 4*simtime.Microsecond {
-		t.Fatalf("backlog %v too small to trigger brownout", got)
+	// Drain the device, so the library's own deadline check (device
+	// backlog against the deadline) admits the probe.
+	tl.Advance(50 * simtime.Millisecond)
+	if got := v.Stack().Backlog(tl.Now()); got != 0 {
+		t.Fatalf("device backlog %v after draining, want 0", got)
 	}
 
 	// Force the breaker half-open: open, with the cooloff already
@@ -135,12 +114,17 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	f.sf.brk.reopenAt = now
 	f.sf.brk.mu.Unlock()
 
-	// The probe: a prefetch intent for an uncached range. The kernel
-	// sheds it (brownout >= prefetch-off) with ErrShed.
-	if err := ring.PrepPrefetch(f, 32<<20, 1<<20, 2); err != nil {
+	// The probe: a prefetch intent for an uncached range, due 100ns from
+	// now. The library admits it; the ring_enter crossing carries the
+	// clock past the deadline, so the kernel sheds it with ErrShed.
+	crossings := v.SyscallCount(vfs.SysRingEnter)
+	if err := ring.PrepPrefetchDeadline(f, 32<<20, 1<<20, 2, now.Add(100)); err != nil {
 		t.Fatal(err)
 	}
 	ring.Submit(tl)
+	if d := v.SyscallCount(vfs.SysRingEnter) - crossings; d != 1 {
+		t.Fatalf("probe crossed %d times, want 1 (the library must admit it)", d)
+	}
 	var shedCQE bool
 	for _, cq := range ring.Reap(tl, 0) {
 		if cq.User != 2 {
@@ -167,37 +151,31 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	}
 }
 
-// TestClampedGrantNotReasked: under level-2 brownout the kernel clamps every
-// readahead_info window to 8 pages so that the opt path's limit override
-// "cannot amplify I/O while reclaim is drowning" — and the library used to
-// walk straight through the clamp, re-asking for the remainder of a
-// 1024-page intent 8 pages a crossing, 128 crossings in all. One window per
-// intent, with or without OptLimits: the clamped remainder gets its
-// requested bits back, as the ring path always did.
+// TestClampedGrantNotReasked: the kernel clamps a readahead_info window
+// without OptLimits to its static window, and the library used to walk
+// straight through a clamp, re-asking for the remainder of a 1024-page
+// intent one window a crossing. One window per intent, with or without
+// OptLimits: the clamped remainder gets its requested bits back, as the
+// ring path always did.
 func TestClampedGrantNotReasked(t *testing.T) {
-	v := newOverloadKernel(1 << 20)
-	rt := NewForApproach(v, CrossPredictOpt)
+	v := newKernel(1 << 20)
+	rt := NewForApproach(v, CrossPredict)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "clamp", 64<<20)
 	f, err := rt.Open(tl, "clamp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Backlog far past 4x the congestion limit: an unreaped 4MB ring read.
-	ring := rt.NewRing(0, 8)
-	if err := ring.PrepRead(f, make([]byte, 4<<20), 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	ring.Submit(tl)
 	base := rt.Stats()
 	crossings := v.SyscallCount(vfs.SysReadaheadInfo)
 
 	const lo, blocks = 8192, 1024
+	window := f.kf.StaticWindow(lo, lo+blocks)
+	if window >= blocks {
+		t.Fatalf("static window %d pages does not clamp a %d-page intent", window, blocks)
+	}
 	f.prefetchAsync(tl, lo, blocks, budgetUnasked, false) // job runs inline on the worker pool
 
-	if got := v.BrownoutLevel(); got != vfs.BrownoutClamped {
-		t.Fatalf("brownout level %v during the intent, want clamped", got)
-	}
 	st := rt.Stats()
 	if d := v.SyscallCount(vfs.SysReadaheadInfo) - crossings; d != 1 {
 		t.Errorf("clamped 1024-page intent crossed %d times, want 1", d)
@@ -205,12 +183,12 @@ func TestClampedGrantNotReasked(t *testing.T) {
 	if d := st.PrefetchCalls - base.PrefetchCalls; d != 1 {
 		t.Errorf("clamped 1024-page intent made %d prefetch calls, want 1", d)
 	}
-	if d := st.PrefetchedPages - base.PrefetchedPages; d > 8 {
-		t.Errorf("%d pages fetched through an 8-page clamp", d)
+	if d := st.PrefetchedPages - base.PrefetchedPages; d > window {
+		t.Errorf("%d pages fetched through a %d-page clamp", d, window)
 	}
 	// The remainder is missing again, not stranded as requested.
-	runs := f.sf.tree.NeedsPrefetch(tl, lo+8, lo+blocks)
-	if len(runs) != 1 || runs[0].Lo != lo+8 || runs[0].Hi != lo+blocks {
+	runs := f.sf.tree.NeedsPrefetch(tl, lo+window, lo+blocks)
+	if len(runs) != 1 || runs[0].Lo != lo+window || runs[0].Hi != lo+blocks {
 		t.Errorf("clamped remainder not given back: missing runs %v", runs)
 	}
 }

@@ -365,23 +365,17 @@ func TestServeQuick(t *testing.T) { t.Parallel(); runQuick(t, "serve") }
 // the overload machinery's visible signals to their cells.
 func TestOverloadQuick(t *testing.T) {
 	tbl := runQuick(t, "overload").Table
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("overload produced %d rows, want 5", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("overload produced %d rows, want 4", len(tbl.Rows))
 	}
 	base := cell(t, tbl, "victim-MB", "isolated")
-	for _, c := range []string{"no-budget", "budget", "budget+brownout", "budget+deadline"} {
+	for _, c := range []string{"no-budget", "budget", "budget+deadline"} {
 		if got := cell(t, tbl, "victim-MB", c); got != base {
 			t.Errorf("%s victim bytes %.1fMB differ from isolated %.1fMB", c, got, base)
 		}
 	}
 	if got := cell(t, tbl, "t-reclaims", "budget"); got < 1 {
 		t.Errorf("budget cell tenant reclaims = %v, want >= 1", got)
-	}
-	if got := cell(t, tbl, "brownouts", "budget+brownout"); got < 1 {
-		t.Errorf("budget+brownout transitions = %v, want >= 1", got)
-	}
-	if got := cell(t, tbl, "brownouts", "no-budget"); got != 0 {
-		t.Errorf("no-budget cell saw %v brownout transitions, want 0", got)
 	}
 	if got := cell(t, tbl, "shed-sqes", "budget+deadline"); got < 1 {
 		t.Errorf("budget+deadline shed SQEs = %v, want >= 1", got)

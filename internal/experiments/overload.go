@@ -19,7 +19,6 @@ type OverloadCell struct {
 	// only evict its own pages — the sweep's hard page-cache budget
 	// (soft budget = half of it).
 	Budgeted bool
-	Brownout bool // enable the kernel's overload controller
 	// Deadline, when > 0, attaches now+Deadline virtual deadlines to the
 	// coverage prefetches issued ahead of victim reads; sheds are counted
 	// but never affect the reads themselves, so client byte totals stay
@@ -28,15 +27,13 @@ type OverloadCell struct {
 }
 
 // overloadCells is the noisy-neighbor table: the victims alone, then
-// against the scan under no budgets, hard budgets, budgets plus brownout,
-// and budgets plus brownout plus prefetch deadlines.
+// against the scan under no budgets, hard budgets, and budgets plus
+// prefetch deadlines.
 var overloadCells = []OverloadCell{
 	{Name: "isolated"},
 	{Name: "no-budget", Antagonist: true},
 	{Name: "budget", Antagonist: true, Budgeted: true},
-	{Name: "budget+brownout", Antagonist: true, Budgeted: true, Brownout: true},
-	{Name: "budget+deadline", Antagonist: true, Budgeted: true, Brownout: true,
-		Deadline: 50 * simtime.Microsecond},
+	{Name: "budget+deadline", Antagonist: true, Budgeted: true, Deadline: 50 * simtime.Microsecond},
 }
 
 var (
@@ -73,7 +70,6 @@ type OverloadResult struct {
 	// Overload-machinery counters for the cell.
 	ShedSQEs       int64
 	DeadlineMisses int64
-	Brownouts      int64
 	TenantReclaims int64
 }
 
@@ -89,7 +85,6 @@ var overloadFields = []field[*OverloadResult]{
 	{"", "budget_pages", "", func(r *OverloadResult) any { return r.BudgetPages }},
 	{"shed-sqes", "shed_sqes", "%d", func(r *OverloadResult) any { return r.ShedSQEs }},
 	{"dl-miss", "deadline_misses", "%d", func(r *OverloadResult) any { return r.DeadlineMisses }},
-	{"brownouts", "brownout_transitions", "%d", func(r *OverloadResult) any { return r.Brownouts }},
 	{"t-reclaims", "tenant_reclaims", "%d", func(r *OverloadResult) any { return r.TenantReclaims }},
 	{"", "determinism_digest", "", func(r *OverloadResult) any { return r.hexDigest() }},
 	// A row exists only if its audit passed.
@@ -189,7 +184,6 @@ func (c overloadRun) replay(r *cellRun, cl OverloadCell, budget int64) (*Overloa
 	snap := r.sys.Telemetry().Snapshot()
 	res.ShedSQEs = snap.Counter(telemetry.CtrRingShedSQEs)
 	res.DeadlineMisses = snap.Counter(telemetry.CtrRingDeadlineMisses)
-	res.Brownouts = snap.Counter(telemetry.CtrBrownoutTransitions)
 	res.TenantReclaims = snap.Counter(telemetry.CtrCacheTenantReclaims)
 
 	var h strings.Builder
@@ -205,13 +199,12 @@ func (c overloadRun) replay(r *cellRun, cl OverloadCell, budget int64) (*Overloa
 
 // sys builds one cell's system: telemetry and scorecards on (the audit is
 // part of the contract; the admin plane reads the rest).
-func (c overloadRun) sys(brownout bool) *crossprefetch.System {
+func (c overloadRun) sys() *crossprefetch.System {
 	return crossprefetch.NewSystem(crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		MemoryBytes: c.memMB << 20,
 		Telemetry:   true,
 		Scorecard:   true,
-		Brownout:    brownout,
 	})
 }
 
@@ -232,11 +225,11 @@ func Overload(o Options) (*Report, error) {
 	// the hard cap immediately and can only recycle its own pages. Budgets
 	// are in pages of the system's block size, and the table's note needs
 	// the figure before the first cell runs.
-	bs := c.sys(false).Kernel().BlockSize()
+	bs := c.sys().Kernel().BlockSize()
 	budget := 2 * (c.memMB << 20 / bs) / tenants
 
 	s := sweep[*OverloadResult]{
-		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and brownout"},
+		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and deadlines"},
 		fields: overloadFields,
 		contract: func(_ []*OverloadResult, at func(cell string) *OverloadResult) error {
 			isolated := at("isolated")
@@ -260,7 +253,7 @@ func Overload(o Options) (*Report, error) {
 	for _, cl := range overloadCells {
 		s.cells = append(s.cells, sweepCell[*OverloadResult]{
 			name:   cl.Name,
-			build:  func() *crossprefetch.System { return c.sys(cl.Brownout) },
+			build:  c.sys,
 			replay: func(r *cellRun) (*OverloadResult, error) { return c.replay(r, cl, budget) },
 		})
 	}

@@ -30,7 +30,7 @@ var registry = []registryEntry{
 	{"ablate", "Ablation of CROSS-LIB tunables (artifact §A.6 knobs)", Ablation},
 	{"chaos", "Fault-injection sweep: byte-correctness, retries, breaker degradation", Chaos},
 	{"serve", "Serve frontend: sync vs submission rings across tenant counts", Serve},
-	{"overload", "Tenant isolation under an antagonist scan: budgets, deadlines, brownout", Overload},
+	{"overload", "Tenant isolation under an antagonist scan: budgets, deadlines", Overload},
 	{"score", "Online scorecards: accuracy/coverage/pollution across access patterns", Score},
 	{"predict", "Competing predictors: counter/MITHRIL ensemble with bandit promotion", Predict},
 	{"tier", "Tiered stacks: RAID-0 striping, NVMe-oF remote tier, cross-tier prefetch", Tier},

@@ -37,10 +37,10 @@ func (db *DB) maybeCompact(tl *simtime.Timeline) {
 // pickCompaction returns a level needing compaction, or -1.
 func (db *DB) pickCompaction() int {
 	v := db.current.Load()
-	if len(v.levels[0]) >= db.opt.L0CompactTrigger {
+	if len(v.levels[0]) >= l0CompactTrigger {
 		return 0
 	}
-	target := db.opt.BaseLevelBytes
+	target := baseLevelMemtables * db.opt.MemtableBytes
 	for lvl := 1; lvl < numLevels-1; lvl++ {
 		var size int64
 		for _, t := range v.levels[lvl] {
@@ -49,7 +49,7 @@ func (db *DB) pickCompaction() int {
 		if size > target {
 			return lvl
 		}
-		target *= db.opt.LevelMultiplier
+		target *= levelMultiplier
 	}
 	return -1
 }

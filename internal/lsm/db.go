@@ -26,14 +26,6 @@ type Options struct {
 	// BlockBytes is the SSTable data-block size, 16KB by default: this
 	// repository's choice (RocksDB's block_size defaults to 4KB).
 	BlockBytes int64
-	// L0CompactTrigger is the L0 file count that triggers compaction.
-	L0CompactTrigger int
-	// BaseLevelBytes is the L1 size target; each level is
-	// LevelMultiplier× the previous.
-	BaseLevelBytes  int64
-	LevelMultiplier int64
-	// BloomBitsPerKey sizes the per-table filters.
-	BloomBitsPerKey int
 	// SyncWAL fsyncs the log on every write (off by default, as db_bench).
 	SyncWAL bool
 	// DisableAutoCompact turns background compaction off (tests).
@@ -50,22 +42,20 @@ func (o Options) withDefaults() Options {
 	if o.BlockBytes <= 0 {
 		o.BlockBytes = 16 << 10
 	}
-	if o.L0CompactTrigger <= 0 {
-		o.L0CompactTrigger = 4
-	}
-	if o.BaseLevelBytes <= 0 {
-		o.BaseLevelBytes = 4 * o.MemtableBytes
-	}
-	if o.LevelMultiplier <= 0 {
-		o.LevelMultiplier = 10
-	}
-	if o.BloomBitsPerKey <= 0 {
-		o.BloomBitsPerKey = 10
-	}
 	return o
 }
 
-const numLevels = 7
+// The tree's shape. L0 compacts once it holds l0CompactTrigger tables; L1's
+// size target is baseLevelMemtables memtables and each level below it
+// levelMultiplier× the one above; every table carries a filter of
+// bloomBitsPerKey bits per key.
+const (
+	numLevels          = 7
+	l0CompactTrigger   = 4
+	baseLevelMemtables = 4
+	levelMultiplier    = 10
+	bloomBitsPerKey    = 10
+)
 
 // version is one immutable view of the table set: L0 newest-first, L1+
 // sorted by smallest key and non-overlapping. Installing the result of a
@@ -502,7 +492,7 @@ func (db *DB) addToTable(tl *simtime.Timeline, out *tableOutput, s *writeScratch
 // an error the file is removed.
 func (db *DB) finishTable(tl *simtime.Timeline, out *tableOutput) (*sstable, error) {
 	w := out.w
-	filter, size, err := w.finish(db.opt.BloomBitsPerKey)
+	filter, size, err := w.finish(bloomBitsPerKey)
 	if err != nil {
 		db.abortTable(tl, out)
 		return nil, err

@@ -127,7 +127,7 @@ func TestMemtableRolloverAndCompaction(t *testing.T) {
 		}
 	}
 	// L0 should have been drained below trigger.
-	if got := db.TotalTables()[0]; got >= db.opt.L0CompactTrigger {
+	if got := db.TotalTables()[0]; got >= l0CompactTrigger {
 		t.Fatalf("L0 still holds %d tables", got)
 	}
 }

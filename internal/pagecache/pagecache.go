@@ -201,10 +201,6 @@ func (c *Cache) Free() int64 {
 func (c *Cache) highWater() int64 { return c.cfg.CapacityPages * 15 / 16 }
 func (c *Cache) lowWater() int64  { return c.cfg.CapacityPages * 7 / 8 }
 
-// HighWater exports the reclaim high watermark (in pages) for external
-// pressure signals (the brownout controller reads it).
-func (c *Cache) HighWater() int64 { return c.highWater() }
-
 // File returns (creating if needed) the per-inode cache state.
 func (c *Cache) File(inoID int64) *FileCache {
 	fs := c.fileShard(inoID)

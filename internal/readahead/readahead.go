@@ -34,18 +34,19 @@ func (m Mode) String() string {
 	}
 }
 
+// initPages is the initial window size in pages (Linux: 4 = 16KB).
+const initPages = 4
+
 // Config carries the tunables. The zero value is not useful; use
 // DefaultConfig.
 type Config struct {
-	// InitPages is the initial window size in pages (Linux: 4 = 16KB).
-	InitPages int64
 	// MaxPages is the window cap in pages (Linux: 32 = 128KB). This is
 	// the "prefetch limit" Figure 10 varies from 32KB to 8MB.
 	MaxPages int64
 }
 
 // DefaultConfig returns the Linux defaults: 16KB initial, 128KB cap.
-func DefaultConfig() Config { return Config{InitPages: 4, MaxPages: 32} }
+func DefaultConfig() Config { return Config{MaxPages: 32} }
 
 // State is the per-file readahead state. It is not synchronized; the VFS
 // serializes access under the file's lock.
@@ -85,8 +86,8 @@ func (a Action) Pages() int64 { return a.Hi - a.Lo }
 
 func (c Config) initSize(req, max int64) int64 {
 	size := req * 2
-	if size < c.InitPages {
-		size = c.InitPages
+	if size < initPages {
+		size = initPages
 	}
 	if size > max {
 		size = max

@@ -67,7 +67,7 @@ func TestRandomAccessNoReadahead(t *testing.T) {
 		t.Fatalf("random jump should not read ahead, got %v", a)
 	}
 	// Window collapsed back to initial size.
-	if s.WindowPages() > cfg.InitPages*2 {
+	if s.WindowPages() > initPages*2 {
 		t.Fatalf("window did not shrink: %d", s.WindowPages())
 	}
 }

@@ -366,15 +366,8 @@ func Audit(s *Snapshot, in AuditInput) error {
 		}
 	}
 
-	// Brownout <-> trace: every controller level change was traced as a
-	// raised or lowered event, and every shed prefetch intent's pages are
-	// carried by exactly one shed-prefetch event.
-	raised := s.Outcome(OutcomeBrownoutRaised)
-	lowered := s.Outcome(OutcomeBrownoutLowered)
-	if trans := s.Counter(CtrBrownoutTransitions); raised.Events+lowered.Events != trans {
-		fail("brownout raised %d + lowered %d trace events != transitions %d",
-			raised.Events, lowered.Events, trans)
-	}
+	// Shed <-> trace: every shed prefetch intent's pages are carried by
+	// exactly one shed-prefetch event.
 	if ev := s.Outcome(OutcomeShedPrefetch); ev.Pages != s.Counter(CtrRingShedPrefetchPages) {
 		fail("shed-prefetch trace pages %d != ring shed prefetch pages %d",
 			ev.Pages, s.Counter(CtrRingShedPrefetchPages))

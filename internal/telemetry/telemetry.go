@@ -131,18 +131,20 @@ const (
 	// CtrRingBackpressure counts SQEs refused at admission (ring full).
 	CtrRingBackpressure
 	// CtrRingShedSQEs counts SQEs completed with ErrShed — work the ring
-	// path refused under overload (brownout or a deadline it could not
-	// meet) without touching the device.
+	// path refused (a deadline it could not meet) without touching the
+	// device.
 	CtrRingShedSQEs
 	// CtrRingShedPrefetchPages is the pages those shed prefetch intents
-	// carried (the work brownout saved).
+	// carried (the device work the sheds saved).
 	CtrRingShedPrefetchPages
 	// CtrRingDeadlineMisses counts CQEs delivered with
 	// ErrDeadlineExceeded — submissions that expired before or during
 	// service.
 	CtrRingDeadlineMisses
-	// CtrBrownoutTransitions counts pressure-level changes of the
-	// brownout controller (normal -> prefetch-off -> clamped and back).
+	// CtrBrownoutTransitions counted level changes of the brownout
+	// controller, which is gone.
+	//
+	// Deprecated: always zero.
 	CtrBrownoutTransitions
 	// CtrCacheTenantReclaims counts tenant-targeted direct reclaim passes
 	// (a hard-budget breach evicting only the offender's own pages).
@@ -225,9 +227,9 @@ var counterDescs = [numCounters]desc{
 	CtrRingDispatchCommands:       {"ring_dispatch_commands", "Merged device commands issued by lane dispatches."},
 	CtrRingBackpressure:           {"ring_backpressure", "SQEs refused at ring admission (ring full)."},
 	CtrRingShedSQEs:               {"ring_shed_sqes", "SQEs completed with ErrShed under overload, never touching the device."},
-	CtrRingShedPrefetchPages:      {"ring_shed_prefetch_pages", "Pages carried by shed prefetch intents (work brownout saved)."},
+	CtrRingShedPrefetchPages:      {"ring_shed_prefetch_pages", "Pages carried by shed prefetch intents (device work the sheds saved)."},
 	CtrRingDeadlineMisses:         {"ring_deadline_misses", "CQEs delivered with ErrDeadlineExceeded."},
-	CtrBrownoutTransitions:        {"brownout_transitions", "Brownout pressure-level changes (either direction)."},
+	CtrBrownoutTransitions:        {"brownout_transitions", "Deprecated: always zero (the brownout controller is gone)."},
 	CtrCacheTenantReclaims:        {"cache_tenant_reclaims", "Tenant-targeted direct reclaim passes on hard-budget breaches."},
 	CtrPredArmPromotions:          {"pred_arm_promotions", "Bandit promotions of a challenger predictor arm to live."},
 	CtrPredShadowIssuedPages:      {"pred_shadow_issued_pages", "Pages the shadow predictor arms would have prefetched."},
@@ -287,15 +289,10 @@ const (
 	// per-file aggregator (dedupe/merge against the shared bitmap) to be
 	// flushed later as part of one vectored readahead_info crossing.
 	OutcomeBatchedIntent
-	// OutcomeShedPrefetch: the ring path shed a prefetch intent under
-	// overload (brownout level >= 1 or an unmeetable deadline); the pages
-	// were never issued and the CQE carries ErrShed.
+	// OutcomeShedPrefetch: the kernel shed a ring prefetch intent whose
+	// deadline had passed when the crossing reached it; the pages were
+	// never issued and the CQE carries ErrShed.
 	OutcomeShedPrefetch
-	// OutcomeBrownoutRaised / OutcomeBrownoutLowered: the pressure
-	// controller changed level; Lo/Hi encode the old and new level so the
-	// trace shows the whole trajectory.
-	OutcomeBrownoutRaised
-	OutcomeBrownoutLowered
 	// OutcomeLatePrefetch: a demand read consumed prefetched pages whose
 	// backing I/O was still in flight — the prefetch was issued too late
 	// to fully hide the device, so the reader blocked on readyAt. One
@@ -331,8 +328,6 @@ var outcomeNames = [numOutcomes]string{
 	OutcomeBreakerRecovered:     "breaker-recovered",
 	OutcomeBatchedIntent:        "batched-intent",
 	OutcomeShedPrefetch:         "shed-prefetch",
-	OutcomeBrownoutRaised:       "brownout-raised",
-	OutcomeBrownoutLowered:      "brownout-lowered",
 	OutcomeLatePrefetch:         "late-prefetch",
 	OutcomeArmPromoted:          "arm-promoted",
 	OutcomeDroppedBehind:        "dropped-behind",

@@ -111,18 +111,10 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	// Effective per-range limit: static kernel cap, or the caller's
 	// override when the kernel is configured to allow it. Each range is
 	// an independent readahead window, so the limit applies per range.
-	ra, maxPages := v.cfg.RA.MaxPages, v.cfg.MaxPrefetchBytes/bs
+	ra, maxPages := v.cfg.RA.MaxPages, maxPrefetchBytes/bs
 	limit := ra
 	if v.cfg.AllowLimitOverride && req.LimitOverride > limit {
 		limit = min(req.LimitOverride, maxPages)
-	}
-	// Level-2 brownout clamps the window below even the static cap: the
-	// excess is counted rejected, so the clamp identities still hold.
-	// The clamp also disables the cross-tier depth boost below — under
-	// reclaim pressure remote residency must not amplify I/O.
-	clamped := v.pressureCheck(tl) >= BrownoutClamped
-	if clamped {
-		limit = min(limit, brownoutClampPages)
 	}
 
 	// prefetchRuns below is done with the runs when it returns.
@@ -141,13 +133,9 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 			requested = true
 			preClamp := hi - lo
 			// Cross-tier prefetch: the limit scales with the range's
-			// static window, RTT-deepened over remote extents (never
-			// under the level-2 clamp, always within the absolute prefetch
-			// byte budget).
-			rlimit := limit
-			if !clamped {
-				rlimit = min(limit*f.StaticWindow(lo, hi)/ra, maxPages)
-			}
+			// static window, RTT-deepened over remote extents, always
+			// within the absolute prefetch byte budget.
+			rlimit := min(limit*f.StaticWindow(lo, hi)/ra, maxPages)
 			if hi-lo > rlimit {
 				hi = lo + rlimit
 			}

@@ -48,22 +48,28 @@ import (
 // recorder no longer has (Leap): its all-zero row left the recorder's
 // JSON, which moves the telemetry hash of both cells and nothing else
 // (with that row left out of the parent's export, the parent reproduces
-// both hashes).
+// both hashes). And once more for the brownout controller's removal: the
+// stack cell used to run with it on; with it gone, what the calls return
+// moves that cell's results hash, and now, the device accounting and the
+// spans hold. The recorder's JSON lost the two
+// brownout outcome rows, which moves both cells' telemetry hash. The
+// parent with the controller off and those rows left out of its export
+// reproduces both cells.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
 			now:       46900410,
 			device:    "nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; ",
-			telemetry: "e2bb7db389ce800f",
+			telemetry: "f4729a94bb28b7ef",
 			spans:     "3766280a387eb3fd",
 			results:   "8dc3393b09e99c7d",
 		},
 		"stack/plugged": {
 			now:       47229924,
 			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r163/40325120 w62/15867904 busy32237076 inj43/1500000 plug175/163/12; nvme0.0 r52/5906432 w28/5505024 busy10016730 inj14/150000 plug57/52/5; nvme0.1 r35/5828608 w11/2629632 busy6848854 inj6/150000 plug39/35/4; nvmeof0 r76/28590080 w23/7733248 busy32237076 inj23/1200000 plug79/76/3; ",
-			telemetry: "ebd998287feec020",
+			telemetry: "46cc8aa722543ed5",
 			spans:     "d2c6ef1b296e6c8b",
-			results:   "f4ea522294573ec4",
+			results:   "9538fcefbb1ffc3b",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
@@ -156,7 +162,6 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 	}
 	cfg := DefaultConfig()
 	cfg.AllowLimitOverride = true
-	cfg.Brownout = stacked
 	// A tight congestion limit (≈ 2.8MB of queued transfer), queue depth
 	// and merge window, so congestion postponement, depth gating and the
 	// window bound all fire within a 14MB file.

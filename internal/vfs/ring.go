@@ -183,7 +183,6 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE, cqes [
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
 
-	v.pressureCheck(tl)
 	for i := range sqes {
 		sq := &sqes[i]
 		pend := &fr.pends[i]
@@ -402,17 +401,13 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	if sq.Len <= 0 || hi <= lo {
 		return 0
 	}
-	// Shed before any clamping or staging: under brownout (level >= 1)
-	// or an already-expired deadline, the intent never touches the
-	// device. The full file-clamped request is counted rejected so the
-	// requested == admitted + rejected and lib == kernel identities hold
-	// page for page, and the CQE carries ErrShed so the library can tell
-	// refusal from failure (the breaker ignores sheds). The pressure is
-	// evaluated against the backlog of only the backends this range
-	// targets (targetPressure): a saturated remote tier sheds only the
-	// intents actually bound for it.
-	if v.targetPressure(tl, f, lo, hi) >= BrownoutPrefetchOff ||
-		(sq.Deadline > 0 && tl.Now() > sq.Deadline) {
+	// Shed before any clamping or staging: an intent whose deadline has
+	// already passed never touches the device. The full file-clamped
+	// request is counted rejected so the requested == admitted + rejected
+	// and lib == kernel identities hold page for page, and the CQE carries
+	// ErrShed so the library can tell refusal from failure (the breaker
+	// ignores sheds).
+	if sq.Deadline > 0 && tl.Now() > sq.Deadline {
 		preClamp := hi - lo
 		v.rec.Add(telemetry.CtrKernelRequestedPages, preClamp)
 		v.rec.Add(telemetry.CtrKernelRejectedPages, preClamp)
@@ -427,7 +422,7 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	// prefetch byte budget.
 	limit := f.StaticWindow(lo, hi)
 	if v.cfg.AllowLimitOverride && hi-lo > limit {
-		limit = min(hi-lo, v.cfg.MaxPrefetchBytes/bs)
+		limit = min(hi-lo, maxPrefetchBytes/bs)
 	}
 	preClamp := hi - lo
 	if hi-lo > limit {

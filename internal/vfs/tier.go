@@ -40,7 +40,7 @@ func (f *File) rangeBoost(lo, hi int64) int64 {
 // local extents.
 func (f *File) StaticWindow(lo, hi int64) int64 {
 	cfg := &f.v.cfg
-	return min(cfg.RA.MaxPages*f.rangeBoost(lo, hi), cfg.MaxPrefetchBytes/f.v.BlockSize())
+	return min(cfg.RA.MaxPages*f.rangeBoost(lo, hi), maxPrefetchBytes/f.v.BlockSize())
 }
 
 // rangeBacklog reports the worst per-backend backlog among only the

@@ -32,6 +32,10 @@ import (
 // paper: "the VFS layer limits an I/O request to a maximum of 2MB").
 const maxVFSRequest = 2 << 20
 
+// maxPrefetchBytes caps a single readahead_info request even with the
+// limit override (paper: 64MB).
+const maxPrefetchBytes = 64 << 20
+
 // Config carries the kernel tunables.
 type Config struct {
 	// Costs is the CPU cost table.
@@ -42,9 +46,6 @@ type Config struct {
 	// AllowLimitOverride lets readahead_info callers exceed RA.MaxPages
 	// (the CROSS-OS "+opt" path, §4.7).
 	AllowLimitOverride bool
-	// MaxPrefetchBytes caps a single readahead_info request even with
-	// override (paper: 64MB).
-	MaxPrefetchBytes int64
 	// CongestionLimit is the prefetch congestion-control threshold: once
 	// the device's queued transfers extend this far into the future,
 	// further asynchronous prefetch is postponed so blocking I/O is not
@@ -59,12 +60,6 @@ type Config struct {
 	// path unplugs through (merge window, queue depth; zero fields select
 	// the defaults).
 	Sched blockdev.PlugConfig
-	// Brownout enables the overload controller (see pressure.go): the
-	// ring and readahead_info crossings re-evaluate a pressure level
-	// from the reclaim watermark distance and device backlog, shedding
-	// prefetch and clamping readahead windows as it rises. Off by
-	// default — prefetch policy is unchanged unless opted in.
-	Brownout bool
 }
 
 // DefaultConfig returns Linux-like defaults on the paper's testbed.
@@ -73,7 +68,6 @@ func DefaultConfig() Config {
 		Costs:              simtime.DefaultCosts(),
 		RA:                 readahead.DefaultConfig(),
 		AllowLimitOverride: false,
-		MaxPrefetchBytes:   64 << 20,
 	}
 }
 
@@ -135,10 +129,6 @@ type VFS struct {
 	// RingEnter stages device work on per-tenant lanes and drains them
 	// fair-share through one shared plug.
 	lanes *blockdev.LaneSet
-
-	// brownout is the overload controller's current level (see
-	// pressure.go); stays BrownoutNormal unless cfg.Brownout is set.
-	brownout atomic.Int32
 }
 
 // NewStack assembles a kernel over a composed device stack (striped
@@ -147,9 +137,6 @@ type VFS struct {
 // per-backend queueing, congestion, and tier residency are visible to
 // prefetch policy. It installs the cache's dirty-page writeback hook.
 func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cache) *VFS {
-	if cfg.MaxPrefetchBytes <= 0 {
-		cfg.MaxPrefetchBytes = 64 << 20
-	}
 	if cfg.RA.MaxPages <= 0 {
 		cfg.RA = readahead.DefaultConfig()
 	}
