@@ -422,11 +422,6 @@ func (s *System) Create(tl *simtime.Timeline, name string) (*crosslib.File, erro
 	return s.lib.Create(tl, name)
 }
 
-// OpenOrCreate opens name, creating it if missing.
-func (s *System) OpenOrCreate(tl *simtime.Timeline, name string) (*crosslib.File, error) {
-	return s.lib.OpenOrCreate(tl, name)
-}
-
 // CreateSynthetic provisions a fully mapped file of the given logical size
 // whose unwritten blocks read as deterministic filler — the cheap way to
 // set up paper-scale read workloads.

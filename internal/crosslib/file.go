@@ -51,14 +51,6 @@ func (rt *Runtime) Create(tl *simtime.Timeline, name string) (*File, error) {
 	return rt.wrap(tl, kf, name), nil
 }
 
-// OpenOrCreate opens name, creating it if missing.
-func (rt *Runtime) OpenOrCreate(tl *simtime.Timeline, name string) (*File, error) {
-	if f, err := rt.Open(tl, name); err == nil {
-		return f, nil
-	}
-	return rt.Create(tl, name)
-}
-
 // openPrefetchBytes is the optimistic prefetch issued on open under the
 // aggressive policy (the paper's default).
 const openPrefetchBytes = 2 << 20

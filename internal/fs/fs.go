@@ -13,7 +13,12 @@
 // compression workloads depend on content round-tripping) but keeps
 // never-written blocks of synthetic files unmaterialized, so experiments
 // can use multi-gigabyte logical files without the host RAM to match. A
-// file's written bytes live on its inode, in chunks of several blocks.
+// file's written bytes live on its inode, in chunks of several blocks. Its
+// block map costs 24 bytes per 2MB run of blocks that are mapped in line,
+// as a synthetic file's and an extent-layout append's are: a 200GB file
+// costs about 2.4MB of map, not the 400MB of one entry per block. A 2MB
+// group that a remap or a hole breaks costs a 4KB table more, even in a
+// file of a few blocks (blockmap.go).
 // Timing is charged by the callers (the VFS layer) using the physical-run
 // mapping this package exposes; only metadata operations charge time here,
 // via the journal ledger.
@@ -102,8 +107,8 @@ type Inode struct {
 
 	mu     sync.RWMutex
 	size   int64
-	phys   []int64 // logical block index -> physical block, unmapped if absent
-	chunks []chunk // logical block index / chunkBlocks -> its written bytes
+	blocks blockMap // logical block -> physical block
+	chunks []chunk  // logical block index / chunkBlocks -> its written bytes
 }
 
 // chunk holds the written bytes of chunkBlocks consecutive logical blocks.
@@ -182,10 +187,7 @@ func (f *FS) CreateSynthetic(tl *simtime.Timeline, name string, size int64) (*In
 	start := f.allocRun(nblocks)
 	ino.mu.Lock()
 	ino.size = size
-	ino.phys = make([]int64, nblocks)
-	for i := range ino.phys {
-		ino.phys[i] = start + int64(i)
-	}
+	ino.blocks.set(0, start, nblocks)
 	ino.mu.Unlock()
 	return ino, nil
 }
@@ -215,7 +217,7 @@ func (f *FS) Remove(tl *simtime.Timeline, name string) error {
 
 	ino.mu.Lock()
 	dropped := ino.chunks
-	ino.phys, ino.chunks = nil, nil
+	ino.blocks, ino.chunks = nil, nil
 	ino.size = 0
 	f.free.put(dropped)
 	ino.mu.Unlock()
@@ -272,37 +274,7 @@ func (ino *Inode) MapRange(lo, hi int64) []PhysRun { return ino.AppendMapRange(n
 func (ino *Inode) AppendMapRange(runs []PhysRun, lo, hi int64) []PhysRun {
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
-	if lo < 0 {
-		lo = 0
-	}
-	if max := int64(len(ino.phys)); hi > max {
-		hi = max
-	}
-	for i := lo; i < hi; {
-		p := ino.phys[i]
-		if p == unmapped {
-			i++
-			continue
-		}
-		run := PhysRun{Logical: i, Phys: p, Count: 1}
-		for i+run.Count < hi && ino.phys[i+run.Count] == p+run.Count {
-			run.Count++
-		}
-		runs = append(runs, run)
-		i += run.Count
-	}
-	return runs
-}
-
-// ensureBlocks grows the mapping and the chunk table (not the allocation
-// or the data) to cover block index hi-1. Caller holds ino.mu.
-func (ino *Inode) ensureBlocks(hi int64) {
-	for int64(len(ino.phys)) < hi {
-		ino.phys = append(ino.phys, unmapped)
-	}
-	if n := (hi+chunkBlocks-1)/chunkBlocks - int64(len(ino.chunks)); n > 0 {
-		ino.chunks = append(ino.chunks, make([]chunk, n)...)
-	}
+	return ino.blocks.appendRuns(runs, lo, hi)
 }
 
 // writtenBlock returns the bytes of block blk if it has been written since
@@ -328,32 +300,27 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 	defer ino.mu.Unlock()
 
 	end := off + int64(len(data))
-	ino.ensureBlocks((end + bs - 1) / bs)
-	if end > ino.size {
-		ino.size = end
+	lo, hi := off/bs, (end+bs-1)/bs
+	// Only the first and the last block can be partly written. The bytes a
+	// write leaves untouched are what the block held before: its filler
+	// until it is first written. A log-layout overwrite remaps the block to
+	// the log head and carries them over.
+	fillLo, fillHi := ino.blocks.lookup(lo), ino.blocks.lookup(hi-1)
+	newBlocks = ino.allocate(lo, hi)
+	if fillLo == unmapped {
+		fillLo = ino.blocks.lookup(lo)
 	}
+	if fillHi == unmapped {
+		fillHi = ino.blocks.lookup(hi - 1)
+	}
+	if n := (hi+chunkBlocks-1)/chunkBlocks - int64(len(ino.chunks)); n > 0 {
+		ino.chunks = append(ino.chunks, make([]chunk, n)...)
+	}
+	ino.size = max(ino.size, end)
 
-	pos := off
-	for pos < end {
-		blk := pos / bs
-		blkOff := pos % bs
-		n := bs - blkOff
-		if rem := end - pos; rem < n {
-			n = rem
-		}
-		// The bytes the write leaves untouched are what the block held
-		// before: its filler until it is first written. A log-layout
-		// overwrite remaps the block to the log head and carries them over.
-		filler := ino.phys[blk]
-		switch {
-		case filler == unmapped:
-			filler = ino.fs.allocRun(1)
-			ino.phys[blk] = filler
-			newBlocks++
-		case ino.fs.layout == LayoutLog:
-			ino.phys[blk] = ino.fs.allocRun(1)
-			newBlocks++
-		}
+	for pos := off; pos < end; {
+		blk, blkOff := pos/bs, pos%bs
+		n := min(bs-blkOff, end-pos)
 		c := &ino.chunks[blk/chunkBlocks]
 		if c.data == nil {
 			c.data = ino.fs.free.get(int(chunkBlocks * bs))
@@ -361,6 +328,10 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 		bit := uint64(1) << (blk % chunkBlocks)
 		b := c.data[blk%chunkBlocks*bs:][:bs]
 		if c.written&bit == 0 && n != bs {
+			filler := fillHi
+			if blk == lo {
+				filler = fillLo
+			}
 			fillSynthetic(b, filler)
 		}
 		c.written |= bit
@@ -368,6 +339,31 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 		pos += n
 	}
 	return newBlocks
+}
+
+// allocate maps the blocks of [lo, hi) a write needs: the unmapped ones,
+// or under the log layout all of them. Each maximal run of them takes one
+// allocRun, so blocks are numbered in block order. It returns how many it
+// mapped. Caller holds ino.mu.
+func (ino *Inode) allocate(lo, hi int64) (n int64) {
+	if ino.fs.layout == LayoutLog {
+		ino.blocks.set(lo, ino.fs.allocRun(hi-lo), hi-lo)
+		return hi - lo
+	}
+	for blk := lo; blk < hi; {
+		if ino.blocks.lookup(blk) != unmapped {
+			blk++
+			continue
+		}
+		run := int64(1)
+		for blk+run < hi && ino.blocks.lookup(blk+run) == unmapped {
+			run++
+		}
+		ino.blocks.set(blk, ino.fs.allocRun(run), run)
+		n += run
+		blk += run
+	}
+	return n
 }
 
 // ReadAt fills dst with file content starting at byte offset off, stopping
@@ -380,26 +376,17 @@ func (ino *Inode) ReadAt(dst []byte, off int64) int {
 	if off >= ino.size {
 		return 0
 	}
-	end := off + int64(len(dst))
-	if end > ino.size {
-		end = ino.size
-	}
-	pos := off
-	for pos < end {
-		blk := pos / bs
-		blkOff := pos % bs
-		n := bs - blkOff
-		if rem := end - pos; rem < n {
-			n = rem
-		}
+	end := min(off+int64(len(dst)), ino.size)
+	for pos := off; pos < end; {
+		blk, blkOff := pos/bs, pos%bs
+		n := min(bs-blkOff, end-pos)
 		out := dst[pos-off : pos-off+n]
-		switch b := ino.writtenBlock(blk); {
-		case b != nil:
+		if b := ino.writtenBlock(blk); b != nil {
 			copy(out, b[blkOff:])
-		case blk >= int64(len(ino.phys)) || ino.phys[blk] == unmapped:
+		} else if p := ino.blocks.lookup(blk); p != unmapped {
+			fillSyntheticAt(out, p, blkOff)
+		} else {
 			clear(out)
-		default:
-			fillSyntheticAt(out, ino.phys[blk], blkOff)
 		}
 		pos += n
 	}
@@ -411,9 +398,7 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 	bs := ino.fs.blockSize
 	ino.mu.Lock()
 	keep := (size + bs - 1) / bs
-	if keep < int64(len(ino.phys)) {
-		ino.phys = ino.phys[:keep]
-	}
+	ino.blocks.truncate(keep)
 	if n := (keep + chunkBlocks - 1) / chunkBlocks; n < int64(len(ino.chunks)) {
 		ino.fs.free.put(ino.chunks[n:])
 		clear(ino.chunks[n:])

@@ -241,11 +241,6 @@ func (v *VFS) balanceDirty(tl *simtime.Timeline) {
 	}
 }
 
-// Append writes at the end of the file, advancing the position.
-func (f *File) Append(tl *simtime.Timeline, data []byte) (int, error) {
-	return f.WriteAt(tl, data, f.ino.Size())
-}
-
 // Fsync writes back all dirty pages synchronously, charging the caller.
 // On a device error the not-yet-written blocks are re-marked dirty
 // (CollectDirtyRuns cleared them optimistically), so a failed fsync

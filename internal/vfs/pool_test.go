@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,9 +17,14 @@ import (
 
 // emptyPool swaps a pool's constructor for one returning nil and drains
 // what earlier tests left in it, so that every later Get goes through the
-// constructor the caller installs next.
+// constructor the caller installs next. A Get reaches only its own P's
+// private slot, so an object put on another P would survive the drain;
+// two collections empty every slot first (the first moves them to the
+// victim cache, the second drops that).
 func emptyPool(p *sync.Pool) {
 	p.New = func() any { return nil }
+	runtime.GC()
+	runtime.GC()
 	for p.Get() != nil {
 	}
 }
