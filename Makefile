@@ -1,6 +1,6 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
-# vet (root and bench/), four source gates (errgate, fmtgate, stackgate,
-# ringgate), build, `go test -race ./...`, the allocation guards without
+# vet (root and bench/), three source gates (errgate, fmtgate, stackgate),
+# build, `go test -race ./...`, the allocation guards without
 # the race detector, digests, and the benchmark's own tests (bench-smoke).
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the six packages with real host concurrency (the LSM engine, the
@@ -11,9 +11,9 @@
 # at GOMAXPROCS 1, 2 and 8, five times each. On two cores the LSM engine
 # alone takes about 26 minutes and crosslib 11, hence the explicit timeout
 # (go test's default is ten).
-.PHONY: check build test vet race allocs stress fuzz size bench bench-smoke chaos digests records errgate fmtgate stackgate ringgate trace
+.PHONY: check build test vet race allocs stress fuzz size bench bench-smoke chaos digests records errgate fmtgate stackgate trace
 
-check: vet errgate fmtgate stackgate ringgate build race allocs digests bench-smoke
+check: vet errgate fmtgate stackgate build race allocs digests bench-smoke
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -47,14 +47,6 @@ stackgate:
 	@! grep -n 'dev\.Access[A-Za-z]*(\|\.Member(' \
 		$$(ls internal/vfs/*.go | grep -v '_test\.go$$' | grep -v '/writeback\.go$$') \
 		|| (echo 'stackgate: device access outside the plug API, or raw stack-member access, on a kernel path'; exit 1)
-
-# Ring-API gate: the serve frontend must dispatch through the
-# submission/completion rings (Prep*/Submit/Reap), never by calling the
-# synchronous read/write shims directly. The sync baseline lives in
-# serve_baseline.go, which IS the deliberate exemption.
-ringgate:
-	@! grep -n '\.ReadAt(\|\.WriteAt(' internal/experiments/serve.go \
-		|| (echo 'ringgate: direct read/write call on the ring frontend (use the Ring API)'; exit 1)
 
 build:
 	go build ./...

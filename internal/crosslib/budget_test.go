@@ -424,7 +424,7 @@ func TestEvictedPagesMonotone(t *testing.T) {
 func TestRingPollsEveryEpoch(t *testing.T) {
 	v := newKernel(100_000)
 	// Predict off: the helper pool's only jobs are evict passes.
-	opt := Options{Enabled: true, Visibility: true, AggressiveEvict: true, MemoryBudgetPages: 64}
+	opt := Options{Enabled: true, AggressiveEvict: true, MemoryBudgetPages: 64}
 	rt := New(v, opt)
 	tl := simtime.NewTimeline(0)
 	if _, err := v.FS().CreateSynthetic(tl, "f", 320*4096); err != nil {

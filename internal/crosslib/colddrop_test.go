@@ -130,7 +130,7 @@ func TestColdDropClearsBelief(t *testing.T) {
 	v := newKernel(10_000)
 	// Predict off: the only crossings are reads and the evictor's. Always
 	// over budget: every pass wants more than there is.
-	rt := New(v, Options{Enabled: true, Visibility: true, AggressiveEvict: true, MemoryBudgetPages: 16})
+	rt := New(v, Options{Enabled: true, AggressiveEvict: true, MemoryBudgetPages: 16})
 	age := rt.Options().InactiveAge
 	tl := simtime.NewTimeline(0)
 	f := openSynthetic(t, rt, tl, "f", filePages*4096)
@@ -268,7 +268,7 @@ func TestEvictPassColdDropAllocs(t *testing.T) {
 	}
 	const filePages = 512
 	v := newKernel(10_000)
-	rt := New(v, Options{Enabled: true, Visibility: true, AggressiveEvict: true, MemoryBudgetPages: 16,
+	rt := New(v, Options{Enabled: true, AggressiveEvict: true, MemoryBudgetPages: 16,
 		RangeTreeSpan: 256})
 	tl := simtime.NewTimeline(0)
 	f := openSynthetic(t, rt, tl, "f", filePages*4096)

@@ -2,7 +2,6 @@ package crosslib
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -112,7 +111,7 @@ func TestRandomStreamNoPatternPrefetch(t *testing.T) {
 	v := newKernel(1_000_000)
 	// Predictor on, coverage off: random access must not trigger
 	// pattern-window prefetching.
-	rt := New(v, Options{Enabled: true, Visibility: true, Predict: true})
+	rt := New(v, Options{Enabled: true, Predict: true})
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<30)
 	f, _ := rt.Open(tl, "big")
@@ -275,65 +274,6 @@ func TestWriteUpdatesTree(t *testing.T) {
 	f.WriteAt(tl, make([]byte, 64<<10), 0)
 	if got := f.sf.tree.CachedCount(nil, 0, 16); got != 16 {
 		t.Fatalf("tree shows %d cached blocks after write, want 16", got)
-	}
-}
-
-// TestRingWriteObservesLikeWriteAt is the first test of PrepWrite: a write
-// submitted through the ring goes through the same write-side observe as
-// WriteAt. The ring used to carry a copy of it that had drifted: with the
-// ensemble on it trained the per-descriptor counter nobody reads instead of
-// the ensemble, and with Predict off it skipped the op tick that paces
-// eviction checks and FetchAll's repairs — so a file written through a ring
-// and the same file written synchronously left different library state.
-func TestRingWriteObservesLikeWriteAt(t *testing.T) {
-	const writes = 24
-	run := func(opt Options, viaRing bool) (*Runtime, *File) {
-		rt := New(newKernel(100000), opt)
-		tl := simtime.NewTimeline(0)
-		f, err := rt.Create(tl, "out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ring := rt.NewRing(0, 8)
-		data := make([]byte, 16<<10)
-		for i := int64(0); i < writes; i++ {
-			off := i * int64(len(data))
-			if !viaRing {
-				if n, err := f.WriteAt(tl, data, off); n != len(data) || err != nil {
-					t.Fatalf("WriteAt: n=%d err=%v", n, err)
-				}
-				continue
-			}
-			if err := ring.PrepWrite(f, data, off, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-			ring.Submit(tl)
-			cq := ring.Reap(tl, 1)
-			if len(cq) != 1 || cq[0].Err != nil || cq[0].N != int64(len(data)) || cq[0].User != uint64(i) {
-				t.Fatalf("ring write %d completed as %+v", i, cq)
-			}
-		}
-		return rt, f
-	}
-	ensemble := CrossPredictOpt.Options()
-	ensemble.Ensemble = true
-	for name, opt := range map[string]Options{"ensemble": ensemble, "predict-off": CrossFetchAllOpt.Options()} {
-		srt, sf := run(opt, false)
-		rrt, rf := run(opt, true)
-		if got, want := rrt.PredictorTable(), srt.PredictorTable(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: ensemble after ring writes:\n %+v\nafter WriteAt:\n %+v", name, got, want)
-		} else if opt.Ensemble && (len(want) != 1 || want[0].Observes != writes) {
-			t.Errorf("%s: WriteAt fed the ensemble %+v, want %d observations", name, want, writes)
-		}
-		if got, want := rf.pred.Observes(), sf.pred.Observes(); got != want {
-			t.Errorf("%s: ring writes trained the per-descriptor counter %d times, WriteAt %d", name, got, want)
-		}
-		if got, want := rrt.ops.Load(), srt.ops.Load(); got != want {
-			t.Errorf("%s: ring writes ticked %d ops, WriteAt %d", name, got, want)
-		}
-		if got := rf.sf.tree.CachedCount(nil, 0, writes*4); got != writes*4 {
-			t.Errorf("%s: tree shows %d cached blocks after ring writes, want %d", name, got, writes*4)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/simtime"
-	"repro/internal/vfs"
 )
 
 func TestDropCachesResetsBelief(t *testing.T) {
@@ -31,16 +30,16 @@ func TestDropCachesResetsBelief(t *testing.T) {
 
 func TestPrefetchDroppedWhenHelpersSaturated(t *testing.T) {
 	v := newKernel(1_000_000)
-	opt := CrossPredictOpt.Options()
-	opt.Workers = 1
-	rt := New(v, opt)
+	rt := NewForApproach(v, CrossPredictOpt)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 256<<20)
 
-	// Book the lone helper far into the future.
-	rt.workers.Run(0, func(wtl *simtime.Timeline) {
-		wtl.Advance(simtime.Second)
-	})
+	// Book every helper far into the future.
+	for i := 0; i < helperWorkers; i++ {
+		rt.workers.Run(0, func(wtl *simtime.Timeline) {
+			wtl.Advance(simtime.Second)
+		})
+	}
 
 	f, _ := rt.Open(tl, "big")
 	buf := make([]byte, 16384)
@@ -55,25 +54,6 @@ func TestPrefetchDroppedWhenHelpersSaturated(t *testing.T) {
 	// later retry is possible.
 	if runs := f.sf.tree.NeedsPrefetch(nil, 2048, 2060); len(runs) == 0 {
 		t.Fatal("dropped intent left requested marks behind")
-	}
-}
-
-func TestBlindModeUsesLegacyReadahead(t *testing.T) {
-	v := newKernel(1_000_000)
-	// Visibility off: the library falls back to readahead(2).
-	rt := New(v, Options{Enabled: true, Predict: true, CoveragePrefetch: true})
-	tl := simtime.NewTimeline(0)
-	v.FS().CreateSynthetic(tl, "big", 64<<20)
-	f, _ := rt.Open(tl, "big")
-	buf := make([]byte, 16384)
-	for off := int64(0); off < 4<<20; off += 16384 {
-		f.ReadAt(tl, buf, off)
-	}
-	if v.SyscallCount(vfs.SysReadahead) == 0 {
-		t.Fatal("blind mode should issue readahead(2)")
-	}
-	if v.SyscallCount(vfs.SysReadaheadInfo) != 0 {
-		t.Fatal("blind mode must not use readahead_info")
 	}
 }
 

@@ -296,57 +296,3 @@ func TestMmapScanFeedsBreakerOnce(t *testing.T) {
 		t.Fatalf("post-failure missing runs = %v, want %v", runs, want)
 	}
 }
-
-// TestBlindReadaheadBelievesOnlyWhatWasSubmitted: without visibility the
-// library imports nothing from the kernel, and the bytes readahead(2)
-// reports submitted are all the belief a blind window earns. Under a
-// persistent read fault over [1 MB, 1.5 MB) a window that reaches the
-// fault submits nothing past it, so every block the range tree believes
-// cached must be resident: a stale bit elides the prefetch of a block
-// nobody has (DESIGN.md §24's dangerous direction). The fault ends at
-// 1.5 MB so that the windows past it prefetch again, which the first
-// assertion checks. Before the fix every blind window marked its first
-// RA.MaxPages cached whatever readahead(2) returned.
-func TestBlindReadaheadBelievesOnlyWhatWasSubmitted(t *testing.T) {
-	const (
-		fileBytes = 4 << 20
-		blocks    = fileBytes / 4096
-	)
-	v := newKernel(100_000)
-	rt := New(v, Options{Enabled: true, Predict: true})
-	tl := simtime.NewTimeline(0)
-	if _, err := v.FS().CreateSynthetic(tl, "f", fileBytes); err != nil {
-		t.Fatal(err)
-	}
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
-		Seed:   7,
-		Ranges: []faultinject.RangeFault{{Lo: 1 << 20, Hi: 3 << 19, Class: faultinject.Persistent, Reads: true}},
-	}))
-	f, err := rt.Open(tl, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16<<10)
-	for off := int64(0); off < 2<<20; off += int64(len(buf)) {
-		f.ReadAt(tl, buf, off) // demand reads past the fault fail too; keep streaming
-	}
-
-	resident := bitmap.New(blocks)
-	f.kf.Fincore(tl, 0, blocks, resident)
-	var believed, stale int64
-	for b := int64(0); b < blocks; b++ {
-		if f.sf.tree.CachedCount(nil, b, b+1) == 0 {
-			continue
-		}
-		believed++
-		if !resident.Test(b) {
-			stale++
-		}
-	}
-	if believed <= (1<<20)/4096 {
-		t.Fatalf("%d blocks believed cached: the stream never prefetched past the fault", believed)
-	}
-	if stale > 0 {
-		t.Errorf("%d of %d blocks believed cached are not resident (%d resident)", stale, believed, resident.Count())
-	}
-}

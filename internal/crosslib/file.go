@@ -379,10 +379,9 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	return n, err
 }
 
-// observeWrite runs the library-side write pre-work shared by WriteAt and
-// the ring's write SQE: writes train the pattern detector — the ensemble's
-// pattern state and shadow books when it is on, the per-descriptor counter
-// otherwise — without issuing prefetch. Returns the op tick for the
+// observeWrite runs WriteAt's library-side pre-work: writes train the
+// pattern detector — the ensemble's pattern state and shadow books when it
+// is on, the per-descriptor counter otherwise — without issuing prefetch. Returns the op tick for the
 // caller's maybeEvict.
 func (f *File) observeWrite(tl *simtime.Timeline, lo, hi int64) int64 {
 	switch o := f.rt.opt; {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fs"
 	"repro/internal/pagecache"
-	"repro/internal/rangetree"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
@@ -23,8 +22,8 @@ import (
 // telemetry record of every CROSS-LIB entry point — mmap loads with bitmap
 // scans, the fincore poll, sequential / reverse / strided / random ReadAt on
 // private and shared descriptors, Read/SeekTo, WriteAt/Append/Fsync, the
-// optimistic open and FetchAll, ring read / prefetch / deadline prefetch /
-// write with backpressure and a discarding Close, a transient and a
+// optimistic open and FetchAll, ring read / prefetch / deadline prefetch
+// with backpressure and a discarding Close, a transient and a
 // persistent fault plan (retries, breaker trip, open-breaker drops on both
 // paths, recovery), helper-saturation drops and the low watermark — on one
 // seeded timeline per approach. internal/vfs's TestGoldenWayDown pins the
@@ -99,9 +98,16 @@ import (
 // outcome rows: every cell's telemetry hash moves and nothing else; with
 // those rows left out of the parent's export, the parent reproduces all
 // four cells field for field.
+//
+// And once more when the library lost its blind mode, its helper-count
+// setting and the ring's write SQE and read deadlines: the blind cell is
+// gone, the pool has its four helpers (it had two here), and the ring
+// schedule no longer submits the write or the expired read. That moves
+// every field of the two predict+opt cells and all but now in
+// fetchall+opt. The parent commit running this edited schedule, with its
+// Workers at the default of four, reproduces all three cells field for
+// field.
 func TestGoldenWayUp(t *testing.T) {
-	blind := Options{Enabled: true, Predict: true, CoveragePrefetch: true,
-		RangeTreeSpan: rangetree.DefaultSpan}
 	ensemble := CrossPredictOpt.Options()
 	ensemble.Ensemble = true
 	cells := []struct {
@@ -110,32 +116,25 @@ func TestGoldenWayUp(t *testing.T) {
 		want goldenUp
 	}{
 		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
-			now:       76575749,
-			stats:     "{PrefetchCalls:851 SavedPrefetches:938 PrefetchedPages:14652 EvictedPages:7362 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:394 WorkerJobs:864 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
-			ring:      "{Submits:5 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "8de769877d92994f",
-			results:   "33e18b52e7bc8ef1",
+			now:       74434351,
+			stats:     "{PrefetchCalls:848 SavedPrefetches:938 PrefetchedPages:14612 EvictedPages:7322 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:396 WorkerJobs:863 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			ring:      "{Submits:4 SQEs:21 Backpressure:2 Discarded:1}",
+			telemetry: "5dde8614f44cd339",
+			results:   "25f0283247f3407e",
 		}},
 		{"predict+opt+ensemble", ensemble, goldenUp{
-			now:       76793697,
-			stats:     "{PrefetchCalls:920 SavedPrefetches:724 PrefetchedPages:14816 EvictedPages:7338 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:516 WorkerJobs:921 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:2}",
-			ring:      "{Submits:4 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "bdfc55a6a6971e0a",
-			results:   "f4608d26f495c3cd",
-		}},
-		{"blind", blind, goldenUp{
-			now:       86053570,
-			stats:     "{PrefetchCalls:606 SavedPrefetches:133 PrefetchedPages:0 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:64 DroppedLowMemory:1287 WorkerJobs:607 PrefetchRetries:0 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
-			ring:      "{Submits:6 SQEs:24 Backpressure:2 Discarded:1}",
-			telemetry: "bb1316e5472260a4",
-			results:   "677e7176a65e7693",
+			now:       74852923,
+			stats:     "{PrefetchCalls:920 SavedPrefetches:724 PrefetchedPages:14816 EvictedPages:7338 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:516 WorkerJobs:923 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:2}",
+			ring:      "{Submits:4 SQEs:21 Backpressure:2 Discarded:1}",
+			telemetry: "c1f8a64272c03204",
+			results:   "1c50b190cf2aa982",
 		}},
 		{"fetchall+opt", CrossFetchAllOpt.Options(), goldenUp{
 			now:       105174012,
-			stats:     "{PrefetchCalls:128 SavedPrefetches:4 PrefetchedPages:14700 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 DroppedLowMemory:0 WorkerJobs:26 PrefetchRetries:1 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
-			ring:      "{Submits:5 SQEs:22 Backpressure:2 Discarded:1}",
-			telemetry: "bf4f9d1f05311f50",
-			results:   "be706f1071c8d793",
+			stats:     "{PrefetchCalls:128 SavedPrefetches:4 PrefetchedPages:14700 EvictedPages:0 FincorePolls:1 OpenPrefetches:0 DroppedPrefetch:0 DroppedLowMemory:0 WorkerJobs:28 PrefetchRetries:1 BreakerTrips:0 BreakerRecoveries:0 DroppedBreaker:0 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			ring:      "{Submits:5 SQEs:21 Backpressure:2 Discarded:1}",
+			telemetry: "dc56dbcff7c2e163",
+			results:   "0d0f2f752dbd8d8d",
 		}},
 	}
 	for _, c := range cells {
@@ -175,9 +174,8 @@ func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
 	cfg.AllowLimitOverride = true
 	v := vfs.NewStack(cfg, fsys, st, cache)
 
-	// A small helper pool and breaker so saturation, trips and recoveries
-	// all happen within a few megabytes; frequent scans and budget checks.
-	opt.Workers = 2
+	// A small breaker so trips and recoveries all happen within a few
+	// megabytes; frequent scans and budget checks.
 	opt.MmapScanOps = 8
 	opt.EvictCheckOps = 8
 	opt.InactiveAge = 2 * simtime.Millisecond
@@ -240,9 +238,9 @@ func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
 	for off := int64(0); off < 4*mb; off += 16 * kb {
 		read(f1, off, 16*kb)
 	}
-	// Helper saturation: with both helpers booked 5ms ahead, new intents
+	// Helper saturation: with every helper booked 5ms ahead, new intents
 	// are dropped and give their requested bits back.
-	for i := 0; i < opt.Workers; i++ {
+	for i := 0; i < helperWorkers; i++ {
 		rt.workers.Run(tl.Now(), func(wtl *simtime.Timeline) { wtl.Advance(5 * simtime.Millisecond) })
 	}
 	for off := int64(40 * mb); off < 41*mb; off += 16 * kb {
@@ -294,8 +292,8 @@ func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
 
 	// Rings: reads, a prefetch intent, the same intent again (the bitmap
 	// elides it), deadline prefetches (expired: shed in the library; far
-	// off: admitted), an expired read, a write, backpressure at depth 8,
-	// and a Close that discards a staged op.
+	// off: admitted), backpressure at depth 8, and a Close that discards a
+	// staged op.
 	fc := open("c")
 	ring := rt.NewRing(1, 8)
 	prep := func(what string, err error) { result("prep "+what, err != nil) }
@@ -308,21 +306,15 @@ func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
 	prep("read", ring.PrepRead(fc, buf[:64*kb], 0, 1))
 	prep("read", ring.PrepRead(fc, buf[64*kb:128*kb], 64*kb, 2))
 	prep("read", ring.PrepRead(fc, buf[128*kb:192*kb], 1*mb, 3))
-	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 4))
+	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 4, 0))
 	reap()
-	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 5))
-	prep("prefetch", ring.PrepPrefetchDeadline(fc, 3*mb, 256*kb, 6, tl.Now().Add(-simtime.Microsecond)))
-	prep("prefetch", ring.PrepPrefetchDeadline(fc, 3*mb, 256*kb, 7, tl.Now().Add(simtime.Second)))
-	prep("prefetch", ring.PrepPrefetch(fc, 4*mb-8*kb, 64*kb, 8)) // clamped at EOF
-	prep("prefetch", ring.PrepPrefetch(fc, 5*mb, 64*kb, 9))      // past EOF
-	prep("read", ring.PrepReadDeadline(fc, buf[:4096], 1*mb+512*kb, 10, tl.Now().Add(-simtime.Microsecond)))
+	prep("prefetch", ring.PrepPrefetch(fc, 2*mb, 512*kb, 5, 0))
+	prep("prefetch", ring.PrepPrefetch(fc, 3*mb, 256*kb, 6, tl.Now().Add(-simtime.Microsecond)))
+	prep("prefetch", ring.PrepPrefetch(fc, 3*mb, 256*kb, 7, tl.Now().Add(simtime.Second)))
+	prep("prefetch", ring.PrepPrefetch(fc, 4*mb-8*kb, 64*kb, 8, 0)) // clamped at EOF
+	prep("prefetch", ring.PrepPrefetch(fc, 5*mb, 64*kb, 9, 0))      // past EOF
 	prep("read", ring.PrepRead(fc, buf[:64*kb], 2*mb, 11))
 	reap()
-	if opt.Predict && !opt.Ensemble {
-		prep("write", ring.PrepWrite(fc, data[:20_000], 3*mb+512*kb+10, 12))
-		prep("read", ring.PrepRead(fc, buf[:32*kb], 3*mb+512*kb, 13))
-		reap()
-	}
 	for i := int64(0); i < 10; i++ {
 		prep("read", ring.PrepRead(fc, buf[i*16*kb:(i+1)*16*kb], 1*mb+i*16*kb, uint64(20+i)))
 	}
@@ -346,12 +338,12 @@ func runGoldenWayUp(t *testing.T, opt Options) goldenUp {
 		Seed:   16,
 		Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
 	}))
-	prep("prefetch", ring.PrepPrefetch(fb, 60*mb, 256*kb, 30))
+	prep("prefetch", ring.PrepPrefetch(fb, 60*mb, 256*kb, 30, 0))
 	reap()
 	for off := int64(32 * mb); off < 34*mb; off += 16 * kb {
 		read(fb, off, 16*kb)
 	}
-	prep("prefetch", ring.PrepPrefetch(fb, 61*mb, 256*kb, 31))
+	prep("prefetch", ring.PrepPrefetch(fb, 61*mb, 256*kb, 31, 0))
 	reap()
 	st.SetFaultInjector(nil)
 	tl.WaitUntil(tl.Now().Add(10*simtime.Millisecond), simtime.WaitIO)

@@ -28,7 +28,7 @@ func clampToFile(kf *vfs.File, lo, blocks int64) (int64, int64) {
 // prefetches keep failing is left to demand reads until the breaker
 // half-opens again. A refused intent is counted and traced.
 func (rt *Runtime) breakerAdmits(tl *simtime.Timeline, sf *sharedFile, lo, hi int64) bool {
-	if o := rt.opt; !o.Visibility || o.BreakerThreshold <= 0 || sf.brk.allow(tl.Now()) {
+	if rt.opt.BreakerThreshold <= 0 || sf.brk.allow(tl.Now()) {
 		return true
 	}
 	rt.droppedBreaker.Add(1)
@@ -136,19 +136,6 @@ func (rt *Runtime) issue(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile, lo
 	o := rt.opt
 	bs := rt.v.BlockSize()
 	rt.rec.Event(wtl.Now(), telemetry.OutcomeIssued, sf.inoID, lo, hi)
-
-	if !o.Visibility {
-		// Degraded mode: blind readahead(2), no state import — device
-		// errors are invisible here, so no retry or breaker either. The
-		// bytes it reports submitted are all the belief it earns: a
-		// faulted window marks nothing past the fault.
-		n := kf.Readahead(wtl, lo*bs, (hi-lo)*bs)
-		rt.prefetchCalls.Add(1)
-		if n > 0 {
-			sf.tree.MarkCached(wtl, lo, lo+n/bs)
-		}
-		return true
-	}
 
 	req := vfs.CacheInfoRequest{
 		Offset:   lo * bs,

@@ -15,12 +15,10 @@ import (
 // correspond to the paper's comparison approaches (Table 2) and the
 // incremental breakdown (Table 5).
 type Options struct {
-	// Enabled turns interception on; disabled means pure passthrough to
+	// Enabled turns interception on, prefetching through readahead_info
+	// and the imported cache bitmaps; disabled means pure passthrough to
 	// the kernel (the OSonly / APPonly baselines).
 	Enabled bool
-	// Visibility uses readahead_info and the imported cache bitmaps;
-	// without it the library falls back to blind readahead(2) calls.
-	Visibility bool
 	// Predict drives prefetching from the per-descriptor pattern
 	// detector. Mutually exclusive with FetchAll.
 	Predict bool
@@ -41,9 +39,6 @@ type Options struct {
 	// RangeTreeSpan is the range-tree node width in blocks; 0 selects a
 	// single-node tree (the per-file-bitmap-lock baseline of Table 5).
 	RangeTreeSpan int64
-	// Workers is the number of background prefetch helper threads
-	// (the artifact's NR_WORKERS_VAR).
-	Workers int
 	// MaxPrefetchBytes caps a single prefetch request (paper: 64MB).
 	MaxPrefetchBytes int64
 	// MemoryBudgetPages is the per-process cache budget; 0 means the
@@ -86,11 +81,13 @@ type Options struct {
 	FaultSeed int64
 }
 
+// helperWorkers is the number of background prefetch helper threads (the
+// artifact's NR_WORKERS_VAR). It is not a setting: on 16-thread
+// multireadrandom one, four and eight helpers read 439, 438 and 436 kops/s.
+const helperWorkers = 4
+
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
 	if o.MaxPrefetchBytes <= 0 {
 		o.MaxPrefetchBytes = 64 << 20
 	}
@@ -176,17 +173,17 @@ func (a Approach) Options() Options {
 	o := Options{}
 	switch a {
 	case CrossVisibility:
-		o = Options{Enabled: true, Visibility: true, Predict: true,
+		o = Options{Enabled: true, Predict: true,
 			CoveragePrefetch: true}
 	case CrossPredict:
-		o = Options{Enabled: true, Visibility: true, Predict: true,
+		o = Options{Enabled: true, Predict: true,
 			CoveragePrefetch: true, RangeTreeSpan: rangetree.DefaultSpan}
 	case CrossPredictOpt:
-		o = Options{Enabled: true, Visibility: true, Predict: true,
+		o = Options{Enabled: true, Predict: true,
 			CoveragePrefetch: true, OptLimits: true, AggressiveEvict: true,
 			RangeTreeSpan: rangetree.DefaultSpan}
 	case CrossFetchAllOpt:
-		o = Options{Enabled: true, Visibility: true, FetchAll: true,
+		o = Options{Enabled: true, FetchAll: true,
 			OptLimits: true, RangeTreeSpan: rangetree.DefaultSpan}
 	}
 	return o.withDefaults()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/pagecache"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 	"repro/internal/vfs"
 )
 
@@ -118,7 +119,7 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	// now. The library admits it; the ring_enter crossing carries the
 	// clock past the deadline, so the kernel sheds it with ErrShed.
 	crossings := v.SyscallCount(vfs.SysRingEnter)
-	if err := ring.PrepPrefetchDeadline(f, 32<<20, 1<<20, 2, now.Add(100)); err != nil {
+	if err := ring.PrepPrefetch(f, 32<<20, 1<<20, 2, now.Add(100)); err != nil {
 		t.Fatal(err)
 	}
 	ring.Submit(tl)
@@ -367,12 +368,17 @@ func TestTenantReclaimRoundRobin(t *testing.T) {
 	}
 }
 
-// TestDeadlineShedAndMiss: the library sheds an unmeetable prefetch
-// deadline locally with ErrShed, and an expired read completes with
-// ErrDeadlineExceeded — the two refusal modes stay distinct.
+// TestDeadlineShedAndMiss: a prefetch deadline has two outcomes, and they
+// stay distinct. An intent already past its deadline is shed in the
+// library with ErrShed and never crosses; one the ring admits but whose
+// pages land after its deadline keeps its N, completes with
+// ErrDeadlineExceeded and is counted as a deadline miss.
 func TestDeadlineShedAndMiss(t *testing.T) {
 	v := newKernel(1 << 20)
+	rec := telemetry.NewRecorder(0)
+	v.SetTelemetry(rec)
 	rt := NewForApproach(v, CrossPredictOpt)
+	rt.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "dl", 16<<20)
 	f, err := rt.Open(tl, "dl")
@@ -380,26 +386,42 @@ func TestDeadlineShedAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := rt.NewRing(0, 64)
-	tl.Advance(simtime.Millisecond)
+	// Drain what the open prefetched, so the device starts idle.
+	tl.Advance(50 * simtime.Millisecond)
+	submit := func(off int64, user uint64, deadline simtime.Time) RingCQE {
+		t.Helper()
+		if err := ring.PrepPrefetch(f, off, 1<<20, user, deadline); err != nil {
+			t.Fatal(err)
+		}
+		ring.Submit(tl)
+		cqes := ring.Reap(tl, 1)
+		if len(cqes) != 1 || cqes[0].User != user {
+			t.Fatalf("reaped %+v, want the one CQE of user %d", cqes, user)
+		}
+		return cqes[0]
+	}
 
-	past := tl.Now().Add(-simtime.Microsecond)
-	if err := ring.PrepPrefetchDeadline(f, 0, 1<<20, 1, past); err != nil {
-		t.Fatal(err)
+	crossings := v.SyscallCount(vfs.SysRingEnter)
+	if cq := submit(0, 1, tl.Now().Add(-simtime.Microsecond)); !errors.Is(cq.Err, vfs.ErrShed) || cq.N != 0 {
+		t.Fatalf("expired prefetch completed as %+v, want vfs.ErrShed and N = 0", cq)
 	}
-	buf := make([]byte, 4096)
-	if err := ring.PrepReadDeadline(f, buf, 0, 2, past); err != nil {
-		t.Fatal(err)
+	if d := v.SyscallCount(vfs.SysRingEnter) - crossings; d != 0 {
+		t.Fatalf("expired prefetch crossed %d times, want 0", d)
 	}
-	ring.Submit(tl)
-	got := map[uint64]error{}
-	for _, cq := range ring.Reap(tl, 0) {
-		got[cq.User] = cq.Err
+	if got := rec.CounterValue(telemetry.CtrRingDeadlineMisses); got != 0 {
+		t.Fatalf("a shed counted %d deadline misses, want 0", got)
 	}
-	if !errors.Is(got[1], vfs.ErrShed) {
-		t.Fatalf("expired prefetch error = %v, want vfs.ErrShed", got[1])
+
+	// The device is idle, so the library admits the intent; reading 1MB
+	// takes longer than its 20µs of slack.
+	due := tl.Now().Add(20 * simtime.Microsecond)
+	cq := submit(4<<20, 2, due)
+	if !errors.Is(cq.Err, vfs.ErrDeadlineExceeded) || cq.N != (1<<20)/v.BlockSize() || cq.Done <= due {
+		t.Fatalf("late prefetch completed as %+v (due %d), want vfs.ErrDeadlineExceeded, N = %d and Done past due",
+			cq, due, (1<<20)/v.BlockSize())
 	}
-	if !errors.Is(got[2], vfs.ErrDeadlineExceeded) {
-		t.Fatalf("expired read error = %v, want vfs.ErrDeadlineExceeded", got[2])
+	if got := rec.CounterValue(telemetry.CtrRingDeadlineMisses); got != 1 {
+		t.Fatalf("ring_deadline_misses = %d after one late prefetch, want 1", got)
 	}
 }
 
@@ -466,7 +488,7 @@ func TestRingDeadlineShedReadsTargetBackends(t *testing.T) {
 		ring := rt.NewRing(0, 8)
 		crossings := v.SyscallCount(vfs.SysRingEnter)
 		deadline := tl.Now().Add(50 * simtime.Millisecond)
-		if err := ring.PrepPrefetchDeadline(f, remoteOff, win, 7, deadline); err != nil {
+		if err := ring.PrepPrefetch(f, remoteOff, win, 7, deadline); err != nil {
 			t.Fatal(err)
 		}
 		ring.Submit(tl)

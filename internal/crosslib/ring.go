@@ -11,19 +11,21 @@ import (
 	"repro/internal/vfs"
 )
 
-// ErrRingFull is returned by Prep* when the ring already holds depth
-// outstanding operations (staged or completed-but-unreaped). The caller
-// should Reap before submitting more — the ring's admission control.
+// ErrRingFull is returned by PrepRead and PrepPrefetch when the ring
+// already holds depth outstanding operations (staged or
+// completed-but-unreaped). The caller should Reap before submitting more —
+// the ring's admission control.
 var ErrRingFull = errors.New("crosslib: ring full")
 
-// ErrRingClosed is returned by Prep* after Close. Unlike ErrRingFull no
-// Reap clears it: a caller that retries on a full ring must not on this.
+// ErrRingClosed is returned by PrepRead and PrepPrefetch after Close.
+// Unlike ErrRingFull no Reap clears it: a caller that retries on a full
+// ring must not on this.
 var ErrRingClosed = errors.New("crosslib: ring closed")
 
 // RingCQE is a completion delivered by Reap — the kernel's, as it is: N is
-// op-dependent (bytes for reads/writes, admitted pages for prefetch
-// intents), Done is the virtual time the operation's effect is available;
-// Reap advances the reaping timeline to the latest Done it delivers.
+// op-dependent (bytes for reads, admitted pages for prefetch intents),
+// Done is the virtual time the operation's effect is available; Reap
+// advances the reaping timeline to the latest Done it delivers.
 type RingCQE = vfs.RingCQE
 
 // ringOp is one staged submission-queue entry plus the library-side
@@ -35,7 +37,7 @@ type ringOp struct {
 	buf      []byte
 	len      int64
 	user     uint64
-	deadline simtime.Time // 0 = none
+	deadline simtime.Time // prefetch only; 0 = none
 
 	lo, hi int64 // block range, filled in by Submit
 	// full is what a read's coverage query answered from full nodes, which
@@ -44,15 +46,15 @@ type ringOp struct {
 }
 
 // Ring is the user-level half of the submission/completion pair: a
-// per-tenant descriptor that stages operations (PrepRead/PrepWrite/
-// PrepPrefetch), submits them as one kernel crossing (Submit), and
-// delivers completions (Reap). It is safe for concurrent use — multiple
-// submitter threads may Prep and Submit against one ring while ONE reaper
-// thread drains it (what Reap returns is the ring's own storage, lent until
-// the next Reap); the kernel side feeds every submitter's staged work
-// through the shared per-tenant lane so the device sees their combined
-// depth. A ring in steady state allocates nothing: staged ops, completions
-// and Submit's scratch all live in buffers it reuses.
+// per-tenant descriptor that stages operations (PrepRead/PrepPrefetch),
+// submits them as one kernel crossing (Submit), and delivers completions
+// (Reap). It is safe for concurrent use — multiple submitter threads may
+// Prep and Submit against one ring while ONE reaper thread drains it (what
+// Reap returns is the ring's own storage, lent until the next Reap); the
+// kernel side feeds every submitter's staged work through the shared
+// per-tenant lane so the device sees their combined depth. A ring in
+// steady state allocates nothing: staged ops, completions and Submit's
+// scratch all live in buffers it reuses.
 //
 // The library shim still runs on the ring path: read submissions feed
 // the descriptor's predictor (which may issue background prefetch) and
@@ -104,7 +106,7 @@ func (rt *Runtime) NewRing(tenant, depth int) *Ring {
 type RingStats struct {
 	Submits      int64 // Submit calls that crossed into the kernel
 	SQEs         int64 // operations staged successfully
-	Backpressure int64 // Prep* rejections due to a full ring
+	Backpressure int64 // Prep rejections due to a full ring
 	Discarded    int64 // staged-but-unsubmitted ops dropped by Close
 }
 
@@ -116,7 +118,7 @@ func (r *Ring) Stats() RingStats {
 		Backpressure: r.backpressure, Discarded: r.discarded}
 }
 
-// Close shuts the ring down: further Prep* calls fail, and staged ops
+// Close shuts the ring down: further Prep calls fail, and staged ops
 // that no Submit has picked up are discarded (counted in
 // RingStats.Discarded — submit before closing to drain them).
 //
@@ -160,32 +162,13 @@ func (r *Ring) PrepRead(f *File, buf []byte, off int64, user uint64) error {
 	return r.prep(ringOp{kind: vfs.RingRead, f: f, off: off, buf: buf, user: user})
 }
 
-// PrepReadDeadline is PrepRead with a virtual deadline: if the read
-// expires before service its CQE carries vfs.ErrDeadlineExceeded and no
-// bytes; if its data lands late the CQE keeps the byte count but still
-// reports vfs.ErrDeadlineExceeded.
-func (r *Ring) PrepReadDeadline(f *File, buf []byte, off int64, user uint64,
-	deadline simtime.Time) error {
-	return r.prep(ringOp{kind: vfs.RingRead, f: f, off: off, buf: buf,
-		user: user, deadline: deadline})
-}
-
-// PrepWrite stages a buffered write of data at off.
-func (r *Ring) PrepWrite(f *File, data []byte, off int64, user uint64) error {
-	return r.prep(ringOp{kind: vfs.RingWrite, f: f, off: off, buf: data, user: user})
-}
-
-// PrepPrefetch stages a prefetch intent for bytes at off.
-func (r *Ring) PrepPrefetch(f *File, off, bytes int64, user uint64) error {
-	return r.prep(ringOp{kind: vfs.RingPrefetch, f: f, off: off, len: bytes, user: user})
-}
-
-// PrepPrefetchDeadline is PrepPrefetch with a virtual deadline: a
-// prefetch Submit estimates it cannot finish by the deadline (or that
-// has already expired) is shed with vfs.ErrShed before crossing —
-// prefetch is the first work to go under pressure, never reads.
-func (r *Ring) PrepPrefetchDeadline(f *File, off, bytes int64, user uint64,
-	deadline simtime.Time) error {
+// PrepPrefetch stages a prefetch intent for bytes at off, due by the
+// virtual deadline (0 = none). A prefetch Submit estimates it cannot finish
+// by the deadline (or that has already expired) is shed with vfs.ErrShed
+// before crossing — prefetch is the first work to go under pressure, never
+// reads; one whose pages land after it completes with
+// vfs.ErrDeadlineExceeded and keeps its N.
+func (r *Ring) PrepPrefetch(f *File, off, bytes int64, user uint64, deadline simtime.Time) error {
 	return r.prep(ringOp{kind: vfs.RingPrefetch, f: f, off: off, len: bytes,
 		user: user, deadline: deadline})
 }
@@ -277,13 +260,6 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 	return len(batch)
 }
 
-// refuse completes an op locally, without a crossing, as the kernel would
-// have refused it: with one of vfs's two refusals, the type admits no other.
-func refuse(done RingCQE, r *vfs.Refusal) (RingCQE, bool) {
-	done.Err = r
-	return done, false
-}
-
 // admit runs the library pre-work of one staged op and reports whether it
 // crosses into the kernel; an op that does not is complete, with the
 // returned CQE. op receives the tick of the access it observed, if any.
@@ -299,17 +275,8 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 	q.lo, q.hi = q.off/bs, (q.off+n+bs-1)/bs
 	switch q.kind {
 	case vfs.RingRead:
-		if q.deadline > 0 && tl.Now() > q.deadline {
-			// Already expired: complete locally without a crossing.
-			rt.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
-			return refuse(done, vfs.ErrDeadlineExceeded)
-		}
 		if shimmed {
 			*op, q.full = f.observeAccess(tl, q.lo, q.hi)
-		}
-	case vfs.RingWrite:
-		if shimmed {
-			*op = f.observeWrite(tl, q.lo, q.hi)
 		}
 	case vfs.RingPrefetch:
 		// Mirror the kernel's clamp exactly so the lib-issued pages
@@ -328,7 +295,8 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			rt.rec.Add(telemetry.CtrRingShedPrefetchPages, q.hi-q.lo)
 			rt.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch,
 				f.kf.Inode().ID(), q.lo, q.hi)
-			return refuse(done, vfs.ErrShed)
+			done.Err = vfs.ErrShed
+			return done, false
 		}
 		if shimmed {
 			if !rt.breakerAdmits(tl, f.sf, q.lo, q.hi) {
@@ -361,11 +329,8 @@ func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
 		// A prefetch SQE exports no bitmap, and N — the pages admitted —
 		// is all it reports of what was granted and of what was fetched.
 		r.rt.settle(tl, sf, q.lo, q.hi, cq.N, cq.N, nil, cq.Err)
-	case cq.Err != nil:
-	case q.kind == vfs.RingRead:
+	case cq.Err == nil:
 		sf.markRead(tl, q.off, cq.N, r.rt.v.BlockSize(), q.full)
-	default:
-		sf.tree.MarkCached(tl, q.lo, q.hi)
 	}
 	sf.touch(tl.Now())
 }

@@ -172,7 +172,7 @@ func New(v *vfs.VFS, opt Options) *Runtime {
 	rt := &Runtime{
 		v:       v,
 		opt:     opt,
-		workers: simtime.NewWorkerPool(opt.Workers, 0),
+		workers: simtime.NewWorkerPool(helperWorkers, 0),
 	}
 	for i := range rt.fileShards {
 		rt.fileShards[i].m = make(map[int64]*sharedFile)

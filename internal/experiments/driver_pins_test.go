@@ -28,10 +28,14 @@ import (
 // the seed derivations became one); a line that moves means a Gate, a PRNG
 // draw or a counter did. It runs beside the parallel paper-table tests, so a
 // line those disturbed would move too. To re-record on purpose, run with -v:
-// every line is logged. Two lines were re-recorded on purpose since:
-// drop-behind (DESIGN.md §24) takes CrossP[+predict+opt]'s micro
-// private-seq and shared-seq at one thread — one descriptor streaming a
-// 16 MB file through the 8 MB cache — from 13 751 046 to 12 234 146 ns.
+// every line is logged. Re-recorded on purpose since: drop-behind
+// (DESIGN.md §24) takes CrossP[+predict+opt]'s micro private-seq and
+// shared-seq at one thread — one descriptor streaming a 16 MB file through
+// the 8 MB cache — from 13 751 046 to 12 234 146 ns. And the twenty
+// filebench lines, when every profile came to close the files it opens and
+// creates: each close is one more crossing (900 ns), and mongodb closes a
+// file per op, so its makespans move most (13 385 276 → 13 504 076 ns at
+// one thread under OSonly); op, byte and miss counts hold.
 func TestDriverPins(t *testing.T) {
 	t.Parallel()
 	want := strings.Split(strings.TrimSpace(driverPins), "\n")
@@ -146,10 +150,10 @@ APPonly micro/shared-seq: makespan=13644959 read=16777216 write=0 miss=1.3020833
 APPonly micro/shared-rand: makespan=67827454 read=16777216 write=0 miss=66.69921875 total=67827454/4199174/63628280/0
 APPonly mmap/seq=true: makespan=358148748 read=16777216 miss=100 total=358148748/10848908/347299840/0
 APPonly mmap/seq=false: makespan=238711164 read=16777216 miss=66.6015625 total=238711164/7404044/231307120/0
-APPonly filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
-APPonly filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
-APPonly filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
-APPonly filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+APPonly filebench/seqread: makespan=5228696 ops=128 bytes=16777216 miss=12.5 total=5228696/2488136/2740560/0
+APPonly filebench/randread: makespan=9180818 ops=128 bytes=1048576 miss=78.90625 total=9180818/335238/8845580/0
+APPonly filebench/mongodb: makespan=13504076 ops=128 bytes=2162688 miss=76.92307692307692 total=13504076/1144552/12359524/0
+APPonly filebench/videoserver: makespan=131719971 ops=128 bytes=134217728 miss=0 total=131719971/30604760/101074211/41000
 APPonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.34413671184443 total=8432775/962624/7470151/0
 APPonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
 APPonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
@@ -170,10 +174,10 @@ APPonly[fincore] micro/shared-seq: makespan=16438597 read=16777216 write=0 miss=
 APPonly[fincore] micro/shared-rand: makespan=63565502 read=16777216 write=0 miss=74.31832593532023 total=63565502/4092582/57889954/1582966
 APPonly[fincore] mmap/seq=true: makespan=358148748 read=16777216 miss=100 total=358148748/10848908/347299840/0
 APPonly[fincore] mmap/seq=false: makespan=238711164 read=16777216 miss=66.6015625 total=238711164/7404044/231307120/0
-APPonly[fincore] filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
-APPonly[fincore] filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
-APPonly[fincore] filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
-APPonly[fincore] filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+APPonly[fincore] filebench/seqread: makespan=5228696 ops=128 bytes=16777216 miss=12.5 total=5228696/2488136/2740560/0
+APPonly[fincore] filebench/randread: makespan=9180818 ops=128 bytes=1048576 miss=78.90625 total=9180818/335238/8845580/0
+APPonly[fincore] filebench/mongodb: makespan=13504076 ops=128 bytes=2162688 miss=76.92307692307692 total=13504076/1144552/12359524/0
+APPonly[fincore] filebench/videoserver: makespan=131719971 ops=128 bytes=134217728 miss=0 total=131719971/30604760/101074211/41000
 APPonly[fincore] ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=28.34413671184443 total=8432775/962624/7470151/0
 APPonly[fincore] ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=29.075360769641904 total=13750022/1230790/12519232/0
 APPonly[fincore] ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=29.17412426489389 total=16169073/1468102/14700971/0
@@ -194,10 +198,10 @@ OSonly micro/shared-seq: makespan=13592933 read=16777216 write=0 miss=0.29296875
 OSonly micro/shared-rand: makespan=67826554 read=16777216 write=0 miss=66.69921875 total=67826554/4198274/63628280/0
 OSonly mmap/seq=true: makespan=35144456 read=16777216 miss=25 total=35144456/2724104/32420352/0
 OSonly mmap/seq=false: makespan=74263011 read=16777216 miss=57.71484375 total=74263011/4828400/69434611/0
-OSonly filebench/seqread: makespan=5227796 ops=128 bytes=16777216 miss=12.5 total=5227796/2487236/2740560/0
-OSonly filebench/randread: makespan=9179918 ops=128 bytes=1048576 miss=78.90625 total=9179918/334338/8845580/0
-OSonly filebench/mongodb: makespan=13385276 ops=128 bytes=2162688 miss=76.92307692307692 total=13385276/1025752/12359524/0
-OSonly filebench/videoserver: makespan=131719071 ops=128 bytes=134217728 miss=0 total=131719071/30603860/101074211/41000
+OSonly filebench/seqread: makespan=5228696 ops=128 bytes=16777216 miss=12.5 total=5228696/2488136/2740560/0
+OSonly filebench/randread: makespan=9180818 ops=128 bytes=1048576 miss=78.90625 total=9180818/335238/8845580/0
+OSonly filebench/mongodb: makespan=13504076 ops=128 bytes=2162688 miss=76.92307692307692 total=13504076/1144552/12359524/0
+OSonly filebench/videoserver: makespan=131719971 ops=128 bytes=134217728 miss=0 total=131719971/30604760/101074211/41000
 OSonly ycsb/YCSB-A: makespan=8432775 ops=300 r/w/s=160/140/0 miss=5.966411314083677 total=8432775/962624/7470151/0
 OSonly ycsb/YCSB-B: makespan=13750022 ops=300 r/w/s=281/19/0 miss=8.778727952966328 total=13750022/1230790/12519232/0
 OSonly ycsb/YCSB-C: makespan=16169073 ops=300 r/w/s=300/0/0 miss=9.754538481206852 total=16169073/1468102/14700971/0
@@ -218,10 +222,10 @@ CrossP[+predict+opt] micro/shared-seq: makespan=12234146 read=16777216 write=0 m
 CrossP[+predict+opt] micro/shared-rand: makespan=58793603 read=16777216 write=0 miss=53.90625 total=58793603/4179396/54160955/453252
 CrossP[+predict+opt] mmap/seq=true: makespan=29540592 read=16777216 miss=17.578125 total=29540592/2062092/26991190/487310
 CrossP[+predict+opt] mmap/seq=false: makespan=72121220 read=16777216 miss=55.859375 total=72121220/4675088/67312850/133282
-CrossP[+predict+opt] filebench/seqread: makespan=3701539 ops=128 bytes=16777216 miss=0 total=3701539/2320280/1248309/132950
-CrossP[+predict+opt] filebench/randread: makespan=1774103 ops=128 bytes=1048576 miss=0 total=1774103/298580/1342519/133004
-CrossP[+predict+opt] filebench/mongodb: makespan=13190004 ops=128 bytes=2162688 miss=0 total=13190004/908480/12177124/104400
-CrossP[+predict+opt] filebench/videoserver: makespan=131721151 ops=128 bytes=134217728 miss=0 total=131721151/30637140/101044311/39700
+CrossP[+predict+opt] filebench/seqread: makespan=3702439 ops=128 bytes=16777216 miss=0 total=3702439/2321180/1248309/132950
+CrossP[+predict+opt] filebench/randread: makespan=1775003 ops=128 bytes=1048576 miss=0 total=1775003/299480/1342519/133004
+CrossP[+predict+opt] filebench/mongodb: makespan=13308804 ops=128 bytes=2162688 miss=0 total=13308804/1027280/12177124/104400
+CrossP[+predict+opt] filebench/videoserver: makespan=131722051 ops=128 bytes=134217728 miss=0 total=131722051/30638040/101044311/39700
 CrossP[+predict+opt] ycsb/YCSB-A: makespan=6561321 ops=300 r/w/s=160/140/0 miss=2.6222746022392456 total=6561321/917216/5189291/454814
 CrossP[+predict+opt] ycsb/YCSB-B: makespan=9239840 ops=300 r/w/s=281/19/0 miss=3.727952966328167 total=9239840/1128530/7656532/454778
 CrossP[+predict+opt] ycsb/YCSB-C: makespan=11065068 ops=300 r/w/s=300/0/0 miss=4.154947583738174 total=11065068/1351228/9257466/456374
@@ -239,8 +243,8 @@ CrossP[+predict+opt] snappy: makespan=41692182 in=8388608 out=897297 files=4 mis
 OSonly micro/shared-rand t=4: makespan=18351360 read=16777216 write=0 miss=67.67578125 total=69342026/4216608/65016174/109244
 OSonly micro/shared-rand t=4+4w: makespan=15424212 read=16777216 write=16777216 miss=57.71484375 total=70480544/8797758/55766572/5916214
 OSonly mmap/seq=false t=4: makespan=24351425 read=16777216 miss=58.984375 total=92175006/4926866/86762861/485279
-OSonly filebench/randread t=4: makespan=9825824 ops=512 bytes=4194304 miss=81.0546875 total=37799470/1345490/36453980/0
-OSonly filebench/mongodb i=2 t=2: makespan=13444736 ops=512 bytes=8650752 miss=72.37790232185749 total=52992160/4058360/48933800/0
+OSonly filebench/randread t=4: makespan=9826724 ops=512 bytes=4194304 miss=81.0546875 total=37803070/1349090/36453980/0
+OSonly filebench/mongodb i=2 t=2: makespan=13652778 ops=512 bytes=8650752 miss=72.37790232185749 total=53823134/4533560/49289574/0
 OSonly ycsb/YCSB-A t=4: makespan=9068877 ops=1200 r/w/s=613/587/0 miss=12.68418467583497 total=32227571/3719920/28409598/98053
 OSonly ycsb/YCSB-D t=4: makespan=8322824 ops=1200 r/w/s=1141/59/0 miss=13.924714270735032 total=31599633/3318154/28278045/3434
 OSonly dbbench/multireadrandom t=4: makespan=9738424 ops=1600 MB/s=481.34071796422086 miss=10.317280880247193 total=35810596/7472236/28332394/5966
@@ -248,8 +252,8 @@ OSonly snappy t=4: makespan=14767059 in=8388608 out=897297 files=4 miss=100 tota
 CrossP[+predict+opt] micro/shared-rand t=4: makespan=18638700 read=16777216 write=0 miss=52.44140625 total=66322196/4158494/59460156/2703546
 CrossP[+predict+opt] micro/shared-rand t=4+4w: makespan=18044332 read=16777216 write=16777216 miss=56.4453125 total=87521114/9161948/67634892/10724274
 CrossP[+predict+opt] mmap/seq=false t=4: makespan=23755031 read=16777216 miss=56.54296875 total=87536692/4674596/81857466/1004630
-CrossP[+predict+opt] filebench/randread t=4: makespan=7813961 ops=512 bytes=4194304 miss=11.328125 total=17267297/1156500/15654153/456644
-CrossP[+predict+opt] filebench/mongodb i=2 t=2: makespan=12891285 ops=512 bytes=8650752 miss=4.483586869495596 total=50877666/3664540/46830146/382980
+CrossP[+predict+opt] filebench/randread t=4: makespan=7814861 ops=512 bytes=4194304 miss=11.328125 total=17270897/1160100/15654153/456644
+CrossP[+predict+opt] filebench/mongodb i=2 t=2: makespan=12980525 ops=512 bytes=8650752 miss=4.483586869495596 total=51296865/4139740/46774145/382980
 CrossP[+predict+opt] ycsb/YCSB-A t=4: makespan=8561290 ops=1200 r/w/s=613/587/0 miss=5.933341472347698 total=30163986/3726164/25741675/696147
 CrossP[+predict+opt] ycsb/YCSB-D t=4: makespan=6260177 ops=1200 r/w/s=1141/59/0 miss=4.410374881864959 total=23682096/3087746/19974306/620044
 CrossP[+predict+opt] dbbench/multireadrandom t=4: makespan=8825604 ops=1600 MB/s=531.1251218613479 miss=2.7884542919587005 total=32586709/7387746/24579303/619660

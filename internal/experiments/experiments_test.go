@@ -29,8 +29,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s has no description", id)
 		}
 	}
-	// Extra registered experiments (ablations) are allowed beyond the
-	// paper's core set.
+	// Extra registered experiments (the serving-tier sweeps, chaos) are
+	// allowed beyond the paper's core set.
 	if len(IDs()) < len(want) {
 		t.Errorf("registry has %d entries, want >= %d", len(IDs()), len(want))
 	}
@@ -197,14 +197,6 @@ func TestFig9bQuick(t *testing.T) {
 	runQuick(t, "fig9b")
 }
 
-func TestAblationQuick(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	runQuick(t, "ablate")
-}
-
 // TestTierQuick runs the tiered-stack sweep; the runner itself asserts
 // byte-correctness, the per-backend telemetry audit partition,
 // run-to-run determinism via digest comparison, the width-2 striping
@@ -281,11 +273,11 @@ func TestCSVEscaping(t *testing.T) {
 
 // TestTelemetryDrainAuditsEverySystem: under the telemetry switch every
 // cell of a table registers exactly one system (not one per rerun) that
-// passes the audit, ablate's knob cells and serve's rings included.
+// passes the audit, serve's rings included.
 func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
 	EnableTelemetry(true)
 	defer EnableTelemetry(false)
-	for _, id := range []string{"fig5", "ablate", "serve"} {
+	for _, id := range []string{"fig5", "serve"} {
 		rows := runQuick(t, id).Table.Rows
 		results := DrainTelemetry()
 		if len(results) != len(rows) {

@@ -98,7 +98,7 @@ func overloadStep(deadline simtime.Duration) stepFunc {
 	const prefetchTag = ^uint64(0)
 	return func(rd *reader, off int64) (n int64, done simtime.Time, err error) {
 		if deadline > 0 {
-			err = rd.ring.PrepPrefetchDeadline(rd.f, off, int64(len(rd.buf)), prefetchTag, rd.tl.Now().Add(deadline))
+			err = rd.ring.PrepPrefetch(rd.f, off, int64(len(rd.buf)), prefetchTag, rd.tl.Now().Add(deadline))
 			if err != nil {
 				return
 			}

@@ -27,7 +27,6 @@ var registry = []registryEntry{
 	{"fig9a", "YCSB A-F", Fig9a},
 	{"fig9b", "Snappy compression vs memory ratio", Fig9b},
 	{"fig10", "Kernel prefetch-limit sweep", Fig10},
-	{"ablate", "Ablation of CROSS-LIB tunables (artifact §A.6 knobs)", Ablation},
 	{"chaos", "Fault-injection sweep: byte-correctness, retries, breaker degradation", Chaos},
 	{"serve", "Serve frontend: sync vs submission rings across tenant counts", Serve},
 	{"overload", "Tenant isolation under an antagonist scan: budgets, deadlines", Overload},

@@ -56,8 +56,11 @@ type ServeResult struct {
 	Ops      int64
 	Bytes    int64 // client bytes read (the contract holds both modes equal)
 	// Crossings is read + ring_enter + prefetch-related kernel entries —
-	// the user/kernel boundary traffic the rings amortize.
-	Crossings int64
+	// the user/kernel boundary traffic the rings amortize; reads and
+	// enters are its first two terms, which the contract holds to the
+	// cell's frontend.
+	Crossings     int64
+	reads, enters int64
 	// MeanDepth and MaxBatch are the lane scheduler's achieved dispatch
 	// depth (commands per batch); the sync path submits one blocking
 	// command at a time, reported as depth 1.
@@ -204,8 +207,8 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 	}
 	res.P50, res.P99 = tail(lat)
 	k := sys.Kernel()
-	res.Crossings = k.SyscallCount(vfs.SysRead) +
-		k.SyscallCount(vfs.SysRingEnter) + k.PrefetchSyscalls()
+	res.reads, res.enters = k.SyscallCount(vfs.SysRead), k.SyscallCount(vfs.SysRingEnter)
+	res.Crossings = res.reads + res.enters + k.PrefetchSyscalls()
 	ls := k.RingStats()
 	for _, ts := range ls.Tenants {
 		fmt.Fprintf(&h, "t%d:%d;", ts.Tenant, ts.DispatchedBytes)
@@ -226,6 +229,26 @@ func (c serveRun) replay(r *cellRun) (*ServeResult, error) {
 	}
 	res.DeviceReadMB = mbytes(sys.Device().Stats().ReadBytes)
 	return res, nil
+}
+
+// replaySync is a session of the baseline frontend: one blocking read
+// call per op — one kernel crossing and one device command at a time, the
+// dispatch pattern the rings replace.
+func (c serveRun) replaySync(s *serveSession) error {
+	buf := make([]byte, c.IOSize)
+	for i := s.first; i < s.first+c.Ops; i++ {
+		off := s.offset(c.IOSize)
+		t0 := s.TL.Now()
+		n, err := s.f.ReadAt(s.TL, buf, off)
+		if err != nil {
+			return err
+		}
+		s.lat[i] = s.TL.Now().Sub(t0)
+		s.Ops++
+		s.Bytes += int64(n)
+		s.Gate()
+	}
+	return nil
 }
 
 // replayRing is a session of the ring frontend: it stages its reads on its
@@ -286,11 +309,12 @@ func (c serveRun) replayRing(s *serveSession, ring *crosslib.Ring, prepAt []simt
 // Serve reproduces the frontend comparison the rings exist for: the same
 // multi-tenant replay of seeded random reads dispatched synchronously and
 // through per-tenant submission rings, at 1, 8 and 64 tenants (1 and 4 at
-// quick scale). The contract holds the rings to their reason to exist at
-// every tenant count: identical client bytes, at most half the kernel
-// crossings per op, and a mean dispatch depth of at least 2; the table
-// reports both frontends, plus tail latency and the fair-share
-// dispatcher's per-tenant byte spread.
+// quick scale). The contract holds each cell to its frontend — a rings
+// cell makes no read(2) crossing, a sync cell no ring_enter — and the
+// rings to their reason to exist at every tenant count: identical client
+// bytes, at most half the kernel crossings per op, and a mean dispatch
+// depth of at least 2; the table reports both frontends, plus tail latency
+// and the fair-share dispatcher's per-tenant byte spread.
 func Serve(o Options) (*Report, error) {
 	c, batch, tenants := o.sizing(serveFull, serveQuick), 8, []int{1, 8, 64}
 	if o.Quick {
@@ -303,6 +327,10 @@ func Serve(o Options) (*Report, error) {
 			for _, n := range tenants {
 				base, rings := at(serveCell{false, n}.name()), at(serveCell{true, n}.name())
 				switch {
+				case rings.reads != 0:
+					return fmt.Errorf("t%d: rings frontend made %d read(2) crossings", n, rings.reads)
+				case base.enters != 0:
+					return fmt.Errorf("t%d: sync frontend made %d ring_enter crossings", n, base.enters)
 				case rings.Bytes != base.Bytes:
 					return fmt.Errorf("t%d: client bytes %d (rings) vs %d (sync)", n, rings.Bytes, base.Bytes)
 				case rings.CrossingsPerOp() > base.CrossingsPerOp()/2:

@@ -11,8 +11,8 @@ package experiments
 // what to run and measure in a cell, a contract and a field list. The
 // serve-style sweeps (overload.go, score.go, predict.go, tier.go) replay
 // seeded offset schedules from one goroutine with every returned byte
-// checked against the raw inode; the paper tables, ablate, batch and chaos
-// hand the cell's system to a workload driver (cellOf, harness.go), and
+// checked against the raw inode; the paper tables and chaos hand the
+// cell's system to a workload driver (cellOf, harness.go), and
 // serve launches its sessions as members of one (serve.go). DESIGN §19.
 
 import (

@@ -149,6 +149,7 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 		if err != nil {
 			return err
 		}
+		defer f.Close(tl)
 		off := int64(0)
 		for i := int64(0); i < n; i++ {
 			th.Gate()
@@ -170,6 +171,7 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 		if err != nil {
 			return err
 		}
+		defer f.Close(tl)
 		chunks := l.fileSize / int64(len(buf))
 		for i := int64(0); i < n; i++ {
 			th.Gate()
@@ -183,9 +185,9 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 		}
 
 	case MongoDB:
-		// Document-store-ish: read a small file, update it in place,
-		// fsync every few updates; occasionally create a new file
-		// (journal/metadata pressure).
+		// Document-store-ish: open a small file, read it, update it in
+		// place, fsync every few updates, close it; occasionally create a
+		// new file (journal/metadata pressure).
 		buf := make([]byte, 16<<10)
 		created := 0
 		for i := int64(0); i < n; i++ {
@@ -209,6 +211,9 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 					return err
 				}
 			}
+			if err := f.Close(tl); err != nil {
+				return err
+			}
 			if i%32 == 31 {
 				created++
 				nf, err := proc.Create(tl, fmt.Sprintf("inst%02d/new-%d-%d.dat", l.instance, worker, created))
@@ -219,6 +224,9 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 					return err
 				}
 				if err := nf.Fsync(tl); err != nil {
+					return err
+				}
+				if err := nf.Close(tl); err != nil {
 					return err
 				}
 			}
@@ -234,6 +242,7 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 			if err != nil {
 				return err
 			}
+			defer nf.Close(tl)
 			for i := int64(0); i < n; i++ {
 				th.Gate()
 				if _, err := nf.Append(tl, buf); err != nil {
@@ -249,6 +258,7 @@ func runThread(th *workload.Thread, cfg Config, l *layout, worker int) error {
 		if err != nil {
 			return err
 		}
+		defer f.Close(tl)
 		off := rng.Int63n(l.fileSize / 2)
 		for i := int64(0); i < n; i++ {
 			th.Gate()

@@ -83,3 +83,23 @@ func TestVideoServerWriterActive(t *testing.T) {
 		t.Fatal("videoserver should ingest new content")
 	}
 }
+
+// TestRunClosesEveryFile: a profile closes every file it opens or
+// creates, as filebench's own personalities do, so no descriptor outlives
+// Run. The mongodb profile used to open a file per op and close none.
+func TestRunClosesEveryFile(t *testing.T) {
+	for _, p := range Profiles() {
+		for _, a := range []crossprefetch.Approach{crossprefetch.OSOnly, crossprefetch.CrossPredictOpt} {
+			sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 64 << 20, Approach: a})
+			if _, err := Run(Config{
+				Sys: sys, Profile: p, Instances: 2, ThreadsPerInstance: 2,
+				BytesPerInstance: 4 << 20, OpsPerThread: 48, Seed: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n := sys.Kernel().OpenFiles(); n != 0 {
+				t.Errorf("%s under %v: %d files left open after Run", p, a, n)
+			}
+		}
+	}
+}

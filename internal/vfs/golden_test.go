@@ -20,7 +20,7 @@ import (
 // TestGoldenWayDown pins virtual time, device accounting, telemetry and the
 // span tree of every kernel I/O entry point — sync read/write with RMW
 // edges, fsync, readahead(2), scalar and vectored readahead_info, mmap
-// loads with and without MADV_RANDOM, ring read/prefetch/write — on one
+// loads with and without MADV_RANDOM, ring read/prefetch — on one
 // seeded timeline, on a bare device and on a width-2 half-remote stack,
 // over a file with holes and three extents under a transient + persistent
 // fault plan. The cells keep the names they were recorded under, from
@@ -54,22 +54,26 @@ import (
 // spans hold. The recorder's JSON lost the two
 // brownout outcome rows, which moves both cells' telemetry hash. The
 // parent with the controller off and those rows left out of its export
-// reproduces both cells.
+// reproduces both cells. And once more when the ring lost its write SQE and
+// its read deadlines: the ring legs no longer submit the three writes, and
+// their two reads with a deadline (one expired, one late) are plain reads,
+// which moves every field of both cells. The parent commit running this
+// edited schedule reproduces both cells field for field.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
-			now:       46900410,
-			device:    "nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; nvme0 r96/38862848 w6/2224128 busy29033932 inj47/2700000 plug100/96/4; ",
-			telemetry: "f4729a94bb28b7ef",
-			spans:     "3766280a387eb3fd",
-			results:   "8dc3393b09e99c7d",
+			now:       46571337,
+			device:    "nvme0 r92/38932480 w4/2191360 busy29034645 inj40/1800000 plug97/92/5; nvme0 r92/38932480 w4/2191360 busy29034645 inj40/1800000 plug97/92/5; ",
+			telemetry: "215f3150e76198b0",
+			spans:     "54139e3ea8ab1a45",
+			results:   "3070ee9cf8e8d110",
 		},
 		"stack/plugged": {
-			now:       47229924,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r163/40325120 w62/15867904 busy32237076 inj43/1500000 plug175/163/12; nvme0.0 r52/5906432 w28/5505024 busy10016730 inj14/150000 plug57/52/5; nvme0.1 r35/5828608 w11/2629632 busy6848854 inj6/150000 plug39/35/4; nvmeof0 r76/28590080 w23/7733248 busy32237076 inj23/1200000 plug79/76/3; ",
-			telemetry: "46cc8aa722543ed5",
-			spans:     "d2c6ef1b296e6c8b",
-			results:   "9538fcefbb1ffc3b",
+			now:       46990057,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r156/40378368 w59/15831040 busy31953522 inj43/1200000 plug170/156/14; nvme0.0 r48/5636096 w27/5734400 busy10065635 inj14/150000 plug53/48/5; nvme0.1 r35/6090752 w11/2629632 busy7027425 inj6/0 plug40/35/5; nvmeof0 r73/28651520 w21/7467008 busy31953522 inj23/1050000 plug77/73/4; ",
+			telemetry: "02e7962879e5746d",
+			spans:     "c3e59b07abcdcdd7",
+			results:   "4c070394439f4780",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
@@ -369,8 +373,7 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 
 	// Rings: two tenants; reads over cold, warm, hole and bad blocks,
 	// prefetch intents (larger than a VFS chunk, with an expired deadline,
-	// into a backlogged device), a read that completes past its deadline,
-	// buffered writes with RMW edges, a read of what was just prefetched.
+	// into a backlogged device), a read of what was just prefetched.
 	dropCache()
 	ring(1, true,
 		RingSQE{Op: RingRead, Off: 0, Buf: buf[:128<<10]},
@@ -380,32 +383,28 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 		RingSQE{Op: RingRead, Off: 15 * mb, Buf: buf[:4096]},
 	)
 	ring(2, false,
-		RingSQE{Op: RingRead, Off: 7 * mb, Buf: buf[:64<<10], Deadline: tl.Now().Add(100 * simtime.Microsecond)},
+		RingSQE{Op: RingRead, Off: 7 * mb, Buf: buf[:64<<10]},
 		RingSQE{Op: RingRead, Off: 4*mb + 64<<10, Buf: buf[:256<<10]},
-		RingSQE{Op: RingWrite, Off: 8*mb + 10, Buf: bytes.Repeat([]byte{'r'}, 20_000)},
 		RingSQE{Op: RingPrefetch, Off: 12 * mb, Len: 1 * mb, Deadline: 1},
 		RingSQE{Op: RingPrefetch, Off: 4 * mb, Len: 10 * mb},
 		RingSQE{Op: RingRead, Off: 1*mb + 532<<10, Buf: buf[:192<<10]},
 		RingSQE{Op: RingRead, Off: 3*mb - 64<<10, Buf: buf[:1*mb+128<<10]},
-		RingSQE{Op: RingRead, Off: 7*mb + 512<<10, Buf: buf[:64<<10], Deadline: 1},
+		RingSQE{Op: RingRead, Off: 7*mb + 512<<10, Buf: buf[:64<<10]},
 	)
 	ring(1, true,
 		RingSQE{Op: RingPrefetch, Off: 0, Len: 3 * mb},
 		RingSQE{Op: RingRead, Off: 9*mb + 512<<10, Buf: buf[:2*mb]},
-		RingSQE{Op: RingWrite, Off: 1*mb + 5, Buf: bytes.Repeat([]byte{'r'}, 8192)},
 		RingSQE{Op: RingRead, Off: 2*mb + 896<<10, Buf: buf[:256<<10]},
 	)
 	dropCache()
 	ring(2, true,
 		RingSQE{Op: RingRead, Off: 2*mb + 512<<10, Buf: buf[:64<<10]},
 		RingSQE{Op: RingPrefetch, Off: 2*mb + 528<<10, Len: 128 << 10},
-		RingSQE{Op: RingWrite, Off: 2*mb + 540<<10 + 7, Buf: bytes.Repeat([]byte{'r'}, 100)},
 		RingSQE{Op: RingRead, Off: 5 * mb, Buf: buf[:2*mb]},
 	)
 
 	// A last scan under memory pressure (the file is 14MB, the cache 8MB)
-	// with the ring writes and one more megabyte still dirty: eviction
-	// writes them back.
+	// with one more megabyte still dirty: eviction writes it back.
 	write(5*mb, 1*mb)
 	for off := int64(0); off < 14*mb; off += 1 * mb {
 		read(off, 1*mb)

@@ -174,21 +174,14 @@ func (f *File) SeekTo(off int64) {
 // WriteAt implements pwrite(2) with buffered (write-back) semantics: data
 // lands in the page cache dirty and in the backing store; device writes
 // happen on eviction or fsync. Partial-block edges over existing data
-// perform read-modify-write fetches.
+// perform read-modify-write fetches (blocking — merging into an unreadable
+// block would corrupt it); the dirty-balance throttle follows.
 func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error) {
 	defer f.v.observeSyscall(tl, SysWrite)()
 	f.v.enter(tl, SysWrite)
 	if len(data) == 0 {
 		return 0, nil
 	}
-	return f.bufferedWrite(tl, data, off, 0)
-}
-
-// bufferedWrite is the body of a buffered write, for pwrite(2) and for
-// the ring's write SQE (tenant owns the dirtied pages): RMW edge fetches
-// (blocking — merging into an unreadable block would corrupt it), dirty
-// insertion, and the dirty-balance throttle.
-func (f *File) bufferedWrite(tl *simtime.Timeline, data []byte, off int64, tenant int) (int, error) {
 	bs := f.v.BlockSize()
 	n := int64(len(data))
 	lo, hi := f.v.blockRange(off, n)
@@ -219,7 +212,7 @@ func (f *File) bufferedWrite(tl *simtime.Timeline, data []byte, off int64, tenan
 	// Move the data: backing store now, device on writeback.
 	f.ino.WriteAt(data, off)
 	tl.Advance(simtime.Duration(hi-lo) * f.v.cfg.Costs.PageCopy)
-	f.fc.InsertRange(tl, lo, hi, pagecache.InsertOptions{Dirty: true, MarkerAt: -1, Tenant: tenant})
+	f.fc.InsertRange(tl, lo, hi, pagecache.InsertOptions{Dirty: true, MarkerAt: -1})
 	f.fc.SetDirtyRange(tl, lo, hi)
 	f.v.balanceDirty(tl)
 	return int(n), nil
@@ -314,10 +307,8 @@ type Advice int
 
 // fadvise hints.
 const (
-	AdvNormal Advice = iota
-	AdvSequential
+	AdvSequential Advice = iota
 	AdvRandom
-	AdvWillNeed
 	AdvDontNeed
 	// AdvDontNeedCold is CROSS-OS's own: DONTNEED for the pages of the range
 	// the kernel has not seen re-used. Those on its active list stay.
@@ -328,10 +319,6 @@ const (
 func (f *File) Fadvise(tl *simtime.Timeline, adv Advice, off, nbytes int64) {
 	f.v.enter(tl, SysFadvise)
 	switch adv {
-	case AdvNormal:
-		f.mu.Lock()
-		f.ra.SetMode(readahead.ModeNormal)
-		f.mu.Unlock()
 	case AdvSequential:
 		f.mu.Lock()
 		f.ra.SetMode(readahead.ModeSequential)
@@ -340,11 +327,6 @@ func (f *File) Fadvise(tl *simtime.Timeline, adv Advice, off, nbytes int64) {
 		f.mu.Lock()
 		f.ra.SetMode(readahead.ModeRandom)
 		f.mu.Unlock()
-	case AdvWillNeed:
-		// Equivalent to readahead(2); reuse its clamped path without
-		// double-counting the syscall.
-		f.v.counters[SysReadahead].Add(-1)
-		f.Readahead(tl, off, nbytes)
 	case AdvDontNeed, AdvDontNeedCold:
 		lo := off / f.v.BlockSize()
 		hi := (off + nbytes + f.v.BlockSize() - 1) / f.v.BlockSize()

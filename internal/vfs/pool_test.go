@@ -103,8 +103,8 @@ func TestReadScratchPoolAudit(t *testing.T) {
 }
 
 // ringRounds drives every way a ring enter settles — a faulted read, then
-// cold and warm reads, a prefetch, a write, a deadline already expired, a
-// second tenant — and reports everything observable about the outcome.
+// cold and warm reads, a prefetch, a prefetch whose deadline has already
+// passed, a second tenant — and reports everything observable about the outcome.
 func ringRounds(t *testing.T) string {
 	v, rec := newRingKernel(t, 4096)
 	tl := simtime.NewTimeline(0)
@@ -123,8 +123,7 @@ func ringRounds(t *testing.T) string {
 	enter(0, RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf, User: 3},
 		RingSQE{F: f, Op: RingPrefetch, Off: 2 << 20, Len: 256 << 10, User: 4},
 		RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf[:4096], User: 5})
-	enter(1, RingSQE{F: f, Op: RingRead, Off: 3 << 20, Buf: buf, User: 6, Deadline: tl.Now().Add(-1)},
-		RingSQE{F: f, Op: RingWrite, Off: 3<<20 + 100, Buf: buf[:5000], User: 7},
+	enter(1, RingSQE{F: f, Op: RingPrefetch, Off: 3 << 20, Len: 256 << 10, User: 6, Deadline: tl.Now().Add(-1)},
 		RingSQE{F: f, Op: RingRead, Off: 2 << 20, Buf: buf, User: 8})
 	enter(0, RingSQE{F: f, Op: RingRead, Off: 1 << 20, Buf: buf, User: 9})
 	return out + fmt.Sprintf("%+v %+v hits=%d misses=%d sqes=%d cqes=%d now=%d", v.Stack().Stats(), v.RingStats(),

@@ -41,8 +41,6 @@ const (
 	RingNop RingOpKind = iota
 	// RingRead is pread(2): Buf is filled from Off; N is bytes read.
 	RingRead
-	// RingWrite is buffered pwrite(2): Buf is written at Off; N is bytes.
-	RingWrite
 	// RingPrefetch asks for Len bytes at Off to be brought into the cache
 	// asynchronously (readahead_info's prefetch half); N is pages
 	// admitted after the limit clamp.
@@ -54,18 +52,17 @@ type RingSQE struct {
 	F    *File
 	Op   RingOpKind
 	Off  int64
-	Buf  []byte // RingRead destination / RingWrite source
+	Buf  []byte // RingRead destination
 	Len  int64  // RingPrefetch byte length
 	User uint64 // opaque completion cookie
 	// Arm tags which predictor arm's candidate drove a RingPrefetch SQE
 	// (ArmNone for explicit application prefetch). Threaded onto the
 	// inserted pages for the per-arm effectiveness partition.
 	Arm telemetry.Arm
-	// Deadline is an optional virtual deadline (0 = none). A prefetch
-	// whose deadline has passed at enter is shed (ErrShed); a read that
-	// expired before service fails with ErrDeadlineExceeded and N = 0; a
-	// read whose data completes after the deadline keeps its byte count
-	// but carries ErrDeadlineExceeded (the data is cached, merely late).
+	// Deadline is an optional virtual deadline for a RingPrefetch (0 =
+	// none). A prefetch whose deadline has passed at enter is shed
+	// (ErrShed); one whose pages land after it keeps its N but carries
+	// ErrDeadlineExceeded (the pages are cached, merely late).
 	Deadline simtime.Time
 }
 
@@ -190,16 +187,7 @@ func (v *VFS) RingEnter(tl *simtime.Timeline, tenant int, sqes []RingSQE, cqes [
 		cq := &cqes[base+i]
 		switch sq.Op {
 		case RingRead:
-			if sq.Deadline > 0 && tl.Now() > sq.Deadline {
-				// Expired before service: fail without staging any
-				// device work. Reads are never shed while viable.
-				v.rec.Add(telemetry.CtrRingDeadlineMisses, 1)
-				pend.refuse(ErrDeadlineExceeded, tl.Now())
-				break
-			}
 			cq.N = v.ringRead(tl, tenant, sq, pend, &fr.wg, sc)
-		case RingWrite:
-			cq.N = v.ringWrite(tl, tenant, sq, pend)
 		case RingPrefetch:
 			cq.N = v.ringPrefetch(tl, tenant, sq, pend, &fr.wg, sc)
 		}
@@ -370,19 +358,6 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	telemetry.Current(tl).Child("vfs.copy_out", telemetry.CatCopy, copyStart, tl.Now()).
 		Annotate("pages", pages)
 	return int64(f.ino.ReadAt(sq.Buf[:n], sq.Off))
-}
-
-// ringWrite services one buffered write SQE with WriteAt's body; its dirty
-// throttle doubles as the write-side admission control of the ring path.
-func (v *VFS) ringWrite(tl *simtime.Timeline, tenant int, sq *RingSQE, pend *ringPending) int64 {
-	if len(sq.Buf) == 0 || sq.Off < 0 {
-		return 0
-	}
-	n, err := sq.F.bufferedWrite(tl, sq.Buf, sq.Off, tenant)
-	if err != nil {
-		pend.fail(err, tl.Now())
-	}
-	return int64(n)
 }
 
 // ringPrefetch services one prefetch-intent SQE: the limit clamp and

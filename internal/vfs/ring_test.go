@@ -146,40 +146,6 @@ func TestRingEnterSustainsQueueDepth(t *testing.T) {
 	}
 }
 
-// TestRingWriteRMWAndReadback: ring writes mirror WriteAt semantics —
-// unaligned edges read-modify-write cleanly and the data reads back
-// byte-exact through the sync path.
-func TestRingWriteRMWAndReadback(t *testing.T) {
-	v, _ := newRingKernel(t, 100000)
-	tl := simtime.NewTimeline(0)
-	f := coldFile(t, v, tl, "x", 256<<10)
-
-	// Overwrite an unaligned span crossing several blocks.
-	const off, n = 1000, 10000
-	wbuf := make([]byte, n)
-	for i := range wbuf {
-		wbuf[i] = 0xAB
-	}
-	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingWrite, Off: off, Buf: wbuf}}, nil)
-	if cqes[0].Err != nil || cqes[0].N != n {
-		t.Fatalf("ring write: %+v", cqes[0])
-	}
-	if v.Cache().Dirty() == 0 {
-		t.Fatal("ring write left no dirty pages")
-	}
-
-	got := make([]byte, 256<<10)
-	if _, err := f.ReadAt(tl, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, 256<<10)
-	pattern(want, 0)
-	copy(want[off:off+n], wbuf)
-	if !bytes.Equal(got, want) {
-		t.Fatal("readback mismatch after ring write (RMW edge corruption?)")
-	}
-}
-
 // TestRingPrefetchPopulatesCache: a prefetch SQE admits pages under the
 // readahead limit clamp, stages the device work asynchronously, and a
 // later ring read of the same range needs no new device I/O.

@@ -435,7 +435,7 @@ func TestColdRingBatchZeroAlloc(t *testing.T) {
 func TestRingPrefetchBatchZeroAlloc(t *testing.T) {
 	const fileBytes = 32 << 20
 	n := ringBatchAllocs(t, crossprefetch.OSOnly, fileBytes/8, fileBytes, func(ring *crosslib.Ring, f *crosslib.File, i int) error {
-		return ring.PrepPrefetch(f, int64(i)*(1<<20+64<<10)%fileBytes, 64<<10, 1)
+		return ring.PrepPrefetch(f, int64(i)*(1<<20+64<<10)%fileBytes, 64<<10, 1, 0)
 	})
 	if n >= strayAllocs {
 		t.Errorf("one-prefetch ring batch: %v allocs/batch, want 0", n)

@@ -96,7 +96,7 @@ func TestRingSharedRaceStress(t *testing.T) {
 				if i%8 == 0 {
 					u := prefetchTag | uint64(id*iters+i)
 					off := int64((id*523+i)*101%(filePages-32)) * block
-					for ring.PrepPrefetch(f, off, 32*block, u) != nil {
+					for ring.PrepPrefetch(f, off, 32*block, u, 0) != nil {
 						runtime.Gosched()
 					}
 				}
