@@ -117,8 +117,8 @@ func main() {
 }
 
 // run is the whole command: parse args, run each experiment, print its
-// table and write what the flags ask for. Every process switch it flips is
-// restored, and every file it opens is closed, on every return path.
+// table and write what the flags ask for. Every file it opens is closed,
+// and the admin listener drained, on every return path.
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("crossbench", flag.ContinueOnError)
 	var (
@@ -187,22 +187,10 @@ func run(args []string, stdout io.Writer) (err error) {
 		defer func() { err = errors.Join(err, csvOut.Close()) }()
 	}
 
-	if *telJSON != "" || *prom != "" || *adminAddr != "" {
-		*tel = true
-	}
-	tracing := *trace != "" || *traceReport
-	if tracing {
-		*tel = true
-	}
-	experiments.EnableTelemetry(*tel)
-	defer experiments.EnableTelemetry(false)
-	if tracing {
-		experiments.EnableTracing(&experiments.TraceConfig{
-			SampleEvery: *traceSample,
-			PerInode:    *traceInode,
-			Seed:        *seed,
-		})
-		defer experiments.EnableTracing(nil)
+	opts := experiments.Options{Scale: *scale, Quick: *quick, Seed: *seed,
+		Telemetry: *tel || *telJSON != "" || *prom != "" || *adminAddr != ""}
+	if *trace != "" || *traceReport {
+		opts.Trace = &telemetry.TraceConfig{SampleEvery: *traceSample, PerInode: *traceInode, Seed: *seed}
 	}
 	if *adminAddr != "" {
 		var live atomic.Pointer[crossprefetch.System]
@@ -212,14 +200,12 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		// Shutdown drains the listener with a bounded timeout.
 		defer func() { err = errors.Join(err, srv.Shutdown()) }()
-		experiments.Observe(live.Store)
-		defer experiments.Observe(nil)
+		opts.Observe = live.Store
 	}
 
 	var telRecords []telemetryRecord
 	var traceProcs []telemetry.TraceProcess
 	var lastSnapshot *telemetry.Snapshot
-	opts := experiments.Options{Scale: *scale, Quick: *quick, Seed: *seed}
 	for _, id := range ids {
 		runner, err := experiments.Get(id)
 		if err != nil {
@@ -246,29 +232,17 @@ func run(args []string, stdout io.Writer) (err error) {
 			}
 			fmt.Fprintf(stdout, "wrote %d records to %s\n", len(rep.Records), path)
 		}
-		if *tel {
-			for _, r := range experiments.DrainTelemetry() {
-				audit := "ok"
-				if r.Audit != nil {
-					audit = r.Audit.Error()
-				}
-				fmt.Fprintf(stdout, "telemetry %s %s: audit %s", id, r.Label, audit)
-				if r.Snapshot != nil {
-					fmt.Fprintf(stdout, " (prefetch effectiveness %.2f, %d events)",
-						r.Snapshot.PrefetchEffectiveness(), r.Snapshot.EventsTotal)
-				}
-				fmt.Fprintln(stdout)
-				telRecords = append(telRecords, telemetryRecord{
-					Experiment: id, System: r.Label, Audit: audit, Snapshot: r.Snapshot,
-				})
-				if r.Snapshot != nil {
-					lastSnapshot = r.Snapshot
-				}
-				if r.Tracer != nil {
-					traceProcs = append(traceProcs, telemetry.TraceProcess{
-						Name: id + " " + r.Label, Tracer: r.Tracer,
-					})
-				}
+		// Every listed system passed its audit: the runner fails otherwise.
+		for _, cs := range rep.Systems {
+			snap := cs.Sys.Metrics().Telemetry
+			fmt.Fprintf(stdout, "telemetry %s %s: audit ok (prefetch effectiveness %.2f, %d events)\n",
+				id, cs.Cell, snap.PrefetchEffectiveness(), snap.EventsTotal)
+			telRecords = append(telRecords, telemetryRecord{
+				Experiment: id, System: cs.Cell, Audit: "ok", Snapshot: snap,
+			})
+			lastSnapshot = snap
+			if tr := cs.Sys.Tracer(); tr != nil {
+				traceProcs = append(traceProcs, telemetry.TraceProcess{Name: id + " " + cs.Cell, Tracer: tr})
 			}
 		}
 	}

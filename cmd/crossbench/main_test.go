@@ -131,3 +131,20 @@ func TestAdminServesTheRunAndDrains(t *testing.T) {
 		t.Fatalf("admin listener %s still accepts connections after run returned", m[1])
 	}
 }
+
+// TestTraceReachesEverySweepCell: -trace traces every cell of a sweep that
+// builds its own configuration, one Chrome-trace process per cell, each
+// audited.
+func TestTraceReachesEverySweepCell(t *testing.T) {
+	var out bytes.Buffer
+	path := filepath.Join(t.TempDir(), "t.json")
+	if err := run([]string{"-exp", "tier", "-quick", "-trace", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "audit ok"); got != 18 {
+		t.Errorf("%d audited systems, want 18:\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "trace: wrote 18 process(es)") {
+		t.Errorf("-trace did not reach every tier cell:\n%s", out.String())
+	}
+}

@@ -125,9 +125,25 @@ func (f *File) Close(tl *simtime.Timeline) error {
 	return nil
 }
 
-// Kernel exposes the underlying kernel descriptor (APPonly workloads issue
-// their own readahead/fadvise through it).
+// Kernel exposes the underlying kernel descriptor.
 func (f *File) Kernel() *vfs.File { return f.kf }
+
+// Readahead is readahead(2) on the kernel descriptor: APPonly's own
+// prefetch. It passes through under a root span, so a traced run accounts
+// the device pages it reads, and costs nothing beyond the syscall.
+func (f *File) Readahead(tl *simtime.Timeline, off, nbytes int64) int64 {
+	root := f.rt.tr.Root(tl, telemetry.OpHint, f.kf.Inode().ID())
+	defer root.Finish(tl)
+	return f.kf.Readahead(tl, off, nbytes)
+}
+
+// Fadvise is fadvise(2) on the kernel descriptor, passed through like
+// Readahead.
+func (f *File) Fadvise(tl *simtime.Timeline, adv vfs.Advice, off, nbytes int64) {
+	root := f.rt.tr.Root(tl, telemetry.OpHint, f.kf.Inode().ID())
+	defer root.Finish(tl)
+	f.kf.Fadvise(tl, adv, off, nbytes)
+}
 
 // Size reports the file size.
 func (f *File) Size() int64 { return f.kf.Size() }

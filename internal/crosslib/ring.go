@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/bitmap"
-	"repro/internal/fs"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
@@ -286,7 +285,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			return done, false
 		}
 		if q.deadline > 0 &&
-			tl.Now().Add(f.targetBacklog(tl.Now(), q.lo, q.hi)) > q.deadline {
+			tl.Now().Add(f.kf.RangeBacklog(tl.Now(), q.lo, q.hi)) > q.deadline {
 			// The backlog of the backends this intent resolves to
 			// alone already pushes completion past the deadline: shed
 			// here, before the breaker or bitmap see the intent —
@@ -370,21 +369,4 @@ func (r *Ring) Reap(tl *simtime.Timeline, min int) []RingCQE {
 		tl.WaitUntil(maxDone, simtime.WaitIO)
 	}
 	return out
-}
-
-// targetBacklog reports the worst combined-lane backlog among only the
-// stack members serving logical blocks [lo, hi) of the file — what the
-// kernel's ringPrefetch weighs too: a saturated member the range never
-// touches says nothing about when this intent can finish.
-func (f *File) targetBacklog(at simtime.Time, lo, hi int64) simtime.Duration {
-	st := f.rt.v.Stack()
-	bs := f.rt.v.BlockSize()
-	var b simtime.Duration
-	var physBuf [4]fs.PhysRun
-	for _, pr := range f.kf.Inode().AppendMapRange(physBuf[:0], lo, hi) {
-		if d := st.BacklogFor(at, pr.Phys*bs, pr.Count*bs); d > b {
-			b = d
-		}
-	}
-	return b
 }

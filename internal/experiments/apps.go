@@ -33,7 +33,7 @@ func Fig8b(o Options) (*Report, error) {
 	sw.table.Note("instances=%d dataset=%s/instance memory=%s", instances, mb(perInstance), mb(mem))
 	for _, p := range filebench.Profiles() {
 		for _, a := range microApproaches {
-			sw.cells = append(sw.cells, cellOf(string(p), a.String(), sysConfig{approach: a, memory: mem},
+			sw.cells = append(sw.cells, cellOf(string(p), a.String(), crossprefetch.Config{Approach: a, MemoryBytes: mem},
 				func(sys *crossprefetch.System) (filebench.Result, error) {
 					return filebench.Run(filebench.Config{
 						Sys:                sys,
@@ -47,7 +47,7 @@ func Fig8b(o Options) (*Report, error) {
 				}))
 		}
 	}
-	return sw.run()
+	return sw.run(o)
 }
 
 // Fig9a reproduces Figure 9a: YCSB workloads A–F with 8 client threads
@@ -76,7 +76,7 @@ func Fig9a(o Options) (*Report, error) {
 			crossprefetch.AppOnly, crossprefetch.OSOnly,
 			crossprefetch.CrossPredictOpt, crossprefetch.CrossFetchAllOpt,
 		} {
-			s.cells = append(s.cells, cellOf(w.String(), a.String(), sysConfig{approach: a, memory: mem},
+			s.cells = append(s.cells, cellOf(w.String(), a.String(), crossprefetch.Config{Approach: a, MemoryBytes: mem},
 				func(sys *crossprefetch.System) (ycsb.Result, error) {
 					return ycsb.Run(w, ycsb.Config{
 						Sys:          sys,
@@ -90,7 +90,7 @@ func Fig9a(o Options) (*Report, error) {
 				}))
 		}
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // Fig9b reproduces Figure 9b: Snappy parallel compression as the
@@ -120,7 +120,7 @@ func Fig9b(o Options) (*Report, error) {
 	s.table.Note("files=%d x %s threads=%d", files, mb(fileBytes), threads)
 	for _, r := range ratios {
 		for _, a := range microApproaches {
-			s.cells = append(s.cells, cellOf(r.name, a.String(), sysConfig{approach: a, memory: dataset / r.den},
+			s.cells = append(s.cells, cellOf(r.name, a.String(), crossprefetch.Config{Approach: a, MemoryBytes: dataset / r.den},
 				func(sys *crossprefetch.System) (snappy.AppResult, error) {
 					return snappy.RunApp(snappy.AppConfig{
 						Sys:       sys,
@@ -131,5 +131,5 @@ func Fig9b(o Options) (*Report, error) {
 				}))
 		}
 	}
-	return s.run()
+	return s.run(o)
 }

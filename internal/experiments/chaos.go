@@ -64,14 +64,14 @@ func Chaos(o Options) (*Report, error) {
 	opt.BreakerCooloff = 2 * simtime.Millisecond
 	opt.FaultSeed = o.Seed
 	opt.MaxPrefetchBytes = 512 << 10
-	cfg := sysConfig{
-		approach:  crossprefetch.CrossPredictOpt,
-		memory:    size * 8, // no memory pressure: isolate fault effects
-		lib:       &opt,
-		telemetry: true, // the audit is the poisoning guard
+	cfg := crossprefetch.Config{
+		Approach:    crossprefetch.CrossPredictOpt,
+		MemoryBytes: size * 8, // no memory pressure: isolate fault effects
+		LibOptions:  &opt,
+		Telemetry:   true, // the audit is the poisoning guard
 		// One more blocking retry than default so the brownout's
 		// Repeats=4 sites stay inside the demand-read budget.
-		demandRetries: 4,
+		DemandRetries: 4,
 	}
 
 	vs := vsFirst(func(r chaosResult) float64 { return float64(r.makespan) })
@@ -106,7 +106,7 @@ func Chaos(o Options) (*Report, error) {
 	}
 	s.table.Note("every successfully returned byte verified against ground truth; telemetry audit (incl. cache-poisoning guard) passed in all cells")
 	s.table.Note("transient10 executed twice with identical virtual-time schedules (determinism check)")
-	return s.run()
+	return s.run(o)
 }
 
 // chaosContract is graceful degradation: no fault on the fault-free

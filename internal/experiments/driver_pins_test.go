@@ -41,7 +41,7 @@ func TestDriverPins(t *testing.T) {
 	want := strings.Split(strings.TrimSpace(driverPins), "\n")
 	var got []string
 	sys := func(a crossprefetch.Approach) *crossprefetch.System {
-		return newSys(sysConfig{approach: a, memory: 8 << 20})
+		return crossprefetch.NewSystem(crossprefetch.Config{Approach: a, MemoryBytes: 8 << 20})
 	}
 	pin := func(a crossprefetch.Approach, name string, o workload.Outcome, counts string, err error) {
 		t.Helper()

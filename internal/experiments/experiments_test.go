@@ -12,12 +12,14 @@ import (
 	"testing"
 
 	crossprefetch "repro"
+	"repro/internal/telemetry"
 )
 
 // quickOpts shrinks every experiment to smoke-test size.
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	// Every table and figure from the paper's evaluation must be present.
 	want := []string{"fig2", "fig5", "fig6", "tab4", "fig7a", "fig7b",
 		"fig7c", "fig7d", "tab5", "fig8a", "fig8b", "fig9a", "fig9b", "fig10"}
@@ -107,11 +109,17 @@ func archivedKeys(t *testing.T, id string) []string {
 // re-record.
 func runQuick(t *testing.T, id string) *Report {
 	t.Helper()
+	return runOpts(t, id, quickOpts())
+}
+
+// runOpts is runQuick under o.
+func runOpts(t *testing.T, id string, o Options) *Report {
+	t.Helper()
 	run, err := Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := run(quickOpts())
+	rep, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +152,7 @@ func runQuick(t *testing.T, id string) *Report {
 }
 
 // The paper experiments assert their shapes in their contracts; a run
-// that returns is one whose every cell reproduced on rerun. They flip no
-// process switch, so they run in parallel, after the serial tests (the
-// telemetry ones) are done; a cell disturbed by another test's systems
-// would fail its rerun.
+// that returns is one whose every cell reproduced on rerun.
 func TestFig2Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig2") }
 func TestFig6Quick(t *testing.T)   { t.Parallel(); runQuick(t, "fig6") }
 func TestTable4Quick(t *testing.T) { t.Parallel(); runQuick(t, "tab4") }
@@ -204,6 +209,7 @@ func TestFig9bQuick(t *testing.T) {
 // the prefetch-off tiered cell. Here we pin the headline shape to its
 // cells.
 func TestTierQuick(t *testing.T) {
+	t.Parallel()
 	tbl := runQuick(t, "tier").Table
 	if len(tbl.Rows) != 18 {
 		t.Fatalf("tier produced %d rows, want 18", len(tbl.Rows))
@@ -236,6 +242,7 @@ func TestTierQuick(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
+	t.Parallel()
 	tbl := &Table{
 		ID:      "x",
 		Title:   "demo",
@@ -262,6 +269,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestCSVEscaping(t *testing.T) {
+	t.Parallel()
 	tbl := &Table{ID: "x", Columns: []string{"c"}}
 	tbl.AddRow(`va"l,ue`)
 	var buf bytes.Buffer
@@ -271,29 +279,37 @@ func TestCSVEscaping(t *testing.T) {
 	}
 }
 
-// TestTelemetryDrainAuditsEverySystem: under the telemetry switch every
-// cell of a table registers exactly one system (not one per rerun) that
-// passes the audit, serve's rings included.
+// TestTelemetryDrainAuditsEverySystem: under Options.Telemetry and
+// full-sampling Options.Trace a report lists exactly one system per cell
+// (not one per rerun), in cell order, each traced and passing the audit,
+// serve's rings included; Observe is handed both runs' systems.
 func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
-	EnableTelemetry(true)
-	defer EnableTelemetry(false)
+	t.Parallel()
 	for _, id := range []string{"fig5", "serve"} {
-		rows := runQuick(t, id).Table.Rows
-		results := DrainTelemetry()
-		if len(results) != len(rows) {
-			t.Fatalf("%s: %d systems registered for %d cells", id, len(results), len(rows))
+		observed := 0
+		o := quickOpts()
+		o.Telemetry = true
+		o.Trace = &telemetry.TraceConfig{SampleEvery: 1}
+		o.Observe = func(*crossprefetch.System) { observed++ }
+		rep := runOpts(t, id, o)
+		rows := rep.Table.Rows
+		if len(rep.Systems) != len(rows) {
+			t.Fatalf("%s: %d systems listed for %d cells", id, len(rep.Systems), len(rows))
 		}
-		for _, r := range results {
-			if r.Audit != nil {
-				t.Errorf("%s %s: %v", id, r.Label, r.Audit)
+		if observed != 2*len(rows) {
+			t.Errorf("%s: Observe saw %d systems for %d cells run twice", id, observed, len(rows))
+		}
+		for i, cs := range rep.Systems {
+			if want := strings.Join(rows[i][:2], "/"); id == "fig5" && cs.Cell != want {
+				t.Errorf("%s system %d is cell %q, want %q", id, i, cs.Cell, want)
 			}
-			if r.Snapshot == nil {
-				t.Errorf("%s %s: nil snapshot", id, r.Label)
+			if err := cs.Sys.AuditTelemetry(); err != nil {
+				t.Errorf("%s %s: %v", id, cs.Cell, err)
+			}
+			if cs.Sys.Tracer() == nil || cs.Sys.Tracer().Config().SampleEvery != 1 {
+				t.Errorf("%s %s: not traced at full sampling", id, cs.Cell)
 			}
 		}
-	}
-	if got := DrainTelemetry(); len(got) != 0 {
-		t.Fatalf("drain did not clear the registry: %d left", len(got))
 	}
 }
 
@@ -301,6 +317,7 @@ func TestTelemetryDrainAuditsEverySystem(t *testing.T) {
 // different value fails the sweep, and so does a failing contract, under
 // the sweep's ID.
 func TestSweepRunGuards(t *testing.T) {
+	t.Parallel()
 	type res struct{ v int }
 	calls := 0
 	s := sweep[*res]{
@@ -308,16 +325,14 @@ func TestSweepRunGuards(t *testing.T) {
 		fields: []field[*res]{{"v", "", "%d", func(r *res) any { return r.v }}},
 		cells: []sweepCell[*res]{{
 			name: "drifts",
-			build: func() *crossprefetch.System {
-				return newSys(sysConfig{approach: crossprefetch.OSOnly, memory: 8 << 20})
-			},
+			cfg:  crossprefetch.Config{Approach: crossprefetch.OSOnly, MemoryBytes: 8 << 20},
 			replay: func(*cellRun) (*res, error) {
 				calls++
 				return &res{calls}, nil
 			},
 		}},
 	}
-	if _, err := s.run(); err == nil || !strings.Contains(err.Error(), "guard drifts: rerun on the same seed differs") {
+	if _, err := s.run(Options{}); err == nil || !strings.Contains(err.Error(), "guard drifts: rerun on the same seed differs") {
 		t.Fatalf("drifting rerun: err = %v", err)
 	}
 	s.cells[0].replay = func(*cellRun) (*res, error) { return &res{7}, nil }
@@ -327,27 +342,34 @@ func TestSweepRunGuards(t *testing.T) {
 		}
 		return errors.New("shape broken")
 	}
-	if _, err := s.run(); err == nil || err.Error() != "guard: shape broken" {
+	if _, err := s.run(Options{}); err == nil || err.Error() != "guard: shape broken" {
 		t.Fatalf("failing contract: err = %v", err)
 	}
 	s.contract = nil
-	rep, err := s.run()
+	rep, err := s.run(Options{})
 	if err != nil || len(rep.Table.Rows) != 1 || rep.Table.Rows[0][0] != "7" {
 		t.Fatalf("clean sweep: %v, %+v", err, rep)
 	}
 }
 
 func TestTelemetryDisabledRegistersNothing(t *testing.T) {
-	runQuick(t, "fig6")
-	if got := DrainTelemetry(); len(got) != 0 {
-		t.Fatalf("systems registered while telemetry disabled: %d", len(got))
+	t.Parallel()
+	if got := runQuick(t, "fig6").Systems; len(got) != 0 {
+		t.Fatalf("systems listed while telemetry disabled: %d", len(got))
 	}
 }
 
 // TestServeQuick runs the serve frontend comparison; its contract holds
 // the rings to identical client bytes, at most half the sync baseline's
-// crossings per op and a mean dispatch depth of at least 2.
-func TestServeQuick(t *testing.T) { t.Parallel(); runQuick(t, "serve") }
+// crossings per op and a mean dispatch depth of at least 2. Its systems
+// record telemetry for their own audit, but options that ask for none
+// list none.
+func TestServeQuick(t *testing.T) {
+	t.Parallel()
+	if got := runQuick(t, "serve").Systems; len(got) != 0 {
+		t.Fatalf("serve listed %d systems under options without telemetry", len(got))
+	}
+}
 
 // TestOverloadQuick runs the tenant-isolation sweep; the runner itself
 // asserts byte-correctness, the per-cell telemetry audit (including the
@@ -356,6 +378,7 @@ func TestServeQuick(t *testing.T) { t.Parallel(); runQuick(t, "serve") }
 // cell, and run-to-run determinism via digest comparison. Here we pin
 // the overload machinery's visible signals to their cells.
 func TestOverloadQuick(t *testing.T) {
+	t.Parallel()
 	tbl := runQuick(t, "overload").Table
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("overload produced %d rows, want 4", len(tbl.Rows))
@@ -382,6 +405,7 @@ func TestOverloadQuick(t *testing.T) {
 // byte-identical scorecard JSON across the rerun. Here we pin the
 // discrimination the scorecards exist for to its cells.
 func TestScoreQuick(t *testing.T) {
+	t.Parallel()
 	tbl := runQuick(t, "score").Table
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("score produced %d rows, want 4", len(tbl.Rows))
@@ -406,6 +430,7 @@ func TestScoreQuick(t *testing.T) {
 // metrics under zipfian-LSM, and the bandit must land on the right arm
 // per pattern.
 func TestPredictQuick(t *testing.T) {
+	t.Parallel()
 	tbl := runQuick(t, "predict").Table
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("predict produced %d rows, want 6", len(tbl.Rows))

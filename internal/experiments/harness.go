@@ -13,11 +13,10 @@ import (
 	"strings"
 
 	crossprefetch "repro"
-	"repro/internal/blockdev"
-	"repro/internal/crosslib"
+	"repro/internal/telemetry"
 )
 
-// Options controls experiment sizing.
+// Options controls experiment sizing and what every cell's system records.
 type Options struct {
 	// Scale divides the paper's capacities (memory, dataset, key counts).
 	// The default (0) selects each experiment's documented scale; tests
@@ -27,7 +26,20 @@ type Options struct {
 	Quick bool
 	// Seed fixes the random streams.
 	Seed int64
+	// Telemetry records cross-layer telemetry in every cell's system, so
+	// each one is audited and listed in Report.Systems.
+	Telemetry bool
+	// Trace, when set, traces spans in every cell's system with this
+	// sampling, and implies Telemetry: the audit reconciles the spans
+	// against the counters.
+	Trace *telemetry.TraceConfig
+	// Observe, when set, is handed every system a cell builds before its
+	// replay starts: crossbench -admin points the live plane at it.
+	Observe func(*crossprefetch.System)
 }
+
+// recording reports whether every cell's system records telemetry.
+func (o Options) recording() bool { return o.Telemetry || o.Trace != nil }
 
 func (o Options) scale(def int64) int64 {
 	if o.Scale > 0 {
@@ -115,37 +127,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // Runner executes one experiment.
 type Runner func(Options) (*Report, error)
 
-// sysConfig bundles the per-cell system parameters.
-type sysConfig struct {
-	approach crossprefetch.Approach
-	memory   int64
-	layout   crossprefetch.Layout
-	device   blockdev.Config
-	raMax    int64             // kernel prefetch limit bytes (0 = 128KB default)
-	lib      *crosslib.Options // overrides approach's CROSS-LIB options
-	// demandRetries bounds the kernel's blocking-path fault retries
-	// (0 = default).
-	demandRetries int
-	// telemetry records (and so audits) even without the process switch.
-	telemetry bool
-}
-
-// newSys builds a cell's system under crossbench's process switches
-// (-telemetry, -trace).
-func newSys(c sysConfig) *crossprefetch.System {
-	cfg := crossprefetch.Config{
-		Approach:         c.approach,
-		MemoryBytes:      c.memory,
-		Layout:           c.layout,
-		KernelRAMaxBytes: c.raMax,
-		LibOptions:       c.lib,
-		DemandRetries:    c.demandRetries,
-		Telemetry:        c.telemetry || telemetryEnabled(),
-	}
-	if c.device.Name != "" {
-		cfg.Device = c.device
-	}
-	if tc := traceConfig(); tc != nil {
+// newSys builds a cell's system from cfg, with whatever recording o
+// adds: it only ever turns recording on.
+func newSys(o Options, cfg crossprefetch.Config) *crossprefetch.System {
+	cfg.Telemetry = cfg.Telemetry || o.recording()
+	if tc := o.Trace; tc != nil {
 		cfg.Trace = true
 		cfg.TraceSampleEvery = tc.SampleEvery
 		cfg.TracePerInode = tc.PerInode
@@ -169,14 +155,14 @@ type row[T any] struct {
 
 // cellOf declares the paper cell group/name: a fresh system from cfg,
 // handed to run.
-func cellOf[T any](group, name string, cfg sysConfig, run func(*crossprefetch.System) (T, error)) sweepCell[*row[T]] {
+func cellOf[T any](group, name string, cfg crossprefetch.Config, run func(*crossprefetch.System) (T, error)) sweepCell[*row[T]] {
 	full := name
 	if group != "" {
 		full = group + "/" + name
 	}
 	return sweepCell[*row[T]]{
-		name:  full,
-		build: func() *crossprefetch.System { return newSys(cfg) },
+		name: full,
+		cfg:  cfg,
 		replay: func(r *cellRun) (*row[T], error) {
 			res, err := run(r.sys)
 			return &row[T]{group: group, name: name, res: res}, err

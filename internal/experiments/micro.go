@@ -25,7 +25,7 @@ type microRow = row[workload.Result]
 // grouped by group.
 func microCells(s *sweep[*microRow], group string, approaches []crossprefetch.Approach, mem int64, cfg workload.MicroConfig) {
 	for _, a := range approaches {
-		s.cells = append(s.cells, cellOf(group, a.String(), sysConfig{approach: a, memory: mem},
+		s.cells = append(s.cells, cellOf(group, a.String(), crossprefetch.Config{Approach: a, MemoryBytes: mem},
 			func(sys *crossprefetch.System) (workload.Result, error) {
 				c := cfg
 				c.Sys = sys
@@ -87,7 +87,7 @@ func Fig5(o Options) (*Report, error) {
 			Seed:       o.Seed + 1,
 		})
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // Fig6 reproduces Figure 6: aggregated write throughput when concurrent
@@ -125,7 +125,7 @@ func Fig6(o Options) (*Report, error) {
 			Seed:       o.Seed + 2,
 		})
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // Table4 reproduces Table 4: mmap sequential and random load throughput.
@@ -158,7 +158,7 @@ func Table4(o Options) (*Report, error) {
 		for _, a := range []crossprefetch.Approach{
 			crossprefetch.AppOnly, crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
 		} {
-			s.cells = append(s.cells, cellOf(mode.name, a.String(), sysConfig{approach: a, memory: mem},
+			s.cells = append(s.cells, cellOf(mode.name, a.String(), crossprefetch.Config{Approach: a, MemoryBytes: mem},
 				func(sys *crossprefetch.System) (workload.Result, error) {
 					return workload.RunMmap(workload.MmapConfig{
 						Sys:        sys,
@@ -170,5 +170,5 @@ func Table4(o Options) (*Report, error) {
 				}))
 		}
 	}
-	return s.run()
+	return s.run(o)
 }

@@ -197,15 +197,17 @@ func (c overloadRun) replay(r *cellRun, cl OverloadCell, budget int64) (*Overloa
 	return res, nil
 }
 
-// sys builds one cell's system: telemetry and scorecards on (the audit is
-// part of the contract; the admin plane reads the rest).
-func (c overloadRun) sys() *crossprefetch.System {
-	return crossprefetch.NewSystem(crossprefetch.Config{
+// sys is one cell's system: telemetry and scorecards on (the audit is
+// part of the contract; the admin plane reads the rest), and 4 KB blocks,
+// the pages the tenant budgets count.
+func (c overloadRun) sys() crossprefetch.Config {
+	return crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		MemoryBytes: c.memMB << 20,
+		BlockSize:   4 << 10,
 		Telemetry:   true,
 		Scorecard:   true,
-	})
+	}
 }
 
 // Overload reproduces the noisy-neighbor table. Victim client bytes are
@@ -223,10 +225,9 @@ func Overload(o Options) (*Report, error) {
 	// cache, soft = one share: the victims' zipf hot sets sit well under a
 	// share, so they pay almost no direct-reclaim tax; the scan slams into
 	// the hard cap immediately and can only recycle its own pages. Budgets
-	// are in pages of the system's block size, and the table's note needs
-	// the figure before the first cell runs.
-	bs := c.sys().Kernel().BlockSize()
-	budget := 2 * (c.memMB << 20 / bs) / tenants
+	// are in pages of the system's block size.
+	cfg := c.sys()
+	budget := 2 * (cfg.MemoryBytes / cfg.BlockSize) / tenants
 
 	s := sweep[*OverloadResult]{
 		table:  &Table{ID: "overload", Title: "Tenant isolation under an antagonist scan: budgets and deadlines"},
@@ -253,9 +254,9 @@ func Overload(o Options) (*Report, error) {
 	for _, cl := range overloadCells {
 		s.cells = append(s.cells, sweepCell[*OverloadResult]{
 			name:   cl.Name,
-			build:  c.sys,
+			cfg:    cfg,
 			replay: func(r *cellRun) (*OverloadResult, error) { return c.replay(r, cl, budget) },
 		})
 	}
-	return s.run()
+	return s.run(o)
 }

@@ -88,10 +88,10 @@ func replayPredict(r *cellRun, cfg SweepConfig, name string, kind pattern, mode 
 	return res, nil
 }
 
-// predictSys builds one cell's system: the CrossPredictOpt stack with
+// predictSys is one cell's system: the CrossPredictOpt stack with
 // telemetry + scorecards, memory a quarter of the file so the cold tail
 // actually evicts, and the ensemble toggled per cell via LibOptions.
-func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
+func predictSys(fileMB int64, ensemble bool) crossprefetch.Config {
 	opts := crossprefetch.CrossPredictOpt.Options()
 	opts.Ensemble = ensemble
 	// Keep the §4.6 aggressive evictor actually working at this scale:
@@ -113,13 +113,13 @@ func predictSys(fileMB int64, ensemble bool) *crossprefetch.System {
 	// pressure turns into indiscriminate churn that drowns the predictor
 	// signal both cells are meant to expose.
 	opts.CoveragePrefetch = false
-	return crossprefetch.NewSystem(crossprefetch.Config{
+	return crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		LibOptions:  &opts,
 		MemoryBytes: fileMB << 20 / 4,
 		Telemetry:   true,
 		Scorecard:   true,
-	})
+	}
 }
 
 // predictContract: the ensemble must beat the fixed counter on the
@@ -173,13 +173,13 @@ func Predict(o Options) (*Report, error) {
 	for _, p := range predictCells {
 		for _, mode := range []string{"fixed", "ensemble"} {
 			s.cells = append(s.cells, sweepCell[*PredictResult]{
-				name:  p.name + "/" + mode,
-				build: func() *crossprefetch.System { return predictSys(cfg.FileMB, mode == "ensemble") },
+				name: p.name + "/" + mode,
+				cfg:  predictSys(cfg.FileMB, mode == "ensemble"),
 				replay: func(r *cellRun) (*PredictResult, error) {
 					return replayPredict(r, cfg, p.name, p.kind, mode)
 				},
 			})
 		}
 	}
-	return s.run()
+	return s.run(o)
 }

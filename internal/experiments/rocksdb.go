@@ -58,7 +58,7 @@ var (
 
 // dbCell declares one db_bench cell: workload w on threads threads over
 // a fresh system from cfg.
-func dbCell(group, name string, cfg sysConfig, p dbParams, w lsm.Workload, threads int) sweepCell[*dbRow] {
+func dbCell(group, name string, cfg crossprefetch.Config, p dbParams, w lsm.Workload, threads int) sweepCell[*dbRow] {
 	ops := max(p.keys/int64(threads)/p.opsFactor, 64)
 	return cellOf(group, name, cfg, func(sys *crossprefetch.System) (lsm.BenchResult, error) {
 		return lsm.RunBench(lsm.BenchConfig{
@@ -77,9 +77,9 @@ func dbCell(group, name string, cfg sysConfig, p dbParams, w lsm.Workload, threa
 // multiReadRandom is the db_bench table of one multireadrandom cell per
 // approach, on threads threads under cfg (its approach set per cell),
 // whose rows are grouped by group.
-func multiReadRandom(s *sweep[*dbRow], group string, approaches []crossprefetch.Approach, cfg sysConfig, p dbParams, threads int) {
+func multiReadRandom(s *sweep[*dbRow], group string, approaches []crossprefetch.Approach, cfg crossprefetch.Config, p dbParams, threads int) {
 	for _, a := range approaches {
-		cfg.approach = a
+		cfg.Approach = a
 		s.cells = append(s.cells, dbCell(group, a.String(), cfg, p, lsm.MultiReadRandom, threads))
 	}
 }
@@ -119,8 +119,8 @@ func Fig2(o Options) (*Report, error) {
 	multiReadRandom(&s, "", []crossprefetch.Approach{
 		crossprefetch.AppOnly, crossprefetch.AppOnlyFincore,
 		crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
-	}, sysConfig{memory: p.memory}, p, threads)
-	return s.run()
+	}, crossprefetch.Config{MemoryBytes: p.memory}, p, threads)
+	return s.run(o)
 }
 
 // dbApproaches is the five-way comparison used by Figures 7 and 8a.
@@ -146,9 +146,9 @@ func Fig7a(o Options) (*Report, error) {
 	}
 	s.table.Note("keys=%d value=%dB memory=%s", p.keys, p.valueBytes, mb(p.memory))
 	for _, threads := range threadCounts {
-		multiReadRandom(&s, strconv.Itoa(threads), dbApproaches, sysConfig{memory: p.memory}, p, threads)
+		multiReadRandom(&s, strconv.Itoa(threads), dbApproaches, crossprefetch.Config{MemoryBytes: p.memory}, p, threads)
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // dbPatterns are Figure 7b's access patterns.
@@ -169,11 +169,11 @@ func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev 
 	s.table.Note("keys=%d value=%dB memory=%s threads=%d", p.keys, p.valueBytes, mb(p.memory), threads)
 	for _, w := range dbPatterns {
 		for _, a := range dbApproaches {
-			cfg := sysConfig{approach: a, memory: p.memory, layout: layout, device: dev}
+			cfg := crossprefetch.Config{Approach: a, MemoryBytes: p.memory, Layout: layout, Device: dev}
 			s.cells = append(s.cells, dbCell(string(w), a.String(), cfg, p, w, threads))
 		}
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // Fig7b reproduces Figure 7b: access patterns on local NVMe + ext4.
@@ -206,9 +206,9 @@ func Fig7c(o Options) (*Report, error) {
 	}
 	s.table.Note("db=%s threads=%d", mb(dbBytes), threads)
 	for _, r := range memRatios {
-		multiReadRandom(&s, r.name, dbApproaches, sysConfig{memory: dbBytes / r.den}, p, threads)
+		multiReadRandom(&s, r.name, dbApproaches, crossprefetch.Config{MemoryBytes: dbBytes / r.den}, p, threads)
 	}
-	return s.run()
+	return s.run(o)
 }
 
 // memRatios are the memory:dataset ratios of Figures 7c and 9b.
@@ -227,17 +227,17 @@ func Table5(o Options) (*Report, error) {
 		fields: append(labels[lsm.BenchResult]("", "configuration"), dbKops, dbMiss, dbPrefetch, dbSaved),
 	}
 	s.table.Note("keys=%d memory=%s threads=%d", p.keys, mb(p.memory), threads)
-	cfg := sysConfig{memory: p.memory}
+	cfg := crossprefetch.Config{MemoryBytes: p.memory}
 	multiReadRandom(&s, "", []crossprefetch.Approach{
 		crossprefetch.AppOnly,
 		crossprefetch.OSOnly,
 		crossprefetch.CrossVisibility,
 	}, cfg, p, threads)
 	// "+range tree" is CrossPredict's configuration under the paper's label.
-	cfg.approach = crossprefetch.CrossPredict
+	cfg.Approach = crossprefetch.CrossPredict
 	s.cells = append(s.cells, dbCell("", "CrossP[+visibility+rangetree]", cfg, p, lsm.MultiReadRandom, threads))
 	multiReadRandom(&s, "", []crossprefetch.Approach{crossprefetch.CrossPredictOpt}, cfg, p, threads)
-	return s.run()
+	return s.run(o)
 }
 
 // Fig10 reproduces Figure 10: multireadrandom as the kernel prefetch limit
@@ -258,9 +258,9 @@ func Fig10(o Options) (*Report, error) {
 	for _, lim := range limits {
 		multiReadRandom(&s, mbOrKB(lim), []crossprefetch.Approach{
 			crossprefetch.AppOnly, crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
-		}, sysConfig{memory: p.memory, raMax: lim}, p, threads)
+		}, crossprefetch.Config{MemoryBytes: p.memory, KernelRAMaxBytes: lim}, p, threads)
 	}
-	return s.run()
+	return s.run(o)
 }
 
 func mbOrKB(v int64) string {

@@ -130,17 +130,17 @@ func replayScore(r *cellRun, cfg SweepConfig, name string, kind pattern, clients
 	return res, nil
 }
 
-// scoreSys builds one cell's system: telemetry + scorecards + tracing on
+// scoreSys is one cell's system: telemetry + scorecards + tracing on
 // (the full live plane), memory a quarter of the file so streams wrap
 // and mispredictions actually evict.
-func scoreSys(fileMB int64) *crossprefetch.System {
-	return crossprefetch.NewSystem(crossprefetch.Config{
+func scoreSys(fileMB int64) crossprefetch.Config {
+	return crossprefetch.Config{
 		Approach:    crossprefetch.CrossPredictOpt,
 		MemoryBytes: fileMB << 20 / 4,
 		Telemetry:   true,
 		Scorecard:   true,
 		Trace:       true,
-	})
+	}
 }
 
 // scoreContract: the scorecards discriminate the patterns, with wide
@@ -186,12 +186,12 @@ func Score(o Options) (*Report, error) {
 			clients = cfg.Clients
 		}
 		s.cells = append(s.cells, sweepCell[*ScoreResult]{
-			name:  p.name,
-			build: func() *crossprefetch.System { return scoreSys(cfg.FileMB) },
+			name: p.name,
+			cfg:  scoreSys(cfg.FileMB),
 			replay: func(r *cellRun) (*ScoreResult, error) {
 				return replayScore(r, cfg, p.name, p.kind, clients)
 			},
 		})
 	}
-	return s.run()
+	return s.run(o)
 }

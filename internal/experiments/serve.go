@@ -352,27 +352,27 @@ func Serve(o Options) (*Report, error) {
 		for _, cl := range []serveCell{{false, n}, {true, n}} {
 			s.cells = append(s.cells, sweepCell[*ServeResult]{
 				name:   cl.name(),
-				build:  func() *crossprefetch.System { return serveSys(int64(n) * c.FileMB << 20 / 2) },
+				cfg:    serveSys(int64(n) * c.FileMB << 20 / 2),
 				replay: serveRun{c, batch, cl}.replay,
 			})
 		}
 	}
-	return s.run()
+	return s.run(o)
 }
 
-// serveSys builds one cell's system with the given page-cache bytes —
+// serveSys is one cell's system with the given page-cache bytes —
 // half the aggregate dataset: the serving-tier shape where misses are
 // structural, the library's coverage prefetch backs off at its low
 // watermark, and the dispatch path, not cache hits, decides queue depth
 // and latency. Telemetry, tracing and scorecards are on: the audit is part
 // of every row, and the admin plane reads the rest.
-func serveSys(memory int64) *crossprefetch.System {
-	return crossprefetch.NewSystem(crossprefetch.Config{
+func serveSys(memory int64) crossprefetch.Config {
+	return crossprefetch.Config{
 		MemoryBytes:     memory,
 		Approach:        crossprefetch.CrossPredictOpt,
 		Telemetry:       true,
 		Trace:           true,
 		Scorecard:       true,
 		CongestionLimit: simtime.Second,
-	})
+	}
 }

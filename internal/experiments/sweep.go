@@ -95,6 +95,15 @@ func (r Record) MarshalJSON() ([]byte, error) {
 type Report struct {
 	Table   *Table
 	Records []Record
+	// Systems is, when the run's Options record telemetry, each cell's
+	// first-run system in cell order; every one passed its audit.
+	Systems []CellSystem
+}
+
+// CellSystem is one cell's audited system, named as the cell.
+type CellSystem struct {
+	Cell string
+	Sys  *crossprefetch.System
 }
 
 // render fills t's columns and rows, and the records, from rows; a field
@@ -150,8 +159,8 @@ func digest(data []byte, rest string) uint64 {
 
 // sweepCell is one point of a sweep's grid.
 type sweepCell[R any] struct {
-	name  string                       // "w1-local/sequential", for errors
-	build func() *crossprefetch.System // a fresh system per run
+	name string               // "w1-local/sequential", for errors
+	cfg  crossprefetch.Config // each run's fresh system, built by newSys
 	// replay runs the cell's workload on r.sys and measures the result.
 	replay func(r *cellRun) (R, error)
 }
@@ -167,20 +176,20 @@ type sweep[R any] struct {
 	contract func(rows []R, at func(cell string) R) error
 }
 
-// run executes every cell twice, compares the fingerprints, asserts the
-// contract and renders the rows. Under the process telemetry switch the
-// first run's system of each cell is registered for DrainTelemetry; under
-// Observe every system is handed over before its replay starts.
-func (s sweep[R]) run() (*Report, error) {
-	observe := observer()
+// run executes every cell twice on systems newSys builds under o, compares
+// the fingerprints, asserts the contract and renders the rows. When o
+// records telemetry the report lists each cell's first-run system; o's
+// Observe is handed every system before its replay starts.
+func (s sweep[R]) run(o Options) (*Report, error) {
 	rows := make([]R, 0, len(s.cells))
 	byName := make(map[string]R, len(s.cells))
+	var systems []CellSystem
 	for _, c := range s.cells {
 		var prints [2]uint64
 		for i := range prints {
-			sys := c.build()
-			if observe != nil {
-				observe(sys)
+			sys := newSys(o, c.cfg)
+			if o.Observe != nil {
+				o.Observe(sys)
 			}
 			res, err := c.replay(&cellRun{sys: sys, setup: sys.Timeline()})
 			if err == nil && sys.Telemetry() != nil {
@@ -194,7 +203,9 @@ func (s sweep[R]) run() (*Report, error) {
 			}
 			prints[i] = s.fingerprint(res)
 			if i == 0 {
-				registerTelemetry(c.name, sys)
+				if o.recording() {
+					systems = append(systems, CellSystem{c.name, sys})
+				}
 				rows = append(rows, res)
 				byName[c.name] = res
 			}
@@ -209,7 +220,9 @@ func (s sweep[R]) run() (*Report, error) {
 			return nil, fmt.Errorf("%s: %w", s.table.ID, err)
 		}
 	}
-	return render(s.table, s.fields, rows), nil
+	rep := render(s.table, s.fields, rows)
+	rep.Systems = systems
+	return rep, nil
 }
 
 // fingerprint is what a rerun of a cell on the same seed must reproduce:

@@ -86,10 +86,10 @@ var tierFields = []field[*TierResult]{
 	{"", "determinism_digest", "", func(r *TierResult) any { return r.hexDigest() }},
 }
 
-// tierSys builds one cell's system: OS-kernel readahead over the
+// tierSys is one cell's system: OS-kernel readahead over the
 // configured device stack, with plugging and telemetry on so the
 // per-backend partition identities are audit-checked.
-func tierSys(cc tierStack, fileMB, raBytes int64) *crossprefetch.System {
+func tierSys(cc tierStack, fileMB, raBytes int64) crossprefetch.Config {
 	cfg := crossprefetch.Config{
 		Approach:    crossprefetch.OSOnly,
 		MemoryBytes: fileMB << 20 / 4,
@@ -127,7 +127,7 @@ func tierSys(cc tierStack, fileMB, raBytes int64) *crossprefetch.System {
 			cfg.Tier.LocalCapBytes = fileMB << 20 * 3 / 4
 		}
 	}
-	return crossprefetch.NewSystem(cfg)
+	return cfg
 }
 
 // replayTier runs one pattern over one stack; the audit that follows
@@ -208,13 +208,13 @@ func Tier(o Options) (*Report, error) {
 	for _, p := range tierPatterns {
 		for _, st := range tierStacks {
 			s.cells = append(s.cells, sweepCell[*TierResult]{
-				name:  p.name + "/" + st.name,
-				build: func() *crossprefetch.System { return tierSys(st, cfg.FileMB, ra) },
+				name: p.name + "/" + st.name,
+				cfg:  tierSys(st, cfg.FileMB, ra),
 				replay: func(r *cellRun) (*TierResult, error) {
 					return replayTier(r, cfg, p.name, p.kind, st)
 				},
 			})
 		}
 	}
-	return s.run()
+	return s.run(o)
 }

@@ -238,7 +238,7 @@ func (db *DB) openSSTFile(tl *simtime.Timeline, name string) (*crosslib.File, er
 	}
 	a := db.sys.Approach()
 	if a == crossprefetch.AppOnly || a == crossprefetch.AppOnlyFincore {
-		f.Kernel().Fadvise(tl, vfs.AdvRandom, 0, 0)
+		f.Fadvise(tl, vfs.AdvRandom, 0, 0)
 	}
 	return f, nil
 }

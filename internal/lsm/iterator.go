@@ -130,7 +130,7 @@ func (it *Iterator) loadBlock(s *iterSource, block int) bool {
 		// readahead with explicit readahead(2) on scans (RocksDB's
 		// iterator readahead), clamped by the kernel as in Figure 1.
 		ie := s.table.index[block]
-		s.table.file.Kernel().Readahead(it.tl, ie.off, 2<<20)
+		s.table.file.Readahead(it.tl, ie.off, 2<<20)
 	}
 	raw, err := s.table.readBlock(it.tl, block, nil)
 	if err != nil {

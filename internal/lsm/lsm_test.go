@@ -10,6 +10,7 @@ import (
 
 	crossprefetch "repro"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func testSys(a crossprefetch.Approach) *crossprefetch.System {
@@ -160,6 +161,48 @@ func TestIteratorForward(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("iterated %d keys, want %d", count, n)
+	}
+}
+
+// TestAppOnlyReadaheadTraced: APPonly's own readahead(2) on a forward
+// scan goes through the library shim under a root span, so a
+// full-sampling trace accounts every prefetch device page it reads and
+// the audit reconciles.
+func TestAppOnlyReadaheadTraced(t *testing.T) {
+	sys := crossprefetch.NewSystem(crossprefetch.Config{
+		MemoryBytes:      256 << 20,
+		Approach:         crossprefetch.AppOnly,
+		Telemetry:        true,
+		Trace:            true,
+		TraceSampleEvery: 1,
+	})
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: 256 << 10, BlockBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := int64(0); i < n; i++ {
+		if err := db.Put(tl, BenchKey(i), benchValue(i, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Flush(tl)
+	sys.DropAllCaches(tl)
+	it := db.NewIterator(tl, false)
+	count := 0
+	for ok := it.SeekFirst(); ok; ok = it.Next() {
+		count++
+	}
+	it.Close()
+	if count != n || it.Err() != nil {
+		t.Fatalf("iterated %d of %d keys, err %v", count, n, it.Err())
+	}
+	if got := sys.Telemetry().CounterValue(telemetry.CtrVFSPrefetchDevicePages); got == 0 {
+		t.Fatal("the scan's readahead read no device pages")
+	}
+	if err := sys.AuditTelemetry(); err != nil {
+		t.Fatal(err)
 	}
 }
 

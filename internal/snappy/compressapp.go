@@ -76,8 +76,8 @@ func RunApp(cfg AppConfig) (AppResult, error) {
 			if approach == crossprefetch.AppOnly || approach == crossprefetch.AppOnlyFincore {
 				// The paper modifies Snappy to issue fadvise after
 				// open to exploit the sequential pattern.
-				f.Kernel().Fadvise(tl, vfs.AdvSequential, 0, 0)
-				f.Kernel().Readahead(tl, 0, cfg.FileBytes)
+				f.Fadvise(tl, vfs.AdvSequential, 0, 0)
+				f.Readahead(tl, 0, cfg.FileBytes)
 			}
 			if err := compressOne(th, sys, f, buf, cfg, &outBytes, i); err != nil {
 				return err

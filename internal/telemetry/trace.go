@@ -10,7 +10,8 @@ import (
 
 // Request-scoped span tracing. A Tracer opens one root span per sampled
 // top-level operation (library read/write, open-time optimistic prefetch,
-// background prefetch job, mmap load, fsync) and the layers below attach
+// background prefetch job, mmap load, fsync, an application's
+// readahead/fadvise hint) and the layers below attach
 // child spans as the request moves through the VFS, the page cache, and
 // the block device — all timestamped in virtual time. Completed roots
 // land in a bounded flight recorder that keeps the slowest N per
@@ -38,6 +39,7 @@ const (
 	OpMmapLoad
 	OpMmapScan
 	OpRingEnter
+	OpHint
 
 	numOps
 )
@@ -53,6 +55,7 @@ func (o Op) String() string {
 		"mmap_load",
 		"mmap_scan",
 		"ring_enter",
+		"hint",
 	}[o]
 }
 

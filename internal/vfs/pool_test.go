@@ -142,7 +142,7 @@ func TestRingFramePoolAudit(t *testing.T) {
 	for typ, want := range map[reflect.Type]int{
 		reflect.TypeOf(ringFrame{}):   3,
 		reflect.TypeOf(ringPending{}): 3,
-		reflect.TypeOf(ringChunk{}):   8,
+		reflect.TypeOf(ringChunk{}):   7,
 	} {
 		if n := typ.NumField(); n != want {
 			t.Fatalf("%v has %d fields, this audit dirties %d: add the new one", typ, n, want)
@@ -167,7 +167,7 @@ func TestRingFramePoolAudit(t *testing.T) {
 	}
 	dirtyChunk := func() any {
 		return &ringChunk{pend: &stalePend, wg: &staleWG, f: &File{}, lo: 1 << 40, blocks: 1 << 20,
-			tenant: 9, prefetch: true, arm: telemetry.ArmMithril}
+			tenant: 9, prefetch: true}
 	}
 
 	emptyPool(&ringFramePool)

@@ -55,10 +55,6 @@ type RingSQE struct {
 	Buf  []byte // RingRead destination
 	Len  int64  // RingPrefetch byte length
 	User uint64 // opaque completion cookie
-	// Arm tags which predictor arm's candidate drove a RingPrefetch SQE
-	// (ArmNone for explicit application prefetch). Threaded onto the
-	// inserted pages for the per-arm effectiveness partition.
-	Arm telemetry.Arm
 	// Deadline is an optional virtual deadline for a RingPrefetch (0 =
 	// none). A prefetch whose deadline has passed at enter is shed
 	// (ErrShed); one whose pages land after it keeps its N but carries
@@ -154,7 +150,6 @@ type ringChunk struct {
 	blocks   int64
 	tenant   int
 	prefetch bool
-	arm      telemetry.Arm
 }
 
 var ringChunkPool = sync.Pool{New: func() any { return new(ringChunk) }}
@@ -291,7 +286,7 @@ func (c *ringChunk) book(tl *simtime.Timeline, lo, blocks int64, done simtime.Ti
 		return
 	}
 	n := c.f.bookPrefetch(tl, lo, blocks, pagecache.InsertOptions{
-		ReadyAt: done, MarkerAt: -1, Origin: telemetry.OriginRing, Tenant: c.tenant, Arm: c.arm})
+		ReadyAt: done, MarkerAt: -1, Origin: telemetry.OriginRing, Tenant: c.tenant})
 	c.f.v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
 }
 
@@ -299,7 +294,7 @@ func (c *ringChunk) book(tl *simtime.Timeline, lo, blocks int64, done simtime.Ti
 // the tenant's lane. Hole blocks are zero-fill: a read inserts them
 // immediately, no device work; a prefetch leaves them alone.
 func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap.Run,
-	pend *ringPending, wg *sync.WaitGroup, prefetch bool, arm telemetry.Arm) {
+	pend *ringPending, wg *sync.WaitGroup, prefetch bool) {
 	f.eachChunk(runs, func(c chunk) bool {
 		if c.bytes == 0 {
 			if !prefetch {
@@ -313,7 +308,6 @@ func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap
 		*tag = ringChunk{
 			pend: pend, wg: wg, f: f,
 			lo: c.lo, blocks: c.blocks, tenant: tenant, prefetch: prefetch,
-			arm: arm,
 		}
 		v.lanes.Stage(blockdev.LaneRequest{
 			Tenant:   tenant,
@@ -349,7 +343,7 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 
 	if res.PresentCount < hi-lo {
 		sc.runs = appendMissingRuns(sc.runs[:0], res.Present, lo)
-		v.stageRuns(tl, tenant, f, sc.runs, pend, wg, false, telemetry.ArmNone)
+		v.stageRuns(tl, tenant, f, sc.runs, pend, wg, false)
 	}
 
 	pages := hi - lo
@@ -410,11 +404,11 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 
 	// Per-backend congestion: only the backlog of the backends this
 	// range resolves to can postpone it.
-	if f.rangeBacklog(tl.Now(), lo, hi) > v.cfg.CongestionLimit {
+	if f.RangeBacklog(tl.Now(), lo, hi) > v.cfg.CongestionLimit {
 		return 0
 	}
 	missing := f.fc.AppendFastMissingRuns(tl, sc.runs[:0], lo, hi)
 	sc.runs = missing
-	v.stageRuns(tl, tenant, f, missing, pend, wg, true, sq.Arm)
+	v.stageRuns(tl, tenant, f, missing, pend, wg, true)
 	return granted
 }

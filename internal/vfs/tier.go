@@ -43,11 +43,12 @@ func (f *File) StaticWindow(lo, hi int64) int64 {
 	return min(cfg.RA.MaxPages*f.rangeBoost(lo, hi), maxPrefetchBytes/f.v.BlockSize())
 }
 
-// rangeBacklog reports the worst per-backend backlog among only the
+// RangeBacklog reports the worst per-backend backlog among only the
 // backends serving logical blocks [lo, hi) — the congestion signal for
-// a targeted prefetch decision: a saturated backend the range never
-// touches must not postpone it.
-func (f *File) rangeBacklog(at simtime.Time, lo, hi int64) simtime.Duration {
+// a targeted prefetch decision, the kernel's and the library's ring
+// deadline shed alike: a saturated backend the range never touches must
+// not postpone it.
+func (f *File) RangeBacklog(at simtime.Time, lo, hi int64) simtime.Duration {
 	st := f.v.dev
 	bs := f.v.BlockSize()
 	var b simtime.Duration

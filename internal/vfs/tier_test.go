@@ -63,7 +63,7 @@ func TestSaturatedRemoteDoesNotThrottleLocalPrefetch(t *testing.T) {
 	extBlocks := st.Config().Tier.ExtentBytes / v.BlockSize()
 	var localLo, remoteLo int64 = -1, -1
 	for lo := int64(0); lo+extBlocks <= f.ino.Blocks(); lo += extBlocks {
-		switch b := f.rangeBacklog(tl.Now(), lo, lo+extBlocks); {
+		switch b := f.RangeBacklog(tl.Now(), lo, lo+extBlocks); {
 		case b == 0:
 			if localLo < 0 {
 				localLo = lo

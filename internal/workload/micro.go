@@ -60,9 +60,9 @@ type Result struct {
 // (the RocksDB behaviour §3.1 describes).
 func applyAppPolicy(tl *simtime.Timeline, f *crosslib.File, sequential bool) {
 	if sequential {
-		f.Kernel().Fadvise(tl, vfs.AdvSequential, 0, 0)
+		f.Fadvise(tl, vfs.AdvSequential, 0, 0)
 	} else {
-		f.Kernel().Fadvise(tl, vfs.AdvRandom, 0, 0)
+		f.Fadvise(tl, vfs.AdvRandom, 0, 0)
 	}
 }
 
@@ -134,7 +134,7 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 			if approach == crosslib.AppOnly && cfg.Sequential && i%64 == 0 {
 				// App-tailored prefetching: readahead ahead of the
 				// stream (clamped by the kernel — Figure 1).
-				f.Kernel().Readahead(tl, off, 4<<20)
+				f.Readahead(tl, off, 4<<20)
 			}
 			if approach == crosslib.AppOnlyFincore && i%64 == 0 {
 				f.FincorePollStep(tl, 4<<20/sys.Config().BlockSize)
