@@ -102,28 +102,28 @@ size:
 chaos:
 	go test -race -run 'Chaos|Fault|Breaker|Retry|Inject|Transient|Poison|Dirty' ./...
 
-# The five serving-tier sweeps whose full-scale records are pinned in
+# The six sweeps whose full-scale records are pinned in
 # testdata/sweeps/<id>.json: serve (sync vs ring frontends across 1/8/64
 # tenants), overload (victims vs an antagonist scan under four policy
 # cells), score (the scorecards across four access patterns), predict (the
-# fixed counter vs the predictor ensemble) and tier (the device-stack
-# grid). Every cell byte-verifies its reads, passes the telemetry audit and
+# fixed counter vs the predictor ensemble), tier (the device-stack grid)
+# and chaos (retries and the breaker under three fault plans). Every cell byte-verifies its reads, passes the telemetry audit and
 # reproduces its digest on a rerun, and each sweep asserts its contract,
 # before anything is written (DESIGN §19).
-SWEEPS = serve overload score predict tier
+SWEEPS = serve overload score predict tier chaos
 RECORDS = testdata/sweeps
 
 # Re-record the sweeps' records in place (or into RECORDS=dir): one
-# crossbench build, five runs.
+# crossbench build, six runs.
 records:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	go build -o "$$bin/crossbench" ./cmd/crossbench && \
 	for s in $(SWEEPS); do "$$bin/crossbench" -exp $$s -json $(RECORDS) || exit 1; done
 
-# Determinism gate: rerun the five sweeps into a temporary directory and
+# Determinism gate: rerun the six sweeps into a temporary directory and
 # compare the files, whole, with the committed testdata/sweeps/*.json
 # (about 10 s in total). A byte moves exactly when virtual time,
-# accounting, a scorecard or a record's schema does. All five are compared
+# accounting, a scorecard or a record's schema does. All six are compared
 # before the target fails, each file that moved printed with its diff, so
 # that a change which re-records one on purpose still shows whether the
 # others held; `make records` is the way to re-record them.

@@ -11,7 +11,8 @@
 //	crossbench -exp serve -admin :9090
 //
 // -json DIR writes DIR/<id>.json, one JSON object per table row, for every
-// experiment run whose fields declare record keys (the five sweeps);
+// experiment run whose fields declare record keys (the five serving-tier
+// sweeps and chaos);
 // testdata/sweeps holds their full-scale records, which `make digests`
 // regenerates and compares byte for byte.
 //

@@ -88,6 +88,7 @@ func TestRecordSchemas(t *testing.T) {
 		{"score", "score", "", 4}, // one per pattern
 		{"predict", "predict", "", 6},
 		{"tier", "tier", "", 18},
+		{"chaos", "chaos", "", 3}, // baseline, transient10, persistent-range
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

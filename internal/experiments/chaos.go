@@ -77,18 +77,21 @@ func Chaos(o Options) (*Report, error) {
 	vs := vsFirst(func(r chaosResult) float64 { return float64(r.makespan) })
 	s := sweep[*row[chaosResult]]{
 		table: &Table{ID: "chaos", Title: "Fault-plan sweep: correctness and degradation vs fault-free baseline"},
-		fields: append(labels[chaosResult]("", "plan"),
-			metric("makespan(ms)", "%.2f", func(r chaosResult) any { return float64(r.makespan) / float64(simtime.Millisecond) }),
-			vsCol[chaosResult]("slowdown"),
-			metric("faults", "%d", func(r chaosResult) any { return r.injected }),
-			metric("read-errs", "%d", func(r chaosResult) any { return r.readErrs }),
-			metric("retries", "%d", func(r chaosResult) any { return r.stats.PrefetchRetries }),
-			metric("trips", "%d", func(r chaosResult) any { return r.stats.BreakerTrips }),
-			metric("recoveries", "%d", func(r chaosResult) any { return r.stats.BreakerRecoveries }),
-			metric("dropped", "%d", func(r chaosResult) any { return r.stats.DroppedBreaker }),
-			metric("lost-pages", "%d", func(r chaosResult) any { return r.lost }),
+		// Keyed, so `make digests` pins every retry and breaker outcome.
+		fields: []field[*row[chaosResult]]{
+			{"plan", "plan", "%s", func(r *row[chaosResult]) any { return r.name }},
+			keyed("makespan_ms", metric("makespan(ms)", "%.2f", func(r chaosResult) any { return float64(r.makespan) / float64(simtime.Millisecond) })),
+			keyed("slowdown", vsCol[chaosResult]("slowdown")),
+			keyed("faults", metric("faults", "%d", func(r chaosResult) any { return r.injected })),
+			keyed("read_errs", metric("read-errs", "%d", func(r chaosResult) any { return r.readErrs })),
+			keyed("retries", metric("retries", "%d", func(r chaosResult) any { return r.stats.PrefetchRetries })),
+			keyed("trips", metric("trips", "%d", func(r chaosResult) any { return r.stats.BreakerTrips })),
+			keyed("recoveries", metric("recoveries", "%d", func(r chaosResult) any { return r.stats.BreakerRecoveries })),
+			keyed("dropped", metric("dropped", "%d", func(r chaosResult) any { return r.stats.DroppedBreaker })),
+			keyed("lost_pages", metric("lost-pages", "%d", func(r chaosResult) any { return r.lost })),
 			// Every library counter, so the rerun reproduces them all.
-			metric("", "", func(r chaosResult) any { return r.stats })),
+			keyed("lib_stats", metric("", "", func(r chaosResult) any { return r.stats })),
+		},
 		contract: func(rows []*row[chaosResult], at func(string) *row[chaosResult]) error {
 			if err := vs(rows, at); err != nil {
 				return err

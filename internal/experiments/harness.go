@@ -185,6 +185,12 @@ func metric[T any](col, verb string, get func(T) any) field[*row[T]] {
 	return field[*row[T]]{col, "", verb, func(r *row[T]) any { return get(r.res) }}
 }
 
+// keyed archives f in the JSON record under key.
+func keyed[R any](key string, f field[R]) field[R] {
+	f.key = key
+	return f
+}
+
 // vsCol declares the column vsFirst fills.
 func vsCol[T any](col string) field[*row[T]] {
 	return field[*row[T]]{col, "", "%.2fx", func(r *row[T]) any { return r.vs }}
