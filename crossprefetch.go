@@ -218,7 +218,7 @@ func NewSystem(cfg Config) *System {
 		lib.SetTelemetry(s.rec)
 	}
 	if cfg.Scorecard {
-		s.score = telemetry.NewScorecard(telemetry.ScorecardConfig{})
+		s.score = telemetry.NewScorecard()
 		cache.SetScorecard(s.score)
 		lib.SetScorecard(s.score)
 	}

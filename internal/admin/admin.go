@@ -45,10 +45,11 @@ type Config struct {
 	// Tiers returns the live device stack for /tiers (per-backend
 	// occupancy and the tier residency/heat view).
 	Tiers func() *blockdev.Stack
-	// DrainTimeout bounds Shutdown's graceful connection drain; past it
-	// remaining connections are closed hard. Default 2s.
-	DrainTimeout time.Duration
 }
+
+// drainTimeout bounds Shutdown's graceful connection drain; past it the
+// remaining connections are closed hard.
+const drainTimeout = 2 * time.Second
 
 // Server is one running admin listener.
 type Server struct {
@@ -70,9 +71,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("admin: listen %s: %w", addr, err)
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 2 * time.Second
 	}
 	s := &Server{cfg: cfg, ln: ln, done: make(chan struct{})}
 	mux := http.NewServeMux()
@@ -100,10 +98,10 @@ func Start(addr string, cfg Config) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Shutdown stops the listener and drains in-flight requests for at most
-// DrainTimeout, then closes whatever remains. It returns once the serve
+// drainTimeout, then closes whatever remains. It returns once the serve
 // loop has exited — no goroutine or socket outlives the call.
 func (s *Server) Shutdown() error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := s.srv.Shutdown(ctx)
 	if err != nil {

@@ -34,7 +34,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 func TestEndpointsLive(t *testing.T) {
 	rec := telemetry.NewRecorder(64)
 	rec.Add(telemetry.CtrLibIssuedPages, 42)
-	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
+	score := telemetry.NewScorecard()
 	score.Issued(simtime.Time(0), 1, 0, telemetry.OriginReadahead, 8)
 	score.Used(simtime.Time(0), 1, 0, telemetry.OriginReadahead, 500)
 	tr := telemetry.NewTracer(telemetry.TraceConfig{})
@@ -92,7 +92,7 @@ func TestEndpointsLive(t *testing.T) {
 // TestScorecardsDelta scrapes twice around new traffic and checks the
 // second scrape's delta reflects only the interval.
 func TestScorecardsDelta(t *testing.T) {
-	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
+	score := telemetry.NewScorecard()
 	score.Issued(simtime.Time(0), 1, 0, telemetry.OriginReadahead, 10)
 
 	srv, err := Start("127.0.0.1:0", Config{
@@ -168,8 +168,7 @@ func TestShutdownLeakFree(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rec := telemetry.NewRecorder(16)
 		srv, err := Start("127.0.0.1:0", Config{
-			Snapshot:     func() *telemetry.Snapshot { return rec.Snapshot() },
-			DrainTimeout: time.Second,
+			Snapshot: func() *telemetry.Snapshot { return rec.Snapshot() },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +275,7 @@ func TestArmGatePredictors(t *testing.T) {
 // 400 — not a silent full dump. /tiers?heat= and /tracez?n= go through the
 // same parser: malformed or negative is a 400 there too, not the default.
 func TestScorecardsFilter(t *testing.T) {
-	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
+	score := telemetry.NewScorecard()
 	now := simtime.Time(0)
 	score.Issued(now, 1, 10, telemetry.OriginReadahead, 4)
 	score.Issued(now, 2, 20, telemetry.OriginReadahead, 6)

@@ -294,15 +294,14 @@ func TestReverseStreamPrefetches(t *testing.T) {
 
 func TestMmapScanPrefetches(t *testing.T) {
 	v := newKernel(1_000_000)
-	opt := CrossPredictOpt.Options()
-	opt.MmapScanOps = 8
-	rt := New(v, opt)
+	rt := NewForApproach(v, CrossPredictOpt)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 64<<20)
 	f, _ := rt.Open(tl, "big")
 	m := rt.Mmap(tl, f)
-	for off := int64(0); off < 8<<20; off += 64 << 10 {
-		m.Load(tl, off, 64<<10, nil)
+	// 512 loads: eight scans.
+	for off := int64(0); off < 8<<20; off += 16 << 10 {
+		m.Load(tl, off, 16<<10, nil)
 	}
 	// The scanner should have prefetched ahead of the load frontier.
 	if got := f.Kernel().FileCache().CachedPages(); got <= (8<<20)/4096 {

@@ -1,6 +1,7 @@
 package crosslib
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/simtime"
@@ -59,27 +60,23 @@ func TestPrefetchDroppedWhenHelpersSaturated(t *testing.T) {
 
 func TestMmapScanWindowShrinksOnRandom(t *testing.T) {
 	v := newKernel(1_000_000)
-	opt := CrossPredictOpt.Options()
-	opt.MmapScanOps = 4
-	rt := New(v, opt)
+	rt := NewForApproach(v, CrossPredictOpt)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 256<<20)
 	f, _ := rt.Open(tl, "big")
 	m := rt.Mmap(tl, f)
-	// Random loads all over the file: no frontier motion after the first
-	// scans, so the window should shrink toward its floor.
-	offs := []int64{200 << 20, 5 << 20, 120 << 20, 60 << 20, 30 << 20,
-		90 << 20, 10 << 20, 180 << 20, 40 << 20, 150 << 20, 70 << 20, 20 << 20}
-	for _, off := range offs {
-		for i := 0; i < 4; i++ {
-			m.Load(tl, off+int64(i)*4096, 4096, nil)
-		}
+	// Single-page loads all over the file, twelve scans' worth: the
+	// residency behind the frontier stays sparse, so every scan halves the
+	// window, down to its floor.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 12*mmapScanOps; i++ {
+		m.Load(tl, rng.Int63n((256<<20)/4096)*4096, 4096, nil)
 	}
 	m.mu.Lock()
 	window := m.window
 	m.mu.Unlock()
-	if window > 64 {
-		t.Fatalf("random mmap loads should shrink the window, got %d blocks", window)
+	if window != 8 {
+		t.Fatalf("random mmap loads should shrink the window to its floor of 8 blocks, got %d", window)
 	}
 }
 

@@ -180,6 +180,22 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestRetryDelayCurve: the backoff before retry n is retryBase doubled
+// n-1 times, saturating at retryDelayCap rather than overflowing, and the
+// seeded jitter only stretches it, by less than retryJitterFrac of itself.
+func TestRetryDelayCurve(t *testing.T) {
+	ref := retryBase
+	for attempt := 1; attempt <= 80; attempt++ {
+		got := retryDelay(42, 7, int64(attempt), attempt)
+		if hi := ref + simtime.Duration(float64(ref)*retryJitterFrac); got < ref || got > hi {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, ref, hi)
+		}
+		if ref = 2 * ref; ref > retryDelayCap {
+			ref = retryDelayCap
+		}
+	}
+}
+
 // persistentReads fails every device read definitively.
 func persistentReads() *faultinject.Injector {
 	return faultinject.New(faultinject.Plan{

@@ -249,18 +249,11 @@ const (
 )
 
 // retryDelay is the deterministic backoff before transient-fault retry
-// n (1-based): retryBase<<(n-1) saturating at retryDelayCap, stretched by
-// seeded jitter so retries across files decorrelate without wall-clock
-// randomness.
+// n (1-based): the device plug's backoff curve, retryBase<<(n-1)
+// saturating at retryDelayCap, stretched by seeded jitter so retries
+// across files decorrelate without wall-clock randomness.
 func retryDelay(seed, ino, lo int64, attempt int) simtime.Duration {
-	d := retryBase
-	for i := 1; i < attempt; i++ {
-		d <<= 1
-		if d <= 0 || d >= retryDelayCap {
-			d = retryDelayCap
-			break
-		}
-	}
+	d := blockdev.RetryPolicy{Base: retryBase, Cap: retryDelayCap}.Backoff(attempt)
 	h := faultinject.Hash(uint64(seed), uint64(ino), uint64(lo), uint64(attempt))
 	frac := float64(h>>11) / float64(1<<53) // [0, 1)
 	return d + simtime.Duration(float64(d)*retryJitterFrac*frac)

@@ -25,8 +25,11 @@ type Mapping struct {
 	mu       sync.Mutex
 	frontier int64 // highest block seen resident
 	window   int64 // current prefetch window in blocks
-	lastSeen int64 // resident count at last scan
 }
+
+// mmapScanOps is how many loads of a mapping pass between two bitmap
+// scans.
+const mmapScanOps = 64
 
 // Mmap maps a file through the runtime.
 func (rt *Runtime) Mmap(tl *simtime.Timeline, f *File) *Mapping {
@@ -37,7 +40,7 @@ func (rt *Runtime) Mmap(tl *simtime.Timeline, f *File) *Mapping {
 func (m *Mapping) Kernel() *vfs.Mapping { return m.km }
 
 // Load touches [off, off+n), optionally copying into dst. Every
-// MmapScanOps loads, a background bitmap scan runs the prefetch
+// mmapScanOps loads, a background bitmap scan runs the prefetch
 // heuristic. A demand (fault-in) device error is returned.
 func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 	root := m.f.rt.tr.Root(tl, telemetry.OpMmapLoad, m.f.kf.Inode().ID())
@@ -45,11 +48,10 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 	root.Annotate("off", off)
 	root.Annotate("bytes", n)
 	err := m.km.Load(tl, off, n, dst)
-	o := m.f.rt.opt
-	if !o.Enabled {
+	if !m.f.rt.opt.Enabled {
 		return err
 	}
-	if m.loads.Add(1)%o.MmapScanOps == 0 {
+	if m.loads.Add(1)%mmapScanOps == 0 {
 		m.scheduleScan(tl)
 	}
 	return err
@@ -68,11 +70,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		// Export-only readahead_info: cheap residency snapshot.
 		snap := windowPool.Get().(*bitmap.Window)
 		defer windowPool.Put(snap)
-		info := kf.ReadaheadInfo(wtl, vfs.CacheInfoRequest{
-			DisablePrefetch: true,
-			BitmapLo:        0,
-			BitmapHi:        fileBlocks,
-		}, snap)
+		kf.ReadaheadInfo(wtl, vfs.CacheInfoRequest{BitmapHi: fileBlocks}, snap)
 
 		m.mu.Lock()
 		// Find the residency frontier.
@@ -101,7 +99,6 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 			resident := snap.CountRange(wlo, frontier)
 			dense = float64(resident) > 0.6*float64(frontier-wlo)
 		}
-		m.lastSeen = info.FileCachedPages
 		if dense {
 			m.window *= 2
 			if max := rt.opt.MaxPrefetchBytes / rt.v.BlockSize(); m.window > max {

@@ -51,8 +51,6 @@ type Options struct {
 	// EvictCheckOps throttles budget checks to once per this many
 	// intercepted operations.
 	EvictCheckOps int64
-	// MmapScanOps triggers an mmap bitmap scan every this many loads.
-	MmapScanOps int64
 
 	// Ensemble runs the competing-predictor ensemble per inode: the
 	// sequentiality counter and a MITHRIL-style association miner score
@@ -96,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvictCheckOps <= 0 {
 		o.EvictCheckOps = 32
-	}
-	if o.MmapScanOps <= 0 {
-		o.MmapScanOps = 64
 	}
 	if o.RetryMax == 0 {
 		o.RetryMax = 2

@@ -26,8 +26,6 @@ type Options struct {
 	// BlockBytes is the SSTable data-block size, 16KB by default: this
 	// repository's choice (RocksDB's block_size defaults to 4KB).
 	BlockBytes int64
-	// SyncWAL fsyncs the log on every write (off by default, as db_bench).
-	SyncWAL bool
 	// DisableAutoCompact turns background compaction off (tests).
 	DisableAutoCompact bool
 }
@@ -277,11 +275,6 @@ func (db *DB) write(tl *simtime.Timeline, key string, value []byte, del bool) er
 	db.walMu.Unlock()
 	if err != nil {
 		return err
-	}
-	if db.opt.SyncWAL {
-		if err := wal.Fsync(tl); err != nil {
-			return err
-		}
 	}
 	if full || retry {
 		// The write itself is done — logged, and readable from the

@@ -29,7 +29,7 @@ type coldDropScene struct {
 
 func newColdDropScene(hot bool) *coldDropScene {
 	s := &coldDropScene{tl: simtime.NewTimeline(0), rec: telemetry.NewRecorder(1 << 10),
-		score: telemetry.NewScorecard(telemetry.ScorecardConfig{})}
+		score: telemetry.NewScorecard()}
 	s.c = New(Config{BlockSize: 4096, CapacityPages: 4096, Costs: simtime.DefaultCosts()},
 		func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
 			s.flushes = append(s.flushes, fmt.Sprintf("[%d,%d) of %d at %d", lo, hi, ino, at))

@@ -617,26 +617,3 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 	fc.mu.Unlock()
 	return runs
 }
-
-// ResidentReadyAt reports the latest ready time among resident pages in
-// [lo,hi) without charging lock time (used after an insert to wait for
-// in-flight I/O the thread itself scheduled).
-func (fc *FileCache) ResidentReadyAt(lo, hi int64) simtime.Time {
-	fc.mu.RLock()
-	defer fc.mu.RUnlock()
-	var latest simtime.Time
-	dir := fc.cache.frames.load()
-	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
-		node := fc.nodeAt(base >> nodeShift)
-		if node == nil {
-			continue
-		}
-		s0, s1 := slotRange(base, lo, hi)
-		for _, id := range node.slots[s0:s1] {
-			if id != 0 && dir.at(id).readyAt > latest {
-				latest = dir.at(id).readyAt
-			}
-		}
-	}
-	return latest
-}

@@ -131,7 +131,7 @@ func stressSharedInode(t *testing.T) {
 	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts()}, flush)
 	rec := telemetry.NewRecorder(1024)
 	c.SetTelemetry(rec)
-	c.SetScorecard(telemetry.NewScorecard(telemetry.ScorecardConfig{}))
+	c.SetScorecard(telemetry.NewScorecard())
 	c.SetTenantBudget(1, capacity/4, 0)
 	c.SetTenantBudget(2, capacity/8, capacity/3)
 	shared, other := c.File(1), c.File(2)

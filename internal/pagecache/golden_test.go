@@ -65,7 +65,7 @@ func goldenRun(t *testing.T, mode string) uint64 {
 	}
 	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts()}, flush)
 	rec := telemetry.NewRecorder(1 << 14)
-	score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
+	score := telemetry.NewScorecard()
 	c.SetTelemetry(rec)
 	c.SetScorecard(score)
 	if mode == "tenants" {

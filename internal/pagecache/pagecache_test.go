@@ -82,8 +82,9 @@ func TestReadyAtPropagates(t *testing.T) {
 	if res.ReadyAt != 5000 {
 		t.Fatalf("ReadyAt = %v, want 5000", res.ReadyAt)
 	}
-	if got := fc.ResidentReadyAt(0, 4); got != 5000 {
-		t.Fatalf("ResidentReadyAt = %v", got)
+	// Over a range only partly resident: the latest among the resident.
+	if got := fc.LookupRange(nil, 2, 8).ReadyAt; got != 5000 {
+		t.Fatalf("ReadyAt over [2, 8) = %v, want 5000", got)
 	}
 }
 

@@ -27,12 +27,11 @@ import (
 // every method no-ops on a nil *Scorecard — disabled cost is one nil
 // check, exactly like the Recorder.
 //
-// Bounding: at most MaxCards inode cards exist per stripe; past the
+// Bounding: at most scoreMaxCards inode cards exist per stripe; past the
 // bound, traffic books to the stripe's shared overflow card (key
 // OverflowKey) rather than being dropped, so totals stay exact and the
 // audit's partition identities hold regardless of inode cardinality.
 type Scorecard struct {
-	cfg     ScorecardConfig
 	files   []scoreStripe
 	tenants []scoreStripe
 	// arms holds the per-(inode,arm) shadow cards of the predictor
@@ -51,38 +50,21 @@ const armKeyBits = 3
 // inode-card bound.
 const OverflowKey = -1
 
-// ScorecardConfig sizes a Scorecard. The zero value selects defaults.
-type ScorecardConfig struct {
-	// WindowWidth is the virtual width of one scoring window.
-	// Default 10ms.
-	WindowWidth simtime.Duration
-	// Windows is the ring depth per card (how many trailing windows
-	// survive). Default 8.
-	Windows int
-	// MaxCards bounds tracked inode cards per stripe; excess inodes share
-	// the stripe's overflow card. Default 64 (512 across 8 stripes).
-	MaxCards int
-}
+// A card scores windows scoreWindowWidth of virtual time wide and keeps
+// the trailing scoreWindows of them; a stripe tracks at most scoreMaxCards
+// inode cards (512 across its 8 stripes), the rest share its overflow card.
+const (
+	scoreWindowWidth = 10 * simtime.Millisecond
+	scoreWindows     = 8
+	scoreMaxCards    = 64
+)
 
 // scoreStripes is the lock-stripe count (power of two).
 const scoreStripes = 8
 
-func (c ScorecardConfig) withDefaults() ScorecardConfig {
-	if c.WindowWidth <= 0 {
-		c.WindowWidth = 10 * simtime.Millisecond
-	}
-	if c.Windows <= 0 {
-		c.Windows = 8
-	}
-	if c.MaxCards <= 0 {
-		c.MaxCards = 64
-	}
-	return c
-}
-
-// NewScorecard returns a scorecard with the given configuration.
-func NewScorecard(cfg ScorecardConfig) *Scorecard {
-	s := &Scorecard{cfg: cfg.withDefaults()}
+// NewScorecard returns an empty scorecard.
+func NewScorecard() *Scorecard {
+	s := &Scorecard{}
 	s.files = make([]scoreStripe, scoreStripes)
 	s.tenants = make([]scoreStripe, scoreStripes)
 	s.arms = make([]scoreStripe, scoreStripes)
@@ -154,7 +136,7 @@ func stripeOf(key int64) int {
 
 // epochOf is the window index containing t.
 func (s *Scorecard) epochOf(t simtime.Time) int64 {
-	return int64(t) / int64(s.cfg.WindowWidth)
+	return int64(t) / int64(scoreWindowWidth)
 }
 
 // card returns the stripe's card for key, creating it while under the
@@ -164,19 +146,19 @@ func (s *Scorecard) card(st *scoreStripe, key int64) *scoreCard {
 	if c := st.cards[key]; c != nil {
 		return c
 	}
-	if len(st.cards) < s.cfg.MaxCards {
-		c := &scoreCard{key: key, windows: make([]scoreWindow, s.cfg.Windows)}
+	if len(st.cards) < scoreMaxCards {
+		c := &scoreCard{key: key, windows: make([]scoreWindow, scoreWindows)}
 		st.cards[key] = c
 		return c
 	}
 	if st.overflow == nil {
-		st.overflow = &scoreCard{key: OverflowKey, windows: make([]scoreWindow, s.cfg.Windows)}
+		st.overflow = &scoreCard{key: OverflowKey, windows: make([]scoreWindow, scoreWindows)}
 	}
 	return st.overflow
 }
 
 // window returns the card's slot for epoch, resetting a stale slot in
-// place (the ring keeps only the trailing Windows epochs). Caller holds
+// place (the ring keeps only the trailing scoreWindows epochs). Caller holds
 // the stripe lock. Out-of-order updates older than the ring's horizon
 // land in the slot their epoch maps to only if it still holds that
 // epoch; otherwise they book into the current slot's predecessorless
@@ -566,7 +548,7 @@ func (s *Scorecard) Snapshot() *ScorecardSnapshot {
 	if s == nil {
 		return nil
 	}
-	arms := exportStripes(s.arms, s.cfg.WindowWidth)
+	arms := exportStripes(s.arms, scoreWindowWidth)
 	for i := range arms {
 		if arms[i].Key == OverflowKey {
 			continue
@@ -575,10 +557,10 @@ func (s *Scorecard) Snapshot() *ScorecardSnapshot {
 		arms[i].Arm = Arm(arms[i].Key & (1<<armKeyBits - 1)).String()
 	}
 	return &ScorecardSnapshot{
-		WindowWidth: s.cfg.WindowWidth,
-		Windows:     s.cfg.Windows,
-		Files:       exportStripes(s.files, s.cfg.WindowWidth),
-		Tenants:     exportStripes(s.tenants, s.cfg.WindowWidth),
+		WindowWidth: scoreWindowWidth,
+		Windows:     scoreWindows,
+		Files:       exportStripes(s.files, scoreWindowWidth),
+		Tenants:     exportStripes(s.tenants, scoreWindowWidth),
 		Arms:        arms,
 	}
 }

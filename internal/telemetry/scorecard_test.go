@@ -14,9 +14,9 @@ import (
 // the ring holds and checks that (a) only the trailing windows survive,
 // oldest first, and (b) lifetime totals keep counting across resets.
 func TestScorecardWindowRotation(t *testing.T) {
-	const width = 10 * simtime.Millisecond
-	s := NewScorecard(ScorecardConfig{WindowWidth: width, Windows: 4})
-	for epoch := int64(0); epoch < 10; epoch++ {
+	const width, epochs = scoreWindowWidth, scoreWindows + 6
+	s := NewScorecard()
+	for epoch := int64(0); epoch < epochs; epoch++ {
 		at := simtime.Time(epoch * int64(width))
 		s.Issued(at, 1, 0, OriginReadahead, 8)
 		s.Used(at, 1, 0, OriginReadahead, 1000)
@@ -30,14 +30,14 @@ func TestScorecardWindowRotation(t *testing.T) {
 	if card.Key != 1 {
 		t.Fatalf("card key = %d, want 1", card.Key)
 	}
-	if got := card.Totals.Issued["readahead"]; got != 80 {
-		t.Fatalf("lifetime issued = %d, want 80 (totals must survive rotation)", got)
+	if got := card.Totals.Issued["readahead"]; got != 8*epochs {
+		t.Fatalf("lifetime issued = %d, want %d (totals must survive rotation)", got, 8*epochs)
 	}
-	if len(card.Windows) != 4 {
-		t.Fatalf("surviving windows = %d, want ring depth 4", len(card.Windows))
+	if len(card.Windows) != scoreWindows {
+		t.Fatalf("surviving windows = %d, want ring depth %d", len(card.Windows), scoreWindows)
 	}
 	for i, w := range card.Windows {
-		wantStart := simtime.Time((6 + int64(i)) * int64(width))
+		wantStart := simtime.Time((epochs - scoreWindows + int64(i)) * int64(width))
 		if w.Start != wantStart {
 			t.Fatalf("window %d start = %v, want %v (oldest-first trailing epochs)",
 				i, w.Start, wantStart)
@@ -53,7 +53,7 @@ func TestScorecardWindowRotation(t *testing.T) {
 
 // TestScorecardScores checks the derived ratios on a hand-built window.
 func TestScorecardScores(t *testing.T) {
-	s := NewScorecard(ScorecardConfig{})
+	s := NewScorecard()
 	at := simtime.Time(0)
 	s.Issued(at, 1, 0, OriginReadahead, 10)
 	s.Issued(at, 1, 0, OriginDemand, 5) // demand: partition complement, not accuracy input
@@ -84,13 +84,13 @@ func TestScorecardScores(t *testing.T) {
 	}
 }
 
-// TestScorecardOverflow bounds cards per stripe at 1 and floods many
-// inodes: excess traffic must land on overflow cards (key -1), and
+// TestScorecardOverflow floods more inodes than the stripes' card bound
+// holds: excess traffic must land on overflow cards (key -1), and
 // OriginTotals must still reconcile exactly against what was booked.
 func TestScorecardOverflow(t *testing.T) {
-	s := NewScorecard(ScorecardConfig{MaxCards: 1})
+	s := NewScorecard()
 	at := simtime.Time(0)
-	const inodes = 64
+	const inodes = 4 * scoreMaxCards * scoreStripes
 	for ino := int64(0); ino < inodes; ino++ {
 		s.Issued(at, ino, 0, OriginCrossOS, 2)
 	}
@@ -110,15 +110,15 @@ func TestScorecardOverflow(t *testing.T) {
 	if overflow == 0 || overflowIssued == 0 {
 		t.Fatalf("expected overflow cards with traffic, got %d cards / %d pages", overflow, overflowIssued)
 	}
-	if len(snap.Files) > scoreStripes+scoreStripes {
-		t.Fatalf("cards = %d, want <= %d (1 per stripe + overflow)", len(snap.Files), 2*scoreStripes)
+	if max := (scoreMaxCards + 1) * scoreStripes; len(snap.Files) > max {
+		t.Fatalf("cards = %d, want <= %d (%d per stripe + overflow)", len(snap.Files), max, scoreMaxCards)
 	}
 }
 
 // TestScorecardDiff checks the snapshot differ: interval counts are
 // cur-prev and the ratio scores are recomputed over the interval alone.
 func TestScorecardDiff(t *testing.T) {
-	s := NewScorecard(ScorecardConfig{})
+	s := NewScorecard()
 	at := simtime.Time(0)
 	s.Issued(at, 1, 0, OriginReadahead, 10)
 	for i := 0; i < 2; i++ {
@@ -180,7 +180,7 @@ func TestScorecardNilSafe(t *testing.T) {
 // byte-identical JSON (the rerun-comparison contract).
 func TestScorecardSnapshotDeterministic(t *testing.T) {
 	build := func() []byte {
-		s := NewScorecard(ScorecardConfig{})
+		s := NewScorecard()
 		for ino := int64(0); ino < 20; ino++ {
 			at := simtime.Time(ino * int64(simtime.Millisecond))
 			s.Issued(at, ino, int(ino%3), OriginReadahead, 4)
@@ -204,7 +204,7 @@ func TestScorecardWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	s := NewScorecard(ScorecardConfig{})
+	s := NewScorecard()
 	at := simtime.Time(0)
 	// Warm the (ino, tenant) card pair and the epoch slot.
 	s.Issued(at, 7, 1, OriginReadahead, 4)
@@ -231,7 +231,7 @@ func TestScorecardConcurrentReconcile(t *testing.T) {
 	for _, procs := range []int{2, 4, 16} {
 		prev := runtime.GOMAXPROCS(procs)
 		t.Run("", func(t *testing.T) {
-			s := NewScorecard(ScorecardConfig{WindowWidth: simtime.Millisecond})
+			s := NewScorecard()
 			r := NewRecorder(0)
 			const workers, iters = 8, 400
 			var wg sync.WaitGroup

@@ -6,11 +6,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Range is one byte range of a vectored readahead_info request.
-type Range struct {
-	Offset, Bytes int64
-}
-
 // CacheInfoRequest is the control-plane half of the readahead_info `info`
 // structure (§4.4): what to prefetch, which bitmap window to export, and
 // optional limit relaxation.
@@ -18,22 +13,13 @@ type CacheInfoRequest struct {
 	// Offset and Bytes describe the byte range to prefetch. Bytes == 0
 	// makes the call export-only (no prefetch).
 	Offset, Bytes int64
-	// Ranges, when non-empty, makes the call vectored: each range is an
-	// independent prefetch window (the per-call limit applies per range),
-	// all served in this one kernel crossing with one submission plug —
-	// the batching amortization the aggregator in CROSS-LIB relies on.
-	// Offset/Bytes are ignored. Ranges should be disjoint; overlapping
-	// ranges may double-issue I/O exactly as two separate calls would.
-	Ranges []Range
 	// BitmapLo and BitmapHi select the block window of the per-inode
-	// cache bitmap to copy out. BitmapHi == 0 defaults to the prefetch
-	// range (vectored: the hull of the ranges, rounded to words).
+	// cache bitmap to copy out. BitmapHi == 0 defaults to the admitted
+	// prefetch range.
 	BitmapLo, BitmapHi int64
 	// LimitOverride, in pages, raises the per-call prefetch cap beyond
 	// the kernel's static window when the kernel allows it (§4.7).
 	LimitOverride int64
-	// DisablePrefetch turns this call into a pure query.
-	DisablePrefetch bool
 	// Coverage marks the request as CROSS-LIB coverage prefetch (whole-file
 	// warm-up) rather than predictor-driven readahead, so the inserted
 	// pages book under OriginCoverage in the effectiveness partition.
@@ -50,11 +36,10 @@ type CacheInfoRequest struct {
 type CacheInfo struct {
 	// RequestedPages and PrefetchedPages report the prefetch outcome —
 	// the visibility whose absence causes Figure 1's pathologies.
+	// RequestedPages counts the pages admitted after the file and limit
+	// clamps.
 	RequestedPages  int64
 	PrefetchedPages int64
-	// Granted, for vectored requests only, reports per-range pages
-	// admitted after the file and limit clamps, in request order.
-	Granted []int64
 	// AlreadyCached reports that every requested page was resident (the
 	// call issued no I/O).
 	AlreadyCached bool
@@ -64,8 +49,6 @@ type CacheInfo struct {
 	Hits, Misses int64
 	// FreePages and CapacityPages describe the global memory budget.
 	FreePages, CapacityPages int64
-	// ReadyAt is the completion time of the I/O issued by this call.
-	ReadyAt simtime.Time
 	// PrefetchErr is the device error that aborted this call's prefetch,
 	// if any. Pages covered by the failed portion were NOT inserted; the
 	// transient-vs-persistent classification (blockdev.IsTransient)
@@ -76,12 +59,11 @@ type CacheInfo struct {
 // ReadaheadInfo is the new multi-purpose system call (§4.4). In one kernel
 // crossing it:
 //
-//  1. checks the requested range(s) against the per-inode cache bitmap via
+//  1. checks the requested range against the per-inode cache bitmap via
 //     the delineated fast path (bitmap rw-lock, never the cache-tree
 //     lock);
 //  2. issues asynchronous prefetch I/O for only the missing runs, clamped
-//     per range by the effective prefetch limit, through one submission
-//     plug (vectored requests share the crossing AND the dispatch batch);
+//     by the kernel's prefetch admission (admitPrefetch);
 //  3. snapshots the requested bitmap window into dst (selective export:
 //     dst holds that window only, and its storage is reused); and
 //  4. fills the telemetry fields of CacheInfo.
@@ -93,97 +75,31 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	sp := telemetry.Begin(tl, "vfs.readahead_info", telemetry.CatCPU)
 	defer sp.End(tl)
 	v.enter(tl, SysReadaheadInfo)
-	bs := v.BlockSize()
-	fileBlocks := f.ino.Blocks()
 
-	ranges := req.Ranges
-	vectored := len(ranges) > 0
-	var one [1]Range
-	if !vectored {
-		one[0] = Range{Offset: req.Offset, Bytes: req.Bytes}
-		ranges = one[:]
-	}
-
-	var info CacheInfo
-	info.CapacityPages = v.cache.Capacity()
-	info.FreePages = v.cache.Free()
-
-	// Effective per-range limit: static kernel cap, or the caller's
-	// override when the kernel is configured to allow it. Each range is
-	// an independent readahead window, so the limit applies per range.
-	ra, maxPages := v.cfg.RA.MaxPages, maxPrefetchBytes/bs
-	limit := ra
-	if v.cfg.AllowLimitOverride && req.LimitOverride > limit {
-		limit = min(req.LimitOverride, maxPages)
-	}
-
-	// prefetchRuns below is done with the runs when it returns.
-	sc := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(sc)
-	missing := sc.runs[:0]
-	var reqTotal, clampTotal int64
-	hullLo, hullHi := int64(-1), int64(-1)
-	requested := false
-	for _, rg := range ranges {
-		lo, hi := v.blockRange(rg.Offset, rg.Bytes)
-		if hi > fileBlocks {
-			hi = fileBlocks
-		}
-		if rg.Bytes > 0 && hi > lo {
-			requested = true
-			preClamp := hi - lo
-			// Cross-tier prefetch: the limit scales with the range's
-			// static window, RTT-deepened over remote extents, always
-			// within the absolute prefetch byte budget.
-			rlimit := min(limit*f.StaticWindow(lo, hi)/ra, maxPages)
-			if hi-lo > rlimit {
-				hi = lo + rlimit
-			}
-			granted := hi - lo
-			v.rec.Add(telemetry.CtrKernelRequestedPages, preClamp)
-			v.rec.Add(telemetry.CtrKernelAdmittedPages, granted)
-			v.rec.Add(telemetry.CtrKernelRejectedPages, preClamp-granted)
-			reqTotal += preClamp
-			clampTotal += preClamp - granted
-			info.RequestedPages += granted
-			if vectored {
-				info.Granted = append(info.Granted, granted)
-			}
-			// Fast path: bitmap lookup only; runs from every range feed
-			// one prefetch submission below.
-			missing = f.fc.AppendFastMissingRuns(tl, missing, lo, hi)
-		} else if vectored {
-			info.Granted = append(info.Granted, 0)
-		}
-		if hullLo < 0 || lo < hullLo {
-			hullLo = lo
-		}
-		if hi > hullHi {
-			hullHi = hi
-		}
-	}
-	sc.runs = missing
-	if requested {
-		sp.Annotate("requested_pages", reqTotal)
-		sp.Annotate("clamped_pages", clampTotal)
-		if vectored {
-			sp.Annotate("ranges", int64(len(ranges)))
-		}
-		switch {
-		case len(missing) == 0:
+	info := CacheInfo{CapacityPages: v.cache.Capacity(), FreePages: v.cache.Free()}
+	lo, hi := f.prefetchSpan(req.Offset, req.Bytes)
+	if req.Bytes > 0 && hi > lo {
+		requested := hi - lo
+		hi = f.admitPrefetch(lo, hi, req.LimitOverride)
+		info.RequestedPages = hi - lo
+		// Fast path: bitmap lookup only. prefetchRuns below is done with
+		// the runs when it returns.
+		sc := readScratchPool.Get().(*readScratch)
+		defer readScratchPool.Put(sc)
+		sc.runs = f.fc.AppendFastMissingRuns(tl, sc.runs[:0], lo, hi)
+		sp.Annotate("requested_pages", requested)
+		sp.Annotate("clamped_pages", requested-info.RequestedPages)
+		if len(sc.runs) == 0 {
 			info.AlreadyCached = true
 			sp.Annotate("already_cached", 1)
-		case req.DisablePrefetch:
-			// Pure query; report what would be fetched.
-		default:
+		} else {
 			origin := telemetry.OriginCrossOS
 			if req.Coverage {
 				origin = telemetry.OriginCoverage
 			}
-			issued, err := f.prefetchRuns(tl, tl.Now(), missing, -1, origin, req.Arm)
+			issued, err := f.prefetchRuns(tl, tl.Now(), sc.runs, -1, origin, req.Arm)
 			info.PrefetchedPages = issued
 			info.PrefetchErr = err
-			info.ReadyAt = f.fc.ResidentReadyAt(hullLo, hullHi)
 			v.rec.Add(telemetry.CtrKernelPrefetchedPages, issued)
 			sp.Annotate("prefetched_pages", issued)
 		}
@@ -193,10 +109,10 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	if dst != nil {
 		blo, bhi := req.BitmapLo, req.BitmapHi
 		if bhi <= blo {
-			blo, bhi = hullLo, hullHi
+			blo, bhi = lo, hi
 		}
-		if bhi > fileBlocks {
-			bhi = fileBlocks
+		if fb := f.ino.Blocks(); bhi > fb {
+			bhi = fb
 		}
 		f.fc.ExportBitmap(tl, blo, bhi, dst)
 	}
@@ -205,4 +121,37 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	info.Hits = f.fc.Hits()
 	info.Misses = f.fc.Misses()
 	return info
+}
+
+// prefetchSpan is the logical block range [lo, hi) that a prefetch call
+// for n bytes at off names, clipped to the file. A negative offset names
+// no block of the file: the range is empty, and readahead(2),
+// readahead_info and a ring prefetch SQE admit and book nothing.
+func (f *File) prefetchSpan(off, n int64) (lo, hi int64) {
+	if off < 0 {
+		return 0, 0
+	}
+	lo, hi = f.v.blockRange(off, n)
+	return lo, min(hi, f.ino.Blocks())
+}
+
+// admitPrefetch is the kernel's prefetch admission, one rule for
+// readahead_info and the ring's prefetch SQE. The range [lo, hi) is clamped
+// to its static window (StaticWindow: RA.MaxPages deepened by the range's
+// cross-tier boost) or, when the kernel allows overrides and override
+// exceeds RA.MaxPages, to override pages deepened by the same boost —
+// within the absolute prefetch byte budget either way. It books the
+// requested, admitted and rejected pages and returns the admitted end.
+func (f *File) admitPrefetch(lo, hi, override int64) int64 {
+	v := f.v
+	ra, maxPages := v.cfg.RA.MaxPages, maxPrefetchBytes/v.BlockSize()
+	limit := f.StaticWindow(lo, hi)
+	if v.cfg.AllowLimitOverride && override > ra {
+		limit = min(min(override, maxPages)*limit/ra, maxPages)
+	}
+	granted := min(hi-lo, limit)
+	v.rec.Add(telemetry.CtrKernelRequestedPages, hi-lo)
+	v.rec.Add(telemetry.CtrKernelAdmittedPages, granted)
+	v.rec.Add(telemetry.CtrKernelRejectedPages, hi-lo-granted)
+	return lo + granted
 }

@@ -19,7 +19,7 @@ import (
 
 // TestGoldenWayDown pins virtual time, device accounting, telemetry and the
 // span tree of every kernel I/O entry point — sync read/write with RMW
-// edges, fsync, readahead(2), scalar and vectored readahead_info, mmap
+// edges, fsync, readahead(2), prefetching and export-only readahead_info, mmap
 // loads with and without MADV_RANDOM, ring read/prefetch — on one
 // seeded timeline, on a bare device and on a width-2 half-remote stack,
 // over a file with holes and three extents under a transient + persistent
@@ -59,21 +59,30 @@ import (
 // their two reads with a deadline (one expired, one late) are plain reads,
 // which moves every field of both cells. The parent commit running this
 // edited schedule reproduces both cells field for field.
+//
+// And once more when readahead_info lost its vectored form, its query flag
+// and its ReadyAt result: the vectored call is now one call over
+// [1MB, 4MB) clamped to its override of 512 pages, the query an export-only
+// call over the whole file, and each call's result line drops Granted and
+// ReadyAt and gains the exported window's bounds and count. That moves the
+// telemetry, span and results hashes of both cells, and the stack cell's
+// now and device accounting. The parent commit running this edited
+// schedule reproduces both cells field for field.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
 			now:       46571337,
 			device:    "nvme0 r92/38932480 w4/2191360 busy29034645 inj40/1800000 plug97/92/5; nvme0 r92/38932480 w4/2191360 busy29034645 inj40/1800000 plug97/92/5; ",
-			telemetry: "215f3150e76198b0",
-			spans:     "54139e3ea8ab1a45",
-			results:   "3070ee9cf8e8d110",
+			telemetry: "994f39aac552618b",
+			spans:     "4432869309aa2898",
+			results:   "914d627ffda97135",
 		},
 		"stack/plugged": {
-			now:       46990057,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r156/40378368 w59/15831040 busy31953522 inj43/1200000 plug170/156/14; nvme0.0 r48/5636096 w27/5734400 busy10065635 inj14/150000 plug53/48/5; nvme0.1 r35/6090752 w11/2629632 busy7027425 inj6/0 plug40/35/5; nvmeof0 r73/28651520 w21/7467008 busy31953522 inj23/1050000 plug77/73/4; ",
-			telemetry: "02e7962879e5746d",
-			spans:     "c3e59b07abcdcdd7",
-			results:   "4c070394439f4780",
+			now:       47241627,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r157/40615936 w59/15831040 busy32044411 inj43/1200000 plug171/157/14; nvme0.0 r48/5763072 w27/5734400 busy10152130 inj14/150000 plug53/48/5; nvme0.1 r35/6090752 w11/2629632 busy7027425 inj6/0 plug40/35/5; nvmeof0 r74/28762112 w21/7467008 busy32044411 inj23/1050000 plug78/74/4; ",
+			telemetry: "f55964438ed2926d",
+			spans:     "2d0e77674547c121",
+			results:   "a7e0a40d1dbce8b5",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
@@ -260,9 +269,9 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 		g.op(telemetry.OpBgPrefetch, id, func() {
 			var w bitmap.Window
 			info := f.ReadaheadInfo(tl, req, &w)
-			g.result("readahead_info", info.RequestedPages, info.PrefetchedPages, info.Granted,
+			g.result("readahead_info", info.RequestedPages, info.PrefetchedPages,
 				info.AlreadyCached, info.FileCachedPages, info.Hits, info.Misses, info.FreePages,
-				info.ReadyAt, info.PrefetchErr != nil)
+				info.PrefetchErr != nil, w.Lo(), w.Hi(), w.Count())
 		})
 	}
 	// ring submits one batch; wait makes the caller reap (advance to) every
@@ -321,9 +330,9 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 	fsync()
 
 	// The prefetch calls, cold: readahead(2) over a partly cached range,
-	// scalar readahead_info twice back to back (the second meets the
-	// first's backlog), vectored with an empty range, a pure query, and a
-	// coverage prefetch.
+	// readahead_info twice back to back (the second meets the first's
+	// backlog), once clamped to its override across the first hole, once
+	// export-only, and a coverage prefetch.
 	dropCache()
 	read(560<<10, 8<<10)
 	for _, off := range []int64{512 << 10, 2*mb + 512<<10} {
@@ -333,16 +342,8 @@ func runGoldenWayDown(t *testing.T, stacked bool) goldenCell {
 	}
 	rainfo(CacheInfoRequest{Offset: 4 * mb, Bytes: 5 * mb, LimitOverride: 2048})
 	rainfo(CacheInfoRequest{Offset: 9 * mb, Bytes: 5 * mb, LimitOverride: 2048})
-	rainfo(CacheInfoRequest{
-		Ranges: []Range{
-			{Offset: 1 * mb, Bytes: 512 << 10},
-			{Offset: 2 * mb, Bytes: 0},
-			{Offset: 2*mb + 768<<10, Bytes: 1536 << 10},
-			{Offset: 9 * mb, Bytes: 4 * mb},
-		},
-		LimitOverride: 512,
-	})
-	rainfo(CacheInfoRequest{Offset: 0, Bytes: 14 * mb, DisablePrefetch: true})
+	rainfo(CacheInfoRequest{Offset: 1 * mb, Bytes: 3 * mb, LimitOverride: 512})
+	rainfo(CacheInfoRequest{BitmapHi: 14 * mb / 4096})
 	rainfo(CacheInfoRequest{Offset: 13 * mb, Bytes: 2 * mb, Coverage: true})
 	read(4*mb, 1*mb)
 	read(12*mb, 1*mb)

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/bitmap"
@@ -21,6 +22,11 @@ type readScratch struct {
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// ErrNegativeOffset is pwrite(2)'s EINVAL for a negative offset, and an
+// mmap load's there. A read at a negative offset returns nothing, and a
+// prefetch call admits nothing.
+var ErrNegativeOffset = errors.New("vfs: negative offset")
 
 // appendMissingRuns appends to dst the maximal runs of absent pages in a
 // lookup's Present vector, which describes the pages from block lo on.
@@ -179,6 +185,9 @@ func (f *File) SeekTo(off int64) {
 func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error) {
 	defer f.v.observeSyscall(tl, SysWrite)()
 	f.v.enter(tl, SysWrite)
+	if off < 0 {
+		return 0, ErrNegativeOffset
+	}
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -284,10 +293,7 @@ func (f *File) Readahead(tl *simtime.Timeline, off, nbytes int64) int64 {
 	if nbytes > maxBytes {
 		nbytes = maxBytes
 	}
-	lo, hi := f.v.blockRange(off, nbytes)
-	if fb := f.ino.Blocks(); hi > fb {
-		hi = fb
-	}
+	lo, hi := f.prefetchSpan(off, nbytes)
 	if hi <= lo {
 		return 0
 	}

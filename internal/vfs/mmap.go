@@ -62,6 +62,9 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 	if n <= 0 {
 		return nil
 	}
+	if off < 0 {
+		return ErrNegativeOffset
+	}
 	f := m.f
 	v := f.v
 	size := f.ino.Size()

@@ -63,7 +63,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 		readScratchPool.New = newScratch
 
 		v := newTestKernel(t, 4096)
-		score := telemetry.NewScorecard(telemetry.ScorecardConfig{})
+		score := telemetry.NewScorecard()
 		v.Cache().SetScorecard(score) // the Tenant hint's one consumer
 		tl := simtime.NewTimeline(0)
 		if _, err := v.FS().CreateSynthetic(tl, "f", 8<<20); err != nil {
@@ -82,7 +82,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 		var w bitmap.Window
 		info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 4 << 20, Bytes: 1 << 20}, &w)
 		out += fmt.Sprintf("info %+v %d; ", info, w.Count())
-		info = f.ReadaheadInfo(tl, CacheInfoRequest{Ranges: []Range{{Offset: 0, Bytes: 64 << 10}, {Offset: 6 << 20, Bytes: 128 << 10}}}, &w)
+		info = f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 6 << 20, Bytes: 128 << 10}, &w)
 		out += fmt.Sprintf("info %+v %d; ", info, w.Count())
 		for _, c := range v.RingEnter(tl, 3, []RingSQE{
 			{F: f, Op: RingRead, Off: 5 << 20, Buf: buf},

@@ -362,11 +362,7 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	pend *ringPending, wg *sync.WaitGroup, sc *readScratch) int64 {
 	f := sq.F
-	bs := v.BlockSize()
-	lo, hi := v.blockRange(sq.Off, sq.Len)
-	if fb := f.ino.Blocks(); hi > fb {
-		hi = fb
-	}
+	lo, hi := f.prefetchSpan(sq.Off, sq.Len)
 	if sq.Len <= 0 || hi <= lo {
 		return 0
 	}
@@ -386,21 +382,11 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 		pend.refuse(ErrShed, tl.Now())
 		return 0
 	}
-	// The range's static window (RTT-deepened over remote extents), or the
-	// whole request when the kernel allows overrides, within the absolute
-	// prefetch byte budget.
-	limit := f.StaticWindow(lo, hi)
-	if v.cfg.AllowLimitOverride && hi-lo > limit {
-		limit = min(hi-lo, maxPrefetchBytes/bs)
-	}
-	preClamp := hi - lo
-	if hi-lo > limit {
-		hi = lo + limit
-	}
+	// readahead_info's admission, with the request's own length as the
+	// override: the whole request, within the byte budget, when the kernel
+	// allows overrides.
+	hi = f.admitPrefetch(lo, hi, hi-lo)
 	granted := hi - lo
-	v.rec.Add(telemetry.CtrKernelRequestedPages, preClamp)
-	v.rec.Add(telemetry.CtrKernelAdmittedPages, granted)
-	v.rec.Add(telemetry.CtrKernelRejectedPages, preClamp-granted)
 
 	// Per-backend congestion: only the backlog of the backends this
 	// range resolves to can postpone it.

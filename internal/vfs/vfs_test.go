@@ -189,9 +189,6 @@ func TestReadaheadInfoPrefetchesAndExports(t *testing.T) {
 	if info.FileCachedPages != 1024 {
 		t.Fatalf("telemetry cached = %d", info.FileCachedPages)
 	}
-	if info.ReadyAt == 0 {
-		t.Fatal("ReadyAt should reflect async completion")
-	}
 
 	// Second call over the same range: nothing to do.
 	info2 := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 4 << 20, LimitOverride: 1024}, nil)
@@ -212,28 +209,14 @@ func TestReadaheadInfoRespectsStaticLimitWithoutOverride(t *testing.T) {
 	}
 }
 
-func TestReadaheadInfoDisablePrefetch(t *testing.T) {
-	v := newTestKernel(t, 1_000_000)
-	tl := simtime.NewTimeline(0)
-	v.FS().CreateSynthetic(tl, "big", 10<<20)
-	f, _ := v.Open(tl, "big")
-	info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 1 << 20, DisablePrefetch: true}, nil)
-	if info.PrefetchedPages != 0 {
-		t.Fatal("DisablePrefetch should not issue I/O")
-	}
-	if f.fc.CachedPages() != 0 {
-		t.Fatal("pure query cached pages")
-	}
-}
-
 func TestReadaheadInfoFastPathAvoidsTreeLock(t *testing.T) {
 	v := newTestKernel(t, 1_000_000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
-	f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 0, BitmapLo: 0, BitmapHi: 256, DisablePrefetch: true}, new(bitmap.Window))
+	f.ReadaheadInfo(tl, CacheInfoRequest{BitmapHi: 256}, new(bitmap.Window))
 	st := f.fc.TreeLockStats()
-	if st.Reads != 0 && st.Writes != 0 {
+	if st.Reads != 0 || st.Writes != 0 {
 		t.Fatalf("export-only readahead_info should not touch the tree lock: %+v", st)
 	}
 }
