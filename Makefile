@@ -10,7 +10,9 @@
 # the predictor arms the library drives per inode, under the race detector
 # at GOMAXPROCS 1, 2 and 8, five times each. On two cores the LSM engine
 # alone takes about 26 minutes and crosslib 11, hence the explicit timeout
-# (go test's default is ten).
+# (go test's default is ten). PKG runs one package's ladder alone, as for
+# `size`: `make stress PKG=./internal/pagecache` after a concurrency change
+# to the page cache.
 .PHONY: check build test vet race allocs stress fuzz size bench bench-smoke chaos digests records errgate fmtgate stackgate trace
 
 check: vet errgate fmtgate stackgate build race allocs digests bench-smoke
@@ -64,9 +66,11 @@ race:
 allocs:
 	go test -count=1 -run Alloc ./...
 
+STRESS = ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
+	./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
+
 stress:
-	go test -race -timeout 60m -cpu 1,2,8 -count 5 ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
-		./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
+	go test -race -timeout 60m -cpu 1,2,8 -count 5 $(or $(PKG),$(STRESS))
 
 # Run every fuzz target, one after another, for FUZZTIME each (default
 # 20s): a capped tier's residency invariants, the range tree against a

@@ -424,9 +424,10 @@ func (s *System) Create(tl *simtime.Timeline, name string) (*crosslib.File, erro
 
 // CreateSynthetic provisions a fully mapped file of the given logical size
 // whose unwritten blocks read as deterministic filler — the cheap way to
-// set up paper-scale read workloads.
+// set up paper-scale read workloads. A size past 2^32 blocks fails with
+// vfs.ErrFileTooLarge.
 func (s *System) CreateSynthetic(tl *simtime.Timeline, name string, size int64) error {
-	_, err := s.fsys.CreateSynthetic(tl, name, size)
+	_, err := s.kernel.CreateSynthetic(tl, name, size)
 	return err
 }
 

@@ -2,12 +2,16 @@ package crossprefetch_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	crossprefetch "repro"
 	"repro/internal/blockdev"
+	"repro/internal/pagecache"
 	"repro/internal/telemetry"
+	"repro/internal/vfs"
 )
 
 func TestZeroValueConfig(t *testing.T) {
@@ -190,5 +194,42 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 	}
 	if err := sys.AuditTelemetry(); err != crossprefetch.ErrTelemetryDisabled {
 		t.Fatalf("AuditTelemetry = %v, want ErrTelemetryDisabled", err)
+	}
+}
+
+// TestFileTooLarge checks the 2^32-block bound through the public API: a
+// synthetic file past it is refused and not created, and a write whose end
+// passes it fails through the library, with and without CROSS-LIB in the
+// path, leaving the file's size and block map as they were.
+func TestFileTooLarge(t *testing.T) {
+	const bs = 4096
+	limit := int64(pagecache.MaxPages) * bs
+	for _, a := range []crossprefetch.Approach{crossprefetch.OSOnly, crossprefetch.CrossPredictOpt} {
+		sys := crossprefetch.NewSystem(crossprefetch.Config{MemoryBytes: 64 << 20, BlockSize: bs, Approach: a})
+		tl := sys.Timeline()
+		if err := sys.CreateSynthetic(tl, "huge", limit+1); !errors.Is(err, vfs.ErrFileTooLarge) {
+			t.Errorf("%v: CreateSynthetic of %d bytes: %v, want %v", a, limit+1, err, vfs.ErrFileTooLarge)
+		}
+		if _, err := sys.Open(tl, "huge"); err == nil {
+			t.Errorf("%v: a refused CreateSynthetic left a file behind", a)
+		}
+		f, err := sys.Create(tl, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(tl, make([]byte, 3*bs), 0); err != nil {
+			t.Fatal(err)
+		}
+		ino := f.Kernel().Inode()
+		mapped := ino.MapRange(0, ino.Blocks())
+		if n, err := f.WriteAt(tl, make([]byte, bs), limit-100); n != 0 || !errors.Is(err, vfs.ErrFileTooLarge) {
+			t.Errorf("%v: WriteAt across block 2^32: %d, %v; want 0, %v", a, n, err, vfs.ErrFileTooLarge)
+		}
+		if size := f.Size(); size != 3*bs {
+			t.Errorf("%v: size %d after the refused write, want %d", a, size, 3*bs)
+		}
+		if got := ino.MapRange(0, ino.Blocks()); !slices.Equal(got, mapped) {
+			t.Errorf("%v: block map moved: %v → %v", a, mapped, got)
+		}
 	}
 }

@@ -454,3 +454,24 @@ func TestResidentReadAtZeroAlloc(t *testing.T) {
 		t.Errorf("only %d of %d reads had their coverage intent elided: not the path this guard is for", saved, 51*64)
 	}
 }
+
+// TestReadaheadZeroCountAtUnalignedOffset checks that readahead(2) with a
+// count of 0 submits nothing at an unaligned offset, as at an aligned one:
+// it used to round the empty range up to the offset's block and cache that
+// page.
+func TestReadaheadZeroCountAtUnalignedOffset(t *testing.T) {
+	v := newKernel(4096)
+	rt := NewForApproach(v, OSOnly)
+	tl := simtime.NewTimeline(0)
+	v.FS().CreateSynthetic(tl, "cold", 4<<20)
+	f, err := rt.Open(tl, "cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Readahead(tl, 3*4096+100, 0); got != 0 {
+		t.Errorf("Readahead(3*4096+100, 0) submitted %d bytes, want 0", got)
+	}
+	if c := f.Kernel().FileCache().CachedPages(); c != 0 {
+		t.Errorf("%d pages cached, want 0", c)
+	}
+}

@@ -128,12 +128,12 @@ func (fc *FileCache) LookupRange(tl *simtime.Timeline, lo, hi int64) LookupResul
 
 // LookupRangeInto is LookupRange writing into a caller-provided (and
 // typically reused) result. The real page-index lock is held shared: the
-// walk mutates only the pages' atomic marker/credit/accessed flags (and
-// takes an LRU shard lock for the rare promoting access), so concurrent
-// lookups of a shared file proceed in parallel (§4.5) and only structural
-// changes (insert, remove) serialize. LRU aging happens inside the walk
-// because a frame is only guaranteed to be the page it was while the
-// index lock pins it.
+// walk mutates only the marker, credit and accessed bits of the pages'
+// flag words (and takes an LRU shard lock for the rare promoting access),
+// so concurrent lookups of a shared file proceed in parallel (§4.5) and
+// only structural changes (insert, remove) serialize. LRU aging happens
+// inside the walk because a frame is only guaranteed to be the page it was
+// while the index lock pins it.
 func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *LookupResult) {
 	n := hi - lo
 	res.Present = res.Present[:0]
@@ -188,16 +188,19 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 			if p.readyAt > res.ReadyAt {
 				res.ReadyAt = p.readyAt
 			}
-			if p.marker.Load() && p.marker.CompareAndSwap(true, false) {
+			// One swap consumes the marker and the credit and sets accessed;
+			// a page already accessed and carrying neither costs one load.
+			f := p.setFlags(flagMarker|flagCredit|flagAccessed, flagAccessed)
+			if f&flagMarker != 0 {
 				res.MarkerHit = true
 			}
-			if cr := p.credit.Load(); cr != 0 && p.credit.CompareAndSwap(cr, 0) {
+			if f&flagCredit != 0 {
 				// First use of a prefetched page: per-origin used credit plus
 				// the prefetch-to-first-use timeliness sample.
 				prefetchHits++
-				org := telemetry.Origin(cr - 1)
+				org, arm := creditOf(f)
 				rec.OriginUsed(org, 1)
-				rec.ArmUsed(telemetry.Arm(p.arm), 1)
+				rec.ArmUsed(arm, 1)
 				tenant := fc.cache.tenants.at(p.tacct).id
 				if tl != nil {
 					lat := int64(now.Sub(p.issuedAt))
@@ -218,11 +221,10 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 					score.Used(now, fc.inoID, tenant, org, 0)
 				}
 			}
-			// LRU aging: the first access flips accessed, a second access
-			// promotes an inactive page; both common cases are lock-free.
-			if !p.accessed.Load() {
-				p.accessed.Store(true)
-			} else if p.state.Load() == pageInactive && fc.cache.promote(fc, id, p) {
+			// LRU aging: the first access flipped accessed above, a second
+			// access promotes an inactive page; both common cases are
+			// lock-free.
+			if f&flagAccessed != 0 && f&flagState == pageInactive && fc.cache.promote(fc, id, p) {
 				promoted++
 			}
 		}
@@ -279,6 +281,9 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 	if n <= 0 {
 		return 0
 	}
+	if hi > MaxPages {
+		panic("pagecache: page index beyond MaxPages")
+	}
 	costs := fc.cache.cfg.Costs
 	if tl != nil {
 		start := tl.Now()
@@ -299,6 +304,15 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 	}
 	c := fc.cache
 	acct := c.tenantAccountFor(opt.Tenant)
+	// A fresh frame's flag word: unlinked, not accessed, no failed
+	// writeback; the marker is set per page.
+	flags := uint32(opt.Arm) << armShift
+	if opt.Dirty {
+		flags |= flagDirty
+	}
+	if opt.Origin.IsPrefetch() {
+		flags |= uint32(opt.Origin) + 1
+	}
 	var inserted int64
 	var batch [nodeSlots]frameID
 	fc.mu.Lock()
@@ -314,14 +328,13 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 				continue
 			}
 			p := c.frames.at(id)
-			if opt.Dirty && !p.dirty {
-				p.dirty = true
+			if opt.Dirty && p.setFlags(flagDirty, flagDirty)&flagDirty == 0 {
 				c.dirty.Add(1)
 			}
 			// An already-present page keeps its earlier ready time: a
 			// redundant re-fetch doesn't delay existing readers.
 			if base+int64(s) == opt.MarkerAt {
-				p.marker.Store(true)
+				p.setFlags(flagMarker, flagMarker)
 			}
 		}
 		if missing == 0 {
@@ -346,15 +359,12 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 			k++
 			i := base + int64(s)
 			p := dir.at(id)
-			p.idx, p.readyAt, p.issuedAt = i, opt.ReadyAt, now
+			p.idx, p.readyAt, p.issuedAt = uint32(i), opt.ReadyAt, now
 			p.file, p.tacct = slot, acct.slot
-			p.arm, p.dirty, p.wbFails = uint8(opt.Arm), opt.Dirty, 0
-			p.accessed.Store(false)
-			p.marker.Store(i == opt.MarkerAt)
-			if opt.Origin.IsPrefetch() {
-				p.credit.Store(int32(opt.Origin) + 1)
+			if i == opt.MarkerAt {
+				p.flags.Store(flags | flagMarker)
 			} else {
-				p.credit.Store(0)
+				p.flags.Store(flags)
 			}
 			node.slots[s] = id
 		}
@@ -411,8 +421,7 @@ func (fc *FileCache) SetDirtyRange(tl *simtime.Timeline, lo, hi int64) {
 		}
 		s0, s1 := slotRange(base, lo, hi)
 		for _, id := range node.slots[s0:s1] {
-			if id != 0 && !dir.at(id).dirty {
-				dir.at(id).dirty = true
+			if id != 0 && dir.at(id).setFlags(flagDirty, flagDirty)&flagDirty == 0 {
 				fc.cache.dirty.Add(1)
 			}
 		}
@@ -461,7 +470,7 @@ func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive
 			if id == 0 {
 				continue
 			}
-			if spareActive && dir.at(id).state.Load() == pageActive {
+			if spareActive && dir.at(id).flags.Load()&flagState == pageActive {
 				spared = true
 				continue
 			}
@@ -478,7 +487,7 @@ func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive
 		if spared {
 			// The range keeps pages: clear the victims' bits one by one.
 			for _, id := range victims {
-				fc.bm.Clear(dir.at(id).idx)
+				fc.bm.Clear(int64(dir.at(id).idx))
 			}
 		} else {
 			fc.bm.ClearRange(lo, hi)
@@ -596,10 +605,9 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 		s0, s1 := slotRange(base, lo, hi)
 		for s := s0; s < s1; s++ {
 			id := node.slots[s]
-			if id == 0 || !dir.at(id).dirty {
+			if id == 0 || dir.at(id).setFlags(flagDirty, 0)&flagDirty == 0 {
 				continue
 			}
-			dir.at(id).dirty = false
 			fc.cache.dirty.Add(-1)
 			i := base + int64(s)
 			if i != runEnd {

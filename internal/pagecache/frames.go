@@ -25,8 +25,10 @@ import (
 //   - the holder removed it from its file's index and so owns it until it
 //     calls frameTable.release (RemoveRange, evictFromFiles → finishEviction);
 //   - or it is re-validated: reclaim carries victims across lock drops as
-//     (file, idx, id, gen) and evicts only if, under the file's mu, the
-//     index still maps idx to id and the frame's generation is unchanged.
+//     (file, idx, id, seq) and evicts only if, under the file's mu, the
+//     index still maps idx to id and the frame's LRU stamp is unchanged:
+//     every link stamps it afresh, so a frame put back in an index since
+//     has a new one.
 
 // frameID names one page frame. Zero is the nil frame.
 type frameID uint32
@@ -66,7 +68,7 @@ func (ft *frameTable) load() frameDir {
 func (ft *frameTable) at(id frameID) *page { return ft.load().at(id) }
 
 // alloc fills dst with unused frames, recycled ones first. The frames'
-// fields other than gen are garbage; the caller initialises them.
+// fields are garbage; the caller initialises them.
 func (ft *frameTable) alloc(dst []frameID) {
 	ft.mu.Lock()
 	dir := ft.load()
@@ -101,8 +103,7 @@ func (ft *frameTable) grow(dir frameDir) frameDir {
 	return grown
 }
 
-// release returns frames the caller owns to the free list, bumping each
-// generation so stale (id, gen) references stop validating. Zero ids are
+// release returns frames the caller owns to the free list. Zero ids are
 // skipped.
 func (ft *frameTable) release(ids []frameID) {
 	ft.mu.Lock()
@@ -111,9 +112,7 @@ func (ft *frameTable) release(ids []frameID) {
 		if id == 0 {
 			continue
 		}
-		p := dir.at(id)
-		p.gen++
-		p.next = ft.free
+		dir.at(id).next = ft.free
 		ft.free = id
 	}
 	ft.mu.Unlock()
@@ -124,7 +123,7 @@ func (ft *frameTable) release(ids []frameID) {
 // pointer. Slot 0 is never handed out. A released slot keeps its last
 // occupant until it is reused, so at never returns nil for a slot that was
 // once live — a stale frame reference resolves to *some* object, and the
-// generation check rejects it.
+// re-validation rejects it.
 type slotTable[T any] struct {
 	tab  atomic.Pointer[[]atomic.Pointer[T]]
 	mu   sync.Mutex

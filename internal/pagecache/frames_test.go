@@ -1,11 +1,14 @@
 package pagecache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -189,14 +192,33 @@ func stressSharedInode(t *testing.T) {
 	if slabs := len(c.frames.load()); slabs > 2*(capacity/slabSize+1)+workers {
 		t.Errorf("%d slabs for a %d-page cache: evicted frames are leaking", slabs, capacity)
 	}
-	// Index, bitmap and global residency agree, file by file.
+	checkFrames(t, c, rec, span+128, shared, other)
+}
+
+// checkFrames reconciles everything a cache whose pages all belong to files
+// keeps twice: index, bitmap and residency file by file; every resident
+// frame on exactly one LRU list, the list its state bits name; the
+// prefetch credit, which each origin and each arm books exactly once (used
+// or wasted) or still holds (issued = used + wasted + outstanding); and the
+// tenant partition and telemetry audit. Call it once the goroutines are
+// done.
+func checkFrames(t *testing.T, c *Cache, rec *telemetry.Recorder, span int64, files ...*FileCache) {
+	t.Helper()
 	var resident int64
-	for _, fc := range []*FileCache{shared, other} {
+	var outOrigin [telemetry.NumOrigins]int64
+	var outArm [telemetry.NumArms]int64
+	dir := c.frames.load()
+	for _, fc := range files {
 		var indexed int64
-		fc.WalkResident(nil, 0, span+128, func(idx int64) {
+		fc.WalkResident(nil, 0, span, func(idx int64) {
 			indexed++
 			if !fc.bm.Test(idx) {
 				t.Errorf("ino %d page %d indexed but clear in the bitmap", fc.InoID(), idx)
+			}
+			if f := dir.at(fc.frameAt(idx)).flags.Load(); f&flagCredit != 0 {
+				org, arm := creditOf(f)
+				outOrigin[org]++
+				outArm[arm]++
 			}
 		})
 		if indexed != fc.CachedPages() {
@@ -208,17 +230,46 @@ func stressSharedInode(t *testing.T) {
 		t.Errorf("files hold %d pages, cache says %d", resident, c.Used())
 	}
 	// Every resident frame is on exactly one LRU list, and nothing else is.
-	var linked int64
+	var linked, inactive int64
 	for i := range c.lru {
 		for _, l := range []*pageList{&c.lru[i].inactive, &c.lru[i].active} {
-			linked += listLen(&c.frames, l)
+			want := pageActive
+			if l == &c.lru[i].inactive {
+				want = pageInactive
+			}
+			n := listLen(&c.frames, l)
+			for id := l.head; n > 0 && id != 0; id = dir.at(id).next {
+				if got := dir.at(id).flags.Load() & flagState; got != want {
+					t.Errorf("frame %d on a list of state %#x says %#x", id, want, got)
+				}
+			}
+			if want == pageInactive {
+				inactive += n
+			}
+			linked += n
 		}
 	}
 	if linked != c.Used() {
 		t.Errorf("%d frames linked on LRU lists, %d resident", linked, c.Used())
 	}
-	if c.nInactive.Load() < 0 {
-		t.Errorf("nInactive = %d", c.nInactive.Load())
+	if c.nInactive.Load() != inactive {
+		t.Errorf("nInactive = %d, %d frames on the inactive lists", c.nInactive.Load(), inactive)
+	}
+	s := rec.Snapshot()
+	for o := telemetry.Origin(0); o < telemetry.NumOrigins; o++ {
+		st := s.Origin(o)
+		issued := st.Inserted
+		if !o.IsPrefetch() {
+			issued = 0 // demand pages carry no credit
+		}
+		if issued != st.Used+st.Wasted+outOrigin[o] {
+			t.Errorf("origin %s: issued %d != used %d + wasted %d + outstanding %d", o, issued, st.Used, st.Wasted, outOrigin[o])
+		}
+	}
+	for a := telemetry.Arm(0); a < telemetry.NumArms; a++ {
+		if st := s.Arm(a); st.Inserted != st.Used+st.Wasted+outArm[a] {
+			t.Errorf("arm %s: issued %d != used %d + wasted %d + outstanding %d", a, st.Inserted, st.Used, st.Wasted, outArm[a])
+		}
 	}
 	auditLedgers(t, c, rec)
 }
@@ -253,4 +304,140 @@ func listLen(ft *frameTable, l *pageList) int64 {
 		return -1 << 40
 	}
 	return n
+}
+
+// TestPageFrameSize pins the frame at 48 bytes, so that a slab of 1 024
+// frames is 48 KiB: three 8-byte words (readyAt, issuedAt, seq) and six
+// 4-byte ones (idx, prev, next, file, tacct and the flag word).
+func TestPageFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got != 48 {
+		t.Fatalf("page frame is %d bytes, want 48", got)
+	}
+}
+
+// TestFlagWordContention races the flag word's writers on the same frames:
+// readers consume credit and markers and set accessed under the shared
+// file lock (and promote), while inserts drive reclaim, which demotes,
+// rotates and evicts those frames under the shard locks and finishes
+// evictions that a failing writeback puts back. A write that overwrote a
+// concurrent one would book a credit twice or never, or leave a frame on
+// a list its state does not name; checkFrames catches both. Run it under
+// -race with -count.
+func TestFlagWordContention(t *testing.T) {
+	for _, procs := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			contendFlagWords(t)
+		})
+	}
+}
+
+func contendFlagWords(t *testing.T) {
+	// A cache small enough that every reclaim pass meets the readers.
+	const (
+		capacity = 128
+		span     = 3 * capacity / 2
+		readers  = 6
+		writers  = 2
+	)
+	opsEach := 10000
+	if raceEnabled {
+		opsEach = 3000
+	}
+	// One writeback in three fails, so evicted dirty pages go back to
+	// their files while reclaim holds them as victims.
+	var flushes atomic.Int64
+	flush := func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
+		if flushes.Add(1)%3 == 0 {
+			return at, errors.New("injected writeback failure")
+		}
+		return at, nil
+	}
+	c := New(Config{BlockSize: 4096, CapacityPages: capacity, Costs: simtime.DefaultCosts()}, flush)
+	rec := telemetry.NewRecorder(1024)
+	c.SetTelemetry(rec)
+	c.SetTenantBudget(1, 0, capacity/4) // tenant reclaim takes active pages too
+	fc := c.File(1)
+
+	var wg sync.WaitGroup
+	for w := 0; w < readers+writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			tl := simtime.NewTimeline(0)
+			var res LookupResult
+			for op := 0; op < opsEach; op++ {
+				lo := rng.Int63n(span)
+				hi := lo + 1 + rng.Int63n(32)
+				if w < readers {
+					// Half the reads stay in the first eighth, so pages are
+					// read again and promoted, and reclaim must demote them.
+					if rng.Intn(2) == 0 {
+						lo %= span / 8
+						hi = lo + 1 + rng.Int63n(16)
+					}
+					fc.LookupRangeInto(tl, lo, hi, &res)
+					continue
+				}
+				opt := InsertOptions{
+					MarkerAt: lo + rng.Int63n(hi-lo),
+					Origin:   telemetry.Origin(1 + rng.Intn(int(telemetry.NumOrigins)-1)),
+					Arm:      telemetry.Arm(rng.Intn(int(telemetry.NumArms))),
+					Tenant:   rng.Intn(2),
+					Dirty:    rng.Intn(8) == 0,
+				}
+				n := fc.InsertRange(tl, lo, hi, opt)
+				rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
+				rec.Add(telemetry.CtrVFSPrefetchDevicePages, n)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	s := rec.Snapshot()
+	if st := c.Stats(); st.Evictions < 20*capacity || st.TenantReclaims == 0 {
+		t.Fatalf("%d evictions, %d tenant reclaims: the readers met too little reclaim", st.Evictions, st.TenantReclaims)
+	}
+	if s.Counter(telemetry.CtrPrefetchHitPages) == 0 || s.Counter(telemetry.CtrPrefetchWastedPages) == 0 {
+		t.Fatalf("no credit both used and wasted: hits %d wasted %d",
+			s.Counter(telemetry.CtrPrefetchHitPages), s.Counter(telemetry.CtrPrefetchWastedPages))
+	}
+	checkFrames(t, c, rec, span+64, fc)
+}
+
+// TestVictimRevalidatesAfterRequeue pins the fourth point of the
+// recycle-safety rule for a frame that never left the frame table: reclaim
+// claims a dirty page, a RemoveRange evicts it first, its writeback fails
+// and requeueDirty puts the same frame back in the index and on a list.
+// The victim reclaim still carries must no longer validate, or reclaim
+// would evict a page that is linked on an LRU list.
+func TestVictimRevalidatesAfterRequeue(t *testing.T) {
+	flush := func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
+		return at, errors.New("injected writeback failure")
+	}
+	c := New(Config{BlockSize: 4096, CapacityPages: 64, Costs: simtime.DefaultCosts()}, flush)
+	fc := c.File(1)
+	fc.InsertRange(nil, 0, 1, InsertOptions{MarkerAt: -1, Dirty: true})
+
+	sc := scratchPool.Get().(*evictScratch)
+	defer scratchPool.Put(sc)
+	c.reclaimMu.Lock()
+	sc.victims = c.selectGlobal(sc.victims[:0], 1)
+	c.reclaimMu.Unlock()
+	if len(sc.victims) != 1 {
+		t.Fatalf("reclaim claimed %d pages, want 1", len(sc.victims))
+	}
+	if n := fc.RemoveRange(nil, 0, 1); n != 1 || fc.CachedPages() != 1 {
+		t.Fatalf("RemoveRange removed %d, %d resident after its writeback failed: want 1 and 1", n, fc.CachedPages())
+	}
+	c.evictFromFiles(nil, sc)
+
+	var linked int64
+	for i := range c.lru {
+		linked += listLen(&c.frames, &c.lru[i].inactive) + listLen(&c.frames, &c.lru[i].active)
+	}
+	if fc.CachedPages() != 1 || c.Used() != 1 || linked != 1 {
+		t.Fatalf("after the stale victim: %d cached, %d used, %d linked; want 1, 1, 1", fc.CachedPages(), c.Used(), linked)
+	}
 }

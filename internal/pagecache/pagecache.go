@@ -283,25 +283,28 @@ func (c *Cache) Stats() Stats {
 }
 
 // page is one page frame: a pointer-free value in the frame table, named
-// by a frameID. idx, readyAt, issuedAt, arm, file and tacct are
-// immutable from the insert until the frame is released; dirty and wbFails
-// are guarded by the file's exclusive mu (or by owning the frame after it
-// left the index); marker and credit are atomic so the shared (RLock)
-// lookup walk can consume them without exclusive ownership.
+// by a frameID, 48 bytes. readyAt, issuedAt, idx, file and tacct are
+// immutable from the insert until the frame is released; seq, prev and
+// next belong to the frame's LRU shard lock; the small fields share one
+// atomic flag word (see the flag constants below).
 type page struct {
-	idx     int64
 	readyAt simtime.Time
 	// issuedAt is the virtual time the page was inserted (for prefetched
 	// pages: when the prefetch was issued) — the anchor of the
 	// prefetch-to-first-use timeliness measurement.
 	issuedAt simtime.Time
-	// LRU linkage, guarded by the owning shard's mu (Cache.lruShardFor,
-	// which is a pure function of file/idx and therefore stable for the
-	// frame's lifetime). seq is the global age stamp assigned on every list
-	// push; reclaim evicts ascending seq, which reproduces the exact
-	// single-list LRU order across shards. On the free list, next is the
+	// seq is the global age stamp assigned on every list push, under the
+	// owning shard's mu (Cache.lruShardFor, a pure function of file/idx and
+	// therefore stable for the frame's lifetime); reclaim evicts ascending
+	// seq, which reproduces the exact single-list LRU order across shards.
+	// No two pushes share a stamp and an unlinked frame keeps its own, so
+	// seq also names the frame's incarnation (see victim). Atomic because a
+	// victim's re-validation reads it under the file's mu, not the shard's.
+	seq atomic.Uint64
+	// idx is the page's index in its file, below MaxPages.
+	idx uint32
+	// LRU linkage, guarded by the shard's mu. On the free list, next is the
 	// free-list link.
-	seq        uint64
 	prev, next frameID
 	// file and tacct are the slots (Cache.files, Cache.tenants) of the
 	// owning FileCache and of the tenant account the frame is charged to;
@@ -309,39 +312,86 @@ type page struct {
 	// partition global residency exactly.
 	file  uint32
 	tacct uint32
-	// gen counts how often the frame has been released; see the
-	// recycle-safety rule in frames.go.
-	gen uint32
-	// credit holds the insertion origin (telemetry.Origin) + 1 while the
-	// page's prefetch credit is outstanding, 0 once consumed — the state
-	// the Leap-style effectiveness accounting tracks. A lookup CASes it to
-	// 0 (used); eviction of a page still carrying credit is wasted
-	// prefetch. Demand-origin pages never carry credit.
-	credit atomic.Int32
-	// accessed and state are atomic so the lookup path can age hot pages
-	// without touching the shard lock: the first access flips accessed,
-	// and only the promoting second access of an inactive page locks.
-	// state is written under the shard lock only and names the list the
-	// frame is linked on.
-	state    atomic.Int32 // pageUnlinked / pageInactive / pageActive
-	accessed atomic.Bool
-	marker   atomic.Bool // PG_readahead
-	// arm is the predictor arm (telemetry.Arm) whose candidate issued the
-	// prefetch (ArmNone when none did); meaningful only while the page
-	// carries prefetch credit.
-	arm   uint8
-	dirty bool
-	// wbFails counts failed writeback attempts; at maxWritebackAttempts
-	// the page is dropped and the loss surfaced via telemetry.
-	wbFails int8
+	flags atomic.Uint32
 }
 
-// page.state values.
+// MaxPages bounds a file's page indexes, so that a frame holds its index
+// in 32 bits: 2^32 blocks, ext4's logical block limit. The VFS refuses
+// any write or file that would reach past it (vfs.ErrFileTooLarge).
+const MaxPages = 1 << 32
+
+// The flag word (page.flags), low bits first. Readers under a shared file
+// mu consume credit and marker and set accessed while reclaim rewrites
+// state and accessed under a shard lock, so every write is a
+// compare-and-swap of the whole word (setFlags): no writer undoes
+// another's bit, and the one whose swap clears credit is the one that books
+// it, used or wasted. Who may write each field:
+//
+//   - credit: the insert, before the frame is published; then cleared once,
+//     by the first lookup to read it (used) or by eviction (wasted). It
+//     holds the insertion origin (telemetry.Origin) + 1 while the page's
+//     prefetch credit is outstanding, 0 once consumed; demand-origin pages
+//     never carry credit.
+//   - state: the shard lock's holder; it names the list the frame is
+//     linked on.
+//   - accessed: set by a lookup (the first access; a second one promotes
+//     an inactive page), cleared by demotion and rotation under the shard
+//     lock — so that the common lookup ages a page without that lock.
+//   - marker (PG_readahead): set under the file's exclusive mu, cleared by
+//     the lookup that crosses it.
+//   - dirty: the holder of the file's exclusive mu, or the frame's owner
+//     once it has left the index.
+//   - arm: the insert. The predictor arm (telemetry.Arm) whose candidate
+//     issued the prefetch, ArmNone when none did; meaningful only while
+//     the page carries credit.
+//   - wbFails: the frame's owner. Failed writeback attempts; at
+//     maxWritebackAttempts the page is dropped and the loss surfaced via
+//     telemetry.
 const (
-	pageUnlinked int32 = iota
+	flagCredit   uint32 = 7 << 0
+	flagState    uint32 = 3 << 3
+	flagAccessed uint32 = 1 << 5
+	flagMarker   uint32 = 1 << 6
+	flagDirty    uint32 = 1 << 7
+	flagArm      uint32 = 7 << armShift
+	flagWbFails  uint32 = 3 << wbFailsShift
+
+	armShift     = 8
+	wbFailsShift = 11
+)
+
+// Each field fits its bits: an origin + 1, an arm and a failure count
+// that would not is a compile error here.
+const (
+	_ = uint(flagCredit - uint32(telemetry.NumOrigins))
+	_ = uint(flagArm>>armShift + 1 - uint32(telemetry.NumArms))
+	_ = uint(flagWbFails>>wbFailsShift - maxWritebackAttempts)
+)
+
+// page states, in place in the flag word.
+const (
+	pageUnlinked uint32 = iota << 3
 	pageInactive
 	pageActive
 )
+
+// setFlags replaces the bits of mask with val, a subset of mask, and
+// returns the word as it was; when they already match it writes nothing.
+// The caller that sees mask's bits change in the result is the one that
+// changed them.
+func (p *page) setFlags(mask, val uint32) uint32 {
+	for {
+		old := p.flags.Load()
+		if old&mask == val || p.flags.CompareAndSwap(old, old&^mask|val) {
+			return old
+		}
+	}
+}
+
+// creditOf decodes the origin and arm of a word that carries credit.
+func creditOf(f uint32) (telemetry.Origin, telemetry.Arm) {
+	return telemetry.Origin(f&flagCredit - 1), telemetry.Arm(f & flagArm >> armShift)
+}
 
 // pageList is an intrusive doubly linked LRU list of frames. Head is most
 // recent. Every method needs the list's shard lock.

@@ -62,7 +62,7 @@ func TestEvictScratchPoolAudit(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			// A stale victim that got used would fault on its nil file;
 			// stale frame ids would evict pages nobody selected.
-			sc.victims = append(sc.victims, victim{idx: int64(i), id: frameID(i + 1), gen: 3})
+			sc.victims = append(sc.victims, victim{seq: 3, idx: uint32(i), id: frameID(i + 1)})
 			sc.frames = append(sc.frames, frameID(i+1))
 			sc.dirty = append(sc.dirty, frameID(i+1))
 			sc.wasted = append(sc.wasted, frameID(i+1))

@@ -12,12 +12,15 @@ import (
 // evict. Between the unlink (under the shard lock) and the eviction (under
 // the file's mu) a concurrent RemoveRange may remove, release and even
 // re-insert the frame, so the victim is carried by value — who it was,
-// not just where it is — and evictFromFiles re-validates it.
+// not just where it is — and evictFromFiles re-validates it by its seq,
+// which no push since the unlink has renewed if the frame is the same
+// incarnation: after its own unlink only a link, which puts the frame back
+// in an index, stamps it again.
 type victim struct {
 	fc  *FileCache
-	idx int64
+	seq uint64
+	idx uint32
 	id  frameID
-	gen uint32
 }
 
 // link puts freshly inserted pages of fc on the inactive list (Linux
@@ -26,13 +29,13 @@ type victim struct {
 // node, which share a shard, so the batch takes one shard lock.
 func (c *Cache) link(fc *FileCache, fresh []frameID) {
 	dir := c.frames.load()
-	sh := c.lruShardFor(fc, dir.at(fresh[0]).idx)
+	sh := c.lruShardFor(fc, int64(dir.at(fresh[0]).idx))
 	sh.mu.Lock()
 	for _, id := range fresh {
 		p := dir.at(id)
-		p.seq = c.lruSeq.Add(1)
+		p.seq.Store(c.lruSeq.Add(1))
 		sh.inactive.pushHead(&c.frames, id)
-		p.state.Store(pageInactive)
+		p.setFlags(flagState, pageInactive)
 	}
 	sh.mu.Unlock()
 	c.nInactive.Add(int64(len(fresh)))
@@ -42,15 +45,15 @@ func (c *Cache) link(fc *FileCache, fresh []frameID) {
 // shard lock, and reports whether it did (reclaim may have claimed the
 // page first). The caller holds fc.mu (shared), which pins the frame.
 func (c *Cache) promote(fc *FileCache, id frameID, p *page) bool {
-	sh := c.lruShardFor(fc, p.idx)
+	sh := c.lruShardFor(fc, int64(p.idx))
 	sh.mu.Lock()
-	promoted := p.state.Load() == pageInactive
+	promoted := p.flags.Load()&flagState == pageInactive
 	if promoted {
 		sh.inactive.remove(&c.frames, id)
 		c.nInactive.Add(-1)
-		p.seq = c.lruSeq.Add(1)
+		p.seq.Store(c.lruSeq.Add(1))
 		sh.active.pushHead(&c.frames, id)
-		p.state.Store(pageActive)
+		p.setFlags(flagState, pageActive)
 	}
 	sh.mu.Unlock()
 	return promoted
@@ -75,7 +78,7 @@ func (c *Cache) lockOldest(inactive bool) (*lruShard, frameID) {
 				t = sh.inactive.tail
 			}
 			if t != 0 {
-				if seq := c.frames.at(t).seq; best == 0 || seq < bestSeq {
+				if seq := c.frames.at(t).seq.Load(); best == 0 || seq < bestSeq {
 					best, bestSeq, bestShard = t, seq, sh
 				}
 			}
@@ -93,7 +96,7 @@ func (c *Cache) lockOldest(inactive bool) (*lruShard, frameID) {
 		// between the scan and the relock. After a few retries settle for
 		// this shard's current tail — still LRU-ordered within the shard,
 		// and selection is exact whenever reclaim runs unraced.
-		if t != 0 && ((t == best && c.frames.at(t).seq == bestSeq) || attempt >= 4) {
+		if t != 0 && ((t == best && c.frames.at(t).seq.Load() == bestSeq) || attempt >= 4) {
 			return bestShard, t
 		}
 		bestShard.mu.Unlock()
@@ -111,10 +114,9 @@ func (c *Cache) requeueInactive(sh *lruShard, id frameID, fromActive bool) {
 	} else {
 		sh.inactive.remove(&c.frames, id)
 	}
-	p.accessed.Store(false)
-	p.seq = c.lruSeq.Add(1)
+	p.seq.Store(c.lruSeq.Add(1))
 	sh.inactive.pushHead(&c.frames, id)
-	p.state.Store(pageInactive)
+	p.setFlags(flagAccessed|flagState, pageInactive)
 }
 
 // reclaimIfNeeded enforces the memory budget after an allocation.
@@ -209,7 +211,7 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 		p := c.frames.at(id)
 		biased := biasBudget > 0 && c.nOverSoft.Load() > 0 && !c.tenants.at(p.tacct).overSoftNow()
 		// Second-chance: a recently re-accessed page rotates once.
-		if biased || p.accessed.Load() {
+		if biased || p.flags.Load()&flagAccessed != 0 {
 			c.requeueInactive(sh, id, false)
 			sh.mu.Unlock()
 			if biased {
@@ -223,8 +225,8 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 		}
 		sh.inactive.remove(&c.frames, id)
 		c.nInactive.Add(-1)
-		p.state.Store(pageUnlinked)
-		victims = append(victims, victim{c.files.at(p.file), p.idx, id, p.gen})
+		p.setFlags(flagState, pageUnlinked)
+		victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
 		sh.mu.Unlock()
 	}
 	return victims
@@ -249,9 +251,9 @@ func (c *Cache) evictFromFiles(tl *simtime.Timeline, sc *evictScratch) {
 		fc.mu.Lock()
 		dir := c.frames.load()
 		for _, v := range victims[i:j] {
-			if fc.frameAt(v.idx) == v.id && dir.at(v.id).gen == v.gen {
-				fc.clearFrame(v.idx)
-				fc.bm.Clear(v.idx)
+			if idx := int64(v.idx); fc.frameAt(idx) == v.id && dir.at(v.id).seq.Load() == v.seq {
+				fc.clearFrame(idx)
+				fc.bm.Clear(idx)
 				confirmed = append(confirmed, v.id)
 			}
 		}
@@ -283,21 +285,20 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 		var sh *lruShard
 		for _, id := range victims {
 			p := ft.at(id)
-			if nsh := c.lruShardFor(fc, p.idx); nsh != sh {
+			if nsh := c.lruShardFor(fc, int64(p.idx)); nsh != sh {
 				if sh != nil {
 					sh.mu.Unlock()
 				}
 				sh = nsh
 				sh.mu.Lock()
 			}
-			switch p.state.Load() {
+			switch p.setFlags(flagState, pageUnlinked) & flagState {
 			case pageInactive:
 				sh.inactive.remove(ft, id)
 				c.nInactive.Add(-1)
 			case pageActive:
 				sh.active.remove(ft, id)
 			}
-			p.state.Store(pageUnlinked)
 		}
 		if sh != nil {
 			sh.mu.Unlock()
@@ -335,13 +336,13 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 		wasted := sc.wasted[:0]
 		for _, id := range victims {
 			p := dir.at(id)
-			cr := p.credit.Load()
-			if cr == 0 || !p.credit.CompareAndSwap(cr, 0) {
+			f := p.setFlags(flagCredit, 0)
+			if f&flagCredit == 0 {
 				continue
 			}
-			org := telemetry.Origin(cr - 1)
+			org, arm := creditOf(f)
 			c.rec.OriginWasted(org, 1)
-			c.rec.ArmWasted(telemetry.Arm(p.arm), 1)
+			c.rec.ArmWasted(arm, 1)
 			c.score.Wasted(at, fc.inoID, c.tenants.at(p.tacct).id, org, 1)
 			wasted = append(wasted, id)
 		}
@@ -363,8 +364,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	dirty := sc.dirty[:0]
 	clean := victims[:0]
 	for _, id := range victims {
-		if p := dir.at(id); p.dirty {
-			p.dirty = false
+		if dir.at(id).setFlags(flagDirty, 0)&flagDirty != 0 {
 			c.dirty.Add(-1)
 			dirty = append(dirty, id)
 		} else {
@@ -389,10 +389,10 @@ func eachRun(dir frameDir, ids []frameID, emit func(run []frameID, lo, hi int64)
 	slices.SortFunc(ids, func(a, b frameID) int { return cmp.Compare(dir.at(a).idx, dir.at(b).idx) })
 	for i := 0; i < len(ids); {
 		j := i + 1
-		for j < len(ids) && dir.at(ids[j]).idx == dir.at(ids[j-1]).idx+1 {
+		for j < len(ids) && int64(dir.at(ids[j]).idx) == int64(dir.at(ids[j-1]).idx)+1 {
 			j++
 		}
-		emit(ids[i:j], dir.at(ids[i]).idx, dir.at(ids[j-1]).idx+1)
+		emit(ids[i:j], int64(dir.at(ids[i]).idx), int64(dir.at(ids[j-1]).idx)+1)
 		i = j
 	}
 }
@@ -415,26 +415,26 @@ func (c *Cache) requeueDirty(at simtime.Time, fc *FileCache, run []frameID) {
 	dir := c.frames.load()
 	for k, id := range run {
 		p := dir.at(id)
-		p.wbFails++
-		if p.wbFails >= maxWritebackAttempts {
+		fails := p.flags.Load()&flagWbFails>>wbFailsShift + 1
+		if fails >= maxWritebackAttempts {
 			c.rec.Add(telemetry.CtrWritebackLostPages, 1)
 			continue
 		}
-		if cur := fc.frameAt(p.idx); cur != 0 {
+		idx := int64(p.idx)
+		if cur := fc.frameAt(idx); cur != 0 {
 			// A fresh page raced into the slot (the backing store already
 			// holds the written bytes, so its content is current); it
 			// inherits the writeback obligation.
-			if cp := dir.at(cur); !cp.dirty {
-				cp.dirty = true
+			if dir.at(cur).setFlags(flagDirty, flagDirty)&flagDirty == 0 {
 				c.dirty.Add(1)
 			}
 			continue
 		}
-		p.dirty = true
+		p.setFlags(flagWbFails|flagDirty, fails<<wbFailsShift|flagDirty)
 		p.file = fc.frameSlot()
 		c.dirty.Add(1)
-		fc.setFrame(p.idx, id)
-		fc.bm.Set(p.idx)
+		fc.setFrame(idx, id)
+		fc.bm.Set(idx)
 		c.link(fc, run[k:k+1])
 		run[k] = 0
 		// The re-insertion is a fresh (dirty) insertion for the audit's

@@ -161,7 +161,7 @@ func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
 // any active one, each walked tail to head (oldest first within the shard).
 func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) []victim {
 	ft := &c.frames
-	for _, state := range [...]int32{pageInactive, pageActive} {
+	for _, state := range [...]uint32{pageInactive, pageActive} {
 		for i := range c.lru {
 			sh := &c.lru[i]
 			l := &sh.inactive
@@ -177,8 +177,8 @@ func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) [
 					if state == pageInactive {
 						c.nInactive.Add(-1)
 					}
-					p.state.Store(pageUnlinked)
-					victims = append(victims, victim{c.files.at(p.file), p.idx, id, p.gen})
+					p.setFlags(flagState, pageUnlinked)
+					victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
 				}
 				id = prev
 			}

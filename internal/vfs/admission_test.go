@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -191,5 +192,97 @@ func TestNegativeOffsetsRejected(t *testing.T) {
 				t.Errorf("file size %d, want %d", size, 1<<20)
 			}
 		})
+	}
+}
+
+// TestZeroCountPrefetchAdmitsNothing checks the other empty request: a
+// count of zero or less admits, books and caches nothing at any offset, in
+// readahead(2), readahead_info and a ring prefetch SQE alike. At an
+// unaligned offset readahead(2) used to round the empty range up to the
+// offset's block and submit that page.
+func TestZeroCountPrefetchAdmitsNothing(t *testing.T) {
+	for _, off := range []int64{3 * 4096, 3*4096 + 100} {
+		for _, n := range []int64{0, -1} {
+			for _, tc := range []struct {
+				name string
+				call func(v *VFS, tl *simtime.Timeline, f *File) int64
+			}{
+				{"readahead", func(_ *VFS, tl *simtime.Timeline, f *File) int64 { return f.Readahead(tl, off, n) }},
+				{"readahead_info", func(_ *VFS, tl *simtime.Timeline, f *File) int64 {
+					info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: off, Bytes: n}, nil)
+					return info.RequestedPages + info.PrefetchedPages
+				}},
+				{"ring prefetch", func(v *VFS, tl *simtime.Timeline, f *File) int64 {
+					return v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingPrefetch, Off: off, Len: n}}, nil)[0].N
+				}},
+			} {
+				t.Run(fmt.Sprintf("%s/off=%d/n=%d", tc.name, off, n), func(t *testing.T) {
+					v, rec := newRingKernel(t, 4096)
+					tl := simtime.NewTimeline(0)
+					f := coldFile(t, v, tl, "f", 1<<20)
+					before := booksOf(rec)
+					if got := tc.call(v, tl, f); got != 0 {
+						t.Errorf("returned %d, want 0", got)
+					}
+					if b := booksOf(rec); b != before {
+						t.Errorf("admission books moved %+v → %+v", before, b)
+					}
+					if c := f.fc.CachedPages(); c != 0 {
+						t.Errorf("%d pages cached", c)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFileTooLargeRejected checks the bound that lets a cached page's
+// frame hold its index in 32 bits: a pwrite whose end passes
+// pagecache.MaxPages blocks fails with ErrFileTooLarge and leaves the file
+// as it was, and CreateSynthetic refuses a file that large and creates
+// none. No write goes near the bound, as a file's block map is dense from
+// block 0; the bound itself is checked on beyondMaxPages.
+func TestFileTooLargeRejected(t *testing.T) {
+	v, _ := newRingKernel(t, 4096)
+	tl := simtime.NewTimeline(0)
+	f := coldFile(t, v, tl, "f", 1<<20)
+	limit := int64(pagecache.MaxPages) * v.BlockSize()
+	mapped := f.ino.MapRange(0, f.ino.Blocks())
+	for _, off := range []int64{limit - 100, limit, limit + 1<<20, math.MaxInt64 - 10} {
+		if n, err := f.WriteAt(tl, make([]byte, 4096), off); n != 0 || !errors.Is(err, ErrFileTooLarge) {
+			t.Errorf("pwrite of 4 KiB at %d: %d, %v; want 0, %v", off, n, err, ErrFileTooLarge)
+		}
+	}
+	if size := f.ino.Size(); size != 1<<20 {
+		t.Errorf("file size %d after refused writes, want %d", size, 1<<20)
+	}
+	if got := f.ino.MapRange(0, f.ino.Blocks()); !slices.Equal(got, mapped) {
+		t.Errorf("block map moved: %v → %v", mapped, got)
+	}
+	if c := f.fc.CachedPages(); c != 0 {
+		t.Errorf("%d pages cached by refused writes", c)
+	}
+	if _, err := v.CreateSynthetic(tl, "huge", limit+1); !errors.Is(err, ErrFileTooLarge) {
+		t.Errorf("CreateSynthetic of %d bytes: %v, want %v", limit+1, err, ErrFileTooLarge)
+	}
+	if _, err := v.Open(tl, "huge"); err == nil {
+		t.Error("a refused CreateSynthetic left a file behind")
+	}
+	for _, tc := range []struct {
+		off, n int64
+		want   bool
+	}{
+		{0, limit, false},
+		{0, limit + 1, true},
+		{limit - 1, 1, false},
+		{limit - 1, 2, true},
+		{limit, 1, true},
+		{limit - 4096, 4096, false},
+		{math.MaxInt64 - 10, 4096, true},
+		{math.MaxInt64, 1, true},
+	} {
+		if got := v.beyondMaxPages(tc.off, tc.n); got != tc.want {
+			t.Errorf("beyondMaxPages(%d, %d) = %v, want %v", tc.off, tc.n, got, tc.want)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 
 	info := CacheInfo{CapacityPages: v.cache.Capacity(), FreePages: v.cache.Free()}
 	lo, hi := f.prefetchSpan(req.Offset, req.Bytes)
-	if req.Bytes > 0 && hi > lo {
+	if hi > lo {
 		requested := hi - lo
 		hi = f.admitPrefetch(lo, hi, req.LimitOverride)
 		info.RequestedPages = hi - lo
@@ -124,11 +124,12 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 }
 
 // prefetchSpan is the logical block range [lo, hi) that a prefetch call
-// for n bytes at off names, clipped to the file. A negative offset names
-// no block of the file: the range is empty, and readahead(2),
-// readahead_info and a ring prefetch SQE admit and book nothing.
+// for n bytes at off names, clipped to the file. A negative offset or a
+// count of zero or less names no block of the file, at any offset: the
+// range is empty, and readahead(2), readahead_info and a ring prefetch SQE
+// admit and book nothing.
 func (f *File) prefetchSpan(off, n int64) (lo, hi int64) {
-	if off < 0 {
+	if off < 0 || n <= 0 {
 		return 0, 0
 	}
 	lo, hi = f.v.blockRange(off, n)

@@ -28,6 +28,21 @@ var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 // prefetch call admits nothing.
 var ErrNegativeOffset = errors.New("vfs: negative offset")
 
+// ErrFileTooLarge is pwrite(2)'s EFBIG for a write that would take the file
+// past pagecache.MaxPages blocks (2^32: ext4's 32-bit logical block number,
+// 16 TiB at 4 KiB blocks), and VFS.CreateSynthetic's for a file that large.
+// Nothing past that bound reaches the page cache, whose frames hold a page
+// index in 32 bits.
+var ErrFileTooLarge = errors.New("vfs: file too large")
+
+// beyondMaxPages reports whether the n ≥ 1 bytes at off ≥ 0 reach past
+// pagecache.MaxPages blocks: whether the index of their last block,
+// computed without overflow, is MaxPages or more.
+func (v *VFS) beyondMaxPages(off, n int64) bool {
+	bs := v.BlockSize()
+	return off/bs+(off%bs+n-1)/bs >= pagecache.MaxPages
+}
+
 // appendMissingRuns appends to dst the maximal runs of absent pages in a
 // lookup's Present vector, which describes the pages from block lo on.
 func appendMissingRuns(dst []bitmap.Run, present []bool, lo int64) []bitmap.Run {
@@ -193,6 +208,9 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	}
 	bs := f.v.BlockSize()
 	n := int64(len(data))
+	if f.v.beyondMaxPages(off, n) {
+		return 0, ErrFileTooLarge
+	}
 	lo, hi := f.v.blockRange(off, n)
 	oldSize := f.ino.Size()
 

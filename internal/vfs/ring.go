@@ -363,7 +363,7 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	pend *ringPending, wg *sync.WaitGroup, sc *readScratch) int64 {
 	f := sq.F
 	lo, hi := f.prefetchSpan(sq.Off, sq.Len)
-	if sq.Len <= 0 || hi <= lo {
+	if hi <= lo {
 		return 0
 	}
 	// Shed before any clamping or staging: an intent whose deadline has

@@ -283,6 +283,17 @@ func (v *VFS) Create(tl *simtime.Timeline, name string) (*File, error) {
 	return &File{v: v, ino: ino, fc: v.cache.File(ino.ID())}, nil
 }
 
+// CreateSynthetic provisions a fully mapped file of size bytes whose
+// unwritten blocks read as deterministic filler (fs.FS.CreateSynthetic),
+// refusing with ErrFileTooLarge a size past pagecache.MaxPages blocks. It
+// is set-up, not a syscall: it charges and counts nothing.
+func (v *VFS) CreateSynthetic(tl *simtime.Timeline, name string, size int64) (*fs.Inode, error) {
+	if size > 0 && v.beyondMaxPages(0, size) {
+		return nil, ErrFileTooLarge
+	}
+	return v.fsys.CreateSynthetic(tl, name, size)
+}
+
 // Close releases the open file description. Idempotent: only the first
 // call charges the syscall and decrements the open count.
 func (f *File) Close(tl *simtime.Timeline) {
