@@ -99,22 +99,14 @@ func RemoteNVMeConfigRTT(rtt simtime.Duration) Config {
 // ErrInjected is returned by a device whose fault injector fired.
 var ErrInjected = errors.New("blockdev: injected I/O error")
 
-// Fault is an injector's verdict on one request. A zero Fault means the
-// request proceeds untouched. Stall delays the request (whether or not
-// it also fails) without occupying the device — a latency spike. A
-// non-nil Err fails the request after the stall elapses.
-type Fault struct {
-	Stall simtime.Duration
-	Err   error
-}
-
-// FaultInjector decides the fate of each device request. Implementations
+// FaultInjector decides the fate of each device request: nil lets it
+// proceed, an error fails it without occupying the device. Implementations
 // must be safe for concurrent use and — to keep simulations reproducible
 // — should derive decisions from (op, off, bytes) deterministically, not
 // from call order. internal/faultinject provides the standard
 // implementation; tests may supply stubs.
 type FaultInjector interface {
-	Inject(op Op, off, bytes int64) Fault
+	Inject(op Op, off, bytes int64) error
 }
 
 // transienter is implemented by errors that may succeed on retry.
@@ -157,12 +149,11 @@ type Device struct {
 	// counters for every request (telemetry opt-in).
 	rec *telemetry.Recorder
 
-	// inj, when non-nil, is consulted per request and may stall or fail
-	// it (failure injection; see FaultInjector).
+	// inj, when non-nil, is consulted per request and may fail it
+	// (failure injection; see FaultInjector).
 	inj FaultInjector
 
-	injFaults  atomic.Int64
-	injStallNs atomic.Int64
+	injFaults atomic.Int64
 
 	// backend is this device's slot in the telemetry per-backend tables
 	// when it is a member of a Stack (-1 otherwise): every completed
@@ -195,22 +186,17 @@ func (d *Device) SetTelemetry(rec *telemetry.Recorder) { d.rec = rec }
 func (d *Device) SetFaultInjector(inj FaultInjector) { d.inj = inj }
 
 // inject consults the injector for a request on [off, off+bytes) and
-// accounts any verdict. The returned fault's Stall has already been
-// charged to the counters; the caller applies it to its timeline.
-func (d *Device) inject(op Op, off, bytes int64) Fault {
+// counts a failure.
+func (d *Device) inject(op Op, off, bytes int64) error {
 	if d.inj == nil {
-		return Fault{}
+		return nil
 	}
-	f := d.inj.Inject(op, off, bytes)
-	if f.Stall > 0 {
-		d.injStallNs.Add(int64(f.Stall))
-		d.rec.Add(telemetry.CtrDeviceInjectedStallNs, int64(f.Stall))
-	}
-	if f.Err != nil {
+	err := d.inj.Inject(op, off, bytes)
+	if err != nil {
 		d.injFaults.Add(1)
 		d.rec.Add(telemetry.CtrDeviceInjectedFaults, 1)
 	}
-	return f
+	return err
 }
 
 // record reports one completed request to the telemetry recorder:
@@ -283,55 +269,47 @@ func (d *Device) account(op Op, bytes int64) {
 // time, blocking the thread until completion (queueing behind other
 // blocking requests + command + transfer + latency). Blocking requests
 // take the priority lane: they never wait behind prefetch. An injected
-// fault stalls the requester (latency spike) and, on failure, returns
-// the injected error without occupying the device or moving any data.
+// fault returns its error at once, without occupying the device or
+// moving any data.
 func (d *Device) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	f := d.inject(op, off, bytes)
-	if f.Err != nil {
-		return failSync(tl, f, bytes)
+	if err := d.inject(op, off, bytes); err != nil {
+		return failSync(tl, err, bytes)
 	}
-	tl.WaitUntil(d.reserveSync(telemetry.Current(tl), op, bytes, 1, tl.Now(), f.Stall), simtime.WaitIO)
+	tl.WaitUntil(d.reserveSync(telemetry.Current(tl), op, bytes, 1, tl.Now()), simtime.WaitIO)
 	return nil
 }
 
-// failSync applies an injected failure to a blocking requester: it stalls
-// for the fault's latency spike and gets the error; the device was never
-// occupied.
-func failSync(tl *simtime.Timeline, f Fault, bytes int64) error {
-	failDone := tl.Now().Add(f.Stall)
-	telemetry.Current(tl).Child("dev.fault", telemetry.CatStall, tl.Now(), failDone).
+// failSync hands an injected failure to a blocking requester: it marks
+// the fault in the trace and returns the error; the device was never
+// occupied and no time passes.
+func failSync(tl *simtime.Timeline, err error, bytes int64) error {
+	telemetry.Current(tl).Child("dev.fault", telemetry.CatStall, tl.Now(), tl.Now()).
 		Annotate("bytes", bytes)
-	if f.Stall > 0 {
-		tl.WaitUntil(failDone, simtime.WaitIO)
-	}
-	return f.Err
+	return err
 }
 
 // reserveSync is the priority lane's one reservation primitive: a command
 // of bytes (carrying nsegs merged segments) submitted at submit, whose
-// injector verdict — already consulted by the caller, who may pre-flight
-// several commands before issuing any — added stall. It books both
-// ledgers, the span children under sp (nil: untraced), the counters and
-// the telemetry record, blocks nobody, and returns the completion time.
-func (d *Device) reserveSync(sp *telemetry.Span, op Op, bytes int64, nsegs int, submit simtime.Time, stall simtime.Duration) simtime.Time {
+// injector verdict the caller has already consulted (it may pre-flight
+// several commands before issuing any). It books both ledgers, the span
+// children under sp (nil: untraced), the counters and the telemetry
+// record, blocks nobody, and returns the completion time.
+func (d *Device) reserveSync(sp *telemetry.Span, op Op, bytes int64, nsegs int, submit simtime.Time) simtime.Time {
 	bw, lat := d.params(op)
 	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
 	admit, end := d.bwSync.ReserveAt(submit, hold)
 	// Blocking traffic also occupies combined capacity, throttling the
 	// bandwidth the async lane can consume.
 	d.bwAll.ReserveAt(submit, hold)
-	done := end.Add(lat).Add(stall)
+	done := end.Add(lat)
 	if sp != nil {
 		if admit > submit {
 			sp.Child("dev.queue", telemetry.CatQueue, submit, admit)
 		}
-		cs := sp.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat))
+		cs := sp.Child("dev."+op.String(), telemetry.CatDevice, admit, done)
 		cs.Annotate("bytes", bytes)
 		if nsegs > 1 {
 			cs.Annotate("merged_segments", int64(nsegs))
-		}
-		if stall > 0 {
-			sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
 		}
 	}
 	d.account(op, bytes)
@@ -343,17 +321,16 @@ func (d *Device) reserveSync(sp *telemetry.Span, op Op, bytes int64, nsegs int, 
 
 // reserveAsync is the combined lane's one reservation primitive: device
 // time for a command of bytes submitted at `at`, without blocking any
-// timeline, with the counters and the telemetry record booked. stall is
-// the injector's verdict, as for reserveSync. It returns the completion
-// time plus the bandwidth reservation's end (before latency) and its hold,
+// timeline, with the counters and the telemetry record booked. It returns
+// the completion time plus the bandwidth reservation's end (before latency) and its hold,
 // the two inputs of a caller's advancing congestion horizon. The caller
 // records the completion as the affected pages' ready time, and should
 // consult Backlog first to apply congestion control.
-func (d *Device) reserveAsync(op Op, bytes int64, at simtime.Time, stall simtime.Duration) (done, end simtime.Time, hold simtime.Duration) {
+func (d *Device) reserveAsync(op Op, bytes int64, at simtime.Time) (done, end simtime.Time, hold simtime.Duration) {
 	bw, lat := d.params(op)
 	hold = d.cfg.CmdOverhead + d.transfer(bytes, bw)
 	admit, end := d.bwAll.ReserveAt(at, hold)
-	done = end.Add(lat).Add(stall)
+	done = end.Add(lat)
 	d.account(op, bytes)
 	if d.rec != nil {
 		d.record(op, bytes, at, admit, done)
@@ -363,14 +340,13 @@ func (d *Device) reserveAsync(op Op, bytes int64, at simtime.Time, stall simtime
 
 // AccessAsync reserves asynchronous device time for a request on the
 // device range starting at byte offset off, submitted at `at`, and
-// returns its completion. A failed request completes (with its error)
-// after any injected stall, without occupying the device.
+// returns its completion. A failed request completes with its error at
+// once, without occupying the device.
 func (d *Device) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
-	f := d.inject(op, off, bytes)
-	if f.Err != nil {
-		return at.Add(f.Stall), f.Err
+	if err := d.inject(op, off, bytes); err != nil {
+		return at, err
 	}
-	done, _, _ := d.reserveAsync(op, bytes, at, f.Stall)
+	done, _, _ := d.reserveAsync(op, bytes, at)
 	return done, nil
 }
 
@@ -404,10 +380,8 @@ type Stats struct {
 	WriteBytes int64
 	Busy       simtime.Duration
 	// InjectedFaults counts requests failed by the injector; they are
-	// excluded from the op/byte counters above. InjectedStall is virtual
-	// time added by injected latency spikes.
+	// excluded from the op/byte counters above.
 	InjectedFaults int64
-	InjectedStall  simtime.Duration
 	// PlugSegments/PlugCommands/MergedSegments describe the plug
 	// scheduler's merge effectiveness: requests submitted through plugs,
 	// device commands dispatched after merging, and the difference.
@@ -433,7 +407,6 @@ func (d *Device) Stats() Stats {
 		WriteBytes:     d.writeBytes.Load(),
 		Busy:           d.bwAll.Stats().Hold,
 		InjectedFaults: d.injFaults.Load(),
-		InjectedStall:  simtime.Duration(d.injStallNs.Load()),
 		PlugSegments:   d.plugSegs.Load(),
 		PlugCommands:   d.plugCmds.Load(),
 		MergedSegments: d.plugMerged.Load(),

@@ -150,16 +150,14 @@ func TestRemoteSlowerThanLocal(t *testing.T) {
 // own tests cannot import internal/faultinject (cycle), so integration
 // with the real injector is tested there.
 type stubInjector struct {
-	fail  map[int64]bool
-	stall simtime.Duration
+	fail map[int64]bool
 }
 
-func (s *stubInjector) Inject(op Op, off, bytes int64) Fault {
-	f := Fault{Stall: s.stall}
+func (s *stubInjector) Inject(op Op, off, bytes int64) error {
 	if s.fail[off] {
-		f.Err = ErrInjected
+		return ErrInjected
 	}
-	return f
+	return nil
 }
 
 func TestFaultInjection(t *testing.T) {
@@ -174,23 +172,6 @@ func TestFaultInjection(t *testing.T) {
 	}
 	if st := d.Stats(); st.ReadOps != 1 || st.InjectedFaults != 1 {
 		t.Fatalf("failed request accounting: %+v", st)
-	}
-}
-
-func TestInjectedStallDelaysRequest(t *testing.T) {
-	clean := New(testConfig())
-	a := simtime.NewTimeline(0)
-	_ = clean.Access(a, OpRead, 0, 4096)
-
-	d := New(testConfig())
-	d.SetFaultInjector(&stubInjector{stall: 5 * simtime.Millisecond})
-	b := simtime.NewTimeline(0)
-	_ = d.Access(b, OpRead, 0, 4096)
-	if got, want := b.Elapsed(), a.Elapsed()+5*simtime.Millisecond; got != want {
-		t.Fatalf("stalled read elapsed %v, want %v", got, want)
-	}
-	if st := d.Stats(); st.InjectedStall != 5*simtime.Millisecond {
-		t.Fatalf("InjectedStall = %v", st.InjectedStall)
 	}
 }
 

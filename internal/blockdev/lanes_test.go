@@ -222,17 +222,17 @@ type countingInjector struct {
 	calls     int
 }
 
-func (c *countingInjector) Inject(op Op, off, bytes int64) Fault {
+func (c *countingInjector) Inject(op Op, off, bytes int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if off != c.off {
-		return Fault{}
+		return nil
 	}
 	c.calls++
 	if c.calls <= c.failFirst {
-		return Fault{Err: transientErr{}}
+		return transientErr{}
 	}
-	return Fault{}
+	return nil
 }
 
 // TestLaneDRRNoBankingAcrossIdle: a lane emptied mid-round forfeits its

@@ -83,8 +83,8 @@ type Segment struct {
 	// Dispatch results.
 	//
 	// Issued: the segment's command was dispatched and succeeded; Done is
-	// its completion time. Err: the command failed (after any injected
-	// stall, at Done). Congested: the command was postponed by congestion
+	// its completion time. Err: the command failed (at Done, without
+	// occupying the device). Congested: the command was postponed by congestion
 	// control and never dispatched. A segment with none of the three set
 	// was skipped because an earlier command failed.
 	Issued    bool
@@ -390,23 +390,23 @@ func (p *StackPlug) FlushSync(tl *simtime.Timeline, rp RetryPolicy) error {
 // in virtual time).
 func (p *StackPlug) dispatchSync(sp *telemetry.Span, d *Device, c *command, submit simtime.Time, rp RetryPolicy) {
 	for attempt := 0; ; {
-		f := d.inject(c.op, c.off, c.bytes)
-		if f.Err == nil {
+		err := d.inject(c.op, c.off, c.bytes)
+		if err == nil {
 			c.issued = true
-			c.done = d.reserveSync(sp, c.op, c.bytes, c.nsegs, submit, f.Stall)
+			c.done = d.reserveSync(sp, c.op, c.bytes, c.nsegs, submit)
 			return
 		}
-		failDone := submit.Add(f.Stall)
-		sp.Child("dev.fault", telemetry.CatStall, submit, failDone).
+		sp.Child("dev.fault", telemetry.CatStall, submit, submit).
 			Annotate("bytes", c.bytes)
-		if !IsTransient(f.Err) || attempt >= rp.Max {
-			c.err = f.Err
-			c.done = failDone
+		if !IsTransient(err) || attempt >= rp.Max {
+			c.err = err
+			c.done = submit
 			return
 		}
 		attempt++
-		submit = failDone.Add(rp.Backoff(attempt))
-		sp.Child("dev.retry_backoff", telemetry.CatRetry, failDone, submit).
+		failed := submit
+		submit = failed.Add(rp.Backoff(attempt))
+		sp.Child("dev.retry_backoff", telemetry.CatRetry, failed, submit).
 			Annotate("attempt", int64(attempt))
 		p.retries++
 	}
@@ -434,8 +434,8 @@ func (p *StackPlug) congested(m int, at simtime.Time, limit simtime.Duration) bo
 
 // reserveOn books one command on member m's combined lane at submit and
 // advances the plug's horizon there.
-func (p *StackPlug) reserveOn(m int, op Op, bytes int64, submit simtime.Time, stall simtime.Duration) simtime.Time {
-	done, end, hold := p.st.members[m].reserveAsync(op, bytes, submit, stall)
+func (p *StackPlug) reserveOn(m int, op Op, bytes int64, submit simtime.Time) simtime.Time {
+	done, end, hold := p.st.members[m].reserveAsync(op, bytes, submit)
 	q := &p.mem[m]
 	if nh := q.horizon.Add(hold); end > nh {
 		q.horizon = end
@@ -464,14 +464,13 @@ func (p *StackPlug) FlushAsync(at simtime.Time, congestionLimit simtime.Duration
 				break
 			}
 			submit := q.submitAt(i, p.cfg.QueueDepth, at)
-			f := p.st.members[m].inject(c.op, c.off, c.bytes)
-			if f.Err != nil {
-				c.err = f.Err
-				c.done = submit.Add(f.Stall)
+			if err := p.st.members[m].inject(c.op, c.off, c.bytes); err != nil {
+				c.err = err
+				c.done = submit
 				break
 			}
 			c.issued = true
-			c.done = p.reserveOn(m, c.op, c.bytes, submit, f.Stall)
+			c.done = p.reserveOn(m, c.op, c.bytes, submit)
 		}
 	}
 	p.finish()

@@ -381,7 +381,7 @@ func TestStackPlugResetAudit(t *testing.T) {
 		Congested: true, Err: ErrInjected, Done: 1 << 50, m: 2, cmd: 2, req: 5}}
 	used.reqs = []Request{{Op: OpWrite, Off: 1, Bytes: 2, UserLo: 3, Issued: true, Congested: true,
 		Partial: true, Err: ErrPartialStack, Done: 1 << 50, prefetch: true, pieces: 4, issued: 2}}
-	used.pieces = []piece{{m: 2, off: 9, gOff: 9, n: 9, stall: 9}}
+	used.pieces = []piece{{m: 2, off: 9, gOff: 9, n: 9}}
 	used.retries = 11
 	used.prefetch = true
 	used.Reset()
@@ -397,7 +397,7 @@ func TestStackPlugResetAudit(t *testing.T) {
 	}
 	run := func(p *StackPlug) (o outcome) {
 		tl := simtime.NewTimeline(0)
-		p.st.SetFaultInjector(&stubInjector{fail: map[int64]bool{128 << 10: true}, stall: 3 * simtime.Microsecond})
+		p.st.SetFaultInjector(&stubInjector{fail: map[int64]bool{128 << 10: true}})
 		p.MarkPrefetch(true)
 		for i := int64(0); i < 12; i++ {
 			p.Add(OpRead, i*96<<10, 96<<10, i*24)

@@ -234,11 +234,10 @@ func (st *Stack) SetFaultInjector(inj FaultInjector) {
 // piece is one member-level fragment of a stack request: pieces cover a
 // request in ascending stack-offset order, each wholly on one member.
 type piece struct {
-	m     int              // member index
-	off   int64            // member-device offset
-	gOff  int64            // stack offset
-	n     int64            // bytes
-	stall simtime.Duration // scratch: injector stall from the pre-flight
+	m    int   // member index
+	off  int64 // member-device offset
+	gOff int64 // stack offset
+	n    int64 // bytes
 }
 
 // resolveInto appends the pieces of [off, off+bytes) to dst and returns
@@ -525,18 +524,15 @@ func (st *Stack) SyncCost(op Op, bytes int64) simtime.Duration {
 
 // preflight consults the injector for every piece before any is issued,
 // so a request either moves every byte or none (the single-device failure
-// atomicity callers already rely on). Each piece keeps its stall; on the
-// first failing piece it returns the fault and that piece's length.
-func (st *Stack) preflight(op Op, pieces []piece) (Fault, int64) {
-	for i := range pieces {
-		p := &pieces[i]
-		f := st.members[p.m].inject(op, p.off, p.n)
-		if f.Err != nil {
-			return f, p.n
+// atomicity callers already rely on). On the first failing piece it
+// returns that piece's length and the fault.
+func (st *Stack) preflight(op Op, pieces []piece) (int64, error) {
+	for _, p := range pieces {
+		if err := st.members[p.m].inject(op, p.off, p.n); err != nil {
+			return p.n, err
 		}
-		p.stall = f.Stall
 	}
-	return Fault{}, 0
+	return 0, nil
 }
 
 // accessPieces issues one blocking request, already resolved into pieces:
@@ -544,15 +540,14 @@ func (st *Stack) preflight(op Op, pieces []piece) (Fault, int64) {
 // caller's current time and the caller blocks until the slowest piece
 // completes.
 func (st *Stack) accessPieces(tl *simtime.Timeline, op Op, pieces []piece) error {
-	if f, n := st.preflight(op, pieces); f.Err != nil {
-		return failSync(tl, f, n)
+	if n, err := st.preflight(op, pieces); err != nil {
+		return failSync(tl, err, n)
 	}
 	start := tl.Now()
 	sp := telemetry.Current(tl)
 	var maxDone simtime.Time
-	for i := range pieces {
-		p := &pieces[i]
-		if done := st.members[p.m].reserveSync(sp, op, p.n, 1, start, p.stall); done > maxDone {
+	for _, p := range pieces {
+		if done := st.members[p.m].reserveSync(sp, op, p.n, 1, start); done > maxDone {
 			maxDone = done
 		}
 	}
@@ -579,13 +574,12 @@ func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
 func (st *Stack) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
 	var buf [8]piece
 	pieces := st.resolveInto(buf[:0], off, bytes)
-	if f, _ := st.preflight(op, pieces); f.Err != nil {
-		return at.Add(f.Stall), f.Err
+	if _, err := st.preflight(op, pieces); err != nil {
+		return at, err
 	}
 	var maxDone simtime.Time
-	for i := range pieces {
-		p := &pieces[i]
-		if done, _, _ := st.members[p.m].reserveAsync(op, p.n, at, p.stall); done > maxDone {
+	for _, p := range pieces {
+		if done, _, _ := st.members[p.m].reserveAsync(op, p.n, at); done > maxDone {
 			maxDone = done
 		}
 	}
@@ -615,7 +609,6 @@ func (st *Stack) Stats() Stats {
 			agg.Busy = s.Busy
 		}
 		agg.InjectedFaults += s.InjectedFaults
-		agg.InjectedStall += s.InjectedStall
 		agg.PlugSegments += s.PlugSegments
 		agg.PlugCommands += s.PlugCommands
 		agg.MergedSegments += s.MergedSegments

@@ -1,8 +1,7 @@
 // Package faultinject provides deterministic, seeded failure injection
 // for the simulated block device. A Plan describes which requests fail
-// (per-op probability, offset-range targeting), how they fail
-// (transient vs persistent), and which requests suffer injected latency
-// spikes; an Injector compiled from a plan implements
+// (per-op probability, offset-range targeting) and how they fail
+// (transient vs persistent); an Injector compiled from a plan implements
 // blockdev.FaultInjector.
 //
 // Determinism is the point: every decision is a pure hash of
@@ -21,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/blockdev"
-	"repro/internal/simtime"
 )
 
 // Class classifies an injected fault.
@@ -106,16 +104,6 @@ type Plan struct {
 	// Ranges lists offset-targeted faults, checked before the
 	// probability draw.
 	Ranges []RangeFault
-
-	// StallProb injects a latency spike of Stall into a matching
-	// request (independently of failure; a stalled request may also
-	// fail, modeling a slow error path).
-	StallProb float64
-	Stall     simtime.Duration
-
-	// MaxFaults caps the total injected failures (0 = unlimited);
-	// stalls are not capped.
-	MaxFaults int64
 }
 
 // Validate rejects malformed plans.
@@ -135,16 +123,10 @@ func (p Plan) Validate() error {
 	if err := inUnit("TransientFrac", p.TransientFrac); err != nil {
 		return err
 	}
-	if err := inUnit("StallProb", p.StallProb); err != nil {
-		return err
-	}
 	for i, r := range p.Ranges {
 		if r.Lo < 0 || r.Hi <= r.Lo {
 			return fmt.Errorf("faultinject: range %d [%d,%d) is empty or negative", i, r.Lo, r.Hi)
 		}
-	}
-	if p.Stall < 0 {
-		return fmt.Errorf("faultinject: negative stall %v", p.Stall)
 	}
 	return nil
 }
@@ -154,8 +136,6 @@ type Stats struct {
 	Faults     int64 // requests failed
 	Transient  int64 // ... of which transient
 	Persistent int64 // ... of which persistent
-	Stalls     int64 // latency spikes injected (on any request)
-	StallTime  simtime.Duration
 	Cleared    int64 // transient sites that cleared after retries
 }
 
@@ -187,9 +167,6 @@ func New(p Plan) *Injector {
 	return &Injector{plan: p, repeats: rep, attempts: make(map[site]int)}
 }
 
-// Plan returns the compiled plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats snapshots the injector's counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
@@ -198,31 +175,13 @@ func (in *Injector) Stats() Stats {
 }
 
 // Inject decides the fate of one request (blockdev.FaultInjector).
-func (in *Injector) Inject(op blockdev.Op, off, bytes int64) blockdev.Fault {
-	var f blockdev.Fault
-	if in.plan.StallProb > 0 && unit(in.hash(op, off, saltStall)) < in.plan.StallProb {
-		f.Stall = in.plan.Stall
-	}
+func (in *Injector) Inject(op blockdev.Op, off, bytes int64) error {
 	class, repeats, fault := in.verdict(op, off, bytes)
 	if !fault {
-		if f.Stall > 0 {
-			in.mu.Lock()
-			in.stats.Stalls++
-			in.stats.StallTime += f.Stall
-			in.mu.Unlock()
-		}
-		return f
+		return nil
 	}
 
 	in.mu.Lock()
-	if in.plan.MaxFaults > 0 && in.stats.Faults >= in.plan.MaxFaults {
-		if f.Stall > 0 {
-			in.stats.Stalls++
-			in.stats.StallTime += f.Stall
-		}
-		in.mu.Unlock()
-		return f
-	}
 	if class == Transient {
 		s := site{op, off}
 		n := in.attempts[s]
@@ -233,31 +192,22 @@ func (in *Injector) Inject(op blockdev.Op, off, bytes int64) blockdev.Fault {
 			if n == repeats {
 				in.stats.Cleared++
 			}
-			if f.Stall > 0 {
-				in.stats.Stalls++
-				in.stats.StallTime += f.Stall
-			}
 			in.mu.Unlock()
-			return f
+			return nil
 		}
 		in.stats.Transient++
 	} else {
 		in.stats.Persistent++
 	}
 	in.stats.Faults++
-	if f.Stall > 0 {
-		in.stats.Stalls++
-		in.stats.StallTime += f.Stall
-	}
 	in.mu.Unlock()
 
-	f.Err = &Error{Op: op, Off: off, Bytes: bytes, Class: class}
-	return f
+	return &Error{Op: op, Off: off, Bytes: bytes, Class: class}
 }
 
 // verdict decides whether a request of bytes at (op, off) faults, with
 // which class, and with which transient-repeat budget, before the
-// attempt-count and fault-cap filters.
+// attempt-count filter.
 func (in *Injector) verdict(op blockdev.Op, off, bytes int64) (Class, int, bool) {
 	// A range fails every request that overlaps it, one that starts
 	// below it included (a merged readahead command). The per-site
@@ -289,12 +239,11 @@ func (in *Injector) verdict(op blockdev.Op, off, bytes int64) (Class, int, bool)
 	return 0, 0, false
 }
 
-// Hash salts keep the three independent decisions (fail? class? stall?)
+// Hash salts keep the two independent decisions (fail? class?)
 // uncorrelated for the same request site.
 const (
 	saltFail  = 0x9e3779b97f4a7c15
 	saltClass = 0xbf58476d1ce4e5b9
-	saltStall = 0x94d049bb133111eb
 )
 
 // hash mixes the plan seed with a request site and a decision salt.

@@ -13,10 +13,8 @@ func TestPlanValidate(t *testing.T) {
 		{ReadFailProb: -0.1},
 		{WriteFailProb: 1.5},
 		{TransientFrac: 2},
-		{StallProb: -1},
 		{Ranges: []RangeFault{{Lo: 10, Hi: 10}}},
 		{Ranges: []RangeFault{{Lo: -4, Hi: 8}}},
-		{Stall: -simtime.Microsecond},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -31,19 +29,15 @@ func TestPlanValidate(t *testing.T) {
 // TestDeterministicVerdicts: two injectors compiled from the same plan
 // must agree on every request, regardless of the order requests arrive.
 func TestDeterministicVerdicts(t *testing.T) {
-	plan := Plan{Seed: 42, ReadFailProb: 0.3, WriteFailProb: 0.1, TransientFrac: 0.5, StallProb: 0.2, Stall: simtime.Millisecond}
+	plan := Plan{Seed: 42, ReadFailProb: 0.3, WriteFailProb: 0.1, TransientFrac: 0.5}
 	a, b := New(plan), New(plan)
 	const n = 4096
 	// b sees the offsets in reverse order; verdicts must still match
 	// because decisions hash the site, not the call sequence.
-	type v struct {
-		stall simtime.Duration
-		fail  bool
-		tr    bool
-	}
+	type v struct{ fail, tr bool }
 	verdict := func(in *Injector, off int64) v {
-		f := in.Inject(blockdev.OpRead, off, 4096)
-		return v{f.Stall, f.Err != nil, blockdev.IsTransient(f.Err)}
+		err := in.Inject(blockdev.OpRead, off, 4096)
+		return v{err != nil, blockdev.IsTransient(err)}
 	}
 	va := make([]v, n)
 	for i := int64(0); i < n; i++ {
@@ -57,7 +51,7 @@ func TestDeterministicVerdicts(t *testing.T) {
 	if as, bs := a.Stats(), b.Stats(); as != bs {
 		t.Fatalf("stats diverge: %+v vs %+v", as, bs)
 	}
-	if s := a.Stats(); s.Faults == 0 || s.Stalls == 0 {
+	if s := a.Stats(); s.Faults == 0 || s.Transient == 0 || s.Persistent == 0 {
 		t.Fatalf("plan injected nothing over %d sites: %+v", n, s)
 	}
 }
@@ -69,7 +63,7 @@ func TestSeedChangesPattern(t *testing.T) {
 		in := New(Plan{Seed: seed, ReadFailProb: 0.5})
 		out := make([]bool, 256)
 		for i := range out {
-			out[i] = in.Inject(blockdev.OpRead, int64(i)*4096, 4096).Err != nil
+			out[i] = in.Inject(blockdev.OpRead, int64(i)*4096, 4096) != nil
 		}
 		return out
 	}
@@ -90,16 +84,16 @@ func TestTransientClearsAfterRepeats(t *testing.T) {
 	in := New(Plan{Seed: 7, TransientRepeats: 3,
 		Ranges: []RangeFault{{Lo: 0, Hi: 4096, Class: Transient, Reads: true}}})
 	for i := 0; i < 3; i++ {
-		f := in.Inject(blockdev.OpRead, 0, 4096)
-		if f.Err == nil {
+		err := in.Inject(blockdev.OpRead, 0, 4096)
+		if err == nil {
 			t.Fatalf("attempt %d: want transient fault, got success", i)
 		}
-		if !blockdev.IsTransient(f.Err) {
-			t.Fatalf("attempt %d: fault not classified transient: %v", i, f.Err)
+		if !blockdev.IsTransient(err) {
+			t.Fatalf("attempt %d: fault not classified transient: %v", i, err)
 		}
 	}
-	if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err != nil {
-		t.Fatalf("attempt 4: transient site did not clear: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 0, 4096); err != nil {
+		t.Fatalf("attempt 4: transient site did not clear: %v", err)
 	}
 	if s := in.Stats(); s.Cleared != 1 || s.Transient != 3 {
 		t.Fatalf("stats after clear: %+v", s)
@@ -115,20 +109,20 @@ func TestRangeRepeatsOverride(t *testing.T) {
 		{Lo: 8192, Hi: 12288, Class: Transient, Reads: true, Repeats: 5},
 	}})
 	for i := 0; i < 2; i++ {
-		if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err == nil {
+		if err := in.Inject(blockdev.OpRead, 0, 4096); err == nil {
 			t.Fatalf("plan-budget site attempt %d: want fault", i)
 		}
 	}
-	if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err != nil {
-		t.Fatalf("plan-budget site did not clear after 2 attempts: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 0, 4096); err != nil {
+		t.Fatalf("plan-budget site did not clear after 2 attempts: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if f := in.Inject(blockdev.OpRead, 8192, 4096); f.Err == nil {
+		if err := in.Inject(blockdev.OpRead, 8192, 4096); err == nil {
 			t.Fatalf("override site attempt %d: want fault", i)
 		}
 	}
-	if f := in.Inject(blockdev.OpRead, 8192, 4096); f.Err != nil {
-		t.Fatalf("override site did not clear after 5 attempts: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 8192, 4096); err != nil {
+		t.Fatalf("override site did not clear after 5 attempts: %v", err)
 	}
 }
 
@@ -136,17 +130,17 @@ func TestPersistentNeverClears(t *testing.T) {
 	in := New(Plan{Seed: 7,
 		Ranges: []RangeFault{{Lo: 8192, Hi: 12288, Class: Persistent, Reads: true, Writes: true}}})
 	for i := 0; i < 10; i++ {
-		f := in.Inject(blockdev.OpRead, 8192, 4096)
-		if f.Err == nil {
+		err := in.Inject(blockdev.OpRead, 8192, 4096)
+		if err == nil {
 			t.Fatalf("attempt %d: persistent fault cleared", i)
 		}
-		if blockdev.IsTransient(f.Err) {
+		if blockdev.IsTransient(err) {
 			t.Fatalf("attempt %d: persistent fault claims transient", i)
 		}
 	}
 	// Outside the range: clean.
-	if f := in.Inject(blockdev.OpRead, 12288, 4096); f.Err != nil {
-		t.Fatalf("offset outside range faulted: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 12288, 4096); err != nil {
+		t.Fatalf("offset outside range faulted: %v", err)
 	}
 }
 
@@ -156,29 +150,29 @@ func TestPersistentNeverClears(t *testing.T) {
 func TestRangeFailsOverlappingRequest(t *testing.T) {
 	in := New(Plan{Seed: 7,
 		Ranges: []RangeFault{{Lo: 4096, Hi: 8192, Class: Persistent, Reads: true}}})
-	f := in.Inject(blockdev.OpRead, 0, 8192)
-	if f.Err == nil {
+	err := in.Inject(blockdev.OpRead, 0, 8192)
+	if err == nil {
 		t.Fatal("a read of [0, 8KB) over the range [4KB, 8KB) succeeded")
 	}
 	var e *Error
-	if !errors.As(f.Err, &e) || e.Off != 0 || e.Bytes != 8192 {
-		t.Fatalf("fault %v: want the whole request [0, 8KB)", f.Err)
+	if !errors.As(err, &e) || e.Off != 0 || e.Bytes != 8192 {
+		t.Fatalf("fault %v: want the whole request [0, 8KB)", err)
 	}
-	if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err != nil {
-		t.Fatalf("a read of [0, 4KB), which ends where the range begins, faulted: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 0, 4096); err != nil {
+		t.Fatalf("a read of [0, 4KB), which ends where the range begins, faulted: %v", err)
 	}
-	if f := in.Inject(blockdev.OpRead, 8192, 4096); f.Err != nil {
-		t.Fatalf("a read of [8KB, 12KB), past the range, faulted: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 8192, 4096); err != nil {
+		t.Fatalf("a read of [8KB, 12KB), past the range, faulted: %v", err)
 	}
 }
 
 func TestRangeDirectionTargeting(t *testing.T) {
 	in := New(Plan{Seed: 1,
 		Ranges: []RangeFault{{Lo: 0, Hi: 1 << 20, Class: Persistent, Writes: true}}})
-	if f := in.Inject(blockdev.OpRead, 0, 4096); f.Err != nil {
-		t.Fatalf("write-only range faulted a read: %v", f.Err)
+	if err := in.Inject(blockdev.OpRead, 0, 4096); err != nil {
+		t.Fatalf("write-only range faulted a read: %v", err)
 	}
-	if f := in.Inject(blockdev.OpWrite, 0, 4096); f.Err == nil {
+	if err := in.Inject(blockdev.OpWrite, 0, 4096); err == nil {
 		t.Fatal("write-only range passed a write")
 	}
 }
@@ -186,46 +180,35 @@ func TestRangeDirectionTargeting(t *testing.T) {
 func TestErrorTaxonomy(t *testing.T) {
 	in := New(Plan{Seed: 1,
 		Ranges: []RangeFault{{Lo: 0, Hi: 4096, Class: Transient, Reads: true}}})
-	f := in.Inject(blockdev.OpRead, 0, 4096)
-	if f.Err == nil {
+	err := in.Inject(blockdev.OpRead, 0, 4096)
+	if err == nil {
 		t.Fatal("no fault injected")
 	}
-	if !errors.Is(f.Err, blockdev.ErrInjected) {
-		t.Fatalf("injected fault does not unwrap to ErrInjected: %v", f.Err)
+	if !errors.Is(err, blockdev.ErrInjected) {
+		t.Fatalf("injected fault does not unwrap to ErrInjected: %v", err)
 	}
 	var fe *Error
-	if !errors.As(f.Err, &fe) || fe.Off != 0 || fe.Op != blockdev.OpRead {
-		t.Fatalf("fault detail lost: %v", f.Err)
-	}
-}
-
-func TestMaxFaultsCap(t *testing.T) {
-	in := New(Plan{Seed: 3, ReadFailProb: 1, MaxFaults: 5})
-	faults := 0
-	for i := int64(0); i < 100; i++ {
-		if in.Inject(blockdev.OpRead, i*4096, 4096).Err != nil {
-			faults++
-		}
-	}
-	if faults != 5 {
-		t.Fatalf("MaxFaults=5 but injected %d", faults)
+	if !errors.As(err, &fe) || fe.Off != 0 || fe.Op != blockdev.OpRead {
+		t.Fatalf("fault detail lost: %v", err)
 	}
 }
 
 // TestDeviceIntegration drives a real Device through the injector: a
-// failed blocking read must not move bytes or occupy the device, a
-// stalled read must take longer, and both must land in device stats.
+// failed blocking read or async reservation must not move bytes, occupy
+// the device or take time, and must land in device stats.
 func TestDeviceIntegration(t *testing.T) {
 	d := blockdev.New(blockdev.NVMeConfig())
 	in := New(Plan{Seed: 1, TransientRepeats: 1,
-		Ranges: []RangeFault{{Lo: 0, Hi: 4096, Class: Transient, Reads: true}},
-		Stall:  simtime.Millisecond})
+		Ranges: []RangeFault{{Lo: 0, Hi: 4096, Class: Transient, Reads: true}}})
 	d.SetFaultInjector(in)
 	tl := simtime.NewTimeline(0)
 
 	err := d.Access(tl, blockdev.OpRead, 0, 4096)
 	if !errors.Is(err, blockdev.ErrInjected) || !blockdev.IsTransient(err) {
 		t.Fatalf("want transient injected error, got %v", err)
+	}
+	if tl.Elapsed() != 0 {
+		t.Fatalf("failed read took %v, want no time", tl.Elapsed())
 	}
 	if st := d.Stats(); st.ReadOps != 0 || st.ReadBytes != 0 {
 		t.Fatalf("failed read was accounted as served: %+v", st)
@@ -242,40 +225,20 @@ func TestDeviceIntegration(t *testing.T) {
 		t.Fatalf("cleared retry not accounted: %+v", st)
 	}
 
-	// Async path: fault reported, completion = submit + stall, no bytes.
-	in2 := New(Plan{Seed: 1, TransientRepeats: 1, StallProb: 1, Stall: simtime.Millisecond,
+	// Async path: fault reported at submit, no bytes.
+	in2 := New(Plan{Seed: 1, TransientRepeats: 1,
 		Ranges: []RangeFault{{Lo: 0, Hi: 4096, Class: Persistent, Reads: true}}})
 	d2 := blockdev.New(blockdev.NVMeConfig())
 	d2.SetFaultInjector(in2)
-	done, err := d2.AccessAsync(simtime.Time(0), blockdev.OpRead, 0, 4096)
+	submit := simtime.Time(simtime.Millisecond)
+	done, err := d2.AccessAsync(submit, blockdev.OpRead, 0, 4096)
 	if err == nil || blockdev.IsTransient(err) {
 		t.Fatalf("want persistent fault from async path, got %v", err)
 	}
-	if done != simtime.Time(simtime.Millisecond) {
-		t.Fatalf("failed async completion %v, want submit+stall", done)
+	if done != submit {
+		t.Fatalf("failed async completion %v, want submit %v", done, submit)
 	}
-	if st := d2.Stats(); st.ReadOps != 0 || st.InjectedStall != simtime.Millisecond {
+	if st := d2.Stats(); st.ReadOps != 0 || st.InjectedFaults != 1 {
 		t.Fatalf("async fault accounting: %+v", st)
-	}
-}
-
-// TestStallSlowsSuccess: a stall on a surviving request delays its
-// completion by exactly the configured spike.
-func TestStallSlowsSuccess(t *testing.T) {
-	base := blockdev.New(blockdev.NVMeConfig())
-	tl := simtime.NewTimeline(0)
-	if err := base.Access(tl, blockdev.OpRead, 0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	clean := tl.Elapsed()
-
-	d := blockdev.New(blockdev.NVMeConfig())
-	d.SetFaultInjector(New(Plan{Seed: 1, StallProb: 1, Stall: 3 * simtime.Millisecond}))
-	tl2 := simtime.NewTimeline(0)
-	if err := d.Access(tl2, blockdev.OpRead, 0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := tl2.Elapsed(), clean+3*simtime.Millisecond; got != want {
-		t.Fatalf("stalled read took %v, want %v", got, want)
 	}
 }

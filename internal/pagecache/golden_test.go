@@ -27,10 +27,11 @@ import (
 // the telemetry snapshot (with that row left out of the parent's export,
 // the parent reproduces these digests). And once more when the recorder
 // lost the two brownout outcomes, for the same reason and with the same
-// check.
+// check. And once more when it lost the device_injected_stall_ns counter,
+// again with the same check.
 var goldenDigests = map[string]uint64{
-	"global":  0xa6b69600cc93820b,
-	"tenants": 0xb6bf4df71a3b2750,
+	"global":  0x2eb5cdd821b253f7,
+	"tenants": 0x2e5fd02a7ccdab50,
 }
 
 func TestGoldenEvictionOrder(t *testing.T) {

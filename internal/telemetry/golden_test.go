@@ -38,11 +38,15 @@ import (
 // ring_shed_prefetch_pages and the deprecated brownout_transitions change.
 // The parent commit with those two rows left out of its exporters, its
 // fill drawing nothing for them and numbering the rest as here, and the
-// two new help texts reproduces both hashes.
+// two new help texts reproduces both hashes. And once for the injected-stall
+// fault class's removal: both formats lose the device_injected_stall_ns
+// row, and every counter the fill draws after it moves back one draw; the
+// parent commit with that row left out of its two exporters and its fill
+// drawing nothing for it reproduces both hashes.
 func TestGoldenMetricsText(t *testing.T) {
 	const (
-		wantProm = "a39d662fe8af160b19e3269f0dac660c0577f9dedf6bc4ae40cbf053d696471a"
-		wantJSON = "c94a68a7221ac732dd68fa56d4cc80330abcc6581b1028af030f2f7ea9a9bfdf"
+		wantProm = "3f8519873a9d63321de83d6cd5a2a11a0badd73b566fa489cfe07ba37841e4ad"
+		wantJSON = "a06942d649515ec5311153c771760c1f25527c3ef77a92fbad3c9335e142919c"
 	)
 	s := goldenSnapshot()
 	for _, c := range []struct {

@@ -35,8 +35,8 @@ type chromeTrace struct {
 }
 
 // faultedReadSystem builds a traced system whose reads suffer one
-// transient fault per request site plus an injected 2ms stall, so a cold
-// read exercises device service, queueing, stalls, and retry backoff.
+// transient fault per request site, so a cold read exercises device
+// service, queueing, faults and retry backoff.
 func faultedReadSystem(t *testing.T) *crossprefetch.System {
 	t.Helper()
 	sys := crossprefetch.NewSystem(crossprefetch.Config{
@@ -54,8 +54,6 @@ func faultedReadSystem(t *testing.T) *crossprefetch.System {
 		Ranges: []faultinject.RangeFault{
 			{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Reads: true, Repeats: 1},
 		},
-		StallProb: 1,
-		Stall:     2_000_000, // 2ms
 	}))
 	return sys
 }
@@ -111,8 +109,8 @@ func TestTraceFaultedReadExport(t *testing.T) {
 			ev.Ts >= container.Ts-eps && ev.Ts+ev.Dur <= container.Ts+container.Dur+eps
 	}
 	// Layer witnesses, each nested under the library root: the VFS demand
-	// fetch, a page-cache charge, the device service span and a fault or
-	// stall; the device span and the plug's per-command retry backoff must
+	// fetch, a page-cache charge, the device service span and a fault
+	// mark; the device span and the plug's per-command retry backoff must
 	// additionally nest inside the VFS fetch (parent/child chain lib -> vfs
 	// -> dev).
 	var vfsFetch *traceEvent
@@ -125,7 +123,7 @@ func TestTraceFaultedReadExport(t *testing.T) {
 	if vfsFetch == nil {
 		t.Fatal("no vfs.demand_fetch span nested under lib.read")
 	}
-	var haveCache, haveDev, haveStall, haveRetry bool
+	var haveCache, haveDev, haveFault, haveRetry bool
 	for i, ev := range trace.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -136,15 +134,15 @@ func TestTraceFaultedReadExport(t *testing.T) {
 			haveCache = true
 		case ev.Name == "dev.read" && nested(e, vfsFetch):
 			haveDev = true
-		case (ev.Name == "dev.stall" || ev.Name == "dev.fault") && nested(e, root):
-			haveStall = true
+		case ev.Name == "dev.fault" && nested(e, root):
+			haveFault = true
 		case ev.Name == "dev.retry_backoff" && nested(e, vfsFetch):
 			haveRetry = true
 		}
 	}
-	if !haveCache || !haveDev || !haveStall || !haveRetry {
-		t.Fatalf("missing layer spans: cache=%v dev=%v stall=%v retry=%v",
-			haveCache, haveDev, haveStall, haveRetry)
+	if !haveCache || !haveDev || !haveFault || !haveRetry {
+		t.Fatalf("missing layer spans: cache=%v dev=%v fault=%v retry=%v",
+			haveCache, haveDev, haveFault, haveRetry)
 	}
 	if _, ok := root.Args["critical_path"].(string); !ok {
 		t.Fatal("root span args missing critical_path summary")
@@ -175,7 +173,7 @@ func TestTraceFaultedReadExport(t *testing.T) {
 	if math.Abs(pct-100) > 1e-6 {
 		t.Fatalf("critical-path percentages sum to %v, want 100", pct)
 	}
-	for _, want := range []string{"device", "stall", "retry"} {
+	for _, want := range []string{"device", "retry"} {
 		if !cats[want] {
 			t.Fatalf("faulted read's critical path lacks %q: %s",
 				want, telemetry.FormatCriticalPath(slices))

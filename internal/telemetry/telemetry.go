@@ -74,9 +74,6 @@ const (
 	CtrCacheDirtyInsertedPages
 	// CtrDeviceInjectedFaults counts requests failed by the fault injector.
 	CtrDeviceInjectedFaults
-	// CtrDeviceInjectedStallNs is virtual time added by injected latency
-	// spikes (on failing and non-failing requests alike).
-	CtrDeviceInjectedStallNs
 	// CtrVFSDemandRetries counts blocking-read/fsync retries of transient
 	// device faults.
 	CtrVFSDemandRetries
@@ -207,7 +204,6 @@ var counterDescs = [numCounters]desc{
 	CtrDeviceWriteBytes:           {"device_write_bytes", "Raw bytes written to the simulated device."},
 	CtrCacheDirtyInsertedPages:    {"cache_dirty_inserted_pages", "Inserted pages that entered dirty (buffered writes, writeback requeues)."},
 	CtrDeviceInjectedFaults:       {"device_injected_faults", "Device requests failed by the fault injector."},
-	CtrDeviceInjectedStallNs:      {"device_injected_stall_ns", "Virtual nanoseconds of injected device latency spikes."},
 	CtrVFSDemandRetries:           {"vfs_demand_retries", "Blocking-read/fsync retries of transient device faults."},
 	CtrVFSDemandIOErrors:          {"vfs_demand_io_errors", "Demand I/O failures surfaced to the application."},
 	CtrVFSWritebackRetries:        {"vfs_writeback_retries", "Background writeback retries of transient device faults."},

@@ -72,7 +72,10 @@ const (
 	CatDevice
 	// CatQueue is time queued behind other requests for a device lane.
 	CatQueue
-	// CatStall is injected latency (fault-injection brownouts).
+	// CatStall holds only the zero-length dev.fault marks an injected
+	// device failure leaves in the trace: the fault model has no latency
+	// spikes, so no span of this category has length. It stays because
+	// the benchmark reports its share by name.
 	CatStall
 	// CatRetry is virtual-time backoff between fault retries.
 	CatRetry

@@ -174,7 +174,7 @@ func TestCriticalPathExact(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	root := tr.Root(tl, OpRead, 1)
 	root.Child("dev.read", CatDevice, 10, 50)
-	root.Child("dev.stall", CatStall, 40, 70) // overlaps: clamped to [50,70)
+	root.Child("dev.queue", CatQueue, 40, 70) // overlaps: clamped to [50,70)
 	root.Child("vfs.retry_backoff", CatRetry, 80, 90)
 	root.Child("dev.async_read", CatDevice, 95, 120) // overruns: clamped to [95,100)
 	tl.Advance(100)
@@ -195,7 +195,7 @@ func TestCriticalPathExact(t *testing.T) {
 	if math.Abs(pct-100) > 1e-9 {
 		t.Fatalf("percentages sum to %v, want 100", pct)
 	}
-	want := map[string]int64{"device": 45, "stall": 20, "retry": 10, "cpu": 25}
+	want := map[string]int64{"device": 45, "queue": 20, "retry": 10, "cpu": 25}
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("category %s = %d, want %d (all: %v)", k, got[k], v, got)
