@@ -1,6 +1,5 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green —
-# vet (root and bench/), three source gates (errgate, fmtgate, stackgate),
-# build, `go test -race ./...`, the allocation guards without
+# vet (root and bench/), two source gates (errgate, fmtgate), build, `go test -race ./...`, the allocation guards without
 # the race detector, digests, and the benchmark's own tests (bench-smoke).
 # Outside the gate, run before a change to concurrent code: `make stress`
 # repeats the six packages with real host concurrency (the LSM engine, the
@@ -12,10 +11,11 @@
 # alone takes about 26 minutes and crosslib 11, hence the explicit timeout
 # (go test's default is ten). PKG runs one package's ladder alone, as for
 # `size`: `make stress PKG=./internal/pagecache` after a concurrency change
-# to the page cache.
-.PHONY: check build test vet race allocs stress fuzz size bench bench-smoke chaos digests records errgate fmtgate stackgate trace
+# to the page cache. `make flake` hunts flaky tests (see below); it is not
+# part of `check` either.
+.PHONY: check build test vet race allocs flake stress fuzz size bench bench-smoke chaos digests records errgate fmtgate trace
 
-check: vet errgate fmtgate stackgate build race allocs digests bench-smoke
+check: vet errgate fmtgate build race allocs digests bench-smoke
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -36,20 +36,6 @@ errgate:
 	@! grep -rn '_ = .*dev\.Access' --include='*.go' . \
 		|| (echo 'errgate: swallowed device error (handle or propagate it)'; exit 1)
 
-# Stack-API gate: every kernel path addresses device I/O through the
-# device stack and, for reads, through its plug (blockdev.StackPlug) —
-# never the stack's Access* entry points directly (that would skip the
-# plug's merging, queue depth, congestion control and per-command
-# accounting) and never a raw member device (that would skip striping,
-# tier residency and per-backend accounting). The gate covers every non-test file of
-# internal/vfs, present and future; the one exemption is writeback.go,
-# where fsync's blocking lane and the cache's background writeback submit
-# writes against the stack by design.
-stackgate:
-	@! grep -n 'dev\.Access[A-Za-z]*(\|\.Member(' \
-		$$(ls internal/vfs/*.go | grep -v '_test\.go$$' | grep -v '/writeback\.go$$') \
-		|| (echo 'stackgate: device access outside the plug API, or raw stack-member access, on a kernel path'; exit 1)
-
 build:
 	go build ./...
 
@@ -65,6 +51,18 @@ race:
 # purpose, so this run without the detector is the one that gates them.
 allocs:
 	go test -count=1 -run Alloc ./...
+
+# Flake hunt: `make allocs` in 30 fresh processes, then three runs at
+# GOMAXPROCS 1, 2 and 8 of every package that finishes in seconds (all but
+# internal/experiments, ≈ 25 s a run). A failing allocs run prints its
+# output and stops the hunt.
+FLAKE = $(filter-out repro/internal/experiments,$(shell go list ./...))
+
+flake:
+	@for i in $$(seq 30); do \
+		out=$$($(MAKE) -s allocs 2>&1) || { echo "$$out"; echo "flake: make allocs failed in run $$i of 30"; exit 1; }; \
+	done; echo "flake: make allocs passed 30 of 30"
+	go test -count=3 -cpu 1,2,8 $(FLAKE)
 
 STRESS = ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
 	./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor

@@ -322,10 +322,10 @@ func (d *Device) reserveSync(sp *telemetry.Span, op Op, bytes int64, nsegs int, 
 // reserveAsync is the combined lane's one reservation primitive: device
 // time for a command of bytes submitted at `at`, without blocking any
 // timeline, with the counters and the telemetry record booked. It returns
-// the completion time plus the bandwidth reservation's end (before latency) and its hold,
-// the two inputs of a caller's advancing congestion horizon. The caller
-// records the completion as the affected pages' ready time, and should
-// consult Backlog first to apply congestion control.
+// the completion time plus the bandwidth reservation's end (before
+// latency) and its hold, the two inputs of a caller's advancing congestion
+// horizon. The caller records the completion as the affected pages' ready
+// time, and should consult Backlog first to apply congestion control.
 func (d *Device) reserveAsync(op Op, bytes int64, at simtime.Time) (done, end simtime.Time, hold simtime.Duration) {
 	bw, lat := d.params(op)
 	hold = d.cfg.CmdOverhead + d.transfer(bytes, bw)

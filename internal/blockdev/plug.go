@@ -84,8 +84,8 @@ type Segment struct {
 	//
 	// Issued: the segment's command was dispatched and succeeded; Done is
 	// its completion time. Err: the command failed (at Done, without
-	// occupying the device). Congested: the command was postponed by congestion
-	// control and never dispatched. A segment with none of the three set
+	// occupying the device). Congested: the command was postponed by
+	// congestion control and never dispatched. A segment with none of the three set
 	// was skipped because an earlier command failed.
 	Issued    bool
 	Congested bool

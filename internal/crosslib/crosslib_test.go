@@ -1,6 +1,7 @@
 package crosslib
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,16 +15,27 @@ import (
 
 // newKernel builds a kernel with the given cache capacity (pages) and
 // limit-override support enabled.
-func newKernel(capacity int64) *vfs.VFS { return newKernelOn(blockdev.NVMeConfig(), capacity) }
+func newKernel(capacity int64) *vfs.VFS {
+	v, _ := newKernelStack(blockdev.NVMeConfig(), capacity)
+	return v
+}
 
 // newKernelOn is newKernel over the given device model.
 func newKernelOn(dev blockdev.Config, capacity int64) *vfs.VFS {
+	v, _ := newKernelStack(dev, capacity)
+	return v
+}
+
+// newKernelStack is newKernelOn that also returns the device stack it
+// built, for tests that inject faults or read device counters.
+func newKernelStack(dev blockdev.Config, capacity int64) (*vfs.VFS, *blockdev.Stack) {
 	costs := simtime.DefaultCosts()
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
-	return vfs.NewStack(cfg, fsys, blockdev.WrapDevice(blockdev.New(dev)), cache)
+	st := blockdev.WrapDevice(blockdev.New(dev))
+	return vfs.NewStack(cfg, fsys, st, cache), st
 }
 
 func TestApproachStringsAndOptions(t *testing.T) {
@@ -473,5 +485,21 @@ func TestReadaheadZeroCountAtUnalignedOffset(t *testing.T) {
 	}
 	if c := f.Kernel().FileCache().CachedPages(); c != 0 {
 		t.Errorf("%d pages cached, want 0", c)
+	}
+}
+
+// A write the kernel refuses leaves no belief behind: a 4KB WriteAt at
+// 2^44−100 crosses the 2^32-block cap and gets vfs.ErrFileTooLarge, so the
+// range tree must not mark the two blocks it would have touched.
+func TestRefusedWriteMarksNothing(t *testing.T) {
+	v := newKernel(4096)
+	rt := NewForApproach(v, CrossPredictOpt)
+	tl := simtime.NewTimeline(0)
+	f := openSynthetic(t, rt, tl, "f", 4<<20)
+	if _, err := f.WriteAt(tl, make([]byte, 4096), 1<<44-100); !errors.Is(err, vfs.ErrFileTooLarge) {
+		t.Fatalf("WriteAt at 2^44-100: err %v, want ErrFileTooLarge", err)
+	}
+	if got := f.sf.tree.CachedCount(nil, 1<<32-1, 1<<32+1); got != 0 {
+		t.Errorf("the range tree believes %d blocks of [2^32-1, 2^32+1) cached after a refused write, want 0", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmap"
+	"repro/internal/blockdev"
 	"repro/internal/faultinject"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -24,14 +25,14 @@ func transientReads(repeats int) *faultinject.Injector {
 // background prefetch is absorbed by the library's backoff-retry — the
 // workload still completes and retries are accounted.
 func TestPrefetchRetriesTransient(t *testing.T) {
-	v := newKernel(1_000_000)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1_000_000)
 	rt := NewForApproach(v, CrossPredictOpt)
 	rec := telemetry.NewRecorder(0)
 	rt.SetTelemetry(rec)
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 32<<20)
-	v.Stack().SetFaultInjector(transientReads(1)) // each site fails once
+	dev.SetFaultInjector(transientReads(1)) // each site fails once
 
 	f, err := rt.Open(tl, "big")
 	if err != nil {
@@ -60,7 +61,7 @@ func TestPrefetchRetriesTransient(t *testing.T) {
 // after the fault clears and the cool-off elapses, a probe prefetch
 // closes it again.
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	v := newKernel(1_000_000)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1_000_000)
 	opt := CrossPredictOpt.Options()
 	opt.BreakerThreshold = 2
 	opt.BreakerCooloff = 2 * simtime.Millisecond
@@ -70,7 +71,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 64<<20)
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+	dev.SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:   7,
 		Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
 	}))
@@ -93,7 +94,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Fault clears; past the cool-off the next prefetch probes and the
 	// breaker closes.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	tl.WaitUntil(tl.Now().Add(10*simtime.Millisecond), simtime.WaitIO)
 	for off := int64(8 << 20); off < 24<<20; off += int64(len(buf)) {
 		if _, err := f.ReadAt(tl, buf, off); err != nil {
@@ -130,17 +131,17 @@ type faultRunResult struct {
 
 func faultRun(t *testing.T, faultSeed int64) faultRunResult {
 	t.Helper()
-	v := newKernel(1_000_000)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1_000_000)
 	opt := CrossPredictOpt.Options()
 	opt.FaultSeed = faultSeed
 	rt := New(v, opt)
 	rec := telemetry.NewRecorder(0)
 	rt.SetTelemetry(rec)
 	v.SetTelemetry(rec)
-	v.Stack().SetTelemetry(rec)
+	dev.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 32<<20)
-	v.Stack().SetFaultInjector(transientReads(1))
+	dev.SetFaultInjector(transientReads(1))
 
 	f, err := rt.Open(tl, "big")
 	if err != nil {
@@ -220,7 +221,7 @@ func brkState(f *File) (fails int, open bool) {
 // The job must stop at the first definitive failure, feed the breaker
 // exactly once, and give the unissued runs' requested bits back.
 func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
-	v := newKernel(1_000_000)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1_000_000)
 	opt := CrossPredictOpt.Options()
 	opt.BreakerThreshold = 3
 	rt := New(v, opt)
@@ -234,7 +235,7 @@ func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
 	// cached, then fail every read definitively.
 	f.sf.tree.MarkCached(tl, 1040, 1044)
 	f.sf.tree.MarkCached(tl, 1080, 1084)
-	v.Stack().SetFaultInjector(persistentReads())
+	dev.SetFaultInjector(persistentReads())
 	base := rt.Stats()
 
 	f.prefetchAsync(tl, 1000, 120, budgetUnasked, false) // job runs inline on the worker pool
@@ -272,7 +273,7 @@ func TestMultiRunPrefetchFeedsBreakerOnce(t *testing.T) {
 // runs against a definitively failing device were three crossings and three
 // breaker feeds, so one scan tripped a threshold-3 breaker alone.
 func TestMmapScanFeedsBreakerOnce(t *testing.T) {
-	v := newKernel(1_000_000)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1_000_000)
 	opt := CrossPredictOpt.Options()
 	opt.BreakerThreshold = 3
 	rt := New(v, opt)
@@ -291,7 +292,7 @@ func TestMmapScanFeedsBreakerOnce(t *testing.T) {
 	// and prefetch [front, front+64): split that into three missing runs.
 	f.sf.tree.MarkCached(tl, front+20, front+24)
 	f.sf.tree.MarkCached(tl, front+40, front+44)
-	v.Stack().SetFaultInjector(persistentReads())
+	dev.SetFaultInjector(persistentReads())
 	crossings := v.SyscallCount(vfs.SysReadaheadInfo)
 	base := rt.Stats()
 

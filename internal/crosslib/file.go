@@ -387,9 +387,16 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	bs := f.rt.v.BlockSize()
 	lo := off / bs
 	hi := (off + int64(len(data)) + bs - 1) / bs
+	// The detector trains on the write as asked, before the crossing and
+	// whether or not the kernel takes it: it learns the application's
+	// access pattern, not the kernel's answer, and every pinned digest
+	// trains it here. The range tree is a belief about the kernel's cache,
+	// so it marks only the blocks the kernel wrote.
 	op := f.observeWrite(tl, lo, hi)
 	n, err := f.kf.WriteAt(tl, data, off)
-	f.sf.tree.MarkCached(tl, lo, hi)
+	if n > 0 {
+		f.sf.tree.MarkCached(tl, lo, (off+int64(n)+bs-1)/bs)
+	}
 	f.sf.touch(tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err

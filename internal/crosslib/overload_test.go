@@ -89,7 +89,7 @@ func TestRingCloseReapRace(t *testing.T) {
 // non-nil CQE error to noteFault, so a shed re-armed the cooloff as if
 // the probe had failed, keeping prefetch off long after the overload.
 func TestBreakerProbeSurvivesShed(t *testing.T) {
-	v := newKernel(1 << 20)
+	v, dev := newKernelStack(blockdev.NVMeConfig(), 1<<20)
 	rt := NewForApproach(v, CrossPredictOpt)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "shed", 64<<20)
@@ -102,7 +102,7 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	// Drain the device, so the library's own deadline check (device
 	// backlog against the deadline) admits the probe.
 	tl.Advance(50 * simtime.Millisecond)
-	if got := v.Stack().Backlog(tl.Now()); got != 0 {
+	if got := dev.Backlog(tl.Now()); got != 0 {
 		t.Fatalf("device backlog %v after draining, want 0", got)
 	}
 

@@ -194,15 +194,9 @@ func (rt *Runtime) SetTelemetry(rec *telemetry.Recorder) { rt.rec = rec }
 // SetTracer installs the span tracer (nil disables tracing).
 func (rt *Runtime) SetTracer(tr *telemetry.Tracer) { rt.tr = tr }
 
-// Tracer reports the installed span tracer (nil when tracing is off).
-func (rt *Runtime) Tracer() *telemetry.Tracer { return rt.tr }
-
 // SetScorecard installs the windowed scorecard sink for the ensemble's
 // shadow-mode bookings (nil disables).
 func (rt *Runtime) SetScorecard(s *telemetry.Scorecard) { rt.score = s }
-
-// Scorecard reports the installed scorecard sink (nil when off).
-func (rt *Runtime) Scorecard() *telemetry.Scorecard { return rt.score }
 
 // SharedFiles reports live per-inode state entries (leak detection).
 func (rt *Runtime) SharedFiles() int {

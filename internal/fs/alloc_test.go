@@ -44,6 +44,8 @@ func TestAppendAllocsPerChunk(t *testing.T) {
 // synthetic file. The heap those writes take may be at most twice what
 // they wrote, chunk table included: the bound that sets chunkBlocks (a
 // write alone in its chunk holds chunkBlocks blocks for the four it wrote).
+// One window is enough: it measures live heap after a collection, in which
+// a stray runtime object is bytes against the 16MB written.
 func TestScatteredWritesAllocAtMostTwice(t *testing.T) {
 	const bs, write, writes = 4096, 16 << 10, 1024
 	f := New(LayoutExtent, bs, simtime.DefaultCosts())
@@ -71,7 +73,9 @@ func TestScatteredWritesAllocAtMostTwice(t *testing.T) {
 // A block map costs a group per 2MB, not 8 bytes per block: a 64GB
 // synthetic file's map holds at most 2MB of heap, where a flat map held
 // 128MB. A 1MB append to a fresh file in 16KB writes keeps its group
-// linear, and the map allocates once, for that group.
+// linear, and the map allocates once, for that group. The heap bound needs
+// one window (live heap after a collection; a stray runtime object is
+// bytes against 2MB); the allocation count takes the fewest of three.
 func TestSyntheticMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")

@@ -5,6 +5,7 @@ package fs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -16,33 +17,36 @@ import (
 // A file written after another was removed takes the removed file's
 // chunks. With the collector off, rewriting the megabyte that
 // TestAppendAllocsPerChunk appends allocates only the growth of the new
-// file's mapping and chunk table: no chunk.
+// file's mapping and chunk table: no chunk. The fewest of three fresh
+// file systems counts, as in TestAppendAllocsPerChunk.
 func TestRewriteAfterRemoveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	const bs, total, write = 4096, 1 << 20, 16 << 10
-	f := New(LayoutExtent, bs, simtime.DefaultCosts())
 	data := make([]byte, write)
 	appendMB := func(ino *Inode) {
 		for off := int64(0); off < total; off += write {
 			ino.WriteAt(data, off)
 		}
 	}
-	var got uint64
-	withoutGC(func() {
-		old, _ := f.Create(nil, "old")
-		appendMB(old)
-		if err := f.Remove(nil, "old"); err != nil {
-			t.Fatal(err)
-		}
-		ino, _ := f.Create(nil, "new")
-		var a, b runtime.MemStats
-		runtime.ReadMemStats(&a)
-		appendMB(ino)
-		runtime.ReadMemStats(&b)
-		got = b.Mallocs - a.Mallocs
-	})
+	got := uint64(math.MaxUint64)
+	for run := 0; run < 3; run++ {
+		f := New(LayoutExtent, bs, simtime.DefaultCosts())
+		withoutGC(func() {
+			old, _ := f.Create(nil, "old")
+			appendMB(old)
+			if err := f.Remove(nil, "old"); err != nil {
+				t.Fatal(err)
+			}
+			ino, _ := f.Create(nil, "new")
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			appendMB(ino)
+			runtime.ReadMemStats(&b)
+			got = min(got, b.Mallocs-a.Mallocs)
+		})
+	}
 	if got > 16 {
 		t.Errorf("%d allocations to rewrite 1MB after removing 1MB, want at most 16: the growth of two tables, no %dKB chunk", got, chunkBlocks*bs>>10)
 	}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -22,16 +23,23 @@ func mallocsPer(n int, f func(i int)) float64 {
 	return float64(b.Mallocs-a.Mallocs) / float64(n)
 }
 
-// bytesPer is mallocsPer for the bytes allocated.
-func bytesPer(n int, f func(i int)) float64 {
-	var a, b runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&a)
+// fewestPer runs f n times and returns the fewest heap allocations and
+// the fewest bytes allocated by any one run. For a guard whose few runs
+// each allocate the same: a runtime event that allocates while one runs
+// (seen under go test's -test.timeout) only adds, where a mean over so
+// few runs would carry it into the budget.
+func fewestPer(n int, f func(i int)) (mallocs, bytes uint64) {
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
+	runtime.GC() // once: a collection inside the loop would empty the pools each run refills
 	for i := 0; i < n; i++ {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
 		f(i)
+		runtime.ReadMemStats(&b)
+		mallocs = min(mallocs, b.Mallocs-a.Mallocs)
+		bytes = min(bytes, b.TotalAlloc-a.TotalAlloc)
 	}
-	runtime.ReadMemStats(&b)
-	return float64(b.TotalAlloc-a.TotalAlloc) / float64(n)
+	return mallocs, bytes
 }
 
 // A Get answered from a table allocates the value it returns and nothing
@@ -136,7 +144,7 @@ func TestTableWriterAllocsIndependentOfSize(t *testing.T) {
 	}
 	val := benchValue(1, 200)
 	var scratch writeScratch
-	write := func(n int) float64 {
+	write := func(n int) uint64 {
 		build := func(int) {
 			var sink discardSink
 			w := newTableWriter(nil, &sink, &scratch, 4<<10)
@@ -155,11 +163,12 @@ func TestTableWriterAllocsIndependentOfSize(t *testing.T) {
 			}
 		}
 		build(0) // grow the scratch to this size once
-		return mallocsPer(3, build)
+		mallocs, _ := fewestPer(3, build)
+		return mallocs
 	}
 	small, large := write(1_000), write(64_000)
 	if small > 8 || large > small+1 {
-		t.Errorf("%.1f allocations for a 1k-entry table, %.1f for a 64k-entry one (14MB, 14 chunks): want a small constant for both", small, large)
+		t.Errorf("%d allocations for a 1k-entry table, %d for a 64k-entry one (14MB, 14 chunks): want a small constant for both", small, large)
 	}
 }
 
@@ -217,15 +226,15 @@ func TestCompactionReadAllocsPerInput(t *testing.T) {
 		if survivors != k*perTable {
 			t.Fatalf("replay emitted %d entries, want %d", survivors, k*perTable)
 		}
-		fresh := bytesPer(3, func(int) { run(new(merge)) })
-		if budget := float64(k*2*blockBytes + 4*entries); fresh > budget {
-			t.Errorf("%d entries per table: a fresh merge of %d tables (%d input bytes) allocates %.0f bytes, budget %.0f: %d×2 blocks + 4 per entry",
+		_, fresh := fewestPer(3, func(int) { run(new(merge)) })
+		if budget := uint64(k*2*blockBytes + 4*entries); fresh > budget {
+			t.Errorf("%d entries per table: a fresh merge of %d tables (%d input bytes) allocates %d bytes, budget %d: %d×2 blocks + 4 per entry",
 				perTable, k, inputBytes, fresh, budget, k)
 		}
 		var warm merge
 		run(&warm)
-		if got := bytesPer(3, func(int) { run(&warm) }); got > 64*k {
-			t.Errorf("%d entries per table: a warm merge of %d tables allocates %.0f bytes, budget %d: a few small objects, none sized by the input", perTable, k, got, 64*k)
+		if _, got := fewestPer(3, func(int) { run(&warm) }); got > 64*k {
+			t.Errorf("%d entries per table: a warm merge of %d tables allocates %d bytes, budget %d: a few small objects, none sized by the input", perTable, k, got, 64*k)
 		}
 	}
 }

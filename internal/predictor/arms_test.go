@@ -78,28 +78,41 @@ func TestMithrilCapacityEviction(t *testing.T) {
 
 // TestMithrilColdFillAllocs: a fresh miner filling its table carves the
 // entries from a few doubling slabs instead of allocating one per new
-// head: 8, 16, …, 256 and the last 8 of 512 are seven slabs.
+// head: 8, 16, …, 256 and the last 8 of 512 are seven slabs. The count
+// is process-wide, and a runtime event outside the miner (seen under
+// `go test`'s -test.timeout) adds about five mallocs to one window in
+// some runs; the miner's own count is deterministic and noise only adds,
+// so the guard keeps the smallest of three fresh fills.
 func TestMithrilColdFillAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	m := NewMithril(DefaultMithrilConfig())
-	dst := make([]Candidate, 0, 64)
-	var a, b runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&a)
-	// Accesses 1000 blocks apart: no pair is a forward continuation within
-	// a one-block head's window, so every access becomes a new head.
-	for i := int64(0); m.TableLen() < m.cfg.MaxAssoc; i++ {
-		if i > 4*int64(m.cfg.MaxAssoc) {
-			t.Fatalf("%d accesses filled %d of %d entries", i, m.TableLen(), m.cfg.MaxAssoc)
+	fill := func() (uint64, int) {
+		m := NewMithril(DefaultMithrilConfig())
+		dst := make([]Candidate, 0, 64)
+		var a, b runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&a)
+		// Accesses 1000 blocks apart: no pair is a forward continuation
+		// within a one-block head's window, so every access becomes a new
+		// head.
+		for i := int64(0); m.TableLen() < m.cfg.MaxAssoc; i++ {
+			if i > 4*int64(m.cfg.MaxAssoc) {
+				t.Fatalf("%d accesses filled %d of %d entries", i, m.TableLen(), m.cfg.MaxAssoc)
+			}
+			dst = m.Observe(1_000_000+1000*i, 1, dst[:0])
 		}
-		dst = m.Observe(1_000_000+1000*i, 1, dst[:0])
+		runtime.ReadMemStats(&b)
+		return b.Mallocs - a.Mallocs, m.cfg.MaxAssoc
 	}
-	runtime.ReadMemStats(&b)
-	n := b.Mallocs - a.Mallocs
-	t.Logf("%d allocations filled %d entries", n, m.TableLen())
+	n, entries := fill()
+	for k := 0; k < 2; k++ {
+		if m, _ := fill(); m < n {
+			n = m
+		}
+	}
+	t.Logf("%d allocations filled %d entries (fewest of three fills)", n, entries)
 	if n > 8 {
-		t.Errorf("filling %d association entries took %d allocations, budget 8", m.cfg.MaxAssoc, n)
+		t.Errorf("filling %d association entries took %d allocations, budget 8", entries, n)
 	}
 }

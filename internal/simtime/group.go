@@ -200,9 +200,6 @@ func NewWorkerPool(n int, start Time) *WorkerPool {
 	return &WorkerPool{workers: ws}
 }
 
-// Size reports the number of workers in the pool.
-func (p *WorkerPool) Size() int { return len(p.workers) }
-
 // Run submits fn at virtual time at to the least-busy worker and returns
 // the virtual completion time.
 func (p *WorkerPool) Run(at Time, fn func(tl *Timeline)) Time {

@@ -157,9 +157,6 @@ type Ledger struct {
 // NewLedger returns a named exclusive-resource ledger.
 func NewLedger(name string) *Ledger { return &Ledger{name: name} }
 
-// Name reports the ledger's name.
-func (l *Ledger) Name() string { return l.name }
-
 // Use acquires the resource at the thread's current time, holds it for
 // hold, and releases it, advancing the thread past any queueing delay.
 // Queueing delay is accounted as lock wait on the timeline.
@@ -239,9 +236,6 @@ type RWLedger struct {
 
 // NewRWLedger returns a named reader-writer ledger.
 func NewRWLedger(name string) *RWLedger { return &RWLedger{name: name} }
-
-// Name reports the ledger's name.
-func (l *RWLedger) Name() string { return l.name }
 
 // Read acquires the lock shared at the thread's time, holds for hold, and
 // releases. Readers only wait for conflicting writer spans.

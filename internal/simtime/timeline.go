@@ -61,9 +61,6 @@ func NewTimeline(start Time) *Timeline {
 // Now reports the thread's current virtual time.
 func (tl *Timeline) Now() Time { return tl.now }
 
-// Start reports the virtual time the timeline began at.
-func (tl *Timeline) Start() Time { return tl.start }
-
 // Elapsed reports total virtual time since the timeline started.
 func (tl *Timeline) Elapsed() Duration { return tl.now.Sub(tl.start) }
 

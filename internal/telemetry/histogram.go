@@ -75,12 +75,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count reports the number of samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum reports the sum of samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistogramSnapshot is an exportable view of a histogram.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`

@@ -615,15 +615,6 @@ func (r *Recorder) ArmWasted(a Arm, n int64) {
 	r.arms[a].wasted.Add(n)
 }
 
-// ArmTotals reports one arm's exact real-prefetch ledger.
-func (r *Recorder) ArmTotals(a Arm) (inserted, used, wasted int64) {
-	if r == nil {
-		return 0, 0, 0
-	}
-	c := &r.arms[a]
-	return c.inserted.Load(), c.used.Load(), c.wasted.Load()
-}
-
 // Observe records one sample into a built-in histogram.
 func (r *Recorder) Observe(h Hist, v int64) {
 	if r == nil {

@@ -180,14 +180,6 @@ func (s *Span) Seq() int64 { return s.seq }
 // DroppedSpans reports children discarded by the per-root span cap.
 func (s *Span) DroppedSpans() int64 { return s.dropped }
 
-// Pages reports the root's accumulated page total for one kind.
-func (s *Span) Pages(k PageKind) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.root.pages[k]
-}
-
 // Annotate attaches an integer attribute to the span. Nil-safe.
 func (s *Span) Annotate(key string, v int64) {
 	if s == nil {

@@ -83,7 +83,7 @@ func attributePath(s *Span, lo, hi simtime.Time, acct *[numCategories]simtime.Du
 }
 
 // FormatCriticalPath renders a decomposition as a one-line report, e.g.
-// "62.0% device, 21.3% stall, 11.1% retry, 5.6% cpu".
+// "62.0% device, 21.3% queue, 11.1% retry, 5.6% cpu".
 func FormatCriticalPath(slices []PathSlice) string {
 	if len(slices) == 0 {
 		return "empty"

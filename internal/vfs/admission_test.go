@@ -174,7 +174,7 @@ func TestNegativeOffsetsRejected(t *testing.T) {
 		}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v, rec := newRingKernel(t, 4096)
+			v, _, rec := newRingKernel(t, 4096)
 			tl := simtime.NewTimeline(0)
 			f := coldFile(t, v, tl, "f", 1<<20)
 			before := booksOf(rec)
@@ -217,7 +217,7 @@ func TestZeroCountPrefetchAdmitsNothing(t *testing.T) {
 				}},
 			} {
 				t.Run(fmt.Sprintf("%s/off=%d/n=%d", tc.name, off, n), func(t *testing.T) {
-					v, rec := newRingKernel(t, 4096)
+					v, _, rec := newRingKernel(t, 4096)
 					tl := simtime.NewTimeline(0)
 					f := coldFile(t, v, tl, "f", 1<<20)
 					before := booksOf(rec)
@@ -243,7 +243,7 @@ func TestZeroCountPrefetchAdmitsNothing(t *testing.T) {
 // none. No write goes near the bound, as a file's block map is dense from
 // block 0; the bound itself is checked on beyondMaxPages.
 func TestFileTooLargeRejected(t *testing.T) {
-	v, _ := newRingKernel(t, 4096)
+	v, _, _ := newRingKernel(t, 4096)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "f", 1<<20)
 	limit := int64(pagecache.MaxPages) * v.BlockSize()

@@ -33,13 +33,13 @@ func allReads() *faultinject.Injector {
 // data) succeeds. Before the fix, the failed fsync consumed the
 // dirty-run harvest and the retry had nothing to write.
 func TestDeviceErrorPropagatesThroughFsync(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "x")
 	f.WriteAt(tl, make([]byte, 64<<10), 0)
 	dirtyBefore := v.Cache().Dirty()
 
-	v.Stack().SetFaultInjector(allWrites())
+	dev.SetFaultInjector(allWrites())
 	if err := f.Fsync(tl); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("fsync err = %v, want injected", err)
 	}
@@ -48,7 +48,7 @@ func TestDeviceErrorPropagatesThroughFsync(t *testing.T) {
 	}
 
 	// Clearing the fault lets a bare retry drain the same pages.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	if err := f.Fsync(tl); err != nil {
 		t.Fatalf("retry fsync failed: %v", err)
 	}
@@ -60,13 +60,13 @@ func TestDeviceErrorPropagatesThroughFsync(t *testing.T) {
 // TestFsyncRetriesTransientFault: a glitch that clears within the
 // kernel's retry budget is absorbed by fsync itself.
 func TestFsyncRetriesTransientFault(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "x")
 	f.WriteAt(tl, make([]byte, 16<<10), 0)
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+	dev.SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 2, // clears within DemandRetries=3
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},
@@ -87,11 +87,11 @@ func TestFsyncRetriesTransientFault(t *testing.T) {
 // "succeeded" while inserting pages that held no fetched data. Now the
 // error must reach the caller and the cache must stay clean.
 func TestDemandReadErrorPropagates(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 
 	buf := make([]byte, 64<<10)
 	if _, err := f.ReadAt(tl, buf, 0); !errors.Is(err, blockdev.ErrInjected) {
@@ -101,7 +101,7 @@ func TestDemandReadErrorPropagates(t *testing.T) {
 		t.Fatalf("failed demand read poisoned the cache with %d pages", got)
 	}
 	// Recovery: clearing the fault makes the same read work.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatalf("read after clearing fault: %v", err)
 	}
@@ -110,13 +110,13 @@ func TestDemandReadErrorPropagates(t *testing.T) {
 // TestDemandReadRetriesTransient: a transient read fault within the
 // retry budget never surfaces to the application.
 func TestDemandReadRetriesTransient(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+	dev.SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 3, // == DemandRetries: last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Reads: true}},
@@ -137,16 +137,16 @@ func TestDemandReadRetriesTransient(t *testing.T) {
 // access fails must not set bitmap bits, must not satisfy a later
 // readahead_info cache query, and must leave demand reads working.
 func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
-	v.Stack().SetTelemetry(rec)
+	dev.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
 
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 	info := f.ReadaheadInfo(tl, CacheInfoRequest{Offset: 0, Bytes: 512 << 10}, nil)
 	if info.PrefetchErr == nil {
 		t.Fatal("prefetch over failing device reported no error")
@@ -176,7 +176,7 @@ func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
 		t.Fatalf("poisoned cache: %d clean insertions > %d read-backed pages", cleanIns, readBacked)
 	}
 	// Degradation: the same data remains reachable via demand reads.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	buf := make([]byte, 4096)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestFailedPrefetchDoesNotPoisonCache(t *testing.T) {
 // it surfaces the error; a range matched on the command's start offset
 // alone read the dead page successfully and the stream never saw a fault.
 func TestStreamSurfacesFaultReadaheadCovers(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	tl := simtime.NewTimeline(0)
 	ino, err := v.FS().CreateSynthetic(tl, "big", 4<<20)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestStreamSurfacesFaultReadaheadCovers(t *testing.T) {
 	}
 	const dead = 301 // a block no command of the stream starts at
 	lo := ino.MapRange(dead, dead+1)[0].Phys * 4096
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+	dev.SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:   1,
 		Ranges: []faultinject.RangeFault{{Lo: lo, Hi: lo + 4096, Class: faultinject.Persistent, Reads: true}},
 	}))
@@ -223,12 +223,12 @@ func TestStreamSurfacesFaultReadaheadCovers(t *testing.T) {
 // advisory — they must not corrupt state, and the pages simply stay
 // absent for a later demand read.
 func TestPrefetchSwallowsDeviceErrors(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
 
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 	if n := f.Readahead(tl, 0, 128<<10); n != 0 {
 		t.Fatalf("failed readahead claims %d bytes submitted", n)
 	}
@@ -236,7 +236,7 @@ func TestPrefetchSwallowsDeviceErrors(t *testing.T) {
 		t.Fatalf("failed prefetch cached %d pages", got)
 	}
 	// Demand read after the fault clears works.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	buf := make([]byte, 4096)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
@@ -247,14 +247,14 @@ func TestPrefetchSwallowsDeviceErrors(t *testing.T) {
 // must re-insert the victims dirty (no silent data loss); once the
 // fault clears, the pages drain normally.
 func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
-	v := newTestKernel(t, 64) // tiny cache: writes force eviction
+	v, dev := newSchedKernel(t, DefaultConfig(), 64) // tiny cache: writes force eviction
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "out")
 
-	v.Stack().SetFaultInjector(allWrites())
+	dev.SetFaultInjector(allWrites())
 	// Write 2x capacity: evictions must write back, which fails.
 	buf := make([]byte, 64<<10)
 	for off := int64(0); off < 512<<10; off += int64(len(buf)) {
@@ -272,7 +272,7 @@ func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
 	}
 
 	// Fault clears: fsync drains everything that survived.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	if err := f.Fsync(tl); err != nil {
 		t.Fatalf("fsync after fault cleared: %v", err)
 	}
@@ -284,12 +284,12 @@ func TestWritebackErrorKeepsPagesDirty(t *testing.T) {
 // TestMmapLoadSurfacesDemandFault: the mapping's fault-in path reports
 // device errors (the simulation's SIGBUS stand-in).
 func TestMmapLoadSurfacesDemandFault(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "m", 1<<20)
 	f, _ := v.Open(tl, "m")
 	m := v.Mmap(tl, f)
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 	if err := m.Load(tl, 0, 64<<10, nil); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("mmap load err = %v, want injected", err)
 	}

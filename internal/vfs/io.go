@@ -290,7 +290,7 @@ func (f *File) syncWriteRun(tl *simtime.Timeline, run []bitmap.Run) (err error) 
 		if c.bytes == 0 {
 			return true
 		}
-		if err = f.v.syncAccess(tl, blockdev.OpWrite, c.devOff, c.bytes); err != nil {
+		if err = f.v.syncWrite(tl, c.devOff, c.bytes); err != nil {
 			f.fc.SetDirtyRange(tl, c.lo, run[0].Hi)
 			f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, run[0].Hi)
 		}

@@ -62,7 +62,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 		emptyPool(&readScratchPool)
 		readScratchPool.New = newScratch
 
-		v := newTestKernel(t, 4096)
+		v, dev := newSchedKernel(t, DefaultConfig(), 4096)
 		score := telemetry.NewScorecard()
 		v.Cache().SetScorecard(score) // the Tenant hint's one consumer
 		tl := simtime.NewTimeline(0)
@@ -95,7 +95,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out + fmt.Sprintf("%+v hits=%d misses=%d now=%d %s", v.Stack().Stats(), f.FileCache().Hits(), f.FileCache().Misses(), tl.Now(), cards)
+		return out + fmt.Sprintf("%+v hits=%d misses=%d now=%d %s", dev.Stats(), f.FileCache().Hits(), f.FileCache().Misses(), tl.Now(), cards)
 	}
 	if want, got := run(fresh), run(dirty); want != got {
 		t.Errorf("a dirtied readScratch leaks into its next use\nfresh %s\ndirty %s", want, got)
@@ -106,7 +106,7 @@ func TestReadScratchPoolAudit(t *testing.T) {
 // cold and warm reads, a prefetch, a prefetch whose deadline has already
 // passed, a second tenant — and reports everything observable about the outcome.
 func ringRounds(t *testing.T) string {
-	v, rec := newRingKernel(t, 4096)
+	v, dev, rec := newRingKernel(t, 4096)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "f", 4<<20)
 	buf := make([]byte, 64<<10)
@@ -116,17 +116,17 @@ func ringRounds(t *testing.T) string {
 			out += fmt.Sprintf("cqe %+v; ", c)
 		}
 	}
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 	enter(0, RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf, User: 1},
 		RingSQE{F: f, Op: RingRead, Off: 1 << 20, Buf: buf[:8192], User: 2})
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	enter(0, RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf, User: 3},
 		RingSQE{F: f, Op: RingPrefetch, Off: 2 << 20, Len: 256 << 10, User: 4},
 		RingSQE{F: f, Op: RingRead, Off: 0, Buf: buf[:4096], User: 5})
 	enter(1, RingSQE{F: f, Op: RingPrefetch, Off: 3 << 20, Len: 256 << 10, User: 6, Deadline: tl.Now().Add(-1)},
 		RingSQE{F: f, Op: RingRead, Off: 2 << 20, Buf: buf, User: 8})
 	enter(0, RingSQE{F: f, Op: RingRead, Off: 1 << 20, Buf: buf, User: 9})
-	return out + fmt.Sprintf("%+v %+v hits=%d misses=%d sqes=%d cqes=%d now=%d", v.Stack().Stats(), v.RingStats(),
+	return out + fmt.Sprintf("%+v %+v hits=%d misses=%d sqes=%d cqes=%d now=%d", dev.Stats(), v.RingStats(),
 		f.FileCache().Hits(), f.FileCache().Misses(), rec.CounterValue(telemetry.CtrRingSQESubmitted),
 		rec.CounterValue(telemetry.CtrRingCQECompleted), tl.Now())
 }

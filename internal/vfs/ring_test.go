@@ -6,20 +6,21 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
-// newRingKernel is newTestKernel plus a wired recorder, so ring tests can
-// assert the SQE/CQE accounting identities.
-func newRingKernel(t *testing.T, capacity int64) (*VFS, *telemetry.Recorder) {
+// newRingKernel is newSchedKernel at the default config plus a wired
+// recorder, so ring tests can assert the SQE/CQE accounting identities.
+func newRingKernel(t *testing.T, capacity int64) (*VFS, *blockdev.Stack, *telemetry.Recorder) {
 	t.Helper()
-	v := newTestKernel(t, capacity)
+	v, st := newSchedKernel(t, DefaultConfig(), capacity)
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
-	v.Stack().SetTelemetry(rec)
-	return v, rec
+	st.SetTelemetry(rec)
+	return v, st, rec
 }
 
 // pattern fills b with a deterministic byte sequence derived from off, so
@@ -54,7 +55,7 @@ func coldFile(t *testing.T, v *VFS, tl *simtime.Timeline, name string, size int6
 // serviced byte-correct by a single ring_enter crossing, and the SQE/CQE
 // ledger balances.
 func TestRingEnterReadsOneCrossing(t *testing.T) {
-	v, rec := newRingKernel(t, 100000)
+	v, dev, rec := newRingKernel(t, 100000)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 4<<20)
 
@@ -92,7 +93,7 @@ func TestRingEnterReadsOneCrossing(t *testing.T) {
 	if s, c := rec.CounterValue(telemetry.CtrRingSQESubmitted), rec.CounterValue(telemetry.CtrRingCQECompleted); s != 4 || c != 4 {
 		t.Fatalf("sqes=%d cqes=%d, want 4/4", s, c)
 	}
-	if v.Stack().Stats().ReadOps == 0 {
+	if dev.Stats().ReadOps == 0 {
 		t.Fatal("cold ring reads should hit the device")
 	}
 }
@@ -100,19 +101,19 @@ func TestRingEnterReadsOneCrossing(t *testing.T) {
 // TestRingEnterWarmReadsSkipDevice: once resident, ring reads complete
 // without staging device work, and Done reflects the pages' ready time.
 func TestRingEnterWarmReadsSkipDevice(t *testing.T) {
-	v, _ := newRingKernel(t, 100000)
+	v, dev, _ := newRingKernel(t, 100000)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 1<<20)
 
 	buf := make([]byte, 64<<10)
 	v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
-	ops := v.Stack().Stats().ReadOps
+	ops := dev.Stats().ReadOps
 
 	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("warm read: %+v", cqes[0])
 	}
-	if got := v.Stack().Stats().ReadOps; got != ops {
+	if got := dev.Stats().ReadOps; got != ops {
 		t.Fatalf("warm ring read issued device I/O: %d -> %d ops", ops, got)
 	}
 }
@@ -121,7 +122,7 @@ func TestRingEnterWarmReadsSkipDevice(t *testing.T) {
 // SQEs must reach the device as one deep dispatch batch — the whole point
 // of the ring path vs. issuing each read synchronously.
 func TestRingEnterSustainsQueueDepth(t *testing.T) {
-	v, rec := newRingKernel(t, 200000)
+	v, _, rec := newRingKernel(t, 200000)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 64<<20)
 
@@ -150,7 +151,7 @@ func TestRingEnterSustainsQueueDepth(t *testing.T) {
 // readahead limit clamp, stages the device work asynchronously, and a
 // later ring read of the same range needs no new device I/O.
 func TestRingPrefetchPopulatesCache(t *testing.T) {
-	v, rec := newRingKernel(t, 100000)
+	v, dev, rec := newRingKernel(t, 100000)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 4<<20)
 
@@ -170,13 +171,13 @@ func TestRingPrefetchPopulatesCache(t *testing.T) {
 		t.Fatalf("prefetch-inserted = %d pages, want %d (cold range)", ins, pages)
 	}
 
-	ops := v.Stack().Stats().ReadOps
+	ops := dev.Stats().ReadOps
 	buf := make([]byte, bytes_)
 	rcq := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if rcq[0].Err != nil || rcq[0].N != bytes_ {
 		t.Fatalf("read after prefetch: %+v", rcq[0])
 	}
-	if got := v.Stack().Stats().ReadOps; got != ops {
+	if got := dev.Stats().ReadOps; got != ops {
 		t.Fatalf("read after prefetch issued device I/O: %d -> %d ops", ops, got)
 	}
 }
@@ -184,11 +185,11 @@ func TestRingPrefetchPopulatesCache(t *testing.T) {
 // TestRingReadFaultSurfacesError: a persistent device fault fails the
 // SQE's CQE (N=0) without failing the whole batch or poisoning the cache.
 func TestRingReadFaultSurfacesError(t *testing.T) {
-	v, rec := newRingKernel(t, 100000)
+	v, dev, rec := newRingKernel(t, 100000)
 	tl := simtime.NewTimeline(0)
 	f := coldFile(t, v, tl, "x", 1<<20)
 
-	v.Stack().SetFaultInjector(allReads())
+	dev.SetFaultInjector(allReads())
 	buf := make([]byte, 16<<10)
 	cqes := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf, User: 7}}, nil)
 	if cqes[0].Err == nil {
@@ -202,7 +203,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 	}
 	// Clearing the fault lets the same read succeed — nothing was
 	// inserted as present by the failed attempt.
-	v.Stack().SetFaultInjector(nil)
+	dev.SetFaultInjector(nil)
 	cqes = v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: 0, Buf: buf}}, nil)
 	if cqes[0].Err != nil || cqes[0].N != int64(len(buf)) {
 		t.Fatalf("retry after clearing fault: %+v", cqes[0])
@@ -219,7 +220,7 @@ func TestRingReadFaultSurfacesError(t *testing.T) {
 // the SQE/CQE ledger balanced — the grab-all dispatch means any enter may
 // drain another tenant's staged chunks.
 func TestRingConcurrentTenants(t *testing.T) {
-	v, rec := newRingKernel(t, 400000)
+	v, _, rec := newRingKernel(t, 400000)
 	setup := simtime.NewTimeline(0)
 	const tenants, batches, batchSQEs = 8, 10, 4
 

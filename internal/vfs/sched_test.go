@@ -12,14 +12,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// newSchedKernel is newTestKernel with a caller-controlled config.
-func newSchedKernel(t *testing.T, cfg Config, capacity int64) *VFS {
+// newSchedKernel is newTestKernel with a caller-controlled config; it
+// also returns the device stack it built.
+func newSchedKernel(t *testing.T, cfg Config, capacity int64) (*VFS, *blockdev.Stack) {
 	t.Helper()
 	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
+	st := blockdev.WrapDevice(blockdev.New(blockdev.NVMeConfig()))
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	return NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
+	return NewStack(cfg, fsys, st, cache), st
 }
 
 // fragmentFile materializes blocks [0, n) of f, bypassing the page
@@ -53,9 +54,9 @@ func TestReadaheadInfoMergesUnderDefaultConfig(t *testing.T) {
 	const n = 8 << 20
 	cfg := DefaultConfig()
 	cfg.AllowLimitOverride = true
-	v := newSchedKernel(t, cfg, 100000)
+	v, dev := newSchedKernel(t, cfg, 100000)
 	rec := telemetry.NewRecorder(0)
-	v.Stack().SetTelemetry(rec)
+	dev.SetTelemetry(rec)
 	v.Cache().SetTelemetry(rec)
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
@@ -72,7 +73,7 @@ func TestReadaheadInfoMergesUnderDefaultConfig(t *testing.T) {
 	if info.PrefetchErr != nil || info.PrefetchedPages != n/4096 {
 		t.Fatalf("prefetched %d pages (err %v), want %d", info.PrefetchedPages, info.PrefetchErr, n/4096)
 	}
-	st := v.Stack().Stats()
+	st := dev.Stats()
 	if st.MergedSegments == 0 || st.ReadOps >= st.PlugSegments {
 		t.Fatalf("%d device commands for %d plug segments (%d merged): the default config did not merge",
 			st.ReadOps, st.PlugSegments, st.MergedSegments)
@@ -103,7 +104,7 @@ func TestPrefetchCongestionFragmentedFile(t *testing.T) {
 	t.Run("plugged", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CongestionLimit = 5 * simtime.Millisecond
-		v := newSchedKernel(t, cfg, 100000)
+		v, _ := newSchedKernel(t, cfg, 100000)
 		tl := simtime.NewTimeline(0)
 		f, err := v.Create(tl, "frag")
 		if err != nil {
@@ -144,7 +145,7 @@ func TestPrefetchCongestionFragmentedFile(t *testing.T) {
 func TestCongestionPostponedPrefetchCompletes(t *testing.T) {
 	const n = 2048
 	cfg := DefaultConfig()
-	v := newSchedKernel(t, cfg, 100000)
+	v, _ := newSchedKernel(t, cfg, 100000)
 	rec := telemetry.NewRecorder(0)
 	v.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
@@ -217,15 +218,15 @@ func TestCongestionPostponedPrefetchCompletes(t *testing.T) {
 func TestDemandRetryBackoffClamp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DemandRetries = 80
-	v := newSchedKernel(t, cfg, 1000)
+	v, dev := newSchedKernel(t, cfg, 1000)
 	tl := simtime.NewTimeline(0)
 
-	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
+	dev.SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 80, // last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},
 	}))
-	if err := v.syncAccess(tl, blockdev.OpWrite, 0, 4096); err != nil {
+	if err := v.syncWrite(tl, 0, 4096); err != nil {
 		t.Fatalf("transient faults within budget must be absorbed: %v", err)
 	}
 	// Backoffs: 50µs<<(a-1) for attempts 1..8 (12.75ms total), then 72

@@ -99,12 +99,30 @@ func (s Syscall) String() string {
 		"ring_enter"}[s]
 }
 
+// readStack is the device stack as the kernel's read paths see it: they
+// build the plugs and lane sets that carry every read to the device, and
+// ask its cost, backlog and tier geometry. It has no Access method, so a
+// read that skips the plug (its merging, queue depth, congestion control
+// and per-command accounting) or reaches a member device does not
+// compile. The write paths hold the stack through stackWriter
+// (writeback.go).
+type readStack interface {
+	NewPlug(cfg blockdev.PlugConfig) *blockdev.StackPlug
+	NewLaneSet(cfg blockdev.LaneConfig, rec *telemetry.Recorder) *blockdev.LaneSet
+	Backlog(at simtime.Time) simtime.Duration
+	BacklogFor(at simtime.Time, off, bytes int64) simtime.Duration
+	SyncCost(op blockdev.Op, bytes int64) simtime.Duration
+	PrefetchBoostFor(off, bytes int64) int64
+	Tiered() bool
+}
+
 // VFS is one simulated kernel instance: a file system on a device plus the
 // shared page cache.
 type VFS struct {
 	cfg   Config
 	fsys  *fs.FS
-	dev   *blockdev.Stack
+	dev   readStack
+	wr    stackWriter
 	cache *pagecache.Cache
 
 	// mmapLock models the per-address-space lock fincore/mincore hold
@@ -151,11 +169,12 @@ func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cac
 		cfg:      cfg,
 		fsys:     fsys,
 		dev:      dev,
+		wr:       stackWriter{dev},
 		cache:    cache,
 		mmapLock: simtime.NewLedger("mmap_lock"),
 	}
-	v.plugs.New = func() any { return dev.NewPlug(v.cfg.Sched) }
-	v.lanes = dev.NewLaneSet(blockdev.LaneConfig{
+	v.plugs.New = func() any { return v.dev.NewPlug(v.cfg.Sched) }
+	v.lanes = v.dev.NewLaneSet(blockdev.LaneConfig{
 		Plug:  v.cfg.Sched,
 		Retry: v.retryPolicy(),
 	}, nil)
@@ -182,8 +201,7 @@ func (v *VFS) retryPolicy() blockdev.RetryPolicy {
 }
 
 // getPlug returns a reset per-request stack plug from the pool; read
-// paths submit all device I/O through it (never dev.Access* or member
-// devices directly).
+// paths submit all device I/O through it (readStack offers no other way).
 func (v *VFS) getPlug() *blockdev.StackPlug {
 	p := v.plugs.Get().(*blockdev.StackPlug)
 	p.Reset()
@@ -207,9 +225,6 @@ func (v *VFS) Cache() *pagecache.Cache { return v.cache }
 
 // FS exposes the file system.
 func (v *VFS) FS() *fs.FS { return v.fsys }
-
-// Stack exposes the composed device stack.
-func (v *VFS) Stack() *blockdev.Stack { return v.dev }
 
 // Config reports the kernel configuration.
 func (v *VFS) Config() Config { return v.cfg }

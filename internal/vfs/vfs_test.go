@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitmap"
-	"repro/internal/blockdev"
-	"repro/internal/fs"
-	"repro/internal/pagecache"
 	"repro/internal/simtime"
 )
 
@@ -15,11 +12,8 @@ import (
 // given cache capacity in pages.
 func newTestKernel(t *testing.T, capacity int64) *VFS {
 	t.Helper()
-	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
-	fsys := fs.New(fs.LayoutExtent, 4096, costs)
-	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	return NewStack(DefaultConfig(), fsys, blockdev.WrapDevice(dev), cache)
+	v, _ := newSchedKernel(t, DefaultConfig(), capacity)
+	return v
 }
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
@@ -44,7 +38,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadMissesFetchFromDevice(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	tl := simtime.NewTimeline(0)
 	_, err := v.FS().CreateSynthetic(tl, "big", 100<<20)
 	if err != nil {
@@ -55,7 +49,7 @@ func TestReadMissesFetchFromDevice(t *testing.T) {
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	st := v.Stack().Stats()
+	st := dev.Stats()
 	if st.ReadOps == 0 {
 		t.Fatal("cold read should hit the device")
 	}
@@ -65,18 +59,18 @@ func TestReadMissesFetchFromDevice(t *testing.T) {
 }
 
 func TestCachedReadSkipsDevice(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 10<<20)
 	f, _ := v.Open(tl, "big")
 	buf := make([]byte, 4096)
 	f.ReadAt(tl, buf, 0)
-	ops := v.Stack().Stats().ReadOps
+	ops := dev.Stats().ReadOps
 	// Re-read the same page: warm.
 	f.ReadAt(tl, buf, 0)
 	// Readahead may have fetched more, but the demanded page itself must
 	// not trigger new sync I/O beyond what readahead did.
-	if got := v.Stack().Stats().ReadOps; got < ops {
+	if got := dev.Stats().ReadOps; got < ops {
 		t.Fatalf("device ops went backwards: %d -> %d", ops, got)
 	}
 	if v.Cache().Stats().Hits == 0 {
@@ -239,15 +233,15 @@ func TestFincoreBuildsResidency(t *testing.T) {
 }
 
 func TestFsyncWritesBack(t *testing.T) {
-	v := newTestKernel(t, 10000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 10000)
 	tl := simtime.NewTimeline(0)
 	f, _ := v.Create(tl, "log")
 	f.WriteAt(tl, make([]byte, 1<<20), 0)
-	wrBefore := v.Stack().Stats().WriteBytes
+	wrBefore := dev.Stats().WriteBytes
 	if err := f.Fsync(tl); err != nil {
 		t.Fatal(err)
 	}
-	wrAfter := v.Stack().Stats().WriteBytes
+	wrAfter := dev.Stats().WriteBytes
 	if wrAfter-wrBefore != 1<<20 {
 		t.Fatalf("fsync wrote %d bytes, want 1MB", wrAfter-wrBefore)
 	}
@@ -255,7 +249,7 @@ func TestFsyncWritesBack(t *testing.T) {
 	if err := f.Fsync(tl); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Stack().Stats().WriteBytes; got != wrAfter {
+	if got := dev.Stats().WriteBytes; got != wrAfter {
 		t.Fatalf("second fsync wrote %d extra bytes", got-wrAfter)
 	}
 }
@@ -385,14 +379,14 @@ func TestRemoveDropsCache(t *testing.T) {
 }
 
 func TestWriteRMWFetchesPartialEdges(t *testing.T) {
-	v := newTestKernel(t, 100000)
+	v, dev := newSchedKernel(t, DefaultConfig(), 100000)
 	tl := simtime.NewTimeline(0)
 	v.FS().CreateSynthetic(tl, "big", 1<<20)
 	f, _ := v.Open(tl, "big")
-	readsBefore := v.Stack().Stats().ReadOps
+	readsBefore := dev.Stats().ReadOps
 	// Unaligned overwrite in the middle of existing data.
 	f.WriteAt(tl, []byte("xyz"), 5000)
-	if got := v.Stack().Stats().ReadOps; got == readsBefore {
+	if got := dev.Stats().ReadOps; got == readsBefore {
 		t.Fatal("partial-block overwrite should RMW-fetch the block")
 	}
 	got := make([]byte, 3)

@@ -1,11 +1,11 @@
 package vfs
 
 // The write-side device submission paths live here, apart from the read
-// paths in vfs.go: the plug-API gate (`make check`) greps the read-path
-// files for direct dev.Access* calls, while writes — fsync's blocking
-// lane and the cache's background writeback — still submit against the
-// device directly (Linux likewise plugs the read/readahead submission
-// paths; writeback batches through its own work lists).
+// paths in vfs.go: reads reach the device only through a plug (readStack
+// has no other way), while writes — fsync's blocking lane and the cache's
+// background writeback — submit against the stack directly through
+// stackWriter (Linux likewise plugs the read/readahead submission paths;
+// writeback batches through its own work lists).
 
 import (
 	"repro/internal/blockdev"
@@ -14,21 +14,35 @@ import (
 	"repro/internal/telemetry"
 )
 
-// syncAccess is Stack.Access with bounded transient-fault retry and
+// stackWriter is the write paths' handle on the device stack: it submits
+// writes and nothing else.
+type stackWriter struct{ st *blockdev.Stack }
+
+// write is a blocking write on the stack's priority lane.
+func (w stackWriter) write(tl *simtime.Timeline, off, bytes int64) error {
+	return w.st.Access(tl, blockdev.OpWrite, off, bytes)
+}
+
+// writeAsync reserves an asynchronous write submitted at `at`.
+func (w stackWriter) writeAsync(at simtime.Time, off, bytes int64) (simtime.Time, error) {
+	return w.st.AccessAsync(at, blockdev.OpWrite, off, bytes)
+}
+
+// syncWrite is a blocking write with bounded transient-fault retry and
 // clamped exponential virtual-time backoff — the blocking write path's
 // resilience to transient device glitches: they are absorbed here
 // (charged as wait time), while persistent faults and exhausted budgets
 // surface to the caller.
-func (v *VFS) syncAccess(tl *simtime.Timeline, op blockdev.Op, off, bytes int64) error {
+func (v *VFS) syncWrite(tl *simtime.Timeline, off, bytes int64) error {
 	rp := v.retryPolicy()
-	err := v.dev.Access(tl, op, off, bytes)
+	err := v.wr.write(tl, off, bytes)
 	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
 		start := tl.Now()
 		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
 		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
 			Annotate("attempt", int64(attempt))
 		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = v.dev.Access(tl, op, off, bytes)
+		err = v.wr.write(tl, off, bytes)
 	}
 	return err
 }
@@ -44,7 +58,7 @@ func (v *VFS) flushRun(at simtime.Time, inoID, lo, hi int64) (simtime.Time, erro
 	write := func(devOff, bytes int64) error {
 		submit := at
 		for attempt := 0; ; attempt++ {
-			done, err := v.dev.AccessAsync(submit, blockdev.OpWrite, devOff, bytes)
+			done, err := v.wr.writeAsync(submit, devOff, bytes)
 			if err == nil {
 				if done > last {
 					last = done
