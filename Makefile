@@ -72,14 +72,16 @@ stress:
 
 # Run every fuzz target, one after another, for FUZZTIME each (default
 # 20s): a capped tier's residency invariants, the range tree against a
-# plain bitmap, the indexed ledger against a plain rescan of its ring, and
-# the file store's grouped block map against a flat one.
+# plain bitmap, the indexed ledger against a plain rescan of its ring, the
+# file store's grouped block map against a flat one, and its synthetic
+# filler against the byte-at-a-time reference.
 # Not part of `check`: `go test` already runs each target's seed corpus. A
 # failing input lands in the package's testdata/fuzz/ and replays from
 # there under plain `go test`.
 FUZZTIME ?= 20s
 FUZZ = internal/blockdev:FuzzTierResidency internal/rangetree:FuzzTreeAgainstBits \
-	internal/simtime:FuzzLedgerAgainstScan internal/fs:FuzzInodeAgainstFlatMap
+	internal/simtime:FuzzLedgerAgainstScan internal/fs:FuzzInodeAgainstFlatMap \
+	internal/fs:FuzzFillSyntheticAt
 
 fuzz:
 	@for t in $(FUZZ); do \

@@ -1,6 +1,7 @@
 package crosslib
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/simtime"
@@ -239,6 +240,66 @@ func TestShortReadMarksOnlyWhatWasRead(t *testing.T) {
 			if after.PrefetchCalls != before.PrefetchCalls+1 {
 				t.Fatalf("intent over the appended blocks made %d kernel calls, want 1",
 					after.PrefetchCalls-before.PrefetchCalls)
+			}
+		})
+	}
+}
+
+// TestNegativeOffsetReadTrainsNothing: a read at a negative offset names no
+// byte. The kernel refuses it with vfs.ErrNegativeOffset on both read
+// paths, and the library neither counts it as an access, nor feeds it to
+// the predictor, nor prefetches for it, nor marks the blocks its buffer
+// would have covered from block 0 on.
+func TestNegativeOffsetReadTrainsNothing(t *testing.T) {
+	const bs = 4096
+	for _, path := range []string{"ReadAt", "ring"} {
+		t.Run(path, func(t *testing.T) {
+			v := newKernel(100_000)
+			opt := CrossPredictOpt.Options()
+			opt.OptLimits = false // no prefetch on open: the tree starts empty
+			rt := New(v, opt)
+			tl := simtime.NewTimeline(0)
+			v.FS().CreateSynthetic(tl, "f", 256*bs)
+			f, err := rt.Open(tl, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops, stats := rt.ops.Load(), rt.Stats()
+			observes := int64(-1)
+			if f.pred != nil {
+				observes = f.pred.Observes()
+			}
+			buf := make([]byte, 64<<10) // 16 blocks from 4 before block 0
+			var n int64
+			if path == "ReadAt" {
+				got, rerr := f.ReadAt(tl, buf, -4*bs)
+				n, err = int64(got), rerr
+			} else {
+				ring := rt.NewRing(1, 8)
+				if err := ring.PrepRead(f, buf, -4*bs, 1); err != nil {
+					t.Fatal(err)
+				}
+				ring.Submit(tl)
+				cqes := ring.Reap(tl, 1)
+				if len(cqes) != 1 {
+					t.Fatalf("cqes = %+v", cqes)
+				}
+				n, err = cqes[0].N, cqes[0].Err
+			}
+			if n != 0 || !errors.Is(err, vfs.ErrNegativeOffset) {
+				t.Fatalf("read = %d, %v; want 0, vfs.ErrNegativeOffset", n, err)
+			}
+			if got := rt.ops.Load(); got != ops {
+				t.Errorf("%d accesses counted", got-ops)
+			}
+			if f.pred != nil && f.pred.Observes() != observes {
+				t.Errorf("predictor observed %d accesses", f.pred.Observes()-observes)
+			}
+			if got := rt.Stats(); got != stats {
+				t.Errorf("runtime stats moved %+v → %+v", stats, got)
+			}
+			if got := f.sf.tree.CachedCount(nil, 0, 256); got != 0 {
+				t.Errorf("%d blocks believed cached", got)
 			}
 		})
 	}

@@ -153,14 +153,16 @@ func (f *File) Predictor() *predictor.Predictor { return f.pred }
 
 // ReadAt reads through the shim: the predictor observes the access, the
 // runtime prefetches ahead when warranted, and the user-level bitmap is
-// updated with the pages the read faulted in.
+// updated with the pages the read faulted in. A read at a negative offset
+// names no byte: it goes straight to the kernel, which refuses it with
+// vfs.ErrNegativeOffset, and trains, prefetches and marks nothing.
 func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) {
 	o := f.rt.opt
 	root := f.rt.tr.Root(tl, telemetry.OpRead, f.kf.Inode().ID())
 	defer root.Finish(tl)
 	root.Annotate("off", off)
 	root.Annotate("bytes", int64(len(dst)))
-	if !o.Enabled {
+	if !o.Enabled || off < 0 {
 		return f.kf.ReadAt(tl, dst, off)
 	}
 	tl.Advance(f.rt.v.Config().Costs.LibOverhead)

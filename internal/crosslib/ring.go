@@ -274,7 +274,9 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 	q.lo, q.hi = q.off/bs, (q.off+n+bs-1)/bs
 	switch q.kind {
 	case vfs.RingRead:
-		if shimmed {
+		// At a negative offset the kernel refuses the SQE
+		// (vfs.ErrNegativeOffset): nothing to observe.
+		if shimmed && q.off >= 0 {
 			*op, q.full = f.observeAccess(tl, q.lo, q.hi)
 		}
 	case vfs.RingPrefetch:

@@ -421,27 +421,33 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 // unmaterialized block.
 func fillSynthetic(dst []byte, phys int64) { fillSyntheticAt(dst, phys, 0) }
 
-// fillSyntheticAt generates byte pos as byte((x >> (8*(pos%8))) ^ pos).
-// It runs on every copy-out of never-written file content, so the bulk is
-// done a word at a time: for pos aligned to 8, the eight pattern bytes are
-// byte(x>>8j) ^ (byte(pos)+j) with no per-lane carry, i.e. one 64-bit
-// xor/add against precomputable lane constants.
+// fillLanes is the pos half of the filler's 256-byte period, a word at a
+// time: byte j of word w is byte(8w+j), which never carries into the next.
+var fillLanes = func() (lanes [32]uint64) {
+	for w := range lanes {
+		lanes[w] = 0x0706050403020100 + 0x0101010101010101*uint64(8*w)
+	}
+	return lanes
+}()
+
+// fillSyntheticAt fills dst with the filler of the block at phys from byte
+// off on. Byte pos is byte(x >> (8*(pos%8))) ^ byte(pos), which for a fixed
+// block repeats every 256 bytes of pos. It runs on every copy-out of
+// never-written file content, so it builds that period once on the stack
+// (x against fillLanes, a word at a time), copies it into dst from phase
+// off%256, and doubles what dst holds until it is full: the bulk moves at
+// copy speed.
 func fillSyntheticAt(dst []byte, phys, off int64) {
 	x := uint64(phys)*0x9e3779b97f4a7c15 + 1
-	pos := uint64(off)
-	i := 0
-	for ; i < len(dst) && pos%8 != 0; i++ {
-		dst[i] = byte((x >> (8 * (pos % 8))) ^ pos)
-		pos++
+	var period [256]byte
+	for w := range fillLanes { // by index: a value range copies the table
+		binary.LittleEndian.PutUint64(period[8*w:], x^fillLanes[w])
 	}
-	const lanes = 0x0101010101010101
-	const laneIdx = 0x0706050403020100
-	for ; i+8 <= len(dst); i, pos = i+8, pos+8 {
-		binary.LittleEndian.PutUint64(dst[i:], x^(laneIdx+lanes*uint64(byte(pos))))
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = byte((x >> (8 * (pos % 8))) ^ pos)
-		pos++
+	phase := uint64(off) % 256
+	n := copy(dst, period[phase:])
+	n += copy(dst[n:], period[:phase])
+	for n < len(dst) {
+		n += copy(dst[n:], dst[:n])
 	}
 }
 

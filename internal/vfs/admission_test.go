@@ -138,11 +138,12 @@ func TestPrefetchAdmissionOneRule(t *testing.T) {
 }
 
 // TestNegativeOffsetsRejected: a negative offset names no byte of the
-// file. A write and an mmap load there fail with ErrNegativeOffset, a read
-// returns nothing, and readahead(2), readahead_info and a ring prefetch SQE
-// admit, book and cache nothing. The write and the load used to panic in
-// the file system, and each prefetch call admitted 32 pages of a range
-// where only 16 exist.
+// file. A write, a read, a ring read SQE and an mmap load there fail with
+// ErrNegativeOffset, as pread(2) and pwrite(2) fail with EINVAL, and
+// readahead(2), readahead_info and a ring prefetch SQE admit, book and
+// cache nothing. The write and the load used to panic in the file system,
+// a read used to return nothing and no error, and each prefetch call
+// admitted 32 pages of a range where only 16 exist.
 func TestNegativeOffsetsRejected(t *testing.T) {
 	const off, n = -64 << 10, 128 << 10
 	for _, tc := range []struct {
@@ -160,7 +161,11 @@ func TestNegativeOffsetsRejected(t *testing.T) {
 		{"pread", func(_ *VFS, tl *simtime.Timeline, f *File) (int64, error) {
 			got, err := f.ReadAt(tl, make([]byte, n), off)
 			return int64(got), err
-		}, nil},
+		}, ErrNegativeOffset},
+		{"ring read", func(v *VFS, tl *simtime.Timeline, f *File) (int64, error) {
+			c := v.RingEnter(tl, 0, []RingSQE{{F: f, Op: RingRead, Off: off, Buf: make([]byte, n)}}, nil)[0]
+			return c.N, c.Err
+		}, ErrNegativeOffset},
 		{"readahead", func(_ *VFS, tl *simtime.Timeline, f *File) (int64, error) {
 			return f.Readahead(tl, off, n), nil
 		}, nil},

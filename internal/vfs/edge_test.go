@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -81,8 +82,11 @@ func TestZeroLengthIO(t *testing.T) {
 	if n, err := f.ReadAt(tl, nil, 0); n != 0 || err != nil {
 		t.Fatalf("zero read = %d, %v", n, err)
 	}
-	if n, err := f.ReadAt(tl, make([]byte, 4), -5); n != 0 || err != nil {
-		t.Fatalf("negative-offset read = %d, %v", n, err)
+	if n, err := f.ReadAt(tl, make([]byte, 4), -5); n != 0 || !errors.Is(err, ErrNegativeOffset) {
+		t.Fatalf("negative-offset read = %d, %v; want 0, ErrNegativeOffset", n, err)
+	}
+	if n, err := f.ReadAt(tl, nil, -5); n != 0 || !errors.Is(err, ErrNegativeOffset) {
+		t.Fatalf("zero-length negative-offset read = %d, %v; want 0, ErrNegativeOffset", n, err)
 	}
 }
 

@@ -23,9 +23,10 @@ type readScratch struct {
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
-// ErrNegativeOffset is pwrite(2)'s EINVAL for a negative offset, and an
-// mmap load's there. A read at a negative offset returns nothing, and a
-// prefetch call admits nothing.
+// ErrNegativeOffset is pread(2)'s and pwrite(2)'s EINVAL for a negative
+// offset, returned by a read, a ring read SQE, a write and an mmap load
+// there once the crossing is charged. A prefetch call at a negative offset
+// admits nothing.
 var ErrNegativeOffset = errors.New("vfs: negative offset")
 
 // ErrFileTooLarge is pwrite(2)'s EFBIG for a write that would take the file
@@ -85,7 +86,10 @@ var noopObserve = func() {}
 func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) {
 	defer f.v.observeSyscall(tl, SysRead)()
 	f.v.enter(tl, SysRead)
-	if off < 0 || len(dst) == 0 {
+	if off < 0 {
+		return 0, ErrNegativeOffset
+	}
+	if len(dst) == 0 {
 		return 0, nil
 	}
 	size := f.ino.Size()

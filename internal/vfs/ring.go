@@ -327,8 +327,12 @@ func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap
 func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	pend *ringPending, wg *sync.WaitGroup, sc *readScratch) int64 {
 	f := sq.F
+	if sq.Off < 0 {
+		pend.fail(ErrNegativeOffset, tl.Now())
+		return 0
+	}
 	size := f.ino.Size()
-	if sq.Off < 0 || len(sq.Buf) == 0 || sq.Off >= size {
+	if len(sq.Buf) == 0 || sq.Off >= size {
 		return 0
 	}
 	n := int64(len(sq.Buf))
