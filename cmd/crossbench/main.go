@@ -152,7 +152,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	// Host-lock profiling: the virtual RWLedgers model the paper's lock
 	// costs, but these profiles expose where the *simulator's* own mutexes
-	// contend — the hot-path sharding work is validated against them.
+	// contend.
 	if *mutexProf != "" {
 		runtime.SetMutexProfileFraction(5)
 		defer func() { err = errors.Join(err, writeProfile("mutex", *mutexProf, stdout)) }()

@@ -380,7 +380,7 @@ func (s *System) AuditTelemetry() error {
 		}
 		// The ensemble's per-(inode,arm) shadow cards must sum to the
 		// recorder's shadow counters — same bookings, two ledgers. Only
-		// exact while no arm stripe has spilled into its overflow card
+		// exact while the arm table has not spilled into its overflow card
 		// (the overflow card mixes arms and cannot be attributed).
 		if !s.score.ArmOverflowed() {
 			var si, su, sw int64

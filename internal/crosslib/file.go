@@ -106,14 +106,13 @@ func (f *File) Close(tl *simtime.Timeline) error {
 		f.kf.Close(tl)
 		return nil
 	}
-	fs := f.rt.fileShard(sf.inoID)
-	fs.mu.Lock()
+	f.rt.filesMu.Lock()
 	sf.refs--
 	last := sf.refs == 0
 	if last {
-		delete(fs.m, sf.inoID)
+		delete(f.rt.files, sf.inoID)
 	}
-	fs.mu.Unlock()
+	f.rt.filesMu.Unlock()
 	// sf.kf is the descriptor background work borrows; it is closed only
 	// by the last closer, which may not be the descriptor that donated it.
 	if f.kf != sf.kf {

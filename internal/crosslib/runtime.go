@@ -14,16 +14,20 @@ import (
 	"repro/internal/vfs"
 )
 
-// Runtime is one process's CROSS-LIB instance.
+// Runtime is one process's CROSS-LIB instance. It is safe for concurrent
+// use by raw goroutines (the stress tests, the parallel benchmarks, the
+// admin server's reads); inside a System a simtime.Group runs one member at
+// a time, so its inode table is one map under one lock.
 type Runtime struct {
 	v   *vfs.VFS
 	opt Options
 
 	workers *simtime.WorkerPool
 
-	// The per-inode shared-state table is striped so concurrent open and
-	// close traffic on different files doesn't serialize on one lock.
-	fileShards [sfShardCount]sfShard
+	// files maps an inode to its shared state; filesMu also guards each
+	// entry's refs.
+	filesMu sync.Mutex
+	files   map[int64]*sharedFile
 
 	ops atomic.Int64 // intercepted operations, for eviction throttling
 	// evictEpoch is ops / EvictCheckOps as of the last budget poll: a poll is
@@ -64,22 +68,6 @@ type Runtime struct {
 	armPromotions    atomic.Int64
 }
 
-// sfShardCount stripes the inode table (power of two; selection is a mask).
-const sfShardCount = 8
-
-// sfShard is one stripe of the inode → sharedFile table.
-type sfShard struct {
-	mu sync.Mutex
-	m  map[int64]*sharedFile
-}
-
-// fileShard maps an inode to its table stripe.
-func (rt *Runtime) fileShard(inoID int64) *sfShard {
-	h := uint64(inoID) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return &rt.fileShards[h&(sfShardCount-1)]
-}
-
 // sharedFile is the per-inode state shared by all descriptors of a file:
 // the user-level range tree (the imported cache bitmap) and activity
 // tracking for the inactive-file LRU.
@@ -88,7 +76,7 @@ type sharedFile struct {
 	name  string
 	kf    *vfs.File // any descriptor, used for background prefetch/evict
 	tree  *rangetree.Tree
-	refs  int // live descriptors, guarded by the owning shard's mu
+	refs  int // live descriptors, under Runtime.filesMu
 
 	lastAccess    atomic.Int64 // virtual time of last access
 	fetchAll      atomic.Bool  // whole-file prefetch kicked off
@@ -173,9 +161,7 @@ func New(v *vfs.VFS, opt Options) *Runtime {
 		v:       v,
 		opt:     opt,
 		workers: simtime.NewWorkerPool(helperWorkers, 0),
-	}
-	for i := range rt.fileShards {
-		rt.fileShards[i].m = make(map[int64]*sharedFile)
+		files:   make(map[int64]*sharedFile),
 	}
 	return rt
 }
@@ -200,26 +186,18 @@ func (rt *Runtime) SetScorecard(s *telemetry.Scorecard) { rt.score = s }
 
 // SharedFiles reports live per-inode state entries (leak detection).
 func (rt *Runtime) SharedFiles() int {
-	n := 0
-	for i := range rt.fileShards {
-		fs := &rt.fileShards[i]
-		fs.mu.Lock()
-		n += len(fs.m)
-		fs.mu.Unlock()
-	}
-	return n
+	rt.filesMu.Lock()
+	defer rt.filesMu.Unlock()
+	return len(rt.files)
 }
 
-// appendFiles appends every live sharedFile across the table stripes.
+// appendFiles appends every live sharedFile.
 func (rt *Runtime) appendFiles(files []*sharedFile) []*sharedFile {
-	for i := range rt.fileShards {
-		fs := &rt.fileShards[i]
-		fs.mu.Lock()
-		for _, sf := range fs.m {
-			files = append(files, sf)
-		}
-		fs.mu.Unlock()
+	rt.filesMu.Lock()
+	for _, sf := range rt.files {
+		files = append(files, sf)
 	}
+	rt.filesMu.Unlock()
 	return files
 }
 
@@ -326,10 +304,9 @@ func (rt *Runtime) PredictorTable() []PredictorRow {
 // shared returns (creating on demand) the shared per-inode state.
 func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 	ino := kf.Inode().ID()
-	fs := rt.fileShard(ino)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sf, ok := fs.m[ino]
+	rt.filesMu.Lock()
+	defer rt.filesMu.Unlock()
+	sf, ok := rt.files[ino]
 	if !ok {
 		sf = &sharedFile{
 			inoID: ino,
@@ -358,7 +335,7 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 				return sf.tree.UnrequestedSpan(lo, hi)
 			})
 		}
-		fs.m[ino] = sf
+		rt.files[ino] = sf
 	}
 	sf.refs++
 	return sf
@@ -366,9 +343,8 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 
 // sole reports whether sf has one live descriptor.
 func (rt *Runtime) sole(sf *sharedFile) bool {
-	fs := rt.fileShard(sf.inoID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	rt.filesMu.Lock()
+	defer rt.filesMu.Unlock()
 	return sf.refs == 1
 }
 

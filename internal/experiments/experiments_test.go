@@ -395,8 +395,13 @@ func TestOverloadQuick(t *testing.T) {
 	if got := cell(t, tbl, "shed-sqes", "budget+deadline"); got < 1 {
 		t.Errorf("budget+deadline shed SQEs = %v, want >= 1", got)
 	}
-	if got := cell(t, tbl, "dl-miss", "budget+deadline"); got < 1 {
-		t.Errorf("budget+deadline deadline misses = %v, want >= 1", got)
+	// Hard-budget reclaim takes the antagonist's oldest pages, and at this
+	// scale no victim prefetch then completes past its deadline; when
+	// reclaim took them list stripe by list stripe, 61 did. The
+	// late-completion path itself is TestDeadlineShedAndMiss's
+	// (internal/crosslib).
+	if got := cell(t, tbl, "dl-miss", "budget+deadline"); got != 0 {
+		t.Errorf("budget+deadline deadline misses = %v, want 0", got)
 	}
 }
 

@@ -90,13 +90,9 @@ func TestColdDropSparesActive(t *testing.T) {
 		t.Errorf("index holds %v, want [64,128) and [160,176)", indexed)
 	}
 	// Both lists: every survivor still active, nothing left inactive.
-	var active, inactive int64
-	for i := range c.lru {
-		active += listLen(&c.frames, &c.lru[i].active)
-		inactive += listLen(&c.frames, &c.lru[i].inactive)
-	}
-	if active != 80 || inactive != 0 || c.nInactive.Load() != 0 {
-		t.Errorf("lists hold %d active and %d inactive pages (nInactive %d), want 80, 0 (0)", active, inactive, c.nInactive.Load())
+	active, inactive := listLen(&c.frames, &c.active), listLen(&c.frames, &c.inactive)
+	if active != 80 || inactive != 0 || c.nInactive != 0 {
+		t.Errorf("lists hold %d active and %d inactive pages (nInactive %d), want 80, 0 (0)", active, inactive, c.nInactive)
 	}
 	// The spared pages kept their state: a dirty one is still dirty, and a
 	// lookup finds them without a wait.

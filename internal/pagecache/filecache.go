@@ -129,7 +129,7 @@ func (fc *FileCache) LookupRange(tl *simtime.Timeline, lo, hi int64) LookupResul
 // LookupRangeInto is LookupRange writing into a caller-provided (and
 // typically reused) result. The real page-index lock is held shared: the
 // walk mutates only the marker, credit and accessed bits of the pages'
-// flag words (and takes an LRU shard lock for the rare promoting access),
+// flag words (and takes the LRU lock for the rare promoting access),
 // so concurrent lookups of a shared file proceed in parallel (§4.5) and
 // only structural changes (insert, remove) serialize. LRU aging happens
 // inside the walk because a frame is only guaranteed to be the page it was
@@ -224,7 +224,7 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 			// LRU aging: the first access flipped accessed above, a second
 			// access promotes an inactive page; both common cases are
 			// lock-free.
-			if f&flagAccessed != 0 && f&flagState == pageInactive && fc.cache.promote(fc, id, p) {
+			if f&flagAccessed != 0 && f&flagState == pageInactive && fc.cache.promote(id, p) {
 				promoted++
 			}
 		}
@@ -340,10 +340,9 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 		if missing == 0 {
 			continue
 		}
-		// The node's missing pages share an LRU shard, so they are
-		// allocated, filled and linked as one batch — and linked before
-		// fc.mu is released: once the index names a frame, eviction must
-		// find it on a list.
+		// The node's missing pages are allocated, filled and linked as
+		// one batch — and linked before fc.mu is released: once the index
+		// names a frame, eviction must find it on a list.
 		if slot == 0 {
 			slot = fc.frameSlot()
 		}
@@ -372,7 +371,7 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 		if opt.Dirty {
 			c.dirty.Add(int64(missing))
 		}
-		c.link(fc, fresh)
+		c.link(fresh)
 		inserted += int64(missing)
 	}
 	if inserted > 0 {

@@ -19,7 +19,7 @@ import (
 //
 //   - it was read from a file's index while holding that file's mu
 //     (shared or exclusive): a frame leaves the index before it is freed;
-//   - it is linked on an LRU list whose shard lock is held: a frame is
+//   - it is linked on an LRU list and the LRU lock is held: a frame is
 //     unlinked before it is freed, and is linked before its file's mu is
 //     released after the insert;
 //   - the holder removed it from its file's index and so owns it until it
@@ -57,7 +57,7 @@ type frameTable struct {
 
 // load returns the current directory. It covers every frame whose id the
 // caller can legitimately hold, provided it is loaded after taking the
-// lock (file mu or LRU shard lock) under which those ids are read.
+// lock (file mu or LRU lock) under which those ids are read.
 func (ft *frameTable) load() frameDir {
 	if d := ft.dir.Load(); d != nil {
 		return *d
@@ -170,8 +170,8 @@ func (st *slotTable[T]) release(slot uint32) {
 }
 
 // The per-file page index is a one-level radix of 64-slot nodes keyed by
-// idx>>6 — the granule the LRU shard function, the bitmap words and
-// ledgerBatch already use — so a range walk touches one node per 64 pages.
+// idx>>6 — the granule the bitmap words and ledgerBatch already use — so
+// a range walk touches one node per 64 pages.
 const (
 	nodeShift = 6
 	nodeSlots = 1 << nodeShift

@@ -231,29 +231,27 @@ func checkFrames(t *testing.T, c *Cache, rec *telemetry.Recorder, span int64, fi
 	}
 	// Every resident frame is on exactly one LRU list, and nothing else is.
 	var linked, inactive int64
-	for i := range c.lru {
-		for _, l := range []*pageList{&c.lru[i].inactive, &c.lru[i].active} {
-			want := pageActive
-			if l == &c.lru[i].inactive {
-				want = pageInactive
-			}
-			n := listLen(&c.frames, l)
-			for id := l.head; n > 0 && id != 0; id = dir.at(id).next {
-				if got := dir.at(id).flags.Load() & flagState; got != want {
-					t.Errorf("frame %d on a list of state %#x says %#x", id, want, got)
-				}
-			}
-			if want == pageInactive {
-				inactive += n
-			}
-			linked += n
+	for _, l := range []*pageList{&c.inactive, &c.active} {
+		want := pageActive
+		if l == &c.inactive {
+			want = pageInactive
 		}
+		n := listLen(&c.frames, l)
+		for id := l.head; n > 0 && id != 0; id = dir.at(id).next {
+			if got := dir.at(id).flags.Load() & flagState; got != want {
+				t.Errorf("frame %d on a list of state %#x says %#x", id, want, got)
+			}
+		}
+		if want == pageInactive {
+			inactive += n
+		}
+		linked += n
 	}
 	if linked != c.Used() {
 		t.Errorf("%d frames linked on LRU lists, %d resident", linked, c.Used())
 	}
-	if c.nInactive.Load() != inactive {
-		t.Errorf("nInactive = %d, %d frames on the inactive lists", c.nInactive.Load(), inactive)
+	if c.nInactive != inactive {
+		t.Errorf("nInactive = %d, %d frames on the inactive list", c.nInactive, inactive)
 	}
 	s := rec.Snapshot()
 	for o := telemetry.Origin(0); o < telemetry.NumOrigins; o++ {
@@ -318,7 +316,7 @@ func TestPageFrameSize(t *testing.T) {
 // TestFlagWordContention races the flag word's writers on the same frames:
 // readers consume credit and markers and set accessed under the shared
 // file lock (and promote), while inserts drive reclaim, which demotes,
-// rotates and evicts those frames under the shard locks and finishes
+// rotates and evicts those frames under the LRU lock and finishes
 // evictions that a failing writeback puts back. A write that overwrote a
 // concurrent one would book a credit twice or never, or leave a frame on
 // a list its state does not name; checkFrames catches both. Run it under
@@ -422,9 +420,9 @@ func TestVictimRevalidatesAfterRequeue(t *testing.T) {
 
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
-	c.reclaimMu.Lock()
+	c.lruMu.Lock()
 	sc.victims = c.selectGlobal(sc.victims[:0], 1)
-	c.reclaimMu.Unlock()
+	c.lruMu.Unlock()
 	if len(sc.victims) != 1 {
 		t.Fatalf("reclaim claimed %d pages, want 1", len(sc.victims))
 	}
@@ -433,10 +431,7 @@ func TestVictimRevalidatesAfterRequeue(t *testing.T) {
 	}
 	c.evictFromFiles(nil, sc)
 
-	var linked int64
-	for i := range c.lru {
-		linked += listLen(&c.frames, &c.lru[i].inactive) + listLen(&c.frames, &c.lru[i].active)
-	}
+	linked := listLen(&c.frames, &c.inactive) + listLen(&c.frames, &c.active)
 	if fc.CachedPages() != 1 || c.Used() != 1 || linked != 1 {
 		t.Fatalf("after the stale victim: %d cached, %d used, %d linked; want 1, 1, 1", fc.CachedPages(), c.Used(), linked)
 	}

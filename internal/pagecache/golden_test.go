@@ -28,10 +28,13 @@ import (
 // the parent reproduces these digests). And once more when the recorder
 // lost the two brownout outcomes, for the same reason and with the same
 // check. And once more when it lost the device_injected_stall_ns counter,
-// again with the same check.
+// again with the same check. "tenants" was re-recorded once more when the
+// LRU became one list pair: hard-budget reclaim now takes the tenant's
+// oldest pages across every file, where the striped lists took them stripe
+// by stripe ("global" held).
 var goldenDigests = map[string]uint64{
 	"global":  0x2eb5cdd821b253f7,
-	"tenants": 0x2e5fd02a7ccdab50,
+	"tenants": 0x9f753f32147c877d,
 }
 
 func TestGoldenEvictionOrder(t *testing.T) {

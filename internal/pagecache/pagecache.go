@@ -68,19 +68,20 @@ type Cache struct {
 	files   slotTable[FileCache]
 	tenants slotTable[tenantAccount]
 
-	// LRU state is striped across power-of-two shards so concurrent
-	// insert/touch traffic on different files (or different regions of one
-	// file) never serializes on a single list lock. Global eviction order
-	// is preserved exactly by stamping every list push with lruSeq and
-	// having reclaim pop the globally-oldest stamp (see lockOldest).
-	lru       [lruShardCount]lruShard
-	lruSeq    atomic.Uint64
-	nInactive atomic.Int64 // inactive population (rotation guard)
-	reclaimMu sync.Mutex   // serializes victim selection across shards
+	// LRU state: one active and one inactive list under lruMu, which also
+	// serializes victim selection. Every push stamps the frame with the next
+	// lruSeq, so a frame's seq names its incarnation (see victim).
+	lruMu     sync.Mutex
+	active    pageList
+	inactive  pageList
+	lruSeq    uint64 // under lruMu
+	nInactive int64  // inactive population (rotation guard), under lruMu
 
 	kswapd *simtime.WorkerPool
 
-	fileShards [fileShardCount]fileShard
+	// inodes maps an inode to its per-file cache state.
+	inodeMu sync.Mutex
+	inodes  map[int64]*FileCache
 
 	// Tenant page accounting (see tenant.go): every page is charged to
 	// one account; nOverSoft counts accounts over their soft budget and
@@ -113,61 +114,18 @@ func New(cfg Config, flush FlushFn) *Cache {
 		flush:      flush,
 		kswapd:     simtime.NewWorkerPool(1, 0), // one kswapd
 		tenantByID: make(map[int]*tenantAccount),
-	}
-	for i := range c.fileShards {
-		c.fileShards[i].m = make(map[int64]*FileCache)
+		inodes:     make(map[int64]*FileCache),
 	}
 	return c
 }
 
-// lruShardCount and fileShardCount stripe the LRU lists and the inode
-// table. Power of two so shard selection is a mask.
-const (
-	lruShardCount  = 8
-	fileShardCount = 8
-)
-
-// lruShard is one stripe of the active/inactive LRU lists.
-type lruShard struct {
-	mu       sync.Mutex
-	active   pageList
-	inactive pageList
-}
-
-// fileShard is one stripe of the inode → FileCache table.
-type fileShard struct {
-	mu sync.Mutex
-	m  map[int64]*FileCache
-}
-
-// shardIndex mixes two keys into a shard slot.
-func shardIndex(a, b uint64, n int) int {
-	h := a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f
-	h ^= h >> 29
-	return int(h & uint64(n-1))
-}
-
-// lruShardFor maps a page to its LRU shard, a pure function of (inode,
-// index) and so stable for the frame's lifetime: a file's pages spread
-// across the shards in 64-page chunks.
-func (c *Cache) lruShardFor(fc *FileCache, idx int64) *lruShard {
-	return &c.lru[shardIndex(uint64(fc.inoID), uint64(idx>>nodeShift), lruShardCount)]
-}
-
-func (c *Cache) fileShard(inoID int64) *fileShard {
-	return &c.fileShards[shardIndex(uint64(inoID), 0, fileShardCount)]
-}
-
-// appendFiles appends every live FileCache across the inode shards.
+// appendFiles appends every live FileCache.
 func (c *Cache) appendFiles(files []*FileCache) []*FileCache {
-	for i := range c.fileShards {
-		fs := &c.fileShards[i]
-		fs.mu.Lock()
-		for _, fc := range fs.m {
-			files = append(files, fc)
-		}
-		fs.mu.Unlock()
+	c.inodeMu.Lock()
+	for _, fc := range c.inodes {
+		files = append(files, fc)
 	}
+	c.inodeMu.Unlock()
 	return files
 }
 
@@ -203,10 +161,9 @@ func (c *Cache) lowWater() int64  { return c.cfg.CapacityPages * 7 / 8 }
 
 // File returns (creating if needed) the per-inode cache state.
 func (c *Cache) File(inoID int64) *FileCache {
-	fs := c.fileShard(inoID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fc, ok := fs.m[inoID]
+	c.inodeMu.Lock()
+	defer c.inodeMu.Unlock()
+	fc, ok := c.inodes[inoID]
 	if !ok {
 		fc = &FileCache{
 			cache:      c,
@@ -214,18 +171,17 @@ func (c *Cache) File(inoID int64) *FileCache {
 			treeLedger: simtime.NewRWLedger("tree"),
 			bmLedger:   simtime.NewRWLedger("bitmap"),
 		}
-		fs.m[inoID] = fc
+		c.inodes[inoID] = fc
 	}
 	return fc
 }
 
 // DropFile discards all cached pages of an inode (file deletion).
 func (c *Cache) DropFile(tl *simtime.Timeline, inoID int64) {
-	fs := c.fileShard(inoID)
-	fs.mu.Lock()
-	fc := fs.m[inoID]
-	delete(fs.m, inoID)
-	fs.mu.Unlock()
+	c.inodeMu.Lock()
+	fc := c.inodes[inoID]
+	delete(c.inodes, inoID)
+	c.inodeMu.Unlock()
 	if fc != nil {
 		fc.RemoveRange(tl, 0, fc.bm.Len())
 		fc.mu.Lock()
@@ -285,7 +241,7 @@ func (c *Cache) Stats() Stats {
 // page is one page frame: a pointer-free value in the frame table, named
 // by a frameID, 48 bytes. readyAt, issuedAt, idx, file and tacct are
 // immutable from the insert until the frame is released; seq, prev and
-// next belong to the frame's LRU shard lock; the small fields share one
+// next belong to the LRU lock (Cache.lruMu); the small fields share one
 // atomic flag word (see the flag constants below).
 type page struct {
 	readyAt simtime.Time
@@ -293,17 +249,15 @@ type page struct {
 	// pages: when the prefetch was issued) — the anchor of the
 	// prefetch-to-first-use timeliness measurement.
 	issuedAt simtime.Time
-	// seq is the global age stamp assigned on every list push, under the
-	// owning shard's mu (Cache.lruShardFor, a pure function of file/idx and
-	// therefore stable for the frame's lifetime); reclaim evicts ascending
-	// seq, which reproduces the exact single-list LRU order across shards.
-	// No two pushes share a stamp and an unlinked frame keeps its own, so
-	// seq also names the frame's incarnation (see victim). Atomic because a
-	// victim's re-validation reads it under the file's mu, not the shard's.
+	// seq is the stamp assigned on every list push, under the LRU lock. No
+	// two pushes share a stamp and an unlinked frame keeps its own, so seq
+	// names the frame's incarnation: reclaim re-validates a victim by it
+	// (see victim). Atomic because that re-validation reads it under the
+	// file's mu, not the LRU lock.
 	seq atomic.Uint64
 	// idx is the page's index in its file, below MaxPages.
 	idx uint32
-	// LRU linkage, guarded by the shard's mu. On the free list, next is the
+	// LRU linkage, guarded by the LRU lock. On the free list, next is the
 	// free-list link.
 	prev, next frameID
 	// file and tacct are the slots (Cache.files, Cache.tenants) of the
@@ -322,7 +276,7 @@ const MaxPages = 1 << 32
 
 // The flag word (page.flags), low bits first. Readers under a shared file
 // mu consume credit and marker and set accessed while reclaim rewrites
-// state and accessed under a shard lock, so every write is a
+// state and accessed under the LRU lock, so every write is a
 // compare-and-swap of the whole word (setFlags): no writer undoes
 // another's bit, and the one whose swap clears credit is the one that books
 // it, used or wasted. Who may write each field:
@@ -332,10 +286,10 @@ const MaxPages = 1 << 32
 //     holds the insertion origin (telemetry.Origin) + 1 while the page's
 //     prefetch credit is outstanding, 0 once consumed; demand-origin pages
 //     never carry credit.
-//   - state: the shard lock's holder; it names the list the frame is
+//   - state: the LRU lock's holder; it names the list the frame is
 //     linked on.
 //   - accessed: set by a lookup (the first access; a second one promotes
-//     an inactive page), cleared by demotion and rotation under the shard
+//     an inactive page), cleared by demotion and rotation under the LRU
 //     lock — so that the common lookup ages a page without that lock.
 //   - marker (PG_readahead): set under the file's exclusive mu, cleared by
 //     the lookup that crosses it.
@@ -394,7 +348,7 @@ func creditOf(f uint32) (telemetry.Origin, telemetry.Arm) {
 }
 
 // pageList is an intrusive doubly linked LRU list of frames. Head is most
-// recent. Every method needs the list's shard lock.
+// recent. Every method needs the LRU lock.
 type pageList struct {
 	head, tail frameID
 }

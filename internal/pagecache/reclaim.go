@@ -9,7 +9,7 @@ import (
 )
 
 // victim is a frame that reclaim unlinked from the LRU and intends to
-// evict. Between the unlink (under the shard lock) and the eviction (under
+// evict. Between the unlink (under the LRU lock) and the eviction (under
 // the file's mu) a concurrent RemoveRange may remove, release and even
 // re-insert the frame, so the victim is carried by value — who it was,
 // not just where it is — and evictFromFiles re-validates it by its seq,
@@ -23,99 +23,55 @@ type victim struct {
 	id  frameID
 }
 
-// link puts freshly inserted pages of fc on the inactive list (Linux
-// admits new file pages to inactive; promotion to active happens on
-// re-access). The caller holds fc.mu exclusive and passes pages of one index
-// node, which share a shard, so the batch takes one shard lock.
-func (c *Cache) link(fc *FileCache, fresh []frameID) {
+// link puts freshly inserted pages on the inactive list (Linux admits new
+// file pages to inactive; promotion to active happens on re-access). The
+// caller holds their file's mu exclusive.
+func (c *Cache) link(fresh []frameID) {
 	dir := c.frames.load()
-	sh := c.lruShardFor(fc, int64(dir.at(fresh[0]).idx))
-	sh.mu.Lock()
+	c.lruMu.Lock()
 	for _, id := range fresh {
 		p := dir.at(id)
-		p.seq.Store(c.lruSeq.Add(1))
-		sh.inactive.pushHead(&c.frames, id)
+		c.lruSeq++
+		p.seq.Store(c.lruSeq)
+		c.inactive.pushHead(&c.frames, id)
 		p.setFlags(flagState, pageInactive)
 	}
-	sh.mu.Unlock()
-	c.nInactive.Add(int64(len(fresh)))
+	c.nInactive += int64(len(fresh))
+	c.lruMu.Unlock()
 }
 
-// promote moves a re-accessed inactive page to the active list, under its
-// shard lock, and reports whether it did (reclaim may have claimed the
-// page first). The caller holds fc.mu (shared), which pins the frame.
-func (c *Cache) promote(fc *FileCache, id frameID, p *page) bool {
-	sh := c.lruShardFor(fc, int64(p.idx))
-	sh.mu.Lock()
+// promote moves a re-accessed inactive page to the active list and reports
+// whether it did (reclaim may have claimed the page first). The caller
+// holds fc.mu (shared), which pins the frame.
+func (c *Cache) promote(id frameID, p *page) bool {
+	c.lruMu.Lock()
 	promoted := p.flags.Load()&flagState == pageInactive
 	if promoted {
-		sh.inactive.remove(&c.frames, id)
-		c.nInactive.Add(-1)
-		p.seq.Store(c.lruSeq.Add(1))
-		sh.active.pushHead(&c.frames, id)
+		c.inactive.remove(&c.frames, id)
+		c.nInactive--
+		c.lruSeq++
+		p.seq.Store(c.lruSeq)
+		c.active.pushHead(&c.frames, id)
 		p.setFlags(flagState, pageActive)
 	}
-	sh.mu.Unlock()
+	c.lruMu.Unlock()
 	return promoted
 }
 
-// lockOldest finds the globally least-recent page on the sharded inactive
-// (or active) lists — the minimum seq stamp among all shard tails — and
-// returns it still linked, with its shard's lock HELD: the caller decides
-// under that lock whether to rotate or claim the page, so a page is never
-// off the lists without an owner, and unlocks. Caller holds reclaimMu.
-// Returns nil when every shard's list is empty.
-func (c *Cache) lockOldest(inactive bool) (*lruShard, frameID) {
-	for attempt := 0; ; attempt++ {
-		var best frameID
-		var bestSeq uint64
-		var bestShard *lruShard
-		for i := range c.lru {
-			sh := &c.lru[i]
-			sh.mu.Lock()
-			t := sh.active.tail
-			if inactive {
-				t = sh.inactive.tail
-			}
-			if t != 0 {
-				if seq := c.frames.at(t).seq.Load(); best == 0 || seq < bestSeq {
-					best, bestSeq, bestShard = t, seq, sh
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if best == 0 {
-			return nil, 0
-		}
-		bestShard.mu.Lock()
-		t := bestShard.active.tail
-		if inactive {
-			t = bestShard.inactive.tail
-		}
-		// Revalidate: a concurrent promote/link may have moved the tail
-		// between the scan and the relock. After a few retries settle for
-		// this shard's current tail — still LRU-ordered within the shard,
-		// and selection is exact whenever reclaim runs unraced.
-		if t != 0 && ((t == best && c.frames.at(t).seq.Load() == bestSeq) || attempt >= 4) {
-			return bestShard, t
-		}
-		bestShard.mu.Unlock()
-	}
-}
-
-// requeueInactive moves a linked page (on sh's inactive list, or its
-// active list when fromActive) to the inactive head with a fresh age stamp:
-// demotion from active, or second-chance rotation. Caller holds sh.mu.
-func (c *Cache) requeueInactive(sh *lruShard, id frameID, fromActive bool) {
+// requeueInactive moves a linked page (on the inactive list, or the active
+// list when fromActive) to the inactive head with a fresh age stamp:
+// demotion from active, or second-chance rotation. Caller holds lruMu.
+func (c *Cache) requeueInactive(id frameID, fromActive bool) {
 	p := c.frames.at(id)
 	if fromActive {
-		sh.active.remove(&c.frames, id)
-		c.nInactive.Add(1)
+		c.active.remove(&c.frames, id)
+		c.nInactive++
 	} else {
-		sh.inactive.remove(&c.frames, id)
+		c.inactive.remove(&c.frames, id)
 	}
-	p.seq.Store(c.lruSeq.Add(1))
-	sh.inactive.pushHead(&c.frames, id)
+	c.lruSeq++
+	p.seq.Store(c.lruSeq)
+	c.inactive.pushHead(&c.frames, id)
 	p.setFlags(flagAccessed|flagState, pageInactive)
 }
 
@@ -142,9 +98,8 @@ func (c *Cache) reclaimIfNeeded(tl *simtime.Timeline) {
 }
 
 // A selector chooses whom a reclaim pass evicts: it appends up to target
-// victims, each taken off its LRU list and marked pageUnlinked under the
-// list's shard lock, and runs under reclaimMu. selectGlobal and
-// selectTenant are the two there are.
+// victims, each taken off its LRU list and marked pageUnlinked, and runs
+// under lruMu. selectGlobal and selectTenant are the two there are.
 type selector func(victims []victim, target int64) []victim
 
 // reclaim is the one pass by which pages leave the cache by age. Direct,
@@ -153,9 +108,9 @@ type selector func(victims []victim, target int64) []victim
 func (c *Cache) reclaim(tl *simtime.Timeline, span string, target int64, background bool, sel selector) {
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
-	c.reclaimMu.Lock()
+	c.lruMu.Lock()
 	sc.victims = sel(sc.victims[:0], target)
-	c.reclaimMu.Unlock()
+	c.lruMu.Unlock()
 	if len(sc.victims) == 0 {
 		return
 	}
@@ -175,7 +130,7 @@ func (c *Cache) reclaim(tl *simtime.Timeline, span string, target int64, backgro
 }
 
 // selectGlobal is the selector of direct and background reclaim: the
-// globally oldest pages off the sharded lists, with a second chance for
+// oldest pages, from the inactive tail, with a second chance for
 // re-accessed ones and the soft-budget bias.
 func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 	// Bound the scan so concurrent touches re-heating rotated pages can
@@ -190,21 +145,14 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 	biasBudget := 4*target + 256
 	for int64(len(victims)) < target && steps > 0 {
 		steps--
-		sh, id := c.lockOldest(true)
-		if sh == nil {
+		id := c.inactive.tail
+		if id == 0 {
 			// Age: demote a batch of the oldest active pages.
-			aged := false
-			for i := 0; i < 32; i++ {
-				ash, aid := c.lockOldest(false)
-				if ash == nil {
-					break
-				}
-				c.requeueInactive(ash, aid, true)
-				ash.mu.Unlock()
-				aged = true
-			}
-			if !aged {
+			if c.active.tail == 0 {
 				break
+			}
+			for i := 0; i < 32 && c.active.tail != 0; i++ {
+				c.requeueInactive(c.active.tail, true)
 			}
 			continue
 		}
@@ -212,22 +160,20 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 		biased := biasBudget > 0 && c.nOverSoft.Load() > 0 && !c.tenants.at(p.tacct).overSoftNow()
 		// Second-chance: a recently re-accessed page rotates once.
 		if biased || p.flags.Load()&flagAccessed != 0 {
-			c.requeueInactive(sh, id, false)
-			sh.mu.Unlock()
+			c.requeueInactive(id, false)
 			if biased {
 				biasBudget--
 			}
 			// Avoid infinite rotation on a fully hot list.
-			if c.nInactive.Load() == 1 {
+			if c.nInactive == 1 {
 				break
 			}
 			continue
 		}
-		sh.inactive.remove(&c.frames, id)
-		c.nInactive.Add(-1)
+		c.inactive.remove(&c.frames, id)
+		c.nInactive--
 		p.setFlags(flagState, pageUnlinked)
 		victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
-		sh.mu.Unlock()
 	}
 	return victims
 }
@@ -282,27 +228,17 @@ func (c *Cache) evictFromFiles(tl *simtime.Timeline, sc *evictScratch) {
 func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []frameID, unlink bool, sc *evictScratch) {
 	ft := &c.frames
 	if unlink {
-		var sh *lruShard
+		c.lruMu.Lock()
 		for _, id := range victims {
-			p := ft.at(id)
-			if nsh := c.lruShardFor(fc, int64(p.idx)); nsh != sh {
-				if sh != nil {
-					sh.mu.Unlock()
-				}
-				sh = nsh
-				sh.mu.Lock()
-			}
-			switch p.setFlags(flagState, pageUnlinked) & flagState {
+			switch ft.at(id).setFlags(flagState, pageUnlinked) & flagState {
 			case pageInactive:
-				sh.inactive.remove(ft, id)
-				c.nInactive.Add(-1)
+				c.inactive.remove(ft, id)
+				c.nInactive--
 			case pageActive:
-				sh.active.remove(ft, id)
+				c.active.remove(ft, id)
 			}
 		}
-		if sh != nil {
-			sh.mu.Unlock()
-		}
+		c.lruMu.Unlock()
 	}
 	c.used.Add(-int64(len(victims)))
 	c.evictions.Add(int64(len(victims)))
@@ -313,7 +249,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	}
 	// Credit each victim back to its tenant account and feed the scorecard
 	// pollution denominator, one booking per run of same-tenant victims to
-	// bound atomic and stripe-lock traffic.
+	// bound atomic and scorecard-lock traffic.
 	c.rec.Add(telemetry.CtrCacheRemovedPages, int64(len(victims)))
 	dir := ft.load()
 	for i := 0; i < len(victims); {
@@ -435,7 +371,7 @@ func (c *Cache) requeueDirty(at simtime.Time, fc *FileCache, run []frameID) {
 		c.dirty.Add(1)
 		fc.setFrame(idx, id)
 		fc.bm.Set(idx)
-		c.link(fc, run[k:k+1])
+		c.link(run[k : k+1])
 		run[k] = 0
 		// The re-insertion is a fresh (dirty) insertion for the audit's
 		// books: inserted − removed = resident stays exact, and the dirty

@@ -157,32 +157,23 @@ func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
 }
 
 // selectTenant is the selector of tenant-targeted reclaim: the tenant's
-// own pages and nobody else's, shard by shard, every inactive list before
-// any active one, each walked tail to head (oldest first within the shard).
+// own pages and nobody else's, oldest first — the inactive list, then the
+// active one, each walked tail to head.
 func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) []victim {
 	ft := &c.frames
-	for _, state := range [...]uint32{pageInactive, pageActive} {
-		for i := range c.lru {
-			sh := &c.lru[i]
-			l := &sh.inactive
-			if state == pageActive {
-				l = &sh.active
-			}
-			sh.mu.Lock()
-			for id := l.tail; id != 0 && int64(len(victims)) < target; {
-				p := ft.at(id)
-				prev := p.prev
-				if p.tacct == a.slot {
-					l.remove(ft, id)
-					if state == pageInactive {
-						c.nInactive.Add(-1)
-					}
-					p.setFlags(flagState, pageUnlinked)
-					victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
+	for _, l := range [...]*pageList{&c.inactive, &c.active} {
+		for id := l.tail; id != 0 && int64(len(victims)) < target; {
+			p := ft.at(id)
+			prev := p.prev
+			if p.tacct == a.slot {
+				l.remove(ft, id)
+				if l == &c.inactive {
+					c.nInactive--
 				}
-				id = prev
+				p.setFlags(flagState, pageUnlinked)
+				victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
 			}
-			sh.mu.Unlock()
+			id = prev
 		}
 	}
 	return victims

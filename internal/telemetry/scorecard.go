@@ -22,63 +22,55 @@ import (
 // scoring substrate ROADMAP items 2 and 3 (predictor bandit, per-tenant
 // eviction policy) consume.
 //
-// Concurrency: state is lock-striped by card key. The hot-path methods
-// take one stripe mutex, never allocate after a card's first touch, and
-// every method no-ops on a nil *Scorecard — disabled cost is one nil
-// check, exactly like the Recorder.
+// Concurrency: each of the three card tables has one mutex. The hot-path
+// methods take it, never allocate after a card's first touch, and every
+// method no-ops on a nil *Scorecard — disabled cost is one nil check,
+// exactly like the Recorder.
 //
-// Bounding: at most scoreMaxCards inode cards exist per stripe; past the
-// bound, traffic books to the stripe's shared overflow card (key
-// OverflowKey) rather than being dropped, so totals stay exact and the
-// audit's partition identities hold regardless of inode cardinality.
+// Bounding: a table holds at most scoreMaxCards cards; past the bound,
+// traffic books to the table's one overflow card (key OverflowKey) rather
+// than being dropped, so totals stay exact and the audit's partition
+// identities hold regardless of inode cardinality.
 type Scorecard struct {
-	files   []scoreStripe
-	tenants []scoreStripe
+	files   scoreTable
+	tenants scoreTable
 	// arms holds the per-(inode,arm) shadow cards of the predictor
 	// ensemble, keyed ino<<armKeyBits|arm. Every arm books its
 	// would-have-prefetched candidates here under the crossos origin
 	// column, so the same accuracy/coverage derivations score arms that
 	// never touched the cache.
-	arms []scoreStripe
+	arms scoreTable
 }
 
 // armKeyBits is the arm field width of the composite (inode,arm) card
 // key: key = ino<<armKeyBits | arm.
 const armKeyBits = 3
 
-// OverflowKey is the card key absorbing traffic past the per-stripe
-// inode-card bound.
+// OverflowKey is the card key absorbing traffic past a table's card
+// bound.
 const OverflowKey = -1
 
 // A card scores windows scoreWindowWidth of virtual time wide and keeps
-// the trailing scoreWindows of them; a stripe tracks at most scoreMaxCards
-// inode cards (512 across its 8 stripes), the rest share its overflow card.
+// the trailing scoreWindows of them; a table tracks at most scoreMaxCards
+// cards, the rest share its overflow card.
 const (
 	scoreWindowWidth = 10 * simtime.Millisecond
 	scoreWindows     = 8
-	scoreMaxCards    = 64
+	scoreMaxCards    = 512
 )
-
-// scoreStripes is the lock-stripe count (power of two).
-const scoreStripes = 8
 
 // NewScorecard returns an empty scorecard.
 func NewScorecard() *Scorecard {
 	s := &Scorecard{}
-	s.files = make([]scoreStripe, scoreStripes)
-	s.tenants = make([]scoreStripe, scoreStripes)
-	s.arms = make([]scoreStripe, scoreStripes)
-	for i := range s.files {
-		s.files[i].cards = make(map[int64]*scoreCard)
-		s.tenants[i].cards = make(map[int64]*scoreCard)
-		s.arms[i].cards = make(map[int64]*scoreCard)
-	}
+	s.files.cards = make(map[int64]*scoreCard)
+	s.tenants.cards = make(map[int64]*scoreCard)
+	s.arms.cards = make(map[int64]*scoreCard)
 	return s
 }
 
-// scoreStripe is one lock stripe: a bounded card map plus the shared
-// overflow card created on first demand.
-type scoreStripe struct {
+// scoreTable is one card table: a bounded card map plus the shared
+// overflow card created on first demand, under one mutex.
+type scoreTable struct {
 	mu       sync.Mutex
 	cards    map[int64]*scoreCard
 	overflow *scoreCard
@@ -111,7 +103,7 @@ type scoreWindow struct {
 	latePages int64 // consumed while the backing I/O was still in flight
 
 	// Prefetch-to-first-use latency, log2-bucketed like Histogram but
-	// plain int64 under the stripe lock.
+	// plain int64 under the table lock.
 	latBuckets [histBuckets]int64
 	latCount   int64
 	latSum     int64
@@ -127,22 +119,15 @@ func (w *scoreWindow) observeLat(v int64) {
 	w.latSum += v
 }
 
-// stripeOf mixes a key into a stripe slot.
-func stripeOf(key int64) int {
-	h := uint64(key) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return int(h & (scoreStripes - 1))
-}
-
 // epochOf is the window index containing t.
 func (s *Scorecard) epochOf(t simtime.Time) int64 {
 	return int64(t) / int64(scoreWindowWidth)
 }
 
-// card returns the stripe's card for key, creating it while under the
+// card returns the table's card for key, creating it while under the
 // bound and falling back to the overflow card past it. Caller holds
 // st.mu.
-func (s *Scorecard) card(st *scoreStripe, key int64) *scoreCard {
+func (st *scoreTable) card(key int64) *scoreCard {
 	if c := st.cards[key]; c != nil {
 		return c
 	}
@@ -157,9 +142,19 @@ func (s *Scorecard) card(st *scoreStripe, key int64) *scoreCard {
 	return st.overflow
 }
 
+// book runs fn on key's card window for epoch and on its totals, under the
+// table lock.
+func (st *scoreTable) book(key, epoch int64, fn func(w *scoreWindow)) {
+	st.mu.Lock()
+	c := st.card(key)
+	fn(c.window(epoch))
+	fn(&c.totals)
+	st.mu.Unlock()
+}
+
 // window returns the card's slot for epoch, resetting a stale slot in
 // place (the ring keeps only the trailing scoreWindows epochs). Caller holds
-// the stripe lock. Out-of-order updates older than the ring's horizon
+// the table lock. Out-of-order updates older than the ring's horizon
 // land in the slot their epoch maps to only if it still holds that
 // epoch; otherwise they book into the current slot's predecessorless
 // reset — totals stay exact either way.
@@ -175,19 +170,8 @@ func (c *scoreCard) window(epoch int64) *scoreWindow {
 // the event time now.
 func (s *Scorecard) update(now simtime.Time, ino int64, tenant int, fn func(w *scoreWindow)) {
 	epoch := s.epochOf(now)
-	st := &s.files[stripeOf(ino)]
-	st.mu.Lock()
-	c := s.card(st, ino)
-	fn(c.window(epoch))
-	fn(&c.totals)
-	st.mu.Unlock()
-
-	tt := &s.tenants[stripeOf(int64(tenant))]
-	tt.mu.Lock()
-	tc := s.card(tt, int64(tenant))
-	fn(tc.window(epoch))
-	fn(&tc.totals)
-	tt.mu.Unlock()
+	s.files.book(ino, epoch, fn)
+	s.tenants.book(int64(tenant), epoch, fn)
 }
 
 // Issued books n pages inserted under origin into ino's / tenant's
@@ -251,14 +235,7 @@ func (s *Scorecard) Read(now simtime.Time, ino int64, tenant int, pages, hitPage
 // Arm cards have no tenant pair — shadow candidates never touch the
 // cache, so there is no tenant residency to attribute.
 func (s *Scorecard) updateArm(now simtime.Time, ino int64, arm Arm, fn func(w *scoreWindow)) {
-	key := ino<<armKeyBits | int64(arm)
-	epoch := s.epochOf(now)
-	st := &s.arms[stripeOf(key)]
-	st.mu.Lock()
-	c := s.card(st, key)
-	fn(c.window(epoch))
-	fn(&c.totals)
-	st.mu.Unlock()
+	s.arms.book(ino<<armKeyBits|int64(arm), s.epochOf(now), fn)
 }
 
 // ArmIssued books n pages an arm would have prefetched (shadow mode)
@@ -313,41 +290,32 @@ func (s *Scorecard) ArmTotals(a Arm) (issued, used, wasted int64) {
 	if s == nil {
 		return 0, 0, 0
 	}
-	for i := range s.arms {
-		st := &s.arms[i]
-		st.mu.Lock()
-		for key, c := range st.cards {
-			if Arm(key&(1<<armKeyBits-1)) != a {
-				continue
-			}
-			issued += c.totals.issued[OriginCrossOS]
-			used += c.totals.used[OriginCrossOS]
-			wasted += c.totals.wasted[OriginCrossOS]
+	st := &s.arms
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for key, c := range st.cards {
+		if Arm(key&(1<<armKeyBits-1)) != a {
+			continue
 		}
-		// The overflow card mixes arms; it cannot be attributed here, so
-		// shadow books must stay under the card bound for exactness (the
-		// audit only reconciles arms when no overflow card exists).
-		st.mu.Unlock()
+		issued += c.totals.issued[OriginCrossOS]
+		used += c.totals.used[OriginCrossOS]
+		wasted += c.totals.wasted[OriginCrossOS]
 	}
+	// The overflow card mixes arms; it cannot be attributed here, so
+	// shadow books must stay under the card bound for exactness (the
+	// audit only reconciles arms when no overflow card exists).
 	return issued, used, wasted
 }
 
-// ArmOverflowed reports whether any arm stripe spilled into its
-// overflow card (per-arm attribution no longer exact). Nil-safe.
+// ArmOverflowed reports whether the arm table spilled into its overflow
+// card (per-arm attribution no longer exact). Nil-safe.
 func (s *Scorecard) ArmOverflowed() bool {
 	if s == nil {
 		return false
 	}
-	for i := range s.arms {
-		st := &s.arms[i]
-		st.mu.Lock()
-		spilled := st.overflow != nil
-		st.mu.Unlock()
-		if spilled {
-			return true
-		}
-	}
-	return false
+	s.arms.mu.Lock()
+	defer s.arms.mu.Unlock()
+	return s.arms.overflow != nil
 }
 
 // OriginTotals sums every inode card's lifetime (inserted, used, wasted)
@@ -358,20 +326,18 @@ func (s *Scorecard) OriginTotals(o Origin) (issued, used, wasted int64) {
 	if s == nil {
 		return 0, 0, 0
 	}
-	for i := range s.files {
-		st := &s.files[i]
-		st.mu.Lock()
-		for _, c := range st.cards {
-			issued += c.totals.issued[o]
-			used += c.totals.used[o]
-			wasted += c.totals.wasted[o]
-		}
-		if c := st.overflow; c != nil {
-			issued += c.totals.issued[o]
-			used += c.totals.used[o]
-			wasted += c.totals.wasted[o]
-		}
-		st.mu.Unlock()
+	st := &s.files
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, c := range st.cards {
+		issued += c.totals.issued[o]
+		used += c.totals.used[o]
+		wasted += c.totals.wasted[o]
+	}
+	if c := st.overflow; c != nil {
+		issued += c.totals.issued[o]
+		used += c.totals.used[o]
+		wasted += c.totals.wasted[o]
 	}
 	return issued, used, wasted
 }
@@ -519,19 +485,16 @@ func (w *scoreWindow) issuedAny() bool {
 	return false
 }
 
-func exportStripes(stripes []scoreStripe, width simtime.Duration) []CardScore {
-	var cards []*scoreCard
-	for i := range stripes {
-		st := &stripes[i]
-		st.mu.Lock()
-		for _, c := range st.cards {
-			cards = append(cards, c)
-		}
-		if st.overflow != nil {
-			cards = append(cards, st.overflow)
-		}
-		st.mu.Unlock()
+func (st *scoreTable) export(width simtime.Duration) []CardScore {
+	st.mu.Lock()
+	cards := make([]*scoreCard, 0, len(st.cards)+1)
+	for _, c := range st.cards {
+		cards = append(cards, c)
 	}
+	if st.overflow != nil {
+		cards = append(cards, st.overflow)
+	}
+	st.mu.Unlock()
 	sort.Slice(cards, func(a, b int) bool { return cards[a].key < cards[b].key })
 	out := make([]CardScore, 0, len(cards))
 	for _, c := range cards {
@@ -541,14 +504,14 @@ func exportStripes(stripes []scoreStripe, width simtime.Duration) []CardScore {
 }
 
 // Snapshot exports every card. Returns nil on a nil scorecard. Cards
-// are read stripe by stripe under their locks; concurrent updates
-// between stripes may land or not (a snapshot is a consistent cut only
+// are read table by table under their locks; concurrent updates
+// between tables may land or not (a snapshot is a consistent cut only
 // when traffic is quiesced, which is how the experiments use it).
 func (s *Scorecard) Snapshot() *ScorecardSnapshot {
 	if s == nil {
 		return nil
 	}
-	arms := exportStripes(s.arms, scoreWindowWidth)
+	arms := s.arms.export(scoreWindowWidth)
 	for i := range arms {
 		if arms[i].Key == OverflowKey {
 			continue
@@ -559,8 +522,8 @@ func (s *Scorecard) Snapshot() *ScorecardSnapshot {
 	return &ScorecardSnapshot{
 		WindowWidth: scoreWindowWidth,
 		Windows:     scoreWindows,
-		Files:       exportStripes(s.files, scoreWindowWidth),
-		Tenants:     exportStripes(s.tenants, scoreWindowWidth),
+		Files:       s.files.export(scoreWindowWidth),
+		Tenants:     s.tenants.export(scoreWindowWidth),
 		Arms:        arms,
 	}
 }

@@ -84,13 +84,13 @@ func TestScorecardScores(t *testing.T) {
 	}
 }
 
-// TestScorecardOverflow floods more inodes than the stripes' card bound
-// holds: excess traffic must land on overflow cards (key -1), and
+// TestScorecardOverflow floods more inodes than the table's card bound
+// holds: excess traffic must land on its one overflow card (key -1), and
 // OriginTotals must still reconcile exactly against what was booked.
 func TestScorecardOverflow(t *testing.T) {
 	s := NewScorecard()
 	at := simtime.Time(0)
-	const inodes = 4 * scoreMaxCards * scoreStripes
+	const inodes = 4 * scoreMaxCards
 	for ino := int64(0); ino < inodes; ino++ {
 		s.Issued(at, ino, 0, OriginCrossOS, 2)
 	}
@@ -107,11 +107,11 @@ func TestScorecardOverflow(t *testing.T) {
 			overflowIssued += c.Totals.Issued["crossos"]
 		}
 	}
-	if overflow == 0 || overflowIssued == 0 {
-		t.Fatalf("expected overflow cards with traffic, got %d cards / %d pages", overflow, overflowIssued)
+	if overflow != 1 || overflowIssued != 2*(inodes-scoreMaxCards) {
+		t.Fatalf("got %d overflow cards with %d pages, want 1 with %d", overflow, overflowIssued, 2*(inodes-scoreMaxCards))
 	}
-	if max := (scoreMaxCards + 1) * scoreStripes; len(snap.Files) > max {
-		t.Fatalf("cards = %d, want <= %d (%d per stripe + overflow)", len(snap.Files), max, scoreMaxCards)
+	if max := scoreMaxCards + 1; len(snap.Files) > max {
+		t.Fatalf("cards = %d, want <= %d (%d cards + overflow)", len(snap.Files), max, scoreMaxCards)
 	}
 }
 

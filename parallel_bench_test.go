@@ -193,8 +193,8 @@ func BenchmarkParallelMixedReadPrefetch(b *testing.B) {
 
 // BenchmarkParallelBitmapQuery: cache-state queries (Span, CachedPages,
 // the bitmap fast path) on a file that a writer class keeps inserting
-// into. Pre-sharding these queries block behind every insert's exclusive
-// page-index lock; post-sharding they are lock-free atomic reads.
+// into. They are lock-free atomic reads, so they do not wait behind an
+// insert's exclusive page-index lock.
 func BenchmarkParallelBitmapQuery(b *testing.B) {
 	sys, names := pbSystem(b, 1)
 	pbWarm(b, sys, names[0])

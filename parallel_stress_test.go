@@ -1,4 +1,4 @@
-// Real-concurrency stress tests for the sharded cache: many goroutines
+// Real-concurrency stress tests for the page cache: many goroutines
 // demand-reading and prefetching disjoint and overlapping ranges of one
 // shared inode, with eviction churn racing the readers. Run under -race by
 // `make check`. After the storm settles, every layer's account of the work
