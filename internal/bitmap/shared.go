@@ -189,6 +189,37 @@ func (s *Shared) NextClear(i, hi int64) int64 {
 	return hi
 }
 
+// TrimSet trims [lo, hi) to its outermost clear bits, a word at a time:
+// it returns the first clear bit at or after lo and one past the last
+// clear bit before hi, or (hi, hi) when every bit in between is set.
+// Interior set bits are not split out. A window with hi <= lo comes back
+// as it went in, with lo raised to 0.
+func (s *Shared) TrimSet(lo, hi int64) (int64, int64) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi <= lo {
+		return lo, hi
+	}
+	if lo = s.NextClear(lo, hi); lo == hi {
+		return hi, hi
+	}
+	v := s.view()
+	for i := hi - 1; i >= lo; {
+		w := int(i / wordBits)
+		// The clear bits of word w at or below bit i.
+		if x := ^v.load(w) & (^uint64(0) >> (wordBits - 1 - uint(i)%wordBits)); x != 0 {
+			if end := int64(w)*wordBits + int64(bits.Len64(x)); end > lo {
+				return lo, end
+			}
+			break
+		}
+		i = int64(w)*wordBits - 1
+	}
+	// A writer set lo's bit since it read as clear.
+	return lo, lo
+}
+
 // MissingRuns returns the maximal runs of clear bits within [lo, hi).
 func (s *Shared) MissingRuns(lo, hi int64) []Run { return s.AppendMissingRuns(nil, lo, hi) }
 

@@ -48,7 +48,13 @@ func (w *Window) CountRange(lo, hi int64) int64 {
 // AppendPresentRuns appends the maximal runs of set bits within [lo, hi)
 // to dst and returns the extended slice.
 func (w *Window) AppendPresentRuns(dst []Run, lo, hi int64) []Run {
-	return appendRuns(dst, newRunIter(w.view(), lo, hi, true))
+	return appendRuns(dst, w.PresentIter(lo, hi))
+}
+
+// PresentIter returns an allocation-free iterator over the maximal runs of
+// set bits within [lo, hi).
+func (w *Window) PresentIter(lo, hi int64) RunIter {
+	return newRunIter(w.view(), lo, hi, true)
 }
 
 // CopyWindow makes dst a snapshot of blocks [lo, hi), reusing dst's

@@ -460,6 +460,10 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	// depend on map iteration order).
 	candidates := rt.appendFiles(rt.evictFiles[:0])
 	defer func() { clear(candidates); rt.evictFiles = candidates[:0] }()
+	coldBefore := now.Add(-rt.opt.InactiveAge)
+	if !slices.ContainsFunc(candidates, func(sf *sharedFile) bool { return rt.evictable(sf, now, coldBefore) }) {
+		return // most passes: nothing to sort, nothing to drop
+	}
 	slices.SortFunc(candidates, func(a, b *sharedFile) int {
 		if c := cmp.Compare(a.lastAccess.Load(), b.lastAccess.Load()); c != 0 {
 			return c
@@ -491,7 +495,6 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	// recently are left alone even under pressure — evicting the live
 	// working set would only be re-fetched (churn), so when nothing is
 	// cold the library lets the kernel LRU arbitrate.
-	coldBefore := now.Add(-rt.opt.InactiveAge)
 	for _, sf := range candidates {
 		if freed >= target {
 			return
@@ -525,6 +528,18 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 			freed += rt.dontNeed(wtl, sf, vfs.AdvDontNeedCold, cr.Lo, hi)
 		}
 	}
+}
+
+// evictable reports whether an eviction pass at now would drop sf whole
+// (pass 1) or one of its ranges (pass 2). A pass in which no file is
+// evictable drops nothing and changes no state, so it returns before it
+// sorts the files and their ranges.
+func (rt *Runtime) evictable(sf *sharedFile, now, coldBefore simtime.Time) bool {
+	if now.Sub(simtime.Time(sf.lastAccess.Load())) >= rt.opt.InactiveAge &&
+		now.Sub(sf.askedAt) >= rt.opt.InactiveAge && sf.kf.FileCache().CachedPages() > 0 {
+		return true
+	}
+	return sf.tree.HasColdRange(coldBefore, sf.kf.Inode().Blocks())
 }
 
 // dontNeed drops blocks [lo, hi) of sf from the kernel's cache, as adv says,

@@ -3,6 +3,7 @@
 package fs
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 	"weak"
@@ -10,50 +11,58 @@ import (
 
 // freeChunks holds the data of chunks their inodes have dropped, for the
 // next write that needs a chunk to take instead of allocating one. It
-// holds them weakly: a collection frees whatever is on the list, so the
-// list keeps no heap alive and needs no capacity, and how long a chunk
-// waits is the collector's call (DESIGN §10, "Freed chunks").
+// holds them weakly, one handle per dropped batch: a collection frees
+// whatever is on the list, so the list keeps no heap alive and needs no
+// capacity, and how long a chunk waits is the collector's call (DESIGN
+// §10, "Freed chunks").
 type freeChunks struct {
 	mu   sync.Mutex
-	list []weak.Pointer[byte] // &data[0] of each dropped chunk, newest last
+	list []freeBatch // newest last
 }
 
-// put offers the data of chunks their inode has dropped under its lock; no
-// one else may hold them. When the oldest entry is dead a collection has
-// run since it was put, so the dead entries are dropped first: the list
-// never outgrows the chunks freed since the collection before last.
+// freeBatch is one dropped chunk table: chunks[:n] may still be taken.
+type freeBatch struct {
+	chunks weak.Pointer[chunk] // &chunks[0]
+	n      int
+}
+
+// put takes over dropped, a chunk table its inode has let go of under its
+// lock: no one else may hold it, or any of its chunks' data. When the
+// oldest entry is dead a collection has run since it was put, so the dead
+// entries are dropped first: the list never outgrows the batches freed
+// since the collection before last.
 func (l *freeChunks) put(dropped []chunk) {
+	if !slices.ContainsFunc(dropped, func(c chunk) bool { return c.data != nil }) {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.list) > 0 && l.list[0].Value() == nil {
-		live := l.list[:0]
-		for _, w := range l.list {
-			if w.Value() != nil {
-				live = append(live, w)
-			}
-		}
-		clear(l.list[len(live):])
-		l.list = live
+	if len(l.list) > 0 && l.list[0].chunks.Value() == nil {
+		l.list = slices.DeleteFunc(l.list, func(b freeBatch) bool { return b.chunks.Value() == nil })
 	}
-	for _, c := range dropped {
-		if c.data != nil {
-			l.list = append(l.list, weak.Make(&c.data[0]))
-		}
-	}
+	l.list = append(l.list, freeBatch{weak.Make(&dropped[0]), len(dropped)})
 }
 
-// get returns a chunk of size bytes: one from the list, dead entries pruned
-// on the way, or a new one. A reused chunk holds its last owner's bytes,
-// which no one can read: its blocks' written bits start clear.
+// get returns a chunk of size bytes: one from the list, dead and emptied
+// entries pruned on the way, or a new one. A reused chunk holds its last
+// owner's bytes, which no one can read: its blocks' written bits start
+// clear.
 func (l *freeChunks) get(size int) []byte {
 	l.mu.Lock()
-	for n := len(l.list); n > 0; n-- {
-		p := l.list[n-1].Value()
-		l.list = l.list[:n-1]
-		if p != nil {
-			l.mu.Unlock()
-			return unsafe.Slice(p, size)
+	for len(l.list) > 0 {
+		last := &l.list[len(l.list)-1]
+		if p := last.chunks.Value(); p != nil {
+			chunks := unsafe.Slice(p, last.n)
+			for last.n > 0 {
+				last.n--
+				if data := chunks[last.n].data; data != nil {
+					chunks[last.n].data = nil
+					l.mu.Unlock()
+					return data[:size]
+				}
+			}
 		}
+		l.list = l.list[:len(l.list)-1]
 	}
 	l.mu.Unlock()
 	return make([]byte, size)

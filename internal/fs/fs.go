@@ -27,6 +27,7 @@ package fs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -399,8 +400,10 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 	ino.mu.Lock()
 	keep := (size + bs - 1) / bs
 	ino.blocks.truncate(keep)
+	// The free list takes over the chunk tables it is given, so it gets
+	// copies of the dropped entries: the inode keeps its own table.
 	if n := (keep + chunkBlocks - 1) / chunkBlocks; n < int64(len(ino.chunks)) {
-		ino.fs.free.put(ino.chunks[n:])
+		ino.fs.free.put(slices.Clone(ino.chunks[n:]))
 		clear(ino.chunks[n:])
 		ino.chunks = ino.chunks[:n]
 	}
@@ -408,7 +411,7 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 		i := keep / chunkBlocks
 		c := &ino.chunks[i]
 		if c.written &= 1<<tail - 1; c.written == 0 {
-			ino.fs.free.put(ino.chunks[i : i+1])
+			ino.fs.free.put(slices.Clone(ino.chunks[i : i+1]))
 			c.data = nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	crossprefetch "repro"
@@ -117,6 +118,49 @@ func TestPutAllocBudget(t *testing.T) {
 	t.Logf("%.4f allocations per Put", got)
 	if got > 0.1 {
 		t.Errorf("%.3f allocations per Put, budget 0.1 (the log file's data and the slabs)", got)
+	}
+}
+
+// A flushed memtable's slabs carry the next memtable. With the collector
+// off, so that no spare block is collected, the Puts that fill four
+// memtables in a row after the first flush allocate less than one
+// memtable's slabs: its values alone take about three quarters of
+// MemtableBytes, its skiplist nodes as much again. The Puts that rotate
+// the memtable, and so run its flush inline, are not counted: the table
+// they write is file data, not slabs.
+func TestMemtableRotationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	const memtable, rotations = 256 << 10, 4
+	sys := testSys(crossprefetch.OSOnly)
+	tl := sys.Timeline()
+	db, err := Open(tl, Options{Sys: sys, MemtableBytes: memtable, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := benchValue(1, 100)
+	names := make([]string, (1+rotations)*memtable/100)
+	for i := range names {
+		names[i] = BenchKey(int64(i))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var bytes uint64
+	for i := 0; db.Stats().Flushes < 1+rotations; i++ {
+		var a, b runtime.MemStats
+		flushes := db.Stats().Flushes
+		runtime.ReadMemStats(&a)
+		if err := db.Put(tl, names[i], val); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&b)
+		if flushes >= 1 && db.Stats().Flushes == flushes {
+			bytes += b.TotalAlloc - a.TotalAlloc
+		}
+	}
+	t.Logf("%d bytes allocated by the Puts that filled %d memtables", bytes, rotations)
+	if bytes >= memtable {
+		t.Errorf("the Puts that filled %d memtables after the first flush allocated %d bytes, want under %d: a flushed memtable's slabs should carry the next one", rotations, bytes, memtable)
 	}
 }
 

@@ -102,6 +102,9 @@ type DB struct {
 	// and is retried by Flush, by Close, and each time the active memtable
 	// grows by another MemtableBytes.
 	flushFailed bool
+	// spares holds the slab blocks of flushed memtables, which the next
+	// memtables carve from; used under mu's write side.
+	spares memSpares
 
 	walMu  sync.Mutex // serializes log appends and guards walBuf
 	walBuf []byte
@@ -206,10 +209,10 @@ func Open(tl *simtime.Timeline, opt Options) (*DB, error) {
 	db := &DB{
 		opt:           opt,
 		sys:           opt.Sys,
-		mem:           newMemtable(1),
 		flushWorker:   simtime.NewWorker(tl.Now()),
 		compactWorker: simtime.NewWorker(tl.Now()),
 	}
+	db.mem = newRecyclingMemtable(1, &db.spares)
 	first := new(version)
 	first.refs.Store(1)
 	db.current.Store(first)
@@ -263,7 +266,7 @@ func (db *DB) write(tl *simtime.Timeline, key string, value []byte, del bool) er
 	full := db.mem.bytes >= limit && db.imm == nil
 	if full {
 		db.imm = db.mem
-		db.mem = newMemtable(int64(seq))
+		db.mem = newRecyclingMemtable(int64(seq), &db.spares)
 	}
 	retry := !full && db.flushFailed && before/limit != db.mem.bytes/limit
 	db.mu.Unlock()
@@ -285,18 +288,21 @@ func (db *DB) write(tl *simtime.Timeline, key string, value []byte, del bool) er
 }
 
 // Get returns the newest value of key, or ok=false. The slice it returns
-// must not be modified.
+// is the caller's.
 func (db *DB) Get(tl *simtime.Timeline, key string) ([]byte, bool, error) {
 	db.mu.RLock()
 	snap := db.seq
 	// Probe the memtables while still holding the lock: the active
 	// skiplist is mutated by writers under the write lock, so an
-	// unlocked traversal races with put's pointer splicing. Node
-	// values are copied on insert and never mutated, so the returned
-	// slice may safely outlive the lock.
+	// unlocked traversal races with put's pointer splicing. A hit is
+	// copied under the lock too: once a flush has installed the
+	// memtable's table, its slabs carry the next memtable's values.
 	v, del, ok := db.mem.get(key, snap)
 	if !ok && db.imm != nil {
 		v, del, ok = db.imm.get(key, snap)
+	}
+	if ok && !del {
+		v = append([]byte(nil), v...)
 	}
 	var ver *version
 	if !ok {
@@ -388,7 +394,7 @@ func (db *DB) Flush(tl *simtime.Timeline) error {
 		return nil
 	}
 	db.imm = db.mem
-	db.mem = newMemtable(int64(db.seq + 1))
+	db.mem = newRecyclingMemtable(int64(db.seq+1), &db.spares)
 	db.mu.Unlock()
 	err := db.scheduleFlush(tl)
 	tl.WaitUntil(db.flushWorker.Now(), simtime.WaitIO)
@@ -422,6 +428,7 @@ func (db *DB) scheduleFlush(tl *simtime.Timeline) error {
 				db.stats.flushes.Add(1)
 			}
 			db.imm = nil
+			imm.release()
 		}
 		db.mu.Unlock()
 		switch {

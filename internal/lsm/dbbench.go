@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	crossprefetch "repro"
 	"repro/internal/simtime"
@@ -64,8 +65,23 @@ func (r BenchResult) String() string {
 		r.KopsPerSec, r.MBPerSec, r.MissPct, r.LockPct)
 }
 
-// BenchKey formats key i in db_bench style.
-func BenchKey(i int64) string { return fmt.Sprintf("key%016d", i) }
+// BenchKey formats key i in db_bench style: "key" and i in decimal,
+// zero-padded to 16 characters after any sign (fmt's "key%016d", without
+// its boxing and parsing).
+func BenchKey(i int64) string {
+	var buf, num [24]byte
+	b := append(buf[:0], "key"...)
+	u, width := uint64(i), 16
+	if i < 0 {
+		b = append(b, '-')
+		u, width = -u, 15
+	}
+	d := strconv.AppendUint(num[:0], u, 10)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // benchValue builds a deterministic value.
 func benchValue(i int64, size int) []byte {

@@ -12,14 +12,17 @@ import (
 // forward or reverse. Tombstones and shadowed versions are skipped.
 // Iterators hold a consistent snapshot of the table set taken at creation:
 // a reference on the version, which keeps every table file of the snapshot
-// on disk until Close. Key and Value point into the table block (or the
-// memtable) they were read from and stay valid after the iterator moves on.
+// on disk until Close, and a pin on each memtable merged, which keeps its
+// slabs from the next memtables until Close. Key and Value point into the
+// table block (or the memtable) they were read from and stay valid after
+// the iterator moves on; a memtable's value only until Close.
 type Iterator struct {
 	db      *DB
 	tl      *simtime.Timeline
 	reverse bool
 	snap    uint64
-	version *version // nil once closed
+	version *version     // nil once closed
+	mems    [2]*memtable // pinned until Close
 
 	sources []*iterSource
 	h       iterHeap
@@ -78,6 +81,8 @@ func (db *DB) NewIterator(tl *simtime.Timeline, reverse bool) *Iterator {
 		for n := m.first(); n != nil; n = n.next[0] {
 			entries = append(entries, n.memEntry)
 		}
+		m.pins.Add(1)
+		it.mems[prio] = m
 		it.sources = append(it.sources, &iterSource{prio: prio, mem: entries})
 		prio++
 	}
@@ -97,12 +102,20 @@ func (db *DB) NewIterator(tl *simtime.Timeline, reverse bool) *Iterator {
 	return it
 }
 
-// Close releases the iterator's snapshot. It is safe to call twice.
+// Close releases the iterator's snapshot. It is safe to call twice. A
+// memtable it pinned that has been flushed meanwhile is left to the
+// collector: its blocks were kept out of the spares when it was released.
 func (it *Iterator) Close() {
 	if it.version != nil {
 		it.version.unpin()
 		it.version = nil
 		it.valid = false
+		for i, m := range it.mems {
+			if m != nil {
+				m.pins.Add(-1)
+				it.mems[i] = nil
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -476,6 +477,37 @@ func TestIteratorOutlivesFlushedMemtable(t *testing.T) {
 	}
 }
 
+// A Get answered from the memtable returns a copy: once the memtable is
+// flushed its slabs carry the next memtables' values, and what the caller
+// holds must not change with them.
+func TestMemtableGetSurvivesRotations(t *testing.T) {
+	db := testDB(t, crossprefetch.OSOnly)
+	tl := db.sys.Timeline()
+	var held, want [][]byte
+	for i := 0; db.Stats().Flushes == 0; i++ {
+		k := BenchKey(int64(i))
+		v := benchValue(int64(i), 100)
+		if err := db.Put(tl, k, v); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := db.Get(tl, k)
+		if err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get %s from the memtable: ok %v, err %v", k, ok, err)
+		}
+		held, want = append(held, got), append(want, v)
+	}
+	for i := int64(0); db.Stats().Flushes < 5; i++ {
+		if err := db.Put(tl, BenchKey(i%500), benchValue(-1-i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range held {
+		if !bytes.Equal(held[i], want[i]) {
+			t.Fatalf("the value Get returned for %s from the memtable changed after four more rotations", BenchKey(int64(i)))
+		}
+	}
+}
+
 // A value above the memtable's current slab size but within the slabbed
 // range gets a slab of its own size: Put, Get and the log's replay on
 // reopen all carry it.
@@ -784,6 +816,22 @@ func TestBenchValueBytes(t *testing.T) {
 			if got := fillBenchValue(reused[:size], i); !bytes.Equal(got, want) {
 				t.Fatalf("fillBenchValue over a reused buffer (%d, %d) = %x, want %x", i, size, got, want)
 			}
+		}
+	}
+}
+
+// BenchKey spells every key as fmt's "key%016d" does: padded below 10¹⁶,
+// longer from there on, and with the sign inside the width for negatives.
+func TestBenchKeyMatchesSprintf(t *testing.T) {
+	const e16 = int64(1e16)
+	cases := []int64{0, 1, 9, 10, 42, 1e15, e16 - 1, e16, e16 + 1, 1e18, math.MaxInt64,
+		-1, -9, -10, -1e14, -1e15 + 1, -1e15, -e16, math.MinInt64 + 1, math.MinInt64}
+	for i := int64(1); i > 0 && i < math.MaxInt64/10; i *= 10 {
+		cases = append(cases, i-1, i, i+1, -i-1, -i, -i+1)
+	}
+	for _, i := range cases {
+		if got, want := BenchKey(i), fmt.Sprintf("key%016d", i); got != want {
+			t.Errorf("BenchKey(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

@@ -16,6 +16,7 @@ package lsm
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/slab"
 )
@@ -47,11 +48,17 @@ type memtable struct {
 	// values and nodes are the memtable's slabs: values grow from slabMin
 	// to slabMax bytes and nodes from nodeSlabMin to nodeSlabMax, so a
 	// memtable of any size costs a handful of allocations for all its
-	// entries. A value is never written again once copied, and the slabs
-	// die with the memtable (a value's slab with the last Get result still
-	// pointing into it).
+	// entries. A value is never written again once copied. A DB's
+	// memtables recycle their slabs: once a flush has installed the
+	// memtable's table, release gives its blocks to the next memtable
+	// (DESIGN §17).
 	values slab.Slab[byte]
 	nodes  slab.Slab[skipNode]
+
+	// pins counts the open iterators that merged this memtable's entries:
+	// their values point into its slabs, so release keeps the blocks of a
+	// pinned memtable out of the spares.
+	pins atomic.Int32
 }
 
 const (
@@ -77,6 +84,31 @@ func (m *memtable) copyValue(v []byte) []byte {
 
 func newMemtable(seed int64) *memtable {
 	return &memtable{head: &skipNode{}, height: 1, rng: rand.New(rand.NewSource(seed))}
+}
+
+// memSpares holds the slab blocks of flushed memtables for the next ones.
+type memSpares struct {
+	values slab.Spares[byte]
+	nodes  slab.Spares[skipNode]
+}
+
+// newRecyclingMemtable is newMemtable carving from sp before it allocates.
+func newRecyclingMemtable(seed int64, sp *memSpares) *memtable {
+	m := newMemtable(seed)
+	m.values.Recycle(&sp.values)
+	m.nodes.Recycle(&sp.nodes)
+	return m
+}
+
+// release gives the memtable's slab blocks to its spares, unless an
+// iterator still holds its entries. The caller guarantees that nothing
+// else reads the memtable again: its table is installed and it is no
+// longer reachable from the DB.
+func (m *memtable) release() {
+	if m.pins.Load() == 0 {
+		m.values.Release()
+		m.nodes.Release()
+	}
 }
 
 func (m *memtable) randomHeight() int {

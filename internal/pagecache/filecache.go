@@ -75,21 +75,12 @@ func (fc *FileCache) Hits() int64   { return fc.hits.Load() }
 func (fc *FileCache) Misses() int64 { return fc.misses.Load() }
 
 // NonResidentSpan trims [lo, hi) to the outermost pages NOT resident,
-// reading the lock-free CROSS-OS bitmap (§4.2): the same exported truth a
-// readahead_info caller sees, at per-page granularity and zero virtual
-// cost. Interior resident pages are not split out. Returns (lo, lo) when
-// the whole span is resident.
+// reading the lock-free CROSS-OS bitmap (§4.2) a word at a time: the same
+// exported truth a readahead_info caller sees, at per-page granularity
+// and zero virtual cost. Interior resident pages are not split out.
+// Returns (hi, hi) when the whole span is resident.
 func (fc *FileCache) NonResidentSpan(lo, hi int64) (int64, int64) {
-	if lo < 0 {
-		lo = 0
-	}
-	for lo < hi && fc.bm.Test(lo) {
-		lo++
-	}
-	for hi > lo && fc.bm.Test(hi-1) {
-		hi--
-	}
-	return lo, hi
+	return fc.bm.TrimSet(lo, hi)
 }
 
 // TreeLockStats exposes the virtual tree-lock contention counters.

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -266,5 +267,48 @@ func TestMissPercent(t *testing.T) {
 	}
 	if got := (Stats{}).MissPercent(); got != 0 {
 		t.Fatalf("empty MissPercent = %v", got)
+	}
+}
+
+// NonResidentSpan scans the residency bitmap a word at a time and must
+// answer as the page-at-a-time trim did, for every window over files whose
+// resident runs start, end and break anywhere in a word.
+func TestNonResidentSpanMatchesPerPage(t *testing.T) {
+	perPage := func(fc *FileCache, lo, hi int64) (int64, int64) {
+		if lo < 0 {
+			lo = 0
+		}
+		for lo < hi && fc.bm.Test(lo) {
+			lo++
+		}
+		for hi > lo && fc.bm.Test(hi-1) {
+			hi--
+		}
+		return lo, hi
+	}
+	const pages = 300
+	rng := rand.New(rand.NewSource(5))
+	tl := simtime.NewTimeline(0)
+	for file := int64(1); file <= 12; file++ {
+		c := newTestCache(4 * pages)
+		fc := c.File(file)
+		switch file {
+		case 1: // nothing resident
+		case 2:
+			fc.InsertRange(tl, 0, pages, InsertOptions{MarkerAt: -1})
+		default:
+			for i := 0; i < int(file); i++ {
+				lo := rng.Int63n(pages)
+				fc.InsertRange(tl, lo, min(lo+1+rng.Int63n(150), pages), InsertOptions{MarkerAt: -1})
+			}
+		}
+		for lo := int64(-2); lo < pages+70; lo++ {
+			for hi := lo - 2; hi < pages+70; hi++ {
+				gl, gh := fc.NonResidentSpan(lo, hi)
+				if wl, wh := perPage(fc, lo, hi); gl != wl || gh != wh {
+					t.Fatalf("file %d: NonResidentSpan(%d, %d) = [%d, %d), page at a time [%d, %d)", file, lo, hi, gl, gh, wl, wh)
+				}
+			}
+		}
 	}
 }

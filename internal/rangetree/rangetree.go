@@ -412,14 +412,21 @@ func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
 		}
 		n.mu.Lock()
-		for i := nlo; i < nhi; i++ {
-			if src.Test(i) {
-				n.cached.Set(i - n.lo)
-			} else {
-				n.cached.Clear(i - n.lo)
-				n.requested.Clear(i - n.lo)
-			}
+		absent := func(lo, hi int64) {
+			n.cached.ClearRange(lo-n.lo, hi-n.lo)
+			n.requested.ClearRange(lo-n.lo, hi-n.lo)
 		}
+		pos := nlo
+		for it := src.PresentIter(nlo, nhi); ; {
+			r, ok := it.Next()
+			if !ok {
+				break
+			}
+			absent(pos, r.Lo)
+			n.cached.SetRange(r.Lo-n.lo, r.Hi-n.lo)
+			pos = r.Hi
+		}
+		absent(pos, nhi)
 		n.unlock(t.span)
 	})
 }
@@ -458,6 +465,27 @@ func (t *Tree) AppendColdestRanges(dst []ColdRange) []ColdRange {
 		return cmp.Compare(a.Lo, b.Lo)
 	})
 	return dst
+}
+
+// HasColdRange reports whether AppendColdestRanges would return a range
+// that starts below block end, was last touched before the given time and
+// holds no prefetch claim: a range an evictor may drop. It walks the nodes
+// once, appends nothing and sorts nothing.
+func (t *Tree) HasColdRange(before simtime.Time, end int64) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, n := range t.nodes {
+		if n.lo >= end || simtime.Time(n.lastTouch.Load()) >= before {
+			continue
+		}
+		n.mu.RLock()
+		cold := n.cached.Count() > 0 && n.requested.Count() == 0
+		n.mu.RUnlock()
+		if cold {
+			return true
+		}
+	}
+	return false
 }
 
 // LockStats aggregates the per-node ledger contention counters.

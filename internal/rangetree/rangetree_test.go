@@ -342,6 +342,26 @@ func refAppendNeedsPrefetch(t *Tree, tl *simtime.Timeline, dst []bitmap.Run, lo,
 	return dst
 }
 
+// refImportBitmap is ImportBitmap as it was before it went a run at a
+// time: every block of the window tested and set or cleared on its own.
+func refImportBitmap(t *Tree, tl *simtime.Timeline, src *bitmap.Window, lo, hi int64) {
+	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
+		if tl != nil {
+			n.ledger.Write(tl, t.lockHold(nhi-nlo))
+		}
+		n.mu.Lock()
+		for i := nlo; i < nhi; i++ {
+			if src.Test(i) {
+				n.cached.Set(i - n.lo)
+			} else {
+				n.cached.Clear(i - n.lo)
+				n.requested.Clear(i - n.lo)
+			}
+		}
+		n.unlock(t.span)
+	})
+}
+
 // refUnrequestedSpan is UnrequestedSpan one bit, and one lock, at a time.
 func refUnrequestedSpan(t *Tree, lo, hi int64) (int64, int64) {
 	requested := func(idx int64) bool {
@@ -369,8 +389,8 @@ func lockstepFile(span int64) int64 {
 const lockstepOpBytes = 5
 
 // lockstep interprets prog, five bytes an operation, against a tree and a
-// reference tree that differs only in how it answers NeedsPrefetch and marks
-// a read, and after every step compares the runs returned, the cached and
+// reference tree that differs only in how it answers NeedsPrefetch, marks
+// a read and imports a kernel bitmap, and after every step compares the runs returned, the cached and
 // requested bits and the published summary of every node, and the virtual
 // clocks: identical, except that a believed-full node costs the tree
 // RangeTreeOp + BitmapOp where it costs the reference RangeTreeOp + the
@@ -451,7 +471,7 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers, skippedMarks 
 			}
 			kernel.CopyWindow(&win, lo, hi)
 			got.ImportBitmap(gtl, &win, lo, hi)
-			ref.ImportBitmap(rtl, &win, lo, hi)
+			refImportBitmap(ref, rtl, &win, lo, hi)
 		default:
 			for pos := lo; pos < hi; pos = (pos/ref.span + 1) * ref.span {
 				if n := ref.peek(pos); n != nil && n.cached.Count() == ref.span {
