@@ -18,7 +18,8 @@ const (
 	DefaultStripeChunkBytes = 256 << 10
 	DefaultExtentBytes      = 256 << 10
 	// DefaultPromoteReads is the read-hotness threshold: a remote extent
-	// promotes to the local tier after this many demand reads touch it.
+	// promotes to the local tier after this many demand reads touch it, if
+	// the tier has room.
 	DefaultPromoteReads = 2
 	// maxPrefetchBoost caps the RTT-scaled readahead deepening for
 	// remote-resident extents.
@@ -37,17 +38,17 @@ type TierConfig struct {
 	// RemoteFrac is the fraction of extents that start remote-resident
 	// (deterministically spread over the address space).
 	RemoteFrac float64
-	// LocalCapBytes bounds the local tier: a promotion or write that takes
-	// it past the cap demotes local extents, chosen by a clock over their
-	// demand-read heat (maybeDemoteLocked), until it is back at the cap.
-	// 0 means uncapped.
+	// LocalCapBytes bounds the local tier: reads promote only into free
+	// capacity under it, and a write that takes the tier past it demotes
+	// local extents, chosen by a clock over their demand-read heat
+	// (maybeDemoteLocked), until it is back at the cap. 0 means uncapped.
 	LocalCapBytes int64
-	// PromoteReads is the demand-read hotness threshold for promotion
-	// (default 2).
+	// PromoteReads is the demand-read hotness threshold for promotion into
+	// free local capacity (default 2).
 	PromoteReads int
 	// CrossTierPrefetch makes prefetch reads against remote extents
-	// promote them as a side effect (while a capped tier is under its cap:
-	// prefetch fills the tier, it never forces a demotion) and deepens
+	// promote them as a side effect (into free capacity, as demand
+	// promotions: no read forces a demotion) and deepens
 	// readahead windows that cover remote extents by the RTT-scaled boost
 	// (see PrefetchBoostFor).
 	CrossTierPrefetch bool
@@ -337,15 +338,16 @@ func (st *Stack) extAtLocked(e int64) *extentState {
 }
 
 // noteRead books read heat for [off, off+bytes) completed at done. A
-// demand read heats every extent it touches, on either tier, and promotes
-// a remote one once its heat reaches PromoteReads; the heat stays with the
-// extent, so a promoted extent enters the tier PromoteReads hot. A
-// prefetch read adds no heat. With CrossTierPrefetch it promotes its
-// remote extents outright — the prefetched data just crossed the fabric,
-// so landing it locally is free — while the tier is under its cap. At the
-// cap a landing would be paid for with a demotion of an extent demand
-// reads heated, on the evidence of none; that is left to demand heat.
-// Promotion books the local-tier write and demotes past the cap.
+// demand read heats every extent it touches, on either tier, and a remote
+// one becomes a candidate once its heat reaches PromoteReads; the heat
+// stays with the extent, so a promoted extent enters the tier PromoteReads
+// hot. A prefetch read adds no heat. With CrossTierPrefetch every remote
+// extent it touches is a candidate — the prefetched data just crossed the
+// fabric, so landing it locally is free. Either kind lands a candidate only
+// in free local capacity: the tier is uncapped or under its cap. At the cap
+// a landing would be paid for with a demotion, and a read sees only what
+// the page cache missed, which is not the evidence to give up a local
+// extent on (DESIGN.md §16); only writes run the demotion clock.
 func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	if st.remote < 0 || bytes <= 0 {
 		return
@@ -355,16 +357,22 @@ func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
 		s := st.extAtLocked(e)
 		if prefetch {
-			if !s.local && st.cfg.Tier.CrossTierPrefetch && (st.capExtents <= 0 || st.localExtents < st.capExtents) {
+			if !s.local && st.cfg.Tier.CrossTierPrefetch && st.underCapLocked() {
 				st.promoteLocked(e, done, true)
 			}
 			continue
 		}
 		s.reads++
-		if !s.local && s.reads >= st.promoteReads {
+		if !s.local && s.reads >= st.promoteReads && st.underCapLocked() {
 			st.promoteLocked(e, done, false)
 		}
 	}
+}
+
+// underCapLocked reports whether the local tier has room for one more
+// extent without a demotion.
+func (st *Stack) underCapLocked() bool {
+	return st.capExtents <= 0 || st.localExtents < st.capExtents
 }
 
 // noteWrite marks the covered extents dirty (and, for remote extents,
@@ -387,10 +395,10 @@ func (st *Stack) noteWrite(done simtime.Time, off, bytes int64) {
 	st.maybeDemoteLocked(done)
 }
 
-// promoteLocked flips extent e local, books the local-tier fill write
+// promoteLocked flips extent e local and books the local-tier fill write
 // asynchronously at `at` (the promoted bytes just arrived from the
-// remote read; the copy costs local write bandwidth, not a re-read), and
-// demotes past the cap.
+// remote read; the copy costs local write bandwidth, not a re-read). The
+// caller has checked that the tier has room.
 func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 	st.ext[e].local = true
 	st.localExtents++
@@ -405,7 +413,6 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 		st.members[m].AccessAsync(at, OpWrite, moff, n) //nolint:errcheck // best-effort fill
 		off += n
 	}
-	st.maybeDemoteLocked(at)
 }
 
 // maybeDemoteLocked brings a local tier that is over its cap back to the

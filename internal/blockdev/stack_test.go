@@ -289,11 +289,13 @@ func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 	}
 }
 
-// A prefetch read may fill the local tier but never forces a demotion
-// (DESIGN.md §16): with the tier at its cap, a streaming run of prefetch
-// reads over remote extents leaves residency alone — nothing is demoted and
-// no fill write reaches a local member — while demand heat still promotes,
-// and an uncapped tier still takes every prefetched extent.
+// A read may fill the local tier but never forces a demotion (DESIGN.md
+// §16): with the tier at its cap, a streaming run of prefetch reads over
+// remote extents and then enough demand reads to heat one of them past
+// PromoteReads leave residency alone — nothing is promoted or demoted and
+// no fill write reaches a local member — while an uncapped tier still
+// takes every prefetched extent and a tier with room still takes the
+// demand-heated one.
 func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	const (
 		ext     = 64 << 10
@@ -324,6 +326,15 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 		}
 		return remote, last
 	}
+	// heat demand-reads extent e DefaultPromoteReads times.
+	heat := func(st *Stack, e int64) {
+		tl := simtime.NewTimeline(0)
+		for i := 0; i < DefaultPromoteReads; i++ {
+			if _, err := readThrough(st.NewPlug(PlugConfig{}), tl, false, e*ext, ext, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	localWrites := func(st *Stack) (n int64) {
 		for _, m := range st.MemberStats()[:st.Width()] {
 			n += m.WriteOps
@@ -344,22 +355,23 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	// Capped at exactly what is local: the tier sits at its cap.
 	capped := tiered(local * ext)
 	_, hot := stream(capped)
+	heat(capped, hot)
 	if ts := capped.TierStats(0); ts.Promotions != 0 || ts.Demotions != 0 || ts.LocalExtents != local {
-		t.Errorf("at the cap: %d promotions, %d demotions, %d local extents; want 0, 0, %d", ts.Promotions, ts.Demotions, ts.LocalExtents, local)
+		t.Errorf("at the cap, after prefetch reads and %d demand reads of extent %d: %d promotions, %d demotions, %d local extents; want 0, 0, %d",
+			DefaultPromoteReads, hot, ts.Promotions, ts.Demotions, ts.LocalExtents, local)
 	}
 	if n := localWrites(capped); n != 0 {
 		t.Errorf("at the cap: %d fill writes booked on the local members, want 0", n)
 	}
-	tl := simtime.NewTimeline(0)
-	for i := 0; i < DefaultPromoteReads; i++ {
-		if _, err := readThrough(capped.NewPlug(PlugConfig{}), tl, false, hot*ext, ext, 0); err != nil {
-			t.Fatal(err)
-		}
+
+	// One extent of room: the demand-heated extent lands in it.
+	roomy := tiered((local + 1) * ext)
+	heat(roomy, hot)
+	if ts := roomy.TierStats(0); ts.Promotions != 1 || ts.PrefetchPromotions != 0 || ts.Demotions != 0 {
+		t.Errorf("under the cap, after %d demand reads of extent %d: %d promotions (%d by prefetch), %d demotions; want 1 (0), 0",
+			DefaultPromoteReads, hot, ts.Promotions, ts.PrefetchPromotions, ts.Demotions)
 	}
-	if ts := capped.TierStats(0); ts.Promotions != 1 || ts.PrefetchPromotions != 0 {
-		t.Errorf("after %d demand reads of extent %d: %d promotions (%d by prefetch), want 1 (0)", DefaultPromoteReads, hot, ts.Promotions, ts.PrefetchPromotions)
-	}
-	if localWrites(capped) == 0 {
+	if localWrites(roomy) == 0 {
 		t.Error("the demand promotion booked no fill write on a local member")
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // The capped tier's demotion clock (DESIGN.md §16): demand reads heat an
-// extent on either tier, the hand halves heat as it passes, and it demotes
-// the first local extent it finds cold — exactly while the tier is over its
-// cap.
+// extent on either tier, reads promote only into free capacity, and a
+// write that takes the tier past its cap runs the hand, which halves heat
+// as it passes and demotes the first local extent it finds cold — exactly
+// while the tier is over its cap.
 
 const tierExt = 64 << 10
 
@@ -37,26 +38,30 @@ func tierStack(n, capExt int64, remoteFrac float64, promoteReads int) *Stack {
 // demandRead books one demand read of extent e completing at at.
 func demandRead(st *Stack, e int64, at simtime.Time) { st.noteRead(at, e*tierExt, tierExt, false) }
 
-// Demotion stops at the cap, not at a mark under it: a tier promoted past
+// write books one write of extent e completing at at: a remote extent
+// lands local, and the clock demotes past the cap.
+func write(st *Stack, e int64, at simtime.Time) { st.noteWrite(at, e*tierExt, tierExt) }
+
+// Demotion stops at the cap, not at a mark under it: a tier written past
 // its cap holds exactly its cap.
 func TestTierDemotesToExactlyTheCap(t *testing.T) {
 	const n, capExt = 64, 16
 	st := tierStack(n, capExt, 1, 1)
 	for e := int64(0); e < n; e++ {
-		demandRead(st, e, simtime.Time(e+1))
+		write(st, e, simtime.Time(e+1))
 		if ts := st.TierStats(0); ts.LocalExtents != min(e+1, capExt) {
-			t.Fatalf("after promoting extent %d: %d local extents, want %d", e, ts.LocalExtents, min(e+1, capExt))
+			t.Fatalf("after writing extent %d: %d local extents, want %d", e, ts.LocalExtents, min(e+1, capExt))
 		}
 	}
 	if ts := st.TierStats(0); ts.Demotions != n-capExt {
-		t.Errorf("%d demotions, want %d: one per promotion past the cap", ts.Demotions, n-capExt)
+		t.Errorf("%d demotions, want %d: one per write past the cap", ts.Demotions, n-capExt)
 	}
 }
 
 // An extent re-read early keeps its place through a later run of
-// one-read promotions that overflows the tier: each pass of the hand
-// halves its heat once, while every newcomer is cold after one pass. By
-// recency it would be the first to go.
+// read-once newcomers, written in, that overflows the tier: each pass of
+// the hand halves its heat once, while every newcomer is cold after one
+// pass. By recency it would be the first to go.
 func TestTierHeatBeatsRecency(t *testing.T) {
 	const n, capExt, hot = 64, 8, 0
 	st := tierStack(n, capExt, 1, 1)
@@ -68,6 +73,7 @@ func TestTierHeatBeatsRecency(t *testing.T) {
 	for e := int64(1); e <= capExt+capExt/2; e++ {
 		at++
 		demandRead(st, e, at)
+		write(st, e, at)
 	}
 	if d := st.TierStats(0).Demotions; d < capExt/2 {
 		t.Fatalf("setup: %d demotions, want >= %d", d, capExt/2)
@@ -156,8 +162,9 @@ func TestTierWritesRespectTheCap(t *testing.T) {
 	}
 }
 
-// TestTierDemotionZeroAlloc: a promotion at the cap that demotes walks the
-// extent table in place and allocates nothing.
+// TestTierDemotionZeroAlloc: a write at the cap that demotes walks the
+// extent table in place, copies its dirty victims back, and allocates
+// nothing; neither does the demand heat that the hand decays.
 func TestTierDemotionZeroAlloc(t *testing.T) {
 	const n = 64
 	st := tierStack(n, -1, 0.5, 1)
@@ -166,12 +173,13 @@ func TestTierDemotionZeroAlloc(t *testing.T) {
 		for e := int64(0); e < n; e++ {
 			at++
 			demandRead(st, e, at)
+			write(st, e, at)
 		}
 	}
 	round()
 	before := st.TierStats(0).Demotions
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Errorf("a round of promotions at the cap: %v allocs, want 0", allocs)
+		t.Errorf("a round of writes at the cap: %v allocs, want 0", allocs)
 	}
 	if st.TierStats(0).Demotions == before {
 		t.Fatal("the measured rounds demoted nothing")
@@ -185,8 +193,8 @@ const tierOpBytes = 4
 // block offset, length in blocks — as demand reads, prefetch reads and
 // writes over a capped half-remote stack of n extents, and checks after
 // every step that the tier holds at most its cap, that its occupancy
-// counter agrees with the heat table, and that a prefetch read demoted
-// nothing.
+// counter agrees with the heat table, and that no read, demand or
+// prefetch, demoted anything.
 func tierResidency(t *testing.T, prog []byte) {
 	const n, blk = 32, 4096
 	st := tierStack(n, -1, 0.5, 0)
@@ -221,8 +229,8 @@ func tierResidency(t *testing.T, prog []byte) {
 		if local != ts.LocalExtents {
 			t.Fatalf("step %d: %d local rows in the heat table, LocalExtents %d", step, local, ts.LocalExtents)
 		}
-		if kind == 1 && ts.Demotions != demotions {
-			t.Fatalf("step %d: a prefetch read demoted %d extents", step, ts.Demotions-demotions)
+		if kind != 2 && ts.Demotions != demotions {
+			t.Fatalf("step %d: a read (kind %d) demoted %d extents", step, kind, ts.Demotions-demotions)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/blockdev"
 	"repro/internal/fs"
 	"repro/internal/pagecache"
@@ -501,5 +502,40 @@ func TestRefusedWriteMarksNothing(t *testing.T) {
 	}
 	if got := f.sf.tree.CachedCount(nil, 1<<32-1, 1<<32+1); got != 0 {
 		t.Errorf("the range tree believes %d blocks of [2^32-1, 2^32+1) cached after a refused write, want 0", got)
+	}
+}
+
+// TestHoleyPrefetchWindowAlloc: a prefetch window with more missing runs
+// than a handful — here eight one-block holes in an otherwise cached
+// window, held back by the batching hysteresis — finds them in the read
+// path's stack buffer (runBufLen) and allocates nothing.
+func TestHoleyPrefetchWindowAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops items by design; alloc guard is meaningless")
+	}
+	const window, holes = 128, 8
+	rt := New(newKernel(1_000_000), Options{Enabled: true})
+	tl := simtime.NewTimeline(0)
+	f := openSynthetic(t, rt, tl, "holey", window*4096)
+	f.sf.tree.MarkCached(nil, 0, window)
+	for i := int64(0); i < holes; i++ {
+		f.sf.tree.ClearCached(nil, 3+i*window/holes, 4+i*window/holes)
+	}
+	var buf [runBufLen]bitmap.Run
+	runs, _ := rt.missingRuns(tl, f.sf, buf[:0], 0, window)
+	if len(runs) != holes {
+		t.Fatalf("setup: the window shows %d missing runs, want %d", len(runs), holes)
+	}
+	f.sf.giveBack(tl, runs)
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 64; i++ {
+			f.prefetchAsync(tl, 0, window, budgetUnasked, false)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a window of %d holes: %v allocs per 64 prefetch intents, want 0", holes, allocs)
+	}
+	if runs, _ := rt.missingRuns(tl, f.sf, buf[:0], 0, window); len(runs) != holes {
+		t.Errorf("after the measured intents the window shows %d missing runs, want %d: they were issued, not held back", len(runs), holes)
 	}
 }

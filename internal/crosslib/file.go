@@ -478,7 +478,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 	}
 	hi = min(hi, lo+o.MaxPrefetchBytes/rt.v.BlockSize())
 
-	var runBuf [4]bitmap.Run
+	var runBuf [runBufLen]bitmap.Run
 	runs, full := rt.missingRuns(tl, sf, runBuf[:0], lo, hi)
 	if len(runs) == 0 {
 		return full

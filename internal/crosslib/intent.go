@@ -76,6 +76,14 @@ func (rt *Runtime) budgetGate(tl *simtime.Timeline, sf *sharedFile, lo, hi int64
 	}
 }
 
+// runBufLen is the length of the stack buffer a caller hands missingRuns;
+// a window with more missing runs than this spills them to the heap. The
+// most one window held on the benchmark's cells (seed 1, every call of
+// missingRuns in a whole run counted) was 38, on serve_rings; lsm_mixed_rw
+// peaked at 23, tier_stripe_scan at 12, lsm_zipf_get at 6, and the
+// streaming cells at 1.
+const runBufLen = 48
+
 // missingRuns is the elision gate: it appends to dst the runs of [lo, hi)
 // that the user-level bitmap shows neither cached nor claimed, marking
 // them requested. None left means the crossing is elided — the core saving

@@ -122,7 +122,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 			return
 		}
 		lo, hi := clampToFile(kf, lo, window)
-		var runBuf [4]bitmap.Run
+		var runBuf [runBufLen]bitmap.Run
 		runs, _ := rt.missingRuns(wtl, sf, runBuf[:0], lo, hi)
 		rt.issueRuns(wtl, kf, sf, runs, false, telemetry.ArmNone)
 	})

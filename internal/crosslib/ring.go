@@ -306,7 +306,7 @@ func (r *Ring) admit(tl *simtime.Timeline, q *ringOp, op *int64) (RingCQE, bool)
 			// The SQE carries the whole intent, not the runs: what the
 			// bitmap shows missing only has to be non-empty (and is now
 			// marked requested). An elided intent reports itself covered.
-			var runBuf [4]bitmap.Run
+			var runBuf [runBufLen]bitmap.Run
 			if runs, _ := rt.missingRuns(tl, f.sf, runBuf[:0], q.lo, q.hi); len(runs) == 0 {
 				done.N = q.hi - q.lo
 				return done, false

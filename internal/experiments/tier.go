@@ -33,8 +33,9 @@ type tierStack struct {
 
 // tierStacks is the stack grid: stripe width {1,2} × tier
 // {off, half-remote} × cross-tier prefetch {off, on}. The capped cell
-// bounds the local tier below the promoted set so the demotion clock
-// runs in steady state.
+// bounds the local tier below the set reads would promote, so promotion
+// stops at the cap (reads land extents only in free local capacity;
+// DESIGN.md §16).
 var tierStacks = []tierStack{
 	{"w1-local", 1, 0, false, false},
 	{"w2-local", 2, 0, false, false},
@@ -121,9 +122,8 @@ func tierSys(cc tierStack, fileMB, raBytes int64) crossprefetch.Config {
 			CrossTierPrefetch: cc.crossPF,
 		}
 		if cc.capped {
-			// Bound the local tier below the file so promotion pressure
-			// keeps crossing the cap and the demotion clock runs in
-			// steady state.
+			// Bound the local tier below the file so promotion fills it
+			// to the cap and then stops there.
 			cfg.Tier.LocalCapBytes = fileMB << 20 * 3 / 4
 		}
 	}
@@ -156,12 +156,14 @@ func replayTier(r *cellRun, cfg SweepConfig, name string, kind pattern, st tierS
 	return res, nil
 }
 
-// tierContract, all on the sequential pattern (striping's and
-// readahead's home turf): width-2 striping must reach >= 1.7x the
-// width-1 throughput, cross-tier prefetch must hold >= 70% of the
-// all-local warm hit rate on the half-remote dataset, and the tiered cell
-// with cross-tier prefetch must beat the prefetch-off tiered cell on warm
-// p99 read latency.
+// tierContract, on the sequential pattern (striping's and readahead's
+// home turf): width-2 striping must reach >= 1.7x the width-1 throughput,
+// cross-tier prefetch must hold >= 70% of the all-local warm hit rate on
+// the half-remote dataset, and the tiered cell with cross-tier prefetch
+// must beat the prefetch-off tiered cell on warm p99 read latency. On
+// every pattern the capped cell, whose replay only reads, must demote
+// nothing (a read never forces a demotion) and promote fewer extents than
+// the same stack uncapped (the cap stops promotion).
 func tierContract(_ []*TierResult, at func(cell string) *TierResult) error {
 	w1, w2 := at("sequential/w1-local"), at("sequential/w2-local")
 	if w2.WarmPagesPerSec < 1.7*w1.WarmPagesPerSec {
@@ -177,14 +179,17 @@ func tierContract(_ []*TierResult, at func(cell string) *TierResult) error {
 		return fmt.Errorf("cross-tier prefetch p99 %.1fus does not beat prefetch-off tiered %.1fus",
 			rpf.P99Micros, rnopf.P99Micros)
 	}
-	// Cross-tier prefetch must actually land pages in the local tier, and
-	// the capped cell's demotion clock must demote in steady state.
+	// Cross-tier prefetch must actually land pages in the local tier.
 	if rpf.PrefetchPromotions < 1 {
 		return fmt.Errorf("cross-tier prefetch cell saw %d prefetch promotions, want >= 1",
 			rpf.PrefetchPromotions)
 	}
-	if capped := at("sequential/w1-remote+pf-cap"); capped.Demotions < 1 {
-		return fmt.Errorf("capped cell saw %d demotions, want >= 1", capped.Demotions)
+	for _, p := range tierPatterns {
+		capped, open := at(p.name+"/w1-remote+pf-cap"), at(p.name+"/w1-remote+pf")
+		if capped.Demotions != 0 || capped.Promotions >= open.Promotions {
+			return fmt.Errorf("%s capped cell: %d demotions and %d promotions (%d uncapped); want none, and fewer",
+				p.name, capped.Demotions, capped.Promotions, open.Promotions)
+		}
 	}
 	return nil
 }

@@ -81,6 +81,13 @@ import (
 // stall): that moves both cells' telemetry hash and nothing else, and the
 // parent with that row left out of its two exporters reproduces both
 // cells field for field.
+//
+// And once more when reads stopped forcing demotions (DESIGN.md §16): a
+// demand read promotes a remote extent only into free local capacity, as
+// a prefetch read already did, so at the cap neither promotes and only
+// writes run the demotion clock. That moves every field of the stack cell
+// (its clock 46 522 032 → 44 314 296 ns; local fill writes 38 → 14
+// commands) and nothing of the bare one.
 func TestGoldenWayDown(t *testing.T) {
 	want := map[string]goldenCell{
 		"bare/plugged": {
@@ -91,11 +98,11 @@ func TestGoldenWayDown(t *testing.T) {
 			results:   "a2f524514a1311ab",
 		},
 		"stack/plugged": {
-			now:       46522032,
-			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r157/40615936 w59/15831040 busy32044411 inj43 plug171/157/14; nvme0.0 r48/5763072 w27/5734400 busy10152130 inj14 plug53/48/5; nvme0.1 r35/6090752 w11/2629632 busy7027425 inj6 plug40/35/5; nvmeof0 r74/28762112 w21/7467008 busy32044411 inj23 plug78/74/4; ",
-			telemetry: "84844bf2ca4172e4",
-			spans:     "28423d2ea74e8d7d",
-			results:   "5746fdcc2cd85ddd",
+			now:       44314296,
+			device:    "stack(nvme0.0+nvme0.1+nvmeof0) r151/42229760 w27/7155712 busy28915387 inj46 plug171/151/20; nvme0.0 r37/5414912 w8/1646592 busy5523383 inj8 plug44/37/7; nvme0.1 r29/6705152 w6/1572864 busy6304168 inj7 plug36/29/7; nvmeof0 r85/30109696 w13/3936256 busy28915387 inj31 plug91/85/6; ",
+			telemetry: "e277eda5c15c283b",
+			spans:     "0fc86a4aaf22db7c",
+			results:   "9c292605e347c4c9",
 		},
 	}
 	for _, stacked := range []bool{false, true} {
