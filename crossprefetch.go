@@ -76,9 +76,11 @@ type Config struct {
 	// StripeChunkBytes is the RAID-0 chunk size (default 256KB).
 	StripeChunkBytes int64
 	// Tier, when Tier.Enabled, layers the local device(s) over a remote
-	// NVMe-oF tier with per-extent residency, hotness promotion,
-	// heat-clock demotion at a cap, and cross-tier prefetch (see
-	// blockdev.TierConfig).
+	// NVMe-oF tier with per-extent residency that moves one way: a read
+	// promotes a hot or prefetched remote extent into free local capacity
+	// under an optional cap, a write lands where its extent already is,
+	// and nothing demotes. Cross-tier prefetch also deepens readahead over
+	// remote extents (see blockdev.TierConfig).
 	Tier blockdev.TierConfig
 	// Layout selects ext4-like or F2FS-like allocation.
 	Layout Layout

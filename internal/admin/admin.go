@@ -4,7 +4,8 @@
 // scorecards as JSON with interval-rate deltas (/scorecards, filterable
 // by ?tenant= / ?inode=), the predictor ensemble's live arm table
 // (/predictors), the device stack's tier view (/tiers: per-backend
-// occupancy, promotion/demotion totals, extent heat table), the span
+// occupancy, residency against the promotion cap, promotion totals,
+// extent heat table), the span
 // flight recorder's slowest retained roots
 // (/tracez), and the standard Go profiling endpoints (/debug/pprof). The server reads live state
 // through provider callbacks so it can outlive any single System
@@ -126,7 +127,7 @@ func (s *Server) routes() []route {
 		{"/metrics", "cross-layer telemetry (Prometheus text exposition)", s.handleMetrics},
 		{"/scorecards", "per-file and per-tenant effectiveness scorecards (JSON; cumulative + delta since last scrape; ?tenant= / ?inode= filter)", s.handleScorecards},
 		{"/predictors", "predictor ensemble: live arm, bandit scores, promotions per file (JSON)", s.handlePredictors},
-		{"/tiers", "device stack: per-backend occupancy, tier residency, promotion/demotion totals, extent heat (JSON; ?heat= bounds the heat table)", s.handleTiers},
+		{"/tiers", "device stack: per-backend occupancy, tier residency, promotion totals, extent heat; the cap bounds promotions, a first touch takes its layout residency whatever the tier holds (JSON; ?heat= bounds the heat table)", s.handleTiers},
 		{"/tracez", "flight recorder: slowest retained spans per operation class (JSON; ?n= bounds roots)", s.handleTracez},
 		{"/debug/pprof/", "Go runtime profiles", pprof.Index},
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 func testLanes(qd int, rec *telemetry.Recorder) (*Device, *LaneSet) {
-	d := New(testConfig())
+	st := NewStack(StackConfig{Local: testConfig()})
+	d := st.Member(0)
 	d.SetTelemetry(rec)
-	return d, WrapDevice(d).NewLaneSet(LaneConfig{Plug: PlugConfig{QueueDepth: qd}}, rec)
+	return d, st.NewLaneSet(LaneConfig{Plug: PlugConfig{QueueDepth: qd}}, rec)
 }
 
 // TestLaneDispatchResolvesEverything: every staged request gets exactly
@@ -117,10 +118,10 @@ func TestLaneQuantumProportionality(t *testing.T) {
 // re-staged with backoff and eventually succeed or exhaust the budget;
 // persistent faults surface as terminal errors without retry.
 func TestLaneTransientRetryAndPersistentError(t *testing.T) {
-	d := New(testConfig())
+	st := NewStack(StackConfig{Local: testConfig()})
 	inj := &countingInjector{failFirst: 2, off: 0}
-	d.SetFaultInjector(inj)
-	ls := WrapDevice(d).NewLaneSet(LaneConfig{
+	st.SetFaultInjector(inj)
+	ls := st.NewLaneSet(LaneConfig{
 		Retry: RetryPolicy{Max: 3, Base: 10 * simtime.Microsecond, Cap: simtime.Millisecond},
 	}, nil)
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "flaky"}, 0)
@@ -132,9 +133,9 @@ func TestLaneTransientRetryAndPersistentError(t *testing.T) {
 		t.Fatalf("injector consulted %d times, want >= 3 (2 failures + success)", inj.calls)
 	}
 
-	d2 := New(testConfig())
-	d2.SetFaultInjector(&stubInjector{fail: map[int64]bool{0: true}})
-	ls2 := WrapDevice(d2).NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
+	st2 := NewStack(StackConfig{Local: testConfig()})
+	st2.SetFaultInjector(&stubInjector{fail: map[int64]bool{0: true}})
+	ls2 := st2.NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
 	ls2.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "dead"}, 0)
 	ls2.Stage(LaneRequest{Tenant: 1, Op: OpRead, Off: 1 << 30, Bytes: 4096, Tag: "ok"}, 0)
 	res2 := ls2.Dispatch(0, nil)
@@ -313,9 +314,9 @@ func TestLaneStageDispatchZeroAlloc(t *testing.T) {
 // its stage time.
 func TestLaneSlotsZeroedOnPop(t *testing.T) {
 	inj := &countingInjector{failFirst: 2, off: 0}
-	d := New(testConfig())
-	d.SetFaultInjector(inj)
-	ls := WrapDevice(d).NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
+	st := NewStack(StackConfig{Local: testConfig()})
+	st.SetFaultInjector(inj)
+	ls := st.NewLaneSet(LaneConfig{Retry: RetryPolicy{Max: 3, Base: simtime.Microsecond}}, nil)
 	// The first request is retried twice, so its slots carry attempt counts
 	// and backoff stage times; the others ride along on a second lane.
 	ls.Stage(LaneRequest{Tenant: 0, Op: OpRead, Off: 0, Bytes: 4096, Tag: "retried"}, 5)

@@ -10,8 +10,8 @@ import (
 // testPlug returns a plug over a fresh test device, with optional
 // queue-depth/merge-window overrides.
 func testPlug(qd int, window int64) (*Device, *StackPlug) {
-	d := New(testConfig())
-	return d, WrapDevice(d).NewPlug(PlugConfig{QueueDepth: qd, MergeWindowBytes: window})
+	st := NewStack(StackConfig{Local: testConfig()})
+	return st.Member(0), st.NewPlug(PlugConfig{QueueDepth: qd, MergeWindowBytes: window})
 }
 
 // readThrough dispatches one read of [off, off+bytes) through p, reset

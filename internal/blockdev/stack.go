@@ -10,17 +10,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Default stack geometry: the RAID-0 chunk and the tier extent both
-// default to 256KB — large enough that sequential runs still merge into
-// big per-member commands, small enough that placement tracks hotness at
-// a useful grain.
+// Stack geometry: the RAID-0 chunk defaults to 256KB and the tier extent
+// is 256KB — large enough that sequential runs still merge into big
+// per-member commands, small enough that placement tracks hotness at a
+// useful grain.
 const (
 	DefaultStripeChunkBytes = 256 << 10
-	DefaultExtentBytes      = 256 << 10
-	// DefaultPromoteReads is the read-hotness threshold: a remote extent
-	// promotes to the local tier after this many demand reads touch it, if
-	// the tier has room.
-	DefaultPromoteReads = 2
+	// ExtentSize is the tier's residency-tracking grain.
+	ExtentSize = 256 << 10
+	// promoteHeat is the read-hotness threshold: a remote extent promotes
+	// to the local tier after this many demand reads touch it, if the tier
+	// has room.
+	promoteHeat = 2
 	// maxPrefetchBoost caps the RTT-scaled readahead deepening for
 	// remote-resident extents.
 	maxPrefetchBoost = 8
@@ -33,24 +34,19 @@ type TierConfig struct {
 	// Remote is the backing NVMe-oF device model (zero value selects
 	// RemoteNVMeConfig).
 	Remote Config
-	// ExtentBytes is the residency-tracking grain (default 256KB).
-	ExtentBytes int64
 	// RemoteFrac is the fraction of extents that start remote-resident
 	// (deterministically spread over the address space).
 	RemoteFrac float64
-	// LocalCapBytes bounds the local tier: reads promote only into free
-	// capacity under it, and a write that takes the tier past it demotes
-	// local extents, chosen by a clock over their demand-read heat
-	// (maybeDemoteLocked), until it is back at the cap. 0 means uncapped.
+	// LocalCapBytes bounds promotions: a read promotes a remote extent
+	// only while the local tier holds fewer extents than the cap. It does
+	// not bound first touches: an extent takes its RemoteFrac residency
+	// when first touched, whatever the tier holds, so a tier can end past
+	// its cap. Nothing ever demotes. 0 means uncapped.
 	LocalCapBytes int64
-	// PromoteReads is the demand-read hotness threshold for promotion into
-	// free local capacity (default 2).
-	PromoteReads int
 	// CrossTierPrefetch makes prefetch reads against remote extents
 	// promote them as a side effect (into free capacity, as demand
-	// promotions: no read forces a demotion) and deepens
-	// readahead windows that cover remote extents by the RTT-scaled boost
-	// (see PrefetchBoostFor).
+	// promotions) and deepens readahead windows that cover remote extents
+	// by the RTT-scaled boost (see PrefetchBoostFor).
 	CrossTierPrefetch bool
 }
 
@@ -89,26 +85,15 @@ func (c StackConfig) withDefaults() StackConfig {
 			c.Tier.Remote = RemoteNVMeConfig()
 		}
 		c.Tier.Remote.BlockSize = c.Local.BlockSize
-		if c.Tier.ExtentBytes <= 0 {
-			c.Tier.ExtentBytes = DefaultExtentBytes
-		}
-		if c.Tier.ExtentBytes%c.Local.BlockSize != 0 {
-			c.Tier.ExtentBytes += c.Local.BlockSize - c.Tier.ExtentBytes%c.Local.BlockSize
-		}
-		if c.Tier.PromoteReads <= 0 {
-			c.Tier.PromoteReads = DefaultPromoteReads
-		}
 	}
 	return c
 }
 
 // extentState is one tier extent's residency and heat: reads counts the
-// demand device reads that touched it, on either tier, and the demotion
-// clock halves it each time its hand passes.
+// demand device reads that touched it, on either tier.
 type extentState struct {
 	init  bool
 	local bool
-	dirty bool
 	reads int32
 }
 
@@ -125,23 +110,17 @@ type Stack struct {
 	width   int // local members; remote (if any) is members[width]
 	remote  int // remote member index, -1 when untiered
 	chunk   int64
-	extB    int64
 	rec     *telemetry.Recorder
 
-	// Tier residency table, lazily grown, and the demotion clock's hand
-	// into it; guarded by tmu.
+	// Tier residency table, lazily grown; guarded by tmu.
 	tmu          sync.Mutex
 	ext          []extentState
-	hand         int
 	localExtents int64
 	capExtents   int64
-	promoteReads int32
 	fracPermille int64
 
 	promotions         int64
 	prefetchPromotions int64
-	demotions          int64
-	copybackBytes      int64
 }
 
 // NewStack builds the member devices and the stack over them.
@@ -163,9 +142,7 @@ func NewStack(cfg StackConfig) *Stack {
 	if cfg.Tier.Enabled {
 		st.remote = len(st.members)
 		st.members = append(st.members, New(cfg.Tier.Remote))
-		st.extB = cfg.Tier.ExtentBytes
-		st.capExtents = cfg.Tier.LocalCapBytes / st.extB
-		st.promoteReads = int32(cfg.Tier.PromoteReads)
+		st.capExtents = cfg.Tier.LocalCapBytes / ExtentSize
 		st.fracPermille = int64(cfg.Tier.RemoteFrac * 1000)
 		if st.fracPermille < 0 {
 			st.fracPermille = 0
@@ -175,19 +152,6 @@ func NewStack(cfg StackConfig) *Stack {
 		}
 	}
 	return st
-}
-
-// WrapDevice adapts an already-built single device into a (degenerate)
-// stack — the compatibility path for callers that construct a Device
-// themselves.
-func WrapDevice(d *Device) *Stack {
-	return &Stack{
-		cfg:     StackConfig{Local: d.cfg, Width: 1, ChunkBytes: DefaultStripeChunkBytes},
-		members: []*Device{d},
-		width:   1,
-		remote:  -1,
-		chunk:   DefaultStripeChunkBytes,
-	}
 }
 
 // single reports whether every request maps 1:1 onto one member.
@@ -261,8 +225,8 @@ func (st *Stack) resolveInto(dst []piece, off, bytes int64) []piece {
 	for bytes > 0 {
 		n := bytes
 		if st.remote >= 0 {
-			e := off / st.extB
-			if rem := (e+1)*st.extB - off; n > rem {
+			e := off / ExtentSize
+			if rem := (e+1)*ExtentSize - off; n > rem {
 				n = rem
 			}
 			if !st.extLocalLocked(e) {
@@ -339,22 +303,20 @@ func (st *Stack) extAtLocked(e int64) *extentState {
 
 // noteRead books read heat for [off, off+bytes) completed at done. A
 // demand read heats every extent it touches, on either tier, and a remote
-// one becomes a candidate once its heat reaches PromoteReads; the heat
-// stays with the extent, so a promoted extent enters the tier PromoteReads
-// hot. A prefetch read adds no heat. With CrossTierPrefetch every remote
-// extent it touches is a candidate — the prefetched data just crossed the
-// fabric, so landing it locally is free. Either kind lands a candidate only
-// in free local capacity: the tier is uncapped or under its cap. At the cap
-// a landing would be paid for with a demotion, and a read sees only what
-// the page cache missed, which is not the evidence to give up a local
-// extent on (DESIGN.md §16); only writes run the demotion clock.
+// one becomes a candidate once its heat reaches promoteHeat. A prefetch
+// read adds no heat. With CrossTierPrefetch every remote extent it touches
+// is a candidate — the prefetched data just crossed the fabric, so landing
+// it locally is free. Either kind lands a candidate only in free local
+// capacity: the tier is uncapped or under its cap. Residency moves one way
+// (DESIGN.md §16): nothing demotes, and a write lands on whichever member
+// already holds its extent.
 func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 	if st.remote < 0 || bytes <= 0 {
 		return
 	}
 	st.tmu.Lock()
 	defer st.tmu.Unlock()
-	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
+	for e := off / ExtentSize; e <= (off+bytes-1)/ExtentSize; e++ {
 		s := st.extAtLocked(e)
 		if prefetch {
 			if !s.local && st.cfg.Tier.CrossTierPrefetch && st.underCapLocked() {
@@ -363,36 +325,16 @@ func (st *Stack) noteRead(done simtime.Time, off, bytes int64, prefetch bool) {
 			continue
 		}
 		s.reads++
-		if !s.local && s.reads >= st.promoteReads && st.underCapLocked() {
+		if !s.local && s.reads >= promoteHeat && st.underCapLocked() {
 			st.promoteLocked(e, done, false)
 		}
 	}
 }
 
 // underCapLocked reports whether the local tier has room for one more
-// extent without a demotion.
+// promoted extent.
 func (st *Stack) underCapLocked() bool {
 	return st.capExtents <= 0 || st.localExtents < st.capExtents
-}
-
-// noteWrite marks the covered extents dirty (and, for remote extents,
-// pulls them local: the stack writes new data to the fast tier and
-// copies it back on demotion), then demotes past the cap.
-func (st *Stack) noteWrite(done simtime.Time, off, bytes int64) {
-	if st.remote < 0 || bytes <= 0 {
-		return
-	}
-	st.tmu.Lock()
-	defer st.tmu.Unlock()
-	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
-		s := st.extAtLocked(e)
-		if !s.local {
-			s.local = true
-			st.localExtents++
-		}
-		s.dirty = true
-	}
-	st.maybeDemoteLocked(done)
 }
 
 // promoteLocked flips extent e local and books the local-tier fill write
@@ -408,46 +350,10 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 		st.prefetchPromotions++
 		st.rec.Add(telemetry.CtrTierPrefetchPromotions, 1)
 	}
-	for off, end := e*st.extB, (e+1)*st.extB; off < end; {
+	for off, end := e*ExtentSize, (e+1)*ExtentSize; off < end; {
 		m, moff, n := st.stripe(off, end-off)
 		st.members[m].AccessAsync(at, OpWrite, moff, n) //nolint:errcheck // best-effort fill
 		off += n
-	}
-}
-
-// maybeDemoteLocked brings a local tier that is over its cap back to the
-// cap with a clock over demand-read heat (GCLOCK). The hand walks the
-// extent table, skipping remote and untouched extents; at a local extent
-// with heat it halves the heat and moves on, and it demotes the first
-// local extent it finds cold. The halving is the decay: an extent read h
-// times and then no more is demoted at the hand's bits.Len(h)+1-th visit,
-// within that many passes. Dirty extents copy back to the remote tier;
-// clean ones just flip residency.
-func (st *Stack) maybeDemoteLocked(at simtime.Time) {
-	for st.capExtents > 0 && st.localExtents > st.capExtents {
-		if st.hand >= len(st.ext) {
-			st.hand = 0
-		}
-		e := st.hand
-		st.hand++
-		s := &st.ext[e]
-		if !s.local {
-			continue
-		}
-		if s.reads > 0 {
-			s.reads >>= 1
-			continue
-		}
-		if s.dirty {
-			st.members[st.remote].AccessAsync(at, OpWrite, int64(e)*st.extB, st.extB) //nolint:errcheck // best-effort copyback
-			st.copybackBytes += st.extB
-			st.rec.Add(telemetry.CtrTierCopybackBytes, st.extB)
-			s.dirty = false
-		}
-		s.local = false
-		st.localExtents--
-		st.demotions++
-		st.rec.Add(telemetry.CtrTierDemotions, 1)
 	}
 }
 
@@ -467,7 +373,7 @@ func (st *Stack) PrefetchBoostFor(off, bytes int64) int64 {
 	}
 	remoteSeen := false
 	st.tmu.Lock()
-	for e := off / st.extB; e <= (off+bytes-1)/st.extB; e++ {
+	for e := off / ExtentSize; e <= (off+bytes-1)/ExtentSize; e++ {
 		if !st.extLocalLocked(e) {
 			remoteSeen = true
 			break
@@ -566,13 +472,7 @@ func (st *Stack) accessPieces(tl *simtime.Timeline, op Op, pieces []piece) error
 // accessPieces), all-or-nothing under injected faults.
 func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
 	var buf [8]piece
-	if err := st.accessPieces(tl, op, st.resolveInto(buf[:0], off, bytes)); err != nil {
-		return err
-	}
-	if op == OpWrite {
-		st.noteWrite(tl.Now(), off, bytes)
-	}
-	return nil
+	return st.accessPieces(tl, op, st.resolveInto(buf[:0], off, bytes))
 }
 
 // AccessAsync reserves asynchronous stack time for one request submitted
@@ -589,9 +489,6 @@ func (st *Stack) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.
 		if done, _, _ := st.members[p.m].reserveAsync(op, p.n, at); done > maxDone {
 			maxDone = done
 		}
-	}
-	if op == OpWrite {
-		st.noteWrite(maxDone, off, bytes)
 	}
 	return maxDone, nil
 }
@@ -638,46 +535,40 @@ func (st *Stack) MemberStats() []Stats {
 type ExtentHeat struct {
 	Extent int64 `json:"extent"`
 	Local  bool  `json:"local"`
-	Dirty  bool  `json:"dirty"`
 	Reads  int32 `json:"reads"`
 }
 
-// TierStats snapshots the tier machinery. LocalExtents is the occupancy
-// counter the cap is held against; the local rows of a full heat table
-// count the same extents. Hand is the extent the demotion clock looks at
-// next.
+// TierStats snapshots the tier machinery (extents of ExtentSize bytes).
+// LocalExtents is the occupancy counter that promotions are held under
+// CapExtents by; a first touch takes its layout residency whatever the
+// tier holds, so it can end past the cap. The local rows of a full heat
+// table count the same extents.
 type TierStats struct {
-	Enabled            bool         `json:"enabled"`
-	ExtentBytes        int64        `json:"extent_bytes"`
-	TrackedExtents     int64        `json:"tracked_extents"`
-	LocalExtents       int64        `json:"local_extents"`
-	RemoteExtents      int64        `json:"remote_extents"`
-	CapExtents         int64        `json:"cap_extents"`
-	Hand               int64        `json:"hand"`
-	Promotions         int64        `json:"promotions"`
-	PrefetchPromotions int64        `json:"prefetch_promotions"`
-	Demotions          int64        `json:"demotions"`
-	CopybackBytes      int64        `json:"copyback_bytes"`
-	Heat               []ExtentHeat `json:"heat,omitempty"`
+	Enabled            bool  `json:"enabled"`
+	TrackedExtents     int64 `json:"tracked_extents"`
+	LocalExtents       int64 `json:"local_extents"`
+	RemoteExtents      int64 `json:"remote_extents"`
+	CapExtents         int64 `json:"cap_extents"`
+	Promotions         int64 `json:"promotions"`
+	PrefetchPromotions int64 `json:"prefetch_promotions"`
+	// Deprecated: always 0; nothing demotes. Kept for bench/layers.go.
+	Demotions int64 `json:"demotions"`
+	// Deprecated: always 0; nothing copies back. Kept for bench/layers.go.
+	CopybackBytes int64        `json:"copyback_bytes"`
+	Heat          []ExtentHeat `json:"heat,omitempty"`
 }
 
-// TierStats snapshots residency, promotion/demotion totals, the demotion
-// clock's hand, and the hottest-extent heat table (up to heatTop entries
-// by read heat, then extent; all of them for heatTop <= 0).
+// TierStats snapshots residency, promotion totals and the hottest-extent
+// heat table (up to heatTop entries by read heat, then extent; all of them
+// for heatTop <= 0).
 func (st *Stack) TierStats(heatTop int) TierStats {
-	ts := TierStats{Enabled: st.remote >= 0, ExtentBytes: st.extB}
 	if st.remote < 0 {
-		return ts
+		return TierStats{}
 	}
 	st.tmu.Lock()
 	defer st.tmu.Unlock()
-	ts.LocalExtents = st.localExtents
-	ts.CapExtents = st.capExtents
-	ts.Hand = int64(st.hand)
-	ts.Promotions = st.promotions
-	ts.PrefetchPromotions = st.prefetchPromotions
-	ts.Demotions = st.demotions
-	ts.CopybackBytes = st.copybackBytes
+	ts := TierStats{Enabled: true, LocalExtents: st.localExtents, CapExtents: st.capExtents,
+		Promotions: st.promotions, PrefetchPromotions: st.prefetchPromotions}
 	var heat []ExtentHeat
 	for e := range st.ext {
 		s := &st.ext[e]
@@ -688,7 +579,7 @@ func (st *Stack) TierStats(heatTop int) TierStats {
 		if !s.local {
 			ts.RemoteExtents++
 		}
-		heat = append(heat, ExtentHeat{Extent: int64(e), Local: s.local, Dirty: s.dirty, Reads: s.reads})
+		heat = append(heat, ExtentHeat{Extent: int64(e), Local: s.local, Reads: s.reads})
 	}
 	sort.Slice(heat, func(i, j int) bool {
 		if heat[i].Reads != heat[j].Reads {

@@ -78,13 +78,11 @@ func TestStackStripeCoalesceAndParallelism(t *testing.T) {
 	}
 }
 
-// A width-1 stack — built either via NewStack or WrapDevice — must be
-// byte- and timing-identical to the raw device for the same request
+// A width-1 stack must be byte- and timing-identical to the raw device for the same request
 // sequence.
 func TestStackWidthOneIdenticalToRawDevice(t *testing.T) {
 	raw := New(testConfig())
 	one := NewStack(StackConfig{Local: testConfig(), Width: 1})
-	wrapped := WrapDevice(New(testConfig()))
 
 	type step struct {
 		op    Op
@@ -99,7 +97,6 @@ func TestStackWidthOneIdenticalToRawDevice(t *testing.T) {
 	}
 	rtl := simtime.NewTimeline(0)
 	otl := simtime.NewTimeline(0)
-	wtl := simtime.NewTimeline(0)
 	for i, s := range steps {
 		if err := raw.Access(rtl, s.op, s.off, s.bytes); err != nil {
 			t.Fatal(err)
@@ -107,12 +104,8 @@ func TestStackWidthOneIdenticalToRawDevice(t *testing.T) {
 		if err := one.Access(otl, s.op, s.off, s.bytes); err != nil {
 			t.Fatal(err)
 		}
-		if err := wrapped.Access(wtl, s.op, s.off, s.bytes); err != nil {
-			t.Fatal(err)
-		}
-		if otl.Elapsed() != rtl.Elapsed() || wtl.Elapsed() != rtl.Elapsed() {
-			t.Fatalf("step %d: elapsed raw=%v stack=%v wrapped=%v",
-				i, rtl.Elapsed(), otl.Elapsed(), wtl.Elapsed())
+		if otl.Elapsed() != rtl.Elapsed() {
+			t.Fatalf("step %d: elapsed raw=%v stack=%v", i, rtl.Elapsed(), otl.Elapsed())
 		}
 	}
 	// Async path too: identical admission and completion.
@@ -124,13 +117,8 @@ func TestStackWidthOneIdenticalToRawDevice(t *testing.T) {
 	if od != rd {
 		t.Fatalf("async done: raw=%v stack=%v", rd, od)
 	}
-	rs, os, ws := raw.Stats(), one.Stats(), wrapped.Stats()
-	ws.ReadOps, ws.ReadBytes = ws.ReadOps+1, ws.ReadBytes+512<<10 // skip async on wrapped
-	if os != rs {
+	if rs, os := raw.Stats(), one.Stats(); os != rs {
 		t.Fatalf("stats diverge:\nraw   %+v\nstack %+v", rs, os)
-	}
-	if ws.Name != rs.Name {
-		t.Fatalf("wrapped stack renamed the device: %q vs %q", ws.Name, rs.Name)
 	}
 }
 
@@ -195,7 +183,7 @@ func TestStackBacklogForIsolatesSaturatedMember(t *testing.T) {
 		},
 	})
 	// Residency hash: extent 0 -> remote, extent 1 -> local.
-	extB := st.Config().Tier.ExtentBytes
+	extB := int64(ExtentSize)
 	if st.PrefetchBoostFor(0, 4096) != 1 {
 		t.Fatal("boost should be 1 with CrossTierPrefetch disabled")
 	}
@@ -289,21 +277,20 @@ func TestStackPlugResetClearsAsyncHorizon(t *testing.T) {
 	}
 }
 
-// A read may fill the local tier but never forces a demotion (DESIGN.md
-// §16): with the tier at its cap, a streaming run of prefetch reads over
-// remote extents and then enough demand reads to heat one of them past
-// PromoteReads leave residency alone — nothing is promoted or demoted and
-// no fill write reaches a local member — while an uncapped tier still
-// takes every prefetched extent and a tier with room still takes the
-// demand-heated one.
+// A read fills only free local capacity (DESIGN.md §16): with the tier at
+// its cap, a streaming run of prefetch reads over remote extents and then
+// enough demand reads to heat one of them past promoteHeat leave residency
+// alone — nothing is promoted and no fill write reaches a local member —
+// while an uncapped tier still takes every prefetched extent and a tier
+// with room still takes the demand-heated one.
 func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	const (
-		ext     = 64 << 10
+		ext     = ExtentSize
 		extents = 64
 	)
 	tiered := func(localCap int64) *Stack {
 		cfg := testStripeConfig(2)
-		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), ExtentBytes: ext,
+		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(),
 			RemoteFrac: 0.5, CrossTierPrefetch: true, LocalCapBytes: localCap}
 		st := NewStack(cfg)
 		st.BacklogFor(0, 0, extents*ext) // first touch: every extent takes its residency
@@ -326,10 +313,10 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 		}
 		return remote, last
 	}
-	// heat demand-reads extent e DefaultPromoteReads times.
+	// heat demand-reads extent e promoteHeat times.
 	heat := func(st *Stack, e int64) {
 		tl := simtime.NewTimeline(0)
-		for i := 0; i < DefaultPromoteReads; i++ {
+		for i := 0; i < promoteHeat; i++ {
 			if _, err := readThrough(st.NewPlug(PlugConfig{}), tl, false, e*ext, ext, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -356,9 +343,9 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	capped := tiered(local * ext)
 	_, hot := stream(capped)
 	heat(capped, hot)
-	if ts := capped.TierStats(0); ts.Promotions != 0 || ts.Demotions != 0 || ts.LocalExtents != local {
-		t.Errorf("at the cap, after prefetch reads and %d demand reads of extent %d: %d promotions, %d demotions, %d local extents; want 0, 0, %d",
-			DefaultPromoteReads, hot, ts.Promotions, ts.Demotions, ts.LocalExtents, local)
+	if ts := capped.TierStats(0); ts.Promotions != 0 || ts.LocalExtents != local {
+		t.Errorf("at the cap, after prefetch reads and %d demand reads of extent %d: %d promotions, %d local extents; want 0, %d",
+			promoteHeat, hot, ts.Promotions, ts.LocalExtents, local)
 	}
 	if n := localWrites(capped); n != 0 {
 		t.Errorf("at the cap: %d fill writes booked on the local members, want 0", n)
@@ -367,9 +354,9 @@ func TestPrefetchPromotionNeverForcesDemotion(t *testing.T) {
 	// One extent of room: the demand-heated extent lands in it.
 	roomy := tiered((local + 1) * ext)
 	heat(roomy, hot)
-	if ts := roomy.TierStats(0); ts.Promotions != 1 || ts.PrefetchPromotions != 0 || ts.Demotions != 0 {
-		t.Errorf("under the cap, after %d demand reads of extent %d: %d promotions (%d by prefetch), %d demotions; want 1 (0), 0",
-			DefaultPromoteReads, hot, ts.Promotions, ts.PrefetchPromotions, ts.Demotions)
+	if ts := roomy.TierStats(0); ts.Promotions != 1 || ts.PrefetchPromotions != 0 {
+		t.Errorf("under the cap, after %d demand reads of extent %d: %d promotions (%d by prefetch); want 1 (0)",
+			promoteHeat, hot, ts.Promotions, ts.PrefetchPromotions)
 	}
 	if localWrites(roomy) == 0 {
 		t.Error("the demand promotion booked no fill write on a local member")

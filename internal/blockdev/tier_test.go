@@ -1,188 +1,125 @@
 package blockdev
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/simtime"
 )
 
-// The capped tier's demotion clock (DESIGN.md §16): demand reads heat an
-// extent on either tier, reads promote only into free capacity, and a
-// write that takes the tier past its cap runs the hand, which halves heat
-// as it passes and demotes the first local extent it finds cold — exactly
-// while the tier is over its cap.
+// The tier's one rule (DESIGN.md §16): residency moves one way. A read
+// promotes a remote extent into free local capacity — demand heat at
+// promoteHeat, or a cross-tier prefetch — and a write lands on whichever
+// member already holds its extent. Nothing demotes.
 
-const tierExt = 64 << 10
+const tierExt = ExtentSize
 
-// tierStack builds a width-2 stack over n extents of tierExt bytes, every
-// extent's residency taken, remoteFrac of them starting remote, capped at
-// capExt extents; capExt < 0 caps it at exactly what starts local.
-func tierStack(n, capExt int64, remoteFrac float64, promoteReads int) *Stack {
-	build := func(capExt int64) *Stack {
-		cfg := testStripeConfig(2)
-		cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(), ExtentBytes: tierExt,
-			RemoteFrac: remoteFrac, CrossTierPrefetch: true, LocalCapBytes: capExt * tierExt,
-			PromoteReads: promoteReads}
-		st := NewStack(cfg)
-		st.BacklogFor(0, 0, n*tierExt) // first touch: every extent takes its residency
-		return st
-	}
+// tierStack builds a width-2 stack over n extents of tierExt bytes,
+// remoteFrac of them starting remote, capped at capExt extents; capExt < 0
+// caps it at exactly what starts local. Every extent takes its residency
+// before the stack is returned.
+func tierStack(n, capExt int64, remoteFrac float64) *Stack {
 	if capExt < 0 {
-		capExt = build(0).TierStats(0).LocalExtents
+		capExt = layoutLocal(n, remoteFrac)
 	}
-	return build(capExt)
+	st := tierStackLazy(remoteFrac, capExt)
+	st.BacklogFor(0, 0, n*tierExt) // first touch: every extent takes its residency
+	return st
+}
+
+// tierStackLazy is tierStack with no extent touched: each takes its layout
+// residency when a request first reaches it.
+func tierStackLazy(remoteFrac float64, capExt int64) *Stack {
+	cfg := testStripeConfig(2)
+	cfg.Tier = TierConfig{Enabled: true, Remote: testConfig(),
+		RemoteFrac: remoteFrac, CrossTierPrefetch: true, LocalCapBytes: capExt * tierExt}
+	return NewStack(cfg)
+}
+
+// layoutLocal counts the extents of n that the layout makes local.
+func layoutLocal(n int64, remoteFrac float64) int64 {
+	return tierStack(n, 0, remoteFrac).TierStats(0).LocalExtents
 }
 
 // demandRead books one demand read of extent e completing at at.
 func demandRead(st *Stack, e int64, at simtime.Time) { st.noteRead(at, e*tierExt, tierExt, false) }
 
-// write books one write of extent e completing at at: a remote extent
-// lands local, and the clock demotes past the cap.
-func write(st *Stack, e int64, at simtime.Time) { st.noteWrite(at, e*tierExt, tierExt) }
-
-// Demotion stops at the cap, not at a mark under it: a tier written past
-// its cap holds exactly its cap.
-func TestTierDemotesToExactlyTheCap(t *testing.T) {
-	const n, capExt = 64, 16
-	st := tierStack(n, capExt, 1, 1)
-	for e := int64(0); e < n; e++ {
-		write(st, e, simtime.Time(e+1))
-		if ts := st.TierStats(0); ts.LocalExtents != min(e+1, capExt) {
-			t.Fatalf("after writing extent %d: %d local extents, want %d", e, ts.LocalExtents, min(e+1, capExt))
-		}
+// residency reports every touched extent's residency.
+func residency(st *Stack) map[int64]bool {
+	m := map[int64]bool{}
+	for _, h := range st.TierStats(0).Heat {
+		m[h.Extent] = h.Local
 	}
-	if ts := st.TierStats(0); ts.Demotions != n-capExt {
-		t.Errorf("%d demotions, want %d: one per write past the cap", ts.Demotions, n-capExt)
-	}
+	return m
 }
 
-// An extent re-read early keeps its place through a later run of
-// read-once newcomers, written in, that overflows the tier: each pass of
-// the hand halves its heat once, while every newcomer is cold after one
-// pass. By recency it would be the first to go.
-func TestTierHeatBeatsRecency(t *testing.T) {
-	const n, capExt, hot = 64, 8, 0
-	st := tierStack(n, capExt, 1, 1)
-	var at simtime.Time
-	for i := 0; i < 3; i++ {
-		at++
-		demandRead(st, hot, at)
-	}
-	for e := int64(1); e <= capExt+capExt/2; e++ {
-		at++
-		demandRead(st, e, at)
-		write(st, e, at)
-	}
-	if d := st.TierStats(0).Demotions; d < capExt/2 {
-		t.Fatalf("setup: %d demotions, want >= %d", d, capExt/2)
-	}
-	if !st.ext[hot].local {
-		t.Error("the extent read three times was demoted ahead of extents read once since")
-	}
-}
-
-// A hot set whose reads stop cools and leaves: an extent of heat h is
-// demoted within bits.Len(h)+1 passes of the hand, here under a stream of
-// writes to remote extents that holds the tier at its cap.
-func TestTierMovedHotSetCools(t *testing.T) {
-	const n, hot, heat = 64, 4, 12
-	st := tierStack(n, -1, 0.5, 0)
-	var hotSet []int64
-	tl := simtime.NewTimeline(0)
-	for e := int64(0); e < n && len(hotSet) < hot; e++ {
-		if st.ext[e].local {
-			hotSet = append(hotSet, e)
-			for i := 0; i < heat; i++ {
-				demandRead(st, e, tl.Now())
-			}
-		}
-	}
-	stillLocal := func() (k int) {
-		for _, e := range hotSet {
-			if st.ext[e].local {
-				k++
-			}
-		}
-		return k
-	}
-	// Each write lands one cold extent in the tier, so the hand finds a
-	// cold one within a pass and its travel per write is (new - old) mod n,
-	// in (0, n].
-	var travel int64
-	next := int64(0)
-	for w := 0; stillLocal() > 0; w++ {
-		if w > 10*n {
-			t.Fatalf("%d of the hot set still local after %d writes", stillLocal(), w)
-		}
-		for st.ext[next].local {
-			next = (next + 1) % n
-		}
-		before := st.TierStats(0).Hand
-		if err := st.Access(tl, OpWrite, next*tierExt, tierExt); err != nil {
-			t.Fatal(err)
-		}
-		ts := st.TierStats(0)
-		if ts.LocalExtents != ts.CapExtents {
-			t.Fatalf("after a write: %d local extents, cap %d", ts.LocalExtents, ts.CapExtents)
-		}
-		travel += ((ts.Hand-before-1)%n+n)%n + 1
-	}
-	passes := (travel + n - 1) / n
-	if bound := int64(bits.Len(heat) + 1); passes > bound {
-		t.Errorf("the hot set left after %d passes of the hand, want <= %d", passes, bound)
-	}
-	t.Logf("hot set of heat %d demoted after %d hand steps (%d passes)", heat, travel, passes)
-}
-
-// Writes respect the cap: pulling remote extents local for new data
-// demotes as a promotion does, so a write-heavy tenant cannot grow the tier
-// past LocalCapBytes.
-func TestTierWritesRespectTheCap(t *testing.T) {
+// A write keeps residency: writing over the whole tier, twice, promotes
+// nothing, moves no extent, and the remote member takes the bytes of
+// every remote extent each time — on an uncapped tier and on one at its
+// cap alike.
+func TestTierWritesKeepResidency(t *testing.T) {
 	const n = 64
-	st := tierStack(n, -1, 0.5, 0)
-	tl := simtime.NewTimeline(0)
-	for e := int64(0); e < n; e++ {
-		if !st.ext[e].local {
-			if err := st.Access(tl, OpWrite, e*tierExt, tierExt); err != nil {
+	for _, capExt := range []int64{0, -1} {
+		st := tierStack(n, capExt, 0.5)
+		before, ts0 := residency(st), st.TierStats(0)
+		if ts0.RemoteExtents == 0 || ts0.LocalExtents == 0 {
+			t.Fatalf("cap %d: setup has %d local and %d remote extents, want both", capExt, ts0.LocalExtents, ts0.RemoteExtents)
+		}
+		tl := simtime.NewTimeline(0)
+		for w := int64(1); w <= 2; w++ {
+			if err := st.Access(tl, OpWrite, 0, n*tierExt); err != nil {
 				t.Fatal(err)
 			}
+			ts := st.TierStats(0)
+			if ts.LocalExtents != ts0.LocalExtents || ts.Promotions != 0 {
+				t.Errorf("cap %d, write %d: %d local extents and %d promotions, want %d and 0",
+					capExt, w, ts.LocalExtents, ts.Promotions, ts0.LocalExtents)
+			}
+			moved := 0
+			for e, local := range residency(st) {
+				if local != before[e] {
+					moved++
+				}
+			}
+			if moved != 0 {
+				t.Errorf("cap %d, write %d: %d extents changed residency", capExt, w, moved)
+			}
+			remote := st.MemberStats()[st.NumMembers()-1]
+			if want := w * ts0.RemoteExtents * tierExt; remote.WriteBytes != want {
+				t.Errorf("cap %d, write %d: remote member took %d bytes, want %d", capExt, w, remote.WriteBytes, want)
+			}
 		}
-	}
-	if err := st.Access(tl, OpWrite, 0, n*tierExt); err != nil { // one write over the whole range
-		t.Fatal(err)
-	}
-	ts := st.TierStats(0)
-	if ts.LocalExtents > ts.CapExtents {
-		t.Errorf("writes grew the tier to %d local extents past its cap of %d", ts.LocalExtents, ts.CapExtents)
-	}
-	if ts.Demotions == 0 || ts.CopybackBytes == 0 {
-		t.Errorf("%d demotions and %d copyback bytes, want dirty extents copied back", ts.Demotions, ts.CopybackBytes)
 	}
 }
 
-// TestTierDemotionZeroAlloc: a write at the cap that demotes walks the
-// extent table in place, copies its dirty victims back, and allocates
-// nothing; neither does the demand heat that the hand decays.
-func TestTierDemotionZeroAlloc(t *testing.T) {
+// TestTierPromotionZeroAlloc: rounds of demand reads that heat every
+// extent and promote remote ones under the cap run in place on the extent
+// table and allocate nothing.
+func TestTierPromotionZeroAlloc(t *testing.T) {
 	const n = 64
-	st := tierStack(n, -1, 0.5, 1)
+	capExt := layoutLocal(n, 0.5) + n/8
+	var st *Stack
 	var at simtime.Time
 	round := func() {
 		for e := int64(0); e < n; e++ {
 			at++
 			demandRead(st, e, at)
-			write(st, e, at)
 		}
 	}
-	round()
-	before := st.TierStats(0).Demotions
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Errorf("a round of writes at the cap: %v allocs, want 0", allocs)
+	var best float64 = -1
+	for try := 0; try < 3; try++ {
+		st = tierStack(n, capExt, 0.5)
+		allocs := testing.AllocsPerRun(promoteHeat, round)
+		if best < 0 || allocs < best {
+			best = allocs
+		}
+		if ts := st.TierStats(0); ts.Promotions != n/8 || ts.LocalExtents != capExt {
+			t.Fatalf("the measured rounds made %d promotions to %d local extents, want %d to the cap of %d",
+				ts.Promotions, ts.LocalExtents, n/8, capExt)
+		}
 	}
-	if st.TierStats(0).Demotions == before {
-		t.Fatal("the measured rounds demoted nothing")
+	if best != 0 {
+		t.Errorf("rounds of demand reads that promote: %v allocs, want 0", best)
 	}
 }
 
@@ -191,62 +128,94 @@ const tierOpBytes = 4
 
 // tierResidency interprets prog, four bytes an operation — kind, extent,
 // block offset, length in blocks — as demand reads, prefetch reads and
-// writes over a capped half-remote stack of n extents, and checks after
-// every step that the tier holds at most its cap, that its occupancy
-// counter agrees with the heat table, and that no read, demand or
-// prefetch, demoted anything.
+// writes over two capped half-remote stacks of n extents: one with every
+// extent touched up front and room for four promotions over the layout's
+// local share, and one that lets each extent take its residency when first
+// reached, capped below that share. After every step it checks, on both, that an
+// extent's residency differs from the one the layout gives it on first
+// touch only by a flip remote → local, that the flips equal Promotions,
+// that none happened while the tier was at its cap, and that the
+// occupancy counter agrees with the heat table; on the touched-up-front
+// stack also that the tier holds at most its cap.
 func tierResidency(t *testing.T, prog []byte) {
 	const n, blk = 32, 4096
-	st := tierStack(n, -1, 0.5, 0)
-	p := st.NewPlug(PlugConfig{})
-	tl := simtime.NewTimeline(0)
+	type stack struct {
+		st    *Stack
+		p     *StackPlug
+		tl    *simtime.Timeline
+		flips int64
+	}
+	first := residency(tierStack(n, 0, 0.5)) // the layout: what each extent takes on first touch
+	var stacks [2]stack
+	for i, st := range []*Stack{tierStack(n, layoutLocal(n, 0.5)+4, 0.5), tierStackLazy(0.5, layoutLocal(n, 0.5)/2)} {
+		stacks[i] = stack{st: st, p: st.NewPlug(PlugConfig{}), tl: simtime.NewTimeline(0)}
+	}
 	for step := 0; len(prog) >= tierOpBytes; step++ {
-		kind, e, b, l := prog[0]%3, int64(prog[1])%n, int64(prog[2])%(tierExt/blk), int64(prog[3])%48+1
+		kind, e, b, l := prog[0]%3, int64(prog[1])%n, int64(prog[2])%(tierExt/blk), int64(prog[3])%(2*tierExt/blk)+1
 		prog = prog[tierOpBytes:]
 		off := e*tierExt + b*blk
 		bytes := min(l*blk, n*tierExt-off)
-		demotions := st.TierStats(0).Demotions
-		var err error
-		switch kind {
-		case 0, 1:
-			_, err = readThrough(p, tl, kind == 1, off, bytes, 0)
-		case 2:
-			err = st.Access(tl, OpWrite, off, bytes)
-		}
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		ts := st.TierStats(0)
-		if ts.LocalExtents > ts.CapExtents {
-			t.Fatalf("step %d (kind %d): %d local extents past the cap of %d", step, kind, ts.LocalExtents, ts.CapExtents)
-		}
-		var local int64
-		for _, h := range ts.Heat {
-			if h.Local {
-				local++
+		for i := range stacks {
+			s := &stacks[i]
+			before := s.st.TierStats(0)
+			var err error
+			switch kind {
+			case 0, 1:
+				_, err = readThrough(s.p, s.tl, kind == 1, off, bytes, 0)
+			case 2:
+				err = s.st.Access(s.tl, OpWrite, off, bytes)
 			}
-		}
-		if local != ts.LocalExtents {
-			t.Fatalf("step %d: %d local rows in the heat table, LocalExtents %d", step, local, ts.LocalExtents)
-		}
-		if kind != 2 && ts.Demotions != demotions {
-			t.Fatalf("step %d: a read (kind %d) demoted %d extents", step, kind, ts.Demotions-demotions)
+			if err != nil {
+				t.Fatalf("stack %d, step %d: %v", i, step, err)
+			}
+			ts := s.st.TierStats(0)
+			var local, flips int64
+			for _, h := range ts.Heat {
+				if h.Local {
+					local++
+				}
+				switch {
+				case first[h.Extent] && !h.Local:
+					t.Fatalf("stack %d, step %d (kind %d): extent %d went local -> remote", i, step, kind, h.Extent)
+				case !first[h.Extent] && h.Local:
+					flips++
+				}
+			}
+			if local != ts.LocalExtents {
+				t.Fatalf("stack %d, step %d: %d local rows in the heat table, LocalExtents %d", i, step, local, ts.LocalExtents)
+			}
+			if flips != ts.Promotions {
+				t.Fatalf("stack %d, step %d (kind %d): %d extents flipped remote -> local, %d promotions", i, step, kind, flips, ts.Promotions)
+			}
+			// Occupancy never falls, so a step promotes at most the room
+			// the tier had when it began.
+			if room := max(0, ts.CapExtents-before.LocalExtents); flips-s.flips > room {
+				t.Fatalf("stack %d, step %d (kind %d): %d promotions with room for %d (%d local, cap %d)",
+					i, step, kind, flips-s.flips, room, before.LocalExtents, ts.CapExtents)
+			}
+			s.flips = flips
+			if i == 0 && ts.LocalExtents > ts.CapExtents {
+				t.Fatalf("step %d (kind %d): %d local extents past the cap of %d", step, kind, ts.LocalExtents, ts.CapExtents)
+			}
 		}
 	}
 }
 
 // FuzzTierResidency drives random demand reads, prefetch reads and writes
-// over a capped tiered stack (tierResidency); the seed corpus runs under
+// over capped tiered stacks (tierResidency); the seed corpus runs under
 // plain `go test`.
 func FuzzTierResidency(f *testing.F) {
-	// Heat one extent, write across the tier, prefetch the remote half,
-	// then read a run of extents twice each so they promote.
-	scripted := []byte{
-		0, 3, 0, 15, 0, 3, 0, 15, 0, 3, 0, 15,
-		2, 0, 0, 47, 2, 16, 8, 47,
-		1, 1, 0, 47, 1, 9, 0, 47, 1, 21, 0, 47,
-		0, 5, 0, 31, 0, 5, 0, 31, 0, 6, 0, 31, 0, 6, 0, 31, 0, 7, 0, 31, 0, 7, 0, 31,
+	// Heat a remote extent and prefetch another, so both promote into
+	// either tier's room, write across the tier, prefetch runs that hold
+	// remote extents, then read a run of extents twice each.
+	scripted := []byte{0, 0, 0, 63, 0, 0, 0, 63, 1, 2, 0, 63}
+	for e := byte(0); e < 32; e += 2 {
+		scripted = append(scripted, 2, e, 0, 127)
 	}
+	scripted = append(scripted,
+		1, 1, 0, 127, 1, 9, 0, 127, 1, 21, 0, 127,
+		0, 5, 0, 63, 0, 5, 0, 63, 0, 6, 0, 63, 0, 6, 0, 63, 0, 7, 0, 63, 0, 7, 0, 63,
+	)
 	rng := rand.New(rand.NewSource(32))
 	random := make([]byte, 600*tierOpBytes)
 	rng.Read(random)

@@ -287,7 +287,7 @@ func newTieredKernel(capacity int64) (*vfs.VFS, *blockdev.Stack) {
 func TestStaticClipIsTheKernelWindow(t *testing.T) {
 	const (
 		budget     = 1_000
-		extBlocks  = blockdev.DefaultExtentBytes / 4096
+		extBlocks  = blockdev.ExtentSize / 4096
 		openBlocks = openPrefetchBytes / 4096
 	)
 	raMax := vfs.DefaultConfig().RA.MaxPages

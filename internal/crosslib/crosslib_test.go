@@ -35,7 +35,7 @@ func newKernelStack(dev blockdev.Config, capacity int64) (*vfs.VFS, *blockdev.St
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
-	st := blockdev.WrapDevice(blockdev.New(dev))
+	st := blockdev.NewStack(blockdev.StackConfig{Local: dev})
 	return vfs.NewStack(cfg, fsys, st, cache), st
 }
 

@@ -232,11 +232,12 @@ func TestTierQuick(t *testing.T) {
 	if got := cell(t, tbl, "pf-promo", "sequential", "w1-remote+pf"); got < 1 {
 		t.Errorf("cross-tier prefetch promotions = %v, want >= 1", got)
 	}
-	// Reads land extents only in free local capacity: the capped cells,
-	// which only read, demote nothing.
+	// Reads land extents only in free local capacity: the cap stops
+	// promotion.
 	for _, p := range tierPatterns {
-		if got := cell(t, tbl, "demo", p.name, "w1-remote+pf-cap"); got != 0 {
-			t.Errorf("%s capped cell demotions = %v, want 0", p.name, got)
+		capped := cell(t, tbl, "promo", p.name, "w1-remote+pf-cap")
+		if open := cell(t, tbl, "promo", p.name, "w1-remote+pf"); capped >= open {
+			t.Errorf("%s capped cell promotions = %v, want fewer than uncapped %v", p.name, capped, open)
 		}
 	}
 	// Tier-off cells must never touch the tier machinery.

@@ -171,14 +171,3 @@ func (m *memtable) get(key string, maxSeq uint64) (value []byte, del, ok bool) {
 
 // first returns the first node (smallest key, newest version).
 func (m *memtable) first() *skipNode { return m.head.next[0] }
-
-// seek returns the first node with key >= target.
-func (m *memtable) seek(target string) *skipNode {
-	x := m.head
-	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && x.next[lvl].key < target {
-			x = x.next[lvl]
-		}
-	}
-	return x.next[0]
-}

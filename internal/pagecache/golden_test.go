@@ -28,13 +28,14 @@ import (
 // the parent reproduces these digests). And once more when the recorder
 // lost the two brownout outcomes, for the same reason and with the same
 // check. And once more when it lost the device_injected_stall_ns counter,
+// and once more when it lost tier_demotions and tier_copyback_bytes,
 // again with the same check. "tenants" was re-recorded once more when the
 // LRU became one list pair: hard-budget reclaim now takes the tenant's
 // oldest pages across every file, where the striped lists took them stripe
 // by stripe ("global" held).
 var goldenDigests = map[string]uint64{
-	"global":  0x2eb5cdd821b253f7,
-	"tenants": 0x9f753f32147c877d,
+	"global":  0x7af253ea77152331,
+	"tenants": 0x71e09f2b84b80eb9,
 }
 
 func TestGoldenEvictionOrder(t *testing.T) {

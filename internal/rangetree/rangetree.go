@@ -108,9 +108,6 @@ func New(span int64, costs simtime.Costs) *Tree {
 	return &Tree{span: span, costs: costs, nodes: make(map[int64]*node)}
 }
 
-// Span reports the node width in blocks.
-func (t *Tree) Span() int64 { return t.span }
-
 // Nodes reports how many nodes have been materialized.
 func (t *Tree) Nodes() int {
 	t.mu.RLock()

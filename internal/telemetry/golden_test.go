@@ -42,11 +42,13 @@ import (
 // fault class's removal: both formats lose the device_injected_stall_ns
 // row, and every counter the fill draws after it moves back one draw; the
 // parent commit with that row left out of its two exporters and its fill
-// drawing nothing for it reproduces both hashes.
+// drawing nothing for it reproduces both hashes. And once for the
+// tier_demotions and tier_copyback_bytes counters' removal, with the same
+// effect and the same check.
 func TestGoldenMetricsText(t *testing.T) {
 	const (
-		wantProm = "3f8519873a9d63321de83d6cd5a2a11a0badd73b566fa489cfe07ba37841e4ad"
-		wantJSON = "a06942d649515ec5311153c771760c1f25527c3ef77a92fbad3c9335e142919c"
+		wantProm = "619dda91fe863fc8b942ac55d8deec369221fbf7991296543e7c2eb48fd41a5f"
+		wantJSON = "06029fc7636f7f4137b015aa926a32f9eccf53c531d2eecdbf6c997f22c3eb18"
 	)
 	s := goldenSnapshot()
 	for _, c := range []struct {

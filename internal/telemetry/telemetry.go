@@ -164,12 +164,9 @@ const (
 	CtrDeviceCommands
 	// CtrTierPromotions counts extents promoted remote->local;
 	// CtrTierPrefetchPromotions the subset landed by cross-tier prefetch
-	// reads. CtrTierDemotions counts demotions local->remote past the cap,
-	// CtrTierCopybackBytes the dirty-extent bytes copied back on demotion.
+	// reads. Nothing demotes (DESIGN.md §16).
 	CtrTierPromotions
 	CtrTierPrefetchPromotions
-	CtrTierDemotions
-	CtrTierCopybackBytes
 	// CtrLibDroppedBehindPages is the pages CROSS-LIB's drop-behind freed
 	// behind sole streams over files larger than the budget, each drop also
 	// traced as OutcomeDroppedBehind; a part of the library's evicted pages.
@@ -234,8 +231,6 @@ var counterDescs = [numCounters]desc{
 	CtrDeviceCommands:             {"device_commands", "Completed device commands after plug merging, all stack members (per-backend partition parent)."},
 	CtrTierPromotions:             {"tier_promotions", "Extents promoted from the remote tier to local storage."},
 	CtrTierPrefetchPromotions:     {"tier_prefetch_promotions", "Tier promotions driven by cross-tier prefetch landing remote pages locally."},
-	CtrTierDemotions:              {"tier_demotions", "Extents demoted from local storage by the demand-heat clock, down to the tier cap."},
-	CtrTierCopybackBytes:          {"tier_copyback_bytes", "Bytes copied back to the remote tier when demoting dirty extents."},
 	CtrLibDroppedBehindPages:      {"lib_dropped_behind_pages", "Pages CROSS-LIB dropped behind sole streams over files larger than its budget (part of its evictions)."},
 }
 

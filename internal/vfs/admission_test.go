@@ -22,7 +22,7 @@ import (
 func admissionKernel(t *testing.T, tiered, allowOverride bool) (v *VFS, rec *telemetry.Recorder, tl *simtime.Timeline, f *File, lo int64) {
 	t.Helper()
 	costs := simtime.DefaultCosts()
-	st := blockdev.WrapDevice(blockdev.New(blockdev.NVMeConfig()))
+	st := blockdev.NewStack(blockdev.StackConfig{})
 	if tiered {
 		st = blockdev.NewStack(blockdev.StackConfig{
 			Local: blockdev.NVMeConfig(),

@@ -17,7 +17,7 @@ import (
 func newSchedKernel(t *testing.T, cfg Config, capacity int64) (*VFS, *blockdev.Stack) {
 	t.Helper()
 	costs := simtime.DefaultCosts()
-	st := blockdev.WrapDevice(blockdev.New(blockdev.NVMeConfig()))
+	st := blockdev.NewStack(blockdev.StackConfig{})
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	return NewStack(cfg, fsys, st, cache), st

@@ -60,7 +60,7 @@ func TestSaturatedRemoteDoesNotThrottleLocalPrefetch(t *testing.T) {
 	// split by target backend. Scan extent-sized logical windows and pick
 	// one fully local (zero backlog) and one touching the saturated
 	// remote tier.
-	extBlocks := st.Config().Tier.ExtentBytes / v.BlockSize()
+	extBlocks := blockdev.ExtentSize / v.BlockSize()
 	var localLo, remoteLo int64 = -1, -1
 	for lo := int64(0); lo+extBlocks <= f.ino.Blocks(); lo += extBlocks {
 		switch b := f.RangeBacklog(tl.Now(), lo, lo+extBlocks); {
@@ -129,7 +129,7 @@ func newBoostedFile(t *testing.T) (*simtime.Timeline, *File, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tl, f, st.Config().Tier.ExtentBytes / v.BlockSize()
+	return tl, f, blockdev.ExtentSize / v.BlockSize()
 }
 
 // Cross-tier prefetch must deepen readahead over remote-resident

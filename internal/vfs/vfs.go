@@ -150,10 +150,9 @@ type VFS struct {
 }
 
 // NewStack assembles a kernel over a composed device stack (striped
-// and/or tiered; see blockdev.NewStack; blockdev.WrapDevice adapts a bare
-// device). All read and write paths route through the stack, so
-// per-backend queueing, congestion, and tier residency are visible to
-// prefetch policy. It installs the cache's dirty-page writeback hook.
+// and/or tiered, or one bare device; see blockdev.NewStack). All read and
+// write paths route through the stack, so per-backend queueing,
+// congestion, and tier residency are visible to prefetch policy. It installs the cache's dirty-page writeback hook.
 func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cache) *VFS {
 	if cfg.RA.MaxPages <= 0 {
 		cfg.RA = readahead.DefaultConfig()
