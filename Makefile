@@ -117,35 +117,43 @@ chaos:
 # fixed counter vs the predictor ensemble), tier (the device-stack grid)
 # and chaos (retries and the breaker under three fault plans). Every cell byte-verifies its reads, passes the telemetry audit and
 # reproduces its digest on a rerun, and each sweep asserts its contract,
-# before anything is written (DESIGN §19).
+# before anything is written (DESIGN §19). Beside them, every experiment's
+# table at -quick scale (the paper's tables and figures, and the sweeps at
+# their smoke sizes) is pinned as one CSV, testdata/tables/quick.csv
+# (about 25 s).
 SWEEPS = serve overload score predict tier chaos
 RECORDS = testdata/sweeps
+TABLES = testdata/tables
 
-# Re-record the sweeps' records in place (or into RECORDS=dir): one
-# crossbench build, six runs.
+# Re-record the sweeps' records and the quick tables in place (or into
+# RECORDS=dir and TABLES=dir): one crossbench build, seven runs.
 records:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	go build -o "$$bin/crossbench" ./cmd/crossbench && \
-	for s in $(SWEEPS); do "$$bin/crossbench" -exp $$s -json $(RECORDS) || exit 1; done
+	for s in $(SWEEPS); do "$$bin/crossbench" -exp $$s -json $(RECORDS) || exit 1; done && \
+	"$$bin/crossbench" -exp all -quick -csv $(TABLES)/quick.csv >"$$bin/tables.log" \
+		|| { cat "$$bin/tables.log"; exit 1; }; \
+	echo "wrote $(TABLES)/quick.csv"
 
-# Determinism gate: rerun the six sweeps into a temporary directory and
-# compare the files, whole, with the committed testdata/sweeps/*.json
-# (about 10 s in total). A byte moves exactly when virtual time,
-# accounting, a scorecard or a record's schema does. All six are compared
-# before the target fails, each file that moved printed with its diff, so
-# that a change which re-records one on purpose still shows whether the
-# others held; `make records` is the way to re-record them.
+# Determinism gate: rerun the six sweeps and the quick tables into a
+# temporary directory and compare the files, whole, with the committed
+# testdata/sweeps/*.json and testdata/tables/quick.csv (about 35 s in
+# total). A byte moves exactly when virtual time, accounting, a scorecard,
+# a table row or a record's schema does. Every file is compared before the
+# target fails, each file that moved printed with its diff, so that a
+# change which re-records one on purpose still shows whether the others
+# held; `make records` is the way to re-record them.
 digests:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(MAKE) -s RECORDS="$$tmp" records >"$$tmp/log" 2>&1 \
-		|| { cat "$$tmp/log"; echo 'digests: a sweep failed'; exit 1; }; \
-	moved=; for s in $(SWEEPS); do \
-		cmp -s $(RECORDS)/$$s.json "$$tmp/$$s.json" && continue; \
-		echo "digests: $(RECORDS)/$$s.json no longer reproduces"; \
-		diff $(RECORDS)/$$s.json "$$tmp/$$s.json"; moved="$$moved $$s.json"; \
+	$(MAKE) -s RECORDS="$$tmp" TABLES="$$tmp" records >"$$tmp/log" 2>&1 \
+		|| { cat "$$tmp/log"; echo 'digests: a run failed'; exit 1; }; \
+	moved=; for f in $(SWEEPS:%=$(RECORDS)/%.json) $(TABLES)/quick.csv; do \
+		cmp -s $$f "$$tmp/$${f##*/}" && continue; \
+		echo "digests: $$f no longer reproduces"; \
+		diff $$f "$$tmp/$${f##*/}"; moved="$$moved $${f##*/}"; \
 	done; \
 	[ -z "$$moved" ] || { echo "digests: moved:$$moved"; exit 1; }; \
-	echo "digests: $(RECORDS)/*.json reproduce byte for byte"
+	echo "digests: $(RECORDS)/*.json and $(TABLES)/quick.csv reproduce byte for byte"
 
 bench:
 	go test -bench=. -benchmem -run=^$$
