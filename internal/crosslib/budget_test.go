@@ -452,3 +452,68 @@ func TestRingPollsEveryEpoch(t *testing.T) {
 		t.Fatalf("320 ops in batches of 5 polled the budget %d times, want %d", got, want)
 	}
 }
+
+// TestStaticClipFollowsTheLead: at budgetStatic the library's window is the
+// kernel's static window times the descriptor's lead — RA.MaxPages while
+// the lead is 1, twice that once a sequential demand read on the kernel
+// descriptor has waited on in-flight pages of the idle device.
+func TestStaticClipFollowsTheLead(t *testing.T) {
+	const budget, blocks = 1_000, 256
+	raMax := vfs.DefaultConfig().RA.MaxPages
+	v := newKernel(100_000)
+	rec := telemetry.NewRecorder(0)
+	v.SetTelemetry(rec)
+	opt := CrossPredictOpt.Options()
+	opt.MemoryBudgetPages = budget
+	opt.AggressiveEvict = false // no pass between the fill and the intents
+	rt := New(v, opt)
+	tl := simtime.NewTimeline(0)
+	if _, err := v.FS().CreateSynthetic(tl, "f", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	f, err := rt.Open(tl, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTo(t, v, tl, 800)
+	if got := rt.budgetGate(tl, f.sf, 0, 0); got != budgetStatic {
+		t.Fatalf("setup: the gate reads level %d, want budgetStatic", got)
+	}
+	window := func(lo int64) int64 {
+		t.Helper()
+		before := rec.CounterValue(telemetry.CtrKernelRequestedPages)
+		f.prefetchAsync(tl, lo, blocks, budgetUnasked, false)
+		return rec.CounterValue(telemetry.CtrKernelRequestedPages) - before
+	}
+
+	if got := f.kf.Lead(); got != 1 {
+		t.Fatalf("fresh descriptor: lead %d, want 1", got)
+	}
+	if got := window(4096); got != raMax {
+		t.Errorf("lead 1: an intent of %d blocks reached readahead_info with %d pages, want %d", blocks, got, raMax)
+	}
+
+	// A late sequential read on the kernel descriptor: block b+1 is put in
+	// flight by readahead(2) right after a read of block b, and read half
+	// way through its fetch.
+	const b = 2048
+	buf := make([]byte, 4096)
+	if _, err := f.kf.ReadAt(tl, buf, b*4096); err != nil {
+		t.Fatal(err)
+	}
+	f.kf.Readahead(tl, (b+1)*4096, 4096)
+	ready := f.kf.FileCache().LookupRange(nil, b+1, b+2).ReadyAt
+	if ready <= tl.Now() {
+		t.Fatal("setup: readahead(2) left nothing in flight")
+	}
+	tl.Advance(ready.Sub(tl.Now()) / 2)
+	if _, err := f.kf.ReadAt(tl, buf, (b+1)*4096); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.kf.Lead(); got != 2 {
+		t.Fatalf("after a late read on an idle device: lead %d, want 2", got)
+	}
+	if got, want := window(8192), f.kf.StaticWindow(8192, 8192+blocks)*2; got != want || want != 2*raMax {
+		t.Errorf("lead 2: an intent of %d blocks reached readahead_info with %d pages, want %d (2 × %d)", blocks, got, want, raMax)
+	}
+}

@@ -469,7 +469,7 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 		case budgetHalt:
 			return full
 		case budgetStatic:
-			hi = min(hi, lo+f.kf.StaticWindow(lo, hi))
+			hi = min(hi, lo+f.kf.StaticWindow(lo, hi)*f.kf.Lead())
 		default:
 			if sf.droppedBehind.Load() {
 				hi = min(hi, lo+rt.budget()-rt.v.Cache().Used())

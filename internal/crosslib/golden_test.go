@@ -132,18 +132,18 @@ func TestGoldenWayUp(t *testing.T) {
 		want goldenUp
 	}{
 		{"predict+opt", CrossPredictOpt.Options(), goldenUp{
-			now:       74622539,
-			stats:     "{PrefetchCalls:848 SavedPrefetches:938 PrefetchedPages:14612 EvictedPages:7322 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:396 WorkerJobs:855 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
+			now:       73110755,
+			stats:     "{PrefetchCalls:614 SavedPrefetches:898 PrefetchedPages:14652 EvictedPages:7354 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:402 WorkerJobs:621 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:0}",
 			ring:      "{Submits:4 SQEs:21 Backpressure:2 Discarded:1}",
-			telemetry: "fbf401ae8b49880e",
-			results:   "aabc860fc8b62f43",
+			telemetry: "6f28b38038184569",
+			results:   "c21cbfb9d0697c66",
 		}},
 		{"predict+opt+ensemble", ensemble, goldenUp{
-			now:       75043111,
-			stats:     "{PrefetchCalls:921 SavedPrefetches:724 PrefetchedPages:14816 EvictedPages:7338 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:516 WorkerJobs:916 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:2}",
+			now:       73878069,
+			stats:     "{PrefetchCalls:632 SavedPrefetches:893 PrefetchedPages:14840 EvictedPages:7370 FincorePolls:1 OpenPrefetches:3 DroppedPrefetch:64 DroppedLowMemory:521 WorkerJobs:628 PrefetchRetries:65 BreakerTrips:1 BreakerRecoveries:1 DroppedBreaker:127 BatchedIntents:0 VectoredFlushes:0 ArmPromotions:2}",
 			ring:      "{Submits:4 SQEs:21 Backpressure:2 Discarded:1}",
-			telemetry: "fb02801184018011",
-			results:   "284b483ed86f4021",
+			telemetry: "a9b22b4b98ae933a",
+			results:   "375b6cb45ecc3b0e",
 		}},
 		{"fetchall+opt", CrossFetchAllOpt.Options(), goldenUp{
 			now:       105202812,

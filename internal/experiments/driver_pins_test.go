@@ -237,7 +237,7 @@ CrossP[+predict+opt] dbbench/fillrandom: makespan=1212584 ops=400 MB/s=966.42789
 CrossP[+predict+opt] dbbench/readrandom: makespan=12937321 ops=400 MB/s=90.5809634003825 miss=5.82891748675246 total=12937321/1977572/10500963/458786
 CrossP[+predict+opt] dbbench/readseq: makespan=4275200 ops=400 MB/s=274.10998315868267 miss=0.4203446826397646 total=4275200/321160/3494842/459198
 CrossP[+predict+opt] dbbench/readreverse: makespan=5577840 ops=400 MB/s=210.09476786713137 miss=4.206098843322818 total=5577840/403346/5136784/37710
-CrossP[+predict+opt] dbbench/readscan: makespan=5590997 ops=416 MB/s=217.9843773838548 miss=0.2992220227408737 total=5590997/518244/4617499/455254
+CrossP[+predict+opt] dbbench/readscan: makespan=5598079 ops=416 MB/s=217.70861040010334 miss=0.2992220227408737 total=5598079/518046/4617499/462534
 CrossP[+predict+opt] dbbench/multireadrandom: makespan=9047434 ops=400 MB/s=129.5256754567096 miss=1.4227334645073406 total=9047434/1876744/6713500/457190
 CrossP[+predict+opt] snappy: makespan=41692182 in=8388608 out=897297 files=4 miss=23.4375 total=41692182/35081820/6203030/407332
 OSonly micro/shared-rand t=4: makespan=18351360 read=16777216 write=0 miss=67.67578125 total=69342026/4216608/65016174/109244

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -244,5 +245,48 @@ func TestIteratorReadFaultSurfacesError(t *testing.T) {
 		if keys, err := scan(reverse); err != nil || keys != len(ref) {
 			t.Errorf("reverse=%v: with the fault gone the scan returned %d of %d keys, Err() = %v", reverse, keys, len(ref), err)
 		}
+	}
+}
+
+// A data block whose bytes do not decode is an error on every path that
+// reads it: a point lookup, a forward and a reverse scan, and a compaction
+// over its table. None may skip the block and answer without it. The
+// newest L0 table's middle block gets an over-long key-length varint in
+// place of its first entry (table files are never written again, so the
+// bytes stay as the test leaves them).
+func TestCorruptBlockFailsEveryReader(t *testing.T) {
+	db, tl, _ := faultDB(t)
+	tbl := db.current.Load().levels[0][0]
+	bi := len(tbl.index) / 2
+	ie := tbl.index[bi]
+	tbl.file.Kernel().Inode().WriteAt(bytes.Repeat([]byte{0xff}, 16), ie.off)
+	want := tbl.corruptBlock(bi).Error()
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want %q", path, err, want)
+		}
+	}
+
+	_, _, err := db.Get(tl, ie.firstKey)
+	check("Get of the block's first key", err)
+
+	for _, reverse := range []bool{false, true} {
+		it := db.NewIterator(tl, reverse)
+		ok, name := it.SeekFirst, "forward scan"
+		if reverse {
+			ok, name = it.SeekLast, "reverse scan"
+		}
+		n := 0
+		for more := ok(); more; more = it.Next() {
+			n++
+		}
+		check(fmt.Sprintf("%s (%d keys before it ended)", name, n), it.Err())
+		it.Close()
+	}
+
+	check("compaction of L0", db.compactLevel(tl, 0))
+	if got := db.TotalTables()[0]; got != 4 {
+		t.Errorf("L0 holds %d tables after the failed compaction, want its 4 inputs", got)
 	}
 }

@@ -62,6 +62,17 @@ type State struct {
 	primed  bool
 }
 
+// Sequential reports whether a read of req ≥ 1 pages at off continues the
+// stream: it starts at or before the previous read's end and extends
+// strictly past it (a first read is sequential at page 0). Using > prevEnd
+// (not > prevEnd-1) matters: an exact re-read of the previous range ends
+// at prevEnd and advances nothing, so it must classify as non-sequential —
+// otherwise a re-read of cold pages restarts a readahead window for data
+// the reader already consumed.
+func (s *State) Sequential(off, req int64) bool {
+	return !s.primed && off == 0 || s.primed && off <= s.prevEnd && off+req > s.prevEnd
+}
+
 // SetMode applies an fadvise-style hint.
 func (s *State) SetMode(m Mode) { s.mode = m }
 
@@ -143,14 +154,7 @@ func (s *State) OnDemand(cfg Config, off, req, fileBlocks int64, hitMarker, miss
 	}
 	max := s.maxPages(cfg)
 
-	// A read is sequential when it starts at or before the previous end
-	// and extends strictly past it. Using > prevEnd (not > prevEnd-1)
-	// matters: an exact re-read of the previous range ends at prevEnd and
-	// advances nothing, so it must classify as non-sequential — otherwise
-	// a re-read of cold pages restarts a readahead window for data the
-	// reader already consumed.
-	sequential := !s.primed && off == 0 ||
-		s.primed && off <= s.prevEnd && off+req > s.prevEnd
+	sequential := s.Sequential(off, req)
 
 	switch {
 	case hitMarker:

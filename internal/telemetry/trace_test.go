@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/simtime"
@@ -293,5 +294,55 @@ func TestDisabledTracingAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
 		}
+	}
+}
+
+// TestCriticalPathReport: the report names each process that retained a
+// root, in the order given, skips one that retained none, and lists its
+// roots by op class in Op order, slowest first within a class, each with
+// its duration, span count and a decomposition that sums to it.
+func TestCriticalPathReport(t *testing.T) {
+	tl := simtime.NewTimeline(0)
+	op := func(tr *Tracer, o Op, ino int64, dur simtime.Duration, children func(root *Span, start simtime.Time)) {
+		root := tr.Root(tl, o, ino)
+		start := tl.Now()
+		if children != nil {
+			children(root, start)
+		}
+		tl.Advance(dur)
+		root.Finish(tl)
+	}
+	a, idle, b := NewTracer(TraceConfig{}), NewTracer(TraceConfig{}), NewTracer(TraceConfig{})
+	op(a, OpWrite, 9, 50, nil)
+	op(a, OpRead, 1, 100, func(r *Span, s simtime.Time) { r.Child("dev.read", CatDevice, s, s+75) })
+	op(a, OpRead, 2, 300, func(r *Span, s simtime.Time) {
+		r.Child("dev.read", CatDevice, s, s+150)
+		r.Child("vfs.wait_inflight", CatInflight, s+150, s+225)
+	})
+	op(a, OpRead, 3, 200, func(r *Span, s simtime.Time) { r.Child("vfs.copy_out", CatCopy, s+100, s+200) })
+	op(b, OpRead, 4, 2*simtime.Microsecond, func(r *Span, s simtime.Time) {
+		r.Child("dev.queue", CatQueue, s, s.Add(simtime.Microsecond))
+	})
+
+	var out strings.Builder
+	err := WriteCriticalPathReport(&out, []TraceProcess{{Name: "cell a", Tracer: a}, {Name: "idle", Tracer: idle}, {Name: "cell b", Tracer: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `cell a:
+  read           ino=2    dur=300ns spans=3
+    50.0% device, 25.0% cpu, 25.0% inflight
+  read           ino=3    dur=200ns spans=2
+    50.0% cpu, 50.0% copy
+  read           ino=1    dur=100ns spans=2
+    75.0% device, 25.0% cpu
+  write          ino=9    dur=50ns spans=1
+    100.0% cpu
+cell b:
+  read           ino=4    dur=2.000µs spans=2
+    50.0% cpu, 50.0% queue
+`
+	if got := out.String(); got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -118,8 +118,14 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 		}
 	}
 
-	// Kernel readahead decision (under the file's readahead state).
+	// Kernel readahead decision (under the file's readahead state). A
+	// read that misses, or does not continue the sequential stream, broke
+	// the pattern a deeper lead was for: the lead goes back to 1.
 	f.mu.Lock()
+	seq := f.ra.Sequential(lo, hi-lo)
+	if !seq || res.PresentCount < hi-lo {
+		f.late = false
+	}
 	action := f.ra.OnDemand(f.v.cfg.RA, lo, hi-lo, fileBlocks,
 		res.MarkerHit, !res.Present[0])
 	f.mu.Unlock()
@@ -149,7 +155,11 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	// Wait for in-flight prefetch covering the demanded range. The wait
 	// is capped at what a fresh priority-lane read of the range would
 	// cost: the device's queues serve a blocking reader no slower than
-	// that even when the async lane is backlogged.
+	// that even when the async lane is backlogged. A sequential read
+	// that waits here may set the lead (noteLate).
+	if seq {
+		f.noteLate(tl, res.ReadyAt, lo, hi, n)
+	}
 	f.waitInflight(tl, res.ReadyAt, n)
 
 	// Copy to user space.
@@ -160,6 +170,40 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 		Annotate("pages", pages)
 	read := f.ino.ReadAt(dst[:n], off)
 	return read, nil
+}
+
+// noteLate sets the descriptor's lead (Lead) to 2 when a sequential demand
+// read of [lo, hi) is about to wait on in-flight pages and the range's
+// backends are not the bottleneck: their worst backlog is within what a
+// blocking read of the range costs on an idle stack. By Little's law a
+// deeper lead cannot help a saturated backend; it can hide the fetch time
+// of an idle one.
+func (f *File) noteLate(tl *simtime.Timeline, readyAt simtime.Time, lo, hi, reqBytes int64) {
+	now := tl.Now()
+	if readyAt <= now || f.RangeBacklog(now, lo, hi) > f.v.dev.SyncCost(blockdev.OpRead, reqBytes) {
+		return
+	}
+	f.mu.Lock()
+	f.late = true
+	f.mu.Unlock()
+}
+
+// Lead reports how many static windows (StaticWindow) ahead of its reader
+// CROSS-LIB may prefetch for this descriptor when memory is low: 2 after a
+// sequential demand read waited on in-flight pages its idle backends could
+// have fetched sooner (double buffering: the next window is asked for
+// while this one is still in flight), 1 again once a demand read misses or
+// leaves the stream. Never more: under a low-memory clip a deeper lead
+// evicts its own front. The kernel keeps it beside the readahead state, as
+// Linux keeps file_ra_state, because only the kernel sees a prefetch
+// arrive late.
+func (f *File) Lead() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.late {
+		return 2
+	}
+	return 1
 }
 
 // waitInflight blocks the thread for in-flight prefetch I/O covering a

@@ -260,8 +260,11 @@ type File struct {
 	ino *fs.Inode
 	fc  *pagecache.FileCache
 
-	mu     sync.Mutex
-	ra     readahead.State
+	mu sync.Mutex
+	ra readahead.State
+	// late makes the prefetch lead 2 rather than 1 (Lead): set by
+	// noteLate, cleared by a demand read that misses or is not sequential.
+	late   bool
 	pos    int64
 	closed bool
 }
