@@ -2,8 +2,8 @@
 # vet (root and bench/), two source gates (errgate, fmtgate), build, `go test -race ./...`, the allocation guards without
 # the race detector, digests, and the benchmark's own tests (bench-smoke).
 # Outside the gate, run before a change to concurrent code: `make stress`
-# repeats the six packages with real host concurrency (the LSM engine, the
-# file system, the lock-free bitmap, the page cache, the range tree's
+# repeats the five packages with real host concurrency (the LSM engine, the
+# file system, the page cache under its one lock, the range tree's
 # lock-free summaries, the library's shared descriptors and rings), the
 # two that hand threads a baton (simtime's group, the workload driver), and
 # the predictor arms the library drives per inode, under the race detector
@@ -68,7 +68,7 @@ flake:
 	done; echo "flake: make allocs passed 30 of 30"
 	go test -count=3 -cpu 1,2,8 $(FLAKE)
 
-STRESS = ./internal/lsm ./internal/fs ./internal/bitmap ./internal/pagecache \
+STRESS = ./internal/lsm ./internal/fs ./internal/pagecache \
 	./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
 
 stress:

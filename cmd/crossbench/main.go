@@ -35,8 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -48,21 +46,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// writeProfile dumps a named runtime profile ("mutex", "block") to path.
-func writeProfile(name, path string, stdout io.Writer) error {
-	f, err := os.Create(path)
-	if err == nil {
-		err = pprof.Lookup(name).WriteTo(f, 0)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("%s profile: %w", name, err)
-	}
-	fmt.Fprintf(stdout, "%s profile: wrote %s (inspect with `go tool pprof %s`)\n", name, path, path)
-	return nil
-}
+// catalog is where run looks experiments up: the registry, which a test
+// may stand in for.
+var catalog = struct {
+	ids func() []string
+	get func(id string) (experiments.Runner, error)
+}{experiments.IDs, experiments.Get}
 
 // writeJSON writes v, indented, to path.
 func writeJSON(path string, v any) error {
@@ -118,7 +107,9 @@ func main() {
 }
 
 // run is the whole command: parse args, run each experiment, print its
-// table and write what the flags ask for. Every file it opens is closed,
+// table and write what the flags ask for. An experiment that fails does
+// not stop the ones after it; run returns every failure, joined, once the
+// rest is done. Every file it opens is closed,
 // and the admin listener drained, on every return path.
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("crossbench", flag.ContinueOnError)
@@ -139,27 +130,12 @@ func run(args []string, stdout io.Writer) (err error) {
 		traceReport = fs.Bool("trace-report", false, "print the critical-path report for retained slow spans (implies -trace sampling)")
 		prom        = fs.String("prom", "", "write the last audited system's telemetry as Prometheus text exposition to this file (implies -telemetry)")
 		adminAddr   = fs.String("admin", "", "serve the live admin plane ("+strings.Join(admin.Routes(), " ")+") on this address for the run's duration (implies -telemetry)")
-
-		mutexProf = fs.String("mutexprofile", "", "write a host mutex-contention profile (pprof) to this file")
-		blockProf = fs.String("blockprofile", "", "write a host blocking profile (pprof) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
-	}
-
-	// Host-lock profiling: the virtual RWLedgers model the paper's lock
-	// costs, but these profiles expose where the *simulator's* own mutexes
-	// contend.
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer func() { err = errors.Join(err, writeProfile("mutex", *mutexProf, stdout)) }()
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1000)
-		defer func() { err = errors.Join(err, writeProfile("block", *blockProf, stdout)) }()
 	}
 
 	if *list || *exp == "" {
@@ -175,7 +151,13 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = experiments.IDs()
+		ids = catalog.ids()
+	}
+	runners := make([]experiments.Runner, len(ids))
+	for i, id := range ids {
+		if runners[i], err = catalog.get(id); err != nil {
+			return err
+		}
 	}
 
 	// The deferred closes and stops below join their errors into err, so
@@ -204,18 +186,18 @@ func run(args []string, stdout io.Writer) (err error) {
 		opts.Observe = live.Store
 	}
 
+	// A failing experiment does not stop the ones after it: its error
+	// joins failed, which the run returns once everything else is done.
+	var failed error
 	var telRecords []telemetryRecord
 	var traceProcs []telemetry.TraceProcess
 	var lastSnapshot *telemetry.Snapshot
-	for _, id := range ids {
-		runner, err := experiments.Get(id)
-		if err != nil {
-			return err
-		}
+	for i, id := range ids {
 		start := time.Now()
-		rep, err := runner(opts)
+		rep, err := runners[i](opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			failed = errors.Join(failed, fmt.Errorf("%s: %w", id, err))
+			continue
 		}
 		tbl := rep.Table
 		tbl.Note("wall time %s", time.Since(start).Round(time.Millisecond))
@@ -248,6 +230,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
+	defer func() { err = errors.Join(failed, err) }()
 	if *trace != "" {
 		f, err := os.Create(*trace)
 		if err == nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"os"
@@ -12,18 +13,43 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
-// TestFailedRunStillWritesProfiles: an experiment that fails returns its
-// error through run, so the deferred profile writes still happen.
-func TestFailedRunStillWritesProfiles(t *testing.T) {
-	prof := filepath.Join(t.TempDir(), "mutex.pprof")
-	err := run([]string{"-exp", "nope", "-mutexprofile", prof}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
-		t.Fatalf("err = %v, want the unknown-experiment error", err)
+// TestAllRunsPastAFailure: under -exp all an experiment that fails does
+// not hide the ones after it. They still run, print their tables and write
+// their CSV, and run returns every failure, joined.
+func TestAllRunsPastAFailure(t *testing.T) {
+	saved := catalog
+	defer func() { catalog = saved }()
+	table := func(id string) experiments.Runner {
+		return func(experiments.Options) (*experiments.Report, error) {
+			return &experiments.Report{Table: &experiments.Table{ID: id, Title: "stand-in", Columns: []string{"x"}, Rows: [][]string{{"1"}}}}, nil
+		}
 	}
-	if _, err := os.Stat(prof); err != nil {
-		t.Fatalf("mutex profile not written: %v", err)
+	fail := func(experiments.Options) (*experiments.Report, error) { return nil, errors.New("contract broken") }
+	runners := map[string]experiments.Runner{"a": fail, "b": table("b"), "c": fail, "d": table("d")}
+	catalog.ids = func() []string { return []string{"a", "b", "c", "d"} }
+	catalog.get = func(id string) (experiments.Runner, error) { return runners[id], nil }
+
+	var out bytes.Buffer
+	csvPath := filepath.Join(t.TempDir(), "all.csv")
+	err := run([]string{"-exp", "all", "-csv", csvPath}, &out)
+	if err == nil || err.Error() != "a: contract broken\nc: contract broken" {
+		t.Fatalf("err = %v, want both failures", err)
+	}
+	csv, rerr := os.ReadFile(csvPath)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	for _, id := range []string{"b", "d"} {
+		if !strings.Contains(out.String(), "== "+id+": stand-in ==") {
+			t.Errorf("no table for %s after a failure:\n%s", id, out.String())
+		}
+		if !strings.Contains(string(csv), "# "+id+": stand-in\n") {
+			t.Errorf("no CSV for %s after a failure:\n%s", id, csv)
+		}
 	}
 }
 

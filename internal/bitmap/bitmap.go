@@ -4,8 +4,8 @@
 // uint64 words that grows and shrinks with the file (paper §4.4).
 //
 // Bitmap itself is not synchronized: in the simulated kernel it is guarded
-// by its own rw-lock ledger (the "fast path"), in CROSS-LIB by the range
-// tree's per-node locks.
+// by the page cache's lock (its virtual cost is the bitmap rw-lock ledger,
+// the "fast path"), in CROSS-LIB by the range tree's per-node locks.
 package bitmap
 
 import (
@@ -29,26 +29,7 @@ func New(n int64) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromWords builds a bitmap from a copy of the raw words — used when
-// importing a kernel-exported window into CROSS-LIB. It used to alias the
-// caller's slice, which silently decoupled the two sides on the next grow
-// (and corrupted counts if the caller kept writing); use FromWordsShared
-// when aliasing is genuinely wanted.
-func FromWords(words []uint64) *Bitmap {
-	return FromWordsShared(append([]uint64(nil), words...))
-}
-
-// FromWordsShared builds a bitmap that aliases the caller's slice without
-// copying. The caller must not mutate words afterwards, and must not rely
-// on mutations through the bitmap staying visible: the first grow on
-// either side decouples the storage.
-func FromWordsShared(words []uint64) *Bitmap {
-	b := &Bitmap{words: words}
-	for _, w := range words {
-		b.set += int64(bits.OnesCount64(w))
-	}
-	return b
-}
+func (b *Bitmap) view() wordsView { return wordsView{words: b.words} }
 
 // Len reports the bitmap's capacity in blocks.
 func (b *Bitmap) Len() int64 { return int64(len(b.words)) * wordBits }
@@ -216,7 +197,7 @@ func (b *Bitmap) AppendMissingRuns(dst []Run, lo, hi int64) []Run {
 // MissingIter returns an allocation-free iterator over the maximal runs of
 // clear bits within [lo, hi).
 func (b *Bitmap) MissingIter(lo, hi int64) RunIter {
-	return newRunIter(wordsView{words: b.words}, lo, hi, false)
+	return newRunIter(b.view(), lo, hi, false)
 }
 
 // PresentRuns returns the maximal runs of set bits within [lo, hi).
@@ -231,7 +212,7 @@ func (b *Bitmap) AppendPresentRuns(dst []Run, lo, hi int64) []Run {
 // PresentIter returns an allocation-free iterator over the maximal runs of
 // set bits within [lo, hi).
 func (b *Bitmap) PresentIter(lo, hi int64) RunIter {
-	return newRunIter(wordsView{words: b.words}, lo, hi, true)
+	return newRunIter(b.view(), lo, hi, true)
 }
 
 // NextClear returns the first clear bit at or after i, or hi if none
@@ -240,11 +221,38 @@ func (b *Bitmap) NextClear(i, hi int64) int64 {
 	if i < 0 {
 		i = 0
 	}
-	it := RunIter{v: wordsView{words: b.words}, hi: hi}
+	it := RunIter{v: b.view(), hi: hi}
 	if c := it.seek(i, false); c < hi {
 		return c
 	}
 	return hi
+}
+
+// TrimSet trims [lo, hi) to its outermost clear bits, a word at a time:
+// it returns the first clear bit at or after lo and one past the last
+// clear bit before hi, or (hi, hi) when every bit in between is set.
+// Interior set bits are not split out. A window with hi <= lo comes back
+// as it went in, with lo raised to 0.
+func (b *Bitmap) TrimSet(lo, hi int64) (int64, int64) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi <= lo {
+		return lo, hi
+	}
+	if lo = b.NextClear(lo, hi); lo == hi {
+		return hi, hi
+	}
+	// Bit lo is clear, so the scan back from hi-1 stops at or above it.
+	v := b.view()
+	for i := hi - 1; ; {
+		w := int(i / wordBits)
+		// The clear bits of word w at or below bit i.
+		if x := ^v.load(w) & (^uint64(0) >> (wordBits - 1 - uint(i)%wordBits)); x != 0 {
+			return lo, int64(w)*wordBits + int64(bits.Len64(x))
+		}
+		i = int64(w)*wordBits - 1
+	}
 }
 
 // NextClearInBoth returns the first index in [i, hi) clear in both b and

@@ -196,16 +196,6 @@ func TestShrink(t *testing.T) {
 	}
 }
 
-func TestFromWords(t *testing.T) {
-	b := FromWords([]uint64{0b1011, 1 << 63})
-	if b.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", b.Count())
-	}
-	if !b.Test(0) || !b.Test(1) || b.Test(2) || !b.Test(3) || !b.Test(127) {
-		t.Fatal("wrong bits decoded")
-	}
-}
-
 // Property: Count always equals the number of bits that Test reports set.
 func TestCountConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {

@@ -1,27 +1,18 @@
 package bitmap
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
-// wordsView abstracts a []uint64 bit store whose words may require atomic
-// loads (Shared's published slice, read concurrently with a writer) or
-// plain loads (an unshared Bitmap, a Window). words[0] is word number base
-// of the bitmap; indices outside the slice read as zero.
+// wordsView is the []uint64 bit store of a Bitmap or a Window: words[0] is
+// word number base of the bitmap; indices outside the slice read as zero.
 type wordsView struct {
-	words  []uint64
-	base   int
-	shared bool
+	words []uint64
+	base  int
 }
 
 func (v wordsView) load(w int) uint64 {
 	w -= v.base
 	if w < 0 || w >= len(v.words) {
 		return 0
-	}
-	if v.shared {
-		return atomic.LoadUint64(&v.words[w])
 	}
 	return v.words[w]
 }
@@ -30,15 +21,9 @@ func (v wordsView) load(w int) uint64 {
 // a time, scanning whole words with bits.TrailingZeros64 and allocating
 // nothing. The zero value is an exhausted iterator.
 //
-// Contract. Every run is non-empty and runs come in ascending order without
-// overlap: Lo < Hi and Lo >= the previous run's Hi. Over a bitmap nobody is
-// writing, runs are maximal, so Lo > the previous Hi. Over a Shared bitmap
-// with a concurrent writer each word is read once, atomically, but a run
-// that ended because bit e had the other value may be followed by a run
-// starting at e if the writer flipped e in between: consecutive runs may
-// ABUT (Lo == previous Hi). A caller that turns runs into device commands
-// must coalesce abutting runs, as appendRuns (and so every Append*Runs /
-// *Runs method) does.
+// Runs are non-empty, maximal and ascending: Lo < Hi, and Lo > the
+// previous run's Hi. The bitmap must not change while the iterator is in
+// use.
 type RunIter struct {
 	v    wordsView
 	pos  int64
@@ -88,19 +73,12 @@ func (it *RunIter) seek(i int64, set bool) int64 {
 	return it.hi
 }
 
-// appendRuns drains it into dst, coalescing runs that abut (see the
-// RunIter contract), so the appended runs are strictly separated even
-// under a concurrent writer. Runs already in dst are left alone.
+// appendRuns drains it into dst.
 func appendRuns(dst []Run, it RunIter) []Run {
-	base := len(dst)
 	for {
 		r, ok := it.Next()
 		if !ok {
 			return dst
-		}
-		if n := len(dst); n > base && dst[n-1].Hi == r.Lo {
-			dst[n-1].Hi = r.Hi
-			continue
 		}
 		dst = append(dst, r)
 	}

@@ -57,10 +57,9 @@ func (w *Window) PresentIter(lo, hi int64) RunIter {
 	return newRunIter(w.view(), lo, hi, true)
 }
 
-// CopyWindow makes dst a snapshot of blocks [lo, hi), reusing dst's
-// storage, and returns the number of words copied. Like every multi-word
-// read of a Shared it may interleave with a concurrent write.
-func (s *Shared) CopyWindow(dst *Window, lo, hi int64) int {
+// CopyWindow makes dst a snapshot of blocks [lo, hi) of b, reusing dst's
+// storage, and returns the number of words copied.
+func (b *Bitmap) CopyWindow(dst *Window, lo, hi int64) int {
 	if lo < 0 {
 		lo = 0
 	}
@@ -68,7 +67,7 @@ func (s *Shared) CopyWindow(dst *Window, lo, hi int64) int {
 		*dst = Window{words: dst.words[:0]}
 		return 0
 	}
-	v := s.view()
+	v := b.view()
 	loW, hiW := int(lo/wordBits), int((hi-1)/wordBits)
 	n := hiW - loW + 1
 	if cap(dst.words) < n {

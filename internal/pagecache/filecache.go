@@ -1,7 +1,6 @@
 package pagecache
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitmap"
@@ -9,29 +8,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// FileCache is the per-inode cache state: the page index (Xarray model),
-// its tree lock, and the CROSS-OS cache bitmap with its own lock.
+// FileCache is the per-inode cache state: the page index (Xarray model)
+// with its virtual tree lock, and the CROSS-OS cache bitmap with its own
+// virtual lock.
 //
-// Real locking mirrors the paper's delineation argument (§4.4): the page
-// index is guarded by mu (lookups shared, structural changes exclusive),
-// while the bitmap is a bitmap.Shared whose readers never take any lock —
-// bitmap writers are serialized by mu, which they already hold for the
-// paired index update. Cache-state queries (Span, CachedPages,
-// FastMissingRuns, ExportBitmap) therefore never block behind a demand
-// insert. The virtual cost model is separate: treeLedger/bmLedger charge
-// the paper's lock costs in virtual time, unchanged by the host locking.
+// The delineation argument (§4.4) is a virtual-time one: treeLedger and
+// bmLedger charge the paper's lock costs, and the bitmap queries
+// (FastMissingRuns, ExportBitmap) charge only bmLedger, never the tree
+// lock. On the host, index and bitmap alike are guarded by the cache's one
+// lock.
 type FileCache struct {
 	cache *Cache
 	inoID int64
 
-	mu         sync.RWMutex      // real guard for the index + page dirty flags
 	treeLedger *simtime.RWLedger // virtual page-cache tree lock
 	bmLedger   *simtime.RWLedger // virtual bitmap lock (fast path)
 	nodes      []*indexNode      // page index: nodes[idx>>6].slots[idx&63]
-	bm         bitmap.Shared     // lock-free readers; writers serialized under mu
+	bm         bitmap.Bitmap     // one bit per resident page
 
 	// slot names this file in Cache.files for its frames; 0 while it has
-	// none. dropped is set by DropFile. Both guarded by mu.
+	// none. dropped is set by DropFile.
 	slot    uint32
 	dropped bool
 
@@ -41,7 +37,7 @@ type FileCache struct {
 
 // frameSlot returns the file's slot in Cache.files, taking one on the
 // first insert — and again if a handle that outlived DropFile inserts after
-// the slot was given back. Caller holds fc.mu exclusive.
+// the slot was given back.
 func (fc *FileCache) frameSlot() uint32 {
 	if fc.slot == 0 {
 		fc.slot = fc.cache.files.add(fc)
@@ -50,10 +46,7 @@ func (fc *FileCache) frameSlot() uint32 {
 }
 
 // retireIfDead gives the file's slot back once a dropped file holds no
-// page, so file churn does not grow Cache.files. Frames of this file that
-// are already out of the index but not yet released may still name the
-// slot; whatever they resolve to, their generation no longer validates.
-// Caller holds fc.mu exclusive.
+// page, so file churn does not grow Cache.files.
 func (fc *FileCache) retireIfDead() {
 	if fc.dropped && fc.slot != 0 && fc.bm.Count() == 0 {
 		fc.cache.files.release(fc.slot)
@@ -64,22 +57,32 @@ func (fc *FileCache) retireIfDead() {
 // InoID reports the inode this state belongs to.
 func (fc *FileCache) InoID() int64 { return fc.inoID }
 
-// Span reports the extent of the file's bitmap in blocks. Lock-free.
-func (fc *FileCache) Span() int64 { return fc.bm.Len() }
+// Span reports the extent of the file's bitmap in blocks.
+func (fc *FileCache) Span() int64 {
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
+	return fc.bm.Len()
+}
 
-// CachedPages reports how many of the file's pages are resident. Lock-free.
-func (fc *FileCache) CachedPages() int64 { return fc.bm.Count() }
+// CachedPages reports how many of the file's pages are resident.
+func (fc *FileCache) CachedPages() int64 {
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
+	return fc.bm.Count()
+}
 
 // Hits and Misses report the per-file lookup counters.
 func (fc *FileCache) Hits() int64   { return fc.hits.Load() }
 func (fc *FileCache) Misses() int64 { return fc.misses.Load() }
 
 // NonResidentSpan trims [lo, hi) to the outermost pages NOT resident,
-// reading the lock-free CROSS-OS bitmap (§4.2) a word at a time: the same
-// exported truth a readahead_info caller sees, at per-page granularity
-// and zero virtual cost. Interior resident pages are not split out.
-// Returns (hi, hi) when the whole span is resident.
+// reading the CROSS-OS bitmap (§4.2) a word at a time: the same exported
+// truth a readahead_info caller sees, at per-page granularity and zero
+// virtual cost. Interior resident pages are not split out. Returns
+// (hi, hi) when the whole span is resident.
 func (fc *FileCache) NonResidentSpan(lo, hi int64) (int64, int64) {
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	return fc.bm.TrimSet(lo, hi)
 }
 
@@ -118,13 +121,7 @@ func (fc *FileCache) LookupRange(tl *simtime.Timeline, lo, hi int64) LookupResul
 }
 
 // LookupRangeInto is LookupRange writing into a caller-provided (and
-// typically reused) result. The real page-index lock is held shared: the
-// walk mutates only the marker, credit and accessed bits of the pages'
-// flag words (and takes the LRU lock for the rare promoting access),
-// so concurrent lookups of a shared file proceed in parallel (§4.5) and
-// only structural changes (insert, remove) serialize. LRU aging happens
-// inside the walk because a frame is only guaranteed to be the page it was
-// while the index lock pins it.
+// typically reused) result.
 func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *LookupResult) {
 	n := hi - lo
 	res.Present = res.Present[:0]
@@ -152,15 +149,15 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 	if tl != nil {
 		now = tl.Now()
 	}
-	rec := fc.cache.rec
-	score := fc.cache.score
+	c := fc.cache
+	rec := c.rec
+	score := c.score
 	// Contiguous run of late-consumed pages (prefetch credit consumed
 	// while the backing I/O was still in flight); emitted as exact
 	// OutcomeLatePrefetch events as each run closes.
 	lateStart, lateEnd := int64(-1), int64(-1)
 	var promoted int64
-	fc.mu.RLock()
-	dir := fc.cache.frames.load()
+	c.mu.Lock()
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		node := fc.nodeAt(base >> nodeShift)
 		if node == nil {
@@ -173,14 +170,13 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 				continue
 			}
 			i := base + int64(s)
-			p := dir.at(id)
+			p := c.frames.at(id)
 			res.Present[i-lo] = true
 			res.PresentCount++
 			if p.readyAt > res.ReadyAt {
 				res.ReadyAt = p.readyAt
 			}
-			// One swap consumes the marker and the credit and sets accessed;
-			// a page already accessed and carrying neither costs one load.
+			// One write consumes the marker and the credit and sets accessed.
 			f := p.setFlags(flagMarker|flagCredit|flagAccessed, flagAccessed)
 			if f&flagMarker != 0 {
 				res.MarkerHit = true
@@ -192,7 +188,7 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 				org, arm := creditOf(f)
 				rec.OriginUsed(org, 1)
 				rec.ArmUsed(arm, 1)
-				tenant := fc.cache.tenants.at(p.tacct).id
+				tenant := c.tenants.at(p.tacct).id
 				if tl != nil {
 					lat := int64(now.Sub(p.issuedAt))
 					rec.Observe(telemetry.HistPrefetchToUse, lat)
@@ -213,14 +209,14 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 				}
 			}
 			// LRU aging: the first access flipped accessed above, a second
-			// access promotes an inactive page; both common cases are
-			// lock-free.
-			if f&flagAccessed != 0 && f&flagState == pageInactive && fc.cache.promote(id, p) {
+			// access promotes an inactive page.
+			if f&flagAccessed != 0 && f&flagState == pageInactive {
+				c.promote(id, p)
 				promoted++
 			}
 		}
 	}
-	fc.mu.RUnlock()
+	c.mu.Unlock()
 	if lateStart >= 0 {
 		rec.Event(now, telemetry.OutcomeLatePrefetch, fc.inoID, lateStart, lateEnd)
 	}
@@ -233,11 +229,11 @@ func (fc *FileCache) LookupRangeInto(tl *simtime.Timeline, lo, hi int64, res *Lo
 
 	fc.hits.Add(res.PresentCount)
 	fc.misses.Add(n - res.PresentCount)
-	fc.cache.hits.Add(res.PresentCount)
-	fc.cache.misses.Add(n - res.PresentCount)
+	c.hits.Add(res.PresentCount)
+	c.misses.Add(n - res.PresentCount)
 
 	if tl != nil && promoted > 0 {
-		tl.Advance(simtime.Duration(promoted) * fc.cache.cfg.Costs.LRUOp)
+		tl.Advance(simtime.Duration(promoted) * c.cfg.Costs.LRUOp)
 	}
 }
 
@@ -294,7 +290,6 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 		now = tl.Now()
 	}
 	c := fc.cache
-	acct := c.tenantAccountFor(opt.Tenant)
 	// A fresh frame's flag word: unlinked, not accessed, no failed
 	// writeback; the marker is set per page.
 	flags := uint32(opt.Arm) << armShift
@@ -306,7 +301,8 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 	}
 	var inserted int64
 	var batch [nodeSlots]frameID
-	fc.mu.Lock()
+	c.mu.Lock()
+	acct := c.tenantAccountFor(opt.Tenant)
 	slot := fc.slot
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		node := fc.nodeFor(base >> nodeShift)
@@ -332,14 +328,12 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 			continue
 		}
 		// The node's missing pages are allocated, filled and linked as
-		// one batch — and linked before fc.mu is released: once the index
-		// names a frame, eviction must find it on a list.
+		// one batch.
 		if slot == 0 {
 			slot = fc.frameSlot()
 		}
 		fresh := batch[:missing]
 		c.frames.alloc(fresh)
-		dir := c.frames.load()
 		k := 0
 		for s := s0; s < s1; s++ {
 			if node.slots[s] != 0 {
@@ -348,13 +342,12 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 			id := fresh[k]
 			k++
 			i := base + int64(s)
-			p := dir.at(id)
+			p := c.frames.at(id)
 			p.idx, p.readyAt, p.issuedAt = uint32(i), opt.ReadyAt, now
 			p.file, p.tacct = slot, acct.slot
+			p.flags = flags
 			if i == opt.MarkerAt {
-				p.flags.Store(flags | flagMarker)
-			} else {
-				p.flags.Store(flags)
+				p.flags |= flagMarker
 			}
 			node.slots[s] = id
 		}
@@ -375,24 +368,24 @@ func (fc *FileCache) InsertRange(tl *simtime.Timeline, lo, hi int64, opt InsertO
 		fc.bm.SetRange(lo, hi)
 		// SetRange may set bits for pages that were already present —
 		// that is exactly what the kernel bitmap would show.
+		c.used.Add(inserted)
+		c.chargeTenant(acct, inserted)
 	}
-	fc.mu.Unlock()
+	c.mu.Unlock()
 
 	if inserted > 0 {
-		fc.cache.rec.Add(telemetry.CtrCacheInsertedPages, inserted)
+		c.rec.Add(telemetry.CtrCacheInsertedPages, inserted)
 		if opt.Dirty {
-			fc.cache.rec.Add(telemetry.CtrCacheDirtyInsertedPages, inserted)
+			c.rec.Add(telemetry.CtrCacheDirtyInsertedPages, inserted)
 		}
 		if opt.Origin.IsPrefetch() {
-			fc.cache.rec.Add(telemetry.CtrCachePrefetchInsertedPages, inserted)
-			fc.cache.rec.ArmInserted(opt.Arm, inserted)
+			c.rec.Add(telemetry.CtrCachePrefetchInsertedPages, inserted)
+			c.rec.ArmInserted(opt.Arm, inserted)
 		}
-		fc.cache.rec.OriginInserted(opt.Origin, inserted)
-		fc.cache.score.Issued(now, fc.inoID, opt.Tenant, opt.Origin, inserted)
-		fc.cache.used.Add(inserted)
-		fc.cache.chargeTenant(acct, inserted)
-		fc.cache.reclaimIfNeeded(tl)
-		fc.cache.tenantReclaimIfNeeded(tl, acct)
+		c.rec.OriginInserted(opt.Origin, inserted)
+		c.score.Issued(now, fc.inoID, opt.Tenant, opt.Origin, inserted)
+		c.reclaimIfNeeded(tl)
+		c.tenantReclaimIfNeeded(tl, acct)
 	}
 	return inserted
 }
@@ -402,8 +395,8 @@ func (fc *FileCache) SetDirtyRange(tl *simtime.Timeline, lo, hi int64) {
 	if tl != nil {
 		fc.treeLedger.Write(tl, simtime.Duration(hi-lo)*fc.cache.cfg.Costs.TreeLookup)
 	}
-	fc.mu.Lock()
-	dir := fc.cache.frames.load()
+	c := fc.cache
+	c.mu.Lock()
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		node := fc.nodeAt(base >> nodeShift)
 		if node == nil {
@@ -411,17 +404,19 @@ func (fc *FileCache) SetDirtyRange(tl *simtime.Timeline, lo, hi int64) {
 		}
 		s0, s1 := slotRange(base, lo, hi)
 		for _, id := range node.slots[s0:s1] {
-			if id != 0 && dir.at(id).setFlags(flagDirty, flagDirty)&flagDirty == 0 {
-				fc.cache.dirty.Add(1)
+			if id != 0 && c.frames.at(id).setFlags(flagDirty, flagDirty)&flagDirty == 0 {
+				c.dirty.Add(1)
 			}
 		}
 	}
-	fc.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // RemoveRange evicts pages [lo, hi) (fadvise DONTNEED, truncation),
 // writing back dirty pages. It returns the number of pages removed.
 func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	return fc.removeRange(tl, lo, hi, false)
 }
 
@@ -430,6 +425,8 @@ func (fc *FileCache) RemoveRange(tl *simtime.Timeline, lo, hi int64) int64 {
 // caller cannot see (the CROSS-OS cold drop, DESIGN.md §24). A spared page
 // stays in the index and the bitmap, on its list, charged to its tenant.
 func (fc *FileCache) RemoveColdRange(tl *simtime.Timeline, lo, hi int64) int64 {
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	return fc.removeRange(tl, lo, hi, true)
 }
 
@@ -439,12 +436,11 @@ func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive
 	if hi <= lo {
 		return 0
 	}
+	c := fc.cache
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
-	victims := sc.frames[:0]
+	victims := sc.victims[:0]
 	spared := false
-	fc.mu.Lock()
-	dir := fc.cache.frames.load()
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		chunk := base >> nodeShift
 		if chunk >= int64(len(fc.nodes)) {
@@ -460,7 +456,7 @@ func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive
 			if id == 0 {
 				continue
 			}
-			if spareActive && dir.at(id).flags.Load()&flagState == pageActive {
+			if spareActive && c.frames.at(id).flags&flagState == pageActive {
 				spared = true
 				continue
 			}
@@ -473,37 +469,32 @@ func (fc *FileCache) removeRange(tl *simtime.Timeline, lo, hi int64, spareActive
 			nodePool.Put(node)
 		}
 	}
-	if len(victims) > 0 {
-		if spared {
-			// The range keeps pages: clear the victims' bits one by one.
-			for _, id := range victims {
-				fc.bm.Clear(int64(dir.at(id).idx))
-			}
-		} else {
-			fc.bm.ClearRange(lo, hi)
-		}
-		fc.retireIfDead()
-	}
-	fc.mu.Unlock()
-	sc.frames = victims[:0]
+	sc.victims = victims[:0]
 	if len(victims) == 0 {
 		return 0
 	}
+	if spared {
+		// The range keeps pages: clear the victims' bits one by one.
+		for _, id := range victims {
+			fc.bm.Clear(int64(c.frames.at(id).idx))
+		}
+	} else {
+		fc.bm.ClearRange(lo, hi)
+	}
+	fc.retireIfDead()
 	if tl != nil {
 		chargeBatched(int64(len(victims)), func(batch int64) {
-			fc.treeLedger.Write(tl, simtime.Duration(batch)*fc.cache.cfg.Costs.TreeDelete)
+			fc.treeLedger.Write(tl, simtime.Duration(batch)*c.cfg.Costs.TreeDelete)
 		})
-		fc.bmLedger.Write(tl, fc.cache.cfg.Costs.BitmapOp*simtime.Duration(1+(hi-lo)/64))
+		fc.bmLedger.Write(tl, c.cfg.Costs.BitmapOp*simtime.Duration(1+(hi-lo)/64))
 	}
-	fc.cache.finishEviction(tl, fc, victims, true, sc)
+	c.finishEviction(tl, fc, victims, true, sc)
 	return int64(len(victims))
 }
 
 // FastMissingRuns answers "which of [lo, hi) needs fetching?" via the
 // bitmap fast path: it charges only the bitmap lock shared, never the
-// tree lock. This is the readahead_info lookup (§4.4). The real read is
-// lock-free (atomic word loads), so it proceeds even while a demand
-// insert holds the page-index lock exclusively.
+// tree lock. This is the readahead_info lookup (§4.4).
 func (fc *FileCache) FastMissingRuns(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
 	return fc.AppendFastMissingRuns(tl, nil, lo, hi)
 }
@@ -516,6 +507,8 @@ func (fc *FileCache) AppendFastMissingRuns(tl *simtime.Timeline, dst []bitmap.Ru
 		fc.bmLedger.Read(tl, fc.cache.cfg.Costs.BitmapOp*simtime.Duration(1+(hi-lo)/64))
 		telemetry.Current(tl).Child("cache.bitmap_lookup", telemetry.CatLock, start, tl.Now())
 	}
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	return fc.bm.AppendMissingRuns(dst, lo, hi)
 }
 
@@ -530,6 +523,8 @@ func (fc *FileCache) ExportBitmap(tl *simtime.Timeline, lo, hi int64, dst *bitma
 		telemetry.Current(tl).Child("cache.bitmap_export", telemetry.CatLock, start, tl.Now())
 		tl.Advance(fc.cache.cfg.Costs.BitmapCopy * words)
 	}
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	fc.bm.CopyWindow(dst, lo, hi)
 }
 
@@ -542,8 +537,8 @@ func (fc *FileCache) WalkResident(tl *simtime.Timeline, lo, hi int64, fn func(id
 		fc.treeLedger.Write(tl, simtime.Duration(hi-lo)*fc.cache.cfg.Costs.FincoreWalk)
 		telemetry.Current(tl).Child("cache.fincore_walk", telemetry.CatLock, start, tl.Now())
 	}
-	fc.mu.RLock()
-	defer fc.mu.RUnlock()
+	fc.cache.mu.Lock()
+	defer fc.cache.mu.Unlock()
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
 		node := fc.nodeAt(base >> nodeShift)
 		if node == nil {
@@ -583,8 +578,8 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 		telemetry.Current(tl).Child("cache.dirty_scan", telemetry.CatLock, start, tl.Now())
 	}
 	var runs []bitmap.Run
-	fc.mu.Lock()
-	dir := fc.cache.frames.load()
+	c := fc.cache
+	c.mu.Lock()
 	// The open run is [runStart, runEnd); a clean or absent page closes it.
 	runStart, runEnd := int64(-1), int64(-1)
 	for base := max(lo, 0) &^ nodeMask; base < hi; base += nodeSlots {
@@ -595,10 +590,10 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 		s0, s1 := slotRange(base, lo, hi)
 		for s := s0; s < s1; s++ {
 			id := node.slots[s]
-			if id == 0 || dir.at(id).setFlags(flagDirty, 0)&flagDirty == 0 {
+			if id == 0 || c.frames.at(id).setFlags(flagDirty, 0)&flagDirty == 0 {
 				continue
 			}
-			fc.cache.dirty.Add(-1)
+			c.dirty.Add(-1)
 			i := base + int64(s)
 			if i != runEnd {
 				if runStart >= 0 {
@@ -612,6 +607,6 @@ func (fc *FileCache) CollectDirtyRuns(tl *simtime.Timeline, lo, hi int64) []bitm
 	if runStart >= 0 {
 		runs = append(runs, bitmap.Run{Lo: runStart, Hi: runEnd})
 	}
-	fc.mu.Unlock()
+	c.mu.Unlock()
 	return runs
 }

@@ -68,14 +68,14 @@ func TestFrameTableGrowsOnDemand(t *testing.T) {
 	c := newTestCache(1 << 20)
 	fc := c.File(1)
 	fc.InsertRange(nil, 0, 3*slabSize/2, InsertOptions{MarkerAt: -1})
-	if got := len(c.frames.load()); got != 2 {
+	if got := len(c.frames.slabs); got != 2 {
 		t.Fatalf("%d slabs for %d resident pages of a %d-page budget, want 2", got, 3*slabSize/2, 1<<20)
 	}
 	for i := 0; i < 8; i++ {
 		fc.RemoveRange(nil, 0, 3*slabSize/2)
 		fc.InsertRange(nil, 0, 3*slabSize/2, InsertOptions{MarkerAt: -1})
 	}
-	if got := len(c.frames.load()); got != 2 {
+	if got := len(c.frames.slabs); got != 2 {
 		t.Fatalf("%d slabs after remove/insert cycles, want 2: frames are not recycled", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestDroppedFileSlotRecycled(t *testing.T) {
 		c.File(ino).InsertRange(nil, 0, 8, InsertOptions{MarkerAt: -1})
 		c.DropFile(nil, ino)
 	}
-	if n := len(*c.files.tab.Load()); n > 2 {
+	if n := len(c.files.tab); n > 2 {
 		t.Fatalf("file table holds %d slots after 100 create/drop cycles, want 1 (+ the nil slot)", n)
 	}
 	stale := c.File(7)
@@ -107,10 +107,9 @@ func TestDroppedFileSlotRecycled(t *testing.T) {
 // TestSharedInodeFrameRecycleStress hammers one shared inode (plus a
 // second file, so victim batches span files) from eight goroutines that
 // insert, look up, remove and dirty overlapping ranges of a working set
-// many times the cache, so every frame is recycled over and over while
-// other goroutines hold references to it across lock drops. Run under
-// -race at several GOMAXPROCS; afterwards every ledger must reconcile
-// exactly.
+// many times the cache, so every frame is recycled over and over. Run
+// under -race at several GOMAXPROCS; afterwards every ledger must
+// reconcile exactly.
 func TestSharedInodeFrameRecycleStress(t *testing.T) {
 	for _, procs := range []int{2, 4, 16} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
@@ -189,7 +188,7 @@ func stressSharedInode(t *testing.T) {
 	if st.Evictions < 20*capacity {
 		t.Fatalf("only %d evictions: frames were not recycled enough to mean anything", st.Evictions)
 	}
-	if slabs := len(c.frames.load()); slabs > 2*(capacity/slabSize+1)+workers {
+	if slabs := len(c.frames.slabs); slabs > 2*(capacity/slabSize+1)+workers {
 		t.Errorf("%d slabs for a %d-page cache: evicted frames are leaking", slabs, capacity)
 	}
 	checkFrames(t, c, rec, span+128, shared, other)
@@ -207,7 +206,7 @@ func checkFrames(t *testing.T, c *Cache, rec *telemetry.Recorder, span int64, fi
 	var resident int64
 	var outOrigin [telemetry.NumOrigins]int64
 	var outArm [telemetry.NumArms]int64
-	dir := c.frames.load()
+	ft := &c.frames
 	for _, fc := range files {
 		var indexed int64
 		fc.WalkResident(nil, 0, span, func(idx int64) {
@@ -215,7 +214,7 @@ func checkFrames(t *testing.T, c *Cache, rec *telemetry.Recorder, span int64, fi
 			if !fc.bm.Test(idx) {
 				t.Errorf("ino %d page %d indexed but clear in the bitmap", fc.InoID(), idx)
 			}
-			if f := dir.at(fc.frameAt(idx)).flags.Load(); f&flagCredit != 0 {
+			if f := ft.at(fc.frameAt(idx)).flags; f&flagCredit != 0 {
 				org, arm := creditOf(f)
 				outOrigin[org]++
 				outArm[arm]++
@@ -236,9 +235,9 @@ func checkFrames(t *testing.T, c *Cache, rec *telemetry.Recorder, span int64, fi
 		if l == &c.inactive {
 			want = pageInactive
 		}
-		n := listLen(&c.frames, l)
-		for id := l.head; n > 0 && id != 0; id = dir.at(id).next {
-			if got := dir.at(id).flags.Load() & flagState; got != want {
+		n := listLen(ft, l)
+		for id := l.head; n > 0 && id != 0; id = ft.at(id).next {
+			if got := ft.at(id).flags & flagState; got != want {
 				t.Errorf("frame %d on a list of state %#x says %#x", id, want, got)
 			}
 		}
@@ -304,23 +303,22 @@ func listLen(ft *frameTable, l *pageList) int64 {
 	return n
 }
 
-// TestPageFrameSize pins the frame at 48 bytes, so that a slab of 1 024
-// frames is 48 KiB: three 8-byte words (readyAt, issuedAt, seq) and six
-// 4-byte ones (idx, prev, next, file, tacct and the flag word).
+// TestPageFrameSize pins the frame at 40 bytes, so that a slab of 1 024
+// frames is 40 KiB: two 8-byte words (readyAt, issuedAt) and six 4-byte
+// ones (idx, prev, next, file, tacct and the flag word).
 func TestPageFrameSize(t *testing.T) {
-	if got := unsafe.Sizeof(page{}); got != 48 {
-		t.Fatalf("page frame is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(page{}); got != 40 {
+		t.Fatalf("page frame is %d bytes, want 40", got)
 	}
 }
 
 // TestFlagWordContention races the flag word's writers on the same frames:
-// readers consume credit and markers and set accessed under the shared
-// file lock (and promote), while inserts drive reclaim, which demotes,
-// rotates and evicts those frames under the LRU lock and finishes
-// evictions that a failing writeback puts back. A write that overwrote a
-// concurrent one would book a credit twice or never, or leave a frame on
-// a list its state does not name; checkFrames catches both. Run it under
-// -race with -count.
+// readers consume credit and markers, set accessed and promote, while
+// inserts drive reclaim, which demotes, rotates and evicts those frames
+// and finishes evictions that a failing writeback puts back. A write that
+// overwrote a concurrent one would book a credit twice or never, or leave
+// a frame on a list its state does not name; checkFrames catches both.
+// Run it under -race with -count.
 func TestFlagWordContention(t *testing.T) {
 	for _, procs := range []int{2, 4, 16} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
@@ -343,7 +341,7 @@ func contendFlagWords(t *testing.T) {
 		opsEach = 3000
 	}
 	// One writeback in three fails, so evicted dirty pages go back to
-	// their files while reclaim holds them as victims.
+	// their files.
 	var flushes atomic.Int64
 	flush := func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
 		if flushes.Add(1)%3 == 0 {
@@ -402,37 +400,4 @@ func contendFlagWords(t *testing.T) {
 			s.Counter(telemetry.CtrPrefetchHitPages), s.Counter(telemetry.CtrPrefetchWastedPages))
 	}
 	checkFrames(t, c, rec, span+64, fc)
-}
-
-// TestVictimRevalidatesAfterRequeue pins the fourth point of the
-// recycle-safety rule for a frame that never left the frame table: reclaim
-// claims a dirty page, a RemoveRange evicts it first, its writeback fails
-// and requeueDirty puts the same frame back in the index and on a list.
-// The victim reclaim still carries must no longer validate, or reclaim
-// would evict a page that is linked on an LRU list.
-func TestVictimRevalidatesAfterRequeue(t *testing.T) {
-	flush := func(at simtime.Time, ino, lo, hi int64) (simtime.Time, error) {
-		return at, errors.New("injected writeback failure")
-	}
-	c := New(Config{BlockSize: 4096, CapacityPages: 64, Costs: simtime.DefaultCosts()}, flush)
-	fc := c.File(1)
-	fc.InsertRange(nil, 0, 1, InsertOptions{MarkerAt: -1, Dirty: true})
-
-	sc := scratchPool.Get().(*evictScratch)
-	defer scratchPool.Put(sc)
-	c.lruMu.Lock()
-	sc.victims = c.selectGlobal(sc.victims[:0], 1)
-	c.lruMu.Unlock()
-	if len(sc.victims) != 1 {
-		t.Fatalf("reclaim claimed %d pages, want 1", len(sc.victims))
-	}
-	if n := fc.RemoveRange(nil, 0, 1); n != 1 || fc.CachedPages() != 1 {
-		t.Fatalf("RemoveRange removed %d, %d resident after its writeback failed: want 1 and 1", n, fc.CachedPages())
-	}
-	c.evictFromFiles(nil, sc)
-
-	linked := listLen(&c.frames, &c.inactive) + listLen(&c.frames, &c.active)
-	if fc.CachedPages() != 1 || c.Used() != 1 || linked != 1 {
-		t.Fatalf("after the stale victim: %d cached, %d used, %d linked; want 1, 1, 1", fc.CachedPages(), c.Used(), linked)
-	}
 }

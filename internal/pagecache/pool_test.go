@@ -49,21 +49,19 @@ func churn(t *testing.T) string {
 
 // TestEvictScratchPoolAudit is the pooled-object audit for evictScratch:
 // the eviction paths are handed a scratch with every field dirtied — a
-// previous pass's victims, frames, dirty list and wasted list, none of
-// them valid any more — and must evict exactly as with a fresh one.
+// previous pass's victims, dirty list and wasted list, none of them valid
+// any more — and must evict exactly as with a fresh one.
 func TestEvictScratchPoolAudit(t *testing.T) {
-	if n := reflect.TypeOf(evictScratch{}).NumField(); n != 4 {
-		t.Fatalf("evictScratch has %d fields, this audit dirties 4: add the new one", n)
+	if n := reflect.TypeOf(evictScratch{}).NumField(); n != 3 {
+		t.Fatalf("evictScratch has %d fields, this audit dirties 3: add the new one", n)
 	}
 	fresh := scratchPool.New
 	defer func() { scratchPool.New = fresh }()
 	dirty := func() any {
 		sc := &evictScratch{}
 		for i := 0; i < 300; i++ {
-			// A stale victim that got used would fault on its nil file;
-			// stale frame ids would evict pages nobody selected.
-			sc.victims = append(sc.victims, victim{seq: 3, idx: uint32(i), id: frameID(i + 1)})
-			sc.frames = append(sc.frames, frameID(i+1))
+			// Stale frame ids would evict pages nobody selected.
+			sc.victims = append(sc.victims, frameID(i+1))
 			sc.dirty = append(sc.dirty, frameID(i+1))
 			sc.wasted = append(sc.wasted, frameID(i+1))
 		}

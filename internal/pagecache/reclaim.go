@@ -8,71 +8,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// victim is a frame that reclaim unlinked from the LRU and intends to
-// evict. Between the unlink (under the LRU lock) and the eviction (under
-// the file's mu) a concurrent RemoveRange may remove, release and even
-// re-insert the frame, so the victim is carried by value — who it was,
-// not just where it is — and evictFromFiles re-validates it by its seq,
-// which no push since the unlink has renewed if the frame is the same
-// incarnation: after its own unlink only a link, which puts the frame back
-// in an index, stamps it again.
-type victim struct {
-	fc  *FileCache
-	seq uint64
-	idx uint32
-	id  frameID
-}
-
 // link puts freshly inserted pages on the inactive list (Linux admits new
-// file pages to inactive; promotion to active happens on re-access). The
-// caller holds their file's mu exclusive.
+// file pages to inactive; promotion to active happens on re-access).
 func (c *Cache) link(fresh []frameID) {
-	dir := c.frames.load()
-	c.lruMu.Lock()
 	for _, id := range fresh {
-		p := dir.at(id)
-		c.lruSeq++
-		p.seq.Store(c.lruSeq)
 		c.inactive.pushHead(&c.frames, id)
-		p.setFlags(flagState, pageInactive)
+		c.frames.at(id).setFlags(flagState, pageInactive)
 	}
 	c.nInactive += int64(len(fresh))
-	c.lruMu.Unlock()
 }
 
-// promote moves a re-accessed inactive page to the active list and reports
-// whether it did (reclaim may have claimed the page first). The caller
-// holds fc.mu (shared), which pins the frame.
-func (c *Cache) promote(id frameID, p *page) bool {
-	c.lruMu.Lock()
-	promoted := p.flags.Load()&flagState == pageInactive
-	if promoted {
-		c.inactive.remove(&c.frames, id)
-		c.nInactive--
-		c.lruSeq++
-		p.seq.Store(c.lruSeq)
-		c.active.pushHead(&c.frames, id)
-		p.setFlags(flagState, pageActive)
-	}
-	c.lruMu.Unlock()
-	return promoted
+// promote moves a re-accessed inactive page to the active list.
+func (c *Cache) promote(id frameID, p *page) {
+	c.inactive.remove(&c.frames, id)
+	c.nInactive--
+	c.active.pushHead(&c.frames, id)
+	p.setFlags(flagState, pageActive)
 }
 
 // requeueInactive moves a linked page (on the inactive list, or the active
-// list when fromActive) to the inactive head with a fresh age stamp:
-// demotion from active, or second-chance rotation. Caller holds lruMu.
+// list when fromActive) to the inactive head: demotion from active, or
+// second-chance rotation.
 func (c *Cache) requeueInactive(id frameID, fromActive bool) {
-	p := c.frames.at(id)
 	if fromActive {
 		c.active.remove(&c.frames, id)
 		c.nInactive++
 	} else {
 		c.inactive.remove(&c.frames, id)
 	}
-	c.lruSeq++
-	p.seq.Store(c.lruSeq)
 	c.inactive.pushHead(&c.frames, id)
-	p.setFlags(flagAccessed|flagState, pageInactive)
+	c.frames.at(id).setFlags(flagAccessed|flagState, pageInactive)
 }
 
 // reclaimIfNeeded enforces the memory budget after an allocation.
@@ -98,9 +63,9 @@ func (c *Cache) reclaimIfNeeded(tl *simtime.Timeline) {
 }
 
 // A selector chooses whom a reclaim pass evicts: it appends up to target
-// victims, each taken off its LRU list and marked pageUnlinked, and runs
-// under lruMu. selectGlobal and selectTenant are the two there are.
-type selector func(victims []victim, target int64) []victim
+// victims, each taken off its LRU list and marked pageUnlinked.
+// selectGlobal and selectTenant are the two there are.
+type selector func(victims []frameID, target int64) []frameID
 
 // reclaim is the one pass by which pages leave the cache by age. Direct,
 // background and tenant-targeted reclaim differ in who selects, whose
@@ -108,9 +73,9 @@ type selector func(victims []victim, target int64) []victim
 func (c *Cache) reclaim(tl *simtime.Timeline, span string, target int64, background bool, sel selector) {
 	sc := scratchPool.Get().(*evictScratch)
 	defer scratchPool.Put(sc)
-	c.lruMu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	sc.victims = sel(sc.victims[:0], target)
-	c.lruMu.Unlock()
 	if len(sc.victims) == 0 {
 		return
 	}
@@ -131,20 +96,18 @@ func (c *Cache) reclaim(tl *simtime.Timeline, span string, target int64, backgro
 
 // selectGlobal is the selector of direct and background reclaim: the
 // oldest pages, from the inactive tail, with a second chance for
-// re-accessed ones and the soft-budget bias.
-func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
-	// Bound the scan so concurrent touches re-heating rotated pages can
-	// never spin the selection loop; single-threaded passes examine each
-	// page at most a handful of times and stay far below the bound.
-	steps := 4*c.used.Load() + target + 64
+// re-accessed ones and the soft-budget bias. Every turn of the loop takes
+// a victim, spends bias budget, clears an accessed bit or demotes active
+// pages, and nothing sets accessed or fills the active list while the
+// cache's lock is held, so the loop ends.
+func (c *Cache) selectGlobal(victims []frameID, target int64) []frameID {
 	// Soft-budget bias: while any tenant is over its soft budget, pages
 	// of tenants within budget rotate back instead of being evicted, so
 	// reclaim pressure lands on the offenders first. The bias budget
 	// bounds the rotations so reclaim still finishes when only
 	// within-budget pages remain.
 	biasBudget := 4*target + 256
-	for int64(len(victims)) < target && steps > 0 {
-		steps--
+	for int64(len(victims)) < target {
 		id := c.inactive.tail
 		if id == 0 {
 			// Age: demote a batch of the oldest active pages.
@@ -157,9 +120,9 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 			continue
 		}
 		p := c.frames.at(id)
-		biased := biasBudget > 0 && c.nOverSoft.Load() > 0 && !c.tenants.at(p.tacct).overSoftNow()
+		biased := biasBudget > 0 && c.nOverSoft > 0 && !c.tenants.at(p.tacct).overSoftNow()
 		// Second-chance: a recently re-accessed page rotates once.
-		if biased || p.flags.Load()&flagAccessed != 0 {
+		if biased || p.flags&flagAccessed != 0 {
 			c.requeueInactive(id, false)
 			if biased {
 				biasBudget--
@@ -173,7 +136,7 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 		c.inactive.remove(&c.frames, id)
 		c.nInactive--
 		p.setFlags(flagState, pageUnlinked)
-		victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
+		victims = append(victims, id)
 	}
 	return victims
 }
@@ -185,50 +148,43 @@ func (c *Cache) selectGlobal(victims []victim, target int64) []victim {
 // identical runs diverge by microseconds — breaking the replay determinism
 // the experiments assert.
 func (c *Cache) evictFromFiles(tl *simtime.Timeline, sc *evictScratch) {
+	ft := &c.frames
 	victims := sc.victims
-	slices.SortStableFunc(victims, func(a, b victim) int { return cmp.Compare(a.fc.inoID, b.fc.inoID) })
+	slices.SortStableFunc(victims, func(a, b frameID) int {
+		return cmp.Compare(c.files.at(ft.at(a).file).inoID, c.files.at(ft.at(b).file).inoID)
+	})
 	for i := 0; i < len(victims); {
-		fc := victims[i].fc
+		slot := ft.at(victims[i]).file
 		j := i + 1
-		for j < len(victims) && victims[j].fc == fc {
+		for j < len(victims) && ft.at(victims[j]).file == slot {
 			j++
 		}
-		confirmed := sc.frames[:0]
-		fc.mu.Lock()
-		dir := c.frames.load()
-		for _, v := range victims[i:j] {
-			if idx := int64(v.idx); fc.frameAt(idx) == v.id && dir.at(v.id).seq.Load() == v.seq {
-				fc.clearFrame(idx)
-				fc.bm.Clear(idx)
-				confirmed = append(confirmed, v.id)
-			}
+		fc, batch := c.files.at(slot), victims[i:j]
+		for _, id := range batch {
+			idx := int64(ft.at(id).idx)
+			fc.clearFrame(idx)
+			fc.bm.Clear(idx)
 		}
 		fc.retireIfDead()
-		fc.mu.Unlock()
-		sc.frames = confirmed[:0]
 		i = j
-		if len(confirmed) == 0 {
-			continue
-		}
 		if tl != nil {
 			start := tl.Now()
-			chargeBatched(int64(len(confirmed)), func(batch int64) {
-				fc.treeLedger.Write(tl, simtime.Duration(batch)*c.cfg.Costs.TreeDelete)
+			chargeBatched(int64(len(batch)), func(n int64) {
+				fc.treeLedger.Write(tl, simtime.Duration(n)*c.cfg.Costs.TreeDelete)
 			})
 			telemetry.Current(tl).Child("cache.evict_charge", telemetry.CatLock, start, tl.Now())
 		}
-		c.finishEviction(tl, fc, confirmed, false, sc)
+		c.finishEviction(tl, fc, batch, false, sc)
 	}
 }
 
 // finishEviction unlinks fc's victims from the LRU (if still linked),
 // accounts them, writes back dirty pages and releases the frames. The
-// caller has removed the pages from fc's index, so it owns the frames; it
-// passes them in sc.frames, which finishEviction reorders.
+// caller has removed the pages from fc's index, so it owns the frames;
+// finishEviction reorders victims.
 func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []frameID, unlink bool, sc *evictScratch) {
 	ft := &c.frames
 	if unlink {
-		c.lruMu.Lock()
 		for _, id := range victims {
 			switch ft.at(id).setFlags(flagState, pageUnlinked) & flagState {
 			case pageInactive:
@@ -238,7 +194,6 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 				c.active.remove(ft, id)
 			}
 		}
-		c.lruMu.Unlock()
 	}
 	c.used.Add(-int64(len(victims)))
 	c.evictions.Add(int64(len(victims)))
@@ -249,13 +204,12 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	}
 	// Credit each victim back to its tenant account and feed the scorecard
 	// pollution denominator, one booking per run of same-tenant victims to
-	// bound atomic and scorecard-lock traffic.
+	// bound scorecard-lock traffic.
 	c.rec.Add(telemetry.CtrCacheRemovedPages, int64(len(victims)))
-	dir := ft.load()
 	for i := 0; i < len(victims); {
-		slot := dir.at(victims[i]).tacct
+		slot := ft.at(victims[i]).tacct
 		j := i + 1
-		for j < len(victims) && dir.at(victims[j]).tacct == slot {
+		for j < len(victims) && ft.at(victims[j]).tacct == slot {
 			j++
 		}
 		a := c.tenants.at(slot)
@@ -271,7 +225,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 		// never a single span that would cover non-wasted pages.
 		wasted := sc.wasted[:0]
 		for _, id := range victims {
-			p := dir.at(id)
+			p := ft.at(id)
 			f := p.setFlags(flagCredit, 0)
 			if f&flagCredit == 0 {
 				continue
@@ -284,7 +238,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 		}
 		sc.wasted = wasted[:0]
 		c.rec.Add(telemetry.CtrPrefetchWastedPages, int64(len(wasted)))
-		eachRun(dir, wasted, func(_ []frameID, lo, hi int64) {
+		eachRun(ft, wasted, func(_ []frameID, lo, hi int64) {
 			c.rec.Event(at, telemetry.OutcomeEvictedBeforeUse, fc.inoID, lo, hi)
 		})
 	}
@@ -300,7 +254,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	dirty := sc.dirty[:0]
 	clean := victims[:0]
 	for _, id := range victims {
-		if dir.at(id).setFlags(flagDirty, 0)&flagDirty != 0 {
+		if ft.at(id).setFlags(flagDirty, 0)&flagDirty != 0 {
 			c.dirty.Add(-1)
 			dirty = append(dirty, id)
 		} else {
@@ -309,7 +263,7 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 	}
 	sc.dirty = dirty[:0]
 	ft.release(clean)
-	eachRun(dir, dirty, func(run []frameID, lo, hi int64) {
+	eachRun(ft, dirty, func(run []frameID, lo, hi int64) {
 		if _, err := c.flush(at, fc.inoID, lo, hi); err != nil {
 			c.requeueDirty(at, fc, run)
 		} else {
@@ -321,14 +275,14 @@ func (c *Cache) finishEviction(tl *simtime.Timeline, fc *FileCache, victims []fr
 
 // eachRun sorts frames the caller owns by page index and calls emit once
 // per maximal run of consecutive indexes [lo, hi).
-func eachRun(dir frameDir, ids []frameID, emit func(run []frameID, lo, hi int64)) {
-	slices.SortFunc(ids, func(a, b frameID) int { return cmp.Compare(dir.at(a).idx, dir.at(b).idx) })
+func eachRun(ft *frameTable, ids []frameID, emit func(run []frameID, lo, hi int64)) {
+	slices.SortFunc(ids, func(a, b frameID) int { return cmp.Compare(ft.at(a).idx, ft.at(b).idx) })
 	for i := 0; i < len(ids); {
 		j := i + 1
-		for j < len(ids) && int64(dir.at(ids[j]).idx) == int64(dir.at(ids[j-1]).idx)+1 {
+		for j < len(ids) && int64(ft.at(ids[j]).idx) == int64(ft.at(ids[j-1]).idx)+1 {
 			j++
 		}
-		emit(ids[i:j], int64(dir.at(ids[i]).idx), int64(dir.at(ids[j-1]).idx)+1)
+		emit(ids[i:j], int64(ft.at(ids[i]).idx), int64(ft.at(ids[j-1]).idx)+1)
 		i = j
 	}
 }
@@ -346,26 +300,14 @@ const maxWritebackAttempts = 3
 // as lost. The re-inserted pages land at the LRU head and deliberately do
 // NOT trigger another reclaim pass (the caller is inside one).
 func (c *Cache) requeueDirty(at simtime.Time, fc *FileCache, run []frameID) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	dir := c.frames.load()
 	for k, id := range run {
-		p := dir.at(id)
-		fails := p.flags.Load()&flagWbFails>>wbFailsShift + 1
+		p := c.frames.at(id)
+		fails := p.flags&flagWbFails>>wbFailsShift + 1
 		if fails >= maxWritebackAttempts {
 			c.rec.Add(telemetry.CtrWritebackLostPages, 1)
 			continue
 		}
 		idx := int64(p.idx)
-		if cur := fc.frameAt(idx); cur != 0 {
-			// A fresh page raced into the slot (the backing store already
-			// holds the written bytes, so its content is current); it
-			// inherits the writeback obligation.
-			if dir.at(cur).setFlags(flagDirty, flagDirty)&flagDirty == 0 {
-				c.dirty.Add(1)
-			}
-			continue
-		}
 		p.setFlags(flagWbFails|flagDirty, fails<<wbFailsShift|flagDirty)
 		p.file = fc.frameSlot()
 		c.dirty.Add(1)

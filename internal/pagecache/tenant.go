@@ -2,7 +2,6 @@ package pagecache
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -31,20 +30,17 @@ import (
 type tenantAccount struct {
 	id       int
 	slot     uint32 // the account's name in Cache.tenants, for page frames
-	resident atomic.Int64
-	inserted atomic.Int64
-	evicted  atomic.Int64
-	soft     atomic.Int64 // soft budget in pages; 0 = unlimited
-	hard     atomic.Int64 // hard budget in pages; 0 = unlimited
-	overSoft atomic.Bool
+	resident int64
+	inserted int64
+	evicted  int64
+	soft     int64 // soft budget in pages; 0 = unlimited
+	hard     int64 // hard budget in pages; 0 = unlimited
+	overSoft bool
 }
 
 // overSoftNow reports whether the account exceeds its soft budget right
 // now (live values, not the cached flag).
-func (a *tenantAccount) overSoftNow() bool {
-	s := a.soft.Load()
-	return s > 0 && a.resident.Load() > s
-}
+func (a *tenantAccount) overSoftNow() bool { return a.soft > 0 && a.resident > a.soft }
 
 // TenantStats is one tenant's ledger snapshot (see Cache.TenantStats).
 type TenantStats struct {
@@ -58,15 +54,8 @@ type TenantStats struct {
 
 // tenantAccountFor returns (creating if needed) the tenant's account.
 func (c *Cache) tenantAccountFor(id int) *tenantAccount {
-	c.tenantMu.RLock()
 	a := c.tenantByID[id]
-	c.tenantMu.RUnlock()
-	if a != nil {
-		return a
-	}
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
-	if a = c.tenantByID[id]; a == nil {
+	if a == nil {
 		a = &tenantAccount{id: id}
 		a.slot = c.tenants.add(a)
 		c.tenantByID[id] = a
@@ -80,59 +69,56 @@ func (c *Cache) tenantAccountFor(id int) *tenantAccount {
 // allocations. Budgets are normally set before traffic; changing them
 // mid-flight is safe but the soft-pressure bias may lag one reclaim pass.
 func (c *Cache) SetTenantBudget(id int, softPages, hardPages int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	a := c.tenantAccountFor(id)
-	a.soft.Store(softPages)
-	a.hard.Store(hardPages)
+	a.soft, a.hard = softPages, hardPages
 	c.refreshOverSoft(a)
 }
 
 // TenantStats snapshots every tenant ledger, ordered by tenant ID.
 func (c *Cache) TenantStats() []TenantStats {
-	c.tenantMu.RLock()
-	accounts := make([]*tenantAccount, 0, len(c.tenantByID))
+	c.mu.Lock()
+	out := make([]TenantStats, 0, len(c.tenantByID))
 	for _, a := range c.tenantByID {
-		accounts = append(accounts, a)
-	}
-	c.tenantMu.RUnlock()
-	sort.Slice(accounts, func(i, j int) bool { return accounts[i].id < accounts[j].id })
-	out := make([]TenantStats, len(accounts))
-	for i, a := range accounts {
-		out[i] = TenantStats{
+		out = append(out, TenantStats{
 			ID:         a.id,
-			Resident:   a.resident.Load(),
-			Inserted:   a.inserted.Load(),
-			Evicted:    a.evicted.Load(),
-			SoftBudget: a.soft.Load(),
-			HardBudget: a.hard.Load(),
-		}
+			Resident:   a.resident,
+			Inserted:   a.inserted,
+			Evicted:    a.evicted,
+			SoftBudget: a.soft,
+			HardBudget: a.hard,
+		})
 	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // refreshOverSoft reconciles the account's cached over-soft flag with
 // its live state, keeping nOverSoft equal to the number of set flags.
 func (c *Cache) refreshOverSoft(a *tenantAccount) {
-	over := a.overSoftNow()
-	if a.overSoft.Load() != over && a.overSoft.CompareAndSwap(!over, over) {
+	if over := a.overSoftNow(); over != a.overSoft {
+		a.overSoft = over
 		if over {
-			c.nOverSoft.Add(1)
+			c.nOverSoft++
 		} else {
-			c.nOverSoft.Add(-1)
+			c.nOverSoft--
 		}
 	}
 }
 
 // chargeTenant accounts n freshly inserted (or requeued) pages.
 func (c *Cache) chargeTenant(a *tenantAccount, n int64) {
-	a.resident.Add(n)
-	a.inserted.Add(n)
+	a.resident += n
+	a.inserted += n
 	c.refreshOverSoft(a)
 }
 
 // creditTenant accounts n evicted pages.
 func (c *Cache) creditTenant(a *tenantAccount, n int64) {
-	a.resident.Add(-n)
-	a.evicted.Add(n)
+	a.resident -= n
+	a.evicted += n
 	c.refreshOverSoft(a)
 }
 
@@ -141,17 +127,18 @@ func (c *Cache) creditTenant(a *tenantAccount, n int64) {
 // only those) are direct-reclaimed down to the budget, charged to the
 // allocating thread like any direct reclaim.
 func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
-	hard := a.hard.Load()
-	if hard <= 0 {
-		return
+	var target int64
+	c.mu.Lock()
+	if a.hard > 0 {
+		target = a.resident - a.hard
 	}
-	target := a.resident.Load() - hard
+	c.mu.Unlock()
 	if target <= 0 {
 		return
 	}
 	c.tenantReclaims.Add(1)
 	c.rec.Add(telemetry.CtrCacheTenantReclaims, 1)
-	c.reclaim(tl, "cache.tenant_reclaim", target, false, func(victims []victim, target int64) []victim {
+	c.reclaim(tl, "cache.tenant_reclaim", target, false, func(victims []frameID, target int64) []frameID {
 		return c.selectTenant(victims, a, target)
 	})
 }
@@ -159,7 +146,7 @@ func (c *Cache) tenantReclaimIfNeeded(tl *simtime.Timeline, a *tenantAccount) {
 // selectTenant is the selector of tenant-targeted reclaim: the tenant's
 // own pages and nobody else's, oldest first — the inactive list, then the
 // active one, each walked tail to head.
-func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) []victim {
+func (c *Cache) selectTenant(victims []frameID, a *tenantAccount, target int64) []frameID {
 	ft := &c.frames
 	for _, l := range [...]*pageList{&c.inactive, &c.active} {
 		for id := l.tail; id != 0 && int64(len(victims)) < target; {
@@ -171,7 +158,7 @@ func (c *Cache) selectTenant(victims []victim, a *tenantAccount, target int64) [
 					c.nInactive--
 				}
 				p.setFlags(flagState, pageUnlinked)
-				victims = append(victims, victim{c.files.at(p.file), p.seq.Load(), p.idx, id})
+				victims = append(victims, id)
 			}
 			id = prev
 		}

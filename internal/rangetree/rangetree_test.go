@@ -77,7 +77,7 @@ func TestClearRequested(t *testing.T) {
 func TestImportBitmap(t *testing.T) {
 	tr := newTree(64)
 	tr.MarkCached(nil, 0, 100) // stale belief
-	var kernel bitmap.Shared
+	var kernel bitmap.Bitmap
 	kernel.SetRange(0, 50) // kernel truth: only first 50 resident
 	var src bitmap.Window
 	kernel.CopyWindow(&src, 0, 100)
@@ -209,7 +209,7 @@ func TestReadMarkOnFullNode(t *testing.T) {
 	settle := func(tr *Tree) {                     // a prefetch of node 0 that completed and was not read
 		tr.ClearCached(nil, 0, 64)
 		tr.NeedsPrefetch(nil, 0, 64)
-		var kernel bitmap.Shared
+		var kernel bitmap.Bitmap
 		var win bitmap.Window
 		kernel.SetRange(0, 64)
 		kernel.CopyWindow(&win, 0, 64)
@@ -406,7 +406,7 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers, skippedMarks 
 	file := lockstepFile(span)
 	var saved simtime.Duration // what the full-node answers and skipped marks have saved so far
 	var full bitmap.Run        // the full-node span of the last query, which a read-mark hands on
-	var kernel bitmap.Shared
+	var kernel bitmap.Bitmap
 	var win bitmap.Window
 
 	for step := 0; len(prog) >= lockstepOpBytes; step++ {
