@@ -2,12 +2,12 @@
 # vet (root and bench/), two source gates (errgate, fmtgate), build, `go test -race ./...`, the allocation guards without
 # the race detector, digests, and the benchmark's own tests (bench-smoke).
 # Outside the gate, run before a change to concurrent code: `make stress`
-# repeats the five packages with real host concurrency (the LSM engine, the
-# file system, the page cache under its one lock, the range tree's
-# lock-free summaries, the library's shared descriptors and rings), the
-# two that hand threads a baton (simtime's group, the workload driver), and
-# the predictor arms the library drives per inode, under the race detector
-# at GOMAXPROCS 1, 2 and 8, five times each. On two cores the LSM engine
+# repeats, under the race detector at GOMAXPROCS 1, 2 and 8, five times
+# each, the five packages whose raw-goroutine tests reach a host lock (the
+# LSM engine; the file system, the page cache, the range tree and the
+# library, each under its one lock, and the library's rings under theirs),
+# the two that hand threads a baton (simtime's group, the workload driver),
+# and the predictor arms the library drives per inode. On two cores the LSM engine
 # alone takes about 26 minutes and crosslib 11, hence the explicit timeout
 # (go test's default is ten). PKG runs one package's ladder alone, as for
 # `size`: `make stress PKG=./internal/pagecache` after a concurrency change
@@ -68,6 +68,8 @@ flake:
 	done; echo "flake: make allocs passed 30 of 30"
 	go test -count=3 -cpu 1,2,8 $(FLAKE)
 
+# The ladder's packages: the five with a host lock of their own, the baton's
+# two, and the predictor.
 STRESS = ./internal/lsm ./internal/fs ./internal/pagecache \
 	./internal/rangetree ./internal/simtime ./internal/workload ./internal/crosslib ./internal/predictor
 

@@ -264,7 +264,7 @@ func TestNegativeOffsetReadTrainsNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops, stats := rt.ops.Load(), rt.Stats()
+			ops, stats := rt.ops, rt.Stats()
 			observes := int64(-1)
 			if f.pred != nil {
 				observes = f.pred.Observes()
@@ -289,7 +289,7 @@ func TestNegativeOffsetReadTrainsNothing(t *testing.T) {
 			if n != 0 || !errors.Is(err, vfs.ErrNegativeOffset) {
 				t.Fatalf("read = %d, %v; want 0, vfs.ErrNegativeOffset", n, err)
 			}
-			if got := rt.ops.Load(); got != ops {
+			if got := rt.ops; got != ops {
 				t.Errorf("%d accesses counted", got-ops)
 			}
 			if f.pred != nil && f.pred.Observes() != observes {

@@ -284,7 +284,7 @@ func TestEvictPassColdDropAllocs(t *testing.T) {
 		// its ranges are cold: pass 2's case.
 		fc.InsertRange(nil, 0, filePages, pagecache.InsertOptions{MarkerAt: -1})
 		f.sf.tree.MarkCached(nil, 0, filePages)
-		f.sf.touch(wtl.Now())
+		f.rt.touch(f.sf, wtl.Now())
 		rt.evictPass(wtl, wtl.Now())
 	}
 	pass()
@@ -328,7 +328,7 @@ func TestSettledPrefetchStaysClaimedUntilRead(t *testing.T) {
 	// still in use (pass 1 leaves it be), and reports the pages it evicted.
 	pass := func() int64 {
 		wtl := simtime.NewTimeline(tl.Now().Add(2 * age))
-		f.sf.touch(wtl.Now())
+		f.rt.touch(f.sf, wtl.Now())
 		evicted := rt.Stats().EvictedPages
 		rt.evictPass(wtl, wtl.Now())
 		return rt.Stats().EvictedPages - evicted

@@ -72,9 +72,9 @@ func TestMmapScanWindowShrinksOnRandom(t *testing.T) {
 	for i := 0; i < 12*mmapScanOps; i++ {
 		m.Load(tl, rng.Int63n((256<<20)/4096)*4096, 4096, nil)
 	}
-	m.mu.Lock()
+	rt.mu.Lock()
 	window := m.window
-	m.mu.Unlock()
+	rt.mu.Unlock()
 	if window != 8 {
 		t.Fatalf("random mmap loads should shrink the window to its floor of 8 blocks, got %d", window)
 	}

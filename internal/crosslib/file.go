@@ -1,9 +1,6 @@
 package crosslib
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitmap"
 	"repro/internal/predictor"
 	"repro/internal/simtime"
@@ -15,20 +12,18 @@ import (
 // user-level prediction and prefetch state (§4.3's "user-level
 // file-descriptor structure"). Each descriptor has its own pattern
 // detector; descriptors of the same file share the range tree (§4.5's
-// file-descriptor prefetching).
+// file-descriptor prefetching). The fields past sf are under rt.mu.
 type File struct {
 	rt *Runtime
 	kf *vfs.File
 	sf *sharedFile
 
-	predMu sync.Mutex
-	pred   *predictor.Predictor
+	pred *predictor.Predictor
 
 	// behind is the drop-behind watermark (dropBehind): the end block of the
 	// last unit this descriptor gave back.
-	behind atomic.Int64
+	behind int64
 
-	mu     sync.Mutex
 	pos    int64
 	closed bool
 }
@@ -62,7 +57,7 @@ func (rt *Runtime) wrap(tl *simtime.Timeline, kf *vfs.File, name string) *File {
 	}
 	f.sf = rt.shared(kf, name)
 	f.pred = predictor.New(predictor.DefaultConfig())
-	f.sf.touch(tl.Now())
+	rt.touch(f.sf, tl.Now())
 
 	root := rt.tr.Root(tl, telemetry.OpOpenPrefetch, kf.Inode().ID())
 	switch {
@@ -93,26 +88,26 @@ func (rt *Runtime) wrap(tl *simtime.Timeline, kf *vfs.File, name string) *File {
 // inline on the submitting thread, so no job can still reference sf.kf
 // after every opener has returned.
 func (f *File) Close(tl *simtime.Timeline) error {
-	f.mu.Lock()
-	closed := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if closed {
+	rt, sf := f.rt, f.sf
+	rt.mu.Lock()
+	if f.closed {
+		rt.mu.Unlock()
 		return nil
 	}
-	sf := f.sf
+	f.closed = true
+	last := false
+	if sf != nil {
+		sf.refs--
+		if last = sf.refs == 0; last {
+			delete(rt.files, sf.inoID)
+		}
+	}
+	rt.mu.Unlock()
 	if sf == nil {
 		// Disabled runtime: plain kernel descriptor.
 		f.kf.Close(tl)
 		return nil
 	}
-	f.rt.filesMu.Lock()
-	sf.refs--
-	last := sf.refs == 0
-	if last {
-		delete(f.rt.files, sf.inoID)
-	}
-	f.rt.filesMu.Unlock()
 	// sf.kf is the descriptor background work borrows; it is closed only
 	// by the last closer, which may not be the descriptor that donated it.
 	if f.kf != sf.kf {
@@ -176,7 +171,7 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	if n > 0 {
 		f.dropBehind(tl, lo)
 	}
-	f.sf.touch(tl.Now())
+	f.rt.touch(f.sf, tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err
 }
@@ -208,8 +203,8 @@ const dropBehindUnit = 64
 // (MostlySequential or better); and it is the file's only one. Each unit
 // goes once a pass: the watermark is the end of the last unit dropped, and
 // a read behind it — a new pass — resets it. A File is shared between
-// threads, so the watermark moves by compare-and-swap and only its winner
-// drops. ReadAt is the one caller: a ring read's settle does not drop,
+// threads, so the watermark moves under rt.mu and only the read that moved
+// it drops. ReadAt is the one caller: a ring read's settle does not drop,
 // because ring readers share the cache with other tenants, and there a
 // scan that gives back its wake spends what it frees on prefetch its
 // neighbours wait behind (DESIGN.md §24).
@@ -218,17 +213,19 @@ func (f *File) dropBehind(tl *simtime.Timeline, lo int64) {
 	if !rt.opt.AggressiveEvict || f.kf.Inode().Blocks() <= rt.budget() {
 		return
 	}
-	w := f.behind.Load()
-	if lo < w {
-		f.behind.CompareAndSwap(w, 0)
-		return
-	}
 	end := (lo/dropBehindUnit - 1) * dropBehindUnit
-	if end-dropBehindUnit < w || f.streamState() < predictor.MostlySequential ||
-		!rt.sole(sf) || !f.behind.CompareAndSwap(w, end) {
+	rt.mu.Lock()
+	drop := false
+	switch w := f.behind; {
+	case lo < w:
+		f.behind = 0
+	case end-dropBehindUnit >= w && f.streamState() >= predictor.MostlySequential && sf.refs == 1:
+		f.behind, sf.droppedBehind, drop = end, true, true
+	}
+	rt.mu.Unlock()
+	if !drop {
 		return
 	}
-	sf.droppedBehind.Store(true)
 	rt.workers.Run(tl.Now(), func(wtl *simtime.Timeline) {
 		freed := rt.dontNeed(wtl, sf, vfs.AdvDontNeedCold, end-dropBehindUnit, end)
 		rt.rec.Add(telemetry.CtrLibDroppedBehindPages, freed)
@@ -238,14 +235,11 @@ func (f *File) dropBehind(tl *simtime.Timeline, lo int64) {
 
 // streamState is the descriptor's counter classification: its own
 // predictor's, or the ensemble's counter arm when the ensemble is on.
+// Caller holds rt.mu.
 func (f *File) streamState() predictor.State {
 	if sf := f.sf; sf.ens != nil {
-		sf.ensMu.Lock()
-		defer sf.ensMu.Unlock()
 		return sf.ens.CounterState()
 	}
-	f.predMu.Lock()
-	defer f.predMu.Unlock()
 	return f.pred.State()
 }
 
@@ -265,10 +259,10 @@ func (f *File) observeAccess(tl *simtime.Timeline, lo, hi int64) (op int64, full
 		// the live arm's candidates reach the prefetch path.
 		full = f.ensembleObserve(tl, lo, hi, true)
 	case o.Predict && f.pred != nil:
-		f.predMu.Lock()
+		f.rt.mu.Lock()
 		skipped := f.pred.Observe(lo, hi-lo)
 		plo, pn := f.pred.Next()
-		f.predMu.Unlock()
+		f.rt.mu.Unlock()
 		switch {
 		case pn > 0:
 			full = f.prefetchAsync(tl, plo, pn, budgetUnasked, false)
@@ -303,14 +297,14 @@ func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) (
 	rt := f.rt
 	sf := f.sf
 	blocks := hi - lo
-	sf.ensMu.Lock()
+	rt.mu.Lock()
 	res := sf.ens.Observe(lo, blocks)
 	live := res.Live
 	issued, hits, expired := res.Issued, res.Hit, res.Expired
 	promoted, oldArm, newArm := res.Promoted, res.OldArm, res.NewArm
 	var cands [maxLiveCandidates]predictor.Candidate
 	n := copy(cands[:], res.Candidates)
-	sf.ensMu.Unlock()
+	rt.mu.Unlock()
 
 	now := tl.Now()
 	var sumI, sumH, sumX int64
@@ -355,21 +349,19 @@ func (f *File) ensembleObserve(tl *simtime.Timeline, lo, hi int64, issue bool) (
 
 // Read reads at the descriptor's position, advancing it.
 func (f *File) Read(tl *simtime.Timeline, dst []byte) (int, error) {
-	f.mu.Lock()
+	f.rt.mu.Lock()
 	off := f.pos
-	f.mu.Unlock()
+	f.rt.mu.Unlock()
 	n, err := f.ReadAt(tl, dst, off)
-	f.mu.Lock()
-	f.pos = off + int64(n)
-	f.mu.Unlock()
+	f.SeekTo(off + int64(n))
 	return n, err
 }
 
 // SeekTo sets the descriptor position.
 func (f *File) SeekTo(off int64) {
-	f.mu.Lock()
+	f.rt.mu.Lock()
 	f.pos = off
-	f.mu.Unlock()
+	f.rt.mu.Unlock()
 }
 
 // WriteAt writes through the shim. Writes also feed the pattern detector
@@ -398,7 +390,7 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	if n > 0 {
 		f.sf.tree.MarkCached(tl, lo, (off+int64(n)+bs-1)/bs)
 	}
-	f.sf.touch(tl.Now())
+	f.rt.touch(f.sf, tl.Now())
 	f.rt.maybeEvict(tl, op)
 	return n, err
 }
@@ -412,9 +404,9 @@ func (f *File) observeWrite(tl *simtime.Timeline, lo, hi int64) int64 {
 	case o.Predict && f.sf.ens != nil:
 		f.ensembleObserve(tl, lo, hi, false)
 	case o.Predict && f.pred != nil:
-		f.predMu.Lock()
+		f.rt.mu.Lock()
 		f.pred.Observe(lo, hi-lo)
-		f.predMu.Unlock()
+		f.rt.mu.Unlock()
 	}
 	return f.rt.tick()
 }
@@ -471,7 +463,10 @@ func (f *File) prefetchAsync(tl *simtime.Timeline, lo, blocks int64, level budge
 		case budgetStatic:
 			hi = min(hi, lo+f.kf.StaticWindow(lo, hi)*f.kf.Lead())
 		default:
-			if sf.droppedBehind.Load() {
+			rt.mu.Lock()
+			behind := sf.droppedBehind
+			rt.mu.Unlock()
+			if behind {
 				hi = min(hi, lo+rt.budget()-rt.v.Cache().Used())
 			}
 		}
@@ -528,7 +523,10 @@ const workerQueueBound = 2 * simtime.Millisecond
 // full-node span. A file a stream has dropped behind is one the library has
 // found it cannot hold, so it is left out until its reader streams again.
 func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) bitmap.Run {
-	if f.sf.droppedBehind.Load() && f.streamState() < predictor.LikelySequential {
+	f.rt.mu.Lock()
+	idle := f.sf.droppedBehind && f.streamState() < predictor.LikelySequential
+	f.rt.mu.Unlock()
+	if idle {
 		return bitmap.Run{}
 	}
 	level := f.rt.budgetGate(tl, f.sf, lo, lo)
@@ -545,8 +543,11 @@ func (f *File) coveragePrefetch(tl *simtime.Timeline, lo int64) bitmap.Run {
 // ensureFetchAll kicks off (once) whole-file prefetch jobs and, on later
 // calls, re-issues prefetch for blocks that eviction took away.
 func (f *File) ensureFetchAll(tl *simtime.Timeline, op int64) {
-	sf := f.sf
-	if sf.fetchAll.CompareAndSwap(false, true) {
+	f.rt.mu.Lock()
+	first := !f.sf.fetchAll
+	f.sf.fetchAll = true
+	f.rt.mu.Unlock()
+	if first {
 		f.prefetchAsync(tl, 0, f.kf.Inode().Blocks(), budgetUnasked, false)
 		return
 	}

@@ -28,7 +28,13 @@ func clampToFile(kf *vfs.File, lo, blocks int64) (int64, int64) {
 // prefetches keep failing is left to demand reads until the breaker
 // half-opens again. A refused intent is counted and traced.
 func (rt *Runtime) breakerAdmits(tl *simtime.Timeline, sf *sharedFile, lo, hi int64) bool {
-	if rt.opt.BreakerThreshold <= 0 || sf.brk.allow(tl.Now()) {
+	if rt.opt.BreakerThreshold <= 0 {
+		return true
+	}
+	rt.mu.Lock()
+	allowed := sf.brk.allow(tl.Now())
+	rt.mu.Unlock()
+	if allowed {
 		return true
 	}
 	rt.droppedBreaker.Add(1)
@@ -225,6 +231,8 @@ func (rt *Runtime) noteFault(tl *simtime.Timeline, sf *sharedFile, failed bool) 
 	if o.BreakerThreshold <= 0 {
 		return
 	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	now := tl.Now()
 	if failed {
 		if sf.brk.failure(now, o.BreakerThreshold, o.BreakerCooloff) {

@@ -1,9 +1,6 @@
 package crosslib
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitmap"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -15,14 +12,13 @@ import (
 // helper periodically export the kernel's cache bitmap and infer the
 // touched frontier from it: newly resident pages reveal where the
 // application is reading, and the helper prefetches ahead of that frontier
-// with a window that grows while the guess keeps being right.
+// with a window that grows while the guess keeps being right. The fields
+// past km are under the runtime's mu.
 type Mapping struct {
 	f  *File
 	km *vfs.Mapping
 
-	loads atomic.Int64
-
-	mu       sync.Mutex
+	loads    int64
 	frontier int64 // highest block seen resident
 	window   int64 // current prefetch window in blocks
 }
@@ -48,10 +44,15 @@ func (m *Mapping) Load(tl *simtime.Timeline, off, n int64, dst []byte) error {
 	root.Annotate("off", off)
 	root.Annotate("bytes", n)
 	err := m.km.Load(tl, off, n, dst)
-	if !m.f.rt.opt.Enabled {
+	rt := m.f.rt
+	if !rt.opt.Enabled {
 		return err
 	}
-	if m.loads.Add(1)%mmapScanOps == 0 {
+	rt.mu.Lock()
+	m.loads++
+	scan := m.loads%mmapScanOps == 0
+	rt.mu.Unlock()
+	if scan {
 		m.scheduleScan(tl)
 	}
 	return err
@@ -72,7 +73,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 		defer windowPool.Put(snap)
 		kf.ReadaheadInfo(wtl, vfs.CacheInfoRequest{BitmapHi: fileBlocks}, snap)
 
-		m.mu.Lock()
+		rt.mu.Lock()
 		// Find the residency frontier.
 		var frontier int64 = -1
 		for _, r := range snap.AppendPresentRuns(nil, 0, fileBlocks) {
@@ -111,7 +112,7 @@ func (m *Mapping) scheduleScan(tl *simtime.Timeline) {
 			}
 		}
 		lo, window := m.frontier, m.window
-		m.mu.Unlock()
+		rt.mu.Unlock()
 
 		if !dense || lo < 0 || lo >= fileBlocks {
 			return

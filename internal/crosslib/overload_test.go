@@ -109,11 +109,11 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 	// Force the breaker half-open: open, with the cooloff already
 	// elapsed, so allow() grants exactly one probe.
 	now := tl.Now()
-	f.sf.brk.mu.Lock()
+	f.rt.mu.Lock()
 	f.sf.brk.open = true
 	f.sf.brk.fails = rt.opt.BreakerThreshold
 	f.sf.brk.reopenAt = now
-	f.sf.brk.mu.Unlock()
+	f.rt.mu.Unlock()
 
 	// The probe: a prefetch intent for an uncached range, due 100ns from
 	// now. The library admits it; the ring_enter crossing carries the
@@ -140,9 +140,9 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 		t.Fatal("probe prefetch CQE not delivered")
 	}
 
-	f.sf.brk.mu.Lock()
+	f.rt.mu.Lock()
 	open, fails, reopenAt := f.sf.brk.open, f.sf.brk.fails, f.sf.brk.reopenAt
-	f.sf.brk.mu.Unlock()
+	f.rt.mu.Unlock()
 	if !open || fails != rt.opt.BreakerThreshold || reopenAt != now {
 		t.Fatalf("shed consumed the probe slot: open=%v fails=%d reopenAt=%v (want open=true fails=%d reopenAt=%v)",
 			open, fails, reopenAt, rt.opt.BreakerThreshold, now)

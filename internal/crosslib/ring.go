@@ -333,7 +333,7 @@ func (r *Ring) settle(tl *simtime.Timeline, q *ringOp, cq *vfs.RingCQE) {
 	case cq.Err == nil:
 		sf.markRead(tl, q.off, cq.N, r.rt.v.BlockSize(), q.full)
 	}
-	sf.touch(tl.Now())
+	r.rt.touch(sf, tl.Now())
 }
 
 // Reap blocks until at least min completions are available (or the ring

@@ -15,27 +15,29 @@ import (
 )
 
 // Runtime is one process's CROSS-LIB instance. It is safe for concurrent
-// use by raw goroutines (the stress tests, the parallel benchmarks, the
-// admin server's reads); inside a System a simtime.Group runs one member at
-// a time, so its inode table is one map under one lock.
+// use by raw goroutines (the stress tests, the admin server's reads);
+// inside a System a simtime.Group runs one member at a time, so the
+// library's shared state is under one lock.
 type Runtime struct {
 	v   *vfs.VFS
 	opt Options
 
 	workers *simtime.WorkerPool
 
-	// files maps an inode to its shared state; filesMu also guards each
-	// entry's refs.
-	filesMu sync.Mutex
-	files   map[int64]*sharedFile
+	// mu guards the inode table, every sharedFile's fields but its tree,
+	// every File's predictor, position and drop-behind watermark, every
+	// Mapping's scan state, and the fields below. No section spans a helper
+	// job or a Ring method — jobs run inline on the submitting thread — and
+	// the only locks taken under it are the range tree's and the kernel's.
+	mu    sync.Mutex
+	files map[int64]*sharedFile
 
-	ops atomic.Int64 // intercepted operations, for eviction throttling
+	ops int64 // intercepted operations, for eviction throttling
 	// evictEpoch is ops / EvictCheckOps as of the last budget poll: a poll is
 	// due whenever an op's tick has moved past it (maybeEvict).
-	evictEpoch atomic.Int64
+	evictEpoch int64
 
-	evictMu sync.Mutex // serializes budget enforcement passes
-	// Scratch of evictPass, reused pass after pass under evictMu.
+	// Scratch of evictPass, reused pass after pass.
 	evictFiles  []*sharedFile
 	evictRanges []rangetree.ColdRange
 
@@ -52,7 +54,7 @@ type Runtime struct {
 	// effectiveness bookings of the predictor ensemble (scorecard opt-in).
 	score *telemetry.Scorecard
 
-	// Stats.
+	// Stats, atomics so that Stats reads them without the lock.
 	prefetchCalls    atomic.Int64 // readahead_info calls issued
 	savedPrefetch    atomic.Int64 // prefetches skipped via cache awareness
 	prefetchedPgs    atomic.Int64
@@ -70,25 +72,25 @@ type Runtime struct {
 
 // sharedFile is the per-inode state shared by all descriptors of a file:
 // the user-level range tree (the imported cache bitmap) and activity
-// tracking for the inactive-file LRU.
+// tracking for the inactive-file LRU. The fields past tree are under
+// Runtime.mu.
 type sharedFile struct {
 	inoID int64
 	name  string
 	kf    *vfs.File // any descriptor, used for background prefetch/evict
 	tree  *rangetree.Tree
-	refs  int // live descriptors, under Runtime.filesMu
 
-	lastAccess    atomic.Int64 // virtual time of last access
-	fetchAll      atomic.Bool  // whole-file prefetch kicked off
-	droppedBehind atomic.Bool  // a stream has given back its wake (File.dropBehind)
-	askedAt       simtime.Time // last whole-file drop; under evictMu
+	refs          int          // live descriptors
+	lastAccess    simtime.Time // virtual time of last access
+	fetchAll      bool         // whole-file prefetch kicked off
+	droppedBehind bool         // a stream has given back its wake (File.dropBehind)
+	askedAt       simtime.Time // last whole-file drop
 
 	// ens, when non-nil (Options.Ensemble), is the per-inode competing-
-	// predictor ensemble; ensMu serializes its Observe calls across the
-	// inode's descriptors. The ensemble owns its own arm-0 counter — the
-	// per-descriptor predictor stays untouched for the non-ensemble path.
-	ensMu sync.Mutex
-	ens   *predictor.Ensemble
+	// predictor ensemble, observed by all of the inode's descriptors. The
+	// ensemble owns its own arm-0 counter — the per-descriptor predictor
+	// stays untouched for the non-ensemble path.
+	ens *predictor.Ensemble
 
 	brk breaker // background-prefetch circuit breaker
 }
@@ -98,7 +100,6 @@ type sharedFile struct {
 // prefetch so the file degrades to demand reads; after a cool-off it
 // half-opens and a single probe prefetch decides whether it closes.
 type breaker struct {
-	mu       sync.Mutex
 	fails    int          // consecutive background prefetch failures
 	open     bool         // prefetch suppressed
 	reopenAt simtime.Time // when an open breaker next admits a probe
@@ -110,16 +111,12 @@ type breaker struct {
 // this check but die on the way (already cached, batching hysteresis)
 // don't consume it; a failed probe pushes reopenAt out again.
 func (b *breaker) allow(now simtime.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return !b.open || now >= b.reopenAt
 }
 
 // failure records a definitive prefetch failure; reports whether this
 // one tripped the breaker (closed -> open edge).
 func (b *breaker) failure(now simtime.Time, threshold int, cooloff simtime.Duration) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.fails++
 	b.reopenAt = now.Add(cooloff)
 	if b.open {
@@ -135,8 +132,6 @@ func (b *breaker) failure(now simtime.Time, threshold int, cooloff simtime.Durat
 // success records a prefetch success; reports whether it closed an open
 // breaker (a recovery).
 func (b *breaker) success() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.fails = 0
 	if b.open {
 		b.open = false
@@ -145,13 +140,11 @@ func (b *breaker) success() bool {
 	return false
 }
 
-func (sf *sharedFile) touch(at simtime.Time) {
-	for {
-		cur := sf.lastAccess.Load()
-		if int64(at) <= cur || sf.lastAccess.CompareAndSwap(cur, int64(at)) {
-			return
-		}
-	}
+// touch raises sf's last access to at.
+func (rt *Runtime) touch(sf *sharedFile, at simtime.Time) {
+	rt.mu.Lock()
+	sf.lastAccess = max(sf.lastAccess, at)
+	rt.mu.Unlock()
 }
 
 // New returns a runtime over the given kernel with the given options.
@@ -186,19 +179,9 @@ func (rt *Runtime) SetScorecard(s *telemetry.Scorecard) { rt.score = s }
 
 // SharedFiles reports live per-inode state entries (leak detection).
 func (rt *Runtime) SharedFiles() int {
-	rt.filesMu.Lock()
-	defer rt.filesMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return len(rt.files)
-}
-
-// appendFiles appends every live sharedFile.
-func (rt *Runtime) appendFiles(files []*sharedFile) []*sharedFile {
-	rt.filesMu.Lock()
-	for _, sf := range rt.files {
-		files = append(files, sf)
-	}
-	rt.filesMu.Unlock()
-	return files
 }
 
 // Options reports the active configuration.
@@ -273,11 +256,10 @@ type PredictorRow struct {
 // the output is deterministic. Empty when Options.Ensemble is off.
 func (rt *Runtime) PredictorTable() []PredictorRow {
 	var rows []PredictorRow
-	for _, sf := range rt.appendFiles(nil) {
-		sf.ensMu.Lock()
+	rt.mu.Lock()
+	for _, sf := range rt.files {
 		e := sf.ens
 		if e == nil {
-			sf.ensMu.Unlock()
 			continue
 		}
 		row := PredictorRow{
@@ -294,9 +276,9 @@ func (rt *Runtime) PredictorTable() []PredictorRow {
 				Live:  a == e.Live(),
 			})
 		}
-		sf.ensMu.Unlock()
 		rows = append(rows, row)
 	}
+	rt.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Ino < rows[j].Ino })
 	return rows
 }
@@ -304,8 +286,8 @@ func (rt *Runtime) PredictorTable() []PredictorRow {
 // shared returns (creating on demand) the shared per-inode state.
 func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 	ino := kf.Inode().ID()
-	rt.filesMu.Lock()
-	defer rt.filesMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	sf, ok := rt.files[ino]
 	if !ok {
 		sf = &sharedFile{
@@ -325,10 +307,10 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 			// the budget lets its real windows run deeper than any shadow
 			// window, so what covers its candidates is its own success,
 			// and trimming them would score it as an arm that predicts
-			// nothing (DESIGN.md §24).
+			// nothing (DESIGN.md §24). Observe calls it under rt.mu.
 			fc := kf.FileCache()
 			sf.ens.SetFilter(func(live bool, lo, hi int64) (int64, int64) {
-				if live && sf.droppedBehind.Load() {
+				if live && sf.droppedBehind {
 					return lo, hi
 				}
 				lo, hi = fc.NonResidentSpan(lo, hi)
@@ -341,19 +323,14 @@ func (rt *Runtime) shared(kf *vfs.File, name string) *sharedFile {
 	return sf
 }
 
-// sole reports whether sf has one live descriptor.
-func (rt *Runtime) sole(sf *sharedFile) bool {
-	rt.filesMu.Lock()
-	defer rt.filesMu.Unlock()
-	return sf.refs == 1
-}
-
 // DropCaches resets the runtime's user-level cache belief (paired with a
 // kernel-level drop between experiment phases).
 func (rt *Runtime) DropCaches(tl *simtime.Timeline) {
-	for _, sf := range rt.appendFiles(nil) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, sf := range rt.files {
 		sf.tree.ClearCached(tl, 0, sf.kf.Inode().Blocks())
-		sf.fetchAll.Store(false)
+		sf.fetchAll = false
 	}
 }
 
@@ -401,8 +378,13 @@ func (rt *Runtime) freeFrac() float64 {
 	return float64(free) / float64(b)
 }
 
-// tick counts one intercepted operation.
-func (rt *Runtime) tick() int64 { return rt.ops.Add(1) }
+// tick counts one intercepted operation and returns the count.
+func (rt *Runtime) tick() int64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.ops++
+	return rt.ops
+}
 
 // maybeEvict is the budget poll behind every intercepted operation: when
 // op's tick has crossed a multiple of EvictCheckOps since the last poll and
@@ -415,12 +397,14 @@ func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 	if !rt.opt.AggressiveEvict {
 		return
 	}
-	// A lost swap means another thread is polling this very moment.
 	epoch := op / rt.opt.EvictCheckOps
-	if last := rt.evictEpoch.Load(); epoch <= last || !rt.evictEpoch.CompareAndSwap(last, epoch) {
-		return
+	rt.mu.Lock()
+	due := epoch > rt.evictEpoch
+	if due {
+		rt.evictEpoch = epoch
 	}
-	if rt.freeFrac() >= evictWaterFrac {
+	rt.mu.Unlock()
+	if !due || rt.freeFrac() >= evictWaterFrac {
 		return
 	}
 	now := tl.Now()
@@ -445,8 +429,8 @@ func (rt *Runtime) maybeEvict(tl *simtime.Timeline, op int64) {
 // when the inactive one runs dry, which a stream never lets it, so what it
 // kept and nobody has read since is the library's to take back.
 func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
-	rt.evictMu.Lock()
-	defer rt.evictMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 
 	budget := rt.budget()
 	wantFree := int64(float64(budget) * evictRefillFrac)
@@ -458,14 +442,17 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 	// Snapshot files ordered by last access (coldest first; inode order
 	// among files touched at the same instant, so that the pass does not
 	// depend on map iteration order).
-	candidates := rt.appendFiles(rt.evictFiles[:0])
+	candidates := rt.evictFiles[:0]
+	for _, sf := range rt.files {
+		candidates = append(candidates, sf)
+	}
 	defer func() { clear(candidates); rt.evictFiles = candidates[:0] }()
 	coldBefore := now.Add(-rt.opt.InactiveAge)
 	if !slices.ContainsFunc(candidates, func(sf *sharedFile) bool { return rt.evictable(sf, now, coldBefore) }) {
 		return // most passes: nothing to sort, nothing to drop
 	}
 	slices.SortFunc(candidates, func(a, b *sharedFile) int {
-		if c := cmp.Compare(a.lastAccess.Load(), b.lastAccess.Load()); c != 0 {
+		if c := cmp.Compare(a.lastAccess, b.lastAccess); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.inoID, b.inoID)
@@ -477,7 +464,7 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 		if freed >= target {
 			return
 		}
-		last := simtime.Time(sf.lastAccess.Load())
+		last := sf.lastAccess
 		if now.Sub(last) < rt.opt.InactiveAge {
 			break // list is sorted; the rest are hotter
 		}
@@ -533,9 +520,9 @@ func (rt *Runtime) evictPass(wtl *simtime.Timeline, now simtime.Time) {
 // evictable reports whether an eviction pass at now would drop sf whole
 // (pass 1) or one of its ranges (pass 2). A pass in which no file is
 // evictable drops nothing and changes no state, so it returns before it
-// sorts the files and their ranges.
+// sorts the files and their ranges. Caller holds rt.mu.
 func (rt *Runtime) evictable(sf *sharedFile, now, coldBefore simtime.Time) bool {
-	if now.Sub(simtime.Time(sf.lastAccess.Load())) >= rt.opt.InactiveAge &&
+	if now.Sub(sf.lastAccess) >= rt.opt.InactiveAge &&
 		now.Sub(sf.askedAt) >= rt.opt.InactiveAge && sf.kf.FileCache().CachedPages() > 0 {
 		return true
 	}

@@ -4,7 +4,6 @@ package fs
 
 import (
 	"slices"
-	"sync"
 	"unsafe"
 	"weak"
 )
@@ -14,9 +13,8 @@ import (
 // holds them weakly, one handle per dropped batch: a collection frees
 // whatever is on the list, so the list keeps no heap alive and needs no
 // capacity, and how long a chunk waits is the collector's call (DESIGN
-// §10, "Freed chunks").
+// §10, "Freed chunks"). It is under FS.mu.
 type freeChunks struct {
-	mu   sync.Mutex
 	list []freeBatch // newest last
 }
 
@@ -26,8 +24,8 @@ type freeBatch struct {
 	n      int
 }
 
-// put takes over dropped, a chunk table its inode has let go of under its
-// lock: no one else may hold it, or any of its chunks' data. When the
+// put takes over dropped, a chunk table its inode has let go of: no one
+// else may hold it, or any of its chunks' data. When the
 // oldest entry is dead a collection has run since it was put, so the dead
 // entries are dropped first: the list never outgrows the batches freed
 // since the collection before last.
@@ -35,8 +33,6 @@ func (l *freeChunks) put(dropped []chunk) {
 	if !slices.ContainsFunc(dropped, func(c chunk) bool { return c.data != nil }) {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.list) > 0 && l.list[0].chunks.Value() == nil {
 		l.list = slices.DeleteFunc(l.list, func(b freeBatch) bool { return b.chunks.Value() == nil })
 	}
@@ -48,7 +44,6 @@ func (l *freeChunks) put(dropped []chunk) {
 // owner's bytes, which no one can read: its blocks' written bits start
 // clear.
 func (l *freeChunks) get(size int) []byte {
-	l.mu.Lock()
 	for len(l.list) > 0 {
 		last := &l.list[len(l.list)-1]
 		if p := last.chunks.Value(); p != nil {
@@ -57,13 +52,11 @@ func (l *freeChunks) get(size int) []byte {
 				last.n--
 				if data := chunks[last.n].data; data != nil {
 					chunks[last.n].data = nil
-					l.mu.Unlock()
 					return data[:size]
 				}
 			}
 		}
 		l.list = l.list[:len(l.list)-1]
 	}
-	l.mu.Unlock()
 	return make([]byte, size)
 }

@@ -60,20 +60,20 @@ const unmapped = int64(-1)
 // the bits of chunk.written.
 const chunkBlocks = 8
 
-// FS is a simulated file system instance on one device.
+// FS is a simulated file system instance on one device. mu guards the
+// namespace, the allocator, the free list and every inode's size, map and
+// data: every exported method of FS and Inode takes it, and the unexported
+// ones run with it held.
 type FS struct {
 	layout    Layout
 	blockSize int64
 
-	mu      sync.RWMutex
-	files   map[string]*Inode
-	byID    map[int64]*Inode
-	nextIno int64
-
-	allocMu  sync.Mutex
-	nextPhys int64 // bump allocator / log head
-
-	free freeChunks // data of chunks their inodes dropped, for WriteAt
+	mu       sync.Mutex
+	files    map[string]*Inode
+	byID     map[int64]*Inode
+	nextIno  int64
+	nextPhys int64      // bump allocator / log head
+	free     freeChunks // data of chunks their inodes dropped, for WriteAt
 
 	journal *simtime.Ledger
 	costs   simtime.Costs
@@ -100,13 +100,12 @@ func (f *FS) Layout() Layout { return f.layout }
 // BlockSize reports the file system block size.
 func (f *FS) BlockSize() int64 { return f.blockSize }
 
-// Inode is a simulated file.
+// Inode is a simulated file; its fields past name are under fs.mu.
 type Inode struct {
 	fs   *FS
 	id   int64
 	name string
 
-	mu     sync.RWMutex
 	size   int64
 	blocks blockMap // logical block -> physical block
 	chunks []chunk  // logical block index / chunkBlocks -> its written bytes
@@ -128,8 +127,8 @@ func (ino *Inode) Name() string { return ino.name }
 
 // Size reports the file size in bytes.
 func (ino *Inode) Size() int64 {
-	ino.mu.RLock()
-	defer ino.mu.RUnlock()
+	ino.fs.mu.Lock()
+	defer ino.fs.mu.Unlock()
 	return ino.size
 }
 
@@ -170,8 +169,8 @@ func (f *FS) Create(tl *simtime.Timeline, name string) (*Inode, error) {
 // file. The page cache's writeback hook uses it to map a dirty run's
 // logical blocks to device offsets.
 func (f *FS) InodeByID(id int64) *Inode {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return f.byID[id]
 }
 
@@ -185,18 +184,17 @@ func (f *FS) CreateSynthetic(tl *simtime.Timeline, name string, size int64) (*In
 		return nil, err
 	}
 	nblocks := (size + f.blockSize - 1) / f.blockSize
-	start := f.allocRun(nblocks)
-	ino.mu.Lock()
+	f.mu.Lock()
 	ino.size = size
-	ino.blocks.set(0, start, nblocks)
-	ino.mu.Unlock()
+	ino.blocks.set(0, f.allocRun(nblocks), nblocks)
+	f.mu.Unlock()
 	return ino, nil
 }
 
 // Open looks up an existing file.
 func (f *FS) Open(name string) (*Inode, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	ino, ok := f.files[name]
 	if !ok {
 		return nil, fmt.Errorf("fs: open %s: no such file", name)
@@ -214,22 +212,18 @@ func (f *FS) Remove(tl *simtime.Timeline, name string) error {
 	}
 	delete(f.files, name)
 	delete(f.byID, ino.id)
-	f.mu.Unlock()
-
-	ino.mu.Lock()
-	dropped := ino.chunks
+	f.free.put(ino.chunks)
 	ino.blocks, ino.chunks = nil, nil
 	ino.size = 0
-	f.free.put(dropped)
-	ino.mu.Unlock()
+	f.mu.Unlock()
 	f.metadataOp(tl)
 	return nil
 }
 
 // List returns all file names, sorted.
 func (f *FS) List() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	names := make([]string, 0, len(f.files))
 	for n := range f.files {
 		names = append(names, n)
@@ -240,8 +234,8 @@ func (f *FS) List() []string {
 
 // FileCount reports the number of files.
 func (f *FS) FileCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return len(f.files)
 }
 
@@ -250,8 +244,6 @@ func (f *FS) FileCount() int {
 // allocate (extent: once per file region, in place thereafter; log: on
 // every write).
 func (f *FS) allocRun(n int64) int64 {
-	f.allocMu.Lock()
-	defer f.allocMu.Unlock()
 	start := f.nextPhys
 	f.nextPhys += n
 	return start
@@ -273,13 +265,13 @@ func (ino *Inode) MapRange(lo, hi int64) []PhysRun { return ino.AppendMapRange(n
 // AppendMapRange is MapRange appending to runs, for callers on a read path
 // that bring their own (typically stack) storage.
 func (ino *Inode) AppendMapRange(runs []PhysRun, lo, hi int64) []PhysRun {
-	ino.mu.RLock()
-	defer ino.mu.RUnlock()
+	ino.fs.mu.Lock()
+	defer ino.fs.mu.Unlock()
 	return ino.blocks.appendRuns(runs, lo, hi)
 }
 
 // writtenBlock returns the bytes of block blk if it has been written since
-// it was mapped, else nil. Caller holds ino.mu.
+// it was mapped, else nil.
 func (ino *Inode) writtenBlock(blk int64) []byte {
 	i := blk / chunkBlocks
 	if i >= int64(len(ino.chunks)) || ino.chunks[i].written&(1<<(blk%chunkBlocks)) == 0 {
@@ -297,8 +289,8 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 		return 0
 	}
 	bs := ino.fs.blockSize
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
+	ino.fs.mu.Lock()
+	defer ino.fs.mu.Unlock()
 
 	end := off + int64(len(data))
 	lo, hi := off/bs, (end+bs-1)/bs
@@ -345,7 +337,7 @@ func (ino *Inode) WriteAt(data []byte, off int64) (newBlocks int64) {
 // allocate maps the blocks of [lo, hi) a write needs: the unmapped ones,
 // or under the log layout all of them. Each maximal run of them takes one
 // allocRun, so blocks are numbered in block order. It returns how many it
-// mapped. Caller holds ino.mu.
+// mapped.
 func (ino *Inode) allocate(lo, hi int64) (n int64) {
 	if ino.fs.layout == LayoutLog {
 		ino.blocks.set(lo, ino.fs.allocRun(hi-lo), hi-lo)
@@ -372,8 +364,8 @@ func (ino *Inode) allocate(lo, hi int64) (n int64) {
 // the physical block number. It returns the number of bytes read.
 func (ino *Inode) ReadAt(dst []byte, off int64) int {
 	bs := ino.fs.blockSize
-	ino.mu.RLock()
-	defer ino.mu.RUnlock()
+	ino.fs.mu.Lock()
+	defer ino.fs.mu.Unlock()
 	if off >= ino.size {
 		return 0
 	}
@@ -397,7 +389,7 @@ func (ino *Inode) ReadAt(dst []byte, off int64) int {
 // Truncate sets the file size, discarding mappings beyond it.
 func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 	bs := ino.fs.blockSize
-	ino.mu.Lock()
+	ino.fs.mu.Lock()
 	keep := (size + bs - 1) / bs
 	ino.blocks.truncate(keep)
 	// The free list takes over the chunk tables it is given, so it gets
@@ -416,7 +408,7 @@ func (ino *Inode) Truncate(tl *simtime.Timeline, size int64) {
 		}
 	}
 	ino.size = size
-	ino.mu.Unlock()
+	ino.fs.mu.Unlock()
 	ino.fs.metadataOp(tl)
 }
 

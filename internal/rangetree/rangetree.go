@@ -5,11 +5,13 @@
 //
 // Each node covers a contiguous span of blocks and embeds a bitmap with one
 // bit per block in its range. Every node carries its own reader-writer
-// lock (both a real lock for data-structure safety and a virtual ledger for
-// contention accounting). Nodes are created on demand as the file grows, so
-// the tree's footprint scales with the touched portion of the file, and a
-// span of one huge node degrades to the paper's baseline "single per-file
-// bitmap lock" — which is exactly the ablation Table 5 isolates.
+// lock as a virtual ledger, which accounts the contention §4.5 is about; on
+// the host one mutex per tree guards every node, since the threads of a
+// simulated system take turns (DESIGN.md §10). Nodes are created on demand
+// as the file grows, so the tree's footprint scales with the touched
+// portion of the file, and a span of one huge node degrades to the paper's
+// baseline "single per-file bitmap lock" — which is exactly the ablation
+// Table 5 isolates.
 //
 // Bits have three states folded into two bitmaps: cached (the block is
 // believed resident) and requested (a prefetch claimed the block and no
@@ -25,7 +27,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/simtime"
@@ -36,12 +37,14 @@ import (
 // threads streaming through disjoint file regions touch disjoint nodes.
 const DefaultSpan = 4096
 
-// Tree is a concurrent range tree over the blocks of one file.
+// Tree is a concurrent range tree over the blocks of one file. mu guards
+// the node map and every node; every exported method takes it, and the
+// unexported ones run with it held.
 type Tree struct {
 	span  int64
 	costs simtime.Costs
 
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	nodes map[int64]*node
 }
 
@@ -49,53 +52,18 @@ type Tree struct {
 type node struct {
 	lo int64
 
-	mu        sync.RWMutex
 	ledger    *simtime.RWLedger
 	cached    *bitmap.Bitmap // node-relative: bit i = block lo+i
 	requested *bitmap.Bitmap
-	// lastTouch is the simtime.Time of the most recent access through this
-	// node, raised without the lock: a read's mark on a settled node takes
-	// no side of it (MarkRead).
-	lastTouch atomic.Int64
-
-	// summary publishes what a reader consults before it takes the lock,
-	// sumFull and sumRequested in one word, so that one load sees both as
-	// of the same hold: unlock stores it while still holding the write
-	// side, so it changes only between two holds of mu.
-	summary atomic.Uint32
+	lastTouch simtime.Time // the most recent access through this node
 }
 
-// The bits of node.summary.
-const (
-	sumFull      uint32 = 1 << iota // cached.Count() == span
-	sumRequested                    // requested.Count() > 0
-)
-
-// unlock releases the write side of n, publishing first the summary of the
-// bits as the hold leaves them.
-func (n *node) unlock(span int64) {
-	var s uint32
-	if n.cached.Count() == span {
-		s |= sumFull
-	}
-	if n.requested.Count() > 0 {
-		s |= sumRequested
-	}
-	if s != n.summary.Load() {
-		n.summary.Store(s)
-	}
-	n.mu.Unlock()
-}
+// full reports whether every block of n is believed cached.
+func (n *node) full(span int64) bool { return n.cached.Count() == span }
 
 func (n *node) touch(tl *simtime.Timeline) {
-	if tl == nil {
-		return
-	}
-	for now := int64(tl.Now()); ; {
-		last := n.lastTouch.Load()
-		if now <= last || n.lastTouch.CompareAndSwap(last, now) {
-			return
-		}
+	if tl != nil {
+		n.lastTouch = max(n.lastTouch, tl.Now())
 	}
 }
 
@@ -110,8 +78,8 @@ func New(span int64, costs simtime.Costs) *Tree {
 
 // Nodes reports how many nodes have been materialized.
 func (t *Tree) Nodes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return len(t.nodes)
 }
 
@@ -127,18 +95,10 @@ func (t *Tree) node(tl *simtime.Timeline, idx int64) *node {
 // lookup returns (creating on demand) the node covering block idx.
 func (t *Tree) lookup(idx int64) *node {
 	key := idx / t.span
-	t.mu.RLock()
-	n, ok := t.nodes[key]
-	t.mu.RUnlock()
-	if ok {
+	if n, ok := t.nodes[key]; ok {
 		return n
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n, ok = t.nodes[key]; ok {
-		return n
-	}
-	n = &node{
+	n := &node{
 		lo:        key * t.span,
 		ledger:    simtime.NewRWLedger("rtnode"),
 		cached:    bitmap.New(0),
@@ -174,6 +134,8 @@ func (t *Tree) lockHold(blocks int64) simtime.Duration {
 // MarkCached records blocks [lo, hi) as resident and consumes their
 // prefetch claims.
 func (t *Tree) MarkCached(tl *simtime.Timeline, lo, hi int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) { t.mark(tl, n, nlo, nhi) })
 }
 
@@ -182,32 +144,31 @@ func (t *Tree) mark(tl *simtime.Timeline, n *node, lo, hi int64) {
 	if tl != nil {
 		n.ledger.Write(tl, t.lockHold(hi-lo))
 	}
-	n.mu.Lock()
 	n.cached.SetRange(lo-n.lo, hi-n.lo)
 	n.requested.ClearRange(lo-n.lo, hi-n.lo)
 	n.touch(tl)
-	n.unlock(t.span)
 }
 
 // MarkRead is MarkCached for the blocks [lo, hi) a read brought in, given
 // full: the leading blocks of the window the read's own coverage query
 // answered from full nodes (AppendNeedsPrefetch), earlier on the same
 // timeline. That query has paid the descend to each of those nodes and read
-// its summary, so when [lo, hi) lies inside full, a node that is still full
-// and holds no prefetch claim anywhere — so MarkCached would change none of
-// its bits — gets its recency stamp at tl's time and nothing else: no
-// second RangeTreeOp, no write hold of its ledger, no side of its lock.
-// Every other node, and every node of a range outside full, gets
-// MarkCached.
+// its population count, so when [lo, hi) lies inside full, a node that is
+// still full and holds no prefetch claim anywhere — so MarkCached would
+// change none of its bits — gets its recency stamp at tl's time and nothing
+// else: no second RangeTreeOp, no write hold of its ledger. Every other
+// node, and every node of a range outside full, gets MarkCached.
 func (t *Tree) MarkRead(tl *simtime.Timeline, lo, hi int64, full bitmap.Run) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if lo < full.Lo || hi > full.Hi {
-		t.MarkCached(tl, lo, hi)
+		t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) { t.mark(tl, n, nlo, nhi) })
 		return
 	}
 	for pos := lo; pos < hi; {
 		n := t.lookup(pos)
 		nhi := min(n.lo+t.span, hi)
-		if n.summary.Load() == sumFull {
+		if n.full(t.span) && n.requested.Count() == 0 {
 			n.touch(tl)
 		} else {
 			if tl != nil {
@@ -221,27 +182,27 @@ func (t *Tree) MarkRead(tl *simtime.Timeline, lo, hi int64, full bitmap.Run) {
 
 // ClearCached records blocks [lo, hi) as evicted.
 func (t *Tree) ClearCached(tl *simtime.Timeline, lo, hi int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
 		}
-		n.mu.Lock()
 		n.cached.ClearRange(nlo-n.lo, nhi-n.lo)
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.unlock(t.span)
 	})
 }
 
 // CachedCount reports how many blocks of [lo, hi) are believed resident.
 func (t *Tree) CachedCount(tl *simtime.Timeline, lo, hi int64) int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var total int64
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
 			n.ledger.Read(tl, t.lockHold(nhi-nlo))
 		}
-		n.mu.RLock()
 		total += n.cached.CountRange(nlo-n.lo, nhi-n.lo)
-		n.mu.RUnlock()
 	})
 	return total
 }
@@ -262,13 +223,15 @@ func (t *Tree) NeedsPrefetch(tl *simtime.Timeline, lo, hi int64) []bitmap.Run {
 // full nodes — empty at lo when the first node was not — which a read
 // inside the window hands to MarkRead.
 //
-// A node answers from its summary before its bits (DESIGN.md §20): one
-// whose every block is believed cached has nothing missing in any
-// sub-range and nothing to mark, so it is asked as a reader — one BitmapOp
-// on the read side of its ledger, no hold of its lock. Any other node is
-// scanned a word of ^(cached|requested) at a time under the write side,
-// for the hold the window's width always cost.
+// A node answers from its population count before its bits (DESIGN.md
+// §20): one whose every block is believed cached has nothing missing in
+// any sub-range and nothing to mark, so it is asked as a reader — one
+// BitmapOp on the read side of its ledger. Any other node is scanned a
+// word of ^(cached|requested) at a time under the write side, for the hold
+// the window's width always cost.
 func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, hi int64) (runs []bitmap.Run, full bitmap.Run) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	base := len(dst)
 	full = bitmap.Run{Lo: lo, Hi: lo}
 	for pos := lo; pos < hi; {
@@ -285,11 +248,9 @@ func (t *Tree) AppendNeedsPrefetch(tl *simtime.Timeline, dst []bitmap.Run, lo, h
 }
 
 // believedFull reports whether every block of n is believed cached,
-// charging the population-count read when it is. The answer is one atomic
-// word, so on the host it takes no side of the node's lock at all; it is
-// ordered as a reader that got in before whichever writer holds mu now.
+// charging the population-count read when it is.
 func (t *Tree) believedFull(tl *simtime.Timeline, n *node) bool {
-	if n.summary.Load()&sumFull == 0 {
+	if !n.full(t.span) {
 		return false
 	}
 	if tl != nil {
@@ -306,8 +267,6 @@ func (t *Tree) claimMissing(tl *simtime.Timeline, n *node, dst []bitmap.Run, bas
 	if tl != nil {
 		n.ledger.Write(tl, t.lockHold(hi-lo))
 	}
-	n.mu.Lock()
-	defer n.unlock(t.span)
 	rhi := hi - n.lo
 	for i := n.cached.NextClearInBoth(n.requested, lo-n.lo, rhi); i < rhi; {
 		end := n.cached.NextSetInEither(n.requested, i+1, rhi)
@@ -324,12 +283,7 @@ func (t *Tree) claimMissing(tl *simtime.Timeline, n *node, dst []bitmap.Run, bas
 
 // peek returns the node covering block idx without materializing it; nil
 // means no block in the node's span has ever been marked.
-func (t *Tree) peek(idx int64) *node {
-	t.mu.RLock()
-	n := t.nodes[idx/t.span]
-	t.mu.RUnlock()
-	return n
-}
+func (t *Tree) peek(idx int64) *node { return t.nodes[idx/t.span] }
 
 // UnrequestedSpan trims [lo, hi) to the outermost blocks with no prefetch
 // claim, without setting any bits or charging virtual time — a read-only
@@ -338,9 +292,11 @@ func (t *Tree) peek(idx int64) *node {
 // library's back); a claim goes only when a read consumes it, the library
 // evicts the block, or its prefetch gives it back. Interior
 // requested blocks are not split out. Returns (lo, lo) when every block
-// has a request outstanding. Each node is locked once, and one with no
-// request outstanding at all — the usual case — is not scanned.
+// has a request outstanding. A node with no request outstanding at all —
+// the usual case — is not scanned.
 func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if lo < 0 {
 		lo = 0
 	}
@@ -353,12 +309,10 @@ func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 			break
 		}
 		nhi := min(n.lo+t.span, hi)
-		n.mu.RLock()
 		idle := n.requested.Count() == 0
 		if !idle {
 			lo = n.lo + n.requested.NextClear(lo-n.lo, nhi-n.lo)
 		}
-		n.mu.RUnlock()
 		if idle && nhi == hi {
 			return lo, hi // the whole window in one node with nothing in flight
 		}
@@ -372,13 +326,11 @@ func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 			break
 		}
 		nlo := max(n.lo, lo)
-		n.mu.RLock()
 		if n.requested.Count() > 0 {
 			for hi > nlo && n.requested.Test(hi-1-n.lo) {
 				hi--
 			}
 		}
-		n.mu.RUnlock()
 		if hi > nlo {
 			break
 		}
@@ -389,13 +341,13 @@ func (t *Tree) UnrequestedSpan(lo, hi int64) (int64, int64) {
 // ClearRequested drops the prefetch claims on [lo, hi): a prefetch that
 // failed, or the part of one that was not granted or not issued.
 func (t *Tree) ClearRequested(tl *simtime.Timeline, lo, hi int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
 		}
-		n.mu.Lock()
 		n.requested.ClearRange(nlo-n.lo, nhi-n.lo)
-		n.unlock(t.span)
 	})
 }
 
@@ -404,11 +356,12 @@ func (t *Tree) ClearRequested(tl *simtime.Timeline, lo, hi int64) {
 // cached; bits clear become not-cached. This reconciles user-level belief
 // with kernel truth after a readahead_info call.
 func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.forEachNode(tl, lo, hi, func(n *node, nlo, nhi int64) {
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
 		}
-		n.mu.Lock()
 		absent := func(lo, hi int64) {
 			n.cached.ClearRange(lo-n.lo, hi-n.lo)
 			n.requested.ClearRange(lo-n.lo, hi-n.lo)
@@ -424,7 +377,6 @@ func (t *Tree) ImportBitmap(tl *simtime.Timeline, src *bitmap.Window, lo, hi int
 			pos = r.Hi
 		}
 		absent(pos, nhi)
-		n.unlock(t.span)
 	})
 }
 
@@ -442,16 +394,13 @@ type ColdRange struct {
 // (allocation-free when dst has capacity).
 func (t *Tree) AppendColdestRanges(dst []ColdRange) []ColdRange {
 	base := len(dst)
-	t.mu.RLock()
+	t.mu.Lock()
 	for _, n := range t.nodes {
-		n.mu.RLock()
-		cr := ColdRange{Lo: n.lo, Hi: n.lo + t.span, Cached: n.cached.Count(), Requested: n.requested.Count(), LastTouch: simtime.Time(n.lastTouch.Load())}
-		n.mu.RUnlock()
-		if cr.Cached > 0 {
-			dst = append(dst, cr)
+		if c := n.cached.Count(); c > 0 {
+			dst = append(dst, ColdRange{Lo: n.lo, Hi: n.lo + t.span, Cached: c, Requested: n.requested.Count(), LastTouch: n.lastTouch})
 		}
 	}
-	t.mu.RUnlock()
+	t.mu.Unlock()
 	// Tie-break on Lo: spans touched at the same instant (one prefetch
 	// marking several) otherwise surface in map-iteration order, and the
 	// eviction order downstream must be reproducible.
@@ -469,16 +418,10 @@ func (t *Tree) AppendColdestRanges(dst []ColdRange) []ColdRange {
 // holds no prefetch claim: a range an evictor may drop. It walks the nodes
 // once, appends nothing and sorts nothing.
 func (t *Tree) HasColdRange(before simtime.Time, end int64) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, n := range t.nodes {
-		if n.lo >= end || simtime.Time(n.lastTouch.Load()) >= before {
-			continue
-		}
-		n.mu.RLock()
-		cold := n.cached.Count() > 0 && n.requested.Count() == 0
-		n.mu.RUnlock()
-		if cold {
+		if n.lo < end && n.lastTouch < before && n.cached.Count() > 0 && n.requested.Count() == 0 {
 			return true
 		}
 	}
@@ -487,8 +430,8 @@ func (t *Tree) HasColdRange(before simtime.Time, end int64) bool {
 
 // LockStats aggregates the per-node ledger contention counters.
 func (t *Tree) LockStats() simtime.RWLedgerStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out simtime.RWLedgerStats
 	out.Name = "rangetree"
 	for _, n := range t.nodes {

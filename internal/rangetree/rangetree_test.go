@@ -2,10 +2,11 @@ package rangetree
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -150,6 +151,71 @@ func TestConcurrentSafety(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClaimsAreExclusive is §4.5's promise under raw goroutines: threads
+// sharing a file never both issue a prefetch for one block. Eight
+// goroutines claim overlapping windows of one empty multi-node tree, round
+// after round; each settles the first half of every run it was granted
+// with MarkCached and gives the rest back with ClearRequested, yielding
+// between the claim and the settle so that claims overlap. No block is
+// granted while another caller holds it, a settled block is never granted
+// again, and at quiesce no claim is left and exactly the settled blocks are
+// cached.
+func TestClaimsAreExclusive(t *testing.T) {
+	const span, blocks, workers, rounds = 64, 32 * 64, 8, 300
+	tr := newTree(span)
+	owner := make([]atomic.Int32, blocks) // 0, or the goroutine that holds the block's claim
+	var settled atomic.Int64
+	var wg sync.WaitGroup
+	for w := int32(1); w <= workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			tl := simtime.NewTimeline(0)
+			var buf [16]bitmap.Run
+			for i := 0; i < rounds; i++ {
+				lo := rng.Int63n(blocks)
+				hi := min(lo+1+rng.Int63n(2*span+span/2), blocks)
+				runs, _ := tr.AppendNeedsPrefetch(tl, buf[:0], lo, hi)
+				for j, r := range runs {
+					if r.Lo < lo || r.Hi > hi || r.Hi <= r.Lo || (j > 0 && r.Lo <= runs[j-1].Hi) {
+						t.Errorf("query [%d,%d) granted run %v of %v", lo, hi, r, runs)
+						return
+					}
+					for b := r.Lo; b < r.Hi; b++ {
+						if prev := owner[b].Swap(w); prev != 0 {
+							t.Errorf("block %d granted to goroutine %d while goroutine %d held it", b, w, prev)
+							return
+						}
+					}
+				}
+				runtime.Gosched()
+				for _, r := range runs {
+					mid := r.Lo + (r.Blocks()+1)/2
+					tr.MarkCached(tl, r.Lo, mid) // settled blocks keep their owner: no one may claim them again
+					settled.Add(mid - r.Lo)
+					for b := mid; b < r.Hi; b++ {
+						owner[b].Store(0)
+					}
+					tr.ClearRequested(tl, mid, r.Hi)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for key, n := range tr.nodes {
+		if c := n.requested.Count(); c != 0 {
+			t.Errorf("node %d: %d blocks still claimed at quiesce", key, c)
+		}
+	}
+	if got, want := tr.CachedCount(nil, 0, blocks), settled.Load(); got != want {
+		t.Errorf("%d blocks cached at quiesce, %d settled", got, want)
+	}
+	if settled.Load() == 0 {
+		t.Error("no claim was ever granted")
+	}
+}
+
 func TestEmptyRangeOps(t *testing.T) {
 	tr := newTree(64)
 	tr.MarkCached(nil, 10, 10)
@@ -256,7 +322,7 @@ func TestReadMarkOnFullNode(t *testing.T) {
 			t.Errorf("%s: %d blocks of node 0 still claimed, want %d", c.name, got, c.claimed)
 		}
 		for pos := c.lo; pos < c.hi; pos = (pos/64 + 1) * 64 {
-			if got := simtime.Time(tr.lookup(pos).lastTouch.Load()); got != tl.Now() {
+			if got := tr.lookup(pos).lastTouch; got != tl.Now() {
 				t.Errorf("%s: node at %d stamped %v, want the mark's time %v", c.name, pos, got, tl.Now())
 			}
 		}
@@ -316,7 +382,6 @@ func refAppendNeedsPrefetch(t *Tree, tl *simtime.Timeline, dst []bitmap.Run, lo,
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-pos))
 		}
-		n.mu.Lock()
 		rlo, rhi := pos-n.lo, nhi-n.lo
 		runStart := int64(-1)
 		for i := rlo; i < rhi; i++ {
@@ -336,7 +401,6 @@ func refAppendNeedsPrefetch(t *Tree, tl *simtime.Timeline, dst []bitmap.Run, lo,
 			add(n.lo+runStart, n.lo+rhi)
 			n.requested.SetRange(runStart, rhi)
 		}
-		n.mu.Unlock()
 		pos = nhi
 	}
 	return dst
@@ -349,7 +413,6 @@ func refImportBitmap(t *Tree, tl *simtime.Timeline, src *bitmap.Window, lo, hi i
 		if tl != nil {
 			n.ledger.Write(tl, t.lockHold(nhi-nlo))
 		}
-		n.mu.Lock()
 		for i := nlo; i < nhi; i++ {
 			if src.Test(i) {
 				n.cached.Set(i - n.lo)
@@ -358,11 +421,10 @@ func refImportBitmap(t *Tree, tl *simtime.Timeline, src *bitmap.Window, lo, hi i
 				n.requested.Clear(i - n.lo)
 			}
 		}
-		n.unlock(t.span)
 	})
 }
 
-// refUnrequestedSpan is UnrequestedSpan one bit, and one lock, at a time.
+// refUnrequestedSpan is UnrequestedSpan one bit at a time.
 func refUnrequestedSpan(t *Tree, lo, hi int64) (int64, int64) {
 	requested := func(idx int64) bool {
 		n := t.peek(idx)
@@ -390,9 +452,9 @@ const lockstepOpBytes = 5
 
 // lockstep interprets prog, five bytes an operation, against a tree and a
 // reference tree that differs only in how it answers NeedsPrefetch, marks
-// a read and imports a kernel bitmap, and after every step compares the runs returned, the cached and
-// requested bits and the published summary of every node, and the virtual
-// clocks: identical, except that a believed-full node costs the tree
+// a read and imports a kernel bitmap, and after every step compares the
+// runs returned, the cached and requested bits of every node, and the
+// virtual clocks: identical, except that a believed-full node costs the tree
 // RangeTreeOp + BitmapOp where it costs the reference RangeTreeOp + the
 // window's write hold, and a read's mark on a node inside its query's
 // full-node span that is still full and holds no claim costs the tree
@@ -513,31 +575,12 @@ func lockstep(t testing.TB, span int64, prog []byte) (fullAnswers, skippedMarks 
 			if !sameBits(gn.cached, rn.cached, end) || !sameBits(gn.requested, rn.requested, end) {
 				t.Fatalf("step %d (op %d [%d,%d)): node %d bits differ from the reference", step, op, lo, hi, key)
 			}
-			if err := checkSummary(gn, got.span); err != "" {
-				t.Fatalf("step %d (op %d [%d,%d)): node %d %s", step, op, lo, hi, key, err)
-			}
 		}
 	}
 	if st := got.LockStats(); st.WriteWait+st.ReadWait != 0 {
 		t.Fatalf("one timeline waited on its own locks: %+v", st)
 	}
 	return fullAnswers, skippedMarks
-}
-
-// checkSummary reports how n's published summary differs from its bits, or
-// "" when it does not. The caller must exclude writers.
-func checkSummary(n *node, span int64) string {
-	var want uint32
-	if n.cached.Count() == span {
-		want |= sumFull
-	}
-	if n.requested.Count() > 0 {
-		want |= sumRequested
-	}
-	if got := n.summary.Load(); got != want {
-		return fmt.Sprintf("publishes summary %02b with %d of %d blocks cached and %d requested", got, n.cached.Count(), span, n.requested.Count())
-	}
-	return ""
 }
 
 func sameBits(a, b *bitmap.Bitmap, end int64) bool {
@@ -641,11 +684,11 @@ func TestFullNodeQueriesRaceWithWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadMarksRaceWithWriters puts the read's lock-free mark under the race
+// TestReadMarksRaceWithWriters puts the read's mark under the race
 // detector: readers run query → read-mark over full nodes, and settle what
 // their queries claimed, while a writer keeps punching holes in the same
-// nodes and filling them again. At quiesce every node's summary matches its
-// bits, every block the writer refilled is cached, and no claim is left.
+// nodes and filling them again. At quiesce every block the writer refilled
+// is cached, and no claim is left.
 func TestReadMarksRaceWithWriters(t *testing.T) {
 	const span, blocks = 64, 256
 	tr := newTree(span)
@@ -676,9 +719,6 @@ func TestReadMarksRaceWithWriters(t *testing.T) {
 	}
 	wg.Wait()
 	for key, n := range tr.nodes {
-		if err := checkSummary(n, span); err != "" {
-			t.Errorf("node %d %s", key, err)
-		}
 		if n.requested.Count() != 0 {
 			t.Errorf("node %d: %d blocks still claimed", key, n.requested.Count())
 		}
